@@ -15,12 +15,11 @@
 //!     Two `run` sets back to back; exit 1 if they differ by more than a bound.
 //! ccq-benchmark bless
 //!     Regenerate expected/<workload>.json at the default seed.
-//! ccq-benchmark manifest
-//!     Print BENCHMARK.json: the declaration of everything above.
+//! ccq-benchmark setup --only W [--seed N]
+//!     One `setup_s` sample, in seconds; the other modes spawn this.
 //! ```
 
 mod alloc;
-mod calib;
 mod check;
 mod measure;
 mod stats;
@@ -28,7 +27,7 @@ mod sys;
 mod trace;
 mod workloads;
 
-use measure::{measure_one, measure_set, run_rep, Samples, METRICS};
+use measure::{measure_one, measure_set, run_rep, Samples, METRICS, MIN_REPS};
 use std::path::{Path, PathBuf};
 use workloads::{Workload, DEFAULT_SEED, WORKLOADS};
 
@@ -36,21 +35,9 @@ use workloads::{Workload, DEFAULT_SEED, WORKLOADS};
 static ALLOCATOR: alloc::Counting = alloc::Counting;
 
 const DEFAULT_ROUNDS: usize = 9;
-const MIN_ROUNDS: usize = 7;
-
-/// How long the driver lets one run measure (`run_seconds`): seven timed
-/// repetitions of the longest workload, and — with the warm-up and the
-/// overshoot of the last repetition — 114 runs plus two builds inside the
-/// driver's 3420 s.
-const RUN_SECONDS: u64 = 18;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args == ["manifest"] {
-        // Needs neither a `ccq` binary nor two CPUs.
-        print!("{}", manifest());
-        return;
-    }
     let code = match parse(&args) {
         Ok(cmd) => execute(cmd),
         Err(msg) => {
@@ -71,6 +58,8 @@ enum Mode {
     Trace,
     Agree,
     Bless,
+    /// One `setup_s` sample of one workload, for the process that spawned it.
+    Setup,
 }
 
 struct Cmd {
@@ -101,8 +90,8 @@ fn parse(args: &[String]) -> Result<Cmd, String> {
             other => return Err(format!("unknown flag `{other}`")),
         }
     }
-    if rounds < MIN_ROUNDS {
-        return Err(format!("--rounds must be at least {MIN_ROUNDS}: a median of fewer is noise"));
+    if rounds < MIN_REPS {
+        return Err(format!("--rounds must be at least {MIN_REPS}: a median of fewer is noise"));
     }
     let find = |name: &str| {
         Workload::find(name).ok_or_else(|| {
@@ -127,6 +116,8 @@ fn parse(args: &[String]) -> Result<Cmd, String> {
         Some("trace") => Mode::Trace,
         Some("agree") => Mode::Agree,
         Some("bless") => Mode::Bless,
+        Some("setup") if only.is_some() => Mode::Setup,
+        Some("setup") => return Err("setup needs --only <workload>".to_string()),
         Some(other) => return Err(format!("unknown subcommand `{other}`")),
     };
     Ok(Cmd { mode, seed, rounds, workloads: selected })
@@ -164,10 +155,18 @@ fn print_header(ccq: &Path, cmd: &Cmd) {
     println!("- ccq binary: {} ({size} bytes)", ccq.display());
     println!("- seed: {}{}", cmd.seed, if cmd.seed == DEFAULT_SEED { " (default)" } else { "" });
     println!("- load: closed loop, one client, one command at a time, tracing off unless stated");
+    for w in &cmd.workloads {
+        println!("- {}: {}", w.name, w.why);
+    }
     println!();
 }
 
 fn execute(cmd: Cmd) -> i32 {
+    if let Mode::Setup = cmd.mode {
+        // Needs no `ccq` binary, and prints nothing but the number.
+        println!("{}", measure::fastest_setup(cmd.workloads[0], cmd.seed));
+        return 0;
+    }
     let ccq = match ccq_binary() {
         Ok(p) => p,
         Err(msg) => {
@@ -226,50 +225,8 @@ fn execute(cmd: Cmd) -> i32 {
             i32::from(!ok)
         }
         Mode::Bless => bless(&ccq, &cmd),
+        Mode::Setup => unreachable!("handled before the ccq binary was looked up"),
     }
-}
-
-/// `BENCHMARK.json`, generated from the tables this binary prints from, so
-/// the declaration cannot drift from the output.
-fn manifest() -> String {
-    let better = |higher: bool| if higher { "higher" } else { "lower" };
-    let workloads: Vec<String> = WORKLOADS
-        .iter()
-        .map(|w| {
-            format!("    {{\"name\": {}, \"why\": {}}}", check::json(w.name), check::json(w.why))
-        })
-        .collect();
-    let end_to_end: Vec<String> = METRICS
-        .iter()
-        .map(|m| {
-            format!(
-                "    {{\"name\": \"{}\", \"unit\": \"{}\", \"better\": \"{}\", \"bound\": {}}}",
-                m.name,
-                m.unit,
-                better(m.higher_is_better),
-                m.bound
-            )
-        })
-        .collect();
-    let per_layer: Vec<String> = trace::LAYER_METRICS
-        .iter()
-        .map(|m| {
-            format!(
-                "    {{\"name\": \"{}\", \"unit\": \"{}\", \"better\": \"{}\"}}",
-                m.name,
-                m.unit,
-                better(m.higher_is_better)
-            )
-        })
-        .collect();
-    format!(
-        "{{\n  \"command\": [\"bash\", \"benchmark/run.sh\"],\n  \"paths\": [\"benchmark\"],\n  \
-         \"run_seconds\": {RUN_SECONDS},\n  \"workloads\": [\n{}\n  ],\n  \"end_to_end\": [\n{}\n  ],\n  \
-         \"per_layer\": [\n{}\n  ]\n}}\n",
-        workloads.join(",\n"),
-        end_to_end.join(",\n"),
-        per_layer.join(",\n")
-    )
 }
 
 fn end_to_end_line(samples: &Samples) -> String {
@@ -286,8 +243,8 @@ fn trace_all(ccq: &Path, cmd: &Cmd) -> Vec<trace::Trace> {
     let mut traces = Vec::new();
     for &w in &cmd.workloads {
         // The untraced reference the in-process run is compared with.
-        let child = run_rep(ccq, w, cmd.seed);
-        let mut t = trace::trace_workload(w, cmd.seed, &child);
+        let child = trace::median_child(ccq, w, &(w.argv)(cmd.seed));
+        let mut t = trace::trace_workload(ccq, w, cmd.seed, &child);
         t.problems.extend(child.outcome.problems.iter().cloned());
         t.problems.extend(check::compare_expected(w.name, cmd.seed, &child.outcome));
         trace::print_trace(&t);
@@ -307,7 +264,7 @@ fn trace_all(ccq: &Path, cmd: &Cmd) -> Vec<trace::Trace> {
 
 fn bless(ccq: &Path, cmd: &Cmd) -> i32 {
     for &w in &cmd.workloads {
-        let rep = run_rep(ccq, w, DEFAULT_SEED);
+        let rep = run_rep(ccq, w, &(w.argv)(DEFAULT_SEED));
         if !rep.outcome.problems.is_empty() {
             eprintln!("ccq-benchmark: refusing to bless `{}`: {:?}", w.name, rep.outcome.problems);
             return 1;
@@ -350,17 +307,52 @@ mod tests {
         assert!(parse(&args("run --rounds 6")).is_err_and(|e| e.contains("at least 7")));
         assert!(parse(&args("frobnicate")).is_err());
         assert!(parse(&args("run --seed")).is_err());
+        let cmd = parse(&args("setup --only sparse_scale --seed 3")).unwrap();
+        assert!(matches!(cmd.mode, Mode::Setup));
+        assert_eq!((cmd.seed, cmd.workloads.len(), cmd.workloads[0].name), (3, 1, "sparse_scale"));
+        assert!(parse(&args("setup")).is_err_and(|e| e.contains("--only")));
     }
 
-    /// `BENCHMARK.json` at the repository root is `ccq-benchmark manifest`.
+    /// `BENCHMARK.json` declares what this binary prints: the same workloads
+    /// with the same reasons, and the same metrics with unit, direction and
+    /// bound, in the same order.
     #[test]
-    fn benchmark_json_is_the_generated_manifest() {
+    fn benchmark_json_declares_what_is_printed() {
         let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../BENCHMARK.json");
-        assert_eq!(std::fs::read_to_string(path).unwrap(), manifest());
-        let doc = serde_json::from_str(&manifest()).expect("the manifest is JSON");
-        assert_eq!(doc.get("workloads").unwrap().as_array().unwrap().len(), WORKLOADS.len());
+        let doc = serde_json::from_str(&std::fs::read_to_string(path).unwrap()).unwrap();
+        // Every row of `key` as its fields' texts, a row having only those fields.
+        let rows = |key: &str, fields: &[&str]| -> Vec<Vec<String>> {
+            let list = doc.get(key).unwrap().as_array().unwrap();
+            list.iter()
+                .map(|row| {
+                    assert_eq!(row.as_object().unwrap().len(), fields.len(), "{key}");
+                    fields
+                        .iter()
+                        .map(|f| row.get(f).unwrap().as_str().unwrap().to_string())
+                        .collect()
+                })
+                .collect()
+        };
+        let better = |higher: bool| if higher { "higher" } else { "lower" }.to_string();
+        let workloads: Vec<_> =
+            WORKLOADS.iter().map(|w| vec![w.name.to_string(), w.why.to_string()]).collect();
+        assert_eq!(rows("workloads", &["name", "why"]), workloads);
         for w in &WORKLOADS {
             assert!(w.why.len() <= 200 && !w.why.contains('\n'), "{}", w.name);
+        }
+        let per_layer: Vec<_> = trace::LAYER_METRICS
+            .iter()
+            .map(|m| vec![m.name.to_string(), m.unit.to_string(), better(m.higher_is_better)])
+            .collect();
+        assert_eq!(rows("per_layer", &["name", "unit", "better"]), per_layer);
+        let end_to_end = doc.get("end_to_end").unwrap().as_array().unwrap();
+        assert_eq!(end_to_end.len(), METRICS.len());
+        for (row, m) in end_to_end.iter().zip(&METRICS) {
+            assert_eq!(row.as_object().unwrap().len(), 4, "{}", m.name);
+            assert_eq!(row.get("name").unwrap().as_str(), Some(m.name));
+            assert_eq!(row.get("unit").unwrap().as_str(), Some(m.unit));
+            assert_eq!(row.get("better").unwrap().as_str().unwrap(), better(m.higher_is_better));
+            assert_eq!(row.get("bound").unwrap().as_f64(), Some(m.bound), "{}", m.name);
         }
     }
 }

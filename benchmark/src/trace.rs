@@ -11,12 +11,14 @@
 //! * `pass.layers` — the same run layer by layer: scenario build, then per
 //!   case `sim.execute`, `verify.order`, `report.metrics`.
 //! * `pass.probes` — everything measured by running something again: the
-//!   existing phase-timing probe, the graph/scenario pieces, the pinned
-//!   serial and wavefront shard runs, the checkpoint/replay baseline.
+//!   existing phase-timing probe, the graph/scenario pieces, the
+//!   checkpoint/replay baseline, and — as child processes, like the
+//!   end-to-end runs — the sharded workload pinned to one CPU and on the
+//!   wavefront pipeline.
 
 use crate::alloc::AllocCount;
 use crate::check::json;
-use crate::measure::{readings, Rep};
+use crate::measure::{readings, run_rep, Rep};
 use crate::sys::{pin_current_thread_to_one_cpu, release_free_memory};
 use crate::workloads::{paper_proxy_topologies, same_scenario, Sweep, Workload, PAPER_EXPERIMENTS};
 use ccq_repro::core::experiments::{self, Scale};
@@ -30,6 +32,7 @@ use ccq_repro::{bounds, tsp};
 use serde::Serialize;
 use std::collections::BTreeMap;
 use std::hint::black_box;
+use std::path::Path;
 use std::time::Instant;
 
 /// A per-layer metric as `BENCHMARK.json` declares it.
@@ -122,6 +125,10 @@ pub const LAYER_METRICS: [LayerMetric; 70] = [
 fn metric_named(name: &str) -> Option<&'static str> {
     LAYER_METRICS.iter().map(|m| m.name).find(|m| *m == name)
 }
+
+/// `|trace.overhead_frac|` beyond which the listing says so: spans around a
+/// few dozen calls cost nothing, so more than this is the box or a defect.
+const OVERHEAD_NOTE: f64 = 0.10;
 
 /// The checkpoint interval of the probe baseline (`ccq record`'s default).
 const CHECKPOINT_EVERY: u64 = 64;
@@ -269,12 +276,30 @@ impl Trace {
     }
 }
 
-/// Trace one workload. `child` is an untraced repetition of the same
-/// workload and seed, whose output the in-process run must reproduce.
-pub fn trace_workload(w: &'static Workload, seed: u64, child: &Rep) -> Trace {
+/// Children a traced time is the median of. One child is no reference: on
+/// the reference box one repetition in ten runs a third slower than its
+/// neighbours, and the first sharded child after an idle spell runs in half
+/// the time of every later one (its threads stay on one CPU).
+const CHILDREN: usize = 3;
+
+/// Run [`CHILDREN`] untraced children on `argv` and return the one whose
+/// wall time is the median, carrying the problems of all of them.
+pub fn median_child(ccq: &Path, w: &Workload, argv: &[String]) -> Rep {
+    let mut reps: Vec<Rep> = (0..CHILDREN).map(|_| run_rep(ccq, w, argv)).collect();
+    reps.sort_by(|a, b| a.child.wall_s.total_cmp(&b.child.wall_s));
+    let problems: Vec<String> = reps.iter().flat_map(|r| r.outcome.problems.clone()).collect();
+    let mut median = reps.swap_remove(CHILDREN / 2);
+    median.outcome.problems = problems;
+    median
+}
+
+/// Trace one workload. `child` is the untraced reference ([`median_child`]
+/// of the same workload and seed), whose output the in-process run must
+/// reproduce.
+pub fn trace_workload(ccq: &Path, w: &'static Workload, seed: u64, child: &Rep) -> Trace {
     let mut t = Trace::new(w.name, seed);
     let in_process_s = match w.sweep {
-        Some(sweep) => trace_sweep(&mut t, w, &sweep(seed), seed, child),
+        Some(sweep) => trace_sweep(&mut t, ccq, w, &sweep(seed), seed, child),
         None => trace_tables(&mut t, child),
     };
     // The span-instrumented in-process run against the untraced child.
@@ -294,7 +319,14 @@ fn case_config(case: &RunCase, scenario: &Scenario) -> SimConfig {
 }
 
 /// Returns the length of the instrumented in-process run (layers + JSON).
-fn trace_sweep(t: &mut Trace, w: &Workload, sweep: &Sweep, seed: u64, child: &Rep) -> f64 {
+fn trace_sweep(
+    t: &mut Trace,
+    ccq: &Path,
+    w: &Workload,
+    sweep: &Sweep,
+    seed: u64,
+    child: &Rep,
+) -> f64 {
     let plan = sweep.plan();
     let cases = plan.cases();
     assert!(cases.windows(2).all(|p| same_scenario(&p[0], &p[1])), "one scenario per workload");
@@ -464,10 +496,11 @@ fn trace_sweep(t: &mut Trace, w: &Workload, sweep: &Sweep, seed: u64, child: &Re
     t.set("sim.timing_overhead_frac", (timed_s - execute_s) / execute_s);
     t.set("report.qqc_s", t.total("report.qqc"));
 
-    if sweep.shards.is_sharded() {
-        trace_shard_layers(t, &cases, &mut scenario, execute_s, rounds, &runs);
-    }
     drop(scenario);
+    if sweep.shards.is_sharded() {
+        let cross_msgs = runs.iter().map(|r| r.report.cross_shard_messages).sum();
+        trace_shard_layers(t, ccq, w, seed, child, rounds, cross_msgs);
+    }
     if w.probe_baseline {
         trace_probe_baseline(t, w, sweep, seed, plan_execute_s);
     }
@@ -498,45 +531,52 @@ fn trace_graph_layers(t: &mut Trace, specs: &[(TopoSpec, RequestPattern, Arrival
     t.set("graph.edges", edges as f64);
 }
 
-/// The sharded workload again on one pinned CPU (the rayon shim's serial
-/// path, so the difference is fork/join) and on the wavefront pipeline.
+/// The sharded workload again as child processes: pinned to one CPU (the
+/// rayon shim's serial path, so the difference is fork/join) and on the
+/// wavefront pipeline. The times are whole children, like the reference;
+/// process start, set-up, verify and JSON are in all three and are a few
+/// milliseconds of each.
 fn trace_shard_layers(
     t: &mut Trace,
-    cases: &[RunCase],
-    scenario: &mut Scenario,
-    execute_s: f64,
+    ccq: &Path,
+    w: &Workload,
+    seed: u64,
+    child: &Rep,
     rounds: u64,
-    runs: &[CaseRun],
+    cross_msgs: u64,
 ) {
-    let run_all = |t: &mut Trace, name: &str, scenario: &Scenario| {
-        release_free_memory();
-        for case in cases {
-            let cfg = case_config(case, scenario);
-            let ok =
-                t.timed(name, Some(case.index), || case.protocol.execute(scenario, cfg)).is_ok();
-            if !ok {
-                t.problems.push(format!("{name}: case {} failed", case.index));
-            }
+    let argv = (w.argv)(seed);
+    let mut wavefront_argv = argv.clone();
+    wavefront_argv.push("--wavefront".to_string());
+    // A scoped thread, pinned before it spawns anything: affinity is per
+    // thread on Linux and a child inherits its spawner's, so the rest of
+    // this process keeps both CPUs.
+    let serial = std::thread::scope(|s| {
+        let pinned = s.spawn(|| {
+            pin_current_thread_to_one_cpu()
+                .map(|()| t.timed("shard.serial_children", None, || median_child(ccq, w, &argv)))
+        });
+        pinned.join().expect("pinned thread panicked")
+    });
+    let wavefront =
+        t.timed("shard.wavefront_children", None, || median_child(ccq, w, &wavefront_argv));
+    let serial = match serial {
+        Ok(rep) => rep,
+        Err(e) => {
+            t.problems.push(format!("cannot pin a thread to one CPU: {e}"));
+            return;
         }
     };
-    // A scoped thread, pinned before it runs anything: affinity is per
-    // thread on Linux, so the rest of the process keeps both CPUs.
-    std::thread::scope(|s| {
-        let pinned = s.spawn(|| {
-            let pinned = pin_current_thread_to_one_cpu();
-            if let Err(e) = &pinned {
-                t.problems.push(format!("cannot pin a thread to one CPU: {e}"));
-            }
-            run_all(t, "shard.serial_execute", scenario);
-        });
-        pinned.join().expect("pinned thread panicked");
-    });
-    scenario.wavefront = Some(0);
-    run_all(t, "shard.wavefront_execute", scenario);
-    scenario.wavefront = None;
+    for (name, rep) in [("pinned", &serial), ("wavefront", &wavefront)] {
+        t.problems.extend(rep.outcome.problems.iter().map(|p| format!("{name} child: {p}")));
+        if rep.outcome.lines != child.outcome.lines {
+            t.problems.push(format!("{name} child printed different statistics"));
+        }
+    }
 
-    let serial_s = t.total("shard.serial_execute");
-    let wavefront_s = t.total("shard.wavefront_execute");
+    let execute_s = child.child.wall_s;
+    let serial_s = serial.child.wall_s;
+    let wavefront_s = wavefront.child.wall_s;
     // Clamped at 0: were the threaded run ever the faster one, there would
     // be no fork/join cost to report.
     let forkjoin_s = (execute_s - serial_s).max(0.0);
@@ -546,10 +586,7 @@ fn trace_shard_layers(
     t.set("shard.forkjoin_frac", forkjoin_s / execute_s);
     t.set("shard.wavefront_execute_s", wavefront_s);
     t.set("shard.wavefront_speedup", execute_s / wavefront_s);
-    t.set(
-        "shard.cross_msgs",
-        runs.iter().map(|r| r.report.cross_shard_messages).sum::<u64>() as f64,
-    );
+    t.set("shard.cross_msgs", cross_msgs as f64);
     t.set("shard.us_per_round", 1e6 * execute_s / rounds.max(1) as f64);
 }
 
@@ -665,14 +702,24 @@ fn trace_tables(t: &mut Trace, child: &Rep) -> f64 {
 pub fn print_trace(t: &Trace) {
     println!("## {} (seed {})", t.workload, t.seed);
     println!();
-    println!("| metric | value | unit |");
-    println!("|---|---|---|");
-    for (name, value, unit) in t.all_metrics() {
-        if t.metrics.contains_key(name) {
-            println!("| {name} | {value:.6} | {unit} |");
+    println!("| metric | value | unit | better |");
+    println!("|---|---|---|---|");
+    for m in &LAYER_METRICS {
+        if let Some(value) = t.metrics.get(m.name) {
+            let better = if m.higher_is_better { "higher" } else { "lower" };
+            println!("| {} | {value:.6} | {} | {better} |", m.name, m.unit);
         }
     }
     println!();
+    let overhead = t.metrics.get("trace.overhead_frac").copied().unwrap_or(0.0);
+    if overhead.abs() > OVERHEAD_NOTE {
+        println!(
+            "NOTE the in-process run differs from the untraced child by {:+.1}% of its time: \
+             the box moved between the two, or the in-process run does not represent the \
+             child. Read this trace's times with that in mind, or trace again.",
+            100.0 * overhead
+        );
+    }
     println!("{} spans.", t.spans.len());
     if !t.counts.is_empty() {
         println!(

@@ -182,11 +182,12 @@ fn open_seeds(seed: u64) -> (u64, u64, u64) {
 pub static WORKLOADS: [Workload; 5] = [
     Workload {
         name: "oneshot_dense",
-        why: "Few packed rounds, ~12 M messages: the ccq-sim deliver/transmit hot loop does \
-              nearly all the work; set-up, verify and JSON almost none.",
+        why: "torus2d:50, all ten protocols: few packed rounds, ~14 M messages. The ccq-sim \
+              deliver/transmit hot loop does nearly all the work; set-up, verify and JSON \
+              almost none.",
         threads: 1,
-        argv: |_| strings(&["sweep", "--topo", "torus2d:48", "--proto", "all", "--json", "-"]),
-        sweep: Some(|_| Sweep::on_torus(48, DENSE_PROTOCOLS)),
+        argv: |_| strings(&["sweep", "--topo", "torus2d:50", "--proto", "all", "--json", "-"]),
+        sweep: Some(|_| Sweep::on_torus(50, DENSE_PROTOCOLS)),
         probe_baseline: true,
     },
     Workload {
@@ -226,11 +227,13 @@ pub static WORKLOADS: [Workload; 5] = [
     },
     Workload {
         name: "sparse_scale",
-        why: "1.2 x 10^6 nodes, 64 requesters: ccq-graph and scenario build (graph, two spanning \
-              trees) and membership-sized stores dominate; the only large setup_s and RSS.",
+        why:
+            "torus2d:1200 (1.4 x 10^6 nodes), 64 requesters: ccq-graph and scenario build (graph, \
+              two spanning trees) and membership-sized stores dominate; the only large setup_s \
+              and RSS.",
         threads: 1,
         argv: |seed| {
-            let mut argv = strings(&["sweep", "--topo", "torus2d:1100", "--proto"]);
+            let mut argv = strings(&["sweep", "--topo", "torus2d:1200", "--proto"]);
             argv.push(SPARSE_PROTOCOLS.join(","));
             argv.extend([
                 "--pattern".to_string(),
@@ -245,7 +248,7 @@ pub static WORKLOADS: [Workload; 5] = [
         sweep: Some(|seed| Sweep {
             pattern: RequestPattern::TailCluster { count: 64 },
             arrival: ArrivalSpec::Poisson { rate: 0.5, seed },
-            ..Sweep::on_torus(1100, SPARSE_PROTOCOLS)
+            ..Sweep::on_torus(1200, SPARSE_PROTOCOLS)
         }),
         probe_baseline: false,
     },
@@ -276,8 +279,9 @@ pub static WORKLOADS: [Workload; 5] = [
     },
     Workload {
         name: "paper_tables",
-        why: "The paper's product through the seed-era drivers that bypass RunPlan: \
-              experiments/, the QueuingAlg/CountingAlg facade, ccq-bounds, ccq-tsp, table.rs.",
+        why: "run --exp fig1,t3,t5,t6,t7,t8,f2,t10 --full: the paper's product through the \
+              seed-era drivers that bypass RunPlan (experiments/, the algorithm facade, \
+              ccq-bounds, ccq-tsp, table.rs).",
         threads: 1,
         argv: |_| {
             let mut argv = strings(&["run", "--exp"]);
@@ -307,7 +311,7 @@ mod tests {
         let sparse = (Workload::find("sparse_scale").unwrap().argv)(DEFAULT_SEED).join(" ");
         assert_eq!(
             sparse,
-            "sweep --topo torus2d:1100 --proto central-counter,combining-tree --pattern tail:64 \
+            "sweep --topo torus2d:1200 --proto central-counter,combining-tree --pattern tail:64 \
              --arrival poisson:rate=0.5:seed=7 --json -"
         );
         let shard = (Workload::find("shard_lockstep").unwrap().argv)(DEFAULT_SEED).join(" ");
