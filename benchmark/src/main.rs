@@ -1,5 +1,5 @@
-//! `ccq-benchmark` — the repository's benchmark: five long `ccq` command
-//! lines measured end to end, and an outside-in trace of the layers behind
+//! `ccq-benchmark` — the repository's benchmark: five `ccq` command lines
+//! measured end to end, and an outside-in trace of the layers behind
 //! them. See `README.md` beside this crate.
 //!
 //! ```text
@@ -8,7 +8,8 @@
 //!     end-to-end metrics, `--trace 1` the per-layer ones; the last line of
 //!     stdout is one JSON object.
 //! ccq-benchmark run   [--seed N] [--rounds R] [--only W]
-//!     All workloads round-robin: 1 warm-up round + R timed rounds.
+//!     All workloads round-robin: 1 warm-up round + R timed rounds of one
+//!     two-second block of repetitions per workload.
 //! ccq-benchmark trace [--seed N] [--only W]
 //!     The traced pass over all workloads; writes out/trace.json.
 //! ccq-benchmark agree [--seed N] [--rounds R] [--only W]
@@ -17,17 +18,20 @@
 //!     Regenerate expected/<workload>.json at the default seed.
 //! ccq-benchmark setup --only W [--seed N]
 //!     One `setup_s` sample, in seconds; the other modes spawn this.
+//! ccq-benchmark reference
+//!     The reference kernel once; the other modes spawn and time this.
 //! ```
 
 mod alloc;
 mod check;
 mod measure;
+mod reference;
 mod stats;
 mod sys;
 mod trace;
 mod workloads;
 
-use measure::{measure_one, measure_set, run_rep, Samples, METRICS, MIN_REPS};
+use measure::{measure_one, measure_set, run_rep, Samples, METRICS, MIN_BLOCKS};
 use std::path::{Path, PathBuf};
 use workloads::{Workload, DEFAULT_SEED, WORKLOADS};
 
@@ -60,6 +64,8 @@ enum Mode {
     Bless,
     /// One `setup_s` sample of one workload, for the process that spawned it.
     Setup,
+    /// The reference kernel once, for the process that spawned and times it.
+    Reference,
 }
 
 struct Cmd {
@@ -90,8 +96,8 @@ fn parse(args: &[String]) -> Result<Cmd, String> {
             other => return Err(format!("unknown flag `{other}`")),
         }
     }
-    if rounds < MIN_REPS {
-        return Err(format!("--rounds must be at least {MIN_REPS}: a median of fewer is noise"));
+    if rounds < MIN_BLOCKS {
+        return Err(format!("--rounds must be at least {MIN_BLOCKS}: fewer are noise"));
     }
     let find = |name: &str| {
         Workload::find(name).ok_or_else(|| {
@@ -118,6 +124,7 @@ fn parse(args: &[String]) -> Result<Cmd, String> {
         Some("bless") => Mode::Bless,
         Some("setup") if only.is_some() => Mode::Setup,
         Some("setup") => return Err("setup needs --only <workload>".to_string()),
+        Some("reference") => Mode::Reference,
         Some(other) => return Err(format!("unknown subcommand `{other}`")),
     };
     Ok(Cmd { mode, seed, rounds, workloads: selected })
@@ -162,10 +169,17 @@ fn print_header(ccq: &Path, cmd: &Cmd) {
 }
 
 fn execute(cmd: Cmd) -> i32 {
-    if let Mode::Setup = cmd.mode {
-        // Needs no `ccq` binary, and prints nothing but the number.
-        println!("{}", measure::fastest_setup(cmd.workloads[0], cmd.seed));
-        return 0;
+    // These two need no `ccq` binary, and print nothing but a number.
+    match cmd.mode {
+        Mode::Setup => {
+            println!("{}", measure::fastest_setup(cmd.workloads[0], cmd.seed));
+            return 0;
+        }
+        Mode::Reference => {
+            println!("{}", reference::kernel());
+            return 0;
+        }
+        _ => {}
     }
     let ccq = match ccq_binary() {
         Ok(p) => p,
@@ -225,7 +239,9 @@ fn execute(cmd: Cmd) -> i32 {
             i32::from(!ok)
         }
         Mode::Bless => bless(&ccq, &cmd),
-        Mode::Setup => unreachable!("handled before the ccq binary was looked up"),
+        Mode::Setup | Mode::Reference => {
+            unreachable!("handled before the ccq binary was looked up")
+        }
     }
 }
 
@@ -233,7 +249,8 @@ fn end_to_end_line(samples: &Samples) -> String {
     let metrics: Vec<_> = METRICS
         .iter()
         .enumerate()
-        .map(|(slot, def)| (def.name, samples.summary(slot).median, def.unit))
+        .filter(|(_, def)| def.bound.is_some())
+        .map(|(slot, def)| (def.name, samples.reading(slot), def.unit))
         .collect();
     measure::result_json(samples.correct(), samples.ops_total, samples.ops_failed, &metrics)
 }
@@ -243,8 +260,12 @@ fn trace_all(ccq: &Path, cmd: &Cmd) -> Vec<trace::Trace> {
     let mut traces = Vec::new();
     for &w in &cmd.workloads {
         // The untraced reference the in-process run is compared with.
-        let child = trace::median_child(ccq, w, &(w.argv)(cmd.seed));
-        let mut t = trace::trace_workload(ccq, w, cmd.seed, &child);
+        let child = trace::nth_child(ccq, w, &(w.argv)(cmd.seed), w.pinned, 0);
+        let mut t = (0..trace::PASSES)
+            .map(|_| trace::trace_workload(w, cmd.seed, &child))
+            .min_by(|a, b| a.in_process_s.total_cmp(&b.in_process_s))
+            .expect("at least one pass");
+        trace::trace_shard_children(&mut t, ccq, w, cmd.seed, &child);
         t.problems.extend(child.outcome.problems.iter().cloned());
         t.problems.extend(check::compare_expected(w.name, cmd.seed, &child.outcome));
         trace::print_trace(&t);
@@ -264,7 +285,7 @@ fn trace_all(ccq: &Path, cmd: &Cmd) -> Vec<trace::Trace> {
 
 fn bless(ccq: &Path, cmd: &Cmd) -> i32 {
     for &w in &cmd.workloads {
-        let rep = run_rep(ccq, w, &(w.argv)(DEFAULT_SEED));
+        let rep = run_rep(ccq, w, &(w.argv)(DEFAULT_SEED), w.pinned);
         if !rep.outcome.problems.is_empty() {
             eprintln!("ccq-benchmark: refusing to bless `{}`: {:?}", w.name, rep.outcome.problems);
             return 1;
@@ -346,13 +367,14 @@ mod tests {
             .collect();
         assert_eq!(rows("per_layer", &["name", "unit", "better"]), per_layer);
         let end_to_end = doc.get("end_to_end").unwrap().as_array().unwrap();
-        assert_eq!(end_to_end.len(), METRICS.len());
-        for (row, m) in end_to_end.iter().zip(&METRICS) {
+        let bounded: Vec<_> = METRICS.iter().filter(|m| m.bound.is_some()).collect();
+        assert_eq!(end_to_end.len(), bounded.len());
+        for (row, m) in end_to_end.iter().zip(bounded) {
             assert_eq!(row.as_object().unwrap().len(), 4, "{}", m.name);
             assert_eq!(row.get("name").unwrap().as_str(), Some(m.name));
             assert_eq!(row.get("unit").unwrap().as_str(), Some(m.unit));
             assert_eq!(row.get("better").unwrap().as_str().unwrap(), better(m.higher_is_better));
-            assert_eq!(row.get("bound").unwrap().as_f64(), Some(m.bound), "{}", m.name);
+            assert_eq!(row.get("bound").unwrap().as_f64(), m.bound, "{}", m.name);
         }
     }
 }

@@ -1,10 +1,12 @@
 //! Order statistics over timing samples.
 
-/// Median and quartiles of a sample, as `statistics.quantiles(values, n=4)`
+/// Extremes, median and quartiles of a sample, the quartiles as `statistics.quantiles(values, n=4)`
 /// of Python computes them (the "exclusive" method), so the numbers printed
 /// here are the numbers the PR driver recomputes.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Summary {
+    pub min: f64,
+    pub max: f64,
     pub median: f64,
     pub q1: f64,
     pub q3: f64,
@@ -20,8 +22,10 @@ impl Summary {
         let n = v.len();
         match n {
             0 => None,
-            1 => Some(Summary { median: v[0], q1: v[0], q3: v[0], n }),
+            1 => Some(Summary { min: v[0], max: v[0], median: v[0], q1: v[0], q3: v[0], n }),
             _ => Some(Summary {
+                min: v[0],
+                max: v[n - 1],
                 median: quantile(&v, 2),
                 q1: quantile(&v, 1),
                 q3: quantile(&v, 3),
@@ -65,6 +69,7 @@ mod tests {
         let v: Vec<f64> = (1..=10).map(f64::from).collect();
         let s = Summary::of(&v).unwrap();
         assert_eq!((s.q1, s.median, s.q3, s.n), (2.75, 5.5, 8.25, 10));
+        assert_eq!((s.min, s.max), (1.0, 10.0));
         // statistics.quantiles([3, 1, 2], n=4) == [1.0, 2.0, 3.0]
         let s = Summary::of(&[3.0, 1.0, 2.0]).unwrap();
         assert_eq!((s.q1, s.median, s.q3), (1.0, 2.0, 3.0));

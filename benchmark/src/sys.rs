@@ -109,12 +109,26 @@ pub fn run_child(program: &Path, args: &[String]) -> std::io::Result<ChildRun> {
     })
 }
 
-/// Pin the calling thread to the first CPU it is allowed on, so that
-/// `available_parallelism()` reads 1 there and the vendored rayon takes its
-/// serial path. Threads spawned afterwards from this one inherit the mask.
+/// [`run_child`] with the child confined to one CPU: spawned from a scoped
+/// thread pinned beforehand, since affinity is per thread on Linux and a
+/// child inherits its spawner's. The rest of this process keeps its CPUs.
+pub fn run_child_on_one_cpu(program: &Path, args: &[String]) -> std::io::Result<ChildRun> {
+    std::thread::scope(|s| {
+        let pinned = s.spawn(|| {
+            pin_current_thread_to_one_cpu()?;
+            run_child(program, args)
+        });
+        pinned.join().expect("pinned thread panicked")
+    })
+}
+
+/// Pin the calling thread to the last CPU it is allowed on (the first one
+/// takes most interrupts), so that `available_parallelism()` reads 1 there
+/// and the vendored rayon takes its serial path. Threads spawned afterwards
+/// from this one inherit the mask.
 pub fn pin_current_thread_to_one_cpu() -> std::io::Result<()> {
     let allowed = allowed_cpus();
-    let cpu = *allowed.first().ok_or_else(|| std::io::Error::other("empty affinity mask"))?;
+    let cpu = *allowed.last().ok_or_else(|| std::io::Error::other("empty affinity mask"))?;
     let mut mask = [0u64; 16];
     mask[cpu / 64] = 1 << (cpu % 64);
     // SAFETY: `mask` outlives the call and `cpusetsize` is its size in
@@ -180,6 +194,13 @@ mod tests {
         assert_eq!(run.stdout, b"hi\n");
         assert_eq!(run.exit_code, Some(3));
         assert!(run.wall_s > 0.0 && run.peak_rss_mb > 0.0 && run.cpu_s >= 0.0);
+    }
+
+    #[test]
+    fn a_child_on_one_cpu_sees_one_cpu() {
+        let run = run_child_on_one_cpu(Path::new("/bin/sh"), &["-c".into(), "nproc".into()])
+            .expect("spawn /bin/sh");
+        assert_eq!(run.stdout, b"1\n");
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //!
 //! Spans are recorded around the calls only — the program itself is not
 //! instrumented — kept in memory, and written to `out/trace.json` at exit.
-//! A workload is traced in three passes, each a top-level span:
+//! A workload is traced in passes, each a top-level span; the in-process
+//! ones run on one CPU when the workload's end-to-end child does:
 //!
 //! * `pass.cli` — what the CLI does, as one call: `RunPlan::execute` then
 //!   `RunSet::to_json` (or the experiment drivers and table rendering). Its
@@ -11,9 +12,10 @@
 //! * `pass.layers` — the same run layer by layer: scenario build, then per
 //!   case `sim.execute`, `verify.order`, `report.metrics`.
 //! * `pass.probes` — everything measured by running something again: the
-//!   existing phase-timing probe, the graph/scenario pieces, the
-//!   checkpoint/replay baseline, and — as child processes, like the
-//!   end-to-end runs — the sharded workload pinned to one CPU and on the
+//!   existing phase-timing probe, the graph/scenario pieces and the
+//!   checkpoint/replay baseline.
+//! * `pass.children` — the sharded workload again as child processes, like
+//!   the end-to-end runs, but on both CPUs: threaded lockstep and the
 //!   wavefront pipeline.
 
 use crate::alloc::AllocCount;
@@ -48,7 +50,7 @@ const fn lower(name: &'static str, unit: &'static str) -> LayerMetric {
 
 /// Every per-layer metric, in output order. A metric that does not apply to
 /// a workload (e.g. `shard.*` off `shard_lockstep`) reads 0 there.
-pub const LAYER_METRICS: [LayerMetric; 70] = [
+pub const LAYER_METRICS: [LayerMetric; 69] = [
     lower("graph.build_s", "s"),
     lower("graph.trees_s", "s"),
     lower("graph.partition_s", "s"),
@@ -110,7 +112,6 @@ pub const LAYER_METRICS: [LayerMetric; 70] = [
     lower("exp.fig1_s", "s"),
     lower("exp.t3_s", "s"),
     lower("exp.t5_s", "s"),
-    lower("exp.t6_s", "s"),
     lower("exp.t7_s", "s"),
     lower("exp.t8_s", "s"),
     lower("exp.f2_s", "s"),
@@ -176,6 +177,9 @@ pub struct Trace {
     open: Vec<usize>,
     pub counts: Vec<CaseCounts>,
     pub metrics: BTreeMap<&'static str, f64>,
+    /// Length of the instrumented in-process run (layers + JSON, or the
+    /// experiment drivers + rendering).
+    pub in_process_s: f64,
     /// Smallest share of a `case` span its child spans cover.
     pub case_coverage_min: f64,
     /// Whether the plain and the probe-timed execution of every case made
@@ -194,6 +198,7 @@ impl Trace {
             open: Vec::new(),
             counts: Vec::new(),
             metrics: BTreeMap::new(),
+            in_process_s: 0.0,
             case_coverage_min: 1.0,
             allocs_repeat: true,
             problems: Vec::new(),
@@ -276,32 +281,53 @@ impl Trace {
     }
 }
 
-/// Children a traced time is the median of. One child is no reference: on
-/// the reference box one repetition in ten runs a third slower than its
-/// neighbours, and the first sharded child after an idle spell runs in half
-/// the time of every later one (its threads stay on one CPU).
-const CHILDREN: usize = 3;
+/// Children a traced time is taken from. One child is no reference: on the
+/// reference box one repetition in three runs a fifth slower than its
+/// neighbours.
+pub const CHILDREN: usize = 5;
 
-/// Run [`CHILDREN`] untraced children on `argv` and return the one whose
-/// wall time is the median, carrying the problems of all of them.
-pub fn median_child(ccq: &Path, w: &Workload, argv: &[String]) -> Rep {
-    let mut reps: Vec<Rep> = (0..CHILDREN).map(|_| run_rep(ccq, w, argv)).collect();
+/// In-process passes per workload, of which the fastest is kept: a pass is
+/// tens of milliseconds, and the box slows for longer than that.
+pub const PASSES: usize = 5;
+
+/// Run [`CHILDREN`] untraced children on `argv`, each on one CPU when
+/// `pinned`, and return the one whose wall time ranks `nth` (0 = fastest,
+/// `CHILDREN / 2` = median), carrying the problems of all of them.
+pub fn nth_child(ccq: &Path, w: &Workload, argv: &[String], pinned: bool, nth: usize) -> Rep {
+    let mut reps: Vec<Rep> = (0..CHILDREN).map(|_| run_rep(ccq, w, argv, pinned)).collect();
     reps.sort_by(|a, b| a.child.wall_s.total_cmp(&b.child.wall_s));
     let problems: Vec<String> = reps.iter().flat_map(|r| r.outcome.problems.clone()).collect();
-    let mut median = reps.swap_remove(CHILDREN / 2);
-    median.outcome.problems = problems;
-    median
+    let mut chosen = reps.swap_remove(nth);
+    chosen.outcome.problems = problems;
+    chosen
 }
 
-/// Trace one workload. `child` is the untraced reference ([`median_child`]
-/// of the same workload and seed), whose output the in-process run must
-/// reproduce.
-pub fn trace_workload(ccq: &Path, w: &'static Workload, seed: u64, child: &Rep) -> Trace {
+/// One in-process traced pass over a workload. `child` is the untraced
+/// reference (the fastest [`nth_child`] of the same workload and seed), whose
+/// output the in-process run must reproduce.
+pub fn trace_workload(w: &'static Workload, seed: u64, child: &Rep) -> Trace {
+    release_free_memory();
     let mut t = Trace::new(w.name, seed);
-    let in_process_s = match w.sweep {
-        Some(sweep) => trace_sweep(&mut t, ccq, w, &sweep(seed), seed, child),
-        None => trace_tables(&mut t, child),
+    let in_process = |t: &mut Trace| match w.sweep {
+        Some(sweep) => trace_sweep(t, w, &sweep(seed), seed, child),
+        None => trace_tables(t, child),
     };
+    let in_process_s = if w.pinned {
+        // On a scoped thread, pinned before it does anything: affinity is
+        // per thread on Linux, so the rest of this process keeps both CPUs.
+        std::thread::scope(|s| {
+            let pinned = s.spawn(|| {
+                if let Err(e) = pin_current_thread_to_one_cpu() {
+                    t.problems.push(format!("cannot pin a thread to one CPU: {e}"));
+                }
+                in_process(&mut t)
+            });
+            pinned.join().expect("pinned thread panicked")
+        })
+    } else {
+        in_process(&mut t)
+    };
+    t.in_process_s = in_process_s;
     // The span-instrumented in-process run against the untraced child.
     t.set("trace.overhead_frac", (in_process_s - child.child.wall_s) / child.child.wall_s);
     t
@@ -319,14 +345,7 @@ fn case_config(case: &RunCase, scenario: &Scenario) -> SimConfig {
 }
 
 /// Returns the length of the instrumented in-process run (layers + JSON).
-fn trace_sweep(
-    t: &mut Trace,
-    ccq: &Path,
-    w: &Workload,
-    sweep: &Sweep,
-    seed: u64,
-    child: &Rep,
-) -> f64 {
+fn trace_sweep(t: &mut Trace, w: &Workload, sweep: &Sweep, seed: u64, child: &Rep) -> f64 {
     let plan = sweep.plan();
     let cases = plan.cases();
     assert!(cases.windows(2).all(|p| same_scenario(&p[0], &p[1])), "one scenario per workload");
@@ -498,8 +517,8 @@ fn trace_sweep(
 
     drop(scenario);
     if sweep.shards.is_sharded() {
-        let cross_msgs = runs.iter().map(|r| r.report.cross_shard_messages).sum();
-        trace_shard_layers(t, ccq, w, seed, child, rounds, cross_msgs);
+        let cross_msgs: u64 = runs.iter().map(|r| r.report.cross_shard_messages).sum();
+        t.set("shard.cross_msgs", cross_msgs as f64);
     }
     if w.probe_baseline {
         trace_probe_baseline(t, w, sweep, seed, plan_execute_s);
@@ -531,51 +550,37 @@ fn trace_graph_layers(t: &mut Trace, specs: &[(TopoSpec, RequestPattern, Arrival
     t.set("graph.edges", edges as f64);
 }
 
-/// The sharded workload again as child processes: pinned to one CPU (the
-/// rayon shim's serial path, so the difference is fork/join) and on the
-/// wavefront pipeline. The times are whole children, like the reference;
-/// process start, set-up, verify and JSON are in all three and are a few
-/// milliseconds of each.
-fn trace_shard_layers(
-    t: &mut Trace,
-    ccq: &Path,
-    w: &Workload,
-    seed: u64,
-    child: &Rep,
-    rounds: u64,
-    cross_msgs: u64,
-) {
+/// A sharded workload again as child processes on both CPUs (nothing for an
+/// unsharded one): threaded lockstep, and the wavefront pipeline. `child`,
+/// the workload's own reference, ran on one CPU (the rayon shim's serial
+/// path), so the difference to the threaded run is fork/join. The threaded
+/// times are the median child's: a threaded child has a fast mode, with its
+/// short-lived threads all on one CPU, that the fastest would pick. The
+/// times are whole children; process start, set-up, verify and JSON are in
+/// all three and are a few milliseconds of each.
+pub fn trace_shard_children(t: &mut Trace, ccq: &Path, w: &Workload, seed: u64, child: &Rep) {
+    if !w.sweep.is_some_and(|sweep| sweep(seed).shards.is_sharded()) {
+        return;
+    }
     let argv = (w.argv)(seed);
     let mut wavefront_argv = argv.clone();
     wavefront_argv.push("--wavefront".to_string());
-    // A scoped thread, pinned before it spawns anything: affinity is per
-    // thread on Linux and a child inherits its spawner's, so the rest of
-    // this process keeps both CPUs.
-    let serial = std::thread::scope(|s| {
-        let pinned = s.spawn(|| {
-            pin_current_thread_to_one_cpu()
-                .map(|()| t.timed("shard.serial_children", None, || median_child(ccq, w, &argv)))
-        });
-        pinned.join().expect("pinned thread panicked")
+    let pass = t.enter("pass.children", None);
+    let threaded =
+        t.timed("shard.threaded_children", None, || nth_child(ccq, w, &argv, false, CHILDREN / 2));
+    let wavefront = t.timed("shard.wavefront_children", None, || {
+        nth_child(ccq, w, &wavefront_argv, false, CHILDREN / 2)
     });
-    let wavefront =
-        t.timed("shard.wavefront_children", None, || median_child(ccq, w, &wavefront_argv));
-    let serial = match serial {
-        Ok(rep) => rep,
-        Err(e) => {
-            t.problems.push(format!("cannot pin a thread to one CPU: {e}"));
-            return;
-        }
-    };
-    for (name, rep) in [("pinned", &serial), ("wavefront", &wavefront)] {
+    t.exit(pass);
+    for (name, rep) in [("threaded", &threaded), ("wavefront", &wavefront)] {
         t.problems.extend(rep.outcome.problems.iter().map(|p| format!("{name} child: {p}")));
         if rep.outcome.lines != child.outcome.lines {
             t.problems.push(format!("{name} child printed different statistics"));
         }
     }
 
-    let execute_s = child.child.wall_s;
-    let serial_s = serial.child.wall_s;
+    let execute_s = threaded.child.wall_s;
+    let serial_s = child.child.wall_s;
     let wavefront_s = wavefront.child.wall_s;
     // Clamped at 0: were the threaded run ever the faster one, there would
     // be no fork/join cost to report.
@@ -586,8 +591,7 @@ fn trace_shard_layers(
     t.set("shard.forkjoin_frac", forkjoin_s / execute_s);
     t.set("shard.wavefront_execute_s", wavefront_s);
     t.set("shard.wavefront_speedup", execute_s / wavefront_s);
-    t.set("shard.cross_msgs", cross_msgs as f64);
-    t.set("shard.us_per_round", 1e6 * execute_s / rounds.max(1) as f64);
+    t.set("shard.us_per_round", 1e6 * execute_s / child.outcome.rounds.max(1) as f64);
 }
 
 /// Probes are off in every workload; this records what turning the

@@ -1,5 +1,8 @@
 //! The five workloads: what `ccq` receives on its command line, and the same
-//! run described through the library API for the in-process passes.
+//! run described through the library API for the in-process passes. Each is
+//! sized to 25–40 ms a repetition: what repeats from run to run on the
+//! reference box is a short repetition set against an equally short
+//! reference kernel, some hundreds of times a run (README "Noise").
 //!
 //! Each sweep is written twice on purpose — once as the argv a user would
 //! type and once as a [`Sweep`] — because the argv parser lives in the `ccq`
@@ -11,8 +14,8 @@ use ccq_repro::core::protocol;
 use ccq_repro::prelude::*;
 use std::hint::black_box;
 
-/// The seed under which the argv below are exactly the ones ISSUE 16 sized,
-/// and the only seed `expected/` holds digests for.
+/// The seed under which `open_load` gets ISSUE 16's 7 / 5 / 3, and the only
+/// seed `expected/` holds digests for.
 pub const DEFAULT_SEED: u64 = 7;
 
 /// One benchmark workload.
@@ -20,8 +23,12 @@ pub struct Workload {
     pub name: &'static str,
     /// Why it is in the set (one line; also in `BENCHMARK.json`).
     pub why: &'static str,
-    /// Runnable threads the child needs at once.
+    /// Runnable threads the workload needs at once (its traced pass, when
+    /// the end-to-end child is `pinned`).
     pub threads: usize,
+    /// Whether the end-to-end child is confined to one CPU, where the
+    /// vendored rayon takes its serial path.
+    pub pinned: bool,
     /// What `ccq` receives, with every `seed=` derived from the seed.
     pub argv: fn(u64) -> Vec<String>,
     /// The same run for the in-process passes; `None` for `paper_tables`,
@@ -102,20 +109,19 @@ pub fn same_scenario(a: &RunCase, b: &RunCase) -> bool {
 }
 
 /// The experiment ids `paper_tables` runs, in registry order. ISSUE 16 sized
-/// nine; `t2` (2.0 s of 4.3 s) is dropped by the issue's own fallback, so
-/// that seven timed repetitions fit the driver's per-run budget.
-pub const PAPER_EXPERIMENTS: [&str; 8] = ["fig1", "t3", "t5", "t6", "t7", "t8", "f2", "t10"];
+/// nine; `t2` (1.8 s) and `t6` (2.2 s) are dropped, so that a repetition
+/// (25 ms) is short enough for a run to hold some hundreds of them.
+pub const PAPER_EXPERIMENTS: [&str; 7] = ["fig1", "t3", "t5", "t7", "t8", "f2", "t10"];
 
 /// `setup_s` proxy for `paper_tables`: the largest instance of each topology
-/// family its drivers build at `Scale::Full` (fig1; f2/t3/t6 lists; t5
-/// trees; t6 caterpillars; t7 stars; t10 mesh). A proxy because the drivers
-/// build their scenarios internally, several sizes each.
+/// family its drivers build at `Scale::Full` (fig1; f2/t3 lists; t5 trees;
+/// t7 stars; t10 mesh). A proxy because the
+/// drivers build their scenarios internally, several sizes each.
 pub fn paper_proxy_topologies() -> Vec<TopoSpec> {
     vec![
         TopoSpec::Figure1,
         TopoSpec::List { n: 4096 },
         TopoSpec::PerfectTree { m: 2, depth: 10 },
-        TopoSpec::Caterpillar { spine: 1024, legs: 3 },
         TopoSpec::Star { n: 1024 },
         TopoSpec::Mesh2D { side: 16 },
     ]
@@ -182,22 +188,24 @@ fn open_seeds(seed: u64) -> (u64, u64, u64) {
 pub static WORKLOADS: [Workload; 5] = [
     Workload {
         name: "oneshot_dense",
-        why: "torus2d:50, all ten protocols: few packed rounds, ~14 M messages. The ccq-sim \
+        why: "torus2d:16, all ten protocols: few packed rounds, ~0.2 M messages. The ccq-sim \
               deliver/transmit hot loop does nearly all the work; set-up, verify and JSON \
               almost none.",
         threads: 1,
-        argv: |_| strings(&["sweep", "--topo", "torus2d:50", "--proto", "all", "--json", "-"]),
-        sweep: Some(|_| Sweep::on_torus(50, DENSE_PROTOCOLS)),
+        pinned: false,
+        argv: |_| strings(&["sweep", "--topo", "torus2d:16", "--proto", "all", "--json", "-"]),
+        sweep: Some(|_| Sweep::on_torus(16, DENSE_PROTOCOLS)),
         probe_baseline: true,
     },
     Workload {
         name: "open_load",
-        why: "The same engine the other way round, 8 x ~410 k nearly empty rounds: arrivals, \
-              admission, quiescence and the round skeleton dominate, not the hot loop.",
+        why: "torus2d:16, the same engine the other way round, 8 x ~26 k nearly empty rounds: \
+              arrivals, admission, quiescence and the round skeleton dominate, not the hot loop.",
         threads: 1,
+        pinned: false,
         argv: |seed| {
             let (arrival, delay, priority) = open_seeds(seed);
-            let mut argv = strings(&["sweep", "--topo", "torus2d:64", "--proto"]);
+            let mut argv = strings(&["sweep", "--topo", "torus2d:16", "--proto"]);
             argv.push(OPEN_PROTOCOLS.join(","));
             argv.extend([
                 "--arrival".to_string(),
@@ -220,20 +228,20 @@ pub static WORKLOADS: [Workload; 5] = [
                 delay: LinkDelay::Jitter { max: 3, seed: delay },
                 admission: AdmissionSpec::Adaptive { target_backlog: 32, gain: 1 },
                 priority: PrioritySpec::Split { frac: 0.25, seed: priority },
-                ..Sweep::on_torus(64, OPEN_PROTOCOLS)
+                ..Sweep::on_torus(16, OPEN_PROTOCOLS)
             }
         }),
         probe_baseline: false,
     },
     Workload {
         name: "sparse_scale",
-        why:
-            "torus2d:1200 (1.4 x 10^6 nodes), 64 requesters: ccq-graph and scenario build (graph, \
+        why: "torus2d:160 (25 600 nodes), 64 requesters: ccq-graph and scenario build (graph, \
               two spanning trees) and membership-sized stores dominate; the only large setup_s \
               and RSS.",
         threads: 1,
+        pinned: false,
         argv: |seed| {
-            let mut argv = strings(&["sweep", "--topo", "torus2d:1200", "--proto"]);
+            let mut argv = strings(&["sweep", "--topo", "torus2d:160", "--proto"]);
             argv.push(SPARSE_PROTOCOLS.join(","));
             argv.extend([
                 "--pattern".to_string(),
@@ -248,17 +256,19 @@ pub static WORKLOADS: [Workload; 5] = [
         sweep: Some(|seed| Sweep {
             pattern: RequestPattern::TailCluster { count: 64 },
             arrival: ArrivalSpec::Poisson { rate: 0.5, seed },
-            ..Sweep::on_torus(1200, SPARSE_PROTOCOLS)
+            ..Sweep::on_torus(160, SPARSE_PROTOCOLS)
         }),
         probe_baseline: false,
     },
     Workload {
         name: "shard_lockstep",
-        why: "The only multi-threaded workload (2 shards, lockstep, parallel apply): ~5 k \
-              rounds x 5 par_iter sites that each spawn threads, so fork/join dominates.",
+        why: "torus2d:16 in 2 shards, lockstep, parallel apply, child on ONE CPU: sim::shard's \
+              fabric, ferry and slices without rayon's thread spawns, which on 2 vCPUs time the \
+              hypervisor (see per-layer shard.*).",
         threads: 2,
+        pinned: true,
         argv: |_| {
-            let mut argv = strings(&["sweep", "--topo", "torus2d:48", "--proto"]);
+            let mut argv = strings(&["sweep", "--topo", "torus2d:16", "--proto"]);
             argv.push(SHARD_PROTOCOLS.join(","));
             argv.extend(strings(&[
                 "--shards",
@@ -273,16 +283,17 @@ pub static WORKLOADS: [Workload; 5] = [
             shards: ShardSpec::new(2, ShardStrategy::EdgeCut)
                 .with_inter_delay(LinkDelay::Fixed { delay: 6 }),
             parallel_apply: true,
-            ..Sweep::on_torus(48, SHARD_PROTOCOLS)
+            ..Sweep::on_torus(16, SHARD_PROTOCOLS)
         }),
         probe_baseline: false,
     },
     Workload {
         name: "paper_tables",
-        why: "run --exp fig1,t3,t5,t6,t7,t8,f2,t10 --full: the paper's product through the \
-              seed-era drivers that bypass RunPlan (experiments/, the algorithm facade, \
-              ccq-bounds, ccq-tsp, table.rs).",
+        why: "run --exp fig1,t3,t5,t7,t8,f2,t10 --full: the paper's product through the \
+              seed-era drivers (experiments/, the algorithm facade, ccq-bounds, ccq-tsp, \
+              table.rs); none of the sweep/JSON path.",
         threads: 1,
+        pinned: false,
         argv: |_| {
             let mut argv = strings(&["run", "--exp"]);
             argv.push(PAPER_EXPERIMENTS.join(","));
@@ -303,7 +314,7 @@ mod tests {
         let open = (Workload::find("open_load").unwrap().argv)(DEFAULT_SEED).join(" ");
         assert_eq!(
             open,
-            "sweep --topo torus2d:64 --proto arrow,arrow+notify,combining-queue,central-counter,\
+            "sweep --topo torus2d:16 --proto arrow,arrow+notify,combining-queue,central-counter,\
              combining-tree,counting-network,periodic-network,toggle-tree \
              --arrival poisson:rate=0.01:seed=7 --delay jitter:max=3:seed=5 \
              --admission adaptive:target=32 --priority split:frac=0.25:seed=3 --json -"
@@ -311,17 +322,17 @@ mod tests {
         let sparse = (Workload::find("sparse_scale").unwrap().argv)(DEFAULT_SEED).join(" ");
         assert_eq!(
             sparse,
-            "sweep --topo torus2d:1200 --proto central-counter,combining-tree --pattern tail:64 \
+            "sweep --topo torus2d:160 --proto central-counter,combining-tree --pattern tail:64 \
              --arrival poisson:rate=0.5:seed=7 --json -"
         );
         let shard = (Workload::find("shard_lockstep").unwrap().argv)(DEFAULT_SEED).join(" ");
         assert_eq!(
             shard,
-            "sweep --topo torus2d:48 --proto counting-network,central-counter,combining-tree,\
+            "sweep --topo torus2d:16 --proto counting-network,central-counter,combining-tree,\
              arrow --shards 2:edgecut:ferry=6 --parallel-apply --json -"
         );
         let tables = (Workload::find("paper_tables").unwrap().argv)(DEFAULT_SEED).join(" ");
-        assert_eq!(tables, "run --exp fig1,t3,t5,t6,t7,t8,f2,t10 --full");
+        assert_eq!(tables, "run --exp fig1,t3,t5,t7,t8,f2,t10 --full");
     }
 
     #[test]
