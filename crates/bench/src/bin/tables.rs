@@ -4,9 +4,10 @@
 //! tables [--quick] [ids…]
 //! ```
 //!
-//! With no ids, runs every experiment in DESIGN.md §4's index (fig1, t1-t9,
-//! f2). `--quick` uses the CI-sized sweeps. Independent experiments run in
-//! parallel (rayon); output order is deterministic.
+//! With no ids, runs every experiment in the [`ccq_core::experiments`]
+//! index (`ccq list` prints it). `--quick` uses the CI-sized sweeps.
+//! Independent experiments run in parallel (rayon); output order is
+//! deterministic.
 
 use ccq_core::experiments::{registry, Scale};
 use rayon::prelude::*;

@@ -3,10 +3,10 @@
 //! The crate has two faces:
 //!
 //! * `benches/` — criterion wall-time benchmarks of the implementation
-//!   itself (engine round throughput, arrow/counting scaling, NN-TSP);
+//!   itself (engine round throughput, NN-TSP);
 //! * `src/bin/tables.rs` — the paper-table regenerator: runs every
-//!   experiment in [`ccq_core::experiments`] and prints the measured-vs-
-//!   bound tables recorded in EXPERIMENTS.md.
+//!   experiment in [`ccq_core::experiments`] and prints its measured-vs-
+//!   bound tables (the ones `ccq run --exp` prints).
 
 use ccq_core::experiments::{registry, Scale};
 use ccq_core::Table;

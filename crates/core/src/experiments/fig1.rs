@@ -8,6 +8,7 @@
 
 use crate::experiments::Scale;
 use crate::prelude::*;
+use crate::protocol;
 use ccq_graph::{spanning, topology};
 use ccq_queuing::INITIAL_TOKEN;
 
@@ -36,10 +37,10 @@ pub fn run(_scale: Scale) -> Vec<Table> {
         probe: ProbeSpec::OFF,
     };
 
-    let counting = run_counting(&scenario, CountingAlg::CombiningTree, ModelMode::Strict)
+    let counting = run_spec(&protocol::CombiningTree, &scenario, ModelMode::Strict)
         .expect("counting must verify");
     let queuing =
-        run_queuing(&scenario, QueuingAlg::Arrow, ModelMode::Strict).expect("queuing must verify");
+        run_spec(&protocol::Arrow, &scenario, ModelMode::Strict).expect("queuing must verify");
 
     let name = |v: usize| char::from(b'a' + v as u8).to_string();
     let ranks = counting.report.value_by_node(6);

@@ -1,7 +1,7 @@
 //! One experiment driver per paper table/figure/theorem.
 //!
-//! Each driver regenerates the empirical analogue of a paper item (see
-//! DESIGN.md §4 for the index) and returns printable [`Table`]s pairing
+//! Each driver regenerates the empirical analogue of a paper item (the
+//! table below is the index) and returns printable [`Table`]s pairing
 //! measured total delays with the corresponding closed-form bounds.
 //!
 //! **Drivers run protocols through the registry, not by enum dispatch**:
@@ -60,7 +60,7 @@ use crate::table::Table;
 pub enum Scale {
     /// Small sweeps for CI/tests.
     Quick,
-    /// Full sweeps for EXPERIMENTS.md.
+    /// Full, paper-scale sweeps (`ccq run --full`).
     Full,
 }
 

@@ -7,6 +7,7 @@
 
 use crate::experiments::Scale;
 use crate::prelude::*;
+use crate::protocol;
 use crate::table::fmt_util::{f2, int, tick};
 use ccq_bounds::counting_lb_general;
 
@@ -22,12 +23,12 @@ pub fn run(scale: Scale) -> Vec<Table> {
         let lb = counting_lb_general(n);
         let mut best = u64::MAX;
         let mut cells = Vec::new();
-        for alg in [
-            CountingAlg::Central,
-            CountingAlg::CombiningTree,
-            CountingAlg::CountingNetwork { width: None },
+        for spec in [
+            &protocol::CentralCounter as &dyn ProtocolSpec,
+            &protocol::CombiningTree,
+            &protocol::CountingNetwork { width: None },
         ] {
-            let out = run_counting(&s, alg, ModelMode::Strict).expect("counting verifies");
+            let out = run_spec(spec, &s, ModelMode::Strict).expect("counting verifies");
             let d = out.report.total_delay();
             best = best.min(d);
             cells.push(int(d));

@@ -8,6 +8,7 @@
 
 use crate::experiments::Scale;
 use crate::prelude::*;
+use crate::protocol;
 use crate::table::fmt_util::{f2, int, tick};
 use ccq_bounds::counting_lb_diameter;
 use ccq_graph::bfs;
@@ -30,9 +31,9 @@ pub fn run(scale: Scale) -> Vec<Table> {
         let s = Scenario::build(spec.clone(), RequestPattern::All);
         let alpha = bfs::diameter_two_sweep(&s.graph, 0) as u64;
         let lb = counting_lb_diameter(alpha);
-        let central = run_counting(&s, CountingAlg::Central, ModelMode::Strict).expect("verifies");
+        let central = run_spec(&protocol::CentralCounter, &s, ModelMode::Strict).expect("verifies");
         let combining =
-            run_counting(&s, CountingAlg::CombiningTree, ModelMode::Strict).expect("verifies");
+            run_spec(&protocol::CombiningTree, &s, ModelMode::Strict).expect("verifies");
         let dc = central.report.total_delay();
         let dm = combining.report.total_delay();
         let best = dc.min(dm);

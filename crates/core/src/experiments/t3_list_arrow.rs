@@ -8,6 +8,7 @@
 
 use crate::experiments::Scale;
 use crate::prelude::*;
+use crate::protocol;
 use crate::table::fmt_util::{f2, int, tick};
 use ccq_tsp::nn_tour;
 
@@ -28,7 +29,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
             };
             let s = Scenario::build(TopoSpec::List { n }, pattern);
             let tour = nn_tour(&s.queuing_tree, s.tail, &s.requests);
-            let out = run_queuing(&s, QueuingAlg::Arrow, ModelMode::Expanded).expect("verifies");
+            let out = run_spec(&protocol::Arrow, &s, ModelMode::Expanded).expect("verifies");
             let measured = out.report.total_delay_unscaled();
             let bound = 2 * tour.cost();
             t.push_row(vec![

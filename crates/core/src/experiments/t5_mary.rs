@@ -8,6 +8,7 @@
 
 use crate::experiments::Scale;
 use crate::prelude::*;
+use crate::protocol;
 use crate::table::fmt_util::{f2, int, tick};
 use ccq_tsp::{check_level_costs, nn_tour, perfect::theorem_4_7_bound};
 
@@ -43,7 +44,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
             // Theorem 4.12: same shape; generous explicit constant.
             (m as u64 + 6) * s.n() as u64
         };
-        let out = run_queuing(&s, QueuingAlg::Arrow, ModelMode::Expanded).expect("verifies");
+        let out = run_spec(&protocol::Arrow, &s, ModelMode::Expanded).expect("verifies");
         let measured = out.report.total_delay_unscaled();
         t.push_row(vec![
             int(m as u64),

@@ -9,6 +9,7 @@
 
 use crate::experiments::Scale;
 use crate::prelude::*;
+use crate::protocol;
 use crate::table::fmt_util::{f2, int, tick};
 use ccq_bounds::{counting_lb_diameter, queuing_ub::queuing_ub_general};
 use ccq_graph::bfs;
@@ -40,7 +41,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
     for spec in specs {
         let s = Scenario::build(spec.clone(), RequestPattern::All);
         let alpha = bfs::diameter_two_sweep(&s.graph, 0) as u64;
-        let q = run_queuing(&s, QueuingAlg::Arrow, ModelMode::Expanded).expect("verifies");
+        let q = run_spec(&protocol::Arrow, &s, ModelMode::Expanded).expect("verifies");
         let qd = q.report.total_delay();
         let ceiling = {
             // The expanded-step scale factor is part of the measured delay;
@@ -50,9 +51,8 @@ pub fn run(scale: Scale) -> Vec<Table> {
             queuing_ub_general(s.n(), s.k()) * scale_c
         };
         let lb = counting_lb_diameter(alpha);
-        let central = run_counting(&s, CountingAlg::Central, ModelMode::Strict).expect("ok");
-        let combining =
-            run_counting(&s, CountingAlg::CombiningTree, ModelMode::Strict).expect("ok");
+        let central = run_spec(&protocol::CentralCounter, &s, ModelMode::Strict).expect("ok");
+        let combining = run_spec(&protocol::CombiningTree, &s, ModelMode::Strict).expect("ok");
         let cd = central.report.total_delay().min(combining.report.total_delay());
         t.push_row(vec![
             spec.name(),

@@ -8,6 +8,7 @@
 
 use crate::experiments::Scale;
 use crate::prelude::*;
+use crate::protocol;
 use crate::table::fmt_util::{f2, int, tick};
 use ccq_bounds::star_serialization_lb;
 
@@ -23,11 +24,10 @@ pub fn run(scale: Scale) -> Vec<Table> {
     for n in sizes {
         let s = Scenario::build(TopoSpec::Star { n }, RequestPattern::All);
         let floor = star_serialization_lb(n);
-        let q = run_queuing(&s, QueuingAlg::Arrow, ModelMode::Strict).expect("verifies");
+        let q = run_spec(&protocol::Arrow, &s, ModelMode::Strict).expect("verifies");
         let qd = q.report.total_delay();
-        let central = run_counting(&s, CountingAlg::Central, ModelMode::Strict).expect("ok");
-        let combining =
-            run_counting(&s, CountingAlg::CombiningTree, ModelMode::Strict).expect("ok");
+        let central = run_spec(&protocol::CentralCounter, &s, ModelMode::Strict).expect("ok");
+        let combining = run_spec(&protocol::CombiningTree, &s, ModelMode::Strict).expect("ok");
         let cd = central.report.total_delay().min(combining.report.total_delay());
         let ratio = cd as f64 / qd.max(1) as f64;
         ratios.push(ratio);
@@ -51,7 +51,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
     // Contention profile: show how concentrated the traffic is at the hub.
     {
         let s = Scenario::build(TopoSpec::Star { n: largest_n }, RequestPattern::All);
-        let q = run_queuing(&s, QueuingAlg::Arrow, ModelMode::Strict).expect("ok");
+        let q = run_spec(&protocol::Arrow, &s, ModelMode::Strict).expect("ok");
         if let Some((hub, cnt)) = q.report.busiest_node() {
             t.note(format!(
                 "contention profile (arrow, largest n): node {hub} received {cnt} of {} messages \

@@ -10,13 +10,12 @@
 //! * [`plan`] — [`plan::RunPlan`] sweep builder: cross-products of
 //!   topologies × protocols × modes × patterns × repeats, executed
 //!   rayon-parallel into a JSON-serializable [`plan::RunSet`];
-//! * [`run`] — the legacy enum façade ([`run::QueuingAlg`],
-//!   [`run::CountingAlg`]) now delegating to the registry, plus
-//!   [`run::run_best_counting`];
+//! * [`run`] — the vocabulary of a verified run ([`run::ModelMode`],
+//!   [`run::RunOutcome`], [`run::RunError`]) and [`run::run_best_counting`];
 //! * [`report`] — per-run summaries and queuing-vs-counting comparisons;
 //! * [`table`] — plain-text/markdown table rendering for the harness;
-//! * [`experiments`] — one driver per paper table/figure/theorem (see
-//!   DESIGN.md §4 for the experiment index).
+//! * [`experiments`] — one driver per paper table/figure/theorem (the
+//!   [`experiments`] module docs hold the index).
 //!
 //! ## Quick start
 //!
@@ -48,9 +47,7 @@ pub mod prelude {
         default_width, registry, registry_of, run_spec, run_spec_with, ProtocolKind, ProtocolSpec,
     };
     pub use crate::report::{delay_percentile, DelayReport};
-    pub use crate::run::{
-        run_counting, run_queuing, CountingAlg, ModelMode, QueuingAlg, RunOutcome,
-    };
+    pub use crate::run::{ModelMode, RunOutcome};
     pub use crate::scenario::{
         AdmissionSpec, ArrivalSpec, FaultSpec, PrioritySpec, RequestPattern, Scenario, ShardSpec,
         ShardStrategy, TopoSpec,

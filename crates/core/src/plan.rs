@@ -223,8 +223,8 @@ impl RunPlan {
     /// apply path is an execution strategy whose reports are byte-identical
     /// to the serialized path, and keeping it out of the plan echo is what
     /// lets CI `cmp` a `--parallel-apply` sweep against its serialized
-    /// twin. Protocols that do not implement [`ccq_sim::NodeSliced`] fail
-    /// their cases with an `InvalidConfig` error naming them.
+    /// twin. Every [`ProtocolSpec`] can honour it: running one at all
+    /// requires [`ccq_sim::NodeSliced`].
     ///
     /// ```
     /// use ccq_core::prelude::*;
@@ -276,8 +276,8 @@ impl RunPlan {
     /// deliberately absent from [`PlanInfo`]: reports are byte-identical
     /// to the lockstep path, which is what lets CI `cmp` a `--wavefront`
     /// sweep against its lockstep twin. Cases whose scenario cannot
-    /// support the pipeline (unsharded plan, non-sliced protocol, ferry
-    /// too fast for the lag) fail with a named `InvalidConfig`.
+    /// support the pipeline (unsharded plan, ferry too fast for the lag)
+    /// fail with a named `InvalidConfig`.
     ///
     /// ```
     /// use ccq_core::prelude::*;

@@ -29,77 +29,25 @@ use ccq_queuing::{
     verify_total_order, ArrowProtocol, CentralQueueProtocol, CombiningQueueProtocol,
 };
 use ccq_sim::{
-    run_protocol, LinkDelay, NodeSliced, OnlineProtocol, Paced, Protocol, Round, ShardedSimulator,
-    SimConfig, SimError, SimReport,
+    run_protocol, LinkDelay, NodeSliced, OnlineProtocol, Paced, Round, ShardedSimulator, SimConfig,
+    SimError, SimReport,
 };
 use serde::Serialize;
 
 /// Run a protocol on `scenario`, honouring its arrival specification,
-/// admission policy and shard plan: the one-shot batch executes the
-/// protocol unchanged (bit-identical to the pre-open-system engine), while
-/// open arrivals — or an active admission policy — build the protocol in
-/// deferred mode (`build(true)`) and drive it through [`Paced`] on the
-/// scenario's schedule, gated by the scenario's
-/// [`crate::scenario::AdmissionSpec`]. A shard plan with `k > 1` routes
-/// the run through [`ShardedSimulator`] — the protocol itself is identical
-/// on either executor, and admission is evaluated against the *global*
-/// backlog either way.
+/// admission policy, shard plan and execution-strategy flags: the one-shot
+/// batch executes the protocol unchanged (bit-identical to the
+/// pre-open-system engine), while open arrivals — or an active admission
+/// policy — build the protocol in deferred mode (`build(true)`) and drive
+/// it through [`Paced`] on the scenario's schedule, gated by the
+/// scenario's [`crate::scenario::AdmissionSpec`]. Admission is evaluated
+/// against the *global* backlog on every executor.
 ///
-/// This is the entry point for protocols that do **not** implement
-/// [`NodeSliced`]: a scenario requesting [`Scenario::parallel_apply`] is
-/// rejected with a [`SimError::InvalidConfig`] naming the protocol —
-/// never a silent serialized fallback. Sliced protocols use
-/// [`run_arrival_aware_sliced`].
+/// Everything above the single-fabric monolith requires [`NodeSliced`], so
+/// this — the one entry point — does too: [`Scenario::parallel_apply`]
+/// and [`Scenario::wavefront`] are then honoured by construction, with
+/// reports byte-identical to the serialized lockstep run.
 pub fn run_arrival_aware<P, F>(
-    scenario: &Scenario,
-    name: &str,
-    cfg: SimConfig,
-    build: F,
-) -> Result<SimReport, SimError>
-where
-    P: OnlineProtocol,
-    P::Msg: Send,
-    F: FnOnce(bool) -> P,
-{
-    if scenario.parallel_apply || cfg.parallel_apply {
-        return Err(SimError::invalid_config(format!(
-            "protocol `{name}` does not implement NodeSliced, so it cannot run with \
-             parallel apply; drop --parallel-apply or pick a sliced protocol"
-        )));
-    }
-    if scenario.wavefront.is_some() || cfg.wavefront_lag > 0 {
-        return Err(SimError::invalid_config(format!(
-            "protocol `{name}` does not implement NodeSliced, so it cannot run with \
-             the wavefront pipeline; drop --wavefront or pick a sliced protocol"
-        )));
-    }
-    // Scenario-level probe and scan knobs merge over whatever the caller
-    // set on the config (mirroring the parallel_apply threading below).
-    let cfg = cfg
-        .with_dense_scan(cfg.dense_scan || scenario.dense_scan)
-        .with_serial_transmit(cfg.serial_transmit || scenario.serial_transmit)
-        .with_probe(cfg.probe.merged(scenario.probe));
-    let cfg = resolve_faults(scenario, cfg)?;
-    let mut report = match scenario.open_schedule() {
-        None => dispatch(scenario, cfg, build(false)),
-        Some(schedule) => {
-            let paced = build_paced(scenario, &cfg, schedule, build(true));
-            dispatch(scenario, cfg, paced)
-        }
-    }?;
-    attach_classes(scenario, &mut report);
-    Ok(report)
-}
-
-/// [`run_arrival_aware`] for [`NodeSliced`] protocols: additionally
-/// honours [`Scenario::parallel_apply`] by routing the run through the
-/// sharded executor's sliced apply path (for any shard count, including
-/// `k = 1`), and [`Scenario::wavefront`] by resolving the lag against
-/// the shard plan's ferry and routing through the wavefront executor.
-/// With both off this is exactly [`run_arrival_aware`] — and with either
-/// on, reports stay byte-identical by the sliced executor's replay
-/// guarantee.
-pub fn run_arrival_aware_sliced<P, F>(
     scenario: &Scenario,
     cfg: SimConfig,
     build: F,
@@ -107,13 +55,11 @@ pub fn run_arrival_aware_sliced<P, F>(
 where
     P: OnlineProtocol + NodeSliced,
     P::Msg: Send,
-    P::Slice: Send,
-    P::Shared: Sync,
     F: FnOnce(bool) -> P,
 {
-    // The scenario's flag routes the run onto the sliced path; a flag a
-    // caller already set on the config is honoured too, never clobbered.
-    // Probe knobs merge the same way.
+    // The one place scenario-level strategy and probe knobs merge onto the
+    // config: a flag a caller already set there is honoured too, never
+    // clobbered.
     let cfg = cfg
         .with_parallel_apply(cfg.parallel_apply || scenario.parallel_apply)
         .with_dense_scan(cfg.dense_scan || scenario.dense_scan)
@@ -122,10 +68,10 @@ where
     let cfg = resolve_wavefront(scenario, cfg)?;
     let cfg = resolve_faults(scenario, cfg)?;
     let mut report = match scenario.open_schedule() {
-        None => dispatch_sliced(scenario, cfg, build(false)),
+        None => dispatch(scenario, cfg, build(false)),
         Some(schedule) => {
             let paced = build_paced(scenario, &cfg, schedule, build(true));
-            dispatch_sliced(scenario, cfg, paced)
+            dispatch(scenario, cfg, paced)
         }
     }?;
     attach_classes(scenario, &mut report);
@@ -203,47 +149,22 @@ fn resolve_wavefront(scenario: &Scenario, cfg: SimConfig) -> Result<SimConfig, S
 }
 
 /// Execute on the scenario's shard plan: the single-fabric engine for
-/// `k = 1`, the sharded executor otherwise.
+/// `k = 1`, the sharded executor otherwise — and whenever
+/// `cfg.parallel_apply` or a wavefront lag asks for it, whatever the
+/// shard count (`k = 1` degenerates to one shard applying its own
+/// slices).
 fn dispatch<P>(scenario: &Scenario, cfg: SimConfig, protocol: P) -> Result<SimReport, SimError>
 where
-    P: Protocol,
+    P: NodeSliced,
     P::Msg: Send,
 {
     let shards = &scenario.shards;
-    if !shards.is_sharded() {
+    if !shards.is_sharded() && !cfg.parallel_apply && cfg.wavefront_lag == 0 {
         return run_protocol(&scenario.graph, protocol, cfg);
     }
     let partition = shards.partition(&scenario.graph);
     let inter = shards.inter_delay.unwrap_or(cfg.link_delay);
     ShardedSimulator::new(&scenario.graph, partition, protocol, cfg).with_inter_delay(inter).run()
-}
-
-/// [`dispatch`] for sliced protocols: with `cfg.parallel_apply` or a
-/// wavefront lag set, the run goes through
-/// [`ShardedSimulator::run_sliced`] whatever the shard count (`k = 1`
-/// degenerates to one shard applying its own slices; the wavefront
-/// routing happens inside `run_sliced`); otherwise it takes the exact
-/// serialized route of [`dispatch`].
-fn dispatch_sliced<P>(
-    scenario: &Scenario,
-    cfg: SimConfig,
-    protocol: P,
-) -> Result<SimReport, SimError>
-where
-    P: NodeSliced,
-    P::Msg: Send,
-    P::Slice: Send,
-    P::Shared: Sync,
-{
-    if !cfg.parallel_apply && cfg.wavefront_lag == 0 {
-        return dispatch(scenario, cfg, protocol);
-    }
-    let shards = &scenario.shards;
-    let partition = shards.partition(&scenario.graph);
-    let inter = shards.inter_delay.unwrap_or(cfg.link_delay);
-    ShardedSimulator::new(&scenario.graph, partition, protocol, cfg)
-        .with_inter_delay(inter)
-        .run_sliced()
 }
 
 /// What a protocol computes, which also fixes its verification contract.
@@ -440,7 +361,7 @@ impl ProtocolSpec for Arrow {
         ProtocolKind::Queuing
     }
     fn execute(&self, s: &Scenario, cfg: SimConfig) -> Result<SimReport, SimError> {
-        run_arrival_aware_sliced(s, cfg, |d| {
+        run_arrival_aware(s, cfg, |d| {
             ArrowProtocol::new(&s.queuing_tree, s.tail, &s.requests).deferred(d)
         })
     }
@@ -457,7 +378,7 @@ impl ProtocolSpec for ArrowNotify {
         ProtocolKind::Queuing
     }
     fn execute(&self, s: &Scenario, cfg: SimConfig) -> Result<SimReport, SimError> {
-        run_arrival_aware_sliced(s, cfg, |d| {
+        run_arrival_aware(s, cfg, |d| {
             ArrowProtocol::new(&s.queuing_tree, s.tail, &s.requests)
                 .with_notify_origin()
                 .deferred(d)
@@ -476,7 +397,7 @@ impl ProtocolSpec for CentralQueue {
         ProtocolKind::Queuing
     }
     fn execute(&self, s: &Scenario, cfg: SimConfig) -> Result<SimReport, SimError> {
-        run_arrival_aware_sliced(s, cfg, |d| {
+        run_arrival_aware(s, cfg, |d| {
             CentralQueueProtocol::new(&s.queuing_tree, s.tail, &s.requests).deferred(d)
         })
     }
@@ -493,7 +414,7 @@ impl ProtocolSpec for CombiningQueue {
         ProtocolKind::Queuing
     }
     fn execute(&self, s: &Scenario, cfg: SimConfig) -> Result<SimReport, SimError> {
-        run_arrival_aware_sliced(s, cfg, |d| {
+        run_arrival_aware(s, cfg, |d| {
             CombiningQueueProtocol::new(&s.queuing_tree, &s.requests).deferred(d)
         })
     }
@@ -511,7 +432,7 @@ impl ProtocolSpec for CentralCounter {
     }
     fn execute(&self, s: &Scenario, cfg: SimConfig) -> Result<SimReport, SimError> {
         let tree = &s.counting_tree;
-        run_arrival_aware_sliced(s, cfg, |d| {
+        run_arrival_aware(s, cfg, |d| {
             CentralCounterProtocol::new(tree, tree.root(), &s.requests).deferred(d)
         })
     }
@@ -528,7 +449,7 @@ impl ProtocolSpec for CombiningTree {
         ProtocolKind::Counting
     }
     fn execute(&self, s: &Scenario, cfg: SimConfig) -> Result<SimReport, SimError> {
-        run_arrival_aware_sliced(s, cfg, |d| {
+        run_arrival_aware(s, cfg, |d| {
             CombiningTreeProtocol::new(&s.counting_tree, &s.requests).deferred(d)
         })
     }
@@ -549,7 +470,7 @@ impl ProtocolSpec for CountingNetwork {
     }
     fn execute(&self, s: &Scenario, cfg: SimConfig) -> Result<SimReport, SimError> {
         let w = self.effective_width(s.n()).unwrap();
-        run_arrival_aware_sliced(s, cfg, |d| {
+        run_arrival_aware(s, cfg, |d| {
             CountingNetworkProtocol::new(&s.graph, &s.counting_tree, &s.requests, w).deferred(d)
         })
     }
@@ -570,7 +491,7 @@ impl ProtocolSpec for PeriodicNetwork {
     }
     fn execute(&self, s: &Scenario, cfg: SimConfig) -> Result<SimReport, SimError> {
         let w = self.effective_width(s.n()).unwrap();
-        run_arrival_aware_sliced(s, cfg, |d| {
+        run_arrival_aware(s, cfg, |d| {
             CountingNetworkProtocol::with_network(
                 &s.graph,
                 &s.counting_tree,
@@ -597,7 +518,7 @@ impl ProtocolSpec for ToggleTree {
     }
     fn execute(&self, s: &Scenario, cfg: SimConfig) -> Result<SimReport, SimError> {
         let w = self.effective_width(s.n()).unwrap();
-        run_arrival_aware_sliced(s, cfg, |d| {
+        run_arrival_aware(s, cfg, |d| {
             ToggleTreeProtocol::new(&s.graph, &s.counting_tree, &s.requests, w).deferred(d)
         })
     }
@@ -614,7 +535,7 @@ impl ProtocolSpec for CrdtCounter {
         ProtocolKind::Relaxed
     }
     fn execute(&self, s: &Scenario, cfg: SimConfig) -> Result<SimReport, SimError> {
-        run_arrival_aware_sliced(s, cfg, |d| {
+        run_arrival_aware(s, cfg, |d| {
             CrdtCounterProtocol::new(&s.counting_tree, &s.requests).deferred(d)
         })
     }

@@ -1,89 +1,14 @@
-//! Protocol runners with automatic output verification.
+//! The vocabulary of a verified run — [`ModelMode`], [`RunError`],
+//! [`RunOutcome`], [`config_for`] — and [`run_best_counting`].
 //!
-//! Execution is unified behind the [`crate::protocol`] registry: every run
-//! goes through [`crate::protocol::run_spec`]. The [`QueuingAlg`] /
-//! [`CountingAlg`] enums remain as a thin selection façade for existing
-//! call sites; each simply resolves to its [`crate::protocol::ProtocolSpec`].
+//! Execution itself lives behind the [`crate::protocol`] registry: every
+//! run goes through [`crate::protocol::run_spec`].
 
-use crate::protocol::{self, default_width, run_spec, ProtocolKind, ProtocolSpec};
+use crate::protocol::{self, run_spec, ProtocolKind};
 use crate::scenario::Scenario;
 use ccq_graph::NodeId;
 use ccq_sim::{SimConfig, SimError, SimReport};
 use serde::Serialize;
-
-/// Queuing algorithm selection.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum QueuingAlg {
-    /// The arrow protocol on the scenario's queuing tree.
-    Arrow,
-    /// Arrow with the predecessor identity routed back to the origin.
-    ArrowNotify,
-    /// Centralized home-node queue (baseline).
-    CentralHome,
-    /// Combining-tree queue (tree-aggregation baseline).
-    CombiningQueue,
-}
-
-impl QueuingAlg {
-    /// The registry spec this selection resolves to.
-    pub fn spec(self) -> &'static dyn ProtocolSpec {
-        match self {
-            QueuingAlg::Arrow => &protocol::Arrow,
-            QueuingAlg::ArrowNotify => &protocol::ArrowNotify,
-            QueuingAlg::CentralHome => &protocol::CentralQueue,
-            QueuingAlg::CombiningQueue => &protocol::CombiningQueue,
-        }
-    }
-
-    /// Display name.
-    pub fn name(self) -> &'static str {
-        self.spec().name()
-    }
-}
-
-/// Counting algorithm selection.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CountingAlg {
-    /// Centralized counter at the counting tree's root.
-    Central,
-    /// Software combining tree on the counting tree.
-    CombiningTree,
-    /// Bitonic counting network; `width` of `None` picks
-    /// `clamp(2^⌈lg √n⌉, 2, 32)`.
-    CountingNetwork { width: Option<usize> },
-    /// Periodic counting network (same width rule as the bitonic one).
-    PeriodicNetwork { width: Option<usize> },
-    /// Toggle-tree counter (diffracting-tree skeleton); `leaves` of `None`
-    /// follows the same width rule.
-    ToggleTree { leaves: Option<usize> },
-}
-
-impl CountingAlg {
-    /// Display name.
-    pub fn name(self) -> &'static str {
-        match self {
-            CountingAlg::Central => "central-counter",
-            CountingAlg::CombiningTree => "combining-tree",
-            CountingAlg::CountingNetwork { .. } => "counting-network",
-            CountingAlg::PeriodicNetwork { .. } => "periodic-network",
-            CountingAlg::ToggleTree { .. } => "toggle-tree",
-        }
-    }
-
-    /// The width the selection resolves to: the explicit parameter, the
-    /// [`default_width`] rule for network-style counters, and 0 for the
-    /// width-less protocols.
-    pub fn effective_width(self, n: usize) -> usize {
-        match self {
-            CountingAlg::CountingNetwork { width }
-            | CountingAlg::PeriodicNetwork { width }
-            | CountingAlg::ToggleTree { leaves: width } => {
-                width.unwrap_or_else(|| default_width(n))
-            }
-            CountingAlg::Central | CountingAlg::CombiningTree => 0,
-        }
-    }
-}
 
 /// Execution model for a run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize)]
@@ -142,36 +67,6 @@ pub fn config_for(mode: ModelMode, max_degree: usize) -> SimConfig {
     }
 }
 
-/// Run a queuing algorithm on `scenario` and verify the total order.
-pub fn run_queuing(
-    scenario: &Scenario,
-    alg: QueuingAlg,
-    mode: ModelMode,
-) -> Result<RunOutcome, RunError> {
-    run_spec(alg.spec(), scenario, mode)
-}
-
-/// Run a counting algorithm on `scenario` and verify the rank set.
-pub fn run_counting(
-    scenario: &Scenario,
-    alg: CountingAlg,
-    mode: ModelMode,
-) -> Result<RunOutcome, RunError> {
-    match alg {
-        CountingAlg::Central => run_spec(&protocol::CentralCounter, scenario, mode),
-        CountingAlg::CombiningTree => run_spec(&protocol::CombiningTree, scenario, mode),
-        CountingAlg::CountingNetwork { width } => {
-            run_spec(&protocol::CountingNetwork { width }, scenario, mode)
-        }
-        CountingAlg::PeriodicNetwork { width } => {
-            run_spec(&protocol::PeriodicNetwork { width }, scenario, mode)
-        }
-        CountingAlg::ToggleTree { leaves } => {
-            run_spec(&protocol::ToggleTree { leaves }, scenario, mode)
-        }
-    }
-}
-
 /// Run every counting protocol in the registry and return the outcome with
 /// the smallest total delay — the honest competitor against the `Ω` lower
 /// bounds.
@@ -193,6 +88,7 @@ pub fn run_best_counting(scenario: &Scenario, mode: ModelMode) -> Result<RunOutc
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::ProtocolSpec;
     use crate::scenario::{RequestPattern, TopoSpec};
 
     fn mesh_scenario() -> Scenario {
@@ -202,7 +98,7 @@ mod tests {
     #[test]
     fn arrow_on_mesh_verifies() {
         let s = mesh_scenario();
-        let out = run_queuing(&s, QueuingAlg::Arrow, ModelMode::Expanded).unwrap();
+        let out = run_spec(&protocol::Arrow, &s, ModelMode::Expanded).unwrap();
         assert_eq!(out.order.len(), 16);
         assert_eq!(out.alg, "arrow");
     }
@@ -210,22 +106,24 @@ mod tests {
     #[test]
     fn all_queuing_algs_agree_on_validity() {
         let s = mesh_scenario();
-        for alg in [QueuingAlg::Arrow, QueuingAlg::ArrowNotify, QueuingAlg::CentralHome] {
-            let out = run_queuing(&s, alg, ModelMode::Strict).unwrap();
-            assert_eq!(out.order.len(), 16, "{}", alg.name());
+        for spec in
+            [&protocol::Arrow as &dyn ProtocolSpec, &protocol::ArrowNotify, &protocol::CentralQueue]
+        {
+            let out = run_spec(spec, &s, ModelMode::Strict).unwrap();
+            assert_eq!(out.order.len(), 16, "{}", spec.name());
         }
     }
 
     #[test]
     fn all_counting_algs_verify() {
         let s = mesh_scenario();
-        for alg in [
-            CountingAlg::Central,
-            CountingAlg::CombiningTree,
-            CountingAlg::CountingNetwork { width: Some(4) },
+        for spec in [
+            &protocol::CentralCounter as &dyn ProtocolSpec,
+            &protocol::CombiningTree,
+            &protocol::CountingNetwork { width: Some(4) },
         ] {
-            let out = run_counting(&s, alg, ModelMode::Strict).unwrap();
-            assert_eq!(out.order.len(), 16, "{}", alg.name());
+            let out = run_spec(spec, &s, ModelMode::Strict).unwrap();
+            assert_eq!(out.order.len(), 16, "{}", spec.name());
         }
     }
 
@@ -233,31 +131,17 @@ mod tests {
     fn best_counting_picks_minimum() {
         let s = mesh_scenario();
         let best = run_best_counting(&s, ModelMode::Strict).unwrap();
-        for alg in [CountingAlg::Central, CountingAlg::CombiningTree] {
-            let out = run_counting(&s, alg, ModelMode::Strict).unwrap();
+        for spec in [&protocol::CentralCounter as &dyn ProtocolSpec, &protocol::CombiningTree] {
+            let out = run_spec(spec, &s, ModelMode::Strict).unwrap();
             assert!(best.report.total_delay() <= out.report.total_delay());
         }
-    }
-
-    #[test]
-    fn default_width_rule() {
-        let alg = CountingAlg::CountingNetwork { width: None };
-        assert_eq!(alg.effective_width(16), 4);
-        assert_eq!(alg.effective_width(64), 8);
-        assert_eq!(alg.effective_width(100), 16);
-        assert_eq!(alg.effective_width(2), 2);
-        assert_eq!(alg.effective_width(100_000), 32);
-        let fixed = CountingAlg::CountingNetwork { width: Some(8) };
-        assert_eq!(fixed.effective_width(100_000), 8);
-        assert_eq!(CountingAlg::Central.effective_width(64), 0);
-        assert_eq!(CountingAlg::CombiningTree.effective_width(64), 0);
     }
 
     #[test]
     fn queuing_beats_counting_on_the_mesh() {
         // The headline claim, in miniature.
         let s = mesh_scenario();
-        let q = run_queuing(&s, QueuingAlg::Arrow, ModelMode::Expanded).unwrap();
+        let q = run_spec(&protocol::Arrow, &s, ModelMode::Expanded).unwrap();
         let c = run_best_counting(&s, ModelMode::Strict).unwrap();
         assert!(
             q.report.total_delay() < c.report.total_delay(),
@@ -273,20 +157,9 @@ mod tests {
             TopoSpec::Complete { n: 12 },
             RequestPattern::Random { density: 0.5, seed: 8 },
         );
-        let q = run_queuing(&s, QueuingAlg::Arrow, ModelMode::Expanded).unwrap();
-        let c = run_counting(&s, CountingAlg::CombiningTree, ModelMode::Strict).unwrap();
+        let q = run_spec(&protocol::Arrow, &s, ModelMode::Expanded).unwrap();
+        let c = run_spec(&protocol::CombiningTree, &s, ModelMode::Strict).unwrap();
         assert_eq!(q.order.len(), s.k());
         assert_eq!(c.order.len(), s.k());
-    }
-
-    #[test]
-    fn enum_facade_matches_registry_runs() {
-        // The façade and the registry must be the same execution path.
-        let s = mesh_scenario();
-        let via_enum = run_queuing(&s, QueuingAlg::Arrow, ModelMode::Expanded).unwrap();
-        let via_spec =
-            crate::protocol::run_spec(&crate::protocol::Arrow, &s, ModelMode::Expanded).unwrap();
-        assert_eq!(via_enum.report.total_delay(), via_spec.report.total_delay());
-        assert_eq!(via_enum.order, via_spec.order);
     }
 }

@@ -614,11 +614,10 @@ pub struct Scenario {
     pub faults: FaultSpec,
     /// Shard plan ([`ShardSpec::single`] = the unsharded executor).
     pub shards: ShardSpec,
-    /// Apply protocol handlers shard-parallel via the sliced executor
-    /// (requires every protocol run on this scenario to implement
-    /// [`ccq_sim::NodeSliced`]; others fail with a named
-    /// `InvalidConfig`). An execution strategy, not a model knob —
-    /// results are byte-identical to the serialized apply path.
+    /// Apply protocol handlers shard-parallel on their
+    /// [`ccq_sim::NodeSliced`] slices (which running a protocol on a
+    /// scenario requires anyway). An execution strategy, not a model
+    /// knob — results are byte-identical to the serialized apply path.
     pub parallel_apply: bool,
     /// Walk every processor in the deliver/transmit phases instead of the
     /// dirty frontier (the dense reference scan; see
@@ -632,8 +631,8 @@ pub struct Scenario {
     /// (lag = the ferry's minimum delay); `Some(d)` = explicit lag `d`.
     /// An execution strategy, not a model knob — reports, checkpoints and
     /// recordings are byte-identical to the lockstep path. Requires a
-    /// sharded plan (`k ≥ 2`) and a [`ccq_sim::NodeSliced`] protocol;
-    /// misconfigurations fail with a named `InvalidConfig`.
+    /// sharded plan (`k ≥ 2`); misconfigurations fail with a named
+    /// `InvalidConfig`.
     pub wavefront: Option<Round>,
     /// Transmit staged sends serially at the barrier instead of through
     /// the block-claim parallel transmit (the serialized reference path;

@@ -27,11 +27,11 @@
 //! in-port/outbox queues plus the open-operation backlog high-water mark.
 //!
 //! [`crate::shard::ShardedSimulator`] runs the same scheduler phases over
-//! per-shard state/transport instances; protocols run unmodified on either
-//! executor. Protocols that additionally implement [`crate::NodeSliced`]
-//! can run their delivery-phase handlers shard-parallel
-//! ([`SimConfig::parallel_apply`]) with byte-identical results — see
-//! [`crate::shard`] for the replay argument.
+//! per-shard state/transport instances. It requires [`crate::NodeSliced`]
+//! of its protocols, which lets it run their delivery-phase handlers
+//! shard-parallel ([`SimConfig::parallel_apply`]) with byte-identical
+//! results — see [`crate::shard`] for the replay argument; a sliced
+//! protocol runs unmodified on this single-fabric executor too.
 
 use crate::protocol::Protocol;
 use crate::report::{SimConfig, SimReport};
@@ -48,8 +48,7 @@ pub enum SimError {
     MaxRoundsExceeded { limit: Round },
     /// The configuration (budgets, scale, shard plan, apply path) cannot
     /// be executed. The message is owned so callers can name the offending
-    /// protocol — e.g. requesting [`SimConfig::parallel_apply`] for a
-    /// protocol that does not implement [`crate::NodeSliced`].
+    /// values — e.g. a wavefront lag beyond the ferry's minimum delay.
     InvalidConfig { what: String },
 }
 

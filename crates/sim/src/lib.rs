@@ -20,12 +20,13 @@
 //!
 //! Protocols implement [`Protocol`] and are executed by [`Simulator::run`],
 //! which returns a [`SimReport`] with per-operation delays, message counts
-//! and queue statistics. [`ShardedSimulator`] executes the same protocols
-//! over K parallel message fabrics joined by an inter-shard ferry, and
-//! protocols that expose disjoint per-node state slices ([`NodeSliced`])
-//! can additionally run their message handlers shard-parallel
-//! ([`SimConfig::parallel_apply`] via [`ShardedSimulator::run_sliced`]) —
-//! with reports byte-identical to the serialized executors in every case.
+//! and queue statistics. [`ShardedSimulator`] executes protocols that
+//! expose disjoint per-node state slices ([`NodeSliced`] — required of
+//! everything above the single-fabric monolith) over K parallel message
+//! fabrics joined by an inter-shard ferry, optionally running their
+//! message handlers shard-parallel ([`SimConfig::parallel_apply`]) or
+//! pipelining rounds ([`SimConfig::wavefront_lag`]) — with reports
+//! byte-identical to the monolith's in every case.
 //!
 //! ```
 //! use ccq_sim::{run_protocol, Protocol, SimApi, SimConfig};
@@ -69,7 +70,7 @@ pub use report::{
     SimConfig, SimReport, MAX_FAULTS,
 };
 pub use ring::EventRing;
-pub use shard::{run_protocol_sharded, run_protocol_sharded_sliced, ShardedSimulator};
+pub use shard::{run_protocol_sharded, ShardedSimulator};
 pub use trace::{TraceEvent, TraceKind};
 
 /// Simulation time, in rounds (time steps of the synchronous model).

@@ -306,13 +306,13 @@ pub struct SimConfig {
     /// regime, under which the paper's lower bounds still apply).
     pub link_delay: LinkDelay,
     /// Apply protocol message handlers shard-parallel instead of in the
-    /// serialized global node order. Honoured only by the sharded
-    /// executor's sliced entry points
-    /// ([`crate::ShardedSimulator::run_sliced`]), which require the
-    /// protocol to implement [`crate::NodeSliced`]; the other entry points
-    /// reject the flag with [`crate::SimError::InvalidConfig`] rather than
-    /// silently falling back. An execution strategy, not a model knob:
-    /// reports are byte-identical either way.
+    /// serialized global node order. Honoured by
+    /// [`crate::ShardedSimulator`], whose protocols are
+    /// [`crate::NodeSliced`] by trait bound; the single-fabric
+    /// [`crate::Simulator`] rejects the flag with
+    /// [`crate::SimError::InvalidConfig`] rather than silently falling
+    /// back. An execution strategy, not a model knob: reports are
+    /// byte-identical either way.
     pub parallel_apply: bool,
     /// Walk every processor in the deliver and transmit phases (the
     /// pre-frontier dense reference scan) instead of only the dirty
@@ -330,14 +330,15 @@ pub struct SimConfig {
     /// (proven by the equivalence proptests). Ignored by the single-fabric
     /// executor, which has no shard tasks to parallelize over.
     pub serial_transmit: bool,
-    /// Bounded-lag wavefront pipelining: when > 0, the sharded sliced
-    /// executor batches up to this many rounds into one shard-parallel
-    /// wave between global barriers. Safe only when the lag does not
-    /// exceed the inter-shard ferry's [`LinkDelay::min_delay`] (a wire
-    /// sent during a wave can then never be due within it); the executors
-    /// reject anything else — and any non-sliced entry point — with a
-    /// constructive [`crate::SimError::InvalidConfig`] rather than
-    /// silently falling back. 0 disables pipelining (lockstep rounds).
+    /// Bounded-lag wavefront pipelining: when > 0, the sharded executor
+    /// batches up to this many rounds into one shard-parallel wave
+    /// between global barriers. Safe only when the lag does not exceed
+    /// the inter-shard ferry's [`LinkDelay::min_delay`] (a wire sent
+    /// during a wave can then never be due within it); the executors
+    /// reject anything else — and the single-fabric
+    /// [`crate::Simulator`] the flag itself — with a constructive
+    /// [`crate::SimError::InvalidConfig`] rather than silently falling
+    /// back. 0 disables pipelining (lockstep rounds).
     /// An execution strategy, not a model knob: reports, checkpoints and
     /// recordings are byte-identical to the lockstep executor's.
     pub wavefront_lag: Round,

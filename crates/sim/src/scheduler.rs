@@ -181,7 +181,7 @@ pub(crate) fn run_single<P: Protocol>(
         // in serialized global order by construction.
         return Err(SimError::invalid_config(
             "parallel_apply requires the sharded executor with a NodeSliced protocol \
-             (ShardedSimulator::run_sliced); the single-fabric Simulator cannot honour it",
+             (ShardedSimulator::run); the single-fabric Simulator cannot honour it",
         ));
     }
     if cfg.wavefront_lag > 0 {
@@ -189,7 +189,7 @@ pub(crate) fn run_single<P: Protocol>(
         // clocks, which the single fabric does not have.
         return Err(SimError::invalid_config(
             "wavefront pipelining requires the sharded executor with a NodeSliced protocol \
-             (ShardedSimulator::run_sliced); the single-fabric Simulator cannot honour it",
+             (ShardedSimulator::run); the single-fabric Simulator cannot honour it",
         ));
     }
     let n = graph.n();

@@ -19,17 +19,18 @@
 //! shards then pop and schedule their own messages concurrently — the
 //! block arithmetic reproduces the serialized numbering exactly, so the
 //! parallel transmit is byte-identical to the reference loop kept behind
-//! [`crate::SimConfig::serial_transmit`]. For protocol-state application
-//! there are **two apply paths**:
+//! [`crate::SimConfig::serial_transmit`]. Every protocol run here is
+//! [`crate::NodeSliced`] (the bound on [`ShardedSimulator`]), and the
+//! deliver phase — the one stretch between two barriers where a choice
+//! exists — has **two apply paths**, selected by
+//! [`crate::SimConfig::parallel_apply`]:
 //!
-//! * **serialized** ([`ShardedSimulator::run`]) — handlers run in global
-//!   ascending node order against the one shared [`crate::Protocol`]
-//!   value; any protocol works, unmodified;
-//! * **sliced** ([`ShardedSimulator::run_sliced`] with
-//!   [`crate::SimConfig::parallel_apply`]) — for [`crate::NodeSliced`]
-//!   protocols, each shard's task also *applies* its own nodes' handlers
-//!   against their disjoint state slices, staging effects in a
-//!   [`crate::SliceApi`]; at the round barrier the staged effects are
+//! * **serialized** (flag off; the reference) — the shards harvest their
+//!   in-ports concurrently and handlers run at the barrier, in global
+//!   ascending node order against the one shared protocol value;
+//! * **sliced** (flag on) — each shard's task also *applies* its own
+//!   nodes' handlers against their disjoint state slices, staging effects
+//!   in a [`crate::SliceApi`]; at the round barrier the staged effects are
 //!   replayed in the serialized path's exact global order. Queuing
 //!   hand-offs and counting updates thus execute concurrently across
 //!   shards — the parallelism the paper's counting/queuing separation
@@ -61,8 +62,8 @@
 //! in the lockstep order. Rounds with a global coupling point (probe
 //! observations, scheduled arrivals per [`Protocol::next_active_round`],
 //! tracing, round 0) fall back to single lockstep rounds, so the wavefront
-//! execution is byte-identical to the lockstep one; see
-//! [`ShardedSimulator::run_wavefront_with_state`] for the argument.
+//! execution is byte-identical to the lockstep one; the argument is on the
+//! wavefront loop below.
 
 use crate::probe::{self, Phase, PhaseTimings, Stopwatch};
 use crate::protocol::{NodeSliced, Protocol, SimApi, SliceApi, SliceEffect};
@@ -99,12 +100,74 @@ impl<M> ShardState<M> {
         }
         max_depth
     }
+
+    /// The receive half of one shard's deliver phase: visit the in-port
+    /// frontier in ascending node order (members off it have empty
+    /// in-ports; the dense reference scan walks the full membership
+    /// instead), pop up to `recv_budget` messages per live node and hand
+    /// each to `deliver`. Returns the queue-wait rounds accrued.
+    fn receive(
+        &mut self,
+        members: &[NodeId],
+        round: Round,
+        cfg: &SimConfig,
+        mut deliver: impl FnMut(NodeId, Inbound<M>),
+    ) -> u64 {
+        let mut frontier = std::mem::take(&mut self.frontier);
+        frontier.clear();
+        if cfg.dense_scan {
+            frontier.extend_from_slice(members);
+        } else {
+            self.store.take_inport_frontier(&mut frontier);
+            frontier.sort_unstable();
+        }
+        let mut queue_wait = 0u64;
+        for &v in &frontier {
+            if cfg.faults.is_down(v, round) {
+                // Crashed: the in-port freezes in place until the
+                // recovery round (same gate as the monolith).
+                self.store.relist_inport(v);
+                continue;
+            }
+            for _ in 0..cfg.recv_budget {
+                let Some(inb) = self.store.pop_inport(v) else { break };
+                queue_wait += round - inb.arrival;
+                deliver(v, inb);
+            }
+        }
+        frontier.clear();
+        self.frontier = frontier;
+        queue_wait
+    }
 }
 
-/// The executor state both apply paths share: the report, the per-shard
+/// Distribute the disjoint `&mut` borrows of a [`NodeSliced`] protocol's
+/// slices to their shards. `iter_mut` yields non-overlapping borrows and
+/// both `0..n` and `members(shard)` ascend, so bucket `i` of a shard is
+/// exactly `members(shard)[i]`'s slice.
+fn slice_buckets<'s, S>(partition: &Partition, slices: &'s mut [S]) -> Vec<Vec<&'s mut S>> {
+    let mut buckets: Vec<Vec<&mut S>> = (0..partition.k()).map(|_| Vec::new()).collect();
+    for (v, slice) in slices.iter_mut().enumerate() {
+        buckets[partition.shard_of(v)].push(slice);
+    }
+    buckets
+}
+
+/// What the sliced deliver phase hands from the shard tasks to the barrier
+/// replay: one effect stream per shard (a single [`SliceApi`] reused
+/// across the shard's nodes — one allocation per shard per round, not per
+/// node) and one `(node, stream, src, effects-end)` record per delivered
+/// message, sorted by node. Shards process their members in ascending
+/// order, so the replay consumes every stream strictly in order.
+struct Applied<M> {
+    streams: Vec<std::vec::IntoIter<SliceEffect<M>>>,
+    deliveries: Vec<(NodeId, usize, NodeId, usize)>,
+}
+
+/// The executor state every round shares: the report, the per-shard
 /// fabrics, the inter-shard ferry and the protocol's staging API. Every
-/// phase except delivery lives here, so the two round loops differ only
-/// in how handlers are applied.
+/// phase lives here; the two apply paths differ only in which pair of
+/// deliver methods the round calls.
 struct Fabric<M> {
     report: SimReport,
     shards: Vec<ShardState<M>>,
@@ -117,7 +180,7 @@ struct Fabric<M> {
 impl<M> Fabric<M> {
     /// Validate the configuration, build the per-shard fabrics, and run
     /// the time-0 start phase (serialized on every path).
-    fn setup<P: Protocol<Msg = M>>(
+    fn setup<P: NodeSliced<Msg = M>>(
         graph: &Graph,
         partition: &Partition,
         protocol: &mut P,
@@ -132,6 +195,14 @@ impl<M> Fabric<M> {
             ));
         }
         let n = graph.n();
+        // A short slice vector would silently starve the uncovered members
+        // (their in-ports never drain and the run spins to max_rounds), so
+        // reject the contract violation constructively up front.
+        if protocol.split().1.len() != n {
+            return Err(SimError::invalid_config(
+                "NodeSliced::split() must yield exactly one slice per processor",
+            ));
+        }
         let mut fabric = Fabric {
             report: SimReport {
                 delay_scale: cfg.delay_scale,
@@ -240,6 +311,145 @@ impl<M> Fabric<M> {
             token,
             &mut self.report,
         );
+    }
+
+    /// Serialized deliver, shard-parallel half: every shard pops its due
+    /// in-port messages; shards hold disjoint nodes, so a stable sort by
+    /// node id recovers the monolith's global delivery order.
+    fn harvest(
+        &mut self,
+        partition: &Partition,
+        round: Round,
+        cfg: &SimConfig,
+    ) -> Vec<(NodeId, Inbound<M>)>
+    where
+        M: Send,
+    {
+        let work: Vec<(usize, ShardState<M>)> =
+            std::mem::take(&mut self.shards).into_iter().enumerate().collect();
+        let done: Vec<_> = work
+            .into_par_iter()
+            .map(|(shard, mut state)| {
+                let mut batch = Vec::new();
+                let queue_wait = state
+                    .receive(partition.members(shard), round, cfg, |v, inb| batch.push((v, inb)));
+                (state, batch, queue_wait)
+            })
+            .collect();
+        let mut deliveries = Vec::new();
+        for (state, batch, queue_wait) in done {
+            self.shards.push(state);
+            self.report.queue_wait_rounds += queue_wait;
+            deliveries.extend(batch);
+        }
+        deliveries.sort_by_key(|&(v, _)| v);
+        deliveries
+    }
+
+    /// Serialized deliver, barrier half: run the handlers in global order
+    /// against the one protocol value, draining effects after every
+    /// message exactly as the monolith does.
+    fn apply_at_barrier<P: Protocol<Msg = M>>(
+        &mut self,
+        graph: &Graph,
+        partition: &Partition,
+        protocol: &mut P,
+        deliveries: Vec<(NodeId, Inbound<M>)>,
+        round: Round,
+        trace: bool,
+    ) -> Result<(), SimError> {
+        for (v, inb) in deliveries {
+            note_delivery(&mut self.report, round, trace, v, inb.src);
+            protocol.on_message(&mut self.api, v, inb.src, inb.msg);
+            self.drain(graph, partition, round, trace)?;
+        }
+        Ok(())
+    }
+
+    /// Sliced deliver, shard-parallel half: every shard pops its due
+    /// in-port messages **and applies** them against its own members'
+    /// slices, staging effects.
+    fn apply_in_tasks<P: NodeSliced<Msg = M>>(
+        &mut self,
+        partition: &Partition,
+        protocol: &mut P,
+        round: Round,
+        cfg: &SimConfig,
+    ) -> Applied<M>
+    where
+        M: Send,
+    {
+        let (shared, slices) = protocol.split();
+        let work: Vec<_> = std::mem::take(&mut self.shards)
+            .into_iter()
+            .zip(slice_buckets(partition, slices))
+            .enumerate()
+            .map(|(shard, (state, slices))| (shard, state, slices))
+            .collect();
+        let done: Vec<_> = work
+            .into_par_iter()
+            .map(|(shard, mut state, mut slices)| {
+                let members = partition.members(shard);
+                let mut sapi = SliceApi::new(round, 0);
+                let mut deliveries = Vec::new();
+                // `members` ascends, so a binary search recovers a node's
+                // slice bucket; it is redone only when the node changes.
+                let mut at: (NodeId, usize) = (NodeId::MAX, 0);
+                let queue_wait = state.receive(members, round, cfg, |v, inb| {
+                    if at.0 != v {
+                        let idx = members.binary_search(&v);
+                        at = (v, idx.expect("frontier nodes are shard members"));
+                        sapi.set_node(v);
+                    }
+                    let slice = &mut *slices[at.1];
+                    P::on_message_sliced(shared, slice, &mut sapi, v, inb.src, inb.msg);
+                    deliveries.push((v, inb.src, sapi.effects.len()));
+                });
+                (state, sapi, deliveries, queue_wait)
+            })
+            .collect();
+
+        let mut applied =
+            Applied { streams: Vec::with_capacity(done.len()), deliveries: Vec::new() };
+        for (state, sapi, deliveries, queue_wait) in done {
+            self.shards.push(state);
+            self.report.queue_wait_rounds += queue_wait;
+            let s = applied.streams.len();
+            applied.deliveries.extend(deliveries.into_iter().map(|(v, src, end)| (v, s, src, end)));
+            applied.streams.push(sapi.into_effects().into_iter());
+        }
+        // Shards hold disjoint nodes and recorded their deliveries in
+        // ascending node order, so a stable sort by node id recovers the
+        // monolith's global delivery order.
+        applied.deliveries.sort_by_key(|&(v, _, _, _)| v);
+        applied
+    }
+
+    /// Sliced deliver, barrier half: per message, the delivery
+    /// bookkeeping, then its effect segment, then the same per-message
+    /// drain the serialized path performs — identical event sequence.
+    fn replay(
+        &mut self,
+        graph: &Graph,
+        partition: &Partition,
+        applied: Applied<M>,
+        round: Round,
+        trace: bool,
+    ) -> Result<(), SimError> {
+        let Applied { mut streams, deliveries } = applied;
+        let mut consumed = vec![0usize; streams.len()];
+        for (v, s, src, end) in deliveries {
+            note_delivery(&mut self.report, round, trace, v, src);
+            while consumed[s] < end {
+                match streams[s].next().expect("delivery records cover every effect") {
+                    SliceEffect::Send { to, msg } => self.api.send(v, to, msg),
+                    SliceEffect::Complete { node, value } => self.api.complete(node, value),
+                }
+                consumed[s] += 1;
+            }
+            self.drain(graph, partition, round, trace)?;
+        }
+        Ok(())
     }
 
     /// Transmit phase dispatcher: the shard-parallel block-claim transmit
@@ -457,30 +667,30 @@ impl<M> Fabric<M> {
         self.ferry.is_idle()
             && self.shards.iter().all(|s| s.store.is_idle() && s.transport.is_idle())
     }
+
+    /// Close the run at its final `round`: the report with the fault
+    /// events that fired and, when asked for, the phase timings.
+    fn finish(mut self, round: Round, cfg: &SimConfig, timing: PhaseTimings) -> SimReport {
+        self.report.rounds = round;
+        self.report.record_fault_events(&cfg.faults);
+        if cfg.probe.timing {
+            self.report.phase_timing = Some(timing);
+        }
+        self.report
+    }
 }
 
-/// Deliveries harvested from one shard in one round (the maturity phase
-/// has already run and folded its depth statistic into the report).
-struct Harvest<M> {
-    /// Per-node FIFO batches, nodes ascending within the shard.
-    batches: Vec<(NodeId, Vec<Inbound<M>>)>,
-    queue_wait: u64,
-}
-
-/// The per-round output of the parallel harvest: each shard's state handed
-/// back alongside what it dequeued.
-type Harvested<M> = Vec<(ShardState<M>, Harvest<M>)>;
-
-/// One full round of the serialized-apply sharded loop — arrivals through
-/// transmit, with probe observations at every phase barrier of an observed
-/// round and phase timing accrual. This is the loop body of
-/// [`ShardedSimulator::run_with_state`], factored out so the wavefront
-/// executor can run its non-pipelined rounds (round 0, observed rounds,
-/// rounds with scheduled arrivals, traced runs) through the *same* code —
-/// byte-identity there is then inheritance, not reimplementation. The
-/// quiescence / wakeup decision stays with the caller.
+/// One full lockstep round — arrivals through transmit, with probe
+/// observations at every phase barrier of an observed round and phase
+/// timing accrual. The lockstep loop runs every round through this body
+/// and the wavefront executor its non-pipelined ones (round 0, observed
+/// rounds, rounds with scheduled arrivals, traced runs) — byte-identity
+/// there is then inheritance, not reimplementation. Between the mature
+/// and transmit barriers [`SimConfig::parallel_apply`] picks where the
+/// handlers run; the four barriers themselves are the same either way.
+/// The quiescence / wakeup decision stays with the caller.
 #[allow(clippy::too_many_arguments)]
-fn lockstep_round<P: Protocol>(
+fn lockstep_round<P: NodeSliced>(
     graph: &Graph,
     partition: &Partition,
     fab: &mut Fabric<P::Msg>,
@@ -519,68 +729,16 @@ where
         watch.reset();
     }
 
+    // Deliver phase: a shard-parallel half, then a barrier half that
+    // feeds the report in the monolith's global order.
     if round > 0 {
-        // Shard-parallel harvest: up to `recv_budget` messages per
-        // local node, FIFO batches in ascending node order.
-        let work: Vec<(usize, ShardState<P::Msg>)> =
-            std::mem::take(&mut fab.shards).into_iter().enumerate().collect();
-        let done: Harvested<P::Msg> = work
-            .into_par_iter()
-            .map(|(shard, mut state)| {
-                // Harvest only the in-port frontier (ascending):
-                // members off it have empty in-ports and would
-                // yield empty batches. The dense reference scan
-                // walks the full membership instead.
-                let mut frontier = std::mem::take(&mut state.frontier);
-                frontier.clear();
-                if cfg.dense_scan {
-                    frontier.extend_from_slice(partition.members(shard));
-                } else {
-                    state.store.take_inport_frontier(&mut frontier);
-                    frontier.sort_unstable();
-                }
-                let mut batches = Vec::new();
-                let mut queue_wait = 0u64;
-                for &v in &frontier {
-                    if cfg.faults.is_down(v, round) {
-                        // Crashed: the in-port freezes in place until the
-                        // recovery round (same gate as the monolith).
-                        state.store.relist_inport(v);
-                        continue;
-                    }
-                    let mut batch = Vec::new();
-                    for _ in 0..cfg.recv_budget {
-                        let Some(inb) = state.store.pop_inport(v) else { break };
-                        queue_wait += round - inb.arrival;
-                        batch.push(inb);
-                    }
-                    if !batch.is_empty() {
-                        batches.push((v, batch));
-                    }
-                }
-                frontier.clear();
-                state.frontier = frontier;
-                (state, Harvest { batches, queue_wait })
-            })
-            .collect();
-
-        let mut all_batches: Vec<(NodeId, Vec<Inbound<P::Msg>>)> = Vec::new();
-        for (state, harvest) in done {
-            fab.shards.push(state);
-            fab.report.queue_wait_rounds += harvest.queue_wait;
-            all_batches.extend(harvest.batches);
-        }
-        // Shards hold disjoint nodes; a stable sort by node id
-        // recovers the monolith's global delivery order.
-        all_batches.sort_by_key(|&(v, _)| v);
-
-        // Delivery phase (sequential: protocol state is global).
-        for (v, batch) in all_batches {
-            for inb in batch {
-                note_delivery(&mut fab.report, round, cfg.trace, v, inb.src);
-                protocol.on_message(&mut fab.api, v, inb.src, inb.msg);
-                fab.drain(graph, partition, round, cfg.trace)?;
-            }
+        if cfg.parallel_apply {
+            let applied = fab.apply_in_tasks(partition, protocol, round, cfg);
+            round_micros += lap_into(watch, &mut timing.apply_micros);
+            fab.replay(graph, partition, applied, round, cfg.trace)?;
+        } else {
+            let deliveries = fab.harvest(partition, round, cfg);
+            fab.apply_at_barrier(graph, partition, protocol, deliveries, round, cfg.trace)?;
         }
     }
     round_micros += lap_into(watch, &mut timing.deliver_micros);
@@ -599,7 +757,12 @@ where
 }
 
 /// An executable sharded simulation: graph + partition + protocol + config.
-pub struct ShardedSimulator<'g, P: Protocol> {
+/// The protocol is [`NodeSliced`]: the serialized apply path reaches the
+/// sliced handler through [`Protocol::on_message`], the parallel apply
+/// path and the wavefront call it on the slices directly, and the trait
+/// bound — not a runtime rejection — is what says every
+/// [`SimConfig`] strategy flag can be honoured.
+pub struct ShardedSimulator<'g, P: NodeSliced> {
     graph: &'g Graph,
     partition: Partition,
     protocol: P,
@@ -607,7 +770,7 @@ pub struct ShardedSimulator<'g, P: Protocol> {
     inter_delay: LinkDelay,
 }
 
-impl<'g, P: Protocol> ShardedSimulator<'g, P>
+impl<'g, P: NodeSliced> ShardedSimulator<'g, P>
 where
     P::Msg: Send,
 {
@@ -626,26 +789,15 @@ where
     }
 
     /// Run to quiescence, returning the report and final protocol state.
-    /// Handlers apply in serialized global node order; requesting
-    /// [`SimConfig::parallel_apply`] here is an error (use
-    /// [`ShardedSimulator::run_sliced`], which requires [`NodeSliced`]) —
-    /// a silent serialized fallback would make the flag a lie.
+    /// [`SimConfig::wavefront_lag`] > 0 routes to the wavefront pipeline;
+    /// otherwise every round is one `lockstep_round`, whose deliver phase
+    /// honours [`SimConfig::parallel_apply`]. The report is byte-identical
+    /// whichever strategy runs.
     pub fn run_with_state(self) -> Result<(SimReport, P), SimError> {
+        if self.config.wavefront_lag > 0 {
+            return self.run_wavefront();
+        }
         let ShardedSimulator { graph, partition, mut protocol, config: cfg, inter_delay } = self;
-        if cfg.parallel_apply {
-            return Err(SimError::invalid_config(
-                "parallel_apply requires a NodeSliced protocol: \
-                 use ShardedSimulator::run_sliced (run/run_with_state cannot honour it)",
-            ));
-        }
-        if cfg.wavefront_lag > 0 {
-            // No silent fallback: the wavefront runs handlers inside each
-            // shard's task, which needs per-node state slices.
-            return Err(SimError::invalid_config(
-                "wavefront pipelining requires a NodeSliced protocol: \
-                 use ShardedSimulator::run_sliced (run/run_with_state cannot honour it)",
-            ));
-        }
         let mut fab: Fabric<P::Msg> =
             Fabric::setup(graph, &partition, &mut protocol, &cfg, inter_delay)?;
 
@@ -671,238 +823,12 @@ where
                 None => break,
             }
         }
-        fab.report.rounds = round;
-        fab.report.record_fault_events(&cfg.faults);
-        if cfg.probe.timing {
-            fab.report.phase_timing = Some(timing);
-        }
-        Ok((fab.report, protocol))
+        Ok((fab.finish(round, &cfg, timing), protocol))
     }
 
     /// Run to quiescence, returning only the report.
     pub fn run(self) -> Result<SimReport, SimError> {
         self.run_with_state().map(|(r, _)| r)
-    }
-}
-
-/// One shard's work item for the parallel harvest + **apply** phase of the
-/// sliced executor (maturity has already run): its fabric and the disjoint
-/// `&mut` borrows of its member nodes' protocol slices (ascending node
-/// order, parallel to `partition.members(shard)`).
-struct SlicedTask<'s, M, S> {
-    shard: usize,
-    state: ShardState<M>,
-    slices: Vec<&'s mut S>,
-}
-
-/// What the sliced parallel phase hands back per shard: one effect stream
-/// for the whole shard (a single [`SliceApi`] reused across its nodes —
-/// one allocation per shard per round, not per node) plus one
-/// `(node, src, effects-end)` record per delivered message. Members are
-/// processed in ascending node order, so the stream is consumed in order
-/// by the barrier's node-sorted merge.
-struct SlicedOutcome<M> {
-    state: ShardState<M>,
-    api: SliceApi<M>,
-    deliveries: Vec<(NodeId, NodeId, usize)>,
-    queue_wait: u64,
-}
-
-impl<'g, P: NodeSliced> ShardedSimulator<'g, P>
-where
-    P::Msg: Send,
-    P::Slice: Send,
-    P::Shared: Sync,
-{
-    /// Run to quiescence with the sliced apply path enabled by
-    /// [`SimConfig::parallel_apply`]: each shard's rayon task matures its
-    /// fabric **and** applies its own nodes' message handlers against
-    /// their disjoint state slices; staged effects replay at the round
-    /// barrier in the serialized executor's global order, so the report is
-    /// byte-identical to [`ShardedSimulator::run_with_state`] (to which
-    /// this method delegates when the flag is off).
-    pub fn run_sliced_with_state(self) -> Result<(SimReport, P), SimError> {
-        if self.config.wavefront_lag > 0 {
-            // The wavefront subsumes parallel apply (handlers always run
-            // inside the shard tasks during a wave), so it is routed first.
-            return self.run_wavefront_with_state();
-        }
-        if !self.config.parallel_apply {
-            return self.run_with_state();
-        }
-        let ShardedSimulator { graph, partition, mut protocol, config: cfg, inter_delay } = self;
-        let n = graph.n();
-        let k = partition.k();
-        let mut fab: Fabric<P::Msg> =
-            Fabric::setup(graph, &partition, &mut protocol, &cfg, inter_delay)?;
-        // A short slice vector would silently starve the uncovered members
-        // (their in-ports never drain and the run spins to max_rounds), so
-        // reject the contract violation constructively up front.
-        if protocol.split().1.len() != n {
-            return Err(SimError::invalid_config(
-                "NodeSliced::split() must yield exactly one slice per processor",
-            ));
-        }
-
-        let mut timing = PhaseTimings::default();
-        let mut watch = Stopwatch::new(cfg.probe.timing);
-
-        let mut round: Round = 0;
-        loop {
-            // Probe observations at every phase barrier of an observed
-            // round, as in the serialized loops (see `run_with_state`).
-            let observe = cfg.probe.observes(round);
-            watch.reset();
-            let mut round_micros = 0u64;
-            if round > 0 {
-                fab.arrivals(graph, &partition, &mut protocol, round, cfg.trace)?;
-            }
-            round_micros += lap_into(&mut watch, &mut timing.arrivals_micros);
-            if observe {
-                fab.observe(&cfg, round, Phase::Arrivals, &protocol.state_token());
-                watch.reset();
-            }
-
-            // Maturity phase, shard-parallel behind its own barrier.
-            if round > 0 {
-                fab.mature_all(&partition, round);
-            }
-            round_micros += lap_into(&mut watch, &mut timing.mature_micros);
-            if observe {
-                fab.observe(&cfg, round, Phase::Mature, &protocol.state_token());
-                watch.reset();
-            }
-
-            if round > 0 {
-                // Distribute disjoint `&mut` slice borrows to their
-                // shards. `iter_mut` yields non-overlapping borrows and
-                // both 0..n and `members(shard)` ascend, so bucket `i` of
-                // a shard is exactly `members(shard)[i]`'s slice.
-                let (shared, slices) = protocol.split();
-                let mut slice_buckets: Vec<Vec<&mut P::Slice>> =
-                    (0..k).map(|_| Vec::new()).collect();
-                for (v, slice) in slices.iter_mut().enumerate() {
-                    slice_buckets[partition.shard_of(v)].push(slice);
-                }
-
-                // Shard-parallel phase: harvest up to `recv_budget`
-                // messages per local node and APPLY them against the
-                // shard's own slices, staging effects.
-                let work: Vec<SlicedTask<P::Msg, P::Slice>> = std::mem::take(&mut fab.shards)
-                    .into_iter()
-                    .zip(slice_buckets)
-                    .enumerate()
-                    .map(|(shard, (state, slices))| SlicedTask { shard, state, slices })
-                    .collect();
-                let done: Vec<SlicedOutcome<P::Msg>> = work
-                    .into_par_iter()
-                    .map(|task| {
-                        let SlicedTask { shard, mut state, mut slices } = task;
-                        let mut sapi = SliceApi::new(round, 0);
-                        let mut deliveries = Vec::new();
-                        let mut queue_wait = 0u64;
-                        // Visit only the in-port frontier (or the full
-                        // membership under the dense reference scan).
-                        // `members(shard)` ascends, so a binary search
-                        // recovers each frontier node's slice bucket.
-                        let members = partition.members(shard);
-                        let mut frontier = std::mem::take(&mut state.frontier);
-                        frontier.clear();
-                        if cfg.dense_scan {
-                            frontier.extend_from_slice(members);
-                        } else {
-                            state.store.take_inport_frontier(&mut frontier);
-                            frontier.sort_unstable();
-                        }
-                        for &v in &frontier {
-                            if cfg.faults.is_down(v, round) {
-                                // Crashed: the in-port freezes in place
-                                // until the recovery round.
-                                state.store.relist_inport(v);
-                                continue;
-                            }
-                            let idx = members
-                                .binary_search(&v)
-                                .expect("frontier nodes are shard members");
-                            let slice = &mut *slices[idx];
-                            sapi.set_node(v);
-                            for _ in 0..cfg.recv_budget {
-                                let Some(inb) = state.store.pop_inport(v) else { break };
-                                queue_wait += round - inb.arrival;
-                                P::on_message_sliced(shared, slice, &mut sapi, v, inb.src, inb.msg);
-                                deliveries.push((v, inb.src, sapi.effects.len()));
-                            }
-                        }
-                        frontier.clear();
-                        state.frontier = frontier;
-                        SlicedOutcome { state, api: sapi, deliveries, queue_wait }
-                    })
-                    .collect();
-                round_micros += lap_into(&mut watch, &mut timing.apply_micros);
-
-                // Barrier merge: shards hold disjoint nodes and each shard
-                // recorded its deliveries in ascending node order, so a
-                // stable sort by node id over the per-shard records
-                // recovers the monolith's global delivery order while each
-                // shard's effect stream is consumed strictly in order.
-                let mut streams = Vec::with_capacity(k);
-                let mut merged: Vec<(NodeId, usize, NodeId, usize)> = Vec::new();
-                for out in done {
-                    fab.shards.push(out.state);
-                    fab.report.queue_wait_rounds += out.queue_wait;
-                    let s = streams.len();
-                    merged.extend(out.deliveries.iter().map(|&(v, src, end)| (v, s, src, end)));
-                    streams.push(out.api.into_effects().into_iter());
-                }
-                merged.sort_by_key(|&(v, _, _, _)| v);
-
-                // Barrier replay: per message, the delivery bookkeeping,
-                // then its effect segment, then the same per-message drain
-                // the serialized path performs — identical event sequence.
-                let mut consumed = vec![0usize; streams.len()];
-                for (v, s, src, end) in merged {
-                    note_delivery(&mut fab.report, round, cfg.trace, v, src);
-                    while consumed[s] < end {
-                        match streams[s].next().expect("delivery records cover every effect") {
-                            SliceEffect::Send { to, msg } => fab.api.send(v, to, msg),
-                            SliceEffect::Complete { node, value } => fab.api.complete(node, value),
-                        }
-                        consumed[s] += 1;
-                    }
-                    fab.drain(graph, &partition, round, cfg.trace)?;
-                }
-            }
-            round_micros += lap_into(&mut watch, &mut timing.deliver_micros);
-            if observe {
-                fab.observe(&cfg, round, Phase::Deliver, &protocol.state_token());
-                watch.reset();
-            }
-
-            fab.transmit(&partition, round, &cfg);
-            round_micros += lap_into(&mut watch, &mut timing.transmit_micros);
-            timing.max_round_micros = timing.max_round_micros.max(round_micros);
-            if observe {
-                fab.observe(&cfg, round, Phase::Transmit, &protocol.state_token());
-            }
-
-            // Quiescence / wakeup phase (shared with the single executor).
-            match advance_round(&protocol, fab.idle(), round, cfg.max_rounds)? {
-                Some(next) => round = next,
-                None => break,
-            }
-        }
-        fab.report.rounds = round;
-        fab.report.record_fault_events(&cfg.faults);
-        if cfg.probe.timing {
-            fab.report.phase_timing = Some(timing);
-        }
-        Ok((fab.report, protocol))
-    }
-
-    /// Run to quiescence on the sliced apply path, returning only the
-    /// report.
-    pub fn run_sliced(self) -> Result<SimReport, SimError> {
-        self.run_sliced_with_state().map(|(r, _)| r)
     }
 
     /// Run to quiescence with bounded-lag **wavefront pipelining**
@@ -935,10 +861,11 @@ where
     /// Safety rests on the ferry bound `d ≤` minimum inter-shard delay
     /// (checked constructively): a cross-shard wire sent during a wave
     /// cannot arrive within it, so shards never observe each other
-    /// mid-wave. Rounds that do couple run through the factored
-    /// `lockstep_round` body, so the whole execution — reports, probe
-    /// digests, recordings — is byte-identical to the lockstep one.
-    pub fn run_wavefront_with_state(self) -> Result<(SimReport, P), SimError> {
+    /// mid-wave. Rounds that do couple run through the shared
+    /// `lockstep_round` body ([`SimConfig::parallel_apply`] included), so
+    /// the whole execution — reports, probe digests, recordings — is
+    /// byte-identical to the lockstep one.
+    fn run_wavefront(self) -> Result<(SimReport, P), SimError> {
         let ShardedSimulator { graph, partition, mut protocol, config: cfg, inter_delay } = self;
         let lag = cfg.wavefront_lag;
         debug_assert!(lag > 0, "routed here only when the wavefront is requested");
@@ -993,17 +920,9 @@ where
             )));
         }
 
-        let n = graph.n();
         let k = partition.k();
         let mut fab: Fabric<P::Msg> =
             Fabric::setup(graph, &partition, &mut protocol, &cfg, inter_delay)?;
-        // Same contract check as the sliced path: a short slice vector
-        // would silently starve the uncovered members.
-        if protocol.split().1.len() != n {
-            return Err(SimError::invalid_config(
-                "NodeSliced::split() must yield exactly one slice per processor",
-            ));
-        }
 
         let mut timing = PhaseTimings::default();
         let mut watch = Stopwatch::new(cfg.probe.timing);
@@ -1045,16 +964,9 @@ where
 
             let done = {
                 let (shared, slices) = protocol.split();
-                // Disjoint `&mut` slice borrows, bucketed per shard
-                // exactly as on the sliced apply path.
-                let mut slice_buckets: Vec<Vec<&mut P::Slice>> =
-                    (0..k).map(|_| Vec::new()).collect();
-                for (v, slice) in slices.iter_mut().enumerate() {
-                    slice_buckets[partition.shard_of(v)].push(slice);
-                }
                 let work: Vec<WaveTask<P::Msg, P::Slice>> = std::mem::take(&mut fab.shards)
                     .into_iter()
-                    .zip(slice_buckets)
+                    .zip(slice_buckets(&partition, slices))
                     .zip(buckets)
                     .enumerate()
                     .map(|(shard, ((state, slices), ferry_due))| WaveTask {
@@ -1206,17 +1118,7 @@ where
                 },
             }
         }
-        fab.report.rounds = round;
-        if cfg.probe.timing {
-            fab.report.phase_timing = Some(timing);
-        }
-        Ok((fab.report, protocol))
-    }
-
-    /// Run to quiescence with wavefront pipelining, returning only the
-    /// report.
-    pub fn run_wavefront(self) -> Result<SimReport, SimError> {
-        self.run_wavefront_with_state().map(|(r, _)| r)
+        Ok((fab.finish(round, &cfg, timing), protocol))
     }
 }
 
@@ -1454,26 +1356,9 @@ fn run_shard_wave<P: NodeSliced>(
     })
 }
 
-/// Convenience: run the [`NodeSliced`] protocol on `graph` under `config`,
-/// sharded by `partition`, honouring [`SimConfig::parallel_apply`] (ferry
-/// delay = the intra-shard policy).
-pub fn run_protocol_sharded_sliced<P: NodeSliced>(
-    graph: &Graph,
-    partition: Partition,
-    protocol: P,
-    config: SimConfig,
-) -> Result<SimReport, SimError>
-where
-    P::Msg: Send,
-    P::Slice: Send,
-    P::Shared: Sync,
-{
-    ShardedSimulator::new(graph, partition, protocol, config).run_sliced()
-}
-
 /// Convenience: run `protocol` on `graph` under `config`, sharded by
 /// `partition` (ferry delay = the intra-shard policy).
-pub fn run_protocol_sharded<P: Protocol>(
+pub fn run_protocol_sharded<P: NodeSliced>(
     graph: &Graph,
     partition: Partition,
     protocol: P,
@@ -1490,105 +1375,12 @@ mod tests {
     use super::*;
     use ccq_graph::topology;
 
-    /// Token walks the path 0→1→…→n−1, completing at each hop.
-    struct Walk {
-        n: usize,
-    }
+    /// Both apply paths of the one lockstep round.
+    const APPLY_PATHS: [bool; 2] = [false, true];
 
-    impl Protocol for Walk {
-        type Msg = ();
-        fn on_start(&mut self, api: &mut SimApi<()>) {
-            api.complete(0, 0);
-            if self.n > 1 {
-                api.send(0, 1, ());
-            }
-        }
-        fn on_message(&mut self, api: &mut SimApi<()>, node: NodeId, _: NodeId, _: ()) {
-            api.complete(node, node as u64);
-            if node + 1 < self.n {
-                api.send(node, node + 1, ());
-            }
-        }
-    }
-
-    fn reports_equal_modulo_cross_shard(a: &SimReport, b: &SimReport) -> bool {
-        let strip = |r: &SimReport| {
-            let mut r = r.clone();
-            r.cross_shard_messages = 0;
-            serde_json::to_string(&r).unwrap()
-        };
-        strip(a) == strip(b)
-    }
-
-    #[test]
-    fn one_shard_reproduces_the_monolith_exactly() {
-        let g = topology::path(9);
-        let single = crate::run_protocol(&g, Walk { n: 9 }, SimConfig::strict()).unwrap();
-        let sharded = run_protocol_sharded(
-            &g,
-            Partition::contiguous(9, 1),
-            Walk { n: 9 },
-            SimConfig::strict(),
-        )
-        .unwrap();
-        assert_eq!(sharded.cross_shard_messages, 0);
-        assert!(reports_equal_modulo_cross_shard(&single, &sharded));
-    }
-
-    #[test]
-    fn k_shards_match_the_monolith_and_count_crossings() {
-        let g = topology::path(12);
-        let single = crate::run_protocol(&g, Walk { n: 12 }, SimConfig::strict()).unwrap();
-        for k in [2, 3, 4] {
-            let part = Partition::contiguous(12, k);
-            let sharded =
-                run_protocol_sharded(&g, part, Walk { n: 12 }, SimConfig::strict()).unwrap();
-            // The token crosses each of the k−1 shard boundaries once.
-            assert_eq!(sharded.cross_shard_messages, k as u64 - 1);
-            assert!(
-                reports_equal_modulo_cross_shard(&single, &sharded),
-                "k = {k} diverged from the single-fabric run"
-            );
-        }
-    }
-
-    #[test]
-    fn jitter_equivalence_holds_via_global_sequencing() {
-        let g = topology::path(16);
-        let cfg = SimConfig::strict().with_jitter(4, 99);
-        let single = crate::run_protocol(&g, Walk { n: 16 }, cfg).unwrap();
-        let sharded =
-            run_protocol_sharded(&g, Partition::striped(16, 4), Walk { n: 16 }, cfg).unwrap();
-        assert!(reports_equal_modulo_cross_shard(&single, &sharded));
-        assert!(sharded.cross_shard_messages > 0);
-    }
-
-    #[test]
-    fn slow_ferry_stretches_the_walk() {
-        let g = topology::path(8);
-        let fast = run_protocol_sharded(
-            &g,
-            Partition::contiguous(8, 2),
-            Walk { n: 8 },
-            SimConfig::strict(),
-        )
-        .unwrap();
-        let slow = ShardedSimulator::new(
-            &g,
-            Partition::contiguous(8, 2),
-            Walk { n: 8 },
-            SimConfig::strict(),
-        )
-        .with_inter_delay(LinkDelay::Fixed { delay: 10 })
-        .run()
-        .unwrap();
-        // One boundary crossing at 10 rounds instead of 1.
-        assert_eq!(slow.rounds, fast.rounds + 9);
-        assert_eq!(slow.ops(), fast.ops());
-    }
-
-    /// Sliced token walk: per-node state is a visit counter; shared state
-    /// is the path length.
+    /// Sliced token walk along the path 0→1→…→n−1, completing at each
+    /// hop: per-node state is a visit counter; shared state is the path
+    /// length.
     struct SlicedWalk {
         shared: usize,
         visits: Vec<u64>,
@@ -1636,6 +1428,86 @@ mod tests {
         }
     }
 
+    fn reports_equal_modulo_cross_shard(a: &SimReport, b: &SimReport) -> bool {
+        let strip = |r: &SimReport| {
+            let mut r = r.clone();
+            r.cross_shard_messages = 0;
+            serde_json::to_string(&r).unwrap()
+        };
+        strip(a) == strip(b)
+    }
+
+    #[test]
+    fn one_shard_reproduces_the_monolith_exactly() {
+        let g = topology::path(9);
+        let single = crate::run_protocol(&g, SlicedWalk::new(9), SimConfig::strict()).unwrap();
+        for parallel in APPLY_PATHS {
+            let cfg = SimConfig::strict().with_parallel_apply(parallel);
+            let sharded =
+                run_protocol_sharded(&g, Partition::contiguous(9, 1), SlicedWalk::new(9), cfg)
+                    .unwrap();
+            assert_eq!(sharded.cross_shard_messages, 0);
+            assert!(reports_equal_modulo_cross_shard(&single, &sharded), "parallel = {parallel}");
+        }
+    }
+
+    #[test]
+    fn k_shards_match_the_monolith_and_count_crossings() {
+        let g = topology::path(12);
+        let single = crate::run_protocol(&g, SlicedWalk::new(12), SimConfig::strict()).unwrap();
+        for k in [2, 3, 4] {
+            for parallel in APPLY_PATHS {
+                let part = Partition::contiguous(12, k);
+                let cfg = SimConfig::strict().with_parallel_apply(parallel);
+                let sharded = run_protocol_sharded(&g, part, SlicedWalk::new(12), cfg).unwrap();
+                // The token crosses each of the k−1 shard boundaries once.
+                assert_eq!(sharded.cross_shard_messages, k as u64 - 1);
+                assert!(
+                    reports_equal_modulo_cross_shard(&single, &sharded),
+                    "k = {k}, parallel = {parallel} diverged from the single-fabric run"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn jitter_equivalence_holds_via_global_sequencing() {
+        let g = topology::path(16);
+        let cfg = SimConfig::strict().with_jitter(4, 99);
+        let single = crate::run_protocol(&g, SlicedWalk::new(16), cfg).unwrap();
+        for parallel in APPLY_PATHS {
+            let sharded = run_protocol_sharded(
+                &g,
+                Partition::striped(16, 4),
+                SlicedWalk::new(16),
+                cfg.with_parallel_apply(parallel),
+            )
+            .unwrap();
+            assert!(reports_equal_modulo_cross_shard(&single, &sharded), "parallel = {parallel}");
+            assert!(sharded.cross_shard_messages > 0);
+        }
+    }
+
+    #[test]
+    fn slow_ferry_stretches_the_walk() {
+        let g = topology::path(8);
+        for parallel in APPLY_PATHS {
+            let sim = || {
+                ShardedSimulator::new(
+                    &g,
+                    Partition::contiguous(8, 2),
+                    SlicedWalk::new(8),
+                    SimConfig::strict().with_parallel_apply(parallel),
+                )
+            };
+            let fast = sim().run().unwrap();
+            let slow = sim().with_inter_delay(LinkDelay::Fixed { delay: 10 }).run().unwrap();
+            // One boundary crossing at 10 rounds instead of 1.
+            assert_eq!(slow.rounds, fast.rounds + 9);
+            assert_eq!(slow.ops(), fast.ops());
+        }
+    }
+
     #[test]
     fn parallel_apply_is_byte_identical_and_updates_slices() {
         let g = topology::path(12);
@@ -1650,7 +1522,7 @@ mod tests {
                 SlicedWalk::new(12),
                 cfg.with_parallel_apply(true),
             )
-            .run_sliced_with_state()
+            .run_with_state()
             .unwrap();
             assert_eq!(
                 serde_json::to_string(&serial).unwrap(),
@@ -1660,29 +1532,6 @@ mod tests {
             );
             assert_eq!(proto.visits, vec![1; 12], "slices must see every delivery");
         }
-    }
-
-    #[test]
-    fn run_sliced_without_the_flag_delegates_to_the_serialized_path() {
-        let g = topology::path(9);
-        let serial = run_protocol_sharded(
-            &g,
-            Partition::contiguous(9, 2),
-            SlicedWalk::new(9),
-            SimConfig::strict(),
-        )
-        .unwrap();
-        let sliced = run_protocol_sharded_sliced(
-            &g,
-            Partition::contiguous(9, 2),
-            SlicedWalk::new(9),
-            SimConfig::strict(),
-        )
-        .unwrap();
-        assert_eq!(
-            serde_json::to_string(&serial).unwrap(),
-            serde_json::to_string(&sliced).unwrap()
-        );
     }
 
     #[test]
@@ -1720,27 +1569,16 @@ mod tests {
             }
         }
         let g = topology::path(6);
-        let err = run_protocol_sharded_sliced(
-            &g,
-            Partition::contiguous(6, 2),
-            Short { n: 6, units: vec![0; 2] },
-            SimConfig::strict().with_parallel_apply(true),
-        )
-        .unwrap_err();
-        assert!(err.to_string().contains("one slice per processor"), "{err}");
-    }
-
-    #[test]
-    fn parallel_apply_is_rejected_off_the_sliced_path() {
-        let g = topology::path(6);
-        let cfg = SimConfig::strict().with_parallel_apply(true);
-        // The plain sharded entry point cannot honour the flag…
-        let err =
-            run_protocol_sharded(&g, Partition::contiguous(6, 2), Walk { n: 6 }, cfg).unwrap_err();
-        assert!(err.to_string().contains("NodeSliced"), "{err}");
-        // …and neither can the single-fabric executor.
-        let err = crate::run_protocol(&g, Walk { n: 6 }, cfg).unwrap_err();
-        assert!(err.to_string().contains("parallel_apply"), "{err}");
+        for parallel in APPLY_PATHS {
+            let err = run_protocol_sharded(
+                &g,
+                Partition::contiguous(6, 2),
+                Short { n: 6, units: vec![0; 2] },
+                SimConfig::strict().with_parallel_apply(parallel),
+            )
+            .unwrap_err();
+            assert!(err.to_string().contains("one slice per processor"), "{err}");
+        }
     }
 
     #[test]
@@ -1755,11 +1593,12 @@ mod tests {
         {
             let cfg = SimConfig::strict().with_link_delay(delay).with_trace();
             let parallel =
-                run_protocol_sharded(&g, Partition::striped(16, 4), Walk { n: 16 }, cfg).unwrap();
+                run_protocol_sharded(&g, Partition::striped(16, 4), SlicedWalk::new(16), cfg)
+                    .unwrap();
             let serial = run_protocol_sharded(
                 &g,
                 Partition::striped(16, 4),
-                Walk { n: 16 },
+                SlicedWalk::new(16),
                 cfg.with_serial_transmit(true),
             )
             .unwrap();
@@ -1779,7 +1618,7 @@ mod tests {
         let run = |cfg: SimConfig| {
             ShardedSimulator::new(&g, part(), SlicedWalk::new(12), cfg)
                 .with_inter_delay(LinkDelay::Fixed { delay: 6 })
-                .run_sliced_with_state()
+                .run_with_state()
                 .unwrap()
         };
         let (lockstep, _) = run(SimConfig::strict());
@@ -1797,21 +1636,25 @@ mod tests {
     fn wavefront_checkpoints_match_lockstep_between_observed_rounds() {
         use crate::ProbeSpec;
         // Sparse checkpoints force the wave width to adapt around observed
-        // rounds; the digest streams must still agree exactly.
+        // rounds; the digest streams must still agree exactly — whichever
+        // apply path the coupled (observed) rounds take.
         let g = topology::path(12);
         let probe = ProbeSpec::OFF.with_checkpoint_every(3).with_node_hashes(true);
         let part = || Partition::contiguous(12, 2);
         let run = |cfg: SimConfig| {
             ShardedSimulator::new(&g, part(), SlicedWalk::new(12), cfg)
                 .with_inter_delay(LinkDelay::Fixed { delay: 5 })
-                .run_sliced()
+                .run()
                 .unwrap()
         };
         let lockstep = run(SimConfig::strict().with_probe(probe));
-        let wave = run(SimConfig::strict().with_probe(probe).with_wavefront(5));
         assert!(!lockstep.checkpoints.is_empty(), "probe must checkpoint");
-        assert_eq!(lockstep.checkpoints, wave.checkpoints);
-        assert_eq!(lockstep.node_digests, wave.node_digests);
+        for parallel in APPLY_PATHS {
+            let cfg = SimConfig::strict().with_probe(probe).with_parallel_apply(parallel);
+            let wave = run(cfg.with_wavefront(5));
+            assert_eq!(lockstep.checkpoints, wave.checkpoints, "parallel = {parallel}");
+            assert_eq!(lockstep.node_digests, wave.node_digests, "parallel = {parallel}");
+        }
     }
 
     #[test]
@@ -1825,7 +1668,7 @@ mod tests {
             SimConfig::strict().with_wavefront(4),
         )
         .with_inter_delay(LinkDelay::Fixed { delay: 2 })
-        .run_sliced()
+        .run()
         .unwrap_err();
         let msg = err.to_string();
         assert!(msg.contains("lag 4") && msg.contains("minimum delay 2"), "{msg}");
@@ -1837,22 +1680,18 @@ mod tests {
             SimConfig::strict().with_jitter(3, 1).with_wavefront(2),
         )
         .with_inter_delay(LinkDelay::Fixed { delay: 6 })
-        .run_sliced()
+        .run()
         .unwrap_err();
         assert!(err.to_string().contains("per-message"), "{err}");
-        // The serialized-apply entry point cannot honour the flag…
-        let err = run_protocol_sharded(
-            &g,
-            Partition::contiguous(8, 2),
-            Walk { n: 8 },
-            SimConfig::strict().with_wavefront(2),
-        )
-        .unwrap_err();
-        assert!(err.to_string().contains("NodeSliced"), "{err}");
-        // …and neither can the single-fabric executor.
-        let err = crate::run_protocol(&g, Walk { n: 8 }, SimConfig::strict().with_wavefront(2))
-            .unwrap_err();
-        assert!(err.to_string().contains("wavefront"), "{err}");
+        // The single-fabric executor has no shards to pipeline or to
+        // apply in: it rejects both strategy flags by name.
+        for (cfg, flag) in [
+            (SimConfig::strict().with_wavefront(2), "wavefront"),
+            (SimConfig::strict().with_parallel_apply(true), "parallel_apply"),
+        ] {
+            let err = crate::run_protocol(&g, SlicedWalk::new(8), cfg).unwrap_err();
+            assert!(err.to_string().contains(flag), "{err}");
+        }
     }
 
     #[test]
@@ -1862,21 +1701,18 @@ mod tests {
         let probe = ProbeSpec::OFF.with_checkpoint_every(1).with_node_hashes(true);
         let cfg = SimConfig::strict().with_probe(probe);
         let single = crate::run_protocol(&g, SlicedWalk::new(12), cfg).unwrap();
-        let sharded =
-            run_protocol_sharded(&g, Partition::striped(12, 3), SlicedWalk::new(12), cfg).unwrap();
-        let (sliced, _) = ShardedSimulator::new(
-            &g,
-            Partition::striped(12, 3),
-            SlicedWalk::new(12),
-            cfg.with_parallel_apply(true),
-        )
-        .run_sliced_with_state()
-        .unwrap();
         assert!(!single.checkpoints.is_empty(), "probe must checkpoint");
-        assert_eq!(single.checkpoints, sharded.checkpoints, "sharded digests diverged");
-        assert_eq!(single.checkpoints, sliced.checkpoints, "sliced digests diverged");
-        assert_eq!(single.node_digests, sharded.node_digests);
-        assert_eq!(single.node_digests, sliced.node_digests);
+        for parallel in APPLY_PATHS {
+            let sharded = run_protocol_sharded(
+                &g,
+                Partition::striped(12, 3),
+                SlicedWalk::new(12),
+                cfg.with_parallel_apply(parallel),
+            )
+            .unwrap();
+            assert_eq!(single.checkpoints, sharded.checkpoints, "parallel = {parallel}");
+            assert_eq!(single.node_digests, sharded.node_digests, "parallel = {parallel}");
+        }
     }
 
     #[test]
@@ -1885,13 +1721,17 @@ mod tests {
         let g = topology::path(8);
         let probe = ProbeSpec::OFF.with_checkpoint_every(1);
         let part = || Partition::contiguous(8, 2);
-        let base =
-            run_protocol_sharded(&g, part(), Walk { n: 8 }, SimConfig::strict().with_probe(probe))
-                .unwrap();
+        let base = run_protocol_sharded(
+            &g,
+            part(),
+            SlicedWalk::new(8),
+            SimConfig::strict().with_probe(probe),
+        )
+        .unwrap();
         let pert = run_protocol_sharded(
             &g,
             part(),
-            Walk { n: 8 },
+            SlicedWalk::new(8),
             SimConfig::strict().with_probe(probe.with_perturbation(2, 2)),
         )
         .unwrap();
@@ -1917,7 +1757,7 @@ mod tests {
         let err = run_protocol_sharded(
             &g,
             Partition::contiguous(4, 2),
-            Walk { n: 5 },
+            SlicedWalk::new(5),
             SimConfig::strict(),
         )
         .unwrap_err();

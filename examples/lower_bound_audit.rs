@@ -7,19 +7,27 @@
 //! ```
 
 use ccq_repro::core::experiments::{t1_logstar, t8_recurrence, Scale};
+use ccq_repro::core::table::{fmt_util::tick, Table};
 
 fn main() {
     println!("LOWER-BOUND AUDIT — Busch & Tirthapura §3\n");
 
-    for table in t8_recurrence::run(Scale::Full) {
-        println!("{table}");
-    }
-
+    let mut failed_tick = false;
+    let mut show = |tables: Vec<Table>| {
+        for table in tables {
+            failed_tick |= table.rows.iter().flatten().any(|cell| *cell == tick(false));
+            println!("{table}");
+        }
+    };
+    show(t8_recurrence::run(Scale::Full));
     println!("Measured counting algorithms vs the Theorem 3.5 floor (quick sweep):\n");
-    for table in t1_logstar::run(Scale::Quick) {
-        println!("{table}");
-    }
+    show(t1_logstar::run(Scale::Quick));
 
-    println!("Every 'meas ≥ LB' cell must read 'yes': no algorithm, however clever,");
+    if failed_tick {
+        eprintln!("AUDIT FAILED: a tick cell above reads 'NO'. No algorithm, however clever,");
+        eprintln!("may dip below the information-propagation floor — that is the theorem.");
+        std::process::exit(1);
+    }
+    println!("Every 'meas ≥ LB' cell reads 'yes': no algorithm, however clever,");
     println!("may dip below the information-propagation floor — that is the theorem.");
 }

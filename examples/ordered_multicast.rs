@@ -12,6 +12,7 @@
 //! cargo run --release --example ordered_multicast
 //! ```
 
+use ccq_repro::core::protocol;
 use ccq_repro::prelude::*;
 use ccq_repro::queuing::INITIAL_TOKEN;
 use rand::prelude::*;
@@ -57,11 +58,11 @@ fn main() {
 
     // Coordination phase, counting-based: each sender obtains a sequence no.
     let counting =
-        run_counting(&scenario, CountingAlg::CombiningTree, ModelMode::Strict).expect("verifies");
+        run_spec(&protocol::CombiningTree, &scenario, ModelMode::Strict).expect("verifies");
     let seqnos = counting.report.value_by_node(n);
 
     // Coordination phase, queuing-based: each sender obtains its predecessor.
-    let queuing = run_queuing(&scenario, QueuingAlg::Arrow, ModelMode::Expanded).expect("verifies");
+    let queuing = run_spec(&protocol::Arrow, &scenario, ModelMode::Expanded).expect("verifies");
     let preds = queuing.report.value_by_node(n);
 
     // Delivery phase: 5 receivers, each seeing a different arrival order.

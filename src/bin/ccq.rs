@@ -112,6 +112,27 @@ use ccq_repro::core::scenario::DEFAULT_RECORD_EVERY;
 use ccq_repro::prelude::*;
 use ccq_repro::replay::{first_divergence, Recording};
 
+/// `println!` for `ccq`'s stdout. A reader that has closed the pipe
+/// (`ccq run --exp all | head -1`) ends the process quietly, where
+/// `println!` would panic with a backtrace.
+macro_rules! say {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!($($arg)*))
+    };
+}
+
+fn write_stdout(line: std::fmt::Arguments) {
+    use std::io::Write;
+    match writeln!(std::io::stdout(), "{line}") {
+        Ok(()) => {}
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => std::process::exit(0),
+        Err(e) => {
+            eprintln!("ccq: cannot write to stdout: {e}");
+            std::process::exit(1);
+        }
+    }
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let code = match args.first().map(String::as_str) {
@@ -122,12 +143,12 @@ fn main() {
         Some("replay") => cmd_replay(&args[1..]),
         Some("bisect") => cmd_bisect(&args[1..]),
         Some("--help") | Some("-h") | Some("help") | None => {
-            print!("{USAGE}");
+            say!("{USAGE}");
             0
         }
         Some(other) => {
             eprintln!("ccq: unknown command `{other}`\n");
-            eprint!("{USAGE}");
+            eprintln!("{USAGE}");
             2
         }
     };
@@ -173,79 +194,78 @@ examples:
   ccq record --topo mesh2d --proto arrow --rec arrow.ccqrec
   ccq replay arrow.ccqrec
   ccq bisect \"--shards 4\" \"\" --topo torus2d:6 --proto arrow
-  ccq bisect \"--shards 2:contig:ferry=10\" \"--shards 2:contig\" --topo list:8 --proto arrow
-";
+  ccq bisect \"--shards 2:contig:ferry=10\" \"--shards 2:contig\" --topo list:8 --proto arrow";
 
 fn cmd_list() -> i32 {
-    println!("experiments (ccq run --exp <id>):");
+    say!("experiments (ccq run --exp <id>):");
     for e in experiments::registry() {
-        println!("  {:<5} {}", e.id, e.paper_item);
+        say!("  {:<5} {}", e.id, e.paper_item);
     }
-    println!("\nprotocols (ccq sweep --proto <name>):");
+    say!("\nprotocols (ccq sweep --proto <name>):");
     for p in registry() {
         let width = match p.effective_width(64) {
             Some(_) => "  [accepts :width]",
             None => "",
         };
-        println!("  {:<17} {}{}", p.name(), p.kind().label(), width);
+        say!("  {:<17} {}{}", p.name(), p.kind().label(), width);
     }
-    println!("\nprotocol groups: all, queuing, counting, relaxed");
-    println!("\ntopologies (ccq sweep --topo <name[:params]>):");
+    say!("\nprotocol groups: all, queuing, counting, relaxed");
+    say!("\ntopologies (ccq sweep --topo <name[:params]>):");
     for (syntax, desc) in TOPOLOGIES {
-        println!("  {syntax:<38} {desc}");
+        say!("  {syntax:<38} {desc}");
     }
-    println!("\npatterns: all | random:<density>[:seed] | tail:<count>");
-    println!(
+    say!("\npatterns: all | random:<density>[:seed] | tail:<count>");
+    say!(
         "\narrivals (ccq sweep --arrival): oneshot | poisson:rate=R[:seed=S] | \
          bursty:rate=R:on=N:off=N[:seed=S] | hotspot:rate=R[:s=E][:seed=S]"
     );
-    println!(
+    say!(
         "delays (ccq sweep --delay): unit | fixed:d=N | perlink:max=N[:seed=S] | \
          jitter:max=N[:seed=S]"
     );
-    println!(
+    say!(
         "admissions (ccq sweep --admission): open | droptail:bound=N | \
          delayretry:bound=N[:backoff=N] | adaptive:target=N[:gain=N] | \
          pernode:bound=N[:protect=C]"
     );
-    println!(
+    say!(
         "priorities (ccq sweep --priority): uniform | split:frac=F[:seed=S] — \
          two-class traffic with relaxed-priority admission ordering and \
          per-class latency percentiles"
     );
-    println!(
+    say!(
         "faults (ccq sweep --fault): crash:at=R:node=N:recover=R2 — node N down \
          for rounds [R, R2); repeat or comma-join for up to 4 crash windows \
          (incompatible with --wavefront)"
     );
-    println!(
+    say!(
         "shards (ccq sweep --shards): k[:strategy][:ferry=D], strategy = contig | stripe | \
          edgecut, ferry=D a fixed inter-shard delay"
     );
-    println!(
+    say!(
         "apply path (ccq sweep --parallel-apply): shard-parallel handler application \
          on per-node state slices; JSON byte-identical to the serialized path"
     );
-    println!(
+    say!(
         "scan path (ccq sweep --dense-scan): dense 0..n reference round loop instead \
          of the dirty frontier; JSON byte-identical to the frontier path"
     );
-    println!(
+    say!(
         "wavefront (ccq sweep --wavefront[:lag=d]): shards run up to d rounds ahead of \
          the inter-shard barrier (bare flag: lag = ferry minimum delay); needs --shards \
          k>=2 and ferry >= lag; JSON byte-identical to the lockstep path"
     );
-    println!(
+    say!(
         "transmit (ccq sweep --serial-transmit): serialized reference transmit instead \
          of the block-claim parallel transmit; JSON byte-identical either way"
     );
-    println!("probes (ccq sweep): --timing | --checkpoint-every N | --node-hashes | --perturb R:V");
-    println!(
+    say!("probes (ccq sweep): --timing | --checkpoint-every N | --node-hashes | --perturb R:V");
+    say!(
         "consistency (ccq sweep --qqc max,mean,p50,p95,p99): print per-case QQC lateness \
          (rank displacement vs the issue-order linearization) for the chosen fields; \
          the JSON always carries every qqc_* field"
     );
-    println!("record/replay: ccq record … --rec PATH, ccq replay PATH, ccq bisect <cfgA> <cfgB> …");
+    say!("record/replay: ccq record … --rec PATH, ccq replay PATH, ccq bisect <cfgA> <cfgB> …");
     0
 }
 
@@ -294,38 +314,20 @@ fn cmd_run(args: &[String]) -> i32 {
         reg.into_iter().filter(|e| ids.iter().any(|i| i == e.id)).collect()
     };
     for e in selected {
-        println!("## {} — {}\n", e.id, e.paper_item);
+        say!("## {} — {}\n", e.id, e.paper_item);
         for t in (e.run)(scale) {
-            println!("{t}");
+            say!("{t}");
         }
     }
     0
 }
 
-struct SweepArgs {
-    topos: Vec<TopoSpec>,
-    protos: Vec<Box<dyn ProtocolSpec>>,
-    modes: Option<Vec<ModelMode>>,
-    patterns: Vec<RequestPattern>,
-    arrivals: Vec<ArrivalSpec>,
-    delays: Vec<LinkDelay>,
-    admissions: Vec<AdmissionSpec>,
-    priorities: Vec<PrioritySpec>,
-    faults: FaultSpec,
-    shards: Vec<ShardSpec>,
-    parallel_apply: bool,
-    dense_scan: bool,
-    wavefront: Option<u64>,
-    serial_transmit: bool,
-    timing: bool,
-    checkpoint_every: Option<u64>,
-    node_hashes: bool,
-    perturb: Option<(u64, usize)>,
-    qqc: Option<Vec<String>>,
-    repeats: usize,
-    seed: u64,
+/// The sweep flags that shape output only; everything else `parse_sweep`
+/// reads goes straight into the [`RunPlan`].
+struct SweepOutput {
     json: Option<String>,
     pretty: bool,
+    qqc: Option<Vec<String>>,
 }
 
 /// The QQC lateness statistics `--qqc` can select, in display order.
@@ -371,84 +373,46 @@ fn qqc_table(set: &RunSet, fields: &[String]) -> Table {
     t
 }
 
-/// Turn parsed sweep arguments into the executable plan — the single
-/// construction point shared by `sweep`, `record`, `replay` and `bisect`,
-/// so a recorded argv re-runs through exactly the path that produced it.
-fn build_plan(parsed: &SweepArgs) -> RunPlan {
-    let mut plan = RunPlan::new()
-        .topologies(parsed.topos.clone())
-        .patterns(parsed.patterns.clone())
-        .arrivals(parsed.arrivals.clone())
-        .delays(parsed.delays.clone())
-        .admissions(parsed.admissions.clone())
-        .priorities(parsed.priorities.clone())
-        .faults(vec![parsed.faults.clone()])
-        .shards(parsed.shards.clone())
-        .parallel_apply(parsed.parallel_apply)
-        .dense_scan(parsed.dense_scan)
-        .wavefront(parsed.wavefront)
-        .serial_transmit(parsed.serial_transmit)
-        .repeats(parsed.repeats)
-        .seed(parsed.seed);
-    for p in &parsed.protos {
-        plan = plan.protocol(p.as_ref());
-    }
-    if let Some(modes) = &parsed.modes {
-        plan = plan.modes(modes.clone());
-    }
-    if parsed.timing {
-        plan = plan.timing(true);
-    }
-    if let Some(every) = parsed.checkpoint_every {
-        plan = plan.checkpoint_every(every);
-    }
-    if parsed.node_hashes {
-        plan = plan.node_hashes(true);
-    }
-    if let Some((round, node)) = parsed.perturb {
-        plan = plan.perturb(round, node);
-    }
-    plan
-}
-
 /// Parse and execute a sweep argv, returning the compact [`RunSet`] JSON —
-/// the byte string recordings store and replays compare against.
+/// the byte string recordings store and replays compare against. `sweep`,
+/// `record`, `replay` and `bisect` all build their plan in [`parse_sweep`],
+/// so a recorded argv re-runs through exactly the path that produced it.
 fn execute_sweep(args: &[String]) -> Result<String, String> {
-    let parsed = parse_sweep(args)?;
-    Ok(build_plan(&parsed).execute().to_json())
+    let (plan, _) = parse_sweep(args)?;
+    Ok(plan.execute().to_json())
 }
 
 fn cmd_sweep(args: &[String]) -> i32 {
-    let parsed = match parse_sweep(args) {
+    let (plan, out) = match parse_sweep(args) {
         Ok(p) => p,
         Err(msg) => return fail(&msg),
     };
-    let set = build_plan(&parsed).execute();
+    let set = plan.execute();
 
     let failed = set.cases.iter().filter(|c| !c.ok).count();
-    match parsed.json.as_deref() {
+    match out.json.as_deref() {
         Some("-") => {
             // JSON only on stdout so the output pipes into other tools.
-            let json = if parsed.pretty { set.to_json_pretty() } else { set.to_json() };
-            println!("{json}");
+            let json = if out.pretty { set.to_json_pretty() } else { set.to_json() };
+            say!("{json}");
         }
         Some(path) => {
-            let json = if parsed.pretty { set.to_json_pretty() } else { set.to_json() };
+            let json = if out.pretty { set.to_json_pretty() } else { set.to_json() };
             if let Err(e) = std::fs::write(path, json + "\n") {
                 return fail(&format!("cannot write {path}: {e}"));
             }
             eprintln!("wrote {path}");
-            println!("{}", set.case_table());
-            println!("{}", set.summary_table());
-            if let Some(fields) = &parsed.qqc {
-                println!("{}", qqc_table(&set, fields));
+            say!("{}", set.case_table());
+            say!("{}", set.summary_table());
+            if let Some(fields) = &out.qqc {
+                say!("{}", qqc_table(&set, fields));
             }
         }
         None => {
-            println!("{}", set.case_table());
-            println!("{}", set.summary_table());
-            if let Some(fields) = &parsed.qqc {
-                println!("{}", qqc_table(&set, fields));
+            say!("{}", set.case_table());
+            say!("{}", set.summary_table());
+            if let Some(fields) = &out.qqc {
+                say!("{}", qqc_table(&set, fields));
             }
         }
     }
@@ -463,7 +427,7 @@ fn cmd_sweep(args: &[String]) -> i32 {
 /// Emit a sweep's JSON to `-` (stdout) or a file, as `--json` asked.
 fn emit_json(target: &str, json: &str) -> Result<(), String> {
     if target == "-" {
-        println!("{json}");
+        say!("{json}");
         return Ok(());
     }
     std::fs::write(target, format!("{json}\n"))
@@ -606,42 +570,31 @@ fn cmd_bisect(args: &[String]) -> i32 {
     match first_divergence(&a, &b) {
         Err(e) => fail(&e.to_string()),
         Ok(None) => {
-            println!("no divergence: both configurations agree on every checkpoint");
+            say!("no divergence: both configurations agree on every checkpoint");
             0
         }
         Ok(Some(div)) => {
-            println!("{div}");
+            say!("{div}");
             3
         }
     }
 }
 
-fn parse_sweep(args: &[String]) -> Result<SweepArgs, String> {
-    let mut out = SweepArgs {
-        topos: Vec::new(),
-        protos: Vec::new(),
-        modes: None,
-        patterns: Vec::new(),
-        arrivals: Vec::new(),
-        delays: Vec::new(),
-        admissions: Vec::new(),
-        priorities: Vec::new(),
-        faults: FaultSpec::none(),
-        shards: Vec::new(),
-        parallel_apply: false,
-        dense_scan: false,
-        wavefront: None,
-        serial_transmit: false,
-        timing: false,
-        checkpoint_every: None,
-        node_hashes: false,
-        perturb: None,
-        qqc: None,
-        repeats: 1,
-        seed: 0,
-        json: None,
-        pretty: false,
-    };
+/// Build the sweep's [`RunPlan`] as the argv is read: scalar flags go
+/// onto the plan at once, comma/repeat lists accumulate here and are set
+/// when non-empty (an unset dimension keeps [`RunPlan::new`]'s default).
+fn parse_sweep(args: &[String]) -> Result<(RunPlan, SweepOutput), String> {
+    let mut plan = RunPlan::new();
+    let mut out = SweepOutput { json: None, pretty: false, qqc: None };
+    let mut topos = Vec::new();
+    let mut protos: Vec<Box<dyn ProtocolSpec>> = Vec::new();
+    let mut patterns = Vec::new();
+    let mut arrivals = Vec::new();
+    let mut delays = Vec::new();
+    let mut admissions = Vec::new();
+    let mut priorities = Vec::new();
+    let mut faults = FaultSpec::none();
+    let mut shards = Vec::new();
     let mut it = args.iter();
     while let Some(a) = it.next() {
         let mut value = |flag: &str| {
@@ -650,12 +603,12 @@ fn parse_sweep(args: &[String]) -> Result<SweepArgs, String> {
         match a.as_str() {
             "--topo" => {
                 for tok in value("--topo")?.split(',') {
-                    out.topos.push(parse_topo(tok)?);
+                    topos.push(parse_topo(tok)?);
                 }
             }
             "--proto" => {
                 for tok in value("--proto")?.split(',') {
-                    parse_proto(tok, &mut out.protos)?;
+                    parse_proto(tok, &mut protos)?;
                 }
             }
             "--modes" => {
@@ -669,51 +622,51 @@ fn parse_sweep(args: &[String]) -> Result<SweepArgs, String> {
                             other => return Err(format!("unknown mode `{other}`")),
                         });
                     }
-                    out.modes = Some(modes);
+                    plan = plan.modes(modes);
                 }
             }
             "--pattern" => {
                 for tok in value("--pattern")?.split(',') {
-                    out.patterns.push(parse_pattern(tok)?);
+                    patterns.push(parse_pattern(tok)?);
                 }
             }
             "--arrival" => {
                 for tok in value("--arrival")?.split(',') {
-                    out.arrivals.push(parse_arrival(tok)?);
+                    arrivals.push(parse_arrival(tok)?);
                 }
             }
             "--delay" => {
                 for tok in value("--delay")?.split(',') {
-                    out.delays.push(parse_delay(tok)?);
+                    delays.push(parse_delay(tok)?);
                 }
             }
             "--admission" => {
                 for tok in value("--admission")?.split(',') {
-                    out.admissions.push(parse_admission(tok)?);
+                    admissions.push(parse_admission(tok)?);
                 }
             }
             "--priority" => {
                 for tok in value("--priority")?.split(',') {
-                    out.priorities.push(parse_priority(tok)?);
+                    priorities.push(parse_priority(tok)?);
                 }
             }
             "--fault" => {
                 // Each token adds one crash window; repeated flags and
                 // comma-joined tokens compose into a single fault plan.
                 for tok in value("--fault")?.split(',') {
-                    out.faults = parse_fault(tok, out.faults)?;
+                    faults = parse_fault(tok, faults)?;
                 }
             }
             "--shards" => {
                 for tok in value("--shards")?.split(',') {
-                    out.shards.push(parse_shards(tok)?);
+                    shards.push(parse_shards(tok)?);
                 }
             }
-            "--parallel-apply" => out.parallel_apply = true,
-            "--dense-scan" => out.dense_scan = true,
-            "--wavefront" => out.wavefront = Some(0),
-            "--serial-transmit" => out.serial_transmit = true,
-            "--timing" => out.timing = true,
+            "--parallel-apply" => plan = plan.parallel_apply(true),
+            "--dense-scan" => plan = plan.dense_scan(true),
+            "--wavefront" => plan = plan.wavefront(Some(0)),
+            "--serial-transmit" => plan = plan.serial_transmit(true),
+            "--timing" => plan = plan.timing(true),
             "--checkpoint-every" => {
                 let every: u64 = value("--checkpoint-every")?
                     .parse()
@@ -721,9 +674,9 @@ fn parse_sweep(args: &[String]) -> Result<SweepArgs, String> {
                 if every < 1 {
                     return Err("--checkpoint-every needs an integer ≥ 1".to_string());
                 }
-                out.checkpoint_every = Some(every);
+                plan = plan.checkpoint_every(every);
             }
-            "--node-hashes" => out.node_hashes = true,
+            "--node-hashes" => plan = plan.node_hashes(true),
             "--qqc" => {
                 let mut fields = Vec::new();
                 for tok in value("--qqc")?.split(',') {
@@ -747,16 +700,16 @@ fn parse_sweep(args: &[String]) -> Result<SweepArgs, String> {
                     .ok_or_else(|| format!("--perturb wants round:node, got `{v}`"))?;
                 let round = r.parse().map_err(|_| format!("bad round in `--perturb {v}`"))?;
                 let node = n.parse().map_err(|_| format!("bad node in `--perturb {v}`"))?;
-                out.perturb = Some((round, node));
+                plan = plan.perturb(round, node);
             }
             "--repeats" => {
-                out.repeats = value("--repeats")?
-                    .parse()
-                    .map_err(|_| "--repeats needs an integer".to_string())?;
+                let repeats =
+                    value("--repeats")?.parse().map_err(|_| "--repeats needs an integer")?;
+                plan = plan.repeats(repeats);
             }
             "--seed" => {
-                out.seed =
-                    value("--seed")?.parse().map_err(|_| "--seed needs an integer".to_string())?;
+                let seed = value("--seed")?.parse().map_err(|_| "--seed needs an integer")?;
+                plan = plan.seed(seed);
             }
             "--json" => out.json = Some(value("--json")?.to_string()),
             "--pretty" => out.pretty = true,
@@ -777,36 +730,36 @@ fn parse_sweep(args: &[String]) -> Result<SweepArgs, String> {
                             .to_string(),
                     );
                 }
-                out.wavefront = Some(lag);
+                plan = plan.wavefront(Some(lag));
             }
             other => return Err(format!("unknown `ccq sweep` flag `{other}`")),
         }
     }
-    if out.topos.is_empty() {
+    if topos.is_empty() {
         // Default pair: one mesh, one beyond-paper torus — so open-system
         // sweeps exercise at least two topologies out of the box.
-        out.topos.push(TopoSpec::Mesh2D { side: 8 });
-        out.topos.push(TopoSpec::Torus2D { side: 4 });
+        topos = vec![TopoSpec::Mesh2D { side: 8 }, TopoSpec::Torus2D { side: 4 }];
     }
-    if out.patterns.is_empty() {
-        out.patterns.push(RequestPattern::All);
+    plan = plan.topologies(topos).protocols(protos.iter().map(|p| p.as_ref())).faults([faults]);
+    if !patterns.is_empty() {
+        plan = plan.patterns(patterns);
     }
-    if out.arrivals.is_empty() {
-        out.arrivals.push(ArrivalSpec::OneShot);
+    if !arrivals.is_empty() {
+        plan = plan.arrivals(arrivals);
     }
-    if out.delays.is_empty() {
-        out.delays.push(LinkDelay::Unit);
+    if !delays.is_empty() {
+        plan = plan.delays(delays);
     }
-    if out.admissions.is_empty() {
-        out.admissions.push(AdmissionSpec::Open);
+    if !admissions.is_empty() {
+        plan = plan.admissions(admissions);
     }
-    if out.priorities.is_empty() {
-        out.priorities.push(PrioritySpec::Uniform);
+    if !priorities.is_empty() {
+        plan = plan.priorities(priorities);
     }
-    if out.shards.is_empty() {
-        out.shards.push(ShardSpec::single());
+    if !shards.is_empty() {
+        plan = plan.shards(shards);
     }
-    Ok(out)
+    Ok((plan, out))
 }
 
 /// Largest shard count the CLI accepts — every shard carries per-node

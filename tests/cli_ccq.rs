@@ -80,6 +80,31 @@ fn run_executes_an_experiment_driver() {
     assert!(stdout.contains("Figure 1"), "driver output missing: {stdout}");
 }
 
+/// A reader that closes the pipe after the first line (`ccq … | head -1`)
+/// ends `ccq` quietly: exit 0, no `println!` panic, no backtrace.
+#[test]
+fn closed_stdout_pipe_ends_the_process_quietly() {
+    use std::io::{BufRead, BufReader};
+    use std::process::{Command, Stdio};
+    let mut child = Command::new(env!("CARGO_BIN_EXE_ccq"))
+        .args(["run", "--exp", "all"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("ccq runs");
+    let mut stdout = BufReader::new(child.stdout.take().expect("piped stdout"));
+    let mut first = String::new();
+    stdout.read_line(&mut first).expect("first line");
+    // The heading is printed before its experiment runs, so nearly all of
+    // the output is still to come when the pipe closes.
+    drop(stdout);
+    let out = child.wait_with_output().expect("ccq exits");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(first.starts_with("## fig1"), "unexpected first line: {first}");
+    assert_eq!(out.status.code(), Some(0), "stderr: {stderr}");
+    assert!(stderr.is_empty(), "a closed pipe must not be reported: {stderr}");
+}
+
 #[test]
 fn open_system_sweep_reports_latency_percentiles() {
     // The PR-2 acceptance command: no --topo (defaults to two topologies),

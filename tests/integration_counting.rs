@@ -2,6 +2,7 @@
 //! on every topology, rank-set verification, and the §3 lower bounds.
 
 use ccq_repro::bounds::{counting_lb_diameter, counting_lb_general};
+use ccq_repro::core::protocol;
 use ccq_repro::graph::bfs;
 use ccq_repro::prelude::*;
 
@@ -18,14 +19,8 @@ fn all_specs() -> Vec<TopoSpec> {
     ]
 }
 
-fn all_algs() -> Vec<CountingAlg> {
-    vec![
-        CountingAlg::Central,
-        CountingAlg::CombiningTree,
-        CountingAlg::CountingNetwork { width: None },
-        CountingAlg::PeriodicNetwork { width: None },
-        CountingAlg::ToggleTree { leaves: None },
-    ]
+fn all_algs() -> Vec<&'static dyn ProtocolSpec> {
+    registry_of(ProtocolKind::Counting).collect()
 }
 
 #[test]
@@ -33,7 +28,7 @@ fn every_algorithm_counts_correctly_everywhere() {
     for spec in all_specs() {
         let s = Scenario::build(spec.clone(), RequestPattern::All);
         for alg in all_algs() {
-            let out = run_counting(&s, alg, ModelMode::Strict)
+            let out = run_spec(alg, &s, ModelMode::Strict)
                 .unwrap_or_else(|e| panic!("{} / {}: {e}", spec.name(), alg.name()));
             assert_eq!(out.order.len(), s.k(), "{} / {}", spec.name(), alg.name());
         }
@@ -46,7 +41,7 @@ fn sparse_requests_count_correctly() {
         for seed in [5u64, 6] {
             let s = Scenario::build(spec.clone(), RequestPattern::Random { density: 0.4, seed });
             for alg in all_algs() {
-                let out = run_counting(&s, alg, ModelMode::Strict)
+                let out = run_spec(alg, &s, ModelMode::Strict)
                     .unwrap_or_else(|e| panic!("{} / {}: {e}", spec.name(), alg.name()));
                 assert_eq!(out.order.len(), s.k());
             }
@@ -65,7 +60,7 @@ fn theorem_3_5_floor_holds_for_every_algorithm() {
         let s = Scenario::build(spec.clone(), RequestPattern::All);
         let lb = counting_lb_general(s.n());
         for alg in all_algs() {
-            let out = run_counting(&s, alg, ModelMode::Strict).unwrap();
+            let out = run_spec(alg, &s, ModelMode::Strict).unwrap();
             assert!(
                 out.report.total_delay() >= lb,
                 "{} / {}: {} < LB {lb}",
@@ -83,8 +78,8 @@ fn theorem_3_6_floor_holds_on_high_diameter_graphs() {
         let s = Scenario::build(spec.clone(), RequestPattern::All);
         let alpha = bfs::diameter_two_sweep(&s.graph, 0) as u64;
         let lb = counting_lb_diameter(alpha);
-        for alg in [CountingAlg::Central, CountingAlg::CombiningTree] {
-            let out = run_counting(&s, alg, ModelMode::Strict).unwrap();
+        for alg in [&protocol::CentralCounter as &dyn ProtocolSpec, &protocol::CombiningTree] {
+            let out = run_spec(alg, &s, ModelMode::Strict).unwrap();
             assert!(
                 out.report.total_delay() >= lb,
                 "{} / {}: below Ω(α²)",
@@ -99,7 +94,7 @@ fn theorem_3_6_floor_holds_on_high_diameter_graphs() {
 fn expanded_mode_also_counts_correctly() {
     let s = Scenario::build(TopoSpec::Complete { n: 24 }, RequestPattern::All);
     for alg in all_algs() {
-        let out = run_counting(&s, alg, ModelMode::Expanded).unwrap();
+        let out = run_spec(alg, &s, ModelMode::Expanded).unwrap();
         assert_eq!(out.order.len(), 24);
     }
 }
@@ -108,9 +103,8 @@ fn expanded_mode_also_counts_correctly() {
 fn counting_network_widths_all_valid() {
     let s = Scenario::build(TopoSpec::Complete { n: 20 }, RequestPattern::All);
     for w in [2usize, 4, 8, 16] {
-        let out =
-            run_counting(&s, CountingAlg::CountingNetwork { width: Some(w) }, ModelMode::Strict)
-                .unwrap_or_else(|e| panic!("width {w}: {e}"));
+        let out = run_spec(&protocol::CountingNetwork { width: Some(w) }, &s, ModelMode::Strict)
+            .unwrap_or_else(|e| panic!("width {w}: {e}"));
         assert_eq!(out.order.len(), 20, "width {w}");
     }
 }
@@ -119,7 +113,7 @@ fn counting_network_widths_all_valid() {
 fn combining_ranks_are_preorder_positions() {
     // On the heap tree of K_n with all requesting, rank 1 is the root.
     let s = Scenario::build(TopoSpec::Complete { n: 15 }, RequestPattern::All);
-    let out = run_counting(&s, CountingAlg::CombiningTree, ModelMode::Strict).unwrap();
+    let out = run_spec(&protocol::CombiningTree, &s, ModelMode::Strict).unwrap();
     assert_eq!(out.order[0], s.counting_tree.root());
 }
 
@@ -128,7 +122,7 @@ fn single_requester_gets_rank_one() {
     for spec in [TopoSpec::List { n: 16 }, TopoSpec::Star { n: 16 }] {
         let s = Scenario::build(spec, RequestPattern::Custom(vec![7]));
         for alg in all_algs() {
-            let out = run_counting(&s, alg, ModelMode::Strict).unwrap();
+            let out = run_spec(alg, &s, ModelMode::Strict).unwrap();
             assert_eq!(out.order, vec![7]);
             assert_eq!(out.report.completions[0].value, 1);
         }

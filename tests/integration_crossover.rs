@@ -1,6 +1,7 @@
 //! The headline result end to end: queuing beats counting on every paper
 //! topology except the star, where they tie.
 
+use ccq_repro::core::protocol;
 use ccq_repro::core::run::run_best_counting;
 use ccq_repro::prelude::*;
 
@@ -13,7 +14,7 @@ fn queuing_beats_counting_on_hamilton_path_topologies() {
         TopoSpec::Hypercube { dim: 6 },
     ] {
         let s = Scenario::build(spec.clone(), RequestPattern::All);
-        let q = run_queuing(&s, QueuingAlg::Arrow, ModelMode::Expanded).unwrap();
+        let q = run_spec(&protocol::Arrow, &s, ModelMode::Expanded).unwrap();
         let c = run_best_counting(&s, ModelMode::Strict).unwrap();
         assert!(
             q.report.total_delay() < c.report.total_delay(),
@@ -29,7 +30,7 @@ fn queuing_beats_counting_on_hamilton_path_topologies() {
 fn queuing_beats_counting_on_high_diameter_topologies() {
     for spec in [TopoSpec::List { n: 128 }, TopoSpec::Caterpillar { spine: 40, legs: 2 }] {
         let s = Scenario::build(spec.clone(), RequestPattern::All);
-        let q = run_queuing(&s, QueuingAlg::Arrow, ModelMode::Expanded).unwrap();
+        let q = run_spec(&protocol::Arrow, &s, ModelMode::Expanded).unwrap();
         let c = run_best_counting(&s, ModelMode::Strict).unwrap();
         assert!(q.report.total_delay() < c.report.total_delay(), "{}", spec.name());
     }
@@ -39,7 +40,7 @@ fn queuing_beats_counting_on_high_diameter_topologies() {
 fn queuing_beats_counting_on_perfect_trees() {
     for (m, depth) in [(2usize, 5usize), (3, 3)] {
         let s = Scenario::build(TopoSpec::PerfectTree { m, depth }, RequestPattern::All);
-        let q = run_queuing(&s, QueuingAlg::Arrow, ModelMode::Expanded).unwrap();
+        let q = run_spec(&protocol::Arrow, &s, ModelMode::Expanded).unwrap();
         let c = run_best_counting(&s, ModelMode::Strict).unwrap();
         assert!(q.report.total_delay() < c.report.total_delay(), "m={m} depth={depth}");
     }
@@ -50,7 +51,7 @@ fn gap_widens_with_n_on_the_list() {
     // Ω(n²) vs O(n): the measured gap must grow markedly.
     let gap = |n: usize| {
         let s = Scenario::build(TopoSpec::List { n }, RequestPattern::All);
-        let q = run_queuing(&s, QueuingAlg::Arrow, ModelMode::Expanded).unwrap();
+        let q = run_spec(&protocol::Arrow, &s, ModelMode::Expanded).unwrap();
         let c = run_best_counting(&s, ModelMode::Strict).unwrap();
         c.report.total_delay() as f64 / q.report.total_delay().max(1) as f64
     };
@@ -63,7 +64,7 @@ fn star_is_a_tie_within_constant_factor() {
     // §5: both Θ(n²) — ratio bounded as n quadruples.
     let ratio = |n: usize| {
         let s = Scenario::build(TopoSpec::Star { n }, RequestPattern::All);
-        let q = run_queuing(&s, QueuingAlg::Arrow, ModelMode::Strict).unwrap();
+        let q = run_spec(&protocol::Arrow, &s, ModelMode::Strict).unwrap();
         let c = run_best_counting(&s, ModelMode::Strict).unwrap();
         c.report.total_delay() as f64 / q.report.total_delay().max(1) as f64
     };
@@ -85,7 +86,7 @@ fn verdicts_match_theory_module() {
         let s = Scenario::build(spec.clone(), RequestPattern::All);
         let mode =
             if matches!(topo, Topology::Star) { ModelMode::Strict } else { ModelMode::Expanded };
-        let q = run_queuing(&s, QueuingAlg::Arrow, mode).unwrap();
+        let q = run_spec(&protocol::Arrow, &s, mode).unwrap();
         let c = run_best_counting(&s, ModelMode::Strict).unwrap();
         match verdict(topo) {
             Verdict::QueuingWins => {

@@ -2,6 +2,7 @@
 //! protocol on every topology the paper names, validated end to end
 //! (graph → spanning tree → simulator → total-order verification → bounds).
 
+use ccq_repro::core::protocol;
 use ccq_repro::prelude::*;
 use ccq_repro::queuing::sequential_arrow_cost;
 use ccq_repro::tsp::nn_tour;
@@ -25,7 +26,7 @@ fn all_specs() -> Vec<TopoSpec> {
 fn arrow_forms_valid_total_order_on_every_topology() {
     for spec in all_specs() {
         let s = Scenario::build(spec.clone(), RequestPattern::All);
-        let out = run_queuing(&s, QueuingAlg::Arrow, ModelMode::Expanded)
+        let out = run_spec(&protocol::Arrow, &s, ModelMode::Expanded)
             .unwrap_or_else(|e| panic!("{}: {e}", spec.name()));
         assert_eq!(out.order.len(), s.k(), "{}", spec.name());
     }
@@ -35,7 +36,7 @@ fn arrow_forms_valid_total_order_on_every_topology() {
 fn arrow_valid_under_strict_contention_on_every_topology() {
     for spec in all_specs() {
         let s = Scenario::build(spec.clone(), RequestPattern::All);
-        let out = run_queuing(&s, QueuingAlg::Arrow, ModelMode::Strict)
+        let out = run_spec(&protocol::Arrow, &s, ModelMode::Strict)
             .unwrap_or_else(|e| panic!("{}: {e}", spec.name()));
         assert_eq!(out.order.len(), s.k(), "{}", spec.name());
     }
@@ -46,7 +47,7 @@ fn arrow_valid_for_sparse_requests() {
     for spec in all_specs() {
         for seed in [1u64, 2, 3] {
             let s = Scenario::build(spec.clone(), RequestPattern::Random { density: 0.3, seed });
-            let out = run_queuing(&s, QueuingAlg::Arrow, ModelMode::Expanded)
+            let out = run_spec(&protocol::Arrow, &s, ModelMode::Expanded)
                 .unwrap_or_else(|e| panic!("{} seed {seed}: {e}", spec.name()));
             assert_eq!(out.order.len(), s.k(), "{} seed {seed}", spec.name());
         }
@@ -65,7 +66,7 @@ fn theorem_4_1_bound_on_constant_degree_trees() {
     ] {
         let s = Scenario::build(spec.clone(), RequestPattern::All);
         let tour = nn_tour(&s.queuing_tree, s.tail, &s.requests);
-        let out = run_queuing(&s, QueuingAlg::Arrow, ModelMode::Expanded).unwrap();
+        let out = run_spec(&protocol::Arrow, &s, ModelMode::Expanded).unwrap();
         let measured = out.report.total_delay_unscaled();
         assert!(
             measured <= 2 * tour.cost(),
@@ -80,8 +81,8 @@ fn theorem_4_1_bound_on_constant_degree_trees() {
 fn arrow_notify_agrees_with_base_order() {
     for spec in [TopoSpec::Mesh2D { side: 5 }, TopoSpec::Complete { n: 20 }] {
         let s = Scenario::build(spec, RequestPattern::All);
-        let a = run_queuing(&s, QueuingAlg::Arrow, ModelMode::Expanded).unwrap();
-        let b = run_queuing(&s, QueuingAlg::ArrowNotify, ModelMode::Expanded).unwrap();
+        let a = run_spec(&protocol::Arrow, &s, ModelMode::Expanded).unwrap();
+        let b = run_spec(&protocol::ArrowNotify, &s, ModelMode::Expanded).unwrap();
         assert_eq!(a.order, b.order);
     }
 }
@@ -90,7 +91,7 @@ fn arrow_notify_agrees_with_base_order() {
 fn concurrent_arrow_cost_relates_to_sequential_execution() {
     // The sequential cost of the concurrent order is a lower bound…
     let s = Scenario::build(TopoSpec::List { n: 48 }, RequestPattern::All);
-    let out = run_queuing(&s, QueuingAlg::Arrow, ModelMode::Expanded).unwrap();
+    let out = run_spec(&protocol::Arrow, &s, ModelMode::Expanded).unwrap();
     let seq = sequential_arrow_cost(&s.queuing_tree, s.tail, &out.order);
     // …and the concurrent execution can only be faster in total (requests
     // overlap), never slower than 2×TSP (checked elsewhere). Sanity: both
@@ -103,8 +104,8 @@ fn concurrent_arrow_cost_relates_to_sequential_execution() {
 #[test]
 fn central_queue_matches_arrow_semantics() {
     let s = Scenario::build(TopoSpec::Mesh2D { side: 4 }, RequestPattern::All);
-    let arrow = run_queuing(&s, QueuingAlg::Arrow, ModelMode::Strict).unwrap();
-    let central = run_queuing(&s, QueuingAlg::CentralHome, ModelMode::Strict).unwrap();
+    let arrow = run_spec(&protocol::Arrow, &s, ModelMode::Strict).unwrap();
+    let central = run_spec(&protocol::CentralQueue, &s, ModelMode::Strict).unwrap();
     // Orders differ (different serialization) but both are valid and over
     // the same participants.
     let mut a = arrow.order.clone();
@@ -118,14 +119,14 @@ fn central_queue_matches_arrow_semantics() {
 fn single_requester_delay_equals_distance_to_tail() {
     let s = Scenario::build(TopoSpec::List { n: 33 }, RequestPattern::Custom(vec![32]));
     // tail is node 0 on the list tree.
-    let out = run_queuing(&s, QueuingAlg::Arrow, ModelMode::Strict).unwrap();
+    let out = run_spec(&protocol::Arrow, &s, ModelMode::Strict).unwrap();
     assert_eq!(out.report.completions[0].round, 32);
 }
 
 #[test]
 fn empty_request_set_is_silent() {
     let s = Scenario::build(TopoSpec::Complete { n: 16 }, RequestPattern::Custom(vec![]));
-    let out = run_queuing(&s, QueuingAlg::Arrow, ModelMode::Strict).unwrap();
+    let out = run_spec(&protocol::Arrow, &s, ModelMode::Strict).unwrap();
     assert!(out.order.is_empty());
     assert_eq!(out.report.messages_sent, 0);
 }

@@ -27,13 +27,11 @@
 //!   lockstep barrier, across protocols × intra-shard delays × arrivals
 //!   × admission × shard plans.
 
-use ccq_repro::core::protocol::run_arrival_aware;
 use ccq_repro::graph::{spanning, topology, NodeId, Partition};
 use ccq_repro::prelude::*;
 use ccq_repro::queuing::ArrowProtocol;
 use ccq_repro::sim::{
-    run_protocol, run_protocol_sharded, run_protocol_sharded_sliced, LinkDelay, OnlineProtocol,
-    Protocol, SimApi, SimConfig, SimError, SimReport, Simulator,
+    run_protocol, run_protocol_sharded, LinkDelay, SimConfig, SimReport, Simulator,
 };
 use proptest::prelude::*;
 
@@ -437,71 +435,6 @@ fn parallel_apply_composes_with_admission_control() {
         );
         assert_eq!(serial.report.dropped.len(), sliced.report.dropped.len());
     }
-}
-
-/// A protocol without a `NodeSliced` implementation must be rejected with
-/// an `InvalidConfig` that names it — never silently fall back to the
-/// serialized path (the bugfix satellite).
-#[test]
-fn parallel_apply_on_an_unsliced_protocol_is_a_named_error() {
-    /// Deliberately unsliced: a do-nothing online protocol.
-    struct Opaque;
-    impl Protocol for Opaque {
-        type Msg = ();
-        fn on_start(&mut self, api: &mut SimApi<()>) {
-            api.complete(0, 1);
-        }
-        fn on_message(&mut self, _: &mut SimApi<()>, _: NodeId, _: NodeId, _: ()) {}
-    }
-    impl OnlineProtocol for Opaque {
-        fn issue(&mut self, api: &mut SimApi<()>, node: NodeId) {
-            api.complete(node, 1 + node as u64);
-        }
-    }
-    let scenario = Scenario::build(TopoSpec::Mesh2D { side: 3 }, RequestPattern::All)
-        .with_parallel_apply(true);
-    let err =
-        run_arrival_aware(&scenario, "opaque-proto", SimConfig::strict(), |_| Opaque).unwrap_err();
-    assert!(matches!(err, SimError::InvalidConfig { .. }), "{err:?}");
-    let msg = err.to_string();
-    assert!(msg.contains("opaque-proto"), "error must name the protocol: {msg}");
-    assert!(msg.contains("NodeSliced"), "error must explain the trait: {msg}");
-    // The wavefront pipeline has the same NodeSliced requirement.
-    let wf = Scenario::build(TopoSpec::Mesh2D { side: 3 }, RequestPattern::All)
-        .with_shards(ShardSpec::new(2, ShardStrategy::Contiguous))
-        .with_wavefront(Some(1));
-    let err = run_arrival_aware(&wf, "opaque-proto", SimConfig::strict(), |_| Opaque).unwrap_err();
-    let msg = err.to_string();
-    assert!(msg.contains("opaque-proto"), "error must name the protocol: {msg}");
-    assert!(msg.contains("wavefront"), "error must name the pipeline: {msg}");
-    // Without the flag the same protocol runs fine.
-    let ok = Scenario::build(TopoSpec::Mesh2D { side: 3 }, RequestPattern::All);
-    run_arrival_aware(&ok, "opaque-proto", SimConfig::strict(), |_| Opaque).unwrap();
-}
-
-/// The raw sliced entry point without the config flag simply delegates to
-/// the serialized path — `run_sliced` is never a behaviour fork.
-#[test]
-fn run_sliced_without_flag_equals_run() {
-    let g = topology::path(10);
-    let tree = spanning::bfs_tree(&g, 0);
-    let requests: Vec<NodeId> = (0..10).collect();
-    let cfg = SimConfig::strict();
-    let a = run_protocol_sharded(
-        &g,
-        Partition::striped(10, 3),
-        ArrowProtocol::new(&tree, 0, &requests),
-        cfg,
-    )
-    .unwrap();
-    let b = run_protocol_sharded_sliced(
-        &g,
-        Partition::striped(10, 3),
-        ArrowProtocol::new(&tree, 0, &requests),
-        cfg,
-    )
-    .unwrap();
-    assert_eq!(fingerprint(&a), fingerprint(&b));
 }
 
 /// Every registry protocol, on mesh2d and torus2d, across shard counts and
