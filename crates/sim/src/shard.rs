@@ -8,8 +8,12 @@
 //! policy — the knob that models federated clusters where crossing a shard
 //! boundary is slower than staying inside one.
 //!
-//! Rounds follow the exact phase order of [`crate::scheduler`]. The
-//! shard-parallel part (via rayon) is the message fabric: wire maturation
+//! Rounds follow the exact phase order of [`crate::scheduler`]. Every
+//! shard-parallel stretch of a round is one call of the one `fork`: it
+//! lends each task its own shard in place plus that shard's input, and
+//! gives the tasks' results back in shard order. Whatever the shards share
+//! — the report, the ferry, the protocol value — is folded from those
+//! results after the join, at the phase barrier. Wire maturation
 //! and in-port enqueueing run concurrently per shard, complete at their own
 //! barrier (where the probe layer hashes state, phase-aligned with the
 //! monolith), and budget-limited harvesting follows in a second concurrent
@@ -55,7 +59,7 @@
 //! one step further for slow-ferry federations: when the ferry's minimum
 //! delay is at least `d`, a cross-shard message sent at round `t` cannot
 //! arrive before `t + d`, so the shards can run up to `d` consecutive
-//! rounds in one rayon task each — maturing, applying and transmitting
+//! rounds in one task each — maturing, applying and transmitting
 //! locally under *provisional* sequence keys — before meeting at a single
 //! **wave commit** that claims the true sequence blocks, remaps the
 //! in-flight keys, ferries the cross-shard sends and replays completions
@@ -77,16 +81,46 @@ use ccq_graph::{Graph, NodeId, Partition};
 use rayon::prelude::*;
 use std::collections::HashMap;
 
+/// What a run fixes before its first round and never changes. The fabric
+/// borrows it once, at [`Fabric::setup`], and hands the same borrow to the
+/// shard tasks that need more than their own shard.
+#[derive(Clone, Copy)]
+struct Run<'a> {
+    graph: &'a Graph,
+    partition: &'a Partition,
+    cfg: &'a SimConfig,
+}
+
 /// One shard's private message fabric.
-struct ShardState<M> {
+struct ShardState<'a, M> {
+    /// The shard's processors, ascending (the partition's member list).
+    members: &'a [NodeId],
     store: NodeStore<M>,
     transport: Transport<M>,
-    /// Reusable frontier scratch for the harvest phase (capacity retained
-    /// across rounds, so steady state allocates nothing here).
+    /// Reusable frontier scratch for the shard-local walks (capacity
+    /// retained across rounds, so steady state allocates nothing here).
     frontier: Vec<NodeId>,
 }
 
-impl<M> ShardState<M> {
+/// The executor's one fork/join, and the only place `ccq-sim` meets its
+/// thread pool: run `body` once per shard, concurrently, **lending** every
+/// task its own shard in place (no [`ShardState`] moves after
+/// [`Fabric::setup`]) together with that shard's entry of `inputs`, and
+/// return the tasks' results in shard order. The tasks share nothing
+/// mutable; what the shards have in common — the report, the ferry, the
+/// staging API — the caller folds from the results after the join, at the
+/// phase barrier, in an order no scheduling can change.
+fn fork<'a, M: Send, I: Send, O: Send>(
+    shards: &mut [ShardState<'a, M>],
+    inputs: Vec<I>,
+    body: impl Fn(usize, &mut ShardState<'a, M>, I) -> O + Sync,
+) -> Vec<O> {
+    debug_assert_eq!(inputs.len(), shards.len(), "one input per shard");
+    let lent: Vec<_> = shards.iter_mut().zip(inputs).enumerate().collect();
+    lent.into_par_iter().map(|(shard, (state, input))| body(shard, state, input)).collect()
+}
+
+impl<M> ShardState<'_, M> {
     /// The maturity phase of one shard: drain this shard's wheel, merge
     /// the due ferry wires in (arrival, sequence) order, and enqueue
     /// everything into the in-ports; returns the deepest in-port observed.
@@ -101,26 +135,43 @@ impl<M> ShardState<M> {
         max_depth
     }
 
-    /// The receive half of one shard's deliver phase: visit the in-port
-    /// frontier in ascending node order (members off it have empty
-    /// in-ports; the dense reference scan walks the full membership
-    /// instead), pop up to `recv_budget` messages per live node and hand
-    /// each to `deliver`. Returns the queue-wait rounds accrued.
+    /// Append the nodes of this shard that may hold in-port work, unsorted:
+    /// the dirty frontier (members off it have empty in-ports), or under
+    /// the dense reference scan the full membership.
+    fn inport_frontier(&mut self, cfg: &SimConfig, out: &mut Vec<NodeId>) {
+        if cfg.dense_scan {
+            out.extend_from_slice(self.members);
+        } else {
+            self.store.take_inport_frontier(out);
+        }
+    }
+
+    /// Append the nodes of this shard that may hold staged sends, unsorted
+    /// (same rule as [`ShardState::inport_frontier`]).
+    fn outbox_frontier(&mut self, cfg: &SimConfig, out: &mut Vec<NodeId>) {
+        if cfg.dense_scan {
+            out.extend_from_slice(self.members);
+        } else {
+            self.store.take_outbox_frontier(out);
+        }
+    }
+
+    /// The receive walk of one shard, shared by every apply path and the
+    /// wave: visit the in-port frontier in ascending node order, pop up to
+    /// `recv_budget` messages per live node and hand each to `deliver`
+    /// along with the store (so a task that drains handler effects itself
+    /// can stage sends there). Returns the queue-wait rounds accrued, or
+    /// the first error `deliver` reports.
     fn receive(
         &mut self,
-        members: &[NodeId],
         round: Round,
         cfg: &SimConfig,
-        mut deliver: impl FnMut(NodeId, Inbound<M>),
-    ) -> u64 {
+        mut deliver: impl FnMut(&mut NodeStore<M>, NodeId, Inbound<M>) -> Result<(), SimError>,
+    ) -> Result<u64, SimError> {
         let mut frontier = std::mem::take(&mut self.frontier);
         frontier.clear();
-        if cfg.dense_scan {
-            frontier.extend_from_slice(members);
-        } else {
-            self.store.take_inport_frontier(&mut frontier);
-            frontier.sort_unstable();
-        }
+        self.inport_frontier(cfg, &mut frontier);
+        frontier.sort_unstable();
         let mut queue_wait = 0u64;
         for &v in &frontier {
             if cfg.faults.is_down(v, round) {
@@ -132,12 +183,125 @@ impl<M> ShardState<M> {
             for _ in 0..cfg.recv_budget {
                 let Some(inb) = self.store.pop_inport(v) else { break };
                 queue_wait += round - inb.arrival;
-                deliver(v, inb);
+                deliver(&mut self.store, v, inb)?;
             }
         }
-        frontier.clear();
         self.frontier = frontier;
-        queue_wait
+        Ok(queue_wait)
+    }
+
+    /// Execute one shard's side of a wave: `width` rounds of mature →
+    /// apply → transmit against the shard's own store, wheel and slices.
+    /// Handler effects apply in-task (sends stage into the shard's own
+    /// outboxes — a handler's sends always leave the handling node, which
+    /// is local; completions are logged for the commit replay), and every
+    /// transmission carries a provisional sequence key. The arrivals phase
+    /// is skipped: [`wave_width`] only admits rounds where `on_round` is a
+    /// no-op. `task` is the shard's member slices and the cross-shard wires
+    /// due to it during the wave (pre-drained, in (arrival, sequence)
+    /// order).
+    fn wave<P: NodeSliced<Msg = M>>(
+        &mut self,
+        shard: usize,
+        run: Run<'_>,
+        shared: &P::Shared,
+        task: (Vec<&mut P::Slice>, Vec<Wire<M>>),
+        start: Round,
+        width: Round,
+    ) -> Result<WaveOutcome<M>, SimError> {
+        let Run { graph, partition, cfg } = run;
+        let (mut slices, mut ferry_due) = task;
+        let members = self.members;
+        let mut sapi: SliceApi<M> = SliceApi::new(start, 0);
+        let mut watch = Stopwatch::new(cfg.probe.timing);
+        let mut out = WaveOutcome {
+            transmits: Vec::with_capacity(width as usize),
+            ferry_out: Vec::new(),
+            completions: Vec::with_capacity(width as usize),
+            received: Vec::new(),
+            queue_wait: 0,
+            max_inport_depth: 0,
+            max_outbox_depth: 0,
+            idle_after: Vec::with_capacity(width as usize),
+            mature_micros: 0,
+            apply_micros: 0,
+            transmit_micros: 0,
+        };
+
+        for offset in 0..width {
+            let r = start + offset;
+            watch.reset();
+            // Maturity: own wheel plus the pre-drained ferry wires now due,
+            // merged in (arrival, sequence) order — pre-wave wires carry
+            // true numbers, in-wave wires provisional keys, and the key
+            // layout makes the mixed sort equal the final numbering's order.
+            let due_len = ferry_due.iter().take_while(|w| w.arrival <= r).count();
+            let due: Vec<Wire<M>> = ferry_due.drain(..due_len).collect();
+            out.max_inport_depth = out.max_inport_depth.max(self.mature(due, r));
+            out.mature_micros += watch.lap();
+
+            // Apply: the shared receive walk, running the sliced handlers
+            // and draining their effects in-task.
+            sapi.set_round(r);
+            let mut round_completions = Vec::new();
+            out.queue_wait += self.receive(r, cfg, |store, v, inb| {
+                out.received.push(v);
+                sapi.set_node(v);
+                let slice = member_slice(members, &mut slices, v);
+                P::on_message_sliced(shared, slice, &mut sapi, v, inb.src, inb.msg);
+                for effect in sapi.effects.drain(..) {
+                    match effect {
+                        SliceEffect::Send { to, msg } => {
+                            if to >= graph.n() || !graph.has_edge(v, to) {
+                                return Err(SimError::InvalidSend { from: v, to, round: r });
+                            }
+                            let depth = store.stage(v, to, msg);
+                            out.max_outbox_depth = out.max_outbox_depth.max(depth);
+                        }
+                        SliceEffect::Complete { node, value } => {
+                            round_completions.push((v, node, value));
+                        }
+                    }
+                }
+                Ok(())
+            })?;
+            out.completions.push(round_completions);
+            out.apply_micros += watch.lap();
+
+            // Transmit under provisional keys, ascending node order — the
+            // per-transport call order stays monotone in the eventual true
+            // numbering, as the timing wheel's batch order requires.
+            let mut round_transmits = Vec::new();
+            let mut frontier = std::mem::take(&mut self.frontier);
+            frontier.clear();
+            self.outbox_frontier(cfg, &mut frontier);
+            frontier.sort_unstable();
+            for &v in &frontier {
+                if cfg.probe.skips_transmit(r, v) {
+                    self.store.relist_outbox(v);
+                    continue;
+                }
+                let mut count = 0u64;
+                for i in 0..cfg.send_budget as u64 {
+                    let Some((dst, msg)) = self.store.pop_outbox(v) else { break };
+                    count += 1;
+                    if partition.shard_of(dst) == shard {
+                        self.transport.transmit(v, dst, msg, r, surrogate_seq(offset, v, i));
+                    } else {
+                        out.ferry_out.push((offset, v, i, dst, msg));
+                    }
+                }
+                if count > 0 {
+                    round_transmits.push((v, count));
+                }
+            }
+            self.frontier = frontier;
+            out.transmits.push(round_transmits);
+            out.transmit_micros += watch.lap();
+
+            out.idle_after.push(self.store.is_idle() && self.transport.is_idle());
+        }
+        Ok(out)
     }
 }
 
@@ -153,6 +317,13 @@ fn slice_buckets<'s, S>(partition: &Partition, slices: &'s mut [S]) -> Vec<Vec<&
     buckets
 }
 
+/// The slice of member `v` in its shard's bucket of [`slice_buckets`]:
+/// `members` ascends, so the node's rank among them is its bucket index.
+fn member_slice<'b, S>(members: &[NodeId], bucket: &'b mut [&mut S], v: NodeId) -> &'b mut S {
+    let rank = members.binary_search(&v).expect("frontier nodes are shard members");
+    &mut *bucket[rank]
+}
+
 /// What the sliced deliver phase hands from the shard tasks to the barrier
 /// replay: one effect stream per shard (a single [`SliceApi`] reused
 /// across the shard's nodes — one allocation per shard per round, not per
@@ -164,29 +335,31 @@ struct Applied<M> {
     deliveries: Vec<(NodeId, usize, NodeId, usize)>,
 }
 
-/// The executor state every round shares: the report, the per-shard
-/// fabrics, the inter-shard ferry and the protocol's staging API. Every
-/// phase lives here; the two apply paths differ only in which pair of
-/// deliver methods the round calls.
-struct Fabric<M> {
+/// The executor state every round shares: the run it serves, the report,
+/// the per-shard fabrics, the inter-shard ferry, the protocol's staging
+/// API and the phase clock. Every phase lives here; the two apply paths
+/// differ only in which pair of deliver methods the round calls.
+struct Fabric<'a, M> {
+    run: Run<'a>,
     report: SimReport,
-    shards: Vec<ShardState<M>>,
+    shards: Vec<ShardState<'a, M>>,
     ferry: Transport<M>,
     api: SimApi<M>,
     /// Reusable frontier scratch for the transmit phase.
     scratch: Vec<NodeId>,
+    timing: PhaseTimings,
+    watch: Stopwatch,
 }
 
-impl<M> Fabric<M> {
+impl<'a, M: Send + std::fmt::Debug> Fabric<'a, M> {
     /// Validate the configuration, build the per-shard fabrics, and run
     /// the time-0 start phase (serialized on every path).
     fn setup<P: NodeSliced<Msg = M>>(
-        graph: &Graph,
-        partition: &Partition,
+        run: Run<'a>,
         protocol: &mut P,
-        cfg: &SimConfig,
         inter_delay: LinkDelay,
     ) -> Result<Self, SimError> {
+        let Run { graph, partition, cfg } = run;
         validate_config(cfg)?;
         cfg.faults.validate(graph.n()).map_err(SimError::invalid_config)?;
         if partition.n() != graph.n() {
@@ -204,6 +377,7 @@ impl<M> Fabric<M> {
             ));
         }
         let mut fabric = Fabric {
+            run,
             report: SimReport {
                 delay_scale: cfg.delay_scale,
                 received_by_node: vec![0; n],
@@ -211,6 +385,7 @@ impl<M> Fabric<M> {
             },
             shards: (0..partition.k())
                 .map(|shard| ShardState {
+                    members: partition.members(shard),
                     // Membership-sized: a shard of a large topology holds
                     // queues for its own members only, behind an id → slot
                     // index map (not n-wide Vecs).
@@ -222,24 +397,21 @@ impl<M> Fabric<M> {
             ferry: Transport::new(inter_delay),
             api: SimApi::new(),
             scratch: Vec::new(),
+            timing: PhaseTimings::default(),
+            watch: Stopwatch::new(cfg.probe.timing),
         };
         // Time 0: every requester issues its operation.
         protocol.on_start(&mut fabric.api);
-        fabric.drain(graph, partition, 0, cfg.trace)?;
+        fabric.drain(0)?;
         Ok(fabric)
     }
 
     /// Drain the staging API into the report and the owning shards'
     /// outboxes (the per-message effect drain of [`crate::scheduler`]).
-    fn drain(
-        &mut self,
-        graph: &Graph,
-        partition: &Partition,
-        round: Round,
-        trace: bool,
-    ) -> Result<(), SimError> {
+    fn drain(&mut self, round: Round) -> Result<(), SimError> {
+        let Run { graph, partition, cfg } = self.run;
         let shards = &mut self.shards;
-        drain_api(graph, &mut self.api, &mut self.report, round, trace, |f, t, m| {
+        drain_api(graph, &mut self.api, &mut self.report, round, cfg.trace, |f, t, m| {
             shards[partition.shard_of(f)].store.stage(f, t, m)
         })
     }
@@ -248,20 +420,18 @@ impl<M> Fabric<M> {
     /// value, and admission reads the run-global backlog).
     fn arrivals<P: Protocol<Msg = M>>(
         &mut self,
-        graph: &Graph,
-        partition: &Partition,
         protocol: &mut P,
         round: Round,
-        trace: bool,
     ) -> Result<(), SimError> {
         self.api.set_round(round);
         protocol.on_round(&mut self.api, round);
-        self.drain(graph, partition, round, trace)
+        self.drain(round)
     }
 
     /// Ferry maturity: bucket due cross-shard wires by their destination
     /// shard (sequentially — the ferry is shared).
-    fn ferry_buckets(&mut self, partition: &Partition, round: Round) -> Vec<Vec<Wire<M>>> {
+    fn ferry_buckets(&mut self, round: Round) -> Vec<Vec<Wire<M>>> {
+        let partition = self.run.partition;
         let mut buckets: Vec<Vec<Wire<M>>> = (0..partition.k()).map(|_| Vec::new()).collect();
         self.ferry.drain_due(round, |w| buckets[partition.shard_of(w.dst)].push(w));
         buckets
@@ -270,23 +440,9 @@ impl<M> Fabric<M> {
     /// The maturity phase across every shard: bucket the due ferry wires,
     /// then mature the shards concurrently, folding the deepest in-port
     /// into the report at the barrier (where the monolith records it too).
-    fn mature_all(&mut self, partition: &Partition, round: Round)
-    where
-        M: Send,
-    {
-        let buckets = self.ferry_buckets(partition, round);
-        let matured: Vec<(ShardState<M>, usize)> = std::mem::take(&mut self.shards)
-            .into_iter()
-            .zip(buckets)
-            .collect::<Vec<_>>()
-            .into_par_iter()
-            .map(|(mut state, ferry_due)| {
-                let depth = state.mature(ferry_due, round);
-                (state, depth)
-            })
-            .collect();
-        for (state, depth) in matured {
-            self.shards.push(state);
+    fn mature_all(&mut self, round: Round) {
+        let buckets = self.ferry_buckets(round);
+        for depth in fork(&mut self.shards, buckets, |_, state, due| state.mature(due, round)) {
             self.report.max_inport_depth = self.report.max_inport_depth.max(depth);
         }
     }
@@ -295,15 +451,12 @@ impl<M> Fabric<M> {
     /// and transport plus the ferry to the canonical renderer, which hashes
     /// them layout-independently (see [`crate::probe`]) — so the digests
     /// match the monolith's whenever the executions are equivalent.
-    fn observe(&mut self, cfg: &SimConfig, round: Round, phase: Phase, token: &str)
-    where
-        M: std::fmt::Debug,
-    {
+    fn observe(&mut self, round: Round, phase: Phase, token: &str) {
         let stores: Vec<&NodeStore<M>> = self.shards.iter().map(|s| &s.store).collect();
         let mut transports: Vec<&Transport<M>> = self.shards.iter().map(|s| &s.transport).collect();
         transports.push(&self.ferry);
         probe::observe_phase(
-            &cfg.probe,
+            &self.run.cfg.probe,
             round,
             phase,
             &stores,
@@ -316,34 +469,25 @@ impl<M> Fabric<M> {
     /// Serialized deliver, shard-parallel half: every shard pops its due
     /// in-port messages; shards hold disjoint nodes, so a stable sort by
     /// node id recovers the monolith's global delivery order.
-    fn harvest(
-        &mut self,
-        partition: &Partition,
-        round: Round,
-        cfg: &SimConfig,
-    ) -> Vec<(NodeId, Inbound<M>)>
-    where
-        M: Send,
-    {
-        let work: Vec<(usize, ShardState<M>)> =
-            std::mem::take(&mut self.shards).into_iter().enumerate().collect();
-        let done: Vec<_> = work
-            .into_par_iter()
-            .map(|(shard, mut state)| {
-                let mut batch = Vec::new();
-                let queue_wait = state
-                    .receive(partition.members(shard), round, cfg, |v, inb| batch.push((v, inb)));
-                (state, batch, queue_wait)
-            })
-            .collect();
+    fn harvest(&mut self, round: Round) -> Result<Vec<(NodeId, Inbound<M>)>, SimError> {
+        let cfg = self.run.cfg;
+        let no_input = vec![(); self.shards.len()];
+        let done = fork(&mut self.shards, no_input, |_, state, ()| -> Result<_, SimError> {
+            let mut batch = Vec::new();
+            let queue_wait = state.receive(round, cfg, |_, v, inb| {
+                batch.push((v, inb));
+                Ok(())
+            })?;
+            Ok((batch, queue_wait))
+        });
         let mut deliveries = Vec::new();
-        for (state, batch, queue_wait) in done {
-            self.shards.push(state);
+        for outcome in done {
+            let (batch, queue_wait) = outcome?;
             self.report.queue_wait_rounds += queue_wait;
             deliveries.extend(batch);
         }
         deliveries.sort_by_key(|&(v, _)| v);
-        deliveries
+        Ok(deliveries)
     }
 
     /// Serialized deliver, barrier half: run the handlers in global order
@@ -351,17 +495,14 @@ impl<M> Fabric<M> {
     /// message exactly as the monolith does.
     fn apply_at_barrier<P: Protocol<Msg = M>>(
         &mut self,
-        graph: &Graph,
-        partition: &Partition,
         protocol: &mut P,
         deliveries: Vec<(NodeId, Inbound<M>)>,
         round: Round,
-        trace: bool,
     ) -> Result<(), SimError> {
         for (v, inb) in deliveries {
-            note_delivery(&mut self.report, round, trace, v, inb.src);
+            note_delivery(&mut self.report, round, self.run.cfg.trace, v, inb.src);
             protocol.on_message(&mut self.api, v, inb.src, inb.msg);
-            self.drain(graph, partition, round, trace)?;
+            self.drain(round)?;
         }
         Ok(())
     }
@@ -371,48 +512,30 @@ impl<M> Fabric<M> {
     /// slices, staging effects.
     fn apply_in_tasks<P: NodeSliced<Msg = M>>(
         &mut self,
-        partition: &Partition,
         protocol: &mut P,
         round: Round,
-        cfg: &SimConfig,
-    ) -> Applied<M>
-    where
-        M: Send,
-    {
+    ) -> Result<Applied<M>, SimError> {
+        let Run { partition, cfg, .. } = self.run;
         let (shared, slices) = protocol.split();
-        let work: Vec<_> = std::mem::take(&mut self.shards)
-            .into_iter()
-            .zip(slice_buckets(partition, slices))
-            .enumerate()
-            .map(|(shard, (state, slices))| (shard, state, slices))
-            .collect();
-        let done: Vec<_> = work
-            .into_par_iter()
-            .map(|(shard, mut state, mut slices)| {
-                let members = partition.members(shard);
-                let mut sapi = SliceApi::new(round, 0);
-                let mut deliveries = Vec::new();
-                // `members` ascends, so a binary search recovers a node's
-                // slice bucket; it is redone only when the node changes.
-                let mut at: (NodeId, usize) = (NodeId::MAX, 0);
-                let queue_wait = state.receive(members, round, cfg, |v, inb| {
-                    if at.0 != v {
-                        let idx = members.binary_search(&v);
-                        at = (v, idx.expect("frontier nodes are shard members"));
-                        sapi.set_node(v);
-                    }
-                    let slice = &mut *slices[at.1];
-                    P::on_message_sliced(shared, slice, &mut sapi, v, inb.src, inb.msg);
-                    deliveries.push((v, inb.src, sapi.effects.len()));
-                });
-                (state, sapi, deliveries, queue_wait)
-            })
-            .collect();
+        let buckets = slice_buckets(partition, slices);
+        let done = fork(&mut self.shards, buckets, |_, state, mut slices| -> Result<_, SimError> {
+            let members = state.members;
+            let mut sapi = SliceApi::new(round, 0);
+            let mut deliveries = Vec::new();
+            let queue_wait = state.receive(round, cfg, |_, v, inb| {
+                sapi.set_node(v);
+                let slice = member_slice(members, &mut slices, v);
+                P::on_message_sliced(shared, slice, &mut sapi, v, inb.src, inb.msg);
+                deliveries.push((v, inb.src, sapi.effects.len()));
+                Ok(())
+            })?;
+            Ok((sapi, deliveries, queue_wait))
+        });
 
         let mut applied =
             Applied { streams: Vec::with_capacity(done.len()), deliveries: Vec::new() };
-        for (state, sapi, deliveries, queue_wait) in done {
-            self.shards.push(state);
+        for outcome in done {
+            let (sapi, deliveries, queue_wait) = outcome?;
             self.report.queue_wait_rounds += queue_wait;
             let s = applied.streams.len();
             applied.deliveries.extend(deliveries.into_iter().map(|(v, src, end)| (v, s, src, end)));
@@ -422,24 +545,17 @@ impl<M> Fabric<M> {
         // ascending node order, so a stable sort by node id recovers the
         // monolith's global delivery order.
         applied.deliveries.sort_by_key(|&(v, _, _, _)| v);
-        applied
+        Ok(applied)
     }
 
     /// Sliced deliver, barrier half: per message, the delivery
     /// bookkeeping, then its effect segment, then the same per-message
     /// drain the serialized path performs — identical event sequence.
-    fn replay(
-        &mut self,
-        graph: &Graph,
-        partition: &Partition,
-        applied: Applied<M>,
-        round: Round,
-        trace: bool,
-    ) -> Result<(), SimError> {
+    fn replay(&mut self, applied: Applied<M>, round: Round) -> Result<(), SimError> {
         let Applied { mut streams, deliveries } = applied;
         let mut consumed = vec![0usize; streams.len()];
         for (v, s, src, end) in deliveries {
-            note_delivery(&mut self.report, round, trace, v, src);
+            note_delivery(&mut self.report, round, self.run.cfg.trace, v, src);
             while consumed[s] < end {
                 match streams[s].next().expect("delivery records cover every effect") {
                     SliceEffect::Send { to, msg } => self.api.send(v, to, msg),
@@ -447,45 +563,46 @@ impl<M> Fabric<M> {
                 }
                 consumed[s] += 1;
             }
-            self.drain(graph, partition, round, trace)?;
+            self.drain(round)?;
         }
         Ok(())
+    }
+
+    /// The global outbox frontier in ascending node order, in the transmit
+    /// scratch buffer (the caller hands it back through `self.scratch`).
+    /// Shards hold disjoint nodes, so concatenating the per-shard
+    /// frontiers and sorting visits exactly the nodes the dense `0..n`
+    /// scan would do work at, in the same order.
+    fn outbox_frontier(&mut self) -> Vec<NodeId> {
+        let mut frontier = std::mem::take(&mut self.scratch);
+        frontier.clear();
+        for shard in &mut self.shards {
+            shard.outbox_frontier(self.run.cfg, &mut frontier);
+        }
+        frontier.sort_unstable();
+        frontier
     }
 
     /// Transmit phase dispatcher: the shard-parallel block-claim transmit
     /// is the default; the serialized reference loop runs under
     /// [`SimConfig::serial_transmit`] or when there is only one shard
-    /// (where forking a rayon task per round would be pure overhead).
-    /// Both produce the same sequence numbering, so they are
-    /// byte-equivalent on every report and probe digest.
-    fn transmit(&mut self, partition: &Partition, round: Round, cfg: &SimConfig)
-    where
-        M: Send,
-    {
-        if cfg.serial_transmit || self.shards.len() == 1 {
-            self.transmit_serial(partition, round, cfg);
+    /// (where the claim pass would be pure overhead). Both produce the
+    /// same sequence numbering, so they are byte-equivalent on every
+    /// report and probe digest.
+    fn transmit(&mut self, round: Round) {
+        if self.run.cfg.serial_transmit || self.shards.len() == 1 {
+            self.transmit_serial(round);
         } else {
-            self.transmit_parallel(partition, round, cfg);
+            self.transmit_parallel(round);
         }
     }
 
     /// Serialized transmit reference: global ascending node order assigns
     /// the run-global sequence numbers; cross-shard messages ride the
-    /// ferry, everything else stays on the shard's own transport. Shards
-    /// hold disjoint nodes, so concatenating the per-shard outbox
-    /// frontiers and sorting ascending visits exactly the nodes the dense
-    /// `0..n` scan would do work at, in the same order.
-    fn transmit_serial(&mut self, partition: &Partition, round: Round, cfg: &SimConfig) {
-        let mut frontier = std::mem::take(&mut self.scratch);
-        frontier.clear();
-        if cfg.dense_scan {
-            frontier.extend(0..partition.n());
-        } else {
-            for shard in &mut self.shards {
-                shard.store.take_outbox_frontier(&mut frontier);
-            }
-            frontier.sort_unstable();
-        }
+    /// ferry, everything else stays on the shard's own transport.
+    fn transmit_serial(&mut self, round: Round) {
+        let Run { partition, cfg, .. } = self.run;
+        let frontier = self.outbox_frontier();
         for &v in &frontier {
             if cfg.faults.is_down(v, round) {
                 // Crashed: staged sends freeze in the outbox until the
@@ -528,7 +645,6 @@ impl<M> Fabric<M> {
                 }
             }
         }
-        frontier.clear();
         self.scratch = frontier;
     }
 
@@ -551,20 +667,9 @@ impl<M> Fabric<M> {
     /// events are collected per shard and merged below by sequence number,
     /// restoring the serialized ferry call order the shared clamp state
     /// depends on.
-    fn transmit_parallel(&mut self, partition: &Partition, round: Round, cfg: &SimConfig)
-    where
-        M: Send,
-    {
-        let mut frontier = std::mem::take(&mut self.scratch);
-        frontier.clear();
-        if cfg.dense_scan {
-            frontier.extend(0..partition.n());
-        } else {
-            for shard in &mut self.shards {
-                shard.store.take_outbox_frontier(&mut frontier);
-            }
-            frontier.sort_unstable();
-        }
+    fn transmit_parallel(&mut self, round: Round) {
+        let Run { partition, cfg, .. } = self.run;
+        let frontier = self.outbox_frontier();
         // Claim pass (serial, cheap: one length lookup per frontier node).
         // One claim per transmitting node: `(node, sequence base, count)`.
         type Claims = Vec<(NodeId, u64, u64)>;
@@ -594,57 +699,40 @@ impl<M> Fabric<M> {
             self.report.messages_sent += count;
             claimed += count;
         }
-        frontier.clear();
         self.scratch = frontier;
         if claimed == 0 {
             // Propagation-only round: skip the fork/join entirely.
             return;
         }
 
-        struct Sent<M> {
-            state: ShardState<M>,
-            /// Cross-shard sends, `(seq, src, dst, msg)`.
-            ferry: Vec<(u64, NodeId, NodeId, M)>,
-            /// Transmit trace events, `(seq, node, dst)`.
-            trace: Vec<(u64, NodeId, NodeId)>,
-        }
+        // Pop pass: per shard, the cross-shard sends `(seq, src, dst, msg)`
+        // and the transmit trace events `(seq, node, dst)`.
         let trace = cfg.trace;
-        let work: Vec<(usize, ShardState<M>, Claims)> = std::mem::take(&mut self.shards)
-            .into_iter()
-            .zip(claims)
-            .enumerate()
-            .map(|(shard, (state, claims))| (shard, state, claims))
-            .collect();
-        let done: Vec<Sent<M>> = work
-            .into_par_iter()
-            .map(|(shard, mut state, claims)| {
-                let mut ferry = Vec::new();
-                let mut trace_events = Vec::new();
-                for (v, base, count) in claims {
-                    for i in 0..count {
-                        let (dst, msg) =
-                            state.store.pop_outbox(v).expect("claimed sends are staged");
-                        let seq = base + i + 1;
-                        if trace {
-                            trace_events.push((seq, v, dst));
-                        }
-                        if partition.shard_of(dst) == shard {
-                            state.transport.transmit(v, dst, msg, round, seq);
-                        } else {
-                            ferry.push((seq, v, dst, msg));
-                        }
+        let done = fork(&mut self.shards, claims, |shard, state, claims| {
+            let mut ferry = Vec::new();
+            let mut trace_events = Vec::new();
+            for (v, base, count) in claims {
+                for i in 0..count {
+                    let (dst, msg) = state.store.pop_outbox(v).expect("claimed sends are staged");
+                    let seq = base + i + 1;
+                    if trace {
+                        trace_events.push((seq, v, dst));
+                    }
+                    if partition.shard_of(dst) == shard {
+                        state.transport.transmit(v, dst, msg, round, seq);
+                    } else {
+                        ferry.push((seq, v, dst, msg));
                     }
                 }
-                Sent { state, ferry, trace: trace_events }
-            })
-            .collect();
+            }
+            (ferry, trace_events)
+        });
 
         let mut ferry_sends: Vec<(u64, NodeId, NodeId, M)> = Vec::new();
         let mut trace_events: Vec<(u64, NodeId, NodeId)> = Vec::new();
-        for sent in done {
-            self.shards.push(sent.state);
-            ferry_sends.extend(sent.ferry);
-            trace_events.extend(sent.trace);
+        for (ferry, events) in done {
+            ferry_sends.extend(ferry);
+            trace_events.extend(events);
         }
         // The ferry is shared state: re-interleave its sends in sequence
         // order — the serialized call order its per-link FIFO clamp and
@@ -662,6 +750,73 @@ impl<M> Fabric<M> {
         }
     }
 
+    /// One full lockstep round — arrivals through transmit, with probe
+    /// observations at every phase barrier of an observed round and phase
+    /// timing accrual. The lockstep loop runs every round through this body
+    /// and the wavefront executor its non-pipelined ones (round 0, observed
+    /// rounds, rounds with scheduled arrivals, traced runs) — byte-identity
+    /// there is then inheritance, not reimplementation. Between the mature
+    /// and transmit barriers [`SimConfig::parallel_apply`] picks where the
+    /// handlers run; the four barriers themselves are the same either way.
+    /// The quiescence / wakeup decision stays with the caller.
+    fn lockstep_round<P: NodeSliced<Msg = M>>(
+        &mut self,
+        protocol: &mut P,
+        round: Round,
+    ) -> Result<(), SimError> {
+        // Probe observations happen at every phase barrier of an observed
+        // round, outside the `round > 0` gates, so the checkpoint stream
+        // lines up with the monolith's (round 0's first three phases are
+        // vacuous on every executor).
+        let observe = self.run.cfg.probe.observes(round);
+        self.watch.reset();
+        let mut round_micros = 0u64;
+        if round > 0 {
+            self.arrivals(protocol, round)?;
+        }
+        round_micros += lap_into(&mut self.watch, &mut self.timing.arrivals_micros);
+        if observe {
+            self.observe(round, Phase::Arrivals, &protocol.state_token());
+            self.watch.reset();
+        }
+
+        // Maturity phase, shard-parallel behind its own barrier.
+        if round > 0 {
+            self.mature_all(round);
+        }
+        round_micros += lap_into(&mut self.watch, &mut self.timing.mature_micros);
+        if observe {
+            self.observe(round, Phase::Mature, &protocol.state_token());
+            self.watch.reset();
+        }
+
+        // Deliver phase: a shard-parallel half, then a barrier half that
+        // feeds the report in the monolith's global order.
+        if round > 0 {
+            if self.run.cfg.parallel_apply {
+                let applied = self.apply_in_tasks(protocol, round)?;
+                round_micros += lap_into(&mut self.watch, &mut self.timing.apply_micros);
+                self.replay(applied, round)?;
+            } else {
+                let deliveries = self.harvest(round)?;
+                self.apply_at_barrier(protocol, deliveries, round)?;
+            }
+        }
+        round_micros += lap_into(&mut self.watch, &mut self.timing.deliver_micros);
+        if observe {
+            self.observe(round, Phase::Deliver, &protocol.state_token());
+            self.watch.reset();
+        }
+
+        self.transmit(round);
+        round_micros += lap_into(&mut self.watch, &mut self.timing.transmit_micros);
+        self.timing.max_round_micros = self.timing.max_round_micros.max(round_micros);
+        if observe {
+            self.observe(round, Phase::Transmit, &protocol.state_token());
+        }
+        Ok(())
+    }
+
     /// Whether every queue, wheel and the ferry are empty.
     fn idle(&self) -> bool {
         self.ferry.is_idle()
@@ -670,90 +825,14 @@ impl<M> Fabric<M> {
 
     /// Close the run at its final `round`: the report with the fault
     /// events that fired and, when asked for, the phase timings.
-    fn finish(mut self, round: Round, cfg: &SimConfig, timing: PhaseTimings) -> SimReport {
+    fn finish(mut self, round: Round) -> SimReport {
         self.report.rounds = round;
-        self.report.record_fault_events(&cfg.faults);
-        if cfg.probe.timing {
-            self.report.phase_timing = Some(timing);
+        self.report.record_fault_events(&self.run.cfg.faults);
+        if self.run.cfg.probe.timing {
+            self.report.phase_timing = Some(self.timing);
         }
         self.report
     }
-}
-
-/// One full lockstep round — arrivals through transmit, with probe
-/// observations at every phase barrier of an observed round and phase
-/// timing accrual. The lockstep loop runs every round through this body
-/// and the wavefront executor its non-pipelined ones (round 0, observed
-/// rounds, rounds with scheduled arrivals, traced runs) — byte-identity
-/// there is then inheritance, not reimplementation. Between the mature
-/// and transmit barriers [`SimConfig::parallel_apply`] picks where the
-/// handlers run; the four barriers themselves are the same either way.
-/// The quiescence / wakeup decision stays with the caller.
-#[allow(clippy::too_many_arguments)]
-fn lockstep_round<P: NodeSliced>(
-    graph: &Graph,
-    partition: &Partition,
-    fab: &mut Fabric<P::Msg>,
-    protocol: &mut P,
-    round: Round,
-    cfg: &SimConfig,
-    timing: &mut PhaseTimings,
-    watch: &mut Stopwatch,
-) -> Result<(), SimError>
-where
-    P::Msg: Send,
-{
-    // Probe observations happen at every phase barrier of an observed
-    // round, outside the `round > 0` gates, so the checkpoint stream
-    // lines up with the monolith's (round 0's first three phases are
-    // vacuous on every executor).
-    let observe = cfg.probe.observes(round);
-    watch.reset();
-    let mut round_micros = 0u64;
-    if round > 0 {
-        fab.arrivals(graph, partition, protocol, round, cfg.trace)?;
-    }
-    round_micros += lap_into(watch, &mut timing.arrivals_micros);
-    if observe {
-        fab.observe(cfg, round, Phase::Arrivals, &protocol.state_token());
-        watch.reset();
-    }
-
-    // Maturity phase, shard-parallel behind its own barrier.
-    if round > 0 {
-        fab.mature_all(partition, round);
-    }
-    round_micros += lap_into(watch, &mut timing.mature_micros);
-    if observe {
-        fab.observe(cfg, round, Phase::Mature, &protocol.state_token());
-        watch.reset();
-    }
-
-    // Deliver phase: a shard-parallel half, then a barrier half that
-    // feeds the report in the monolith's global order.
-    if round > 0 {
-        if cfg.parallel_apply {
-            let applied = fab.apply_in_tasks(partition, protocol, round, cfg);
-            round_micros += lap_into(watch, &mut timing.apply_micros);
-            fab.replay(graph, partition, applied, round, cfg.trace)?;
-        } else {
-            let deliveries = fab.harvest(partition, round, cfg);
-            fab.apply_at_barrier(graph, partition, protocol, deliveries, round, cfg.trace)?;
-        }
-    }
-    round_micros += lap_into(watch, &mut timing.deliver_micros);
-    if observe {
-        fab.observe(cfg, round, Phase::Deliver, &protocol.state_token());
-        watch.reset();
-    }
-
-    fab.transmit(partition, round, cfg);
-    round_micros += lap_into(watch, &mut timing.transmit_micros);
-    timing.max_round_micros = timing.max_round_micros.max(round_micros);
-    if observe {
-        fab.observe(cfg, round, Phase::Transmit, &protocol.state_token());
-    }
-    Ok(())
 }
 
 /// An executable sharded simulation: graph + partition + protocol + config.
@@ -798,24 +877,12 @@ where
             return self.run_wavefront();
         }
         let ShardedSimulator { graph, partition, mut protocol, config: cfg, inter_delay } = self;
-        let mut fab: Fabric<P::Msg> =
-            Fabric::setup(graph, &partition, &mut protocol, &cfg, inter_delay)?;
-
-        let mut timing = PhaseTimings::default();
-        let mut watch = Stopwatch::new(cfg.probe.timing);
+        let run = Run { graph, partition: &partition, cfg: &cfg };
+        let mut fab = Fabric::setup(run, &mut protocol, inter_delay)?;
 
         let mut round: Round = 0;
         loop {
-            lockstep_round(
-                graph,
-                &partition,
-                &mut fab,
-                &mut protocol,
-                round,
-                &cfg,
-                &mut timing,
-                &mut watch,
-            )?;
+            fab.lockstep_round(&mut protocol, round)?;
 
             // Quiescence / wakeup phase (shared with the single executor).
             match advance_round(&protocol, fab.idle(), round, cfg.max_rounds)? {
@@ -823,7 +890,7 @@ where
                 None => break,
             }
         }
-        Ok((fab.finish(round, &cfg, timing), protocol))
+        Ok((fab.finish(round), protocol))
     }
 
     /// Run to quiescence, returning only the report.
@@ -836,7 +903,7 @@ where
     /// `w ≤ d` rounds are provably free of global coupling — no probe
     /// observation, no scheduled protocol activity
     /// ([`Protocol::next_active_round`]), no tracing, not round 0 — every
-    /// shard executes all `w` rounds in a single rayon task: maturing its
+    /// shard executes all `w` rounds in a single forked task: maturing its
     /// own wheel plus the pre-bucketed due ferry wires, applying its
     /// nodes' handlers against their slices, and transmitting under
     /// *provisional* sequence keys. The serialized **wave commit** then
@@ -920,12 +987,8 @@ where
             )));
         }
 
-        let k = partition.k();
-        let mut fab: Fabric<P::Msg> =
-            Fabric::setup(graph, &partition, &mut protocol, &cfg, inter_delay)?;
-
-        let mut timing = PhaseTimings::default();
-        let mut watch = Stopwatch::new(cfg.probe.timing);
+        let run = Run { graph, partition: &partition, cfg: &cfg };
+        let mut fab = Fabric::setup(run, &mut protocol, inter_delay)?;
 
         let mut round: Round = 0;
         loop {
@@ -933,16 +996,7 @@ where
             if width <= 1 {
                 // A coupled round (round 0, observed, scheduled arrivals,
                 // tracing): run it through the shared lockstep body.
-                lockstep_round(
-                    graph,
-                    &partition,
-                    &mut fab,
-                    &mut protocol,
-                    round,
-                    &cfg,
-                    &mut timing,
-                    &mut watch,
-                )?;
+                fab.lockstep_round(&mut protocol, round)?;
                 match advance_round(&protocol, fab.idle(), round, cfg.max_rounds)? {
                     Some(next) => round = next,
                     None => break,
@@ -951,40 +1005,27 @@ where
             }
 
             // ---- a wave of `width` pipelined rounds [round, round+width) ----
-            watch.reset();
+            fab.watch.reset();
             let last = round + width - 1;
             // Pre-bucket every ferry wire due during the wave; the lag
             // bound guarantees nothing transmitted *during* the wave
             // could join this set. Buckets inherit the ferry's
             // (arrival, sequence) drain order.
-            let buckets = fab.ferry_buckets(&partition, last);
+            let buckets = fab.ferry_buckets(last);
             let residual_ferry = !fab.ferry.is_idle();
             let max_pending_arrival =
                 buckets.iter().flatten().map(|w| w.arrival).max().unwrap_or(0);
 
-            let done = {
+            let done: Vec<WaveOutcome<P::Msg>> = {
                 let (shared, slices) = protocol.split();
-                let work: Vec<WaveTask<P::Msg, P::Slice>> = std::mem::take(&mut fab.shards)
-                    .into_iter()
-                    .zip(slice_buckets(&partition, slices))
-                    .zip(buckets)
-                    .enumerate()
-                    .map(|(shard, ((state, slices), ferry_due))| WaveTask {
-                        shard,
-                        state,
-                        slices,
-                        ferry_due,
-                    })
-                    .collect();
-                let done: Result<Vec<WaveOutcome<P::Msg>>, SimError> = work
-                    .into_par_iter()
-                    .map(|task| {
-                        run_shard_wave::<P>(graph, &partition, shared, task, round, width, &cfg)
-                    })
-                    .collect();
-                done?
+                let tasks = slice_buckets(&partition, slices).into_iter().zip(buckets).collect();
+                fork(&mut fab.shards, tasks, |shard, state, task| {
+                    state.wave::<P>(shard, run, shared, task, round, width)
+                })
+                .into_iter()
+                .collect::<Result<_, _>>()?
             };
-            let parallel_micros = watch.lap();
+            let parallel_micros = fab.watch.lap();
 
             // ---- wave commit (serialized) ----
             // (1) True sequence blocks, claimed per round offset in
@@ -1006,12 +1047,12 @@ where
             let mut min_ferry_out_round = Round::MAX;
             let mut all_completions: Vec<Vec<(NodeId, NodeId, u64)>> =
                 (0..width).map(|_| Vec::new()).collect();
-            let mut shard_idle: Vec<Vec<bool>> = Vec::with_capacity(k);
+            let mut shard_idle: Vec<Vec<bool>> = Vec::with_capacity(done.len());
             let (mut wave_mature, mut wave_apply, mut wave_transmit) = (0u64, 0u64, 0u64);
-            for mut out in done {
+            for (state, out) in fab.shards.iter_mut().zip(done) {
                 // (2a) Rewrite the provisional keys on this shard's
                 // still-in-flight wires to the true numbers.
-                out.state.transport.remap_seqs(|seq| {
+                state.transport.remap_seqs(|seq| {
                     if seq & SURROGATE_BIT == 0 {
                         return seq;
                     }
@@ -1026,8 +1067,8 @@ where
                 for (offset, events) in out.completions.into_iter().enumerate() {
                     all_completions[offset].extend(events);
                 }
-                for (v, c) in out.received {
-                    fab.report.received_by_node[v] += c;
+                for v in out.received {
+                    fab.report.received_by_node[v] += 1;
                 }
                 fab.report.queue_wait_rounds += out.queue_wait;
                 fab.report.max_inport_depth = fab.report.max_inport_depth.max(out.max_inport_depth);
@@ -1036,7 +1077,6 @@ where
                 wave_mature = wave_mature.max(out.mature_micros);
                 wave_apply = wave_apply.max(out.apply_micros);
                 wave_transmit = wave_transmit.max(out.transmit_micros);
-                fab.shards.push(out.state);
             }
 
             // (2b) Ferry the cross-shard sends in true sequence order —
@@ -1064,9 +1104,9 @@ where
                 for &(_, node, value) in events.iter() {
                     fab.api.complete(node, value);
                 }
-                fab.drain(graph, &partition, r, cfg.trace)?;
+                fab.drain(r)?;
             }
-            let commit_micros = watch.lap();
+            let commit_micros = fab.watch.lap();
 
             if cfg.probe.timing {
                 // Each phase accrues its cross-shard critical path (max
@@ -1074,6 +1114,7 @@ where
                 // as transmit work (it is the sequence/ferry half of the
                 // transmit phase). The per-round maximum treats the wave
                 // as `width` equal slices of its wall clock.
+                let timing = &mut fab.timing;
                 timing.mature_micros += wave_mature;
                 timing.apply_micros += wave_apply;
                 timing.transmit_micros += wave_transmit + commit_micros;
@@ -1118,7 +1159,7 @@ where
                 },
             }
         }
-        Ok((fab.finish(round, &cfg, timing), protocol))
+        Ok((fab.finish(round), protocol))
     }
 }
 
@@ -1183,19 +1224,8 @@ fn wave_width<P: Protocol>(protocol: &P, cfg: &SimConfig, round: Round, lag: Rou
     width.max(1)
 }
 
-/// One shard's work item for a wavefront wave: its fabric, the disjoint
-/// `&mut` borrows of its member nodes' slices, and the cross-shard wires
-/// due to it during the wave (pre-drained, in (arrival, sequence) order).
-struct WaveTask<'s, M, S> {
-    shard: usize,
-    state: ShardState<M>,
-    slices: Vec<&'s mut S>,
-    ferry_due: Vec<Wire<M>>,
-}
-
 /// What a shard's wave task hands back for the serialized wave commit.
 struct WaveOutcome<M> {
-    state: ShardState<M>,
     /// Per wave round: `(sender, transmitted count)` in ascending sender
     /// order — the block sizes the commit turns into true sequence bases.
     transmits: Vec<Vec<(NodeId, u64)>>,
@@ -1205,8 +1235,8 @@ struct WaveOutcome<M> {
     /// Per wave round: `(handler, completing node, value)` in delivery
     /// order — replayed at commit in global handler order.
     completions: Vec<Vec<(NodeId, NodeId, u64)>>,
-    /// `(node, delivery count)` pairs for the receive profile.
-    received: Vec<(NodeId, u64)>,
+    /// The handling node of every delivery, for the receive profile.
+    received: Vec<NodeId>,
     queue_wait: u64,
     max_inport_depth: usize,
     max_outbox_depth: usize,
@@ -1216,144 +1246,6 @@ struct WaveOutcome<M> {
     mature_micros: u64,
     apply_micros: u64,
     transmit_micros: u64,
-}
-
-/// Execute one shard's side of a wave: `width` rounds of mature → apply →
-/// transmit against the shard's own store, wheel and slices. Handler
-/// effects apply in-task (sends stage into the shard's own outboxes —
-/// a handler's sends always leave the handling node, which is local;
-/// completions are logged for the commit replay), and every transmission
-/// carries a provisional sequence key. The arrivals phase is skipped:
-/// [`wave_width`] only admits rounds where `on_round` is a no-op.
-fn run_shard_wave<P: NodeSliced>(
-    graph: &Graph,
-    partition: &Partition,
-    shared: &P::Shared,
-    task: WaveTask<'_, P::Msg, P::Slice>,
-    start: Round,
-    width: Round,
-    cfg: &SimConfig,
-) -> Result<WaveOutcome<P::Msg>, SimError> {
-    let WaveTask { shard, mut state, mut slices, mut ferry_due } = task;
-    let members = partition.members(shard);
-    let mut sapi: SliceApi<P::Msg> = SliceApi::new(start, 0);
-    let mut transmits = Vec::with_capacity(width as usize);
-    let mut completions = Vec::with_capacity(width as usize);
-    let mut idle_after = Vec::with_capacity(width as usize);
-    let mut received: Vec<(NodeId, u64)> = Vec::new();
-    let mut ferry_out = Vec::new();
-    let mut queue_wait = 0u64;
-    let mut max_inport_depth = 0usize;
-    let mut max_outbox_depth = 0usize;
-    let mut watch = Stopwatch::new(cfg.probe.timing);
-    let (mut mature_micros, mut apply_micros, mut transmit_micros) = (0u64, 0u64, 0u64);
-    let mut frontier = std::mem::take(&mut state.frontier);
-
-    for offset in 0..width {
-        let r = start + offset;
-        watch.reset();
-        // Maturity: own wheel plus the pre-drained ferry wires now due,
-        // merged in (arrival, sequence) order — pre-wave wires carry true
-        // numbers, in-wave wires provisional keys, and the key layout
-        // makes the mixed sort equal the final numbering's order.
-        let due_len = ferry_due.iter().take_while(|w| w.arrival <= r).count();
-        let due: Vec<Wire<P::Msg>> = ferry_due.drain(..due_len).collect();
-        max_inport_depth = max_inport_depth.max(state.mature(due, r));
-        mature_micros += watch.lap();
-
-        // Apply: deliver up to `recv_budget` per frontier node and run
-        // the sliced handlers, draining effects in-task.
-        sapi.set_round(r);
-        let mut round_completions = Vec::new();
-        frontier.clear();
-        if cfg.dense_scan {
-            frontier.extend_from_slice(members);
-        } else {
-            state.store.take_inport_frontier(&mut frontier);
-            frontier.sort_unstable();
-        }
-        for &v in &frontier {
-            let idx = members.binary_search(&v).expect("frontier nodes are shard members");
-            let slice = &mut *slices[idx];
-            sapi.set_node(v);
-            let mut delivered = 0u64;
-            for _ in 0..cfg.recv_budget {
-                let Some(inb) = state.store.pop_inport(v) else { break };
-                queue_wait += r - inb.arrival;
-                delivered += 1;
-                P::on_message_sliced(shared, slice, &mut sapi, v, inb.src, inb.msg);
-                for effect in sapi.effects.drain(..) {
-                    match effect {
-                        SliceEffect::Send { to, msg } => {
-                            if to >= graph.n() || !graph.has_edge(v, to) {
-                                return Err(SimError::InvalidSend { from: v, to, round: r });
-                            }
-                            max_outbox_depth = max_outbox_depth.max(state.store.stage(v, to, msg));
-                        }
-                        SliceEffect::Complete { node, value } => {
-                            round_completions.push((v, node, value));
-                        }
-                    }
-                }
-            }
-            if delivered > 0 {
-                received.push((v, delivered));
-            }
-        }
-        completions.push(round_completions);
-        apply_micros += watch.lap();
-
-        // Transmit under provisional keys, ascending node order — the
-        // per-transport call order stays monotone in the eventual true
-        // numbering, as the timing wheel's batch order requires.
-        let mut round_transmits = Vec::new();
-        frontier.clear();
-        if cfg.dense_scan {
-            frontier.extend_from_slice(members);
-        } else {
-            state.store.take_outbox_frontier(&mut frontier);
-            frontier.sort_unstable();
-        }
-        for &v in &frontier {
-            if cfg.probe.skips_transmit(r, v) {
-                state.store.relist_outbox(v);
-                continue;
-            }
-            let mut count = 0u64;
-            for i in 0..cfg.send_budget as u64 {
-                let Some((dst, msg)) = state.store.pop_outbox(v) else { break };
-                count += 1;
-                if partition.shard_of(dst) == shard {
-                    state.transport.transmit(v, dst, msg, r, surrogate_seq(offset, v, i));
-                } else {
-                    ferry_out.push((offset, v, i, dst, msg));
-                }
-            }
-            if count > 0 {
-                round_transmits.push((v, count));
-            }
-        }
-        transmits.push(round_transmits);
-        transmit_micros += watch.lap();
-
-        idle_after.push(state.store.is_idle() && state.transport.is_idle());
-    }
-    frontier.clear();
-    state.frontier = frontier;
-    Ok(WaveOutcome {
-        state,
-        transmits,
-        ferry_out,
-        completions,
-        received,
-        queue_wait,
-        max_inport_depth,
-        max_outbox_depth,
-        idle_after,
-        mature_micros,
-        apply_micros,
-        transmit_micros,
-    })
 }
 
 /// Convenience: run `protocol` on `graph` under `config`, sharded by
@@ -1435,6 +1327,37 @@ mod tests {
             serde_json::to_string(&r).unwrap()
         };
         strip(a) == strip(b)
+    }
+
+    #[test]
+    fn fork_lends_every_shard_once_in_place_and_answers_in_shard_order() {
+        use std::sync::Mutex;
+        let g = topology::path(9);
+        let cfg = SimConfig::strict();
+        for k in [1, 3] {
+            let part = Partition::contiguous(9, k);
+            let run = Run { graph: &g, partition: &part, cfg: &cfg };
+            let mut fab = Fabric::setup(run, &mut SlicedWalk::new(9), LinkDelay::Unit).unwrap();
+            let lent = Mutex::new(Vec::new());
+            let inputs: Vec<usize> = (0..k).map(|shard| 10 * shard).collect();
+            let out = fork(&mut fab.shards, inputs, |shard, state, input| {
+                lent.lock().unwrap().push(shard);
+                // A mark left in the lent shard: it must still be there,
+                // on the same shard, after the join.
+                state.frontier.push(shard);
+                (shard, input, state.members)
+            });
+            let want: Vec<_> =
+                (0..k).map(|shard| (shard, 10 * shard, part.members(shard))).collect();
+            assert_eq!(out, want, "k = {k}: results in shard order, each with its own input");
+            let mut lent = lent.into_inner().unwrap();
+            lent.sort_unstable();
+            assert_eq!(lent, (0..k).collect::<Vec<_>>(), "k = {k}: every shard lent exactly once");
+            for (shard, state) in fab.shards.iter().enumerate() {
+                assert_eq!(state.members, part.members(shard), "k = {k}: shards out of order");
+                assert_eq!(state.frontier, [shard], "k = {k}: the shard was not lent in place");
+            }
+        }
     }
 
     #[test]

@@ -766,6 +766,11 @@ fn parse_sweep(args: &[String]) -> Result<(RunPlan, SweepOutput), String> {
 /// state, so a typo like `--shards 40000000` should fail fast.
 const MAX_CLI_SHARDS: usize = 4096;
 
+/// Largest network width / leaf count the CLI accepts — a width-w network
+/// is built balancer by balancer before the first round, and past this
+/// the build alone takes many seconds.
+const MAX_CLI_WIDTH: usize = 4096;
+
 fn parse_shards(token: &str) -> Result<ShardSpec, String> {
     let mut parts = token.split(':');
     let k_raw = parts.next().unwrap_or_default();
@@ -855,11 +860,13 @@ fn field<T: std::str::FromStr>(
     }
 }
 
-fn check_rate(token: &str, rate: f64) -> Result<f64, String> {
-    if rate > 0.0 && rate <= 1.0 {
-        Ok(rate)
+/// A per-node probability (`rate`, `density`): in (0, 1], which also
+/// rejects NaN.
+fn check_unit(token: &str, key: &str, v: f64) -> Result<f64, String> {
+    if v > 0.0 && v <= 1.0 {
+        Ok(v)
     } else {
-        Err(format!("field `rate` must be in (0, 1], got {rate} in `{token}`"))
+        Err(format!("field `{key}` must be in (0, 1], got {v} in `{token}`"))
     }
 }
 
@@ -873,14 +880,14 @@ fn parse_arrival(token: &str) -> Result<ArrivalSpec, String> {
         "poisson" => {
             let p = kv_params(token, &parts[1..], &["rate", "seed"])?;
             Ok(ArrivalSpec::Poisson {
-                rate: check_rate(token, field(token, &p, "rate", None)?)?,
+                rate: check_unit(token, "rate", field(token, &p, "rate", None)?)?,
                 seed: field(token, &p, "seed", Some(1))?,
             })
         }
         "bursty" => {
             let p = kv_params(token, &parts[1..], &["rate", "on", "off", "seed"])?;
             Ok(ArrivalSpec::Bursty {
-                rate: check_rate(token, field(token, &p, "rate", None)?)?,
+                rate: check_unit(token, "rate", field(token, &p, "rate", None)?)?,
                 on: check_bound(token, "on", field(token, &p, "on", None)?, 1)?,
                 off: check_bound(token, "off", field(token, &p, "off", None)?, 0)?,
                 seed: field(token, &p, "seed", Some(1))?,
@@ -889,7 +896,7 @@ fn parse_arrival(token: &str) -> Result<ArrivalSpec, String> {
         "hotspot" | "zipf" => {
             let p = kv_params(token, &parts[1..], &["rate", "s", "seed"])?;
             Ok(ArrivalSpec::Hotspot {
-                rate: check_rate(token, field(token, &p, "rate", None)?)?,
+                rate: check_unit(token, "rate", field(token, &p, "rate", None)?)?,
                 s: field(token, &p, "s", Some(1.1))?,
                 seed: field(token, &p, "seed", Some(1))?,
             })
@@ -1065,11 +1072,25 @@ fn parse_topo(token: &str) -> Result<TopoSpec, String> {
         "mesh2d" => TopoSpec::Mesh2D { side: p(0, 8) },
         "mesh3d" => TopoSpec::Mesh3D { side: p(0, 4) },
         "hypercube" => TopoSpec::Hypercube { dim: p(0, 6) },
-        "tree" => TopoSpec::PerfectTree { m: p(0, 2), depth: p(1, 5) },
+        "tree" => {
+            let m = p(0, 2);
+            if m < 2 {
+                return Err(format!("tree arity must be ≥ 2 in `{token}` (tree:<arity>:<depth>)"));
+            }
+            TopoSpec::PerfectTree { m, depth: p(1, 5) }
+        }
         "star" => TopoSpec::Star { n: p(0, 64) },
         "caterpillar" => TopoSpec::Caterpillar { spine: p(0, 32), legs: p(1, 2) },
         "figure1" => TopoSpec::Figure1,
-        "torus2d" => TopoSpec::Torus2D { side: p(0, 8) },
+        "torus2d" => {
+            let side = p(0, 8);
+            if side < 3 {
+                return Err(format!(
+                    "torus side must be ≥ 3 in `{token}` (a shorter ring doubles its own edges)"
+                ));
+            }
+            TopoSpec::Torus2D { side }
+        }
         "random-regular" => {
             let (n, d) = (p(0, 64), p(1, 4));
             if d >= n || !(n * d).is_multiple_of(2) {
@@ -1139,10 +1160,19 @@ fn parse_proto(token: &str, into: &mut Vec<Box<dyn ProtocolSpec>>) -> Result<(),
         None => (token, None),
     };
     if let Some(w) = width {
+        let checked = || {
+            if w.is_power_of_two() && (2..=MAX_CLI_WIDTH).contains(&w) {
+                Ok(Some(w))
+            } else {
+                Err(format!(
+                    "width must be a power of two in 2..={MAX_CLI_WIDTH}, got {w} in `{token}`"
+                ))
+            }
+        };
         let spec: Box<dyn ProtocolSpec> = match name {
-            "counting-network" => Box::new(protocol::CountingNetwork { width: Some(w) }),
-            "periodic-network" => Box::new(protocol::PeriodicNetwork { width: Some(w) }),
-            "toggle-tree" => Box::new(protocol::ToggleTree { leaves: Some(w) }),
+            "counting-network" => Box::new(protocol::CountingNetwork { width: checked()? }),
+            "periodic-network" => Box::new(protocol::PeriodicNetwork { width: checked()? }),
+            "toggle-tree" => Box::new(protocol::ToggleTree { leaves: checked()? }),
             other => return Err(format!("protocol `{other}` does not take a width")),
         };
         into.push(spec);
@@ -1170,6 +1200,7 @@ fn parse_pattern(token: &str) -> Result<RequestPattern, String> {
                 .ok_or("random pattern needs a density (random:<density>[:seed])")?
                 .parse()
                 .map_err(|_| format!("bad density in `{token}`"))?;
+            let density = check_unit(token, "density", density)?;
             let seed: u64 = match parts.get(2) {
                 Some(s) => s.parse().map_err(|_| format!("bad seed in `{token}`"))?,
                 None => 1,

@@ -612,6 +612,39 @@ fn malformed_shards_specs_fail_loudly() {
 }
 
 #[test]
+fn unbuildable_topologies_widths_and_densities_fail_loudly() {
+    // Each of these used to reach a builder assertion (exit 101), build
+    // for minutes, or run on a meaningless density; all must be exit-2
+    // diagnostics that name the offending token and the rule.
+    let checks = [
+        (["--topo", "torus2d:1"], "torus side must be ≥ 3"),
+        (["--topo", "torus2d:2"], "torus side must be ≥ 3"),
+        (["--topo", "tree:1:5"], "tree arity must be ≥ 2"),
+        (["--proto", "counting-network:3"], "power of two in 2..=4096"),
+        (["--proto", "counting-network:0"], "power of two in 2..=4096"),
+        (["--proto", "periodic-network:6"], "power of two in 2..=4096"),
+        (["--proto", "toggle-tree:1"], "power of two in 2..=4096"),
+        (["--proto", "counting-network:65536"], "power of two in 2..=4096"),
+        (["--pattern", "random:7"], "field `density` must be in (0, 1]"),
+        (["--pattern", "random:-1"], "field `density` must be in (0, 1]"),
+        (["--pattern", "random:nan"], "field `density` must be in (0, 1]"),
+    ];
+    for ([flag, token], rule) in checks {
+        let out = ccq(&["sweep", flag, token, "--json", "-"]);
+        assert_eq!(out.status.code(), Some(2), "`{flag} {token}` should exit 2");
+        let stderr = String::from_utf8_lossy(&out.stderr).to_string();
+        assert!(
+            stderr.contains(rule) && stderr.contains(&format!("`{token}`")),
+            "`{flag} {token}`: stderr `{stderr}` must name the token and `{rule}`"
+        );
+    }
+    // The widest width the CLI accepts still runs.
+    let widest =
+        ccq(&["sweep", "--topo", "mesh2d:3", "--proto", "counting-network:4096", "--json", "-"]);
+    assert_all_ok(&json_stdout(&widest));
+}
+
+#[test]
 fn heterogeneous_sweep_reports_classes_and_fault_counters() {
     let out = ccq(&[
         "sweep",
