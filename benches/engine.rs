@@ -1,0 +1,186 @@
+//! Engine hot loop — single-fabric vs sharded executor on a large torus,
+//! for both a queuing and a counting protocol, with each shard plan
+//! measured on **both apply paths** (serialized global-order handler
+//! application vs the sliced shard-parallel path on 4/8-shard tori) — the
+//! apply-path comparison behind the `--parallel-apply` flag.
+//!
+//! A plain `fn main()` bench (`cargo bench -p ccq-repro --bench engine`):
+//! it writes a machine-readable `BENCH_engine.json` (path override:
+//! `CCQ_BENCH_OUT`) with one mean wall time over `CCQ_BENCH_ITERS`
+//! executions per configuration, which CI gates on and archives next to
+//! the sweep artifacts.
+//!
+//! The artifact also carries the **sparse-load scaling curve** behind the
+//! dirty-frontier engine: `central-counter` driven by a 64-requester tail
+//! cluster on tori of n ≈ 1e3, 1e4, 1e5 and 1e6 processors. Traffic is
+//! constant while n grows 1000×, so the frontier loop's wall time tracks
+//! traffic, not n — the dense `0..n` reference scan is measured alongside
+//! (up to 1e5; at 1e6 it would dominate the bench's wall-clock budget)
+//! as the curve the frontier escapes.
+//!
+//! Finally the artifact carries the **wavefront pipeline** comparison on
+//! the slow-ferry federated torus (EdgeCut shards joined by a fixed-delay
+//! inter-shard ferry): lockstep barriers every round vs shards running up
+//! to `lag` rounds ahead. CI gates on the lockstep/wavefront mean ratio.
+
+use ccq_repro::core::protocol::{self, run_spec_cfg};
+use ccq_repro::core::run::config_for;
+use ccq_repro::prelude::*;
+use serde::Serialize;
+use std::time::Instant;
+
+/// One measured configuration, serialized into `BENCH_engine.json`.
+#[derive(Serialize)]
+struct Sample {
+    bench: String,
+    protocol: String,
+    topology: String,
+    /// Processor count of the topology — the scaling curve's x axis.
+    nodes: usize,
+    shards: String,
+    /// Whether handlers applied on the sliced shard-parallel path.
+    parallel_apply: bool,
+    /// Whether the round loop ran the dense `0..n` reference scan
+    /// instead of the default dirty frontier.
+    dense_scan: bool,
+    /// Wavefront pipeline depth: 0 = lockstep barrier every round,
+    /// d ≥ 1 = shards run up to d rounds ahead of the slowest shard.
+    wavefront_lag: u64,
+    iters: u32,
+    mean_seconds: f64,
+    rounds: u64,
+    total_delay: u64,
+    cross_shard_messages: u64,
+}
+
+fn iters() -> u32 {
+    std::env::var("CCQ_BENCH_ITERS").ok().and_then(|v| v.parse().ok()).unwrap_or(1)
+}
+
+/// Time `iters()` executions of `spec` on `scenario` — built by the
+/// caller, outside the timed body — into one sample. `dense` selects the
+/// engine's dense reference scan, which only a `SimConfig` names.
+fn measure(bench: &str, spec: &dyn ProtocolSpec, scenario: &Scenario, dense: bool) -> Sample {
+    let mode = match spec.kind() {
+        ProtocolKind::Queuing => ModelMode::Expanded,
+        ProtocolKind::Counting | ProtocolKind::Relaxed => ModelMode::Strict,
+    };
+    let cfg = config_for(mode, spec.tree(scenario).max_degree()).with_dense_scan(dense);
+    let n = iters();
+    let start = Instant::now();
+    let mut out = None;
+    for _ in 0..n {
+        out = Some(run_spec_cfg(spec, scenario, cfg).expect("bench run verifies"));
+    }
+    let elapsed = start.elapsed().as_secs_f64();
+    let out = out.expect("at least one iteration");
+    Sample {
+        bench: bench.into(),
+        protocol: spec.name().to_string(),
+        topology: scenario.spec.name(),
+        nodes: scenario.n(),
+        shards: scenario.shards.name(),
+        parallel_apply: scenario.parallel_apply,
+        dense_scan: dense,
+        wavefront_lag: scenario.wavefront.unwrap_or(0),
+        iters: n,
+        mean_seconds: elapsed / n as f64,
+        rounds: out.report.rounds,
+        total_delay: out.report.total_delay(),
+        cross_shard_messages: out.report.cross_shard_messages,
+    }
+}
+
+/// One (protocol, shard plan, apply path) cell on the 576-node torus.
+fn measure_hot(spec: &dyn ProtocolSpec, shards: ShardSpec, parallel_apply: bool) -> Sample {
+    let scenario = Scenario::build(TopoSpec::Torus2D { side: 24 }, RequestPattern::All)
+        .with_shards(shards)
+        .with_parallel_apply(parallel_apply);
+    measure("engine_hot_loop", spec, &scenario, false)
+}
+
+/// One sparse-load scaling cell: `central-counter` on an n-node torus
+/// with a 64-requester tail cluster arriving Poisson. The request set —
+/// and so the dirty frontier — stays the same size as the torus grows
+/// 1000×; only the travel distance to the counter stretches.
+fn measure_sparse(side: usize, dense: bool) -> Sample {
+    let scenario = Scenario::build_with(
+        TopoSpec::Torus2D { side },
+        RequestPattern::TailCluster { count: 64 },
+        ArrivalSpec::Poisson { rate: 0.5, seed: 7 },
+    );
+    measure("sparse_scaling", &protocol::CentralCounter, &scenario, dense)
+}
+
+/// One wavefront cell: the t12-style slow-ferry federation (EdgeCut `k`
+/// shards on the 576-node torus, joined by a fixed `ferry`-round
+/// inter-shard delay). With `lag = 0` the shards synchronize at a
+/// lockstep barrier every round; with `lag ≥ 1` they pipeline up to
+/// `lag` rounds ahead of the slowest shard, so the ferry's dead rounds
+/// amortize over one fork/join instead of `lag` of them.
+fn measure_wavefront(spec: &dyn ProtocolSpec, k: usize, ferry: u64, lag: u64) -> Sample {
+    let shards = ShardSpec::new(k, ShardStrategy::EdgeCut)
+        .with_inter_delay(LinkDelay::Fixed { delay: ferry });
+    let scenario = Scenario::build(TopoSpec::Torus2D { side: 24 }, RequestPattern::All)
+        .with_shards(shards)
+        .with_wavefront((lag > 0).then_some(lag));
+    measure("wavefront_pipeline", spec, &scenario, false)
+}
+
+fn main() {
+    // counting-network is the apply-heavy case: hundreds of tokens stay in
+    // flight at once, so each round delivers ~n/6 messages whose balancer
+    // walks the sliced path runs shard-parallel.
+    let protocols: [&dyn ProtocolSpec; 3] =
+        [&protocol::Arrow, &protocol::CombiningTree, &protocol::CountingNetwork { width: None }];
+    let plans = [
+        ShardSpec::single(),
+        ShardSpec::new(4, ShardStrategy::Contiguous),
+        ShardSpec::new(4, ShardStrategy::EdgeCut),
+        ShardSpec::new(8, ShardStrategy::EdgeCut),
+    ];
+    // The JSON artifact: exactly one sample per configuration, so its
+    // shape is stable run to run.
+    let mut samples: Vec<Sample> = Vec::new();
+    for spec in protocols {
+        for plan in plans {
+            // Apply-path comparison: the single-shard plan only has a
+            // serialized order to apply in, so the sliced path is measured
+            // on the 4/8-shard tori where shards actually run handlers
+            // concurrently.
+            samples.push(measure_hot(spec, plan, false));
+            if plan.is_sharded() {
+                samples.push(measure_hot(spec, plan, true));
+            }
+        }
+    }
+    // The sparse-load scaling curve: frontier loop at n ≈ 1e3..1e6, the
+    // dense reference scan alongside up to 1e5 (at 1e6 the dense scan's
+    // rounds × n node-visits would dominate the bench wall clock).
+    for side in [32usize, 100, 316, 1000] {
+        samples.push(measure_sparse(side, false));
+        if side < 1000 {
+            samples.push(measure_sparse(side, true));
+        }
+    }
+    // Wavefront pipeline on the slow-ferry federation: lag 0 is the
+    // lockstep baseline, lag 6 matches the ferry delay (the deepest lag
+    // the safety check admits). counting-network keeps hundreds of
+    // tokens in flight, so its round count — and the barrier overhead
+    // the wavefront amortizes — dominates; arrow is the traffic-light
+    // contrast. CI's gate reads the counting-network pair.
+    for spec in [&protocol::Arrow as &dyn ProtocolSpec, &protocol::CountingNetwork { width: None }]
+    {
+        for k in [4usize, 8] {
+            for lag in [0u64, 6] {
+                samples.push(measure_wavefront(spec, k, 6, lag));
+            }
+        }
+    }
+
+    let out_path =
+        std::env::var("CCQ_BENCH_OUT").unwrap_or_else(|_| "BENCH_engine.json".to_string());
+    let json = serde_json::to_string_pretty(&samples).expect("samples serialize");
+    std::fs::write(&out_path, json + "\n").expect("write BENCH_engine.json");
+    println!("wrote {out_path} ({} samples)", samples.len());
+}

@@ -31,9 +31,7 @@ pub fn run(_scale: Scale) -> Vec<Table> {
         faults: FaultSpec::none(),
         shards: ShardSpec::single(),
         parallel_apply: false,
-        dense_scan: false,
         wavefront: None,
-        serial_transmit: false,
         probe: ProbeSpec::OFF,
     };
 

@@ -46,7 +46,7 @@ pub mod prelude {
     pub use crate::protocol::{
         default_width, registry, registry_of, run_spec, run_spec_with, ProtocolKind, ProtocolSpec,
     };
-    pub use crate::report::{delay_percentile, DelayReport};
+    pub use crate::report::DelayReport;
     pub use crate::run::{ModelMode, RunOutcome};
     pub use crate::scenario::{
         AdmissionSpec, ArrivalSpec, FaultSpec, PrioritySpec, RequestPattern, Scenario, ShardSpec,

@@ -60,9 +60,7 @@ pub struct RunPlan {
     faults: Vec<FaultSpec>,
     shards: Vec<ShardSpec>,
     parallel_apply: bool,
-    dense_scan: bool,
     wavefront: Option<u64>,
-    serial_transmit: bool,
     probe: ProbeSpec,
     repeats: usize,
     seed: u64,
@@ -92,9 +90,7 @@ impl RunPlan {
             faults: vec![FaultSpec::none()],
             shards: vec![ShardSpec::single()],
             parallel_apply: false,
-            dense_scan: false,
             wavefront: None,
-            serial_transmit: false,
             probe: ProbeSpec::OFF,
             repeats: 1,
             seed: 0,
@@ -136,13 +132,6 @@ impl RunPlan {
     /// Explicit mode list, cross-producted over every protocol.
     pub fn modes(mut self, modes: impl IntoIterator<Item = ModelMode>) -> Self {
         self.modes = ModeSel::Explicit(modes.into_iter().collect());
-        self
-    }
-
-    /// The paper's convention (default): queuing runs expanded, counting
-    /// strict.
-    pub fn paper_modes(mut self) -> Self {
-        self.modes = ModeSel::Paper;
         self
     }
 
@@ -244,30 +233,6 @@ impl RunPlan {
         self
     }
 
-    /// Execute every case on the dense reference scan instead of the
-    /// dirty frontier (see [`Scenario::with_dense_scan`]). Like
-    /// [`RunPlan::parallel_apply`] this is an execution strategy, not a
-    /// sweep dimension, and is deliberately absent from [`PlanInfo`]:
-    /// reports are byte-identical either way, which is what lets CI `cmp`
-    /// a `--dense-scan` sweep against its frontier-driven twin.
-    ///
-    /// ```
-    /// use ccq_core::prelude::*;
-    ///
-    /// let plan = |dense: bool| {
-    ///     RunPlan::new()
-    ///         .topologies([TopoSpec::Mesh2D { side: 3 }])
-    ///         .dense_scan(dense)
-    ///         .execute()
-    /// };
-    /// // The scan strategy changes no output byte.
-    /// assert_eq!(plan(false).to_json(), plan(true).to_json());
-    /// ```
-    pub fn dense_scan(mut self, on: bool) -> Self {
-        self.dense_scan = on;
-        self
-    }
-
     /// Execute every case on the wavefront pipeline (see
     /// [`Scenario::with_wavefront`]): shards run up to `lag` rounds ahead
     /// of the inter-shard barrier. `Some(0)` resolves the lag from each
@@ -295,30 +260,6 @@ impl RunPlan {
     /// ```
     pub fn wavefront(mut self, lag: Option<u64>) -> Self {
         self.wavefront = lag;
-        self
-    }
-
-    /// Execute every case on the serialized reference transmit instead of
-    /// the block-claim parallel transmit (see
-    /// [`Scenario::with_serial_transmit`]). Like [`RunPlan::dense_scan`]
-    /// this is an execution strategy, not a sweep dimension, and is
-    /// deliberately absent from [`PlanInfo`].
-    ///
-    /// ```
-    /// use ccq_core::prelude::*;
-    ///
-    /// let plan = |serial: bool| {
-    ///     RunPlan::new()
-    ///         .topologies([TopoSpec::Mesh2D { side: 3 }])
-    ///         .shards([ShardSpec::new(2, ShardStrategy::Contiguous)])
-    ///         .serial_transmit(serial)
-    ///         .execute()
-    /// };
-    /// // The transmit strategy changes no output byte.
-    /// assert_eq!(plan(false).to_json(), plan(true).to_json());
-    /// ```
-    pub fn serial_transmit(mut self, on: bool) -> Self {
-        self.serial_transmit = on;
         self
     }
 
@@ -446,11 +387,6 @@ impl RunPlan {
                                             priority: prio,
                                             faults: faults.clone(),
                                             shards: *shards,
-                                            parallel_apply: self.parallel_apply,
-                                            dense_scan: self.dense_scan,
-                                            wavefront: self.wavefront,
-                                            serial_transmit: self.serial_transmit,
-                                            probe: self.probe,
                                             repeat,
                                             runs,
                                         });
@@ -503,7 +439,7 @@ impl RunPlan {
     pub fn execute(&self) -> RunSet {
         let groups = self.work_groups();
         let executed: Vec<(Vec<CaseResult>, Vec<GroupSummary>)> =
-            groups.par_iter().map(run_group).collect();
+            groups.par_iter().map(|group| run_group(self, group)).collect();
 
         let mut cases = Vec::new();
         let mut summaries = Vec::new();
@@ -545,27 +481,20 @@ struct WorkGroup {
     priority: PrioritySpec,
     faults: FaultSpec,
     shards: ShardSpec,
-    parallel_apply: bool,
-    dense_scan: bool,
-    wavefront: Option<u64>,
-    serial_transmit: bool,
-    probe: ProbeSpec,
     repeat: usize,
     runs: Vec<(usize, Box<dyn ProtocolSpec>, ModelMode, LinkDelay)>,
 }
 
-fn run_group(group: &WorkGroup) -> (Vec<CaseResult>, Vec<GroupSummary>) {
+fn run_group(plan: &RunPlan, group: &WorkGroup) -> (Vec<CaseResult>, Vec<GroupSummary>) {
     let scenario =
         Scenario::build_with(group.topo.clone(), group.pattern.clone(), group.arrival.clone())
             .with_admission(group.admission)
             .with_priority(group.priority)
             .with_faults(group.faults.clone())
             .with_shards(group.shards)
-            .with_parallel_apply(group.parallel_apply)
-            .with_dense_scan(group.dense_scan)
-            .with_wavefront(group.wavefront)
-            .with_serial_transmit(group.serial_transmit)
-            .with_probe(group.probe);
+            .with_parallel_apply(plan.parallel_apply)
+            .with_wavefront(plan.wavefront)
+            .with_probe(plan.probe);
     let mut results = Vec::with_capacity(group.runs.len());
     for (index, spec, mode, delay) in &group.runs {
         let base = CaseResult {
@@ -967,11 +896,6 @@ impl RunSet {
             .iter()
             .filter(|c| c.ok && c.repeat == 0 && c.topology == topology && c.kind == kind)
             .min_by_key(|c| c.total_delay)
-    }
-
-    /// All cases of one kind, in order.
-    pub fn of_kind(&self, kind: ProtocolKind) -> impl Iterator<Item = &CaseResult> {
-        self.cases.iter().filter(move |c| c.kind == kind)
     }
 
     /// Human-readable per-case table (the CLI's default sweep output).

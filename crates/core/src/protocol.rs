@@ -62,8 +62,6 @@ where
     // clobbered.
     let cfg = cfg
         .with_parallel_apply(cfg.parallel_apply || scenario.parallel_apply)
-        .with_dense_scan(cfg.dense_scan || scenario.dense_scan)
-        .with_serial_transmit(cfg.serial_transmit || scenario.serial_transmit)
         .with_probe(cfg.probe.merged(scenario.probe));
     let cfg = resolve_wavefront(scenario, cfg)?;
     let cfg = resolve_faults(scenario, cfg)?;
@@ -299,6 +297,17 @@ pub fn run_spec_with(
     delay: LinkDelay,
 ) -> Result<RunOutcome, RunError> {
     let cfg = config_for(mode, spec.tree(scenario).max_degree()).with_link_delay(delay);
+    run_spec_cfg(spec, scenario, cfg)
+}
+
+/// [`run_spec`] under a caller-built [`SimConfig`], honoured as it stands.
+/// This is how the equivalence suites select an engine reference path
+/// that no plan, scenario or CLI flag names.
+pub fn run_spec_cfg(
+    spec: &dyn ProtocolSpec,
+    scenario: &Scenario,
+    cfg: SimConfig,
+) -> Result<RunOutcome, RunError> {
     let report = spec.execute(scenario, cfg).map_err(RunError::Sim)?;
     let order = spec.verify(scenario, &report)?;
     Ok(RunOutcome { alg: spec.name().to_string(), report, order })

@@ -2,7 +2,7 @@
 //! queuing-vs-counting comparison lives in [`crate::plan::GroupSummary`]).
 
 use ccq_graph::NodeId;
-use ccq_sim::{FaultEvent, FaultKind, SimReport};
+use ccq_sim::{nearest_rank, FaultEvent, FaultKind, SimReport};
 use serde::Serialize;
 
 /// Flattened per-run metrics.
@@ -77,13 +77,6 @@ impl DelayReport {
         // percentiles are then plain nearest-rank index lookups.
         let mut lat = rep.latencies();
         lat.sort_unstable();
-        let pick = |q: f64| -> u64 {
-            if lat.is_empty() {
-                0
-            } else {
-                lat[((q * lat.len() as f64).ceil() as usize).clamp(1, lat.len()) - 1]
-            }
-        };
         let qqc = rep.qqc_lateness(order);
         DelayReport {
             alg: alg.into(),
@@ -97,9 +90,9 @@ impl DelayReport {
             queue_wait: rep.queue_wait_rounds,
             max_queue: rep.max_inport_depth,
             throughput: rep.throughput(),
-            latency_p50: pick(0.50),
-            latency_p95: pick(0.95),
-            latency_p99: pick(0.99),
+            latency_p50: nearest_rank(&lat, 0.50),
+            latency_p95: nearest_rank(&lat, 0.95),
+            latency_p99: nearest_rank(&lat, 0.99),
             backlog_high_water: rep.backlog_high_water,
             cross_shard_messages: rep.cross_shard_messages,
             dropped: rep.dropped.len() as u64,
@@ -207,19 +200,6 @@ impl FaultSummary {
     }
 }
 
-/// Percentiles of per-operation (scaled) delays — the latency distribution
-/// behind the totals. `q` in `[0, 1]`; nearest-rank method.
-pub fn delay_percentile(rep: &SimReport, q: f64) -> u64 {
-    assert!((0.0..=1.0).contains(&q), "quantile out of range");
-    if rep.completions.is_empty() {
-        return 0;
-    }
-    let mut d: Vec<u64> = rep.completions.iter().map(|c| c.round * rep.delay_scale).collect();
-    d.sort_unstable();
-    let rank = ((q * d.len() as f64).ceil() as usize).clamp(1, d.len());
-    d[rank - 1]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -255,11 +235,11 @@ mod tests {
                 .collect(),
             ..Default::default()
         };
-        assert_eq!(delay_percentile(&rep, 0.5), 5);
-        assert_eq!(delay_percentile(&rep, 0.95), 10);
-        assert_eq!(delay_percentile(&rep, 1.0), 10);
-        assert_eq!(delay_percentile(&rep, 0.0), 1);
+        assert_eq!(rep.latency_percentile(0.5), 5);
+        assert_eq!(rep.latency_percentile(0.95), 10);
+        assert_eq!(rep.latency_percentile(1.0), 10);
+        assert_eq!(rep.latency_percentile(0.0), 1);
         let empty = SimReport { delay_scale: 1, ..Default::default() };
-        assert_eq!(delay_percentile(&empty, 0.5), 0);
+        assert_eq!(empty.latency_percentile(0.5), 0);
     }
 }

@@ -619,12 +619,6 @@ pub struct Scenario {
     /// scenario requires anyway). An execution strategy, not a model
     /// knob — results are byte-identical to the serialized apply path.
     pub parallel_apply: bool,
-    /// Walk every processor in the deliver/transmit phases instead of the
-    /// dirty frontier (the dense reference scan; see
-    /// [`ccq_sim::SimConfig::dense_scan`]). An execution strategy, not a
-    /// model knob — results are byte-identical either way, which the
-    /// equivalence suites prove by running both.
-    pub dense_scan: bool,
     /// Run the sharded executor's wavefront pipeline: shards execute up to
     /// `lag` rounds ahead of the barrier when the inter-shard ferry's
     /// minimum delay supports it. `None` = lockstep; `Some(0)` = auto
@@ -634,12 +628,6 @@ pub struct Scenario {
     /// sharded plan (`k ≥ 2`); misconfigurations fail with a named
     /// `InvalidConfig`.
     pub wavefront: Option<Round>,
-    /// Transmit staged sends serially at the barrier instead of through
-    /// the block-claim parallel transmit (the serialized reference path;
-    /// see [`ccq_sim::SimConfig::serial_transmit`]). An execution
-    /// strategy, not a model knob — byte-identical either way, which the
-    /// equivalence suites prove by running both.
-    pub serial_transmit: bool,
     /// Execution probe: checkpoint hashing, snapshots, perturbation and
     /// phase timing ([`ProbeSpec::OFF`] by default — no probe work at
     /// all, and probe data never reaches the serialized [`ccq_sim::
@@ -647,9 +635,9 @@ pub struct Scenario {
     pub probe: ProbeSpec,
 }
 
-/// Checkpoint interval installed by [`Scenario::with_recording`]: frequent
-/// enough to localize divergence usefully, sparse enough to stay cheap on
-/// long open-system runs.
+/// Checkpoint interval `ccq record` installs when its argv names none:
+/// frequent enough to localize divergence usefully, sparse enough to stay
+/// cheap on long open-system runs.
 pub const DEFAULT_RECORD_EVERY: Round = 64;
 
 impl Scenario {
@@ -681,9 +669,7 @@ impl Scenario {
             faults: FaultSpec::none(),
             shards: ShardSpec::single(),
             parallel_apply: false,
-            dense_scan: false,
             wavefront: None,
-            serial_transmit: false,
             probe: ProbeSpec::OFF,
         }
     }
@@ -712,25 +698,11 @@ impl Scenario {
         self
     }
 
-    /// Builder-style: use the dense reference scan instead of the dirty
-    /// frontier (see [`Scenario::dense_scan`]).
-    pub fn with_dense_scan(mut self, on: bool) -> Self {
-        self.dense_scan = on;
-        self
-    }
-
     /// Builder-style: run the wavefront pipeline (see
     /// [`Scenario::wavefront`]; `Some(0)` = lag from the ferry's minimum
     /// delay).
     pub fn with_wavefront(mut self, lag: Option<Round>) -> Self {
         self.wavefront = lag;
-        self
-    }
-
-    /// Builder-style: use the serialized reference transmit instead of the
-    /// block-claim parallel transmit (see [`Scenario::serial_transmit`]).
-    pub fn with_serial_transmit(mut self, on: bool) -> Self {
-        self.serial_transmit = on;
         self
     }
 
@@ -756,16 +728,6 @@ impl Scenario {
     pub fn with_probe(mut self, probe: ProbeSpec) -> Self {
         self.probe = probe;
         self
-    }
-
-    /// Builder-style: record execution checkpoints at the default interval
-    /// ([`DEFAULT_RECORD_EVERY`] rounds); `false` leaves the probe as-is.
-    pub fn with_recording(self, on: bool) -> Self {
-        if on {
-            self.with_checkpoint_every(DEFAULT_RECORD_EVERY)
-        } else {
-            self
-        }
     }
 
     /// Builder-style: hash engine state every `every` rounds (clamped to

@@ -70,11 +70,6 @@ impl Graph {
         }
         crate::bfs::bfs_distances(self, 0).iter().all(|&d| d != u32::MAX)
     }
-
-    /// Sum of degrees; handy sanity value for tests.
-    pub fn degree_sum(&self) -> usize {
-        self.adj.len()
-    }
 }
 
 /// Incremental builder for [`Graph`].
@@ -103,11 +98,6 @@ impl GraphBuilder {
         assert!(u < self.n && v < self.n, "edge ({u},{v}) out of range n={}", self.n);
         self.edges.push((u.min(v), u.max(v)));
         self
-    }
-
-    /// Number of (possibly duplicated) edges added so far.
-    pub fn edge_count(&self) -> usize {
-        self.edges.len()
     }
 
     /// Finalize into a [`Graph`], deduplicating edges.

@@ -178,18 +178,6 @@ pub fn perfect_mary_tree(m: usize, depth: usize) -> Tree {
     Tree::from_parents(0, parent)
 }
 
-/// Choose the paper's preferred spanning tree for a named topology:
-/// a Hamilton path when one is constructible, otherwise a BFS tree.
-pub fn hamilton_or_bfs(g: &Graph, hamilton: Option<Vec<NodeId>>) -> Tree {
-    match hamilton {
-        Some(order) => {
-            debug_assert!(is_hamilton_path(g, &order));
-            path_tree_from_order(&order)
-        }
-        None => bfs_tree(g, 0),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -9,7 +9,7 @@
 //! arrow protocol's Theorem 4.1 bound is compared.
 
 use crate::order::INITIAL_TOKEN;
-use ccq_graph::{path::RouteTable, Lca, NodeId, Tree};
+use ccq_graph::{path::RouteTable, NodeId, Tree};
 use ccq_sim::{NodeSliced, Protocol, SimApi, SliceApi};
 
 /// Messages: request towards home, reply back to origin. Both are source
@@ -56,8 +56,6 @@ impl CentralQueueProtocol {
     pub fn new(tree: &Tree, home: NodeId, requests: &[NodeId]) -> Self {
         let n = tree.n();
         assert!(home < n);
-        let lca = Lca::new(tree);
-        let _ = &lca; // routes use Tree::path; Lca kept for parity with docs
         let mut routes = RouteTable::new();
         let mut to_home = vec![usize::MAX; n];
         let mut from_home = vec![usize::MAX; n];

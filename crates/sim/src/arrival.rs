@@ -12,7 +12,7 @@
 //! ([`OnlineProtocol::issue`]) to such a schedule: it records each issue in
 //! the report (via [`SimApi::issue`], feeding completion-latency and
 //! backlog metrics) and wakes the otherwise-quiescent engine for future
-//! arrivals through [`Protocol::next_wakeup`].
+//! arrivals through [`Protocol::next_active_round`].
 
 use crate::admission::{Admission, AdmissionController, AdmissionPolicy};
 use crate::protocol::{NodeSliced, Protocol, SimApi, SliceApi};
@@ -429,17 +429,12 @@ impl<P: OnlineProtocol> Protocol for Paced<P> {
         self.issue_due(api, round);
     }
 
-    fn next_wakeup(&self) -> Option<Round> {
-        let scheduled = self.schedule.get(self.next).map(|&(r, _)| r);
-        let retry = self.retries.first().map(|&(r, _, _)| r);
-        [scheduled, retry, self.inner.next_wakeup()].into_iter().flatten().min()
-    }
-
     fn next_active_round(&self) -> Option<Round> {
         // `on_round` acts exactly when a scheduled arrival or a deferred
         // admission retry falls due (plus whatever the wrapped protocol
-        // reports) — the bound that lets the wavefront executor skip the
-        // arrivals phase for the quiet rounds in between.
+        // reports) — the round a quiescent engine fast-forwards to, and
+        // the bound that lets the wavefront executor skip the arrivals
+        // phase for the quiet rounds in between.
         let scheduled = self.schedule.get(self.next).map(|&(r, _)| r);
         let retry = self.retries.first().map(|&(r, _, _)| r);
         [scheduled, retry, self.inner.next_active_round()].into_iter().flatten().min()

@@ -66,8 +66,8 @@ pub use engine::{SimError, Simulator};
 pub use probe::{fnv1a, Checkpoint, NodeDigest, Phase, PhaseTimings, ProbeSpec};
 pub use protocol::{dispatch_sliced, with_slice, NodeSliced, Protocol, SimApi, SliceApi};
 pub use report::{
-    Completion, CrashFault, Dropped, FaultEvent, FaultKind, FaultPlan, Issue, Lateness, LinkDelay,
-    SimConfig, SimReport, MAX_FAULTS,
+    nearest_rank, Completion, CrashFault, Dropped, FaultEvent, FaultKind, FaultPlan, Issue,
+    Lateness, LinkDelay, SimConfig, SimReport, MAX_FAULTS,
 };
 pub use ring::EventRing;
 pub use shard::{run_protocol_sharded, ShardedSimulator};

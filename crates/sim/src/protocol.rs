@@ -49,24 +49,15 @@ pub trait Protocol {
     /// (messages queued or in flight). Default: no-op.
     fn on_round(&mut self, _api: &mut SimApi<Self::Msg>, _round: Round) {}
 
-    /// The next round at which this protocol needs to act even if the
-    /// network is otherwise quiescent (e.g. a scheduled operation arrival
-    /// in the long-lived scenario). The engine fast-forwards to that round
-    /// instead of terminating. Default: `None` (one-shot protocols).
-    fn next_wakeup(&self) -> Option<Round> {
-        None
-    }
-
     /// The earliest future round at which [`Protocol::on_round`] would do
     /// anything observable (stage effects, mutate scheduling state).
     /// `None` means `on_round` is a pure no-op at every remaining round —
     /// the default, correct for every protocol that does not override
-    /// `on_round`. The wavefront executor skips the arrivals phase for
-    /// rounds strictly before this bound, so **protocols that override
-    /// `on_round` must override this too** (as
-    /// [`crate::arrival::Paced`] does, reporting its next scheduled
-    /// arrival or admission retry); returning a too-late round would
-    /// silently change pipelined executions.
+    /// `on_round`; [`crate::arrival::Paced`] reports its next scheduled
+    /// arrival or admission retry. A quiescent engine fast-forwards to
+    /// this round instead of terminating, and the wavefront executor
+    /// skips the arrivals phase for rounds strictly before it, so
+    /// returning a too-late round would silently change executions.
     fn next_active_round(&self) -> Option<Round> {
         None
     }

@@ -706,7 +706,7 @@ impl SimReport {
     /// operation completed — a metric read never panics, whatever the run
     /// or the caller produced.
     pub fn latency_percentile(&self, q: f64) -> u64 {
-        percentile_of(self.latencies(), q)
+        nearest_rank(&sorted(self.latencies()), q)
     }
 
     /// The priority class of `node` (0 — the highest — when no class map
@@ -743,7 +743,7 @@ impl SimReport {
     /// in (all-shed classes, unknown classes, zero-retained runs), NaN and
     /// out-of-range quantiles clamped — never a division by zero or panic.
     pub fn class_latency_percentile(&self, class: u8, q: f64) -> u64 {
-        percentile_of(self.class_latencies(class), q)
+        nearest_rank(&sorted(self.class_latencies(class)), q)
     }
 
     /// Per-class accounting: `(issued, completed, dropped)` for `class`.
@@ -879,14 +879,13 @@ impl Lateness {
         if displacements.is_empty() {
             return Self::default();
         }
-        let max = displacements.iter().copied().max().unwrap_or(0);
-        let mean = displacements.iter().sum::<u64>() as f64 / displacements.len() as f64;
+        let d = sorted(displacements);
         Lateness {
-            max,
-            mean,
-            p50: percentile_of(displacements.clone(), 0.50),
-            p95: percentile_of(displacements.clone(), 0.95),
-            p99: percentile_of(displacements, 0.99),
+            max: d[d.len() - 1],
+            mean: d.iter().sum::<u64>() as f64 / d.len() as f64,
+            p50: nearest_rank(&d, 0.50),
+            p95: nearest_rank(&d, 0.95),
+            p99: nearest_rank(&d, 0.99),
         }
     }
 }
@@ -906,17 +905,21 @@ fn displacements_of(sub: &[NodeId], round_of: impl Fn(NodeId) -> Round) -> Vec<u
     canon_pos.iter().enumerate().map(|(i, &c)| (i as i64 - c as i64).unsigned_abs()).collect()
 }
 
-/// Nearest-rank percentile of an unsorted latency sample: NaN quantiles
+/// Nearest-rank percentile of a sample sorted ascending: NaN quantiles
 /// read as 0, anything outside `[0, 1]` clamps, an empty sample reads as
-/// 0 — the shared total-read core of every percentile metric.
-fn percentile_of(mut l: Vec<u64>, q: f64) -> u64 {
+/// 0 — the one total-read core of every percentile metric.
+pub fn nearest_rank(sorted: &[u64], q: f64) -> u64 {
     let q = if q.is_nan() { 0.0 } else { q.clamp(0.0, 1.0) };
-    if l.is_empty() {
+    if sorted.is_empty() {
         return 0;
     }
-    l.sort_unstable();
-    let rank = ((q * l.len() as f64).ceil() as usize).clamp(1, l.len());
-    l[rank - 1]
+    let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
+    sorted[rank - 1]
+}
+
+fn sorted(mut sample: Vec<u64>) -> Vec<u64> {
+    sample.sort_unstable();
+    sample
 }
 
 #[cfg(test)]

@@ -25,7 +25,7 @@
 //!    transport;
 //! 5. **quiescence / wakeup** — when every queue and wheel is empty
 //!    (an O(1) counter check) the run either ends or fast-forwards to
-//!    [`crate::Protocol::next_wakeup`].
+//!    [`crate::Protocol::next_active_round`].
 //!
 //! The invariant this layer owns is the *delivery rule*: a message handled
 //! at round `t` can be answered no earlier than round `t + 1` (handler
@@ -155,7 +155,7 @@ pub(crate) fn advance_round<P: Protocol>(
     max_rounds: Round,
 ) -> Result<Option<Round>, SimError> {
     let next = if idle {
-        match protocol.next_wakeup() {
+        match protocol.next_active_round() {
             Some(r) if r > round => r,
             _ => return Ok(None),
         }

@@ -967,7 +967,7 @@ where
                 "serial_transmit and wavefront pipelining are mutually exclusive: \
                  in-wave transmit runs inside each shard's task under provisional \
                  sequence keys and has no serialized global walk to fall back to; \
-                 drop --serial-transmit or --wavefront",
+                 clear SimConfig::serial_transmit or the wavefront lag",
             ));
         }
         if cfg.send_budget as u64 >= 1 << SURROGATE_IDX_BITS {

@@ -58,8 +58,8 @@ fn main() {
             proto.kind().label().into(),
             out.alg.clone(),
             out.report.total_delay().to_string(),
-            delay_percentile(&out.report, 0.5).to_string(),
-            delay_percentile(&out.report, 0.95).to_string(),
+            out.report.latency_percentile(0.5).to_string(),
+            out.report.latency_percentile(0.95).to_string(),
             out.report.max_delay().to_string(),
             out.report.messages_sent.to_string(),
             out.report.max_inport_depth.to_string(),

@@ -10,8 +10,7 @@
 //! ccq sweep [--topo <topos>] [--proto <protos>] [--modes <modes>]
 //!           [--pattern <patterns>] [--arrival <arrivals>] [--delay <delays>]
 //!           [--admission <policies>] [--priority <specs>] [--fault <crashes>]
-//!           [--shards <plans>] [--parallel-apply]
-//!           [--dense-scan] [--wavefront[:lag=d]] [--serial-transmit]
+//!           [--shards <plans>] [--parallel-apply] [--wavefront[:lag=d]]
 //!           [--timing] [--checkpoint-every N] [--node-hashes]
 //!           [--perturb R:V] [--qqc <fields>]
 //!           [--repeats N] [--seed S] [--json -|PATH] [--pretty]
@@ -78,9 +77,6 @@
 //! Apply path:  `--parallel-apply` runs protocol handlers shard-parallel
 //!              on their per-node state slices. Pure execution strategy:
 //!              the JSON is byte-identical to the serialized sweep.
-//! Scan path:   `--dense-scan` replaces the default dirty-frontier round
-//!              loop with the dense 0..n reference scan. Also a pure
-//!              execution strategy: byte-identical JSON either way.
 //! Wavefront:   `--wavefront[:lag=d]` runs the sharded executor's
 //!              wavefront pipeline — shards execute up to d rounds ahead
 //!              of the inter-shard barrier (bare `--wavefront` takes the
@@ -88,9 +84,6 @@
 //!              with k ≥ 2 and a ferry at least as slow as the lag;
 //!              misconfigurations fail with a named error. Byte-identical
 //!              JSON to the lockstep sweep.
-//! Transmit:    `--serial-transmit` uses the serialized reference
-//!              transmit instead of the block-claim parallel transmit.
-//!              Byte-identical JSON either way.
 //! Probes:      `--timing` adds per-phase round timing to each case;
 //!              `--checkpoint-every N` hashes engine state at every phase
 //!              barrier of every Nth round; `--node-hashes` adds per-node
@@ -166,8 +159,8 @@ usage:
             [--admission <policies>] [--priority <uniform|split:frac=F[:seed=S]>]
             [--fault <crash:at=R:node=N:recover=R2>]
             [--shards <k[:strategy][:ferry=D]>]
-            [--parallel-apply] [--dense-scan] [--wavefront[:lag=d]]
-            [--serial-transmit] [--timing] [--checkpoint-every N]
+            [--parallel-apply] [--wavefront[:lag=d]]
+            [--timing] [--checkpoint-every N]
             [--node-hashes] [--perturb R:V] [--qqc max,mean,p50,p95,p99]
             [--repeats N] [--seed S] [--json -|PATH] [--pretty]
   ccq record [sweep flags] --rec PATH [--json -|PATH]
@@ -247,17 +240,9 @@ fn cmd_list() -> i32 {
          on per-node state slices; JSON byte-identical to the serialized path"
     );
     say!(
-        "scan path (ccq sweep --dense-scan): dense 0..n reference round loop instead \
-         of the dirty frontier; JSON byte-identical to the frontier path"
-    );
-    say!(
         "wavefront (ccq sweep --wavefront[:lag=d]): shards run up to d rounds ahead of \
          the inter-shard barrier (bare flag: lag = ferry minimum delay); needs --shards \
          k>=2 and ferry >= lag; JSON byte-identical to the lockstep path"
-    );
-    say!(
-        "transmit (ccq sweep --serial-transmit): serialized reference transmit instead \
-         of the block-claim parallel transmit; JSON byte-identical either way"
     );
     say!("probes (ccq sweep): --timing | --checkpoint-every N | --node-hashes | --perturb R:V");
     say!(
@@ -294,7 +279,6 @@ fn cmd_run(args: &[String]) -> i32 {
                 None => return fail("--exp needs a value (e.g. t4 or all)"),
             },
             "--full" => scale = Scale::Full,
-            "--quick" => scale = Scale::Quick,
             other => return fail(&format!("unknown `ccq run` flag `{other}`")),
         }
     }
@@ -663,9 +647,7 @@ fn parse_sweep(args: &[String]) -> Result<(RunPlan, SweepOutput), String> {
                 }
             }
             "--parallel-apply" => plan = plan.parallel_apply(true),
-            "--dense-scan" => plan = plan.dense_scan(true),
             "--wavefront" => plan = plan.wavefront(Some(0)),
-            "--serial-transmit" => plan = plan.serial_transmit(true),
             "--timing" => plan = plan.timing(true),
             "--checkpoint-every" => {
                 let every: u64 = value("--checkpoint-every")?
@@ -1056,6 +1038,11 @@ fn parse_delay(token: &str) -> Result<LinkDelay, String> {
 /// `hypercube:40` from attempting terabyte allocations.
 const MAX_CLI_N: usize = 1 << 22;
 
+/// Largest edge count the CLI will build: the dense families reach
+/// gigabytes of adjacency long before they reach `MAX_CLI_N` processors
+/// (`complete:8192`, 33.5 M edges and about 1 GB, still runs).
+const MAX_CLI_EDGES: usize = 1 << 26;
+
 fn parse_topo(token: &str) -> Result<TopoSpec, String> {
     let mut parts = token.split(':');
     let name = parts.next().unwrap_or_default();
@@ -1064,6 +1051,10 @@ fn parse_topo(token: &str) -> Result<TopoSpec, String> {
         .collect::<Result<_, _>>()?;
     if params.contains(&0) {
         return Err(format!("topology parameters must be ≥ 1 in `{token}`"));
+    }
+    // `ccq list`'s syntax column is the grammar.
+    if let Some((syntax, _)) = TOPOLOGIES.iter().find(|t| t.0.split('[').next() == Some(name)) {
+        check_arity(token, syntax)?;
     }
     let p = |i: usize, default: usize| params.get(i).copied().unwrap_or(default);
     let spec = match name {
@@ -1105,6 +1096,16 @@ fn parse_topo(token: &str) -> Result<TopoSpec, String> {
     let n = approx_size(&spec);
     if n > MAX_CLI_N {
         return Err(format!("`{token}` would build {n} processors (limit {MAX_CLI_N})"));
+    }
+    let edges = match spec {
+        TopoSpec::Complete { n } => n.saturating_mul(n - 1) / 2,
+        TopoSpec::Hypercube { dim } => n.saturating_mul(dim) / 2,
+        TopoSpec::RandomRegular { n, d, .. } => n.saturating_mul(d) / 2,
+        // Paths, stars, trees, meshes and tori: at most three edges a processor.
+        _ => n,
+    };
+    if edges > MAX_CLI_EDGES {
+        return Err(format!("`{token}` would build {edges} edges (limit {MAX_CLI_EDGES})"));
     }
     Ok(spec)
 }
@@ -1190,11 +1191,21 @@ fn parse_proto(token: &str, into: &mut Vec<Box<dyn ProtocolSpec>>) -> Result<(),
     }
 }
 
+/// Reject parameters beyond those `grammar` spells — one `:` apiece, in
+/// the token as in the grammar — instead of silently dropping them.
+fn check_arity(token: &str, grammar: &str) -> Result<(), String> {
+    if token.matches(':').count() > grammar.matches(':').count() {
+        return Err(format!("too many parameters in `{token}` (want {grammar})"));
+    }
+    Ok(())
+}
+
 fn parse_pattern(token: &str) -> Result<RequestPattern, String> {
     let parts: Vec<&str> = token.split(':').collect();
     match parts[0] {
-        "all" => Ok(RequestPattern::All),
+        "all" => check_arity(token, "all").map(|()| RequestPattern::All),
         "random" => {
+            check_arity(token, "random:<density>[:seed]")?;
             let density: f64 = parts
                 .get(1)
                 .ok_or("random pattern needs a density (random:<density>[:seed])")?
@@ -1208,6 +1219,7 @@ fn parse_pattern(token: &str) -> Result<RequestPattern, String> {
             Ok(RequestPattern::Random { density, seed })
         }
         "tail" => {
+            check_arity(token, "tail:<count>")?;
             let count: usize = parts
                 .get(1)
                 .ok_or("tail pattern needs a count (tail:<count>)")?

@@ -276,6 +276,20 @@ fn unknown_inputs_fail_loudly() {
     let bad_exp = ccq(&["run", "--exp", "t99"]);
     assert_eq!(bad_exp.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&bad_exp.stderr).contains("unknown experiment"));
+
+    // The engine's reference paths are not options: their old flags (and
+    // the no-op `run --quick`) are unknown, by name.
+    for args in [
+        &["sweep", "--dense-scan"][..],
+        &["sweep", "--serial-transmit"],
+        &["run", "--exp", "t4", "--quick"],
+    ] {
+        let out = ccq(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?} should exit 2");
+        let stderr = String::from_utf8_lossy(&out.stderr).to_string();
+        let flag = args[args.len() - 1];
+        assert!(stderr.contains(&format!("flag `{flag}`")), "{args:?}: stderr `{stderr}`");
+    }
 }
 
 #[test]
@@ -406,9 +420,13 @@ fn usage_and_list_document_parallel_apply() {
     let help_text = String::from_utf8_lossy(&help.stdout).to_string();
     let list = ccq(&["list"]);
     let list_text = String::from_utf8_lossy(&list.stdout).to_string();
-    for flag in ["--parallel-apply", "--wavefront", "--serial-transmit"] {
+    for flag in ["--parallel-apply", "--wavefront"] {
         assert!(help_text.contains(flag), "usage misses {flag}");
         assert!(list_text.contains(flag), "ccq list misses {flag}");
+    }
+    for removed in ["--dense-scan", "--serial-transmit"] {
+        assert!(!help_text.contains(removed), "usage still names {removed}");
+        assert!(!list_text.contains(removed), "ccq list still names {removed}");
     }
 }
 
@@ -446,15 +464,6 @@ fn wavefront_is_byte_identical_to_the_lockstep_sweep() {
     let doc = json_stdout(&wave);
     assert_eq!(cases(&doc).len(), 10, "all registry protocols");
     assert_all_ok(&doc);
-}
-
-#[test]
-fn serial_transmit_is_byte_identical_to_the_parallel_sweep() {
-    let base = ccq(&["sweep", "--topo", "torus2d:4", "--shards", "4", "--json", "-"]);
-    let serial =
-        ccq(&["sweep", "--topo", "torus2d:4", "--shards", "4", "--serial-transmit", "--json", "-"]);
-    assert!(base.status.success() && serial.status.success());
-    assert_eq!(base.stdout, serial.stdout, "--serial-transmit changed the JSON bytes");
 }
 
 #[test]
@@ -628,6 +637,16 @@ fn unbuildable_topologies_widths_and_densities_fail_loudly() {
         (["--pattern", "random:7"], "field `density` must be in (0, 1]"),
         (["--pattern", "random:-1"], "field `density` must be in (0, 1]"),
         (["--pattern", "random:nan"], "field `density` must be in (0, 1]"),
+        // Under the 4 M-processor cap, but gigabytes of adjacency.
+        (["--topo", "complete:60000"], "1799970000 edges (limit 67108864)"),
+        (["--topo", "random-regular:4000000:3999998"], "7999996000000 edges (limit 67108864)"),
+        // Surplus parameters used to be dropped silently.
+        (["--topo", "list:4:7:9"], "too many parameters"),
+        (["--topo", "figure1:9"], "too many parameters"),
+        (["--topo", "tree:2:5:3"], "want tree[:m=2[:depth=5]]"),
+        (["--pattern", "tail:3:9"], "want tail:<count>"),
+        (["--pattern", "all:1"], "want all"),
+        (["--pattern", "random:0.5:1:extra"], "want random:<density>[:seed]"),
     ];
     for ([flag, token], rule) in checks {
         let out = ccq(&["sweep", flag, token, "--json", "-"]);
@@ -637,6 +656,15 @@ fn unbuildable_topologies_widths_and_densities_fail_loudly() {
             stderr.contains(rule) && stderr.contains(&format!("`{token}`")),
             "`{flag} {token}`: stderr `{stderr}` must name the token and `{rule}`"
         );
+    }
+    // The edge cap's two sides, without building either graph: 67,100,320
+    // edges parse (the run then dies on the next flag), 67,111,905 do not.
+    for (token, needle) in [("complete:11585", "`--bogus`"), ("complete:11586", "`complete:11586`")]
+    {
+        let out = ccq(&["sweep", "--topo", token, "--bogus"]);
+        assert_eq!(out.status.code(), Some(2), "`--topo {token} --bogus` should exit 2");
+        let stderr = String::from_utf8_lossy(&out.stderr).to_string();
+        assert!(stderr.contains(needle), "`--topo {token}`: stderr `{stderr}` misses {needle}");
     }
     // The widest width the CLI accepts still runs.
     let widest =
@@ -735,32 +763,6 @@ fn uniform_priority_and_no_fault_are_byte_identical_to_no_flags() {
             "fault summary on a fault-free run"
         );
     }
-}
-
-#[test]
-fn serial_transmit_with_wavefront_is_a_named_case_error() {
-    // The satellite bugfix: the two transmit strategies are mutually
-    // exclusive, and the error must name both flags — per case, since the
-    // conflict needs the resolved scenario.
-    let out = ccq(&[
-        "sweep",
-        "--topo",
-        "torus2d:4",
-        "--proto",
-        "arrow",
-        "--shards",
-        "2:ferry=4",
-        "--wavefront:lag=2",
-        "--serial-transmit",
-        "--json",
-        "-",
-    ]);
-    assert_eq!(out.status.code(), Some(1), "conflicting flags should fail verification");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    let doc: serde_json::Value = serde_json::from_str(stdout.trim()).expect("JSON on stdout");
-    let msg = cases(&doc)[0].get("error").and_then(|e| e.as_str()).expect("case error");
-    assert!(msg.contains("wavefront"), "error must name --wavefront: {msg}");
-    assert!(msg.contains("serial"), "error must name --serial-transmit: {msg}");
 }
 
 #[test]

@@ -94,6 +94,15 @@ fn malformed_and_truncated_recordings_exit_2() {
     let out = ccq(&["replay", rec.to_str().unwrap()]);
     assert_eq!(out.status.code(), Some(2), "{}", stderr_of(&out));
 
+    // A well-formed recording whose argv holds a flag the CLI no longer
+    // has is refused by name — never executed as if the flag were absent.
+    let stale = text.replace("\"argv\":[", "\"argv\":[\"--dense-scan\",");
+    assert_ne!(stale, text, "argv array not found in recording");
+    std::fs::write(&rec, stale).unwrap();
+    let out = ccq(&["replay", rec.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(2), "{}", stderr_of(&out));
+    assert!(stderr_of(&out).contains("flag `--dense-scan`"), "{}", stderr_of(&out));
+
     // Missing file.
     let out = ccq(&["replay", "/nonexistent/path.ccqrec"]);
     assert_eq!(out.status.code(), Some(2), "{}", stderr_of(&out));

@@ -7,8 +7,26 @@
 
 #![allow(dead_code)]
 
+use ccq_repro::core::protocol::run_spec_cfg;
+use ccq_repro::core::run::{config_for, RunError};
 use ccq_repro::prelude::*;
+use ccq_repro::sim::SimConfig;
 use std::process::Output;
+
+/// [`run_spec_with`], after `reference` has edited the [`SimConfig`] the
+/// run executes under. The one way a test selects an engine reference
+/// path (`SimConfig::dense_scan`, `SimConfig::serial_transmit`): no plan,
+/// scenario or CLI flag names either.
+pub fn run_on_reference(
+    spec: &dyn ProtocolSpec,
+    scenario: &Scenario,
+    mode: ModelMode,
+    delay: LinkDelay,
+    reference: impl FnOnce(SimConfig) -> SimConfig,
+) -> Result<RunOutcome, RunError> {
+    let cfg = config_for(mode, spec.tree(scenario).max_degree()).with_link_delay(delay);
+    run_spec_cfg(spec, scenario, reference(cfg))
+}
 
 /// The two beyond-paper topologies the registry matrix runs on: a torus
 /// (Hamilton-path-bearing, so Theorem 4.5 applies) and a random regular

@@ -572,23 +572,26 @@ proptest! {
             1 => LinkDelay::Fixed { delay: 3 },
             _ => LinkDelay::Jitter { max: 3, seed },
         };
-        let run = |parallel: bool, dense: bool, serial: bool| -> Vec<(u64, u64, u64, u64, u64)> {
-            RunPlan::new()
-                .topologies([TopoSpec::Mesh2D { side: 4 }])
-                .arrivals([arrival.clone()])
-                .delays([delay])
-                .parallel_apply(parallel)
-                .dense_scan(dense)
-                .serial_transmit(serial)
-                .protocol(proto)
-                .execute()
-                .cases
-                .iter()
-                .map(|c| (c.qqc_max, c.qqc_mean.to_bits(), c.qqc_p50, c.qqc_p95, c.qqc_p99))
-                .collect()
+        // The paper's mode convention, as a default `RunPlan` assigns it.
+        let mode = match proto.kind() {
+            ProtocolKind::Queuing => ModelMode::Expanded,
+            ProtocolKind::Counting | ProtocolKind::Relaxed => ModelMode::Strict,
+        };
+        let run = |parallel: bool, dense: bool, serial: bool| -> (u64, u64, u64, u64, u64) {
+            let scenario = Scenario::build_with(
+                TopoSpec::Mesh2D { side: 4 },
+                RequestPattern::All,
+                arrival.clone(),
+            )
+            .with_parallel_apply(parallel);
+            let out = common::run_on_reference(proto, &scenario, mode, delay, |c| {
+                c.with_dense_scan(dense).with_serial_transmit(serial)
+            })
+            .unwrap_or_else(|e| panic!("{}: {e}", proto.name()));
+            let l = out.report.qqc_lateness(&out.order);
+            (l.max, l.mean.to_bits(), l.p50, l.p95, l.p99)
         };
         let reference = run(false, false, true);
-        prop_assert!(!reference.is_empty());
         for (parallel, dense, serial) in [(true, false, false), (false, true, false), (false, false, false)] {
             prop_assert_eq!(
                 &run(parallel, dense, serial), &reference,

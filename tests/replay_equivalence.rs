@@ -13,7 +13,8 @@
 //!   sharded-parallel-apply runs of every registry protocol produce
 //!   identical per-round checkpoint and per-node digest streams, and the
 //!   dirty-frontier round loop hashes identically to the dense reference
-//!   scan (snapshots even resume across the two scan strategies);
+//!   scan (a snapshot taken on the dense scan even resumes on the
+//!   frontier loop);
 //! * **bisection** — a deliberately planted single-node transmit skip is
 //!   localized to its exact `(round, phase, node)` by
 //!   [`first_divergence`], and unperturbed runs show no divergence;
@@ -22,8 +23,11 @@
 //!   lockstep barrier, and snapshots cross the executor boundary (taken
 //!   under one, resumed under the other).
 
+mod common;
+
 use ccq_repro::prelude::*;
-use ccq_repro::replay::{first_divergence, resume_from, snapshot_of, Snapshot};
+use ccq_repro::replay::{first_divergence, resume_from, snapshot_of, Snapshot, CURRENT_VERSION};
+use common::run_on_reference;
 use proptest::prelude::*;
 
 fn delay_for(kind: u8, seed: u64) -> LinkDelay {
@@ -175,17 +179,18 @@ fn checkpoints_are_scan_strategy_independent_for_every_registry_protocol() {
     let probe = ProbeSpec::OFF.with_checkpoint_every(1).with_node_hashes(true);
     for spec in registry() {
         let mode = mode_for(*spec);
-        let build = |k: usize, dense: bool| {
+        let build = |k: usize| {
             Scenario::build(TopoSpec::Torus2D { side: 3 }, RequestPattern::All)
                 .with_shards(ShardSpec::new(k, ShardStrategy::EdgeCut))
-                .with_dense_scan(dense)
                 .with_probe(probe)
         };
-        let dense = run_spec_with(*spec, &build(1, true), mode, LinkDelay::Unit).unwrap();
+        let dense =
+            run_on_reference(*spec, &build(1), mode, LinkDelay::Unit, |c| c.with_dense_scan(true))
+                .unwrap();
         assert!(!dense.report.checkpoints.is_empty(), "{}", spec.name());
         for (label, out) in [
-            ("monolith", run_spec_with(*spec, &build(1, false), mode, LinkDelay::Unit).unwrap()),
-            ("sharded", run_spec_with(*spec, &build(3, false), mode, LinkDelay::Unit).unwrap()),
+            ("monolith", run_spec_with(*spec, &build(1), mode, LinkDelay::Unit).unwrap()),
+            ("sharded", run_spec_with(*spec, &build(3), mode, LinkDelay::Unit).unwrap()),
         ] {
             assert_eq!(
                 out.report.checkpoints,
@@ -207,38 +212,44 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Snapshots cross the scan-strategy boundary: a snapshot taken on
-    /// the dense reference scan resumes on the frontier loop (and vice
-    /// versa) into a report byte-identical to the uninterrupted run —
-    /// because `resume_from` is hash-verified re-execution, not store
-    /// deserialization, the store layout never leaks into the artifact.
+    /// the dense reference scan resumes on the frontier loop — the
+    /// direction a user holding an old artifact can still meet — into a
+    /// report byte-identical to the uninterrupted run: `resume_from` is
+    /// hash-verified re-execution, not store deserialization, so the
+    /// store layout never leaks into the artifact.
     #[test]
     fn snapshots_resume_across_scan_strategies(
         proto_idx in 0usize..10,
         delay_kind in 0u8..4,
-        snap_dense in any::<bool>(),
         seed in any::<u64>(),
     ) {
         let spec = registry()[proto_idx];
         let delay = delay_for(delay_kind, seed);
         let mode = mode_for(spec);
-        let build = |dense: bool| {
+        let build = || {
             Scenario::build_with(
                 TopoSpec::Torus2D { side: 3 },
                 RequestPattern::All,
                 ArrivalSpec::Poisson { rate: 0.4, seed },
             )
-            .with_dense_scan(dense)
         };
-        let plain = run_spec_with(spec, &build(false), mode, delay).unwrap();
-        let probed =
-            run_spec_with(spec, &build(snap_dense).with_checkpoint_every(1), mode, delay)
-                .unwrap();
+        let dense = |scenario: Scenario| {
+            run_on_reference(spec, &scenario, mode, delay, |c| c.with_dense_scan(true)).unwrap()
+        };
+        let plain = run_spec_with(spec, &build(), mode, delay).unwrap();
+        let probed = dense(build().with_checkpoint_every(1));
         let rounds: Vec<u64> =
             probed.report.checkpoints.iter().map(|c| c.round).collect();
         let round = rounds[rounds.len() / 2];
-        // Snapshot on one strategy, resume on the other.
-        let snap = snapshot_of(spec, build(snap_dense), mode, delay, round).unwrap();
-        let resumed = resume_from(&snap, spec, build(!snap_dense), mode, delay).unwrap();
+        // Snapshot on the dense reference, resume on the frontier default.
+        let report = dense(build().with_snapshot_at(round)).report;
+        let snap = Snapshot {
+            version: CURRENT_VERSION,
+            round,
+            digest: report.snapshot_digest.expect("the run reaches the snapshot round"),
+            state: report.snapshot_state.expect("the run reaches the snapshot round"),
+        };
+        let resumed = resume_from(&snap, spec, build(), mode, delay).unwrap();
         prop_assert_eq!(&resumed.order, &plain.order, "{} order diverged", spec.name());
         prop_assert_eq!(
             report_json(&resumed),

@@ -17,15 +17,17 @@
 //!   path is byte-identical to the serialized one;
 //! * **scan equivalence** — the same matrix asserts the default
 //!   dirty-frontier round loop is byte-identical to the dense `0..n`
-//!   reference scan (`dense_scan`), on both apply paths;
+//!   reference scan (`SimConfig::dense_scan`), on both apply paths;
 //! * **transmit equivalence** — the block-claim parallel transmit is
 //!   byte-identical to the serialized reference transmit
-//!   (`serial_transmit`), across the same matrix including per-message
-//!   jitter;
+//!   (`SimConfig::serial_transmit`), across the same matrix including
+//!   per-message jitter;
 //! * **wavefront equivalence** — with a ferry at least as slow as the
 //!   lag, the bounded-lag wavefront pipeline is byte-identical to the
 //!   lockstep barrier, across protocols × intra-shard delays × arrivals
 //!   × admission × shard plans.
+
+mod common;
 
 use ccq_repro::graph::{spanning, topology, NodeId, Partition};
 use ccq_repro::prelude::*;
@@ -33,6 +35,7 @@ use ccq_repro::queuing::ArrowProtocol;
 use ccq_repro::sim::{
     run_protocol, run_protocol_sharded, LinkDelay, SimConfig, SimReport, Simulator,
 };
+use common::run_on_reference;
 use proptest::prelude::*;
 
 /// JSON encoding with the sharding-only counter zeroed, so single- and
@@ -202,18 +205,13 @@ proptest! {
         };
         // The parallel-apply requirement only holds for sliced protocols;
         // every registry protocol is sliced, so both values are fair game.
-        let build = |dense: bool| {
-            Scenario::build_with(
-                TopoSpec::Torus2D { side: 3 },
-                RequestPattern::All,
-                arrival.clone(),
-            )
-            .with_shards(shards)
-            .with_parallel_apply(parallel)
-            .with_dense_scan(dense)
-        };
-        let frontier = run_spec_with(spec, &build(false), mode, delay).unwrap();
-        let dense = run_spec_with(spec, &build(true), mode, delay).unwrap();
+        let scenario =
+            Scenario::build_with(TopoSpec::Torus2D { side: 3 }, RequestPattern::All, arrival)
+                .with_shards(shards)
+                .with_parallel_apply(parallel);
+        let frontier = run_spec_with(spec, &scenario, mode, delay).unwrap();
+        let dense =
+            run_on_reference(spec, &scenario, mode, delay, |c| c.with_dense_scan(true)).unwrap();
         prop_assert_eq!(dense.order, frontier.order, "{} order diverged", spec.name());
         prop_assert_eq!(
             serde_json::to_string(&frontier.report).unwrap(),
@@ -257,18 +255,14 @@ proptest! {
             ProtocolKind::Queuing => ModelMode::Expanded,
             ProtocolKind::Counting | ProtocolKind::Relaxed => ModelMode::Strict,
         };
-        let build = |serial: bool| {
-            Scenario::build_with(
-                TopoSpec::Torus2D { side: 3 },
-                RequestPattern::All,
-                arrival.clone(),
-            )
-            .with_shards(ShardSpec::new(k, strategy_for(strategy)))
-            .with_admission(admission)
-            .with_serial_transmit(serial)
-        };
-        let parallel = run_spec_with(spec, &build(false), mode, delay).unwrap();
-        let serialized = run_spec_with(spec, &build(true), mode, delay).unwrap();
+        let scenario =
+            Scenario::build_with(TopoSpec::Torus2D { side: 3 }, RequestPattern::All, arrival)
+                .with_shards(ShardSpec::new(k, strategy_for(strategy)))
+                .with_admission(admission);
+        let parallel = run_spec_with(spec, &scenario, mode, delay).unwrap();
+        let serialized =
+            run_on_reference(spec, &scenario, mode, delay, |c| c.with_serial_transmit(true))
+                .unwrap();
         prop_assert_eq!(parallel.order, serialized.order, "{} order diverged", spec.name());
         prop_assert_eq!(
             serde_json::to_string(&serialized.report).unwrap(),
@@ -344,25 +338,27 @@ proptest! {
 fn wavefront_auto_lag_composes_with_the_other_strategies() {
     let shards =
         ShardSpec::new(3, ShardStrategy::EdgeCut).with_inter_delay(LinkDelay::Fixed { delay: 5 });
-    let build = |wavefront: Option<u64>, parallel: bool, dense: bool| {
+    let build = |wavefront: Option<u64>, parallel: bool| {
         Scenario::build(TopoSpec::Torus2D { side: 4 }, RequestPattern::All)
             .with_shards(shards)
             .with_wavefront(wavefront)
             .with_parallel_apply(parallel)
-            .with_dense_scan(dense)
     };
     for spec in registry() {
         let mode = match spec.kind() {
             ProtocolKind::Queuing => ModelMode::Expanded,
             ProtocolKind::Counting | ProtocolKind::Relaxed => ModelMode::Strict,
         };
-        let lockstep = run_spec(*spec, &build(None, false, false), mode).unwrap();
-        for (label, scenario) in [
-            ("auto", build(Some(0), false, false)),
-            ("auto + parallel apply", build(Some(0), true, false)),
-            ("lag=4 + dense scan", build(Some(4), false, true)),
+        let lockstep = run_spec(*spec, &build(None, false), mode).unwrap();
+        for (label, scenario, dense) in [
+            ("auto", build(Some(0), false), false),
+            ("auto + parallel apply", build(Some(0), true), false),
+            ("lag=4 + dense scan", build(Some(4), false), true),
         ] {
-            let wave = run_spec(*spec, &scenario, mode).unwrap();
+            let wave = run_on_reference(*spec, &scenario, mode, LinkDelay::Unit, |c| {
+                c.with_dense_scan(dense)
+            })
+            .unwrap();
             assert_eq!(wave.order, lockstep.order, "{} {label}: order diverged", spec.name());
             assert_eq!(
                 serde_json::to_string(&wave.report).unwrap(),
@@ -574,7 +570,7 @@ proptest! {
             ProtocolKind::Counting | ProtocolKind::Relaxed => ModelMode::Strict,
         };
         let shards = ShardSpec::new(k, strategy_for(strategy));
-        let build = |parallel: bool, dense: bool, serial: bool| {
+        let build = |parallel: bool| {
             Scenario::build_with(
                 TopoSpec::Torus2D { side: 3 },
                 RequestPattern::All,
@@ -585,16 +581,17 @@ proptest! {
             .with_admission(AdmissionSpec::PerNode { bound, protect })
             .with_shards(shards)
             .with_parallel_apply(parallel)
-            .with_dense_scan(dense)
-            .with_serial_transmit(serial)
         };
-        let lockstep = run_spec_with(spec, &build(false, false, false), mode, delay).unwrap();
-        for (label, scenario) in [
-            ("parallel apply", build(true, false, false)),
-            ("dense scan", build(false, true, false)),
-            ("serial transmit", build(false, false, true)),
+        let lockstep = run_spec_with(spec, &build(false), mode, delay).unwrap();
+        for (label, parallel, dense, serial) in [
+            ("parallel apply", true, false, false),
+            ("dense scan", false, true, false),
+            ("serial transmit", false, false, true),
         ] {
-            let other = run_spec_with(spec, &scenario, mode, delay).unwrap();
+            let other = run_on_reference(spec, &build(parallel), mode, delay, |c| {
+                c.with_dense_scan(dense).with_serial_transmit(serial)
+            })
+            .unwrap();
             prop_assert_eq!(
                 &other.order, &lockstep.order,
                 "{} {} order diverged", spec.name(), label
@@ -649,8 +646,8 @@ proptest! {
 
 /// Fault injection under the wavefront pipeline must fail constructively —
 /// a crash round couples the shards, so the run refuses to start and the
-/// error names the conflict (and `--serial-transmit` gets the same
-/// treatment: the pipeline owns its transmit interleaving).
+/// error names the conflict (and `SimConfig::serial_transmit` gets the
+/// same treatment: the pipeline owns its transmit interleaving).
 #[test]
 fn wavefront_with_faults_or_serial_transmit_is_a_named_error() {
     let shards = ShardSpec::new(2, ShardStrategy::Contiguous)
@@ -666,11 +663,17 @@ fn wavefront_with_faults_or_serial_transmit_is_a_named_error() {
     assert!(msg.contains("wavefront"), "error must name the pipeline: {msg}");
     assert!(msg.contains("fault"), "error must name the fault plan: {msg}");
 
-    let serial = build().with_serial_transmit(true);
-    let err = run_spec(registry()[0], &serial, ModelMode::Expanded).unwrap_err();
+    let err =
+        run_on_reference(registry()[0], &build(), ModelMode::Expanded, LinkDelay::Unit, |c| {
+            c.with_serial_transmit(true)
+        })
+        .unwrap_err();
     let msg = err.to_string();
-    assert!(msg.contains("wavefront"), "error must name --wavefront: {msg}");
-    assert!(msg.contains("serial"), "error must name --serial-transmit: {msg}");
+    assert!(msg.contains("wavefront"), "error must name the pipeline: {msg}");
+    assert!(
+        msg.contains("SimConfig::serial_transmit") && !msg.contains("--serial-transmit"),
+        "error must name the config field, not a CLI flag that is gone: {msg}"
+    );
 
     // Dropping the conflicting half makes both runs valid.
     run_spec(registry()[0], &build(), ModelMode::Expanded).unwrap();
