@@ -212,8 +212,8 @@ impl RunPlan {
     /// apply path is an execution strategy whose reports are byte-identical
     /// to the serialized path, and keeping it out of the plan echo is what
     /// lets CI `cmp` a `--parallel-apply` sweep against its serialized
-    /// twin. Every [`ProtocolSpec`] can honour it: running one at all
-    /// requires [`ccq_sim::NodeSliced`].
+    /// twin. Every [`ProtocolSpec`] can honour it: every
+    /// [`ccq_sim::Protocol`] handler works on its node's slice alone.
     ///
     /// ```
     /// use ccq_core::prelude::*;

@@ -29,7 +29,7 @@ use ccq_queuing::{
     verify_total_order, ArrowProtocol, CentralQueueProtocol, CombiningQueueProtocol,
 };
 use ccq_sim::{
-    run_protocol, LinkDelay, NodeSliced, OnlineProtocol, Paced, Round, ShardedSimulator, SimConfig,
+    run_protocol, LinkDelay, OnlineProtocol, Paced, Protocol, Round, ShardedSimulator, SimConfig,
     SimError, SimReport,
 };
 use serde::Serialize;
@@ -43,17 +43,17 @@ use serde::Serialize;
 /// scenario's [`crate::scenario::AdmissionSpec`]. Admission is evaluated
 /// against the *global* backlog on every executor.
 ///
-/// Everything above the single-fabric monolith requires [`NodeSliced`], so
-/// this — the one entry point — does too: [`Scenario::parallel_apply`]
-/// and [`Scenario::wavefront`] are then honoured by construction, with
-/// reports byte-identical to the serialized lockstep run.
+/// Every executor calls the protocol's one handler on its slices, so
+/// [`Scenario::parallel_apply`] and [`Scenario::wavefront`] are honoured by
+/// construction, with reports byte-identical to the serialized lockstep
+/// run.
 pub fn run_arrival_aware<P, F>(
     scenario: &Scenario,
     cfg: SimConfig,
     build: F,
 ) -> Result<SimReport, SimError>
 where
-    P: OnlineProtocol + NodeSliced,
+    P: OnlineProtocol,
     P::Msg: Send,
     F: FnOnce(bool) -> P,
 {
@@ -153,7 +153,7 @@ fn resolve_wavefront(scenario: &Scenario, cfg: SimConfig) -> Result<SimConfig, S
 /// slices).
 fn dispatch<P>(scenario: &Scenario, cfg: SimConfig, protocol: P) -> Result<SimReport, SimError>
 where
-    P: NodeSliced,
+    P: Protocol,
     P::Msg: Send,
 {
     let shards = &scenario.shards;

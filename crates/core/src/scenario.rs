@@ -614,9 +614,8 @@ pub struct Scenario {
     pub faults: FaultSpec,
     /// Shard plan ([`ShardSpec::single`] = the unsharded executor).
     pub shards: ShardSpec,
-    /// Apply protocol handlers shard-parallel on their
-    /// [`ccq_sim::NodeSliced`] slices (which running a protocol on a
-    /// scenario requires anyway). An execution strategy, not a model
+    /// Apply protocol handlers shard-parallel on their per-node slices
+    /// ([`ccq_sim::Protocol::split`]). An execution strategy, not a model
     /// knob — results are byte-identical to the serialized apply path.
     pub parallel_apply: bool,
     /// Run the sharded executor's wavefront pipeline: shards execute up to

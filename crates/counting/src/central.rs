@@ -8,7 +8,7 @@
 //! and counting networks improve upon elsewhere.
 
 use ccq_graph::{path::RouteTable, NodeId, Tree};
-use ccq_sim::{NodeSliced, Protocol, SimApi, SliceApi};
+use ccq_sim::{OnlineProtocol, Protocol, SimApi, SliceApi};
 
 /// Messages: increment request towards the root, rank reply back.
 #[derive(Clone, Debug)]
@@ -24,12 +24,13 @@ pub enum CentralCounterMsg {
 pub struct CentralCounterShared {
     root: NodeId,
     routes: RouteTable,
+    to_root: Vec<usize>,
     from_root: Vec<usize>,
 }
 
 /// One node's central-counter state. Only the root's slice is live — the
-/// next rank to hand out — but every node gets one so [`NodeSliced`]
-/// indexing stays uniform.
+/// next rank to hand out — but every node gets one so indexing stays
+/// uniform.
 #[derive(Debug)]
 pub struct CentralCounterSlice {
     /// Next rank to assign (meaningful at the root only).
@@ -40,7 +41,6 @@ pub struct CentralCounterSlice {
 pub struct CentralCounterProtocol {
     shared: CentralCounterShared,
     slices: Vec<CentralCounterSlice>,
-    to_root: Vec<usize>,
     requests: Vec<NodeId>,
     defer_issue: bool,
 }
@@ -63,34 +63,18 @@ impl CentralCounterProtocol {
             from_root[v] = routes.push(rp);
         }
         CentralCounterProtocol {
-            shared: CentralCounterShared { root, routes, from_root },
+            shared: CentralCounterShared { root, routes, to_root, from_root },
             slices: (0..n).map(|_| CentralCounterSlice { next_rank: 1 }).collect(),
-            to_root,
             requests,
             defer_issue: false,
         }
     }
 
     /// Deferred-issue mode (`on` = true): `on_start` injects nothing and
-    /// increments are driven via [`ccq_sim::OnlineProtocol::issue`].
+    /// increments are driven via [`OnlineProtocol::issue`].
     pub fn deferred(mut self, on: bool) -> Self {
         self.defer_issue = on;
         self
-    }
-
-    /// Issue `v`'s increment now (`v` must be in the request set).
-    fn issue_one(&mut self, api: &mut SimApi<CentralCounterMsg>, v: NodeId) {
-        let route = self.to_root[v];
-        ccq_sim::with_slice(self, api, v, |shared, slice, sapi| {
-            if v == shared.root {
-                let rank = slice.next_rank;
-                slice.next_rank += 1;
-                sapi.complete(v, rank);
-            } else {
-                debug_assert_ne!(route, usize::MAX, "node {v} is not a requester");
-                Self::hop(shared, sapi, v, CentralCounterMsg::Inc { origin: v, route, idx: 0 });
-            }
-        });
     }
 
     fn hop(
@@ -118,37 +102,28 @@ impl CentralCounterProtocol {
     }
 }
 
-impl ccq_sim::OnlineProtocol for CentralCounterProtocol {
-    fn issue(&mut self, api: &mut SimApi<CentralCounterMsg>, node: NodeId) {
-        self.issue_one(api, node);
+impl OnlineProtocol for CentralCounterProtocol {
+    /// Issue `v`'s increment now (`v` must be in the request set).
+    fn issue(
+        shared: &CentralCounterShared,
+        slice: &mut CentralCounterSlice,
+        api: &mut SliceApi<CentralCounterMsg>,
+        v: NodeId,
+    ) {
+        if v == shared.root {
+            let rank = slice.next_rank;
+            slice.next_rank += 1;
+            api.complete(v, rank);
+        } else {
+            let route = shared.to_root[v];
+            debug_assert_ne!(route, usize::MAX, "node {v} is not a requester");
+            Self::hop(shared, api, v, CentralCounterMsg::Inc { origin: v, route, idx: 0 });
+        }
     }
 }
 
 impl Protocol for CentralCounterProtocol {
     type Msg = CentralCounterMsg;
-
-    fn on_start(&mut self, api: &mut SimApi<CentralCounterMsg>) {
-        if self.defer_issue {
-            return;
-        }
-        let requests = self.requests.clone();
-        for v in requests {
-            self.issue_one(api, v);
-        }
-    }
-
-    fn on_message(
-        &mut self,
-        api: &mut SimApi<CentralCounterMsg>,
-        node: NodeId,
-        from: NodeId,
-        msg: CentralCounterMsg,
-    ) {
-        ccq_sim::dispatch_sliced(self, api, node, from, msg);
-    }
-}
-
-impl NodeSliced for CentralCounterProtocol {
     type Slice = CentralCounterSlice;
     type Shared = CentralCounterShared;
 
@@ -156,7 +131,14 @@ impl NodeSliced for CentralCounterProtocol {
         (&self.shared, &mut self.slices)
     }
 
-    fn on_message_sliced(
+    fn on_start(&mut self, api: &mut SimApi<CentralCounterMsg>) {
+        if !self.defer_issue {
+            let requests = self.requests.clone();
+            ccq_sim::issue_all(self, api, &requests);
+        }
+    }
+
+    fn on_message(
         shared: &CentralCounterShared,
         slice: &mut CentralCounterSlice,
         api: &mut SliceApi<CentralCounterMsg>,

@@ -18,7 +18,7 @@
 //! protocol's `O(n)` on Hamilton-path topologies.
 
 use ccq_graph::{NodeId, Tree};
-use ccq_sim::{NodeSliced, Protocol, SimApi, SliceApi};
+use ccq_sim::{OnlineProtocol, Protocol, SimApi, SliceApi};
 
 /// Messages of the combining protocol.
 #[derive(Clone, Copy, Debug)]
@@ -30,7 +30,7 @@ pub enum CombiningMsg {
 }
 
 /// One node's combining-wave state — everything a handler at the node
-/// touches, making the protocol [`NodeSliced`].
+/// touches.
 #[derive(Debug)]
 pub struct CombiningTreeSlice {
     /// Children still expected to report in the up phase.
@@ -90,7 +90,7 @@ impl CombiningTreeProtocol {
 
     /// Deferred-issue mode (`on` = true): `on_start` starts the up phase
     /// only at non-requesting leaves; a requester joins the wave when its
-    /// operation is injected via [`ccq_sim::OnlineProtocol::issue`]. The
+    /// operation is injected via [`OnlineProtocol::issue`]. The
     /// single combining wave completes once every scheduled request has
     /// arrived — the batch protocol's honest behaviour under open arrivals
     /// (early requesters wait for stragglers).
@@ -132,14 +132,19 @@ impl CombiningTreeProtocol {
         }
     }
 
-    /// `v`'s subtree is fully aggregated: report up, or start distribution
-    /// if `v` is the root.
-    fn aggregated(
+    /// Once `v`'s subtree is fully aggregated ([`ready`](Self::ready)):
+    /// report up, or start distribution if `v` is the root. Checked
+    /// wherever that may have just become true: at the start, on a child's
+    /// report, on the node's own issue or cancel.
+    fn report_if_ready(
         shared: &CombiningTreeShared,
         slice: &mut CombiningTreeSlice,
         api: &mut SliceApi<CombiningMsg>,
         v: NodeId,
     ) {
+        if !Self::ready(shared, slice) {
+            return;
+        }
         let total = Self::subtree_count(slice);
         if v == shared.root {
             Self::distribute(shared, slice, api, v, 1);
@@ -149,58 +154,35 @@ impl CombiningTreeProtocol {
     }
 }
 
-impl ccq_sim::OnlineProtocol for CombiningTreeProtocol {
-    fn issue(&mut self, api: &mut SimApi<CombiningMsg>, node: NodeId) {
-        debug_assert!(self.nodes[node].requesting, "node {node} is not a requester");
-        ccq_sim::with_slice(self, api, node, |shared, slice, sapi| {
-            slice.issued = true;
-            if Self::ready(shared, slice) {
-                Self::aggregated(shared, slice, sapi, node);
-            }
-        });
+impl OnlineProtocol for CombiningTreeProtocol {
+    fn issue(
+        shared: &CombiningTreeShared,
+        slice: &mut CombiningTreeSlice,
+        api: &mut SliceApi<CombiningMsg>,
+        node: NodeId,
+    ) {
+        debug_assert!(slice.requesting, "node {node} is not a requester");
+        slice.issued = true;
+        Self::report_if_ready(shared, slice, api, node);
     }
 
-    fn cancel(&mut self, api: &mut SimApi<CombiningMsg>, node: NodeId) {
-        debug_assert!(self.nodes[node].requesting, "node {node} is not a requester");
-        debug_assert!(!self.nodes[node].issued, "cancel after issue");
+    fn cancel(
+        shared: &CombiningTreeShared,
+        slice: &mut CombiningTreeSlice,
+        api: &mut SliceApi<CombiningMsg>,
+        node: NodeId,
+    ) {
+        debug_assert!(slice.requesting, "node {node} is not a requester");
+        debug_assert!(!slice.issued, "cancel after issue");
         // Strike the requester from the wave (its subtree count no longer
         // includes it); release the subtree's Up if it was the last hold.
-        ccq_sim::with_slice(self, api, node, |shared, slice, sapi| {
-            slice.requesting = false;
-            if Self::ready(shared, slice) {
-                Self::aggregated(shared, slice, sapi, node);
-            }
-        });
+        slice.requesting = false;
+        Self::report_if_ready(shared, slice, api, node);
     }
 }
 
 impl Protocol for CombiningTreeProtocol {
     type Msg = CombiningMsg;
-
-    fn on_start(&mut self, api: &mut SimApi<CombiningMsg>) {
-        // Leaves (and a childless root) aggregate immediately; in deferred
-        // mode, requesters hold until their operation is injected.
-        for v in 0..self.nodes.len() {
-            ccq_sim::with_slice(self, api, v, |shared, slice, sapi| {
-                if Self::ready(shared, slice) {
-                    Self::aggregated(shared, slice, sapi, v);
-                }
-            });
-        }
-    }
-
-    fn on_message(
-        &mut self,
-        api: &mut SimApi<CombiningMsg>,
-        node: NodeId,
-        from: NodeId,
-        msg: CombiningMsg,
-    ) {
-        ccq_sim::dispatch_sliced(self, api, node, from, msg);
-    }
-}
-
-impl NodeSliced for CombiningTreeProtocol {
     type Slice = CombiningTreeSlice;
     type Shared = CombiningTreeShared;
 
@@ -208,7 +190,17 @@ impl NodeSliced for CombiningTreeProtocol {
         (&self.shared, &mut self.nodes)
     }
 
-    fn on_message_sliced(
+    fn on_start(&mut self, api: &mut SimApi<CombiningMsg>) {
+        // Leaves (and a childless root) aggregate immediately; in deferred
+        // mode, requesters hold until their operation is injected.
+        for v in 0..self.nodes.len() {
+            ccq_sim::with_slice(self, api, v, |shared, slice, sapi| {
+                Self::report_if_ready(shared, slice, sapi, v)
+            });
+        }
+    }
+
+    fn on_message(
         shared: &CombiningTreeShared,
         slice: &mut CombiningTreeSlice,
         api: &mut SliceApi<CombiningMsg>,
@@ -224,9 +216,7 @@ impl NodeSliced for CombiningTreeProtocol {
                     .expect("Up message from a non-child");
                 slice.child_counts[slot] = count;
                 slice.waiting -= 1;
-                if Self::ready(shared, slice) {
-                    Self::aggregated(shared, slice, api, node);
-                }
+                Self::report_if_ready(shared, slice, api, node);
             }
             CombiningMsg::Down { base } => {
                 Self::distribute(shared, slice, api, node, base);

@@ -14,7 +14,7 @@
 //! requester completes once with a rank in `1..=|R|`, duplicates legal.
 
 use ccq_graph::{NodeId, Tree};
-use ccq_sim::{NodeSliced, Protocol, SimApi, SliceApi};
+use ccq_sim::{OnlineProtocol, Protocol, SimApi, SliceApi};
 
 /// The only message: one increment, flooding outward along the tree.
 #[derive(Clone, Debug)]
@@ -64,56 +64,32 @@ impl CrdtCounterProtocol {
     }
 
     /// Deferred-issue mode (`on` = true): `on_start` injects nothing and
-    /// increments are driven via [`ccq_sim::OnlineProtocol::issue`].
+    /// increments are driven via [`OnlineProtocol::issue`].
     pub fn deferred(mut self, on: bool) -> Self {
         self.defer_issue = on;
         self
     }
-
-    /// Issue `v`'s increment now: merge locally, complete with the merged
-    /// count, gossip the increment to every tree neighbour.
-    fn issue_one(&mut self, api: &mut SimApi<CrdtCounterMsg>, v: NodeId) {
-        ccq_sim::with_slice(self, api, v, |shared, slice, sapi| {
-            slice.heard += 1;
-            sapi.complete(v, slice.heard);
-            for &nb in &shared.neighbors[v] {
-                sapi.send(nb, CrdtCounterMsg::Gossip { delta: 1 });
-            }
-        });
-    }
 }
 
-impl ccq_sim::OnlineProtocol for CrdtCounterProtocol {
-    fn issue(&mut self, api: &mut SimApi<CrdtCounterMsg>, node: NodeId) {
-        self.issue_one(api, node);
+impl OnlineProtocol for CrdtCounterProtocol {
+    /// Issue `v`'s increment now: merge locally, complete with the merged
+    /// count, gossip the increment to every tree neighbour.
+    fn issue(
+        shared: &CrdtCounterShared,
+        slice: &mut CrdtCounterSlice,
+        api: &mut SliceApi<CrdtCounterMsg>,
+        v: NodeId,
+    ) {
+        slice.heard += 1;
+        api.complete(v, slice.heard);
+        for &nb in &shared.neighbors[v] {
+            api.send(nb, CrdtCounterMsg::Gossip { delta: 1 });
+        }
     }
 }
 
 impl Protocol for CrdtCounterProtocol {
     type Msg = CrdtCounterMsg;
-
-    fn on_start(&mut self, api: &mut SimApi<CrdtCounterMsg>) {
-        if self.defer_issue {
-            return;
-        }
-        let requests = self.requests.clone();
-        for v in requests {
-            self.issue_one(api, v);
-        }
-    }
-
-    fn on_message(
-        &mut self,
-        api: &mut SimApi<CrdtCounterMsg>,
-        node: NodeId,
-        from: NodeId,
-        msg: CrdtCounterMsg,
-    ) {
-        ccq_sim::dispatch_sliced(self, api, node, from, msg);
-    }
-}
-
-impl NodeSliced for CrdtCounterProtocol {
     type Slice = CrdtCounterSlice;
     type Shared = CrdtCounterShared;
 
@@ -121,7 +97,14 @@ impl NodeSliced for CrdtCounterProtocol {
         (&self.shared, &mut self.slices)
     }
 
-    fn on_message_sliced(
+    fn on_start(&mut self, api: &mut SimApi<CrdtCounterMsg>) {
+        if !self.defer_issue {
+            let requests = self.requests.clone();
+            ccq_sim::issue_all(self, api, &requests);
+        }
+    }
+
+    fn on_message(
         shared: &CrdtCounterShared,
         slice: &mut CrdtCounterSlice,
         api: &mut SliceApi<CrdtCounterMsg>,

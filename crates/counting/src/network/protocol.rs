@@ -15,7 +15,7 @@
 
 use super::net::{BalancingNetwork, WireDest};
 use ccq_graph::{bfs, Graph, NodeId, Tree, TreeRouter};
-use ccq_sim::{NodeSliced, Protocol, SimApi, SliceApi};
+use ccq_sim::{OnlineProtocol, Protocol, SimApi, SliceApi};
 
 /// Messages of the counting-network protocol.
 #[derive(Clone, Copy, Debug)]
@@ -46,8 +46,7 @@ pub struct CountingNetworkShared {
 
 /// One processor's counting-network state: the toggles and exit counters
 /// of the balancers it hosts (each is mutated only by its host — the
-/// module-level distributed-abstraction claim — which makes the protocol
-/// [`NodeSliced`]).
+/// module-level distributed-abstraction claim).
 #[derive(Debug, Default)]
 pub struct CountingNetworkSlice {
     toggles: Vec<bool>,
@@ -131,18 +130,10 @@ impl CountingNetworkProtocol {
     }
 
     /// Deferred-issue mode (`on` = true): `on_start` injects nothing and
-    /// tokens are driven via [`ccq_sim::OnlineProtocol::issue`].
+    /// tokens are driven via [`OnlineProtocol::issue`].
     pub fn deferred(mut self, on: bool) -> Self {
         self.defer_issue = on;
         self
-    }
-
-    /// Inject `v`'s token at its input wire now.
-    fn issue_one(&mut self, api: &mut SimApi<CnMsg>, v: NodeId) {
-        let wire = self.shared.net.input_wire(v % self.shared.net.width());
-        ccq_sim::with_slice(self, api, v, |shared, slice, sapi| {
-            Self::process_token(shared, slice, sapi, v, v, wire)
-        });
     }
 
     /// The network being executed.
@@ -218,31 +209,21 @@ impl CountingNetworkProtocol {
     }
 }
 
-impl ccq_sim::OnlineProtocol for CountingNetworkProtocol {
-    fn issue(&mut self, api: &mut SimApi<CnMsg>, node: NodeId) {
-        self.issue_one(api, node);
+impl OnlineProtocol for CountingNetworkProtocol {
+    /// Inject `v`'s token at its input wire now.
+    fn issue(
+        shared: &CountingNetworkShared,
+        slice: &mut CountingNetworkSlice,
+        api: &mut SliceApi<CnMsg>,
+        v: NodeId,
+    ) {
+        let wire = shared.net.input_wire(v % shared.net.width());
+        Self::process_token(shared, slice, api, v, v, wire);
     }
 }
 
 impl Protocol for CountingNetworkProtocol {
     type Msg = CnMsg;
-
-    fn on_start(&mut self, api: &mut SimApi<CnMsg>) {
-        if self.defer_issue {
-            return;
-        }
-        let requests = self.requests.clone();
-        for v in requests {
-            self.issue_one(api, v);
-        }
-    }
-
-    fn on_message(&mut self, api: &mut SimApi<CnMsg>, node: NodeId, from: NodeId, msg: CnMsg) {
-        ccq_sim::dispatch_sliced(self, api, node, from, msg);
-    }
-}
-
-impl NodeSliced for CountingNetworkProtocol {
     type Slice = CountingNetworkSlice;
     type Shared = CountingNetworkShared;
 
@@ -250,7 +231,14 @@ impl NodeSliced for CountingNetworkProtocol {
         (&self.shared, &mut self.slices)
     }
 
-    fn on_message_sliced(
+    fn on_start(&mut self, api: &mut SimApi<CnMsg>) {
+        if !self.defer_issue {
+            let requests = self.requests.clone();
+            ccq_sim::issue_all(self, api, &requests);
+        }
+    }
+
+    fn on_message(
         shared: &CountingNetworkShared,
         slice: &mut CountingNetworkSlice,
         api: &mut SliceApi<CnMsg>,

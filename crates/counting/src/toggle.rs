@@ -19,7 +19,7 @@
 //! the spanning tree.
 
 use ccq_graph::{bfs, Graph, NodeId, Tree, TreeRouter};
-use ccq_sim::{NodeSliced, Protocol, SimApi, SliceApi};
+use ccq_sim::{OnlineProtocol, Protocol, SimApi, SliceApi};
 
 /// Messages of the toggle-tree protocol.
 #[derive(Clone, Copy, Debug)]
@@ -47,8 +47,7 @@ pub struct ToggleTreeShared {
 }
 
 /// One processor's toggle-tree state: the toggles and leaf counters of the
-/// heap nodes it hosts (every heap node is mutated only by its host, which
-/// is what makes the protocol [`NodeSliced`]).
+/// heap nodes it hosts (every heap node is mutated only by its host).
 #[derive(Debug, Default)]
 pub struct ToggleTreeSlice {
     toggles: Vec<bool>,
@@ -133,7 +132,7 @@ impl ToggleTreeProtocol {
     }
 
     /// Deferred-issue mode (`on` = true): `on_start` injects nothing and
-    /// tokens are driven via [`ccq_sim::OnlineProtocol::issue`].
+    /// tokens are driven via [`OnlineProtocol::issue`].
     pub fn deferred(mut self, on: bool) -> Self {
         self.defer_issue = on;
         self
@@ -198,41 +197,20 @@ impl ToggleTreeProtocol {
     }
 }
 
-impl ccq_sim::OnlineProtocol for ToggleTreeProtocol {
-    fn issue(&mut self, api: &mut SimApi<ToggleMsg>, node: NodeId) {
-        ccq_sim::with_slice(self, api, node, |shared, slice, sapi| {
-            Self::process(shared, slice, sapi, node, node, 0)
-        });
+impl OnlineProtocol for ToggleTreeProtocol {
+    /// Inject `node`'s token at the root toggle now.
+    fn issue(
+        shared: &ToggleTreeShared,
+        slice: &mut ToggleTreeSlice,
+        api: &mut SliceApi<ToggleMsg>,
+        node: NodeId,
+    ) {
+        Self::process(shared, slice, api, node, node, 0);
     }
 }
 
 impl Protocol for ToggleTreeProtocol {
     type Msg = ToggleMsg;
-
-    fn on_start(&mut self, api: &mut SimApi<ToggleMsg>) {
-        if self.defer_issue {
-            return;
-        }
-        let requests = self.requests.clone();
-        for v in requests {
-            ccq_sim::with_slice(self, api, v, |shared, slice, sapi| {
-                Self::process(shared, slice, sapi, v, v, 0)
-            });
-        }
-    }
-
-    fn on_message(
-        &mut self,
-        api: &mut SimApi<ToggleMsg>,
-        node: NodeId,
-        from: NodeId,
-        msg: ToggleMsg,
-    ) {
-        ccq_sim::dispatch_sliced(self, api, node, from, msg);
-    }
-}
-
-impl NodeSliced for ToggleTreeProtocol {
     type Slice = ToggleTreeSlice;
     type Shared = ToggleTreeShared;
 
@@ -240,7 +218,14 @@ impl NodeSliced for ToggleTreeProtocol {
         (&self.shared, &mut self.slices)
     }
 
-    fn on_message_sliced(
+    fn on_start(&mut self, api: &mut SimApi<ToggleMsg>) {
+        if !self.defer_issue {
+            let requests = self.requests.clone();
+            ccq_sim::issue_all(self, api, &requests);
+        }
+    }
+
+    fn on_message(
         shared: &ToggleTreeShared,
         slice: &mut ToggleTreeSlice,
         api: &mut SliceApi<ToggleMsg>,

@@ -28,7 +28,7 @@
 
 use crate::order::INITIAL_TOKEN;
 use ccq_graph::{bfs, NodeId, Tree};
-use ccq_sim::{NodeSliced, Protocol, SimApi, SliceApi};
+use ccq_sim::{OnlineProtocol, Protocol, SimApi, SliceApi};
 
 /// Messages of the arrow protocol.
 #[derive(Clone, Debug)]
@@ -49,7 +49,7 @@ pub struct ArrowShared {
 
 /// One node's arrow state: its link arrow and the id of the last operation
 /// that matters at the node — the only state a handler at that node
-/// touches, which is what makes the protocol [`NodeSliced`].
+/// touches.
 #[derive(Debug)]
 pub struct ArrowSlice {
     link: NodeId,
@@ -107,7 +107,7 @@ impl ArrowProtocol {
 
     /// Deferred-issue mode (`on` = true): `on_start` injects nothing and
     /// operations are driven one at a time through
-    /// [`ccq_sim::OnlineProtocol::issue`] — the open-system regime of
+    /// [`OnlineProtocol::issue`] — the open-system regime of
     /// [`ccq_sim::Paced`].
     pub fn deferred(mut self, on: bool) -> Self {
         self.defer_issue = on;
@@ -117,37 +117,6 @@ impl ArrowProtocol {
     /// Current arrow of `v` (exposed for traces and tests).
     pub fn link(&self, v: NodeId) -> NodeId {
         self.slices[v].link
-    }
-
-    /// Issue node `v`'s operation now (paper step 1). Used by `on_start`
-    /// for the one-shot scenario and by the [`OnlineProtocol`] impl for
-    /// scheduled (long-lived / open-system) arrivals.
-    pub(crate) fn issue(&mut self, api: &mut SimApi<ArrowMsg>, v: NodeId) {
-        ccq_sim::with_slice(self, api, v, |shared, slice, sapi| {
-            Self::issue_at(shared, slice, sapi, v)
-        });
-    }
-
-    /// Paper step 1 against `v`'s own slice.
-    fn issue_at(
-        shared: &ArrowShared,
-        slice: &mut ArrowSlice,
-        api: &mut SliceApi<ArrowMsg>,
-        v: NodeId,
-    ) {
-        let a = v as u64;
-        if slice.link == v {
-            // v is the sink: queue behind the previous id locally.
-            let pred = slice.id;
-            slice.id = a;
-            api.complete(v, pred);
-        } else {
-            let next = slice.link;
-            slice.link = v;
-            slice.id = a;
-            let path = if shared.notify_origin { vec![v] } else { Vec::new() };
-            api.send(next, ArrowMsg::Queue { op: a, path });
-        }
     }
 
     /// Paper step 2's terminate case at `at`'s own slice.
@@ -174,37 +143,33 @@ impl ArrowProtocol {
     }
 }
 
-impl ccq_sim::OnlineProtocol for ArrowProtocol {
-    fn issue(&mut self, api: &mut SimApi<ArrowMsg>, node: NodeId) {
-        ArrowProtocol::issue(self, api, node);
+impl OnlineProtocol for ArrowProtocol {
+    /// Paper step 1 against `v`'s own slice: the one-shot start and every
+    /// scheduled (long-lived / open-system) arrival come through here.
+    fn issue(
+        shared: &ArrowShared,
+        slice: &mut ArrowSlice,
+        api: &mut SliceApi<ArrowMsg>,
+        v: NodeId,
+    ) {
+        let a = v as u64;
+        if slice.link == v {
+            // v is the sink: queue behind the previous id locally.
+            let pred = slice.id;
+            slice.id = a;
+            api.complete(v, pred);
+        } else {
+            let next = slice.link;
+            slice.link = v;
+            slice.id = a;
+            let path = if shared.notify_origin { vec![v] } else { Vec::new() };
+            api.send(next, ArrowMsg::Queue { op: a, path });
+        }
     }
 }
 
 impl Protocol for ArrowProtocol {
     type Msg = ArrowMsg;
-
-    fn on_start(&mut self, api: &mut SimApi<ArrowMsg>) {
-        if self.defer_issue {
-            return;
-        }
-        let requests = self.requests.clone();
-        for v in requests {
-            self.issue(api, v);
-        }
-    }
-
-    fn on_message(
-        &mut self,
-        api: &mut SimApi<ArrowMsg>,
-        node: NodeId,
-        from: NodeId,
-        msg: ArrowMsg,
-    ) {
-        ccq_sim::dispatch_sliced(self, api, node, from, msg);
-    }
-}
-
-impl NodeSliced for ArrowProtocol {
     type Slice = ArrowSlice;
     type Shared = ArrowShared;
 
@@ -212,7 +177,14 @@ impl NodeSliced for ArrowProtocol {
         (&self.shared, &mut self.slices)
     }
 
-    fn on_message_sliced(
+    fn on_start(&mut self, api: &mut SimApi<ArrowMsg>) {
+        if !self.defer_issue {
+            let requests = self.requests.clone();
+            ccq_sim::issue_all(self, api, &requests);
+        }
+    }
+
+    fn on_message(
         shared: &ArrowShared,
         slice: &mut ArrowSlice,
         api: &mut SliceApi<ArrowMsg>,

@@ -10,7 +10,7 @@
 
 use crate::order::INITIAL_TOKEN;
 use ccq_graph::{path::RouteTable, NodeId, Tree};
-use ccq_sim::{NodeSliced, Protocol, SimApi, SliceApi};
+use ccq_sim::{OnlineProtocol, Protocol, SimApi, SliceApi};
 
 /// Messages: request towards home, reply back to origin. Both are source
 /// routed (`route` indexes the protocol's [`RouteTable`], `idx` is the
@@ -28,13 +28,15 @@ pub enum CentralQueueMsg {
 pub struct CentralQueueShared {
     home: NodeId,
     routes: RouteTable,
+    /// Route id towards home, per requester (usize::MAX = not a requester).
+    to_home: Vec<usize>,
     /// Route id from home back to each requester.
     from_home: Vec<usize>,
 }
 
 /// One node's central-queue state. Only the home node's slice carries
 /// anything — the id of the last enqueued operation — but giving every
-/// node a slice keeps the [`NodeSliced`] indexing uniform.
+/// node a slice keeps the indexing uniform.
 #[derive(Debug)]
 pub struct CentralQueueSlice {
     /// Last enqueued operation (meaningful at the home node only).
@@ -45,8 +47,6 @@ pub struct CentralQueueSlice {
 pub struct CentralQueueProtocol {
     shared: CentralQueueShared,
     slices: Vec<CentralQueueSlice>,
-    /// Route id towards home, per requester (usize::MAX = not a requester).
-    to_home: Vec<usize>,
     requests: Vec<NodeId>,
     defer_issue: bool,
 }
@@ -69,35 +69,18 @@ impl CentralQueueProtocol {
             from_home[v] = routes.push(rp);
         }
         CentralQueueProtocol {
-            shared: CentralQueueShared { home, routes, from_home },
+            shared: CentralQueueShared { home, routes, to_home, from_home },
             slices: (0..n).map(|_| CentralQueueSlice { last: INITIAL_TOKEN }).collect(),
-            to_home,
             requests,
             defer_issue: false,
         }
     }
 
     /// Deferred-issue mode (`on` = true): `on_start` injects nothing and
-    /// operations are driven via [`ccq_sim::OnlineProtocol::issue`].
+    /// operations are driven via [`OnlineProtocol::issue`].
     pub fn deferred(mut self, on: bool) -> Self {
         self.defer_issue = on;
         self
-    }
-
-    /// Issue `v`'s enqueue now (`v` must be in the request set).
-    fn issue_one(&mut self, api: &mut SimApi<CentralQueueMsg>, v: NodeId) {
-        let route = self.to_home[v];
-        ccq_sim::with_slice(self, api, v, |shared, slice, sapi| {
-            if v == shared.home {
-                // Local enqueue: no messages needed.
-                let pred = slice.last;
-                slice.last = v as u64;
-                sapi.complete(v, pred);
-            } else {
-                debug_assert_ne!(route, usize::MAX, "node {v} is not a requester");
-                Self::forward(shared, sapi, v, CentralQueueMsg::Req { origin: v, route, idx: 0 });
-            }
-        });
     }
 
     fn forward(
@@ -123,37 +106,29 @@ fn msg_with_idx(msg: CentralQueueMsg, idx: usize) -> CentralQueueMsg {
     }
 }
 
-impl ccq_sim::OnlineProtocol for CentralQueueProtocol {
-    fn issue(&mut self, api: &mut SimApi<CentralQueueMsg>, node: NodeId) {
-        self.issue_one(api, node);
+impl OnlineProtocol for CentralQueueProtocol {
+    /// Issue `v`'s enqueue now (`v` must be in the request set).
+    fn issue(
+        shared: &CentralQueueShared,
+        slice: &mut CentralQueueSlice,
+        api: &mut SliceApi<CentralQueueMsg>,
+        v: NodeId,
+    ) {
+        if v == shared.home {
+            // Local enqueue: no messages needed.
+            let pred = slice.last;
+            slice.last = v as u64;
+            api.complete(v, pred);
+        } else {
+            let route = shared.to_home[v];
+            debug_assert_ne!(route, usize::MAX, "node {v} is not a requester");
+            Self::forward(shared, api, v, CentralQueueMsg::Req { origin: v, route, idx: 0 });
+        }
     }
 }
 
 impl Protocol for CentralQueueProtocol {
     type Msg = CentralQueueMsg;
-
-    fn on_start(&mut self, api: &mut SimApi<CentralQueueMsg>) {
-        if self.defer_issue {
-            return;
-        }
-        let requests = self.requests.clone();
-        for v in requests {
-            self.issue_one(api, v);
-        }
-    }
-
-    fn on_message(
-        &mut self,
-        api: &mut SimApi<CentralQueueMsg>,
-        node: NodeId,
-        from: NodeId,
-        msg: CentralQueueMsg,
-    ) {
-        ccq_sim::dispatch_sliced(self, api, node, from, msg);
-    }
-}
-
-impl NodeSliced for CentralQueueProtocol {
     type Slice = CentralQueueSlice;
     type Shared = CentralQueueShared;
 
@@ -161,7 +136,14 @@ impl NodeSliced for CentralQueueProtocol {
         (&self.shared, &mut self.slices)
     }
 
-    fn on_message_sliced(
+    fn on_start(&mut self, api: &mut SimApi<CentralQueueMsg>) {
+        if !self.defer_issue {
+            let requests = self.requests.clone();
+            ccq_sim::issue_all(self, api, &requests);
+        }
+    }
+
+    fn on_message(
         shared: &CentralQueueShared,
         slice: &mut CentralQueueSlice,
         api: &mut SliceApi<CentralQueueMsg>,

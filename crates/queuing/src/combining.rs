@@ -10,7 +10,7 @@
 
 use crate::order::INITIAL_TOKEN;
 use ccq_graph::{NodeId, Tree};
-use ccq_sim::{NodeSliced, Protocol, SimApi, SliceApi};
+use ccq_sim::{OnlineProtocol, Protocol, SimApi, SliceApi};
 
 /// Messages of the combining queue.
 #[derive(Clone, Debug)]
@@ -22,7 +22,7 @@ pub enum CombiningQueueMsg {
 }
 
 /// One node's combining-wave state — everything a handler at the node
-/// touches, making the protocol [`NodeSliced`].
+/// touches.
 #[derive(Debug)]
 pub struct CombiningQueueSlice {
     waiting: usize,
@@ -80,7 +80,7 @@ impl CombiningQueueProtocol {
 
     /// Deferred-issue mode (`on` = true): `on_start` starts the up phase
     /// only at non-requesting leaves; a requester joins the wave when its
-    /// operation is injected via [`ccq_sim::OnlineProtocol::issue`]. The
+    /// operation is injected via [`OnlineProtocol::issue`]. The
     /// single combining wave then completes once every scheduled request
     /// has arrived — the batch protocol's honest behaviour under open
     /// arrivals (early requesters wait for stragglers).
@@ -107,12 +107,19 @@ impl CombiningQueueProtocol {
         list
     }
 
-    fn aggregated(
+    /// Report `v`'s subtree upward (or, at the root, start distribution)
+    /// once it is [`ready`](Self::ready) — checked wherever that may have
+    /// just become true: at the start, on a child's report, on the node's
+    /// own issue or cancel.
+    fn report_if_ready(
         shared: &CombiningQueueShared,
         slice: &mut CombiningQueueSlice,
         api: &mut SliceApi<CombiningQueueMsg>,
         v: NodeId,
     ) {
+        if !Self::ready(shared, slice) {
+            return;
+        }
         let list = Self::subtree_list(slice, v);
         if v == shared.root {
             // Form the total order: initial token, then preorder.
@@ -155,56 +162,35 @@ impl CombiningQueueProtocol {
     }
 }
 
-impl ccq_sim::OnlineProtocol for CombiningQueueProtocol {
-    fn issue(&mut self, api: &mut SimApi<CombiningQueueMsg>, node: NodeId) {
-        debug_assert!(self.nodes[node].requesting, "node {node} is not a requester");
-        ccq_sim::with_slice(self, api, node, |shared, slice, sapi| {
-            slice.issued = true;
-            if Self::ready(shared, slice) {
-                Self::aggregated(shared, slice, sapi, node);
-            }
-        });
+impl OnlineProtocol for CombiningQueueProtocol {
+    fn issue(
+        shared: &CombiningQueueShared,
+        slice: &mut CombiningQueueSlice,
+        api: &mut SliceApi<CombiningQueueMsg>,
+        node: NodeId,
+    ) {
+        debug_assert!(slice.requesting, "node {node} is not a requester");
+        slice.issued = true;
+        Self::report_if_ready(shared, slice, api, node);
     }
 
-    fn cancel(&mut self, api: &mut SimApi<CombiningQueueMsg>, node: NodeId) {
-        debug_assert!(self.nodes[node].requesting, "node {node} is not a requester");
-        debug_assert!(!self.nodes[node].issued, "cancel after issue");
+    fn cancel(
+        shared: &CombiningQueueShared,
+        slice: &mut CombiningQueueSlice,
+        api: &mut SliceApi<CombiningQueueMsg>,
+        node: NodeId,
+    ) {
+        debug_assert!(slice.requesting, "node {node} is not a requester");
+        debug_assert!(!slice.issued, "cancel after issue");
         // Strike the requester from the wave; if its Up report was the
         // last thing the subtree waited for, release it now.
-        ccq_sim::with_slice(self, api, node, |shared, slice, sapi| {
-            slice.requesting = false;
-            if Self::ready(shared, slice) {
-                Self::aggregated(shared, slice, sapi, node);
-            }
-        });
+        slice.requesting = false;
+        Self::report_if_ready(shared, slice, api, node);
     }
 }
 
 impl Protocol for CombiningQueueProtocol {
     type Msg = CombiningQueueMsg;
-
-    fn on_start(&mut self, api: &mut SimApi<CombiningQueueMsg>) {
-        for v in 0..self.nodes.len() {
-            ccq_sim::with_slice(self, api, v, |shared, slice, sapi| {
-                if Self::ready(shared, slice) {
-                    Self::aggregated(shared, slice, sapi, v);
-                }
-            });
-        }
-    }
-
-    fn on_message(
-        &mut self,
-        api: &mut SimApi<CombiningQueueMsg>,
-        node: NodeId,
-        from: NodeId,
-        msg: CombiningQueueMsg,
-    ) {
-        ccq_sim::dispatch_sliced(self, api, node, from, msg);
-    }
-}
-
-impl NodeSliced for CombiningQueueProtocol {
     type Slice = CombiningQueueSlice;
     type Shared = CombiningQueueShared;
 
@@ -212,7 +198,15 @@ impl NodeSliced for CombiningQueueProtocol {
         (&self.shared, &mut self.nodes)
     }
 
-    fn on_message_sliced(
+    fn on_start(&mut self, api: &mut SimApi<CombiningQueueMsg>) {
+        for v in 0..self.nodes.len() {
+            ccq_sim::with_slice(self, api, v, |shared, slice, sapi| {
+                Self::report_if_ready(shared, slice, sapi, v)
+            });
+        }
+    }
+
+    fn on_message(
         shared: &CombiningQueueShared,
         slice: &mut CombiningQueueSlice,
         api: &mut SliceApi<CombiningQueueMsg>,
@@ -228,9 +222,7 @@ impl NodeSliced for CombiningQueueProtocol {
                     .expect("Up from a non-child");
                 slice.child_lists[slot] = list;
                 slice.waiting -= 1;
-                if Self::ready(shared, slice) {
-                    Self::aggregated(shared, slice, api, node);
-                }
+                Self::report_if_ready(shared, slice, api, node);
             }
             CombiningQueueMsg::Down(assignments) => {
                 Self::distribute(shared, slice, api, node, assignments);

@@ -15,7 +15,7 @@
 //! arrivals through [`Protocol::next_active_round`].
 
 use crate::admission::{Admission, AdmissionController, AdmissionPolicy};
-use crate::protocol::{NodeSliced, Protocol, SimApi, SliceApi};
+use crate::protocol::{with_slice, Protocol, SimApi, SliceApi};
 use crate::report::{mix64, FaultPlan};
 use crate::Round;
 use ccq_graph::NodeId;
@@ -27,11 +27,19 @@ use ccq_graph::NodeId;
 /// Implementations are constructed with the *full* request set (routing
 /// tables and combining structure may depend on it) but in a deferred mode
 /// where `on_start` injects nothing; [`OnlineProtocol::issue`] then injects
-/// `node`'s operation at the current round.
+/// `node`'s operation at the current round. Both hooks have the handler's
+/// form — `shared`, `node`'s own slice, a [`SliceApi`] — and are reached
+/// through [`with_slice`] by their two drivers: [`Paced`] for scheduled
+/// arrivals and [`issue_all`] for the one-shot start.
 pub trait OnlineProtocol: Protocol {
     /// Inject `node`'s operation now. `node` must belong to the request set
     /// the protocol was constructed with, and must be issued at most once.
-    fn issue(&mut self, api: &mut SimApi<Self::Msg>, node: NodeId);
+    fn issue(
+        shared: &Self::Shared,
+        slice: &mut Self::Slice,
+        api: &mut SliceApi<Self::Msg>,
+        node: NodeId,
+    );
 
     /// `node`'s scheduled operation was refused admission and will never
     /// be issued: release anything the protocol holds waiting on it.
@@ -41,7 +49,22 @@ pub trait OnlineProtocol: Protocol {
     /// override this: their waves wait for every scheduled requester, and
     /// a cancelled one has to be struck from the wave or it never closes.
     /// Called at most once per node, and never after `issue`.
-    fn cancel(&mut self, _api: &mut SimApi<Self::Msg>, _node: NodeId) {}
+    fn cancel(
+        _shared: &Self::Shared,
+        _slice: &mut Self::Slice,
+        _api: &mut SliceApi<Self::Msg>,
+        _node: NodeId,
+    ) {
+    }
+}
+
+/// The one-shot start: issue every node of `requests` now, in the given
+/// order — the body of [`Protocol::on_start`] for a per-request protocol
+/// that is not in deferred mode.
+pub fn issue_all<P: OnlineProtocol>(p: &mut P, api: &mut SimApi<P::Msg>, requests: &[NodeId]) {
+    for &v in requests {
+        with_slice(p, api, v, |shared, slice, sapi| P::issue(shared, slice, sapi, v));
+    }
 }
 
 /// How requests arrive over time.
@@ -343,11 +366,13 @@ impl<P: OnlineProtocol> Paced<P> {
         match decision {
             Admission::Admit => {
                 api.issue(v);
-                self.inner.issue(api, v);
+                issue_all(&mut self.inner, api, &[v]);
             }
             Admission::Drop => {
                 api.shed(v);
-                self.inner.cancel(api, v);
+                with_slice(&mut self.inner, api, v, |shared, slice, sapi| {
+                    P::cancel(shared, slice, sapi, v)
+                });
             }
             Admission::Retry { at } => {
                 debug_assert!(at > now, "retry must be strictly later");
@@ -409,8 +434,18 @@ impl<P: OnlineProtocol> Paced<P> {
     }
 }
 
+/// Pacing is transparent to message handling: arrivals are injected in the
+/// serialized arrivals phase, so the slices and the handler are the wrapped
+/// protocol's own. This is what lets open-system (and admission-gated) runs
+/// use every apply path unchanged.
 impl<P: OnlineProtocol> Protocol for Paced<P> {
     type Msg = P::Msg;
+    type Slice = P::Slice;
+    type Shared = P::Shared;
+
+    fn split(&mut self) -> (&P::Shared, &mut [P::Slice]) {
+        self.inner.split()
+    }
 
     fn on_start(&mut self, api: &mut SimApi<P::Msg>) {
         if !self.shard_of.is_empty() {
@@ -420,8 +455,15 @@ impl<P: OnlineProtocol> Protocol for Paced<P> {
         self.issue_due(api, 0);
     }
 
-    fn on_message(&mut self, api: &mut SimApi<P::Msg>, node: NodeId, from: NodeId, msg: P::Msg) {
-        self.inner.on_message(api, node, from, msg);
+    fn on_message(
+        shared: &P::Shared,
+        slice: &mut P::Slice,
+        api: &mut SliceApi<P::Msg>,
+        node: NodeId,
+        from: NodeId,
+        msg: P::Msg,
+    ) {
+        P::on_message(shared, slice, api, node, from, msg);
     }
 
     fn on_round(&mut self, api: &mut SimApi<P::Msg>, round: Round) {
@@ -452,30 +494,6 @@ impl<P: OnlineProtocol> Protocol for Paced<P> {
             self.admission.interval(),
             self.inner.state_token()
         )
-    }
-}
-
-/// Pacing is transparent to slicing: arrivals are injected in the
-/// serialized arrivals phase, so the message-handler path delegates
-/// straight to the wrapped protocol's slices. This is what lets open-system
-/// (and admission-gated) runs use the parallel apply path unchanged.
-impl<P: OnlineProtocol + NodeSliced> NodeSliced for Paced<P> {
-    type Slice = P::Slice;
-    type Shared = P::Shared;
-
-    fn split(&mut self) -> (&P::Shared, &mut [P::Slice]) {
-        self.inner.split()
-    }
-
-    fn on_message_sliced(
-        shared: &P::Shared,
-        slice: &mut P::Slice,
-        api: &mut SliceApi<P::Msg>,
-        node: NodeId,
-        from: NodeId,
-        msg: P::Msg,
-    ) {
-        P::on_message_sliced(shared, slice, api, node, from, msg);
     }
 }
 
@@ -568,11 +586,16 @@ mod tests {
         struct Noop;
         impl Protocol for Noop {
             type Msg = ();
+            type Slice = ();
+            type Shared = ();
+            fn split(&mut self) -> (&(), &mut [()]) {
+                (&(), &mut [])
+            }
             fn on_start(&mut self, _: &mut SimApi<()>) {}
-            fn on_message(&mut self, _: &mut SimApi<()>, _: NodeId, _: NodeId, _: ()) {}
+            fn on_message(_: &(), _: &mut (), _: &mut SliceApi<()>, _: NodeId, _: NodeId, _: ()) {}
         }
         impl OnlineProtocol for Noop {
-            fn issue(&mut self, _: &mut SimApi<()>, _: NodeId) {}
+            fn issue(_: &(), _: &mut (), _: &mut SliceApi<()>, _: NodeId) {}
         }
         Paced::new(Noop, vec![(0, 1), (4, 1)]);
     }

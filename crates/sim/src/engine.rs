@@ -27,11 +27,11 @@
 //! in-port/outbox queues plus the open-operation backlog high-water mark.
 //!
 //! [`crate::shard::ShardedSimulator`] runs the same scheduler phases over
-//! per-shard state/transport instances. It requires [`crate::NodeSliced`]
-//! of its protocols, which lets it run their delivery-phase handlers
-//! shard-parallel ([`SimConfig::parallel_apply`]) with byte-identical
-//! results — see [`crate::shard`] for the replay argument; a sliced
-//! protocol runs unmodified on this single-fabric executor too.
+//! per-shard state/transport instances, and the same
+//! [`Protocol::on_message`] on the same slices — which lets it run the
+//! delivery-phase handlers shard-parallel ([`SimConfig::parallel_apply`])
+//! with byte-identical results; see [`crate::shard`] for the replay
+//! argument.
 
 use crate::protocol::Protocol;
 use crate::report::{SimConfig, SimReport};
@@ -107,18 +107,57 @@ impl<'g, P: Protocol> Simulator<'g, P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::SimApi;
+    use crate::protocol::{SimApi, SliceApi};
     use crate::report::SimConfig;
-    use ccq_graph::topology;
+    use crate::shard::ShardedSimulator;
+    use ccq_graph::{topology, Partition};
+
+    /// The executor table: the monolith, then the sharded executor on one
+    /// and on three (striped) shards, each on both apply paths. `check`
+    /// sees every executor's outcome under `cfg` and must find the same
+    /// model behaviour on all of them.
+    pub(super) fn on_every_executor<P: Protocol>(
+        g: &Graph,
+        make: impl Fn() -> P,
+        cfg: SimConfig,
+        check: impl Fn(Result<(SimReport, P), SimError>, &str),
+    ) where
+        P::Msg: Send,
+    {
+        check(Simulator::new(g, make(), cfg).run_with_state(), "monolith");
+        for k in [1, 3] {
+            for parallel in [false, true] {
+                let part = Partition::striped(g.n(), k);
+                let cfg = cfg.with_parallel_apply(parallel);
+                check(
+                    ShardedSimulator::new(g, part, make(), cfg).run_with_state(),
+                    &format!("{k} shard(s), parallel_apply = {parallel}"),
+                );
+            }
+        }
+    }
 
     /// Flood protocol: node 0 starts a token that walks the path 0→1→…→n−1;
     /// each node completes when it sees the token.
-    struct Walk {
+    pub(super) struct Walk {
         n: usize,
+        units: Vec<()>,
+    }
+
+    impl Walk {
+        pub(super) fn new(n: usize) -> Self {
+            Walk { n, units: vec![(); n] }
+        }
     }
 
     impl Protocol for Walk {
         type Msg = ();
+        type Slice = ();
+        type Shared = usize;
+
+        fn split(&mut self) -> (&usize, &mut [()]) {
+            (&self.n, &mut self.units)
+        }
 
         fn on_start(&mut self, api: &mut SimApi<()>) {
             api.complete(0, 0);
@@ -127,10 +166,17 @@ mod tests {
             }
         }
 
-        fn on_message(&mut self, api: &mut SimApi<()>, node: NodeId, _from: NodeId, _msg: ()) {
+        fn on_message(
+            n: &usize,
+            _: &mut (),
+            api: &mut SliceApi<()>,
+            node: NodeId,
+            _: NodeId,
+            _: (),
+        ) {
             api.complete(node, node as u64);
-            if node + 1 < self.n {
-                api.send(node, node + 1, ());
+            if node + 1 < *n {
+                api.send(node + 1, ());
             }
         }
     }
@@ -138,27 +184,47 @@ mod tests {
     #[test]
     fn token_walk_delays_equal_distance() {
         let g = topology::path(6);
-        let rep = crate::run_protocol(&g, Walk { n: 6 }, SimConfig::strict()).unwrap();
-        assert_eq!(rep.ops(), 6);
-        let d = rep.delay_by_node(6);
-        for (v, delay) in d.iter().enumerate() {
-            assert_eq!(*delay, Some(v as u64), "node {v}");
-        }
-        assert_eq!(rep.rounds, 5);
-        assert_eq!(rep.messages_sent, 5);
-        assert_eq!(rep.queue_wait_rounds, 0);
-        assert_eq!(rep.total_delay(), 15);
+        on_every_executor(
+            &g,
+            || Walk::new(6),
+            SimConfig::strict(),
+            |out, on| {
+                let (rep, _) = out.unwrap();
+                assert_eq!(rep.ops(), 6, "{on}");
+                let d = rep.delay_by_node(6);
+                for (v, delay) in d.iter().enumerate() {
+                    assert_eq!(*delay, Some(v as u64), "node {v}, {on}");
+                }
+                assert_eq!(rep.rounds, 5, "{on}");
+                assert_eq!(rep.messages_sent, 5, "{on}");
+                assert_eq!(rep.queue_wait_rounds, 0, "{on}");
+                assert_eq!(rep.total_delay(), 15, "{on}");
+            },
+        );
     }
 
     /// All leaves of a star send to the hub simultaneously; the hub can
-    /// receive only one message per round → serialization.
+    /// receive only one message per round → serialization. A node's slice
+    /// counts what it received.
     struct Converge {
         n: usize,
-        received: u64,
+        received: Vec<u64>,
+    }
+
+    impl Converge {
+        fn new(n: usize) -> Self {
+            Converge { n, received: vec![0; n] }
+        }
     }
 
     impl Protocol for Converge {
         type Msg = ();
+        type Slice = u64;
+        type Shared = ();
+
+        fn split(&mut self) -> (&(), &mut [u64]) {
+            (&(), &mut self.received)
+        }
 
         fn on_start(&mut self, api: &mut SimApi<()>) {
             for v in 1..self.n {
@@ -166,10 +232,17 @@ mod tests {
             }
         }
 
-        fn on_message(&mut self, api: &mut SimApi<()>, node: NodeId, from: NodeId, _msg: ()) {
+        fn on_message(
+            _: &(),
+            received: &mut u64,
+            api: &mut SliceApi<()>,
+            node: NodeId,
+            from: NodeId,
+            _: (),
+        ) {
             assert_eq!(node, 0);
-            self.received += 1;
-            api.complete(from, self.received);
+            *received += 1;
+            api.complete(from, *received);
         }
     }
 
@@ -177,43 +250,67 @@ mod tests {
     fn star_contention_serializes() {
         let n = 10;
         let g = topology::star(n);
-        let rep =
-            crate::run_protocol(&g, Converge { n, received: 0 }, SimConfig::strict()).unwrap();
-        assert_eq!(rep.ops(), n - 1);
-        // The hub receives one message per round: completions at rounds 1..=9.
-        let mut rounds: Vec<u64> = rep.completions.iter().map(|c| c.round).collect();
-        rounds.sort_unstable();
-        assert_eq!(rounds, (1..=9).collect::<Vec<u64>>());
-        // Σ 1..9 = 45 — the quadratic star behaviour in miniature.
-        assert_eq!(rep.total_delay(), 45);
-        assert!(rep.queue_wait_rounds > 0);
-        assert!(rep.max_inport_depth >= 8);
+        on_every_executor(
+            &g,
+            || Converge::new(n),
+            SimConfig::strict(),
+            |out, on| {
+                let (rep, _) = out.unwrap();
+                assert_eq!(rep.ops(), n - 1, "{on}");
+                // The hub receives one message per round: completions at rounds 1..=9.
+                let mut rounds: Vec<u64> = rep.completions.iter().map(|c| c.round).collect();
+                rounds.sort_unstable();
+                assert_eq!(rounds, (1..=9).collect::<Vec<u64>>(), "{on}");
+                // Σ 1..9 = 45 — the quadratic star behaviour in miniature.
+                assert_eq!(rep.total_delay(), 45, "{on}");
+                assert!(rep.queue_wait_rounds > 0, "{on}");
+                assert!(rep.max_inport_depth >= 8, "{on}");
+            },
+        );
     }
 
     #[test]
     fn expanded_budget_removes_contention() {
         let n = 10;
         let g = topology::star(n);
-        let rep =
-            crate::run_protocol(&g, Converge { n, received: 0 }, SimConfig::expanded(n)).unwrap();
-        // All 9 messages delivered in round 1; delays scaled by n.
-        assert!(rep.completions.iter().all(|c| c.round == 1));
-        assert_eq!(rep.total_delay(), 9 * n as u64);
+        on_every_executor(
+            &g,
+            || Converge::new(n),
+            SimConfig::expanded(n),
+            |out, on| {
+                let (rep, _) = out.unwrap();
+                // All 9 messages delivered in round 1; delays scaled by n.
+                assert!(rep.completions.iter().all(|c| c.round == 1), "{on}");
+                assert_eq!(rep.total_delay(), 9 * n as u64, "{on}");
+            },
+        );
     }
 
     #[test]
     fn invalid_send_detected() {
-        struct Bad;
+        struct Bad([(); 3]);
         impl Protocol for Bad {
             type Msg = ();
+            type Slice = ();
+            type Shared = ();
+            fn split(&mut self) -> (&(), &mut [()]) {
+                (&(), &mut self.0)
+            }
             fn on_start(&mut self, api: &mut SimApi<()>) {
                 api.send(0, 2, ()); // not adjacent in a path of 3
             }
-            fn on_message(&mut self, _: &mut SimApi<()>, _: NodeId, _: NodeId, _: ()) {}
+            fn on_message(_: &(), _: &mut (), _: &mut SliceApi<()>, _: NodeId, _: NodeId, _: ()) {}
         }
         let g = topology::path(3);
-        let err = crate::run_protocol(&g, Bad, SimConfig::strict()).unwrap_err();
-        assert_eq!(err, SimError::InvalidSend { from: 0, to: 2, round: 0 });
+        on_every_executor(
+            &g,
+            || Bad([(); 3]),
+            SimConfig::strict(),
+            |out, on| {
+                let err = out.err().expect(on);
+                assert_eq!(err, SimError::InvalidSend { from: 0, to: 2, round: 0 }, "{on}");
+            },
+        );
     }
 
     #[test]
@@ -224,47 +321,85 @@ mod tests {
             SimConfig { recv_budget: 0, ..SimConfig::strict() },
             SimConfig { delay_scale: 0, ..SimConfig::strict() },
         ] {
-            let err = crate::run_protocol(&g, Walk { n: 3 }, cfg).unwrap_err();
-            assert!(
-                matches!(err, SimError::InvalidConfig { .. }),
-                "expected InvalidConfig, got {err}"
+            on_every_executor(
+                &g,
+                || Walk::new(3),
+                cfg,
+                |out, on| {
+                    let err = out.err().expect(on);
+                    assert!(
+                        matches!(err, SimError::InvalidConfig { .. }),
+                        "expected InvalidConfig, got {err} ({on})"
+                    );
+                    // The message names the offending field.
+                    assert!(err.to_string().contains("must be ≥ 1"), "{err} ({on})");
+                },
             );
-            // The message names the offending field.
-            assert!(err.to_string().contains("must be ≥ 1"), "{err}");
         }
     }
 
     #[test]
     fn max_rounds_detected() {
         /// Two nodes ping-pong forever.
-        struct PingPong;
+        struct PingPong([(); 2]);
         impl Protocol for PingPong {
             type Msg = ();
+            type Slice = ();
+            type Shared = ();
+            fn split(&mut self) -> (&(), &mut [()]) {
+                (&(), &mut self.0)
+            }
             fn on_start(&mut self, api: &mut SimApi<()>) {
                 api.send(0, 1, ());
             }
-            fn on_message(&mut self, api: &mut SimApi<()>, node: NodeId, from: NodeId, _: ()) {
-                api.send(node, from, ());
+            fn on_message(
+                _: &(),
+                _: &mut (),
+                api: &mut SliceApi<()>,
+                _: NodeId,
+                from: NodeId,
+                _: (),
+            ) {
+                api.send(from, ());
             }
         }
         let g = topology::path(2);
         let cfg = SimConfig::strict().with_max_rounds(50);
-        let err = crate::run_protocol(&g, PingPong, cfg).unwrap_err();
-        assert_eq!(err, SimError::MaxRoundsExceeded { limit: 50 });
+        on_every_executor(
+            &g,
+            || PingPong([(); 2]),
+            cfg,
+            |out, on| {
+                let err = out.err().expect(on);
+                assert_eq!(err, SimError::MaxRoundsExceeded { limit: 50 }, "{on}");
+            },
+        );
     }
 
     #[test]
     fn empty_protocol_quiesces_immediately() {
-        struct Idle;
+        struct Idle([(); 4]);
         impl Protocol for Idle {
             type Msg = ();
+            type Slice = ();
+            type Shared = ();
+            fn split(&mut self) -> (&(), &mut [()]) {
+                (&(), &mut self.0)
+            }
             fn on_start(&mut self, _: &mut SimApi<()>) {}
-            fn on_message(&mut self, _: &mut SimApi<()>, _: NodeId, _: NodeId, _: ()) {}
+            fn on_message(_: &(), _: &mut (), _: &mut SliceApi<()>, _: NodeId, _: NodeId, _: ()) {}
         }
         let g = topology::complete(4);
-        let rep = crate::run_protocol(&g, Idle, SimConfig::strict()).unwrap();
-        assert_eq!(rep.rounds, 0);
-        assert_eq!(rep.messages_sent, 0);
+        on_every_executor(
+            &g,
+            || Idle([(); 4]),
+            SimConfig::strict(),
+            |out, on| {
+                let (rep, _) = out.unwrap();
+                assert_eq!(rep.rounds, 0, "{on}");
+                assert_eq!(rep.messages_sent, 0, "{on}");
+            },
+        );
     }
 
     #[test]
@@ -272,146 +407,178 @@ mod tests {
         /// Node 0 stages n−1 messages to distinct neighbours at time 0.
         struct Fanout {
             n: usize,
+            units: Vec<()>,
         }
         impl Protocol for Fanout {
             type Msg = ();
+            type Slice = ();
+            type Shared = ();
+            fn split(&mut self) -> (&(), &mut [()]) {
+                (&(), &mut self.units)
+            }
             fn on_start(&mut self, api: &mut SimApi<()>) {
                 for v in 1..self.n {
                     api.send(0, v, ());
                 }
             }
-            fn on_message(&mut self, api: &mut SimApi<()>, node: NodeId, _: NodeId, _: ()) {
+            fn on_message(
+                _: &(),
+                _: &mut (),
+                api: &mut SliceApi<()>,
+                node: NodeId,
+                _: NodeId,
+                _: (),
+            ) {
                 api.complete(node, 0);
             }
         }
         let n = 8;
         let g = topology::star(n);
-        let rep = crate::run_protocol(&g, Fanout { n }, SimConfig::strict()).unwrap();
-        // One transmission per round: arrivals at rounds 1..=7.
-        let mut rounds: Vec<u64> = rep.completions.iter().map(|c| c.round).collect();
-        rounds.sort_unstable();
-        assert_eq!(rounds, (1..=7).collect::<Vec<u64>>());
-        assert!(rep.max_outbox_depth >= 7);
+        on_every_executor(
+            &g,
+            || Fanout { n, units: vec![(); n] },
+            SimConfig::strict(),
+            |out, on| {
+                let (rep, _) = out.unwrap();
+                // One transmission per round: arrivals at rounds 1..=7.
+                let mut rounds: Vec<u64> = rep.completions.iter().map(|c| c.round).collect();
+                rounds.sort_unstable();
+                assert_eq!(rounds, (1..=7).collect::<Vec<u64>>(), "{on}");
+                assert!(rep.max_outbox_depth >= 7, "{on}");
+            },
+        );
+    }
+
+    /// 0 fires `burst` numbered messages at 1; a node's slice records what
+    /// it received, in arrival order.
+    pub(super) struct Fifo {
+        burst: u64,
+        pub(super) seen: [Vec<u64>; 2],
+    }
+
+    impl Fifo {
+        pub(super) fn new(burst: u64) -> Self {
+            Fifo { burst, seen: [vec![], vec![]] }
+        }
+    }
+
+    impl Protocol for Fifo {
+        type Msg = u64;
+        type Slice = Vec<u64>;
+        type Shared = ();
+        fn split(&mut self) -> (&(), &mut [Vec<u64>]) {
+            (&(), &mut self.seen)
+        }
+        fn on_start(&mut self, api: &mut SimApi<u64>) {
+            for i in 1..=self.burst {
+                api.send(0, 1, i);
+            }
+        }
+        fn on_message(
+            _: &(),
+            seen: &mut Vec<u64>,
+            api: &mut SliceApi<u64>,
+            node: NodeId,
+            _: NodeId,
+            m: u64,
+        ) {
+            seen.push(m);
+            api.complete(node, m);
+        }
     }
 
     #[test]
     fn fifo_links_preserve_order() {
-        /// 0 sends two numbered messages to 1; 1 records arrival order.
-        struct Fifo {
-            seen: Vec<u64>,
-        }
-        impl Protocol for Fifo {
-            type Msg = u64;
-            fn on_start(&mut self, api: &mut SimApi<u64>) {
-                api.send(0, 1, 1);
-                api.send(0, 1, 2);
-            }
-            fn on_message(&mut self, api: &mut SimApi<u64>, node: NodeId, _: NodeId, m: u64) {
-                self.seen.push(m);
-                api.complete(node, m);
-            }
-        }
         let g = topology::path(2);
-        let (rep, p) = Simulator::new(&g, Fifo { seen: vec![] }, SimConfig::strict())
-            .run_with_state()
-            .unwrap();
-        assert_eq!(p.seen, vec![1, 2]);
-        assert_eq!(rep.completions.len(), 2);
-        // Second message transmitted one round later.
-        assert_eq!(rep.completions[0].round, 1);
-        assert_eq!(rep.completions[1].round, 2);
+        on_every_executor(
+            &g,
+            || Fifo::new(2),
+            SimConfig::strict(),
+            |out, on| {
+                let (rep, p) = out.unwrap();
+                assert_eq!(p.seen[1], vec![1, 2], "{on}");
+                assert_eq!(rep.completions.len(), 2, "{on}");
+                // Second message transmitted one round later.
+                assert_eq!(rep.completions[0].round, 1, "{on}");
+                assert_eq!(rep.completions[1].round, 2, "{on}");
+            },
+        );
     }
 
     #[test]
     fn trace_records_events() {
         let g = topology::path(3);
         let cfg = SimConfig::strict().with_trace();
-        let rep = crate::run_protocol(&g, Walk { n: 3 }, cfg).unwrap();
-        assert!(rep.trace.iter().any(|e| e.kind == crate::TraceKind::Transmit));
-        assert!(rep.trace.iter().any(|e| e.kind == crate::TraceKind::Deliver));
-        assert!(rep.trace.iter().any(|e| e.kind == crate::TraceKind::Complete));
+        on_every_executor(
+            &g,
+            || Walk::new(3),
+            cfg,
+            |out, on| {
+                let (rep, _) = out.unwrap();
+                assert!(rep.trace.iter().any(|e| e.kind == crate::TraceKind::Transmit), "{on}");
+                assert!(rep.trace.iter().any(|e| e.kind == crate::TraceKind::Deliver), "{on}");
+                assert!(rep.trace.iter().any(|e| e.kind == crate::TraceKind::Complete), "{on}");
+            },
+        );
     }
 }
 
 #[cfg(test)]
 mod jitter_tests {
-    use super::*;
-    use crate::protocol::{Protocol, SimApi};
+    use super::tests::{on_every_executor, Fifo, Walk};
     use crate::report::SimConfig;
     use ccq_graph::topology;
-
-    /// Token walks the path; completion per hop.
-    struct Walk {
-        n: usize,
-    }
-
-    impl Protocol for Walk {
-        type Msg = ();
-        fn on_start(&mut self, api: &mut SimApi<()>) {
-            api.complete(0, 0);
-            if self.n > 1 {
-                api.send(0, 1, ());
-            }
-        }
-        fn on_message(&mut self, api: &mut SimApi<()>, node: NodeId, _: NodeId, _: ()) {
-            api.complete(node, node as u64);
-            if node + 1 < self.n {
-                api.send(node, node + 1, ());
-            }
-        }
-    }
 
     #[test]
     fn jitter_zero_matches_synchronous_model() {
         let g = topology::path(6);
-        let a = crate::run_protocol(&g, Walk { n: 6 }, SimConfig::strict()).unwrap();
-        let b =
-            crate::run_protocol(&g, Walk { n: 6 }, SimConfig::strict().with_jitter(0, 9)).unwrap();
-        assert_eq!(a.total_delay(), b.total_delay());
-        assert_eq!(a.rounds, b.rounds);
+        let a = crate::run_protocol(&g, Walk::new(6), SimConfig::strict()).unwrap();
+        on_every_executor(
+            &g,
+            || Walk::new(6),
+            SimConfig::strict().with_jitter(0, 9),
+            |out, on| {
+                let (b, _) = out.unwrap();
+                assert_eq!(a.total_delay(), b.total_delay(), "{on}");
+                assert_eq!(a.rounds, b.rounds, "{on}");
+            },
+        );
     }
 
     #[test]
     fn jitter_only_slows_things_down() {
         let g = topology::path(12);
-        let base = crate::run_protocol(&g, Walk { n: 12 }, SimConfig::strict()).unwrap();
+        let base = crate::run_protocol(&g, Walk::new(12), SimConfig::strict()).unwrap();
         for seed in 0..5 {
-            let j =
-                crate::run_protocol(&g, Walk { n: 12 }, SimConfig::strict().with_jitter(3, seed))
-                    .unwrap();
-            assert!(j.total_delay() >= base.total_delay(), "seed {seed}");
-            assert_eq!(j.ops(), base.ops());
+            let cfg = SimConfig::strict().with_jitter(3, seed);
+            on_every_executor(
+                &g,
+                || Walk::new(12),
+                cfg,
+                |out, on| {
+                    let (j, _) = out.unwrap();
+                    assert!(j.total_delay() >= base.total_delay(), "seed {seed}, {on}");
+                    assert_eq!(j.ops(), base.ops(), "seed {seed}, {on}");
+                },
+            );
         }
     }
 
     #[test]
     fn per_link_fifo_preserved_under_jitter() {
-        /// 0 fires five numbered messages at 1; arrival order must stay 1..5.
-        struct Burst {
-            seen: Vec<u64>,
-        }
-        impl Protocol for Burst {
-            type Msg = u64;
-            fn on_start(&mut self, api: &mut SimApi<u64>) {
-                for i in 1..=5 {
-                    api.send(0, 1, i);
-                }
-            }
-            fn on_message(&mut self, api: &mut SimApi<u64>, node: NodeId, _: NodeId, m: u64) {
-                self.seen.push(m);
-                api.complete(node, m);
-            }
-        }
+        // 0 fires five numbered messages at 1; arrival order must stay 1..5.
         let g = topology::path(2);
         for seed in 0..20 {
-            let (_, p) = Simulator::new(
+            let cfg = SimConfig::strict().with_jitter(5, seed);
+            on_every_executor(
                 &g,
-                Burst { seen: vec![] },
-                SimConfig::strict().with_jitter(5, seed),
-            )
-            .run_with_state()
-            .unwrap();
-            assert_eq!(p.seen, vec![1, 2, 3, 4, 5], "seed {seed}");
+                || Fifo::new(5),
+                cfg,
+                |out, on| {
+                    let (_, p) = out.unwrap();
+                    assert_eq!(p.seen[1], vec![1, 2, 3, 4, 5], "seed {seed}, {on}");
+                },
+            );
         }
     }
 
@@ -419,13 +586,20 @@ mod jitter_tests {
     fn jitter_is_deterministic_per_seed() {
         let g = topology::path(9);
         let cfg = SimConfig::strict().with_jitter(4, 1234);
-        let a = crate::run_protocol(&g, Walk { n: 9 }, cfg).unwrap();
-        let b = crate::run_protocol(&g, Walk { n: 9 }, cfg).unwrap();
-        assert_eq!(a.total_delay(), b.total_delay());
-        assert_eq!(a.rounds, b.rounds);
+        let a = crate::run_protocol(&g, Walk::new(9), cfg).unwrap();
+        on_every_executor(
+            &g,
+            || Walk::new(9),
+            cfg,
+            |out, on| {
+                let (b, _) = out.unwrap();
+                assert_eq!(a.total_delay(), b.total_delay(), "{on}");
+                assert_eq!(a.rounds, b.rounds, "{on}");
+            },
+        );
         // A different seed (usually) lands on a different schedule.
         let c =
-            crate::run_protocol(&g, Walk { n: 9 }, SimConfig::strict().with_jitter(4, 77)).unwrap();
+            crate::run_protocol(&g, Walk::new(9), SimConfig::strict().with_jitter(4, 77)).unwrap();
         let _ = c; // schedules may coincide; correctness checked above.
     }
 }

@@ -18,32 +18,38 @@
 //!   contention that drives the paper's lower bounds (e.g. the star graph's
 //!   `Θ(n²)` in §5).
 //!
-//! Protocols implement [`Protocol`] and are executed by [`Simulator::run`],
-//! which returns a [`SimReport`] with per-operation delays, message counts
-//! and queue statistics. [`ShardedSimulator`] executes protocols that
-//! expose disjoint per-node state slices ([`NodeSliced`] — required of
-//! everything above the single-fabric monolith) over K parallel message
-//! fabrics joined by an inter-shard ferry, optionally running their
-//! message handlers shard-parallel ([`SimConfig::parallel_apply`]) or
-//! pipelining rounds ([`SimConfig::wavefront_lag`]) — with reports
-//! byte-identical to the monolith's in every case.
+//! Protocols implement [`Protocol`] — state split into a read-only shared
+//! view and one slice per processor, and a message handler that touches
+//! only the receiving processor's slice — and are executed by
+//! [`Simulator::run`], which returns a [`SimReport`] with per-operation
+//! delays, message counts and queue statistics. [`ShardedSimulator`]
+//! executes the same protocols over K parallel message fabrics joined by an
+//! inter-shard ferry, optionally running their message handlers
+//! shard-parallel ([`SimConfig::parallel_apply`]) or pipelining rounds
+//! ([`SimConfig::wavefront_lag`]) — with reports byte-identical to the
+//! monolith's in every case.
 //!
 //! ```
-//! use ccq_sim::{run_protocol, Protocol, SimApi, SimConfig};
+//! use ccq_sim::{run_protocol, Protocol, SimApi, SimConfig, SliceApi};
 //! use ccq_graph::{topology, NodeId};
 //!
-//! /// A token hops along the path, completing at the far end.
-//! struct Relay { n: usize }
+//! /// A token hops along the path, completing at the far end; every node
+//! /// counts the tokens it saw.
+//! struct Relay { n: usize, seen: Vec<u64> }
 //! impl Protocol for Relay {
 //!     type Msg = ();
+//!     type Shared = usize; // the path length
+//!     type Slice = u64; // one node's counter
+//!     fn split(&mut self) -> (&usize, &mut [u64]) { (&self.n, &mut self.seen) }
 //!     fn on_start(&mut self, api: &mut SimApi<()>) { api.send(0, 1, ()); }
-//!     fn on_message(&mut self, api: &mut SimApi<()>, at: NodeId, _from: NodeId, _m: ()) {
-//!         if at + 1 < self.n { api.send(at, at + 1, ()); } else { api.complete(at, 0); }
+//!     fn on_message(n: &usize, seen: &mut u64, api: &mut SliceApi<()>, at: NodeId, _from: NodeId, _m: ()) {
+//!         *seen += 1;
+//!         if at + 1 < *n { api.send(at + 1, ()); } else { api.complete(at, 0); }
 //!     }
 //! }
 //!
 //! let g = topology::path(5);
-//! let report = run_protocol(&g, Relay { n: 5 }, SimConfig::strict()).unwrap();
+//! let report = run_protocol(&g, Relay { n: 5, seen: vec![0; 5] }, SimConfig::strict()).unwrap();
 //! assert_eq!(report.completions[0].round, 4); // one hop per round
 //! ```
 
@@ -53,7 +59,6 @@ pub mod engine;
 pub mod probe;
 pub mod protocol;
 pub mod report;
-pub mod ring;
 pub mod scheduler;
 pub mod shard;
 pub mod state;
@@ -61,15 +66,14 @@ pub mod trace;
 pub mod transport;
 
 pub use admission::{Admission, AdmissionController, AdmissionPolicy};
-pub use arrival::{ArrivalProcess, OnlineProtocol, Paced};
+pub use arrival::{issue_all, ArrivalProcess, OnlineProtocol, Paced};
 pub use engine::{SimError, Simulator};
 pub use probe::{fnv1a, Checkpoint, NodeDigest, Phase, PhaseTimings, ProbeSpec};
-pub use protocol::{dispatch_sliced, with_slice, NodeSliced, Protocol, SimApi, SliceApi};
+pub use protocol::{with_slice, Protocol, SimApi, SliceApi};
 pub use report::{
     nearest_rank, Completion, CrashFault, Dropped, FaultEvent, FaultKind, FaultPlan, Issue,
     Lateness, LinkDelay, SimConfig, SimReport, MAX_FAULTS,
 };
-pub use ring::EventRing;
 pub use shard::{run_protocol_sharded, ShardedSimulator};
 pub use trace::{TraceEvent, TraceKind};
 

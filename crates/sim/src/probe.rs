@@ -236,6 +236,20 @@ impl ProbeSpec {
         self.wants_checkpoint(round) || self.wants_snapshot(round)
     }
 
+    /// Validate the spec against a run of `n` processors: a planted
+    /// perturbation names a real node. One at a node that does not exist
+    /// can never fire — the fault a bisection was asked to plant would
+    /// silently not be.
+    pub(crate) fn validate(&self, n: usize) -> Result<(), String> {
+        if self.perturb_round != Round::MAX && self.perturb_node >= n {
+            return Err(format!(
+                "perturbation names node {} but the topology has {n} nodes",
+                self.perturb_node
+            ));
+        }
+        Ok(())
+    }
+
     /// Whether the transmit phase of `node` is perturbed away at `round`.
     pub fn skips_transmit(&self, round: Round, node: NodeId) -> bool {
         round == self.perturb_round && node == self.perturb_node

@@ -1,45 +1,73 @@
-//! The [`Protocol`] trait, the [`SimApi`] handed to its callbacks, and the
-//! [`NodeSliced`] refinement that lets executors apply message handlers in
-//! parallel.
+//! The [`Protocol`] trait and the two callback interfaces it is written
+//! against: [`SimApi`] for the serialized phases, [`SliceApi`] for message
+//! handlers.
 //!
-//! [`Protocol`] models the whole distributed system as one value — the
-//! executors call its handlers in a deterministic global order.
-//! [`NodeSliced`] exposes the structure that makes this order *irrelevant*
-//! within a round: the protocol splits into a read-only [`NodeSliced::Shared`]
-//! view plus one disjoint [`NodeSliced::Slice`] per processor, and a handler
-//! at `node` may touch only `node`'s slice (through a [`SliceApi`]). The
-//! sharded executor ([`crate::shard`]) exploits this to run each shard's
-//! handlers inside that shard's parallel task, then replays the staged
+//! [`Protocol`] models the whole distributed system as one value that
+//! splits into a read-only [`Protocol::Shared`] view plus one disjoint
+//! [`Protocol::Slice`] per processor. A message handler at `node` is an
+//! associated function over `shared` and `node`'s slice alone (through a
+//! [`SliceApi`]) — the paper's "a processor touches its own state and its
+//! own links", stated in the type. That is what makes the order of handler
+//! calls *irrelevant* within a round: every executor calls the one handler
+//! the same way, and the sharded executor ([`crate::shard`]) may run each
+//! shard's handlers inside that shard's parallel task, replaying the staged
 //! effects at the round barrier in the serialized executor's global order —
 //! which is why parallel-apply runs are byte-identical to serialized ones.
 
 use crate::report::{Completion, Dropped, Issue};
-use crate::ring::{EventRing, STAGE_CAPACITY};
 use crate::Round;
 use ccq_graph::NodeId;
 
+/// Initial capacity of each [`SimApi`] staging buffer: comfortably above
+/// the per-phase event count of every bundled protocol, so the buffers
+/// never grow in practice (growth is still correct, just amortized).
+const STAGE_CAPACITY: usize = 64;
+
 /// A distributed protocol executed by the simulator.
 ///
-/// One `Protocol` value holds the state of *all* processors (the simulation
-/// is sequential); callbacks receive the acting processor's id. Correctness
-/// of the distributed abstraction — a processor only reads its own state —
-/// is the protocol implementation's responsibility and is what the tests in
-/// `ccq-queuing` / `ccq-counting` exercise.
+/// One `Protocol` value holds the state of *all* processors, decomposed
+/// into disjoint per-processor slices. The contract (and the reason every
+/// apply path of every executor produces the same bytes):
+///
+/// * [`Protocol::split`] partitions the state into an immutable
+///   [`Protocol::Shared`] view (routing tables, tree shape, mode flags)
+///   and one [`Protocol::Slice`] per processor, indexed by [`NodeId`];
+/// * [`Protocol::on_message`] handles a message at `node` reading only
+///   `shared` and mutating only `node`'s slice — it has no `self`, so it
+///   cannot do otherwise.
+///
+/// The serialized phases ([`Protocol::on_start`], [`Protocol::on_round`])
+/// keep `&mut self` and the full [`SimApi`]; they reach a slice through
+/// [`with_slice`].
 pub trait Protocol {
     /// Message payload carried between processors.
     type Msg: Clone + std::fmt::Debug;
 
+    /// One processor's private state.
+    type Slice: Send;
+
+    /// Read-only state shared by every handler.
+    type Shared: Sync;
+
+    /// Split into the shared view and the per-node slices (`slices[v]` is
+    /// processor `v`'s state; the returned slice has one entry per
+    /// processor — the executors reject anything else as
+    /// [`crate::SimError::InvalidConfig`]).
+    fn split(&mut self) -> (&Self::Shared, &mut [Self::Slice]);
+
     /// Called once before round 0. All operations are issued here (the
-    /// paper's one-shot scenario: every requester starts at time 0).
-    /// Sends staged here are transmitted during round 0 and arrive at
-    /// round 1; operations completing without communication may call
-    /// [`SimApi::complete`] with delay 0.
+    /// paper's one-shot scenario: every requester starts at time 0; see
+    /// [`crate::arrival::issue_all`]). Sends staged here are transmitted
+    /// during round 0 and arrive at round 1; operations completing without
+    /// communication may call [`SimApi::complete`] with delay 0.
     fn on_start(&mut self, api: &mut SimApi<Self::Msg>);
 
-    /// Called when `node` dequeues (receives) a message from `from`.
+    /// Called when `node` dequeues (receives) a message from `from`:
+    /// handle it touching only `node`'s slice.
     fn on_message(
-        &mut self,
-        api: &mut SimApi<Self::Msg>,
+        shared: &Self::Shared,
+        slice: &mut Self::Slice,
+        api: &mut SliceApi<Self::Msg>,
         node: NodeId,
         from: NodeId,
         msg: Self::Msg,
@@ -75,16 +103,16 @@ pub trait Protocol {
 }
 
 /// Callback interface: staging area for sends and operation completions.
-/// The per-kind buffers are preallocated [`EventRing`]s, filled by a phase
-/// and drained at its end with their storage retained, so staging effects
-/// allocates nothing in steady state.
+/// The per-kind buffers are preallocated, filled by a phase and emptied
+/// whole at its end (`drain(..)` and `clear()` keep their storage), so
+/// staging effects allocates nothing in steady state.
 #[derive(Debug)]
 pub struct SimApi<M> {
     round: Round,
-    pub(crate) outgoing: EventRing<(NodeId, NodeId, M)>,
-    pub(crate) completed: EventRing<Completion>,
-    pub(crate) issued: EventRing<Issue>,
-    pub(crate) dropped: EventRing<Dropped>,
+    pub(crate) outgoing: Vec<(NodeId, NodeId, M)>,
+    pub(crate) completed: Vec<Completion>,
+    pub(crate) issued: Vec<Issue>,
+    pub(crate) dropped: Vec<Dropped>,
     pub(crate) delayed: u64,
     /// Cumulative issue count over the whole run (never drained).
     issued_total: u64,
@@ -96,9 +124,9 @@ pub struct SimApi<M> {
     /// Open operations (issued − completed) per shard; maintained by
     /// [`SimApi::issue`] / [`SimApi::complete`] when accounting is on.
     shard_open: Vec<u64>,
-    /// Capacity-retaining scratch buffer lent to [`with_slice`], so the
-    /// serialized executors' per-message [`SliceApi`] never allocates in
-    /// steady state.
+    /// Capacity-retaining effect buffer of the run's one serialized-side
+    /// [`SliceApi`] ([`SimApi::lend_slice_api`]), so handing a handler its
+    /// API never allocates in steady state.
     slice_scratch: Vec<SliceEffect<M>>,
 }
 
@@ -106,10 +134,10 @@ impl<M> SimApi<M> {
     pub(crate) fn new() -> Self {
         SimApi {
             round: 0,
-            outgoing: EventRing::with_capacity(STAGE_CAPACITY),
-            completed: EventRing::with_capacity(STAGE_CAPACITY),
-            issued: EventRing::with_capacity(STAGE_CAPACITY),
-            dropped: EventRing::with_capacity(STAGE_CAPACITY),
+            outgoing: Vec::with_capacity(STAGE_CAPACITY),
+            completed: Vec::with_capacity(STAGE_CAPACITY),
+            issued: Vec::with_capacity(STAGE_CAPACITY),
+            dropped: Vec::with_capacity(STAGE_CAPACITY),
             delayed: 0,
             issued_total: 0,
             completed_total: 0,
@@ -207,6 +235,21 @@ impl<M> SimApi<M> {
     pub(crate) fn note_delayed(&mut self) {
         self.delayed += 1;
     }
+
+    /// Lend the scratch buffer out as a [`SliceApi`] at `node` for the
+    /// current round. The borrower drains it with
+    /// [`SliceApi::replay_into`] after every handler call and hands it
+    /// back through [`SimApi::reclaim`] — per call for [`with_slice`], per
+    /// deliver phase for the serialized apply walks.
+    pub(crate) fn lend_slice_api(&mut self, node: NodeId) -> SliceApi<M> {
+        SliceApi { round: self.round, node, effects: std::mem::take(&mut self.slice_scratch) }
+    }
+
+    /// Take the lent buffer back (drained, capacity intact).
+    pub(crate) fn reclaim(&mut self, sapi: SliceApi<M>) {
+        debug_assert!(sapi.effects.is_empty(), "scratch buffer must come back drained");
+        self.slice_scratch = sapi.effects;
+    }
 }
 
 /// One staged effect of a sliced handler ([`SliceApi`]): the same
@@ -231,15 +274,15 @@ pub(crate) enum SliceEffect<M> {
     },
 }
 
-/// Callback interface of a [`NodeSliced`] handler: a staging area scoped to
+/// Callback interface of [`Protocol::on_message`]: a staging area scoped to
 /// one processor.
 ///
 /// Unlike [`SimApi`], sends carry no explicit sender — they always leave
 /// the handling node, which is what keeps every effect of a handler inside
 /// that node's outbox and makes per-shard parallel application sound.
 /// Effects are recorded in call order and replayed into the engine in the
-/// serialized executor's global delivery order, so the two apply paths
-/// produce identical executions.
+/// serialized executor's global delivery order, so every apply path
+/// produces the same execution.
 #[derive(Debug)]
 pub struct SliceApi<M> {
     round: Round,
@@ -255,8 +298,9 @@ impl<M> SliceApi<M> {
         SliceApi { round, node, effects: Vec::new() }
     }
 
-    /// Re-point the API at another processor (the parallel executor reuses
-    /// one `SliceApi` for every node of a shard to avoid per-node buffers).
+    /// Re-point the API at another processor (every apply site reuses one
+    /// `SliceApi` across the nodes it visits, so there are no per-node
+    /// buffers).
     pub(crate) fn set_node(&mut self, node: NodeId) {
         self.node = node;
     }
@@ -308,83 +352,21 @@ impl<M> SliceApi<M> {
     }
 }
 
-/// A [`Protocol`] whose state decomposes into disjoint per-processor
-/// slices, enabling parallel handler application.
-///
-/// The contract a sliced protocol must honour (and the reason the parallel
-/// apply path can be byte-identical to the serialized one):
-///
-/// * [`NodeSliced::split`] partitions the state into an immutable
-///   [`NodeSliced::Shared`] view (routing tables, tree shape, mode flags)
-///   and one [`NodeSliced::Slice`] per processor, indexed by [`NodeId`];
-/// * [`NodeSliced::on_message_sliced`] handles a message at `node` reading
-///   only `shared` and mutating only `node`'s slice;
-/// * [`Protocol::on_message`] delegates to the sliced handler (use
-///   [`dispatch_sliced`]), so both executors run the *same* handler code.
-///
-/// Construction-time state ([`Protocol::on_start`], the arrivals-phase
-/// [`crate::arrival::OnlineProtocol::issue`]/`cancel` hooks) may keep using
-/// `&mut self` — those phases are serialized on every executor; only the
-/// delivery phase is sliced.
-pub trait NodeSliced: Protocol {
-    /// One processor's private state.
-    type Slice: Send;
-
-    /// Read-only state shared by every handler.
-    type Shared: Sync;
-
-    /// Split into the shared view and the per-node slices (`slices[v]` is
-    /// processor `v`'s state; the returned slice has one entry per
-    /// processor).
-    fn split(&mut self) -> (&Self::Shared, &mut [Self::Slice]);
-
-    /// Handle a message at `node`, touching only `node`'s slice.
-    fn on_message_sliced(
-        shared: &Self::Shared,
-        slice: &mut Self::Slice,
-        api: &mut SliceApi<Self::Msg>,
-        node: NodeId,
-        from: NodeId,
-        msg: Self::Msg,
-    );
-}
-
 /// Run a closure against `node`'s slice through a scoped [`SliceApi`] and
-/// replay its effects into the full [`SimApi`] — how a sliced protocol's
-/// `&mut self` entry points (issue, start-of-round injection) share one
-/// implementation with the parallel apply path.
-pub fn with_slice<P: NodeSliced>(
+/// replay its effects into the full [`SimApi`] — how the serialized phases
+/// (the time-0 start, the arrivals phase's issue and cancel) reach one
+/// processor's state under the same discipline as a message handler.
+pub fn with_slice<P: Protocol>(
     p: &mut P,
     api: &mut SimApi<P::Msg>,
     node: NodeId,
     f: impl FnOnce(&P::Shared, &mut P::Slice, &mut SliceApi<P::Msg>),
 ) {
-    // Borrow the SimApi's scratch buffer so the per-message SliceApi does
-    // not allocate in steady state, and hand it back (drained, capacity
-    // intact) after the replay.
-    let mut sapi = SliceApi::new(api.round(), node);
-    std::mem::swap(&mut sapi.effects, &mut api.slice_scratch);
-    debug_assert!(sapi.effects.is_empty(), "scratch buffer must come back drained");
+    let mut sapi = api.lend_slice_api(node);
     let (shared, slices) = p.split();
     f(shared, &mut slices[node], &mut sapi);
     sapi.replay_into(api);
-    std::mem::swap(&mut sapi.effects, &mut api.slice_scratch);
-}
-
-/// The canonical [`Protocol::on_message`] body of a [`NodeSliced`]
-/// protocol: route the message through [`NodeSliced::on_message_sliced`] on
-/// the serialized path, guaranteeing both executors run identical handler
-/// code.
-pub fn dispatch_sliced<P: NodeSliced>(
-    p: &mut P,
-    api: &mut SimApi<P::Msg>,
-    node: NodeId,
-    from: NodeId,
-    msg: P::Msg,
-) {
-    with_slice(p, api, node, |shared, slice, sapi| {
-        P::on_message_sliced(shared, slice, sapi, node, from, msg)
-    });
+    api.reclaim(sapi);
 }
 
 #[cfg(test)]
@@ -402,6 +384,20 @@ mod tests {
         assert_eq!(api.completed.len(), 1);
         assert_eq!(api.completed[0].round, 3);
         assert_eq!(api.completed[0].value, 7);
+        // The steady-state-allocation contract: a phase fills a staging
+        // buffer past its preallocation, the drain hands everything out
+        // FIFO and releases no storage, and a refill reuses it.
+        for x in 0..100 {
+            api.send(0, 1, x);
+        }
+        let cap = api.outgoing.capacity();
+        let sent: Vec<u8> = api.outgoing.drain(..).map(|(_, _, m)| m).collect();
+        assert_eq!(sent, std::iter::once(42).chain(0..100).collect::<Vec<u8>>());
+        assert_eq!(api.outgoing.capacity(), cap, "drain must not release storage");
+        api.send(0, 1, 7);
+        api.send(0, 1, 8);
+        assert_eq!(api.outgoing, vec![(0, 1, 7), (0, 1, 8)]);
+        assert_eq!(api.outgoing.capacity(), cap);
     }
 
     #[test]

@@ -307,8 +307,8 @@ pub struct SimConfig {
     pub link_delay: LinkDelay,
     /// Apply protocol message handlers shard-parallel instead of in the
     /// serialized global node order. Honoured by
-    /// [`crate::ShardedSimulator`], whose protocols are
-    /// [`crate::NodeSliced`] by trait bound; the single-fabric
+    /// [`crate::ShardedSimulator`] for every protocol (a handler touches
+    /// only its node's slice); the single-fabric
     /// [`crate::Simulator`] rejects the flag with
     /// [`crate::SimError::InvalidConfig`] rather than silently falling
     /// back. An execution strategy, not a model knob: reports are

@@ -12,13 +12,14 @@
 //!    dirty frontier, walked in ascending id order; under
 //!    [`crate::SimConfig::dense_scan`] the reference executor walks every
 //!    processor) dequeues up to `recv_budget` in-port messages and hands
-//!    them to [`crate::Protocol::on_message`]; handler effects drain after
-//!    every message. The *apply* step has two implementations sharing this
-//!    bookkeeping (`note_delivery` + `drain_api`): the serialized
-//!    global-order walk below, and the sharded executor's parallel path
-//!    for [`crate::NodeSliced`] protocols, which runs handlers inside each
-//!    shard's task and replays their staged effects here-equivalently at
-//!    the round barrier;
+//!    each to [`crate::Protocol::on_message`] on that processor's slice;
+//!    handler effects drain after every message. Every apply site calls
+//!    the handler the same way and keeps the same per-message order
+//!    (`note_delivery`, the handler's effects, `drain_api`): the
+//!    serialized global-order walk below and the sharded executor's
+//!    barrier walk call it directly, while its parallel path runs the
+//!    handlers inside each shard's task and replays their staged effects
+//!    here-equivalently at the round barrier;
 //! 4. **transmit** — each processor with staged sends (again the frontier,
 //!    ascending id) dequeues up to `send_budget` outbox messages; each
 //!    receives the next global sequence number and is scheduled on the
@@ -46,8 +47,9 @@ use crate::transport::Transport;
 use crate::{Round, SimError};
 use ccq_graph::{Graph, NodeId};
 
-/// Reject configurations the engine cannot execute, constructively.
-pub(crate) fn validate_config(cfg: &SimConfig) -> Result<(), SimError> {
+/// Reject configurations the engine cannot execute on `n` processors,
+/// constructively — the one check both executors run before round 0.
+pub(crate) fn validate_config(cfg: &SimConfig, n: usize) -> Result<(), SimError> {
     if cfg.send_budget < 1 {
         return Err(SimError::invalid_config("send_budget must be ≥ 1"));
     }
@@ -56,6 +58,20 @@ pub(crate) fn validate_config(cfg: &SimConfig) -> Result<(), SimError> {
     }
     if cfg.delay_scale < 1 {
         return Err(SimError::invalid_config("delay_scale must be ≥ 1"));
+    }
+    cfg.faults.validate(n).map_err(SimError::invalid_config)?;
+    cfg.probe.validate(n).map_err(SimError::invalid_config)
+}
+
+/// Reject a protocol whose [`Protocol::split`] does not cover the `n`
+/// processors. Every apply site indexes `slices[v]`, and a short vector on
+/// the sharded executor would silently starve the uncovered members (their
+/// in-ports never drain and the run spins to `max_rounds`).
+pub(crate) fn validate_slices<P: Protocol>(protocol: &mut P, n: usize) -> Result<(), SimError> {
+    if protocol.split().1.len() != n {
+        return Err(SimError::invalid_config(
+            "Protocol::split() must yield exactly one slice per processor",
+        ));
     }
     Ok(())
 }
@@ -72,14 +88,18 @@ pub(crate) fn drain_api<M>(
     trace: bool,
     mut stage: impl FnMut(NodeId, NodeId, M) -> usize,
 ) -> Result<(), SimError> {
-    for (from, to, msg) in api.outgoing.drain() {
+    for (from, to, msg) in api.outgoing.drain(..) {
         if from >= graph.n() || to >= graph.n() || !graph.has_edge(from, to) {
             return Err(SimError::InvalidSend { from, to, round });
         }
         let depth = stage(from, to, msg);
         report.max_outbox_depth = report.max_outbox_depth.max(depth);
     }
-    for i in api.issued.drain() {
+    // The three record kinds are `Copy`: read in place, then clear (which
+    // keeps the storage). Measured cheaper than a `Drain` on the buffers
+    // that are empty at most calls — every sparse round of an open-system
+    // run comes through here at least once.
+    for &i in &api.issued {
         debug_assert_eq!(i.round, round, "issue round mismatch");
         report.issues.push(i);
         if trace {
@@ -91,7 +111,8 @@ pub(crate) fn drain_api<M>(
             });
         }
     }
-    for c in api.completed.drain() {
+    api.issued.clear();
+    for &c in &api.completed {
         debug_assert_eq!(c.round, round, "completion round mismatch");
         report.completions.push(c);
         if trace {
@@ -103,10 +124,11 @@ pub(crate) fn drain_api<M>(
             });
         }
     }
+    api.completed.clear();
     // Admission-control accounting: shed arrivals and deferral counts
     // (recorded by `Paced` during the arrivals phase; empty under the
     // `Open` policy and for one-shot runs).
-    for d in api.dropped.drain() {
+    for &d in &api.dropped {
         debug_assert_eq!(d.round, round, "drop round mismatch");
         report.dropped.push(d);
         if trace {
@@ -118,6 +140,7 @@ pub(crate) fn drain_api<M>(
             });
         }
     }
+    api.dropped.clear();
     report.delayed_admissions += std::mem::take(&mut api.delayed);
     // Open-system backlog: operations issued but not yet completed
     // (one-shot runs record no issues, so this stays 0 there).
@@ -175,25 +198,25 @@ pub(crate) fn run_single<P: Protocol>(
     mut protocol: P,
     cfg: SimConfig,
 ) -> Result<(SimReport, P), SimError> {
-    validate_config(&cfg)?;
+    let n = graph.n();
+    validate_config(&cfg, n)?;
+    validate_slices(&mut protocol, n)?;
     if cfg.parallel_apply {
         // No silent fallback: the single-fabric executor applies handlers
         // in serialized global order by construction.
         return Err(SimError::invalid_config(
-            "parallel_apply requires the sharded executor with a NodeSliced protocol \
-             (ShardedSimulator::run); the single-fabric Simulator cannot honour it",
+            "parallel_apply requires the sharded executor (ShardedSimulator::run); \
+             the single-fabric Simulator cannot honour it",
         ));
     }
     if cfg.wavefront_lag > 0 {
         // Likewise no silent fallback: a wavefront needs per-shard round
         // clocks, which the single fabric does not have.
         return Err(SimError::invalid_config(
-            "wavefront pipelining requires the sharded executor with a NodeSliced protocol \
-             (ShardedSimulator::run); the single-fabric Simulator cannot honour it",
+            "wavefront pipelining requires the sharded executor (ShardedSimulator::run); \
+             the single-fabric Simulator cannot honour it",
         ));
     }
-    let n = graph.n();
-    cfg.faults.validate(n).map_err(SimError::invalid_config)?;
     let mut report = SimReport {
         delay_scale: cfg.delay_scale,
         received_by_node: vec![0; n],
@@ -277,6 +300,8 @@ pub(crate) fn run_single<P: Protocol>(
                 store.take_inport_frontier(&mut frontier);
                 frontier.sort_unstable();
             }
+            let (shared, slices) = protocol.split();
+            let mut sapi = api.lend_slice_api(0);
             for &v in &frontier {
                 if cfg.faults.is_down(v, round) {
                     // Crashed: the in-port freezes in place (neighbours
@@ -285,16 +310,19 @@ pub(crate) fn run_single<P: Protocol>(
                     store.relist_inport(v);
                     continue;
                 }
+                sapi.set_node(v);
                 for _ in 0..cfg.recv_budget {
                     let Some(inb) = store.pop_inport(v) else { break };
                     report.queue_wait_rounds += round - inb.arrival;
                     note_delivery(&mut report, round, cfg.trace, v, inb.src);
-                    protocol.on_message(&mut api, v, inb.src, inb.msg);
+                    P::on_message(shared, &mut slices[v], &mut sapi, v, inb.src, inb.msg);
+                    sapi.replay_into(&mut api);
                     drain_api(graph, &mut api, &mut report, round, cfg.trace, |f, t, m| {
                         store.stage(f, t, m)
                     })?;
                 }
             }
+            api.reclaim(sapi);
         }
         round_micros += lap_into(&mut watch, &mut timing.deliver_micros);
         if observe {

@@ -23,15 +23,14 @@
 //! shards then pop and schedule their own messages concurrently — the
 //! block arithmetic reproduces the serialized numbering exactly, so the
 //! parallel transmit is byte-identical to the reference loop kept behind
-//! [`crate::SimConfig::serial_transmit`]. Every protocol run here is
-//! [`crate::NodeSliced`] (the bound on [`ShardedSimulator`]), and the
-//! deliver phase — the one stretch between two barriers where a choice
-//! exists — has **two apply paths**, selected by
-//! [`crate::SimConfig::parallel_apply`]:
+//! [`crate::SimConfig::serial_transmit`]. The deliver phase — the one
+//! stretch between two barriers where a choice exists — has **two apply
+//! paths**, selected by [`crate::SimConfig::parallel_apply`]; both call the
+//! one [`Protocol::on_message`] on the delivered-to node's slice:
 //!
 //! * **serialized** (flag off; the reference) — the shards harvest their
 //!   in-ports concurrently and handlers run at the barrier, in global
-//!   ascending node order against the one shared protocol value;
+//!   ascending node order;
 //! * **sliced** (flag on) — each shard's task also *applies* its own
 //!   nodes' handlers against their disjoint state slices, staging effects
 //!   in a [`crate::SliceApi`]; at the round barrier the staged effects are
@@ -66,13 +65,15 @@
 //! in the lockstep order. Rounds with a global coupling point (probe
 //! observations, scheduled arrivals per [`Protocol::next_active_round`],
 //! tracing, round 0) fall back to single lockstep rounds, so the wavefront
-//! execution is byte-identical to the lockstep one; the argument is on the
-//! wavefront loop below.
+//! execution is byte-identical to the lockstep one; the argument is on
+//! `Fabric::wave_rounds` below.
 
 use crate::probe::{self, Phase, PhaseTimings, Stopwatch};
-use crate::protocol::{NodeSliced, Protocol, SimApi, SliceApi, SliceEffect};
+use crate::protocol::{Protocol, SimApi, SliceApi, SliceEffect};
 use crate::report::{LinkDelay, SimConfig, SimReport};
-use crate::scheduler::{advance_round, drain_api, lap_into, note_delivery, validate_config};
+use crate::scheduler::{
+    advance_round, drain_api, lap_into, note_delivery, validate_config, validate_slices,
+};
 use crate::state::{Inbound, NodeStore};
 use crate::trace::{TraceEvent, TraceKind};
 use crate::transport::{Transport, Wire};
@@ -200,7 +201,7 @@ impl<M> ShardState<'_, M> {
     /// no-op. `task` is the shard's member slices and the cross-shard wires
     /// due to it during the wave (pre-drained, in (arrival, sequence)
     /// order).
-    fn wave<P: NodeSliced<Msg = M>>(
+    fn wave<P: Protocol<Msg = M>>(
         &mut self,
         shard: usize,
         run: Run<'_>,
@@ -240,15 +241,15 @@ impl<M> ShardState<'_, M> {
             out.max_inport_depth = out.max_inport_depth.max(self.mature(due, r));
             out.mature_micros += watch.lap();
 
-            // Apply: the shared receive walk, running the sliced handlers
-            // and draining their effects in-task.
+            // Apply: the shared receive walk, running the handlers and
+            // draining their effects in-task.
             sapi.set_round(r);
             let mut round_completions = Vec::new();
             out.queue_wait += self.receive(r, cfg, |store, v, inb| {
                 out.received.push(v);
                 sapi.set_node(v);
                 let slice = member_slice(members, &mut slices, v);
-                P::on_message_sliced(shared, slice, &mut sapi, v, inb.src, inb.msg);
+                P::on_message(shared, slice, &mut sapi, v, inb.src, inb.msg);
                 for effect in sapi.effects.drain(..) {
                     match effect {
                         SliceEffect::Send { to, msg } => {
@@ -305,8 +306,8 @@ impl<M> ShardState<'_, M> {
     }
 }
 
-/// Distribute the disjoint `&mut` borrows of a [`NodeSliced`] protocol's
-/// slices to their shards. `iter_mut` yields non-overlapping borrows and
+/// Distribute the disjoint `&mut` borrows of a protocol's slices to their
+/// shards. `iter_mut` yields non-overlapping borrows and
 /// both `0..n` and `members(shard)` ascend, so bucket `i` of a shard is
 /// exactly `members(shard)[i]`'s slice.
 fn slice_buckets<'s, S>(partition: &Partition, slices: &'s mut [S]) -> Vec<Vec<&'s mut S>> {
@@ -354,28 +355,20 @@ struct Fabric<'a, M> {
 impl<'a, M: Send + std::fmt::Debug> Fabric<'a, M> {
     /// Validate the configuration, build the per-shard fabrics, and run
     /// the time-0 start phase (serialized on every path).
-    fn setup<P: NodeSliced<Msg = M>>(
+    fn setup<P: Protocol<Msg = M>>(
         run: Run<'a>,
         protocol: &mut P,
         inter_delay: LinkDelay,
     ) -> Result<Self, SimError> {
         let Run { graph, partition, cfg } = run;
-        validate_config(cfg)?;
-        cfg.faults.validate(graph.n()).map_err(SimError::invalid_config)?;
-        if partition.n() != graph.n() {
+        let n = graph.n();
+        validate_config(cfg, n)?;
+        if partition.n() != n {
             return Err(SimError::invalid_config(
                 "shard partition does not cover the graph's vertex set",
             ));
         }
-        let n = graph.n();
-        // A short slice vector would silently starve the uncovered members
-        // (their in-ports never drain and the run spins to max_rounds), so
-        // reject the contract violation constructively up front.
-        if protocol.split().1.len() != n {
-            return Err(SimError::invalid_config(
-                "NodeSliced::split() must yield exactly one slice per processor",
-            ));
-        }
+        validate_slices(protocol, n)?;
         let mut fabric = Fabric {
             run,
             report: SimReport {
@@ -490,27 +483,32 @@ impl<'a, M: Send + std::fmt::Debug> Fabric<'a, M> {
         Ok(deliveries)
     }
 
-    /// Serialized deliver, barrier half: run the handlers in global order
-    /// against the one protocol value, draining effects after every
-    /// message exactly as the monolith does.
+    /// Serialized deliver, barrier half: run the handlers in global order,
+    /// each on its node's slice, draining effects after every message
+    /// exactly as the monolith does.
     fn apply_at_barrier<P: Protocol<Msg = M>>(
         &mut self,
         protocol: &mut P,
         deliveries: Vec<(NodeId, Inbound<M>)>,
         round: Round,
     ) -> Result<(), SimError> {
+        let (shared, slices) = protocol.split();
+        let mut sapi = self.api.lend_slice_api(0);
         for (v, inb) in deliveries {
             note_delivery(&mut self.report, round, self.run.cfg.trace, v, inb.src);
-            protocol.on_message(&mut self.api, v, inb.src, inb.msg);
+            sapi.set_node(v);
+            P::on_message(shared, &mut slices[v], &mut sapi, v, inb.src, inb.msg);
+            sapi.replay_into(&mut self.api);
             self.drain(round)?;
         }
+        self.api.reclaim(sapi);
         Ok(())
     }
 
     /// Sliced deliver, shard-parallel half: every shard pops its due
     /// in-port messages **and applies** them against its own members'
     /// slices, staging effects.
-    fn apply_in_tasks<P: NodeSliced<Msg = M>>(
+    fn apply_in_tasks<P: Protocol<Msg = M>>(
         &mut self,
         protocol: &mut P,
         round: Round,
@@ -525,7 +523,7 @@ impl<'a, M: Send + std::fmt::Debug> Fabric<'a, M> {
             let queue_wait = state.receive(round, cfg, |_, v, inb| {
                 sapi.set_node(v);
                 let slice = member_slice(members, &mut slices, v);
-                P::on_message_sliced(shared, slice, &mut sapi, v, inb.src, inb.msg);
+                P::on_message(shared, slice, &mut sapi, v, inb.src, inb.msg);
                 deliveries.push((v, inb.src, sapi.effects.len()));
                 Ok(())
             })?;
@@ -759,7 +757,7 @@ impl<'a, M: Send + std::fmt::Debug> Fabric<'a, M> {
     /// and transmit barriers [`SimConfig::parallel_apply`] picks where the
     /// handlers run; the four barriers themselves are the same either way.
     /// The quiescence / wakeup decision stays with the caller.
-    fn lockstep_round<P: NodeSliced<Msg = M>>(
+    fn lockstep_round<P: Protocol<Msg = M>>(
         &mut self,
         protocol: &mut P,
         round: Round,
@@ -817,93 +815,12 @@ impl<'a, M: Send + std::fmt::Debug> Fabric<'a, M> {
         Ok(())
     }
 
-    /// Whether every queue, wheel and the ferry are empty.
-    fn idle(&self) -> bool {
-        self.ferry.is_idle()
-            && self.shards.iter().all(|s| s.store.is_idle() && s.transport.is_idle())
-    }
-
-    /// Close the run at its final `round`: the report with the fault
-    /// events that fired and, when asked for, the phase timings.
-    fn finish(mut self, round: Round) -> SimReport {
-        self.report.rounds = round;
-        self.report.record_fault_events(&self.run.cfg.faults);
-        if self.run.cfg.probe.timing {
-            self.report.phase_timing = Some(self.timing);
-        }
-        self.report
-    }
-}
-
-/// An executable sharded simulation: graph + partition + protocol + config.
-/// The protocol is [`NodeSliced`]: the serialized apply path reaches the
-/// sliced handler through [`Protocol::on_message`], the parallel apply
-/// path and the wavefront call it on the slices directly, and the trait
-/// bound — not a runtime rejection — is what says every
-/// [`SimConfig`] strategy flag can be honoured.
-pub struct ShardedSimulator<'g, P: NodeSliced> {
-    graph: &'g Graph,
-    partition: Partition,
-    protocol: P,
-    config: SimConfig,
-    inter_delay: LinkDelay,
-}
-
-impl<'g, P: NodeSliced> ShardedSimulator<'g, P>
-where
-    P::Msg: Send,
-{
-    /// Create a sharded simulator. The inter-shard ferry defaults to the
-    /// intra-shard delay policy (`config.link_delay`), under which the
-    /// execution reproduces the single-fabric [`crate::Simulator`] exactly.
-    pub fn new(graph: &'g Graph, partition: Partition, protocol: P, config: SimConfig) -> Self {
-        let inter_delay = config.link_delay;
-        ShardedSimulator { graph, partition, protocol, config, inter_delay }
-    }
-
-    /// Builder-style: set the delay policy of the inter-shard ferry.
-    pub fn with_inter_delay(mut self, delay: LinkDelay) -> Self {
-        self.inter_delay = delay;
-        self
-    }
-
-    /// Run to quiescence, returning the report and final protocol state.
-    /// [`SimConfig::wavefront_lag`] > 0 routes to the wavefront pipeline;
-    /// otherwise every round is one `lockstep_round`, whose deliver phase
-    /// honours [`SimConfig::parallel_apply`]. The report is byte-identical
-    /// whichever strategy runs.
-    pub fn run_with_state(self) -> Result<(SimReport, P), SimError> {
-        if self.config.wavefront_lag > 0 {
-            return self.run_wavefront();
-        }
-        let ShardedSimulator { graph, partition, mut protocol, config: cfg, inter_delay } = self;
-        let run = Run { graph, partition: &partition, cfg: &cfg };
-        let mut fab = Fabric::setup(run, &mut protocol, inter_delay)?;
-
-        let mut round: Round = 0;
-        loop {
-            fab.lockstep_round(&mut protocol, round)?;
-
-            // Quiescence / wakeup phase (shared with the single executor).
-            match advance_round(&protocol, fab.idle(), round, cfg.max_rounds)? {
-                Some(next) => round = next,
-                None => break,
-            }
-        }
-        Ok((fab.finish(round), protocol))
-    }
-
-    /// Run to quiescence, returning only the report.
-    pub fn run(self) -> Result<SimReport, SimError> {
-        self.run_with_state().map(|(r, _)| r)
-    }
-
-    /// Run to quiescence with bounded-lag **wavefront pipelining**
-    /// ([`SimConfig::wavefront_lag`] = `d` ≥ 1). Whenever the next
-    /// `w ≤ d` rounds are provably free of global coupling — no probe
-    /// observation, no scheduled protocol activity
-    /// ([`Protocol::next_active_round`]), no tracing, not round 0 — every
-    /// shard executes all `w` rounds in a single forked task: maturing its
+    /// One wave of bounded-lag **wavefront pipelining**
+    /// ([`SimConfig::wavefront_lag`] = `d` ≥ 1): the `width ≤ d` rounds
+    /// from `round` on, which [`wave_width`] found provably free of global
+    /// coupling — no probe observation, no scheduled protocol activity
+    /// ([`Protocol::next_active_round`]), no tracing, not round 0. Every
+    /// shard executes all of them in a single forked task: maturing its
     /// own wheel plus the pre-bucketed due ferry wires, applying its
     /// nodes' handlers against their slices, and transmitting under
     /// *provisional* sequence keys. The serialized **wave commit** then
@@ -926,241 +843,305 @@ where
     ///    wave rounds executed past it were provably no-ops.
     ///
     /// Safety rests on the ferry bound `d ≤` minimum inter-shard delay
-    /// (checked constructively): a cross-shard wire sent during a wave
+    /// ([`validate_wavefront`]): a cross-shard wire sent during a wave
     /// cannot arrive within it, so shards never observe each other
-    /// mid-wave. Rounds that do couple run through the shared
-    /// `lockstep_round` body ([`SimConfig::parallel_apply`] included), so
-    /// the whole execution — reports, probe digests, recordings — is
-    /// byte-identical to the lockstep one.
-    fn run_wavefront(self) -> Result<(SimReport, P), SimError> {
-        let ShardedSimulator { graph, partition, mut protocol, config: cfg, inter_delay } = self;
-        let lag = cfg.wavefront_lag;
-        debug_assert!(lag > 0, "routed here only when the wavefront is requested");
-        let ferry_floor = inter_delay.min_delay();
-        if lag > ferry_floor {
-            return Err(SimError::invalid_config(format!(
-                "wavefront lag {lag} exceeds the inter-shard ferry's minimum delay \
-                 {ferry_floor} ({}): a shard could outrun a wire already in flight; \
-                 lower the lag or slow the ferry",
-                inter_delay.name()
-            )));
-        }
-        if cfg.link_delay.varies_per_message() {
-            return Err(SimError::invalid_config(format!(
-                "wavefront pipelining cannot run with per-message intra-shard delays \
-                 ({}): delay draws key off sequence numbers, which in-wave sends \
-                 receive only at the wave commit; use a constant-per-link policy or \
-                 drop the wavefront",
-                cfg.link_delay.name()
-            )));
-        }
-        if cfg.faults.is_active() {
-            return Err(SimError::invalid_config(
-                "wavefront pipelining cannot run with fault injection: a crash or \
-                 recovery round couples the shards (every shard must observe the \
-                 frozen node in lockstep, mid-wave a shard would run past it); drop \
-                 --wavefront or the --fault plan",
-            ));
-        }
-        if cfg.serial_transmit {
-            return Err(SimError::invalid_config(
-                "serial_transmit and wavefront pipelining are mutually exclusive: \
-                 in-wave transmit runs inside each shard's task under provisional \
-                 sequence keys and has no serialized global walk to fall back to; \
-                 clear SimConfig::serial_transmit or the wavefront lag",
-            ));
-        }
-        if cfg.send_budget as u64 >= 1 << SURROGATE_IDX_BITS {
-            return Err(SimError::invalid_config(format!(
-                "wavefront pipelining supports send budgets below {} (got {}): the \
-                 provisional sequence key reserves 23 bits for the per-node index",
-                1u64 << SURROGATE_IDX_BITS,
-                cfg.send_budget
-            )));
-        }
-        if graph.n() as u64 > 1 << SURROGATE_NODE_BITS {
-            return Err(SimError::invalid_config(format!(
-                "wavefront pipelining supports up to {} processors (got {}): the \
-                 provisional sequence key reserves 32 bits for the node id",
-                1u64 << SURROGATE_NODE_BITS,
-                graph.n()
-            )));
+    /// mid-wave. Rounds that do couple run through
+    /// [`Fabric::lockstep_round`] ([`SimConfig::parallel_apply`]
+    /// included), so the whole execution — reports, probe digests,
+    /// recordings — is byte-identical to the lockstep one.
+    ///
+    /// Returns the round the quiescence / wakeup decision falls on and
+    /// whether the fabric was idle there.
+    fn wave_rounds<P: Protocol<Msg = M>>(
+        &mut self,
+        protocol: &mut P,
+        round: Round,
+        width: Round,
+    ) -> Result<(Round, bool), SimError> {
+        let run = self.run;
+        self.watch.reset();
+        let last = round + width - 1;
+        // Pre-bucket every ferry wire due during the wave; the lag
+        // bound guarantees nothing transmitted *during* the wave
+        // could join this set. Buckets inherit the ferry's
+        // (arrival, sequence) drain order.
+        let buckets = self.ferry_buckets(last);
+        let residual_ferry = !self.ferry.is_idle();
+        let max_pending_arrival = buckets.iter().flatten().map(|w| w.arrival).max().unwrap_or(0);
+
+        let done: Vec<WaveOutcome<M>> = {
+            let (shared, slices) = protocol.split();
+            let tasks = slice_buckets(run.partition, slices).into_iter().zip(buckets).collect();
+            fork(&mut self.shards, tasks, |shard, state, task| {
+                state.wave::<P>(shard, run, shared, task, round, width)
+            })
+            .into_iter()
+            .collect::<Result<_, _>>()?
+        };
+        let parallel_micros = self.watch.lap();
+
+        // ---- wave commit (serialized) ----
+        // (1) True sequence blocks, claimed per round offset in
+        // ascending node order — the lockstep assignment order.
+        let mut bases: HashMap<(Round, NodeId), u64> = HashMap::new();
+        for offset in 0..width {
+            let mut per_round: Vec<(NodeId, u64)> = Vec::new();
+            for out in &done {
+                per_round.extend(out.transmits[offset as usize].iter().copied());
+            }
+            per_round.sort_unstable_by_key(|&(v, _)| v);
+            for (v, count) in per_round {
+                bases.insert((offset, v), self.report.messages_sent);
+                self.report.messages_sent += count;
+            }
         }
 
+        let mut ferry_sends: Vec<(u64, Round, NodeId, NodeId, M)> = Vec::new();
+        let mut min_ferry_out_round = Round::MAX;
+        let mut all_completions: Vec<Vec<(NodeId, NodeId, u64)>> =
+            (0..width).map(|_| Vec::new()).collect();
+        let mut shard_idle: Vec<Vec<bool>> = Vec::with_capacity(done.len());
+        let (mut wave_mature, mut wave_apply, mut wave_transmit) = (0u64, 0u64, 0u64);
+        for (state, out) in self.shards.iter_mut().zip(done) {
+            // (2a) Rewrite the provisional keys on this shard's
+            // still-in-flight wires to the true numbers.
+            state.transport.remap_seqs(|seq| {
+                if seq & SURROGATE_BIT == 0 {
+                    return seq;
+                }
+                let (offset, node, idx) = decode_surrogate(seq);
+                bases[&(offset, node)] + idx + 1
+            });
+            for (offset, src, idx, dst, msg) in out.ferry_out {
+                let seq = bases[&(offset, src)] + idx + 1;
+                min_ferry_out_round = min_ferry_out_round.min(round + offset);
+                ferry_sends.push((seq, round + offset, src, dst, msg));
+            }
+            for (offset, events) in out.completions.into_iter().enumerate() {
+                all_completions[offset].extend(events);
+            }
+            for v in out.received {
+                self.report.received_by_node[v] += 1;
+            }
+            self.report.queue_wait_rounds += out.queue_wait;
+            self.report.max_inport_depth = self.report.max_inport_depth.max(out.max_inport_depth);
+            self.report.max_outbox_depth = self.report.max_outbox_depth.max(out.max_outbox_depth);
+            shard_idle.push(out.idle_after);
+            wave_mature = wave_mature.max(out.mature_micros);
+            wave_apply = wave_apply.max(out.apply_micros);
+            wave_transmit = wave_transmit.max(out.transmit_micros);
+        }
+
+        // (2b) Ferry the cross-shard sends in true sequence order —
+        // the serialized call order the shared clamp state and
+        // per-message draws depend on.
+        ferry_sends.sort_unstable_by_key(|e| e.0);
+        for (seq, send_round, src, dst, msg) in ferry_sends {
+            self.report.cross_shard_messages += 1;
+            self.ferry.transmit(src, dst, msg, send_round, seq);
+        }
+
+        // (3) Replay completions per round in ascending handler-node
+        // order (shards hold disjoint nodes, so the stable sort
+        // recovers the lockstep delivery order), through the same
+        // per-round drain — round stamps, completion counters and
+        // backlog high-water all accrue exactly as in lockstep.
+        for offset in 0..width {
+            let events = &mut all_completions[offset as usize];
+            if events.is_empty() {
+                continue;
+            }
+            events.sort_by_key(|&(handler, _, _)| handler);
+            let r = round + offset;
+            self.api.set_round(r);
+            for &(_, node, value) in events.iter() {
+                self.api.complete(node, value);
+            }
+            self.drain(r)?;
+        }
+        let commit_micros = self.watch.lap();
+
+        if run.cfg.probe.timing {
+            // Each phase accrues its cross-shard critical path (max
+            // over the per-task laps); the serialized commit counts
+            // as transmit work (it is the sequence/ferry half of the
+            // transmit phase). The per-round maximum treats the wave
+            // as `width` equal slices of its wall clock.
+            let timing = &mut self.timing;
+            timing.mature_micros += wave_mature;
+            timing.apply_micros += wave_apply;
+            timing.transmit_micros += wave_transmit + commit_micros;
+            let per_round = (parallel_micros + commit_micros).div_ceil(width.max(1));
+            timing.max_round_micros = timing.max_round_micros.max(per_round);
+        }
+
+        // (4) Quiescence, re-derived: global idle at wave round `r`
+        // requires every shard idle after `r`, no ferry wire due
+        // beyond the wave, every pre-drained ferry wire matured by
+        // `r`, and no wave send ferried at or before `r` (its arrival
+        // would be pending). Wave rounds past the first idle point
+        // touched nothing (no arrivals in a wave, nothing left to
+        // mature or deliver), so acting on it here reproduces the
+        // lockstep termination or wakeup fast-forward exactly.
+        let idle_at = (round..=last).find(|&r| {
+            shard_idle.iter().all(|flags| flags[(r - round) as usize])
+                && !residual_ferry
+                && max_pending_arrival <= r
+                && min_ferry_out_round > r
+        });
+        Ok(idle_at.map_or((last, false), |idle_round| (idle_round, true)))
+    }
+
+    /// Whether every queue, wheel and the ferry are empty.
+    fn idle(&self) -> bool {
+        self.ferry.is_idle()
+            && self.shards.iter().all(|s| s.store.is_idle() && s.transport.is_idle())
+    }
+
+    /// Close the run at its final `round`: the report with the fault
+    /// events that fired and, when asked for, the phase timings.
+    fn finish(mut self, round: Round) -> SimReport {
+        self.report.rounds = round;
+        self.report.record_fault_events(&self.run.cfg.faults);
+        if self.run.cfg.probe.timing {
+            self.report.phase_timing = Some(self.timing);
+        }
+        self.report
+    }
+}
+
+/// An executable sharded simulation: graph + partition + protocol + config.
+/// Every apply path — the barrier walk, the shard tasks of
+/// [`SimConfig::parallel_apply`], the wavefront — calls the protocol's one
+/// handler on the slices directly, so every [`SimConfig`] strategy flag can
+/// be honoured for every protocol.
+pub struct ShardedSimulator<'g, P: Protocol> {
+    graph: &'g Graph,
+    partition: Partition,
+    protocol: P,
+    config: SimConfig,
+    inter_delay: LinkDelay,
+}
+
+impl<'g, P: Protocol> ShardedSimulator<'g, P>
+where
+    P::Msg: Send,
+{
+    /// Create a sharded simulator. The inter-shard ferry defaults to the
+    /// intra-shard delay policy (`config.link_delay`), under which the
+    /// execution reproduces the single-fabric [`crate::Simulator`] exactly.
+    pub fn new(graph: &'g Graph, partition: Partition, protocol: P, config: SimConfig) -> Self {
+        let inter_delay = config.link_delay;
+        ShardedSimulator { graph, partition, protocol, config, inter_delay }
+    }
+
+    /// Builder-style: set the delay policy of the inter-shard ferry.
+    pub fn with_inter_delay(mut self, delay: LinkDelay) -> Self {
+        self.inter_delay = delay;
+        self
+    }
+
+    /// Run to quiescence, returning the report and final protocol state.
+    /// One loop: every step is either one `lockstep_round`, whose deliver
+    /// phase honours [`SimConfig::parallel_apply`], or — under
+    /// [`SimConfig::wavefront_lag`] > 0, wherever `wave_width` finds room
+    /// — one wave of pipelined rounds. The report is byte-identical
+    /// whichever strategy runs.
+    pub fn run_with_state(self) -> Result<(SimReport, P), SimError> {
+        let ShardedSimulator { graph, partition, mut protocol, config: cfg, inter_delay } = self;
         let run = Run { graph, partition: &partition, cfg: &cfg };
+        let lag = cfg.wavefront_lag;
+        if lag > 0 {
+            validate_wavefront(run, inter_delay)?;
+        }
         let mut fab = Fabric::setup(run, &mut protocol, inter_delay)?;
 
         let mut round: Round = 0;
         loop {
-            let width = wave_width(&protocol, &cfg, round, lag);
-            if width <= 1 {
-                // A coupled round (round 0, observed, scheduled arrivals,
-                // tracing): run it through the shared lockstep body.
+            // A width of 1 is a coupled round (always, without a lag;
+            // under one: round 0, observed, scheduled arrivals, tracing).
+            let width = if lag == 0 { 1 } else { wave_width(&protocol, &cfg, round, lag) };
+            let (at, idle) = if width <= 1 {
                 fab.lockstep_round(&mut protocol, round)?;
-                match advance_round(&protocol, fab.idle(), round, cfg.max_rounds)? {
-                    Some(next) => round = next,
-                    None => break,
-                }
-                continue;
-            }
-
-            // ---- a wave of `width` pipelined rounds [round, round+width) ----
-            fab.watch.reset();
-            let last = round + width - 1;
-            // Pre-bucket every ferry wire due during the wave; the lag
-            // bound guarantees nothing transmitted *during* the wave
-            // could join this set. Buckets inherit the ferry's
-            // (arrival, sequence) drain order.
-            let buckets = fab.ferry_buckets(last);
-            let residual_ferry = !fab.ferry.is_idle();
-            let max_pending_arrival =
-                buckets.iter().flatten().map(|w| w.arrival).max().unwrap_or(0);
-
-            let done: Vec<WaveOutcome<P::Msg>> = {
-                let (shared, slices) = protocol.split();
-                let tasks = slice_buckets(&partition, slices).into_iter().zip(buckets).collect();
-                fork(&mut fab.shards, tasks, |shard, state, task| {
-                    state.wave::<P>(shard, run, shared, task, round, width)
-                })
-                .into_iter()
-                .collect::<Result<_, _>>()?
+                (round, fab.idle())
+            } else {
+                fab.wave_rounds(&mut protocol, round, width)?
             };
-            let parallel_micros = fab.watch.lap();
 
-            // ---- wave commit (serialized) ----
-            // (1) True sequence blocks, claimed per round offset in
-            // ascending node order — the lockstep assignment order.
-            let mut bases: HashMap<(Round, NodeId), u64> = HashMap::new();
-            for offset in 0..width {
-                let mut per_round: Vec<(NodeId, u64)> = Vec::new();
-                for out in &done {
-                    per_round.extend(out.transmits[offset as usize].iter().copied());
-                }
-                per_round.sort_unstable_by_key(|&(v, _)| v);
-                for (v, count) in per_round {
-                    bases.insert((offset, v), fab.report.messages_sent);
-                    fab.report.messages_sent += count;
-                }
-            }
-
-            let mut ferry_sends: Vec<(u64, Round, NodeId, NodeId, P::Msg)> = Vec::new();
-            let mut min_ferry_out_round = Round::MAX;
-            let mut all_completions: Vec<Vec<(NodeId, NodeId, u64)>> =
-                (0..width).map(|_| Vec::new()).collect();
-            let mut shard_idle: Vec<Vec<bool>> = Vec::with_capacity(done.len());
-            let (mut wave_mature, mut wave_apply, mut wave_transmit) = (0u64, 0u64, 0u64);
-            for (state, out) in fab.shards.iter_mut().zip(done) {
-                // (2a) Rewrite the provisional keys on this shard's
-                // still-in-flight wires to the true numbers.
-                state.transport.remap_seqs(|seq| {
-                    if seq & SURROGATE_BIT == 0 {
-                        return seq;
-                    }
-                    let (offset, node, idx) = decode_surrogate(seq);
-                    bases[&(offset, node)] + idx + 1
-                });
-                for (offset, src, idx, dst, msg) in out.ferry_out {
-                    let seq = bases[&(offset, src)] + idx + 1;
-                    min_ferry_out_round = min_ferry_out_round.min(round + offset);
-                    ferry_sends.push((seq, round + offset, src, dst, msg));
-                }
-                for (offset, events) in out.completions.into_iter().enumerate() {
-                    all_completions[offset].extend(events);
-                }
-                for v in out.received {
-                    fab.report.received_by_node[v] += 1;
-                }
-                fab.report.queue_wait_rounds += out.queue_wait;
-                fab.report.max_inport_depth = fab.report.max_inport_depth.max(out.max_inport_depth);
-                fab.report.max_outbox_depth = fab.report.max_outbox_depth.max(out.max_outbox_depth);
-                shard_idle.push(out.idle_after);
-                wave_mature = wave_mature.max(out.mature_micros);
-                wave_apply = wave_apply.max(out.apply_micros);
-                wave_transmit = wave_transmit.max(out.transmit_micros);
-            }
-
-            // (2b) Ferry the cross-shard sends in true sequence order —
-            // the serialized call order the shared clamp state and
-            // per-message draws depend on.
-            ferry_sends.sort_unstable_by_key(|e| e.0);
-            for (seq, send_round, src, dst, msg) in ferry_sends {
-                fab.report.cross_shard_messages += 1;
-                fab.ferry.transmit(src, dst, msg, send_round, seq);
-            }
-
-            // (3) Replay completions per round in ascending handler-node
-            // order (shards hold disjoint nodes, so the stable sort
-            // recovers the lockstep delivery order), through the same
-            // per-round drain — round stamps, completion counters and
-            // backlog high-water all accrue exactly as in lockstep.
-            for offset in 0..width {
-                let events = &mut all_completions[offset as usize];
-                if events.is_empty() {
-                    continue;
-                }
-                events.sort_by_key(|&(handler, _, _)| handler);
-                let r = round + offset;
-                fab.api.set_round(r);
-                for &(_, node, value) in events.iter() {
-                    fab.api.complete(node, value);
-                }
-                fab.drain(r)?;
-            }
-            let commit_micros = fab.watch.lap();
-
-            if cfg.probe.timing {
-                // Each phase accrues its cross-shard critical path (max
-                // over the per-task laps); the serialized commit counts
-                // as transmit work (it is the sequence/ferry half of the
-                // transmit phase). The per-round maximum treats the wave
-                // as `width` equal slices of its wall clock.
-                let timing = &mut fab.timing;
-                timing.mature_micros += wave_mature;
-                timing.apply_micros += wave_apply;
-                timing.transmit_micros += wave_transmit + commit_micros;
-                let per_round = (parallel_micros + commit_micros).div_ceil(width.max(1));
-                timing.max_round_micros = timing.max_round_micros.max(per_round);
-            }
-
-            // (4) Quiescence, re-derived: global idle at wave round `r`
-            // requires every shard idle after `r`, no ferry wire due
-            // beyond the wave, every pre-drained ferry wire matured by
-            // `r`, and no wave send ferried at or before `r` (its arrival
-            // would be pending). Wave rounds past the first idle point
-            // touched nothing (no arrivals in a wave, nothing left to
-            // mature or deliver), so acting on it here reproduces the
-            // lockstep termination or wakeup fast-forward exactly.
-            let mut idle_at: Option<Round> = None;
-            for offset in 0..width {
-                let r = round + offset;
-                let shards_idle = shard_idle.iter().all(|flags| flags[offset as usize]);
-                if shards_idle
-                    && !residual_ferry
-                    && max_pending_arrival <= r
-                    && min_ferry_out_round > r
-                {
-                    idle_at = Some(r);
+            // Quiescence / wakeup phase (shared with the single executor).
+            match advance_round(&protocol, idle, at, cfg.max_rounds)? {
+                Some(next) => round = next,
+                None => {
+                    round = at;
                     break;
                 }
-            }
-            match idle_at {
-                Some(idle_round) => {
-                    match advance_round(&protocol, true, idle_round, cfg.max_rounds)? {
-                        Some(next) => round = next,
-                        None => {
-                            round = idle_round;
-                            break;
-                        }
-                    }
-                }
-                None => match advance_round(&protocol, false, last, cfg.max_rounds)? {
-                    Some(next) => round = next,
-                    None => unreachable!("a non-idle round always has a successor"),
-                },
             }
         }
         Ok((fab.finish(round), protocol))
     }
+
+    /// Run to quiescence, returning only the report.
+    pub fn run(self) -> Result<SimReport, SimError> {
+        self.run_with_state().map(|(r, _)| r)
+    }
+}
+
+/// What [`SimConfig::wavefront_lag`] > 0 needs of a run, checked
+/// constructively before anything executes.
+fn validate_wavefront(run: Run<'_>, inter_delay: LinkDelay) -> Result<(), SimError> {
+    let Run { graph, cfg, .. } = run;
+    let lag = cfg.wavefront_lag;
+    let ferry_floor = inter_delay.min_delay();
+    if lag > ferry_floor {
+        return Err(SimError::invalid_config(format!(
+            "wavefront lag {lag} exceeds the inter-shard ferry's minimum delay \
+             {ferry_floor} ({}): a shard could outrun a wire already in flight; \
+             lower the lag or slow the ferry",
+            inter_delay.name()
+        )));
+    }
+    if cfg.link_delay.varies_per_message() {
+        return Err(SimError::invalid_config(format!(
+            "wavefront pipelining cannot run with per-message intra-shard delays \
+             ({}): delay draws key off sequence numbers, which in-wave sends \
+             receive only at the wave commit; use a constant-per-link policy or \
+             drop the wavefront",
+            cfg.link_delay.name()
+        )));
+    }
+    if cfg.faults.is_active() {
+        return Err(SimError::invalid_config(
+            "wavefront pipelining cannot run with fault injection: a crash or \
+             recovery round couples the shards (every shard must observe the \
+             frozen node in lockstep, mid-wave a shard would run past it); drop \
+             --wavefront or the --fault plan",
+        ));
+    }
+    if cfg.serial_transmit {
+        return Err(SimError::invalid_config(
+            "serial_transmit and wavefront pipelining are mutually exclusive: \
+             in-wave transmit runs inside each shard's task under provisional \
+             sequence keys and has no serialized global walk to fall back to; \
+             clear SimConfig::serial_transmit or the wavefront lag",
+        ));
+    }
+    if cfg.send_budget as u64 >= 1 << SURROGATE_IDX_BITS {
+        return Err(SimError::invalid_config(format!(
+            "wavefront pipelining supports send budgets below {} (got {}): the \
+             provisional sequence key reserves 23 bits for the per-node index",
+            1u64 << SURROGATE_IDX_BITS,
+            cfg.send_budget
+        )));
+    }
+    if graph.n() as u64 > 1 << SURROGATE_NODE_BITS {
+        return Err(SimError::invalid_config(format!(
+            "wavefront pipelining supports up to {} processors (got {}): the \
+             provisional sequence key reserves 32 bits for the node id",
+            1u64 << SURROGATE_NODE_BITS,
+            graph.n()
+        )));
+    }
+    Ok(())
 }
 
 /// Tag bit of a provisional in-wave sequence key. True run-global
@@ -1250,7 +1231,7 @@ struct WaveOutcome<M> {
 
 /// Convenience: run `protocol` on `graph` under `config`, sharded by
 /// `partition` (ferry delay = the intra-shard policy).
-pub fn run_protocol_sharded<P: NodeSliced>(
+pub fn run_protocol_sharded<P: Protocol>(
     graph: &Graph,
     partition: Partition,
     protocol: P,
@@ -1286,6 +1267,11 @@ mod tests {
 
     impl Protocol for SlicedWalk {
         type Msg = ();
+        type Slice = u64;
+        type Shared = usize;
+        fn split(&mut self) -> (&usize, &mut [u64]) {
+            (&self.shared, &mut self.visits)
+        }
         fn on_start(&mut self, api: &mut SimApi<()>) {
             self.visits[0] += 1;
             api.complete(0, 0);
@@ -1293,18 +1279,7 @@ mod tests {
                 api.send(0, 1, ());
             }
         }
-        fn on_message(&mut self, api: &mut SimApi<()>, node: NodeId, from: NodeId, msg: ()) {
-            crate::protocol::dispatch_sliced(self, api, node, from, msg);
-        }
-    }
-
-    impl NodeSliced for SlicedWalk {
-        type Slice = u64;
-        type Shared = usize;
-        fn split(&mut self) -> (&usize, &mut [u64]) {
-            (&self.shared, &mut self.visits)
-        }
-        fn on_message_sliced(
+        fn on_message(
             shared: &usize,
             slice: &mut u64,
             api: &mut SliceApi<()>,
@@ -1459,27 +1434,22 @@ mod tests {
 
     #[test]
     fn short_slice_vector_is_invalid_config_not_a_hang() {
-        /// Violates the NodeSliced contract: fewer slices than processors.
+        /// Violates the `split` contract: fewer slices than processors.
         struct Short {
             n: usize,
             units: Vec<u64>,
         }
         impl Protocol for Short {
             type Msg = ();
-            fn on_start(&mut self, api: &mut SimApi<()>) {
-                api.send(0, 1, ());
-            }
-            fn on_message(&mut self, api: &mut SimApi<()>, node: NodeId, from: NodeId, msg: ()) {
-                crate::protocol::dispatch_sliced(self, api, node, from, msg);
-            }
-        }
-        impl NodeSliced for Short {
             type Slice = u64;
             type Shared = usize;
             fn split(&mut self) -> (&usize, &mut [u64]) {
                 (&self.n, &mut self.units)
             }
-            fn on_message_sliced(
+            fn on_start(&mut self, api: &mut SimApi<()>) {
+                api.send(0, 1, ());
+            }
+            fn on_message(
                 _: &usize,
                 slice: &mut u64,
                 api: &mut SliceApi<()>,
@@ -1492,16 +1462,37 @@ mod tests {
             }
         }
         let g = topology::path(6);
+        let short = || Short { n: 6, units: vec![0; 2] };
+        let mut errs = vec![crate::run_protocol(&g, short(), SimConfig::strict()).unwrap_err()];
         for parallel in APPLY_PATHS {
-            let err = run_protocol_sharded(
-                &g,
-                Partition::contiguous(6, 2),
-                Short { n: 6, units: vec![0; 2] },
-                SimConfig::strict().with_parallel_apply(parallel),
-            )
-            .unwrap_err();
+            let cfg = SimConfig::strict().with_parallel_apply(parallel);
+            errs.push(
+                run_protocol_sharded(&g, Partition::contiguous(6, 2), short(), cfg).unwrap_err(),
+            );
+        }
+        for err in errs {
+            assert!(matches!(err, SimError::InvalidConfig { .. }), "{err}");
             assert!(err.to_string().contains("one slice per processor"), "{err}");
         }
+    }
+
+    #[test]
+    fn perturbation_at_a_missing_node_is_invalid_config_on_both_executors() {
+        use crate::ProbeSpec;
+        let g = topology::path(3);
+        let cfg = SimConfig::strict().with_probe(ProbeSpec::OFF.with_perturbation(1, 99));
+        for err in [
+            crate::run_protocol(&g, SlicedWalk::new(3), cfg).unwrap_err(),
+            run_protocol_sharded(&g, Partition::contiguous(3, 2), SlicedWalk::new(3), cfg)
+                .unwrap_err(),
+        ] {
+            let msg = err.to_string();
+            assert!(matches!(err, SimError::InvalidConfig { .. }), "{msg}");
+            assert!(msg.contains("node 99") && msg.contains("3 nodes"), "{msg}");
+        }
+        // The last real node is still a legal target.
+        let cfg = SimConfig::strict().with_probe(ProbeSpec::OFF.with_perturbation(1, 2));
+        crate::run_protocol(&g, SlicedWalk::new(3), cfg).unwrap();
     }
 
     #[test]

@@ -543,11 +543,11 @@ fn cmd_bisect(args: &[String]) -> i32 {
         argv.push("--node-hashes".to_string());
         argv
     };
-    let a = match execute_sweep(&argv_for(cfg_a)) {
+    let a = match bisect_side(&argv_for(cfg_a)) {
         Ok(v) => v,
         Err(msg) => return fail(&format!("config A (`{cfg_a}`): {msg}")),
     };
-    let b = match execute_sweep(&argv_for(cfg_b)) {
+    let b = match bisect_side(&argv_for(cfg_b)) {
         Ok(v) => v,
         Err(msg) => return fail(&format!("config B (`{cfg_b}`): {msg}")),
     };
@@ -561,6 +561,24 @@ fn cmd_bisect(args: &[String]) -> i32 {
             say!("{div}");
             3
         }
+    }
+}
+
+/// One side of a bisection: the sweep's JSON — or the error of its first
+/// case that did not run, which has no checkpoint stream to compare (a
+/// rejected configuration is not a divergence at round 0).
+fn bisect_side(argv: &[String]) -> Result<String, String> {
+    let (plan, _) = parse_sweep(argv)?;
+    let set = plan.execute();
+    match set.cases.iter().find(|c| !c.ok) {
+        Some(c) => Err(format!(
+            "case {} ({}/{}) failed: {}",
+            c.case,
+            c.topology,
+            c.protocol,
+            c.error.as_deref().unwrap_or("no error recorded")
+        )),
+        None => Ok(set.to_json()),
     }
 }
 

@@ -566,6 +566,26 @@ fn wavefront_misconfigured_runs_fail_with_named_errors() {
 }
 
 #[test]
+fn perturbation_at_a_missing_node_is_a_named_error() {
+    // A perturbation that can never fire is not planted silently: the
+    // sweep's case errs naming the node and n, and a bisection refuses to
+    // call the unplanted fault "no divergence".
+    let out =
+        ccq(&["sweep", "--topo", "list:3", "--proto", "arrow", "--perturb", "1:99", "--json", "-"]);
+    assert_eq!(out.status.code(), Some(1), "the case should fail");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let doc: serde_json::Value = serde_json::from_str(stdout.trim()).expect("JSON on stdout");
+    let msg = cases(&doc)[0].get("error").and_then(|e| e.as_str()).expect("case error");
+    assert!(msg.contains("node 99") && msg.contains("3 nodes"), "unhelpful error: {msg}");
+
+    let out = ccq(&["bisect", "--perturb 1:99", "", "--topo", "list:3", "--proto", "arrow"]);
+    assert_eq!(out.status.code(), Some(2), "bisect must not report agreement");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("--perturb 1:99") && stderr.contains("node 99"), "{stderr}");
+    assert!(out.stdout.is_empty(), "no verdict on stdout");
+}
+
+#[test]
 fn backpressure_composes_with_shards() {
     // The tentpole's sharding criterion: admission is evaluated against
     // the global backlog, so a sharded backpressured sweep reproduces the

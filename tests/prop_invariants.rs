@@ -222,7 +222,7 @@ proptest! {
     ) {
         let g = topology::path(3);
         let paced = Paced::new(
-            Burst { burst, seen: vec![] },
+            Burst { burst, seen: vec![vec![]; 3] },
             vec![(0, 0), (gap, 2)], // two waves: node 0 at round 0, node 2 at `gap`
         );
         let cfg = SimConfig::strict().with_jitter(jmax, seed);
@@ -233,7 +233,7 @@ proptest! {
         for src in [0u64, 2] {
             let from_src: Vec<u64> = p
                 .inner()
-                .seen
+                .seen[1]
                 .iter()
                 .filter(|&&(s, _)| s == src)
                 .map(|&(_, m)| m)
@@ -246,31 +246,42 @@ proptest! {
 }
 
 /// Nodes 0 and 2 each fire `burst` numbered messages at node 1 when
-/// issued; node 1 records `(sender, number)` arrival order.
+/// issued; a node's slice records the `(sender, number)` arrival order.
 struct Burst {
     burst: u64,
-    seen: Vec<(u64, u64)>,
+    seen: Vec<Vec<(u64, u64)>>,
 }
 
 impl ccq_repro::sim::Protocol for Burst {
     type Msg = u64;
+    type Slice = Vec<(u64, u64)>;
+    type Shared = u64;
+    fn split(&mut self) -> (&u64, &mut [Vec<(u64, u64)>]) {
+        (&self.burst, &mut self.seen)
+    }
     fn on_start(&mut self, _: &mut ccq_repro::sim::SimApi<u64>) {}
     fn on_message(
-        &mut self,
-        api: &mut ccq_repro::sim::SimApi<u64>,
+        _: &u64,
+        seen: &mut Vec<(u64, u64)>,
+        api: &mut ccq_repro::sim::SliceApi<u64>,
         node: NodeId,
         from: NodeId,
         m: u64,
     ) {
-        self.seen.push((from as u64, m));
+        seen.push((from as u64, m));
         api.complete(node, m);
     }
 }
 
 impl ccq_repro::sim::OnlineProtocol for Burst {
-    fn issue(&mut self, api: &mut ccq_repro::sim::SimApi<u64>, node: NodeId) {
-        for i in 1..=self.burst {
-            api.send(node, 1, i);
+    fn issue(
+        burst: &u64,
+        _: &mut Vec<(u64, u64)>,
+        api: &mut ccq_repro::sim::SliceApi<u64>,
+        _: NodeId,
+    ) {
+        for i in 1..=*burst {
+            api.send(1, i);
         }
     }
 }

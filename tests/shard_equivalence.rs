@@ -11,10 +11,10 @@
 //!   with the same delays as the single-shard run (the default ferry
 //!   inherits the intra-shard delay policy, so only the cross-shard
 //!   traffic counter may differ);
-//! * **parallel-apply equivalence** — every registry protocol implements
-//!   `NodeSliced`, and a property test sweeps sliced protocols × delay
-//!   policies × open arrivals × shard plans asserting the parallel apply
-//!   path is byte-identical to the serialized one;
+//! * **parallel-apply equivalence** — every protocol's handler works on
+//!   its node's slice alone, and a property test sweeps registry protocols
+//!   × delay policies × open arrivals × shard plans asserting the parallel
+//!   apply path is byte-identical to the serialized one;
 //! * **scan equivalence** — the same matrix asserts the default
 //!   dirty-frontier round loop is byte-identical to the dense `0..n`
 //!   reference scan (`SimConfig::dense_scan`), on both apply paths;
