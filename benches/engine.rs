@@ -61,10 +61,7 @@ fn iters() -> u32 {
 /// caller, outside the timed body — into one sample. `dense` selects the
 /// engine's dense reference scan, which only a `SimConfig` names.
 fn measure(bench: &str, spec: &dyn ProtocolSpec, scenario: &Scenario, dense: bool) -> Sample {
-    let mode = match spec.kind() {
-        ProtocolKind::Queuing => ModelMode::Expanded,
-        ProtocolKind::Counting | ProtocolKind::Relaxed => ModelMode::Strict,
-    };
+    let mode = spec.kind().paper_mode();
     let cfg = config_for(mode, spec.tree(scenario).max_degree()).with_dense_scan(dense);
     let n = iters();
     let start = Instant::now();

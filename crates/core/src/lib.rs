@@ -10,6 +10,9 @@
 //! * [`plan`] — [`plan::RunPlan`] sweep builder: cross-products of
 //!   topologies × protocols × modes × patterns × repeats, executed
 //!   rayon-parallel into a JSON-serializable [`plan::RunSet`];
+//! * [`spec`] — the text grammar of a sweep, written once: argv →
+//!   [`spec::Sweep`] (a [`plan::RunPlan`] plus output flags), the table
+//!   `ccq list` / `ccq --help` render, and every parse diagnostic;
 //! * [`run`] — the vocabulary of a verified run ([`run::ModelMode`],
 //!   [`run::RunOutcome`], [`run::RunError`]) and [`run::run_best_counting`];
 //! * [`report`] — per-run summaries and queuing-vs-counting comparisons;
@@ -38,6 +41,7 @@ pub mod protocol;
 pub mod report;
 pub mod run;
 pub mod scenario;
+pub mod spec;
 pub mod table;
 
 /// Convenient glob import for examples and tests.

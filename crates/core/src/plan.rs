@@ -325,10 +325,7 @@ impl RunPlan {
 
     fn modes_for(&self, spec: &dyn ProtocolSpec) -> Vec<ModelMode> {
         match &self.modes {
-            ModeSel::Paper => vec![match spec.kind() {
-                ProtocolKind::Queuing => ModelMode::Expanded,
-                ProtocolKind::Counting | ProtocolKind::Relaxed => ModelMode::Strict,
-            }],
+            ModeSel::Paper => vec![spec.kind().paper_mode()],
             ModeSel::Explicit(list) => list.clone(),
         }
     }

@@ -192,6 +192,16 @@ impl ProtocolKind {
             ProtocolKind::Relaxed => "relaxed",
         }
     }
+
+    /// The paper's mode convention: queuing runs with expanded steps (the
+    /// Theorem 4.5 setup), counting — exact or relaxed — in the strict
+    /// model.
+    pub fn paper_mode(self) -> ModelMode {
+        match self {
+            ProtocolKind::Queuing => ModelMode::Expanded,
+            ProtocolKind::Counting | ProtocolKind::Relaxed => ModelMode::Strict,
+        }
+    }
 }
 
 /// The paper's default width rule for network-style counters:

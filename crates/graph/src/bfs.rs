@@ -1,8 +1,8 @@
 //! Breadth-first search, eccentricities and diameters.
 //!
 //! Theorem 3.6 of the paper lower-bounds counting by `Ω(α²)` where `α` is the
-//! diameter of `G`; the experiment drivers need exact (small `n`) and
-//! approximate (large `n`) diameters, both provided here.
+//! diameter of `G`; the experiment drivers read it off the two-sweep bound
+//! ([`diameter_two_sweep`]), exact on the families they run.
 
 use crate::{Graph, NodeId, NO_NODE};
 use std::collections::VecDeque;
@@ -49,29 +49,11 @@ pub fn bfs_tree_arrays(g: &Graph, src: NodeId) -> (Vec<u32>, Vec<NodeId>) {
     (dist, pred)
 }
 
-/// Shortest path from `u` to `v` (inclusive of both endpoints).
-///
-/// Returns `None` when `v` is unreachable from `u`.
-pub fn shortest_path(g: &Graph, u: NodeId, v: NodeId) -> Option<Vec<NodeId>> {
-    let (dist, pred) = bfs_tree_arrays(g, u);
-    if dist[v] == u32::MAX {
-        return None;
-    }
-    let mut path = vec![v];
-    let mut cur = v;
-    while cur != u {
-        cur = pred[cur];
-        path.push(cur);
-    }
-    path.reverse();
-    Some(path)
-}
-
 /// Eccentricity of `src`: the largest finite BFS distance from it.
 ///
 /// # Panics
 /// Panics if the graph is disconnected (eccentricity is then undefined).
-pub fn eccentricity(g: &Graph, src: NodeId) -> u32 {
+fn eccentricity(g: &Graph, src: NodeId) -> u32 {
     let dist = bfs_distances(g, src);
     let mut ecc = 0;
     for &d in &dist {
@@ -81,15 +63,6 @@ pub fn eccentricity(g: &Graph, src: NodeId) -> u32 {
     ecc
 }
 
-/// Exact diameter via all-pairs BFS — `O(n·m)`; intended for `n ≲ 10⁴`.
-///
-/// # Panics
-/// Panics on disconnected graphs or `n == 0`.
-pub fn diameter_exact(g: &Graph) -> u32 {
-    assert!(g.n() > 0, "diameter of the empty graph");
-    (0..g.n()).map(|v| eccentricity(g, v)).max().unwrap()
-}
-
 /// Two-sweep lower bound on the diameter (exact on trees): BFS from `start`,
 /// then BFS from the farthest vertex found.
 pub fn diameter_two_sweep(g: &Graph, start: NodeId) -> u32 {
@@ -97,14 +70,6 @@ pub fn diameter_two_sweep(g: &Graph, start: NodeId) -> u32 {
     let far =
         (0..g.n()).max_by_key(|&v| if d0[v] == u32::MAX { 0 } else { d0[v] }).unwrap_or(start);
     eccentricity(g, far)
-}
-
-/// A vertex of minimum eccentricity (a "center") — used to place counter
-/// roots so the central-counter baseline is not handicapped by placement.
-/// `O(n·m)`; intended for `n ≲ 10⁴`. For larger graphs use
-/// [`approx_center`].
-pub fn center_exact(g: &Graph) -> NodeId {
-    (0..g.n()).min_by_key(|&v| eccentricity(g, v)).expect("center of the empty graph")
 }
 
 /// Approximate center: the midpoint of a two-sweep diameter path.
@@ -134,37 +99,22 @@ mod tests {
     }
 
     #[test]
-    fn shortest_path_endpoints() {
-        let g = topology::path(6);
-        let p = shortest_path(&g, 1, 4).unwrap();
-        assert_eq!(p, vec![1, 2, 3, 4]);
-        let p = shortest_path(&g, 3, 3).unwrap();
-        assert_eq!(p, vec![3]);
-    }
-
-    #[test]
-    fn shortest_path_unreachable() {
-        let g = crate::Graph::from_edges(4, &[(0, 1), (2, 3)]);
-        assert!(shortest_path(&g, 0, 3).is_none());
-    }
-
-    #[test]
     fn diameter_of_path_and_cycle() {
-        assert_eq!(diameter_exact(&topology::path(10)), 9);
-        assert_eq!(diameter_exact(&topology::cycle(10)), 5);
-        assert_eq!(diameter_exact(&topology::cycle(11)), 5);
+        assert_eq!(diameter_two_sweep(&topology::path(10), 0), 9);
+        assert_eq!(diameter_two_sweep(&topology::cycle(10), 0), 5);
+        assert_eq!(diameter_two_sweep(&topology::cycle(11), 0), 5);
     }
 
     #[test]
     fn diameter_of_complete_and_star() {
-        assert_eq!(diameter_exact(&topology::complete(8)), 1);
-        assert_eq!(diameter_exact(&topology::star(8)), 2);
+        assert_eq!(diameter_two_sweep(&topology::complete(8), 0), 1);
+        assert_eq!(diameter_two_sweep(&topology::star(8), 0), 2);
     }
 
     #[test]
     fn two_sweep_exact_on_trees() {
         let g = topology::perfect_mary_tree(2, 4);
-        assert_eq!(diameter_two_sweep(&g, 0), diameter_exact(&g));
+        assert_eq!(diameter_two_sweep(&g, 0), 8);
         let g = topology::path(17);
         assert_eq!(diameter_two_sweep(&g, 8), 16);
     }
@@ -172,20 +122,19 @@ mod tests {
     #[test]
     fn center_of_path_is_middle() {
         let g = topology::path(9);
-        assert_eq!(center_exact(&g), 4);
         assert_eq!(approx_center(&g, 0), 4);
     }
 
     #[test]
     fn hypercube_diameter_is_dimension() {
         for d in 1..=6 {
-            assert_eq!(diameter_exact(&topology::hypercube(d)), d as u32);
+            assert_eq!(diameter_two_sweep(&topology::hypercube(d), 0), d as u32);
         }
     }
 
     #[test]
     fn mesh_diameter_is_manhattan() {
         let g = topology::mesh(&[4, 5]);
-        assert_eq!(diameter_exact(&g), 3 + 4);
+        assert_eq!(diameter_two_sweep(&g, 0), 3 + 4);
     }
 }

@@ -8,14 +8,14 @@
 //! * [`topology`] — generators for every interconnection topology the paper
 //!   names (complete graph, list, d-dimensional mesh, hypercube, star,
 //!   perfect m-ary tree) plus auxiliary families used in tests and ablations,
-//! * [`bfs`] — breadth-first search, eccentricities and diameters,
+//! * [`bfs`] — breadth-first search, diameters and centers,
 //! * [`Tree`] — rooted spanning trees with parent/children/depth indexing,
 //! * [`Lca`] — binary-lifting lowest-common-ancestor queries and tree
 //!   distances (the metric used by the nearest-neighbour TSP analysis),
 //! * [`spanning`] — spanning-tree constructions, most importantly the
 //!   Hamilton-path trees of Lemma 4.6 (complete graph, mesh, hypercube) and
 //!   constant-degree trees required by Theorem 4.1,
-//! * [`path`] — explicit path extraction used for source-routed messages,
+//! * [`path`] — route tables for source-routed messages,
 //! * [`partition`] — vertex partitions (contiguous, striped, greedy
 //!   edge-cut) for the multi-shard executor.
 //!

@@ -4,8 +4,8 @@
 //! `k` shards. The sharded simulator runs one message fabric per shard and
 //! ferries messages crossing shard boundaries through a separate inter-shard
 //! transport, so the quality measure of a partition is its **edge cut**
-//! ([`Partition::cut_edges`]): every cut edge is a potential cross-shard
-//! message per round.
+//! (the edges whose endpoints live in different shards): every cut edge is
+//! a potential cross-shard message per round.
 //!
 //! Three deterministic strategies are provided:
 //!
@@ -37,7 +37,7 @@ impl Partition {
     /// deterministic strategies, so an out-of-range id is a programming
     /// error. (The sharded simulator additionally validates shape against
     /// its graph and reports a constructive `InvalidConfig` error.)
-    pub fn from_assignment(k: usize, assignment: Vec<usize>) -> Self {
+    fn from_assignment(k: usize, assignment: Vec<usize>) -> Self {
         let k = k.max(1);
         let mut members: Vec<Vec<NodeId>> = vec![Vec::new(); k];
         for (v, &s) in assignment.iter().enumerate() {
@@ -125,18 +125,17 @@ impl Partition {
     pub fn assignment(&self) -> &[usize] {
         &self.assignment
     }
-
-    /// Number of graph edges whose endpoints live in different shards —
-    /// the cross-shard traffic surface.
-    pub fn cut_edges(&self, graph: &Graph) -> usize {
-        graph.edges().filter(|&(u, v)| self.assignment[u] != self.assignment[v]).count()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::topology;
+
+    /// The edge cut: the measure the strategies are compared on.
+    fn cut_edges(p: &Partition, graph: &Graph) -> usize {
+        graph.edges().filter(|&(u, v)| p.assignment()[u] != p.assignment()[v]).count()
+    }
 
     #[test]
     fn contiguous_blocks() {
@@ -163,7 +162,7 @@ mod tests {
         ] {
             assert_eq!(p.k(), 1);
             assert_eq!(p.members(0).len(), 6);
-            assert_eq!(p.cut_edges(&topology::path(6)), 0);
+            assert_eq!(cut_edges(&p, &topology::path(6)), 0);
         }
     }
 
@@ -190,8 +189,8 @@ mod tests {
     #[test]
     fn greedy_cut_beats_striping_on_meshes() {
         let g = topology::mesh(&[8, 8]);
-        let greedy = Partition::greedy_edge_cut(&g, 4).cut_edges(&g);
-        let striped = Partition::striped(64, 4).cut_edges(&g);
+        let greedy = cut_edges(&Partition::greedy_edge_cut(&g, 4), &g);
+        let striped = cut_edges(&Partition::striped(64, 4), &g);
         assert!(greedy < striped, "greedy {greedy} vs striped {striped}");
     }
 
@@ -199,7 +198,7 @@ mod tests {
     fn contiguous_is_optimal_on_the_path() {
         let g = topology::path(12);
         // A path split into 4 blocks cuts exactly the 3 block boundaries.
-        assert_eq!(Partition::contiguous(12, 4).cut_edges(&g), 3);
+        assert_eq!(cut_edges(&Partition::contiguous(12, 4), &g), 3);
     }
 
     #[test]

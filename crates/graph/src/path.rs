@@ -3,10 +3,10 @@
 //! Multi-hop messages in the simulator (central-counter replies,
 //! counting-network token hops) carry a precomputed [`Route`]: the full
 //! vertex sequence they will traverse. Routes are built once per scenario
-//! from the spanning tree or from BFS shortest paths, so the simulator never
+//! from the spanning tree ([`crate::Tree::path`]), so the simulator never
 //! needs per-node routing tables.
 
-use crate::{bfs, Graph, Lca, NodeId, Tree};
+use crate::NodeId;
 
 /// A hop-by-hop route: consecutive vertices are adjacent in the routing
 /// substrate (tree or graph). `route[0]` is the source, `route.last()` the
@@ -50,64 +50,11 @@ impl RouteTable {
     pub fn is_empty(&self) -> bool {
         self.routes.is_empty()
     }
-
-    /// Total number of hops across all routes (Σ (len − 1)).
-    pub fn total_hops(&self) -> usize {
-        self.routes.iter().map(|r| r.len() - 1).sum()
-    }
-}
-
-/// Route from `u` to `v` along the tree, using an [`Lca`] index.
-pub fn tree_route(tree: &Tree, _lca: &Lca, u: NodeId, v: NodeId) -> Route {
-    tree.path(u, v)
-}
-
-/// Route from `u` to `v` along a BFS shortest path of `g`.
-///
-/// # Panics
-/// Panics if `v` is unreachable from `u`.
-pub fn graph_route(g: &Graph, u: NodeId, v: NodeId) -> Route {
-    bfs::shortest_path(g, u, v).expect("unreachable destination")
-}
-
-/// Validate that `route` is hop-by-hop feasible in `g`.
-pub fn is_valid_route(g: &Graph, route: &Route) -> bool {
-    !route.is_empty()
-        && route.iter().all(|&v| v < g.n())
-        && route.windows(2).all(|w| g.has_edge(w[0], w[1]))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{spanning, topology};
-
-    #[test]
-    fn tree_route_matches_tree_path() {
-        let t = spanning::balanced_binary_tree(15);
-        let l = Lca::new(&t);
-        let r = tree_route(&t, &l, 9, 14);
-        assert_eq!(r.first(), Some(&9));
-        assert_eq!(r.last(), Some(&14));
-        assert_eq!(r.len() as u32, t.dist(9, 14) + 1);
-        assert!(is_valid_route(&t.to_graph(), &r));
-    }
-
-    #[test]
-    fn graph_route_is_shortest() {
-        let g = topology::mesh(&[4, 4]);
-        let r = graph_route(&g, 0, 15);
-        assert_eq!(r.len() as u32, bfs::bfs_distances(&g, 0)[15] + 1);
-        assert!(is_valid_route(&g, &r));
-    }
-
-    #[test]
-    fn self_route() {
-        let g = topology::complete(4);
-        let r = graph_route(&g, 2, 2);
-        assert_eq!(r, vec![2]);
-        assert!(is_valid_route(&g, &r));
-    }
 
     #[test]
     fn route_table_roundtrip() {
@@ -117,14 +64,5 @@ mod tests {
         assert_eq!(tab.get(a), &vec![0, 1, 2]);
         assert_eq!(tab.get(b), &vec![3]);
         assert_eq!(tab.len(), 2);
-        assert_eq!(tab.total_hops(), 2);
-    }
-
-    #[test]
-    fn invalid_routes_rejected() {
-        let g = topology::path(4);
-        assert!(!is_valid_route(&g, &vec![0, 2]));
-        assert!(!is_valid_route(&g, &vec![]));
-        assert!(!is_valid_route(&g, &vec![0, 4]));
     }
 }

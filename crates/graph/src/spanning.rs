@@ -25,29 +25,6 @@ pub fn bfs_tree(g: &Graph, root: NodeId) -> Tree {
     tree_from_pred(root, &pred)
 }
 
-/// DFS spanning tree of `g` rooted at `root` (iterative, deterministic:
-/// neighbours explored in ascending order).
-pub fn dfs_tree(g: &Graph, root: NodeId) -> Tree {
-    let n = g.n();
-    let mut parent = vec![crate::NO_NODE; n];
-    // Late binding: a vertex's parent is fixed when it is *popped*, so the
-    // tree follows genuine depth-first discovery order.
-    let mut stack = vec![(root, root)];
-    while let Some((u, p)) = stack.pop() {
-        if parent[u] != crate::NO_NODE {
-            continue;
-        }
-        parent[u] = p;
-        for &v in g.neighbors(u).iter().rev() {
-            if parent[v] == crate::NO_NODE {
-                stack.push((v, u));
-            }
-        }
-    }
-    assert!(parent.iter().all(|&p| p != crate::NO_NODE), "graph disconnected");
-    Tree::from_parents(root, parent)
-}
-
 /// Random-walk flavoured spanning tree: BFS from `root` but with each
 /// frontier shuffled, giving varied tree shapes for ablations.
 pub fn random_bfs_tree(g: &Graph, root: NodeId, seed: u64) -> Tree {
@@ -190,15 +167,6 @@ mod tests {
         assert!(t.is_spanning_tree_of(&g));
         assert_eq!(t.n(), 16);
         assert!(t.max_degree() <= 4);
-    }
-
-    #[test]
-    fn dfs_tree_of_cycle_is_path() {
-        let g = topology::cycle(8);
-        let t = dfs_tree(&g, 0);
-        assert!(t.is_spanning_tree_of(&g));
-        assert_eq!(t.max_degree(), 2);
-        assert_eq!(t.height(), 7);
     }
 
     #[test]

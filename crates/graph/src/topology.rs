@@ -61,7 +61,7 @@ pub fn mesh_index(dims: &[usize], coord: &[usize]) -> NodeId {
 }
 
 /// Inverse of [`mesh_index`].
-pub fn mesh_coord(dims: &[usize], mut idx: NodeId) -> Vec<usize> {
+fn mesh_coord(dims: &[usize], mut idx: NodeId) -> Vec<usize> {
     let mut coord = vec![0usize; dims.len()];
     for i in (0..dims.len()).rev() {
         coord[i] = idx % dims[i];
@@ -157,16 +157,6 @@ pub fn perfect_mary_tree(m: usize, depth: usize) -> Graph {
     b.build()
 }
 
-/// Complete (heap-shaped) binary tree on exactly `n` vertices; children of
-/// `v` are `2v+1` and `2v+2`. Perfect only when `n = 2^k − 1`.
-pub fn complete_binary_tree(n: usize) -> Graph {
-    let mut b = GraphBuilder::new(n);
-    for v in 1..n {
-        b.add_edge(v, (v - 1) / 2);
-    }
-    b.build()
-}
-
 /// Caterpillar: a spine path of `spine` vertices, each with `legs` pendant
 /// leaves. High-diameter, constant-degree — a Theorem 4.13 family.
 pub fn caterpillar(spine: usize, legs: usize) -> Graph {
@@ -180,24 +170,6 @@ pub fn caterpillar(spine: usize, legs: usize) -> Graph {
         for l in 0..legs {
             b.add_edge(s, spine + s * legs + l);
         }
-    }
-    b.build()
-}
-
-/// Lollipop: a clique of `k` vertices with a path of `tail` vertices attached
-/// to clique vertex 0. Mixes a dense low-diameter region with a long tail.
-pub fn lollipop(k: usize, tail: usize) -> Graph {
-    assert!(k >= 1);
-    let n = k + tail;
-    let mut b = GraphBuilder::new(n);
-    for u in 0..k {
-        for v in (u + 1)..k {
-            b.add_edge(u, v);
-        }
-    }
-    for t in 0..tail {
-        let prev = if t == 0 { 0 } else { k + t - 1 };
-        b.add_edge(prev, k + t);
     }
     b.build()
 }
@@ -360,29 +332,12 @@ mod tests {
     }
 
     #[test]
-    fn complete_binary_tree_any_n() {
-        for n in 1..40 {
-            let g = complete_binary_tree(n);
-            assert_eq!(g.m(), n - 1);
-            assert!(g.is_connected());
-        }
-    }
-
-    #[test]
     fn caterpillar_structure() {
         let g = caterpillar(5, 2);
         assert_eq!(g.n(), 15);
         assert_eq!(g.m(), 14);
         assert!(g.is_connected());
         assert_eq!(g.max_degree(), 4); // interior spine: 2 spine + 2 legs
-    }
-
-    #[test]
-    fn lollipop_structure() {
-        let g = lollipop(4, 3);
-        assert_eq!(g.n(), 7);
-        assert_eq!(g.m(), 6 + 3);
-        assert!(g.is_connected());
     }
 
     #[test]

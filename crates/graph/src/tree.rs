@@ -89,12 +89,6 @@ impl Tree {
         self.depth.iter().copied().max().unwrap_or(0)
     }
 
-    /// Whether `v` is a leaf (no children; a single-vertex tree's root is a leaf).
-    #[inline]
-    pub fn is_leaf(&self, v: NodeId) -> bool {
-        self.children[v].is_empty()
-    }
-
     /// Vertices in BFS order from the root.
     #[inline]
     pub fn bfs_order(&self) -> &[NodeId] {
@@ -102,7 +96,7 @@ impl Tree {
     }
 
     /// Degree of `v` in the tree seen as an undirected graph.
-    pub fn tree_degree(&self, v: NodeId) -> usize {
+    fn tree_degree(&self, v: NodeId) -> usize {
         self.children[v].len() + usize::from(v != self.root)
     }
 
@@ -182,17 +176,6 @@ impl Tree {
         up
     }
 
-    /// Size of each vertex's subtree (computed on demand).
-    pub fn subtree_sizes(&self) -> Vec<usize> {
-        let mut size = vec![1usize; self.n()];
-        for &v in self.bfs_order.iter().rev() {
-            if v != self.root {
-                size[self.parent[v]] += size[v];
-            }
-        }
-        size
-    }
-
     /// Vertices at each depth level (`result[d]` = vertices of depth `d`).
     pub fn levels(&self) -> Vec<Vec<NodeId>> {
         let h = self.height() as usize;
@@ -235,8 +218,6 @@ mod tests {
         assert_eq!(t.children(0), &[1, 2]);
         assert_eq!(t.depth(5), 3);
         assert_eq!(t.height(), 3);
-        assert!(t.is_leaf(3));
-        assert!(!t.is_leaf(4));
         assert_eq!(t.tree_degree(1), 3);
         assert_eq!(t.max_degree(), 3);
     }
@@ -251,16 +232,6 @@ mod tests {
         assert_eq!(t.dist(0, 0), 0);
         assert_eq!(t.path(4, 4), vec![4]);
         assert_eq!(t.path(5, 2), vec![5, 4, 1, 0, 2]);
-    }
-
-    #[test]
-    fn subtree_sizes_sum() {
-        let t = sample_tree();
-        let s = t.subtree_sizes();
-        assert_eq!(s[0], 6);
-        assert_eq!(s[1], 4);
-        assert_eq!(s[4], 2);
-        assert_eq!(s[3], 1);
     }
 
     #[test]
@@ -307,7 +278,6 @@ mod tests {
     fn single_vertex_tree() {
         let t = Tree::from_parents(0, vec![0]);
         assert_eq!(t.n(), 1);
-        assert!(t.is_leaf(0));
         assert_eq!(t.max_degree(), 0);
         assert_eq!(t.dist(0, 0), 0);
     }

@@ -7,38 +7,36 @@
 //! ```text
 //! cargo run --release --example topology_explorer -- <topology> [size]
 //!
-//! topologies: complete | list | mesh2d | mesh3d | hypercube | tree | star
-//!             (size = n, side, dim, or depth as appropriate; default 64/8/6/5)
+//! <topology> is any `--topo` token `ccq list` shows (mesh2d, tree:3:4, …);
+//! `star 32` is read as `star:32`. Default: mesh2d.
 //! ```
 
 use ccq_repro::bounds::{verdict, Topology, Verdict};
+use ccq_repro::core::spec;
 use ccq_repro::prelude::*;
 
-fn spec_from_args(name: &str, size: Option<usize>) -> (TopoSpec, Option<Topology>) {
-    match name {
-        "complete" => (TopoSpec::Complete { n: size.unwrap_or(64) }, Some(Topology::Complete)),
-        "list" => (TopoSpec::List { n: size.unwrap_or(64) }, Some(Topology::List)),
-        "mesh2d" => (TopoSpec::Mesh2D { side: size.unwrap_or(8) }, Some(Topology::Mesh2D)),
-        "mesh3d" => (TopoSpec::Mesh3D { side: size.unwrap_or(4) }, Some(Topology::Mesh3D)),
-        "hypercube" => (TopoSpec::Hypercube { dim: size.unwrap_or(6) }, Some(Topology::Hypercube)),
-        "tree" => (
-            TopoSpec::PerfectTree { m: 2, depth: size.unwrap_or(5) },
-            Some(Topology::PerfectBinaryTree),
-        ),
-        "star" => (TopoSpec::Star { n: size.unwrap_or(64) }, Some(Topology::Star)),
-        other => {
-            eprintln!("unknown topology '{other}'");
-            eprintln!("choose one of: complete list mesh2d mesh3d hypercube tree star");
-            std::process::exit(1);
-        }
+/// The paper's closed-form family for a topology, where it states one.
+fn theory_for(spec: &TopoSpec) -> Option<Topology> {
+    match spec {
+        TopoSpec::Complete { .. } => Some(Topology::Complete),
+        TopoSpec::List { .. } => Some(Topology::List),
+        TopoSpec::Mesh2D { .. } => Some(Topology::Mesh2D),
+        TopoSpec::Mesh3D { .. } => Some(Topology::Mesh3D),
+        TopoSpec::Hypercube { .. } => Some(Topology::Hypercube),
+        TopoSpec::PerfectTree { m: 2, .. } => Some(Topology::PerfectBinaryTree),
+        TopoSpec::Star { .. } => Some(Topology::Star),
+        _ => None,
     }
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let name = args.first().map(String::as_str).unwrap_or("mesh2d");
-    let size = args.get(1).and_then(|s| s.parse().ok());
-    let (spec, theory) = spec_from_args(name, size);
+    let token = if args.is_empty() { "mesh2d".to_string() } else { args.join(":") };
+    let spec = spec::topo(&token).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(1);
+    });
+    let theory = theory_for(&spec);
 
     let s = Scenario::build(spec, RequestPattern::All);
     println!("== {} | n = {}, R = V ==\n", s.spec.name(), s.n());
@@ -49,10 +47,7 @@ fn main() {
     );
     // One row per registry entry — no per-algorithm dispatch.
     for proto in registry() {
-        let mode = match proto.kind() {
-            ProtocolKind::Queuing => ModelMode::Expanded,
-            ProtocolKind::Counting | ProtocolKind::Relaxed => ModelMode::Strict,
-        };
+        let mode = proto.kind().paper_mode();
         let out = run_spec(*proto, &s, mode).expect("registry protocol verifies");
         table.push_row(vec![
             proto.kind().label().into(),

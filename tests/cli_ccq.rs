@@ -4,7 +4,22 @@
 
 mod common;
 
+use ccq_repro::core::spec;
 use common::{assert_all_ok, case_str, case_u64, cases, ccq, json_stdout};
+
+/// Each sweep argv exits 2 and prints exactly `ccq: <message>`, the
+/// message `spec::sweep` returns in-process (whose wording the table test
+/// in `crates/core/src/spec.rs` pins row by row) — one spawn per family
+/// is enough to show the binary adds the prefix and the exit code.
+fn assert_exit_2(rows: &[&[&str]]) {
+    for args in rows {
+        let msg = spec::sweep(args).err().unwrap_or_else(|| panic!("{args:?} should not parse"));
+        let out = ccq(&[&["sweep"], *args].concat());
+        assert_eq!(out.status.code(), Some(2), "{args:?} should exit 2");
+        assert_eq!(String::from_utf8_lossy(&out.stderr), format!("ccq: {msg}\n"), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?} printed to stdout");
+    }
+}
 
 #[test]
 fn sweep_json_stdout_is_pure_valid_json() {
@@ -234,34 +249,13 @@ fn droptail_sweep_sheds_and_reports_drop_counters() {
 
 #[test]
 fn malformed_arrival_delay_and_admission_specs_fail_loudly() {
-    // Every bad spec must exit non-zero with a message naming the bad field.
-    let checks = [
-        (vec!["sweep", "--arrival", "poisson:rate=oops"], "rate"),
-        (vec!["sweep", "--arrival", "poisson"], "rate"),
-        (vec!["sweep", "--arrival", "poisson:rate=7"], "rate"),
-        (vec!["sweep", "--arrival", "bursty:rate=0.5:on=4"], "off"),
-        (vec!["sweep", "--arrival", "hotspot:rate=0.2:zipf=2"], "zipf"),
-        (vec!["sweep", "--arrival", "warp-drive"], "unknown arrival"),
-        (vec!["sweep", "--delay", "jitter:max="], "max"),
-        (vec!["sweep", "--delay", "jitter:max=18446744073709551615"], "max"),
-        (vec!["sweep", "--delay", "jitter:wobble=3"], "wobble"),
-        (vec!["sweep", "--delay", "fixed:d=0"], "d"),
-        (vec!["sweep", "--delay", "molasses"], "unknown delay"),
-        (vec!["sweep", "--arrival", "bursty:rate=0.5:on=0:off=4"], "on"),
-        (vec!["sweep", "--admission", "droptail"], "bound"),
-        (vec!["sweep", "--admission", "droptail:bound=0"], "bound"),
-        (vec!["sweep", "--admission", "droptail:bound=oops"], "bound"),
-        (vec!["sweep", "--admission", "adaptive:bound=4"], "bound"),
-        (vec!["sweep", "--admission", "delayretry:bound=4:backoff=0"], "backoff"),
-        (vec!["sweep", "--admission", "open:bound=4"], "bound"),
-        (vec!["sweep", "--admission", "clairvoyant"], "unknown admission"),
-    ];
-    for (args, needle) in checks {
-        let out = ccq(&args);
-        assert_eq!(out.status.code(), Some(2), "{args:?} should fail");
-        let stderr = String::from_utf8_lossy(&out.stderr).to_string();
-        assert!(stderr.contains(needle), "{args:?}: stderr `{stderr}` misses `{needle}`");
-    }
+    assert_exit_2(&[
+        &["--arrival", "warp-drive"],
+        // Used to exit 0 and draw a schedule from NaN weights.
+        &["--topo", "list:8", "--proto", "arrow", "--arrival", "hotspot:rate=0.5:s=nan"],
+        &["--delay", "fixed:d=0"],
+        &["--admission", "droptail:bound=0"],
+    ]);
 }
 
 #[test]
@@ -496,17 +490,7 @@ fn timing_reports_transmit_and_apply_micros_separately_under_wavefront() {
 
 #[test]
 fn malformed_wavefront_flags_fail_loudly() {
-    let checks = [
-        (vec!["sweep", "--wavefront:lag=0"], "lag"),
-        (vec!["sweep", "--wavefront:lag=oops"], "bad lag"),
-        (vec!["sweep", "--wavefront:depth=3"], "--wavefront"),
-    ];
-    for (args, needle) in checks {
-        let out = ccq(&args);
-        assert_eq!(out.status.code(), Some(2), "{args:?} should fail");
-        let stderr = String::from_utf8_lossy(&out.stderr).to_string();
-        assert!(stderr.contains(needle), "{args:?}: stderr `{stderr}` misses `{needle}`");
-    }
+    assert_exit_2(&[&["--wavefront:lag=0"]]);
 }
 
 #[test]
@@ -626,66 +610,16 @@ fn backpressure_composes_with_shards() {
 
 #[test]
 fn malformed_shards_specs_fail_loudly() {
-    let checks = [
-        (vec!["sweep", "--shards", "0"], "shard count"),
-        (vec!["sweep", "--shards", "many"], "bad shard count"),
-        (vec!["sweep", "--shards", "4:mitosis"], "unknown shard strategy"),
-        (vec!["sweep", "--shards", "9999999"], "shard count"),
-    ];
-    for (args, needle) in checks {
-        let out = ccq(&args);
-        assert_eq!(out.status.code(), Some(2), "{args:?} should fail");
-        let stderr = String::from_utf8_lossy(&out.stderr).to_string();
-        assert!(stderr.contains(needle), "{args:?}: stderr `{stderr}` misses `{needle}`");
-    }
+    assert_exit_2(&[&["--shards", "4:mitosis"]]);
 }
 
 #[test]
 fn unbuildable_topologies_widths_and_densities_fail_loudly() {
-    // Each of these used to reach a builder assertion (exit 101), build
-    // for minutes, or run on a meaningless density; all must be exit-2
-    // diagnostics that name the offending token and the rule.
-    let checks = [
-        (["--topo", "torus2d:1"], "torus side must be ≥ 3"),
-        (["--topo", "torus2d:2"], "torus side must be ≥ 3"),
-        (["--topo", "tree:1:5"], "tree arity must be ≥ 2"),
-        (["--proto", "counting-network:3"], "power of two in 2..=4096"),
-        (["--proto", "counting-network:0"], "power of two in 2..=4096"),
-        (["--proto", "periodic-network:6"], "power of two in 2..=4096"),
-        (["--proto", "toggle-tree:1"], "power of two in 2..=4096"),
-        (["--proto", "counting-network:65536"], "power of two in 2..=4096"),
-        (["--pattern", "random:7"], "field `density` must be in (0, 1]"),
-        (["--pattern", "random:-1"], "field `density` must be in (0, 1]"),
-        (["--pattern", "random:nan"], "field `density` must be in (0, 1]"),
-        // Under the 4 M-processor cap, but gigabytes of adjacency.
-        (["--topo", "complete:60000"], "1799970000 edges (limit 67108864)"),
-        (["--topo", "random-regular:4000000:3999998"], "7999996000000 edges (limit 67108864)"),
-        // Surplus parameters used to be dropped silently.
-        (["--topo", "list:4:7:9"], "too many parameters"),
-        (["--topo", "figure1:9"], "too many parameters"),
-        (["--topo", "tree:2:5:3"], "want tree[:m=2[:depth=5]]"),
-        (["--pattern", "tail:3:9"], "want tail:<count>"),
-        (["--pattern", "all:1"], "want all"),
-        (["--pattern", "random:0.5:1:extra"], "want random:<density>[:seed]"),
-    ];
-    for ([flag, token], rule) in checks {
-        let out = ccq(&["sweep", flag, token, "--json", "-"]);
-        assert_eq!(out.status.code(), Some(2), "`{flag} {token}` should exit 2");
-        let stderr = String::from_utf8_lossy(&out.stderr).to_string();
-        assert!(
-            stderr.contains(rule) && stderr.contains(&format!("`{token}`")),
-            "`{flag} {token}`: stderr `{stderr}` must name the token and `{rule}`"
-        );
-    }
-    // The edge cap's two sides, without building either graph: 67,100,320
-    // edges parse (the run then dies on the next flag), 67,111,905 do not.
-    for (token, needle) in [("complete:11585", "`--bogus`"), ("complete:11586", "`complete:11586`")]
-    {
-        let out = ccq(&["sweep", "--topo", token, "--bogus"]);
-        assert_eq!(out.status.code(), Some(2), "`--topo {token} --bogus` should exit 2");
-        let stderr = String::from_utf8_lossy(&out.stderr).to_string();
-        assert!(stderr.contains(needle), "`--topo {token}`: stderr `{stderr}` misses {needle}");
-    }
+    assert_exit_2(&[
+        &["--topo", "torus2d:2", "--json", "-"],
+        &["--proto", "counting-network:3", "--json", "-"],
+        &["--pattern", "random:nan", "--json", "-"],
+    ]);
     // The widest width the CLI accepts still runs.
     let widest =
         ccq(&["sweep", "--topo", "mesh2d:3", "--proto", "counting-network:4096", "--json", "-"]);
@@ -811,35 +745,19 @@ fn fault_with_wavefront_is_a_named_case_error() {
 
 #[test]
 fn malformed_priority_fault_and_pernode_specs_fail_loudly() {
-    let checks = [
-        (vec!["sweep", "--priority", "vip"], "unknown priority"),
-        (vec!["sweep", "--priority", "split"], "missing required field `frac`"),
-        (vec!["sweep", "--priority", "split:frac=1.5"], "field `frac`"),
-        (vec!["sweep", "--priority", "split:frac=0.5:vip=1"], "unknown field `vip`"),
-        (vec!["sweep", "--fault", "meteor:at=3"], "unknown fault"),
-        (vec!["sweep", "--fault", "crash:at=3:node=1"], "missing required field `recover`"),
-        (vec!["sweep", "--fault", "crash:at=0:node=1:recover=4"], "field `at`"),
-        (vec!["sweep", "--fault", "crash:at=9:node=1:recover=4"], "field `recover`"),
-        (
-            vec![
-                "sweep",
-                "--fault",
-                "crash:at=1:node=0:recover=2,crash:at=1:node=1:recover=2,\
-                 crash:at=1:node=2:recover=2,crash:at=1:node=3:recover=2,\
-                 crash:at=1:node=4:recover=2",
-            ],
-            "at most 4",
-        ),
-        (vec!["sweep", "--admission", "pernode"], "missing required field `bound`"),
-        (vec!["sweep", "--admission", "pernode:bound=0"], "field `bound`"),
-        (vec!["sweep", "--admission", "pernode:bound=4:protect=many"], "field `protect`"),
-    ];
-    for (args, needle) in checks {
-        let out = ccq(&args);
-        assert_eq!(out.status.code(), Some(2), "{args:?} should fail");
-        let stderr = String::from_utf8_lossy(&out.stderr).to_string();
-        assert!(stderr.contains(needle), "{args:?}: stderr `{stderr}` misses `{needle}`");
-    }
+    assert_exit_2(&[
+        &["--priority", "split"],
+        // One crash window per flag: the fifth overflows the fault plan.
+        &[
+            "--fault",
+            "crash:at=1:node=0:recover=2,crash:at=1:node=1:recover=2",
+            "--fault",
+            "crash:at=1:node=2:recover=2,crash:at=1:node=3:recover=2",
+            "--fault",
+            "crash:at=1:node=4:recover=2",
+        ],
+        &["--admission", "pernode:bound=0"],
+    ]);
 }
 
 #[test]
@@ -903,18 +821,7 @@ fn qqc_flag_prints_the_selected_lateness_columns() {
 
 #[test]
 fn malformed_qqc_fields_fail_loudly() {
-    let checks = [
-        (vec!["sweep", "--qqc", "mean,median"], "unknown qqc field `median`"),
-        (vec!["sweep", "--qqc", "mean,median"], "max, mean, p50, p95, p99"),
-        (vec!["sweep", "--qqc", "mean,mean"], "qqc field `mean` given twice"),
-        (vec!["sweep", "--qqc", ""], "unknown qqc field"),
-    ];
-    for (args, needle) in checks {
-        let out = ccq(&args);
-        assert_eq!(out.status.code(), Some(2), "{args:?} should fail");
-        let stderr = String::from_utf8_lossy(&out.stderr).to_string();
-        assert!(stderr.contains(needle), "{args:?}: stderr `{stderr}` misses `{needle}`");
-    }
+    assert_exit_2(&[&["--qqc", "mean,median"]]);
 }
 
 #[test]
@@ -939,4 +846,101 @@ fn usage_and_list_document_priority_faults_and_pernode() {
     for needle in ["split:frac=F", "crash:at=R:node=N:recover=R2", "pernode:bound=N"] {
         assert!(text.contains(needle), "ccq list misses {needle}");
     }
+}
+
+/// Split a command line the way a shell would, as far as the docs need:
+/// a double-quoted stretch is one word (and may be empty), whitespace
+/// separates the rest, and a word starting with `#` ends the line.
+fn shell_words(line: &str) -> Vec<String> {
+    let mut words: Vec<String> = Vec::new();
+    for (i, piece) in line.split('"').enumerate() {
+        if i % 2 == 1 {
+            words.push(piece.to_string());
+        } else {
+            words.extend(piece.split_whitespace().map(str::to_string));
+        }
+    }
+    let end = words.iter().position(|w| w.starts_with('#')).unwrap_or(words.len());
+    words.truncate(end);
+    words
+}
+
+/// Push every `ccq sweep|record|bisect …` command among `lines` through
+/// `spec::sweep` — parse only — and fail naming the command. `\`
+/// continuations are joined; `record` loses `--rec PATH` / `--json X` as
+/// `cmd_record` strips them, `bisect` becomes its two sides as
+/// `cmd_bisect` splits them. Returns how many commands parsed.
+fn assert_documented_sweeps_parse<'a>(lines: impl Iterator<Item = &'a str>) -> usize {
+    let mut commands: Vec<String> = Vec::new();
+    let mut continued = false;
+    for line in lines.map(str::trim) {
+        let (text, more) = match line.strip_suffix('\\') {
+            Some(head) => (head, true),
+            None => (line, false),
+        };
+        match commands.last_mut() {
+            Some(last) if continued => *last += text,
+            _ => commands.push(text.to_string()),
+        }
+        continued = more;
+    }
+    let mut parsed = 0;
+    for command in commands {
+        let words = shell_words(&command);
+        let argvs: Vec<Vec<String>> = match words.iter().map(String::as_str).collect::<Vec<_>>()[..]
+        {
+            ["ccq", "sweep", ..] => vec![words[2..].to_vec()],
+            ["ccq", "record", ..] => {
+                let mut argv = Vec::new();
+                let mut it = words[2..].iter();
+                while let Some(w) = it.next() {
+                    match w.as_str() {
+                        "--rec" | "--json" => drop(it.next()),
+                        _ => argv.push(w.clone()),
+                    }
+                }
+                vec![argv]
+            }
+            ["ccq", "bisect", a, b, ..] => [a, b]
+                .map(|cfg| {
+                    let side = cfg.split_whitespace().map(str::to_string);
+                    words[4..].iter().cloned().chain(side).collect()
+                })
+                .to_vec(),
+            _ => continue,
+        };
+        for argv in argvs {
+            if let Err(e) = spec::sweep(&argv) {
+                panic!("documented command `{command}` does not parse: {e}");
+            }
+        }
+        parsed += 1;
+    }
+    parsed
+}
+
+/// The `examples:` of `ccq --help` are commands the parser accepts.
+#[test]
+fn help_examples_parse() {
+    let help = ccq(&["--help"]);
+    let text = String::from_utf8(help.stdout).unwrap();
+    let examples = text.split("examples:").nth(1).expect("an examples section");
+    assert_eq!(examples.lines().filter(|l| l.trim_start().starts_with("ccq ")).count(), 16);
+    assert_eq!(assert_documented_sweeps_parse(examples.lines()), 14, "sweep/record/bisect lines");
+}
+
+/// Every `ccq sweep|record|bisect` command in README's fenced blocks is
+/// one the parser accepts — a renamed or removed flag fails here, by line.
+#[test]
+fn readme_commands_parse() {
+    let mut fenced = false;
+    let lines = include_str!("../README.md").lines().filter(|line| {
+        if line.starts_with("```") {
+            fenced = !fenced;
+            return false;
+        }
+        fenced
+    });
+    let parsed = assert_documented_sweeps_parse(lines);
+    assert!(parsed >= 20, "only {parsed} README commands found: the extraction is broken");
 }

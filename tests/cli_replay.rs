@@ -58,6 +58,36 @@ fn recordings_default_to_checkpointed_runs() {
     // The stored argv carries the checkpoint interval explicitly, so a
     // future replay needs no out-of-band convention.
     assert!(text.contains("--checkpoint-every"), "argv lacks the interval: {text}");
+
+    // The header's interval is the spacing of the checkpoints the run
+    // recorded — also when the argv repeats the flag and the last one wins
+    // (the header used to read the first, 8, over a run checkpointed at
+    // rounds 0, 2, 4, …).
+    for (extra, every) in
+        [(&[][..], 64), (&["--checkpoint-every", "8", "--checkpoint-every", "2"], 2)]
+    {
+        let out = ccq(&[
+            &["record", "--topo", "list:200", "--proto", "central-counter"],
+            extra,
+            &["--rec", rec.to_str().unwrap()],
+        ]
+        .concat());
+        assert_eq!(out.status.code(), Some(0), "{}", stderr_of(&out));
+        let header: serde_json::Value =
+            serde_json::from_str(&std::fs::read_to_string(&rec).unwrap()).unwrap();
+        assert_eq!(header.get("checkpoint_every").and_then(|v| v.as_u64()), Some(every));
+        let output = header.get("output").and_then(|v| v.as_str()).expect("recorded output");
+        let doc: serde_json::Value = serde_json::from_str(output).unwrap();
+        let rounds: Vec<u64> = cases(&doc)[0]
+            .get("checkpoints")
+            .and_then(|c| c.as_array())
+            .expect("a checkpointed case")
+            .iter()
+            .map(|c| c.get("round").and_then(|r| r.as_u64()).unwrap())
+            .collect();
+        assert!(rounds.len() >= 3, "too few checkpoints to show a spacing: {rounds:?}");
+        assert!(rounds.windows(2).all(|w| w[1] - w[0] == every), "{every}: {rounds:?}");
+    }
     std::fs::remove_file(&rec).ok();
 }
 

@@ -584,10 +584,7 @@ proptest! {
             _ => LinkDelay::Jitter { max: 3, seed },
         };
         // The paper's mode convention, as a default `RunPlan` assigns it.
-        let mode = match proto.kind() {
-            ProtocolKind::Queuing => ModelMode::Expanded,
-            ProtocolKind::Counting | ProtocolKind::Relaxed => ModelMode::Strict,
-        };
+        let mode = proto.kind().paper_mode();
         let run = |parallel: bool, dense: bool, serial: bool| -> (u64, u64, u64, u64, u64) {
             let scenario = Scenario::build_with(
                 TopoSpec::Mesh2D { side: 4 },

@@ -55,13 +55,6 @@ fn admission_for(kind: u8) -> AdmissionSpec {
     }
 }
 
-fn mode_for(spec: &dyn ProtocolSpec) -> ModelMode {
-    match spec.kind() {
-        ProtocolKind::Queuing => ModelMode::Expanded,
-        ProtocolKind::Counting | ProtocolKind::Relaxed => ModelMode::Strict,
-    }
-}
-
 fn report_json(out: &RunOutcome) -> String {
     serde_json::to_string(&out.report).expect("reports serialize")
 }
@@ -85,7 +78,7 @@ proptest! {
     ) {
         let spec = registry()[proto_idx];
         let delay = delay_for(delay_kind, seed);
-        let mode = mode_for(spec);
+        let mode = spec.kind().paper_mode();
         let build = || {
             Scenario::build_with(
                 TopoSpec::Torus2D { side: 3 },
@@ -140,7 +133,7 @@ proptest! {
 fn checkpoints_are_executor_independent_for_every_registry_protocol() {
     let probe = ProbeSpec::OFF.with_checkpoint_every(1).with_node_hashes(true);
     for spec in registry() {
-        let mode = mode_for(*spec);
+        let mode = spec.kind().paper_mode();
         let build = |k: usize, parallel: bool| {
             Scenario::build(TopoSpec::Torus2D { side: 3 }, RequestPattern::All)
                 .with_shards(ShardSpec::new(k, ShardStrategy::EdgeCut))
@@ -178,7 +171,7 @@ fn checkpoints_are_executor_independent_for_every_registry_protocol() {
 fn checkpoints_are_scan_strategy_independent_for_every_registry_protocol() {
     let probe = ProbeSpec::OFF.with_checkpoint_every(1).with_node_hashes(true);
     for spec in registry() {
-        let mode = mode_for(*spec);
+        let mode = spec.kind().paper_mode();
         let build = |k: usize| {
             Scenario::build(TopoSpec::Torus2D { side: 3 }, RequestPattern::All)
                 .with_shards(ShardSpec::new(k, ShardStrategy::EdgeCut))
@@ -225,7 +218,7 @@ proptest! {
     ) {
         let spec = registry()[proto_idx];
         let delay = delay_for(delay_kind, seed);
-        let mode = mode_for(spec);
+        let mode = spec.kind().paper_mode();
         let build = || {
             Scenario::build_with(
                 TopoSpec::Torus2D { side: 3 },
@@ -272,7 +265,7 @@ fn checkpoints_are_wavefront_independent_for_every_registry_protocol() {
     let shards =
         ShardSpec::new(3, ShardStrategy::EdgeCut).with_inter_delay(LinkDelay::Fixed { delay: 4 });
     for spec in registry() {
-        let mode = mode_for(*spec);
+        let mode = spec.kind().paper_mode();
         let build = |wavefront: Option<u64>| {
             Scenario::build(TopoSpec::Torus2D { side: 3 }, RequestPattern::All)
                 .with_shards(shards)
@@ -357,7 +350,7 @@ proptest! {
     ) {
         let spec = registry()[proto_idx];
         let delay = delay_for(delay_kind, seed);
-        let mode = mode_for(spec);
+        let mode = spec.kind().paper_mode();
         let build = || {
             Scenario::build_with(
                 TopoSpec::Torus2D { side: 3 },
@@ -414,7 +407,7 @@ proptest! {
 fn checkpoints_are_executor_independent_under_faults() {
     let probe = ProbeSpec::OFF.with_checkpoint_every(1).with_node_hashes(true);
     for spec in registry() {
-        let mode = mode_for(*spec);
+        let mode = spec.kind().paper_mode();
         let build = |k: usize, parallel: bool| {
             Scenario::build_with(
                 TopoSpec::Torus2D { side: 3 },

@@ -153,10 +153,7 @@ proptest! {
         };
         let shards = ShardSpec::new(k, strategy_for(strategy));
         let topo = TopoSpec::Torus2D { side: 3 };
-        let mode = match spec.kind() {
-            ProtocolKind::Queuing => ModelMode::Expanded,
-            ProtocolKind::Counting | ProtocolKind::Relaxed => ModelMode::Strict,
-        };
+        let mode = spec.kind().paper_mode();
         let build = |parallel: bool| {
             Scenario::build_with(topo.clone(), RequestPattern::All, arrival.clone())
                 .with_shards(shards)
@@ -199,10 +196,7 @@ proptest! {
             _ => ArrivalSpec::Bursty { rate: 0.8, on: 4, off: 7, seed },
         };
         let shards = ShardSpec::new(k, strategy_for(strategy));
-        let mode = match spec.kind() {
-            ProtocolKind::Queuing => ModelMode::Expanded,
-            ProtocolKind::Counting | ProtocolKind::Relaxed => ModelMode::Strict,
-        };
+        let mode = spec.kind().paper_mode();
         // The parallel-apply requirement only holds for sliced protocols;
         // every registry protocol is sliced, so both values are fair game.
         let scenario =
@@ -251,10 +245,7 @@ proptest! {
             0 => AdmissionSpec::Open,
             _ => AdmissionSpec::DropTail { bound: 6 },
         };
-        let mode = match spec.kind() {
-            ProtocolKind::Queuing => ModelMode::Expanded,
-            ProtocolKind::Counting | ProtocolKind::Relaxed => ModelMode::Strict,
-        };
+        let mode = spec.kind().paper_mode();
         let scenario =
             Scenario::build_with(TopoSpec::Torus2D { side: 3 }, RequestPattern::All, arrival)
                 .with_shards(ShardSpec::new(k, strategy_for(strategy)))
@@ -304,10 +295,7 @@ proptest! {
             0 => AdmissionSpec::Open,
             _ => AdmissionSpec::DropTail { bound: 6 },
         };
-        let mode = match spec.kind() {
-            ProtocolKind::Queuing => ModelMode::Expanded,
-            ProtocolKind::Counting | ProtocolKind::Relaxed => ModelMode::Strict,
-        };
+        let mode = spec.kind().paper_mode();
         let shards = ShardSpec::new(k, strategy_for(strategy))
             .with_inter_delay(LinkDelay::Fixed { delay: lag + slack });
         let build = |wavefront: Option<u64>| {
@@ -345,10 +333,7 @@ fn wavefront_auto_lag_composes_with_the_other_strategies() {
             .with_parallel_apply(parallel)
     };
     for spec in registry() {
-        let mode = match spec.kind() {
-            ProtocolKind::Queuing => ModelMode::Expanded,
-            ProtocolKind::Counting | ProtocolKind::Relaxed => ModelMode::Strict,
-        };
+        let mode = spec.kind().paper_mode();
         let lockstep = run_spec(*spec, &build(None, false), mode).unwrap();
         for (label, scenario, dense) in [
             ("auto", build(Some(0), false), false),
@@ -379,10 +364,7 @@ fn parallel_apply_matches_the_monolith_for_every_registry_protocol() {
     for topo in [TopoSpec::Mesh2D { side: 4 }, TopoSpec::Torus2D { side: 4 }] {
         let baseline = Scenario::build(topo.clone(), RequestPattern::All);
         for spec in registry() {
-            let mode = match spec.kind() {
-                ProtocolKind::Queuing => ModelMode::Expanded,
-                ProtocolKind::Counting | ProtocolKind::Relaxed => ModelMode::Strict,
-            };
+            let mode = spec.kind().paper_mode();
             let single = run_spec(*spec, &baseline, mode).unwrap();
             for k in [1, 3] {
                 let scenario = Scenario::build(topo.clone(), RequestPattern::All)
@@ -441,10 +423,7 @@ fn registry_protocols_match_single_shard_on_mesh_and_torus() {
     for topo in [TopoSpec::Mesh2D { side: 4 }, TopoSpec::Torus2D { side: 4 }] {
         let baseline = Scenario::build(topo.clone(), RequestPattern::All);
         for spec in registry() {
-            let mode = match spec.kind() {
-                ProtocolKind::Queuing => ModelMode::Expanded,
-                ProtocolKind::Counting | ProtocolKind::Relaxed => ModelMode::Strict,
-            };
+            let mode = spec.kind().paper_mode();
             let single = run_spec(*spec, &baseline, mode).unwrap();
             for k in [2, 4] {
                 for strategy in
@@ -565,10 +544,7 @@ proptest! {
                 .crash(seed as usize % 9, 2, 6)
                 .crash((seed as usize + 4) % 9, 5, 11),
         };
-        let mode = match spec.kind() {
-            ProtocolKind::Queuing => ModelMode::Expanded,
-            ProtocolKind::Counting | ProtocolKind::Relaxed => ModelMode::Strict,
-        };
+        let mode = spec.kind().paper_mode();
         let shards = ShardSpec::new(k, strategy_for(strategy));
         let build = |parallel: bool| {
             Scenario::build_with(
@@ -617,10 +593,7 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let spec = registry()[proto_idx];
-        let mode = match spec.kind() {
-            ProtocolKind::Queuing => ModelMode::Expanded,
-            ProtocolKind::Counting | ProtocolKind::Relaxed => ModelMode::Strict,
-        };
+        let mode = spec.kind().paper_mode();
         let shards = ShardSpec::new(k, ShardStrategy::EdgeCut)
             .with_inter_delay(LinkDelay::Fixed { delay: lag + 1 });
         let build = |wavefront: Option<u64>| {
@@ -693,10 +666,7 @@ fn crash_windows_register_in_the_report_and_perturb_the_execution() {
         .with_faults(faults)
     };
     for spec in registry() {
-        let mode = match spec.kind() {
-            ProtocolKind::Queuing => ModelMode::Expanded,
-            ProtocolKind::Counting | ProtocolKind::Relaxed => ModelMode::Strict,
-        };
+        let mode = spec.kind().paper_mode();
         let clean = run_spec(*spec, &build(FaultSpec::none()), mode).unwrap();
         let faulty = run_spec(*spec, &build(FaultSpec::none().crash(4, 3, 10)), mode).unwrap();
         assert!(clean.report.fault_events.is_empty());
