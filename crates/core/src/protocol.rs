@@ -47,7 +47,7 @@ use serde::Serialize;
 /// [`Scenario::parallel_apply`] and [`Scenario::wavefront`] are honoured by
 /// construction, with reports byte-identical to the serialized lockstep
 /// run.
-pub fn run_arrival_aware<P, F>(
+fn run_arrival_aware<P, F>(
     scenario: &Scenario,
     cfg: SimConfig,
     build: F,

@@ -105,7 +105,7 @@ impl<'g, P: Protocol> Simulator<'g, P> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::protocol::{SimApi, SliceApi};
     use crate::report::SimConfig;
@@ -137,29 +137,31 @@ mod tests {
         }
     }
 
-    /// Flood protocol: node 0 starts a token that walks the path 0→1→…→n−1;
-    /// each node completes when it sees the token.
-    pub(super) struct Walk {
+    /// Token walk along the path 0→1→…→n−1, completing at each hop: shared
+    /// state is the path length, a node's slice counts its visits. The one
+    /// toy protocol of this module's tests and [`crate::shard`]'s.
+    pub(crate) struct Walk {
         n: usize,
-        units: Vec<()>,
+        pub(crate) visits: Vec<u64>,
     }
 
     impl Walk {
-        pub(super) fn new(n: usize) -> Self {
-            Walk { n, units: vec![(); n] }
+        pub(crate) fn new(n: usize) -> Self {
+            Walk { n, visits: vec![0; n] }
         }
     }
 
     impl Protocol for Walk {
         type Msg = ();
-        type Slice = ();
+        type Slice = u64;
         type Shared = usize;
 
-        fn split(&mut self) -> (&usize, &mut [()]) {
-            (&self.n, &mut self.units)
+        fn split(&mut self) -> (&usize, &mut [u64]) {
+            (&self.n, &mut self.visits)
         }
 
         fn on_start(&mut self, api: &mut SimApi<()>) {
+            self.visits[0] += 1;
             api.complete(0, 0);
             if self.n > 1 {
                 api.send(0, 1, ());
@@ -168,12 +170,13 @@ mod tests {
 
         fn on_message(
             n: &usize,
-            _: &mut (),
+            visits: &mut u64,
             api: &mut SliceApi<()>,
             node: NodeId,
             _: NodeId,
             _: (),
         ) {
+            *visits += 1;
             api.complete(node, node as u64);
             if node + 1 < *n {
                 api.send(node + 1, ());

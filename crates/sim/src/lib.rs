@@ -53,6 +53,8 @@
 //! assert_eq!(report.completions[0].round, 4); // one hop per round
 //! ```
 
+#![warn(unreachable_pub)]
+
 pub mod admission;
 pub mod arrival;
 pub mod engine;

@@ -183,11 +183,6 @@ impl ProbeSpec {
         timing: false,
     };
 
-    /// Whether this spec is exactly [`ProbeSpec::OFF`].
-    pub fn is_off(&self) -> bool {
-        *self == ProbeSpec::OFF
-    }
-
     /// Builder-style: checkpoint every `every` rounds (`every` is clamped
     /// to ≥ 1; pass `Round::MAX` to disable).
     pub fn with_checkpoint_every(mut self, every: Round) -> Self {
@@ -221,12 +216,12 @@ impl ProbeSpec {
     }
 
     /// Whether a checkpoint is due at `round`.
-    pub fn wants_checkpoint(&self, round: Round) -> bool {
+    fn wants_checkpoint(&self, round: Round) -> bool {
         self.checkpoint_every != Round::MAX && round.is_multiple_of(self.checkpoint_every.max(1))
     }
 
     /// Whether the snapshot is due at `round`.
-    pub fn wants_snapshot(&self, round: Round) -> bool {
+    fn wants_snapshot(&self, round: Round) -> bool {
         self.snapshot_at != Round::MAX && round == self.snapshot_at
     }
 
@@ -250,8 +245,9 @@ impl ProbeSpec {
         Ok(())
     }
 
-    /// Whether the transmit phase of `node` is perturbed away at `round`.
-    pub fn skips_transmit(&self, round: Round, node: NodeId) -> bool {
+    /// Whether the transmit phase of `node` is perturbed away at `round`
+    /// (the probe half of [`crate::SimConfig::holds_transmit`]).
+    pub(crate) fn skips_transmit(&self, round: Round, node: NodeId) -> bool {
         round == self.perturb_round && node == self.perturb_node
     }
 
@@ -467,7 +463,7 @@ mod tests {
     #[test]
     fn off_spec_observes_nothing() {
         let p = ProbeSpec::OFF;
-        assert!(p.is_off());
+        assert_eq!(p, ProbeSpec::default());
         for r in [0, 1, 63, 64, 1_000_000] {
             assert!(!p.observes(r));
             assert!(!p.skips_transmit(r, 0));

@@ -226,7 +226,7 @@ impl FaultPlan {
     /// The crash/recover events that fired by the end of a `rounds`-round
     /// run, sorted by `(round, node)` — derived purely from the plan, so
     /// identical across executors by construction.
-    pub fn events_until(&self, rounds: Round) -> Vec<FaultEvent> {
+    pub(crate) fn events_until(&self, rounds: Round) -> Vec<FaultEvent> {
         let mut events = Vec::new();
         for c in self.crashes() {
             if c.at <= rounds {
@@ -321,15 +321,6 @@ pub struct SimConfig {
     /// (proven by the equivalence proptests); it exists as the reference
     /// implementation the sparse engine is checked against.
     pub dense_scan: bool,
-    /// Force the sharded executor's *serialized* transmit loop (the global
-    /// ascending-node-order reference walk) instead of the default
-    /// block-claimed shard-parallel transmit. Sequence blocks are claimed
-    /// per node at the round barrier, so the parallel path assigns exactly
-    /// the sequence numbers the serialized walk would — an execution
-    /// strategy, not a model knob: runs are byte-identical either way
-    /// (proven by the equivalence proptests). Ignored by the single-fabric
-    /// executor, which has no shard tasks to parallelize over.
-    pub serial_transmit: bool,
     /// Bounded-lag wavefront pipelining: when > 0, the sharded executor
     /// batches up to this many rounds into one shard-parallel wave
     /// between global barriers. Safe only when the lag does not exceed
@@ -367,7 +358,6 @@ impl SimConfig {
             link_delay: LinkDelay::Unit,
             parallel_apply: false,
             dense_scan: false,
-            serial_transmit: false,
             wavefront_lag: 0,
             probe: ProbeSpec::OFF,
             faults: FaultPlan::none(),
@@ -421,13 +411,6 @@ impl SimConfig {
         self
     }
 
-    /// Builder-style: toggle the serialized reference transmit loop (see
-    /// [`SimConfig::serial_transmit`]).
-    pub fn with_serial_transmit(mut self, on: bool) -> Self {
-        self.serial_transmit = on;
-        self
-    }
-
     /// Builder-style: set the wavefront pipelining lag (see
     /// [`SimConfig::wavefront_lag`]; 0 disables).
     pub fn with_wavefront(mut self, lag: Round) -> Self {
@@ -447,6 +430,18 @@ impl SimConfig {
     pub fn with_faults(mut self, faults: FaultPlan) -> Self {
         self.faults = faults;
         self
+    }
+
+    /// The transmit gate, read by every transmit walk (the monolith's, the
+    /// fabric's, the wave's): whether `node`'s staged sends stay in its
+    /// outbox through `round` — it is crashed (they freeze until the
+    /// recovery round), or it is the planted perturbation (they wait one
+    /// extra round, see [`ProbeSpec::perturb_round`]). A held node is
+    /// re-listed so its sends stay on the frontier; any other node pops up
+    /// to `send_budget`.
+    #[inline]
+    pub(crate) fn holds_transmit(&self, round: Round, node: NodeId) -> bool {
+        self.faults.is_down(node, round) || self.probe.skips_transmit(round, node)
     }
 }
 
@@ -701,10 +696,11 @@ impl SimReport {
             .collect()
     }
 
-    /// Nearest-rank percentile of the scaled completion latencies. `q` is
-    /// clamped into `[0, 1]` (a NaN quantile reads as 0); 0 when no
-    /// operation completed — a metric read never panics, whatever the run
-    /// or the caller produced.
+    /// Nearest-rank percentile of the scaled completion latencies — of the
+    /// operations the system served: a shed arrival never issues, so it is
+    /// excluded by construction. `q` is clamped into `[0, 1]` (a NaN
+    /// quantile reads as 0); 0 when no operation completed — a metric read
+    /// never panics, whatever the run or the caller produced.
     pub fn latency_percentile(&self, q: f64) -> u64 {
         nearest_rank(&sorted(self.latencies()), q)
     }
@@ -784,15 +780,6 @@ impl SimReport {
             return self.throughput();
         }
         self.throughput() * completed as f64 / offered as f64
-    }
-
-    /// Nearest-rank percentile of the *retained* (admitted-and-completed)
-    /// scaled completion latencies. Shed arrivals never issue, so they are
-    /// excluded by construction — this is [`SimReport::latency_percentile`]
-    /// under its honest backpressure name: percentiles of the operations
-    /// the system actually served.
-    pub fn retained_latency_percentile(&self, q: f64) -> u64 {
-        self.latency_percentile(q)
     }
 
     /// Per-completion QQC rank displacements of a verified output order
@@ -930,12 +917,10 @@ mod tests {
     fn config_presets() {
         let s = SimConfig::strict();
         assert_eq!((s.send_budget, s.recv_budget, s.delay_scale), (1, 1, 1));
-        assert!(!s.serial_transmit && s.wavefront_lag == 0);
+        assert!(!s.parallel_apply && !s.dense_scan && s.wavefront_lag == 0);
         let e = SimConfig::expanded(3);
         assert_eq!((e.send_budget, e.recv_budget, e.delay_scale), (3, 3, 3));
-        let w = SimConfig::strict().with_serial_transmit(true).with_wavefront(4);
-        assert!(w.serial_transmit);
-        assert_eq!(w.wavefront_lag, 4);
+        assert_eq!(SimConfig::strict().with_wavefront(4).wavefront_lag, 4);
     }
 
     #[test]

@@ -349,16 +349,7 @@ pub(crate) fn run_single<P: Protocol>(
             frontier.sort_unstable();
         }
         for &v in &frontier {
-            if cfg.faults.is_down(v, round) {
-                // Crashed: staged sends freeze in the outbox until the
-                // recovery round.
-                store.relist_outbox(v);
-                continue;
-            }
-            if cfg.probe.skips_transmit(round, v) {
-                // The planted perturbation: this node's staged sends wait
-                // one extra round (see ProbeSpec::perturb_round) — re-list
-                // it so the held sends stay on the frontier.
+            if cfg.holds_transmit(round, v) {
                 store.relist_outbox(v);
                 continue;
             }

@@ -17,13 +17,13 @@
 //! and in-port enqueueing run concurrently per shard, complete at their own
 //! barrier (where the probe layer hashes state, phase-aligned with the
 //! monolith), and budget-limited harvesting follows in a second concurrent
-//! pass. Transmission assigns the run-global sequence numbers: by default
-//! a serial **claim pass** hands every frontier node a contiguous block of
-//! numbers (sized by its staged sends) in ascending node order, and the
-//! shards then pop and schedule their own messages concurrently — the
-//! block arithmetic reproduces the serialized numbering exactly, so the
-//! parallel transmit is byte-identical to the reference loop kept behind
-//! [`crate::SimConfig::serial_transmit`]. The deliver phase — the one
+//! pass. Transmission is one serialized walk of the global outbox frontier
+//! in ascending node order — the visit order *is* the run-global sequence
+//! numbering, so the walk numbers, traces and routes each send (owning
+//! shard's wheel, or the ferry) exactly as the monolith's transmit loop
+//! does, with no fork and nothing to merge afterwards (a shard-parallel
+//! block-claim variant read slower wherever it was measured —
+//! ARCHITECTURE.md "Performance notes"). The deliver phase — the one
 //! stretch between two barriers where a choice exists — has **two apply
 //! paths**, selected by [`crate::SimConfig::parallel_apply`]; both call the
 //! one [`Protocol::on_message`] on the delivered-to node's slice:
@@ -278,7 +278,7 @@ impl<M> ShardState<'_, M> {
             self.outbox_frontier(cfg, &mut frontier);
             frontier.sort_unstable();
             for &v in &frontier {
-                if cfg.probe.skips_transmit(r, v) {
+                if cfg.holds_transmit(r, v) {
                     self.store.relist_outbox(v);
                     continue;
                 }
@@ -581,46 +581,23 @@ impl<'a, M: Send + std::fmt::Debug> Fabric<'a, M> {
         frontier
     }
 
-    /// Transmit phase dispatcher: the shard-parallel block-claim transmit
-    /// is the default; the serialized reference loop runs under
-    /// [`SimConfig::serial_transmit`] or when there is only one shard
-    /// (where the claim pass would be pure overhead). Both produce the
-    /// same sequence numbering, so they are byte-equivalent on every
-    /// report and probe digest.
+    /// Transmit phase: one walk of the global outbox frontier in ascending
+    /// node order, which assigns the run-global sequence numbers exactly as
+    /// the monolith's loop does; cross-shard messages ride the ferry,
+    /// everything else stays on the sending shard's own transport.
     fn transmit(&mut self, round: Round) {
-        if self.run.cfg.serial_transmit || self.shards.len() == 1 {
-            self.transmit_serial(round);
-        } else {
-            self.transmit_parallel(round);
-        }
-    }
-
-    /// Serialized transmit reference: global ascending node order assigns
-    /// the run-global sequence numbers; cross-shard messages ride the
-    /// ferry, everything else stays on the shard's own transport.
-    fn transmit_serial(&mut self, round: Round) {
         let Run { partition, cfg, .. } = self.run;
         let frontier = self.outbox_frontier();
         for &v in &frontier {
-            if cfg.faults.is_down(v, round) {
-                // Crashed: staged sends freeze in the outbox until the
-                // recovery round — the same gate, in the same position,
-                // as the monolith's transmit loop.
-                self.shards[partition.shard_of(v)].store.relist_outbox(v);
-                continue;
-            }
-            if cfg.probe.skips_transmit(round, v) {
-                // The planted perturbation: this node's staged sends wait
-                // one extra round (see `ProbeSpec::perturb_round`) — the
-                // same skip on every apply path; re-list the node so its
-                // held sends stay on the frontier.
-                self.shards[partition.shard_of(v)].store.relist_outbox(v);
-                continue;
-            }
             let sv = partition.shard_of(v);
+            if cfg.holds_transmit(round, v) {
+                self.shards[sv].store.relist_outbox(v);
+                continue;
+            }
             for _ in 0..cfg.send_budget {
                 let Some((dst, msg)) = self.shards[sv].store.pop_outbox(v) else { break };
                 self.report.messages_sent += 1;
+                let seq = self.report.messages_sent;
                 if cfg.trace {
                     self.report.trace.push(TraceEvent {
                         round,
@@ -630,122 +607,14 @@ impl<'a, M: Send + std::fmt::Debug> Fabric<'a, M> {
                     });
                 }
                 if partition.shard_of(dst) == sv {
-                    self.shards[sv].transport.transmit(
-                        v,
-                        dst,
-                        msg,
-                        round,
-                        self.report.messages_sent,
-                    );
+                    self.shards[sv].transport.transmit(v, dst, msg, round, seq);
                 } else {
                     self.report.cross_shard_messages += 1;
-                    self.ferry.transmit(v, dst, msg, round, self.report.messages_sent);
+                    self.ferry.transmit(v, dst, msg, round, seq);
                 }
             }
         }
         self.scratch = frontier;
-    }
-
-    /// Shard-parallel transmit via per-node sequence blocks. A serial
-    /// **claim pass** walks the global outbox frontier in ascending node
-    /// order and reserves, for every node with staged sends, a contiguous
-    /// block of run-global sequence numbers sized by what it will actually
-    /// transmit (`min(outbox depth, send budget)` — exact, since nothing
-    /// stages between the claim and the pops). The shards then pop and
-    /// schedule their own nodes' messages concurrently, numbering the
-    /// `i`-th popped message of a block `base + i + 1`. Because blocks are
-    /// claimed in the serialized loop's visit order, the numbering stream
-    /// is identical to [`Fabric::transmit_serial`]'s — and with it every
-    /// (arrival, sequence) merge, jitter draw and probe digest.
-    ///
-    /// Intra-shard wires go straight onto the owning shard's transport:
-    /// within a shard the claim order is ascending-node, so per-transport
-    /// calls stay in sequence order (what the timing wheel's batch order
-    /// and the per-link FIFO clamp rely on). Cross-shard sends and trace
-    /// events are collected per shard and merged below by sequence number,
-    /// restoring the serialized ferry call order the shared clamp state
-    /// depends on.
-    fn transmit_parallel(&mut self, round: Round) {
-        let Run { partition, cfg, .. } = self.run;
-        let frontier = self.outbox_frontier();
-        // Claim pass (serial, cheap: one length lookup per frontier node).
-        // One claim per transmitting node: `(node, sequence base, count)`.
-        type Claims = Vec<(NodeId, u64, u64)>;
-        let mut claims: Vec<Claims> = (0..self.shards.len()).map(|_| Vec::new()).collect();
-        let mut claimed = 0u64;
-        for &v in &frontier {
-            let sv = partition.shard_of(v);
-            if cfg.faults.is_down(v, round) {
-                // Crashed: no block is claimed, exactly as the serial
-                // loop pops nothing at a down node.
-                self.shards[sv].store.relist_outbox(v);
-                continue;
-            }
-            if cfg.probe.skips_transmit(round, v) {
-                // The planted perturbation: this node's staged sends wait
-                // one extra round — same skip as the serial loop, and the
-                // re-list keeps the held sends on the frontier.
-                self.shards[sv].store.relist_outbox(v);
-                continue;
-            }
-            let count = self.shards[sv].store.outbox_len(v).min(cfg.send_budget) as u64;
-            if count == 0 {
-                // Stale frontier entry: the serial loop pops nothing here.
-                continue;
-            }
-            claims[sv].push((v, self.report.messages_sent, count));
-            self.report.messages_sent += count;
-            claimed += count;
-        }
-        self.scratch = frontier;
-        if claimed == 0 {
-            // Propagation-only round: skip the fork/join entirely.
-            return;
-        }
-
-        // Pop pass: per shard, the cross-shard sends `(seq, src, dst, msg)`
-        // and the transmit trace events `(seq, node, dst)`.
-        let trace = cfg.trace;
-        let done = fork(&mut self.shards, claims, |shard, state, claims| {
-            let mut ferry = Vec::new();
-            let mut trace_events = Vec::new();
-            for (v, base, count) in claims {
-                for i in 0..count {
-                    let (dst, msg) = state.store.pop_outbox(v).expect("claimed sends are staged");
-                    let seq = base + i + 1;
-                    if trace {
-                        trace_events.push((seq, v, dst));
-                    }
-                    if partition.shard_of(dst) == shard {
-                        state.transport.transmit(v, dst, msg, round, seq);
-                    } else {
-                        ferry.push((seq, v, dst, msg));
-                    }
-                }
-            }
-            (ferry, trace_events)
-        });
-
-        let mut ferry_sends: Vec<(u64, NodeId, NodeId, M)> = Vec::new();
-        let mut trace_events: Vec<(u64, NodeId, NodeId)> = Vec::new();
-        for (ferry, events) in done {
-            ferry_sends.extend(ferry);
-            trace_events.extend(events);
-        }
-        // The ferry is shared state: re-interleave its sends in sequence
-        // order — the serialized call order its per-link FIFO clamp and
-        // per-message delay draws depend on.
-        ferry_sends.sort_unstable_by_key(|e| e.0);
-        for (seq, src, dst, msg) in ferry_sends {
-            self.report.cross_shard_messages += 1;
-            self.ferry.transmit(src, dst, msg, round, seq);
-        }
-        if trace {
-            trace_events.sort_unstable_by_key(|e| e.0);
-            for (_, node, peer) in trace_events {
-                self.report.trace.push(TraceEvent { round, kind: TraceKind::Transmit, node, peer });
-            }
-        }
     }
 
     /// One full lockstep round — arrivals through transmit, with probe
@@ -1117,14 +986,6 @@ fn validate_wavefront(run: Run<'_>, inter_delay: LinkDelay) -> Result<(), SimErr
              --wavefront or the --fault plan",
         ));
     }
-    if cfg.serial_transmit {
-        return Err(SimError::invalid_config(
-            "serial_transmit and wavefront pipelining are mutually exclusive: \
-             in-wave transmit runs inside each shard's task under provisional \
-             sequence keys and has no serialized global walk to fall back to; \
-             clear SimConfig::serial_transmit or the wavefront lag",
-        ));
-    }
     if cfg.send_budget as u64 >= 1 << SURROGATE_IDX_BITS {
         return Err(SimError::invalid_config(format!(
             "wavefront pipelining supports send budgets below {} (got {}): the \
@@ -1246,54 +1107,11 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::tests::Walk;
     use ccq_graph::topology;
 
     /// Both apply paths of the one lockstep round.
     const APPLY_PATHS: [bool; 2] = [false, true];
-
-    /// Sliced token walk along the path 0→1→…→n−1, completing at each
-    /// hop: per-node state is a visit counter; shared state is the path
-    /// length.
-    struct SlicedWalk {
-        shared: usize,
-        visits: Vec<u64>,
-    }
-
-    impl SlicedWalk {
-        fn new(n: usize) -> Self {
-            SlicedWalk { shared: n, visits: vec![0; n] }
-        }
-    }
-
-    impl Protocol for SlicedWalk {
-        type Msg = ();
-        type Slice = u64;
-        type Shared = usize;
-        fn split(&mut self) -> (&usize, &mut [u64]) {
-            (&self.shared, &mut self.visits)
-        }
-        fn on_start(&mut self, api: &mut SimApi<()>) {
-            self.visits[0] += 1;
-            api.complete(0, 0);
-            if self.shared > 1 {
-                api.send(0, 1, ());
-            }
-        }
-        fn on_message(
-            shared: &usize,
-            slice: &mut u64,
-            api: &mut SliceApi<()>,
-            node: NodeId,
-            _from: NodeId,
-            _msg: (),
-        ) {
-            *slice += 1;
-            api.complete(node, node as u64);
-            if node + 1 < *shared {
-                api.send(node + 1, ());
-            }
-        }
-    }
 
     fn reports_equal_modulo_cross_shard(a: &SimReport, b: &SimReport) -> bool {
         let strip = |r: &SimReport| {
@@ -1312,7 +1130,7 @@ mod tests {
         for k in [1, 3] {
             let part = Partition::contiguous(9, k);
             let run = Run { graph: &g, partition: &part, cfg: &cfg };
-            let mut fab = Fabric::setup(run, &mut SlicedWalk::new(9), LinkDelay::Unit).unwrap();
+            let mut fab = Fabric::setup(run, &mut Walk::new(9), LinkDelay::Unit).unwrap();
             let lent = Mutex::new(Vec::new());
             let inputs: Vec<usize> = (0..k).map(|shard| 10 * shard).collect();
             let out = fork(&mut fab.shards, inputs, |shard, state, input| {
@@ -1338,12 +1156,11 @@ mod tests {
     #[test]
     fn one_shard_reproduces_the_monolith_exactly() {
         let g = topology::path(9);
-        let single = crate::run_protocol(&g, SlicedWalk::new(9), SimConfig::strict()).unwrap();
+        let single = crate::run_protocol(&g, Walk::new(9), SimConfig::strict()).unwrap();
         for parallel in APPLY_PATHS {
             let cfg = SimConfig::strict().with_parallel_apply(parallel);
             let sharded =
-                run_protocol_sharded(&g, Partition::contiguous(9, 1), SlicedWalk::new(9), cfg)
-                    .unwrap();
+                run_protocol_sharded(&g, Partition::contiguous(9, 1), Walk::new(9), cfg).unwrap();
             assert_eq!(sharded.cross_shard_messages, 0);
             assert!(reports_equal_modulo_cross_shard(&single, &sharded), "parallel = {parallel}");
         }
@@ -1352,12 +1169,12 @@ mod tests {
     #[test]
     fn k_shards_match_the_monolith_and_count_crossings() {
         let g = topology::path(12);
-        let single = crate::run_protocol(&g, SlicedWalk::new(12), SimConfig::strict()).unwrap();
+        let single = crate::run_protocol(&g, Walk::new(12), SimConfig::strict()).unwrap();
         for k in [2, 3, 4] {
             for parallel in APPLY_PATHS {
                 let part = Partition::contiguous(12, k);
                 let cfg = SimConfig::strict().with_parallel_apply(parallel);
-                let sharded = run_protocol_sharded(&g, part, SlicedWalk::new(12), cfg).unwrap();
+                let sharded = run_protocol_sharded(&g, part, Walk::new(12), cfg).unwrap();
                 // The token crosses each of the k−1 shard boundaries once.
                 assert_eq!(sharded.cross_shard_messages, k as u64 - 1);
                 assert!(
@@ -1372,12 +1189,12 @@ mod tests {
     fn jitter_equivalence_holds_via_global_sequencing() {
         let g = topology::path(16);
         let cfg = SimConfig::strict().with_jitter(4, 99);
-        let single = crate::run_protocol(&g, SlicedWalk::new(16), cfg).unwrap();
+        let single = crate::run_protocol(&g, Walk::new(16), cfg).unwrap();
         for parallel in APPLY_PATHS {
             let sharded = run_protocol_sharded(
                 &g,
                 Partition::striped(16, 4),
-                SlicedWalk::new(16),
+                Walk::new(16),
                 cfg.with_parallel_apply(parallel),
             )
             .unwrap();
@@ -1394,7 +1211,7 @@ mod tests {
                 ShardedSimulator::new(
                     &g,
                     Partition::contiguous(8, 2),
-                    SlicedWalk::new(8),
+                    Walk::new(8),
                     SimConfig::strict().with_parallel_apply(parallel),
                 )
             };
@@ -1412,12 +1229,11 @@ mod tests {
         for delay in [LinkDelay::Unit, LinkDelay::Jitter { max: 3, seed: 5 }] {
             let cfg = SimConfig::strict().with_link_delay(delay).with_trace();
             let serial =
-                run_protocol_sharded(&g, Partition::striped(12, 3), SlicedWalk::new(12), cfg)
-                    .unwrap();
+                run_protocol_sharded(&g, Partition::striped(12, 3), Walk::new(12), cfg).unwrap();
             let (sliced, proto) = ShardedSimulator::new(
                 &g,
                 Partition::striped(12, 3),
-                SlicedWalk::new(12),
+                Walk::new(12),
                 cfg.with_parallel_apply(true),
             )
             .run_with_state()
@@ -1482,9 +1298,8 @@ mod tests {
         let g = topology::path(3);
         let cfg = SimConfig::strict().with_probe(ProbeSpec::OFF.with_perturbation(1, 99));
         for err in [
-            crate::run_protocol(&g, SlicedWalk::new(3), cfg).unwrap_err(),
-            run_protocol_sharded(&g, Partition::contiguous(3, 2), SlicedWalk::new(3), cfg)
-                .unwrap_err(),
+            crate::run_protocol(&g, Walk::new(3), cfg).unwrap_err(),
+            run_protocol_sharded(&g, Partition::contiguous(3, 2), Walk::new(3), cfg).unwrap_err(),
         ] {
             let msg = err.to_string();
             assert!(matches!(err, SimError::InvalidConfig { .. }), "{msg}");
@@ -1492,34 +1307,27 @@ mod tests {
         }
         // The last real node is still a legal target.
         let cfg = SimConfig::strict().with_probe(ProbeSpec::OFF.with_perturbation(1, 2));
-        crate::run_protocol(&g, SlicedWalk::new(3), cfg).unwrap();
+        crate::run_protocol(&g, Walk::new(3), cfg).unwrap();
     }
 
     #[test]
-    fn parallel_transmit_is_byte_identical_to_the_serial_reference() {
+    fn sharded_numbering_and_transmit_trace_equal_the_monolith() {
         // Across delay policies (including per-message jitter, where the
         // sequence numbering drives the draws and the FIFO clamp) and with
-        // tracing on, the block-claim transmit must reproduce the serial
-        // loop exactly.
+        // tracing on, the fabric's transmit walk over four striped shards
+        // must number and trace every send exactly as the monolith does.
         let g = topology::path(16);
         for delay in
             [LinkDelay::Unit, LinkDelay::Fixed { delay: 3 }, LinkDelay::Jitter { max: 4, seed: 7 }]
         {
             let cfg = SimConfig::strict().with_link_delay(delay).with_trace();
-            let parallel =
-                run_protocol_sharded(&g, Partition::striped(16, 4), SlicedWalk::new(16), cfg)
-                    .unwrap();
-            let serial = run_protocol_sharded(
-                &g,
-                Partition::striped(16, 4),
-                SlicedWalk::new(16),
-                cfg.with_serial_transmit(true),
-            )
-            .unwrap();
-            assert_eq!(
-                serde_json::to_string(&parallel).unwrap(),
-                serde_json::to_string(&serial).unwrap(),
-                "parallel transmit diverged under {}",
+            let single = crate::run_protocol(&g, Walk::new(16), cfg).unwrap();
+            assert!(single.trace.iter().any(|e| e.kind == TraceKind::Transmit));
+            let sharded =
+                run_protocol_sharded(&g, Partition::striped(16, 4), Walk::new(16), cfg).unwrap();
+            assert!(
+                reports_equal_modulo_cross_shard(&single, &sharded),
+                "sharded transmit diverged from the monolith under {}",
                 delay.name()
             );
         }
@@ -1530,7 +1338,7 @@ mod tests {
         let g = topology::path(12);
         let part = || Partition::contiguous(12, 3);
         let run = |cfg: SimConfig| {
-            ShardedSimulator::new(&g, part(), SlicedWalk::new(12), cfg)
+            ShardedSimulator::new(&g, part(), Walk::new(12), cfg)
                 .with_inter_delay(LinkDelay::Fixed { delay: 6 })
                 .run_with_state()
                 .unwrap()
@@ -1556,7 +1364,7 @@ mod tests {
         let probe = ProbeSpec::OFF.with_checkpoint_every(3).with_node_hashes(true);
         let part = || Partition::contiguous(12, 2);
         let run = |cfg: SimConfig| {
-            ShardedSimulator::new(&g, part(), SlicedWalk::new(12), cfg)
+            ShardedSimulator::new(&g, part(), Walk::new(12), cfg)
                 .with_inter_delay(LinkDelay::Fixed { delay: 5 })
                 .run()
                 .unwrap()
@@ -1578,7 +1386,7 @@ mod tests {
         let err = ShardedSimulator::new(
             &g,
             Partition::contiguous(8, 2),
-            SlicedWalk::new(8),
+            Walk::new(8),
             SimConfig::strict().with_wavefront(4),
         )
         .with_inter_delay(LinkDelay::Fixed { delay: 2 })
@@ -1590,7 +1398,7 @@ mod tests {
         let err = ShardedSimulator::new(
             &g,
             Partition::contiguous(8, 2),
-            SlicedWalk::new(8),
+            Walk::new(8),
             SimConfig::strict().with_jitter(3, 1).with_wavefront(2),
         )
         .with_inter_delay(LinkDelay::Fixed { delay: 6 })
@@ -1603,7 +1411,7 @@ mod tests {
             (SimConfig::strict().with_wavefront(2), "wavefront"),
             (SimConfig::strict().with_parallel_apply(true), "parallel_apply"),
         ] {
-            let err = crate::run_protocol(&g, SlicedWalk::new(8), cfg).unwrap_err();
+            let err = crate::run_protocol(&g, Walk::new(8), cfg).unwrap_err();
             assert!(err.to_string().contains(flag), "{err}");
         }
     }
@@ -1614,13 +1422,13 @@ mod tests {
         let g = topology::path(12);
         let probe = ProbeSpec::OFF.with_checkpoint_every(1).with_node_hashes(true);
         let cfg = SimConfig::strict().with_probe(probe);
-        let single = crate::run_protocol(&g, SlicedWalk::new(12), cfg).unwrap();
+        let single = crate::run_protocol(&g, Walk::new(12), cfg).unwrap();
         assert!(!single.checkpoints.is_empty(), "probe must checkpoint");
         for parallel in APPLY_PATHS {
             let sharded = run_protocol_sharded(
                 &g,
                 Partition::striped(12, 3),
-                SlicedWalk::new(12),
+                Walk::new(12),
                 cfg.with_parallel_apply(parallel),
             )
             .unwrap();
@@ -1635,17 +1443,13 @@ mod tests {
         let g = topology::path(8);
         let probe = ProbeSpec::OFF.with_checkpoint_every(1);
         let part = || Partition::contiguous(8, 2);
-        let base = run_protocol_sharded(
-            &g,
-            part(),
-            SlicedWalk::new(8),
-            SimConfig::strict().with_probe(probe),
-        )
-        .unwrap();
+        let base =
+            run_protocol_sharded(&g, part(), Walk::new(8), SimConfig::strict().with_probe(probe))
+                .unwrap();
         let pert = run_protocol_sharded(
             &g,
             part(),
-            SlicedWalk::new(8),
+            Walk::new(8),
             SimConfig::strict().with_probe(probe.with_perturbation(2, 2)),
         )
         .unwrap();
@@ -1671,7 +1475,7 @@ mod tests {
         let err = run_protocol_sharded(
             &g,
             Partition::contiguous(4, 2),
-            SlicedWalk::new(5),
+            Walk::new(5),
             SimConfig::strict(),
         )
         .unwrap_err();

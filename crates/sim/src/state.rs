@@ -272,13 +272,6 @@ impl<M> NodeStore<M> {
     pub fn outbox_of(&self, v: NodeId) -> impl Iterator<Item = &(NodeId, M)> {
         self.slot(v).map(|s| self.outbox[s].iter()).into_iter().flatten()
     }
-
-    /// Number of sends staged in `v`'s outbox (0 for non-members) — how
-    /// the parallel transmit path sizes `v`'s sequence-number block at the
-    /// claim barrier before the shard tasks pop.
-    pub fn outbox_len(&self, v: NodeId) -> usize {
-        self.slot(v).map_or(0, |s| self.outbox[s].len())
-    }
 }
 
 #[cfg(test)]

@@ -124,22 +124,23 @@ fn cmd_list() -> i32 {
 }
 
 fn cmd_run(args: &[String]) -> i32 {
-    let mut exp_ids: Option<Vec<String>> = None;
+    // Like every list-valued sweep flag, a repeated `--exp` accumulates.
+    let mut ids: Vec<String> = Vec::new();
     let mut scale = Scale::Quick;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
             "--exp" => match it.next() {
-                Some(v) => exp_ids = Some(v.split(',').map(str::to_string).collect()),
+                Some(v) => ids.extend(v.split(',').map(str::to_string)),
                 None => return fail("--exp needs a value (e.g. t4 or all)"),
             },
             "--full" => scale = Scale::Full,
             other => return fail(&format!("unknown `ccq run` flag `{other}`")),
         }
     }
-    let Some(ids) = exp_ids else {
+    if ids.is_empty() {
         return fail("ccq run requires --exp <ids>|all");
-    };
+    }
     let reg = experiments::registry();
     let selected: Vec<_> = if ids.iter().any(|i| i == "all") {
         reg

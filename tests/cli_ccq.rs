@@ -93,6 +93,16 @@ fn run_executes_an_experiment_driver() {
     assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
     let stdout = String::from_utf8(out.stdout).unwrap();
     assert!(stdout.contains("Figure 1"), "driver output missing: {stdout}");
+    // A repeated `--exp` accumulates like every list-valued sweep flag:
+    // both experiments run, in registry order, a duplicate once.
+    let listed = ccq(&["run", "--exp", "fig1,t7"]);
+    let repeated = ccq(&["run", "--exp", "t7", "--exp", "fig1", "--exp", "t7"]);
+    assert!(repeated.status.success(), "stderr: {}", String::from_utf8_lossy(&repeated.stderr));
+    assert_eq!(repeated.stdout, listed.stdout, "--exp t7 --exp fig1 must equal --exp fig1,t7");
+    let headings = String::from_utf8(repeated.stdout).unwrap();
+    let headings: Vec<_> = headings.lines().filter(|l| l.starts_with("## ")).collect();
+    assert_eq!(headings.len(), 2, "{headings:?}");
+    assert!(headings[0].starts_with("## fig1") && headings[1].starts_with("## t7"));
 }
 
 /// A reader that closes the pipe after the first line (`ccq … | head -1`)

@@ -14,9 +14,8 @@ use ccq_repro::sim::SimConfig;
 use std::process::Output;
 
 /// [`run_spec_with`], after `reference` has edited the [`SimConfig`] the
-/// run executes under. The one way a test selects an engine reference
-/// path (`SimConfig::dense_scan`, `SimConfig::serial_transmit`): no plan,
-/// scenario or CLI flag names either.
+/// run executes under. The one way a test selects the engine's reference
+/// path (`SimConfig::dense_scan`): no plan, scenario or CLI flag names it.
 pub fn run_on_reference(
     spec: &dyn ProtocolSpec,
     scenario: &Scenario,

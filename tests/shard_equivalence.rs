@@ -18,10 +18,6 @@
 //! * **scan equivalence** — the same matrix asserts the default
 //!   dirty-frontier round loop is byte-identical to the dense `0..n`
 //!   reference scan (`SimConfig::dense_scan`), on both apply paths;
-//! * **transmit equivalence** — the block-claim parallel transmit is
-//!   byte-identical to the serialized reference transmit
-//!   (`SimConfig::serial_transmit`), across the same matrix including
-//!   per-message jitter;
 //! * **wavefront equivalence** — with a ferry at least as slow as the
 //!   lag, the bounded-lag wavefront pipeline is byte-identical to the
 //!   lockstep barrier, across protocols × intra-shard delays × arrivals
@@ -211,54 +207,6 @@ proptest! {
             serde_json::to_string(&frontier.report).unwrap(),
             serde_json::to_string(&dense.report).unwrap(),
             "{} report diverged between scan strategies", spec.name()
-        );
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// The parallel-transmit guarantee: for every sliced registry
-    /// protocol, under every delay policy (including per-message jitter),
-    /// open arrivals, admission policies and multi-shard plans, the
-    /// block-claim parallel transmit produces a report byte-identical to
-    /// the serialized reference transmit — sequence blocks reproduce the
-    /// global transmission numbering exactly.
-    #[test]
-    fn parallel_transmit_runs_are_byte_identical_to_serialized(
-        proto_idx in 0usize..10,
-        delay_kind in 0u8..4,
-        arrival_kind in 0u8..3,
-        admission_kind in 0u8..2,
-        k in 2usize..6,
-        strategy in 0u8..3,
-        seed in any::<u64>(),
-    ) {
-        let spec = registry()[proto_idx];
-        let delay = delay_for(delay_kind, seed);
-        let arrival = match arrival_kind {
-            0 => ArrivalSpec::OneShot,
-            1 => ArrivalSpec::Poisson { rate: 0.4, seed },
-            _ => ArrivalSpec::Bursty { rate: 0.8, on: 4, off: 7, seed },
-        };
-        let admission = match admission_kind {
-            0 => AdmissionSpec::Open,
-            _ => AdmissionSpec::DropTail { bound: 6 },
-        };
-        let mode = spec.kind().paper_mode();
-        let scenario =
-            Scenario::build_with(TopoSpec::Torus2D { side: 3 }, RequestPattern::All, arrival)
-                .with_shards(ShardSpec::new(k, strategy_for(strategy)))
-                .with_admission(admission);
-        let parallel = run_spec_with(spec, &scenario, mode, delay).unwrap();
-        let serialized =
-            run_on_reference(spec, &scenario, mode, delay, |c| c.with_serial_transmit(true))
-                .unwrap();
-        prop_assert_eq!(parallel.order, serialized.order, "{} order diverged", spec.name());
-        prop_assert_eq!(
-            serde_json::to_string(&serialized.report).unwrap(),
-            serde_json::to_string(&parallel.report).unwrap(),
-            "{} report diverged between transmit strategies", spec.name()
         );
     }
 }
@@ -516,7 +464,7 @@ proptest! {
     /// The heterogeneous-traffic guarantee: priority classes × crash/recover
     /// faults × per-node admission produce byte-identical reports across
     /// every execution strategy of the *same shard plan* — lockstep,
-    /// parallel apply, dense scan and serial transmit. (The monolith is
+    /// parallel apply and dense scan. (The monolith is
     /// deliberately absent: `pernode` admission reads the requester's shard
     /// backlog, so changing the shard plan legitimately changes which
     /// arrivals are shed — that plan-dependence is the policy's point.)
@@ -559,15 +507,12 @@ proptest! {
             .with_parallel_apply(parallel)
         };
         let lockstep = run_spec_with(spec, &build(false), mode, delay).unwrap();
-        for (label, parallel, dense, serial) in [
-            ("parallel apply", true, false, false),
-            ("dense scan", false, true, false),
-            ("serial transmit", false, false, true),
-        ] {
-            let other = run_on_reference(spec, &build(parallel), mode, delay, |c| {
-                c.with_dense_scan(dense).with_serial_transmit(serial)
-            })
-            .unwrap();
+        for (label, parallel, dense) in
+            [("parallel apply", true, false), ("dense scan", false, true)]
+        {
+            let other =
+                run_on_reference(spec, &build(parallel), mode, delay, |c| c.with_dense_scan(dense))
+                    .unwrap();
             prop_assert_eq!(
                 &other.order, &lockstep.order,
                 "{} {} order diverged", spec.name(), label
@@ -619,10 +564,9 @@ proptest! {
 
 /// Fault injection under the wavefront pipeline must fail constructively —
 /// a crash round couples the shards, so the run refuses to start and the
-/// error names the conflict (and `SimConfig::serial_transmit` gets the
-/// same treatment: the pipeline owns its transmit interleaving).
+/// error names the conflict.
 #[test]
-fn wavefront_with_faults_or_serial_transmit_is_a_named_error() {
+fn wavefront_with_faults_is_a_named_error() {
     let shards = ShardSpec::new(2, ShardStrategy::Contiguous)
         .with_inter_delay(LinkDelay::Fixed { delay: 3 });
     let build = || {
@@ -636,19 +580,7 @@ fn wavefront_with_faults_or_serial_transmit_is_a_named_error() {
     assert!(msg.contains("wavefront"), "error must name the pipeline: {msg}");
     assert!(msg.contains("fault"), "error must name the fault plan: {msg}");
 
-    let err =
-        run_on_reference(registry()[0], &build(), ModelMode::Expanded, LinkDelay::Unit, |c| {
-            c.with_serial_transmit(true)
-        })
-        .unwrap_err();
-    let msg = err.to_string();
-    assert!(msg.contains("wavefront"), "error must name the pipeline: {msg}");
-    assert!(
-        msg.contains("SimConfig::serial_transmit") && !msg.contains("--serial-transmit"),
-        "error must name the config field, not a CLI flag that is gone: {msg}"
-    );
-
-    // Dropping the conflicting half makes both runs valid.
+    // Dropping the fault plan makes the run valid.
     run_spec(registry()[0], &build(), ModelMode::Expanded).unwrap();
 }
 
