@@ -43,26 +43,25 @@ pub struct CombiningTreeSlice {
     issued: bool,
 }
 
-/// Read-only tree shape every combining-tree handler shares.
+/// Read-only tree shape every combining-tree handler shares: the tree
+/// itself, borrowed for the run.
 #[derive(Debug)]
-pub struct CombiningTreeShared {
-    parent: Vec<NodeId>,
-    children: Vec<Vec<NodeId>>,
-    root: NodeId,
+pub struct CombiningTreeShared<'t> {
+    tree: &'t Tree,
     /// Deferred-issue mode: a requester holds its subtree's Up report until
     /// its own operation has been injected.
     defer_issue: bool,
 }
 
 /// Combining-tree counter protocol state.
-pub struct CombiningTreeProtocol {
-    shared: CombiningTreeShared,
+pub struct CombiningTreeProtocol<'t> {
+    shared: CombiningTreeShared<'t>,
     nodes: Vec<CombiningTreeSlice>,
 }
 
-impl CombiningTreeProtocol {
+impl<'t> CombiningTreeProtocol<'t> {
     /// Set up on `tree` with the given request set.
-    pub fn new(tree: &Tree, requests: &[NodeId]) -> Self {
+    pub fn new(tree: &'t Tree, requests: &[NodeId]) -> Self {
         let n = tree.n();
         let mut requesting = vec![false; n];
         for &r in requests {
@@ -77,15 +76,7 @@ impl CombiningTreeProtocol {
                 issued: false,
             })
             .collect();
-        CombiningTreeProtocol {
-            shared: CombiningTreeShared {
-                parent: (0..n).map(|v| tree.parent(v)).collect(),
-                children: (0..n).map(|v| tree.children(v).to_vec()).collect(),
-                root: tree.root(),
-                defer_issue: false,
-            },
-            nodes,
-        }
+        CombiningTreeProtocol { shared: CombiningTreeShared { tree, defer_issue: false }, nodes }
     }
 
     /// Deferred-issue mode (`on` = true): `on_start` starts the up phase
@@ -123,7 +114,7 @@ impl CombiningTreeProtocol {
             api.complete(v, next);
             next += 1;
         }
-        for (i, c) in shared.children[v].iter().enumerate() {
+        for (i, c) in shared.tree.children(v).iter().enumerate() {
             let cnt = slice.child_counts[i];
             if cnt > 0 {
                 api.send(*c, CombiningMsg::Down { base: next });
@@ -146,15 +137,15 @@ impl CombiningTreeProtocol {
             return;
         }
         let total = Self::subtree_count(slice);
-        if v == shared.root {
+        if v == shared.tree.root() {
             Self::distribute(shared, slice, api, v, 1);
         } else {
-            api.send(shared.parent[v], CombiningMsg::Up { count: total });
+            api.send(shared.tree.parent(v), CombiningMsg::Up { count: total });
         }
     }
 }
 
-impl OnlineProtocol for CombiningTreeProtocol {
+impl OnlineProtocol for CombiningTreeProtocol<'_> {
     fn issue(
         shared: &CombiningTreeShared,
         slice: &mut CombiningTreeSlice,
@@ -181,12 +172,12 @@ impl OnlineProtocol for CombiningTreeProtocol {
     }
 }
 
-impl Protocol for CombiningTreeProtocol {
+impl<'t> Protocol for CombiningTreeProtocol<'t> {
     type Msg = CombiningMsg;
     type Slice = CombiningTreeSlice;
-    type Shared = CombiningTreeShared;
+    type Shared = CombiningTreeShared<'t>;
 
-    fn split(&mut self) -> (&CombiningTreeShared, &mut [CombiningTreeSlice]) {
+    fn split(&mut self) -> (&CombiningTreeShared<'t>, &mut [CombiningTreeSlice]) {
         (&self.shared, &mut self.nodes)
     }
 
@@ -210,7 +201,9 @@ impl Protocol for CombiningTreeProtocol {
     ) {
         match msg {
             CombiningMsg::Up { count } => {
-                let slot = shared.children[node]
+                let slot = shared
+                    .tree
+                    .children(node)
                     .iter()
                     .position(|&c| c == from)
                     .expect("Up message from a non-child");

@@ -27,13 +27,6 @@ pub enum CrdtCounterMsg {
     },
 }
 
-/// Read-only state every crdt-counter handler shares: the spanning tree's
-/// undirected adjacency, the gossip overlay.
-#[derive(Debug)]
-pub struct CrdtCounterShared {
-    neighbors: Vec<Vec<NodeId>>,
-}
-
 /// One node's grow-only replica: the increments it has heard (its own
 /// included).
 #[derive(Debug)]
@@ -42,21 +35,23 @@ pub struct CrdtCounterSlice {
 }
 
 /// Coordination-free counter protocol state.
-pub struct CrdtCounterProtocol {
-    shared: CrdtCounterShared,
+pub struct CrdtCounterProtocol<'t> {
+    /// The gossip overlay, borrowed for the run: the one piece of read-only
+    /// state every handler shares.
+    tree: &'t Tree,
     slices: Vec<CrdtCounterSlice>,
     requests: Vec<NodeId>,
     defer_issue: bool,
 }
 
-impl CrdtCounterProtocol {
+impl<'t> CrdtCounterProtocol<'t> {
     /// Set up with `tree` as the gossip overlay.
-    pub fn new(tree: &Tree, requests: &[NodeId]) -> Self {
+    pub fn new(tree: &'t Tree, requests: &[NodeId]) -> Self {
         let n = tree.n();
         let mut requests = requests.to_vec();
         requests.sort_unstable();
         CrdtCounterProtocol {
-            shared: CrdtCounterShared { neighbors: (0..n).map(|v| tree.neighbors(v)).collect() },
+            tree,
             slices: (0..n).map(|_| CrdtCounterSlice { heard: 0 }).collect(),
             requests,
             defer_issue: false,
@@ -71,30 +66,30 @@ impl CrdtCounterProtocol {
     }
 }
 
-impl OnlineProtocol for CrdtCounterProtocol {
+impl OnlineProtocol for CrdtCounterProtocol<'_> {
     /// Issue `v`'s increment now: merge locally, complete with the merged
     /// count, gossip the increment to every tree neighbour.
     fn issue(
-        shared: &CrdtCounterShared,
+        tree: &Tree,
         slice: &mut CrdtCounterSlice,
         api: &mut SliceApi<CrdtCounterMsg>,
         v: NodeId,
     ) {
         slice.heard += 1;
         api.complete(v, slice.heard);
-        for &nb in &shared.neighbors[v] {
+        for nb in tree.neighbors(v) {
             api.send(nb, CrdtCounterMsg::Gossip { delta: 1 });
         }
     }
 }
 
-impl Protocol for CrdtCounterProtocol {
+impl<'t> Protocol for CrdtCounterProtocol<'t> {
     type Msg = CrdtCounterMsg;
     type Slice = CrdtCounterSlice;
-    type Shared = CrdtCounterShared;
+    type Shared = Tree;
 
-    fn split(&mut self) -> (&CrdtCounterShared, &mut [CrdtCounterSlice]) {
-        (&self.shared, &mut self.slices)
+    fn split(&mut self) -> (&Tree, &mut [CrdtCounterSlice]) {
+        (self.tree, &mut self.slices)
     }
 
     fn on_start(&mut self, api: &mut SimApi<CrdtCounterMsg>) {
@@ -105,7 +100,7 @@ impl Protocol for CrdtCounterProtocol {
     }
 
     fn on_message(
-        shared: &CrdtCounterShared,
+        tree: &Tree,
         slice: &mut CrdtCounterSlice,
         api: &mut SliceApi<CrdtCounterMsg>,
         node: NodeId,
@@ -116,10 +111,8 @@ impl Protocol for CrdtCounterProtocol {
         slice.heard += delta;
         // Tree flood: forward away from the sender. Acyclic overlay ⇒ each
         // increment traverses each edge once and terminates.
-        for &nb in &shared.neighbors[node] {
-            if nb != from {
-                api.send(nb, CrdtCounterMsg::Gossip { delta });
-            }
+        for nb in tree.neighbors(node).filter(|&nb| nb != from) {
+            api.send(nb, CrdtCounterMsg::Gossip { delta });
         }
     }
 }

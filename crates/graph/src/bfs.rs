@@ -5,24 +5,10 @@
 //! ([`diameter_two_sweep`]), exact on the families they run.
 
 use crate::{Graph, NodeId, NO_NODE};
-use std::collections::VecDeque;
 
 /// Distances (in hops) from `src` to every vertex; `u32::MAX` = unreachable.
 pub fn bfs_distances(g: &Graph, src: NodeId) -> Vec<u32> {
-    let mut dist = vec![u32::MAX; g.n()];
-    let mut q = VecDeque::new();
-    dist[src] = 0;
-    q.push_back(src);
-    while let Some(u) = q.pop_front() {
-        let du = dist[u];
-        for &v in g.neighbors(u) {
-            if dist[v] == u32::MAX {
-                dist[v] = du + 1;
-                q.push_back(v);
-            }
-        }
-    }
-    dist
+    bfs_tree_arrays(g, src).0
 }
 
 /// BFS that also records a predecessor for each reached vertex.
@@ -32,17 +18,21 @@ pub fn bfs_distances(g: &Graph, src: NodeId) -> Vec<u32> {
 pub fn bfs_tree_arrays(g: &Graph, src: NodeId) -> (Vec<u32>, Vec<NodeId>) {
     let mut dist = vec![u32::MAX; g.n()];
     let mut pred = vec![NO_NODE; g.n()];
-    let mut q = VecDeque::new();
+    // The visit order is its own queue: every vertex enters it at most
+    // once, so one allocation of `n` holds the whole search.
+    let mut order = Vec::with_capacity(g.n());
     dist[src] = 0;
     pred[src] = src;
-    q.push_back(src);
-    while let Some(u) = q.pop_front() {
+    order.push(src);
+    let mut head = 0;
+    while let Some(&u) = order.get(head) {
+        head += 1;
         let du = dist[u];
         for &v in g.neighbors(u) {
             if dist[v] == u32::MAX {
                 dist[v] = du + 1;
                 pred[v] = u;
-                q.push_back(v);
+                order.push(v);
             }
         }
     }

@@ -85,7 +85,13 @@ pub struct GraphBuilder {
 impl GraphBuilder {
     /// Builder for a graph with `n` vertices and no edges yet.
     pub fn new(n: usize) -> Self {
-        Self { n, edges: Vec::new() }
+        Self::with_capacity(n, 0)
+    }
+
+    /// [`GraphBuilder::new`] with room for `edges` edges, for generators
+    /// that know their edge count.
+    pub fn with_capacity(n: usize, edges: usize) -> Self {
+        Self { n, edges: Vec::with_capacity(edges) }
     }
 
     /// Add the undirected edge `{u, v}`.
@@ -96,40 +102,52 @@ impl GraphBuilder {
     pub fn add_edge(&mut self, u: NodeId, v: NodeId) -> &mut Self {
         assert!(u != v, "self-loop {u}");
         assert!(u < self.n && v < self.n, "edge ({u},{v}) out of range n={}", self.n);
-        self.edges.push((u.min(v), u.max(v)));
+        self.edges.push((u, v));
         self
     }
 
     /// Finalize into a [`Graph`], deduplicating edges.
-    pub fn build(mut self) -> Graph {
-        self.edges.sort_unstable();
-        self.edges.dedup();
-        let mut deg = vec![0usize; self.n];
+    ///
+    /// A counting build: degrees are counted (duplicates included), both
+    /// directions of every edge are scattered into their vertex's range,
+    /// each neighbourhood is sorted on its own, and duplicates are squeezed
+    /// out leftwards in the same pass. There is no sort of the whole edge
+    /// list, so the cost is `O(n + m)` plus the per-neighbourhood sorts.
+    pub fn build(self) -> Graph {
+        let n = self.n;
+        let mut offsets = vec![0usize; n + 1];
         for &(u, v) in &self.edges {
-            deg[u] += 1;
-            deg[v] += 1;
+            offsets[u + 1] += 1;
+            offsets[v + 1] += 1;
         }
-        let mut offsets = Vec::with_capacity(self.n + 1);
-        let mut acc = 0usize;
-        offsets.push(0);
-        for d in &deg {
-            acc += d;
-            offsets.push(acc);
+        for v in 0..n {
+            offsets[v + 1] += offsets[v];
         }
         let mut cursor = offsets.clone();
-        let mut adj = vec![0 as NodeId; acc];
+        let mut adj = vec![0 as NodeId; offsets[n]];
         for &(u, v) in &self.edges {
             adj[cursor[u]] = v;
             cursor[u] += 1;
             adj[cursor[v]] = u;
             cursor[v] += 1;
         }
-        // Each vertex's slice is already sorted because edges were sorted by
-        // (min, max) — but the v-side insertions are not. Sort each slice.
-        for v in 0..self.n {
-            adj[offsets[v]..offsets[v + 1]].sort_unstable();
+        // `write` never passes the range being read: it trails by exactly
+        // the number of duplicates dropped so far.
+        let mut write = 0usize;
+        for v in 0..n {
+            let (start, end) = (offsets[v], offsets[v + 1]);
+            adj[start..end].sort_unstable();
+            offsets[v] = write;
+            for i in start..end {
+                if i == start || adj[i] != adj[i - 1] {
+                    adj[write] = adj[i];
+                    write += 1;
+                }
+            }
         }
-        Graph { n: self.n, offsets, adj }
+        offsets[n] = write;
+        adj.truncate(write);
+        Graph { n, offsets, adj }
     }
 }
 
@@ -147,6 +165,79 @@ impl Graph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::prelude::*;
+    use rand::rngs::StdRng;
+
+    /// The build this module had before the counting one — sort the whole
+    /// edge list, dedup, fill, sort each slice — kept as its reference.
+    fn build_by_global_sort(mut b: GraphBuilder) -> Graph {
+        for e in &mut b.edges {
+            *e = (e.0.min(e.1), e.0.max(e.1));
+        }
+        b.edges.sort_unstable();
+        b.edges.dedup();
+        let mut deg = vec![0usize; b.n];
+        for &(u, v) in &b.edges {
+            deg[u] += 1;
+            deg[v] += 1;
+        }
+        let mut offsets = vec![0usize];
+        for d in &deg {
+            offsets.push(offsets[offsets.len() - 1] + d);
+        }
+        let mut cursor = offsets.clone();
+        let mut adj = vec![0 as NodeId; offsets[b.n]];
+        for &(u, v) in &b.edges {
+            adj[cursor[u]] = v;
+            cursor[u] += 1;
+            adj[cursor[v]] = u;
+            cursor[v] += 1;
+        }
+        for v in 0..b.n {
+            adj[offsets[v]..offsets[v + 1]].sort_unstable();
+        }
+        Graph { n: b.n, offsets, adj }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Random edge lists — duplicates in both orientations, isolated
+        /// vertices, any insertion order — build to the same CSR arrays as
+        /// the sort-and-dedup reference.
+        #[test]
+        fn counting_build_equals_the_global_sort_build(
+            n in 2usize..24,
+            draws in 0usize..80,
+            seed in any::<u64>(),
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            // Endpoints come from a prefix of the range, so the vertices
+            // above `live` stay isolated.
+            let live = rng.random_range(2..n + 1);
+            let mut b = GraphBuilder::new(n);
+            for _ in 0..draws {
+                let u = rng.random_range(0..live);
+                let v = rng.random_range(0..live);
+                if u != v {
+                    b.add_edge(u, v);
+                    if rng.random::<f64>() < 0.3 {
+                        b.add_edge(v, u);
+                    }
+                }
+            }
+            let want = build_by_global_sort(b.clone());
+            let got = b.build();
+            prop_assert_eq!(got.n, want.n);
+            prop_assert_eq!(&got.offsets, &want.offsets);
+            prop_assert_eq!(&got.adj, &want.adj);
+            for v in 0..n {
+                prop_assert!(got.neighbors(v).windows(2).all(|w| w[0] < w[1]));
+                prop_assert!(got.neighbors(v).iter().all(|&u| u != v && got.has_edge(u, v)));
+            }
+        }
+    }
 
     #[test]
     fn empty_graph() {

@@ -12,8 +12,11 @@ use crate::{NodeId, Tree};
 /// Constant-memory next-hop router over a [`Tree`].
 pub struct TreeRouter {
     parent: Vec<NodeId>,
-    /// Children of each vertex ordered by DFS entry time.
-    children: Vec<Vec<NodeId>>,
+    /// Children of `v`, `child_adj[child_off[v]..child_off[v + 1]]`, in the
+    /// tree's order — which is DFS entry order, because the tour below
+    /// enters them in it.
+    child_off: Vec<usize>,
+    child_adj: Vec<NodeId>,
     /// DFS entry time of each vertex.
     tin: Vec<u32>,
     /// DFS exit time (exclusive): subtree(v) = [tin[v], tout[v]).
@@ -42,13 +45,10 @@ impl TreeRouter {
                 stack.push((c, false));
             }
         }
-        let mut children: Vec<Vec<NodeId>> = (0..n).map(|v| tree.children(v).to_vec()).collect();
-        for ch in children.iter_mut() {
-            ch.sort_unstable_by_key(|&c| tin[c]);
-        }
         TreeRouter {
             parent: (0..n).map(|v| tree.parent(v)).collect(),
-            children,
+            child_off: tree.child_off.clone(),
+            child_adj: tree.child_adj.clone(),
             tin,
             tout,
             root: tree.root(),
@@ -75,7 +75,7 @@ impl TreeRouter {
         // target is strictly below `from`: find the child whose interval
         // contains tin[target].
         let t = self.tin[target];
-        let ch = &self.children[from];
+        let ch = &self.child_adj[self.child_off[from]..self.child_off[from + 1]];
         let idx = ch.partition_point(|&c| self.tin[c] <= t) - 1;
         debug_assert!(self.in_subtree(ch[idx], target));
         Some(ch[idx])

@@ -77,32 +77,23 @@ pub fn hamilton_path_complete(n: usize) -> Vec<NodeId> {
 /// This is the constructive version of Lemma 4.6's induction (a d-dim mesh
 /// is a stack of (d−1)-dim meshes traversed alternately forwards/backwards).
 pub fn hamilton_path_mesh(dims: &[usize]) -> Vec<NodeId> {
-    let n: usize = dims.iter().product();
-    let mut order = Vec::with_capacity(n);
-    // Recursive snake: for the first axis index i, traverse the sub-mesh in
-    // forward order when i is even and reversed when odd.
-    fn rec(dims: &[usize], prefix: &mut Vec<usize>, out: &mut Vec<Vec<usize>>) {
-        if dims.len() == prefix.len() {
-            out.push(prefix.clone());
+    // Recursive snake over the remaining axes: `base` is the row-major
+    // index of the coordinates fixed so far, `coord_sum` their sum.
+    fn snake(dims: &[usize], base: NodeId, coord_sum: usize, out: &mut Vec<NodeId>) {
+        let Some((&side, rest)) = dims.split_first() else {
+            out.push(base);
             return;
-        }
-        let axis = prefix.len();
-        let side = dims[axis];
+        };
         // Alternate direction based on the sum of earlier coordinates so that
         // consecutive sub-mesh traversals join at adjacent cells.
-        let backwards = prefix.iter().sum::<usize>() % 2 == 1;
+        let backwards = coord_sum % 2 == 1;
         for i in 0..side {
             let c = if backwards { side - 1 - i } else { i };
-            prefix.push(c);
-            rec(dims, prefix, out);
-            prefix.pop();
+            snake(rest, base * side + c, coord_sum + c, out);
         }
     }
-    let mut coords = Vec::with_capacity(n);
-    rec(dims, &mut Vec::new(), &mut coords);
-    for c in coords {
-        order.push(topology::mesh_index(dims, &c));
-    }
+    let mut order = Vec::with_capacity(dims.iter().product());
+    snake(dims, 0, 0, &mut order);
     order
 }
 
@@ -181,7 +172,16 @@ mod tests {
 
     #[test]
     fn mesh_snake_is_hamilton() {
-        for dims in [&[7][..], &[3, 5][..], &[2, 3, 4][..], &[3, 3, 3][..], &[2, 2, 2, 2][..]] {
+        for dims in [
+            &[7][..],
+            &[3, 5],
+            &[4, 3],
+            &[2, 3, 4],
+            &[3, 4, 5],
+            &[5, 3, 4],
+            &[3, 3, 3],
+            &[2, 2, 2, 2],
+        ] {
             let g = topology::mesh(dims);
             let order = hamilton_path_mesh(dims);
             assert!(is_hamilton_path(&g, &order), "snake fails on {dims:?}");

@@ -60,39 +60,23 @@ pub fn mesh_index(dims: &[usize], coord: &[usize]) -> NodeId {
     idx
 }
 
-/// Inverse of [`mesh_index`].
-fn mesh_coord(dims: &[usize], mut idx: NodeId) -> Vec<usize> {
-    let mut coord = vec![0usize; dims.len()];
-    for i in (0..dims.len()).rev() {
-        coord[i] = idx % dims[i];
-        idx /= dims[i];
-    }
-    coord
-}
-
 /// The d-dimensional mesh with side lengths `dims` (row-major indexing).
 ///
 /// `mesh(&[n])` is the list; `mesh(&[a, b])` the 2-D grid, and so on.
 pub fn mesh(dims: &[usize]) -> Graph {
     assert!(!dims.is_empty() && dims.iter().all(|&d| d >= 1));
     let n: usize = dims.iter().product();
-    let mut b = GraphBuilder::new(n);
-    let mut coord = vec![0usize; dims.len()];
-    for idx in 0..n {
-        for axis in 0..dims.len() {
-            if coord[axis] + 1 < dims[axis] {
-                let mut nb = coord.clone();
-                nb[axis] += 1;
-                b.add_edge(idx, mesh_index(dims, &nb));
+    let edges = dims.iter().map(|&d| n / d * (d - 1)).sum();
+    let mut b = GraphBuilder::with_capacity(n, edges);
+    // Row-major: one step along an axis moves the index by the product of
+    // the later sides.
+    let mut stride = n;
+    for &d in dims {
+        stride /= d;
+        for idx in 0..n {
+            if (idx / stride) % d + 1 < d {
+                b.add_edge(idx, idx + stride);
             }
-        }
-        // Increment mixed-radix coordinate.
-        for axis in (0..dims.len()).rev() {
-            coord[axis] += 1;
-            if coord[axis] < dims[axis] {
-                break;
-            }
-            coord[axis] = 0;
         }
     }
     b.build()
@@ -102,13 +86,13 @@ pub fn mesh(dims: &[usize]) -> Graph {
 pub fn torus(dims: &[usize]) -> Graph {
     assert!(dims.iter().all(|&d| d >= 3), "torus sides must be ≥ 3");
     let n: usize = dims.iter().product();
-    let mut b = GraphBuilder::new(n);
-    for idx in 0..n {
-        let coord = mesh_coord(dims, idx);
-        for axis in 0..dims.len() {
-            let mut nb = coord.clone();
-            nb[axis] = (coord[axis] + 1) % dims[axis];
-            b.add_edge(idx, mesh_index(dims, &nb));
+    let mut b = GraphBuilder::with_capacity(n, n * dims.len());
+    let mut stride = n;
+    for &d in dims {
+        stride /= d;
+        for idx in 0..n {
+            let wraps = (idx / stride) % d + 1 == d;
+            b.add_edge(idx, if wraps { idx - (d - 1) * stride } else { idx + stride });
         }
     }
     b.build()
@@ -238,6 +222,60 @@ pub fn figure1() -> Graph {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Inverse of [`mesh_index`]: the coordinate definition the stride
+    /// arithmetic of [`mesh`] and [`torus`] is checked against.
+    fn mesh_coord(dims: &[usize], mut idx: NodeId) -> Vec<usize> {
+        let mut coord = vec![0usize; dims.len()];
+        for i in (0..dims.len()).rev() {
+            coord[i] = idx % dims[i];
+            idx /= dims[i];
+        }
+        coord
+    }
+
+    /// `u ~ v` iff the coordinates differ by one step along exactly one
+    /// axis (`wrap`: modulo the side), for 1–3 dimensions, unequal sides.
+    #[test]
+    fn mesh_and_torus_match_the_coordinate_definition() {
+        let one_step = |dims: &[usize], u: NodeId, v: NodeId, wrap: bool| {
+            let (cu, cv) = (mesh_coord(dims, u), mesh_coord(dims, v));
+            let differing: Vec<usize> = (0..dims.len()).filter(|&a| cu[a] != cv[a]).collect();
+            differing.len() == 1 && {
+                let (a, d) = (differing[0], dims[differing[0]]);
+                let gap = cu[a].abs_diff(cv[a]);
+                gap == 1 || (wrap && gap == d - 1)
+            }
+        };
+        for dims in [&[5][..], &[3, 4], &[4, 3], &[3, 4, 5], &[5, 3, 4], &[1, 4], &[2, 1, 3]] {
+            let n: usize = dims.iter().product();
+            let g = mesh(dims);
+            assert_eq!(g.n(), n);
+            for u in 0..n {
+                for v in 0..n {
+                    assert_eq!(
+                        g.has_edge(u, v),
+                        one_step(dims, u, v, false),
+                        "mesh {dims:?} {u}-{v}"
+                    );
+                }
+            }
+            if dims.iter().all(|&d| d >= 3) {
+                let t = torus(dims);
+                assert_eq!(t.m(), n * dims.len());
+                for u in 0..n {
+                    assert_eq!(t.degree(u), 2 * dims.len());
+                    for v in 0..n {
+                        assert_eq!(
+                            t.has_edge(u, v),
+                            one_step(dims, u, v, true),
+                            "torus {dims:?} {u}-{v}"
+                        );
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn complete_graph_counts() {

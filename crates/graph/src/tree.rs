@@ -13,7 +13,10 @@ use crate::{Graph, NodeId, NO_NODE};
 pub struct Tree {
     root: NodeId,
     parent: Vec<NodeId>,
-    children: Vec<Vec<NodeId>>,
+    /// Children of `v`, ascending: `child_adj[child_off[v]..child_off[v + 1]]`
+    /// (CSR, like [`Graph`] — two arrays whatever `n` is).
+    pub(crate) child_off: Vec<usize>,
+    pub(crate) child_adj: Vec<NodeId>,
     depth: Vec<u32>,
     /// Vertices in BFS order from the root (root first).
     bfs_order: Vec<NodeId>,
@@ -28,30 +31,40 @@ impl Tree {
         let n = parent.len();
         assert!(root < n, "root out of range");
         assert_eq!(parent[root], root, "parent[root] must be root");
-        let mut children = vec![Vec::new(); n];
+        let mut child_off = vec![0usize; n + 1];
         for v in 0..n {
             assert!(parent[v] < n, "parent[{v}] out of range");
             if v != root {
                 assert_ne!(parent[v], v, "vertex {v} is a second root");
-                children[parent[v]].push(v);
+                child_off[parent[v] + 1] += 1;
             }
         }
+        for v in 0..n {
+            child_off[v + 1] += child_off[v];
+        }
+        let mut cursor = child_off.clone();
+        let mut child_adj = vec![0 as NodeId; n - 1];
+        for v in (0..n).filter(|&v| v != root) {
+            child_adj[cursor[parent[v]]] = v;
+            cursor[parent[v]] += 1;
+        }
         // BFS from the root computes depths and detects unreachable vertices
-        // (which would imply a cycle among non-root vertices).
+        // (which would imply a cycle among non-root vertices); `bfs_order`
+        // is its own queue.
         let mut depth = vec![u32::MAX; n];
         let mut bfs_order = Vec::with_capacity(n);
-        let mut q = std::collections::VecDeque::new();
         depth[root] = 0;
-        q.push_back(root);
-        while let Some(u) = q.pop_front() {
-            bfs_order.push(u);
-            for &c in &children[u] {
+        bfs_order.push(root);
+        let mut head = 0;
+        while let Some(&u) = bfs_order.get(head) {
+            head += 1;
+            for &c in &child_adj[child_off[u]..child_off[u + 1]] {
                 depth[c] = depth[u] + 1;
-                q.push_back(c);
+                bfs_order.push(c);
             }
         }
         assert_eq!(bfs_order.len(), n, "parent array contains a cycle");
-        Tree { root, parent, children, depth, bfs_order }
+        Tree { root, parent, child_off, child_adj, depth, bfs_order }
     }
 
     /// Number of vertices.
@@ -75,7 +88,7 @@ impl Tree {
     /// Children of `v`.
     #[inline]
     pub fn children(&self, v: NodeId) -> &[NodeId] {
-        &self.children[v]
+        &self.child_adj[self.child_off[v]..self.child_off[v + 1]]
     }
 
     /// Depth of `v` (root has depth 0).
@@ -97,7 +110,7 @@ impl Tree {
 
     /// Degree of `v` in the tree seen as an undirected graph.
     fn tree_degree(&self, v: NodeId) -> usize {
-        self.children[v].len() + usize::from(v != self.root)
+        self.children(v).len() + usize::from(v != self.root)
     }
 
     /// Maximum undirected degree — Theorem 4.1 requires this to be constant.
@@ -106,13 +119,9 @@ impl Tree {
     }
 
     /// Tree neighbours of `v` (parent, then children).
-    pub fn neighbors(&self, v: NodeId) -> Vec<NodeId> {
-        let mut nb = Vec::with_capacity(self.tree_degree(v));
-        if v != self.root {
-            nb.push(self.parent[v]);
-        }
-        nb.extend_from_slice(&self.children[v]);
-        nb
+    pub fn neighbors(&self, v: NodeId) -> impl Iterator<Item = NodeId> + '_ {
+        let parent = (v != self.root).then_some(self.parent[v]);
+        parent.into_iter().chain(self.children(v).iter().copied())
     }
 
     /// The tree as an undirected [`Graph`] (for running protocols *on* `T`).
@@ -204,6 +213,59 @@ pub fn tree_from_pred(root: NodeId, pred: &[NodeId]) -> Tree {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::prelude::*;
+    use rand::rngs::StdRng;
+
+    /// Children, depths and BFS order the way this module built them before
+    /// the flat arrays — a `Vec` per vertex and a queue — as the reference.
+    fn nested_reference(
+        root: NodeId,
+        parent: &[NodeId],
+    ) -> (Vec<Vec<NodeId>>, Vec<u32>, Vec<NodeId>) {
+        let n = parent.len();
+        let mut children = vec![Vec::new(); n];
+        for v in (0..n).filter(|&v| v != root) {
+            children[parent[v]].push(v);
+        }
+        let mut depth = vec![u32::MAX; n];
+        let mut bfs_order = Vec::new();
+        let mut q = std::collections::VecDeque::from([root]);
+        depth[root] = 0;
+        while let Some(u) = q.pop_front() {
+            bfs_order.push(u);
+            for &c in &children[u] {
+                depth[c] = depth[u] + 1;
+                q.push_back(c);
+            }
+        }
+        (children, depth, bfs_order)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Random recursive trees under a random relabelling (so the root is
+        /// anywhere and parents are not smaller ids) agree with the nested
+        /// construction on children, depth and BFS order.
+        #[test]
+        fn flat_children_equal_the_nested_construction(n in 1usize..48, seed in any::<u64>()) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut label: Vec<NodeId> = (0..n).collect();
+            label.shuffle(&mut rng);
+            let mut parent = vec![label[0]; n];
+            for v in 1..n {
+                parent[label[v]] = label[rng.random_range(0..v)];
+            }
+            let (children, depth, bfs_order) = nested_reference(label[0], &parent);
+            let t = Tree::from_parents(label[0], parent);
+            for v in 0..n {
+                prop_assert_eq!(t.children(v), &children[v][..]);
+                prop_assert_eq!(t.depth(v), depth[v]);
+            }
+            prop_assert_eq!(t.bfs_order(), &bfs_order[..]);
+        }
+    }
 
     fn sample_tree() -> Tree {
         // 0 is root; 1,2 children of 0; 3,4 children of 1; 5 child of 4.

@@ -33,26 +33,25 @@ pub struct CombiningQueueSlice {
     issued: bool,
 }
 
-/// Read-only tree shape every combining-queue handler shares.
+/// Read-only tree shape every combining-queue handler shares: the tree
+/// itself, borrowed for the run.
 #[derive(Debug)]
-pub struct CombiningQueueShared {
-    parent: Vec<NodeId>,
-    children: Vec<Vec<NodeId>>,
-    root: NodeId,
+pub struct CombiningQueueShared<'t> {
+    tree: &'t Tree,
     /// Deferred-issue mode: a requester holds its subtree's Up report until
     /// its own operation has been injected.
     defer_issue: bool,
 }
 
 /// Combining-queue protocol state.
-pub struct CombiningQueueProtocol {
-    shared: CombiningQueueShared,
+pub struct CombiningQueueProtocol<'t> {
+    shared: CombiningQueueShared<'t>,
     nodes: Vec<CombiningQueueSlice>,
 }
 
-impl CombiningQueueProtocol {
+impl<'t> CombiningQueueProtocol<'t> {
     /// Set up on `tree` with the given request set.
-    pub fn new(tree: &Tree, requests: &[NodeId]) -> Self {
+    pub fn new(tree: &'t Tree, requests: &[NodeId]) -> Self {
         let n = tree.n();
         let mut requesting = vec![false; n];
         for &r in requests {
@@ -67,15 +66,7 @@ impl CombiningQueueProtocol {
                 issued: false,
             })
             .collect();
-        CombiningQueueProtocol {
-            shared: CombiningQueueShared {
-                parent: (0..n).map(|v| tree.parent(v)).collect(),
-                children: (0..n).map(|v| tree.children(v).to_vec()).collect(),
-                root: tree.root(),
-                defer_issue: false,
-            },
-            nodes,
-        }
+        CombiningQueueProtocol { shared: CombiningQueueShared { tree, defer_issue: false }, nodes }
     }
 
     /// Deferred-issue mode (`on` = true): `on_start` starts the up phase
@@ -121,7 +112,7 @@ impl CombiningQueueProtocol {
             return;
         }
         let list = Self::subtree_list(slice, v);
-        if v == shared.root {
+        if v == shared.tree.root() {
             // Form the total order: initial token, then preorder.
             let assignments: Vec<(NodeId, u64)> = list
                 .iter()
@@ -133,7 +124,7 @@ impl CombiningQueueProtocol {
                 .collect();
             Self::distribute(shared, slice, api, v, assignments);
         } else {
-            api.send(shared.parent[v], CombiningQueueMsg::Up(list));
+            api.send(shared.tree.parent(v), CombiningQueueMsg::Up(list));
         }
     }
 
@@ -152,7 +143,7 @@ impl CombiningQueueProtocol {
         }
         // Split the remaining assignments by child subtree (child lists are
         // exactly the subtree memberships recorded on the way up).
-        for (slot, c) in shared.children[v].iter().enumerate() {
+        for (slot, c) in shared.tree.children(v).iter().enumerate() {
             let subtree: Vec<(NodeId, u64)> =
                 slice.child_lists[slot].iter().map(|&node| (node, by_node[&node])).collect();
             if !subtree.is_empty() {
@@ -162,7 +153,7 @@ impl CombiningQueueProtocol {
     }
 }
 
-impl OnlineProtocol for CombiningQueueProtocol {
+impl OnlineProtocol for CombiningQueueProtocol<'_> {
     fn issue(
         shared: &CombiningQueueShared,
         slice: &mut CombiningQueueSlice,
@@ -189,12 +180,12 @@ impl OnlineProtocol for CombiningQueueProtocol {
     }
 }
 
-impl Protocol for CombiningQueueProtocol {
+impl<'t> Protocol for CombiningQueueProtocol<'t> {
     type Msg = CombiningQueueMsg;
     type Slice = CombiningQueueSlice;
-    type Shared = CombiningQueueShared;
+    type Shared = CombiningQueueShared<'t>;
 
-    fn split(&mut self) -> (&CombiningQueueShared, &mut [CombiningQueueSlice]) {
+    fn split(&mut self) -> (&CombiningQueueShared<'t>, &mut [CombiningQueueSlice]) {
         (&self.shared, &mut self.nodes)
     }
 
@@ -216,7 +207,9 @@ impl Protocol for CombiningQueueProtocol {
     ) {
         match msg {
             CombiningQueueMsg::Up(list) => {
-                let slot = shared.children[node]
+                let slot = shared
+                    .tree
+                    .children(node)
                     .iter()
                     .position(|&c| c == from)
                     .expect("Up from a non-child");

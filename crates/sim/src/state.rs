@@ -21,6 +21,17 @@
 //!   effect, which is why frontier-driven execution is byte-identical to
 //!   the dense scan.
 //!
+//! Both kinds of queue are **slab-backed**: a store holds two `Fifos`, each
+//! one `Vec` of linked entries shared by all of its queues plus three `u32`
+//! words (`head`, `tail`, `len`) per processor. A push takes an entry off
+//! the free list (growing the slab only when it is empty), a pop puts its
+//! entry back, so a store is a constant number of allocations whatever `n`
+//! is and its memory follows the messages queued at once, not the
+//! processors ever touched. None of the invariants above depends on where
+//! an entry lives: FIFO order is the link order of one queue, a budget is
+//! the number of pops a round loop makes, and the dirty lists are kept by
+//! [`NodeStore`] from the lengths alone.
+//!
 //! A store is sized either to the full processor range
 //! ([`NodeStore::new`], the monolithic executor) or to an explicit shard
 //! membership ([`NodeStore::with_members`]): queues live in
@@ -32,7 +43,7 @@
 
 use crate::Round;
 use ccq_graph::NodeId;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 
 /// A message sitting in a destination's in-port, ready for delivery.
 #[derive(Debug)]
@@ -43,6 +54,102 @@ pub struct Inbound<M> {
     pub arrival: Round,
     /// Payload.
     pub msg: M,
+}
+
+/// "No entry": the link after a queue's last entry, the ends of an empty
+/// queue, the end of the free list.
+const NIL: u32 = u32::MAX;
+
+/// One queue of a [`Fifos`]: its first and last entry and its length.
+#[derive(Clone, Copy, Debug)]
+struct Ends {
+    head: u32,
+    tail: u32,
+    len: u32,
+}
+
+/// A slab entry: a queued item and the entry behind it, or — on the free
+/// list — no item and the next free entry.
+#[derive(Debug)]
+struct Entry<T> {
+    next: u32,
+    item: Option<T>,
+}
+
+/// A fixed set of FIFO queues whose entries live in one shared slab.
+#[derive(Debug)]
+struct Fifos<T> {
+    ends: Vec<Ends>,
+    entries: Vec<Entry<T>>,
+    /// First free entry (popped entries, most recent first).
+    free: u32,
+}
+
+impl<T> Fifos<T> {
+    /// `queues` empty queues; no entry is allocated until the first push.
+    fn new(queues: usize) -> Self {
+        Fifos {
+            ends: vec![Ends { head: NIL, tail: NIL, len: 0 }; queues],
+            entries: Vec::new(),
+            free: NIL,
+        }
+    }
+
+    fn is_empty(&self, q: usize) -> bool {
+        self.ends[q].len == 0
+    }
+
+    /// Append `item` to queue `q`; returns the new length.
+    fn push(&mut self, q: usize, item: T) -> usize {
+        let entry = Entry { next: NIL, item: Some(item) };
+        let e = match self.free {
+            NIL => {
+                assert!(self.entries.len() < NIL as usize, "queue slab exceeds u32 links");
+                self.entries.push(entry);
+                (self.entries.len() - 1) as u32
+            }
+            e => {
+                self.free = std::mem::replace(&mut self.entries[e as usize], entry).next;
+                e
+            }
+        };
+        let ends = &mut self.ends[q];
+        if ends.len == 0 {
+            ends.head = e;
+        } else {
+            self.entries[ends.tail as usize].next = e;
+        }
+        ends.tail = e;
+        ends.len += 1;
+        ends.len as usize
+    }
+
+    /// Remove the oldest item of queue `q`; its entry goes back on the
+    /// free list.
+    fn pop(&mut self, q: usize) -> Option<T> {
+        let ends = &mut self.ends[q];
+        if ends.len == 0 {
+            return None;
+        }
+        let e = ends.head;
+        let entry = &mut self.entries[e as usize];
+        ends.head = entry.next;
+        ends.len -= 1;
+        entry.next = self.free;
+        self.free = e;
+        entry.item.take()
+    }
+
+    /// The items of queue `q`, oldest first.
+    fn iter(&self, q: usize) -> impl Iterator<Item = &T> {
+        let Ends { head, len, .. } = self.ends[q];
+        let mut at = head;
+        (0..len).map(move |_| {
+            let entry = &self.entries[at as usize];
+            at = entry.next;
+            entry.item.as_ref().expect("a linked entry holds an item")
+        })
+    }
 }
 
 /// Global id → queue slot map: identity for full-range stores,
@@ -61,8 +168,8 @@ pub struct NodeStore<M> {
     /// Global processor count (not the member count).
     n: usize,
     slots: Slots,
-    outbox: Vec<VecDeque<(NodeId, M)>>,
-    inport: Vec<VecDeque<Inbound<M>>>,
+    outbox: Fifos<(NodeId, M)>,
+    inport: Fifos<Inbound<M>>,
     /// Dirty frontiers: global ids of members whose queue went nonempty
     /// since the list was last taken. `listed` flags (per slot) keep each
     /// member on a list at most once.
@@ -80,8 +187,8 @@ impl<M> NodeStore<M> {
         NodeStore {
             n,
             slots: Slots::Dense,
-            outbox: (0..n).map(|_| VecDeque::new()).collect(),
-            inport: (0..n).map(|_| VecDeque::new()).collect(),
+            outbox: Fifos::new(n),
+            inport: Fifos::new(n),
             outbox_dirty: Vec::new(),
             inport_dirty: Vec::new(),
             outbox_listed: vec![false; n],
@@ -101,8 +208,8 @@ impl<M> NodeStore<M> {
         NodeStore {
             n,
             slots: Slots::Mapped { ids: members.to_vec(), index },
-            outbox: (0..m).map(|_| VecDeque::new()).collect(),
-            inport: (0..m).map(|_| VecDeque::new()).collect(),
+            outbox: Fifos::new(m),
+            inport: Fifos::new(m),
             outbox_dirty: Vec::new(),
             inport_dirty: Vec::new(),
             outbox_listed: vec![false; m],
@@ -114,7 +221,7 @@ impl<M> NodeStore<M> {
     /// Queue slot of processor `v`, if `v` is a member of this store.
     fn slot(&self, v: NodeId) -> Option<usize> {
         match &self.slots {
-            Slots::Dense => (v < self.outbox.len()).then_some(v),
+            Slots::Dense => (v < self.n).then_some(v),
             Slots::Mapped { index, .. } => index.get(&v).copied(),
         }
     }
@@ -130,29 +237,29 @@ impl<M> NodeStore<M> {
     /// Stage a send in `from`'s outbox; returns the new outbox depth.
     pub fn stage(&mut self, from: NodeId, to: NodeId, msg: M) -> usize {
         let s = self.slot(from).expect("staged a send at a non-member processor");
-        self.outbox[s].push_back((to, msg));
-        if self.outbox[s].len() == 1 {
+        let depth = self.outbox.push(s, (to, msg));
+        if depth == 1 {
             self.nonempty += 1;
         }
         if !self.outbox_listed[s] {
             self.outbox_listed[s] = true;
             self.outbox_dirty.push(from);
         }
-        self.outbox[s].len()
+        depth
     }
 
     /// Enqueue a matured message at `dst`'s in-port; returns the new depth.
     pub fn enqueue(&mut self, dst: NodeId, inbound: Inbound<M>) -> usize {
         let s = self.slot(dst).expect("enqueued a wire at a non-member processor");
-        self.inport[s].push_back(inbound);
-        if self.inport[s].len() == 1 {
+        let depth = self.inport.push(s, inbound);
+        if depth == 1 {
             self.nonempty += 1;
         }
         if !self.inport_listed[s] {
             self.inport_listed[s] = true;
             self.inport_dirty.push(dst);
         }
-        self.inport[s].len()
+        depth
     }
 
     /// Dequeue the oldest in-port message of `v`, if any. A member whose
@@ -160,8 +267,8 @@ impl<M> NodeStore<M> {
     /// frontier, so budget-limited leftovers carry to the next round.
     pub fn pop_inport(&mut self, v: NodeId) -> Option<Inbound<M>> {
         let s = self.slot(v)?;
-        let popped = self.inport[s].pop_front()?;
-        if self.inport[s].is_empty() {
+        let popped = self.inport.pop(s)?;
+        if self.inport.is_empty(s) {
             self.nonempty -= 1;
         } else if !self.inport_listed[s] {
             self.inport_listed[s] = true;
@@ -174,8 +281,8 @@ impl<M> NodeStore<M> {
     /// like [`NodeStore::pop_inport`].
     pub fn pop_outbox(&mut self, v: NodeId) -> Option<(NodeId, M)> {
         let s = self.slot(v)?;
-        let popped = self.outbox[s].pop_front()?;
-        if self.outbox[s].is_empty() {
+        let popped = self.outbox.pop(s)?;
+        if self.outbox.is_empty(s) {
             self.nonempty -= 1;
         } else if !self.outbox_listed[s] {
             self.outbox_listed[s] = true;
@@ -215,7 +322,7 @@ impl<M> NodeStore<M> {
     /// the probe layer's planted perturbation).
     pub fn relist_outbox(&mut self, v: NodeId) {
         if let Some(s) = self.slot(v) {
-            if !self.outbox[s].is_empty() && !self.outbox_listed[s] {
+            if !self.outbox.is_empty(s) && !self.outbox_listed[s] {
                 self.outbox_listed[s] = true;
                 self.outbox_dirty.push(v);
             }
@@ -228,7 +335,7 @@ impl<M> NodeStore<M> {
     /// recovery round).
     pub fn relist_inport(&mut self, v: NodeId) {
         if let Some(s) = self.slot(v) {
-            if !self.inport[s].is_empty() && !self.inport_listed[s] {
+            if !self.inport.is_empty(s) && !self.inport_listed[s] {
                 self.inport_listed[s] = true;
                 self.inport_dirty.push(v);
             }
@@ -252,8 +359,8 @@ impl<M> NodeStore<M> {
     /// canonical renderer uses this to visit occupied processors instead
     /// of scanning `0..n`.
     pub fn occupied_nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
-        (0..self.inport.len()).filter_map(move |s| {
-            if self.inport[s].is_empty() && self.outbox[s].is_empty() {
+        (0..self.inport_listed.len()).filter_map(move |s| {
+            if self.inport.is_empty(s) && self.outbox.is_empty(s) {
                 None
             } else {
                 Some(self.global_of(s))
@@ -265,18 +372,19 @@ impl<M> NodeStore<M> {
     /// canonical-state renderer; delivery still goes through
     /// [`NodeStore::pop_inport`]). Empty for non-members.
     pub fn inport_of(&self, v: NodeId) -> impl Iterator<Item = &Inbound<M>> {
-        self.slot(v).map(|s| self.inport[s].iter()).into_iter().flatten()
+        self.slot(v).map(|s| self.inport.iter(s)).into_iter().flatten()
     }
 
     /// Read-only view of `v`'s outbox, oldest first. Empty for non-members.
     pub fn outbox_of(&self, v: NodeId) -> impl Iterator<Item = &(NodeId, M)> {
-        self.slot(v).map(|s| self.outbox[s].iter()).into_iter().flatten()
+        self.slot(v).map(|s| self.outbox.iter(s)).into_iter().flatten()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::VecDeque;
 
     #[test]
     fn queues_are_fifo_and_idle_tracks_both_sides() {
@@ -299,57 +407,81 @@ mod tests {
         assert!(s.is_idle());
     }
 
-    /// The O(1) idle counter agrees with a full queue scan through an
-    /// arbitrary interleaving of stage/enqueue/pop, and the frontier lists
-    /// cover every nonempty queue (the invariant the round loop relies on).
+    /// Through an arbitrary interleaving of stage/enqueue/pop, on a
+    /// full-range and on a membership-sized store: every queue agrees with a
+    /// `VecDeque` per processor (depths returned, items popped, the views'
+    /// order, the occupied set), the O(1) idle counter agrees with a full
+    /// queue scan, and the frontier lists cover every nonempty queue (the
+    /// invariant the round loop relies on).
     #[test]
     fn idle_counter_and_frontier_match_a_full_scan() {
-        let mut s: NodeStore<u64> = NodeStore::new(8);
-        // Deterministic pseudo-random walk over operations.
-        let mut x: u64 = 0x9e3779b97f4a7c15;
-        let mut step = || {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            x
-        };
-        for round in 0..200u64 {
-            match step() % 4 {
-                0 => {
-                    let v = (step() % 8) as NodeId;
-                    s.stage(v, (step() % 8) as NodeId, round);
+        let members = [1usize, 2, 4, 7];
+        for mut s in [NodeStore::<u64>::new(8), NodeStore::with_members(8, &members)] {
+            let dense = matches!(s.slots, Slots::Dense);
+            let member = |v: NodeId| dense || members.contains(&v);
+            let mut outbox: Vec<VecDeque<(NodeId, u64)>> = vec![VecDeque::new(); 8];
+            let mut inport: Vec<VecDeque<u64>> = vec![VecDeque::new(); 8];
+            // Deterministic pseudo-random walk over operations.
+            let mut x: u64 = 0x9e3779b97f4a7c15;
+            let mut step = || {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x
+            };
+            for round in 0..400u64 {
+                let v = (step() % 8) as NodeId;
+                match step() % 4 {
+                    0 if member(v) => {
+                        let to = (step() % 8) as NodeId;
+                        outbox[v].push_back((to, round));
+                        assert_eq!(s.stage(v, to, round), outbox[v].len());
+                    }
+                    1 if member(v) => {
+                        inport[v].push_back(round);
+                        let depth = s.enqueue(v, Inbound { src: 0, arrival: round, msg: round });
+                        assert_eq!(depth, inport[v].len());
+                    }
+                    2 => assert_eq!(s.pop_outbox(v), outbox[v].pop_front()),
+                    3 => assert_eq!(s.pop_inport(v).map(|m| m.msg), inport[v].pop_front()),
+                    _ => {}
                 }
-                1 => {
-                    let v = (step() % 8) as NodeId;
-                    s.enqueue(v, Inbound { src: 0, arrival: round, msg: round });
+                for v in 0..8 {
+                    assert!(s.outbox_of(v).eq(outbox[v].iter()), "outbox {v} at step {round}");
+                    assert!(s.inport_of(v).map(|m| &m.msg).eq(inport[v].iter()), "in-port {v}");
+                    // Every nonempty queue is on its dirty frontier.
+                    assert!(inport[v].is_empty() || s.inport_dirty.contains(&v), "in-port {v}");
+                    assert!(outbox[v].is_empty() || s.outbox_dirty.contains(&v), "outbox {v}");
                 }
-                2 => {
-                    let _ = s.pop_outbox((step() % 8) as NodeId);
-                }
-                _ => {
-                    let _ = s.pop_inport((step() % 8) as NodeId);
-                }
-            }
-            // The counter must agree with a scan of every queue.
-            let scan_idle =
-                (0..8).all(|v| s.inport_of(v).next().is_none() && s.outbox_of(v).next().is_none());
-            assert_eq!(s.is_idle(), scan_idle, "idle counter diverged at step {round}");
-            // Every nonempty queue is on its dirty frontier.
-            for v in 0..8 {
-                if s.inport_of(v).next().is_some() {
-                    assert!(
-                        s.inport_dirty.contains(&v),
-                        "nonempty in-port {v} missing from frontier"
-                    );
-                }
-                if s.outbox_of(v).next().is_some() {
-                    assert!(
-                        s.outbox_dirty.contains(&v),
-                        "nonempty outbox {v} missing from frontier"
-                    );
-                }
+                let mut occupied: Vec<NodeId> = s.occupied_nodes().collect();
+                occupied.sort_unstable();
+                let want: Vec<NodeId> =
+                    (0..8).filter(|&v| !inport[v].is_empty() || !outbox[v].is_empty()).collect();
+                assert_eq!(occupied, want, "occupied set diverged at step {round}");
+                assert_eq!(s.is_idle(), want.is_empty(), "idle counter diverged at step {round}");
             }
         }
+    }
+
+    /// Memory follows the messages queued at once, not the messages ever
+    /// sent: a pop recycles its entry, so 1 000 push/pop cycles that never
+    /// hold more than four items leave a slab of at most four entries.
+    #[test]
+    fn popped_entries_are_reused() {
+        let mut q: Fifos<u64> = Fifos::new(3);
+        let mut next = 0u64;
+        for cycle in 0..1000usize {
+            let held = 1 + cycle % 4;
+            for i in 0..held {
+                assert_eq!(q.push((cycle + i) % 3, next), 1 + i / 3);
+                next += 1;
+            }
+            for i in 0..held {
+                assert_eq!(q.pop((cycle + i) % 3), Some(next - (held - i) as u64));
+            }
+            assert!((0..3).all(|k| q.is_empty(k) && q.pop(k).is_none()));
+        }
+        assert!(q.entries.len() <= 4, "{} entries for a depth of 4", q.entries.len());
     }
 
     /// Membership-sized stores behave like full-range stores on their

@@ -25,6 +25,7 @@ use crate::report::LinkDelay;
 use crate::Round;
 use ccq_graph::NodeId;
 use std::collections::{BTreeMap, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// A message in flight.
 #[derive(Debug)]
@@ -45,6 +46,29 @@ pub struct Wire<M> {
 /// the freelist so bursty rounds cannot pin arbitrary memory.
 const SPARE_BATCHES: usize = 8;
 
+/// Multiply-rotate hasher for the link map. Its keys are pairs of
+/// processor ids this program made — never outside input — and the map is
+/// never iterated, so SipHash's collision resistance buys nothing there
+/// and was the whole cost of a lookup per message under jitter.
+#[derive(Debug, Default)]
+struct LinkHasher(u64);
+
+impl Hasher for LinkHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_usize(usize::from(b));
+        }
+    }
+
+    fn write_usize(&mut self, id: usize) {
+        self.0 = (self.0.rotate_left(5) ^ id as u64).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 /// Scheduler of in-flight messages under one delay policy.
 #[derive(Debug)]
 pub struct Transport<M> {
@@ -53,7 +77,7 @@ pub struct Transport<M> {
     /// is in transmission (= sequence) order.
     inflight: BTreeMap<Round, Vec<Wire<M>>>,
     /// Per-directed-link last scheduled arrival (FIFO clamp under jitter).
-    link_last: HashMap<(NodeId, NodeId), Round>,
+    link_last: HashMap<(NodeId, NodeId), Round, BuildHasherDefault<LinkHasher>>,
     /// Recycled batch `Vec`s (drained, capacity retained): steady state
     /// moves batches between the wheel and this freelist without touching
     /// the allocator.
@@ -63,7 +87,12 @@ pub struct Transport<M> {
 impl<M> Transport<M> {
     /// An idle transport under `delay`.
     pub fn new(delay: LinkDelay) -> Self {
-        Transport { delay, inflight: BTreeMap::new(), link_last: HashMap::new(), spare: Vec::new() }
+        Transport {
+            delay,
+            inflight: BTreeMap::new(),
+            link_last: HashMap::default(),
+            spare: Vec::new(),
+        }
     }
 
     /// Place a message on the wire at `round`. `seq` is the run-global

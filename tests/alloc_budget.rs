@@ -1,0 +1,106 @@
+//! An allocation ceiling on set-up and per-case engine state: a scenario
+//! and an engine run are a constant number of flat allocations whatever
+//! `n` is, so a per-node `Vec` (a queue that owns its buffer, a child
+//! list, a coordinate vector) coming back fails here rather than in a
+//! benchmark reading.
+//!
+//! The counter is per thread, so the tests of this binary can run side by
+//! side; an unsharded run never leaves its thread.
+
+use ccq_repro::prelude::*;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+thread_local! {
+    /// Allocation calls made by this thread. Constant-initialised and
+    /// without a destructor, so touching it never allocates.
+    static CALLS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// `System`, with every allocating call counted on the calling thread.
+struct Counting;
+
+fn count() {
+    // `try_with`: a thread being torn down may allocate after its locals.
+    let _ = CALLS.try_with(|c| c.set(c.get() + 1));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counter touches no allocator state.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: the caller's obligations are passed through unchanged.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: as above.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count();
+        // SAFETY: as above.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: as above.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// `f`'s result and the allocation calls this thread made while it ran.
+fn counted<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = CALLS.with(Cell::get);
+    let out = f();
+    (out, CALLS.with(Cell::get) - before)
+}
+
+/// `sparse_scale`'s shape at a test-sized side: a far-away cluster of 64
+/// requesters arriving over time on a torus of `side * side` processors.
+fn sparse_torus(side: usize) -> (Scenario, u64) {
+    counted(|| {
+        Scenario::build_with(
+            TopoSpec::Torus2D { side },
+            RequestPattern::TailCluster { count: 64 },
+            ArrivalSpec::Poisson { rate: 0.5, seed: 7 },
+        )
+    })
+}
+
+#[test]
+fn scenario_build_allocates_the_same_at_any_size() {
+    let (small, at_32) = sparse_torus(32);
+    let (large, at_64) = sparse_torus(64);
+    assert_eq!((small.n(), large.n()), (1024, 4096));
+    assert_eq!(at_32, at_64, "graph, trees or schedule allocate per node again");
+    assert!(at_32 < 100, "{at_32} allocations for one scenario");
+}
+
+/// One allocation per message sent plus a constant covers what a run may
+/// make: routes, completions, report vectors and slab doublings for
+/// `central-counter`, whose traffic does not grow with `n`, and one
+/// `child_counts` per internal node for `combining-tree`, every one of
+/// which also sends its `Up`. A `Vec` per node on top of either — `n` more
+/// allocations, 4 096 at the larger size — is over it.
+#[test]
+fn a_run_allocates_for_its_messages_not_its_nodes() {
+    for name in ["central-counter", "combining-tree"] {
+        let spec = ccq_repro::core::protocol::find(name).expect("registry protocol");
+        for side in [32, 64] {
+            let scenario = sparse_torus(side).0;
+            let (out, allocs) = counted(|| run_spec(spec, &scenario, ModelMode::Strict));
+            let msgs = out.expect("run verifies").report.messages_sent;
+            assert!(
+                allocs <= 400 + msgs,
+                "{name} on {side}x{side}: {allocs} allocations for {msgs} messages"
+            );
+        }
+    }
+}
