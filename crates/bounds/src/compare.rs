@@ -124,14 +124,6 @@ pub fn verdict(t: Topology) -> Verdict {
     }
 }
 
-/// Asymptotic gap `C_C lower bound / C_Q upper bound` at size `n`; grows
-/// without bound exactly when [`verdict`] is [`Verdict::QueuingWins`]
-/// (for the list-like topologies it grows polynomially, for the
-/// Hamilton-path ones only like `log* n` — slowly but provably).
-pub fn gap_factor(t: Topology, n: usize) -> f64 {
-    t.counting_lower_bound(n) as f64 / t.queuing_upper_bound(n).max(1) as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -159,9 +151,13 @@ mod tests {
 
     #[test]
     fn list_gap_grows_quadratically_over_linear() {
-        // C_C = Ω(n²) vs C_Q = O(n): the gap should grow ~linearly.
-        let g1 = gap_factor(Topology::List, 1 << 10);
-        let g2 = gap_factor(Topology::List, 1 << 14);
+        // Theorem 3.6's C_C = Ω(n²) over Lemma 4.3's C_Q = O(n) on the
+        // list: the gap C_C / C_Q should grow ~linearly in n.
+        let gap = |n: usize| {
+            Topology::List.counting_lower_bound(n) as f64
+                / Topology::List.queuing_upper_bound(n) as f64
+        };
+        let (g1, g2) = (gap(1 << 10), gap(1 << 14));
         assert!(g2 > 8.0 * g1, "g1={g1} g2={g2}");
     }
 

@@ -41,12 +41,6 @@ pub fn star_serialization_lb(n: usize) -> u64 {
     m * (m + 1) / 2
 }
 
-/// Reference curve `n·log*(n)/4` used when plotting Theorem 3.5 against
-/// measurements (the paper's bound up to its hidden constant).
-pub fn log_star_curve(n: usize) -> f64 {
-    n as f64 * crate::tower::log_star(n as u128) as f64 / 4.0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -111,11 +105,5 @@ mod tests {
         let s1 = star_serialization_lb(100) as f64;
         let s2 = star_serialization_lb(200) as f64;
         assert!((s2 / s1 - 4.0).abs() < 0.1);
-    }
-
-    #[test]
-    fn curve_positive() {
-        assert!(log_star_curve(16) > 0.0);
-        assert!(log_star_curve(100_000) > log_star_curve(100));
     }
 }

@@ -33,6 +33,7 @@ pub fn run(_scale: Scale) -> Vec<Table> {
         parallel_apply: false,
         wavefront: None,
         probe: ProbeSpec::OFF,
+        partition: Default::default(),
     };
 
     let counting = run_spec(&protocol::CombiningTree, &scenario, ModelMode::Strict)

@@ -3,7 +3,7 @@
 //! round 0.
 //!
 //! We sweep the inter-arrival gap on a mesh's Hamilton-path tree, driving
-//! the plain [`ArrowProtocol`] (in deferred mode) through the generic
+//! the plain [`ArrowProtocol`] through the generic
 //! [`Paced`] open-system wrapper — the same machinery every registry
 //! protocol uses for open arrivals. At gap 0 this is the paper's one-shot
 //! case (concurrent requests chase each other and the 2×NN-TSP ceiling
@@ -35,7 +35,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
         let stride = (n / 2) | 1;
         let schedule: Vec<(Round, NodeId)> =
             (0..n).map(|i| (i as u64 * gap, (i * stride) % n)).collect();
-        let arrow = ArrowProtocol::new(&s.queuing_tree, s.tail, &s.requests).deferred(true);
+        let arrow = ArrowProtocol::new(&s.queuing_tree, s.tail, &s.requests);
         let proto = Paced::new(arrow, schedule);
         let requesters = proto.requesters();
         let cfg = SimConfig::expanded(s.queuing_tree.max_degree() + 1);

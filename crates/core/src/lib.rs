@@ -35,6 +35,8 @@
 //! assert_eq!(q.order.len(), 16);
 //! ```
 
+#![warn(unreachable_pub)]
+
 pub mod experiments;
 pub mod plan;
 pub mod protocol;

@@ -117,18 +117,6 @@ impl RunPlan {
         self
     }
 
-    /// Keep only protocols of one kind (applies to the registry default
-    /// when no protocols were added explicitly).
-    pub fn only(mut self, kind: ProtocolKind) -> Self {
-        let mut protocols = std::mem::take(&mut self.protocols);
-        if protocols.is_empty() {
-            protocols = registry().iter().map(|p| p.clone_spec()).collect();
-        }
-        protocols.retain(|p| p.kind() == kind);
-        self.protocols = protocols;
-        self
-    }
-
     /// Explicit mode list, cross-producted over every protocol.
     pub fn modes(mut self, modes: impl IntoIterator<Item = ModelMode>) -> Self {
         self.modes = ModeSel::Explicit(modes.into_iter().collect());
@@ -264,7 +252,7 @@ impl RunPlan {
     }
 
     /// Hash engine state every `every` rounds on every case (see
-    /// [`Scenario::with_checkpoint_every`]). Like [`RunPlan::
+    /// [`ProbeSpec::with_checkpoint_every`]). Like [`RunPlan::
     /// parallel_apply`], the probe knobs are not sweep dimensions and are
     /// deliberately absent from [`PlanInfo`]: probe data rides in the
     /// dedicated optional per-case fields ([`CaseResult::checkpoints`]
@@ -1044,10 +1032,6 @@ mod tests {
         let all = RunPlan::new().topologies([TopoSpec::List { n: 6 }]).execute();
         assert_eq!(all.cases.len(), registry().len());
         assert_eq!(all.plan.protocols.len(), registry().len());
-
-        let counting_only =
-            RunPlan::new().topologies([TopoSpec::List { n: 6 }]).only(ProtocolKind::Counting);
-        assert_eq!(counting_only.cases().len(), 5);
     }
 
     #[test]

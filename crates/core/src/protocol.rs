@@ -38,10 +38,10 @@ use serde::Serialize;
 /// admission policy, shard plan and execution-strategy flags: the one-shot
 /// batch executes the protocol unchanged (bit-identical to the
 /// pre-open-system engine), while open arrivals — or an active admission
-/// policy — build the protocol in deferred mode (`build(true)`) and drive
-/// it through [`Paced`] on the scenario's schedule, gated by the
-/// scenario's [`crate::scenario::AdmissionSpec`]. Admission is evaluated
-/// against the *global* backlog on every executor.
+/// policy — wrap the same protocol value in [`Paced`], which drives it on
+/// the scenario's schedule, gated by the scenario's
+/// [`crate::scenario::AdmissionSpec`]. Admission is evaluated against the
+/// *global* backlog on every executor.
 ///
 /// Every executor calls the protocol's one handler on its slices, so
 /// [`Scenario::parallel_apply`] and [`Scenario::wavefront`] are honoured by
@@ -55,7 +55,7 @@ fn run_arrival_aware<P, F>(
 where
     P: OnlineProtocol,
     P::Msg: Send,
-    F: FnOnce(bool) -> P,
+    F: FnOnce() -> P,
 {
     // The one place scenario-level strategy and probe knobs merge onto the
     // config: a flag a caller already set there is honoured too, never
@@ -66,9 +66,9 @@ where
     let cfg = resolve_wavefront(scenario, cfg)?;
     let cfg = resolve_faults(scenario, cfg)?;
     let mut report = match scenario.open_schedule() {
-        None => dispatch(scenario, cfg, build(false)),
+        None => dispatch(scenario, cfg, build()),
         Some(schedule) => {
-            let paced = build_paced(scenario, &cfg, schedule, build(true));
+            let paced = build_paced(scenario, &cfg, schedule, build());
             dispatch(scenario, cfg, paced)
         }
     }?;
@@ -89,7 +89,7 @@ fn resolve_faults(scenario: &Scenario, cfg: SimConfig) -> Result<SimConfig, SimE
     }
 }
 
-/// Wrap a deferred-mode protocol in the paced driver carrying every
+/// Wrap a protocol in the paced driver carrying every
 /// scenario-level arrival knob: the admission policy, the priority class
 /// map and selection seed, the (already cfg-merged) fault plan, and — for
 /// shard-scoped admission — the shard map that feeds per-shard backlog
@@ -101,14 +101,14 @@ fn build_paced<P: OnlineProtocol>(
     inner: P,
 ) -> Paced<P> {
     let mut paced = Paced::new(inner, schedule.to_vec())
-        .with_admission(scenario.admission.policy())
+        .with_admission(scenario.admission)
         .with_faults(cfg.faults);
     if scenario.priority.is_active() {
         paced =
             paced.with_priority(scenario.priority.classes(scenario.n()), scenario.priority.seed());
     }
     if scenario.admission.is_shard_scoped() {
-        let part = scenario.shards.partition(&scenario.graph);
+        let part = scenario.partition();
         let map = (0..scenario.n()).map(|v| part.shard_of(v) as u32).collect();
         paced = paced.with_shard_map(map);
     }
@@ -160,9 +160,10 @@ where
     if !shards.is_sharded() && !cfg.parallel_apply && cfg.wavefront_lag == 0 {
         return run_protocol(&scenario.graph, protocol, cfg);
     }
-    let partition = shards.partition(&scenario.graph);
     let inter = shards.inter_delay.unwrap_or(cfg.link_delay);
-    ShardedSimulator::new(&scenario.graph, partition, protocol, cfg).with_inter_delay(inter).run()
+    ShardedSimulator::new(&scenario.graph, scenario.partition().clone(), protocol, cfg)
+        .with_inter_delay(inter)
+        .run()
 }
 
 /// What a protocol computes, which also fixes its verification contract.
@@ -217,7 +218,7 @@ pub fn default_width(n: usize) -> usize {
 /// ([`CountingNetwork`], [`PeriodicNetwork`], [`ToggleTree`]) can be
 /// constructed with an explicit width, while the [`registry`] entries use
 /// the [`default_width`] rule.
-pub trait ProtocolSpec: Send + Sync {
+pub trait ProtocolSpec: CloneSpec + Send + Sync {
     /// Display name (stable; used for registry lookup and reporting).
     fn name(&self) -> &'static str;
 
@@ -283,9 +284,20 @@ pub trait ProtocolSpec: Send + Sync {
             }
         }
     }
+}
 
+/// `clone_spec` for every [`ProtocolSpec`] that is `Clone` — written once
+/// here as a supertrait, since `Clone` itself would make the registry's
+/// `dyn ProtocolSpec` impossible.
+pub trait CloneSpec {
     /// Owned copy (specs are cheap value types).
     fn clone_spec(&self) -> Box<dyn ProtocolSpec>;
+}
+
+impl<T: ProtocolSpec + Clone + 'static> CloneSpec for T {
+    fn clone_spec(&self) -> Box<dyn ProtocolSpec> {
+        Box::new(self.clone())
+    }
 }
 
 /// Run `spec` on `scenario` under `mode` and verify its output — the single
@@ -380,12 +392,7 @@ impl ProtocolSpec for Arrow {
         ProtocolKind::Queuing
     }
     fn execute(&self, s: &Scenario, cfg: SimConfig) -> Result<SimReport, SimError> {
-        run_arrival_aware(s, cfg, |d| {
-            ArrowProtocol::new(&s.queuing_tree, s.tail, &s.requests).deferred(d)
-        })
-    }
-    fn clone_spec(&self) -> Box<dyn ProtocolSpec> {
-        Box::new(*self)
+        run_arrival_aware(s, cfg, || ArrowProtocol::new(&s.queuing_tree, s.tail, &s.requests))
     }
 }
 
@@ -397,14 +404,9 @@ impl ProtocolSpec for ArrowNotify {
         ProtocolKind::Queuing
     }
     fn execute(&self, s: &Scenario, cfg: SimConfig) -> Result<SimReport, SimError> {
-        run_arrival_aware(s, cfg, |d| {
-            ArrowProtocol::new(&s.queuing_tree, s.tail, &s.requests)
-                .with_notify_origin()
-                .deferred(d)
+        run_arrival_aware(s, cfg, || {
+            ArrowProtocol::new(&s.queuing_tree, s.tail, &s.requests).with_notify_origin()
         })
-    }
-    fn clone_spec(&self) -> Box<dyn ProtocolSpec> {
-        Box::new(*self)
     }
 }
 
@@ -416,12 +418,9 @@ impl ProtocolSpec for CentralQueue {
         ProtocolKind::Queuing
     }
     fn execute(&self, s: &Scenario, cfg: SimConfig) -> Result<SimReport, SimError> {
-        run_arrival_aware(s, cfg, |d| {
-            CentralQueueProtocol::new(&s.queuing_tree, s.tail, &s.requests).deferred(d)
+        run_arrival_aware(s, cfg, || {
+            CentralQueueProtocol::new(&s.queuing_tree, s.tail, &s.requests)
         })
-    }
-    fn clone_spec(&self) -> Box<dyn ProtocolSpec> {
-        Box::new(*self)
     }
 }
 
@@ -433,12 +432,7 @@ impl ProtocolSpec for CombiningQueue {
         ProtocolKind::Queuing
     }
     fn execute(&self, s: &Scenario, cfg: SimConfig) -> Result<SimReport, SimError> {
-        run_arrival_aware(s, cfg, |d| {
-            CombiningQueueProtocol::new(&s.queuing_tree, &s.requests).deferred(d)
-        })
-    }
-    fn clone_spec(&self) -> Box<dyn ProtocolSpec> {
-        Box::new(*self)
+        run_arrival_aware(s, cfg, || CombiningQueueProtocol::new(&s.queuing_tree, &s.requests))
     }
 }
 
@@ -451,12 +445,7 @@ impl ProtocolSpec for CentralCounter {
     }
     fn execute(&self, s: &Scenario, cfg: SimConfig) -> Result<SimReport, SimError> {
         let tree = &s.counting_tree;
-        run_arrival_aware(s, cfg, |d| {
-            CentralCounterProtocol::new(tree, tree.root(), &s.requests).deferred(d)
-        })
-    }
-    fn clone_spec(&self) -> Box<dyn ProtocolSpec> {
-        Box::new(*self)
+        run_arrival_aware(s, cfg, || CentralCounterProtocol::new(tree, tree.root(), &s.requests))
     }
 }
 
@@ -468,12 +457,7 @@ impl ProtocolSpec for CombiningTree {
         ProtocolKind::Counting
     }
     fn execute(&self, s: &Scenario, cfg: SimConfig) -> Result<SimReport, SimError> {
-        run_arrival_aware(s, cfg, |d| {
-            CombiningTreeProtocol::new(&s.counting_tree, &s.requests).deferred(d)
-        })
-    }
-    fn clone_spec(&self) -> Box<dyn ProtocolSpec> {
-        Box::new(*self)
+        run_arrival_aware(s, cfg, || CombiningTreeProtocol::new(&s.counting_tree, &s.requests))
     }
 }
 
@@ -489,12 +473,9 @@ impl ProtocolSpec for CountingNetwork {
     }
     fn execute(&self, s: &Scenario, cfg: SimConfig) -> Result<SimReport, SimError> {
         let w = self.effective_width(s.n()).unwrap();
-        run_arrival_aware(s, cfg, |d| {
-            CountingNetworkProtocol::new(&s.graph, &s.counting_tree, &s.requests, w).deferred(d)
+        run_arrival_aware(s, cfg, || {
+            CountingNetworkProtocol::new(&s.graph, &s.counting_tree, &s.requests, w)
         })
-    }
-    fn clone_spec(&self) -> Box<dyn ProtocolSpec> {
-        Box::new(*self)
     }
 }
 
@@ -510,18 +491,14 @@ impl ProtocolSpec for PeriodicNetwork {
     }
     fn execute(&self, s: &Scenario, cfg: SimConfig) -> Result<SimReport, SimError> {
         let w = self.effective_width(s.n()).unwrap();
-        run_arrival_aware(s, cfg, |d| {
+        run_arrival_aware(s, cfg, || {
             CountingNetworkProtocol::with_network(
                 &s.graph,
                 &s.counting_tree,
                 &s.requests,
                 ccq_counting::network::periodic(w),
             )
-            .deferred(d)
         })
-    }
-    fn clone_spec(&self) -> Box<dyn ProtocolSpec> {
-        Box::new(*self)
     }
 }
 
@@ -537,12 +514,9 @@ impl ProtocolSpec for ToggleTree {
     }
     fn execute(&self, s: &Scenario, cfg: SimConfig) -> Result<SimReport, SimError> {
         let w = self.effective_width(s.n()).unwrap();
-        run_arrival_aware(s, cfg, |d| {
-            ToggleTreeProtocol::new(&s.graph, &s.counting_tree, &s.requests, w).deferred(d)
+        run_arrival_aware(s, cfg, || {
+            ToggleTreeProtocol::new(&s.graph, &s.counting_tree, &s.requests, w)
         })
-    }
-    fn clone_spec(&self) -> Box<dyn ProtocolSpec> {
-        Box::new(*self)
     }
 }
 
@@ -554,12 +528,7 @@ impl ProtocolSpec for CrdtCounter {
         ProtocolKind::Relaxed
     }
     fn execute(&self, s: &Scenario, cfg: SimConfig) -> Result<SimReport, SimError> {
-        run_arrival_aware(s, cfg, |d| {
-            CrdtCounterProtocol::new(&s.counting_tree, &s.requests).deferred(d)
-        })
-    }
-    fn clone_spec(&self) -> Box<dyn ProtocolSpec> {
-        Box::new(*self)
+        run_arrival_aware(s, cfg, || CrdtCounterProtocol::new(&s.counting_tree, &s.requests))
     }
 }
 

@@ -2,9 +2,19 @@
 //! + admission policy + shard plan.
 
 use ccq_graph::{spanning, topology, Graph, NodeId, Partition, Tree};
-use ccq_sim::{
-    AdmissionPolicy, ArrivalProcess, CrashFault, FaultPlan, LinkDelay, ProbeSpec, Round,
-};
+use ccq_sim::{CrashFault, FaultPlan, LinkDelay, ProbeSpec, Round};
+use std::sync::OnceLock;
+
+/// How arrivals are admitted against the live backlog: the simulator's own
+/// [`ccq_sim::AdmissionPolicy`], under the name plans and sweeps use for it.
+/// The active policies only engage on the paced execution path; a scenario
+/// whose arrival is [`ArrivalSpec::OneShot`] but whose admission is active
+/// is routed through pacing too (with an all-zeros schedule), so the policy
+/// can shed or defer even a round-0 batch.
+pub use ccq_sim::AdmissionPolicy as AdmissionSpec;
+/// *When* the request set issues its operations: the simulator's own type
+/// (it carries its seed), as [`LinkDelay`] and [`ProbeSpec`] are.
+pub use ccq_sim::ArrivalSpec;
 use rand::prelude::*;
 use rand::rngs::StdRng;
 
@@ -184,188 +194,6 @@ impl RequestPattern {
                 v
             }
         }
-    }
-}
-
-/// *When* the request set issues its operations.
-///
-/// `OneShot` is the paper's batch scenario (everything at round 0) and
-/// executes on the unchanged one-shot protocol path, so its reports are
-/// bit-identical to the pre-open-system engine. The open variants wrap each
-/// protocol in [`ccq_sim::Paced`] driven by a deterministic
-/// [`ArrivalProcess`] schedule.
-#[derive(Clone, Debug, PartialEq)]
-pub enum ArrivalSpec {
-    /// Every request at round 0 — the paper's one-shot batch.
-    OneShot,
-    /// Per-round Bernoulli arrivals at `rate` requests/round.
-    Poisson {
-        /// Expected arrivals per round, in `(0, 1]`.
-        rate: f64,
-        /// Schedule seed.
-        seed: u64,
-    },
-    /// On/off bursts: Poisson at `rate` during `on`-round bursts separated
-    /// by `off` silent rounds.
-    Bursty {
-        /// Expected arrivals per active round, in `(0, 1]`.
-        rate: f64,
-        /// Burst length in rounds (≥ 1).
-        on: Round,
-        /// Gap between bursts in rounds.
-        off: Round,
-        /// Schedule seed.
-        seed: u64,
-    },
-    /// Hotspot skew: Zipf(`s`)-weighted arrival order over the request set
-    /// (low ids cluster early), geometric gaps at `rate`.
-    Hotspot {
-        /// Expected arrivals per round, in `(0, 1]`.
-        rate: f64,
-        /// Zipf exponent (> 0; larger = more skew).
-        s: f64,
-        /// Schedule seed.
-        seed: u64,
-    },
-}
-
-impl ArrivalSpec {
-    /// Short display name (used by sweeps and the CLI).
-    pub fn name(&self) -> String {
-        match self {
-            ArrivalSpec::OneShot => "oneshot".into(),
-            ArrivalSpec::Poisson { rate, seed } => format!("poisson(rate={rate},seed={seed})"),
-            ArrivalSpec::Bursty { rate, on, off, seed } => {
-                format!("bursty(rate={rate},on={on},off={off},seed={seed})")
-            }
-            ArrivalSpec::Hotspot { rate, s, seed } => {
-                format!("hotspot(rate={rate},s={s},seed={seed})")
-            }
-        }
-    }
-
-    /// Whether this is an open-system arrival (anything but the batch).
-    pub fn is_open(&self) -> bool {
-        !matches!(self, ArrivalSpec::OneShot)
-    }
-
-    /// A deterministically re-seeded copy for repeat `salt` of a sweep
-    /// (`salt` 0 always returns `self` verbatim; `OneShot` is unchanged).
-    pub fn reseed(&self, salt: u64) -> ArrivalSpec {
-        if salt == 0 {
-            return self.clone();
-        }
-        let mix = |seed: u64| seed.wrapping_add(salt.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        match *self {
-            ArrivalSpec::OneShot => ArrivalSpec::OneShot,
-            ArrivalSpec::Poisson { rate, seed } => ArrivalSpec::Poisson { rate, seed: mix(seed) },
-            ArrivalSpec::Bursty { rate, on, off, seed } => {
-                ArrivalSpec::Bursty { rate, on, off, seed: mix(seed) }
-            }
-            ArrivalSpec::Hotspot { rate, s, seed } => {
-                ArrivalSpec::Hotspot { rate, s, seed: mix(seed) }
-            }
-        }
-    }
-
-    /// The underlying sampler and its seed.
-    fn process(&self) -> (ArrivalProcess, u64) {
-        match *self {
-            ArrivalSpec::OneShot => (ArrivalProcess::Batch, 0),
-            ArrivalSpec::Poisson { rate, seed } => (ArrivalProcess::Poisson { rate }, seed),
-            ArrivalSpec::Bursty { rate, on, off, seed } => {
-                (ArrivalProcess::Bursty { rate, on, off }, seed)
-            }
-            ArrivalSpec::Hotspot { rate, s, seed } => (ArrivalProcess::Zipf { rate, s }, seed),
-        }
-    }
-
-    /// Materialize the issue schedule for `requests`: one `(round, node)`
-    /// entry per requester, sorted by round. Deterministic.
-    pub fn materialize(&self, requests: &[NodeId]) -> Vec<(Round, NodeId)> {
-        let (process, seed) = self.process();
-        process.schedule(requests, seed)
-    }
-}
-
-/// How arrivals are admitted against the live backlog — the scenario-level
-/// handle on [`ccq_sim::AdmissionPolicy`] (backpressure).
-///
-/// `Open` is the default and admits everything: runs are byte-identical to
-/// scenarios built before admission control existed. The active policies
-/// only engage on the paced (open-system) execution path; a scenario whose
-/// arrival is [`ArrivalSpec::OneShot`] but whose admission is active is
-/// routed through pacing too (with an all-zeros schedule), so the policy
-/// can shed or defer even a round-0 batch.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum AdmissionSpec {
-    /// Admit every arrival immediately (no backpressure).
-    #[default]
-    Open,
-    /// Shed arrivals that find the backlog at or above `bound`.
-    DropTail {
-        /// Largest backlog that still admits.
-        bound: usize,
-    },
-    /// Defer arrivals over `bound`, retrying every `backoff` rounds.
-    DelayRetry {
-        /// Largest backlog that still admits.
-        bound: usize,
-        /// Rounds between retries.
-        backoff: Round,
-    },
-    /// AIMD throttle steering the backlog towards `target_backlog`
-    /// (see [`ccq_sim::AdmissionPolicy::Adaptive`]).
-    Adaptive {
-        /// Backlog the controller steers towards.
-        target_backlog: usize,
-        /// Additive recovery of the admission rate per admission.
-        gain: Round,
-    },
-    /// Shed arrivals whose *shard-local* backlog is at or above `bound`,
-    /// except for priority classes below `protect` which always admit
-    /// (see [`ccq_sim::AdmissionPolicy::PerNode`]). On an unsharded plan
-    /// the shard backlog degrades to the global one.
-    PerNode {
-        /// Largest shard-local backlog that still admits.
-        bound: usize,
-        /// Classes `< protect` bypass the bound (0 = protect nothing).
-        protect: u8,
-    },
-}
-
-impl AdmissionSpec {
-    /// Short display name (used by sweeps and the CLI).
-    pub fn name(&self) -> String {
-        self.policy().name()
-    }
-
-    /// Whether this policy can ever refuse or defer an arrival.
-    pub fn is_active(&self) -> bool {
-        self.policy().is_active()
-    }
-
-    /// The simulator-level policy this spec resolves to.
-    pub fn policy(&self) -> AdmissionPolicy {
-        match *self {
-            AdmissionSpec::Open => AdmissionPolicy::Open,
-            AdmissionSpec::DropTail { bound } => AdmissionPolicy::DropTail { bound },
-            AdmissionSpec::DelayRetry { bound, backoff } => {
-                AdmissionPolicy::DelayRetry { bound, backoff }
-            }
-            AdmissionSpec::Adaptive { target_backlog, gain } => {
-                AdmissionPolicy::Adaptive { target_backlog, gain }
-            }
-            AdmissionSpec::PerNode { bound, protect } => {
-                AdmissionPolicy::PerNode { bound, protect }
-            }
-        }
-    }
-
-    /// Whether this policy gates on shard-local backlogs (and therefore
-    /// wants the scenario's shard map installed on the paced driver).
-    pub fn is_shard_scoped(&self) -> bool {
-        matches!(self, AdmissionSpec::PerNode { .. })
     }
 }
 
@@ -632,6 +460,9 @@ pub struct Scenario {
     /// all, and probe data never reaches the serialized [`ccq_sim::
     /// SimReport`], so probed runs stay byte-identical to unprobed ones).
     pub probe: ProbeSpec,
+    /// [`Scenario::partition`]'s cache: the plan it was built for, and the
+    /// partition.
+    pub(crate) partition: OnceLock<(ShardSpec, Partition)>,
 }
 
 /// Checkpoint interval `ccq record` installs when its argv names none:
@@ -670,6 +501,7 @@ impl Scenario {
             parallel_apply: false,
             wavefront: None,
             probe: ProbeSpec::OFF,
+            partition: OnceLock::new(),
         }
     }
 
@@ -687,7 +519,27 @@ impl Scenario {
     /// ```
     pub fn with_shards(mut self, shards: ShardSpec) -> Self {
         self.shards = shards;
+        self.partition = OnceLock::new();
         self
+    }
+
+    /// The vertex partition of [`Scenario::shards`] over the graph, built
+    /// on first use and kept: every run of the scenario — each protocol ×
+    /// mode × delay of a sweep's work group, and the shard map of per-node
+    /// admission — reads the one partition instead of re-running the
+    /// edge-cut heuristic.
+    ///
+    /// # Panics
+    /// Panics if `shards` was reassigned after the first call; change the
+    /// plan through [`Scenario::with_shards`], which resets the cache.
+    pub fn partition(&self) -> &Partition {
+        let (built_for, partition) =
+            self.partition.get_or_init(|| (self.shards, self.shards.partition(&self.graph)));
+        assert_eq!(
+            *built_for, self.shards,
+            "Scenario::shards changed after its partition was built"
+        );
+        partition
     }
 
     /// Builder-style: run protocol handlers shard-parallel (the sliced
@@ -723,43 +575,11 @@ impl Scenario {
         self
     }
 
-    /// Builder-style: install an explicit execution probe.
+    /// Builder-style: install an execution probe (built with
+    /// [`ProbeSpec`]'s own `with_*` methods, starting from
+    /// [`ProbeSpec::OFF`] or from [`Scenario::probe`]).
     pub fn with_probe(mut self, probe: ProbeSpec) -> Self {
         self.probe = probe;
-        self
-    }
-
-    /// Builder-style: hash engine state every `every` rounds (clamped to
-    /// ≥ 1), at all four phase barriers of each observed round.
-    pub fn with_checkpoint_every(mut self, every: Round) -> Self {
-        self.probe = self.probe.with_checkpoint_every(every);
-        self
-    }
-
-    /// Builder-style: capture a full canonical state snapshot at the
-    /// transmit barrier of `round`.
-    pub fn with_snapshot_at(mut self, round: Round) -> Self {
-        self.probe = self.probe.with_snapshot_at(round);
-        self
-    }
-
-    /// Builder-style: also record per-node digests at observed barriers
-    /// (what lets the bisector localize a divergence to a node).
-    pub fn with_node_hashes(mut self, on: bool) -> Self {
-        self.probe = self.probe.with_node_hashes(on);
-        self
-    }
-
-    /// Builder-style: plant a deterministic perturbation — `node` skips
-    /// its transmit phase at `round`, holding its staged sends one round.
-    pub fn with_perturbation(mut self, round: Round, node: NodeId) -> Self {
-        self.probe = self.probe.with_perturbation(round, node);
-        self
-    }
-
-    /// Builder-style: measure per-phase wall-clock while running.
-    pub fn with_timing(mut self, on: bool) -> Self {
-        self.probe = self.probe.with_timing(on);
         self
     }
 
@@ -978,37 +798,5 @@ mod tests {
         let faulted = Scenario::build(TopoSpec::Mesh2D { side: 3 }, RequestPattern::All)
             .with_faults(FaultSpec::none().crash(0, 2, 5));
         assert!(faulted.open_schedule().is_some());
-    }
-
-    #[test]
-    fn pernode_admission_is_shard_scoped_and_named() {
-        let a = AdmissionSpec::PerNode { bound: 6, protect: 1 };
-        assert!(a.is_active());
-        assert!(a.is_shard_scoped());
-        assert!(!AdmissionSpec::DropTail { bound: 6 }.is_shard_scoped());
-        assert_eq!(a.name(), "pernode(bound=6,protect=1)");
-    }
-
-    #[test]
-    fn arrival_specs_name_and_reseed() {
-        let p = ArrivalSpec::Poisson { rate: 0.2, seed: 1 };
-        assert_eq!(p.name(), "poisson(rate=0.2,seed=1)");
-        assert!(p.is_open());
-        assert!(!ArrivalSpec::OneShot.is_open());
-        assert_eq!(p.reseed(0), p);
-        assert_ne!(p.reseed(1), p);
-        assert_eq!(ArrivalSpec::OneShot.reseed(7), ArrivalSpec::OneShot);
-        let b = ArrivalSpec::Bursty { rate: 0.5, on: 4, off: 8, seed: 2 };
-        assert_eq!(b.name(), "bursty(rate=0.5,on=4,off=8,seed=2)");
-        let h = ArrivalSpec::Hotspot { rate: 0.2, s: 1.1, seed: 3 };
-        assert_eq!(h.name(), "hotspot(rate=0.2,s=1.1,seed=3)");
-        // Reseeding keeps the shape, changes only the schedule seed.
-        match h.reseed(2) {
-            ArrivalSpec::Hotspot { rate, s, seed } => {
-                assert_eq!((rate, s), (0.2, 1.1));
-                assert_ne!(seed, 3);
-            }
-            other => panic!("reseed changed variant: {other:?}"),
-        }
     }
 }

@@ -42,7 +42,6 @@ pub struct CentralCounterProtocol {
     shared: CentralCounterShared,
     slices: Vec<CentralCounterSlice>,
     requests: Vec<NodeId>,
-    defer_issue: bool,
 }
 
 impl CentralCounterProtocol {
@@ -66,15 +65,7 @@ impl CentralCounterProtocol {
             shared: CentralCounterShared { root, routes, to_root, from_root },
             slices: (0..n).map(|_| CentralCounterSlice { next_rank: 1 }).collect(),
             requests,
-            defer_issue: false,
         }
-    }
-
-    /// Deferred-issue mode (`on` = true): `on_start` injects nothing and
-    /// increments are driven via [`OnlineProtocol::issue`].
-    pub fn deferred(mut self, on: bool) -> Self {
-        self.defer_issue = on;
-        self
     }
 
     fn hop(
@@ -132,10 +123,8 @@ impl Protocol for CentralCounterProtocol {
     }
 
     fn on_start(&mut self, api: &mut SimApi<CentralCounterMsg>) {
-        if !self.defer_issue {
-            let requests = self.requests.clone();
-            ccq_sim::issue_all(self, api, &requests);
-        }
+        let requests = self.requests.clone();
+        ccq_sim::issue_all(self, api, &requests);
     }
 
     fn on_message(

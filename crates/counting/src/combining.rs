@@ -39,7 +39,9 @@ pub struct CombiningTreeSlice {
     child_counts: Vec<u64>,
     /// Whether this node itself requested.
     requesting: bool,
-    /// Whether the node's own operation has been injected (deferred mode).
+    /// Whether the node's own operation has been injected: by the one-shot
+    /// start for every requester at once, by `issue` one at a time when
+    /// paced.
     issued: bool,
 }
 
@@ -48,9 +50,6 @@ pub struct CombiningTreeSlice {
 #[derive(Debug)]
 pub struct CombiningTreeShared<'t> {
     tree: &'t Tree,
-    /// Deferred-issue mode: a requester holds its subtree's Up report until
-    /// its own operation has been injected.
-    defer_issue: bool,
 }
 
 /// Combining-tree counter protocol state.
@@ -76,24 +75,30 @@ impl<'t> CombiningTreeProtocol<'t> {
                 issued: false,
             })
             .collect();
-        CombiningTreeProtocol { shared: CombiningTreeShared { tree, defer_issue: false }, nodes }
+        CombiningTreeProtocol { shared: CombiningTreeShared { tree }, nodes }
     }
 
-    /// Deferred-issue mode (`on` = true): `on_start` starts the up phase
-    /// only at non-requesting leaves; a requester joins the wave when its
-    /// operation is injected via [`OnlineProtocol::issue`]. The
-    /// single combining wave completes once every scheduled request has
-    /// arrived — the batch protocol's honest behaviour under open arrivals
-    /// (early requesters wait for stragglers).
-    pub fn deferred(mut self, on: bool) -> Self {
-        self.shared.defer_issue = on;
-        self
+    /// Whether `v` may report upward: all children in, and its own request
+    /// — if any — already injected. A requester holds its subtree's Up
+    /// report until then, so under paced arrivals the single combining wave
+    /// completes once every scheduled request has arrived — the batch
+    /// protocol's honest behaviour there (early requesters wait for
+    /// stragglers).
+    fn ready(slice: &CombiningTreeSlice) -> bool {
+        slice.waiting == 0 && (!slice.requesting || slice.issued)
     }
 
-    /// Whether `v` may report upward: all children in, and (in deferred
-    /// mode) its own request — if any — already injected.
-    fn ready(shared: &CombiningTreeShared, slice: &CombiningTreeSlice) -> bool {
-        slice.waiting == 0 && (!shared.defer_issue || !slice.requesting || slice.issued)
+    /// Let every node that is already [`ready`](Self::ready) report, in id
+    /// order — after marking every requester issued when `issue_all` is
+    /// set (the one-shot start); without it only the nodes that request
+    /// nothing and wait on no child open the wave (the paced start).
+    fn start(&mut self, api: &mut SimApi<CombiningMsg>, issue_all: bool) {
+        for v in 0..self.nodes.len() {
+            ccq_sim::with_slice(self, api, v, |shared, slice, sapi| {
+                slice.issued |= issue_all;
+                Self::report_if_ready(shared, slice, sapi, v)
+            });
+        }
     }
 
     fn subtree_count(slice: &CombiningTreeSlice) -> u64 {
@@ -133,7 +138,7 @@ impl<'t> CombiningTreeProtocol<'t> {
         api: &mut SliceApi<CombiningMsg>,
         v: NodeId,
     ) {
-        if !Self::ready(shared, slice) {
+        if !Self::ready(slice) {
             return;
         }
         let total = Self::subtree_count(slice);
@@ -155,6 +160,10 @@ impl OnlineProtocol for CombiningTreeProtocol<'_> {
         debug_assert!(slice.requesting, "node {node} is not a requester");
         slice.issued = true;
         Self::report_if_ready(shared, slice, api, node);
+    }
+
+    fn on_paced_start(&mut self, api: &mut SimApi<CombiningMsg>) {
+        self.start(api, false);
     }
 
     fn cancel(
@@ -182,13 +191,7 @@ impl<'t> Protocol for CombiningTreeProtocol<'t> {
     }
 
     fn on_start(&mut self, api: &mut SimApi<CombiningMsg>) {
-        // Leaves (and a childless root) aggregate immediately; in deferred
-        // mode, requesters hold until their operation is injected.
-        for v in 0..self.nodes.len() {
-            ccq_sim::with_slice(self, api, v, |shared, slice, sapi| {
-                Self::report_if_ready(shared, slice, sapi, v)
-            });
-        }
+        self.start(api, true);
     }
 
     fn on_message(

@@ -41,7 +41,6 @@ pub struct CrdtCounterProtocol<'t> {
     tree: &'t Tree,
     slices: Vec<CrdtCounterSlice>,
     requests: Vec<NodeId>,
-    defer_issue: bool,
 }
 
 impl<'t> CrdtCounterProtocol<'t> {
@@ -54,15 +53,7 @@ impl<'t> CrdtCounterProtocol<'t> {
             tree,
             slices: (0..n).map(|_| CrdtCounterSlice { heard: 0 }).collect(),
             requests,
-            defer_issue: false,
         }
-    }
-
-    /// Deferred-issue mode (`on` = true): `on_start` injects nothing and
-    /// increments are driven via [`OnlineProtocol::issue`].
-    pub fn deferred(mut self, on: bool) -> Self {
-        self.defer_issue = on;
-        self
     }
 }
 
@@ -93,10 +84,8 @@ impl<'t> Protocol for CrdtCounterProtocol<'t> {
     }
 
     fn on_start(&mut self, api: &mut SimApi<CrdtCounterMsg>) {
-        if !self.defer_issue {
-            let requests = self.requests.clone();
-            ccq_sim::issue_all(self, api, &requests);
-        }
+        let requests = self.requests.clone();
+        ccq_sim::issue_all(self, api, &requests);
     }
 
     fn on_message(

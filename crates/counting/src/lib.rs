@@ -25,6 +25,8 @@
 //! * [`ranks`] — verification that an execution handed out exactly
 //!   `{1, …, |R|}` (or, relaxed, ranks within `1..=|R|`).
 
+#![warn(unreachable_pub)]
+
 pub mod central;
 pub mod combining;
 pub mod crdt;

@@ -58,7 +58,6 @@ pub struct CountingNetworkProtocol {
     shared: CountingNetworkShared,
     slices: Vec<CountingNetworkSlice>,
     requests: Vec<NodeId>,
-    defer_issue: bool,
 }
 
 impl CountingNetworkProtocol {
@@ -125,15 +124,7 @@ impl CountingNetworkProtocol {
             },
             slices,
             requests,
-            defer_issue: false,
         }
-    }
-
-    /// Deferred-issue mode (`on` = true): `on_start` injects nothing and
-    /// tokens are driven via [`OnlineProtocol::issue`].
-    pub fn deferred(mut self, on: bool) -> Self {
-        self.defer_issue = on;
-        self
     }
 
     /// The network being executed.
@@ -232,10 +223,8 @@ impl Protocol for CountingNetworkProtocol {
     }
 
     fn on_start(&mut self, api: &mut SimApi<CnMsg>) {
-        if !self.defer_issue {
-            let requests = self.requests.clone();
-            ccq_sim::issue_all(self, api, &requests);
-        }
+        let requests = self.requests.clone();
+        ccq_sim::issue_all(self, api, &requests);
     }
 
     fn on_message(

@@ -59,7 +59,6 @@ pub struct ToggleTreeProtocol {
     shared: ToggleTreeShared,
     slices: Vec<ToggleTreeSlice>,
     requests: Vec<NodeId>,
-    defer_issue: bool,
 }
 
 fn bitrev(mut x: usize, bits: u32) -> usize {
@@ -127,15 +126,7 @@ impl ToggleTreeProtocol {
             },
             slices,
             requests,
-            defer_issue: false,
         }
-    }
-
-    /// Deferred-issue mode (`on` = true): `on_start` injects nothing and
-    /// tokens are driven via [`OnlineProtocol::issue`].
-    pub fn deferred(mut self, on: bool) -> Self {
-        self.defer_issue = on;
-        self
     }
 
     fn send_towards(
@@ -219,10 +210,8 @@ impl Protocol for ToggleTreeProtocol {
     }
 
     fn on_start(&mut self, api: &mut SimApi<ToggleMsg>) {
-        if !self.defer_issue {
-            let requests = self.requests.clone();
-            ccq_sim::issue_all(self, api, &requests);
-        }
+        let requests = self.requests.clone();
+        ccq_sim::issue_all(self, api, &requests);
     }
 
     fn on_message(

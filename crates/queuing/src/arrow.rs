@@ -61,7 +61,6 @@ pub struct ArrowProtocol {
     shared: ArrowShared,
     slices: Vec<ArrowSlice>,
     requests: Vec<NodeId>,
-    defer_issue: bool,
 }
 
 impl ArrowProtocol {
@@ -89,12 +88,7 @@ impl ArrowProtocol {
         }
         let mut requests = requests.to_vec();
         requests.sort_unstable();
-        ArrowProtocol {
-            shared: ArrowShared { notify_origin: false },
-            slices,
-            requests,
-            defer_issue: false,
-        }
+        ArrowProtocol { shared: ArrowShared { notify_origin: false }, slices, requests }
     }
 
     /// Enable notify-origin mode: completions are recorded when the
@@ -102,15 +96,6 @@ impl ArrowProtocol {
     /// forms at the predecessor's node.
     pub fn with_notify_origin(mut self) -> Self {
         self.shared.notify_origin = true;
-        self
-    }
-
-    /// Deferred-issue mode (`on` = true): `on_start` injects nothing and
-    /// operations are driven one at a time through
-    /// [`OnlineProtocol::issue`] — the open-system regime of
-    /// [`ccq_sim::Paced`].
-    pub fn deferred(mut self, on: bool) -> Self {
-        self.defer_issue = on;
         self
     }
 
@@ -178,10 +163,8 @@ impl Protocol for ArrowProtocol {
     }
 
     fn on_start(&mut self, api: &mut SimApi<ArrowMsg>) {
-        if !self.defer_issue {
-            let requests = self.requests.clone();
-            ccq_sim::issue_all(self, api, &requests);
-        }
+        let requests = self.requests.clone();
+        ccq_sim::issue_all(self, api, &requests);
     }
 
     fn on_message(

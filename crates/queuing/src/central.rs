@@ -48,7 +48,6 @@ pub struct CentralQueueProtocol {
     shared: CentralQueueShared,
     slices: Vec<CentralQueueSlice>,
     requests: Vec<NodeId>,
-    defer_issue: bool,
 }
 
 impl CentralQueueProtocol {
@@ -72,15 +71,7 @@ impl CentralQueueProtocol {
             shared: CentralQueueShared { home, routes, to_home, from_home },
             slices: (0..n).map(|_| CentralQueueSlice { last: INITIAL_TOKEN }).collect(),
             requests,
-            defer_issue: false,
         }
-    }
-
-    /// Deferred-issue mode (`on` = true): `on_start` injects nothing and
-    /// operations are driven via [`OnlineProtocol::issue`].
-    pub fn deferred(mut self, on: bool) -> Self {
-        self.defer_issue = on;
-        self
     }
 
     fn forward(
@@ -137,10 +128,8 @@ impl Protocol for CentralQueueProtocol {
     }
 
     fn on_start(&mut self, api: &mut SimApi<CentralQueueMsg>) {
-        if !self.defer_issue {
-            let requests = self.requests.clone();
-            ccq_sim::issue_all(self, api, &requests);
-        }
+        let requests = self.requests.clone();
+        ccq_sim::issue_all(self, api, &requests);
     }
 
     fn on_message(

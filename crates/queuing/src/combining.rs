@@ -29,7 +29,9 @@ pub struct CombiningQueueSlice {
     /// Preorder requester lists reported by children, by child slot.
     child_lists: Vec<Vec<NodeId>>,
     requesting: bool,
-    /// Whether the node's own operation has been injected (deferred mode).
+    /// Whether the node's own operation has been injected: by the one-shot
+    /// start for every requester at once, by `issue` one at a time when
+    /// paced.
     issued: bool,
 }
 
@@ -38,9 +40,6 @@ pub struct CombiningQueueSlice {
 #[derive(Debug)]
 pub struct CombiningQueueShared<'t> {
     tree: &'t Tree,
-    /// Deferred-issue mode: a requester holds its subtree's Up report until
-    /// its own operation has been injected.
-    defer_issue: bool,
 }
 
 /// Combining-queue protocol state.
@@ -66,24 +65,30 @@ impl<'t> CombiningQueueProtocol<'t> {
                 issued: false,
             })
             .collect();
-        CombiningQueueProtocol { shared: CombiningQueueShared { tree, defer_issue: false }, nodes }
+        CombiningQueueProtocol { shared: CombiningQueueShared { tree }, nodes }
     }
 
-    /// Deferred-issue mode (`on` = true): `on_start` starts the up phase
-    /// only at non-requesting leaves; a requester joins the wave when its
-    /// operation is injected via [`OnlineProtocol::issue`]. The
-    /// single combining wave then completes once every scheduled request
-    /// has arrived — the batch protocol's honest behaviour under open
-    /// arrivals (early requesters wait for stragglers).
-    pub fn deferred(mut self, on: bool) -> Self {
-        self.shared.defer_issue = on;
-        self
+    /// Whether `v` may report upward: all children in, and its own request
+    /// — if any — already injected. A requester holds its subtree's Up
+    /// report until then, so under paced arrivals the single combining wave
+    /// completes once every scheduled request has arrived — the batch
+    /// protocol's honest behaviour there (early requesters wait for
+    /// stragglers).
+    fn ready(slice: &CombiningQueueSlice) -> bool {
+        slice.waiting == 0 && (!slice.requesting || slice.issued)
     }
 
-    /// Whether `v` may report upward: all children in, and (in deferred
-    /// mode) its own request — if any — already injected.
-    fn ready(shared: &CombiningQueueShared, slice: &CombiningQueueSlice) -> bool {
-        slice.waiting == 0 && (!shared.defer_issue || !slice.requesting || slice.issued)
+    /// Let every node that is already [`ready`](Self::ready) report, in id
+    /// order — after marking every requester issued when `issue_all` is
+    /// set (the one-shot start); without it only the nodes that request
+    /// nothing and wait on no child open the wave (the paced start).
+    fn start(&mut self, api: &mut SimApi<CombiningQueueMsg>, issue_all: bool) {
+        for v in 0..self.nodes.len() {
+            ccq_sim::with_slice(self, api, v, |shared, slice, sapi| {
+                slice.issued |= issue_all;
+                Self::report_if_ready(shared, slice, sapi, v)
+            });
+        }
     }
 
     /// Preorder requester list of `v`'s subtree (own request first).
@@ -108,7 +113,7 @@ impl<'t> CombiningQueueProtocol<'t> {
         api: &mut SliceApi<CombiningQueueMsg>,
         v: NodeId,
     ) {
-        if !Self::ready(shared, slice) {
+        if !Self::ready(slice) {
             return;
         }
         let list = Self::subtree_list(slice, v);
@@ -165,6 +170,10 @@ impl OnlineProtocol for CombiningQueueProtocol<'_> {
         Self::report_if_ready(shared, slice, api, node);
     }
 
+    fn on_paced_start(&mut self, api: &mut SimApi<CombiningQueueMsg>) {
+        self.start(api, false);
+    }
+
     fn cancel(
         shared: &CombiningQueueShared,
         slice: &mut CombiningQueueSlice,
@@ -190,11 +199,7 @@ impl<'t> Protocol for CombiningQueueProtocol<'t> {
     }
 
     fn on_start(&mut self, api: &mut SimApi<CombiningQueueMsg>) {
-        for v in 0..self.nodes.len() {
-            ccq_sim::with_slice(self, api, v, |shared, slice, sapi| {
-                Self::report_if_ready(shared, slice, sapi, v)
-            });
-        }
+        self.start(api, true);
     }
 
     fn on_message(

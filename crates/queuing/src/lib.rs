@@ -10,7 +10,7 @@
 //!   Herlihy–Tirthapura–Wattenhofer '01);
 //! * [`central`] — a centralized-home baseline that serializes at one node;
 //!   (long-lived arrivals are handled generically by [`ccq_sim::Paced`]
-//!   driving any of these protocols in deferred mode);
+//!   wrapping any of these protocols as built);
 //! * [`sequential`] — a sequential reference executor used to validate the
 //!   concurrent implementation and to connect to the TSP analysis;
 //! * [`order`] — verification that an execution produced a valid total
@@ -19,6 +19,8 @@
 //! Operation identifiers are the origin node's id (one operation per node in
 //! the one-shot scenario); the pre-existing queue tail is
 //! [`order::INITIAL_TOKEN`].
+
+#![warn(unreachable_pub)]
 
 pub mod arrow;
 pub mod central;

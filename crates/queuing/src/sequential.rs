@@ -16,11 +16,6 @@ use ccq_graph::{Lca, NodeId, Tree};
 /// `Σ d_T(prev, cur)` with `prev` starting at `tail`.
 pub fn sequential_arrow_cost(tree: &Tree, tail: NodeId, order: &[NodeId]) -> u64 {
     let lca = Lca::new(tree);
-    sequential_arrow_cost_with(&lca, tail, order)
-}
-
-/// As [`sequential_arrow_cost`] but reusing a prebuilt [`Lca`].
-pub fn sequential_arrow_cost_with(lca: &Lca, tail: NodeId, order: &[NodeId]) -> u64 {
     let mut cost = 0u64;
     let mut prev = tail;
     for &v in order {
@@ -28,21 +23,6 @@ pub fn sequential_arrow_cost_with(lca: &Lca, tail: NodeId, order: &[NodeId]) -> 
         prev = v;
     }
     cost
-}
-
-/// Per-operation delays of the sequential execution (same traversal as
-/// [`sequential_arrow_cost`], itemized).
-pub fn sequential_arrow_delays(tree: &Tree, tail: NodeId, order: &[NodeId]) -> Vec<u64> {
-    let lca = Lca::new(tree);
-    let mut prev = tail;
-    order
-        .iter()
-        .map(|&v| {
-            let d = lca.dist(prev, v) as u64;
-            prev = v;
-            d
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -55,7 +35,6 @@ mod tests {
         let t = spanning::path_tree_from_order(&(0..10).collect::<Vec<_>>());
         // tail at 0; visit 3, then 1, then 9: 3 + 2 + 8 = 13.
         assert_eq!(sequential_arrow_cost(&t, 0, &[3, 1, 9]), 13);
-        assert_eq!(sequential_arrow_delays(&t, 0, &[3, 1, 9]), vec![3, 2, 8]);
     }
 
     #[test]

@@ -219,7 +219,8 @@ pub fn snapshot_of(
     delay: LinkDelay,
     round: Round,
 ) -> Result<Snapshot, ReplayError> {
-    let scenario = scenario.with_snapshot_at(round);
+    let probe = scenario.probe.with_snapshot_at(round);
+    let scenario = scenario.with_probe(probe);
     let out = run_spec_with(spec, &scenario, mode, delay)
         .map_err(|e| ReplayError::malformed(format!("snapshot run failed: {e}")))?;
     match (out.report.snapshot_digest, out.report.snapshot_state) {
@@ -252,7 +253,8 @@ pub fn resume_from(
     if snapshot.version != CURRENT_VERSION {
         return Err(ReplayError::Version { found: snapshot.version, expected: CURRENT_VERSION });
     }
-    let scenario = scenario.with_snapshot_at(snapshot.round);
+    let probe = scenario.probe.with_snapshot_at(snapshot.round);
+    let scenario = scenario.with_probe(probe);
     let out = run_spec_with(spec, &scenario, mode, delay)
         .map_err(|e| ReplayError::malformed(format!("resume run failed: {e}")))?;
     match (&out.report.snapshot_digest, &out.report.snapshot_state) {

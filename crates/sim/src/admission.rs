@@ -122,6 +122,13 @@ impl AdmissionPolicy {
     pub fn is_active(&self) -> bool {
         !matches!(self, AdmissionPolicy::Open)
     }
+
+    /// Whether this policy gates on shard-local backlogs (and therefore
+    /// wants a shard map installed on the paced driver —
+    /// [`crate::Paced::with_shard_map`]).
+    pub fn is_shard_scoped(&self) -> bool {
+        matches!(self, AdmissionPolicy::PerNode { .. })
+    }
 }
 
 /// Outcome of one admission decision.
@@ -151,11 +158,6 @@ impl AdmissionController {
     /// A controller at its initial state (interval 1).
     pub fn new(policy: AdmissionPolicy) -> Self {
         AdmissionController { policy, interval: 1 }
-    }
-
-    /// The policy this controller evaluates.
-    pub fn policy(&self) -> AdmissionPolicy {
-        self.policy
     }
 
     /// The current adaptive pacing interval (1 for the stateless policies)
@@ -374,6 +376,8 @@ mod tests {
         // Pre-due arrivals defer like the other active policies.
         assert_eq!(c.decide_scoped(2, 9, 0, 99, 1), Admission::Retry { at: 9 });
         assert!(p.is_active());
+        assert!(p.is_shard_scoped());
+        assert!(!AdmissionPolicy::DropTail { bound: 6 }.is_shard_scoped());
     }
 
     #[test]

@@ -2,11 +2,12 @@
 //! wrapper that drives any [`OnlineProtocol`] from a schedule.
 //!
 //! The paper's one-shot scenario injects every request at round 0. An
-//! [`ArrivalProcess`] generalizes that to requests arriving *over time*:
-//! given the request set and a seed it produces a deterministic schedule
+//! [`ArrivalSpec`] generalizes that to requests arriving *over time*:
+//! given the request set it produces a deterministic schedule
 //! `(issue round, node)` — one entry per requester, sorted by round. The
-//! sampling uses a private splitmix64 stream, so schedules are identical
-//! across runs, platforms and thread counts (rayon-safe by construction).
+//! sampling uses a private splitmix64 stream keyed by the spec's own seed,
+//! so schedules are identical across runs, platforms and thread counts
+//! (rayon-safe by construction).
 //!
 //! [`Paced`] adapts a protocol that supports per-node injection
 //! ([`OnlineProtocol::issue`]) to such a schedule: it records each issue in
@@ -25,12 +26,16 @@ use ccq_graph::NodeId;
 /// [`Protocol::on_start`].
 ///
 /// Implementations are constructed with the *full* request set (routing
-/// tables and combining structure may depend on it) but in a deferred mode
-/// where `on_start` injects nothing; [`OnlineProtocol::issue`] then injects
-/// `node`'s operation at the current round. Both hooks have the handler's
-/// form — `shared`, `node`'s own slice, a [`SliceApi`] — and are reached
-/// through [`with_slice`] by their two drivers: [`Paced`] for scheduled
-/// arrivals and [`issue_all`] for the one-shot start.
+/// tables and combining structure may depend on it), and there is no mode
+/// to set: which start a run gets is decided by who drives the protocol.
+/// Run bare, the engine calls [`Protocol::on_start`], the self-issuing
+/// one-shot start; wrapped in [`Paced`], `on_start` is never called —
+/// [`OnlineProtocol::on_paced_start`] is, and every operation then enters
+/// through [`OnlineProtocol::issue`] at its scheduled round. `issue` and
+/// `cancel` have the handler's form — `shared`, `node`'s own slice, a
+/// [`SliceApi`] — and are reached through [`with_slice`] by their two
+/// drivers: [`Paced`] for scheduled arrivals and [`issue_all`] for the
+/// one-shot start.
 pub trait OnlineProtocol: Protocol {
     /// Inject `node`'s operation now. `node` must belong to the request set
     /// the protocol was constructed with, and must be issued at most once.
@@ -40,6 +45,15 @@ pub trait OnlineProtocol: Protocol {
         api: &mut SliceApi<Self::Msg>,
         node: NodeId,
     );
+
+    /// The start of a [`Paced`] run, called once before round 0 in place
+    /// of [`Protocol::on_start`]: whatever must happen before any request
+    /// has been issued. A per-request protocol (arrow, central
+    /// queue/counter, network counters, the CRDT) has nothing to do until
+    /// an operation arrives, so the default is a no-op. Single-wave
+    /// combining protocols override it: the processors that request
+    /// nothing and wait on no child must open the wave themselves.
+    fn on_paced_start(&mut self, _api: &mut SimApi<Self::Msg>) {}
 
     /// `node`'s scheduled operation was refused admission and will never
     /// be issued: release anything the protocol holds waiting on it.
@@ -59,29 +73,33 @@ pub trait OnlineProtocol: Protocol {
 }
 
 /// The one-shot start: issue every node of `requests` now, in the given
-/// order — the body of [`Protocol::on_start`] for a per-request protocol
-/// that is not in deferred mode.
+/// order — the body of [`Protocol::on_start`] for a per-request protocol.
 pub fn issue_all<P: OnlineProtocol>(p: &mut P, api: &mut SimApi<P::Msg>, requests: &[NodeId]) {
     for &v in requests {
         with_slice(p, api, v, |shared, slice, sapi| P::issue(shared, slice, sapi, v));
     }
 }
 
-/// How requests arrive over time.
+/// *When* the request set issues its operations.
 ///
-/// Every variant is a *closed-form deterministic sampler*: `schedule`
-/// maps (request set, seed) to issue rounds without shared state, so the
-/// same inputs give byte-identical schedules everywhere.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum ArrivalProcess {
-    /// All requests at round 0 — the paper's one-shot batch.
-    Batch,
+/// `OneShot` is the paper's batch (everything at round 0) and executes on
+/// the bare one-shot protocol path. Every open variant is a *closed-form
+/// deterministic sampler* carrying its own seed: [`ArrivalSpec::materialize`]
+/// maps the request set to issue rounds without shared state, so the same
+/// spec gives byte-identical schedules everywhere, and [`Paced`] drives the
+/// protocol from that schedule.
+#[derive(Clone, Debug, PartialEq)]
+pub enum ArrivalSpec {
+    /// Every request at round 0 — the paper's one-shot batch.
+    OneShot,
     /// Per-round Bernoulli thinning at `rate` arrivals/round (geometric
     /// inter-arrival gaps — the discrete Poisson process). Requesters are
     /// deterministically shuffled, then spaced by sampled gaps.
     Poisson {
         /// Expected arrivals per round, in `(0, 1]`.
         rate: f64,
+        /// Schedule seed.
+        seed: u64,
     },
     /// On/off bursts: arrivals follow the Poisson process at `rate` during
     /// `on`-round bursts separated by `off` silent rounds.
@@ -92,16 +110,20 @@ pub enum ArrivalProcess {
         on: Round,
         /// Gap between bursts in rounds.
         off: Round,
+        /// Schedule seed.
+        seed: u64,
     },
     /// Hotspot skew: arrival *order* is drawn without replacement with
     /// Zipf(`s`) weights over the sorted request set (low-index requesters
     /// cluster at the front), gaps are geometric at `rate` — the skewed
     /// stress regime of priority-scheduling workloads.
-    Zipf {
+    Hotspot {
         /// Expected arrivals per round, in `(0, 1]`.
         rate: f64,
         /// Zipf exponent (> 0; larger = more skew).
         s: f64,
+        /// Schedule seed.
+        seed: u64,
     },
 }
 
@@ -146,32 +168,54 @@ impl Stream {
     }
 }
 
-impl ArrivalProcess {
-    /// Short display name.
+impl ArrivalSpec {
+    /// Short display name (used by sweeps and the CLI).
     pub fn name(&self) -> String {
         match self {
-            ArrivalProcess::Batch => "batch".into(),
-            ArrivalProcess::Poisson { rate } => format!("poisson(rate={rate})"),
-            ArrivalProcess::Bursty { rate, on, off } => {
-                format!("bursty(rate={rate},on={on},off={off})")
+            ArrivalSpec::OneShot => "oneshot".into(),
+            ArrivalSpec::Poisson { rate, seed } => format!("poisson(rate={rate},seed={seed})"),
+            ArrivalSpec::Bursty { rate, on, off, seed } => {
+                format!("bursty(rate={rate},on={on},off={off},seed={seed})")
             }
-            ArrivalProcess::Zipf { rate, s } => format!("zipf(rate={rate},s={s})"),
+            ArrivalSpec::Hotspot { rate, s, seed } => {
+                format!("hotspot(rate={rate},s={s},seed={seed})")
+            }
         }
     }
 
-    /// Materialize the arrival schedule for `nodes` under `seed`: exactly
-    /// one `(issue round, node)` entry per requester, sorted by round
-    /// (ties keep arrival order). Deterministic in `(self, nodes, seed)`.
-    pub fn schedule(&self, nodes: &[NodeId], seed: u64) -> Vec<(Round, NodeId)> {
+    /// Whether this is an open-system arrival (anything but the batch).
+    pub fn is_open(&self) -> bool {
+        !matches!(self, ArrivalSpec::OneShot)
+    }
+
+    /// A deterministically re-seeded copy for repeat `salt` of a sweep
+    /// (`salt` 0 always returns `self` verbatim; `OneShot` is unchanged).
+    pub fn reseed(&self, salt: u64) -> ArrivalSpec {
+        let mut out = self.clone();
+        if salt > 0 {
+            if let ArrivalSpec::Poisson { seed, .. }
+            | ArrivalSpec::Bursty { seed, .. }
+            | ArrivalSpec::Hotspot { seed, .. } = &mut out
+            {
+                *seed = seed.wrapping_add(salt.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+            }
+        }
+        out
+    }
+
+    /// Materialize the issue schedule for `nodes`: exactly one
+    /// `(issue round, node)` entry per requester, sorted by round (ties
+    /// keep arrival order). Deterministic in `(self, nodes)`.
+    pub fn materialize(&self, nodes: &[NodeId]) -> Vec<(Round, NodeId)> {
         match *self {
-            ArrivalProcess::Batch => nodes.iter().map(|&v| (0, v)).collect(),
-            ArrivalProcess::Poisson { rate } => {
+            ArrivalSpec::OneShot => nodes.iter().map(|&v| (0, v)).collect(),
+            ArrivalSpec::Poisson { rate, seed } => {
                 let mut order = nodes.to_vec();
                 let mut st = Stream::new(seed);
                 st.shuffle(&mut order);
                 Self::space_out(order, rate, &mut st, |t| t)
             }
-            ArrivalProcess::Bursty { rate, on, off } => {
+            ArrivalSpec::Bursty { rate, on, off, seed } => {
                 let on = on.max(1);
                 let mut order = nodes.to_vec();
                 let mut st = Stream::new(seed);
@@ -180,7 +224,7 @@ impl ArrivalProcess {
                 // on/off window structure.
                 Self::space_out(order, rate, &mut st, |t| (t / on) * (on + off) + (t % on))
             }
-            ArrivalProcess::Zipf { rate, s } => {
+            ArrivalSpec::Hotspot { rate, s, seed } => {
                 let mut st = Stream::new(seed);
                 // Efraimidis–Spirakis weighted sampling without
                 // replacement: sort ascending by −ln(u)/w, weight of the
@@ -267,7 +311,8 @@ pub struct Paced<P: OnlineProtocol> {
 }
 
 impl<P: OnlineProtocol> Paced<P> {
-    /// Wrap `inner` (constructed in deferred mode) with `schedule`.
+    /// Wrap `inner` — built the way a one-shot run builds it — with
+    /// `schedule`.
     ///
     /// # Panics
     /// Panics if a node is scheduled twice.
@@ -451,7 +496,9 @@ impl<P: OnlineProtocol> Protocol for Paced<P> {
         if !self.shard_of.is_empty() {
             api.enable_shard_accounting(self.shard_of.clone());
         }
-        self.inner.on_start(api);
+        // Not `inner.on_start`: that is the one-shot start, which issues
+        // every request itself.
+        self.inner.on_paced_start(api);
         self.issue_due(api, 0);
     }
 
@@ -515,37 +562,37 @@ mod tests {
 
     #[test]
     fn batch_is_all_zero() {
-        let s = ArrivalProcess::Batch.schedule(&nodes(7), 3);
+        let s = ArrivalSpec::OneShot.materialize(&nodes(7));
         check_complete(&s, 7);
         assert!(s.iter().all(|&(r, _)| r == 0));
     }
 
     #[test]
     fn poisson_is_deterministic_and_complete() {
-        let p = ArrivalProcess::Poisson { rate: 0.25 };
-        let a = p.schedule(&nodes(40), 11);
-        let b = p.schedule(&nodes(40), 11);
+        let p = ArrivalSpec::Poisson { rate: 0.25, seed: 11 };
+        let a = p.materialize(&nodes(40));
+        let b = p.materialize(&nodes(40));
         assert_eq!(a, b);
         check_complete(&a, 40);
         // A different seed (almost surely) yields a different schedule.
-        let c = p.schedule(&nodes(40), 12);
+        let c = ArrivalSpec::Poisson { rate: 0.25, seed: 12 }.materialize(&nodes(40));
         assert_ne!(a, c);
         // rate 1 ⇒ everything lands at round 0 (the batch special case).
-        let dense = ArrivalProcess::Poisson { rate: 1.0 }.schedule(&nodes(10), 5);
+        let dense = ArrivalSpec::Poisson { rate: 1.0, seed: 5 }.materialize(&nodes(10));
         assert!(dense.iter().all(|&(r, _)| r == 0));
     }
 
     #[test]
     fn poisson_rate_controls_spread() {
-        let slow = ArrivalProcess::Poisson { rate: 0.05 }.schedule(&nodes(50), 7);
-        let fast = ArrivalProcess::Poisson { rate: 0.9 }.schedule(&nodes(50), 7);
+        let slow = ArrivalSpec::Poisson { rate: 0.05, seed: 7 }.materialize(&nodes(50));
+        let fast = ArrivalSpec::Poisson { rate: 0.9, seed: 7 }.materialize(&nodes(50));
         assert!(slow.last().unwrap().0 > fast.last().unwrap().0);
     }
 
     #[test]
     fn bursty_respects_windows() {
-        let p = ArrivalProcess::Bursty { rate: 1.0, on: 3, off: 10 };
-        let s = p.schedule(&nodes(9), 1);
+        let p = ArrivalSpec::Bursty { rate: 1.0, on: 3, off: 10, seed: 1 };
+        let s = p.materialize(&nodes(9));
         check_complete(&s, 9);
         // rate 1 on 3-on/10-off: arrivals at rounds 0,1,2, 13,14,15, 26,…
         for &(r, _) in &s {
@@ -554,11 +601,10 @@ mod tests {
     }
 
     #[test]
-    fn zipf_skews_early_arrivals_to_low_ids() {
-        let p = ArrivalProcess::Zipf { rate: 0.5, s: 2.5 };
+    fn hotspot_skews_early_arrivals_to_low_ids() {
         let mut early_front = 0usize;
         for seed in 0..40 {
-            let s = p.schedule(&nodes(30), seed);
+            let s = ArrivalSpec::Hotspot { rate: 0.5, s: 2.5, seed }.materialize(&nodes(30));
             check_complete(&s, 30);
             if s[0].1 < 5 {
                 early_front += 1;
@@ -570,14 +616,27 @@ mod tests {
     }
 
     #[test]
-    fn names_render() {
-        assert_eq!(ArrivalProcess::Batch.name(), "batch");
-        assert_eq!(ArrivalProcess::Poisson { rate: 0.2 }.name(), "poisson(rate=0.2)");
-        assert_eq!(
-            ArrivalProcess::Bursty { rate: 0.5, on: 4, off: 8 }.name(),
-            "bursty(rate=0.5,on=4,off=8)"
-        );
-        assert_eq!(ArrivalProcess::Zipf { rate: 0.2, s: 1.1 }.name(), "zipf(rate=0.2,s=1.1)");
+    fn arrival_specs_name_and_reseed() {
+        let p = ArrivalSpec::Poisson { rate: 0.2, seed: 1 };
+        assert_eq!(p.name(), "poisson(rate=0.2,seed=1)");
+        assert!(p.is_open());
+        assert!(!ArrivalSpec::OneShot.is_open());
+        assert_eq!(ArrivalSpec::OneShot.name(), "oneshot");
+        assert_eq!(p.reseed(0), p);
+        assert_ne!(p.reseed(1), p);
+        assert_eq!(ArrivalSpec::OneShot.reseed(7), ArrivalSpec::OneShot);
+        let b = ArrivalSpec::Bursty { rate: 0.5, on: 4, off: 8, seed: 2 };
+        assert_eq!(b.name(), "bursty(rate=0.5,on=4,off=8,seed=2)");
+        let h = ArrivalSpec::Hotspot { rate: 0.2, s: 1.1, seed: 3 };
+        assert_eq!(h.name(), "hotspot(rate=0.2,s=1.1,seed=3)");
+        // Reseeding keeps the shape, changes only the schedule seed.
+        match h.reseed(2) {
+            ArrivalSpec::Hotspot { rate, s, seed } => {
+                assert_eq!((rate, s), (0.2, 1.1));
+                assert_ne!(seed, 3);
+            }
+            other => panic!("reseed changed variant: {other:?}"),
+        }
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //!   by default or a [`LinkDelay`] policy (per-link constants, seeded
 //!   per-message jitter — the §2.1 asynchronous regime);
 //! * requests may all start at round 0 (the paper's one-shot batch) or
-//!   arrive over time via an [`ArrivalProcess`] schedule driving a
+//!   arrive over time via an [`ArrivalSpec`] schedule driving a
 //!   [`Paced`] protocol, optionally gated by an [`AdmissionPolicy`]
 //!   (backpressure: drop, delay or AIMD-throttle arrivals against the
 //!   live backlog — see [`admission`]);
@@ -68,7 +68,7 @@ pub mod trace;
 pub mod transport;
 
 pub use admission::{Admission, AdmissionController, AdmissionPolicy};
-pub use arrival::{issue_all, ArrivalProcess, OnlineProtocol, Paced};
+pub use arrival::{issue_all, ArrivalSpec, OnlineProtocol, Paced};
 pub use engine::{SimError, Simulator};
 pub use probe::{fnv1a, Checkpoint, NodeDigest, Phase, PhaseTimings, ProbeSpec};
 pub use protocol::{with_slice, Protocol, SimApi, SliceApi};

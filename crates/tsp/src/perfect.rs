@@ -24,16 +24,6 @@ pub fn f_recurrence(k: u32) -> u64 {
     f
 }
 
-/// Check Lemma 4.8 (`f(k) < 2^{k+2}`) for `k` in `0..=max_k`. Returns the
-/// first violating `k`, if any (there is none; used as an executable proof
-/// audit).
-pub fn check_f_bound(max_k: u32) -> Option<u32> {
-    (0..=max_k.min(61)).find(|&k| {
-        let bound = 1u64.checked_shl(k + 2).unwrap_or(u64::MAX);
-        f_recurrence(k) >= bound
-    })
-}
-
 /// `cost(ℓ)` for every level of `tree`, for the given tour:
 /// `result[ℓ]` sums the successor-distances of visited vertices at depth ℓ.
 pub fn level_costs(tree: &Tree, tour: &NnTour) -> Vec<u64> {
@@ -88,7 +78,10 @@ mod tests {
 
     #[test]
     fn lemma_4_8_audit() {
-        assert_eq!(check_f_bound(61), None);
+        // Lemma 4.8: f(k) < 2^{k+2}, for every k whose bound fits a u64.
+        for k in 0..=61 {
+            assert!(f_recurrence(k) < 1u64 << (k + 2), "k = {k}");
+        }
     }
 
     #[test]

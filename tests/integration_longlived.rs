@@ -1,8 +1,8 @@
 //! Integration tests for the long-lived extension and the asynchronous
 //! (jittered) model across topologies — correctness must be independent of
 //! arrival schedules and link-delay schedules. Long-lived arrivals run the
-//! plain [`ArrowProtocol`] (deferred mode) through the generic
-//! [`ccq_repro::sim::Paced`] wrapper — the bespoke long-lived shim is gone.
+//! plain [`ArrowProtocol`] through the generic [`ccq_repro::sim::Paced`]
+//! wrapper — the bespoke long-lived shim is gone.
 
 use ccq_repro::graph::{NodeId, Tree};
 use ccq_repro::prelude::*;
@@ -11,12 +11,14 @@ use ccq_repro::sim::{run_protocol, Paced, Round, SimConfig, Simulator};
 use rand::prelude::*;
 use rand::rngs::StdRng;
 
-/// The arrow protocol under an arrival schedule, via [`Paced`].
+/// The arrow protocol under an arrival schedule, via [`Paced`]. The
+/// protocol is built exactly as a one-shot run builds it — there is no mode
+/// to set: `Paced` never calls the wrapped protocol's self-issuing
+/// `on_start`.
 fn paced_arrow(tree: &Tree, tail: NodeId, schedule: &[(Round, NodeId)]) -> Paced<ArrowProtocol> {
     let mut requesters: Vec<NodeId> = schedule.iter().map(|&(_, v)| v).collect();
     requesters.sort_unstable();
-    let arrow = ArrowProtocol::new(tree, tail, &requesters).deferred(true);
-    Paced::new(arrow, schedule.to_vec())
+    Paced::new(ArrowProtocol::new(tree, tail, &requesters), schedule.to_vec())
 }
 
 /// Issue round per node (`Round::MAX` = never requests).
@@ -39,6 +41,14 @@ fn run_longlived(
     let requesters = proto.requesters();
     let issue = issue_rounds(tree.n(), schedule);
     let rep = run_protocol(&g, proto, cfg).unwrap();
+    // Every requester issues and completes exactly once (a wrapped protocol
+    // that also started itself would issue each of them twice).
+    let mut issued: Vec<NodeId> = rep.issues.iter().map(|i| i.node).collect();
+    issued.sort_unstable();
+    assert_eq!(issued, requesters);
+    let mut completed: Vec<NodeId> = rep.completions.iter().map(|c| c.node).collect();
+    completed.sort_unstable();
+    assert_eq!(completed, requesters);
     let pred_of: Vec<(NodeId, u64)> = rep.completions.iter().map(|c| (c.node, c.value)).collect();
     verify_total_order(&requesters, &pred_of).unwrap();
     (rep, issue)

@@ -7,7 +7,7 @@ use ccq_repro::counting::{verify_ranks, CombiningTreeProtocol, CountingNetworkPr
 use ccq_repro::graph::{spanning, topology, NodeId, Tree, TreeRouter};
 use ccq_repro::prelude::*;
 use ccq_repro::queuing::{verify_total_order, ArrowProtocol};
-use ccq_repro::sim::{run_protocol, ArrivalProcess, Lateness, Paced, Round, SimConfig};
+use ccq_repro::sim::{run_protocol, Lateness, Paced, Round, SimConfig};
 use ccq_repro::tsp::{decompose_runs, nn_tour, steiner_edge_count};
 use proptest::prelude::*;
 
@@ -148,13 +148,14 @@ proptest! {
     }
 }
 
-/// Every arrival-process shape under test, parameterized by `rate`.
-fn all_processes(rate: f64) -> Vec<ArrivalProcess> {
+/// Every arrival-process shape under test, parameterized by `rate` and
+/// `seed`.
+fn all_processes(rate: f64, seed: u64) -> Vec<ArrivalSpec> {
     vec![
-        ArrivalProcess::Batch,
-        ArrivalProcess::Poisson { rate },
-        ArrivalProcess::Bursty { rate, on: 5, off: 11 },
-        ArrivalProcess::Zipf { rate, s: 1.3 },
+        ArrivalSpec::OneShot,
+        ArrivalSpec::Poisson { rate, seed },
+        ArrivalSpec::Bursty { rate, on: 5, off: 11, seed },
+        ArrivalSpec::Hotspot { rate, s: 1.3, seed },
     ]
 }
 
@@ -171,9 +172,9 @@ proptest! {
         rate in 0.05f64..1.0,
     ) {
         let nodes: Vec<NodeId> = (0..n).collect();
-        for process in all_processes(rate) {
-            let a = process.schedule(&nodes, seed);
-            let b = process.schedule(&nodes, seed);
+        for process in all_processes(rate, seed) {
+            let a = process.materialize(&nodes);
+            let b = process.materialize(&nodes);
             prop_assert_eq!(&a, &b, "{} not deterministic", process.name());
             prop_assert_eq!(a.len(), n, "{} wrong total", process.name());
             let mut emitted: Vec<NodeId> = a.iter().map(|&(_, v)| v).collect();
@@ -196,12 +197,12 @@ proptest! {
         rate in 0.1f64..1.0,
     ) {
         use rayon::prelude::*;
-        for process in all_processes(rate) {
-            let serial = process.schedule(&(0..n).collect::<Vec<_>>(), seed);
+        for process in all_processes(rate, seed) {
+            let serial = process.materialize(&(0..n).collect::<Vec<_>>());
             let parallel: Vec<Vec<(Round, NodeId)>> = (0..16)
                 .collect::<Vec<u32>>()
                 .into_par_iter()
-                .map(|_| process.schedule(&(0..n).collect::<Vec<_>>(), seed))
+                .map(|_| process.materialize(&(0..n).collect::<Vec<_>>()))
                 .collect();
             for p in parallel {
                 prop_assert_eq!(&p, &serial, "{} differs under rayon", process.name());

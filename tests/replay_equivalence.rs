@@ -94,7 +94,7 @@ proptest! {
         // JSON is byte-identical to the unprobed one.
         let probed = run_spec_with(
             spec,
-            &build().with_checkpoint_every(1).with_node_hashes(true),
+            &build().with_probe(ProbeSpec::OFF.with_checkpoint_every(1).with_node_hashes(true)),
             mode,
             delay,
         )
@@ -230,12 +230,12 @@ proptest! {
             run_on_reference(spec, &scenario, mode, delay, |c| c.with_dense_scan(true)).unwrap()
         };
         let plain = run_spec_with(spec, &build(), mode, delay).unwrap();
-        let probed = dense(build().with_checkpoint_every(1));
+        let probed = dense(build().with_probe(ProbeSpec::OFF.with_checkpoint_every(1)));
         let rounds: Vec<u64> =
             probed.report.checkpoints.iter().map(|c| c.round).collect();
         let round = rounds[rounds.len() / 2];
         // Snapshot on the dense reference, resume on the frontier default.
-        let report = dense(build().with_snapshot_at(round)).report;
+        let report = dense(build().with_probe(ProbeSpec::OFF.with_snapshot_at(round))).report;
         let snap = Snapshot {
             version: CURRENT_VERSION,
             round,
@@ -314,8 +314,8 @@ fn snapshots_resume_across_wavefront_and_lockstep() {
             .with_wavefront(wavefront)
     };
     let plain = run_spec_with(spec, &build(None), mode, delay).unwrap();
-    let probed =
-        run_spec_with(spec, &build(Some(4)).with_checkpoint_every(2), mode, delay).unwrap();
+    let probe = ProbeSpec::OFF.with_checkpoint_every(2);
+    let probed = run_spec_with(spec, &build(Some(4)).with_probe(probe), mode, delay).unwrap();
     let rounds: Vec<u64> = probed.report.checkpoints.iter().map(|c| c.round).collect();
     let round = rounds[rounds.len() / 2];
     for (snap_wf, resume_wf) in [(None, Some(4)), (Some(4), None)] {
@@ -367,7 +367,7 @@ proptest! {
 
         let probed = run_spec_with(
             spec,
-            &build().with_checkpoint_every(1).with_node_hashes(true),
+            &build().with_probe(ProbeSpec::OFF.with_checkpoint_every(1).with_node_hashes(true)),
             mode,
             delay,
         )
@@ -514,4 +514,61 @@ fn resume_rejects_tampered_and_versioned_snapshots() {
     )
     .unwrap_err();
     assert!(err.to_string().contains("diverged"), "{err}");
+}
+
+/// Per registry protocol: FNV-1a 64 of its `--checkpoint-every 1` stream on
+/// `mesh2d:3`, one-shot and under `poisson:rate=0.5` + `adaptive:target=3`.
+/// Generated on the commit before the protocols lost their `deferred`
+/// constructor mode.
+const GOLDEN_STREAMS: [(&str, u64, u64); 10] = [
+    ("arrow", 0xcc9aab511da4e513, 0x4a6ee532de4065dc),
+    ("arrow+notify", 0xa80e7d0b04416cab, 0x2668bcd252e4271f),
+    ("central-queue", 0x8faf743336429cff, 0x92b4a1d07811e134),
+    ("combining-queue", 0x5812fb1e92905cc8, 0xb2691491f12386e9),
+    ("central-counter", 0x017e3597d3b8a89a, 0x70744fc239d4b724),
+    ("combining-tree", 0x08d3602d35473887, 0x161fa4ffa18808d3),
+    ("counting-network", 0xf457a417e2e97868, 0x78ce827e288b8e18),
+    ("periodic-network", 0x2604e51095595465, 0xe4b179e421fece68),
+    ("toggle-tree", 0x4f68407a7f7f6ca0, 0x08b0b45a9b9157bb),
+    ("crdt-counter", 0x420abd8b7d6b7591, 0xfac0f5367cd9c0bc),
+];
+
+/// Message `Debug` forms, `Paced::state_token` and the canonical state
+/// rendering are the `.ccqrec` compatibility format: they feed every
+/// checkpoint digest, so a recording made by one build replays on the next
+/// only while they hold still. The executor-independence tests above compare
+/// two runs of the *same* build and cannot see such a change; this table can.
+#[test]
+fn checkpoint_streams_match_the_golden_table() {
+    let probe = ProbeSpec::OFF.with_checkpoint_every(1);
+    let mesh = TopoSpec::Mesh2D { side: 3 };
+    let one_shot = Scenario::build(mesh.clone(), RequestPattern::All).with_probe(probe);
+    let open = Scenario::build_with(
+        mesh,
+        RequestPattern::All,
+        ArrivalSpec::Poisson { rate: 0.5, seed: 7 },
+    )
+    .with_admission(AdmissionSpec::Adaptive { target_backlog: 3, gain: 1 })
+    .with_probe(probe);
+    let actual: Vec<(&str, u64, u64)> = registry()
+        .iter()
+        .map(|spec| {
+            let digest = |scenario: &Scenario| {
+                let mode = spec.kind().paper_mode();
+                let out = run_spec_with(*spec, scenario, mode, LinkDelay::Unit).unwrap();
+                let stream: String = out
+                    .report
+                    .checkpoints
+                    .iter()
+                    .map(|c| {
+                        let [a, m, d, t] = [c.arrivals, c.mature, c.deliver, c.transmit];
+                        format!("{}:{a:016x}:{m:016x}:{d:016x}:{t:016x};", c.round)
+                    })
+                    .collect();
+                fnv1a(stream.as_bytes())
+            };
+            (spec.name(), digest(&one_shot), digest(&open))
+        })
+        .collect();
+    assert_eq!(actual, GOLDEN_STREAMS, "the checkpoint streams moved; read: {actual:#x?}");
 }
