@@ -211,7 +211,9 @@ impl Snapshot {
 }
 
 /// Run `spec` on `scenario` and capture a [`Snapshot`] at the transmit
-/// barrier of `round`. Fails constructively if the run quiesces first.
+/// barrier of `round`. Fails constructively if the run never executes
+/// `round`: it quiesced first, or the idle fast-forward jumped over it
+/// (the rounds a checkpointed run records are exactly the executed ones).
 pub fn snapshot_of(
     spec: &dyn ProtocolSpec,
     scenario: Scenario,
@@ -227,6 +229,11 @@ pub fn snapshot_of(
         (Some(digest), Some(state)) => {
             Ok(Snapshot { version: CURRENT_VERSION, round, digest, state })
         }
+        _ if out.report.rounds > round => Err(ReplayError::malformed(format!(
+            "round {round} was skipped by the idle fast-forward; the run lasted {} rounds \
+             — snapshot an executed round",
+            out.report.rounds
+        ))),
         _ => Err(ReplayError::malformed(format!(
             "run quiesced before the snapshot round {round} (lasted {} rounds)",
             out.report.rounds
@@ -542,18 +549,54 @@ mod tests {
         assert_eq!(resumed.order, plain.order);
     }
 
+    /// The same list under sparse open arrivals: the engine goes idle
+    /// between them, and the fast-forward to the next arrival skips rounds.
+    fn sparse_arrivals() -> Scenario {
+        Scenario::build_with(
+            TopoSpec::List { n: 9 },
+            RequestPattern::TailCluster { count: 3 },
+            ArrivalSpec::Poisson { rate: 0.05, seed: 3 },
+        )
+    }
+
     #[test]
     fn tampered_snapshots_fail_the_resume_check() {
-        let mut snap =
-            snapshot_of(&Arrow, far_cluster(), ModelMode::Expanded, LinkDelay::Unit, 3).unwrap();
-        snap.state.push('x');
-        let err = resume_from(&snap, &Arrow, far_cluster(), ModelMode::Expanded, LinkDelay::Unit)
-            .unwrap_err();
-        assert_eq!(err, ReplayError::Diverged { round: 3 });
-        // A run that quiesces before the requested round fails too.
-        let err = snapshot_of(&Arrow, far_cluster(), ModelMode::Expanded, LinkDelay::Unit, 10_000)
-            .unwrap_err();
-        assert!(err.to_string().contains("quiesced"), "{err}");
+        for (label, build) in
+            [("one-shot", far_cluster as fn() -> Scenario), ("open", sparse_arrivals)]
+        {
+            let snapshot =
+                |round| snapshot_of(&Arrow, build(), ModelMode::Expanded, LinkDelay::Unit, round);
+            let probe = ProbeSpec::OFF.with_checkpoint_every(1);
+            let probed = run_spec_with(
+                &Arrow,
+                &build().with_probe(probe),
+                ModelMode::Expanded,
+                LinkDelay::Unit,
+            )
+            .unwrap();
+            let executed: Vec<Round> = probed.report.checkpoints.iter().map(|c| c.round).collect();
+            let round = executed[executed.len() / 2];
+            let mut snap = snapshot(round).unwrap();
+            snap.state.push('x');
+            let err = resume_from(&snap, &Arrow, build(), ModelMode::Expanded, LinkDelay::Unit)
+                .unwrap_err();
+            assert_eq!(err, ReplayError::Diverged { round }, "{label}");
+            // A run that quiesces before the requested round fails too.
+            let err = snapshot(10_000).unwrap_err();
+            assert!(err.to_string().contains("quiesced"), "{label}: {err}");
+            // A round the idle fast-forward jumped over was never executed,
+            // and the error says so instead of claiming quiescence.
+            let skipped = (0..probed.report.rounds).find(|r| !executed.contains(r));
+            assert_eq!(skipped.is_some(), label == "open", "{label}: idle gap expected only open");
+            if let Some(r) = skipped {
+                let err = snapshot(r).unwrap_err().to_string();
+                assert!(
+                    err.contains(&format!("round {r} was skipped by the idle fast-forward"))
+                        && err.contains("snapshot an executed round"),
+                    "{label}: {err}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -9,9 +9,13 @@
 //! * [`crate::transport`] — wire scheduling: [`crate::LinkDelay`]
 //!   policies, the per-link FIFO clamp and the timing wheel
 //!   ([`crate::transport::Transport`]);
-//! * [`crate::scheduler`] — the phase ordering of one round (arrivals →
-//!   mature → deliver → transmit → quiescence/wakeup) and the generalized
-//!   delivery rule.
+//! * [`crate::scheduler`] — the one round loop and round body over the
+//!   phase ordering (arrivals → mature → deliver → transmit →
+//!   quiescence/wakeup), the generalized delivery rule, the lane (store +
+//!   wheel) whose walks every executor shares, and the monolithic
+//!   executor behind [`Simulator`]: one lane, no fork, ferry or harvest
+//!   batch — the hot loop of every unsharded run, and the oracle for every
+//!   mechanism the sharded executor adds.
 //!
 //! **Generalized delivery rule.** Under [`crate::LinkDelay::Unit`] (the
 //! paper's model) `d = 1`: a message handled at round `t` can be answered
@@ -26,12 +30,11 @@
 //! waiting is the measured contention, and the engine records the deepest
 //! in-port/outbox queues plus the open-operation backlog high-water mark.
 //!
-//! [`crate::shard::ShardedSimulator`] runs the same scheduler phases over
-//! per-shard state/transport instances, and the same
-//! [`Protocol::on_message`] on the same slices — which lets it run the
-//! delivery-phase handlers shard-parallel ([`SimConfig::parallel_apply`])
-//! with byte-identical results; see [`crate::shard`] for the replay
-//! argument.
+//! [`crate::shard::ShardedSimulator`] runs the same round skeleton over
+//! one lane per shard, and the same [`Protocol::on_message`] on the same
+//! slices — which lets it run the delivery-phase handlers shard-parallel
+//! ([`SimConfig::parallel_apply`]) with byte-identical results; see
+//! [`crate::shard`] for the replay argument.
 
 use crate::protocol::Protocol;
 use crate::report::{SimConfig, SimReport};
@@ -95,7 +98,8 @@ impl<'g, P: Protocol> Simulator<'g, P> {
     /// Run to quiescence (no queued or in-flight messages), returning the
     /// report and the final protocol state.
     pub fn run_with_state(self) -> Result<(SimReport, P), SimError> {
-        scheduler::run_single(self.graph, self.protocol, self.config)
+        let Simulator { graph, protocol, config: cfg } = self;
+        scheduler::run(graph, &cfg, protocol, || scheduler::Monolith::new(graph.n(), &cfg))
     }
 
     /// Run to quiescence, returning only the report.

@@ -144,6 +144,18 @@ pub struct PhaseTimings {
     pub max_round_micros: u64,
 }
 
+impl PhaseTimings {
+    /// The counter `phase`'s laps accrue into.
+    pub(crate) fn of(&mut self, phase: Phase) -> &mut u64 {
+        match phase {
+            Phase::Arrivals => &mut self.arrivals_micros,
+            Phase::Mature => &mut self.mature_micros,
+            Phase::Deliver => &mut self.deliver_micros,
+            Phase::Transmit => &mut self.transmit_micros,
+        }
+    }
+}
+
 /// Probe configuration, embedded in [`crate::SimConfig`]. The default is
 /// fully off: no hashing, no snapshot, no timing, no perturbation — and
 /// the engine does no probe work at all in that state.

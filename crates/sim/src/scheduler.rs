@@ -1,4 +1,5 @@
-//! The round scheduler: phase ordering over the state and transport layers.
+//! The round scheduler: the §2.1 round, written once, over the state and
+//! transport layers.
 //!
 //! One round `t` of the synchronous model executes phases in this fixed
 //! order, each owned by a layer below:
@@ -9,17 +10,11 @@
 //!    due at `t` into its destination's in-port
 //!    ([`crate::state::NodeStore`]), in (arrival, sequence) order;
 //! 3. **deliver (apply)** — each processor with pending in-port work (the
-//!    dirty frontier, walked in ascending id order; under
-//!    [`crate::SimConfig::dense_scan`] the reference executor walks every
-//!    processor) dequeues up to `recv_budget` in-port messages and hands
-//!    each to [`crate::Protocol::on_message`] on that processor's slice;
-//!    handler effects drain after every message. Every apply site calls
-//!    the handler the same way and keeps the same per-message order
-//!    (`note_delivery`, the handler's effects, `drain_api`): the
-//!    serialized global-order walk below and the sharded executor's
-//!    barrier walk call it directly, while its parallel path runs the
-//!    handlers inside each shard's task and replays their staged effects
-//!    here-equivalently at the round barrier;
+//!    dirty frontier, ascending id; under [`crate::SimConfig::dense_scan`]
+//!    the store's whole membership) dequeues up to `recv_budget` in-port
+//!    messages and hands each to [`crate::Protocol::on_message`] on its
+//!    slice; every apply site keeps the per-message order
+//!    `Ledger::note_delivery`, the handler's effects, `Ledger::drain`;
 //! 4. **transmit** — each processor with staged sends (again the frontier,
 //!    ascending id) dequeues up to `send_budget` outbox messages; each
 //!    receives the next global sequence number and is scheduled on the
@@ -28,28 +23,39 @@
 //!    (an O(1) counter check) the run either ends or fast-forwards to
 //!    [`crate::Protocol::next_active_round`].
 //!
+//! **One skeleton.** `run` is the only round loop and `lockstep_round`
+//! the only round body: validation, the time-0 start, the `round > 0`
+//! gates, the four barriers with their probe observations and timing laps,
+//! the quiescence / wakeup decision and the finish live here only. An
+//! executor implements `Phases` (statically dispatched) for what differs:
+//! the monolith below over one `Lane` (a store, a timing wheel, a frontier
+//! scratch), the sharded fabric ([`crate::shard`]) over K lanes plus the
+//! ferry. The lane's walks — the frontier choice, receive, maturity, the
+//! outbox walk — are the only copies; only deliver and transmit differ,
+//! and the monolith's are the fabric's oracle. The `Ledger` lent to every
+//! hook holds the report, the staging API and the phase clock.
+//!
 //! The invariant this layer owns is the *delivery rule*: a message handled
 //! at round `t` can be answered no earlier than round `t + 1` (handler
 //! sends enter the outbox, transmit in phase 4, and mature at `t + d`,
 //! `d ≥ 1`). The layers below own FIFO; the scheduler owns *when* each
-//! FIFO advances. The sharded executor ([`crate::shard`]) reuses these
-//! phases with per-shard state/transport instances and the same global
-//! sequence numbering, which is why its executions are operationally
-//! identical to this single-fabric loop whenever the inter-shard delay
-//! policy matches the intra-shard one.
+//! FIFO advances. Transmissions carry one run-global sequence numbering on
+//! every executor, which is why a sharded execution is operationally
+//! identical to the monolith's whenever the inter-shard delay policy
+//! matches the intra-shard one.
 
 use crate::probe::{self, Phase, PhaseTimings, Stopwatch};
 use crate::protocol::{Protocol, SimApi};
-use crate::report::{SimConfig, SimReport};
-use crate::state::NodeStore;
+use crate::report::{LinkDelay, SimConfig, SimReport};
+use crate::state::{Inbound, NodeStore};
 use crate::trace::{TraceEvent, TraceKind};
-use crate::transport::Transport;
+use crate::transport::{Transport, Wire};
 use crate::{Round, SimError};
 use ccq_graph::{Graph, NodeId};
 
 /// Reject configurations the engine cannot execute on `n` processors,
-/// constructively — the one check both executors run before round 0.
-pub(crate) fn validate_config(cfg: &SimConfig, n: usize) -> Result<(), SimError> {
+/// constructively — checked by [`run`] before round 0.
+fn validate_config(cfg: &SimConfig, n: usize) -> Result<(), SimError> {
     if cfg.send_budget < 1 {
         return Err(SimError::invalid_config("send_budget must be ≥ 1"));
     }
@@ -67,7 +73,7 @@ pub(crate) fn validate_config(cfg: &SimConfig, n: usize) -> Result<(), SimError>
 /// processors. Every apply site indexes `slices[v]`, and a short vector on
 /// the sharded executor would silently starve the uncovered members (their
 /// in-ports never drain and the run spins to `max_rounds`).
-pub(crate) fn validate_slices<P: Protocol>(protocol: &mut P, n: usize) -> Result<(), SimError> {
+fn validate_slices<P: Protocol>(protocol: &mut P, n: usize) -> Result<(), SimError> {
     if protocol.split().1.len() != n {
         return Err(SimError::invalid_config(
             "Protocol::split() must yield exactly one slice per processor",
@@ -76,102 +82,352 @@ pub(crate) fn validate_slices<P: Protocol>(protocol: &mut P, n: usize) -> Result
     Ok(())
 }
 
-/// Move staged sends/completions/issues from the API buffers into the
-/// engine: sends are validated against the graph and pushed through
-/// `stage` (which returns the new outbox depth), completions and issues
-/// are recorded in the report.
-pub(crate) fn drain_api<M>(
-    graph: &Graph,
-    api: &mut SimApi<M>,
-    report: &mut SimReport,
+/// What every executor's round shares, owned by [`run`] and lent to each
+/// [`Phases`] hook: the run's borrowed inputs, the report, the protocol's
+/// staging API and the phase clock.
+pub(crate) struct Ledger<'a, M> {
+    pub(crate) graph: &'a Graph,
+    pub(crate) cfg: &'a SimConfig,
+    pub(crate) report: SimReport,
+    pub(crate) api: SimApi<M>,
+    pub(crate) timing: PhaseTimings,
+    pub(crate) watch: Stopwatch,
+    /// Microseconds lapped so far in the current round.
+    round_micros: u64,
+}
+
+impl<M> Ledger<'_, M> {
+    /// Move staged sends/completions/issues from the API buffers into the
+    /// engine: sends are validated against the graph and pushed through
+    /// `stage` (which returns the new outbox depth), completions and issues
+    /// are recorded in the report.
+    pub(crate) fn drain(
+        &mut self,
+        round: Round,
+        mut stage: impl FnMut(NodeId, NodeId, M) -> usize,
+    ) -> Result<(), SimError> {
+        let (graph, trace) = (self.graph, self.cfg.trace);
+        let (api, report) = (&mut self.api, &mut self.report);
+        for (from, to, msg) in api.outgoing.drain(..) {
+            if from >= graph.n() || to >= graph.n() || !graph.has_edge(from, to) {
+                return Err(SimError::InvalidSend { from, to, round });
+            }
+            let depth = stage(from, to, msg);
+            report.max_outbox_depth = report.max_outbox_depth.max(depth);
+        }
+        // The three record kinds are `Copy`: read in place, then clear (which
+        // keeps the storage). Measured cheaper than a `Drain` on the buffers
+        // that are empty at most calls — every sparse round of an open-system
+        // run comes through here at least once.
+        for &i in &api.issued {
+            debug_assert_eq!(i.round, round, "issue round mismatch");
+            report.issues.push(i);
+            if trace {
+                report.trace.push(TraceEvent {
+                    round,
+                    kind: TraceKind::Issue,
+                    node: i.node,
+                    peer: i.node,
+                });
+            }
+        }
+        api.issued.clear();
+        for &c in &api.completed {
+            debug_assert_eq!(c.round, round, "completion round mismatch");
+            report.completions.push(c);
+            if trace {
+                report.trace.push(TraceEvent {
+                    round,
+                    kind: TraceKind::Complete,
+                    node: c.node,
+                    peer: c.node,
+                });
+            }
+        }
+        api.completed.clear();
+        // Admission-control accounting: shed arrivals and deferral counts
+        // (recorded by `Paced` during the arrivals phase; empty under the
+        // `Open` policy and for one-shot runs).
+        for &d in &api.dropped {
+            debug_assert_eq!(d.round, round, "drop round mismatch");
+            report.dropped.push(d);
+            if trace {
+                report.trace.push(TraceEvent {
+                    round,
+                    kind: TraceKind::Drop,
+                    node: d.node,
+                    peer: d.node,
+                });
+            }
+        }
+        api.dropped.clear();
+        report.delayed_admissions += std::mem::take(&mut api.delayed);
+        // Open-system backlog: operations issued but not yet completed
+        // (one-shot runs record no issues, so this stays 0 there).
+        report.backlog_high_water = report
+            .backlog_high_water
+            .max(report.issues.len().saturating_sub(report.completions.len()));
+        Ok(())
+    }
+
+    /// Receive-side bookkeeping of one delivery, shared by every apply
+    /// path: the per-node receive counter and the optional `Deliver` trace
+    /// event. Called immediately before the handler's effects (direct call
+    /// or replay) drain, so traces interleave identically on either path.
+    pub(crate) fn note_delivery(&mut self, round: Round, node: NodeId, src: NodeId) {
+        self.report.received_by_node[node] += 1;
+        if self.cfg.trace {
+            self.report.trace.push(TraceEvent { round, kind: TraceKind::Deliver, node, peer: src });
+        }
+    }
+
+    /// Sender-side bookkeeping of one lockstep transmission, shared by
+    /// both transmit walks: claim the next run-global sequence number and
+    /// trace the send; returns the number.
+    pub(crate) fn note_transmit(&mut self, round: Round, node: NodeId, peer: NodeId) -> u64 {
+        self.report.messages_sent += 1;
+        if self.cfg.trace {
+            self.report.trace.push(TraceEvent { round, kind: TraceKind::Transmit, node, peer });
+        }
+        self.report.messages_sent
+    }
+
+    /// Close the current stopwatch lap: add it to this round's total and
+    /// return it for the caller's phase counter.
+    pub(crate) fn lap(&mut self) -> u64 {
+        let micros = self.watch.lap();
+        self.round_micros += micros;
+        micros
+    }
+}
+
+/// The frontier choice: append the nodes of `store` that may hold work in
+/// the queues `take` lists, unsorted — that dirty list (members off it have
+/// empty queues), or under the dense reference scan the store's own member
+/// list.
+pub(crate) fn frontier_into<M>(
+    store: &mut NodeStore<M>,
+    cfg: &SimConfig,
+    take: impl FnOnce(&mut NodeStore<M>, &mut Vec<NodeId>),
+    out: &mut Vec<NodeId>,
+) {
+    if cfg.dense_scan {
+        out.extend(store.members());
+    } else {
+        take(store, out);
+    }
+}
+
+/// One fabric's state: a store, a timing wheel and a frontier scratch. The
+/// monolith holds one lane, the sharded fabric one per shard plus the
+/// ferry; the walks below are the only copies of what they do.
+pub(crate) struct Lane<M> {
+    pub(crate) store: NodeStore<M>,
+    pub(crate) transport: Transport<M>,
+    /// Reusable frontier scratch (capacity retained across rounds, so
+    /// steady state allocates nothing here).
+    pub(crate) frontier: Vec<NodeId>,
+}
+
+impl<M> Lane<M> {
+    pub(crate) fn new(store: NodeStore<M>, delay: LinkDelay) -> Self {
+        Lane { store, transport: Transport::new(delay), frontier: Vec::new() }
+    }
+
+    /// Maturity: move every wire of the lane's wheel due at `round`, merged
+    /// with the due ferry wires `ferry_due` in (arrival, sequence) order,
+    /// into the in-ports; returns the deepest in-port observed. The wheel
+    /// drains in that order already, so wires are collected and sorted only
+    /// when ferry wires are actually merged in.
+    pub(crate) fn mature(&mut self, round: Round, mut ferry_due: Vec<Wire<M>>) -> usize {
+        let store = &mut self.store;
+        let mut max_depth = 0usize;
+        let mut enqueue = |w: Wire<M>| {
+            let inbound = Inbound { src: w.src, arrival: w.arrival, msg: w.msg };
+            max_depth = max_depth.max(store.enqueue(w.dst, inbound));
+        };
+        if ferry_due.is_empty() {
+            let mut last = (0, 0);
+            self.transport.drain_due(round, |w| {
+                debug_assert!((w.arrival, w.seq) > last, "wheel drained out of order");
+                last = (w.arrival, w.seq);
+                enqueue(w);
+            });
+        } else {
+            self.transport.drain_due(round, |w| ferry_due.push(w));
+            ferry_due.sort_unstable_by_key(|w| (w.arrival, w.seq));
+            ferry_due.into_iter().for_each(enqueue);
+        }
+        max_depth
+    }
+
+    /// The receive walk, shared by every apply path and the wave: visit the
+    /// in-port frontier in ascending node order, skip (and re-list) a
+    /// crashed node, pop up to `recv_budget` messages per live node and
+    /// hand each to `deliver` along with the store (so a caller that
+    /// drains handler effects itself can stage sends there). Returns the
+    /// queue-wait rounds accrued, or the first error `deliver` reports.
+    pub(crate) fn receive(
+        &mut self,
+        round: Round,
+        cfg: &SimConfig,
+        mut deliver: impl FnMut(&mut NodeStore<M>, NodeId, Inbound<M>) -> Result<(), SimError>,
+    ) -> Result<u64, SimError> {
+        let Lane { store, frontier, .. } = self;
+        frontier.clear();
+        frontier_into(store, cfg, NodeStore::take_inport_frontier, frontier);
+        frontier.sort_unstable();
+        let mut queue_wait = 0u64;
+        for &v in frontier.iter() {
+            if cfg.faults.is_down(v, round) {
+                // Crashed: the in-port freezes in place (neighbours keep
+                // buffering over reliable FIFO wires) — re-list so the
+                // pending work survives to the recovery round.
+                store.relist_inport(v);
+                continue;
+            }
+            for _ in 0..cfg.recv_budget {
+                let Some(inb) = store.pop_inport(v) else { break };
+                queue_wait += round - inb.arrival;
+                deliver(store, v, inb)?;
+            }
+        }
+        Ok(queue_wait)
+    }
+
+    /// The outbox walk of one lane: visit the outbox frontier in ascending
+    /// node order; a node [`SimConfig::holds_transmit`] holds keeps its
+    /// sends and is re-listed, any other pops up to `send_budget` and hands
+    /// each `(sender, destination, payload)` to `send` with the lane's
+    /// wheel.
+    pub(crate) fn send_walk(
+        &mut self,
+        cfg: &SimConfig,
+        round: Round,
+        mut send: impl FnMut(&mut Transport<M>, NodeId, NodeId, M),
+    ) {
+        let Lane { store, transport, frontier } = self;
+        frontier.clear();
+        frontier_into(store, cfg, NodeStore::take_outbox_frontier, frontier);
+        frontier.sort_unstable();
+        for &v in frontier.iter() {
+            if cfg.holds_transmit(round, v) {
+                store.relist_outbox(v);
+                continue;
+            }
+            for _ in 0..cfg.send_budget {
+                let Some((dst, msg)) = store.pop_outbox(v) else { break };
+                send(transport, v, dst, msg);
+            }
+        }
+    }
+
+    /// Whether the lane's queues and wheel are all empty.
+    pub(crate) fn is_idle(&self) -> bool {
+        self.store.is_idle() && self.transport.is_idle()
+    }
+}
+
+/// The parts of the round in which the executors differ, implemented by
+/// the monolith and the sharded fabric. [`lockstep_round`] calls the four
+/// phase hooks between its barriers; [`run`] calls [`Phases::step`] once
+/// per loop iteration.
+pub(crate) trait Phases<P: Protocol> {
+    /// Take the effects staged in the arrivals phase (or the time-0 start)
+    /// into the report and the senders' outboxes.
+    fn arrivals(&mut self, led: &mut Ledger<'_, P::Msg>, round: Round) -> Result<(), SimError>;
+
+    /// Move every wire due at `round` into its destination's in-port.
+    fn mature(&mut self, led: &mut Ledger<'_, P::Msg>, round: Round);
+
+    /// Deliver up to `recv_budget` messages per live node and apply their
+    /// handlers, draining effects in ascending node order.
+    fn deliver(
+        &mut self,
+        led: &mut Ledger<'_, P::Msg>,
+        protocol: &mut P,
+        round: Round,
+    ) -> Result<(), SimError>;
+
+    /// Number and put on the wire up to `send_budget` staged sends per
+    /// node, in ascending node order.
+    fn transmit(&mut self, led: &mut Ledger<'_, P::Msg>, round: Round);
+
+    /// Hash the state at one phase barrier of an observed round.
+    fn observe(&mut self, led: &mut Ledger<'_, P::Msg>, round: Round, phase: Phase, token: &str);
+
+    /// Whether every queue and wheel is empty.
+    fn idle(&self) -> bool;
+
+    /// Execute from `round` up to the next quiescence / wakeup decision and
+    /// return the round it falls on and whether the executor was idle
+    /// there: one lockstep round, unless an executor can do more at once.
+    fn step(
+        &mut self,
+        led: &mut Ledger<'_, P::Msg>,
+        protocol: &mut P,
+        round: Round,
+    ) -> Result<(Round, bool), SimError> {
+        lockstep_round(self, led, protocol, round)?;
+        Ok((round, self.idle()))
+    }
+}
+
+/// One lockstep round — arrivals through transmit, each phase closed by
+/// its barrier. The first three phases are vacuous at round 0, whose
+/// barriers still observe, so every executor checkpoints round 0 alike.
+pub(crate) fn lockstep_round<P: Protocol, E: Phases<P> + ?Sized>(
+    exec: &mut E,
+    led: &mut Ledger<'_, P::Msg>,
+    protocol: &mut P,
     round: Round,
-    trace: bool,
-    mut stage: impl FnMut(NodeId, NodeId, M) -> usize,
 ) -> Result<(), SimError> {
-    for (from, to, msg) in api.outgoing.drain(..) {
-        if from >= graph.n() || to >= graph.n() || !graph.has_edge(from, to) {
-            return Err(SimError::InvalidSend { from, to, round });
-        }
-        let depth = stage(from, to, msg);
-        report.max_outbox_depth = report.max_outbox_depth.max(depth);
+    let observe = led.cfg.probe.observes(round);
+    led.watch.reset();
+    led.round_micros = 0;
+    if round > 0 {
+        led.api.set_round(round);
+        protocol.on_round(&mut led.api, round);
+        exec.arrivals(led, round)?;
     }
-    // The three record kinds are `Copy`: read in place, then clear (which
-    // keeps the storage). Measured cheaper than a `Drain` on the buffers
-    // that are empty at most calls — every sparse round of an open-system
-    // run comes through here at least once.
-    for &i in &api.issued {
-        debug_assert_eq!(i.round, round, "issue round mismatch");
-        report.issues.push(i);
-        if trace {
-            report.trace.push(TraceEvent {
-                round,
-                kind: TraceKind::Issue,
-                node: i.node,
-                peer: i.node,
-            });
-        }
+    barrier(exec, led, protocol, round, Phase::Arrivals, observe);
+    if round > 0 {
+        exec.mature(led, round);
     }
-    api.issued.clear();
-    for &c in &api.completed {
-        debug_assert_eq!(c.round, round, "completion round mismatch");
-        report.completions.push(c);
-        if trace {
-            report.trace.push(TraceEvent {
-                round,
-                kind: TraceKind::Complete,
-                node: c.node,
-                peer: c.node,
-            });
-        }
+    barrier(exec, led, protocol, round, Phase::Mature, observe);
+    if round > 0 {
+        exec.deliver(led, protocol, round)?;
     }
-    api.completed.clear();
-    // Admission-control accounting: shed arrivals and deferral counts
-    // (recorded by `Paced` during the arrivals phase; empty under the
-    // `Open` policy and for one-shot runs).
-    for &d in &api.dropped {
-        debug_assert_eq!(d.round, round, "drop round mismatch");
-        report.dropped.push(d);
-        if trace {
-            report.trace.push(TraceEvent {
-                round,
-                kind: TraceKind::Drop,
-                node: d.node,
-                peer: d.node,
-            });
-        }
-    }
-    api.dropped.clear();
-    report.delayed_admissions += std::mem::take(&mut api.delayed);
-    // Open-system backlog: operations issued but not yet completed
-    // (one-shot runs record no issues, so this stays 0 there).
-    report.backlog_high_water =
-        report.backlog_high_water.max(report.issues.len().saturating_sub(report.completions.len()));
+    barrier(exec, led, protocol, round, Phase::Deliver, observe);
+    exec.transmit(led, round);
+    barrier(exec, led, protocol, round, Phase::Transmit, observe);
+    led.timing.max_round_micros = led.timing.max_round_micros.max(led.round_micros);
     Ok(())
 }
 
-/// Receive-side bookkeeping of one delivery, shared by every apply path:
-/// the per-node receive counter and the optional `Deliver` trace event.
-/// Called immediately before the handler's effects (direct call or replay)
-/// drain, so traces interleave identically on either path.
-pub(crate) fn note_delivery(
-    report: &mut SimReport,
+/// The barrier after `phase`: close its timing lap and, in an observed
+/// round, hash the state there.
+fn barrier<P: Protocol, E: Phases<P> + ?Sized>(
+    exec: &mut E,
+    led: &mut Ledger<'_, P::Msg>,
+    protocol: &P,
     round: Round,
-    trace: bool,
-    node: NodeId,
-    src: NodeId,
+    phase: Phase,
+    observe: bool,
 ) {
-    report.received_by_node[node] += 1;
-    if trace {
-        report.trace.push(TraceEvent { round, kind: TraceKind::Deliver, node, peer: src });
+    let micros = led.lap();
+    *led.timing.of(phase) += micros;
+    if observe {
+        exec.observe(led, round, phase, &protocol.state_token());
+        led.watch.reset();
     }
 }
 
-/// The quiescence / wakeup phase, shared by both executors: given whether
-/// every queue and wheel is idle, decide the next round — `None` ends the
-/// run, otherwise the clock advances by one or fast-forwards to the
-/// protocol's next scheduled wakeup. The `max_rounds` guard applies to
-/// both kinds of advance.
-pub(crate) fn advance_round<P: Protocol>(
+/// The quiescence / wakeup phase: given whether every queue and wheel is
+/// idle, decide the next round — `None` ends the run, otherwise the clock
+/// advances by one or fast-forwards to the protocol's next scheduled
+/// wakeup. The `max_rounds` guard applies to both kinds of advance.
+fn advance_round<P: Protocol>(
     protocol: &P,
     idle: bool,
     round: Round,
@@ -191,215 +447,128 @@ pub(crate) fn advance_round<P: Protocol>(
     Ok(Some(next))
 }
 
-/// Run `protocol` on `graph` to quiescence over a single state store and a
-/// single transport — the monolithic executor behind [`crate::Simulator`].
-pub(crate) fn run_single<P: Protocol>(
+/// Run `protocol` on `graph` to quiescence on the executor `build` makes —
+/// the one round loop of both [`crate::Simulator`] and
+/// [`crate::ShardedSimulator`]. `build` runs after the shared validation
+/// and may reject what its executor cannot honour.
+pub(crate) fn run<P: Protocol, E: Phases<P>>(
     graph: &Graph,
+    cfg: &SimConfig,
     mut protocol: P,
-    cfg: SimConfig,
+    build: impl FnOnce() -> Result<E, SimError>,
 ) -> Result<(SimReport, P), SimError> {
     let n = graph.n();
-    validate_config(&cfg, n)?;
+    validate_config(cfg, n)?;
     validate_slices(&mut protocol, n)?;
-    if cfg.parallel_apply {
-        // No silent fallback: the single-fabric executor applies handlers
-        // in serialized global order by construction.
-        return Err(SimError::invalid_config(
-            "parallel_apply requires the sharded executor (ShardedSimulator::run); \
-             the single-fabric Simulator cannot honour it",
-        ));
-    }
-    if cfg.wavefront_lag > 0 {
-        // Likewise no silent fallback: a wavefront needs per-shard round
-        // clocks, which the single fabric does not have.
-        return Err(SimError::invalid_config(
-            "wavefront pipelining requires the sharded executor (ShardedSimulator::run); \
-             the single-fabric Simulator cannot honour it",
-        ));
-    }
-    let mut report = SimReport {
-        delay_scale: cfg.delay_scale,
-        received_by_node: vec![0; n],
-        ..Default::default()
+    let mut exec = build()?;
+    let mut led = Ledger {
+        graph,
+        cfg,
+        report: SimReport {
+            delay_scale: cfg.delay_scale,
+            received_by_node: vec![0; n],
+            ..Default::default()
+        },
+        api: SimApi::new(),
+        timing: PhaseTimings::default(),
+        watch: Stopwatch::new(cfg.probe.timing),
+        round_micros: 0,
     };
-    let mut store: NodeStore<P::Msg> = NodeStore::new(n);
-    let mut transport: Transport<P::Msg> = Transport::new(cfg.link_delay);
-    let mut api: SimApi<P::Msg> = SimApi::new();
-    // Reusable frontier scratch: the deliver and transmit phases visit
-    // only the nodes with pending work (or all of `0..n` under the dense
-    // reference scan); the buffer's capacity is retained across rounds so
-    // steady state allocates nothing here.
-    let mut frontier: Vec<NodeId> = Vec::new();
-
-    let mut timing = PhaseTimings::default();
-    let mut watch = Stopwatch::new(cfg.probe.timing);
 
     // Time 0: every requester issues its operation.
-    protocol.on_start(&mut api);
-    drain_api(graph, &mut api, &mut report, 0, cfg.trace, |f, t, m| store.stage(f, t, m))?;
+    protocol.on_start(&mut led.api);
+    exec.arrivals(&mut led, 0)?;
 
     let mut round: Round = 0;
-    loop {
-        // Probe observations happen at every phase barrier of an observed
-        // round, outside the `round > 0` gate, so round 0 (whose first
-        // three phases are vacuous) still checkpoints consistently on
-        // every executor.
-        let observe = cfg.probe.observes(round);
-        watch.reset();
-        let mut round_micros = 0u64;
-        if round > 0 {
-            // Arrivals phase.
-            api.set_round(round);
-            protocol.on_round(&mut api, round);
-            drain_api(graph, &mut api, &mut report, round, cfg.trace, |f, t, m| {
-                store.stage(f, t, m)
-            })?;
-        }
-        round_micros += lap_into(&mut watch, &mut timing.arrivals_micros);
-        if observe {
-            probe::observe_phase(
-                &cfg.probe,
-                round,
-                Phase::Arrivals,
-                &[&store],
-                &[&transport],
-                &protocol.state_token(),
-                &mut report,
-            );
-            watch.reset();
-        }
-        if round > 0 {
-            // Maturity phase: due wires move into in-port FIFOs.
-            transport.drain_due(round, |w| {
-                let inbound = crate::state::Inbound { src: w.src, arrival: w.arrival, msg: w.msg };
-                let depth = store.enqueue(w.dst, inbound);
-                report.max_inport_depth = report.max_inport_depth.max(depth);
-            });
-        }
-        round_micros += lap_into(&mut watch, &mut timing.mature_micros);
-        if observe {
-            probe::observe_phase(
-                &cfg.probe,
-                round,
-                Phase::Mature,
-                &[&store],
-                &[&transport],
-                &protocol.state_token(),
-                &mut report,
-            );
-            watch.reset();
-        }
-        if round > 0 {
-            // Delivery phase: visit the in-port frontier in ascending node
-            // order — byte-identical to the dense scan because every node
-            // off the frontier has an empty in-port and would pop nothing.
-            frontier.clear();
-            if cfg.dense_scan {
-                frontier.extend(0..n);
-            } else {
-                store.take_inport_frontier(&mut frontier);
-                frontier.sort_unstable();
-            }
-            let (shared, slices) = protocol.split();
-            let mut sapi = api.lend_slice_api(0);
-            for &v in &frontier {
-                if cfg.faults.is_down(v, round) {
-                    // Crashed: the in-port freezes in place (neighbours
-                    // keep buffering over reliable FIFO wires) — re-list
-                    // so the pending work survives to the recovery round.
-                    store.relist_inport(v);
-                    continue;
-                }
-                sapi.set_node(v);
-                for _ in 0..cfg.recv_budget {
-                    let Some(inb) = store.pop_inport(v) else { break };
-                    report.queue_wait_rounds += round - inb.arrival;
-                    note_delivery(&mut report, round, cfg.trace, v, inb.src);
-                    P::on_message(shared, &mut slices[v], &mut sapi, v, inb.src, inb.msg);
-                    sapi.replay_into(&mut api);
-                    drain_api(graph, &mut api, &mut report, round, cfg.trace, |f, t, m| {
-                        store.stage(f, t, m)
-                    })?;
-                }
-            }
-            api.reclaim(sapi);
-        }
-        round_micros += lap_into(&mut watch, &mut timing.deliver_micros);
-        if observe {
-            probe::observe_phase(
-                &cfg.probe,
-                round,
-                Phase::Deliver,
-                &[&store],
-                &[&transport],
-                &protocol.state_token(),
-                &mut report,
-            );
-            watch.reset();
-        }
-
-        // Transmit phase: visit the outbox frontier in ascending node
-        // order, so the run-global sequence numbers are assigned exactly
-        // as the dense scan would.
-        frontier.clear();
-        if cfg.dense_scan {
-            frontier.extend(0..n);
-        } else {
-            store.take_outbox_frontier(&mut frontier);
-            frontier.sort_unstable();
-        }
-        for &v in &frontier {
-            if cfg.holds_transmit(round, v) {
-                store.relist_outbox(v);
-                continue;
-            }
-            for _ in 0..cfg.send_budget {
-                let Some((dst, msg)) = store.pop_outbox(v) else { break };
-                report.messages_sent += 1;
-                if cfg.trace {
-                    report.trace.push(TraceEvent {
-                        round,
-                        kind: TraceKind::Transmit,
-                        node: v,
-                        peer: dst,
-                    });
-                }
-                transport.transmit(v, dst, msg, round, report.messages_sent);
-            }
-        }
-        round_micros += lap_into(&mut watch, &mut timing.transmit_micros);
-        timing.max_round_micros = timing.max_round_micros.max(round_micros);
-        if observe {
-            probe::observe_phase(
-                &cfg.probe,
-                round,
-                Phase::Transmit,
-                &[&store],
-                &[&transport],
-                &protocol.state_token(),
-                &mut report,
-            );
-        }
-
-        // Quiescence / wakeup phase.
-        let idle = store.is_idle() && transport.is_idle();
-        match advance_round(&protocol, idle, round, cfg.max_rounds)? {
+    let last = loop {
+        let (at, idle) = exec.step(&mut led, &mut protocol, round)?;
+        match advance_round(&protocol, idle, at, cfg.max_rounds)? {
             Some(next) => round = next,
-            None => break,
+            None => break at,
         }
-    }
-    report.rounds = round;
+    };
+    let mut report = led.report;
+    report.rounds = last;
     report.record_fault_events(&cfg.faults);
     if cfg.probe.timing {
-        report.phase_timing = Some(timing);
+        report.phase_timing = Some(led.timing);
     }
     Ok((report, protocol))
 }
 
-/// Advance `watch` one lap, accumulating into the phase counter and
-/// returning the lap for the per-round total (shared with [`crate::shard`]).
-pub(crate) fn lap_into(watch: &mut Stopwatch, counter: &mut u64) -> u64 {
-    let micros = watch.lap();
-    *counter += micros;
-    micros
+/// The single-fabric executor: every processor in one [`Lane`].
+pub(crate) struct Monolith<M> {
+    lane: Lane<M>,
+}
+
+impl<M> Monolith<M> {
+    /// One full-range lane, after rejecting (no silent fallback) the
+    /// strategy flags that need shards to apply in or to pipeline.
+    pub(crate) fn new(n: usize, cfg: &SimConfig) -> Result<Self, SimError> {
+        let flags = [
+            (cfg.parallel_apply, "parallel_apply"),
+            (cfg.wavefront_lag > 0, "wavefront pipelining"),
+        ];
+        if let Some((_, flag)) = flags.into_iter().find(|&(on, _)| on) {
+            return Err(SimError::invalid_config(format!(
+                "{flag} requires the sharded executor (ShardedSimulator::run); \
+                 the single-fabric Simulator cannot honour it"
+            )));
+        }
+        Ok(Monolith { lane: Lane::new(NodeStore::new(n), cfg.link_delay) })
+    }
+}
+
+impl<P: Protocol> Phases<P> for Monolith<P::Msg> {
+    fn arrivals(&mut self, led: &mut Ledger<'_, P::Msg>, round: Round) -> Result<(), SimError> {
+        let store = &mut self.lane.store;
+        led.drain(round, |f, t, m| store.stage(f, t, m))
+    }
+
+    fn mature(&mut self, led: &mut Ledger<'_, P::Msg>, round: Round) {
+        let depth = self.lane.mature(round, Vec::new());
+        led.report.max_inport_depth = led.report.max_inport_depth.max(depth);
+    }
+
+    /// The receive walk with the handler applied inline, its effects
+    /// drained after every message.
+    fn deliver(
+        &mut self,
+        led: &mut Ledger<'_, P::Msg>,
+        protocol: &mut P,
+        round: Round,
+    ) -> Result<(), SimError> {
+        let cfg = led.cfg;
+        let (shared, slices) = protocol.split();
+        let mut sapi = led.api.lend_slice_api(0);
+        let queue_wait = self.lane.receive(round, cfg, |store, v, inb| {
+            led.note_delivery(round, v, inb.src);
+            sapi.set_node(v);
+            P::on_message(shared, &mut slices[v], &mut sapi, v, inb.src, inb.msg);
+            sapi.replay_into(&mut led.api);
+            led.drain(round, |f, t, m| store.stage(f, t, m))
+        });
+        led.api.reclaim(sapi);
+        led.report.queue_wait_rounds += queue_wait?;
+        Ok(())
+    }
+
+    /// The lane's outbox walk, numbering every send onto its one wheel.
+    fn transmit(&mut self, led: &mut Ledger<'_, P::Msg>, round: Round) {
+        let cfg = led.cfg;
+        self.lane.send_walk(cfg, round, |wheel, v, dst, msg| {
+            let seq = led.note_transmit(round, v, dst);
+            wheel.transmit(v, dst, msg, round, seq);
+        });
+    }
+
+    fn observe(&mut self, led: &mut Ledger<'_, P::Msg>, round: Round, phase: Phase, token: &str) {
+        let Lane { store, transport, .. } = &self.lane;
+        let report = &mut led.report;
+        probe::observe_phase(&led.cfg.probe, round, phase, &[store], &[transport], token, report);
+    }
+
+    fn idle(&self) -> bool {
+        self.lane.is_idle()
+    }
 }

@@ -1,37 +1,32 @@
-//! The multi-shard executor: K fabrics, one protocol, one clock.
+//! The multi-shard executor: K lanes, one protocol, one clock.
 //!
 //! [`ShardedSimulator`] partitions the interconnection graph into `K`
-//! shards (a [`ccq_graph::Partition`]) and gives each shard its own
-//! [`crate::state::NodeStore`] and [`crate::transport::Transport`].
-//! Messages whose endpoints live in different shards travel through an
-//! **inter-shard ferry transport** with its own [`crate::LinkDelay`]
-//! policy — the knob that models federated clusters where crossing a shard
-//! boundary is slower than staying inside one.
+//! shards (a [`ccq_graph::Partition`]) and gives each shard its own `Lane`
+//! — a membership-sized store and a timing wheel. Messages whose endpoints
+//! live in different shards travel through an **inter-shard ferry
+//! transport** with its own [`crate::LinkDelay`] policy — the knob that
+//! models federated clusters where crossing a shard boundary is slower than
+//! staying inside one.
 //!
-//! Rounds follow the exact phase order of [`crate::scheduler`]. Every
-//! shard-parallel stretch of a round is one call of the one `fork`: it
-//! lends each task its own shard in place plus that shard's input, and
-//! gives the tasks' results back in shard order. Whatever the shards share
-//! — the report, the ferry, the protocol value — is folded from those
-//! results after the join, at the phase barrier. Wire maturation
-//! and in-port enqueueing run concurrently per shard, complete at their own
-//! barrier (where the probe layer hashes state, phase-aligned with the
-//! monolith), and budget-limited harvesting follows in a second concurrent
-//! pass. Transmission is one serialized walk of the global outbox frontier
-//! in ascending node order — the visit order *is* the run-global sequence
-//! numbering, so the walk numbers, traces and routes each send (owning
-//! shard's wheel, or the ferry) exactly as the monolith's transmit loop
-//! does, with no fork and nothing to merge afterwards (a shard-parallel
-//! block-claim variant read slower wherever it was measured —
-//! ARCHITECTURE.md "Performance notes"). The deliver phase — the one
-//! stretch between two barriers where a choice exists — has **two apply
-//! paths**, selected by [`crate::SimConfig::parallel_apply`]; both call the
-//! one [`Protocol::on_message`] on the delivered-to node's slice:
+//! The fabric is one executor of [`crate::scheduler`]'s round skeleton and
+//! implements only the phase hooks where K lanes differ from one. Every
+//! shard-parallel stretch is one call of the one `fork`, which lends each
+//! task its own lane in place and returns the results in shard order;
+//! whatever the shards share (report, ferry, protocol value) is folded from
+//! them at the phase barrier. Maturity forks the lanes' one `mature`
+//! (merging the due ferry wires), delivery forks their one `receive`, and
+//! transmission is one serialized walk of the global outbox frontier in
+//! ascending node order — the visit order *is* the run-global sequence
+//! numbering, so the walk numbers each send exactly as the monolith does
+//! and routes it to the owning lane's wheel or to the ferry. The deliver
+//! phase has **two apply paths**, selected by
+//! [`crate::SimConfig::parallel_apply`]; both call the one
+//! [`Protocol::on_message`] on the delivered-to node's slice:
 //!
-//! * **serialized** (flag off; the reference) — the shards harvest their
+//! * **serialized** (flag off; the reference) — the lanes harvest their
 //!   in-ports concurrently and handlers run at the barrier, in global
 //!   ascending node order;
-//! * **sliced** (flag on) — each shard's task also *applies* its own
+//! * **sliced** (flag on) — each lane's task also *applies* its own
 //!   nodes' handlers against their disjoint state slices, staging effects
 //!   in a [`crate::SliceApi`]; at the round barrier the staged effects are
 //!   replayed in the serialized path's exact global order. Queuing
@@ -54,37 +49,32 @@
 //! ones. A divergent ferry policy (e.g. `Fixed { delay: 8 }` between
 //! shards) changes the execution — deliberately.
 //!
-//! **Wavefront pipelining** ([`SimConfig::wavefront_lag`] = `d` ≥ 1) goes
-//! one step further for slow-ferry federations: when the ferry's minimum
-//! delay is at least `d`, a cross-shard message sent at round `t` cannot
-//! arrive before `t + d`, so the shards can run up to `d` consecutive
-//! rounds in one task each — maturing, applying and transmitting
-//! locally under *provisional* sequence keys — before meeting at a single
-//! **wave commit** that claims the true sequence blocks, remaps the
-//! in-flight keys, ferries the cross-shard sends and replays completions
-//! in the lockstep order. Rounds with a global coupling point (probe
-//! observations, scheduled arrivals per [`Protocol::next_active_round`],
-//! tracing, round 0) fall back to single lockstep rounds, so the wavefront
-//! execution is byte-identical to the lockstep one; the argument is on
-//! `Fabric::wave_rounds` below.
+//! **Wavefront pipelining** ([`SimConfig::wavefront_lag`] = `d` ≥ 1) is the
+//! fabric's override of the skeleton's one-step hook: when the ferry's
+//! minimum delay is at least `d`, a cross-shard message sent at round `t`
+//! cannot arrive before `t + d`, so the lanes can run up to `d`
+//! consecutive rounds in one task each — maturing, applying and
+//! transmitting locally under *provisional* sequence keys — before meeting
+//! at a single **wave commit** that claims the true sequence blocks, remaps
+//! the in-flight keys, ferries the cross-shard sends and replays
+//! completions in the lockstep order. Rounds with a global coupling point
+//! (probe observations, scheduled arrivals per
+//! [`Protocol::next_active_round`], tracing, round 0) run the skeleton's
+//! lockstep round, so the wavefront execution is byte-identical to the
+//! lockstep one; the argument is on `Fabric::wave_rounds` below.
 
-use crate::probe::{self, Phase, PhaseTimings, Stopwatch};
-use crate::protocol::{Protocol, SimApi, SliceApi, SliceEffect};
+use crate::probe::{self, Phase, Stopwatch};
+use crate::protocol::{Protocol, SliceApi, SliceEffect};
 use crate::report::{LinkDelay, SimConfig, SimReport};
-use crate::scheduler::{
-    advance_round, drain_api, lap_into, note_delivery, validate_config, validate_slices,
-};
+use crate::scheduler::{self, frontier_into, lockstep_round, Lane, Ledger, Phases};
 use crate::state::{Inbound, NodeStore};
-use crate::trace::{TraceEvent, TraceKind};
 use crate::transport::{Transport, Wire};
 use crate::{Round, SimError};
 use ccq_graph::{Graph, NodeId, Partition};
 use rayon::prelude::*;
 use std::collections::HashMap;
 
-/// What a run fixes before its first round and never changes. The fabric
-/// borrows it once, at [`Fabric::setup`], and hands the same borrow to the
-/// shard tasks that need more than their own shard.
+/// What a wave task needs beyond its own lane: the run's fixed inputs.
 #[derive(Clone, Copy)]
 struct Run<'a> {
     graph: &'a Graph,
@@ -92,108 +82,28 @@ struct Run<'a> {
     cfg: &'a SimConfig,
 }
 
-/// One shard's private message fabric.
-struct ShardState<'a, M> {
-    /// The shard's processors, ascending (the partition's member list).
-    members: &'a [NodeId],
-    store: NodeStore<M>,
-    transport: Transport<M>,
-    /// Reusable frontier scratch for the shard-local walks (capacity
-    /// retained across rounds, so steady state allocates nothing here).
-    frontier: Vec<NodeId>,
-}
-
 /// The executor's one fork/join, and the only place `ccq-sim` meets its
-/// thread pool: run `body` once per shard, concurrently, **lending** every
-/// task its own shard in place (no [`ShardState`] moves after
-/// [`Fabric::setup`]) together with that shard's entry of `inputs`, and
-/// return the tasks' results in shard order. The tasks share nothing
-/// mutable; what the shards have in common — the report, the ferry, the
-/// staging API — the caller folds from the results after the join, at the
-/// phase barrier, in an order no scheduling can change.
-fn fork<'a, M: Send, I: Send, O: Send>(
-    shards: &mut [ShardState<'a, M>],
+/// thread pool: run `body` once per lane, concurrently, **lending** every
+/// task its own lane in place (no [`Lane`] moves after [`Fabric::new`])
+/// together with that lane's entry of `inputs`, and return the tasks'
+/// results in shard order. The tasks share nothing mutable; what the
+/// shards have in common — the report, the ferry, the staging API — the
+/// caller folds from the results after the join, at the phase barrier, in
+/// an order no scheduling can change.
+fn fork<M: Send, I: Send, O: Send>(
+    lanes: &mut [Lane<M>],
     inputs: Vec<I>,
-    body: impl Fn(usize, &mut ShardState<'a, M>, I) -> O + Sync,
+    body: impl Fn(usize, &mut Lane<M>, I) -> O + Sync,
 ) -> Vec<O> {
-    debug_assert_eq!(inputs.len(), shards.len(), "one input per shard");
-    let lent: Vec<_> = shards.iter_mut().zip(inputs).enumerate().collect();
-    lent.into_par_iter().map(|(shard, (state, input))| body(shard, state, input)).collect()
+    debug_assert_eq!(inputs.len(), lanes.len(), "one input per lane");
+    let lent: Vec<_> = lanes.iter_mut().zip(inputs).enumerate().collect();
+    lent.into_par_iter().map(|(shard, (lane, input))| body(shard, lane, input)).collect()
 }
 
-impl<M> ShardState<'_, M> {
-    /// The maturity phase of one shard: drain this shard's wheel, merge
-    /// the due ferry wires in (arrival, sequence) order, and enqueue
-    /// everything into the in-ports; returns the deepest in-port observed.
-    fn mature(&mut self, mut due: Vec<Wire<M>>, round: Round) -> usize {
-        self.transport.drain_due(round, |w| due.push(w));
-        due.sort_unstable_by_key(|w| (w.arrival, w.seq));
-        let mut max_depth = 0usize;
-        for w in due {
-            let inbound = Inbound { src: w.src, arrival: w.arrival, msg: w.msg };
-            max_depth = max_depth.max(self.store.enqueue(w.dst, inbound));
-        }
-        max_depth
-    }
-
-    /// Append the nodes of this shard that may hold in-port work, unsorted:
-    /// the dirty frontier (members off it have empty in-ports), or under
-    /// the dense reference scan the full membership.
-    fn inport_frontier(&mut self, cfg: &SimConfig, out: &mut Vec<NodeId>) {
-        if cfg.dense_scan {
-            out.extend_from_slice(self.members);
-        } else {
-            self.store.take_inport_frontier(out);
-        }
-    }
-
-    /// Append the nodes of this shard that may hold staged sends, unsorted
-    /// (same rule as [`ShardState::inport_frontier`]).
-    fn outbox_frontier(&mut self, cfg: &SimConfig, out: &mut Vec<NodeId>) {
-        if cfg.dense_scan {
-            out.extend_from_slice(self.members);
-        } else {
-            self.store.take_outbox_frontier(out);
-        }
-    }
-
-    /// The receive walk of one shard, shared by every apply path and the
-    /// wave: visit the in-port frontier in ascending node order, pop up to
-    /// `recv_budget` messages per live node and hand each to `deliver`
-    /// along with the store (so a task that drains handler effects itself
-    /// can stage sends there). Returns the queue-wait rounds accrued, or
-    /// the first error `deliver` reports.
-    fn receive(
-        &mut self,
-        round: Round,
-        cfg: &SimConfig,
-        mut deliver: impl FnMut(&mut NodeStore<M>, NodeId, Inbound<M>) -> Result<(), SimError>,
-    ) -> Result<u64, SimError> {
-        let mut frontier = std::mem::take(&mut self.frontier);
-        frontier.clear();
-        self.inport_frontier(cfg, &mut frontier);
-        frontier.sort_unstable();
-        let mut queue_wait = 0u64;
-        for &v in &frontier {
-            if cfg.faults.is_down(v, round) {
-                // Crashed: the in-port freezes in place until the
-                // recovery round (same gate as the monolith).
-                self.store.relist_inport(v);
-                continue;
-            }
-            for _ in 0..cfg.recv_budget {
-                let Some(inb) = self.store.pop_inport(v) else { break };
-                queue_wait += round - inb.arrival;
-                deliver(&mut self.store, v, inb)?;
-            }
-        }
-        self.frontier = frontier;
-        Ok(queue_wait)
-    }
-
+impl<M> Lane<M> {
     /// Execute one shard's side of a wave: `width` rounds of mature →
-    /// apply → transmit against the shard's own store, wheel and slices.
-    /// Handler effects apply in-task (sends stage into the shard's own
+    /// apply → transmit against the lane's own store, wheel and slices.
+    /// Handler effects apply in-task (sends stage into the lane's own
     /// outboxes — a handler's sends always leave the handling node, which
     /// is local; completions are logged for the commit replay), and every
     /// transmission carries a provisional sequence key. The arrivals phase
@@ -212,7 +122,6 @@ impl<M> ShardState<'_, M> {
     ) -> Result<WaveOutcome<M>, SimError> {
         let Run { graph, partition, cfg } = run;
         let (mut slices, mut ferry_due) = task;
-        let members = self.members;
         let mut sapi: SliceApi<M> = SliceApi::new(start, 0);
         let mut watch = Stopwatch::new(cfg.probe.timing);
         let mut out = WaveOutcome {
@@ -238,17 +147,17 @@ impl<M> ShardState<'_, M> {
             // layout makes the mixed sort equal the final numbering's order.
             let due_len = ferry_due.iter().take_while(|w| w.arrival <= r).count();
             let due: Vec<Wire<M>> = ferry_due.drain(..due_len).collect();
-            out.max_inport_depth = out.max_inport_depth.max(self.mature(due, r));
+            out.max_inport_depth = out.max_inport_depth.max(self.mature(r, due));
             out.mature_micros += watch.lap();
 
-            // Apply: the shared receive walk, running the handlers and
+            // Apply: the lane's receive walk, running the handlers and
             // draining their effects in-task.
             sapi.set_round(r);
             let mut round_completions = Vec::new();
             out.queue_wait += self.receive(r, cfg, |store, v, inb| {
                 out.received.push(v);
                 sapi.set_node(v);
-                let slice = member_slice(members, &mut slices, v);
+                let slice = member_slice(store, &mut slices, v);
                 P::on_message(shared, slice, &mut sapi, v, inb.src, inb.msg);
                 for effect in sapi.effects.drain(..) {
                     match effect {
@@ -269,38 +178,32 @@ impl<M> ShardState<'_, M> {
             out.completions.push(round_completions);
             out.apply_micros += watch.lap();
 
-            // Transmit under provisional keys, ascending node order — the
-            // per-transport call order stays monotone in the eventual true
-            // numbering, as the timing wheel's batch order requires.
-            let mut round_transmits = Vec::new();
-            let mut frontier = std::mem::take(&mut self.frontier);
-            frontier.clear();
-            self.outbox_frontier(cfg, &mut frontier);
-            frontier.sort_unstable();
-            for &v in &frontier {
-                if cfg.holds_transmit(r, v) {
-                    self.store.relist_outbox(v);
-                    continue;
-                }
-                let mut count = 0u64;
-                for i in 0..cfg.send_budget as u64 {
-                    let Some((dst, msg)) = self.store.pop_outbox(v) else { break };
-                    count += 1;
-                    if partition.shard_of(dst) == shard {
-                        self.transport.transmit(v, dst, msg, r, surrogate_seq(offset, v, i));
-                    } else {
-                        out.ferry_out.push((offset, v, i, dst, msg));
+            // Transmit under provisional keys: the lane's outbox walk, in
+            // ascending node order, so the per-transport call order stays
+            // monotone in the eventual true numbering, as the timing
+            // wheel's batch order requires.
+            let mut round_transmits: Vec<(NodeId, u64)> = Vec::new();
+            self.send_walk(cfg, r, |wheel, v, dst, msg| {
+                let idx = match round_transmits.last_mut() {
+                    Some((sender, count)) if *sender == v => {
+                        *count += 1;
+                        *count - 1
                     }
+                    _ => {
+                        round_transmits.push((v, 1));
+                        0
+                    }
+                };
+                if partition.shard_of(dst) == shard {
+                    wheel.transmit(v, dst, msg, r, surrogate_seq(offset, v, idx));
+                } else {
+                    out.ferry_out.push((offset, v, idx, dst, msg));
                 }
-                if count > 0 {
-                    round_transmits.push((v, count));
-                }
-            }
-            self.frontier = frontier;
+            });
             out.transmits.push(round_transmits);
             out.transmit_micros += watch.lap();
 
-            out.idle_after.push(self.store.is_idle() && self.transport.is_idle());
+            out.idle_after.push(self.is_idle());
         }
         Ok(out)
     }
@@ -318,156 +221,82 @@ fn slice_buckets<'s, S>(partition: &Partition, slices: &'s mut [S]) -> Vec<Vec<&
     buckets
 }
 
-/// The slice of member `v` in its shard's bucket of [`slice_buckets`]:
-/// `members` ascends, so the node's rank among them is its bucket index.
-fn member_slice<'b, S>(members: &[NodeId], bucket: &'b mut [&mut S], v: NodeId) -> &'b mut S {
-    let rank = members.binary_search(&v).expect("frontier nodes are shard members");
-    &mut *bucket[rank]
+/// The slice of member `v` in its lane's bucket of [`slice_buckets`]: a
+/// lane's store numbers its slots in member order, so `v`'s slot is its
+/// bucket index.
+fn member_slice<'b, S, M>(store: &NodeStore<M>, bucket: &'b mut [&mut S], v: NodeId) -> &'b mut S {
+    &mut *bucket[store.slot(v).expect("frontier nodes are lane members")]
 }
 
-/// What the sliced deliver phase hands from the shard tasks to the barrier
-/// replay: one effect stream per shard (a single [`SliceApi`] reused
-/// across the shard's nodes — one allocation per shard per round, not per
+/// What the sliced deliver phase hands from the lane tasks to the barrier
+/// replay: one effect stream per lane (a single [`SliceApi`] reused
+/// across the lane's nodes — one allocation per lane per round, not per
 /// node) and one `(node, stream, src, effects-end)` record per delivered
-/// message, sorted by node. Shards process their members in ascending
+/// message, sorted by node. Lanes process their members in ascending
 /// order, so the replay consumes every stream strictly in order.
 struct Applied<M> {
     streams: Vec<std::vec::IntoIter<SliceEffect<M>>>,
     deliveries: Vec<(NodeId, usize, NodeId, usize)>,
 }
 
-/// The executor state every round shares: the run it serves, the report,
-/// the per-shard fabrics, the inter-shard ferry, the protocol's staging
-/// API and the phase clock. Every phase lives here; the two apply paths
-/// differ only in which pair of deliver methods the round calls.
+/// The sharded executor's own state: the partition it serves, one lane
+/// per shard and the inter-shard ferry. The report, the staging API and
+/// the phase clock are the scheduler's [`Ledger`], lent to every phase.
 struct Fabric<'a, M> {
-    run: Run<'a>,
-    report: SimReport,
-    shards: Vec<ShardState<'a, M>>,
+    partition: &'a Partition,
+    lanes: Vec<Lane<M>>,
     ferry: Transport<M>,
-    api: SimApi<M>,
-    /// Reusable frontier scratch for the transmit phase.
+    /// Reusable frontier scratch for the transmit walk.
     scratch: Vec<NodeId>,
-    timing: PhaseTimings,
-    watch: Stopwatch,
 }
 
 impl<'a, M: Send + std::fmt::Debug> Fabric<'a, M> {
-    /// Validate the configuration, build the per-shard fabrics, and run
-    /// the time-0 start phase (serialized on every path).
-    fn setup<P: Protocol<Msg = M>>(
-        run: Run<'a>,
-        protocol: &mut P,
-        inter_delay: LinkDelay,
-    ) -> Result<Self, SimError> {
-        let Run { graph, partition, cfg } = run;
-        let n = graph.n();
-        validate_config(cfg, n)?;
-        if partition.n() != n {
-            return Err(SimError::invalid_config(
-                "shard partition does not cover the graph's vertex set",
-            ));
-        }
-        validate_slices(protocol, n)?;
-        let mut fabric = Fabric {
-            run,
-            report: SimReport {
-                delay_scale: cfg.delay_scale,
-                received_by_node: vec![0; n],
-                ..Default::default()
-            },
-            shards: (0..partition.k())
-                .map(|shard| ShardState {
-                    members: partition.members(shard),
-                    // Membership-sized: a shard of a large topology holds
-                    // queues for its own members only, behind an id → slot
-                    // index map (not n-wide Vecs).
-                    store: NodeStore::with_members(n, partition.members(shard)),
-                    transport: Transport::new(cfg.link_delay),
-                    frontier: Vec::new(),
-                })
+    /// One lane per shard under the intra-shard `delay`, and the ferry
+    /// under `inter_delay`.
+    fn new(partition: &'a Partition, delay: LinkDelay, inter_delay: LinkDelay) -> Self {
+        let n = partition.n();
+        Fabric {
+            partition,
+            // Membership-sized: a shard of a large topology holds queues
+            // for its own members only, behind an id → slot index map
+            // (not n-wide Vecs).
+            lanes: (0..partition.k())
+                .map(|s| Lane::new(NodeStore::with_members(n, partition.members(s)), delay))
                 .collect(),
             ferry: Transport::new(inter_delay),
-            api: SimApi::new(),
             scratch: Vec::new(),
-            timing: PhaseTimings::default(),
-            watch: Stopwatch::new(cfg.probe.timing),
-        };
-        // Time 0: every requester issues its operation.
-        protocol.on_start(&mut fabric.api);
-        fabric.drain(0)?;
-        Ok(fabric)
+        }
     }
 
-    /// Drain the staging API into the report and the owning shards'
-    /// outboxes (the per-message effect drain of [`crate::scheduler`]).
-    fn drain(&mut self, round: Round) -> Result<(), SimError> {
-        let Run { graph, partition, cfg } = self.run;
-        let shards = &mut self.shards;
-        drain_api(graph, &mut self.api, &mut self.report, round, cfg.trace, |f, t, m| {
-            shards[partition.shard_of(f)].store.stage(f, t, m)
-        })
-    }
-
-    /// Arrivals phase (serialized on every path: the protocol is one
-    /// value, and admission reads the run-global backlog).
-    fn arrivals<P: Protocol<Msg = M>>(
-        &mut self,
-        protocol: &mut P,
-        round: Round,
-    ) -> Result<(), SimError> {
-        self.api.set_round(round);
-        protocol.on_round(&mut self.api, round);
-        self.drain(round)
+    /// Drain the staging API into the report and the owning lanes'
+    /// outboxes.
+    fn drain(&mut self, led: &mut Ledger<'_, M>, round: Round) -> Result<(), SimError> {
+        let (partition, lanes) = (self.partition, &mut self.lanes);
+        led.drain(round, |f, t, m| lanes[partition.shard_of(f)].store.stage(f, t, m))
     }
 
     /// Ferry maturity: bucket due cross-shard wires by their destination
     /// shard (sequentially — the ferry is shared).
     fn ferry_buckets(&mut self, round: Round) -> Vec<Vec<Wire<M>>> {
-        let partition = self.run.partition;
+        let partition = self.partition;
         let mut buckets: Vec<Vec<Wire<M>>> = (0..partition.k()).map(|_| Vec::new()).collect();
         self.ferry.drain_due(round, |w| buckets[partition.shard_of(w.dst)].push(w));
         buckets
     }
 
-    /// The maturity phase across every shard: bucket the due ferry wires,
-    /// then mature the shards concurrently, folding the deepest in-port
-    /// into the report at the barrier (where the monolith records it too).
-    fn mature_all(&mut self, round: Round) {
-        let buckets = self.ferry_buckets(round);
-        for depth in fork(&mut self.shards, buckets, |_, state, due| state.mature(due, round)) {
-            self.report.max_inport_depth = self.report.max_inport_depth.max(depth);
-        }
-    }
-
-    /// One probe observation at a phase barrier: hand every shard's store
-    /// and transport plus the ferry to the canonical renderer, which hashes
-    /// them layout-independently (see [`crate::probe`]) — so the digests
-    /// match the monolith's whenever the executions are equivalent.
-    fn observe(&mut self, round: Round, phase: Phase, token: &str) {
-        let stores: Vec<&NodeStore<M>> = self.shards.iter().map(|s| &s.store).collect();
-        let mut transports: Vec<&Transport<M>> = self.shards.iter().map(|s| &s.transport).collect();
-        transports.push(&self.ferry);
-        probe::observe_phase(
-            &self.run.cfg.probe,
-            round,
-            phase,
-            &stores,
-            &transports,
-            token,
-            &mut self.report,
-        );
-    }
-
-    /// Serialized deliver, shard-parallel half: every shard pops its due
-    /// in-port messages; shards hold disjoint nodes, so a stable sort by
+    /// Serialized deliver, shard-parallel half: every lane pops its due
+    /// in-port messages; lanes hold disjoint nodes, so a stable sort by
     /// node id recovers the monolith's global delivery order.
-    fn harvest(&mut self, round: Round) -> Result<Vec<(NodeId, Inbound<M>)>, SimError> {
-        let cfg = self.run.cfg;
-        let no_input = vec![(); self.shards.len()];
-        let done = fork(&mut self.shards, no_input, |_, state, ()| -> Result<_, SimError> {
+    fn harvest(
+        &mut self,
+        led: &mut Ledger<'_, M>,
+        round: Round,
+    ) -> Result<Vec<(NodeId, Inbound<M>)>, SimError> {
+        let cfg = led.cfg;
+        let no_input = vec![(); self.lanes.len()];
+        let done = fork(&mut self.lanes, no_input, |_, lane, ()| -> Result<_, SimError> {
             let mut batch = Vec::new();
-            let queue_wait = state.receive(round, cfg, |_, v, inb| {
+            let queue_wait = lane.receive(round, cfg, |_, v, inb| {
                 batch.push((v, inb));
                 Ok(())
             })?;
@@ -476,7 +305,7 @@ impl<'a, M: Send + std::fmt::Debug> Fabric<'a, M> {
         let mut deliveries = Vec::new();
         for outcome in done {
             let (batch, queue_wait) = outcome?;
-            self.report.queue_wait_rounds += queue_wait;
+            led.report.queue_wait_rounds += queue_wait;
             deliveries.extend(batch);
         }
         deliveries.sort_by_key(|&(v, _)| v);
@@ -488,41 +317,42 @@ impl<'a, M: Send + std::fmt::Debug> Fabric<'a, M> {
     /// exactly as the monolith does.
     fn apply_at_barrier<P: Protocol<Msg = M>>(
         &mut self,
+        led: &mut Ledger<'_, M>,
         protocol: &mut P,
         deliveries: Vec<(NodeId, Inbound<M>)>,
         round: Round,
     ) -> Result<(), SimError> {
         let (shared, slices) = protocol.split();
-        let mut sapi = self.api.lend_slice_api(0);
+        let mut sapi = led.api.lend_slice_api(0);
         for (v, inb) in deliveries {
-            note_delivery(&mut self.report, round, self.run.cfg.trace, v, inb.src);
+            led.note_delivery(round, v, inb.src);
             sapi.set_node(v);
             P::on_message(shared, &mut slices[v], &mut sapi, v, inb.src, inb.msg);
-            sapi.replay_into(&mut self.api);
-            self.drain(round)?;
+            sapi.replay_into(&mut led.api);
+            self.drain(led, round)?;
         }
-        self.api.reclaim(sapi);
+        led.api.reclaim(sapi);
         Ok(())
     }
 
-    /// Sliced deliver, shard-parallel half: every shard pops its due
+    /// Sliced deliver, shard-parallel half: every lane pops its due
     /// in-port messages **and applies** them against its own members'
     /// slices, staging effects.
     fn apply_in_tasks<P: Protocol<Msg = M>>(
         &mut self,
+        led: &mut Ledger<'_, M>,
         protocol: &mut P,
         round: Round,
     ) -> Result<Applied<M>, SimError> {
-        let Run { partition, cfg, .. } = self.run;
+        let cfg = led.cfg;
         let (shared, slices) = protocol.split();
-        let buckets = slice_buckets(partition, slices);
-        let done = fork(&mut self.shards, buckets, |_, state, mut slices| -> Result<_, SimError> {
-            let members = state.members;
+        let buckets = slice_buckets(self.partition, slices);
+        let done = fork(&mut self.lanes, buckets, |_, lane, mut slices| -> Result<_, SimError> {
             let mut sapi = SliceApi::new(round, 0);
             let mut deliveries = Vec::new();
-            let queue_wait = state.receive(round, cfg, |_, v, inb| {
+            let queue_wait = lane.receive(round, cfg, |store, v, inb| {
                 sapi.set_node(v);
-                let slice = member_slice(members, &mut slices, v);
+                let slice = member_slice(store, &mut slices, v);
                 P::on_message(shared, slice, &mut sapi, v, inb.src, inb.msg);
                 deliveries.push((v, inb.src, sapi.effects.len()));
                 Ok(())
@@ -534,12 +364,12 @@ impl<'a, M: Send + std::fmt::Debug> Fabric<'a, M> {
             Applied { streams: Vec::with_capacity(done.len()), deliveries: Vec::new() };
         for outcome in done {
             let (sapi, deliveries, queue_wait) = outcome?;
-            self.report.queue_wait_rounds += queue_wait;
+            led.report.queue_wait_rounds += queue_wait;
             let s = applied.streams.len();
             applied.deliveries.extend(deliveries.into_iter().map(|(v, src, end)| (v, s, src, end)));
             applied.streams.push(sapi.into_effects().into_iter());
         }
-        // Shards hold disjoint nodes and recorded their deliveries in
+        // Lanes hold disjoint nodes and recorded their deliveries in
         // ascending node order, so a stable sort by node id recovers the
         // monolith's global delivery order.
         applied.deliveries.sort_by_key(|&(v, _, _, _)| v);
@@ -549,137 +379,24 @@ impl<'a, M: Send + std::fmt::Debug> Fabric<'a, M> {
     /// Sliced deliver, barrier half: per message, the delivery
     /// bookkeeping, then its effect segment, then the same per-message
     /// drain the serialized path performs — identical event sequence.
-    fn replay(&mut self, applied: Applied<M>, round: Round) -> Result<(), SimError> {
+    fn replay(
+        &mut self,
+        led: &mut Ledger<'_, M>,
+        applied: Applied<M>,
+        round: Round,
+    ) -> Result<(), SimError> {
         let Applied { mut streams, deliveries } = applied;
         let mut consumed = vec![0usize; streams.len()];
         for (v, s, src, end) in deliveries {
-            note_delivery(&mut self.report, round, self.run.cfg.trace, v, src);
+            led.note_delivery(round, v, src);
             while consumed[s] < end {
                 match streams[s].next().expect("delivery records cover every effect") {
-                    SliceEffect::Send { to, msg } => self.api.send(v, to, msg),
-                    SliceEffect::Complete { node, value } => self.api.complete(node, value),
+                    SliceEffect::Send { to, msg } => led.api.send(v, to, msg),
+                    SliceEffect::Complete { node, value } => led.api.complete(node, value),
                 }
                 consumed[s] += 1;
             }
-            self.drain(round)?;
-        }
-        Ok(())
-    }
-
-    /// The global outbox frontier in ascending node order, in the transmit
-    /// scratch buffer (the caller hands it back through `self.scratch`).
-    /// Shards hold disjoint nodes, so concatenating the per-shard
-    /// frontiers and sorting visits exactly the nodes the dense `0..n`
-    /// scan would do work at, in the same order.
-    fn outbox_frontier(&mut self) -> Vec<NodeId> {
-        let mut frontier = std::mem::take(&mut self.scratch);
-        frontier.clear();
-        for shard in &mut self.shards {
-            shard.outbox_frontier(self.run.cfg, &mut frontier);
-        }
-        frontier.sort_unstable();
-        frontier
-    }
-
-    /// Transmit phase: one walk of the global outbox frontier in ascending
-    /// node order, which assigns the run-global sequence numbers exactly as
-    /// the monolith's loop does; cross-shard messages ride the ferry,
-    /// everything else stays on the sending shard's own transport.
-    fn transmit(&mut self, round: Round) {
-        let Run { partition, cfg, .. } = self.run;
-        let frontier = self.outbox_frontier();
-        for &v in &frontier {
-            let sv = partition.shard_of(v);
-            if cfg.holds_transmit(round, v) {
-                self.shards[sv].store.relist_outbox(v);
-                continue;
-            }
-            for _ in 0..cfg.send_budget {
-                let Some((dst, msg)) = self.shards[sv].store.pop_outbox(v) else { break };
-                self.report.messages_sent += 1;
-                let seq = self.report.messages_sent;
-                if cfg.trace {
-                    self.report.trace.push(TraceEvent {
-                        round,
-                        kind: TraceKind::Transmit,
-                        node: v,
-                        peer: dst,
-                    });
-                }
-                if partition.shard_of(dst) == sv {
-                    self.shards[sv].transport.transmit(v, dst, msg, round, seq);
-                } else {
-                    self.report.cross_shard_messages += 1;
-                    self.ferry.transmit(v, dst, msg, round, seq);
-                }
-            }
-        }
-        self.scratch = frontier;
-    }
-
-    /// One full lockstep round — arrivals through transmit, with probe
-    /// observations at every phase barrier of an observed round and phase
-    /// timing accrual. The lockstep loop runs every round through this body
-    /// and the wavefront executor its non-pipelined ones (round 0, observed
-    /// rounds, rounds with scheduled arrivals, traced runs) — byte-identity
-    /// there is then inheritance, not reimplementation. Between the mature
-    /// and transmit barriers [`SimConfig::parallel_apply`] picks where the
-    /// handlers run; the four barriers themselves are the same either way.
-    /// The quiescence / wakeup decision stays with the caller.
-    fn lockstep_round<P: Protocol<Msg = M>>(
-        &mut self,
-        protocol: &mut P,
-        round: Round,
-    ) -> Result<(), SimError> {
-        // Probe observations happen at every phase barrier of an observed
-        // round, outside the `round > 0` gates, so the checkpoint stream
-        // lines up with the monolith's (round 0's first three phases are
-        // vacuous on every executor).
-        let observe = self.run.cfg.probe.observes(round);
-        self.watch.reset();
-        let mut round_micros = 0u64;
-        if round > 0 {
-            self.arrivals(protocol, round)?;
-        }
-        round_micros += lap_into(&mut self.watch, &mut self.timing.arrivals_micros);
-        if observe {
-            self.observe(round, Phase::Arrivals, &protocol.state_token());
-            self.watch.reset();
-        }
-
-        // Maturity phase, shard-parallel behind its own barrier.
-        if round > 0 {
-            self.mature_all(round);
-        }
-        round_micros += lap_into(&mut self.watch, &mut self.timing.mature_micros);
-        if observe {
-            self.observe(round, Phase::Mature, &protocol.state_token());
-            self.watch.reset();
-        }
-
-        // Deliver phase: a shard-parallel half, then a barrier half that
-        // feeds the report in the monolith's global order.
-        if round > 0 {
-            if self.run.cfg.parallel_apply {
-                let applied = self.apply_in_tasks(protocol, round)?;
-                round_micros += lap_into(&mut self.watch, &mut self.timing.apply_micros);
-                self.replay(applied, round)?;
-            } else {
-                let deliveries = self.harvest(round)?;
-                self.apply_at_barrier(protocol, deliveries, round)?;
-            }
-        }
-        round_micros += lap_into(&mut self.watch, &mut self.timing.deliver_micros);
-        if observe {
-            self.observe(round, Phase::Deliver, &protocol.state_token());
-            self.watch.reset();
-        }
-
-        self.transmit(round);
-        round_micros += lap_into(&mut self.watch, &mut self.timing.transmit_micros);
-        self.timing.max_round_micros = self.timing.max_round_micros.max(round_micros);
-        if observe {
-            self.observe(round, Phase::Transmit, &protocol.state_token());
+            self.drain(led, round)?;
         }
         Ok(())
     }
@@ -689,7 +406,7 @@ impl<'a, M: Send + std::fmt::Debug> Fabric<'a, M> {
     /// from `round` on, which [`wave_width`] found provably free of global
     /// coupling — no probe observation, no scheduled protocol activity
     /// ([`Protocol::next_active_round`]), no tracing, not round 0. Every
-    /// shard executes all of them in a single forked task: maturing its
+    /// lane executes all of them in a single forked task: maturing its
     /// own wheel plus the pre-bucketed due ferry wires, applying its
     /// nodes' handlers against their slices, and transmitting under
     /// *provisional* sequence keys. The serialized **wave commit** then
@@ -713,22 +430,23 @@ impl<'a, M: Send + std::fmt::Debug> Fabric<'a, M> {
     ///
     /// Safety rests on the ferry bound `d ≤` minimum inter-shard delay
     /// ([`validate_wavefront`]): a cross-shard wire sent during a wave
-    /// cannot arrive within it, so shards never observe each other
-    /// mid-wave. Rounds that do couple run through
-    /// [`Fabric::lockstep_round`] ([`SimConfig::parallel_apply`]
-    /// included), so the whole execution — reports, probe digests,
-    /// recordings — is byte-identical to the lockstep one.
+    /// cannot arrive within it, so lanes never observe each other
+    /// mid-wave. Rounds that do couple run through the skeleton's
+    /// [`lockstep_round`] ([`SimConfig::parallel_apply`] included), so the
+    /// whole execution — reports, probe digests, recordings — is
+    /// byte-identical to the lockstep one.
     ///
     /// Returns the round the quiescence / wakeup decision falls on and
     /// whether the fabric was idle there.
     fn wave_rounds<P: Protocol<Msg = M>>(
         &mut self,
+        led: &mut Ledger<'_, M>,
         protocol: &mut P,
         round: Round,
         width: Round,
     ) -> Result<(Round, bool), SimError> {
-        let run = self.run;
-        self.watch.reset();
+        let run = Run { graph: led.graph, partition: self.partition, cfg: led.cfg };
+        led.watch.reset();
         let last = round + width - 1;
         // Pre-bucket every ferry wire due during the wave; the lag
         // bound guarantees nothing transmitted *during* the wave
@@ -741,13 +459,13 @@ impl<'a, M: Send + std::fmt::Debug> Fabric<'a, M> {
         let done: Vec<WaveOutcome<M>> = {
             let (shared, slices) = protocol.split();
             let tasks = slice_buckets(run.partition, slices).into_iter().zip(buckets).collect();
-            fork(&mut self.shards, tasks, |shard, state, task| {
-                state.wave::<P>(shard, run, shared, task, round, width)
+            fork(&mut self.lanes, tasks, |shard, lane, task| {
+                lane.wave::<P>(shard, run, shared, task, round, width)
             })
             .into_iter()
             .collect::<Result<_, _>>()?
         };
-        let parallel_micros = self.watch.lap();
+        let parallel_micros = led.watch.lap();
 
         // ---- wave commit (serialized) ----
         // (1) True sequence blocks, claimed per round offset in
@@ -760,8 +478,8 @@ impl<'a, M: Send + std::fmt::Debug> Fabric<'a, M> {
             }
             per_round.sort_unstable_by_key(|&(v, _)| v);
             for (v, count) in per_round {
-                bases.insert((offset, v), self.report.messages_sent);
-                self.report.messages_sent += count;
+                bases.insert((offset, v), led.report.messages_sent);
+                led.report.messages_sent += count;
             }
         }
 
@@ -769,12 +487,13 @@ impl<'a, M: Send + std::fmt::Debug> Fabric<'a, M> {
         let mut min_ferry_out_round = Round::MAX;
         let mut all_completions: Vec<Vec<(NodeId, NodeId, u64)>> =
             (0..width).map(|_| Vec::new()).collect();
-        let mut shard_idle: Vec<Vec<bool>> = Vec::with_capacity(done.len());
+        let mut lane_idle: Vec<Vec<bool>> = Vec::with_capacity(done.len());
         let (mut wave_mature, mut wave_apply, mut wave_transmit) = (0u64, 0u64, 0u64);
-        for (state, out) in self.shards.iter_mut().zip(done) {
-            // (2a) Rewrite the provisional keys on this shard's
+        let report = &mut led.report;
+        for (lane, out) in self.lanes.iter_mut().zip(done) {
+            // (2a) Rewrite the provisional keys on this lane's
             // still-in-flight wires to the true numbers.
-            state.transport.remap_seqs(|seq| {
+            lane.transport.remap_seqs(|seq| {
                 if seq & SURROGATE_BIT == 0 {
                     return seq;
                 }
@@ -790,12 +509,12 @@ impl<'a, M: Send + std::fmt::Debug> Fabric<'a, M> {
                 all_completions[offset].extend(events);
             }
             for v in out.received {
-                self.report.received_by_node[v] += 1;
+                report.received_by_node[v] += 1;
             }
-            self.report.queue_wait_rounds += out.queue_wait;
-            self.report.max_inport_depth = self.report.max_inport_depth.max(out.max_inport_depth);
-            self.report.max_outbox_depth = self.report.max_outbox_depth.max(out.max_outbox_depth);
-            shard_idle.push(out.idle_after);
+            report.queue_wait_rounds += out.queue_wait;
+            report.max_inport_depth = report.max_inport_depth.max(out.max_inport_depth);
+            report.max_outbox_depth = report.max_outbox_depth.max(out.max_outbox_depth);
+            lane_idle.push(out.idle_after);
             wave_mature = wave_mature.max(out.mature_micros);
             wave_apply = wave_apply.max(out.apply_micros);
             wave_transmit = wave_transmit.max(out.transmit_micros);
@@ -806,12 +525,12 @@ impl<'a, M: Send + std::fmt::Debug> Fabric<'a, M> {
         // per-message draws depend on.
         ferry_sends.sort_unstable_by_key(|e| e.0);
         for (seq, send_round, src, dst, msg) in ferry_sends {
-            self.report.cross_shard_messages += 1;
+            report.cross_shard_messages += 1;
             self.ferry.transmit(src, dst, msg, send_round, seq);
         }
 
         // (3) Replay completions per round in ascending handler-node
-        // order (shards hold disjoint nodes, so the stable sort
+        // order (lanes hold disjoint nodes, so the stable sort
         // recovers the lockstep delivery order), through the same
         // per-round drain — round stamps, completion counters and
         // backlog high-water all accrue exactly as in lockstep.
@@ -822,13 +541,13 @@ impl<'a, M: Send + std::fmt::Debug> Fabric<'a, M> {
             }
             events.sort_by_key(|&(handler, _, _)| handler);
             let r = round + offset;
-            self.api.set_round(r);
+            led.api.set_round(r);
             for &(_, node, value) in events.iter() {
-                self.api.complete(node, value);
+                led.api.complete(node, value);
             }
-            self.drain(r)?;
+            self.drain(led, r)?;
         }
-        let commit_micros = self.watch.lap();
+        let commit_micros = led.watch.lap();
 
         if run.cfg.probe.timing {
             // Each phase accrues its cross-shard critical path (max
@@ -836,7 +555,7 @@ impl<'a, M: Send + std::fmt::Debug> Fabric<'a, M> {
             // as transmit work (it is the sequence/ferry half of the
             // transmit phase). The per-round maximum treats the wave
             // as `width` equal slices of its wall clock.
-            let timing = &mut self.timing;
+            let timing = &mut led.timing;
             timing.mature_micros += wave_mature;
             timing.apply_micros += wave_apply;
             timing.transmit_micros += wave_transmit + commit_micros;
@@ -845,7 +564,7 @@ impl<'a, M: Send + std::fmt::Debug> Fabric<'a, M> {
         }
 
         // (4) Quiescence, re-derived: global idle at wave round `r`
-        // requires every shard idle after `r`, no ferry wire due
+        // requires every lane idle after `r`, no ferry wire due
         // beyond the wave, every pre-drained ferry wire matured by
         // `r`, and no wave send ferried at or before `r` (its arrival
         // would be pending). Wave rounds past the first idle point
@@ -853,34 +572,126 @@ impl<'a, M: Send + std::fmt::Debug> Fabric<'a, M> {
         // mature or deliver), so acting on it here reproduces the
         // lockstep termination or wakeup fast-forward exactly.
         let idle_at = (round..=last).find(|&r| {
-            shard_idle.iter().all(|flags| flags[(r - round) as usize])
+            lane_idle.iter().all(|flags| flags[(r - round) as usize])
                 && !residual_ferry
                 && max_pending_arrival <= r
                 && min_ferry_out_round > r
         });
         Ok(idle_at.map_or((last, false), |idle_round| (idle_round, true)))
     }
+}
 
-    /// Whether every queue, wheel and the ferry are empty.
-    fn idle(&self) -> bool {
-        self.ferry.is_idle()
-            && self.shards.iter().all(|s| s.store.is_idle() && s.transport.is_idle())
+impl<P: Protocol> Phases<P> for Fabric<'_, P::Msg>
+where
+    P::Msg: Send,
+{
+    /// Serialized on every path: the protocol is one value, and admission
+    /// reads the run-global backlog.
+    fn arrivals(&mut self, led: &mut Ledger<'_, P::Msg>, round: Round) -> Result<(), SimError> {
+        self.drain(led, round)
     }
 
-    /// Close the run at its final `round`: the report with the fault
-    /// events that fired and, when asked for, the phase timings.
-    fn finish(mut self, round: Round) -> SimReport {
-        self.report.rounds = round;
-        self.report.record_fault_events(&self.run.cfg.faults);
-        if self.run.cfg.probe.timing {
-            self.report.phase_timing = Some(self.timing);
+    /// Bucket the due ferry wires, then mature the lanes concurrently,
+    /// folding the deepest in-port into the report at the barrier (where
+    /// the monolith records it too).
+    fn mature(&mut self, led: &mut Ledger<'_, P::Msg>, round: Round) {
+        let buckets = self.ferry_buckets(round);
+        for depth in fork(&mut self.lanes, buckets, |_, lane, due| lane.mature(round, due)) {
+            led.report.max_inport_depth = led.report.max_inport_depth.max(depth);
         }
-        self.report
+    }
+
+    /// A shard-parallel half, then a barrier half that feeds the report in
+    /// the monolith's global order; [`SimConfig::parallel_apply`] picks
+    /// where the handlers run.
+    fn deliver(
+        &mut self,
+        led: &mut Ledger<'_, P::Msg>,
+        protocol: &mut P,
+        round: Round,
+    ) -> Result<(), SimError> {
+        if led.cfg.parallel_apply {
+            let applied = self.apply_in_tasks(led, protocol, round)?;
+            let micros = led.lap();
+            led.timing.apply_micros += micros;
+            self.replay(led, applied, round)
+        } else {
+            let deliveries = self.harvest(led, round)?;
+            self.apply_at_barrier(led, protocol, deliveries, round)
+        }
+    }
+
+    /// One walk of the global outbox frontier (the lanes' disjoint
+    /// frontiers, concatenated and sorted), numbering sends exactly as the
+    /// monolith's walk does; cross-shard messages ride the ferry, the rest
+    /// the sending lane's own wheel.
+    fn transmit(&mut self, led: &mut Ledger<'_, P::Msg>, round: Round) {
+        let (partition, cfg) = (self.partition, led.cfg);
+        let mut frontier = std::mem::take(&mut self.scratch);
+        frontier.clear();
+        for lane in &mut self.lanes {
+            frontier_into(&mut lane.store, cfg, NodeStore::take_outbox_frontier, &mut frontier);
+        }
+        frontier.sort_unstable();
+        for &v in &frontier {
+            let sv = partition.shard_of(v);
+            let lane = &mut self.lanes[sv];
+            if cfg.holds_transmit(round, v) {
+                lane.store.relist_outbox(v);
+                continue;
+            }
+            for _ in 0..cfg.send_budget {
+                let Some((dst, msg)) = lane.store.pop_outbox(v) else { break };
+                let seq = led.note_transmit(round, v, dst);
+                if partition.shard_of(dst) == sv {
+                    lane.transport.transmit(v, dst, msg, round, seq);
+                } else {
+                    led.report.cross_shard_messages += 1;
+                    self.ferry.transmit(v, dst, msg, round, seq);
+                }
+            }
+        }
+        self.scratch = frontier;
+    }
+
+    /// Hand every lane's store and wheel plus the ferry to the canonical
+    /// renderer, which hashes them layout-independently (see
+    /// [`crate::probe`]) — so the digests match the monolith's whenever
+    /// the executions are equivalent.
+    fn observe(&mut self, led: &mut Ledger<'_, P::Msg>, round: Round, phase: Phase, token: &str) {
+        let stores: Vec<&NodeStore<P::Msg>> = self.lanes.iter().map(|l| &l.store).collect();
+        let mut wheels: Vec<&Transport<P::Msg>> = self.lanes.iter().map(|l| &l.transport).collect();
+        wheels.push(&self.ferry);
+        let report = &mut led.report;
+        probe::observe_phase(&led.cfg.probe, round, phase, &stores, &wheels, token, report);
+    }
+
+    fn idle(&self) -> bool {
+        self.ferry.is_idle() && self.lanes.iter().all(Lane::is_idle)
+    }
+
+    /// One lockstep round, or — under [`SimConfig::wavefront_lag`] > 0,
+    /// wherever [`wave_width`] finds room — one wave of pipelined rounds.
+    fn step(
+        &mut self,
+        led: &mut Ledger<'_, P::Msg>,
+        protocol: &mut P,
+        round: Round,
+    ) -> Result<(Round, bool), SimError> {
+        // A width of 1 is a coupled round (always, without a lag; under
+        // one: round 0, observed, scheduled arrivals, tracing).
+        let lag = led.cfg.wavefront_lag;
+        let width = if lag == 0 { 1 } else { wave_width(protocol, led.cfg, round, lag) };
+        if width > 1 {
+            return self.wave_rounds(led, protocol, round, width);
+        }
+        lockstep_round(self, led, protocol, round)?;
+        Ok((round, Phases::<P>::idle(self)))
     }
 }
 
 /// An executable sharded simulation: graph + partition + protocol + config.
-/// Every apply path — the barrier walk, the shard tasks of
+/// Every apply path — the barrier walk, the lane tasks of
 /// [`SimConfig::parallel_apply`], the wavefront — calls the protocol's one
 /// handler on the slices directly, so every [`SimConfig`] strategy flag can
 /// be honoured for every protocol.
@@ -910,43 +721,24 @@ where
         self
     }
 
-    /// Run to quiescence, returning the report and final protocol state.
-    /// One loop: every step is either one `lockstep_round`, whose deliver
-    /// phase honours [`SimConfig::parallel_apply`], or — under
-    /// [`SimConfig::wavefront_lag`] > 0, wherever `wave_width` finds room
-    /// — one wave of pipelined rounds. The report is byte-identical
-    /// whichever strategy runs.
+    /// Run to quiescence, returning the report and final protocol state:
+    /// the scheduler's one loop over the fabric, whose deliver phase
+    /// honours [`SimConfig::parallel_apply`] and whose step pipelines
+    /// waves under [`SimConfig::wavefront_lag`] > 0. The report is
+    /// byte-identical whichever strategy runs.
     pub fn run_with_state(self) -> Result<(SimReport, P), SimError> {
-        let ShardedSimulator { graph, partition, mut protocol, config: cfg, inter_delay } = self;
-        let run = Run { graph, partition: &partition, cfg: &cfg };
-        let lag = cfg.wavefront_lag;
-        if lag > 0 {
-            validate_wavefront(run, inter_delay)?;
+        let ShardedSimulator { graph, partition, protocol, config: cfg, inter_delay } = self;
+        if cfg.wavefront_lag > 0 {
+            validate_wavefront(graph, &cfg, inter_delay)?;
         }
-        let mut fab = Fabric::setup(run, &mut protocol, inter_delay)?;
-
-        let mut round: Round = 0;
-        loop {
-            // A width of 1 is a coupled round (always, without a lag;
-            // under one: round 0, observed, scheduled arrivals, tracing).
-            let width = if lag == 0 { 1 } else { wave_width(&protocol, &cfg, round, lag) };
-            let (at, idle) = if width <= 1 {
-                fab.lockstep_round(&mut protocol, round)?;
-                (round, fab.idle())
-            } else {
-                fab.wave_rounds(&mut protocol, round, width)?
-            };
-
-            // Quiescence / wakeup phase (shared with the single executor).
-            match advance_round(&protocol, idle, at, cfg.max_rounds)? {
-                Some(next) => round = next,
-                None => {
-                    round = at;
-                    break;
-                }
+        scheduler::run(graph, &cfg, protocol, || {
+            if partition.n() != graph.n() {
+                return Err(SimError::invalid_config(
+                    "shard partition does not cover the graph's vertex set",
+                ));
             }
-        }
-        Ok((fab.finish(round), protocol))
+            Ok(Fabric::new(&partition, cfg.link_delay, inter_delay))
+        })
     }
 
     /// Run to quiescence, returning only the report.
@@ -957,16 +749,15 @@ where
 
 /// What [`SimConfig::wavefront_lag`] > 0 needs of a run, checked
 /// constructively before anything executes.
-fn validate_wavefront(run: Run<'_>, inter_delay: LinkDelay) -> Result<(), SimError> {
-    let Run { graph, cfg, .. } = run;
+fn validate_wavefront(graph: &Graph, cfg: &SimConfig, ferry: LinkDelay) -> Result<(), SimError> {
     let lag = cfg.wavefront_lag;
-    let ferry_floor = inter_delay.min_delay();
+    let ferry_floor = ferry.min_delay();
     if lag > ferry_floor {
         return Err(SimError::invalid_config(format!(
             "wavefront lag {lag} exceeds the inter-shard ferry's minimum delay \
              {ferry_floor} ({}): a shard could outrun a wire already in flight; \
              lower the lag or slow the ferry",
-            inter_delay.name()
+            ferry.name()
         )));
     }
     if cfg.link_delay.varies_per_message() {
@@ -1108,6 +899,7 @@ where
 mod tests {
     use super::*;
     use crate::engine::tests::Walk;
+    use crate::{SimApi, TraceKind};
     use ccq_graph::topology;
 
     /// Both apply paths of the one lockstep round.
@@ -1125,30 +917,28 @@ mod tests {
     #[test]
     fn fork_lends_every_shard_once_in_place_and_answers_in_shard_order() {
         use std::sync::Mutex;
-        let g = topology::path(9);
-        let cfg = SimConfig::strict();
         for k in [1, 3] {
             let part = Partition::contiguous(9, k);
-            let run = Run { graph: &g, partition: &part, cfg: &cfg };
-            let mut fab = Fabric::setup(run, &mut Walk::new(9), LinkDelay::Unit).unwrap();
+            let mut fab: Fabric<()> = Fabric::new(&part, LinkDelay::Unit, LinkDelay::Unit);
             let lent = Mutex::new(Vec::new());
             let inputs: Vec<usize> = (0..k).map(|shard| 10 * shard).collect();
-            let out = fork(&mut fab.shards, inputs, |shard, state, input| {
+            let members = |lane: &Lane<()>| lane.store.members().collect::<Vec<_>>();
+            let out = fork(&mut fab.lanes, inputs, |shard, lane, input| {
                 lent.lock().unwrap().push(shard);
-                // A mark left in the lent shard: it must still be there,
-                // on the same shard, after the join.
-                state.frontier.push(shard);
-                (shard, input, state.members)
+                // A mark left in the lent lane: it must still be there,
+                // on the same lane, after the join.
+                lane.frontier.push(shard);
+                (shard, input, members(lane))
             });
             let want: Vec<_> =
-                (0..k).map(|shard| (shard, 10 * shard, part.members(shard))).collect();
+                (0..k).map(|shard| (shard, 10 * shard, part.members(shard).to_vec())).collect();
             assert_eq!(out, want, "k = {k}: results in shard order, each with its own input");
             let mut lent = lent.into_inner().unwrap();
             lent.sort_unstable();
-            assert_eq!(lent, (0..k).collect::<Vec<_>>(), "k = {k}: every shard lent exactly once");
-            for (shard, state) in fab.shards.iter().enumerate() {
-                assert_eq!(state.members, part.members(shard), "k = {k}: shards out of order");
-                assert_eq!(state.frontier, [shard], "k = {k}: the shard was not lent in place");
+            assert_eq!(lent, (0..k).collect::<Vec<_>>(), "k = {k}: every lane lent exactly once");
+            for (shard, lane) in fab.lanes.iter().enumerate() {
+                assert_eq!(members(lane), part.members(shard), "k = {k}: lanes out of order");
+                assert_eq!(lane.frontier, [shard], "k = {k}: the lane was not lent in place");
             }
         }
     }

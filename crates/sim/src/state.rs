@@ -218,8 +218,10 @@ impl<M> NodeStore<M> {
         }
     }
 
-    /// Queue slot of processor `v`, if `v` is a member of this store.
-    fn slot(&self, v: NodeId) -> Option<usize> {
+    /// Queue slot of processor `v`, if `v` is a member of this store. A
+    /// membership-sized store numbers its slots in member-list order, so
+    /// this is also `v`'s rank among the members.
+    pub(crate) fn slot(&self, v: NodeId) -> Option<usize> {
         match &self.slots {
             Slots::Dense => (v < self.n).then_some(v),
             Slots::Mapped { index, .. } => index.get(&v).copied(),
@@ -232,6 +234,12 @@ impl<M> NodeStore<M> {
             Slots::Dense => s,
             Slots::Mapped { ids, .. } => ids[s],
         }
+    }
+
+    /// The store's members as global ids, in slot order (ascending for the
+    /// stores the executors build) — the dense reference scan's frontier.
+    pub(crate) fn members(&self) -> impl Iterator<Item = NodeId> + '_ {
+        (0..self.inport_listed.len()).map(|s| self.global_of(s))
     }
 
     /// Stage a send in `from`'s outbox; returns the new outbox depth.
