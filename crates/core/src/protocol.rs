@@ -212,6 +212,13 @@ pub fn default_width(n: usize) -> usize {
     target.next_power_of_two().clamp(2, 32)
 }
 
+/// An explicit width, or the [`default_width`] rule on `n` processors — the
+/// one copy of that choice, read by both `effective_width` and `execute` of
+/// every width-parameterized spec.
+fn width_or_default(width: Option<usize>, n: usize) -> usize {
+    width.unwrap_or_else(|| default_width(n))
+}
+
 /// A runnable protocol: name, kind, instantiation and verification.
 ///
 /// Implementations are cheap value types; the width-parameterized ones
@@ -469,10 +476,10 @@ impl ProtocolSpec for CountingNetwork {
         ProtocolKind::Counting
     }
     fn effective_width(&self, n: usize) -> Option<usize> {
-        Some(self.width.unwrap_or_else(|| default_width(n)))
+        Some(width_or_default(self.width, n))
     }
     fn execute(&self, s: &Scenario, cfg: SimConfig) -> Result<SimReport, SimError> {
-        let w = self.effective_width(s.n()).unwrap();
+        let w = width_or_default(self.width, s.n());
         run_arrival_aware(s, cfg, || {
             CountingNetworkProtocol::new(&s.graph, &s.counting_tree, &s.requests, w)
         })
@@ -487,10 +494,10 @@ impl ProtocolSpec for PeriodicNetwork {
         ProtocolKind::Counting
     }
     fn effective_width(&self, n: usize) -> Option<usize> {
-        Some(self.width.unwrap_or_else(|| default_width(n)))
+        Some(width_or_default(self.width, n))
     }
     fn execute(&self, s: &Scenario, cfg: SimConfig) -> Result<SimReport, SimError> {
-        let w = self.effective_width(s.n()).unwrap();
+        let w = width_or_default(self.width, s.n());
         run_arrival_aware(s, cfg, || {
             CountingNetworkProtocol::with_network(
                 &s.graph,
@@ -510,10 +517,10 @@ impl ProtocolSpec for ToggleTree {
         ProtocolKind::Counting
     }
     fn effective_width(&self, n: usize) -> Option<usize> {
-        Some(self.leaves.unwrap_or_else(|| default_width(n)))
+        Some(width_or_default(self.leaves, n))
     }
     fn execute(&self, s: &Scenario, cfg: SimConfig) -> Result<SimReport, SimError> {
-        let w = self.effective_width(s.n()).unwrap();
+        let w = width_or_default(self.leaves, s.n());
         run_arrival_aware(s, cfg, || {
             ToggleTreeProtocol::new(&s.graph, &s.counting_tree, &s.requests, w)
         })

@@ -6,169 +6,34 @@
 //! total delay (plus routing distance) — the behaviour paper §5 proves is
 //! *unavoidable* on the star graph, and the straw-man that combining trees
 //! and counting networks improve upon elsewhere.
+//!
+//! The walk is `ccq-queuing`'s central mechanism, the one `central-queue`
+//! runs; this module contributes only the counter's hand-out.
 
-use ccq_graph::{path::RouteTable, NodeId, Tree};
-use ccq_sim::{OnlineProtocol, Protocol, SimApi, SliceApi};
+use crate::ranks::Rank;
+use ccq_graph::NodeId;
+use ccq_queuing::central::{Central, CentralHandOut};
 
-/// Messages: increment request towards the root, rank reply back.
-#[derive(Clone, Debug)]
-pub enum CentralCounterMsg {
-    /// Increment from `origin`, source-routed to the root.
-    Inc { origin: NodeId, route: usize, idx: usize },
-    /// Rank reply, source-routed back to the origin.
-    Rank { rank: u64, route: usize, idx: usize },
-}
-
-/// Read-only routing state every central-counter handler shares.
-#[derive(Debug)]
-pub struct CentralCounterShared {
-    root: NodeId,
-    routes: RouteTable,
-    to_root: Vec<usize>,
-    from_root: Vec<usize>,
-}
-
-/// One node's central-counter state. Only the root's slice is live — the
-/// next rank to hand out — but every node gets one so indexing stays
-/// uniform.
-#[derive(Debug)]
-pub struct CentralCounterSlice {
-    /// Next rank to assign (meaningful at the root only).
-    next_rank: u64,
-}
-
-/// Centralized counter protocol state.
-pub struct CentralCounterProtocol {
-    shared: CentralCounterShared,
-    slices: Vec<CentralCounterSlice>,
-    requests: Vec<NodeId>,
-}
-
-impl CentralCounterProtocol {
-    /// Set up with the counter hosted at `root`, routing along `tree`.
-    pub fn new(tree: &Tree, root: NodeId, requests: &[NodeId]) -> Self {
-        let n = tree.n();
-        assert!(root < n);
-        let mut routes = RouteTable::new();
-        let mut to_root = vec![usize::MAX; n];
-        let mut from_root = vec![usize::MAX; n];
-        let mut requests = requests.to_vec();
-        requests.sort_unstable();
-        for &v in &requests {
-            let p = tree.path(v, root);
-            let mut rp = p.clone();
-            rp.reverse();
-            to_root[v] = routes.push(p);
-            from_root[v] = routes.push(rp);
-        }
-        CentralCounterProtocol {
-            shared: CentralCounterShared { root, routes, to_root, from_root },
-            slices: (0..n).map(|_| CentralCounterSlice { next_rank: 1 }).collect(),
-            requests,
-        }
-    }
-
-    fn hop(
-        shared: &CentralCounterShared,
-        api: &mut SliceApi<CentralCounterMsg>,
-        at: NodeId,
-        msg: CentralCounterMsg,
-    ) {
-        let (route, idx) = match &msg {
-            CentralCounterMsg::Inc { route, idx, .. } => (*route, *idx),
-            CentralCounterMsg::Rank { route, idx, .. } => (*route, *idx),
-        };
-        let path = shared.routes.get(route);
-        debug_assert_eq!(path[idx], at);
-        let next = path[idx + 1];
-        let bumped = match msg {
-            CentralCounterMsg::Inc { origin, route, .. } => {
-                CentralCounterMsg::Inc { origin, route, idx: idx + 1 }
-            }
-            CentralCounterMsg::Rank { rank, route, .. } => {
-                CentralCounterMsg::Rank { rank, route, idx: idx + 1 }
-            }
-        };
-        api.send(next, bumped);
+/// The counter's hand-out: the root returns the next rank and advances it.
+impl CentralHandOut for Rank {
+    const FIRST: u64 = 1;
+    const NAMES: [&'static str; 3] = ["Inc", "Rank", "rank"];
+    fn hand_out(next: &mut u64, _origin: NodeId) -> u64 {
+        let rank = *next;
+        *next += 1;
+        rank
     }
 }
 
-impl OnlineProtocol for CentralCounterProtocol {
-    /// Issue `v`'s increment now (`v` must be in the request set).
-    fn issue(
-        shared: &CentralCounterShared,
-        slice: &mut CentralCounterSlice,
-        api: &mut SliceApi<CentralCounterMsg>,
-        v: NodeId,
-    ) {
-        if v == shared.root {
-            let rank = slice.next_rank;
-            slice.next_rank += 1;
-            api.complete(v, rank);
-        } else {
-            let route = shared.to_root[v];
-            debug_assert_ne!(route, usize::MAX, "node {v} is not a requester");
-            Self::hop(shared, api, v, CentralCounterMsg::Inc { origin: v, route, idx: 0 });
-        }
-    }
-}
-
-impl Protocol for CentralCounterProtocol {
-    type Msg = CentralCounterMsg;
-    type Slice = CentralCounterSlice;
-    type Shared = CentralCounterShared;
-
-    fn split(&mut self) -> (&CentralCounterShared, &mut [CentralCounterSlice]) {
-        (&self.shared, &mut self.slices)
-    }
-
-    fn on_start(&mut self, api: &mut SimApi<CentralCounterMsg>) {
-        let requests = self.requests.clone();
-        ccq_sim::issue_all(self, api, &requests);
-    }
-
-    fn on_message(
-        shared: &CentralCounterShared,
-        slice: &mut CentralCounterSlice,
-        api: &mut SliceApi<CentralCounterMsg>,
-        node: NodeId,
-        _from: NodeId,
-        msg: CentralCounterMsg,
-    ) {
-        match msg {
-            CentralCounterMsg::Inc { origin, route, idx } => {
-                let path_len = shared.routes.get(route).len();
-                if idx + 1 == path_len {
-                    debug_assert_eq!(node, shared.root);
-                    let rank = slice.next_rank;
-                    slice.next_rank += 1;
-                    Self::hop(
-                        shared,
-                        api,
-                        node,
-                        CentralCounterMsg::Rank { rank, route: shared.from_root[origin], idx: 0 },
-                    );
-                } else {
-                    Self::hop(shared, api, node, CentralCounterMsg::Inc { origin, route, idx });
-                }
-            }
-            CentralCounterMsg::Rank { rank, route, idx } => {
-                let path_len = shared.routes.get(route).len();
-                if idx + 1 == path_len {
-                    api.complete(node, rank);
-                } else {
-                    Self::hop(shared, api, node, CentralCounterMsg::Rank { rank, route, idx });
-                }
-            }
-        }
-    }
-}
+/// Centralized counter protocol: the central mechanism handing out ranks,
+/// hosted at the `root` its constructor names.
+pub type CentralCounterProtocol = Central<Rank>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ranks::verify_ranks;
-    use ccq_graph::spanning;
+    use ccq_graph::{spanning, Tree};
     use ccq_sim::{run_protocol, SimConfig};
 
     fn run_central(tree: &Tree, root: NodeId, requests: &[NodeId]) -> ccq_sim::SimReport {

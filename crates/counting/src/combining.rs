@@ -1,14 +1,6 @@
-//! The software-combining tree counter.
-//!
-//! One-shot combining on a rooted spanning tree:
-//!
-//! 1. **Up phase** — every leaf immediately reports the number of requests
-//!    in its subtree (0 or 1) to its parent; an internal node waits for all
-//!    children, adds its own request, and reports the sum upward.
-//! 2. **Down phase** — the root, knowing every subtree's request count,
-//!    assigns rank intervals in preorder (its own request first, then each
-//!    child's subtree in ascending order) and sends each child the base of
-//!    its interval; nodes recursively split their interval the same way.
+//! The software-combining tree counter: request counts aggregate up a
+//! rooted spanning tree, and rank intervals split back down in preorder
+//! (a node's own request first, then each child's subtree in slot order).
 //!
 //! Every requester's rank is its preorder position among requesters, so the
 //! ranks are exactly `{1, …, |R|}`. Per-operation delay is `O(depth)` on a
@@ -16,216 +8,47 @@
 //! spanning tree — a strong practical counting algorithm, yet still
 //! asymptotically above both the `Ω(n log* n)` floor and the arrow
 //! protocol's `O(n)` on Hamilton-path topologies.
+//!
+//! The wave is `ccq-queuing`'s combining mechanism, the one
+//! `combining-queue` runs; this module contributes only the counter's
+//! hand-out.
 
-use ccq_graph::{NodeId, Tree};
-use ccq_sim::{OnlineProtocol, Protocol, SimApi, SliceApi};
+use crate::ranks::Rank;
+use ccq_graph::NodeId;
+use ccq_queuing::combining::{Combining, CombiningHandOut};
 
-/// Messages of the combining protocol.
-#[derive(Clone, Copy, Debug)]
-pub enum CombiningMsg {
-    /// Subtree request count, child → parent.
-    Up { count: u64 },
-    /// Base rank for the receiver's subtree interval, parent → child.
-    Down { base: u64 },
-}
+/// The counter's hand-out: request counts up; down, a share is the first
+/// rank of its interval.
+impl CombiningHandOut for Rank {
+    type Summary = u64;
+    type Share = u64;
+    const FIELDS: [&'static str; 2] = ["count", "base"];
 
-/// One node's combining-wave state — everything a handler at the node
-/// touches.
-#[derive(Debug)]
-pub struct CombiningTreeSlice {
-    /// Children still expected to report in the up phase.
-    waiting: usize,
-    /// Request counts reported by children (indexed like `tree.children`).
-    child_counts: Vec<u64>,
-    /// Whether this node itself requested.
-    requesting: bool,
-    /// Whether the node's own operation has been injected: by the one-shot
-    /// start for every requester at once, by `issue` one at a time when
-    /// paced.
-    issued: bool,
-}
-
-/// Read-only tree shape every combining-tree handler shares: the tree
-/// itself, borrowed for the run.
-#[derive(Debug)]
-pub struct CombiningTreeShared<'t> {
-    tree: &'t Tree,
-}
-
-/// Combining-tree counter protocol state.
-pub struct CombiningTreeProtocol<'t> {
-    shared: CombiningTreeShared<'t>,
-    nodes: Vec<CombiningTreeSlice>,
-}
-
-impl<'t> CombiningTreeProtocol<'t> {
-    /// Set up on `tree` with the given request set.
-    pub fn new(tree: &'t Tree, requests: &[NodeId]) -> Self {
-        let n = tree.n();
-        let mut requesting = vec![false; n];
-        for &r in requests {
-            assert!(r < n, "request out of range");
-            requesting[r] = true;
-        }
-        let nodes = (0..n)
-            .map(|v| CombiningTreeSlice {
-                waiting: tree.children(v).len(),
-                child_counts: vec![0; tree.children(v).len()],
-                requesting: requesting[v],
-                issued: false,
-            })
-            .collect();
-        CombiningTreeProtocol { shared: CombiningTreeShared { tree }, nodes }
+    fn summarize(own: Option<NodeId>, children: &[u64]) -> u64 {
+        children.iter().sum::<u64>() + u64::from(own.is_some())
     }
-
-    /// Whether `v` may report upward: all children in, and its own request
-    /// — if any — already injected. A requester holds its subtree's Up
-    /// report until then, so under paced arrivals the single combining wave
-    /// completes once every scheduled request has arrived — the batch
-    /// protocol's honest behaviour there (early requesters wait for
-    /// stragglers).
-    fn ready(slice: &CombiningTreeSlice) -> bool {
-        slice.waiting == 0 && (!slice.requesting || slice.issued)
+    fn size(count: &u64) -> usize {
+        *count as usize
     }
-
-    /// Let every node that is already [`ready`](Self::ready) report, in id
-    /// order — after marking every requester issued when `issue_all` is
-    /// set (the one-shot start); without it only the nodes that request
-    /// nothing and wait on no child open the wave (the paced start).
-    fn start(&mut self, api: &mut SimApi<CombiningMsg>, issue_all: bool) {
-        for v in 0..self.nodes.len() {
-            ccq_sim::with_slice(self, api, v, |shared, slice, sapi| {
-                slice.issued |= issue_all;
-                Self::report_if_ready(shared, slice, sapi, v)
-            });
-        }
+    fn assign(_count: u64) -> u64 {
+        1
     }
-
-    fn subtree_count(slice: &CombiningTreeSlice) -> u64 {
-        slice.child_counts.iter().sum::<u64>() + u64::from(slice.requesting)
+    fn value(base: &u64, i: usize) -> u64 {
+        base + i as u64
     }
-
-    /// Node `v` learned its interval base: take own rank (if requesting) and
-    /// forward sub-interval bases to children with non-empty counts.
-    fn distribute(
-        shared: &CombiningTreeShared,
-        slice: &CombiningTreeSlice,
-        api: &mut SliceApi<CombiningMsg>,
-        v: NodeId,
-        base: u64,
-    ) {
-        let mut next = base;
-        if slice.requesting {
-            api.complete(v, next);
-            next += 1;
-        }
-        for (i, c) in shared.tree.children(v).iter().enumerate() {
-            let cnt = slice.child_counts[i];
-            if cnt > 0 {
-                api.send(*c, CombiningMsg::Down { base: next });
-                next += cnt;
-            }
-        }
-    }
-
-    /// Once `v`'s subtree is fully aggregated ([`ready`](Self::ready)):
-    /// report up, or start distribution if `v` is the root. Checked
-    /// wherever that may have just become true: at the start, on a child's
-    /// report, on the node's own issue or cancel.
-    fn report_if_ready(
-        shared: &CombiningTreeShared,
-        slice: &mut CombiningTreeSlice,
-        api: &mut SliceApi<CombiningMsg>,
-        v: NodeId,
-    ) {
-        if !Self::ready(slice) {
-            return;
-        }
-        let total = Self::subtree_count(slice);
-        if v == shared.tree.root() {
-            Self::distribute(shared, slice, api, v, 1);
-        } else {
-            api.send(shared.tree.parent(v), CombiningMsg::Up { count: total });
-        }
+    fn part(base: &u64, from: usize, _len: usize) -> u64 {
+        base + from as u64
     }
 }
 
-impl OnlineProtocol for CombiningTreeProtocol<'_> {
-    fn issue(
-        shared: &CombiningTreeShared,
-        slice: &mut CombiningTreeSlice,
-        api: &mut SliceApi<CombiningMsg>,
-        node: NodeId,
-    ) {
-        debug_assert!(slice.requesting, "node {node} is not a requester");
-        slice.issued = true;
-        Self::report_if_ready(shared, slice, api, node);
-    }
-
-    fn on_paced_start(&mut self, api: &mut SimApi<CombiningMsg>) {
-        self.start(api, false);
-    }
-
-    fn cancel(
-        shared: &CombiningTreeShared,
-        slice: &mut CombiningTreeSlice,
-        api: &mut SliceApi<CombiningMsg>,
-        node: NodeId,
-    ) {
-        debug_assert!(slice.requesting, "node {node} is not a requester");
-        debug_assert!(!slice.issued, "cancel after issue");
-        // Strike the requester from the wave (its subtree count no longer
-        // includes it); release the subtree's Up if it was the last hold.
-        slice.requesting = false;
-        Self::report_if_ready(shared, slice, api, node);
-    }
-}
-
-impl<'t> Protocol for CombiningTreeProtocol<'t> {
-    type Msg = CombiningMsg;
-    type Slice = CombiningTreeSlice;
-    type Shared = CombiningTreeShared<'t>;
-
-    fn split(&mut self) -> (&CombiningTreeShared<'t>, &mut [CombiningTreeSlice]) {
-        (&self.shared, &mut self.nodes)
-    }
-
-    fn on_start(&mut self, api: &mut SimApi<CombiningMsg>) {
-        self.start(api, true);
-    }
-
-    fn on_message(
-        shared: &CombiningTreeShared,
-        slice: &mut CombiningTreeSlice,
-        api: &mut SliceApi<CombiningMsg>,
-        node: NodeId,
-        from: NodeId,
-        msg: CombiningMsg,
-    ) {
-        match msg {
-            CombiningMsg::Up { count } => {
-                let slot = shared
-                    .tree
-                    .children(node)
-                    .iter()
-                    .position(|&c| c == from)
-                    .expect("Up message from a non-child");
-                slice.child_counts[slot] = count;
-                slice.waiting -= 1;
-                Self::report_if_ready(shared, slice, api, node);
-            }
-            CombiningMsg::Down { base } => {
-                Self::distribute(shared, slice, api, node, base);
-            }
-        }
-    }
-}
+/// Combining-tree counter protocol: the combining wave handing out ranks.
+pub type CombiningTreeProtocol<'t> = Combining<'t, Rank>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ranks::verify_ranks;
-    use ccq_graph::spanning;
+    use ccq_graph::{spanning, Tree};
     use ccq_sim::{run_protocol, SimConfig};
 
     fn run_combining(

@@ -24,6 +24,16 @@
 //!   the exact protocols are measured against;
 //! * [`ranks`] — verification that an execution handed out exactly
 //!   `{1, …, |R|}` (or, relaxed, ranks within `1..=|R|`).
+//!
+//! The central and combining counters share their mechanisms with
+//! `ccq-queuing`'s `central-queue` and `combining-queue`: the walk and the
+//! wave are written once there, generic over a hand-out trait
+//! ([`CentralHandOut`](ccq_queuing::central::CentralHandOut),
+//! [`CombiningHandOut`](ccq_queuing::combining::CombiningHandOut)). This
+//! crate contributes only the counter's hand-out, [`Rank`] — a requester
+//! learns its rank instead of its predecessor — so
+//! [`CentralCounterProtocol`] and [`CombiningTreeProtocol`] are the two
+//! mechanisms instantiated with it.
 
 #![warn(unreachable_pub)]
 
@@ -38,5 +48,5 @@ pub use central::CentralCounterProtocol;
 pub use combining::CombiningTreeProtocol;
 pub use crdt::CrdtCounterProtocol;
 pub use network::{BalancingNetwork, BitonicNetwork, CountingNetworkProtocol};
-pub use ranks::{verify_ranks, verify_relaxed_ranks, RankError};
+pub use ranks::{verify_ranks, verify_relaxed_ranks, Rank, RankError};
 pub use toggle::ToggleTreeProtocol;

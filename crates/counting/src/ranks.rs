@@ -2,6 +2,11 @@
 
 use ccq_graph::NodeId;
 
+/// What a counter requester learns: its rank. The hand-out that makes
+/// `ccq-queuing`'s central and combining mechanisms counters.
+#[derive(Clone, Copy, Debug)]
+pub struct Rank;
+
 /// Why a counting execution's output is invalid.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum RankError {

@@ -1,175 +1,171 @@
-//! Centralized-home queuing baseline.
+//! The central mechanism: every requester's operation routes to one fixed
+//! *home* node along the spanning tree, the home hands it a value, and the
+//! value routes back. All requests serialize at the home — on a star this
+//! is the `Θ(n²)` behaviour of paper §5, and on any topology it wastes the
+//! locality the arrow protocol exploits.
 //!
-//! Every requester routes a message to a fixed *home* node along the
-//! spanning tree; the home appends to the queue (remembering the last
-//! enqueued operation) and routes the predecessor identity back. All
-//! requests serialize at the home — on a star this is the `Θ(n²)` behaviour
-//! of paper §5, and on any topology it wastes the locality the arrow
-//! protocol exploits. Included as the natural straw-man against which the
-//! arrow protocol's Theorem 4.1 bound is compared.
+//! The walk is written once, generic over a [`CentralHandOut`]: what the
+//! home hands out is the only thing that differs between the two registry
+//! entries built on it. With [`Predecessor`] it is `central-queue`
+//! ([`CentralQueueProtocol`], the straw-man against which the arrow
+//! protocol's Theorem 4.1 bound is compared): the home remembers the last
+//! enqueued operation and returns it. `ccq-counting`'s `Rank` makes it
+//! `central-counter`: the home returns the next rank and advances it.
 
-use crate::order::INITIAL_TOKEN;
+use crate::order::{Predecessor, INITIAL_TOKEN};
 use ccq_graph::{path::RouteTable, NodeId, Tree};
 use ccq_sim::{OnlineProtocol, Protocol, SimApi, SliceApi};
+use std::fmt;
+use std::marker::PhantomData;
 
-/// Messages: request towards home, reply back to origin. Both are source
-/// routed (`route` indexes the protocol's [`RouteTable`], `idx` is the
-/// position of the node currently holding the message).
-#[derive(Clone, Debug)]
-pub enum CentralQueueMsg {
-    /// Request from `origin`, travelling to the home node.
-    Req { origin: NodeId, route: usize, idx: usize },
-    /// Reply carrying the predecessor identity back to the origin.
-    Reply { pred: u64, route: usize, idx: usize },
+/// What the central home hands each request — the one difference between
+/// a central queue and a central counter.
+pub trait CentralHandOut: Clone {
+    /// The home's state before its first hand-out.
+    const FIRST: u64;
+    /// `Debug` names of the request, the reply and the reply's value field
+    /// (checkpoint digests hash every in-flight message's rendering).
+    const NAMES: [&'static str; 3];
+    /// Hand `origin` its value out of the home's `state`, advancing it.
+    fn hand_out(state: &mut u64, origin: NodeId) -> u64;
 }
 
-/// Read-only routing state every central-queue handler shares.
+/// The queue's hand-out: the predecessor is the last origin served.
+impl CentralHandOut for Predecessor {
+    const FIRST: u64 = INITIAL_TOKEN;
+    const NAMES: [&'static str; 3] = ["Req", "Reply", "pred"];
+    fn hand_out(last: &mut u64, origin: NodeId) -> u64 {
+        std::mem::replace(last, origin as u64)
+    }
+}
+
+/// Centralized queue protocol: the central mechanism handing out
+/// predecessors.
+pub type CentralQueueProtocol = Central<Predecessor>;
+
+/// Messages: the request towards the home, the hand-out back to its
+/// origin. Both are source-routed (`route` indexes the protocol's
+/// [`RouteTable`], `idx` is the position of the node holding the message).
+#[derive(Clone)]
+pub enum CentralMsg<H> {
+    /// Request from `origin`, travelling to the home.
+    Req { origin: NodeId, route: usize, idx: usize },
+    /// The hand-out `value`, travelling back to the origin; `hand` names
+    /// the hand-out, which picks the message's `Debug` spelling.
+    Reply { value: u64, route: usize, idx: usize, hand: PhantomData<H> },
+}
+
+impl<H: CentralHandOut> fmt::Debug for CentralMsg<H> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let [req, reply, value_name] = H::NAMES;
+        let (name, field, value, route, idx): (_, _, &dyn fmt::Debug, _, _) = match self {
+            CentralMsg::Req { origin, route, idx } => (req, "origin", origin, route, idx),
+            CentralMsg::Reply { value, route, idx, .. } => (reply, value_name, value, route, idx),
+        };
+        f.debug_struct(name).field(field, value).field("route", route).field("idx", idx).finish()
+    }
+}
+
+/// The [`SliceApi`] every central handler stages its effects through.
+type Api<H> = SliceApi<CentralMsg<H>>;
+
+/// Read-only routing state every central handler shares.
 #[derive(Debug)]
-pub struct CentralQueueShared {
+pub struct CentralShared {
     home: NodeId,
     routes: RouteTable,
-    /// Route id towards home, per requester (usize::MAX = not a requester).
+    /// Route id towards the home, per requester (`usize::MAX` = not a
+    /// requester); the route back is the next id.
     to_home: Vec<usize>,
-    /// Route id from home back to each requester.
-    from_home: Vec<usize>,
 }
 
-/// One node's central-queue state. Only the home node's slice carries
-/// anything — the id of the last enqueued operation — but giving every
-/// node a slice keeps the indexing uniform.
-#[derive(Debug)]
-pub struct CentralQueueSlice {
-    /// Last enqueued operation (meaningful at the home node only).
-    last: u64,
-}
-
-/// Centralized queue protocol state.
-pub struct CentralQueueProtocol {
-    shared: CentralQueueShared,
-    slices: Vec<CentralQueueSlice>,
+/// The central mechanism's state. Every node's slice is a `u64`, but only
+/// the home's is live: the state `H` hands out of.
+pub struct Central<H> {
+    shared: CentralShared,
+    state: Vec<u64>,
     requests: Vec<NodeId>,
+    hand: PhantomData<H>,
 }
 
-impl CentralQueueProtocol {
+impl<H: CentralHandOut> Central<H> {
     /// Set up with home node `home` on spanning tree `tree`.
     pub fn new(tree: &Tree, home: NodeId, requests: &[NodeId]) -> Self {
         let n = tree.n();
         assert!(home < n);
         let mut routes = RouteTable::new();
         let mut to_home = vec![usize::MAX; n];
-        let mut from_home = vec![usize::MAX; n];
         let mut requests = requests.to_vec();
         requests.sort_unstable();
         for &v in &requests {
-            let p = tree.path(v, home);
-            let mut rp = p.clone();
-            rp.reverse();
-            to_home[v] = routes.push(p);
-            from_home[v] = routes.push(rp);
+            let path = tree.path(v, home);
+            let back = path.iter().rev().copied().collect();
+            to_home[v] = routes.push(path);
+            routes.push(back);
         }
-        CentralQueueProtocol {
-            shared: CentralQueueShared { home, routes, to_home, from_home },
-            slices: (0..n).map(|_| CentralQueueSlice { last: INITIAL_TOKEN }).collect(),
-            requests,
-        }
+        let shared = CentralShared { home, routes, to_home };
+        Central { shared, state: vec![H::FIRST; n], requests, hand: PhantomData }
     }
 
-    fn forward(
-        shared: &CentralQueueShared,
-        api: &mut SliceApi<CentralQueueMsg>,
-        at: NodeId,
-        msg: CentralQueueMsg,
-    ) {
-        let (route, idx) = match &msg {
-            CentralQueueMsg::Req { route, idx, .. } => (*route, *idx),
-            CentralQueueMsg::Reply { route, idx, .. } => (*route, *idx),
-        };
-        let path = shared.routes.get(route);
-        debug_assert_eq!(path[idx], at);
-        api.send(path[idx + 1], msg_with_idx(msg, idx + 1));
+    /// Send `msg`, held by `at`, one hop further along its route.
+    fn forward(shared: &CentralShared, api: &mut Api<H>, at: NodeId, mut msg: CentralMsg<H>) {
+        let (CentralMsg::Req { route, idx, .. } | CentralMsg::Reply { route, idx, .. }) = &mut msg;
+        let path = shared.routes.get(*route);
+        debug_assert_eq!(path[*idx], at);
+        *idx += 1;
+        let next = path[*idx];
+        api.send(next, msg);
     }
 }
 
-fn msg_with_idx(msg: CentralQueueMsg, idx: usize) -> CentralQueueMsg {
-    match msg {
-        CentralQueueMsg::Req { origin, route, .. } => CentralQueueMsg::Req { origin, route, idx },
-        CentralQueueMsg::Reply { pred, route, .. } => CentralQueueMsg::Reply { pred, route, idx },
-    }
-}
-
-impl OnlineProtocol for CentralQueueProtocol {
-    /// Issue `v`'s enqueue now (`v` must be in the request set).
-    fn issue(
-        shared: &CentralQueueShared,
-        slice: &mut CentralQueueSlice,
-        api: &mut SliceApi<CentralQueueMsg>,
-        v: NodeId,
-    ) {
+impl<H: CentralHandOut> OnlineProtocol for Central<H> {
+    /// Issue `v`'s operation now (`v` must be in the request set): the
+    /// home serves itself without messages, anyone else starts the walk.
+    fn issue(shared: &CentralShared, state: &mut u64, api: &mut Api<H>, v: NodeId) {
         if v == shared.home {
-            // Local enqueue: no messages needed.
-            let pred = slice.last;
-            slice.last = v as u64;
-            api.complete(v, pred);
+            api.complete(v, H::hand_out(state, v));
         } else {
             let route = shared.to_home[v];
             debug_assert_ne!(route, usize::MAX, "node {v} is not a requester");
-            Self::forward(shared, api, v, CentralQueueMsg::Req { origin: v, route, idx: 0 });
+            Self::forward(shared, api, v, CentralMsg::Req { origin: v, route, idx: 0 });
         }
     }
 }
 
-impl Protocol for CentralQueueProtocol {
-    type Msg = CentralQueueMsg;
-    type Slice = CentralQueueSlice;
-    type Shared = CentralQueueShared;
+impl<H: CentralHandOut> Protocol for Central<H> {
+    type Msg = CentralMsg<H>;
+    type Slice = u64;
+    type Shared = CentralShared;
 
-    fn split(&mut self) -> (&CentralQueueShared, &mut [CentralQueueSlice]) {
-        (&self.shared, &mut self.slices)
+    fn split(&mut self) -> (&CentralShared, &mut [u64]) {
+        (&self.shared, &mut self.state)
     }
 
-    fn on_start(&mut self, api: &mut SimApi<CentralQueueMsg>) {
+    fn on_start(&mut self, api: &mut SimApi<CentralMsg<H>>) {
         let requests = self.requests.clone();
         ccq_sim::issue_all(self, api, &requests);
     }
 
     fn on_message(
-        shared: &CentralQueueShared,
-        slice: &mut CentralQueueSlice,
-        api: &mut SliceApi<CentralQueueMsg>,
+        shared: &CentralShared,
+        state: &mut u64,
+        api: &mut Api<H>,
         node: NodeId,
         _from: NodeId,
-        msg: CentralQueueMsg,
+        msg: CentralMsg<H>,
     ) {
+        let (CentralMsg::Req { route, idx, .. } | CentralMsg::Reply { route, idx, .. }) = msg;
         match msg {
-            CentralQueueMsg::Req { origin, route, idx } => {
-                let path = shared.routes.get(route);
-                if idx + 1 == path.len() {
-                    debug_assert_eq!(node, shared.home);
-                    let pred = slice.last;
-                    slice.last = origin as u64;
-                    let back = shared.from_home[origin];
-                    if shared.routes.get(back).len() == 1 {
-                        api.complete(origin, pred);
-                    } else {
-                        Self::forward(
-                            shared,
-                            api,
-                            node,
-                            CentralQueueMsg::Reply { pred, route: back, idx: 0 },
-                        );
-                    }
-                } else {
-                    Self::forward(shared, api, node, CentralQueueMsg::Req { origin, route, idx });
-                }
+            // Not yet at the end of its route: one more hop.
+            _ if idx + 1 < shared.routes.get(route).len() => Self::forward(shared, api, node, msg),
+            CentralMsg::Req { origin, .. } => {
+                debug_assert_eq!(node, shared.home);
+                let value = H::hand_out(state, origin);
+                let route = shared.to_home[origin] + 1;
+                let reply = CentralMsg::Reply { value, route, idx: 0, hand: PhantomData };
+                Self::forward(shared, api, node, reply);
             }
-            CentralQueueMsg::Reply { pred, route, idx } => {
-                let path = shared.routes.get(route);
-                if idx + 1 == path.len() {
-                    api.complete(node, pred);
-                } else {
-                    Self::forward(shared, api, node, CentralQueueMsg::Reply { pred, route, idx });
-                }
-            }
+            CentralMsg::Reply { value, .. } => api.complete(node, value),
         }
     }
 }

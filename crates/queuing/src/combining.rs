@@ -1,80 +1,150 @@
-//! Combining-tree queuing baseline.
+//! The combining mechanism: one wave up and down a rooted spanning tree.
+//! Up, a node waits for every child's summary of its subtree, puts its own
+//! request (if any) in front and reports to its parent. Down, the root
+//! hands the whole tree out in preorder, and every node splits its share
+//! the same way: its own value first, then each reporting child's
+//! contiguous part, in slot order.
 //!
-//! The natural tree-based alternative to the arrow protocol: requester ids
-//! aggregate up a rooted spanning tree in preorder lists, the root
-//! concatenates them into a total order, and predecessor assignments
-//! distribute back down. Correct and `O(depth)` per operation — but unlike
-//! the arrow protocol it always pays the full up/down traversal and gains
-//! nothing from locality between requesters, which is exactly the
-//! comparison the t9 ablations quantify.
+//! Correct and `O(depth)` per operation — but unlike the arrow protocol it
+//! always pays the full up/down traversal and gains nothing from locality
+//! between requesters, which is exactly the comparison the t9 ablations
+//! quantify.
+//!
+//! The wave is written once, generic over a [`CombiningHandOut`]: the
+//! summary sent up and the share sent down are the only things that
+//! differ between the two registry entries built on it. With
+//! [`Predecessor`] it is `combining-queue` ([`CombiningQueueProtocol`]):
+//! summaries are preorder requester lists and shares are `(node,
+//! predecessor)` lists. `ccq-counting`'s `Rank` makes it `combining-tree`:
+//! summaries are request counts and a share is its first rank.
 
-use crate::order::INITIAL_TOKEN;
+use crate::order::{Predecessor, INITIAL_TOKEN};
 use ccq_graph::{NodeId, Tree};
 use ccq_sim::{OnlineProtocol, Protocol, SimApi, SliceApi};
+use std::fmt;
 
-/// Messages of the combining queue.
-#[derive(Clone, Debug)]
-pub enum CombiningQueueMsg {
-    /// Requesters of the sender's subtree, in preorder.
-    Up(Vec<NodeId>),
-    /// `(requester, predecessor)` assignments for the receiver's subtree.
-    Down(Vec<(NodeId, u64)>),
+/// What the combining wave carries up and hands down — the one difference
+/// between a combining queue and a combining counter.
+pub trait CombiningHandOut: Clone {
+    /// A subtree's report to its parent.
+    type Summary: Clone + Default + fmt::Debug + Send;
+    /// A subtree's share of the hand-out, its requests in preorder.
+    type Share: Clone + fmt::Debug + Send;
+    /// `Debug` field names of `Up` and `Down`, where `""` renders a tuple
+    /// variant (checkpoint digests hash every in-flight message).
+    const FIELDS: [&'static str; 2];
+    /// Summarize a subtree: its root's own request, if any, then the
+    /// children's summaries in slot order.
+    fn summarize(own: Option<NodeId>, children: &[Self::Summary]) -> Self::Summary;
+    /// The number of requests a summary covers.
+    fn size(summary: &Self::Summary) -> usize;
+    /// The root's hand-out over the whole tree's summary.
+    fn assign(summary: Self::Summary) -> Self::Share;
+    /// The value of a share's `i`-th request.
+    fn value(share: &Self::Share, i: usize) -> u64;
+    /// The `len` requests of a share from its `from`-th on.
+    fn part(share: &Self::Share, from: usize, len: usize) -> Self::Share;
 }
 
-/// One node's combining-wave state — everything a handler at the node
-/// touches.
-#[derive(Debug)]
-pub struct CombiningQueueSlice {
+/// The queue's hand-out: preorder lists up; down, each requester's
+/// predecessor is the one before it in the root's list.
+impl CombiningHandOut for Predecessor {
+    type Summary = Vec<NodeId>;
+    type Share = Vec<(NodeId, u64)>;
+    const FIELDS: [&'static str; 2] = ["", ""];
+
+    fn summarize(own: Option<NodeId>, children: &[Vec<NodeId>]) -> Vec<NodeId> {
+        let len = children.iter().map(Vec::len).sum::<usize>() + usize::from(own.is_some());
+        let mut list = Vec::with_capacity(len);
+        list.extend(own);
+        children.iter().for_each(|c| list.extend_from_slice(c));
+        list
+    }
+    fn size(list: &Vec<NodeId>) -> usize {
+        list.len()
+    }
+    fn assign(list: Vec<NodeId>) -> Vec<(NodeId, u64)> {
+        let mut pred = INITIAL_TOKEN;
+        list.into_iter().map(|v| (v, std::mem::replace(&mut pred, v as u64))).collect()
+    }
+    fn value(share: &Vec<(NodeId, u64)>, i: usize) -> u64 {
+        share[i].1
+    }
+    fn part(share: &Vec<(NodeId, u64)>, from: usize, len: usize) -> Vec<(NodeId, u64)> {
+        share[from..from + len].to_vec()
+    }
+}
+
+/// Combining-queue protocol: the combining wave handing out predecessors.
+pub type CombiningQueueProtocol<'t> = Combining<'t, Predecessor>;
+
+/// The [`SliceApi`] every wave handler stages its effects through.
+type Api<H> = SliceApi<WaveMsg<H>>;
+
+/// Messages of the combining wave.
+#[derive(Clone)]
+pub enum WaveMsg<H: CombiningHandOut> {
+    /// The sender's subtree summary, child → parent.
+    Up(H::Summary),
+    /// The receiver's subtree share, parent → child.
+    Down(H::Share),
+}
+
+impl<H: CombiningHandOut> fmt::Debug for WaveMsg<H> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let (name, field, payload): (_, _, &dyn fmt::Debug) = match self {
+            WaveMsg::Up(summary) => ("Up", H::FIELDS[0], summary),
+            WaveMsg::Down(share) => ("Down", H::FIELDS[1], share),
+        };
+        if field.is_empty() {
+            f.debug_tuple(name).field(payload).finish()
+        } else {
+            f.debug_struct(name).field(field, payload).finish()
+        }
+    }
+}
+
+/// One node's wave state — everything a handler at the node touches.
+pub struct WaveSlice<H: CombiningHandOut> {
+    /// Children still expected to report.
     waiting: usize,
-    /// Preorder requester lists reported by children, by child slot.
-    child_lists: Vec<Vec<NodeId>>,
+    /// Summaries reported by the children, by child slot.
+    summaries: Vec<H::Summary>,
     requesting: bool,
-    /// Whether the node's own operation has been injected: by the one-shot
-    /// start for every requester at once, by `issue` one at a time when
-    /// paced.
+    /// Whether the node's own operation was injected: by the one-shot start
+    /// for every requester at once, by `issue` one at a time when paced.
     issued: bool,
 }
 
-/// Read-only tree shape every combining-queue handler shares: the tree
-/// itself, borrowed for the run.
-#[derive(Debug)]
-pub struct CombiningQueueShared<'t> {
+/// The combining mechanism's state; the tree shape every handler shares is
+/// borrowed for the run.
+pub struct Combining<'t, H: CombiningHandOut> {
     tree: &'t Tree,
+    nodes: Vec<WaveSlice<H>>,
 }
 
-/// Combining-queue protocol state.
-pub struct CombiningQueueProtocol<'t> {
-    shared: CombiningQueueShared<'t>,
-    nodes: Vec<CombiningQueueSlice>,
-}
-
-impl<'t> CombiningQueueProtocol<'t> {
+impl<'t, H: CombiningHandOut> Combining<'t, H> {
     /// Set up on `tree` with the given request set.
     pub fn new(tree: &'t Tree, requests: &[NodeId]) -> Self {
-        let n = tree.n();
-        let mut requesting = vec![false; n];
-        for &r in requests {
-            assert!(r < n, "request out of range");
-            requesting[r] = true;
-        }
-        let nodes = (0..n)
-            .map(|v| CombiningQueueSlice {
-                waiting: tree.children(v).len(),
-                child_lists: vec![Vec::new(); tree.children(v).len()],
-                requesting: requesting[v],
-                issued: false,
+        let mut nodes: Vec<_> = (0..tree.n())
+            .map(|v| {
+                let k = tree.children(v).len();
+                let summaries = vec![H::Summary::default(); k];
+                WaveSlice { waiting: k, summaries, requesting: false, issued: false }
             })
             .collect();
-        CombiningQueueProtocol { shared: CombiningQueueShared { tree }, nodes }
+        for &r in requests {
+            assert!(r < nodes.len(), "request out of range");
+            nodes[r].requesting = true;
+        }
+        Combining { tree, nodes }
     }
 
     /// Whether `v` may report upward: all children in, and its own request
-    /// — if any — already injected. A requester holds its subtree's Up
-    /// report until then, so under paced arrivals the single combining wave
+    /// — if any — injected. Under paced arrivals the single wave therefore
     /// completes once every scheduled request has arrived — the batch
-    /// protocol's honest behaviour there (early requesters wait for
-    /// stragglers).
-    fn ready(slice: &CombiningQueueSlice) -> bool {
+    /// protocol's honest behaviour there (early requesters wait).
+    fn ready(slice: &WaveSlice<H>) -> bool {
         slice.waiting == 0 && (!slice.requesting || slice.issued)
     }
 
@@ -82,149 +152,98 @@ impl<'t> CombiningQueueProtocol<'t> {
     /// order — after marking every requester issued when `issue_all` is
     /// set (the one-shot start); without it only the nodes that request
     /// nothing and wait on no child open the wave (the paced start).
-    fn start(&mut self, api: &mut SimApi<CombiningQueueMsg>, issue_all: bool) {
+    fn start(&mut self, api: &mut SimApi<WaveMsg<H>>, issue_all: bool) {
         for v in 0..self.nodes.len() {
-            ccq_sim::with_slice(self, api, v, |shared, slice, sapi| {
+            ccq_sim::with_slice(self, api, v, |tree, slice, sapi| {
                 slice.issued |= issue_all;
-                Self::report_if_ready(shared, slice, sapi, v)
+                Self::report_if_ready(tree, slice, sapi, v)
             });
         }
     }
 
-    /// Preorder requester list of `v`'s subtree (own request first).
-    fn subtree_list(slice: &CombiningQueueSlice, v: NodeId) -> Vec<NodeId> {
-        let mut list = Vec::new();
-        if slice.requesting {
-            list.push(v);
-        }
-        for cl in &slice.child_lists {
-            list.extend_from_slice(cl);
-        }
-        list
-    }
-
-    /// Report `v`'s subtree upward (or, at the root, start distribution)
-    /// once it is [`ready`](Self::ready) — checked wherever that may have
-    /// just become true: at the start, on a child's report, on the node's
-    /// own issue or cancel.
-    fn report_if_ready(
-        shared: &CombiningQueueShared,
-        slice: &mut CombiningQueueSlice,
-        api: &mut SliceApi<CombiningQueueMsg>,
-        v: NodeId,
-    ) {
+    /// Report `v`'s subtree upward (at the root: start the hand-out) once
+    /// it is [`ready`](Self::ready) — checked wherever that may have just
+    /// become true: at the start, on a child's report, on issue or cancel.
+    fn report_if_ready(tree: &Tree, slice: &WaveSlice<H>, api: &mut Api<H>, v: NodeId) {
         if !Self::ready(slice) {
             return;
         }
-        let list = Self::subtree_list(slice, v);
-        if v == shared.tree.root() {
-            // Form the total order: initial token, then preorder.
-            let assignments: Vec<(NodeId, u64)> = list
-                .iter()
-                .enumerate()
-                .map(|(i, &node)| {
-                    let pred = if i == 0 { INITIAL_TOKEN } else { list[i - 1] as u64 };
-                    (node, pred)
-                })
-                .collect();
-            Self::distribute(shared, slice, api, v, assignments);
+        let summary = H::summarize(slice.requesting.then_some(v), &slice.summaries);
+        if v == tree.root() {
+            Self::distribute(tree, slice, api, v, H::assign(summary));
         } else {
-            api.send(shared.tree.parent(v), CombiningQueueMsg::Up(list));
+            api.send(tree.parent(v), WaveMsg::Up(summary));
         }
     }
 
-    fn distribute(
-        shared: &CombiningQueueShared,
-        slice: &CombiningQueueSlice,
-        api: &mut SliceApi<CombiningQueueMsg>,
-        v: NodeId,
-        assignments: Vec<(NodeId, u64)>,
-    ) {
-        use std::collections::HashMap;
-        let by_node: HashMap<NodeId, u64> = assignments.iter().copied().collect();
+    /// `v` received its subtree's share: take its own value (if
+    /// requesting) and send each reporting child the next contiguous part.
+    fn distribute(tree: &Tree, slice: &WaveSlice<H>, api: &mut Api<H>, v: NodeId, share: H::Share) {
+        let mut next = 0;
         if slice.requesting {
-            let pred = by_node[&v];
-            api.complete(v, pred);
+            api.complete(v, H::value(&share, 0));
+            next = 1;
         }
-        // Split the remaining assignments by child subtree (child lists are
-        // exactly the subtree memberships recorded on the way up).
-        for (slot, c) in shared.tree.children(v).iter().enumerate() {
-            let subtree: Vec<(NodeId, u64)> =
-                slice.child_lists[slot].iter().map(|&node| (node, by_node[&node])).collect();
-            if !subtree.is_empty() {
-                api.send(*c, CombiningQueueMsg::Down(subtree));
+        for (&c, summary) in tree.children(v).iter().zip(&slice.summaries) {
+            let len = H::size(summary);
+            if len > 0 {
+                api.send(c, WaveMsg::Down(H::part(&share, next, len)));
+                next += len;
             }
         }
     }
 }
 
-impl OnlineProtocol for CombiningQueueProtocol<'_> {
-    fn issue(
-        shared: &CombiningQueueShared,
-        slice: &mut CombiningQueueSlice,
-        api: &mut SliceApi<CombiningQueueMsg>,
-        node: NodeId,
-    ) {
+impl<H: CombiningHandOut> OnlineProtocol for Combining<'_, H> {
+    fn issue(tree: &Tree, slice: &mut WaveSlice<H>, api: &mut Api<H>, node: NodeId) {
         debug_assert!(slice.requesting, "node {node} is not a requester");
         slice.issued = true;
-        Self::report_if_ready(shared, slice, api, node);
+        Self::report_if_ready(tree, slice, api, node);
     }
 
-    fn on_paced_start(&mut self, api: &mut SimApi<CombiningQueueMsg>) {
+    fn on_paced_start(&mut self, api: &mut SimApi<WaveMsg<H>>) {
         self.start(api, false);
     }
 
-    fn cancel(
-        shared: &CombiningQueueShared,
-        slice: &mut CombiningQueueSlice,
-        api: &mut SliceApi<CombiningQueueMsg>,
-        node: NodeId,
-    ) {
+    fn cancel(tree: &Tree, slice: &mut WaveSlice<H>, api: &mut Api<H>, node: NodeId) {
         debug_assert!(slice.requesting, "node {node} is not a requester");
         debug_assert!(!slice.issued, "cancel after issue");
         // Strike the requester from the wave; if its Up report was the
         // last thing the subtree waited for, release it now.
         slice.requesting = false;
-        Self::report_if_ready(shared, slice, api, node);
+        Self::report_if_ready(tree, slice, api, node);
     }
 }
 
-impl<'t> Protocol for CombiningQueueProtocol<'t> {
-    type Msg = CombiningQueueMsg;
-    type Slice = CombiningQueueSlice;
-    type Shared = CombiningQueueShared<'t>;
+impl<H: CombiningHandOut> Protocol for Combining<'_, H> {
+    type Msg = WaveMsg<H>;
+    type Slice = WaveSlice<H>;
+    type Shared = Tree;
 
-    fn split(&mut self) -> (&CombiningQueueShared<'t>, &mut [CombiningQueueSlice]) {
-        (&self.shared, &mut self.nodes)
+    fn split(&mut self) -> (&Tree, &mut [WaveSlice<H>]) {
+        (self.tree, &mut self.nodes)
     }
 
-    fn on_start(&mut self, api: &mut SimApi<CombiningQueueMsg>) {
+    fn on_start(&mut self, api: &mut SimApi<WaveMsg<H>>) {
         self.start(api, true);
     }
 
     fn on_message(
-        shared: &CombiningQueueShared,
-        slice: &mut CombiningQueueSlice,
-        api: &mut SliceApi<CombiningQueueMsg>,
+        tree: &Tree,
+        slice: &mut WaveSlice<H>,
+        api: &mut Api<H>,
         node: NodeId,
         from: NodeId,
-        msg: CombiningQueueMsg,
+        msg: WaveMsg<H>,
     ) {
         match msg {
-            CombiningQueueMsg::Up(list) => {
-                let slot = shared
-                    .tree
-                    .children(node)
-                    .iter()
-                    .position(|&c| c == from)
-                    .expect("Up from a non-child");
-                slice.child_lists[slot] = list;
+            WaveMsg::Up(summary) => {
+                let slot = tree.children(node).iter().position(|&c| c == from);
+                slice.summaries[slot.expect("Up from a non-child")] = summary;
                 slice.waiting -= 1;
-                Self::report_if_ready(shared, slice, api, node);
+                Self::report_if_ready(tree, slice, api, node);
             }
-            CombiningQueueMsg::Down(assignments) => {
-                Self::distribute(shared, slice, api, node, assignments);
-            }
+            WaveMsg::Down(share) => Self::distribute(tree, slice, api, node, share),
         }
     }
 }

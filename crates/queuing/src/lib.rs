@@ -8,13 +8,26 @@
 //!   path reversal on a spanning tree, whose one-shot concurrent cost is
 //!   bounded by twice the nearest-neighbour TSP cost (Theorem 4.1, from
 //!   Herlihy–Tirthapura–Wattenhofer '01);
-//! * [`central`] — a centralized-home baseline that serializes at one node;
-//!   (long-lived arrivals are handled generically by [`ccq_sim::Paced`]
-//!   wrapping any of these protocols as built);
+//! * [`central`] — the central mechanism: every request routes to one home
+//!   node, which serializes them, and the answer routes back;
+//! * [`combining`] — the combining mechanism: one wave of subtree summaries
+//!   up a spanning tree, the hand-out split back down in preorder;
 //! * [`sequential`] — a sequential reference executor used to validate the
 //!   concurrent implementation and to connect to the TSP analysis;
 //! * [`order`] — verification that an execution produced a valid total
 //!   order (exactly one chain, every requester exactly once).
+//!
+//! Long-lived arrivals are handled generically by [`ccq_sim::Paced`]
+//! wrapping any of these protocols as built.
+//!
+//! The central and combining mechanisms are shared with `ccq-counting`:
+//! each is written once, generic over a hand-out trait
+//! ([`central::CentralHandOut`], [`combining::CombiningHandOut`]) — what a
+//! requester must learn, the paper's axis between the two problems. This
+//! crate contributes the queue's hand-out, [`Predecessor`], which makes
+//! them `central-queue` ([`CentralQueueProtocol`]) and `combining-queue`
+//! ([`CombiningQueueProtocol`]); `ccq-counting`'s `Rank` makes them
+//! `central-counter` and `combining-tree`.
 //!
 //! Operation identifiers are the origin node's id (one operation per node in
 //! the one-shot scenario); the pre-existing queue tail is
@@ -31,5 +44,5 @@ pub mod sequential;
 pub use arrow::{ArrowMsg, ArrowProtocol};
 pub use central::CentralQueueProtocol;
 pub use combining::CombiningQueueProtocol;
-pub use order::{verify_total_order, OrderError, INITIAL_TOKEN};
+pub use order::{verify_total_order, OrderError, Predecessor, INITIAL_TOKEN};
 pub use sequential::sequential_arrow_cost;

@@ -12,6 +12,11 @@ use ccq_graph::NodeId;
 /// held at the tail node before any request is issued).
 pub const INITIAL_TOKEN: u64 = u64::MAX;
 
+/// What a queue requester learns: its predecessor's identity. The hand-out
+/// that makes the central and combining mechanisms queues.
+#[derive(Clone, Copy, Debug)]
+pub struct Predecessor;
+
 /// Why an execution's output is not a valid total order.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum OrderError {

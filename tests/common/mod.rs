@@ -1,5 +1,6 @@
 //! Shared test support for the integration suite: canonical small
-//! topologies, registry-matrix iterators, CLI drivers and JSON helpers.
+//! topologies, registry-matrix iterators, the twin-pair check, CLI drivers
+//! and JSON helpers.
 //!
 //! Each integration-test binary includes this module with `mod common;`
 //! and uses the subset it needs (hence the file-level `dead_code` allow —
@@ -9,8 +10,11 @@
 
 use ccq_repro::core::protocol::run_spec_cfg;
 use ccq_repro::core::run::{config_for, RunError};
+use ccq_repro::counting::verify_ranks;
+use ccq_repro::graph::NodeId;
 use ccq_repro::prelude::*;
-use ccq_repro::sim::SimConfig;
+use ccq_repro::queuing::verify_total_order;
+use ccq_repro::sim::{SimConfig, SimReport};
 use std::process::Output;
 
 /// [`run_spec_with`], after `reference` has edited the [`SimConfig`] the
@@ -57,6 +61,27 @@ pub fn registry_matrix(
     topos: Vec<TopoSpec>,
 ) -> impl Iterator<Item = (TopoSpec, &'static dyn ProtocolSpec)> {
     topos.into_iter().flat_map(|t| registry().iter().map(move |&p| (t.clone(), p)))
+}
+
+/// Require a twin pair — a queue and a counter built on one mechanism (the
+/// central walk or the combining wave) and run on one tree, home and
+/// `SimConfig` — to be one execution: equal rounds, total delay, message
+/// count and completion rounds per node, and the queue's verified chain
+/// equal to the counter's rank order.
+pub fn assert_twins(requests: &[NodeId], queue: &SimReport, counter: &SimReport, ctx: &str) {
+    assert_eq!(queue.rounds, counter.rounds, "{ctx}: rounds");
+    assert_eq!(queue.total_delay(), counter.total_delay(), "{ctx}: total delay");
+    assert_eq!(queue.messages_sent, counter.messages_sent, "{ctx}: messages");
+    let completed =
+        |r: &SimReport| -> Vec<_> { r.completions.iter().map(|c| (c.node, c.round)).collect() };
+    assert_eq!(completed(queue), completed(counter), "{ctx}: completion rounds");
+    let outputs =
+        |r: &SimReport| -> Vec<_> { r.completions.iter().map(|c| (c.node, c.value)).collect() };
+    let chain = verify_total_order(requests, &outputs(queue))
+        .unwrap_or_else(|e| panic!("{ctx}: queue: {e}"));
+    let ranked =
+        verify_ranks(requests, &outputs(counter)).unwrap_or_else(|e| panic!("{ctx}: counter: {e}"));
+    assert_eq!(chain, ranked, "{ctx}: the queue's chain is not the counter's rank order");
 }
 
 /// Run the `ccq` binary with the given arguments.

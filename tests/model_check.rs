@@ -1,19 +1,31 @@
-//! Exhaustive small-case model check: every increasing tree on ≤ 5 nodes ×
-//! every tail placement × every request subset, under both budget models —
-//! and every case on every executor.
+//! Exhaustive small-case model check of all ten registry protocols: every
+//! increasing tree on ≤ 5 nodes × every tail or home placement × every
+//! request subset, under both budget models — and every case on every
+//! executor. The width-parameterized counters take every third tree, and
+//! arrow+notify and the central twins every third tree at 5 nodes.
 //!
 //! "Increasing trees" (parent[v] < v, root 0) cover every unlabeled rooted
 //! tree shape at these sizes; combined with all tails and subsets this
-//! exhaustively exercises the arrow path-reversal state machine and the
-//! combining counter far beyond what random testing reaches. The executor
-//! is one more input of every sweep: the monolith and the sharded fabric
-//! run the same round skeleton, so each case runs on both (two striped
-//! shards, serialized and parallel apply) and the three reports must agree
-//! byte for byte apart from `cross_shard_messages`.
+//! exhaustively exercises the arrow path-reversal state machine, the two
+//! shared mechanisms (the central walk, the combining wave) and the
+//! network, toggle and CRDT counters far beyond what random testing
+//! reaches. The twins built on one mechanism run as pairs on one tree,
+//! home and config, and must be one execution ([`common::assert_twins`]).
+//! The executor is one more input of every sweep: the monolith and the
+//! sharded fabric run the same round skeleton, so each case runs on both
+//! (two striped shards, serialized and parallel apply) and the three
+//! reports must agree byte for byte apart from `cross_shard_messages`.
 
-use ccq_repro::counting::{verify_ranks, CombiningTreeProtocol, ToggleTreeProtocol};
+mod common;
+
+use ccq_repro::counting::{
+    network::periodic, verify_ranks, verify_relaxed_ranks, CentralCounterProtocol,
+    CombiningTreeProtocol, CountingNetworkProtocol, CrdtCounterProtocol, ToggleTreeProtocol,
+};
 use ccq_repro::graph::{Graph, NodeId, Partition, Tree};
-use ccq_repro::queuing::{verify_total_order, ArrowProtocol};
+use ccq_repro::queuing::{
+    verify_total_order, ArrowProtocol, CentralQueueProtocol, CombiningQueueProtocol,
+};
 use ccq_repro::sim::{run_protocol, run_protocol_sharded, Protocol, SimConfig, SimReport};
 
 /// The executors of every case: the monolith, then the sharded fabric on
@@ -56,6 +68,27 @@ fn on_every_executor<P: Protocol>(
     }
 }
 
+/// Run a twin pair on every executor and require one execution on each
+/// ([`common::assert_twins`]), counting the case per executor.
+fn twins_on_every_executor<Q: Protocol, C: Protocol>(
+    g: &Graph,
+    (queue, counter): (impl Fn() -> Q, impl Fn() -> C),
+    cfg: SimConfig,
+    requests: &[NodeId],
+    ctx: &str,
+    cases: &mut [u64; EXECUTORS.len()],
+) where
+    Q::Msg: Send,
+    C::Msg: Send,
+{
+    let mut queues = Vec::with_capacity(EXECUTORS.len());
+    on_every_executor(g, queue, cfg, |_, rep| queues.push(rep.clone()));
+    on_every_executor(g, counter, cfg, |e, rep| {
+        common::assert_twins(requests, &queues[e], rep, &format!("{}: {ctx}", EXECUTORS[e].0));
+        cases[e] += 1;
+    });
+}
+
 /// All increasing parent arrays for `n` nodes (root 0).
 fn increasing_trees(n: usize) -> Vec<Tree> {
     fn rec(n: usize, parent: &mut Vec<NodeId>, out: &mut Vec<Tree>) {
@@ -75,6 +108,13 @@ fn increasing_trees(n: usize) -> Vec<Tree> {
     out
 }
 
+/// Every increasing tree up to 4 nodes, every third one at 5 — the trees
+/// of the sweeps whose every-tree 5-node run would dominate this file's
+/// run time (on the parallel-apply executor each round forks threads).
+fn sampled_trees(n: usize) -> Vec<Tree> {
+    increasing_trees(n).into_iter().step_by(if n < 5 { 1 } else { 3 }).collect()
+}
+
 fn subsets(n: usize) -> impl Iterator<Item = Vec<NodeId>> {
     (0u32..(1 << n)).map(move |mask| (0..n).filter(|&v| mask & (1 << v) != 0).collect())
 }
@@ -82,6 +122,78 @@ fn subsets(n: usize) -> impl Iterator<Item = Vec<NodeId>> {
 /// `(node, value)` of every completion, in completion order.
 fn outputs(rep: &SimReport) -> Vec<(NodeId, u64)> {
     rep.completions.iter().map(|c| (c.node, c.value)).collect()
+}
+
+/// The parent array of `tree`, for failure messages.
+fn parents(tree: &Tree) -> Vec<NodeId> {
+    (0..tree.n()).map(|v| tree.parent(v)).collect()
+}
+
+/// Every tree of `trees(n)` × every tail × subset × model of `make(tree,
+/// tail, requests)` — the arrow sweep — with each case's total order
+/// verified on every executor. Returns the case count per executor.
+fn arrow_sweep(
+    label: &str,
+    trees: fn(usize) -> Vec<Tree>,
+    make: impl Fn(&Tree, NodeId, &[NodeId]) -> ArrowProtocol,
+) -> [u64; EXECUTORS.len()] {
+    let mut cases = [0u64; EXECUTORS.len()];
+    for n in 2..=5usize {
+        for tree in trees(n) {
+            let g = tree.to_graph();
+            for tail in 0..n {
+                for requests in subsets(n) {
+                    for cfg in [SimConfig::strict(), SimConfig::expanded(n)] {
+                        let proto = || make(&tree, tail, &requests);
+                        on_every_executor(&g, proto, cfg, |e, rep| {
+                            let order = verify_total_order(&requests, &outputs(rep))
+                                .unwrap_or_else(|err| {
+                                    panic!(
+                                        "{label}, {}: n={n} tail={tail} R={requests:?} {:?}: {err}",
+                                        EXECUTORS[e].0,
+                                        parents(&tree)
+                                    )
+                                });
+                            assert_eq!(order.len(), requests.len());
+                            cases[e] += 1;
+                        });
+                    }
+                }
+            }
+        }
+    }
+    cases
+}
+
+/// Every third tree × every subset × widths 2 and 4 — the sweep of the
+/// width-parameterized counters — with each case's ranks verified on
+/// every executor.
+fn width_sweep<P: Protocol>(label: &str, make: impl Fn(&Graph, &Tree, &[NodeId], usize) -> P)
+where
+    P::Msg: Send,
+{
+    let mut cases = [0u64; EXECUTORS.len()];
+    for n in 2..=5usize {
+        for tree in increasing_trees(n).into_iter().step_by(3) {
+            let g = tree.to_graph();
+            for requests in subsets(n) {
+                for width in [2usize, 4] {
+                    let proto = || make(&g, &tree, &requests, width);
+                    on_every_executor(&g, proto, SimConfig::strict(), |e, rep| {
+                        verify_ranks(&requests, &outputs(rep)).unwrap_or_else(|err| {
+                            panic!(
+                                "{label}, {}: n={n} R={requests:?} width={width}: {err}",
+                                EXECUTORS[e].0
+                            );
+                        });
+                        cases[e] += 1;
+                    });
+                }
+            }
+        }
+    }
+    // Every third tree (1, 1, 2, 8 of them) × 2ⁿ subsets × 2 widths.
+    assert_eq!(cases, [600; 3], "{label}: expected the full every-third-tree sweep per executor");
 }
 
 #[test]
@@ -95,72 +207,103 @@ fn tree_enumeration_counts() {
 
 #[test]
 fn arrow_exhaustive_small_cases() {
-    let mut cases = [0u64; EXECUTORS.len()];
-    for n in 2..=5usize {
-        for tree in increasing_trees(n) {
-            let g = tree.to_graph();
-            for tail in 0..n {
-                for requests in subsets(n) {
-                    for cfg in [SimConfig::strict(), SimConfig::expanded(n)] {
-                        let make = || ArrowProtocol::new(&tree, tail, &requests);
-                        on_every_executor(&g, make, cfg, |e, rep| {
-                            let order = verify_total_order(&requests, &outputs(rep))
-                                .unwrap_or_else(|err| {
-                                    panic!(
-                                        "{}: n={n} tail={tail} R={requests:?} parents={:?}: {err}",
-                                        EXECUTORS[e].0,
-                                        (0..n).map(|v| tree.parent(v)).collect::<Vec<_>>()
-                                    )
-                                });
-                            assert_eq!(order.len(), requests.len());
-                            cases[e] += 1;
-                        });
-                    }
-                }
-            }
-        }
-    }
+    let cases = arrow_sweep("arrow", increasing_trees, ArrowProtocol::new);
     // 2·Σ_n (n−1)!·n·2ⁿ scenarios per executor = sanity that the sweep
     // actually ran.
     assert_eq!(cases, [8560; 3], "expected the full 2·Σ (n−1)!·n·2ⁿ sweep per executor");
 }
 
 #[test]
+fn arrow_notify_exhaustive_small_cases() {
+    // The notify ablation differs from arrow only on the way back to the
+    // origin, so it runs on the sampled trees.
+    let cases = arrow_sweep("arrow+notify", sampled_trees, |tree, tail, requests| {
+        ArrowProtocol::new(tree, tail, requests).with_notify_origin()
+    });
+    // 2·(Σ_{n≤4} (n−1)!·n·2ⁿ + 8·5·2⁵) per executor.
+    assert_eq!(cases, [3440; 3], "expected the full sampled-tree sweep per executor");
+}
+
+#[test]
+fn central_twins_exhaustive_small_cases() {
+    // central-queue and central-counter: one walk, two hand-outs, at every
+    // home of every sampled tree.
+    let mut cases = [0u64; EXECUTORS.len()];
+    for n in 2..=5usize {
+        for tree in sampled_trees(n) {
+            let g = tree.to_graph();
+            for home in 0..n {
+                for requests in subsets(n) {
+                    for cfg in [SimConfig::strict(), SimConfig::expanded(n)] {
+                        let twins = (
+                            || CentralQueueProtocol::new(&tree, home, &requests),
+                            || CentralCounterProtocol::new(&tree, home, &requests),
+                        );
+                        let ctx = format!("n={n} home={home} R={requests:?} {:?}", parents(&tree));
+                        twins_on_every_executor(&g, twins, cfg, &requests, &ctx, &mut cases);
+                    }
+                }
+            }
+        }
+    }
+    // 2·(Σ_{n≤4} (n−1)!·n·2ⁿ + 8·5·2⁵) pairs per executor.
+    assert_eq!(cases, [3440; 3], "expected the full sampled-tree sweep per executor");
+}
+
+#[test]
 fn combining_exhaustive_small_cases() {
+    // combining-queue and combining-tree: one wave, two hand-outs.
     let mut cases = [0u64; EXECUTORS.len()];
     for n in 2..=5usize {
         for tree in increasing_trees(n) {
             let g = tree.to_graph();
             for requests in subsets(n) {
-                let make = || CombiningTreeProtocol::new(&tree, &requests);
-                on_every_executor(&g, make, SimConfig::strict(), |e, rep| {
-                    verify_ranks(&requests, &outputs(rep)).unwrap_or_else(|err| {
-                        panic!("{}: n={n} R={requests:?}: {err}", EXECUTORS[e].0);
-                    });
-                    cases[e] += 1;
-                });
+                for cfg in [SimConfig::strict(), SimConfig::expanded(n)] {
+                    let twins = (
+                        || CombiningQueueProtocol::new(&tree, &requests),
+                        || CombiningTreeProtocol::new(&tree, &requests),
+                    );
+                    let ctx = format!("n={n} R={requests:?} {:?}", parents(&tree));
+                    twins_on_every_executor(&g, twins, cfg, &requests, &ctx, &mut cases);
+                }
             }
         }
     }
-    // Σ_n (n−1)!·2ⁿ per executor.
-    assert_eq!(cases, [884; 3], "expected the full Σ (n−1)!·2ⁿ sweep per executor");
+    // 2·Σ_n (n−1)!·2ⁿ pairs per executor.
+    assert_eq!(cases, [1768; 3], "expected the full 2·Σ (n−1)!·2ⁿ sweep per executor");
 }
 
 #[test]
 fn toggle_tree_exhaustive_small_cases() {
+    width_sweep("toggle-tree", |g, tree, requests, leaves| {
+        ToggleTreeProtocol::new(g, tree, requests, leaves)
+    });
+}
+
+#[test]
+fn counting_networks_exhaustive_small_cases() {
+    width_sweep("counting-network", |g, tree, requests, width| {
+        CountingNetworkProtocol::new(g, tree, requests, width)
+    });
+    width_sweep("periodic-network", |g, tree, requests, width| {
+        CountingNetworkProtocol::with_network(g, tree, requests, periodic(width))
+    });
+}
+
+#[test]
+fn crdt_counter_exhaustive_small_cases() {
+    // The relaxed control: every operation completes with a rank in
+    // 1..=|R| (duplicates legal), on every executor.
     let mut cases = [0u64; EXECUTORS.len()];
     for n in 2..=5usize {
-        for tree in increasing_trees(n).into_iter().step_by(3) {
+        for tree in increasing_trees(n) {
             let g = tree.to_graph();
             for requests in subsets(n) {
-                for leaves in [2usize, 4] {
-                    let make = || ToggleTreeProtocol::new(&g, &tree, &requests, leaves);
-                    on_every_executor(&g, make, SimConfig::strict(), |e, rep| {
-                        verify_ranks(&requests, &outputs(rep)).unwrap_or_else(|err| {
-                            panic!(
-                                "{}: n={n} R={requests:?} leaves={leaves}: {err}",
-                                EXECUTORS[e].0
-                            );
+                for cfg in [SimConfig::strict(), SimConfig::expanded(n)] {
+                    let make = || CrdtCounterProtocol::new(&tree, &requests);
+                    on_every_executor(&g, make, cfg, |e, rep| {
+                        verify_relaxed_ranks(&requests, &outputs(rep)).unwrap_or_else(|err| {
+                            panic!("{}: n={n} R={requests:?}: {err}", EXECUTORS[e].0);
                         });
                         cases[e] += 1;
                     });
@@ -168,8 +311,8 @@ fn toggle_tree_exhaustive_small_cases() {
             }
         }
     }
-    // Every third tree (1, 1, 2, 8 of them) × 2ⁿ subsets × 2 widths.
-    assert_eq!(cases, [600; 3], "expected the full every-third-tree sweep per executor");
+    // 2·Σ_n (n−1)!·2ⁿ per executor.
+    assert_eq!(cases, [1768; 3], "expected the full 2·Σ (n−1)!·2ⁿ sweep per executor");
 }
 
 #[test]

@@ -4,8 +4,12 @@
 
 mod common;
 
+use ccq_repro::core::run::config_for;
+use ccq_repro::counting::{CentralCounterProtocol, CombiningTreeProtocol};
 use ccq_repro::prelude::*;
-use common::{beyond_paper_topologies, open_arrivals, registry_matrix};
+use ccq_repro::queuing::{CentralQueueProtocol, CombiningQueueProtocol};
+use ccq_repro::sim::{run_protocol, OnlineProtocol, Paced, SimConfig, SimReport};
+use common::{assert_twins, beyond_paper_topologies, open_arrivals, registry_matrix};
 
 #[test]
 fn every_registry_entry_verifies_on_torus_and_random_regular() {
@@ -162,5 +166,43 @@ fn subset_requests_verify_on_extended_topologies() {
         let out = run_spec(proto, &s, ModelMode::Strict)
             .unwrap_or_else(|e| panic!("{} on {}: {e}", proto.name(), spec.name()));
         assert_eq!(out.order.len(), s.k(), "{} on {}", proto.name(), spec.name());
+    }
+}
+
+/// Run `p` on the scenario's graph: bare on a one-shot scenario, through
+/// `Paced` on its open schedule otherwise.
+fn run_twin<P: OnlineProtocol>(s: &Scenario, cfg: SimConfig, p: P) -> SimReport {
+    match s.open_schedule() {
+        None => run_protocol(&s.graph, p, cfg),
+        Some(schedule) => run_protocol(&s.graph, Paced::new(p, schedule.to_vec()), cfg),
+    }
+    .expect("twin runs")
+}
+
+#[test]
+fn twin_protocols_run_one_execution_on_extended_topologies() {
+    // The registry runs each twin on its own tree and mode, so build both
+    // members of a pair directly on the scenario's counting tree, homed at
+    // its root, under one config: one mechanism must give one execution.
+    // This pins that t4's counting/queuing gap comes from arrow's
+    // locality, not from two implementations drifting apart.
+    for topo in beyond_paper_topologies() {
+        for arrival in std::iter::once(ArrivalSpec::OneShot).chain(open_arrivals(11)) {
+            let s = Scenario::build_with(topo.clone(), RequestPattern::All, arrival.clone());
+            let (tree, requests) = (&s.counting_tree, &s.requests);
+            for mode in [ModelMode::Strict, ModelMode::Expanded] {
+                let cfg = config_for(mode, tree.max_degree());
+                let ctx = |pair: &str| {
+                    format!("{pair} on {} under {} ({mode:?})", topo.name(), arrival.name())
+                };
+                let root = tree.root();
+                let queue = run_twin(&s, cfg, CentralQueueProtocol::new(tree, root, requests));
+                let counter = run_twin(&s, cfg, CentralCounterProtocol::new(tree, root, requests));
+                assert_twins(requests, &queue, &counter, &ctx("central"));
+                let queue = run_twin(&s, cfg, CombiningQueueProtocol::new(tree, requests));
+                let counter = run_twin(&s, cfg, CombiningTreeProtocol::new(tree, requests));
+                assert_twins(requests, &queue, &counter, &ctx("combining"));
+            }
+        }
     }
 }
