@@ -21,7 +21,8 @@
 //! Finally the artifact carries the **wavefront pipeline** comparison on
 //! the slow-ferry federated torus (EdgeCut shards joined by a fixed-delay
 //! inter-shard ferry): lockstep barriers every round vs shards running up
-//! to `lag` rounds ahead. CI gates on the lockstep/wavefront mean ratio.
+//! to `lag` rounds ahead. CI asserts each pair runs one execution and
+//! prints the lockstep/wavefront mean ratio.
 
 use ccq_repro::core::protocol::{self, run_spec_cfg};
 use ccq_repro::core::run::config_for;
@@ -113,8 +114,7 @@ fn measure_sparse(side: usize, dense: bool) -> Sample {
 /// shards on the 576-node torus, joined by a fixed `ferry`-round
 /// inter-shard delay). With `lag = 0` the shards synchronize at a
 /// lockstep barrier every round; with `lag ≥ 1` they pipeline up to
-/// `lag` rounds ahead of the slowest shard, so the ferry's dead rounds
-/// amortize over one fork/join instead of `lag` of them.
+/// `lag` rounds ahead of the slowest shard in one fork/join.
 fn measure_wavefront(spec: &dyn ProtocolSpec, k: usize, ferry: u64, lag: u64) -> Sample {
     let shards = ShardSpec::new(k, ShardStrategy::EdgeCut)
         .with_inter_delay(LinkDelay::Fixed { delay: ferry });
@@ -163,9 +163,8 @@ fn main() {
     // Wavefront pipeline on the slow-ferry federation: lag 0 is the
     // lockstep baseline, lag 6 matches the ferry delay (the deepest lag
     // the safety check admits). counting-network keeps hundreds of
-    // tokens in flight, so its round count — and the barrier overhead
-    // the wavefront amortizes — dominates; arrow is the traffic-light
-    // contrast. CI's gate reads the counting-network pair.
+    // tokens in flight, so its round count dominates; arrow is the
+    // traffic-light contrast.
     for spec in [&protocol::Arrow as &dyn ProtocolSpec, &protocol::CountingNetwork { width: None }]
     {
         for k in [4usize, 8] {

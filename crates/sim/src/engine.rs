@@ -13,9 +13,9 @@
 //!   phase ordering (arrivals → mature → deliver → transmit →
 //!   quiescence/wakeup), the generalized delivery rule, the lane (store +
 //!   wheel) whose walks every executor shares, and the monolithic
-//!   executor behind [`Simulator`]: one lane, no fork, ferry or harvest
-//!   batch — the hot loop of every unsharded run, and the oracle for every
-//!   mechanism the sharded executor adds.
+//!   executor behind [`Simulator`]: one lane, no ferry and no merge of
+//!   lane frontiers — the hot loop of every unsharded run, and the oracle
+//!   for every mechanism the sharded executor adds.
 //!
 //! **Generalized delivery rule.** Under [`crate::LinkDelay::Unit`] (the
 //! paper's model) `d = 1`: a message handled at round `t` can be answered

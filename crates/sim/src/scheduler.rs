@@ -31,9 +31,11 @@
 //! the monolith below over one `Lane` (a store, a timing wheel, a frontier
 //! scratch), the sharded fabric ([`crate::shard`]) over K lanes plus the
 //! ferry. The lane's walks — the frontier choice, receive, maturity, the
-//! outbox walk — are the only copies; only deliver and transmit differ,
-//! and the monolith's are the fabric's oracle. The `Ledger` lent to every
-//! hook holds the report, the staging API and the phase clock.
+//! outbox walk — serve the monolith, the sliced apply and the wave; only
+//! deliver and transmit differ: the fabric's serialized ones walk the
+//! global frontier (its lanes' merged) instead of one lane's, and the
+//! monolith's are their oracle. The `Ledger` lent to every hook holds the
+//! report, the staging API and the phase clock.
 //!
 //! The invariant this layer owns is the *delivery rule*: a message handled
 //! at round `t` can be answered no earlier than round `t + 1` (handler

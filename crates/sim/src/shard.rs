@@ -9,24 +9,25 @@
 //! staying inside one.
 //!
 //! The fabric is one executor of [`crate::scheduler`]'s round skeleton and
-//! implements only the phase hooks where K lanes differ from one. Every
-//! shard-parallel stretch is one call of the one `fork`, which lends each
-//! task its own lane in place and returns the results in shard order;
+//! implements only the phase hooks where K lanes differ from one. A
+//! lockstep round forks only where handlers run concurrently: maturity is
+//! a plain loop over the lanes' one `mature` (merging the due ferry
+//! wires), and transmission is one serialized walk of the global outbox
+//! frontier in ascending node order — the visit order *is* the run-global
+//! sequence numbering, so the walk numbers each send exactly as the
+//! monolith does and routes it to the owning lane's wheel or to the ferry.
+//! Every shard-parallel stretch is one call of the one `fork`, which lends
+//! each task its own lane in place and returns the results in shard order;
 //! whatever the shards share (report, ferry, protocol value) is folded from
-//! them at the phase barrier. Maturity forks the lanes' one `mature`
-//! (merging the due ferry wires), delivery forks their one `receive`, and
-//! transmission is one serialized walk of the global outbox frontier in
-//! ascending node order — the visit order *is* the run-global sequence
-//! numbering, so the walk numbers each send exactly as the monolith does
-//! and routes it to the owning lane's wheel or to the ferry. The deliver
-//! phase has **two apply paths**, selected by
-//! [`crate::SimConfig::parallel_apply`]; both call the one
+//! them at the phase barrier. The deliver phase has **two apply paths**,
+//! selected by [`crate::SimConfig::parallel_apply`]; both call the one
 //! [`Protocol::on_message`] on the delivered-to node's slice:
 //!
-//! * **serialized** (flag off; the reference) — the lanes harvest their
-//!   in-ports concurrently and handlers run at the barrier, in global
-//!   ascending node order;
-//! * **sliced** (flag on) — each lane's task also *applies* its own
+//! * **serialized** (flag off; the reference) — the mirror of transmit:
+//!   one walk of the global in-port frontier, each node popping from its
+//!   own lane with the handler and the effect drain inline, so a
+//!   serialized lockstep round forks not at all;
+//! * **sliced** (flag on) — each lane's task pops *and applies* its own
 //!   nodes' handlers against their disjoint state slices, staging effects
 //!   in a [`crate::SliceApi`]; at the round barrier the staged effects are
 //!   replayed in the serialized path's exact global order. Queuing
@@ -67,7 +68,7 @@ use crate::probe::{self, Phase, Stopwatch};
 use crate::protocol::{Protocol, SliceApi, SliceEffect};
 use crate::report::{LinkDelay, SimConfig, SimReport};
 use crate::scheduler::{self, frontier_into, lockstep_round, Lane, Ledger, Phases};
-use crate::state::{Inbound, NodeStore};
+use crate::state::NodeStore;
 use crate::transport::{Transport, Wire};
 use crate::{Round, SimError};
 use ccq_graph::{Graph, NodeId, Partition};
@@ -83,7 +84,9 @@ struct Run<'a> {
 }
 
 /// The executor's one fork/join, and the only place `ccq-sim` meets its
-/// thread pool: run `body` once per lane, concurrently, **lending** every
+/// thread pool — called where handlers run shard-parallel (the sliced
+/// apply and a wave), never by a serialized lockstep round: run `body`
+/// once per lane, concurrently, **lending** every
 /// task its own lane in place (no [`Lane`] moves after [`Fabric::new`])
 /// together with that lane's entry of `inputs`, and return the tasks'
 /// results in shard order. The tasks share nothing mutable; what the
@@ -246,7 +249,7 @@ struct Fabric<'a, M> {
     partition: &'a Partition,
     lanes: Vec<Lane<M>>,
     ferry: Transport<M>,
-    /// Reusable frontier scratch for the transmit walk.
+    /// Reusable frontier scratch for the global deliver and transmit walks.
     scratch: Vec<NodeId>,
 }
 
@@ -258,7 +261,7 @@ impl<'a, M: Send + std::fmt::Debug> Fabric<'a, M> {
         Fabric {
             partition,
             // Membership-sized: a shard of a large topology holds queues
-            // for its own members only, behind an id → slot index map
+            // for its own members only, in slots numbered by ascending id
             // (not n-wide Vecs).
             lanes: (0..partition.k())
                 .map(|s| Lane::new(NodeStore::with_members(n, partition.members(s)), delay))
@@ -284,55 +287,22 @@ impl<'a, M: Send + std::fmt::Debug> Fabric<'a, M> {
         buckets
     }
 
-    /// Serialized deliver, shard-parallel half: every lane pops its due
-    /// in-port messages; lanes hold disjoint nodes, so a stable sort by
-    /// node id recovers the monolith's global delivery order.
-    fn harvest(
+    /// The global frontier of the queues `take` lists: the lanes' disjoint
+    /// frontiers, concatenated and sorted into ascending node order — the
+    /// monolith's visit order. Returned in the fabric's reusable scratch;
+    /// the caller hands it back.
+    fn frontier(
         &mut self,
-        led: &mut Ledger<'_, M>,
-        round: Round,
-    ) -> Result<Vec<(NodeId, Inbound<M>)>, SimError> {
-        let cfg = led.cfg;
-        let no_input = vec![(); self.lanes.len()];
-        let done = fork(&mut self.lanes, no_input, |_, lane, ()| -> Result<_, SimError> {
-            let mut batch = Vec::new();
-            let queue_wait = lane.receive(round, cfg, |_, v, inb| {
-                batch.push((v, inb));
-                Ok(())
-            })?;
-            Ok((batch, queue_wait))
-        });
-        let mut deliveries = Vec::new();
-        for outcome in done {
-            let (batch, queue_wait) = outcome?;
-            led.report.queue_wait_rounds += queue_wait;
-            deliveries.extend(batch);
+        cfg: &SimConfig,
+        take: fn(&mut NodeStore<M>, &mut Vec<NodeId>),
+    ) -> Vec<NodeId> {
+        let mut frontier = std::mem::take(&mut self.scratch);
+        frontier.clear();
+        for lane in &mut self.lanes {
+            frontier_into(&mut lane.store, cfg, take, &mut frontier);
         }
-        deliveries.sort_by_key(|&(v, _)| v);
-        Ok(deliveries)
-    }
-
-    /// Serialized deliver, barrier half: run the handlers in global order,
-    /// each on its node's slice, draining effects after every message
-    /// exactly as the monolith does.
-    fn apply_at_barrier<P: Protocol<Msg = M>>(
-        &mut self,
-        led: &mut Ledger<'_, M>,
-        protocol: &mut P,
-        deliveries: Vec<(NodeId, Inbound<M>)>,
-        round: Round,
-    ) -> Result<(), SimError> {
-        let (shared, slices) = protocol.split();
-        let mut sapi = led.api.lend_slice_api(0);
-        for (v, inb) in deliveries {
-            led.note_delivery(round, v, inb.src);
-            sapi.set_node(v);
-            P::on_message(shared, &mut slices[v], &mut sapi, v, inb.src, inb.msg);
-            sapi.replay_into(&mut led.api);
-            self.drain(led, round)?;
-        }
-        led.api.reclaim(sapi);
-        Ok(())
+        frontier.sort_unstable();
+        frontier
     }
 
     /// Sliced deliver, shard-parallel half: every lane pops its due
@@ -591,19 +561,21 @@ where
         self.drain(led, round)
     }
 
-    /// Bucket the due ferry wires, then mature the lanes concurrently,
-    /// folding the deepest in-port into the report at the barrier (where
-    /// the monolith records it too).
+    /// Bucket the due ferry wires, then mature lane by lane — the lanes
+    /// hold disjoint nodes, so the order is immaterial — folding the
+    /// deepest in-port into the report.
     fn mature(&mut self, led: &mut Ledger<'_, P::Msg>, round: Round) {
         let buckets = self.ferry_buckets(round);
-        for depth in fork(&mut self.lanes, buckets, |_, lane, due| lane.mature(round, due)) {
+        for (lane, due) in self.lanes.iter_mut().zip(buckets) {
+            let depth = lane.mature(round, due);
             led.report.max_inport_depth = led.report.max_inport_depth.max(depth);
         }
     }
 
-    /// A shard-parallel half, then a barrier half that feeds the report in
-    /// the monolith's global order; [`SimConfig::parallel_apply`] picks
-    /// where the handlers run.
+    /// One walk of the global in-port frontier, each node popping from its
+    /// own lane with the handler and the effect drain inline, exactly as
+    /// the monolith's receive walk; under [`SimConfig::parallel_apply`] the
+    /// handlers run in the lane tasks instead and replay at the barrier.
     fn deliver(
         &mut self,
         led: &mut Ledger<'_, P::Msg>,
@@ -614,25 +586,39 @@ where
             let applied = self.apply_in_tasks(led, protocol, round)?;
             let micros = led.lap();
             led.timing.apply_micros += micros;
-            self.replay(led, applied, round)
-        } else {
-            let deliveries = self.harvest(led, round)?;
-            self.apply_at_barrier(led, protocol, deliveries, round)
+            return self.replay(led, applied, round);
         }
+        let cfg = led.cfg;
+        let (shared, slices) = protocol.split();
+        let frontier = self.frontier(cfg, NodeStore::take_inport_frontier);
+        let mut sapi = led.api.lend_slice_api(0);
+        for &v in &frontier {
+            let sv = self.partition.shard_of(v);
+            if cfg.faults.is_down(v, round) {
+                self.lanes[sv].store.relist_inport(v);
+                continue;
+            }
+            for _ in 0..cfg.recv_budget {
+                let Some(inb) = self.lanes[sv].store.pop_inport(v) else { break };
+                led.report.queue_wait_rounds += round - inb.arrival;
+                led.note_delivery(round, v, inb.src);
+                sapi.set_node(v);
+                P::on_message(shared, &mut slices[v], &mut sapi, v, inb.src, inb.msg);
+                sapi.replay_into(&mut led.api);
+                self.drain(led, round)?;
+            }
+        }
+        led.api.reclaim(sapi);
+        self.scratch = frontier;
+        Ok(())
     }
 
-    /// One walk of the global outbox frontier (the lanes' disjoint
-    /// frontiers, concatenated and sorted), numbering sends exactly as the
-    /// monolith's walk does; cross-shard messages ride the ferry, the rest
-    /// the sending lane's own wheel.
+    /// One walk of the global outbox frontier, numbering sends exactly as
+    /// the monolith's walk does; cross-shard messages ride the ferry, the
+    /// rest the sending lane's own wheel.
     fn transmit(&mut self, led: &mut Ledger<'_, P::Msg>, round: Round) {
         let (partition, cfg) = (self.partition, led.cfg);
-        let mut frontier = std::mem::take(&mut self.scratch);
-        frontier.clear();
-        for lane in &mut self.lanes {
-            frontier_into(&mut lane.store, cfg, NodeStore::take_outbox_frontier, &mut frontier);
-        }
-        frontier.sort_unstable();
+        let frontier = self.frontier(cfg, NodeStore::take_outbox_frontier);
         for &v in &frontier {
             let sv = partition.shard_of(v);
             let lane = &mut self.lanes[sv];
@@ -691,7 +677,7 @@ where
 }
 
 /// An executable sharded simulation: graph + partition + protocol + config.
-/// Every apply path — the barrier walk, the lane tasks of
+/// Every apply path — the global in-port walk, the lane tasks of
 /// [`SimConfig::parallel_apply`], the wavefront — calls the protocol's one
 /// handler on the slices directly, so every [`SimConfig`] strategy flag can
 /// be honoured for every protocol.

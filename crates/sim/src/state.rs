@@ -35,15 +35,15 @@
 //! A store is sized either to the full processor range
 //! ([`NodeStore::new`], the monolithic executor) or to an explicit shard
 //! membership ([`NodeStore::with_members`]): queues live in
-//! membership-indexed slots behind an id → slot map, so a shard of a
-//! million-node topology allocates queues for its members only.
+//! membership-indexed slots, numbered by rank in the sorted member list (a
+//! binary search maps an id to its slot), so a shard of a million-node
+//! topology allocates queues for its members only.
 //! [`NodeStore::n`] always reports the *global* processor count and reads
 //! of non-member queues yield empty, which keeps the probe layer's
 //! canonical rendering independent of how processors are stored.
 
 use crate::Round;
 use ccq_graph::NodeId;
-use std::collections::HashMap;
 
 /// A message sitting in a destination's in-port, ready for delivery.
 #[derive(Debug)]
@@ -152,14 +152,15 @@ impl<T> Fifos<T> {
     }
 }
 
-/// Global id → queue slot map: identity for full-range stores,
-/// an index map for membership-sized ones.
+/// Global id → queue slot map: identity for full-range stores, the rank
+/// among the sorted members for membership-sized ones.
 #[derive(Debug)]
 enum Slots {
     /// Slot `v` holds processor `v`; every processor is a member.
     Dense,
-    /// Membership-sized: `ids[slot]` is the global id, `index` inverts it.
-    Mapped { ids: Vec<NodeId>, index: HashMap<NodeId, usize> },
+    /// Membership-sized: `ids[slot]` is the global id, ascending, so a
+    /// binary search inverts it.
+    Mapped { ids: Vec<NodeId> },
 }
 
 /// In-ports and outboxes for the processors a store is responsible for.
@@ -197,17 +198,17 @@ impl<M> NodeStore<M> {
         }
     }
 
-    /// Empty queues for the `members` of an `n`-processor topology only
-    /// (shard-local stores). Reads of non-member queues yield empty;
+    /// Empty queues for the `members` (any order) of an `n`-processor
+    /// topology only (shard-local stores). Reads of non-member queues yield empty;
     /// staging or enqueuing at a non-member is a caller bug and panics.
     pub fn with_members(n: usize, members: &[NodeId]) -> Self {
         let m = members.len();
-        let index: HashMap<NodeId, usize> =
-            members.iter().enumerate().map(|(slot, &v)| (v, slot)).collect();
-        debug_assert_eq!(index.len(), m, "duplicate member ids");
+        let mut ids = members.to_vec();
+        ids.sort_unstable();
+        debug_assert!(ids.windows(2).all(|w| w[0] < w[1]), "duplicate member ids");
         NodeStore {
             n,
-            slots: Slots::Mapped { ids: members.to_vec(), index },
+            slots: Slots::Mapped { ids },
             outbox: Fifos::new(m),
             inport: Fifos::new(m),
             outbox_dirty: Vec::new(),
@@ -219,12 +220,12 @@ impl<M> NodeStore<M> {
     }
 
     /// Queue slot of processor `v`, if `v` is a member of this store. A
-    /// membership-sized store numbers its slots in member-list order, so
+    /// membership-sized store numbers its slots in ascending id order, so
     /// this is also `v`'s rank among the members.
     pub(crate) fn slot(&self, v: NodeId) -> Option<usize> {
         match &self.slots {
             Slots::Dense => (v < self.n).then_some(v),
-            Slots::Mapped { index, .. } => index.get(&v).copied(),
+            Slots::Mapped { ids } => ids.binary_search(&v).ok(),
         }
     }
 
@@ -232,12 +233,12 @@ impl<M> NodeStore<M> {
     fn global_of(&self, s: usize) -> NodeId {
         match &self.slots {
             Slots::Dense => s,
-            Slots::Mapped { ids, .. } => ids[s],
+            Slots::Mapped { ids } => ids[s],
         }
     }
 
-    /// The store's members as global ids, in slot order (ascending for the
-    /// stores the executors build) — the dense reference scan's frontier.
+    /// The store's members as global ids, in slot order (ascending) — the
+    /// dense reference scan's frontier.
     pub(crate) fn members(&self) -> impl Iterator<Item = NodeId> + '_ {
         (0..self.inport_listed.len()).map(|s| self.global_of(s))
     }
@@ -493,34 +494,38 @@ mod tests {
     }
 
     /// Membership-sized stores behave like full-range stores on their
-    /// members and render empty everywhere else.
+    /// members and render empty everywhere else, whatever order the member
+    /// list comes in: slots always number the members in ascending order.
     #[test]
     fn membership_store_matches_dense_on_members() {
-        let members = [2usize, 5, 7];
-        let mut sparse: NodeStore<u32> = NodeStore::with_members(9, &members);
-        assert_eq!(sparse.n(), 9);
-        assert!(sparse.is_idle());
-        assert_eq!(sparse.stage(5, 0, 50), 1);
-        assert_eq!(sparse.enqueue(7, Inbound { src: 1, arrival: 2, msg: 70 }), 1);
-        // Non-member reads yield empty; pops yield None.
-        assert!(sparse.inport_of(0).next().is_none());
-        assert!(sparse.outbox_of(8).next().is_none());
-        assert!(sparse.pop_inport(3).is_none());
-        assert!(sparse.pop_outbox(4).is_none());
-        // Occupied set reports global ids.
-        let mut occ: Vec<NodeId> = sparse.occupied_nodes().collect();
-        occ.sort_unstable();
-        assert_eq!(occ, vec![5, 7]);
-        // Frontiers report global ids.
-        let mut front = Vec::new();
-        sparse.take_outbox_frontier(&mut front);
-        assert_eq!(front, vec![5]);
-        front.clear();
-        sparse.take_inport_frontier(&mut front);
-        assert_eq!(front, vec![7]);
-        assert_eq!(sparse.pop_outbox(5), Some((0, 50)));
-        assert_eq!(sparse.pop_inport(7).unwrap().msg, 70);
-        assert!(sparse.is_idle());
+        for members in [[2usize, 5, 7], [7, 2, 5]] {
+            let mut sparse: NodeStore<u32> = NodeStore::with_members(9, &members);
+            assert_eq!(sparse.n(), 9);
+            assert!(sparse.is_idle());
+            assert_eq!(sparse.members().collect::<Vec<_>>(), [2, 5, 7], "{members:?}");
+            assert_eq!([2, 5, 7, 3].map(|v| sparse.slot(v)), [Some(0), Some(1), Some(2), None]);
+            assert_eq!(sparse.stage(5, 0, 50), 1);
+            assert_eq!(sparse.enqueue(7, Inbound { src: 1, arrival: 2, msg: 70 }), 1);
+            // Non-member reads yield empty; pops yield None.
+            assert!(sparse.inport_of(0).next().is_none());
+            assert!(sparse.outbox_of(8).next().is_none());
+            assert!(sparse.pop_inport(3).is_none());
+            assert!(sparse.pop_outbox(4).is_none());
+            // Occupied set reports global ids.
+            let mut occ: Vec<NodeId> = sparse.occupied_nodes().collect();
+            occ.sort_unstable();
+            assert_eq!(occ, vec![5, 7]);
+            // Frontiers report global ids.
+            let mut front = Vec::new();
+            sparse.take_outbox_frontier(&mut front);
+            assert_eq!(front, vec![5]);
+            front.clear();
+            sparse.take_inport_frontier(&mut front);
+            assert_eq!(front, vec![7]);
+            assert_eq!(sparse.pop_outbox(5), Some((0, 50)));
+            assert_eq!(sparse.pop_inport(7).unwrap().msg, 70);
+            assert!(sparse.is_idle());
+        }
     }
 
     /// A transmit-phase skip re-lists the node so its staged sends are not

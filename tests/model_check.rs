@@ -1,8 +1,7 @@
 //! Exhaustive small-case model check of all ten registry protocols: every
 //! increasing tree on ≤ 5 nodes × every tail or home placement × every
 //! request subset, under both budget models — and every case on every
-//! executor. The width-parameterized counters take every third tree, and
-//! arrow+notify and the central twins every third tree at 5 nodes.
+//! executor. Only the width-parameterized counters take every third tree.
 //!
 //! "Increasing trees" (parent[v] < v, root 0) cover every unlabeled rooted
 //! tree shape at these sizes; combined with all tails and subsets this
@@ -108,13 +107,6 @@ fn increasing_trees(n: usize) -> Vec<Tree> {
     out
 }
 
-/// Every increasing tree up to 4 nodes, every third one at 5 — the trees
-/// of the sweeps whose every-tree 5-node run would dominate this file's
-/// run time (on the parallel-apply executor each round forks threads).
-fn sampled_trees(n: usize) -> Vec<Tree> {
-    increasing_trees(n).into_iter().step_by(if n < 5 { 1 } else { 3 }).collect()
-}
-
 fn subsets(n: usize) -> impl Iterator<Item = Vec<NodeId>> {
     (0u32..(1 << n)).map(move |mask| (0..n).filter(|&v| mask & (1 << v) != 0).collect())
 }
@@ -129,17 +121,16 @@ fn parents(tree: &Tree) -> Vec<NodeId> {
     (0..tree.n()).map(|v| tree.parent(v)).collect()
 }
 
-/// Every tree of `trees(n)` × every tail × subset × model of `make(tree,
+/// Every increasing tree × every tail × subset × model of `make(tree,
 /// tail, requests)` — the arrow sweep — with each case's total order
 /// verified on every executor. Returns the case count per executor.
 fn arrow_sweep(
     label: &str,
-    trees: fn(usize) -> Vec<Tree>,
     make: impl Fn(&Tree, NodeId, &[NodeId]) -> ArrowProtocol,
 ) -> [u64; EXECUTORS.len()] {
     let mut cases = [0u64; EXECUTORS.len()];
     for n in 2..=5usize {
-        for tree in trees(n) {
+        for tree in increasing_trees(n) {
             let g = tree.to_graph();
             for tail in 0..n {
                 for requests in subsets(n) {
@@ -207,7 +198,7 @@ fn tree_enumeration_counts() {
 
 #[test]
 fn arrow_exhaustive_small_cases() {
-    let cases = arrow_sweep("arrow", increasing_trees, ArrowProtocol::new);
+    let cases = arrow_sweep("arrow", ArrowProtocol::new);
     // 2·Σ_n (n−1)!·n·2ⁿ scenarios per executor = sanity that the sweep
     // actually ran.
     assert_eq!(cases, [8560; 3], "expected the full 2·Σ (n−1)!·n·2ⁿ sweep per executor");
@@ -215,22 +206,20 @@ fn arrow_exhaustive_small_cases() {
 
 #[test]
 fn arrow_notify_exhaustive_small_cases() {
-    // The notify ablation differs from arrow only on the way back to the
-    // origin, so it runs on the sampled trees.
-    let cases = arrow_sweep("arrow+notify", sampled_trees, |tree, tail, requests| {
+    let cases = arrow_sweep("arrow+notify", |tree, tail, requests| {
         ArrowProtocol::new(tree, tail, requests).with_notify_origin()
     });
-    // 2·(Σ_{n≤4} (n−1)!·n·2ⁿ + 8·5·2⁵) per executor.
-    assert_eq!(cases, [3440; 3], "expected the full sampled-tree sweep per executor");
+    // 2·Σ_n (n−1)!·n·2ⁿ per executor, as for arrow.
+    assert_eq!(cases, [8560; 3], "expected the full 2·Σ (n−1)!·n·2ⁿ sweep per executor");
 }
 
 #[test]
 fn central_twins_exhaustive_small_cases() {
     // central-queue and central-counter: one walk, two hand-outs, at every
-    // home of every sampled tree.
+    // home of every tree.
     let mut cases = [0u64; EXECUTORS.len()];
     for n in 2..=5usize {
-        for tree in sampled_trees(n) {
+        for tree in increasing_trees(n) {
             let g = tree.to_graph();
             for home in 0..n {
                 for requests in subsets(n) {
@@ -246,8 +235,8 @@ fn central_twins_exhaustive_small_cases() {
             }
         }
     }
-    // 2·(Σ_{n≤4} (n−1)!·n·2ⁿ + 8·5·2⁵) pairs per executor.
-    assert_eq!(cases, [3440; 3], "expected the full sampled-tree sweep per executor");
+    // 2·Σ_n (n−1)!·n·2ⁿ pairs per executor.
+    assert_eq!(cases, [8560; 3], "expected the full 2·Σ (n−1)!·n·2ⁿ sweep per executor");
 }
 
 #[test]
