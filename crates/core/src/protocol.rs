@@ -273,21 +273,20 @@ pub trait ProtocolSpec: CloneSpec + Send + Sync {
             ProtocolKind::Queuing => verify_total_order(&retained, &pairs).map_err(RunError::Order),
             ProtocolKind::Counting => verify_ranks(&retained, &pairs).map_err(RunError::Ranks),
             ProtocolKind::Relaxed => {
-                let order = verify_relaxed_ranks(&retained, &pairs).map_err(RunError::Ranks)?;
+                verify_relaxed_ranks(&retained, &pairs).map_err(RunError::Ranks)?;
                 // A relaxed counter's equal counts carry no order
                 // information, so the verified linearization charges the
                 // *worst* tie order consistent with the claimed ranks:
-                // latest issuer first (exact protocols have no such
-                // freedom — their outputs are total). Deterministic, and
-                // a pure function of the report, so executor-independent.
-                let issue: std::collections::HashMap<NodeId, u64> =
-                    report.issues.iter().map(|i| (i.node, i.round)).collect();
-                let value: std::collections::HashMap<NodeId, u64> = pairs.into_iter().collect();
-                let mut order = order;
-                order.sort_by_key(|&v| {
-                    (value[&v], std::cmp::Reverse(issue.get(&v).copied().unwrap_or(0)))
-                });
-                Ok(order)
+                // latest issuer first, then node id (exact protocols have
+                // no such freedom — their outputs are total).
+                // Deterministic, and a pure function of the report, so
+                // executor-independent. Verified, `pairs` holds each
+                // retained requester once.
+                let issue = report.issue_rounds();
+                let issued = |v: NodeId| issue.get(v).copied().unwrap_or(0);
+                let mut pairs = pairs;
+                pairs.sort_unstable_by_key(|&(v, rank)| (rank, std::cmp::Reverse(issued(v)), v));
+                Ok(pairs.into_iter().map(|(v, _)| v).collect())
             }
         }
     }

@@ -150,19 +150,27 @@ impl ClassMetrics {
     /// [`ClassMetrics::from_sim`] plus per-class QQC lateness derived from
     /// the verified output order.
     pub fn from_sim_with_order(rep: &SimReport, order: &[NodeId]) -> Vec<ClassMetrics> {
+        // Join completions to issues once; each class then sorts its own
+        // latencies once and reads its three percentiles off them.
+        let latencies = rep.latencies();
         rep.classes()
             .into_iter()
             .map(|class| {
                 let (issued, completed, dropped) = rep.class_counts(class);
                 let qqc = rep.class_qqc_lateness(class, order);
+                let mut lat: Vec<u64> = (rep.completions.iter().zip(&latencies))
+                    .filter(|(c, _)| rep.class_of(c.node) == class)
+                    .map(|(_, &l)| l)
+                    .collect();
+                lat.sort_unstable();
                 ClassMetrics {
                     class,
                     issued,
                     completed,
                     dropped,
-                    latency_p50: rep.class_latency_percentile(class, 0.50),
-                    latency_p95: rep.class_latency_percentile(class, 0.95),
-                    latency_p99: rep.class_latency_percentile(class, 0.99),
+                    latency_p50: nearest_rank(&lat, 0.50),
+                    latency_p95: nearest_rank(&lat, 0.95),
+                    latency_p99: nearest_rank(&lat, 0.99),
                     qqc_max: qqc.max,
                     qqc_mean: qqc.mean,
                     qqc_p50: qqc.p50,

@@ -39,47 +39,54 @@ impl std::fmt::Display for RankError {
 
 impl std::error::Error for RankError {}
 
-/// Verify counting output: `ranks` holds `(requester, rank)` pairs.
+/// The participant check both verifiers share, over node-indexed tables:
+/// every completion comes from a requester, and every requester completes
+/// exactly once. Walks `ranks` in completion order, so a duplicate
+/// completion names the first node to complete twice.
+fn check_participants(requests: &[NodeId], ranks: &[(NodeId, u64)]) -> Result<(), RankError> {
+    let len = requests.iter().max().map_or(0, |&m| m + 1);
+    let mut requester = vec![false; len];
+    for &v in requests {
+        requester[v] = true;
+    }
+    let mut done = vec![false; len];
+    let mut unexpected = Vec::new();
+    for &(node, _) in ranks {
+        if !requester.get(node).copied().unwrap_or(false) {
+            unexpected.push(node);
+        } else if std::mem::replace(&mut done[node], true) {
+            return Err(RankError::DuplicateCompletion { node });
+        }
+    }
+    let missing: Vec<NodeId> = requests.iter().copied().filter(|&v| !done[v]).collect();
+    if !missing.is_empty() || !unexpected.is_empty() {
+        return Err(RankError::WrongParticipants { missing, unexpected });
+    }
+    Ok(())
+}
+
+/// Verify counting output: `ranks` holds `(requester, rank)` pairs, in
+/// completion order. An error names the first offender in that order.
 ///
 /// On success returns the requesters in rank order (rank 1 first).
 pub fn verify_ranks(
     requests: &[NodeId],
     ranks: &[(NodeId, u64)],
 ) -> Result<Vec<NodeId>, RankError> {
-    use std::collections::{HashMap, HashSet};
-    let req_set: HashSet<NodeId> = requests.iter().copied().collect();
+    check_participants(requests, ranks)?;
     let k = requests.len() as u64;
-
-    let mut by_node: HashMap<NodeId, u64> = HashMap::with_capacity(ranks.len());
-    let mut unexpected = Vec::new();
+    let mut owner: Vec<Option<NodeId>> = vec![None; requests.len() + 1];
     for &(node, r) in ranks {
-        if !req_set.contains(&node) {
-            unexpected.push(node);
-            continue;
-        }
-        if by_node.insert(node, r).is_some() {
-            return Err(RankError::DuplicateCompletion { node });
-        }
-    }
-    let missing: Vec<NodeId> =
-        requests.iter().copied().filter(|v| !by_node.contains_key(v)).collect();
-    if !missing.is_empty() || !unexpected.is_empty() {
-        return Err(RankError::WrongParticipants { missing, unexpected });
-    }
-
-    let mut owner: HashMap<u64, NodeId> = HashMap::with_capacity(by_node.len());
-    for (&node, &r) in &by_node {
         if r < 1 || r > k {
             return Err(RankError::RankOutOfRange { node, rank: r, expected_max: k });
         }
-        if let Some(&other) = owner.get(&r) {
+        if let Some(other) = owner[r as usize].replace(node) {
             let (a, b) = (other.min(node), other.max(node));
             return Err(RankError::DuplicateRank { rank: r, a, b });
         }
-        owner.insert(r, node);
     }
     // k distinct ranks in 1..=k ⇒ exactly {1..k}.
-    Ok((1..=k).map(|r| owner[&r]).collect())
+    Ok(owner[1..].iter().map(|v| v.expect("k distinct ranks in 1..=k")).collect())
 }
 
 /// Verify *relaxed* counting output: every requester still completes
@@ -95,35 +102,14 @@ pub fn verify_relaxed_ranks(
     requests: &[NodeId],
     ranks: &[(NodeId, u64)],
 ) -> Result<Vec<NodeId>, RankError> {
-    use std::collections::{HashMap, HashSet};
-    let req_set: HashSet<NodeId> = requests.iter().copied().collect();
+    check_participants(requests, ranks)?;
     let k = requests.len() as u64;
-
-    let mut by_node: HashMap<NodeId, u64> = HashMap::with_capacity(ranks.len());
-    let mut unexpected = Vec::new();
-    for &(node, r) in ranks {
-        if !req_set.contains(&node) {
-            unexpected.push(node);
-            continue;
-        }
-        if by_node.insert(node, r).is_some() {
-            return Err(RankError::DuplicateCompletion { node });
-        }
+    if let Some(&(node, rank)) = ranks.iter().find(|&&(_, r)| r < 1 || r > k) {
+        return Err(RankError::RankOutOfRange { node, rank, expected_max: k });
     }
-    let missing: Vec<NodeId> =
-        requests.iter().copied().filter(|v| !by_node.contains_key(v)).collect();
-    if !missing.is_empty() || !unexpected.is_empty() {
-        return Err(RankError::WrongParticipants { missing, unexpected });
-    }
-
-    for (&node, &r) in &by_node {
-        if r < 1 || r > k {
-            return Err(RankError::RankOutOfRange { node, rank: r, expected_max: k });
-        }
-    }
-    let mut order: Vec<NodeId> = by_node.keys().copied().collect();
-    order.sort_unstable_by_key(|&v| (by_node[&v], v));
-    Ok(order)
+    let mut order = ranks.to_vec();
+    order.sort_unstable_by_key(|&(v, r)| (r, v));
+    Ok(order.into_iter().map(|(v, _)| v).collect())
 }
 
 #[cfg(test)]
@@ -176,6 +162,22 @@ mod tests {
     fn non_requester_rejected() {
         let err = verify_ranks(&[1], &[(1, 1), (4, 2)]).unwrap_err();
         assert!(matches!(err, RankError::WrongParticipants { .. }));
+    }
+
+    #[test]
+    fn two_offenders_name_the_first_in_completion_order_every_time() {
+        let requests = [1, 2, 3, 4, 5, 6];
+        let clashes = [(3, 2), (1, 4), (6, 2), (2, 1), (5, 4), (4, 3)];
+        let strays = [(3, 2), (1, 9), (6, 0), (2, 1), (5, 4), (4, 3)];
+        for _ in 0..64 {
+            assert_eq!(
+                verify_ranks(&requests, &clashes),
+                Err(RankError::DuplicateRank { rank: 2, a: 3, b: 6 })
+            );
+            let first = RankError::RankOutOfRange { node: 1, rank: 9, expected_max: 6 };
+            assert_eq!(verify_ranks(&requests, &strays), Err(first.clone()));
+            assert_eq!(verify_relaxed_ranks(&requests, &strays), Err(first));
+        }
     }
 
     #[test]

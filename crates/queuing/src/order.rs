@@ -73,52 +73,55 @@ pub fn verify_total_order(
     requests: &[NodeId],
     pred_of: &[(NodeId, u64)],
 ) -> Result<Vec<NodeId>, OrderError> {
-    use std::collections::{HashMap, HashSet};
-    let req_set: HashSet<NodeId> = requests.iter().copied().collect();
+    // Node-indexed tables over the requesters' id range; an id past it is
+    // no requester. Every pass below walks `pred_of`, so the offender an
+    // error names is the first in completion order.
+    let len = requests.iter().max().map_or(0, |&m| m + 1);
+    let mut requester = vec![false; len];
+    for &v in requests {
+        requester[v] = true;
+    }
+    let is_requester = |v: u64| v < len as u64 && requester[v as usize];
 
     // Every completion comes from a requester; no duplicates.
-    let mut pred: HashMap<NodeId, u64> = HashMap::with_capacity(pred_of.len());
+    let mut done = vec![false; len];
     let mut unexpected = Vec::new();
-    for &(node, p) in pred_of {
-        if !req_set.contains(&node) {
+    for &(node, _) in pred_of {
+        if !is_requester(node as u64) {
             unexpected.push(node);
-            continue;
-        }
-        if pred.insert(node, p).is_some() {
+        } else if std::mem::replace(&mut done[node], true) {
             return Err(OrderError::DuplicateCompletion { node });
         }
     }
-    let missing: Vec<NodeId> = requests.iter().copied().filter(|v| !pred.contains_key(v)).collect();
+    let missing: Vec<NodeId> = requests.iter().copied().filter(|&v| !done[v]).collect();
     if !missing.is_empty() || !unexpected.is_empty() {
         return Err(OrderError::WrongParticipants { missing, unexpected });
     }
 
-    // Predecessors are distinct and known; build successor map. The initial
-    // token is excluded so that a duplicated head is reported as `BadHead`
-    // rather than a generic clash.
-    let mut succ: HashMap<u64, NodeId> = HashMap::with_capacity(pred.len());
-    for (&node, &p) in &pred {
+    // Predecessors are distinct and known; build the successor table. The
+    // initial token is excluded so that a duplicated head is reported as
+    // `BadHead` rather than a generic clash.
+    let mut succ: Vec<Option<NodeId>> = vec![None; len];
+    let mut heads = Vec::new();
+    for &(node, p) in pred_of {
         if p == INITIAL_TOKEN {
+            heads.push(node);
             continue;
         }
-        if !req_set.contains(&(p as NodeId)) {
+        if !is_requester(p) {
             return Err(OrderError::UnknownPredecessor { node, pred: p });
         }
-        if let Some(&other) = succ.get(&p) {
+        if let Some(other) = succ[p as usize].replace(node) {
             let (a, b) = (other.min(node), other.max(node));
             return Err(OrderError::PredecessorClash { pred: p, a, b });
         }
-        succ.insert(p, node);
     }
 
     // Exactly one head (predecessor = initial token) unless R is empty.
-    let heads: Vec<NodeId> =
-        pred.iter().filter(|&(_, &p)| p == INITIAL_TOKEN).map(|(&v, _)| v).collect();
     if requests.is_empty() {
         return if heads.is_empty() { Ok(Vec::new()) } else { Err(OrderError::BadHead { heads }) };
     }
     if heads.len() != 1 {
-        let mut heads = heads;
         heads.sort_unstable();
         return Err(OrderError::BadHead { heads });
     }
@@ -128,8 +131,8 @@ pub fn verify_total_order(
     let mut cur = heads[0];
     loop {
         order.push(cur);
-        match succ.get(&(cur as u64)) {
-            Some(&next) => cur = next,
+        match succ[cur] {
+            Some(next) => cur = next,
             None => break,
         }
         if order.len() > requests.len() {
@@ -208,5 +211,26 @@ mod tests {
     fn non_requester_output_rejected() {
         let err = verify_total_order(&[0], &[(0, INITIAL_TOKEN), (7, 0)]).unwrap_err();
         assert!(matches!(err, OrderError::WrongParticipants { .. }));
+    }
+
+    #[test]
+    fn two_offenders_name_the_first_in_completion_order_every_time() {
+        // Two clashes and two unknown predecessors: whichever comes first
+        // among the completions is the error, on every call.
+        let cases = [
+            (
+                vec![(0, INITIAL_TOKEN), (1, 0), (3, 1), (4, 1), (2, 0)],
+                OrderError::PredecessorClash { pred: 1, a: 3, b: 4 },
+            ),
+            (
+                vec![(0, INITIAL_TOKEN), (3, 9), (1, 0), (2, 7), (4, 1)],
+                OrderError::UnknownPredecessor { node: 3, pred: 9 },
+            ),
+        ];
+        for (pred_of, first) in cases {
+            for _ in 0..64 {
+                assert_eq!(verify_total_order(&[0, 1, 2, 3, 4], &pred_of), Err(first.clone()));
+            }
+        }
     }
 }

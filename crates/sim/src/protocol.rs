@@ -167,11 +167,18 @@ impl<M> SimApi<M> {
     /// Record that `node`'s operation completed now with result `value`.
     /// The delay recorded is the current round.
     pub fn complete(&mut self, node: NodeId, value: u64) {
+        self.note_completion(node);
+        self.completed.push(Completion { node, value, round: self.round });
+    }
+
+    /// The backlog bookkeeping of one completion at `node` — everything
+    /// [`SimApi::complete`] does but staging the record, which the deliver
+    /// walks' effect drain writes straight into the report.
+    pub(crate) fn note_completion(&mut self, node: NodeId) {
         self.completed_total += 1;
         if let Some(&s) = self.shard_of.get(node) {
             self.shard_open[s as usize] = self.shard_open[s as usize].saturating_sub(1);
         }
-        self.completed.push(Completion { node, value, round: self.round });
     }
 
     /// Record that `node` issued its operation now (open-system runs:
@@ -201,10 +208,10 @@ impl<M> SimApi<M> {
     /// shard node `v` lives on. Installed by [`crate::arrival::Paced`]
     /// during `on_start` when a shard-scoped admission policy
     /// ([`crate::AdmissionPolicy::PerNode`]) is active. Every apply path
-    /// funnels issues and completions through this one API — the sliced
-    /// barrier replay and the wavefront commit both call
-    /// [`SimApi::complete`] — so the per-shard counters are
-    /// executor-independent by construction.
+    /// funnels issues and completions through this one API — the serialized
+    /// phases call [`SimApi::complete`], and every deliver walk, the sliced
+    /// barrier replay and the wavefront commit its bookkeeping half — so
+    /// the per-shard counters are executor-independent by construction.
     pub fn enable_shard_accounting(&mut self, shard_of: Vec<u32>) {
         let shards = shard_of.iter().copied().max().map_or(0, |m| m as usize + 1);
         self.shard_open = vec![0; shards];
@@ -237,10 +244,12 @@ impl<M> SimApi<M> {
     }
 
     /// Lend the scratch buffer out as a [`SliceApi`] at `node` for the
-    /// current round. The borrower drains it with
-    /// [`SliceApi::replay_into`] after every handler call and hands it
-    /// back through [`SimApi::reclaim`] — per call for [`with_slice`], per
-    /// deliver phase for the serialized apply walks.
+    /// current round. The borrower drains it after every handler call —
+    /// [`with_slice`] back into this API with [`SliceApi::replay_into`],
+    /// the serialized deliver walks straight into the engine with
+    /// `Ledger::apply_effects` — and hands it back through
+    /// [`SimApi::reclaim`]: per call for [`with_slice`], per deliver phase
+    /// for the walks.
     pub(crate) fn lend_slice_api(&mut self, node: NodeId) -> SliceApi<M> {
         SliceApi { round: self.round, node, effects: std::mem::take(&mut self.slice_scratch) }
     }
@@ -340,7 +349,8 @@ impl<M> SliceApi<M> {
     }
 
     /// Drain every staged effect into the full [`SimApi`], in call order
-    /// (the buffer keeps its capacity for reuse).
+    /// (the buffer keeps its capacity for reuse) — [`with_slice`]'s half;
+    /// the deliver phase's handlers skip the `SimApi` buffers.
     pub(crate) fn replay_into(&mut self, api: &mut SimApi<M>) {
         let node = self.node;
         for effect in self.effects.drain(..) {

@@ -684,15 +684,28 @@ impl SimReport {
         self.issues.iter().find(|i| i.node == node).map_or(0, |i| i.round)
     }
 
+    /// Issue round per node id, indexed up to the last issuer: the table
+    /// every metric joining completions to issues reads, a node past its
+    /// end (or without an issue event) reading 0 as in
+    /// [`SimReport::issue_round`]. A node that issued twice reads its last
+    /// issue.
+    pub fn issue_rounds(&self) -> Vec<Round> {
+        let len = self.issues.iter().map(|i| i.node + 1).max().unwrap_or(0);
+        let mut at = vec![0; len];
+        for i in &self.issues {
+            at[i.node] = i.round;
+        }
+        at
+    }
+
     /// Scaled completion latency of each completed operation, in completion
     /// order: `(completion round − issue round) × delay_scale`. For
     /// one-shot runs (no issue events) this equals the per-operation delay.
     pub fn latencies(&self) -> Vec<u64> {
-        let issue: std::collections::HashMap<NodeId, Round> =
-            self.issues.iter().map(|i| (i.node, i.round)).collect();
+        let issue = self.issue_rounds();
         self.completions
             .iter()
-            .map(|c| (c.round - issue.get(&c.node).copied().unwrap_or(0)) * self.delay_scale)
+            .map(|c| (c.round - issued_at(&issue, c.node)) * self.delay_scale)
             .collect()
     }
 
@@ -796,19 +809,23 @@ impl SimReport {
     /// zero-completion runs) yields an empty sample, and issue rounds are
     /// only compared, never subtracted, so `Round::MAX` cannot overflow.
     pub fn qqc_displacements(&self, output_order: &[NodeId]) -> Vec<u64> {
-        let issue: std::collections::HashMap<NodeId, Round> =
-            self.issues.iter().map(|i| (i.node, i.round)).collect();
-        let round_of = |v: NodeId| issue.get(&v).copied().unwrap_or(0);
+        let issue = self.issue_rounds();
         let mut classes: Vec<u8> = output_order.iter().map(|&v| self.class_of(v)).collect();
         classes.sort_unstable();
         classes.dedup();
         let mut out = Vec::with_capacity(output_order.len());
         for class in classes {
-            let sub: Vec<NodeId> =
-                output_order.iter().copied().filter(|&v| self.class_of(v) == class).collect();
-            out.extend(displacements_of(&sub, round_of));
+            out.extend(self.class_displacements(class, output_order, &issue));
         }
         out
+    }
+
+    /// The displacements of `class`'s subsequence of `output_order`,
+    /// against the issue table `issue`.
+    fn class_displacements(&self, class: u8, output_order: &[NodeId], issue: &[Round]) -> Vec<u64> {
+        let sub: Vec<NodeId> =
+            output_order.iter().copied().filter(|&v| self.class_of(v) == class).collect();
+        displacements_of(&sub, |v| issued_at(issue, v))
     }
 
     /// Aggregate [`SimReport::qqc_displacements`] into a [`Lateness`]
@@ -821,12 +838,7 @@ impl SimReport {
     /// priority class — all zeros for a class nothing completed in, with
     /// the same total-read guarantees as every other per-class metric.
     pub fn class_qqc_lateness(&self, class: u8, output_order: &[NodeId]) -> Lateness {
-        let issue: std::collections::HashMap<NodeId, Round> =
-            self.issues.iter().map(|i| (i.node, i.round)).collect();
-        let round_of = |v: NodeId| issue.get(&v).copied().unwrap_or(0);
-        let sub: Vec<NodeId> =
-            output_order.iter().copied().filter(|&v| self.class_of(v) == class).collect();
-        Lateness::of(displacements_of(&sub, round_of))
+        Lateness::of(self.class_displacements(class, output_order, &self.issue_rounds()))
     }
 
     /// Derive [`SimReport::fault_events`] from the run's fault plan and
@@ -902,6 +914,11 @@ pub fn nearest_rank(sorted: &[u64], q: f64) -> u64 {
     }
     let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
     sorted[rank - 1]
+}
+
+/// `node`'s entry of an issue table from [`SimReport::issue_rounds`].
+fn issued_at(issue: &[Round], node: NodeId) -> Round {
+    issue.get(node).copied().unwrap_or(0)
 }
 
 fn sorted(mut sample: Vec<u64>) -> Vec<u64> {

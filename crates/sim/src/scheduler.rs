@@ -13,8 +13,10 @@
 //!    dirty frontier, ascending id; under [`crate::SimConfig::dense_scan`]
 //!    the store's whole membership) dequeues up to `recv_budget` in-port
 //!    messages and hands each to [`crate::Protocol::on_message`] on its
-//!    slice; every apply site keeps the per-message order
-//!    `Ledger::note_delivery`, the handler's effects, `Ledger::drain`;
+//!    slice; every serialized apply site keeps the per-message order
+//!    `Ledger::note_delivery`, the handler, `Ledger::apply_effects` — the
+//!    handler's effects in call order, each send validated and staged
+//!    straight into its sender's outbox, each completion recorded;
 //! 4. **transmit** — each processor with staged sends (again the frontier,
 //!    ascending id) dequeues up to `send_budget` outbox messages; each
 //!    receives the next global sequence number and is scheduled on the
@@ -47,8 +49,8 @@
 //! matches the intra-shard one.
 
 use crate::probe::{self, Phase, PhaseTimings, Stopwatch};
-use crate::protocol::{Protocol, SimApi};
-use crate::report::{LinkDelay, SimConfig, SimReport};
+use crate::protocol::{Protocol, SimApi, SliceEffect};
+use crate::report::{Completion, LinkDelay, SimConfig, SimReport};
 use crate::state::{Inbound, NodeStore};
 use crate::trace::{TraceEvent, TraceKind};
 use crate::transport::{Transport, Wire};
@@ -98,11 +100,19 @@ pub(crate) struct Ledger<'a, M> {
     round_micros: u64,
 }
 
+/// Append one `kind` event at `node` to the report's trace, if tracing.
+fn traced(report: &mut SimReport, on: bool, round: Round, kind: TraceKind, node: NodeId) {
+    if on {
+        report.trace.push(TraceEvent { round, kind, node, peer: node });
+    }
+}
+
 impl<M> Ledger<'_, M> {
-    /// Move staged sends/completions/issues from the API buffers into the
-    /// engine: sends are validated against the graph and pushed through
-    /// `stage` (which returns the new outbox depth), completions and issues
-    /// are recorded in the report.
+    /// Move what a serialized phase (the time-0 start, the arrivals phase)
+    /// staged in the API buffers into the engine: sends are validated
+    /// against the graph and pushed through `stage` (which returns the new
+    /// outbox depth); completions, issues and drops are recorded in the
+    /// report, and the backlog's high-water mark with them.
     pub(crate) fn drain(
         &mut self,
         round: Round,
@@ -124,27 +134,13 @@ impl<M> Ledger<'_, M> {
         for &i in &api.issued {
             debug_assert_eq!(i.round, round, "issue round mismatch");
             report.issues.push(i);
-            if trace {
-                report.trace.push(TraceEvent {
-                    round,
-                    kind: TraceKind::Issue,
-                    node: i.node,
-                    peer: i.node,
-                });
-            }
+            traced(report, trace, round, TraceKind::Issue, i.node);
         }
         api.issued.clear();
         for &c in &api.completed {
             debug_assert_eq!(c.round, round, "completion round mismatch");
             report.completions.push(c);
-            if trace {
-                report.trace.push(TraceEvent {
-                    round,
-                    kind: TraceKind::Complete,
-                    node: c.node,
-                    peer: c.node,
-                });
-            }
+            traced(report, trace, round, TraceKind::Complete, c.node);
         }
         api.completed.clear();
         // Admission-control accounting: shed arrivals and deferral counts
@@ -153,14 +149,7 @@ impl<M> Ledger<'_, M> {
         for &d in &api.dropped {
             debug_assert_eq!(d.round, round, "drop round mismatch");
             report.dropped.push(d);
-            if trace {
-                report.trace.push(TraceEvent {
-                    round,
-                    kind: TraceKind::Drop,
-                    node: d.node,
-                    peer: d.node,
-                });
-            }
+            traced(report, trace, round, TraceKind::Drop, d.node);
         }
         api.dropped.clear();
         report.delayed_admissions += std::mem::take(&mut api.delayed);
@@ -169,6 +158,42 @@ impl<M> Ledger<'_, M> {
         report.backlog_high_water = report
             .backlog_high_water
             .max(report.issues.len().saturating_sub(report.completions.len()));
+        Ok(())
+    }
+
+    /// The one effect drain of every serialized apply site: take the
+    /// effects of the handler that ran at `node`, in call order. A send is
+    /// validated against the graph ([`SimError::InvalidSend`]) and staged
+    /// through `stage` (which returns the new outbox depth); a completion
+    /// gets [`SimApi::complete`]'s bookkeeping and goes straight into the
+    /// report. Handlers cannot issue, so the backlog only falls within a
+    /// deliver phase and the arrivals drain has already recorded its
+    /// high-water mark.
+    pub(crate) fn apply_effects(
+        &mut self,
+        round: Round,
+        node: NodeId,
+        effects: impl IntoIterator<Item = SliceEffect<M>>,
+        mut stage: impl FnMut(NodeId, NodeId, M) -> usize,
+    ) -> Result<(), SimError> {
+        let (graph, trace) = (self.graph, self.cfg.trace);
+        let report = &mut self.report;
+        for effect in effects {
+            match effect {
+                SliceEffect::Send { to, msg } => {
+                    if to >= graph.n() || !graph.has_edge(node, to) {
+                        return Err(SimError::InvalidSend { from: node, to, round });
+                    }
+                    let depth = stage(node, to, msg);
+                    report.max_outbox_depth = report.max_outbox_depth.max(depth);
+                }
+                SliceEffect::Complete { node, value } => {
+                    self.api.note_completion(node);
+                    report.completions.push(Completion { node, value, round });
+                    traced(report, trace, round, TraceKind::Complete, node);
+                }
+            }
+        }
         Ok(())
     }
 
@@ -240,8 +265,9 @@ impl<M> Lane<M> {
     /// with the due ferry wires `ferry_due` in (arrival, sequence) order,
     /// into the in-ports; returns the deepest in-port observed. The wheel
     /// drains in that order already, so wires are collected and sorted only
-    /// when ferry wires are actually merged in.
-    pub(crate) fn mature(&mut self, round: Round, mut ferry_due: Vec<Wire<M>>) -> usize {
+    /// when ferry wires are actually merged in. `ferry_due` is drained in
+    /// place and keeps its storage for the next round.
+    pub(crate) fn mature(&mut self, round: Round, ferry_due: &mut Vec<Wire<M>>) -> usize {
         let store = &mut self.store;
         let mut max_depth = 0usize;
         let mut enqueue = |w: Wire<M>| {
@@ -258,7 +284,7 @@ impl<M> Lane<M> {
         } else {
             self.transport.drain_due(round, |w| ferry_due.push(w));
             ferry_due.sort_unstable_by_key(|w| (w.arrival, w.seq));
-            ferry_due.into_iter().for_each(enqueue);
+            ferry_due.drain(..).for_each(enqueue);
         }
         max_depth
     }
@@ -528,12 +554,12 @@ impl<P: Protocol> Phases<P> for Monolith<P::Msg> {
     }
 
     fn mature(&mut self, led: &mut Ledger<'_, P::Msg>, round: Round) {
-        let depth = self.lane.mature(round, Vec::new());
+        let depth = self.lane.mature(round, &mut Vec::new());
         led.report.max_inport_depth = led.report.max_inport_depth.max(depth);
     }
 
     /// The receive walk with the handler applied inline, its effects
-    /// drained after every message.
+    /// applied after every message.
     fn deliver(
         &mut self,
         led: &mut Ledger<'_, P::Msg>,
@@ -547,8 +573,7 @@ impl<P: Protocol> Phases<P> for Monolith<P::Msg> {
             led.note_delivery(round, v, inb.src);
             sapi.set_node(v);
             P::on_message(shared, &mut slices[v], &mut sapi, v, inb.src, inb.msg);
-            sapi.replay_into(&mut led.api);
-            led.drain(round, |f, t, m| store.stage(f, t, m))
+            led.apply_effects(round, v, sapi.effects.drain(..), |f, t, m| store.stage(f, t, m))
         });
         led.api.reclaim(sapi);
         led.report.queue_wait_rounds += queue_wait?;

@@ -111,20 +111,21 @@ impl<M> Lane<M> {
     /// is local; completions are logged for the commit replay), and every
     /// transmission carries a provisional sequence key. The arrivals phase
     /// is skipped: [`wave_width`] only admits rounds where `on_round` is a
-    /// no-op. `task` is the shard's member slices and the cross-shard wires
-    /// due to it during the wave (pre-drained, in (arrival, sequence)
-    /// order).
+    /// no-op. `task` is the shard's member slices and its ferry bucket:
+    /// the cross-shard wires due to it during the wave (pre-drained, in
+    /// (arrival, sequence) order), which the wave empties in place.
     fn wave<P: Protocol<Msg = M>>(
         &mut self,
         shard: usize,
         run: Run<'_>,
         shared: &P::Shared,
-        task: (Vec<&mut P::Slice>, Vec<Wire<M>>),
+        task: (Vec<&mut P::Slice>, &mut Vec<Wire<M>>),
         start: Round,
         width: Round,
     ) -> Result<WaveOutcome<M>, SimError> {
         let Run { graph, partition, cfg } = run;
-        let (mut slices, mut ferry_due) = task;
+        let (mut slices, ferry_due) = task;
+        let mut due = Vec::new();
         let mut sapi: SliceApi<M> = SliceApi::new(start, 0);
         let mut watch = Stopwatch::new(cfg.probe.timing);
         let mut out = WaveOutcome {
@@ -149,8 +150,8 @@ impl<M> Lane<M> {
             // true numbers, in-wave wires provisional keys, and the key
             // layout makes the mixed sort equal the final numbering's order.
             let due_len = ferry_due.iter().take_while(|w| w.arrival <= r).count();
-            let due: Vec<Wire<M>> = ferry_due.drain(..due_len).collect();
-            out.max_inport_depth = out.max_inport_depth.max(self.mature(r, due));
+            due.extend(ferry_due.drain(..due_len));
+            out.max_inport_depth = out.max_inport_depth.max(self.mature(r, &mut due));
             out.mature_micros += watch.lap();
 
             // Apply: the lane's receive walk, running the handlers and
@@ -249,6 +250,10 @@ struct Fabric<'a, M> {
     partition: &'a Partition,
     lanes: Vec<Lane<M>>,
     ferry: Transport<M>,
+    /// The due ferry wires per destination shard, filled by
+    /// [`Fabric::ferry_buckets`] and emptied in place by the lanes'
+    /// maturity (storage kept across rounds).
+    ferry_due: Vec<Vec<Wire<M>>>,
     /// Reusable frontier scratch for the global deliver and transmit walks.
     scratch: Vec<NodeId>,
 }
@@ -267,24 +272,32 @@ impl<'a, M: Send + std::fmt::Debug> Fabric<'a, M> {
                 .map(|s| Lane::new(NodeStore::with_members(n, partition.members(s)), delay))
                 .collect(),
             ferry: Transport::new(inter_delay),
+            ferry_due: (0..partition.k()).map(|_| Vec::new()).collect(),
             scratch: Vec::new(),
         }
     }
 
-    /// Drain the staging API into the report and the owning lanes'
-    /// outboxes.
-    fn drain(&mut self, led: &mut Ledger<'_, M>, round: Round) -> Result<(), SimError> {
+    /// Apply the effects of the handler that ran at `node` through the
+    /// ledger's one effect drain, staging sends in the sender's lane.
+    fn apply(
+        &mut self,
+        led: &mut Ledger<'_, M>,
+        round: Round,
+        node: NodeId,
+        effects: impl IntoIterator<Item = SliceEffect<M>>,
+    ) -> Result<(), SimError> {
         let (partition, lanes) = (self.partition, &mut self.lanes);
-        led.drain(round, |f, t, m| lanes[partition.shard_of(f)].store.stage(f, t, m))
+        led.apply_effects(round, node, effects, |f, t, m| {
+            lanes[partition.shard_of(f)].store.stage(f, t, m)
+        })
     }
 
-    /// Ferry maturity: bucket due cross-shard wires by their destination
-    /// shard (sequentially — the ferry is shared).
-    fn ferry_buckets(&mut self, round: Round) -> Vec<Vec<Wire<M>>> {
-        let partition = self.partition;
-        let mut buckets: Vec<Vec<Wire<M>>> = (0..partition.k()).map(|_| Vec::new()).collect();
+    /// Ferry maturity: bucket the cross-shard wires due by `round` into
+    /// [`Fabric::ferry_due`] by their destination shard (sequentially —
+    /// the ferry is shared).
+    fn ferry_buckets(&mut self, round: Round) {
+        let (partition, buckets) = (self.partition, &mut self.ferry_due);
         self.ferry.drain_due(round, |w| buckets[partition.shard_of(w.dst)].push(w));
-        buckets
     }
 
     /// The global frontier of the queues `take` lists: the lanes' disjoint
@@ -347,8 +360,8 @@ impl<'a, M: Send + std::fmt::Debug> Fabric<'a, M> {
     }
 
     /// Sliced deliver, barrier half: per message, the delivery
-    /// bookkeeping, then its effect segment, then the same per-message
-    /// drain the serialized path performs — identical event sequence.
+    /// bookkeeping, then its effect segment through the same effect drain
+    /// the serialized path applies — identical event sequence.
     fn replay(
         &mut self,
         led: &mut Ledger<'_, M>,
@@ -359,14 +372,11 @@ impl<'a, M: Send + std::fmt::Debug> Fabric<'a, M> {
         let mut consumed = vec![0usize; streams.len()];
         for (v, s, src, end) in deliveries {
             led.note_delivery(round, v, src);
-            while consumed[s] < end {
-                match streams[s].next().expect("delivery records cover every effect") {
-                    SliceEffect::Send { to, msg } => led.api.send(v, to, msg),
-                    SliceEffect::Complete { node, value } => led.api.complete(node, value),
-                }
-                consumed[s] += 1;
-            }
-            self.drain(led, round)?;
+            let stream = &mut streams[s];
+            let segment = (consumed[s]..end)
+                .map(|_| stream.next().expect("delivery records cover every effect"));
+            consumed[s] = end;
+            self.apply(led, round, v, segment)?;
         }
         Ok(())
     }
@@ -422,12 +432,14 @@ impl<'a, M: Send + std::fmt::Debug> Fabric<'a, M> {
         // bound guarantees nothing transmitted *during* the wave
         // could join this set. Buckets inherit the ferry's
         // (arrival, sequence) drain order.
-        let buckets = self.ferry_buckets(last);
+        self.ferry_buckets(last);
         let residual_ferry = !self.ferry.is_idle();
-        let max_pending_arrival = buckets.iter().flatten().map(|w| w.arrival).max().unwrap_or(0);
+        let max_pending_arrival =
+            self.ferry_due.iter().flatten().map(|w| w.arrival).max().unwrap_or(0);
 
         let done: Vec<WaveOutcome<M>> = {
             let (shared, slices) = protocol.split();
+            let buckets = self.ferry_due.iter_mut();
             let tasks = slice_buckets(run.partition, slices).into_iter().zip(buckets).collect();
             fork(&mut self.lanes, tasks, |shard, lane, task| {
                 lane.wave::<P>(shard, run, shared, task, round, width)
@@ -502,20 +514,14 @@ impl<'a, M: Send + std::fmt::Debug> Fabric<'a, M> {
         // (3) Replay completions per round in ascending handler-node
         // order (lanes hold disjoint nodes, so the stable sort
         // recovers the lockstep delivery order), through the same
-        // per-round drain — round stamps, completion counters and
-        // backlog high-water all accrue exactly as in lockstep.
-        for offset in 0..width {
-            let events = &mut all_completions[offset as usize];
-            if events.is_empty() {
-                continue;
-            }
+        // effect drain — round stamps and completion counters accrue
+        // exactly as in lockstep.
+        for (offset, events) in (0..).zip(&mut all_completions) {
             events.sort_by_key(|&(handler, _, _)| handler);
-            let r = round + offset;
-            led.api.set_round(r);
-            for &(_, node, value) in events.iter() {
-                led.api.complete(node, value);
+            for &(handler, node, value) in events.iter() {
+                let complete = SliceEffect::Complete { node, value };
+                self.apply(led, round + offset, handler, [complete])?;
             }
-            self.drain(led, r)?;
         }
         let commit_micros = led.watch.lap();
 
@@ -556,24 +562,25 @@ where
     P::Msg: Send,
 {
     /// Serialized on every path: the protocol is one value, and admission
-    /// reads the run-global backlog.
+    /// reads the run-global backlog. Sends stage in the sender's lane.
     fn arrivals(&mut self, led: &mut Ledger<'_, P::Msg>, round: Round) -> Result<(), SimError> {
-        self.drain(led, round)
+        let (partition, lanes) = (self.partition, &mut self.lanes);
+        led.drain(round, |f, t, m| lanes[partition.shard_of(f)].store.stage(f, t, m))
     }
 
     /// Bucket the due ferry wires, then mature lane by lane — the lanes
     /// hold disjoint nodes, so the order is immaterial — folding the
     /// deepest in-port into the report.
     fn mature(&mut self, led: &mut Ledger<'_, P::Msg>, round: Round) {
-        let buckets = self.ferry_buckets(round);
-        for (lane, due) in self.lanes.iter_mut().zip(buckets) {
+        self.ferry_buckets(round);
+        for (lane, due) in self.lanes.iter_mut().zip(&mut self.ferry_due) {
             let depth = lane.mature(round, due);
             led.report.max_inport_depth = led.report.max_inport_depth.max(depth);
         }
     }
 
     /// One walk of the global in-port frontier, each node popping from its
-    /// own lane with the handler and the effect drain inline, exactly as
+    /// own lane with the handler and its effects applied inline, exactly as
     /// the monolith's receive walk; under [`SimConfig::parallel_apply`] the
     /// handlers run in the lane tasks instead and replay at the barrier.
     fn deliver(
@@ -604,8 +611,7 @@ where
                 led.note_delivery(round, v, inb.src);
                 sapi.set_node(v);
                 P::on_message(shared, &mut slices[v], &mut sapi, v, inb.src, inb.msg);
-                sapi.replay_into(&mut led.api);
-                self.drain(led, round)?;
+                self.apply(led, round, v, sapi.effects.drain(..))?;
             }
         }
         led.api.reclaim(sapi);

@@ -3,8 +3,16 @@
 //! A [`Transport`] owns everything between "a message left its sender" and
 //! "the message reached its destination's in-port": it applies the
 //! [`LinkDelay`] policy, enforces per-link FIFO, and holds in-flight
-//! messages in a timing wheel keyed by arrival round. The invariants this
-//! layer owns:
+//! messages in a timing wheel — a power-of-two ring of batches, the wires
+//! due at round `r` in slot `r & mask`, in transmission order. Every wire
+//! in flight arrives within one ring length after the last drained round,
+//! so no two pending rounds share a slot; the ring grows (re-bucketing each
+//! batch whole, in order) to the smallest power of two above the longest
+//! delay it has scheduled — 2 slots under unit delay, 8 under
+//! `jitter:max=3` or a ferry of 6 rounds, at most 2^20 under the CLI's
+//! delay cap. A drained slot's storage is handed to the next slot that
+//! starts filling, so steady state cycles one set of buffers and allocates
+//! nothing. The invariants this layer owns:
 //!
 //! * **delay ≥ 1** — a message transmitted at round `t` arrives no earlier
 //!   than `t + 1` (information travels at most one hop per round under the
@@ -24,7 +32,7 @@
 use crate::report::LinkDelay;
 use crate::Round;
 use ccq_graph::NodeId;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// A message in flight.
@@ -41,10 +49,6 @@ pub struct Wire<M> {
     /// Payload.
     pub msg: M,
 }
-
-/// Batch `Vec`s kept around for reuse after their wires drained — bounds
-/// the freelist so bursty rounds cannot pin arbitrary memory.
-const SPARE_BATCHES: usize = 8;
 
 /// Multiply-rotate hasher for the link map. Its keys are pairs of
 /// processor ids this program made — never outside input — and the map is
@@ -73,15 +77,20 @@ impl Hasher for LinkHasher {
 #[derive(Debug)]
 pub struct Transport<M> {
     delay: LinkDelay,
-    /// Timing wheel: in-flight messages keyed by arrival round; each batch
-    /// is in transmission (= sequence) order.
-    inflight: BTreeMap<Round, Vec<Wire<M>>>,
+    /// The timing wheel: slot `r & (len − 1)` holds the wires arriving at
+    /// round `r`, in transmission (= sequence) order. Every pending arrival
+    /// lies in `drained + 1 .. drained + len`. Empty until the first
+    /// transmission.
+    ring: Vec<Vec<Wire<M>>>,
+    /// Every round up to and including this one has been drained.
+    drained: Round,
+    /// Wires in flight (the ring's total length).
+    wires: usize,
+    /// Storage of the last drained slot, handed to the next slot that
+    /// starts filling.
+    handoff: Vec<Wire<M>>,
     /// Per-directed-link last scheduled arrival (FIFO clamp under jitter).
     link_last: HashMap<(NodeId, NodeId), Round, BuildHasherDefault<LinkHasher>>,
-    /// Recycled batch `Vec`s (drained, capacity retained): steady state
-    /// moves batches between the wheel and this freelist without touching
-    /// the allocator.
-    spare: Vec<Vec<Wire<M>>>,
 }
 
 impl<M> Transport<M> {
@@ -89,15 +98,21 @@ impl<M> Transport<M> {
     pub fn new(delay: LinkDelay) -> Self {
         Transport {
             delay,
-            inflight: BTreeMap::new(),
+            ring: Vec::new(),
+            drained: 0,
+            wires: 0,
+            handoff: Vec::new(),
             link_last: HashMap::default(),
-            spare: Vec::new(),
         }
     }
 
     /// Place a message on the wire at `round`. `seq` is the run-global
     /// transmission sequence number: it indexes per-message delay draws
-    /// and orders simultaneous arrivals.
+    /// and orders simultaneous arrivals. The arrival must lie after the
+    /// last drained round, which a transmission at or after that round
+    /// always does. The ring spans from that round, so a transmission long
+    /// after the last drain widens it by the gap; the executors drain
+    /// every wheel every round.
     pub fn transmit(&mut self, src: NodeId, dst: NodeId, msg: M, round: Round, seq: u64) {
         let mut arrival = round + self.delay.delay_of(src, dst, seq);
         if self.delay.varies_per_message() {
@@ -106,42 +121,73 @@ impl<M> Transport<M> {
             arrival = arrival.max(*slot);
             *slot = arrival;
         }
-        let wire = Wire { src, dst, arrival, seq, msg };
-        match self.inflight.entry(arrival) {
-            std::collections::btree_map::Entry::Occupied(mut e) => e.get_mut().push(wire),
-            std::collections::btree_map::Entry::Vacant(e) => {
-                let mut batch = self.spare.pop().unwrap_or_default();
-                batch.push(wire);
-                e.insert(batch);
+        debug_assert!(arrival > self.drained, "wire scheduled into a drained round");
+        if arrival - self.drained >= self.ring.len() as Round {
+            self.grow(arrival - self.drained);
+        }
+        let slot = self.slot(arrival);
+        let batch = &mut self.ring[slot];
+        if batch.is_empty() && batch.capacity() < self.handoff.capacity() {
+            std::mem::swap(batch, &mut self.handoff);
+        }
+        batch.push(Wire { src, dst, arrival, seq, msg });
+        self.wires += 1;
+    }
+
+    /// Grow the ring to the smallest power of two above `span`, the
+    /// distance from the last drained round to a new arrival, each batch
+    /// moving whole to its new slot.
+    #[cold]
+    fn grow(&mut self, span: Round) {
+        let len = usize::try_from(span + 1)
+            .ok()
+            .and_then(usize::checked_next_power_of_two)
+            .expect("delay span exceeds the address space");
+        let mut ring: Vec<Vec<Wire<M>>> = (0..len).map(|_| Vec::new()).collect();
+        for batch in self.ring.drain(..) {
+            if let Some(arrival) = batch.first().map(|w| w.arrival) {
+                ring[arrival as usize & (len - 1)] = batch;
             }
         }
+        self.ring = ring;
+    }
+
+    /// The ring slot of round `r`.
+    fn slot(&self, r: Round) -> usize {
+        r as usize & (self.ring.len() - 1)
+    }
+
+    /// The ring's slots in arrival order, from the first undrained round.
+    fn pending_slots(&self) -> impl Iterator<Item = usize> {
+        let (from, len) = (self.drained, self.ring.len());
+        (1..len as Round).map(move |k| from.wrapping_add(k) as usize & (len - 1))
     }
 
     /// Remove and yield every wire due at or before `round`, in
     /// (arrival round, sequence) order.
     pub fn drain_due(&mut self, round: Round, mut sink: impl FnMut(Wire<M>)) {
-        while let Some((&r, _)) = self.inflight.first_key_value() {
-            if r > round {
-                break;
-            }
-            let mut batch = self.inflight.remove(&r).expect("checked key");
-            for w in batch.drain(..) {
-                sink(w);
-            }
-            if self.spare.len() < SPARE_BATCHES {
-                self.spare.push(batch);
+        while self.wires > 0 && self.drained < round {
+            self.drained += 1;
+            let slot = self.slot(self.drained);
+            let batch = &mut self.ring[slot];
+            self.wires -= batch.len();
+            batch.drain(..).for_each(&mut sink);
+            if batch.capacity() > self.handoff.capacity() {
+                std::mem::swap(batch, &mut self.handoff);
             }
         }
+        self.drained = self.drained.max(round);
     }
 
-    /// Rewrite the sequence number of every in-flight wire through `f`.
-    /// The wavefront executor uses this at a wave commit to replace the
-    /// provisional in-wave sequence keys with the true run-global numbers;
-    /// the mapping must be order-preserving within each arrival batch
-    /// (batches stay in transmission order and are never re-sorted).
+    /// Rewrite the sequence number of every in-flight wire through `f`, in
+    /// (arrival round, insertion) order. The wavefront executor uses this
+    /// at a wave commit to replace the provisional in-wave sequence keys
+    /// with the true run-global numbers; the mapping must be
+    /// order-preserving within each arrival batch (batches stay in
+    /// transmission order and are never re-sorted).
     pub fn remap_seqs(&mut self, mut f: impl FnMut(u64) -> u64) {
-        for batch in self.inflight.values_mut() {
-            for w in batch.iter_mut() {
+        for slot in self.pending_slots() {
+            for w in &mut self.ring[slot] {
                 w.seq = f(w.seq);
             }
         }
@@ -149,22 +195,23 @@ impl<M> Transport<M> {
 
     /// Whether nothing is in flight.
     pub fn is_idle(&self) -> bool {
-        self.inflight.is_empty()
+        self.wires == 0
     }
 
     /// Read-only view of every in-flight wire, in (arrival round, insertion)
-    /// order — deterministic because the wheel is a `BTreeMap` and batches
-    /// are in transmission order. The probe layer's canonical-state
-    /// renderer merges and re-sorts wires across transports, so the
-    /// per-transport order here only needs to be stable.
+    /// order — deterministic because the ring is walked from the first
+    /// undrained round and batches are in transmission order. The probe
+    /// layer's canonical-state renderer merges and re-sorts wires across
+    /// transports, so the per-transport order here only needs to be stable.
     pub fn wires(&self) -> impl Iterator<Item = &Wire<M>> {
-        self.inflight.values().flatten()
+        self.pending_slots().flat_map(move |slot| &self.ring[slot])
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
 
     fn arrivals(t: &mut Transport<u32>, round: Round) -> Vec<(NodeId, u64, u32)> {
         let mut out = Vec::new();
@@ -199,5 +246,146 @@ mod tests {
         let mut seen = Vec::new();
         t.drain_due(Round::MAX - 1, |w| seen.push(w.msg));
         assert_eq!(seen, (1..=20).collect::<Vec<u32>>());
+    }
+
+    #[test]
+    fn ring_is_the_smallest_power_of_two_above_the_longest_delay() {
+        for (delay, slots) in [
+            (LinkDelay::Unit, 2),
+            (LinkDelay::Fixed { delay: 6 }, 8),
+            (LinkDelay::Fixed { delay: 8 }, 16),
+            (LinkDelay::Jitter { max: 3, seed: 1 }, 8),
+        ] {
+            let mut t: Transport<u32> = Transport::new(delay);
+            assert!(t.ring.is_empty(), "an unused wheel holds no ring");
+            for round in 0..64 {
+                t.drain_due(round, drop);
+                for (seq, src) in (round * 4 + 1..).zip(0..4) {
+                    t.transmit(src, src + 1, 0, round, seq);
+                }
+            }
+            assert_eq!(t.ring.len(), slots, "{}", delay.name());
+        }
+    }
+
+    /// Splitmix64: the property test's deterministic case generator.
+    struct Cases(u64);
+
+    impl Cases {
+        fn below(&mut self, bound: u64) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) % bound
+        }
+    }
+
+    type Seen = (NodeId, NodeId, Round, u64, u32);
+
+    /// The reference wheel: batches in a `BTreeMap` keyed by arrival
+    /// round, its own FIFO clamp, and every drain a split of the map's due
+    /// prefix.
+    struct Oracle {
+        delay: LinkDelay,
+        inflight: BTreeMap<Round, Vec<Seen>>,
+        link_last: BTreeMap<(NodeId, NodeId), Round>,
+    }
+
+    impl Oracle {
+        fn transmit(&mut self, src: NodeId, dst: NodeId, msg: u32, round: Round, seq: u64) {
+            let mut arrival = round + self.delay.delay_of(src, dst, seq);
+            if self.delay.varies_per_message() {
+                let last = self.link_last.entry((src, dst)).or_insert(0);
+                arrival = arrival.max(*last);
+                *last = arrival;
+            }
+            self.inflight.entry(arrival).or_default().push((src, dst, arrival, seq, msg));
+        }
+
+        fn drain_due(&mut self, round: Round) -> Vec<Seen> {
+            let later = self.inflight.split_off(&(round + 1));
+            std::mem::replace(&mut self.inflight, later).into_values().flatten().collect()
+        }
+
+        fn wires(&self) -> Vec<Seen> {
+            self.inflight.values().flatten().copied().collect()
+        }
+    }
+
+    fn seen(w: &Wire<u32>) -> Seen {
+        (w.src, w.dst, w.arrival, w.seq, w.msg)
+    }
+
+    #[test]
+    fn ring_matches_the_btreemap_wheel_under_every_policy() {
+        let policies = [
+            LinkDelay::Unit,
+            LinkDelay::Fixed { delay: 3 },
+            LinkDelay::PerLink { max: 12, seed: 5 },
+            LinkDelay::Jitter { max: 6, seed: 9 },
+        ];
+        let mut grew_in_flight = 0;
+        for delay in policies {
+            for case in 0..40 {
+                let mut gen = Cases(case);
+                let mut ring: Transport<u32> = Transport::new(delay);
+                let mut oracle =
+                    Oracle { delay, inflight: BTreeMap::new(), link_last: BTreeMap::new() };
+                let (mut round, mut seq) = (0, 0);
+                for step in 0..300 {
+                    // Mostly one round at a time, sometimes an idle jump
+                    // (past every pending arrival or into the middle of
+                    // them), with a drain at every stop.
+                    round += match gen.below(10) {
+                        0 => 1 + gen.below(25),
+                        _ => 1,
+                    };
+                    let mut got = Vec::new();
+                    ring.drain_due(round, |w| got.push(seen(&w)));
+                    assert_eq!(got, oracle.drain_due(round), "{} case {case}", delay.name());
+                    for _ in 0..gen.below(5) {
+                        let (src, dst) = (gen.below(4) as NodeId, gen.below(4) as NodeId);
+                        seq += 1;
+                        let (before, busy) = (ring.ring.len(), !ring.is_idle());
+                        ring.transmit(src, dst, step, round, seq);
+                        oracle.transmit(src, dst, step, round, seq);
+                        grew_in_flight += usize::from(busy && ring.ring.len() > before);
+                    }
+                    if gen.below(8) == 0 {
+                        // An order-preserving remap, as a wave commit does.
+                        ring.remap_seqs(|s| 2 * s);
+                        for w in oracle.inflight.values_mut().flatten() {
+                            w.3 *= 2;
+                        }
+                        seq *= 2;
+                    }
+                    let wires: Vec<Seen> = ring.wires().map(seen).collect();
+                    assert_eq!(wires, oracle.wires(), "{} case {case}", delay.name());
+                    assert_eq!(ring.is_idle(), oracle.inflight.is_empty());
+                }
+            }
+        }
+        assert!(grew_in_flight > 0, "no case grew the ring with wires in flight");
+    }
+
+    #[test]
+    fn growth_keeps_in_flight_batches_in_order() {
+        // A one-round link, then a link of more than two: the first
+        // transmission builds a 2-slot ring, the second grows it while the
+        // first wire is still in flight.
+        let delay = LinkDelay::PerLink { max: 12, seed: 5 };
+        let links = || (0..8).flat_map(|a| (0..8).map(move |b| (a, b)));
+        let short = links().find(|&(a, b)| delay.delay_of(a, b, 0) == 1).unwrap();
+        let far = links().find(|&(a, b)| delay.delay_of(a, b, 0) > 2).unwrap();
+        let long = delay.delay_of(far.0, far.1, 0);
+        let mut t: Transport<u32> = Transport::new(delay);
+        t.transmit(short.0, short.1, 10, 0, 1);
+        assert_eq!(t.ring.len(), 2);
+        t.transmit(far.0, far.1, 11, 0, 2);
+        assert_eq!(t.ring.len(), (long as usize + 1).next_power_of_two());
+        let wires: Vec<u32> = t.wires().map(|w| w.msg).collect();
+        assert_eq!(wires, [10, 11]);
+        assert_eq!(arrivals(&mut t, long), vec![(short.1, 1, 10), (far.1, 2, 11)]);
     }
 }

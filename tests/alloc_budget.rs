@@ -104,3 +104,32 @@ fn a_run_allocates_for_its_messages_not_its_nodes() {
         }
     }
 }
+
+/// The wire layer's share of "zero allocations in steady state": once a
+/// timing wheel has seen its longest delay and its largest batch, cycling
+/// drain and transmit round after round allocates nothing — under unit
+/// delay and under jitter, whose FIFO clamp keeps a map of the links it
+/// has seen.
+#[test]
+fn a_warm_timing_wheel_allocates_nothing() {
+    use ccq_repro::sim::{transport::Transport, LinkDelay};
+    for delay in [LinkDelay::Unit, LinkDelay::Jitter { max: 3, seed: 7 }] {
+        let mut wheel: Transport<u64> = Transport::new(delay);
+        let mut seq = 0;
+        let mut cycle = |wheel: &mut Transport<u64>, round: u64| {
+            wheel.drain_due(round, |w| {
+                std::hint::black_box(w);
+            });
+            // A burst of 0..8 sends a round over eight links.
+            for src in 0..(round % 9) as usize {
+                seq += 1;
+                wheel.transmit(src, (src + 1) % 8, seq, round, seq);
+            }
+        };
+        for round in 0..1_000 {
+            cycle(&mut wheel, round);
+        }
+        let ((), allocs) = counted(|| (1_000..2_000).for_each(|round| cycle(&mut wheel, round)));
+        assert_eq!(allocs, 0, "{delay:?}: a warm wheel allocated");
+    }
+}
