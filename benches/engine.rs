@@ -18,15 +18,25 @@
 //! (up to 1e5; at 1e6 it would dominate the bench's wall-clock budget)
 //! as the curve the frontier escapes.
 //!
-//! Finally the artifact carries the **wavefront pipeline** comparison on
-//! the slow-ferry federated torus (EdgeCut shards joined by a fixed-delay
-//! inter-shard ferry): lockstep barriers every round vs shards running up
-//! to `lag` rounds ahead. CI asserts each pair runs one execution and
-//! prints the lockstep/wavefront mean ratio.
+//! It carries the **wavefront pipeline** comparison on the slow-ferry
+//! federated torus (EdgeCut shards joined by a fixed-delay inter-shard
+//! ferry): lockstep barriers every round vs shards running up to `lag`
+//! rounds ahead. CI asserts each pair runs one execution and prints the
+//! lockstep/wavefront mean ratio.
+//!
+//! Finally it carries the **K = 1 gap**: two protocols built directly and
+//! run by the monolith and by the sharded fabric over a one-shard
+//! partition, a pairing no plan reaches (an unsharded plan always runs on
+//! the monolith). The bench prints the fabric/monolith mean ratio; CI
+//! asserts each pair runs one execution.
 
 use ccq_repro::core::protocol::{self, run_spec_cfg};
 use ccq_repro::core::run::config_for;
+use ccq_repro::counting::CountingNetworkProtocol;
+use ccq_repro::graph::Partition;
 use ccq_repro::prelude::*;
+use ccq_repro::queuing::CentralQueueProtocol;
+use ccq_repro::sim::{Protocol, ShardedSimulator, SimConfig, SimReport, Simulator};
 use serde::Serialize;
 use std::time::Instant;
 
@@ -91,9 +101,7 @@ fn measure(bench: &str, spec: &dyn ProtocolSpec, scenario: &Scenario, dense: boo
 
 /// One (protocol, shard plan, apply path) cell on the 576-node torus.
 fn measure_hot(spec: &dyn ProtocolSpec, shards: ShardSpec, parallel_apply: bool) -> Sample {
-    let scenario = Scenario::build(TopoSpec::Torus2D { side: 24 }, RequestPattern::All)
-        .with_shards(shards)
-        .with_parallel_apply(parallel_apply);
+    let scenario = hot_scenario().with_shards(shards).with_parallel_apply(parallel_apply);
     measure("engine_hot_loop", spec, &scenario, false)
 }
 
@@ -118,10 +126,62 @@ fn measure_sparse(side: usize, dense: bool) -> Sample {
 fn measure_wavefront(spec: &dyn ProtocolSpec, k: usize, ferry: u64, lag: u64) -> Sample {
     let shards = ShardSpec::new(k, ShardStrategy::EdgeCut)
         .with_inter_delay(LinkDelay::Fixed { delay: ferry });
-    let scenario = Scenario::build(TopoSpec::Torus2D { side: 24 }, RequestPattern::All)
-        .with_shards(shards)
-        .with_wavefront((lag > 0).then_some(lag));
+    let scenario = hot_scenario().with_shards(shards).with_wavefront((lag > 0).then_some(lag));
     measure("wavefront_pipeline", spec, &scenario, false)
+}
+
+/// One side of a K = 1 gap pair on the 576-node torus: `build` makes the
+/// protocol, which the monolith runs or (`fabric`) the sharded executor
+/// over `Partition::contiguous(n, 1)` — the partition made once, outside
+/// the timed body, and cloned per run as a plan's dispatch clones it.
+fn measure_k1<P: Protocol>(
+    name: &str,
+    cfg: SimConfig,
+    fabric: bool,
+    build: impl Fn() -> P,
+) -> Sample
+where
+    P::Msg: Send,
+{
+    let scenario = hot_scenario();
+    let graph = &scenario.graph;
+    let partition = Partition::contiguous(graph.n(), 1);
+    let run = || -> SimReport {
+        let out = if fabric {
+            ShardedSimulator::new(graph, partition.clone(), build(), cfg).run()
+        } else {
+            Simulator::new(graph, build(), cfg).run()
+        };
+        out.expect("bench run completes")
+    };
+    // One untimed run first: the pair's first side would otherwise pay the
+    // cold caches for both.
+    let mut report = run();
+    let n = iters();
+    let start = Instant::now();
+    for _ in 0..n {
+        report = run();
+    }
+    Sample {
+        bench: "k1_gap".into(),
+        protocol: name.into(),
+        topology: scenario.spec.name(),
+        nodes: graph.n(),
+        shards: if fabric { "fabric:1" } else { "monolith" }.into(),
+        parallel_apply: false,
+        dense_scan: false,
+        wavefront_lag: 0,
+        iters: n,
+        mean_seconds: start.elapsed().as_secs_f64() / n as f64,
+        rounds: report.rounds,
+        total_delay: report.total_delay(),
+        cross_shard_messages: report.cross_shard_messages,
+    }
+}
+
+/// The hot loop's scenario: every processor of the 576-node torus requests.
+fn hot_scenario() -> Scenario {
+    Scenario::build(TopoSpec::Torus2D { side: 24 }, RequestPattern::All)
 }
 
 fn main() {
@@ -172,6 +232,26 @@ fn main() {
                 samples.push(measure_wavefront(spec, k, 6, lag));
             }
         }
+    }
+    // The K = 1 gap: a queuing and a counting protocol, each under the
+    // config its registry spec runs with, on both executors.
+    let s = hot_scenario();
+    let expanded = config_for(ModelMode::Expanded, s.queuing_tree.max_degree());
+    let width = default_width(s.n());
+    for fabric in [false, true] {
+        let central = || CentralQueueProtocol::new(&s.queuing_tree, s.tail, &s.requests);
+        samples.push(measure_k1("central-queue", expanded, fabric, central));
+        let network =
+            || CountingNetworkProtocol::new(&s.graph, &s.counting_tree, &s.requests, width);
+        samples.push(measure_k1("counting-network", SimConfig::strict(), fabric, network));
+    }
+    for fabric in samples.iter().filter(|x| x.shards == "fabric:1") {
+        let monolith = samples
+            .iter()
+            .find(|x| x.shards == "monolith" && x.protocol == fabric.protocol)
+            .expect("a monolith twin");
+        let ratio = fabric.mean_seconds / monolith.mean_seconds;
+        println!("k = 1 {}: fabric/monolith {ratio:.2}", fabric.protocol);
     }
 
     let out_path =

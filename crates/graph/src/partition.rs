@@ -17,47 +17,83 @@
 //!   each shard grows from the smallest unassigned seed, repeatedly
 //!   absorbing the frontier vertex with the most edges into the region
 //!   (ties to the smallest id), until it reaches its balanced target size.
+//!
+//! Whatever the strategy, a partition keeps one [`Place`] per vertex — its
+//! shard and its rank among that shard's members — so "which shard, which
+//! slot" is one table read. The table is shared, not copied, by every
+//! membership-sized store built over the partition.
 
 use crate::{Graph, NodeId};
+use std::sync::Arc;
+
+/// Where a vertex lives: its shard, and its rank among that shard's members
+/// in ascending id order (its slot in the shard's membership-sized store).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Place {
+    shard: u32,
+    rank: u32,
+}
+
+impl Place {
+    /// The shard holding the vertex.
+    #[inline]
+    pub fn shard(self) -> usize {
+        self.shard as usize
+    }
+
+    /// How many members of that shard have a smaller id.
+    #[inline]
+    pub fn rank(self) -> usize {
+        self.rank as usize
+    }
+}
 
 /// An assignment of `n` vertices to `k` shards.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Partition {
     k: usize,
-    assignment: Vec<usize>,
+    /// `places[v]` is the place of `v`: eight bytes a vertex, behind an
+    /// `Arc` so the stores of every shard read one table.
+    places: Arc<[Place]>,
     /// Vertices of each shard, ascending (precomputed for iteration).
     members: Vec<Vec<NodeId>>,
 }
 
 impl Partition {
-    /// Build from an explicit assignment (`assignment[v]` = shard of `v`).
+    /// Build from an explicit assignment (the `v`-th item is the shard of
+    /// `v`).
     ///
     /// # Panics
     /// Panics if any shard id is `≥ k` — assignments are produced by
     /// deterministic strategies, so an out-of-range id is a programming
     /// error. (The sharded simulator additionally validates shape against
     /// its graph and reports a constructive `InvalidConfig` error.)
-    fn from_assignment(k: usize, assignment: Vec<usize>) -> Self {
+    pub fn from_assignment(k: usize, assignment: impl IntoIterator<Item = usize>) -> Self {
         let k = k.max(1);
+        assert!(u32::try_from(k).is_ok(), "{k} shards exceed the u32 place table");
+        let assignment = assignment.into_iter();
+        let mut places = Vec::with_capacity(assignment.size_hint().0);
         let mut members: Vec<Vec<NodeId>> = vec![Vec::new(); k];
-        for (v, &s) in assignment.iter().enumerate() {
+        for (v, s) in assignment.enumerate() {
             assert!(s < k, "vertex {v} assigned to shard {s} ≥ k = {k}");
+            let rank = u32::try_from(members[s].len()).expect("a shard of 2^32 vertices");
+            places.push(Place { shard: s as u32, rank });
             members[s].push(v);
         }
-        Partition { k, assignment, members }
+        Partition { k, places: places.into(), members }
     }
 
     /// Contiguous id blocks: shard `s` holds ids `[s·⌈n/k⌉, (s+1)·⌈n/k⌉)`.
     pub fn contiguous(n: usize, k: usize) -> Self {
         let k = k.max(1);
         let block = n.div_ceil(k).max(1);
-        Self::from_assignment(k, (0..n).map(|v| (v / block).min(k - 1)).collect())
+        Self::from_assignment(k, (0..n).map(|v| (v / block).min(k - 1)))
     }
 
     /// Round-robin striping: shard of `v` is `v mod k`.
     pub fn striped(n: usize, k: usize) -> Self {
         let k = k.max(1);
-        Self::from_assignment(k, (0..n).map(|v| v % k).collect())
+        Self::from_assignment(k, (0..n).map(|v| v % k))
     }
 
     /// METIS-style greedy edge-cut minimization: grow each shard from the
@@ -105,13 +141,13 @@ impl Partition {
     /// Number of vertices partitioned.
     #[inline]
     pub fn n(&self) -> usize {
-        self.assignment.len()
+        self.places.len()
     }
 
     /// Shard of vertex `v`.
     #[inline]
     pub fn shard_of(&self, v: NodeId) -> usize {
-        self.assignment[v]
+        self.places[v].shard()
     }
 
     /// Vertices of `shard`, ascending (empty when `k > n` leaves it bare).
@@ -120,10 +156,16 @@ impl Partition {
         &self.members[shard]
     }
 
-    /// The raw assignment vector.
+    /// Shard of vertex `v` and its rank among that shard's members.
     #[inline]
-    pub fn assignment(&self) -> &[usize] {
-        &self.assignment
+    pub fn place(&self, v: NodeId) -> Place {
+        self.places[v]
+    }
+
+    /// The whole place table, for a store to share rather than copy.
+    #[inline]
+    pub fn places(&self) -> &Arc<[Place]> {
+        &self.places
     }
 }
 
@@ -131,17 +173,25 @@ impl Partition {
 mod tests {
     use super::*;
     use crate::topology;
+    use proptest::prelude::*;
+    use rand::prelude::*;
+    use rand::rngs::StdRng;
 
     /// The edge cut: the measure the strategies are compared on.
     fn cut_edges(p: &Partition, graph: &Graph) -> usize {
-        graph.edges().filter(|&(u, v)| p.assignment()[u] != p.assignment()[v]).count()
+        graph.edges().filter(|&(u, v)| p.shard_of(u) != p.shard_of(v)).count()
+    }
+
+    /// The shard of every vertex, in id order.
+    fn shards(p: &Partition) -> Vec<usize> {
+        (0..p.n()).map(|v| p.shard_of(v)).collect()
     }
 
     #[test]
     fn contiguous_blocks() {
         let p = Partition::contiguous(10, 3);
         assert_eq!(p.k(), 3);
-        assert_eq!(p.assignment(), &[0, 0, 0, 0, 1, 1, 1, 1, 2, 2]);
+        assert_eq!(shards(&p), [0, 0, 0, 0, 1, 1, 1, 1, 2, 2]);
         assert_eq!(p.members(0), &[0, 1, 2, 3]);
         assert_eq!(p.members(2), &[8, 9]);
     }
@@ -149,7 +199,7 @@ mod tests {
     #[test]
     fn striped_round_robin() {
         let p = Partition::striped(7, 3);
-        assert_eq!(p.assignment(), &[0, 1, 2, 0, 1, 2, 0]);
+        assert_eq!(shards(&p), [0, 1, 2, 0, 1, 2, 0]);
         assert_eq!(p.members(0), &[0, 3, 6]);
     }
 
@@ -213,5 +263,37 @@ mod tests {
     #[should_panic(expected = "assigned to shard")]
     fn out_of_range_assignment_rejected() {
         Partition::from_assignment(2, vec![0, 2]);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Every vertex's place names its shard and its binary-search rank
+        /// among that shard's members — for random assignments and all
+        /// three strategies, from one vertex to a few thousand.
+        #[test]
+        fn places_are_the_binary_search_ranks(
+            side in 1usize..56,
+            k in 1usize..20,
+            strategy in 0usize..4,
+            seed in any::<u64>(),
+        ) {
+            let g = topology::mesh(&[side, side]);
+            let n = g.n();
+            let mut rng = StdRng::seed_from_u64(seed);
+            let p = match strategy {
+                0 => Partition::contiguous(n, k),
+                1 => Partition::striped(n, k),
+                2 => Partition::greedy_edge_cut(&g, k),
+                _ => Partition::from_assignment(k, (0..n).map(|_| rng.random_range(0..k))),
+            };
+            prop_assert_eq!(p.n(), n);
+            for v in 0..n {
+                let place = p.place(v);
+                prop_assert_eq!(p.shard_of(v), place.shard());
+                prop_assert_eq!(p.members(place.shard()).binary_search(&v), Ok(place.rank()));
+            }
+            prop_assert_eq!((0..p.k()).map(|s| p.members(s).len()).sum::<usize>(), n);
+        }
     }
 }

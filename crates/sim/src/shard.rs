@@ -161,7 +161,7 @@ impl<M> Lane<M> {
             out.queue_wait += self.receive(r, cfg, |store, v, inb| {
                 out.received.push(v);
                 sapi.set_node(v);
-                let slice = member_slice(store, &mut slices, v);
+                let slice = member_slice(partition, &mut slices, v);
                 P::on_message(shared, slice, &mut sapi, v, inb.src, inb.msg);
                 for effect in sapi.effects.drain(..) {
                     match effect {
@@ -214,22 +214,22 @@ impl<M> Lane<M> {
 }
 
 /// Distribute the disjoint `&mut` borrows of a protocol's slices to their
-/// shards. `iter_mut` yields non-overlapping borrows and
-/// both `0..n` and `members(shard)` ascend, so bucket `i` of a shard is
-/// exactly `members(shard)[i]`'s slice.
+/// shards, each bucket sized to its shard up front. `iter_mut` yields
+/// non-overlapping borrows and both `0..n` and `members(shard)` ascend, so
+/// bucket `i` of a shard is exactly `members(shard)[i]`'s slice.
 fn slice_buckets<'s, S>(partition: &Partition, slices: &'s mut [S]) -> Vec<Vec<&'s mut S>> {
-    let mut buckets: Vec<Vec<&mut S>> = (0..partition.k()).map(|_| Vec::new()).collect();
+    let mut buckets: Vec<Vec<&mut S>> =
+        (0..partition.k()).map(|s| Vec::with_capacity(partition.members(s).len())).collect();
     for (v, slice) in slices.iter_mut().enumerate() {
         buckets[partition.shard_of(v)].push(slice);
     }
     buckets
 }
 
-/// The slice of member `v` in its lane's bucket of [`slice_buckets`]: a
-/// lane's store numbers its slots in member order, so `v`'s slot is its
-/// bucket index.
-fn member_slice<'b, S, M>(store: &NodeStore<M>, bucket: &'b mut [&mut S], v: NodeId) -> &'b mut S {
-    &mut *bucket[store.slot(v).expect("frontier nodes are lane members")]
+/// The slice of `v` in its shard's bucket of [`slice_buckets`]: bucket
+/// order is member order, so `v`'s index there is its rank.
+fn member_slice<'b, S>(partition: &Partition, bucket: &'b mut [&mut S], v: NodeId) -> &'b mut S {
+    &mut *bucket[partition.place(v).rank()]
 }
 
 /// What the sliced deliver phase hands from the lane tasks to the barrier
@@ -262,14 +262,13 @@ impl<'a, M: Send + std::fmt::Debug> Fabric<'a, M> {
     /// One lane per shard under the intra-shard `delay`, and the ferry
     /// under `inter_delay`.
     fn new(partition: &'a Partition, delay: LinkDelay, inter_delay: LinkDelay) -> Self {
-        let n = partition.n();
         Fabric {
             partition,
             // Membership-sized: a shard of a large topology holds queues
             // for its own members only, in slots numbered by ascending id
-            // (not n-wide Vecs).
+            // (not n-wide Vecs), found through the partition's one table.
             lanes: (0..partition.k())
-                .map(|s| Lane::new(NodeStore::with_members(n, partition.members(s)), delay))
+                .map(|s| Lane::new(NodeStore::of_shard(partition, s), delay))
                 .collect(),
             ferry: Transport::new(inter_delay),
             ferry_due: (0..partition.k()).map(|_| Vec::new()).collect(),
@@ -278,7 +277,8 @@ impl<'a, M: Send + std::fmt::Debug> Fabric<'a, M> {
     }
 
     /// Apply the effects of the handler that ran at `node` through the
-    /// ledger's one effect drain, staging sends in the sender's lane.
+    /// ledger's one effect drain, staging sends in `node`'s lane and slot
+    /// (a handler's sends leave the node it ran at).
     fn apply(
         &mut self,
         led: &mut Ledger<'_, M>,
@@ -286,10 +286,9 @@ impl<'a, M: Send + std::fmt::Debug> Fabric<'a, M> {
         node: NodeId,
         effects: impl IntoIterator<Item = SliceEffect<M>>,
     ) -> Result<(), SimError> {
-        let (partition, lanes) = (self.partition, &mut self.lanes);
-        led.apply_effects(round, node, effects, |f, t, m| {
-            lanes[partition.shard_of(f)].store.stage(f, t, m)
-        })
+        let at = self.partition.place(node);
+        let store = &mut self.lanes[at.shard()].store;
+        led.apply_effects(round, node, effects, |f, t, m| store.stage_at(at.rank(), f, t, m))
     }
 
     /// Ferry maturity: bucket the cross-shard wires due by `round` into
@@ -327,15 +326,15 @@ impl<'a, M: Send + std::fmt::Debug> Fabric<'a, M> {
         protocol: &mut P,
         round: Round,
     ) -> Result<Applied<M>, SimError> {
-        let cfg = led.cfg;
+        let (cfg, partition) = (led.cfg, self.partition);
         let (shared, slices) = protocol.split();
-        let buckets = slice_buckets(self.partition, slices);
+        let buckets = slice_buckets(partition, slices);
         let done = fork(&mut self.lanes, buckets, |_, lane, mut slices| -> Result<_, SimError> {
             let mut sapi = SliceApi::new(round, 0);
             let mut deliveries = Vec::new();
-            let queue_wait = lane.receive(round, cfg, |store, v, inb| {
+            let queue_wait = lane.receive(round, cfg, |_, v, inb| {
                 sapi.set_node(v);
-                let slice = member_slice(store, &mut slices, v);
+                let slice = member_slice(partition, &mut slices, v);
                 P::on_message(shared, slice, &mut sapi, v, inb.src, inb.msg);
                 deliveries.push((v, inb.src, sapi.effects.len()));
                 Ok(())
@@ -565,7 +564,10 @@ where
     /// reads the run-global backlog. Sends stage in the sender's lane.
     fn arrivals(&mut self, led: &mut Ledger<'_, P::Msg>, round: Round) -> Result<(), SimError> {
         let (partition, lanes) = (self.partition, &mut self.lanes);
-        led.drain(round, |f, t, m| lanes[partition.shard_of(f)].store.stage(f, t, m))
+        led.drain(round, |f, t, m| {
+            let at = partition.place(f);
+            lanes[at.shard()].store.stage_at(at.rank(), f, t, m)
+        })
     }
 
     /// Bucket the due ferry wires, then mature lane by lane — the lanes
@@ -600,18 +602,22 @@ where
         let frontier = self.frontier(cfg, NodeStore::take_inport_frontier);
         let mut sapi = led.api.lend_slice_api(0);
         for &v in &frontier {
-            let sv = self.partition.shard_of(v);
+            // One read of the place table: the lane to pop from and to
+            // stage the handler's sends in, and `v`'s slot there.
+            let at = self.partition.place(v);
+            let store = &mut self.lanes[at.shard()].store;
             if cfg.faults.is_down(v, round) {
-                self.lanes[sv].store.relist_inport(v);
+                store.relist_inport(v);
                 continue;
             }
             for _ in 0..cfg.recv_budget {
-                let Some(inb) = self.lanes[sv].store.pop_inport(v) else { break };
+                let Some(inb) = store.pop_inport_at(at.rank(), v) else { break };
                 led.report.queue_wait_rounds += round - inb.arrival;
                 led.note_delivery(round, v, inb.src);
                 sapi.set_node(v);
                 P::on_message(shared, &mut slices[v], &mut sapi, v, inb.src, inb.msg);
-                self.apply(led, round, v, sapi.effects.drain(..))?;
+                let effects = sapi.effects.drain(..);
+                led.apply_effects(round, v, effects, |f, t, m| store.stage_at(at.rank(), f, t, m))?;
             }
         }
         led.api.reclaim(sapi);
@@ -626,16 +632,16 @@ where
         let (partition, cfg) = (self.partition, led.cfg);
         let frontier = self.frontier(cfg, NodeStore::take_outbox_frontier);
         for &v in &frontier {
-            let sv = partition.shard_of(v);
-            let lane = &mut self.lanes[sv];
+            let at = partition.place(v);
+            let lane = &mut self.lanes[at.shard()];
             if cfg.holds_transmit(round, v) {
                 lane.store.relist_outbox(v);
                 continue;
             }
             for _ in 0..cfg.send_budget {
-                let Some((dst, msg)) = lane.store.pop_outbox(v) else { break };
+                let Some((dst, msg)) = lane.store.pop_outbox_at(at.rank(), v) else { break };
                 let seq = led.note_transmit(round, v, dst);
-                if partition.shard_of(dst) == sv {
+                if partition.shard_of(dst) == at.shard() {
                     lane.transport.transmit(v, dst, msg, round, seq);
                 } else {
                     led.report.cross_shard_messages += 1;

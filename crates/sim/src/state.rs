@@ -33,17 +33,20 @@
 //! [`NodeStore`] from the lengths alone.
 //!
 //! A store is sized either to the full processor range
-//! ([`NodeStore::new`], the monolithic executor) or to an explicit shard
-//! membership ([`NodeStore::with_members`]): queues live in
-//! membership-indexed slots, numbered by rank in the sorted member list (a
-//! binary search maps an id to its slot), so a shard of a million-node
-//! topology allocates queues for its members only.
+//! ([`NodeStore::new`], the monolithic executor) or to one shard of a
+//! [`Partition`] ([`NodeStore::of_shard`]): queues live in
+//! membership-indexed slots, numbered by rank in the sorted member list, so
+//! a shard of a million-node topology allocates queues for its members
+//! only. An id finds its slot in O(1), by one read of the partition's
+//! place table (shard, rank), which the stores of every shard share — K
+//! lanes over `n` processors hold one `n`-entry table, not K of them.
 //! [`NodeStore::n`] always reports the *global* processor count and reads
 //! of non-member queues yield empty, which keeps the probe layer's
 //! canonical rendering independent of how processors are stored.
 
 use crate::Round;
-use ccq_graph::NodeId;
+use ccq_graph::{NodeId, Partition, Place};
+use std::sync::Arc;
 
 /// A message sitting in a destination's in-port, ready for delivery.
 #[derive(Debug)]
@@ -158,9 +161,11 @@ impl<T> Fifos<T> {
 enum Slots {
     /// Slot `v` holds processor `v`; every processor is a member.
     Dense,
-    /// Membership-sized: `ids[slot]` is the global id, ascending, so a
-    /// binary search inverts it.
-    Mapped { ids: Vec<NodeId> },
+    /// Membership-sized: `ids[slot]` is the global id, ascending, and
+    /// `places` (the partition's table, shared by every shard's store)
+    /// inverts it — `v` is a member iff its place names `shard`, and its
+    /// slot is its rank there.
+    Mapped { ids: Vec<NodeId>, places: Arc<[Place]>, shard: usize },
 }
 
 /// In-ports and outboxes for the processors a store is responsible for.
@@ -198,17 +203,16 @@ impl<M> NodeStore<M> {
         }
     }
 
-    /// Empty queues for the `members` (any order) of an `n`-processor
-    /// topology only (shard-local stores). Reads of non-member queues yield empty;
+    /// Empty queues for the members of `partition`'s shard `shard` only (a
+    /// fabric lane). The store keeps its own member list but shares the
+    /// partition's place table. Reads of non-member queues yield empty;
     /// staging or enqueuing at a non-member is a caller bug and panics.
-    pub fn with_members(n: usize, members: &[NodeId]) -> Self {
-        let m = members.len();
-        let mut ids = members.to_vec();
-        ids.sort_unstable();
-        debug_assert!(ids.windows(2).all(|w| w[0] < w[1]), "duplicate member ids");
+    pub fn of_shard(partition: &Partition, shard: usize) -> Self {
+        let ids = partition.members(shard).to_vec();
+        let m = ids.len();
         NodeStore {
-            n,
-            slots: Slots::Mapped { ids },
+            n: partition.n(),
+            slots: Slots::Mapped { ids, places: Arc::clone(partition.places()), shard },
             outbox: Fifos::new(m),
             inport: Fifos::new(m),
             outbox_dirty: Vec::new(),
@@ -219,13 +223,34 @@ impl<M> NodeStore<M> {
         }
     }
 
+    /// Empty queues for the `members` (any order) of an `n`-processor
+    /// topology only: [`NodeStore::of_shard`] on a two-shard partition
+    /// whose shard 0 is `members`, so this store's place table is its own.
+    ///
+    /// # Panics
+    /// Panics if a member is listed twice or is not below `n`.
+    pub fn with_members(n: usize, members: &[NodeId]) -> Self {
+        let mut shard = vec![1; n];
+        for &v in members {
+            assert!(v < n, "member {v} of a {n}-processor store");
+            assert!(shard[v] == 1, "duplicate member {v}");
+            shard[v] = 0;
+        }
+        Self::of_shard(&Partition::from_assignment(2, shard), 0)
+    }
+
     /// Queue slot of processor `v`, if `v` is a member of this store. A
     /// membership-sized store numbers its slots in ascending id order, so
-    /// this is also `v`'s rank among the members.
+    /// this is also `v`'s rank among the members. Forced inline: it sits
+    /// under every queue operation, the monolith's identity arm included.
+    #[inline(always)]
     pub(crate) fn slot(&self, v: NodeId) -> Option<usize> {
         match &self.slots {
             Slots::Dense => (v < self.n).then_some(v),
-            Slots::Mapped { ids } => ids.binary_search(&v).ok(),
+            Slots::Mapped { places, shard, .. } => match places.get(v) {
+                Some(p) if p.shard() == *shard => Some(p.rank()),
+                _ => None,
+            },
         }
     }
 
@@ -233,7 +258,7 @@ impl<M> NodeStore<M> {
     fn global_of(&self, s: usize) -> NodeId {
         match &self.slots {
             Slots::Dense => s,
-            Slots::Mapped { ids } => ids[s],
+            Slots::Mapped { ids, .. } => ids[s],
         }
     }
 
@@ -246,6 +271,13 @@ impl<M> NodeStore<M> {
     /// Stage a send in `from`'s outbox; returns the new outbox depth.
     pub fn stage(&mut self, from: NodeId, to: NodeId, msg: M) -> usize {
         let s = self.slot(from).expect("staged a send at a non-member processor");
+        self.stage_at(s, from, to, msg)
+    }
+
+    /// [`NodeStore::stage`] at `from`'s slot `s`, which the caller read
+    /// from the partition's place table together with `from`'s shard.
+    pub(crate) fn stage_at(&mut self, s: usize, from: NodeId, to: NodeId, msg: M) -> usize {
+        debug_assert_eq!(self.slot(from), Some(s), "slot of {from}");
         let depth = self.outbox.push(s, (to, msg));
         if depth == 1 {
             self.nonempty += 1;
@@ -275,7 +307,13 @@ impl<M> NodeStore<M> {
     /// in-port is still nonempty after the pop is re-listed on the dirty
     /// frontier, so budget-limited leftovers carry to the next round.
     pub fn pop_inport(&mut self, v: NodeId) -> Option<Inbound<M>> {
-        let s = self.slot(v)?;
+        self.pop_inport_at(self.slot(v)?, v)
+    }
+
+    /// [`NodeStore::pop_inport`] at `v`'s slot `s` (see
+    /// [`NodeStore::stage_at`]).
+    pub(crate) fn pop_inport_at(&mut self, s: usize, v: NodeId) -> Option<Inbound<M>> {
+        debug_assert_eq!(self.slot(v), Some(s), "slot of {v}");
         let popped = self.inport.pop(s)?;
         if self.inport.is_empty(s) {
             self.nonempty -= 1;
@@ -289,7 +327,13 @@ impl<M> NodeStore<M> {
     /// Dequeue the oldest staged send of `v`, if any. Re-lists leftovers
     /// like [`NodeStore::pop_inport`].
     pub fn pop_outbox(&mut self, v: NodeId) -> Option<(NodeId, M)> {
-        let s = self.slot(v)?;
+        self.pop_outbox_at(self.slot(v)?, v)
+    }
+
+    /// [`NodeStore::pop_outbox`] at `v`'s slot `s` (see
+    /// [`NodeStore::stage_at`]).
+    pub(crate) fn pop_outbox_at(&mut self, s: usize, v: NodeId) -> Option<(NodeId, M)> {
+        debug_assert_eq!(self.slot(v), Some(s), "slot of {v}");
         let popped = self.outbox.pop(s)?;
         if self.outbox.is_empty(s) {
             self.nonempty -= 1;
@@ -526,6 +570,66 @@ mod tests {
             assert_eq!(sparse.pop_inport(7).unwrap().msg, 70);
             assert!(sparse.is_idle());
         }
+    }
+
+    /// The O(1) slot map against the lookup it replaced, a binary search of
+    /// the sorted members: every shard of the three strategies and of a
+    /// random assignment, and random member sets handed over in any order,
+    /// from one processor to a few thousand — for every id below `n` and
+    /// the ids just above it. A shard's store reads its partition's table
+    /// itself, not a copy.
+    #[test]
+    fn slots_are_the_binary_search_ranks() {
+        use ccq_graph::topology;
+        let mut x: u64 = 0x2545f4914f6cdd1d;
+        let mut below = move |bound: usize| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x % bound as u64) as usize
+        };
+        let check = |store: &NodeStore<()>, members: &[NodeId]| {
+            let mut sorted = members.to_vec();
+            sorted.sort_unstable();
+            assert!(store.members().eq(sorted.iter().copied()));
+            for v in 0..store.n() + 3 {
+                let want = sorted.binary_search(&v).ok();
+                assert_eq!(store.slot(v), want, "id {v} of {}", store.n());
+            }
+        };
+        for side in [1, 2, 7, 16, 50] {
+            let g = topology::mesh(&[side, side]);
+            let n = g.n();
+            for k in [1, 2, 3, 16] {
+                let random = Partition::from_assignment(k, (0..n).map(|_| below(k)));
+                let strategies = [
+                    Partition::contiguous(n, k),
+                    Partition::striped(n, k),
+                    Partition::greedy_edge_cut(&g, k),
+                    random,
+                ];
+                for p in &strategies {
+                    for shard in 0..k {
+                        let store = NodeStore::of_shard(p, shard);
+                        let Slots::Mapped { places, .. } = &store.slots else { unreachable!() };
+                        assert!(Arc::ptr_eq(places, p.places()), "shard {shard} copied the table");
+                        check(&store, p.members(shard));
+                    }
+                }
+                let mut members: Vec<NodeId> = (0..n).filter(|_| below(k + 1) == 0).collect();
+                let half = members.len() / 2;
+                members.rotate_left(half);
+                check(&NodeStore::with_members(n, &members), &members);
+            }
+        }
+    }
+
+    /// A member listed twice would give one id two slots; the constructor
+    /// refuses it in every build, not only in debug ones.
+    #[test]
+    #[should_panic(expected = "duplicate member 5")]
+    fn a_duplicate_member_is_rejected() {
+        NodeStore::<()>::with_members(9, &[2, 5, 7, 5]);
     }
 
     /// A transmit-phase skip re-lists the node so its staged sends are not

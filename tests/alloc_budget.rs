@@ -12,36 +12,39 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 thread_local! {
-    /// Allocation calls made by this thread. Constant-initialised and
-    /// without a destructor, so touching it never allocates.
+    /// Allocation calls made by this thread, and the bytes they asked for
+    /// (a `realloc` counts as one call of its new size). Constant-initialised
+    /// and without a destructor, so touching them never allocates.
     static CALLS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
 /// `System`, with every allocating call counted on the calling thread.
 struct Counting;
 
-fn count() {
+fn count(bytes: usize) {
     // `try_with`: a thread being torn down may allocate after its locals.
     let _ = CALLS.try_with(|c| c.set(c.get() + 1));
+    let _ = BYTES.try_with(|c| c.set(c.get() + bytes as u64));
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`, which
 // upholds the `GlobalAlloc` contract; the counter touches no allocator state.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size());
         // SAFETY: the caller's obligations are passed through unchanged.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size());
         // SAFETY: as above.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
+        count(new_size);
         // SAFETY: as above.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -60,6 +63,14 @@ fn counted<T>(f: impl FnOnce() -> T) -> (T, u64) {
     let before = CALLS.with(Cell::get);
     let out = f();
     (out, CALLS.with(Cell::get) - before)
+}
+
+/// `f`'s result and the bytes this thread's allocations asked for while it
+/// ran.
+fn counted_bytes<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = BYTES.with(Cell::get);
+    let out = f();
+    (out, BYTES.with(Cell::get) - before)
 }
 
 /// `sparse_scale`'s shape at a test-sized side: a far-away cluster of 64
@@ -104,6 +115,34 @@ fn a_run_allocates_for_its_messages_not_its_nodes() {
         }
     }
 }
+
+/// Slot state is O(n) in total whatever the shard count: each lane's store
+/// sizes its queues to its own members and reads the partition's one place
+/// table, so a 16-shard run allocates at most a constant per lane more
+/// than a 2-shard run of the same case. An `n`-wide table per lane — 8
+/// bytes a processor, 32 KiB a lane at 4 096 processors — adds 14 × 32 KiB.
+#[test]
+fn shard_lanes_share_one_slot_table() {
+    let spec = ccq_repro::core::protocol::find("central-counter").expect("registry protocol");
+    let run_bytes = |k: usize| {
+        let scenario = sparse_torus(64).0.with_shards(ShardSpec::new(k, ShardStrategy::Contiguous));
+        // Built once per scenario, outside any one run.
+        scenario.partition();
+        let (out, bytes) = counted_bytes(|| run_spec(spec, &scenario, ModelMode::Strict));
+        out.expect("run verifies");
+        bytes
+    };
+    let (two, sixteen) = (run_bytes(2), run_bytes(16));
+    assert!(
+        sixteen.abs_diff(two) <= 14 * PER_LANE,
+        "k = 2 allocated {two} B, k = 16 {sixteen} B: more than {PER_LANE} B per extra lane"
+    );
+}
+
+/// The bytes one more lane may cost beyond its share of the processors:
+/// its wheel, its ferry bucket, its frontier scratch and its dirty lists
+/// (about 460 B a lane on this case).
+const PER_LANE: u64 = 1024;
 
 /// The wire layer's share of "zero allocations in steady state": once a
 /// timing wheel has seen its longest delay and its largest batch, cycling
