@@ -18,12 +18,6 @@
 //! (up to 1e5; at 1e6 it would dominate the bench's wall-clock budget)
 //! as the curve the frontier escapes.
 //!
-//! It carries the **wavefront pipeline** comparison on the slow-ferry
-//! federated torus (EdgeCut shards joined by a fixed-delay inter-shard
-//! ferry): lockstep barriers every round vs shards running up to `lag`
-//! rounds ahead. CI asserts each pair runs one execution and prints the
-//! lockstep/wavefront mean ratio.
-//!
 //! Finally it carries the **K = 1 gap**: two protocols built directly and
 //! run by the monolith and by the sharded fabric over a one-shard
 //! partition, a pairing no plan reaches (an unsharded plan always runs on
@@ -54,9 +48,6 @@ struct Sample {
     /// Whether the round loop ran the dense `0..n` reference scan
     /// instead of the default dirty frontier.
     dense_scan: bool,
-    /// Wavefront pipeline depth: 0 = lockstep barrier every round,
-    /// d ≥ 1 = shards run up to d rounds ahead of the slowest shard.
-    wavefront_lag: u64,
     iters: u32,
     mean_seconds: f64,
     rounds: u64,
@@ -90,7 +81,6 @@ fn measure(bench: &str, spec: &dyn ProtocolSpec, scenario: &Scenario, dense: boo
         shards: scenario.shards.name(),
         parallel_apply: scenario.parallel_apply,
         dense_scan: dense,
-        wavefront_lag: scenario.wavefront.unwrap_or(0),
         iters: n,
         mean_seconds: elapsed / n as f64,
         rounds: out.report.rounds,
@@ -116,18 +106,6 @@ fn measure_sparse(side: usize, dense: bool) -> Sample {
         ArrivalSpec::Poisson { rate: 0.5, seed: 7 },
     );
     measure("sparse_scaling", &protocol::CentralCounter, &scenario, dense)
-}
-
-/// One wavefront cell: the t12-style slow-ferry federation (EdgeCut `k`
-/// shards on the 576-node torus, joined by a fixed `ferry`-round
-/// inter-shard delay). With `lag = 0` the shards synchronize at a
-/// lockstep barrier every round; with `lag ≥ 1` they pipeline up to
-/// `lag` rounds ahead of the slowest shard in one fork/join.
-fn measure_wavefront(spec: &dyn ProtocolSpec, k: usize, ferry: u64, lag: u64) -> Sample {
-    let shards = ShardSpec::new(k, ShardStrategy::EdgeCut)
-        .with_inter_delay(LinkDelay::Fixed { delay: ferry });
-    let scenario = hot_scenario().with_shards(shards).with_wavefront((lag > 0).then_some(lag));
-    measure("wavefront_pipeline", spec, &scenario, false)
 }
 
 /// One side of a K = 1 gap pair on the 576-node torus: `build` makes the
@@ -170,7 +148,6 @@ where
         shards: if fabric { "fabric:1" } else { "monolith" }.into(),
         parallel_apply: false,
         dense_scan: false,
-        wavefront_lag: 0,
         iters: n,
         mean_seconds: start.elapsed().as_secs_f64() / n as f64,
         rounds: report.rounds,
@@ -218,19 +195,6 @@ fn main() {
         samples.push(measure_sparse(side, false));
         if side < 1000 {
             samples.push(measure_sparse(side, true));
-        }
-    }
-    // Wavefront pipeline on the slow-ferry federation: lag 0 is the
-    // lockstep baseline, lag 6 matches the ferry delay (the deepest lag
-    // the safety check admits). counting-network keeps hundreds of
-    // tokens in flight, so its round count dominates; arrow is the
-    // traffic-light contrast.
-    for spec in [&protocol::Arrow as &dyn ProtocolSpec, &protocol::CountingNetwork { width: None }]
-    {
-        for k in [4usize, 8] {
-            for lag in [0u64, 6] {
-                samples.push(measure_wavefront(spec, k, 6, lag));
-            }
         }
     }
     // The K = 1 gap: a queuing and a counting protocol, each under the

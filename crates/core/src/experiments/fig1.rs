@@ -31,7 +31,6 @@ pub fn run(_scale: Scale) -> Vec<Table> {
         faults: FaultSpec::none(),
         shards: ShardSpec::single(),
         parallel_apply: false,
-        wavefront: None,
         probe: ProbeSpec::OFF,
         partition: Default::default(),
     };

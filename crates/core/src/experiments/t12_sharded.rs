@@ -72,36 +72,13 @@ pub fn run(scale: Scale) -> Vec<Table> {
             }
         })
         .collect();
-    let fed = RunPlan::new().topologies([topo.clone()]).shards(federated.clone()).execute();
-
-    // Sweep 2b: the same federated plan under the wavefront pipeline
-    // (auto lag = the ferry's minimum delay), shards running up to
-    // `ferry` rounds past the barrier. The pipeline is a wall-clock
-    // optimization, never a model change, so every summary must
-    // reproduce the lockstep numbers — the table records the match.
-    // K=1 has no barrier to pipeline and stays lockstep-only.
-    let pipelined: Vec<ShardSpec> = federated.into_iter().filter(|s| s.is_sharded()).collect();
-    let wave = RunPlan::new().topologies([topo]).shards(pipelined).wavefront(Some(0)).execute();
+    let fed = RunPlan::new().topologies([topo]).shards(federated).execute();
 
     let mut t2 = Table::new(
         "t12b — queuing vs counting under a slow inter-shard ferry (federated regime)",
-        &[
-            "shards",
-            "best queuing",
-            "C_Q",
-            "best counting",
-            "C_C",
-            "gap C_C/C_Q",
-            "queuing wins",
-            "wavefront =",
-        ],
+        &["shards", "best queuing", "C_Q", "best counting", "C_C", "gap C_C/C_Q", "queuing wins"],
     );
     for s in &fed.summaries {
-        let wf_eq = wave.summaries.iter().find(|w| w.shards == s.shards).map(|w| {
-            w.best_queuing_delay == s.best_queuing_delay
-                && w.best_counting_delay == s.best_counting_delay
-                && w.gap == s.gap
-        });
         t2.push_row(vec![
             s.shards.clone(),
             s.best_queuing.clone().unwrap_or_default(),
@@ -110,14 +87,11 @@ pub fn run(scale: Scale) -> Vec<Table> {
             s.best_counting_delay.map(int).unwrap_or_default(),
             s.gap.map(f2).unwrap_or_default(),
             s.queuing_wins.map(tick).unwrap_or_default(),
-            wf_eq.map(tick).unwrap_or_else(|| "-".into()),
         ]);
     }
     t2.note("ferry = fixed multi-round delay on cross-shard wires (edge-cut partitions)");
     t2.note("K=1 is the unsharded baseline; the gap tracks how counting's denser cross-shard");
     t2.note("coordination pays the ferry toll more often than queuing's token-chasing does");
-    t2.note("wavefront =: re-running the plan with --wavefront (auto lag = ferry delay)");
-    t2.note("reproduces the lockstep summary; K=1 has no barrier to pipeline, hence '-'");
     vec![t, t2]
 }
 
@@ -169,15 +143,6 @@ mod tests {
         let t2 = &run(Scale::Quick)[1];
         for row in &t2.rows {
             assert_eq!(row[6], "yes", "queuing lost: {row:?}");
-        }
-    }
-
-    #[test]
-    fn wavefront_reproduces_the_lockstep_federated_summaries() {
-        let t2 = &run(Scale::Quick)[1];
-        for row in &t2.rows {
-            let want = if row[0].split(':').next() == Some("1") { "-" } else { "yes" };
-            assert_eq!(row[7], want, "wavefront summary diverged: {row:?}");
         }
     }
 }

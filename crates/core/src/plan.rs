@@ -60,7 +60,6 @@ pub struct RunPlan {
     faults: Vec<FaultSpec>,
     shards: Vec<ShardSpec>,
     parallel_apply: bool,
-    wavefront: Option<u64>,
     probe: ProbeSpec,
     repeats: usize,
     seed: u64,
@@ -90,7 +89,6 @@ impl RunPlan {
             faults: vec![FaultSpec::none()],
             shards: vec![ShardSpec::single()],
             parallel_apply: false,
-            wavefront: None,
             probe: ProbeSpec::OFF,
             repeats: 1,
             seed: 0,
@@ -166,8 +164,7 @@ impl RunPlan {
     /// Set the fault plans to sweep (default: fault-free). Each plan gets
     /// its own scenario group; cases run under an active plan carry
     /// [`CaseResult::fault_summary`] with the crash/recover events that
-    /// fired. Fault plans compose with every executor except the
-    /// wavefront pipeline, which rejects them constructively.
+    /// fired. Fault plans compose with every executor.
     pub fn faults(mut self, faults: impl IntoIterator<Item = FaultSpec>) -> Self {
         self.faults = faults.into_iter().collect();
         self
@@ -218,36 +215,6 @@ impl RunPlan {
     /// ```
     pub fn parallel_apply(mut self, on: bool) -> Self {
         self.parallel_apply = on;
-        self
-    }
-
-    /// Execute every case on the wavefront pipeline (see
-    /// [`Scenario::with_wavefront`]): shards run up to `lag` rounds ahead
-    /// of the inter-shard barrier. `Some(0)` resolves the lag from each
-    /// shard plan's ferry minimum delay. Like [`RunPlan::parallel_apply`]
-    /// this is an execution strategy, not a sweep dimension, and is
-    /// deliberately absent from [`PlanInfo`]: reports are byte-identical
-    /// to the lockstep path, which is what lets CI `cmp` a `--wavefront`
-    /// sweep against its lockstep twin. Cases whose scenario cannot
-    /// support the pipeline (unsharded plan, ferry too fast for the lag)
-    /// fail with a named `InvalidConfig`.
-    ///
-    /// ```
-    /// use ccq_core::prelude::*;
-    ///
-    /// let plan = |wavefront: Option<u64>| {
-    ///     RunPlan::new()
-    ///         .topologies([TopoSpec::Torus2D { side: 4 }])
-    ///         .shards([ShardSpec::new(4, ShardStrategy::Contiguous)
-    ///             .with_inter_delay(LinkDelay::Fixed { delay: 4 })])
-    ///         .wavefront(wavefront)
-    ///         .execute()
-    /// };
-    /// // The wavefront pipeline changes no output byte.
-    /// assert_eq!(plan(None).to_json(), plan(Some(4)).to_json());
-    /// ```
-    pub fn wavefront(mut self, lag: Option<u64>) -> Self {
-        self.wavefront = lag;
         self
     }
 
@@ -478,7 +445,6 @@ fn run_group(plan: &RunPlan, group: &WorkGroup) -> (Vec<CaseResult>, Vec<GroupSu
             .with_faults(group.faults.clone())
             .with_shards(group.shards)
             .with_parallel_apply(plan.parallel_apply)
-            .with_wavefront(plan.wavefront)
             .with_probe(plan.probe);
     let mut results = Vec::with_capacity(group.runs.len());
     for (index, spec, mode, delay) in &group.runs {

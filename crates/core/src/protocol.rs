@@ -44,9 +44,8 @@ use serde::Serialize;
 /// *global* backlog on every executor.
 ///
 /// Every executor calls the protocol's one handler on its slices, so
-/// [`Scenario::parallel_apply`] and [`Scenario::wavefront`] are honoured by
-/// construction, with reports byte-identical to the serialized lockstep
-/// run.
+/// [`Scenario::parallel_apply`] is honoured by construction, with reports
+/// byte-identical to the serialized run.
 fn run_arrival_aware<P, F>(
     scenario: &Scenario,
     cfg: SimConfig,
@@ -63,7 +62,6 @@ where
     let cfg = cfg
         .with_parallel_apply(cfg.parallel_apply || scenario.parallel_apply)
         .with_probe(cfg.probe.merged(scenario.probe));
-    let cfg = resolve_wavefront(scenario, cfg)?;
     let cfg = resolve_faults(scenario, cfg)?;
     let mut report = match scenario.open_schedule() {
         None => dispatch(scenario, cfg, build()),
@@ -125,39 +123,17 @@ fn attach_classes(scenario: &Scenario, report: &mut SimReport) {
     }
 }
 
-/// Resolve [`Scenario::wavefront`] into a concrete lag on the config.
-/// `Some(0)` is auto: the lag becomes the inter-shard ferry's minimum
-/// delay (the deepest pipeline the ferry provably supports). An
-/// unsharded plan has no barrier to overlap, so requesting the pipeline
-/// there is rejected constructively rather than silently ignored.
-fn resolve_wavefront(scenario: &Scenario, cfg: SimConfig) -> Result<SimConfig, SimError> {
-    let Some(lag) = scenario.wavefront else { return Ok(cfg) };
-    let shards = &scenario.shards;
-    if !shards.is_sharded() {
-        return Err(SimError::invalid_config(format!(
-            "wavefront pipelining overlaps the inter-shard barrier, but shard plan `{}` \
-             has k = {} (unsharded); add --shards with k >= 2 or drop --wavefront",
-            shards.name(),
-            shards.k
-        )));
-    }
-    let inter = shards.inter_delay.unwrap_or(cfg.link_delay);
-    let lag = if lag == 0 { inter.min_delay() } else { lag };
-    Ok(cfg.with_wavefront(lag))
-}
-
 /// Execute on the scenario's shard plan: the single-fabric engine for
 /// `k = 1`, the sharded executor otherwise — and whenever
-/// `cfg.parallel_apply` or a wavefront lag asks for it, whatever the
-/// shard count (`k = 1` degenerates to one shard applying its own
-/// slices).
+/// `cfg.parallel_apply` asks for it, whatever the shard count (`k = 1`
+/// degenerates to one shard applying its own slices).
 fn dispatch<P>(scenario: &Scenario, cfg: SimConfig, protocol: P) -> Result<SimReport, SimError>
 where
     P: Protocol,
     P::Msg: Send,
 {
     let shards = &scenario.shards;
-    if !shards.is_sharded() && !cfg.parallel_apply && cfg.wavefront_lag == 0 {
+    if !shards.is_sharded() && !cfg.parallel_apply {
         return run_protocol(&scenario.graph, protocol, cfg);
     }
     let inter = shards.inter_delay.unwrap_or(cfg.link_delay);

@@ -446,15 +446,6 @@ pub struct Scenario {
     /// ([`ccq_sim::Protocol::split`]). An execution strategy, not a model
     /// knob — results are byte-identical to the serialized apply path.
     pub parallel_apply: bool,
-    /// Run the sharded executor's wavefront pipeline: shards execute up to
-    /// `lag` rounds ahead of the barrier when the inter-shard ferry's
-    /// minimum delay supports it. `None` = lockstep; `Some(0)` = auto
-    /// (lag = the ferry's minimum delay); `Some(d)` = explicit lag `d`.
-    /// An execution strategy, not a model knob — reports, checkpoints and
-    /// recordings are byte-identical to the lockstep path. Requires a
-    /// sharded plan (`k ≥ 2`); misconfigurations fail with a named
-    /// `InvalidConfig`.
-    pub wavefront: Option<Round>,
     /// Execution probe: checkpoint hashing, snapshots, perturbation and
     /// phase timing ([`ProbeSpec::OFF`] by default — no probe work at
     /// all, and probe data never reaches the serialized [`ccq_sim::
@@ -499,7 +490,6 @@ impl Scenario {
             faults: FaultSpec::none(),
             shards: ShardSpec::single(),
             parallel_apply: false,
-            wavefront: None,
             probe: ProbeSpec::OFF,
             partition: OnceLock::new(),
         }
@@ -546,14 +536,6 @@ impl Scenario {
     /// apply path; see [`Scenario::parallel_apply`]).
     pub fn with_parallel_apply(mut self, on: bool) -> Self {
         self.parallel_apply = on;
-        self
-    }
-
-    /// Builder-style: run the wavefront pipeline (see
-    /// [`Scenario::wavefront`]; `Some(0)` = lag from the ferry's minimum
-    /// delay).
-    pub fn with_wavefront(mut self, lag: Option<Round>) -> Self {
-        self.wavefront = lag;
         self
     }
 

@@ -170,7 +170,7 @@ static FAULT: Family = Family {
     title: "faults",
     flag: "--fault",
     noun: "fault",
-    note: "repeat or comma-join for up to 4 crash windows in one plan; refuses --wavefront",
+    note: "repeat or comma-join for up to 4 crash windows in one plan",
     forms: &[(
         "crash:at=R:node=N:recover=R2",
         "node N is down for rounds [R, R2): no deliveries, no sends, arrivals defer",
@@ -219,8 +219,8 @@ static FLAGS: [(&str, &str); 12] = [
     ("--parallel-apply", "apply handlers shard-parallel on per-node state slices; same JSON bytes"),
     (
         WAVEFRONT,
-        "shards run up to d rounds ahead of the barrier (bare: d = the ferry's minimum \
-         delay); needs --shards k>=2 and ferry >= d; same JSON bytes",
+        "retired: runs the lockstep executor; accepted so existing argvs and `.ccqrec` \
+         recordings still run",
     ),
     ("--timing", "add per-phase round timing to each case"),
     ("--checkpoint-every N", "hash engine state at every phase barrier of every Nth round"),
@@ -819,7 +819,9 @@ pub fn sweep<S: AsRef<str>>(args: &[S]) -> Result<Sweep, String> {
                 }
             }
             "--parallel-apply" => plan = plan.parallel_apply(true),
-            "--wavefront" => plan = plan.wavefront(Some(0)),
+            // Retired: parsed (a malformed spelling still fails) so old
+            // argvs and recordings run, on the one lockstep executor.
+            "--wavefront" => {}
             "--timing" => plan = plan.timing(true),
             "--checkpoint-every" => {
                 let need = "--checkpoint-every needs an integer ≥ 1";
@@ -861,6 +863,7 @@ pub fn sweep<S: AsRef<str>>(args: &[S]) -> Result<Sweep, String> {
             "--seed" => plan = plan.seed(value()?.parse().map_err(|_| "--seed needs an integer")?),
             "--json" => json = Some(value()?.to_string()),
             "--pretty" => pretty = true,
+            // The retired flag's one parameter: validated, then dropped.
             other if other.starts_with("--wavefront:") => {
                 let raw = &other["--wavefront:".len()..];
                 let Some(lag) = raw.strip_prefix("lag=") else {
@@ -869,13 +872,8 @@ pub fn sweep<S: AsRef<str>>(args: &[S]) -> Result<Sweep, String> {
                 let lag: u64 =
                     lag.parse().map_err(|_| format!("bad lag in `{other}` (want {WAVEFRONT})"))?;
                 if lag < 1 {
-                    return Err(
-                        "--wavefront:lag=d needs d ≥ 1 (bare --wavefront resolves the lag \
-                         from the ferry's minimum delay)"
-                            .to_string(),
-                    );
+                    return Err("--wavefront:lag=d needs d ≥ 1".to_string());
                 }
-                plan = plan.wavefront(Some(lag));
             }
             other => return Err(format!("unknown `ccq sweep` flag `{other}`")),
         }

@@ -521,9 +521,7 @@ impl<P: OnlineProtocol> Protocol for Paced<P> {
     fn next_active_round(&self) -> Option<Round> {
         // `on_round` acts exactly when a scheduled arrival or a deferred
         // admission retry falls due (plus whatever the wrapped protocol
-        // reports) — the round a quiescent engine fast-forwards to, and
-        // the bound that lets the wavefront executor skip the arrivals
-        // phase for the quiet rounds in between.
+        // reports) — the round a quiescent engine fast-forwards to.
         let scheduled = self.schedule.get(self.next).map(|&(r, _)| r);
         let retry = self.retries.first().map(|&(r, _, _)| r);
         [scheduled, retry, self.inner.next_active_round()].into_iter().flatten().min()

@@ -51,7 +51,7 @@ pub enum SimError {
     MaxRoundsExceeded { limit: Round },
     /// The configuration (budgets, scale, shard plan, apply path) cannot
     /// be executed. The message is owned so callers can name the offending
-    /// values — e.g. a wavefront lag beyond the ferry's minimum delay.
+    /// values — e.g. a shard partition that does not cover the graph.
     InvalidConfig { what: String },
 }
 

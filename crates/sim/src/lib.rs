@@ -24,10 +24,9 @@
 //! [`Simulator::run`], which returns a [`SimReport`] with per-operation
 //! delays, message counts and queue statistics. [`ShardedSimulator`]
 //! executes the same protocols over K parallel message fabrics joined by an
-//! inter-shard ferry, optionally running their message handlers
-//! shard-parallel ([`SimConfig::parallel_apply`]) or pipelining rounds
-//! ([`SimConfig::wavefront_lag`]) — with reports byte-identical to the
-//! monolith's in every case.
+//! inter-shard ferry, one lockstep round at a time, optionally running
+//! their message handlers shard-parallel ([`SimConfig::parallel_apply`]) —
+//! with reports byte-identical to the monolith's in every case.
 //!
 //! ```
 //! use ccq_sim::{run_protocol, Protocol, SimApi, SimConfig, SliceApi};

@@ -83,9 +83,8 @@ pub trait Protocol {
     /// the default, correct for every protocol that does not override
     /// `on_round`; [`crate::arrival::Paced`] reports its next scheduled
     /// arrival or admission retry. A quiescent engine fast-forwards to
-    /// this round instead of terminating, and the wavefront executor
-    /// skips the arrivals phase for rounds strictly before it, so
-    /// returning a too-late round would silently change executions.
+    /// this round instead of terminating, so returning a too-late round
+    /// would silently skip the rounds in between.
     fn next_active_round(&self) -> Option<Round> {
         None
     }
@@ -209,8 +208,8 @@ impl<M> SimApi<M> {
     /// during `on_start` when a shard-scoped admission policy
     /// ([`crate::AdmissionPolicy::PerNode`]) is active. Every apply path
     /// funnels issues and completions through this one API — the serialized
-    /// phases call [`SimApi::complete`], and every deliver walk, the sliced
-    /// barrier replay and the wavefront commit its bookkeeping half — so
+    /// phases call [`SimApi::complete`], and every deliver walk and the
+    /// sliced barrier replay its bookkeeping half — so
     /// the per-shard counters are executor-independent by construction.
     pub fn enable_shard_accounting(&mut self, shard_of: Vec<u32>) {
         let shards = shard_of.iter().copied().max().map_or(0, |m| m as usize + 1);
@@ -312,12 +311,6 @@ impl<M> SliceApi<M> {
     /// buffers).
     pub(crate) fn set_node(&mut self, node: NodeId) {
         self.node = node;
-    }
-
-    /// Advance the API's round (the wavefront executor reuses one
-    /// `SliceApi` across every round of a shard's wave).
-    pub(crate) fn set_round(&mut self, round: Round) {
-        self.round = round;
     }
 
     /// The current round.

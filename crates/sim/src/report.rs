@@ -88,20 +88,6 @@ impl LinkDelay {
         matches!(self, LinkDelay::Jitter { max, .. } if *max > 0)
     }
 
-    /// Smallest delay this policy can assign to any transmission — the
-    /// bound the wavefront executor validates its lag against (a shard may
-    /// run up to `min_delay` rounds ahead of the inter-shard ferry without
-    /// a wire ever arriving "from the future"). Conservative for the
-    /// hashed policies: [`LinkDelay::PerLink`] and [`LinkDelay::Jitter`]
-    /// report 1 without inspecting their draws.
-    pub fn min_delay(&self) -> Round {
-        match *self {
-            LinkDelay::Unit => 1,
-            LinkDelay::Fixed { delay } => delay.max(1),
-            LinkDelay::PerLink { .. } | LinkDelay::Jitter { .. } => 1,
-        }
-    }
-
     /// Display name, used by sweeps and the CLI.
     pub fn name(&self) -> String {
         match *self {
@@ -321,18 +307,6 @@ pub struct SimConfig {
     /// (proven by the equivalence proptests); it exists as the reference
     /// implementation the sparse engine is checked against.
     pub dense_scan: bool,
-    /// Bounded-lag wavefront pipelining: when > 0, the sharded executor
-    /// batches up to this many rounds into one shard-parallel wave
-    /// between global barriers. Safe only when the lag does not exceed
-    /// the inter-shard ferry's [`LinkDelay::min_delay`] (a wire sent
-    /// during a wave can then never be due within it); the executors
-    /// reject anything else — and the single-fabric
-    /// [`crate::Simulator`] the flag itself — with a constructive
-    /// [`crate::SimError::InvalidConfig`] rather than silently falling
-    /// back. 0 disables pipelining (lockstep rounds).
-    /// An execution strategy, not a model knob: reports, checkpoints and
-    /// recordings are byte-identical to the lockstep executor's.
-    pub wavefront_lag: Round,
     /// Execution probing: checkpoints, snapshot, per-phase timing and the
     /// perturbation knob (see [`crate::probe::ProbeSpec`]). The default is
     /// fully off and costs nothing.
@@ -340,9 +314,7 @@ pub struct SimConfig {
     /// Crash/recover fault injection (see [`FaultPlan`]; the default is
     /// empty and costs nothing). A *model* knob, unlike the execution
     /// strategies above: a faulty run legitimately differs from a
-    /// fault-free one, but is still byte-identical across every executor
-    /// that accepts it (the wavefront executor rejects fault plans
-    /// constructively — a fault round would couple shards mid-wave).
+    /// fault-free one, but is still byte-identical across every executor.
     pub faults: FaultPlan,
 }
 
@@ -358,7 +330,6 @@ impl SimConfig {
             link_delay: LinkDelay::Unit,
             parallel_apply: false,
             dense_scan: false,
-            wavefront_lag: 0,
             probe: ProbeSpec::OFF,
             faults: FaultPlan::none(),
         }
@@ -411,13 +382,6 @@ impl SimConfig {
         self
     }
 
-    /// Builder-style: set the wavefront pipelining lag (see
-    /// [`SimConfig::wavefront_lag`]; 0 disables).
-    pub fn with_wavefront(mut self, lag: Round) -> Self {
-        self.wavefront_lag = lag;
-        self
-    }
-
     /// Builder-style: set the probe spec (checkpoints, snapshot, timing,
     /// perturbation — see [`crate::probe::ProbeSpec`]).
     pub fn with_probe(mut self, probe: ProbeSpec) -> Self {
@@ -432,8 +396,8 @@ impl SimConfig {
         self
     }
 
-    /// The transmit gate, read by every transmit walk (the monolith's, the
-    /// fabric's, the wave's): whether `node`'s staged sends stay in its
+    /// The transmit gate, read by both transmit walks (the monolith's and
+    /// the fabric's): whether `node`'s staged sends stay in its
     /// outbox through `round` — it is crashed (they freeze until the
     /// recovery round), or it is the planted perturbation (they wait one
     /// extra round, see [`ProbeSpec::perturb_round`]). A held node is
@@ -804,7 +768,7 @@ impl SimReport {
     /// relaxed-priority reordering across classes is not charged as
     /// consistency debt. Computed purely from the trace events every
     /// executor records identically, so the values are byte-identical
-    /// across monolith / sharded / sliced / wavefront / dense-scan paths.
+    /// across monolith / sharded / sliced / dense-scan paths.
     /// Total on degenerate inputs: an empty `output_order` (all-shed or
     /// zero-completion runs) yields an empty sample, and issue rounds are
     /// only compared, never subtracted, so `Round::MAX` cannot overflow.
@@ -934,20 +898,9 @@ mod tests {
     fn config_presets() {
         let s = SimConfig::strict();
         assert_eq!((s.send_budget, s.recv_budget, s.delay_scale), (1, 1, 1));
-        assert!(!s.parallel_apply && !s.dense_scan && s.wavefront_lag == 0);
+        assert!(!s.parallel_apply && !s.dense_scan);
         let e = SimConfig::expanded(3);
         assert_eq!((e.send_budget, e.recv_budget, e.delay_scale), (3, 3, 3));
-        assert_eq!(SimConfig::strict().with_wavefront(4).wavefront_lag, 4);
-    }
-
-    #[test]
-    fn min_delay_matches_each_policy() {
-        assert_eq!(LinkDelay::Unit.min_delay(), 1);
-        assert_eq!(LinkDelay::Fixed { delay: 6 }.min_delay(), 6);
-        assert_eq!(LinkDelay::Fixed { delay: 0 }.min_delay(), 1);
-        // Hashed policies are conservatively 1: some draw may be that low.
-        assert_eq!(LinkDelay::PerLink { max: 9, seed: 1 }.min_delay(), 1);
-        assert_eq!(LinkDelay::Jitter { max: 9, seed: 1 }.min_delay(), 1);
     }
 
     #[test]

@@ -32,12 +32,12 @@
 //! executor implements `Phases` (statically dispatched) for what differs:
 //! the monolith below over one `Lane` (a store, a timing wheel, a frontier
 //! scratch), the sharded fabric ([`crate::shard`]) over K lanes plus the
-//! ferry. The lane's walks — the frontier choice, receive, maturity, the
-//! outbox walk — serve the monolith, the sliced apply and the wave; only
-//! deliver and transmit differ: the fabric's serialized ones walk the
-//! global frontier (its lanes' merged) instead of one lane's, and the
-//! monolith's are their oracle. The `Ledger` lent to every hook holds the
-//! report, the staging API and the phase clock.
+//! ferry. The lane's walks — the frontier choice, receive, maturity — serve
+//! the monolith and the sliced apply; only deliver and transmit differ:
+//! the fabric's serialized ones walk the global frontier (its lanes'
+//! merged) instead of one lane's, and the monolith's are their oracle. The
+//! `Ledger` lent to every hook holds the report, the staging API and the
+//! phase clock.
 //!
 //! The invariant this layer owns is the *delivery rule*: a message handled
 //! at round `t` can be answered no earlier than round `t + 1` (handler
@@ -90,12 +90,12 @@ fn validate_slices<P: Protocol>(protocol: &mut P, n: usize) -> Result<(), SimErr
 /// [`Phases`] hook: the run's borrowed inputs, the report, the protocol's
 /// staging API and the phase clock.
 pub(crate) struct Ledger<'a, M> {
-    pub(crate) graph: &'a Graph,
+    graph: &'a Graph,
     pub(crate) cfg: &'a SimConfig,
     pub(crate) report: SimReport,
     pub(crate) api: SimApi<M>,
     pub(crate) timing: PhaseTimings,
-    pub(crate) watch: Stopwatch,
+    watch: Stopwatch,
     /// Microseconds lapped so far in the current round.
     round_micros: u64,
 }
@@ -289,7 +289,7 @@ impl<M> Lane<M> {
         max_depth
     }
 
-    /// The receive walk, shared by every apply path and the wave: visit the
+    /// The receive walk of the monolith and the sliced apply: visit the
     /// in-port frontier in ascending node order, skip (and re-list) a
     /// crashed node, pop up to `recv_budget` messages per live node and
     /// hand each to `deliver` along with the store (so a caller that
@@ -323,33 +323,6 @@ impl<M> Lane<M> {
         Ok(queue_wait)
     }
 
-    /// The outbox walk of one lane: visit the outbox frontier in ascending
-    /// node order; a node [`SimConfig::holds_transmit`] holds keeps its
-    /// sends and is re-listed, any other pops up to `send_budget` and hands
-    /// each `(sender, destination, payload)` to `send` with the lane's
-    /// wheel.
-    pub(crate) fn send_walk(
-        &mut self,
-        cfg: &SimConfig,
-        round: Round,
-        mut send: impl FnMut(&mut Transport<M>, NodeId, NodeId, M),
-    ) {
-        let Lane { store, transport, frontier } = self;
-        frontier.clear();
-        frontier_into(store, cfg, NodeStore::take_outbox_frontier, frontier);
-        frontier.sort_unstable();
-        for &v in frontier.iter() {
-            if cfg.holds_transmit(round, v) {
-                store.relist_outbox(v);
-                continue;
-            }
-            for _ in 0..cfg.send_budget {
-                let Some((dst, msg)) = store.pop_outbox(v) else { break };
-                send(transport, v, dst, msg);
-            }
-        }
-    }
-
     /// Whether the lane's queues and wheel are all empty.
     pub(crate) fn is_idle(&self) -> bool {
         self.store.is_idle() && self.transport.is_idle()
@@ -358,8 +331,8 @@ impl<M> Lane<M> {
 
 /// The parts of the round in which the executors differ, implemented by
 /// the monolith and the sharded fabric. [`lockstep_round`] calls the four
-/// phase hooks between its barriers; [`run`] calls [`Phases::step`] once
-/// per loop iteration.
+/// phase hooks between its barriers; [`run`] asks [`Phases::idle`] after
+/// every round.
 pub(crate) trait Phases<P: Protocol> {
     /// Take the effects staged in the arrivals phase (or the time-0 start)
     /// into the report and the senders' outboxes.
@@ -386,25 +359,12 @@ pub(crate) trait Phases<P: Protocol> {
 
     /// Whether every queue and wheel is empty.
     fn idle(&self) -> bool;
-
-    /// Execute from `round` up to the next quiescence / wakeup decision and
-    /// return the round it falls on and whether the executor was idle
-    /// there: one lockstep round, unless an executor can do more at once.
-    fn step(
-        &mut self,
-        led: &mut Ledger<'_, P::Msg>,
-        protocol: &mut P,
-        round: Round,
-    ) -> Result<(Round, bool), SimError> {
-        lockstep_round(self, led, protocol, round)?;
-        Ok((round, self.idle()))
-    }
 }
 
 /// One lockstep round — arrivals through transmit, each phase closed by
 /// its barrier. The first three phases are vacuous at round 0, whose
 /// barriers still observe, so every executor checkpoints round 0 alike.
-pub(crate) fn lockstep_round<P: Protocol, E: Phases<P> + ?Sized>(
+pub(crate) fn lockstep_round<P: Protocol, E: Phases<P>>(
     exec: &mut E,
     led: &mut Ledger<'_, P::Msg>,
     protocol: &mut P,
@@ -435,7 +395,7 @@ pub(crate) fn lockstep_round<P: Protocol, E: Phases<P> + ?Sized>(
 
 /// The barrier after `phase`: close its timing lap and, in an observed
 /// round, hash the state there.
-fn barrier<P: Protocol, E: Phases<P> + ?Sized>(
+fn barrier<P: Protocol, E: Phases<P>>(
     exec: &mut E,
     led: &mut Ledger<'_, P::Msg>,
     protocol: &P,
@@ -509,10 +469,10 @@ pub(crate) fn run<P: Protocol, E: Phases<P>>(
 
     let mut round: Round = 0;
     let last = loop {
-        let (at, idle) = exec.step(&mut led, &mut protocol, round)?;
-        match advance_round(&protocol, idle, at, cfg.max_rounds)? {
+        lockstep_round(&mut exec, &mut led, &mut protocol, round)?;
+        match advance_round(&protocol, exec.idle(), round, cfg.max_rounds)? {
             Some(next) => round = next,
-            None => break at,
+            None => break round,
         }
     };
     let mut report = led.report;
@@ -530,18 +490,14 @@ pub(crate) struct Monolith<M> {
 }
 
 impl<M> Monolith<M> {
-    /// One full-range lane, after rejecting (no silent fallback) the
-    /// strategy flags that need shards to apply in or to pipeline.
+    /// One full-range lane, after rejecting (no silent fallback)
+    /// `parallel_apply`, which needs shards to apply in.
     pub(crate) fn new(n: usize, cfg: &SimConfig) -> Result<Self, SimError> {
-        let flags = [
-            (cfg.parallel_apply, "parallel_apply"),
-            (cfg.wavefront_lag > 0, "wavefront pipelining"),
-        ];
-        if let Some((_, flag)) = flags.into_iter().find(|&(on, _)| on) {
-            return Err(SimError::invalid_config(format!(
-                "{flag} requires the sharded executor (ShardedSimulator::run); \
-                 the single-fabric Simulator cannot honour it"
-            )));
+        if cfg.parallel_apply {
+            return Err(SimError::invalid_config(
+                "parallel_apply requires the sharded executor (ShardedSimulator::run); \
+                 the single-fabric Simulator cannot honour it",
+            ));
         }
         Ok(Monolith { lane: Lane::new(NodeStore::new(n), cfg.link_delay) })
     }
@@ -580,13 +536,27 @@ impl<P: Protocol> Phases<P> for Monolith<P::Msg> {
         Ok(())
     }
 
-    /// The lane's outbox walk, numbering every send onto its one wheel.
+    /// The lane's outbox walk: visit the outbox frontier in ascending node
+    /// order; a node [`SimConfig::holds_transmit`] holds keeps its sends
+    /// and is re-listed, any other pops up to `send_budget`, numbering
+    /// every send onto the one wheel.
     fn transmit(&mut self, led: &mut Ledger<'_, P::Msg>, round: Round) {
         let cfg = led.cfg;
-        self.lane.send_walk(cfg, round, |wheel, v, dst, msg| {
-            let seq = led.note_transmit(round, v, dst);
-            wheel.transmit(v, dst, msg, round, seq);
-        });
+        let Lane { store, transport, frontier } = &mut self.lane;
+        frontier.clear();
+        frontier_into(store, cfg, NodeStore::take_outbox_frontier, frontier);
+        frontier.sort_unstable();
+        for &v in frontier.iter() {
+            if cfg.holds_transmit(round, v) {
+                store.relist_outbox(v);
+                continue;
+            }
+            for _ in 0..cfg.send_budget {
+                let Some((dst, msg)) = store.pop_outbox(v) else { break };
+                let seq = led.note_transmit(round, v, dst);
+                transport.transmit(v, dst, msg, round, seq);
+            }
+        }
     }
 
     fn observe(&mut self, led: &mut Ledger<'_, P::Msg>, round: Round, phase: Phase, token: &str) {

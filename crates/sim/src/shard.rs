@@ -9,18 +9,19 @@
 //! staying inside one.
 //!
 //! The fabric is one executor of [`crate::scheduler`]'s round skeleton and
-//! implements only the phase hooks where K lanes differ from one. A
-//! lockstep round forks only where handlers run concurrently: maturity is
-//! a plain loop over the lanes' one `mature` (merging the due ferry
-//! wires), and transmission is one serialized walk of the global outbox
-//! frontier in ascending node order — the visit order *is* the run-global
-//! sequence numbering, so the walk numbers each send exactly as the
-//! monolith does and routes it to the owning lane's wheel or to the ferry.
-//! Every shard-parallel stretch is one call of the one `fork`, which lends
-//! each task its own lane in place and returns the results in shard order;
-//! whatever the shards share (report, ferry, protocol value) is folded from
-//! them at the phase barrier. The deliver phase has **two apply paths**,
-//! selected by [`crate::SimConfig::parallel_apply`]; both call the one
+//! implements only the phase hooks where K lanes differ from one, so it
+//! runs one kind of round, the skeleton's lockstep round. That round forks
+//! only where handlers run concurrently: maturity is a plain loop over the
+//! lanes' one `mature` (merging the due ferry wires), and transmission is
+//! one serialized walk of the global outbox frontier in ascending node
+//! order — the visit order *is* the run-global sequence numbering, so the
+//! walk numbers each send exactly as the monolith does and routes it to
+//! the owning lane's wheel or to the ferry. The one shard-parallel stretch
+//! is the sliced apply's call of `fork`, which lends each task its own
+//! lane in place and returns the results in shard order; whatever the
+//! shards share (report, ferry, protocol value) is folded from them at the
+//! phase barrier. The deliver phase has **two apply paths**, selected by
+//! [`crate::SimConfig::parallel_apply`]; both call the one
 //! [`Protocol::on_message`] on the delivered-to node's slice:
 //!
 //! * **serialized** (flag off; the reference) — the mirror of transmit:
@@ -49,168 +50,34 @@
 //! order), so parallel-apply reports are byte-identical to serialized
 //! ones. A divergent ferry policy (e.g. `Fixed { delay: 8 }` between
 //! shards) changes the execution — deliberately.
-//!
-//! **Wavefront pipelining** ([`SimConfig::wavefront_lag`] = `d` ≥ 1) is the
-//! fabric's override of the skeleton's one-step hook: when the ferry's
-//! minimum delay is at least `d`, a cross-shard message sent at round `t`
-//! cannot arrive before `t + d`, so the lanes can run up to `d`
-//! consecutive rounds in one task each — maturing, applying and
-//! transmitting locally under *provisional* sequence keys — before meeting
-//! at a single **wave commit** that claims the true sequence blocks, remaps
-//! the in-flight keys, ferries the cross-shard sends and replays
-//! completions in the lockstep order. Rounds with a global coupling point
-//! (probe observations, scheduled arrivals per
-//! [`Protocol::next_active_round`], tracing, round 0) run the skeleton's
-//! lockstep round, so the wavefront execution is byte-identical to the
-//! lockstep one; the argument is on `Fabric::wave_rounds` below.
 
-use crate::probe::{self, Phase, Stopwatch};
+use crate::probe::{self, Phase};
 use crate::protocol::{Protocol, SliceApi, SliceEffect};
 use crate::report::{LinkDelay, SimConfig, SimReport};
-use crate::scheduler::{self, frontier_into, lockstep_round, Lane, Ledger, Phases};
+use crate::scheduler::{self, frontier_into, Lane, Ledger, Phases};
 use crate::state::NodeStore;
 use crate::transport::{Transport, Wire};
 use crate::{Round, SimError};
 use ccq_graph::{Graph, NodeId, Partition};
 use rayon::prelude::*;
-use std::collections::HashMap;
-
-/// What a wave task needs beyond its own lane: the run's fixed inputs.
-#[derive(Clone, Copy)]
-struct Run<'a> {
-    graph: &'a Graph,
-    partition: &'a Partition,
-    cfg: &'a SimConfig,
-}
 
 /// The executor's one fork/join, and the only place `ccq-sim` meets its
 /// thread pool — called where handlers run shard-parallel (the sliced
-/// apply and a wave), never by a serialized lockstep round: run `body`
-/// once per lane, concurrently, **lending** every
-/// task its own lane in place (no [`Lane`] moves after [`Fabric::new`])
-/// together with that lane's entry of `inputs`, and return the tasks'
-/// results in shard order. The tasks share nothing mutable; what the
-/// shards have in common — the report, the ferry, the staging API — the
-/// caller folds from the results after the join, at the phase barrier, in
-/// an order no scheduling can change.
+/// apply), never by a serialized lockstep round: run `body` once per lane,
+/// concurrently, **lending** every task its own lane in place (no [`Lane`]
+/// moves after [`Fabric::new`]) together with that lane's entry of
+/// `inputs`, and return the tasks' results in shard order. The tasks share
+/// nothing mutable; what the shards have in common — the report, the
+/// ferry, the staging API — the caller folds from the results after the
+/// join, at the phase barrier, in an order no scheduling can change.
 fn fork<M: Send, I: Send, O: Send>(
     lanes: &mut [Lane<M>],
     inputs: Vec<I>,
-    body: impl Fn(usize, &mut Lane<M>, I) -> O + Sync,
+    body: impl Fn(&mut Lane<M>, I) -> O + Sync,
 ) -> Vec<O> {
     debug_assert_eq!(inputs.len(), lanes.len(), "one input per lane");
-    let lent: Vec<_> = lanes.iter_mut().zip(inputs).enumerate().collect();
-    lent.into_par_iter().map(|(shard, (lane, input))| body(shard, lane, input)).collect()
-}
-
-impl<M> Lane<M> {
-    /// Execute one shard's side of a wave: `width` rounds of mature →
-    /// apply → transmit against the lane's own store, wheel and slices.
-    /// Handler effects apply in-task (sends stage into the lane's own
-    /// outboxes — a handler's sends always leave the handling node, which
-    /// is local; completions are logged for the commit replay), and every
-    /// transmission carries a provisional sequence key. The arrivals phase
-    /// is skipped: [`wave_width`] only admits rounds where `on_round` is a
-    /// no-op. `task` is the shard's member slices and its ferry bucket:
-    /// the cross-shard wires due to it during the wave (pre-drained, in
-    /// (arrival, sequence) order), which the wave empties in place.
-    fn wave<P: Protocol<Msg = M>>(
-        &mut self,
-        shard: usize,
-        run: Run<'_>,
-        shared: &P::Shared,
-        task: (Vec<&mut P::Slice>, &mut Vec<Wire<M>>),
-        start: Round,
-        width: Round,
-    ) -> Result<WaveOutcome<M>, SimError> {
-        let Run { graph, partition, cfg } = run;
-        let (mut slices, ferry_due) = task;
-        let mut due = Vec::new();
-        let mut sapi: SliceApi<M> = SliceApi::new(start, 0);
-        let mut watch = Stopwatch::new(cfg.probe.timing);
-        let mut out = WaveOutcome {
-            transmits: Vec::with_capacity(width as usize),
-            ferry_out: Vec::new(),
-            completions: Vec::with_capacity(width as usize),
-            received: Vec::new(),
-            queue_wait: 0,
-            max_inport_depth: 0,
-            max_outbox_depth: 0,
-            idle_after: Vec::with_capacity(width as usize),
-            mature_micros: 0,
-            apply_micros: 0,
-            transmit_micros: 0,
-        };
-
-        for offset in 0..width {
-            let r = start + offset;
-            watch.reset();
-            // Maturity: own wheel plus the pre-drained ferry wires now due,
-            // merged in (arrival, sequence) order — pre-wave wires carry
-            // true numbers, in-wave wires provisional keys, and the key
-            // layout makes the mixed sort equal the final numbering's order.
-            let due_len = ferry_due.iter().take_while(|w| w.arrival <= r).count();
-            due.extend(ferry_due.drain(..due_len));
-            out.max_inport_depth = out.max_inport_depth.max(self.mature(r, &mut due));
-            out.mature_micros += watch.lap();
-
-            // Apply: the lane's receive walk, running the handlers and
-            // draining their effects in-task.
-            sapi.set_round(r);
-            let mut round_completions = Vec::new();
-            out.queue_wait += self.receive(r, cfg, |store, v, inb| {
-                out.received.push(v);
-                sapi.set_node(v);
-                let slice = member_slice(partition, &mut slices, v);
-                P::on_message(shared, slice, &mut sapi, v, inb.src, inb.msg);
-                for effect in sapi.effects.drain(..) {
-                    match effect {
-                        SliceEffect::Send { to, msg } => {
-                            if to >= graph.n() || !graph.has_edge(v, to) {
-                                return Err(SimError::InvalidSend { from: v, to, round: r });
-                            }
-                            let depth = store.stage(v, to, msg);
-                            out.max_outbox_depth = out.max_outbox_depth.max(depth);
-                        }
-                        SliceEffect::Complete { node, value } => {
-                            round_completions.push((v, node, value));
-                        }
-                    }
-                }
-                Ok(())
-            })?;
-            out.completions.push(round_completions);
-            out.apply_micros += watch.lap();
-
-            // Transmit under provisional keys: the lane's outbox walk, in
-            // ascending node order, so the per-transport call order stays
-            // monotone in the eventual true numbering, as the timing
-            // wheel's batch order requires.
-            let mut round_transmits: Vec<(NodeId, u64)> = Vec::new();
-            self.send_walk(cfg, r, |wheel, v, dst, msg| {
-                let idx = match round_transmits.last_mut() {
-                    Some((sender, count)) if *sender == v => {
-                        *count += 1;
-                        *count - 1
-                    }
-                    _ => {
-                        round_transmits.push((v, 1));
-                        0
-                    }
-                };
-                if partition.shard_of(dst) == shard {
-                    wheel.transmit(v, dst, msg, r, surrogate_seq(offset, v, idx));
-                } else {
-                    out.ferry_out.push((offset, v, idx, dst, msg));
-                }
-            });
-            out.transmits.push(round_transmits);
-            out.transmit_micros += watch.lap();
-
-            out.idle_after.push(self.is_idle());
-        }
-        Ok(out)
-    }
+    let lent: Vec<_> = lanes.iter_mut().zip(inputs).collect();
+    lent.into_par_iter().map(|(lane, input)| body(lane, input)).collect()
 }
 
 /// Distribute the disjoint `&mut` borrows of a protocol's slices to their
@@ -250,9 +117,8 @@ struct Fabric<'a, M> {
     partition: &'a Partition,
     lanes: Vec<Lane<M>>,
     ferry: Transport<M>,
-    /// The due ferry wires per destination shard, filled by
-    /// [`Fabric::ferry_buckets`] and emptied in place by the lanes'
-    /// maturity (storage kept across rounds).
+    /// The due ferry wires per destination shard, filled and emptied in
+    /// place by each round's maturity (storage kept across rounds).
     ferry_due: Vec<Vec<Wire<M>>>,
     /// Reusable frontier scratch for the global deliver and transmit walks.
     scratch: Vec<NodeId>,
@@ -274,29 +140,6 @@ impl<'a, M: Send + std::fmt::Debug> Fabric<'a, M> {
             ferry_due: (0..partition.k()).map(|_| Vec::new()).collect(),
             scratch: Vec::new(),
         }
-    }
-
-    /// Apply the effects of the handler that ran at `node` through the
-    /// ledger's one effect drain, staging sends in `node`'s lane and slot
-    /// (a handler's sends leave the node it ran at).
-    fn apply(
-        &mut self,
-        led: &mut Ledger<'_, M>,
-        round: Round,
-        node: NodeId,
-        effects: impl IntoIterator<Item = SliceEffect<M>>,
-    ) -> Result<(), SimError> {
-        let at = self.partition.place(node);
-        let store = &mut self.lanes[at.shard()].store;
-        led.apply_effects(round, node, effects, |f, t, m| store.stage_at(at.rank(), f, t, m))
-    }
-
-    /// Ferry maturity: bucket the cross-shard wires due by `round` into
-    /// [`Fabric::ferry_due`] by their destination shard (sequentially —
-    /// the ferry is shared).
-    fn ferry_buckets(&mut self, round: Round) {
-        let (partition, buckets) = (self.partition, &mut self.ferry_due);
-        self.ferry.drain_due(round, |w| buckets[partition.shard_of(w.dst)].push(w));
     }
 
     /// The global frontier of the queues `take` lists: the lanes' disjoint
@@ -329,7 +172,7 @@ impl<'a, M: Send + std::fmt::Debug> Fabric<'a, M> {
         let (cfg, partition) = (led.cfg, self.partition);
         let (shared, slices) = protocol.split();
         let buckets = slice_buckets(partition, slices);
-        let done = fork(&mut self.lanes, buckets, |_, lane, mut slices| -> Result<_, SimError> {
+        let done = fork(&mut self.lanes, buckets, |lane, mut slices| -> Result<_, SimError> {
             let mut sapi = SliceApi::new(round, 0);
             let mut deliveries = Vec::new();
             let queue_wait = lane.receive(round, cfg, |_, v, inb| {
@@ -360,7 +203,8 @@ impl<'a, M: Send + std::fmt::Debug> Fabric<'a, M> {
 
     /// Sliced deliver, barrier half: per message, the delivery
     /// bookkeeping, then its effect segment through the same effect drain
-    /// the serialized path applies — identical event sequence.
+    /// the serialized path applies — identical event sequence — staging
+    /// sends in the handling node's lane and slot.
     fn replay(
         &mut self,
         led: &mut Ledger<'_, M>,
@@ -375,184 +219,11 @@ impl<'a, M: Send + std::fmt::Debug> Fabric<'a, M> {
             let segment = (consumed[s]..end)
                 .map(|_| stream.next().expect("delivery records cover every effect"));
             consumed[s] = end;
-            self.apply(led, round, v, segment)?;
+            let at = self.partition.place(v);
+            let store = &mut self.lanes[at.shard()].store;
+            led.apply_effects(round, v, segment, |f, t, m| store.stage_at(at.rank(), f, t, m))?;
         }
         Ok(())
-    }
-
-    /// One wave of bounded-lag **wavefront pipelining**
-    /// ([`SimConfig::wavefront_lag`] = `d` ≥ 1): the `width ≤ d` rounds
-    /// from `round` on, which [`wave_width`] found provably free of global
-    /// coupling — no probe observation, no scheduled protocol activity
-    /// ([`Protocol::next_active_round`]), no tracing, not round 0. Every
-    /// lane executes all of them in a single forked task: maturing its
-    /// own wheel plus the pre-bucketed due ferry wires, applying its
-    /// nodes' handlers against their slices, and transmitting under
-    /// *provisional* sequence keys. The serialized **wave commit** then
-    ///
-    /// 1. claims the true per-node sequence blocks in global
-    ///    (round, node) order — the lockstep assignment order — and
-    ///    remaps every still-in-flight provisional key
-    ///    ([`Transport::remap_seqs`]); the provisional keys pack
-    ///    (round offset, node, index) above a tag bit, so they sort in
-    ///    exactly the final numbering's order even while mixed with
-    ///    pre-wave true sequence numbers;
-    /// 2. ferries the cross-shard sends in true sequence order (the call
-    ///    order the shared ferry's FIFO clamp and per-message delay draws
-    ///    depend on);
-    /// 3. replays completions round by round in ascending handler order,
-    ///    through the same per-round drain as the lockstep path;
-    /// 4. re-derives quiescence: the earliest wave round after which
-    ///    every store, wheel and the ferry were empty is where the
-    ///    lockstep run would have terminated or fast-forwarded, and any
-    ///    wave rounds executed past it were provably no-ops.
-    ///
-    /// Safety rests on the ferry bound `d ≤` minimum inter-shard delay
-    /// ([`validate_wavefront`]): a cross-shard wire sent during a wave
-    /// cannot arrive within it, so lanes never observe each other
-    /// mid-wave. Rounds that do couple run through the skeleton's
-    /// [`lockstep_round`] ([`SimConfig::parallel_apply`] included), so the
-    /// whole execution — reports, probe digests, recordings — is
-    /// byte-identical to the lockstep one.
-    ///
-    /// Returns the round the quiescence / wakeup decision falls on and
-    /// whether the fabric was idle there.
-    fn wave_rounds<P: Protocol<Msg = M>>(
-        &mut self,
-        led: &mut Ledger<'_, M>,
-        protocol: &mut P,
-        round: Round,
-        width: Round,
-    ) -> Result<(Round, bool), SimError> {
-        let run = Run { graph: led.graph, partition: self.partition, cfg: led.cfg };
-        led.watch.reset();
-        let last = round + width - 1;
-        // Pre-bucket every ferry wire due during the wave; the lag
-        // bound guarantees nothing transmitted *during* the wave
-        // could join this set. Buckets inherit the ferry's
-        // (arrival, sequence) drain order.
-        self.ferry_buckets(last);
-        let residual_ferry = !self.ferry.is_idle();
-        let max_pending_arrival =
-            self.ferry_due.iter().flatten().map(|w| w.arrival).max().unwrap_or(0);
-
-        let done: Vec<WaveOutcome<M>> = {
-            let (shared, slices) = protocol.split();
-            let buckets = self.ferry_due.iter_mut();
-            let tasks = slice_buckets(run.partition, slices).into_iter().zip(buckets).collect();
-            fork(&mut self.lanes, tasks, |shard, lane, task| {
-                lane.wave::<P>(shard, run, shared, task, round, width)
-            })
-            .into_iter()
-            .collect::<Result<_, _>>()?
-        };
-        let parallel_micros = led.watch.lap();
-
-        // ---- wave commit (serialized) ----
-        // (1) True sequence blocks, claimed per round offset in
-        // ascending node order — the lockstep assignment order.
-        let mut bases: HashMap<(Round, NodeId), u64> = HashMap::new();
-        for offset in 0..width {
-            let mut per_round: Vec<(NodeId, u64)> = Vec::new();
-            for out in &done {
-                per_round.extend(out.transmits[offset as usize].iter().copied());
-            }
-            per_round.sort_unstable_by_key(|&(v, _)| v);
-            for (v, count) in per_round {
-                bases.insert((offset, v), led.report.messages_sent);
-                led.report.messages_sent += count;
-            }
-        }
-
-        let mut ferry_sends: Vec<(u64, Round, NodeId, NodeId, M)> = Vec::new();
-        let mut min_ferry_out_round = Round::MAX;
-        let mut all_completions: Vec<Vec<(NodeId, NodeId, u64)>> =
-            (0..width).map(|_| Vec::new()).collect();
-        let mut lane_idle: Vec<Vec<bool>> = Vec::with_capacity(done.len());
-        let (mut wave_mature, mut wave_apply, mut wave_transmit) = (0u64, 0u64, 0u64);
-        let report = &mut led.report;
-        for (lane, out) in self.lanes.iter_mut().zip(done) {
-            // (2a) Rewrite the provisional keys on this lane's
-            // still-in-flight wires to the true numbers.
-            lane.transport.remap_seqs(|seq| {
-                if seq & SURROGATE_BIT == 0 {
-                    return seq;
-                }
-                let (offset, node, idx) = decode_surrogate(seq);
-                bases[&(offset, node)] + idx + 1
-            });
-            for (offset, src, idx, dst, msg) in out.ferry_out {
-                let seq = bases[&(offset, src)] + idx + 1;
-                min_ferry_out_round = min_ferry_out_round.min(round + offset);
-                ferry_sends.push((seq, round + offset, src, dst, msg));
-            }
-            for (offset, events) in out.completions.into_iter().enumerate() {
-                all_completions[offset].extend(events);
-            }
-            for v in out.received {
-                report.received_by_node[v] += 1;
-            }
-            report.queue_wait_rounds += out.queue_wait;
-            report.max_inport_depth = report.max_inport_depth.max(out.max_inport_depth);
-            report.max_outbox_depth = report.max_outbox_depth.max(out.max_outbox_depth);
-            lane_idle.push(out.idle_after);
-            wave_mature = wave_mature.max(out.mature_micros);
-            wave_apply = wave_apply.max(out.apply_micros);
-            wave_transmit = wave_transmit.max(out.transmit_micros);
-        }
-
-        // (2b) Ferry the cross-shard sends in true sequence order —
-        // the serialized call order the shared clamp state and
-        // per-message draws depend on.
-        ferry_sends.sort_unstable_by_key(|e| e.0);
-        for (seq, send_round, src, dst, msg) in ferry_sends {
-            report.cross_shard_messages += 1;
-            self.ferry.transmit(src, dst, msg, send_round, seq);
-        }
-
-        // (3) Replay completions per round in ascending handler-node
-        // order (lanes hold disjoint nodes, so the stable sort
-        // recovers the lockstep delivery order), through the same
-        // effect drain — round stamps and completion counters accrue
-        // exactly as in lockstep.
-        for (offset, events) in (0..).zip(&mut all_completions) {
-            events.sort_by_key(|&(handler, _, _)| handler);
-            for &(handler, node, value) in events.iter() {
-                let complete = SliceEffect::Complete { node, value };
-                self.apply(led, round + offset, handler, [complete])?;
-            }
-        }
-        let commit_micros = led.watch.lap();
-
-        if run.cfg.probe.timing {
-            // Each phase accrues its cross-shard critical path (max
-            // over the per-task laps); the serialized commit counts
-            // as transmit work (it is the sequence/ferry half of the
-            // transmit phase). The per-round maximum treats the wave
-            // as `width` equal slices of its wall clock.
-            let timing = &mut led.timing;
-            timing.mature_micros += wave_mature;
-            timing.apply_micros += wave_apply;
-            timing.transmit_micros += wave_transmit + commit_micros;
-            let per_round = (parallel_micros + commit_micros).div_ceil(width.max(1));
-            timing.max_round_micros = timing.max_round_micros.max(per_round);
-        }
-
-        // (4) Quiescence, re-derived: global idle at wave round `r`
-        // requires every lane idle after `r`, no ferry wire due
-        // beyond the wave, every pre-drained ferry wire matured by
-        // `r`, and no wave send ferried at or before `r` (its arrival
-        // would be pending). Wave rounds past the first idle point
-        // touched nothing (no arrivals in a wave, nothing left to
-        // mature or deliver), so acting on it here reproduces the
-        // lockstep termination or wakeup fast-forward exactly.
-        let idle_at = (round..=last).find(|&r| {
-            lane_idle.iter().all(|flags| flags[(r - round) as usize])
-                && !residual_ferry
-                && max_pending_arrival <= r
-                && min_ferry_out_round > r
-        });
-        Ok(idle_at.map_or((last, false), |idle_round| (idle_round, true)))
     }
 }
 
@@ -570,11 +241,13 @@ where
         })
     }
 
-    /// Bucket the due ferry wires, then mature lane by lane — the lanes
-    /// hold disjoint nodes, so the order is immaterial — folding the
-    /// deepest in-port into the report.
+    /// Bucket the due ferry wires by destination shard (sequentially —
+    /// the ferry is shared), then mature lane by lane — the lanes hold
+    /// disjoint nodes, so the order is immaterial — folding the deepest
+    /// in-port into the report.
     fn mature(&mut self, led: &mut Ledger<'_, P::Msg>, round: Round) {
-        self.ferry_buckets(round);
+        let (partition, buckets) = (self.partition, &mut self.ferry_due);
+        self.ferry.drain_due(round, |w| buckets[partition.shard_of(w.dst)].push(w));
         for (lane, due) in self.lanes.iter_mut().zip(&mut self.ferry_due) {
             let depth = lane.mature(round, due);
             led.report.max_inport_depth = led.report.max_inport_depth.max(depth);
@@ -667,32 +340,13 @@ where
     fn idle(&self) -> bool {
         self.ferry.is_idle() && self.lanes.iter().all(Lane::is_idle)
     }
-
-    /// One lockstep round, or — under [`SimConfig::wavefront_lag`] > 0,
-    /// wherever [`wave_width`] finds room — one wave of pipelined rounds.
-    fn step(
-        &mut self,
-        led: &mut Ledger<'_, P::Msg>,
-        protocol: &mut P,
-        round: Round,
-    ) -> Result<(Round, bool), SimError> {
-        // A width of 1 is a coupled round (always, without a lag; under
-        // one: round 0, observed, scheduled arrivals, tracing).
-        let lag = led.cfg.wavefront_lag;
-        let width = if lag == 0 { 1 } else { wave_width(protocol, led.cfg, round, lag) };
-        if width > 1 {
-            return self.wave_rounds(led, protocol, round, width);
-        }
-        lockstep_round(self, led, protocol, round)?;
-        Ok((round, Phases::<P>::idle(self)))
-    }
 }
 
 /// An executable sharded simulation: graph + partition + protocol + config.
-/// Every apply path — the global in-port walk, the lane tasks of
-/// [`SimConfig::parallel_apply`], the wavefront — calls the protocol's one
-/// handler on the slices directly, so every [`SimConfig`] strategy flag can
-/// be honoured for every protocol.
+/// Both apply paths — the global in-port walk and the lane tasks of
+/// [`SimConfig::parallel_apply`] — call the protocol's one handler on the
+/// slices directly, so the strategy flag can be honoured for every
+/// protocol.
 pub struct ShardedSimulator<'g, P: Protocol> {
     graph: &'g Graph,
     partition: Partition,
@@ -721,14 +375,10 @@ where
 
     /// Run to quiescence, returning the report and final protocol state:
     /// the scheduler's one loop over the fabric, whose deliver phase
-    /// honours [`SimConfig::parallel_apply`] and whose step pipelines
-    /// waves under [`SimConfig::wavefront_lag`] > 0. The report is
-    /// byte-identical whichever strategy runs.
+    /// honours [`SimConfig::parallel_apply`]. The report is byte-identical
+    /// whichever apply path runs.
     pub fn run_with_state(self) -> Result<(SimReport, P), SimError> {
         let ShardedSimulator { graph, partition, protocol, config: cfg, inter_delay } = self;
-        if cfg.wavefront_lag > 0 {
-            validate_wavefront(graph, &cfg, inter_delay)?;
-        }
         scheduler::run(graph, &cfg, protocol, || {
             if partition.n() != graph.n() {
                 return Err(SimError::invalid_config(
@@ -743,140 +393,6 @@ where
     pub fn run(self) -> Result<SimReport, SimError> {
         self.run_with_state().map(|(r, _)| r)
     }
-}
-
-/// What [`SimConfig::wavefront_lag`] > 0 needs of a run, checked
-/// constructively before anything executes.
-fn validate_wavefront(graph: &Graph, cfg: &SimConfig, ferry: LinkDelay) -> Result<(), SimError> {
-    let lag = cfg.wavefront_lag;
-    let ferry_floor = ferry.min_delay();
-    if lag > ferry_floor {
-        return Err(SimError::invalid_config(format!(
-            "wavefront lag {lag} exceeds the inter-shard ferry's minimum delay \
-             {ferry_floor} ({}): a shard could outrun a wire already in flight; \
-             lower the lag or slow the ferry",
-            ferry.name()
-        )));
-    }
-    if cfg.link_delay.varies_per_message() {
-        return Err(SimError::invalid_config(format!(
-            "wavefront pipelining cannot run with per-message intra-shard delays \
-             ({}): delay draws key off sequence numbers, which in-wave sends \
-             receive only at the wave commit; use a constant-per-link policy or \
-             drop the wavefront",
-            cfg.link_delay.name()
-        )));
-    }
-    if cfg.faults.is_active() {
-        return Err(SimError::invalid_config(
-            "wavefront pipelining cannot run with fault injection: a crash or \
-             recovery round couples the shards (every shard must observe the \
-             frozen node in lockstep, mid-wave a shard would run past it); drop \
-             --wavefront or the --fault plan",
-        ));
-    }
-    if cfg.send_budget as u64 >= 1 << SURROGATE_IDX_BITS {
-        return Err(SimError::invalid_config(format!(
-            "wavefront pipelining supports send budgets below {} (got {}): the \
-             provisional sequence key reserves 23 bits for the per-node index",
-            1u64 << SURROGATE_IDX_BITS,
-            cfg.send_budget
-        )));
-    }
-    if graph.n() as u64 > 1 << SURROGATE_NODE_BITS {
-        return Err(SimError::invalid_config(format!(
-            "wavefront pipelining supports up to {} processors (got {}): the \
-             provisional sequence key reserves 32 bits for the node id",
-            1u64 << SURROGATE_NODE_BITS,
-            graph.n()
-        )));
-    }
-    Ok(())
-}
-
-/// Tag bit of a provisional in-wave sequence key. True run-global
-/// sequence numbers count transmissions and stay far below `2^63`, so the
-/// tag also makes every provisional key sort *after* every true one —
-/// matching the final numbering, where in-wave sends are newer than
-/// anything already in flight.
-const SURROGATE_BIT: u64 = 1 << 63;
-/// Node-id bits of a provisional key (below the index bits).
-const SURROGATE_NODE_BITS: u32 = 32;
-/// Per-node message-index bits of a provisional key (lowest).
-const SURROGATE_IDX_BITS: u32 = 23;
-/// Widest wave the provisional key's 8 offset bits can express.
-const MAX_WAVE_WIDTH: Round = 255;
-
-/// Pack a provisional sequence key for the `idx`-th message node `node`
-/// transmits in wave round `offset`. The field order (offset, node, idx)
-/// is the order the wave commit assigns true numbers in, so provisional
-/// keys compare exactly like the true numbers they will become.
-fn surrogate_seq(offset: Round, node: NodeId, idx: u64) -> u64 {
-    debug_assert!(offset <= MAX_WAVE_WIDTH);
-    debug_assert!((node as u64) < 1 << SURROGATE_NODE_BITS);
-    debug_assert!(idx < 1 << SURROGATE_IDX_BITS);
-    SURROGATE_BIT
-        | (offset << (SURROGATE_NODE_BITS + SURROGATE_IDX_BITS))
-        | ((node as u64) << SURROGATE_IDX_BITS)
-        | idx
-}
-
-/// Unpack a provisional sequence key into (wave offset, node, index).
-fn decode_surrogate(seq: u64) -> (Round, NodeId, u64) {
-    let body = seq & !SURROGATE_BIT;
-    (
-        body >> (SURROGATE_NODE_BITS + SURROGATE_IDX_BITS),
-        ((body >> SURROGATE_IDX_BITS) & ((1 << SURROGATE_NODE_BITS) - 1)) as NodeId,
-        body & ((1 << SURROGATE_IDX_BITS) - 1),
-    )
-}
-
-/// Width of the wave starting at `round`: the longest stretch of at most
-/// `lag` rounds free of global coupling. Round 0 (the serialized start
-/// phase), traced runs, probe-observed rounds and rounds with scheduled
-/// protocol activity ([`Protocol::next_active_round`]) all need the
-/// global barrier; a width of 1 means "run a plain lockstep round".
-fn wave_width<P: Protocol>(protocol: &P, cfg: &SimConfig, round: Round, lag: Round) -> Round {
-    if round == 0 || cfg.trace {
-        return 1;
-    }
-    let mut width = lag.min(MAX_WAVE_WIDTH).min(cfg.max_rounds - round + 1);
-    if let Some(active) = protocol.next_active_round() {
-        if active <= round {
-            return 1;
-        }
-        width = width.min(active - round);
-    }
-    for offset in 0..width {
-        if cfg.probe.observes(round + offset) {
-            return offset.max(1);
-        }
-    }
-    width.max(1)
-}
-
-/// What a shard's wave task hands back for the serialized wave commit.
-struct WaveOutcome<M> {
-    /// Per wave round: `(sender, transmitted count)` in ascending sender
-    /// order — the block sizes the commit turns into true sequence bases.
-    transmits: Vec<Vec<(NodeId, u64)>>,
-    /// Cross-shard sends: `(wave offset, sender, per-sender index,
-    /// destination, payload)`; true sequence numbers attach at commit.
-    ferry_out: Vec<(Round, NodeId, u64, NodeId, M)>,
-    /// Per wave round: `(handler, completing node, value)` in delivery
-    /// order — replayed at commit in global handler order.
-    completions: Vec<Vec<(NodeId, NodeId, u64)>>,
-    /// The handling node of every delivery, for the receive profile.
-    received: Vec<NodeId>,
-    queue_wait: u64,
-    max_inport_depth: usize,
-    max_outbox_depth: usize,
-    /// Whether this shard's queues and wheel were empty after each wave
-    /// round (one flag per round offset).
-    idle_after: Vec<bool>,
-    mature_micros: u64,
-    apply_micros: u64,
-    transmit_micros: u64,
 }
 
 /// Convenience: run `protocol` on `graph` under `config`, sharded by
@@ -919,17 +435,17 @@ mod tests {
             let part = Partition::contiguous(9, k);
             let mut fab: Fabric<()> = Fabric::new(&part, LinkDelay::Unit, LinkDelay::Unit);
             let lent = Mutex::new(Vec::new());
-            let inputs: Vec<usize> = (0..k).map(|shard| 10 * shard).collect();
+            // Each lane's input is its shard index.
+            let inputs: Vec<usize> = (0..k).collect();
             let members = |lane: &Lane<()>| lane.store.members().collect::<Vec<_>>();
-            let out = fork(&mut fab.lanes, inputs, |shard, lane, input| {
+            let out = fork(&mut fab.lanes, inputs, |lane, shard| {
                 lent.lock().unwrap().push(shard);
                 // A mark left in the lent lane: it must still be there,
                 // on the same lane, after the join.
                 lane.frontier.push(shard);
-                (shard, input, members(lane))
+                (shard, members(lane))
             });
-            let want: Vec<_> =
-                (0..k).map(|shard| (shard, 10 * shard, part.members(shard).to_vec())).collect();
+            let want: Vec<_> = (0..k).map(|shard| (shard, part.members(shard).to_vec())).collect();
             assert_eq!(out, want, "k = {k}: results in shard order, each with its own input");
             let mut lent = lent.into_inner().unwrap();
             lent.sort_unstable();
@@ -952,6 +468,11 @@ mod tests {
             assert_eq!(sharded.cross_shard_messages, 0);
             assert!(reports_equal_modulo_cross_shard(&single, &sharded), "parallel = {parallel}");
         }
+        // The single-fabric executor has no shards to apply in: it rejects
+        // the flag by name rather than silently running serialized.
+        let cfg = SimConfig::strict().with_parallel_apply(true);
+        let err = crate::run_protocol(&g, Walk::new(9), cfg).unwrap_err();
+        assert!(err.to_string().contains("parallel_apply"), "{err}");
     }
 
     #[test]
@@ -1118,89 +639,6 @@ mod tests {
                 "sharded transmit diverged from the monolith under {}",
                 delay.name()
             );
-        }
-    }
-
-    #[test]
-    fn wavefront_is_byte_identical_to_lockstep_on_a_slow_ferry() {
-        let g = topology::path(12);
-        let part = || Partition::contiguous(12, 3);
-        let run = |cfg: SimConfig| {
-            ShardedSimulator::new(&g, part(), Walk::new(12), cfg)
-                .with_inter_delay(LinkDelay::Fixed { delay: 6 })
-                .run_with_state()
-                .unwrap()
-        };
-        let (lockstep, _) = run(SimConfig::strict());
-        let (wave, proto) = run(SimConfig::strict().with_wavefront(4));
-        assert_eq!(
-            serde_json::to_string(&lockstep).unwrap(),
-            serde_json::to_string(&wave).unwrap(),
-            "wavefront diverged from lockstep"
-        );
-        assert_eq!(proto.visits, vec![1; 12], "slices must see every delivery");
-        assert!(wave.cross_shard_messages > 0, "the walk must cross shards");
-    }
-
-    #[test]
-    fn wavefront_checkpoints_match_lockstep_between_observed_rounds() {
-        use crate::ProbeSpec;
-        // Sparse checkpoints force the wave width to adapt around observed
-        // rounds; the digest streams must still agree exactly — whichever
-        // apply path the coupled (observed) rounds take.
-        let g = topology::path(12);
-        let probe = ProbeSpec::OFF.with_checkpoint_every(3).with_node_hashes(true);
-        let part = || Partition::contiguous(12, 2);
-        let run = |cfg: SimConfig| {
-            ShardedSimulator::new(&g, part(), Walk::new(12), cfg)
-                .with_inter_delay(LinkDelay::Fixed { delay: 5 })
-                .run()
-                .unwrap()
-        };
-        let lockstep = run(SimConfig::strict().with_probe(probe));
-        assert!(!lockstep.checkpoints.is_empty(), "probe must checkpoint");
-        for parallel in APPLY_PATHS {
-            let cfg = SimConfig::strict().with_probe(probe).with_parallel_apply(parallel);
-            let wave = run(cfg.with_wavefront(5));
-            assert_eq!(lockstep.checkpoints, wave.checkpoints, "parallel = {parallel}");
-            assert_eq!(lockstep.node_digests, wave.node_digests, "parallel = {parallel}");
-        }
-    }
-
-    #[test]
-    fn wavefront_rejections_are_constructive() {
-        let g = topology::path(8);
-        // Lag beyond the ferry's minimum delay names both values.
-        let err = ShardedSimulator::new(
-            &g,
-            Partition::contiguous(8, 2),
-            Walk::new(8),
-            SimConfig::strict().with_wavefront(4),
-        )
-        .with_inter_delay(LinkDelay::Fixed { delay: 2 })
-        .run()
-        .unwrap_err();
-        let msg = err.to_string();
-        assert!(msg.contains("lag 4") && msg.contains("minimum delay 2"), "{msg}");
-        // Per-message intra-shard delays cannot be numbered mid-wave.
-        let err = ShardedSimulator::new(
-            &g,
-            Partition::contiguous(8, 2),
-            Walk::new(8),
-            SimConfig::strict().with_jitter(3, 1).with_wavefront(2),
-        )
-        .with_inter_delay(LinkDelay::Fixed { delay: 6 })
-        .run()
-        .unwrap_err();
-        assert!(err.to_string().contains("per-message"), "{err}");
-        // The single-fabric executor has no shards to pipeline or to
-        // apply in: it rejects both strategy flags by name.
-        for (cfg, flag) in [
-            (SimConfig::strict().with_wavefront(2), "wavefront"),
-            (SimConfig::strict().with_parallel_apply(true), "parallel_apply"),
-        ] {
-            let err = crate::run_protocol(&g, Walk::new(8), cfg).unwrap_err();
-            assert!(err.to_string().contains(flag), "{err}");
         }
     }
 

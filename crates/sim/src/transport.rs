@@ -157,12 +157,6 @@ impl<M> Transport<M> {
         r as usize & (self.ring.len() - 1)
     }
 
-    /// The ring's slots in arrival order, from the first undrained round.
-    fn pending_slots(&self) -> impl Iterator<Item = usize> {
-        let (from, len) = (self.drained, self.ring.len());
-        (1..len as Round).map(move |k| from.wrapping_add(k) as usize & (len - 1))
-    }
-
     /// Remove and yield every wire due at or before `round`, in
     /// (arrival round, sequence) order.
     pub fn drain_due(&mut self, round: Round, mut sink: impl FnMut(Wire<M>)) {
@@ -179,20 +173,6 @@ impl<M> Transport<M> {
         self.drained = self.drained.max(round);
     }
 
-    /// Rewrite the sequence number of every in-flight wire through `f`, in
-    /// (arrival round, insertion) order. The wavefront executor uses this
-    /// at a wave commit to replace the provisional in-wave sequence keys
-    /// with the true run-global numbers; the mapping must be
-    /// order-preserving within each arrival batch (batches stay in
-    /// transmission order and are never re-sorted).
-    pub fn remap_seqs(&mut self, mut f: impl FnMut(u64) -> u64) {
-        for slot in self.pending_slots() {
-            for w in &mut self.ring[slot] {
-                w.seq = f(w.seq);
-            }
-        }
-    }
-
     /// Whether nothing is in flight.
     pub fn is_idle(&self) -> bool {
         self.wires == 0
@@ -204,7 +184,8 @@ impl<M> Transport<M> {
     /// layer's canonical-state renderer merges and re-sorts wires across
     /// transports, so the per-transport order here only needs to be stable.
     pub fn wires(&self) -> impl Iterator<Item = &Wire<M>> {
-        self.pending_slots().flat_map(move |slot| &self.ring[slot])
+        let (from, len) = (self.drained, self.ring.len());
+        (1..len as Round).flat_map(move |k| &self.ring[from.wrapping_add(k) as usize & (len - 1)])
     }
 }
 
@@ -351,14 +332,6 @@ mod tests {
                         ring.transmit(src, dst, step, round, seq);
                         oracle.transmit(src, dst, step, round, seq);
                         grew_in_flight += usize::from(busy && ring.ring.len() > before);
-                    }
-                    if gen.below(8) == 0 {
-                        // An order-preserving remap, as a wave commit does.
-                        ring.remap_seqs(|s| 2 * s);
-                        for w in oracle.inflight.values_mut().flatten() {
-                            w.3 *= 2;
-                        }
-                        seq *= 2;
                     }
                     let wires: Vec<Seen> = ring.wires().map(seen).collect();
                     assert_eq!(wires, oracle.wires(), "{} case {case}", delay.name());

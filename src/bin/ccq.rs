@@ -98,7 +98,7 @@ examples:
   ccq sweep --arrival poisson:rate=0.4 --fault crash:at=6:node=3:recover=14 --json -
   ccq sweep --topo torus2d:6 --shards 4:edgecut --json -
   ccq sweep --topo torus2d:6 --shards 4 --parallel-apply --json -
-  ccq sweep --topo torus2d:6 --shards 4:ferry=6 --wavefront:lag=4 --json -
+  ccq sweep --topo torus2d:6 --shards 4:edgecut:ferry=6 --proto arrow,central-counter --json -
   ccq sweep --topo list:16 --proto arrow --timing --checkpoint-every 8 --json -
   ccq record --topo mesh2d --proto arrow --rec arrow.ccqrec
   ccq replay arrow.ccqrec

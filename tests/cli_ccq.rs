@@ -428,6 +428,11 @@ fn usage_and_list_document_parallel_apply() {
         assert!(help_text.contains(flag), "usage misses {flag}");
         assert!(list_text.contains(flag), "ccq list misses {flag}");
     }
+    // The wavefront row names the flag as retired, in both texts.
+    for text in [&help_text, &list_text] {
+        let row = text.lines().find(|l| l.trim_start().starts_with("--wavefront"));
+        assert!(row.is_some_and(|r| r.contains("retired")), "wavefront row: {row:?}");
+    }
     for removed in ["--dense-scan", "--serial-transmit"] {
         assert!(!help_text.contains(removed), "usage still names {removed}");
         assert!(!list_text.contains(removed), "ccq list still names {removed}");
@@ -436,9 +441,8 @@ fn usage_and_list_document_parallel_apply() {
 
 #[test]
 fn wavefront_is_byte_identical_to_the_lockstep_sweep() {
-    // The PR-8 acceptance criterion: a slow-ferry sweep under
-    // `--wavefront` must equal its lockstep twin byte for byte — the
-    // pipeline is an execution strategy, not a new measurement.
+    // A slow-ferry sweep under the retired `--wavefront` spelling equals
+    // its lockstep twin byte for byte: the flag is accepted and ignored.
     let base = ccq(&["sweep", "--topo", "torus2d:6", "--shards", "4:ferry=6", "--json", "-"]);
     let wave = ccq(&[
         "sweep",
@@ -452,7 +456,7 @@ fn wavefront_is_byte_identical_to_the_lockstep_sweep() {
     ]);
     assert!(base.status.success() && wave.status.success());
     assert_eq!(base.stdout, wave.stdout, "--wavefront changed the JSON bytes");
-    // Bare `--wavefront` (auto lag from the ferry) agrees too.
+    // The bare spelling agrees too.
     let auto = ccq(&[
         "sweep",
         "--topo",
@@ -472,9 +476,8 @@ fn wavefront_is_byte_identical_to_the_lockstep_sweep() {
 
 #[test]
 fn timing_reports_transmit_and_apply_micros_separately_under_wavefront() {
-    // `--timing` keeps the transmit and apply phases distinct even when
-    // waves execute both inside shard tasks (per-shard laps are merged
-    // back into the per-phase totals at the commit).
+    // `--timing` reports every phase of a sharded slow-ferry sweep; the
+    // retired `--wavefront:lag=4` spelling runs the same lockstep rounds.
     let out = ccq(&[
         "sweep",
         "--topo",
@@ -500,63 +503,32 @@ fn timing_reports_transmit_and_apply_micros_separately_under_wavefront() {
 
 #[test]
 fn malformed_wavefront_flags_fail_loudly() {
-    assert_exit_2(&[&["--wavefront:lag=0"]]);
+    assert_exit_2(&[&["--wavefront:lag=0"], &["--wavefront:lag=oops"], &["--wavefront:depth=3"]]);
 }
 
 #[test]
-fn wavefront_misconfigured_runs_fail_with_named_errors() {
-    // Config errors that need the resolved scenario surface per-case with
-    // a constructive message naming the offending values.
-    let case_error = |args: &[&str]| -> String {
-        let out = ccq(args);
-        assert_eq!(out.status.code(), Some(1), "{args:?} should fail verification");
-        let stdout = String::from_utf8_lossy(&out.stdout);
-        let doc: serde_json::Value =
-            serde_json::from_str(stdout.trim()).expect("JSON on stdout even for failing cases");
-        cases(&doc)[0].get("error").and_then(|e| e.as_str()).expect("case error").to_string()
-    };
-    // Unsharded run: the pipeline has no barrier to overlap.
-    let msg = case_error(&[
-        "sweep",
-        "--topo",
-        "torus2d:4",
-        "--proto",
-        "arrow",
-        "--wavefront",
-        "--json",
-        "-",
-    ]);
-    assert!(msg.contains("k = 1") && msg.contains("--shards"), "unhelpful error: {msg}");
-    // Ferry faster than the lag: a shard could outrun an in-flight wire.
-    let msg = case_error(&[
-        "sweep",
-        "--topo",
-        "torus2d:4",
-        "--proto",
-        "arrow",
-        "--shards",
-        "4:ferry=2",
-        "--wavefront:lag=5",
-        "--json",
-        "-",
-    ]);
-    assert!(msg.contains("lag 5") && msg.contains("minimum delay 2"), "unhelpful error: {msg}");
-    // Per-message intra-shard jitter cannot be renumbered mid-wave.
-    let msg = case_error(&[
-        "sweep",
-        "--topo",
-        "torus2d:4",
-        "--proto",
-        "arrow",
-        "--shards",
-        "4:ferry=6",
-        "--wavefront:lag=3",
-        "--delay",
-        "jitter:max=3",
-        "--json",
-        "-",
-    ]);
-    assert!(msg.contains("per-message"), "unhelpful error: {msg}");
+fn retired_wavefront_spellings_run_the_lockstep_sweep() {
+    // `--wavefront[:lag=d]` is a retired spelling: it parses, so old argvs
+    // and recordings still run, and changes nothing: each argv below, even
+    // unsharded, under jitter or with a fault plan, exits 0 and prints
+    // exactly what the same argv without the flag prints.
+    let base = ["sweep", "--topo", "torus2d:4", "--proto", "arrow", "--json", "-"];
+    for (flag, extra) in [
+        ("--wavefront", &[][..]),
+        ("--wavefront:lag=5", &["--shards", "4:ferry=2"][..]),
+        ("--wavefront:lag=3", &["--shards", "4:ferry=6", "--delay", "jitter:max=3"][..]),
+        (
+            "--wavefront:lag=2",
+            &["--shards", "2:ferry=4", "--fault", "crash:at=3:node=1:recover=7"][..],
+        ),
+    ] {
+        let lockstep = ccq(&[&base[..], extra].concat());
+        let retired = ccq(&[&base[..], extra, &[flag]].concat());
+        assert_eq!(retired.status.code(), Some(0), "{flag} {extra:?} should run");
+        assert_eq!(lockstep.status.code(), Some(0), "{extra:?} should run");
+        assert_eq!(retired.stdout, lockstep.stdout, "{flag} {extra:?} changed the JSON bytes");
+        assert_all_ok(&json_stdout(&retired));
+    }
 }
 
 #[test]
@@ -727,30 +699,6 @@ fn uniform_priority_and_no_fault_are_byte_identical_to_no_flags() {
             "fault summary on a fault-free run"
         );
     }
-}
-
-#[test]
-fn fault_with_wavefront_is_a_named_case_error() {
-    let out = ccq(&[
-        "sweep",
-        "--topo",
-        "torus2d:4",
-        "--proto",
-        "arrow",
-        "--shards",
-        "2:ferry=4",
-        "--wavefront:lag=2",
-        "--fault",
-        "crash:at=3:node=1:recover=7",
-        "--json",
-        "-",
-    ]);
-    assert_eq!(out.status.code(), Some(1), "fault under wavefront should fail verification");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    let doc: serde_json::Value = serde_json::from_str(stdout.trim()).expect("JSON on stdout");
-    let msg = cases(&doc)[0].get("error").and_then(|e| e.as_str()).expect("case error");
-    assert!(msg.contains("wavefront"), "error must name the pipeline: {msg}");
-    assert!(msg.contains("fault"), "error must name the fault plan: {msg}");
 }
 
 #[test]

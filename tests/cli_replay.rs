@@ -36,17 +36,21 @@ fn record_to(path: &Path, extra: &[&str]) -> Output {
 #[test]
 fn record_then_replay_is_byte_identical() {
     let rec = scratch("roundtrip.ccqrec");
-    let out = record_to(&rec, &["--json", "-"]);
-    let doc = json_stdout(&out);
-    assert!(!cases(&doc).is_empty());
-    // The recording itself announces what it captured.
-    assert!(stderr_of(&out).contains("recorded"), "{}", stderr_of(&out));
+    // The second argv holds the retired `--wavefront:lag=4` spelling, as
+    // recordings made before its retirement do: it still replays.
+    for extra in [&[][..], &["--shards", "4:ferry=6", "--wavefront:lag=4"]] {
+        let out = record_to(&rec, &[extra, &["--json", "-"]].concat());
+        let doc = json_stdout(&out);
+        assert!(!cases(&doc).is_empty());
+        // The recording itself announces what it captured.
+        assert!(stderr_of(&out).contains("recorded"), "{}", stderr_of(&out));
 
-    let replay = ccq(&["replay", rec.to_str().unwrap(), "--json", "-"]);
-    assert_eq!(replay.status.code(), Some(0), "{}", stderr_of(&replay));
-    assert!(stderr_of(&replay).contains("replay ok"), "{}", stderr_of(&replay));
-    // `--json -` on both sides emits the same bytes.
-    assert_eq!(stdout_of(&replay), stdout_of(&out));
+        let replay = ccq(&["replay", rec.to_str().unwrap(), "--json", "-"]);
+        assert_eq!(replay.status.code(), Some(0), "{extra:?}: {}", stderr_of(&replay));
+        assert!(stderr_of(&replay).contains("replay ok"), "{}", stderr_of(&replay));
+        // `--json -` on both sides emits the same bytes.
+        assert_eq!(stdout_of(&replay), stdout_of(&out));
+    }
     std::fs::remove_file(&rec).ok();
 }
 

@@ -17,11 +17,7 @@
 //!   frontier loop);
 //! * **bisection** — a deliberately planted single-node transmit skip is
 //!   localized to its exact `(round, phase, node)` by
-//!   [`first_divergence`], and unperturbed runs show no divergence;
-//! * **wavefront independence** — the bounded-lag wavefront executor
-//!   produces checkpoint and node-digest streams identical to the
-//!   lockstep barrier, and snapshots cross the executor boundary (taken
-//!   under one, resumed under the other).
+//!   [`first_divergence`], and unperturbed runs show no divergence.
 
 mod common;
 
@@ -63,29 +59,34 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// The tentpole guarantee: for every registry protocol × delay policy
-    /// × shard plan × admission policy on an open arrival process,
-    /// resuming from a mid-run snapshot reproduces the uninterrupted
-    /// run's report byte for byte — and probing itself never changes the
-    /// serialized report.
+    /// × shard plan (a fast or a `ferry=4` inter-shard delay) × admission
+    /// policy on an open arrival process, resuming from a mid-run snapshot
+    /// reproduces the uninterrupted run's report byte for byte — and
+    /// probing itself never changes the serialized report.
     #[test]
     fn snapshot_resume_equals_uninterrupted(
         proto_idx in 0usize..10,
         delay_kind in 0u8..4,
         k in 1usize..4,
         strategy in 0u8..3,
+        slow_ferry in any::<bool>(),
         admission_kind in 0u8..3,
         seed in any::<u64>(),
     ) {
         let spec = registry()[proto_idx];
         let delay = delay_for(delay_kind, seed);
         let mode = spec.kind().paper_mode();
+        let mut shards = ShardSpec::new(k, strategy_for(strategy));
+        if slow_ferry {
+            shards = shards.with_inter_delay(LinkDelay::Fixed { delay: 4 });
+        }
         let build = || {
             Scenario::build_with(
                 TopoSpec::Torus2D { side: 3 },
                 RequestPattern::All,
                 ArrivalSpec::Poisson { rate: 0.4, seed },
             )
-            .with_shards(ShardSpec::new(k, strategy_for(strategy)))
+            .with_shards(shards)
             .with_admission(admission_for(admission_kind))
         };
         let plain = run_spec_with(spec, &build(), mode, delay).unwrap();
@@ -128,10 +129,14 @@ proptest! {
 /// Checkpoint and node-digest streams are executor-independent: the
 /// monolith, the sharded-serialized executor and the sliced
 /// parallel-apply path hash through identical states at every barrier,
-/// for every registry protocol.
+/// for every registry protocol — and on a slow ferry (`3:edgecut:ferry=4`,
+/// every third round observed) the two apply paths still agree on the
+/// streams and the serialized report.
 #[test]
 fn checkpoints_are_executor_independent_for_every_registry_protocol() {
     let probe = ProbeSpec::OFF.with_checkpoint_every(1).with_node_hashes(true);
+    let ferry =
+        ShardSpec::new(3, ShardStrategy::EdgeCut).with_inter_delay(LinkDelay::Fixed { delay: 4 });
     for spec in registry() {
         let mode = spec.kind().paper_mode();
         let build = |k: usize, parallel: bool| {
@@ -140,6 +145,25 @@ fn checkpoints_are_executor_independent_for_every_registry_protocol() {
                 .with_parallel_apply(parallel)
                 .with_probe(probe)
         };
+        let slow = |parallel: bool| {
+            let scenario = Scenario::build(TopoSpec::Torus2D { side: 3 }, RequestPattern::All)
+                .with_shards(ferry)
+                .with_parallel_apply(parallel)
+                .with_probe(ProbeSpec::OFF.with_checkpoint_every(3).with_node_hashes(true));
+            run_spec_with(*spec, &scenario, mode, LinkDelay::Unit).unwrap()
+        };
+        let streams = |out: &RunOutcome| {
+            let r = &out.report;
+            (r.checkpoints.clone(), r.node_digests.clone(), report_json(out))
+        };
+        let serialized = streams(&slow(false));
+        assert!(!serialized.0.is_empty(), "{}", spec.name());
+        assert_eq!(
+            streams(&slow(true)),
+            serialized,
+            "{} ferry=4: parallel apply diverged from the serialized walk",
+            spec.name()
+        );
         let mono = run_spec_with(*spec, &build(1, false), mode, LinkDelay::Unit).unwrap();
         assert!(!mono.report.checkpoints.is_empty(), "{}", spec.name());
         for (label, out) in [
@@ -249,83 +273,6 @@ proptest! {
             report_json(&plain),
             "{}: cross-strategy resume not byte-identical",
             spec.name()
-        );
-    }
-}
-
-/// Checkpoint and node-digest streams are *wavefront*-independent too:
-/// with a slow ferry, the bounded-lag pipeline hashes through exactly the
-/// same canonical states as the lockstep barrier at every observed round
-/// — auto-resolved and explicit lags alike — for every registry protocol.
-/// The interval (3) is wider than one round, so waves genuinely form
-/// between observations.
-#[test]
-fn checkpoints_are_wavefront_independent_for_every_registry_protocol() {
-    let probe = ProbeSpec::OFF.with_checkpoint_every(3).with_node_hashes(true);
-    let shards =
-        ShardSpec::new(3, ShardStrategy::EdgeCut).with_inter_delay(LinkDelay::Fixed { delay: 4 });
-    for spec in registry() {
-        let mode = spec.kind().paper_mode();
-        let build = |wavefront: Option<u64>| {
-            Scenario::build(TopoSpec::Torus2D { side: 3 }, RequestPattern::All)
-                .with_shards(shards)
-                .with_wavefront(wavefront)
-                .with_probe(probe)
-        };
-        let lockstep = run_spec_with(*spec, &build(None), mode, LinkDelay::Unit).unwrap();
-        assert!(!lockstep.report.checkpoints.is_empty(), "{}", spec.name());
-        for (label, wavefront) in [("auto", Some(0)), ("lag=3", Some(3))] {
-            let wave = run_spec_with(*spec, &build(wavefront), mode, LinkDelay::Unit).unwrap();
-            assert_eq!(
-                wave.report.checkpoints,
-                lockstep.report.checkpoints,
-                "{} {label}: checkpoint stream diverged from lockstep",
-                spec.name()
-            );
-            assert_eq!(
-                wave.report.node_digests,
-                lockstep.report.node_digests,
-                "{} {label}: node digests diverged from lockstep",
-                spec.name()
-            );
-            assert_eq!(
-                report_json(&wave),
-                report_json(&lockstep),
-                "{} {label}: serialized report diverged from lockstep",
-                spec.name()
-            );
-        }
-    }
-}
-
-/// Snapshots cross the wavefront boundary: a snapshot taken under the
-/// lockstep barrier resumes under the wavefront executor (and vice versa)
-/// into a report byte-identical to the uninterrupted run.
-#[test]
-fn snapshots_resume_across_wavefront_and_lockstep() {
-    let spec = &ccq_repro::core::protocol::Arrow;
-    let mode = ModelMode::Expanded;
-    let delay = LinkDelay::Unit;
-    let shards = ShardSpec::new(3, ShardStrategy::Contiguous)
-        .with_inter_delay(LinkDelay::Fixed { delay: 5 });
-    let build = |wavefront: Option<u64>| {
-        Scenario::build(TopoSpec::Torus2D { side: 4 }, RequestPattern::All)
-            .with_shards(shards)
-            .with_wavefront(wavefront)
-    };
-    let plain = run_spec_with(spec, &build(None), mode, delay).unwrap();
-    let probe = ProbeSpec::OFF.with_checkpoint_every(2);
-    let probed = run_spec_with(spec, &build(Some(4)).with_probe(probe), mode, delay).unwrap();
-    let rounds: Vec<u64> = probed.report.checkpoints.iter().map(|c| c.round).collect();
-    let round = rounds[rounds.len() / 2];
-    for (snap_wf, resume_wf) in [(None, Some(4)), (Some(4), None)] {
-        let snap = snapshot_of(spec, build(snap_wf), mode, delay, round).unwrap();
-        let resumed = resume_from(&snap, spec, build(resume_wf), mode, delay).unwrap();
-        assert_eq!(resumed.order, plain.order, "{snap_wf:?}->{resume_wf:?}: order diverged");
-        assert_eq!(
-            report_json(&resumed),
-            report_json(&plain),
-            "{snap_wf:?}->{resume_wf:?}: cross-executor resume not byte-identical"
         );
     }
 }

@@ -13,15 +13,12 @@
 //!   traffic counter may differ);
 //! * **parallel-apply equivalence** — every protocol's handler works on
 //!   its node's slice alone, and a property test sweeps registry protocols
-//!   × delay policies × open arrivals × shard plans asserting the parallel
-//!   apply path is byte-identical to the serialized one;
-//! * **scan equivalence** — the same matrix asserts the default
+//!   × delay policies × open arrivals × shard plans × slow ferries ×
+//!   admission policies asserting the parallel apply path is
+//!   byte-identical to the serialized one;
+//! * **scan equivalence** — a second matrix asserts the default
 //!   dirty-frontier round loop is byte-identical to the dense `0..n`
-//!   reference scan (`SimConfig::dense_scan`), on both apply paths;
-//! * **wavefront equivalence** — with a ferry at least as slow as the
-//!   lag, the bounded-lag wavefront pipeline is byte-identical to the
-//!   lockstep barrier, across protocols × intra-shard delays × arrivals
-//!   × admission × shard plans.
+//!   reference scan (`SimConfig::dense_scan`), on both apply paths.
 
 mod common;
 
@@ -127,8 +124,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// The tentpole guarantee: for every sliced registry protocol, under
-    /// every delay policy, open arrival process and shard plan, the
-    /// parallel apply path produces a byte-identical report (including the
+    /// every delay policy, open arrival process, shard plan (on the default
+    /// or a slow fixed-delay ferry) and admission policy, the parallel
+    /// apply path produces a byte-identical report (including the
     /// cross-shard counter — the shard plan is the same on both sides) and
     /// the same verified order as the serialized apply path.
     #[test]
@@ -138,6 +136,9 @@ proptest! {
         arrival_kind in 0u8..3,
         k in 1usize..5,
         strategy in 0u8..3,
+        slow_ferry in any::<bool>(),
+        ferry in 2u64..7,
+        admission_kind in 0u8..2,
         seed in any::<u64>(),
     ) {
         let spec = registry()[proto_idx];
@@ -147,11 +148,19 @@ proptest! {
             1 => ArrivalSpec::Poisson { rate: 0.4, seed },
             _ => ArrivalSpec::Bursty { rate: 0.8, on: 4, off: 7, seed },
         };
-        let shards = ShardSpec::new(k, strategy_for(strategy));
+        let admission = match admission_kind {
+            0 => AdmissionSpec::Open,
+            _ => AdmissionSpec::DropTail { bound: 6 },
+        };
+        let mut shards = ShardSpec::new(k, strategy_for(strategy));
+        if slow_ferry {
+            shards = shards.with_inter_delay(LinkDelay::Fixed { delay: ferry });
+        }
         let topo = TopoSpec::Torus2D { side: 3 };
         let mode = spec.kind().paper_mode();
         let build = |parallel: bool| {
             Scenario::build_with(topo.clone(), RequestPattern::All, arrival.clone())
+                .with_admission(admission)
                 .with_shards(shards)
                 .with_parallel_apply(parallel)
         };
@@ -208,98 +217,6 @@ proptest! {
             serde_json::to_string(&dense.report).unwrap(),
             "{} report diverged between scan strategies", spec.name()
         );
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// The wavefront guarantee: for every sliced registry protocol, under
-    /// every constant-per-link intra-shard delay (per-message jitter is
-    /// constructively rejected under the pipeline), open arrivals,
-    /// admission policies and shard plans with a ferry at least as slow
-    /// as the lag, the bounded-lag wavefront run is byte-identical to the
-    /// lockstep run.
-    #[test]
-    fn wavefront_runs_are_byte_identical_to_lockstep(
-        proto_idx in 0usize..10,
-        delay_kind in 0u8..3,
-        arrival_kind in 0u8..3,
-        admission_kind in 0u8..2,
-        k in 2usize..5,
-        strategy in 0u8..3,
-        lag in 1u64..5,
-        slack in 0u64..3,
-        seed in any::<u64>(),
-    ) {
-        let spec = registry()[proto_idx];
-        let delay = delay_for(delay_kind, seed);
-        let arrival = match arrival_kind {
-            0 => ArrivalSpec::OneShot,
-            1 => ArrivalSpec::Poisson { rate: 0.4, seed },
-            _ => ArrivalSpec::Bursty { rate: 0.8, on: 4, off: 7, seed },
-        };
-        let admission = match admission_kind {
-            0 => AdmissionSpec::Open,
-            _ => AdmissionSpec::DropTail { bound: 6 },
-        };
-        let mode = spec.kind().paper_mode();
-        let shards = ShardSpec::new(k, strategy_for(strategy))
-            .with_inter_delay(LinkDelay::Fixed { delay: lag + slack });
-        let build = |wavefront: Option<u64>| {
-            Scenario::build_with(
-                TopoSpec::Torus2D { side: 3 },
-                RequestPattern::All,
-                arrival.clone(),
-            )
-            .with_shards(shards)
-            .with_admission(admission)
-            .with_wavefront(wavefront)
-        };
-        let lockstep = run_spec_with(spec, &build(None), mode, delay).unwrap();
-        let wave = run_spec_with(spec, &build(Some(lag)), mode, delay).unwrap();
-        prop_assert_eq!(wave.order, lockstep.order, "{} order diverged", spec.name());
-        prop_assert_eq!(
-            serde_json::to_string(&lockstep.report).unwrap(),
-            serde_json::to_string(&wave.report).unwrap(),
-            "{} report diverged between wavefront and lockstep", spec.name()
-        );
-    }
-}
-
-/// Bare `--wavefront` (lag 0 = auto) resolves the lag from the ferry's
-/// minimum delay, and the pipeline composes with the parallel apply path
-/// and the dense scan — all byte-identical to the lockstep run.
-#[test]
-fn wavefront_auto_lag_composes_with_the_other_strategies() {
-    let shards =
-        ShardSpec::new(3, ShardStrategy::EdgeCut).with_inter_delay(LinkDelay::Fixed { delay: 5 });
-    let build = |wavefront: Option<u64>, parallel: bool| {
-        Scenario::build(TopoSpec::Torus2D { side: 4 }, RequestPattern::All)
-            .with_shards(shards)
-            .with_wavefront(wavefront)
-            .with_parallel_apply(parallel)
-    };
-    for spec in registry() {
-        let mode = spec.kind().paper_mode();
-        let lockstep = run_spec(*spec, &build(None, false), mode).unwrap();
-        for (label, scenario, dense) in [
-            ("auto", build(Some(0), false), false),
-            ("auto + parallel apply", build(Some(0), true), false),
-            ("lag=4 + dense scan", build(Some(4), false), true),
-        ] {
-            let wave = run_on_reference(*spec, &scenario, mode, LinkDelay::Unit, |c| {
-                c.with_dense_scan(dense)
-            })
-            .unwrap();
-            assert_eq!(wave.order, lockstep.order, "{} {label}: order diverged", spec.name());
-            assert_eq!(
-                serde_json::to_string(&wave.report).unwrap(),
-                serde_json::to_string(&lockstep.report).unwrap(),
-                "{} {label}: report diverged from lockstep",
-                spec.name()
-            );
-        }
     }
 }
 
@@ -525,63 +442,6 @@ proptest! {
         }
     }
 
-    /// Priority classes and per-node admission (fault-free) also hold under
-    /// the wavefront pipeline: both are arrivals-phase decisions, which the
-    /// pipeline replays at the barrier in global order.
-    #[test]
-    fn wavefront_composes_with_priority_and_pernode_admission(
-        proto_idx in 0usize..10,
-        frac in 0.0f64..1.0,
-        bound in 2usize..9,
-        k in 2usize..5,
-        lag in 1u64..4,
-        seed in any::<u64>(),
-    ) {
-        let spec = registry()[proto_idx];
-        let mode = spec.kind().paper_mode();
-        let shards = ShardSpec::new(k, ShardStrategy::EdgeCut)
-            .with_inter_delay(LinkDelay::Fixed { delay: lag + 1 });
-        let build = |wavefront: Option<u64>| {
-            Scenario::build_with(
-                TopoSpec::Torus2D { side: 3 },
-                RequestPattern::All,
-                ArrivalSpec::Poisson { rate: 0.4, seed },
-            )
-            .with_priority(PrioritySpec::Split { frac, seed })
-            .with_admission(AdmissionSpec::PerNode { bound, protect: 1 })
-            .with_shards(shards)
-            .with_wavefront(wavefront)
-        };
-        let lockstep = run_spec(spec, &build(None), mode).unwrap();
-        let wave = run_spec(spec, &build(Some(lag)), mode).unwrap();
-        prop_assert_eq!(
-            serde_json::to_string(&lockstep.report).unwrap(),
-            serde_json::to_string(&wave.report).unwrap(),
-            "{} heterogeneous wavefront diverged from lockstep", spec.name()
-        );
-    }
-}
-
-/// Fault injection under the wavefront pipeline must fail constructively —
-/// a crash round couples the shards, so the run refuses to start and the
-/// error names the conflict.
-#[test]
-fn wavefront_with_faults_is_a_named_error() {
-    let shards = ShardSpec::new(2, ShardStrategy::Contiguous)
-        .with_inter_delay(LinkDelay::Fixed { delay: 3 });
-    let build = || {
-        Scenario::build(TopoSpec::Torus2D { side: 3 }, RequestPattern::All)
-            .with_shards(shards)
-            .with_wavefront(Some(2))
-    };
-    let faulty = build().with_faults(FaultSpec::none().crash(1, 3, 7));
-    let err = run_spec(registry()[0], &faulty, ModelMode::Expanded).unwrap_err();
-    let msg = err.to_string();
-    assert!(msg.contains("wavefront"), "error must name the pipeline: {msg}");
-    assert!(msg.contains("fault"), "error must name the fault plan: {msg}");
-
-    // Dropping the fault plan makes the run valid.
-    run_spec(registry()[0], &build(), ModelMode::Expanded).unwrap();
 }
 
 /// A crash window covering a node must actually freeze it: the faulty run
