@@ -506,28 +506,71 @@ fn malformed_wavefront_flags_fail_loudly() {
     assert_exit_2(&[&["--wavefront:lag=0"], &["--wavefront:lag=oops"], &["--wavefront:depth=3"]]);
 }
 
+/// The arrow sweep on `torus2d:4` that the retired-spelling tests extend.
+const ARROW_SWEEP: [&str; 7] = ["sweep", "--topo", "torus2d:4", "--proto", "arrow", "--json", "-"];
+
+/// `--wavefront[:lag=d]` is a retired spelling: it parses, so old argvs
+/// and recordings still run, and changes nothing. The arrow sweep plus
+/// `extra` exits 0 and prints the same bytes with `flag` as without it.
+fn assert_retired_spelling_runs_lockstep(flag: &str, extra: &[&str]) {
+    let lockstep = ccq(&[&ARROW_SWEEP[..], extra].concat());
+    let retired = ccq(&[&ARROW_SWEEP[..], extra, &[flag]].concat());
+    assert_eq!(retired.status.code(), Some(0), "{flag} {extra:?} should run");
+    assert_eq!(lockstep.status.code(), Some(0), "{extra:?} should run");
+    assert_eq!(retired.stdout, lockstep.stdout, "{flag} {extra:?} changed the JSON bytes");
+    assert_all_ok(&json_stdout(&retired));
+}
+
+/// Run the arrow sweep plus `extra`, expect verification to fail, and
+/// return the one case's error message.
+fn arrow_case_error(extra: &[&str]) -> String {
+    let args = [&ARROW_SWEEP[..], extra].concat();
+    let out = ccq(&args);
+    assert_eq!(out.status.code(), Some(1), "{args:?} should fail verification");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let doc: serde_json::Value =
+        serde_json::from_str(stdout.trim()).expect("JSON on stdout even for failing cases");
+    cases(&doc)[0].get("error").and_then(|e| e.as_str()).expect("case error").to_string()
+}
+
 #[test]
-fn retired_wavefront_spellings_run_the_lockstep_sweep() {
-    // `--wavefront[:lag=d]` is a retired spelling: it parses, so old argvs
-    // and recordings still run, and changes nothing: each argv below, even
-    // unsharded, under jitter or with a fault plan, exits 0 and prints
-    // exactly what the same argv without the flag prints.
-    let base = ["sweep", "--topo", "torus2d:4", "--proto", "arrow", "--json", "-"];
-    for (flag, extra) in [
-        ("--wavefront", &[][..]),
-        ("--wavefront:lag=5", &["--shards", "4:ferry=2"][..]),
-        ("--wavefront:lag=3", &["--shards", "4:ferry=6", "--delay", "jitter:max=3"][..]),
-        (
-            "--wavefront:lag=2",
-            &["--shards", "2:ferry=4", "--fault", "crash:at=3:node=1:recover=7"][..],
-        ),
-    ] {
-        let lockstep = ccq(&[&base[..], extra].concat());
-        let retired = ccq(&[&base[..], extra, &[flag]].concat());
-        assert_eq!(retired.status.code(), Some(0), "{flag} {extra:?} should run");
-        assert_eq!(lockstep.status.code(), Some(0), "{extra:?} should run");
-        assert_eq!(retired.stdout, lockstep.stdout, "{flag} {extra:?} changed the JSON bytes");
-        assert_all_ok(&json_stdout(&retired));
+fn wavefront_misconfigured_runs_fail_with_named_errors() {
+    // The argvs the deleted wavefront executor refused — unsharded, a
+    // ferry faster than the lag, per-message jitter — run the lockstep
+    // sweep under the retired spelling.
+    assert_retired_spelling_runs_lockstep("--wavefront", &[]);
+    assert_retired_spelling_runs_lockstep("--wavefront:lag=5", &["--shards", "4:ferry=2"]);
+    assert_retired_spelling_runs_lockstep(
+        "--wavefront:lag=3",
+        &["--shards", "4:ferry=6", "--delay", "jitter:max=3"],
+    );
+    // A run misconfigured on its own still fails per case with the same
+    // named error, and the spelling neither hides nor rewords it.
+    let bad = ["--shards", "4:ferry=6", "--fault", "crash:at=3:node=99:recover=7"];
+    let msg = arrow_case_error(&bad);
+    assert!(msg.contains("node 99") && msg.contains("16 nodes"), "unhelpful error: {msg}");
+    assert_eq!(arrow_case_error(&[&bad[..], &["--wavefront:lag=4"]].concat()), msg);
+}
+
+#[test]
+fn fault_with_wavefront_is_a_named_case_error() {
+    // The fault plan the wavefront executor refused now runs lockstep
+    // under the retired spelling ...
+    assert_retired_spelling_runs_lockstep(
+        "--wavefront:lag=2",
+        &["--shards", "2:ferry=4", "--fault", "crash:at=3:node=1:recover=7"],
+    );
+    // ... and a fault plan that cannot run is still a case error naming
+    // the crash, with or without the spelling.
+    for flag in ["--wavefront", "--wavefront:lag=2"] {
+        let msg = arrow_case_error(&[
+            "--shards",
+            "2:ferry=4",
+            "--fault",
+            "crash:at=3:node=16:recover=7",
+            flag,
+        ]);
+        assert!(msg.contains("fault") && msg.contains("node 16"), "{flag}: unhelpful: {msg}");
     }
 }
 

@@ -8,6 +8,7 @@
 
 #![allow(dead_code)]
 
+use ccq_repro::core::plan::RunCase;
 use ccq_repro::core::protocol::run_spec_cfg;
 use ccq_repro::core::run::{config_for, RunError};
 use ccq_repro::counting::verify_ranks;
@@ -16,6 +17,21 @@ use ccq_repro::prelude::*;
 use ccq_repro::queuing::verify_total_order;
 use ccq_repro::sim::{SimConfig, SimReport};
 use std::process::Output;
+
+/// The plan a `ccq sweep` argv (everything after the subcommand) builds.
+pub fn sweep_plan(args: &[&str]) -> RunPlan {
+    ccq_repro::core::spec::sweep(args).unwrap_or_else(|e| panic!("{args:?}: {e}")).plan
+}
+
+/// The scenario [`RunPlan::execute`] builds for `case`, before the plan's
+/// parallel-apply and probe knobs.
+pub fn scenario_of(case: &RunCase) -> Scenario {
+    Scenario::build_with(case.topo.clone(), case.pattern.clone(), case.arrival.clone())
+        .with_admission(case.admission)
+        .with_priority(case.priority)
+        .with_faults(case.faults.clone())
+        .with_shards(case.shards)
+}
 
 /// [`run_spec_with`], after `reference` has edited the [`SimConfig`] the
 /// run executes under. The one way a test selects the engine's reference

@@ -14,7 +14,8 @@
 //!   identical per-round checkpoint and per-node digest streams, and the
 //!   dirty-frontier round loop hashes identically to the dense reference
 //!   scan (a snapshot taken on the dense scan even resumes on the
-//!   frontier loop);
+//!   frontier loop); sweep argvs with the retired `--wavefront` spelling
+//!   hash and snapshot exactly like the argvs without it;
 //! * **bisection** — a deliberately planted single-node transmit skip is
 //!   localized to its exact `(round, phase, node)` by
 //!   [`first_divergence`], and unperturbed runs show no divergence.
@@ -23,7 +24,7 @@ mod common;
 
 use ccq_repro::prelude::*;
 use ccq_repro::replay::{first_divergence, resume_from, snapshot_of, Snapshot, CURRENT_VERSION};
-use common::run_on_reference;
+use common::{run_on_reference, scenario_of, sweep_plan};
 use proptest::prelude::*;
 
 fn delay_for(kind: u8, seed: u64) -> LinkDelay {
@@ -273,6 +274,74 @@ proptest! {
             report_json(&plain),
             "{}: cross-strategy resume not byte-identical",
             spec.name()
+        );
+    }
+}
+
+/// Checkpoint and node-digest streams are independent of the retired
+/// `--wavefront` spelling: on a slow ferry (`3:edgecut:ferry=4`, every
+/// third round observed), the sweep argv with bare `--wavefront` or with
+/// `--wavefront:lag=3` hashes through the same states, and serializes the
+/// same JSON, as the argv without it — for every registry protocol.
+#[test]
+fn checkpoints_are_wavefront_independent_for_every_registry_protocol() {
+    let argv = ["--topo", "torus2d:3", "--shards", "3:edgecut:ferry=4"];
+    let probe = ["--checkpoint-every", "3", "--node-hashes"];
+    let run = |extra: &[&str]| sweep_plan(&[&argv[..], &probe[..], extra].concat()).execute();
+    let lockstep = run(&[]);
+    assert_eq!(lockstep.cases.len(), registry().len());
+    for case in &lockstep.cases {
+        assert!(case.ok, "{}: {:?}", case.protocol, case.error);
+        assert!(case.checkpoints.as_ref().is_some_and(|c| !c.is_empty()), "{}", case.protocol);
+        assert!(case.node_digests.is_some(), "{}", case.protocol);
+    }
+    for flag in ["--wavefront", "--wavefront:lag=3"] {
+        let wave = run(&[flag]);
+        assert_eq!(wave.cases.len(), lockstep.cases.len());
+        for (w, l) in wave.cases.iter().zip(&lockstep.cases) {
+            assert_eq!(w.checkpoints, l.checkpoints, "{} {flag}: checkpoints diverged", l.protocol);
+            assert_eq!(
+                w.node_digests, l.node_digests,
+                "{} {flag}: node digests diverged",
+                l.protocol
+            );
+        }
+        assert_eq!(wave.to_json(), lockstep.to_json(), "{flag}: serialized sweep diverged");
+    }
+}
+
+/// Snapshots cross the retired `--wavefront` spelling: a snapshot of the
+/// scenario an argv with `--wavefront:lag=4` builds resumes on the scenario
+/// of the same argv without it (and vice versa) into a report
+/// byte-identical to the uninterrupted run.
+#[test]
+fn snapshots_resume_across_wavefront_and_lockstep() {
+    let spec = &ccq_repro::core::protocol::Arrow;
+    let (mode, delay) = (ModelMode::Expanded, LinkDelay::Unit);
+    let argv = ["--topo", "torus2d:4", "--proto", "arrow", "--shards", "3:contig:ferry=5"];
+    let scenario = |extra: &[&str]| {
+        let cases = sweep_plan(&[&argv[..], extra].concat()).cases();
+        assert_eq!(cases.len(), 1);
+        assert_eq!((cases[0].mode, cases[0].delay), (mode, delay));
+        scenario_of(&cases[0])
+    };
+    let lockstep = || scenario(&[]);
+    let wave = || scenario(&["--wavefront:lag=4"]);
+    let plain = run_spec_with(spec, &lockstep(), mode, delay).unwrap();
+    let probe = ProbeSpec::OFF.with_checkpoint_every(2);
+    let probed = run_spec_with(spec, &wave().with_probe(probe), mode, delay).unwrap();
+    let rounds: Vec<u64> = probed.report.checkpoints.iter().map(|c| c.round).collect();
+    let round = rounds[rounds.len() / 2];
+    for (label, from, onto) in
+        [("lockstep->wavefront", lockstep(), wave()), ("wavefront->lockstep", wave(), lockstep())]
+    {
+        let snap = snapshot_of(spec, from, mode, delay, round).unwrap();
+        let resumed = resume_from(&snap, spec, onto, mode, delay).unwrap();
+        assert_eq!(resumed.order, plain.order, "{label}: order diverged");
+        assert_eq!(
+            report_json(&resumed),
+            report_json(&plain),
+            "{label}: resume not byte-identical"
         );
     }
 }

@@ -18,7 +18,9 @@
 //!   byte-identical to the serialized one;
 //! * **scan equivalence** — a second matrix asserts the default
 //!   dirty-frontier round loop is byte-identical to the dense `0..n`
-//!   reference scan (`SimConfig::dense_scan`), on both apply paths.
+//!   reference scan (`SimConfig::dense_scan`), on both apply paths;
+//! * **retired wavefront spelling** — sweep argvs with `--wavefront[:lag=d]`
+//!   run the same lockstep cases into the same JSON as without it.
 
 mod common;
 
@@ -28,7 +30,7 @@ use ccq_repro::queuing::ArrowProtocol;
 use ccq_repro::sim::{
     run_protocol, run_protocol_sharded, LinkDelay, SimConfig, SimReport, Simulator,
 };
-use common::run_on_reference;
+use common::{run_on_reference, scenario_of, sweep_plan};
 use proptest::prelude::*;
 
 /// JSON encoding with the sharding-only counter zeroed, so single- and
@@ -216,6 +218,105 @@ proptest! {
             serde_json::to_string(&frontier.report).unwrap(),
             serde_json::to_string(&dense.report).unwrap(),
             "{} report diverged between scan strategies", spec.name()
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The retired `--wavefront:lag=d` spelling changes no byte: for every
+    /// registry protocol, delay policy (per-message jitter included, which
+    /// the deleted wavefront executor refused), open arrival process,
+    /// admission policy and slow-ferry shard plan, the sweep argv with the
+    /// spelling runs the same lockstep cases into the same JSON as the argv
+    /// without it, and each case is the direct run of its scenario.
+    #[test]
+    fn wavefront_runs_are_byte_identical_to_lockstep(
+        proto_idx in 0usize..10,
+        delay_kind in 0u8..4,
+        arrival_kind in 0u8..3,
+        admission_kind in 0usize..2,
+        k in 2usize..5,
+        strategy in 0usize..3,
+        lag in 1u64..5,
+        slack in 0u64..3,
+        seed in any::<u64>(),
+    ) {
+        let delay = match delay_kind {
+            0 => "unit".to_string(),
+            1 => "fixed:d=2".to_string(),
+            2 => format!("perlink:max=3:seed={seed}"),
+            _ => format!("jitter:max=3:seed={seed}"),
+        };
+        let arrival = match arrival_kind {
+            0 => "oneshot".to_string(),
+            1 => format!("poisson:rate=0.4:seed={seed}"),
+            _ => format!("bursty:rate=0.8:on=4:off=7:seed={seed}"),
+        };
+        let strategy = ["contig", "stripe", "edgecut"][strategy];
+        let shards = format!("{k}:{strategy}:ferry={}", lag + slack);
+        let argv = [
+            "--topo", "torus2d:3",
+            "--proto", registry()[proto_idx].name(),
+            "--delay", &delay,
+            "--arrival", &arrival,
+            "--admission", ["open", "droptail:bound=6"][admission_kind],
+            "--shards", &shards,
+        ];
+        let plan = sweep_plan(&argv);
+        let lockstep = plan.execute();
+        let wave = sweep_plan(&[&argv[..], &[&format!("--wavefront:lag={lag}")]].concat()).execute();
+        prop_assert_eq!(wave.to_json(), lockstep.to_json(), "{:?}: JSON diverged", argv);
+        let cases = plan.cases();
+        prop_assert_eq!(cases.len(), 1);
+        let (case, result) = (&cases[0], &lockstep.cases[0]);
+        prop_assert!(result.ok, "{:?}: {:?}", argv, result.error);
+        let direct =
+            run_spec_with(case.protocol.as_ref(), &scenario_of(case), case.mode, case.delay)
+                .unwrap();
+        let m = DelayReport::from_sim_with_order(&direct.alg, &direct.report, &direct.order);
+        prop_assert_eq!(
+            (m.total_delay, m.messages),
+            (result.total_delay, result.messages),
+            "{:?}: the sweep case is not the direct lockstep run", argv
+        );
+    }
+}
+
+/// Bare `--wavefront` composes with the other execution strategies: for
+/// every registry protocol on a slow ferry, the sweep argv with the
+/// retired spelling (alone or with `--parallel-apply`) prints the lockstep
+/// JSON, and its cases (spelled `--wavefront:lag=4`) run on the dense
+/// reference scan into the serialized lockstep reports byte for byte.
+#[test]
+fn wavefront_auto_lag_composes_with_the_other_strategies() {
+    let argv = ["--topo", "torus2d:4", "--shards", "3:edgecut:ferry=5"];
+    let plan = |extra: &[&str]| sweep_plan(&[&argv[..], extra].concat());
+    let lockstep = plan(&[]).execute();
+    assert_eq!(lockstep.cases.len(), registry().len());
+    assert!(lockstep.cases.iter().all(|c| c.ok), "a lockstep case failed");
+    for extra in [&["--wavefront"][..], &["--wavefront", "--parallel-apply"]] {
+        assert_eq!(plan(extra).execute().to_json(), lockstep.to_json(), "{extra:?} diverged");
+    }
+    for (wave, lock) in plan(&["--wavefront:lag=4"]).cases().iter().zip(&plan(&[]).cases()) {
+        let name = lock.protocol.name();
+        let serial =
+            run_spec_with(lock.protocol.as_ref(), &scenario_of(lock), lock.mode, lock.delay)
+                .unwrap();
+        let dense = run_on_reference(
+            wave.protocol.as_ref(),
+            &scenario_of(wave),
+            wave.mode,
+            wave.delay,
+            |c| c.with_dense_scan(true),
+        )
+        .unwrap();
+        assert_eq!(dense.order, serial.order, "{name}: order diverged");
+        assert_eq!(
+            serde_json::to_string(&dense.report).unwrap(),
+            serde_json::to_string(&serial.report).unwrap(),
+            "{name}: lag=4 + dense scan diverged from lockstep"
         );
     }
 }
