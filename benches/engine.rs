@@ -1,8 +1,5 @@
 //! Engine hot loop — single-fabric vs sharded executor on a large torus,
-//! for both a queuing and a counting protocol, with each shard plan
-//! measured on **both apply paths** (serialized global-order handler
-//! application vs the sliced shard-parallel path on 4/8-shard tori) — the
-//! apply-path comparison behind the `--parallel-apply` flag.
+//! for a queuing and two counting protocols under four shard plans.
 //!
 //! A plain `fn main()` bench (`cargo bench -p ccq-repro --bench engine`):
 //! it writes a machine-readable `BENCH_engine.json` (path override:
@@ -43,8 +40,6 @@ struct Sample {
     /// Processor count of the topology — the scaling curve's x axis.
     nodes: usize,
     shards: String,
-    /// Whether handlers applied on the sliced shard-parallel path.
-    parallel_apply: bool,
     /// Whether the round loop ran the dense `0..n` reference scan
     /// instead of the default dirty frontier.
     dense_scan: bool,
@@ -79,7 +74,6 @@ fn measure(bench: &str, spec: &dyn ProtocolSpec, scenario: &Scenario, dense: boo
         topology: scenario.spec.name(),
         nodes: scenario.n(),
         shards: scenario.shards.name(),
-        parallel_apply: scenario.parallel_apply,
         dense_scan: dense,
         iters: n,
         mean_seconds: elapsed / n as f64,
@@ -89,9 +83,9 @@ fn measure(bench: &str, spec: &dyn ProtocolSpec, scenario: &Scenario, dense: boo
     }
 }
 
-/// One (protocol, shard plan, apply path) cell on the 576-node torus.
-fn measure_hot(spec: &dyn ProtocolSpec, shards: ShardSpec, parallel_apply: bool) -> Sample {
-    let scenario = hot_scenario().with_shards(shards).with_parallel_apply(parallel_apply);
+/// One (protocol, shard plan) cell on the 576-node torus.
+fn measure_hot(spec: &dyn ProtocolSpec, shards: ShardSpec) -> Sample {
+    let scenario = hot_scenario().with_shards(shards);
     measure("engine_hot_loop", spec, &scenario, false)
 }
 
@@ -117,10 +111,7 @@ fn measure_k1<P: Protocol>(
     cfg: SimConfig,
     fabric: bool,
     build: impl Fn() -> P,
-) -> Sample
-where
-    P::Msg: Send,
-{
+) -> Sample {
     let scenario = hot_scenario();
     let graph = &scenario.graph;
     let partition = Partition::contiguous(graph.n(), 1);
@@ -146,7 +137,6 @@ where
         topology: scenario.spec.name(),
         nodes: graph.n(),
         shards: if fabric { "fabric:1" } else { "monolith" }.into(),
-        parallel_apply: false,
         dense_scan: false,
         iters: n,
         mean_seconds: start.elapsed().as_secs_f64() / n as f64,
@@ -162,9 +152,8 @@ fn hot_scenario() -> Scenario {
 }
 
 fn main() {
-    // counting-network is the apply-heavy case: hundreds of tokens stay in
-    // flight at once, so each round delivers ~n/6 messages whose balancer
-    // walks the sliced path runs shard-parallel.
+    // counting-network is the deliver-heavy case: hundreds of tokens stay
+    // in flight at once, so each round delivers ~n/6 messages.
     let protocols: [&dyn ProtocolSpec; 3] =
         [&protocol::Arrow, &protocol::CombiningTree, &protocol::CountingNetwork { width: None }];
     let plans = [
@@ -178,14 +167,7 @@ fn main() {
     let mut samples: Vec<Sample> = Vec::new();
     for spec in protocols {
         for plan in plans {
-            // Apply-path comparison: the single-shard plan only has a
-            // serialized order to apply in, so the sliced path is measured
-            // on the 4/8-shard tori where shards actually run handlers
-            // concurrently.
-            samples.push(measure_hot(spec, plan, false));
-            if plan.is_sharded() {
-                samples.push(measure_hot(spec, plan, true));
-            }
+            samples.push(measure_hot(spec, plan));
         }
     }
     // The sparse-load scaling curve: frontier loop at n ≈ 1e3..1e6, the

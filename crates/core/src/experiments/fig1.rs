@@ -30,7 +30,6 @@ pub fn run(_scale: Scale) -> Vec<Table> {
         priority: PrioritySpec::Uniform,
         faults: FaultSpec::none(),
         shards: ShardSpec::single(),
-        parallel_apply: false,
         probe: ProbeSpec::OFF,
         partition: Default::default(),
     };

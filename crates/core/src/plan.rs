@@ -59,7 +59,6 @@ pub struct RunPlan {
     priorities: Vec<PrioritySpec>,
     faults: Vec<FaultSpec>,
     shards: Vec<ShardSpec>,
-    parallel_apply: bool,
     probe: ProbeSpec,
     repeats: usize,
     seed: u64,
@@ -88,7 +87,6 @@ impl RunPlan {
             priorities: vec![PrioritySpec::Uniform],
             faults: vec![FaultSpec::none()],
             shards: vec![ShardSpec::single()],
-            parallel_apply: false,
             probe: ProbeSpec::OFF,
             repeats: 1,
             seed: 0,
@@ -191,14 +189,9 @@ impl RunPlan {
         self
     }
 
-    /// Execute every case on the shard-parallel apply path (the sliced
-    /// executor; see [`Scenario::with_parallel_apply`]). Not a sweep
-    /// dimension and deliberately absent from [`PlanInfo`]: the sliced
-    /// apply path is an execution strategy whose reports are byte-identical
-    /// to the serialized path, and keeping it out of the plan echo is what
-    /// lets CI `cmp` a `--parallel-apply` sweep against its serialized
-    /// twin. Every [`ProtocolSpec`] can honour it: every
-    /// [`ccq_sim::Protocol`] handler works on its node's slice alone.
+    /// Retired: a no-op, kept so callers written against the sliced apply
+    /// path still compile. Every case runs the one serialized deliver
+    /// walk, whose bytes the sliced apply reproduced.
     ///
     /// ```
     /// use ccq_core::prelude::*;
@@ -210,20 +203,18 @@ impl RunPlan {
     ///         .parallel_apply(parallel)
     ///         .execute()
     /// };
-    /// // The sliced apply path changes no output byte.
     /// assert_eq!(plan(false).to_json(), plan(true).to_json());
     /// ```
-    pub fn parallel_apply(mut self, on: bool) -> Self {
-        self.parallel_apply = on;
+    pub fn parallel_apply(self, _on: bool) -> Self {
         self
     }
 
     /// Hash engine state every `every` rounds on every case (see
-    /// [`ProbeSpec::with_checkpoint_every`]). Like [`RunPlan::
-    /// parallel_apply`], the probe knobs are not sweep dimensions and are
-    /// deliberately absent from [`PlanInfo`]: probe data rides in the
-    /// dedicated optional per-case fields ([`CaseResult::checkpoints`]
-    /// and friends), and every other output byte is identical to an
+    /// [`ProbeSpec::with_checkpoint_every`]). The probe knobs are not
+    /// sweep dimensions and are deliberately absent from [`PlanInfo`]:
+    /// probe data rides in the dedicated optional per-case fields
+    /// ([`CaseResult::checkpoints`] and friends), and every other output
+    /// byte is identical to an
     /// unprobed sweep — which is what lets the replay tooling compare a
     /// probed re-execution against an unprobed original.
     ///
@@ -444,7 +435,6 @@ fn run_group(plan: &RunPlan, group: &WorkGroup) -> (Vec<CaseResult>, Vec<GroupSu
             .with_priority(group.priority)
             .with_faults(group.faults.clone())
             .with_shards(group.shards)
-            .with_parallel_apply(plan.parallel_apply)
             .with_probe(plan.probe);
     let mut results = Vec::with_capacity(group.runs.len());
     for (index, spec, mode, delay) in &group.runs {

@@ -42,10 +42,6 @@ use serde::Serialize;
 /// the scenario's schedule, gated by the scenario's
 /// [`crate::scenario::AdmissionSpec`]. Admission is evaluated against the
 /// *global* backlog on every executor.
-///
-/// Every executor calls the protocol's one handler on its slices, so
-/// [`Scenario::parallel_apply`] is honoured by construction, with reports
-/// byte-identical to the serialized run.
 fn run_arrival_aware<P, F>(
     scenario: &Scenario,
     cfg: SimConfig,
@@ -53,15 +49,11 @@ fn run_arrival_aware<P, F>(
 ) -> Result<SimReport, SimError>
 where
     P: OnlineProtocol,
-    P::Msg: Send,
     F: FnOnce() -> P,
 {
-    // The one place scenario-level strategy and probe knobs merge onto the
-    // config: a flag a caller already set there is honoured too, never
-    // clobbered.
-    let cfg = cfg
-        .with_parallel_apply(cfg.parallel_apply || scenario.parallel_apply)
-        .with_probe(cfg.probe.merged(scenario.probe));
+    // The one place scenario-level probe knobs merge onto the config: a
+    // knob a caller already set there is honoured too, never clobbered.
+    let cfg = cfg.with_probe(cfg.probe.merged(scenario.probe));
     let cfg = resolve_faults(scenario, cfg)?;
     let mut report = match scenario.open_schedule() {
         None => dispatch(scenario, cfg, build()),
@@ -124,16 +116,14 @@ fn attach_classes(scenario: &Scenario, report: &mut SimReport) {
 }
 
 /// Execute on the scenario's shard plan: the single-fabric engine for
-/// `k = 1`, the sharded executor otherwise — and whenever
-/// `cfg.parallel_apply` asks for it, whatever the shard count (`k = 1`
-/// degenerates to one shard applying its own slices).
-fn dispatch<P>(scenario: &Scenario, cfg: SimConfig, protocol: P) -> Result<SimReport, SimError>
-where
-    P: Protocol,
-    P::Msg: Send,
-{
+/// `k = 1`, the sharded executor otherwise.
+fn dispatch<P: Protocol>(
+    scenario: &Scenario,
+    cfg: SimConfig,
+    protocol: P,
+) -> Result<SimReport, SimError> {
     let shards = &scenario.shards;
-    if !shards.is_sharded() && !cfg.parallel_apply {
+    if !shards.is_sharded() {
         return run_protocol(&scenario.graph, protocol, cfg);
     }
     let inter = shards.inter_delay.unwrap_or(cfg.link_delay);

@@ -442,10 +442,6 @@ pub struct Scenario {
     pub faults: FaultSpec,
     /// Shard plan ([`ShardSpec::single`] = the unsharded executor).
     pub shards: ShardSpec,
-    /// Apply protocol handlers shard-parallel on their per-node slices
-    /// ([`ccq_sim::Protocol::split`]). An execution strategy, not a model
-    /// knob — results are byte-identical to the serialized apply path.
-    pub parallel_apply: bool,
     /// Execution probe: checkpoint hashing, snapshots, perturbation and
     /// phase timing ([`ProbeSpec::OFF`] by default — no probe work at
     /// all, and probe data never reaches the serialized [`ccq_sim::
@@ -489,7 +485,6 @@ impl Scenario {
             priority: PrioritySpec::Uniform,
             faults: FaultSpec::none(),
             shards: ShardSpec::single(),
-            parallel_apply: false,
             probe: ProbeSpec::OFF,
             partition: OnceLock::new(),
         }
@@ -501,8 +496,7 @@ impl Scenario {
     /// use ccq_core::prelude::*;
     ///
     /// let s = Scenario::build(TopoSpec::Torus2D { side: 4 }, RequestPattern::All)
-    ///     .with_shards(ShardSpec::new(4, ShardStrategy::EdgeCut))
-    ///     .with_parallel_apply(true);
+    ///     .with_shards(ShardSpec::new(4, ShardStrategy::EdgeCut));
     /// let out = run_spec(&ccq_core::protocol::Arrow, &s, ModelMode::Expanded).unwrap();
     /// assert_eq!(out.order.len(), 16);
     /// assert!(out.report.cross_shard_messages > 0);
@@ -532,10 +526,10 @@ impl Scenario {
         partition
     }
 
-    /// Builder-style: run protocol handlers shard-parallel (the sliced
-    /// apply path; see [`Scenario::parallel_apply`]).
-    pub fn with_parallel_apply(mut self, on: bool) -> Self {
-        self.parallel_apply = on;
+    /// Retired: a no-op, kept so callers written against the sliced
+    /// apply path still compile. Every sharded run takes the one
+    /// serialized deliver walk, whose bytes the sliced apply reproduced.
+    pub fn with_parallel_apply(self, _on: bool) -> Self {
         self
     }
 

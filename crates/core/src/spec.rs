@@ -216,7 +216,11 @@ static FLAGS: [(&str, &str); 12] = [
         "--modes paper|strict,expanded",
         "paper (default): queuing expanded, counting strict; a list crosses every protocol",
     ),
-    ("--parallel-apply", "apply handlers shard-parallel on per-node state slices; same JSON bytes"),
+    (
+        "--parallel-apply",
+        "retired: runs the serialized walk; accepted so existing argvs and `.ccqrec` \
+         recordings still run",
+    ),
     (
         WAVEFRONT,
         "retired: runs the lockstep executor; accepted so existing argvs and `.ccqrec` \
@@ -818,10 +822,10 @@ pub fn sweep<S: AsRef<str>>(args: &[S]) -> Result<Sweep, String> {
                     plan = plan.modes(modes);
                 }
             }
-            "--parallel-apply" => plan = plan.parallel_apply(true),
-            // Retired: parsed (a malformed spelling still fails) so old
-            // argvs and recordings run, on the one lockstep executor.
-            "--wavefront" => {}
+            // Retired: parsed (a malformed `--wavefront:` spelling still
+            // fails) so old argvs and recordings run, on the one lockstep
+            // executor and its one serialized deliver walk.
+            "--parallel-apply" | "--wavefront" => {}
             "--timing" => plan = plan.timing(true),
             "--checkpoint-every" => {
                 let need = "--checkpoint-every needs an integer ≥ 1";

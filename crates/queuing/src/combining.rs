@@ -27,9 +27,9 @@ use std::fmt;
 /// between a combining queue and a combining counter.
 pub trait CombiningHandOut: Clone {
     /// A subtree's report to its parent.
-    type Summary: Clone + Default + fmt::Debug + Send;
+    type Summary: Clone + Default + fmt::Debug;
     /// A subtree's share of the hand-out, its requests in preorder.
-    type Share: Clone + fmt::Debug + Send;
+    type Share: Clone + fmt::Debug;
     /// `Debug` field names of `Up` and `Down`, where `""` renders a tuple
     /// variant (checkpoint digests hash every in-flight message).
     const FIELDS: [&'static str; 2];

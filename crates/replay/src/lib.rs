@@ -11,8 +11,8 @@
 //!
 //! * **checkpoints** — the probe layer ([`ccq_sim::ProbeSpec`]) hashes
 //!   canonical engine state at every phase barrier of observed rounds,
-//!   identically across all executor paths (monolith, sharded, sliced
-//!   parallel apply), so two runs can be compared in hash-lockstep;
+//!   identically across all executor paths (monolith, sharded, dense
+//!   scan), so two runs can be compared in hash-lockstep;
 //! * **snapshots** — a [`Snapshot`] captures the full canonical state at
 //!   one transmit barrier. Because the vendored serde has no
 //!   deserializer, [`resume_from`] is *hash-verified re-execution*: it

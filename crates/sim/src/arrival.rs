@@ -7,7 +7,7 @@
 //! `(issue round, node)` — one entry per requester, sorted by round. The
 //! sampling uses a private splitmix64 stream keyed by the spec's own seed,
 //! so schedules are identical across runs, platforms and thread counts
-//! (rayon-safe by construction).
+//! (thread-safe by construction).
 //!
 //! [`Paced`] adapts a protocol that supports per-node injection
 //! ([`OnlineProtocol::issue`]) to such a schedule: it records each issue in
@@ -482,7 +482,7 @@ impl<P: OnlineProtocol> Paced<P> {
 /// Pacing is transparent to message handling: arrivals are injected in the
 /// serialized arrivals phase, so the slices and the handler are the wrapped
 /// protocol's own. This is what lets open-system (and admission-gated) runs
-/// use every apply path unchanged.
+/// run on every executor unchanged.
 impl<P: OnlineProtocol> Protocol for Paced<P> {
     type Msg = P::Msg;
     type Slice = P::Slice;

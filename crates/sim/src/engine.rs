@@ -32,9 +32,9 @@
 //!
 //! [`crate::shard::ShardedSimulator`] runs the same round skeleton over
 //! one lane per shard, and the same [`Protocol::on_message`] on the same
-//! slices — which lets it run the delivery-phase handlers shard-parallel
-//! ([`SimConfig::parallel_apply`]) with byte-identical results; see
-//! [`crate::shard`] for the replay argument.
+//! slices from one walk of the lanes' merged frontier — with results
+//! byte-identical to the monolith's; see [`crate::shard`] for the
+//! sequencing argument.
 
 use crate::protocol::Protocol;
 use crate::report::{SimConfig, SimReport};
@@ -49,7 +49,7 @@ pub enum SimError {
     InvalidSend { from: NodeId, to: NodeId, round: Round },
     /// Quiescence was not reached within [`SimConfig::max_rounds`].
     MaxRoundsExceeded { limit: Round },
-    /// The configuration (budgets, scale, shard plan, apply path) cannot
+    /// The configuration (budgets, scale, shard plan, probe) cannot
     /// be executed. The message is owned so callers can name the offending
     /// values — e.g. a shard partition that does not cover the graph.
     InvalidConfig { what: String },
@@ -99,7 +99,7 @@ impl<'g, P: Protocol> Simulator<'g, P> {
     /// report and the final protocol state.
     pub fn run_with_state(self) -> Result<(SimReport, P), SimError> {
         let Simulator { graph, protocol, config: cfg } = self;
-        scheduler::run(graph, &cfg, protocol, || scheduler::Monolith::new(graph.n(), &cfg))
+        scheduler::run(graph, &cfg, protocol, || Ok(scheduler::Monolith::new(graph.n(), &cfg)))
     }
 
     /// Run to quiescence, returning only the report.
@@ -117,27 +117,22 @@ pub(crate) mod tests {
     use ccq_graph::{topology, Partition};
 
     /// The executor table: the monolith, then the sharded executor on one
-    /// and on three (striped) shards, each on both apply paths. `check`
-    /// sees every executor's outcome under `cfg` and must find the same
-    /// model behaviour on all of them.
+    /// and on three (striped) shards. `check` sees every executor's
+    /// outcome under `cfg` and must find the same model behaviour on all
+    /// of them.
     pub(super) fn on_every_executor<P: Protocol>(
         g: &Graph,
         make: impl Fn() -> P,
         cfg: SimConfig,
         check: impl Fn(Result<(SimReport, P), SimError>, &str),
-    ) where
-        P::Msg: Send,
-    {
+    ) {
         check(Simulator::new(g, make(), cfg).run_with_state(), "monolith");
         for k in [1, 3] {
-            for parallel in [false, true] {
-                let part = Partition::striped(g.n(), k);
-                let cfg = cfg.with_parallel_apply(parallel);
-                check(
-                    ShardedSimulator::new(g, part, make(), cfg).run_with_state(),
-                    &format!("{k} shard(s), parallel_apply = {parallel}"),
-                );
-            }
+            let part = Partition::striped(g.n(), k);
+            check(
+                ShardedSimulator::new(g, part, make(), cfg).run_with_state(),
+                &format!("{k} shard(s)"),
+            );
         }
     }
 

@@ -23,10 +23,10 @@
 //! only the receiving processor's slice — and are executed by
 //! [`Simulator::run`], which returns a [`SimReport`] with per-operation
 //! delays, message counts and queue statistics. [`ShardedSimulator`]
-//! executes the same protocols over K parallel message fabrics joined by an
-//! inter-shard ferry, one lockstep round at a time, optionally running
-//! their message handlers shard-parallel ([`SimConfig::parallel_apply`]) —
-//! with reports byte-identical to the monolith's in every case.
+//! executes the same protocols over K message fabrics joined by an
+//! inter-shard ferry, one lockstep round at a time on one thread — with
+//! reports byte-identical to the monolith's whenever the ferry's delay
+//! policy matches the fabrics'.
 //!
 //! ```
 //! use ccq_sim::{run_protocol, Protocol, SimApi, SimConfig, SliceApi};

@@ -21,12 +21,11 @@
 //!
 //! Hashes are taken at the **four phase barriers** of one scheduler round
 //! (after arrivals, after maturation, after delivery, after transmission) —
-//! the only points at which all executors are defined to agree. Between
-//! barriers the sliced-apply path is free to reorder work; at a barrier the
-//! replay guarantee of [`crate::shard`] makes the state a pure function of
-//! the transmission history, which is what lets `ccq bisect` run two
-//! executor configurations in hash-lockstep and name the exact first
-//! divergent `(round, phase, node)`.
+//! the only points at which all executors are defined to agree. At a
+//! barrier the sequencing guarantee of [`crate::shard`] makes the state a
+//! pure function of the transmission history, which is what lets `ccq
+//! bisect` run two executor configurations in hash-lockstep and name the
+//! exact first divergent `(round, phase, node)`.
 
 use crate::report::SimReport;
 use crate::state::NodeStore;
@@ -124,19 +123,18 @@ pub struct NodeDigest {
 }
 
 /// Cumulative wall-clock spent in each scheduler phase, in microseconds.
-/// `apply_micros` is filled by the sliced-apply executor (the parallel
-/// handler-application stage); on the serialized paths handler time is
-/// counted under `deliver_micros` and `apply_micros` stays 0.
+/// Handler time is counted under `deliver_micros`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize)]
 pub struct PhaseTimings {
     /// Total microseconds in the arrivals phase.
     pub arrivals_micros: u64,
     /// Total microseconds maturing wires into in-ports.
     pub mature_micros: u64,
-    /// Total microseconds in the delivery phase (includes handler time on
-    /// serialized paths).
+    /// Total microseconds in the delivery phase, handler time included.
     pub deliver_micros: u64,
-    /// Total microseconds applying handler slices (sliced path only).
+    /// Always 0: no executor applies handlers outside the deliver phase
+    /// any more. Kept, and serialized, so consumers of the field still
+    /// read it.
     pub apply_micros: u64,
     /// Total microseconds in the transmission phase.
     pub transmit_micros: u64,

@@ -7,12 +7,11 @@
 //! [`Protocol::Slice`] per processor. A message handler at `node` is an
 //! associated function over `shared` and `node`'s slice alone (through a
 //! [`SliceApi`]) — the paper's "a processor touches its own state and its
-//! own links", stated in the type. That is what makes the order of handler
-//! calls *irrelevant* within a round: every executor calls the one handler
-//! the same way, and the sharded executor ([`crate::shard`]) may run each
-//! shard's handlers inside that shard's parallel task, replaying the staged
-//! effects at the round barrier in the serialized executor's global order —
-//! which is why parallel-apply runs are byte-identical to serialized ones.
+//! own links", stated in the type. Every executor calls the one handler the
+//! same way — the monolith from its receive walk, the sharded fabric
+//! ([`crate::shard`]) from one walk of its lanes' merged in-port frontier,
+//! both in ascending node order — which is why their runs are
+//! byte-identical.
 
 use crate::report::{Completion, Dropped, Issue};
 use crate::Round;
@@ -27,7 +26,7 @@ const STAGE_CAPACITY: usize = 64;
 ///
 /// One `Protocol` value holds the state of *all* processors, decomposed
 /// into disjoint per-processor slices. The contract (and the reason every
-/// apply path of every executor produces the same bytes):
+/// executor produces the same bytes):
 ///
 /// * [`Protocol::split`] partitions the state into an immutable
 ///   [`Protocol::Shared`] view (routing tables, tree shape, mode flags)
@@ -44,10 +43,10 @@ pub trait Protocol {
     type Msg: Clone + std::fmt::Debug;
 
     /// One processor's private state.
-    type Slice: Send;
+    type Slice;
 
     /// Read-only state shared by every handler.
-    type Shared: Sync;
+    type Shared;
 
     /// Split into the shared view and the per-node slices (`slices[v]` is
     /// processor `v`'s state; the returned slice has one entry per
@@ -206,11 +205,11 @@ impl<M> SimApi<M> {
     /// Enable per-shard open-operation accounting: `shard_of[v]` is the
     /// shard node `v` lives on. Installed by [`crate::arrival::Paced`]
     /// during `on_start` when a shard-scoped admission policy
-    /// ([`crate::AdmissionPolicy::PerNode`]) is active. Every apply path
+    /// ([`crate::AdmissionPolicy::PerNode`]) is active. Every executor
     /// funnels issues and completions through this one API — the serialized
-    /// phases call [`SimApi::complete`], and every deliver walk and the
-    /// sliced barrier replay its bookkeeping half — so
-    /// the per-shard counters are executor-independent by construction.
+    /// phases call [`SimApi::complete`], and every deliver walk its
+    /// bookkeeping half — so the per-shard counters are
+    /// executor-independent by construction.
     pub fn enable_shard_accounting(&mut self, shard_of: Vec<u32>) {
         let shards = shard_of.iter().copied().max().map_or(0, |m| m as usize + 1);
         self.shard_open = vec![0; shards];
@@ -245,7 +244,7 @@ impl<M> SimApi<M> {
     /// Lend the scratch buffer out as a [`SliceApi`] at `node` for the
     /// current round. The borrower drains it after every handler call —
     /// [`with_slice`] back into this API with [`SliceApi::replay_into`],
-    /// the serialized deliver walks straight into the engine with
+    /// the deliver walks straight into the engine with
     /// `Ledger::apply_effects` — and hands it back through
     /// [`SimApi::reclaim`]: per call for [`with_slice`], per deliver phase
     /// for the walks.
@@ -260,8 +259,8 @@ impl<M> SimApi<M> {
     }
 }
 
-/// One staged effect of a sliced handler ([`SliceApi`]): the same
-/// operations [`SimApi`] offers, recorded for deterministic replay.
+/// One staged effect of a handler ([`SliceApi`]): the same operations
+/// [`SimApi`] offers, recorded in call order.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub(crate) enum SliceEffect<M> {
     /// A message from the handling node to a neighbour.
@@ -286,26 +285,19 @@ pub(crate) enum SliceEffect<M> {
 /// one processor.
 ///
 /// Unlike [`SimApi`], sends carry no explicit sender — they always leave
-/// the handling node, which is what keeps every effect of a handler inside
-/// that node's outbox and makes per-shard parallel application sound.
-/// Effects are recorded in call order and replayed into the engine in the
-/// serialized executor's global delivery order, so every apply path
-/// produces the same execution.
+/// the handling node, which keeps every effect of a handler inside that
+/// node's outbox. Effects are recorded in call order and applied to the
+/// engine right after the handler returns, so every executor produces the
+/// same execution.
 #[derive(Debug)]
 pub struct SliceApi<M> {
     round: Round,
     node: NodeId,
-    /// Staged effects in call order. The parallel executor reads the
-    /// length after each handled message to segment the stream per
-    /// message for the barrier replay.
+    /// Staged effects in call order, drained after every handler call.
     pub(crate) effects: Vec<SliceEffect<M>>,
 }
 
 impl<M> SliceApi<M> {
-    pub(crate) fn new(round: Round, node: NodeId) -> Self {
-        SliceApi { round, node, effects: Vec::new() }
-    }
-
     /// Re-point the API at another processor (every apply site reuses one
     /// `SliceApi` across the nodes it visits, so there are no per-node
     /// buffers).
@@ -333,12 +325,6 @@ impl<M> SliceApi<M> {
     /// Record that `node`'s operation completed now with result `value`.
     pub fn complete(&mut self, node: NodeId, value: u64) {
         self.effects.push(SliceEffect::Complete { node, value });
-    }
-
-    /// Decompose into the staged effect stream (the parallel executor's
-    /// barrier replay input).
-    pub(crate) fn into_effects(self) -> Vec<SliceEffect<M>> {
-        self.effects
     }
 
     /// Drain every staged effect into the full [`SimApi`], in call order
@@ -434,7 +420,7 @@ mod tests {
     fn slice_api_replays_in_call_order() {
         let mut api: SimApi<u8> = SimApi::new();
         api.set_round(5);
-        let mut sapi: SliceApi<u8> = SliceApi::new(api.round(), 3);
+        let mut sapi = api.lend_slice_api(3);
         assert_eq!(sapi.round(), 5);
         assert_eq!(sapi.node(), 3);
         sapi.send(4, 9);
@@ -446,5 +432,6 @@ mod tests {
         assert_eq!(api.completed.len(), 1);
         assert_eq!(api.completed[0].node, 7);
         assert_eq!(api.completed[0].round, 5);
+        api.reclaim(sapi);
     }
 }

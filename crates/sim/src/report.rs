@@ -291,19 +291,9 @@ pub struct SimConfig {
     /// synchronous model; the other policies are the §2.1 "asynchronous"
     /// regime, under which the paper's lower bounds still apply).
     pub link_delay: LinkDelay,
-    /// Apply protocol message handlers shard-parallel instead of in the
-    /// serialized global node order. Honoured by
-    /// [`crate::ShardedSimulator`] for every protocol (a handler touches
-    /// only its node's slice); the single-fabric
-    /// [`crate::Simulator`] rejects the flag with
-    /// [`crate::SimError::InvalidConfig`] rather than silently falling
-    /// back. An execution strategy, not a model knob: reports are
-    /// byte-identical either way.
-    pub parallel_apply: bool,
     /// Walk every processor in the deliver and transmit phases (the
     /// pre-frontier dense reference scan) instead of only the dirty
-    /// frontier. Like [`SimConfig::parallel_apply`] this is an execution
-    /// strategy, not a model knob: runs are byte-identical either way
+    /// frontier. An execution strategy, not a model knob: runs are byte-identical either way
     /// (proven by the equivalence proptests); it exists as the reference
     /// implementation the sparse engine is checked against.
     pub dense_scan: bool,
@@ -328,7 +318,6 @@ impl SimConfig {
             max_rounds: 100_000_000,
             trace: false,
             link_delay: LinkDelay::Unit,
-            parallel_apply: false,
             dense_scan: false,
             probe: ProbeSpec::OFF,
             faults: FaultPlan::none(),
@@ -365,13 +354,6 @@ impl SimConfig {
     /// Builder-style: set the per-link delivery delay policy.
     pub fn with_link_delay(mut self, delay: LinkDelay) -> Self {
         self.link_delay = delay;
-        self
-    }
-
-    /// Builder-style: toggle the shard-parallel apply path (see
-    /// [`SimConfig::parallel_apply`]).
-    pub fn with_parallel_apply(mut self, on: bool) -> Self {
-        self.parallel_apply = on;
         self
     }
 
@@ -768,7 +750,7 @@ impl SimReport {
     /// relaxed-priority reordering across classes is not charged as
     /// consistency debt. Computed purely from the trace events every
     /// executor records identically, so the values are byte-identical
-    /// across monolith / sharded / sliced / dense-scan paths.
+    /// across monolith / sharded / dense-scan paths.
     /// Total on degenerate inputs: an empty `output_order` (all-shed or
     /// zero-completion runs) yields an empty sample, and issue rounds are
     /// only compared, never subtracted, so `Round::MAX` cannot overflow.
@@ -898,7 +880,7 @@ mod tests {
     fn config_presets() {
         let s = SimConfig::strict();
         assert_eq!((s.send_budget, s.recv_budget, s.delay_scale), (1, 1, 1));
-        assert!(!s.parallel_apply && !s.dense_scan);
+        assert!(!s.dense_scan);
         let e = SimConfig::expanded(3);
         assert_eq!((e.send_budget, e.recv_budget, e.delay_scale), (3, 3, 3));
     }

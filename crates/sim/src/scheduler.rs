@@ -13,7 +13,7 @@
 //!    dirty frontier, ascending id; under [`crate::SimConfig::dense_scan`]
 //!    the store's whole membership) dequeues up to `recv_budget` in-port
 //!    messages and hands each to [`crate::Protocol::on_message`] on its
-//!    slice; every serialized apply site keeps the per-message order
+//!    slice; every deliver walk keeps the per-message order
 //!    `Ledger::note_delivery`, the handler, `Ledger::apply_effects` — the
 //!    handler's effects in call order, each send validated and staged
 //!    straight into its sender's outbox, each completion recorded;
@@ -30,14 +30,12 @@
 //! gates, the four barriers with their probe observations and timing laps,
 //! the quiescence / wakeup decision and the finish live here only. An
 //! executor implements `Phases` (statically dispatched) for what differs:
-//! the monolith below over one `Lane` (a store, a timing wheel, a frontier
-//! scratch), the sharded fabric ([`crate::shard`]) over K lanes plus the
-//! ferry. The lane's walks — the frontier choice, receive, maturity — serve
-//! the monolith and the sliced apply; only deliver and transmit differ:
-//! the fabric's serialized ones walk the global frontier (its lanes'
-//! merged) instead of one lane's, and the monolith's are their oracle. The
-//! `Ledger` lent to every hook holds the report, the staging API and the
-//! phase clock.
+//! the monolith below over one `Lane` (a store and a timing wheel), the
+//! sharded fabric ([`crate::shard`]) over K lanes plus the ferry. Maturity
+//! is the lane's one walk; deliver and transmit differ only in their
+//! frontier: the fabric's walk the global one (its lanes' merged) instead
+//! of one lane's, and the monolith's are their oracle. The `Ledger` lent
+//! to every hook holds the report, the staging API and the phase clock.
 //!
 //! The invariant this layer owns is the *delivery rule*: a message handled
 //! at round `t` can be answered no earlier than round `t + 1` (handler
@@ -161,7 +159,7 @@ impl<M> Ledger<'_, M> {
         Ok(())
     }
 
-    /// The one effect drain of every serialized apply site: take the
+    /// The one effect drain of every deliver walk: take the
     /// effects of the handler that ran at `node`, in call order. A send is
     /// validated against the graph ([`SimError::InvalidSend`]) and staged
     /// through `stage` (which returns the new outbox depth); a completion
@@ -197,10 +195,10 @@ impl<M> Ledger<'_, M> {
         Ok(())
     }
 
-    /// Receive-side bookkeeping of one delivery, shared by every apply
-    /// path: the per-node receive counter and the optional `Deliver` trace
-    /// event. Called immediately before the handler's effects (direct call
-    /// or replay) drain, so traces interleave identically on either path.
+    /// Receive-side bookkeeping of one delivery, shared by both deliver
+    /// walks: the per-node receive counter and the optional `Deliver` trace
+    /// event. Called immediately before the handler runs, so traces
+    /// interleave identically on either executor.
     pub(crate) fn note_delivery(&mut self, round: Round, node: NodeId, src: NodeId) {
         self.report.received_by_node[node] += 1;
         if self.cfg.trace {
@@ -245,20 +243,17 @@ pub(crate) fn frontier_into<M>(
     }
 }
 
-/// One fabric's state: a store, a timing wheel and a frontier scratch. The
-/// monolith holds one lane, the sharded fabric one per shard plus the
-/// ferry; the walks below are the only copies of what they do.
+/// One fabric's state: a store and a timing wheel. The monolith holds one
+/// lane, the sharded fabric one per shard plus the ferry; the maturity walk
+/// below is the only copy of what it does.
 pub(crate) struct Lane<M> {
     pub(crate) store: NodeStore<M>,
     pub(crate) transport: Transport<M>,
-    /// Reusable frontier scratch (capacity retained across rounds, so
-    /// steady state allocates nothing here).
-    pub(crate) frontier: Vec<NodeId>,
 }
 
 impl<M> Lane<M> {
     pub(crate) fn new(store: NodeStore<M>, delay: LinkDelay) -> Self {
-        Lane { store, transport: Transport::new(delay), frontier: Vec::new() }
+        Lane { store, transport: Transport::new(delay) }
     }
 
     /// Maturity: move every wire of the lane's wheel due at `round`, merged
@@ -287,40 +282,6 @@ impl<M> Lane<M> {
             ferry_due.drain(..).for_each(enqueue);
         }
         max_depth
-    }
-
-    /// The receive walk of the monolith and the sliced apply: visit the
-    /// in-port frontier in ascending node order, skip (and re-list) a
-    /// crashed node, pop up to `recv_budget` messages per live node and
-    /// hand each to `deliver` along with the store (so a caller that
-    /// drains handler effects itself can stage sends there). Returns the
-    /// queue-wait rounds accrued, or the first error `deliver` reports.
-    pub(crate) fn receive(
-        &mut self,
-        round: Round,
-        cfg: &SimConfig,
-        mut deliver: impl FnMut(&mut NodeStore<M>, NodeId, Inbound<M>) -> Result<(), SimError>,
-    ) -> Result<u64, SimError> {
-        let Lane { store, frontier, .. } = self;
-        frontier.clear();
-        frontier_into(store, cfg, NodeStore::take_inport_frontier, frontier);
-        frontier.sort_unstable();
-        let mut queue_wait = 0u64;
-        for &v in frontier.iter() {
-            if cfg.faults.is_down(v, round) {
-                // Crashed: the in-port freezes in place (neighbours keep
-                // buffering over reliable FIFO wires) — re-list so the
-                // pending work survives to the recovery round.
-                store.relist_inport(v);
-                continue;
-            }
-            for _ in 0..cfg.recv_budget {
-                let Some(inb) = store.pop_inport(v) else { break };
-                queue_wait += round - inb.arrival;
-                deliver(store, v, inb)?;
-            }
-        }
-        Ok(queue_wait)
     }
 
     /// Whether the lane's queues and wheel are all empty.
@@ -487,19 +448,15 @@ pub(crate) fn run<P: Protocol, E: Phases<P>>(
 /// The single-fabric executor: every processor in one [`Lane`].
 pub(crate) struct Monolith<M> {
     lane: Lane<M>,
+    /// Reusable frontier scratch of both walks (capacity retained across
+    /// rounds, so steady state allocates nothing here).
+    frontier: Vec<NodeId>,
 }
 
 impl<M> Monolith<M> {
-    /// One full-range lane, after rejecting (no silent fallback)
-    /// `parallel_apply`, which needs shards to apply in.
-    pub(crate) fn new(n: usize, cfg: &SimConfig) -> Result<Self, SimError> {
-        if cfg.parallel_apply {
-            return Err(SimError::invalid_config(
-                "parallel_apply requires the sharded executor (ShardedSimulator::run); \
-                 the single-fabric Simulator cannot honour it",
-            ));
-        }
-        Ok(Monolith { lane: Lane::new(NodeStore::new(n), cfg.link_delay) })
+    /// One full-range lane.
+    pub(crate) fn new(n: usize, cfg: &SimConfig) -> Self {
+        Monolith { lane: Lane::new(NodeStore::new(n), cfg.link_delay), frontier: Vec::new() }
     }
 }
 
@@ -514,7 +471,9 @@ impl<P: Protocol> Phases<P> for Monolith<P::Msg> {
         led.report.max_inport_depth = led.report.max_inport_depth.max(depth);
     }
 
-    /// The receive walk with the handler applied inline, its effects
+    /// The receive walk: visit the in-port frontier in ascending node
+    /// order, skip (and re-list) a crashed node, pop up to `recv_budget`
+    /// messages per live node and run the handler on each, its effects
     /// applied after every message.
     fn deliver(
         &mut self,
@@ -524,15 +483,30 @@ impl<P: Protocol> Phases<P> for Monolith<P::Msg> {
     ) -> Result<(), SimError> {
         let cfg = led.cfg;
         let (shared, slices) = protocol.split();
+        let Monolith { lane: Lane { store, .. }, frontier } = self;
+        frontier.clear();
+        frontier_into(store, cfg, NodeStore::take_inport_frontier, frontier);
+        frontier.sort_unstable();
         let mut sapi = led.api.lend_slice_api(0);
-        let queue_wait = self.lane.receive(round, cfg, |store, v, inb| {
-            led.note_delivery(round, v, inb.src);
-            sapi.set_node(v);
-            P::on_message(shared, &mut slices[v], &mut sapi, v, inb.src, inb.msg);
-            led.apply_effects(round, v, sapi.effects.drain(..), |f, t, m| store.stage(f, t, m))
-        });
+        for &v in frontier.iter() {
+            if cfg.faults.is_down(v, round) {
+                // Crashed: the in-port freezes in place (neighbours keep
+                // buffering over reliable FIFO wires) — re-list so the
+                // pending work survives to the recovery round.
+                store.relist_inport(v);
+                continue;
+            }
+            for _ in 0..cfg.recv_budget {
+                let Some(inb) = store.pop_inport(v) else { break };
+                led.report.queue_wait_rounds += round - inb.arrival;
+                led.note_delivery(round, v, inb.src);
+                sapi.set_node(v);
+                P::on_message(shared, &mut slices[v], &mut sapi, v, inb.src, inb.msg);
+                let effects = sapi.effects.drain(..);
+                led.apply_effects(round, v, effects, |f, t, m| store.stage(f, t, m))?;
+            }
+        }
         led.api.reclaim(sapi);
-        led.report.queue_wait_rounds += queue_wait?;
         Ok(())
     }
 
@@ -542,7 +516,7 @@ impl<P: Protocol> Phases<P> for Monolith<P::Msg> {
     /// every send onto the one wheel.
     fn transmit(&mut self, led: &mut Ledger<'_, P::Msg>, round: Round) {
         let cfg = led.cfg;
-        let Lane { store, transport, frontier } = &mut self.lane;
+        let Monolith { lane: Lane { store, transport }, frontier } = self;
         frontier.clear();
         frontier_into(store, cfg, NodeStore::take_outbox_frontier, frontier);
         frontier.sort_unstable();

@@ -10,32 +10,15 @@
 //!
 //! The fabric is one executor of [`crate::scheduler`]'s round skeleton and
 //! implements only the phase hooks where K lanes differ from one, so it
-//! runs one kind of round, the skeleton's lockstep round. That round forks
-//! only where handlers run concurrently: maturity is a plain loop over the
-//! lanes' one `mature` (merging the due ferry wires), and transmission is
-//! one serialized walk of the global outbox frontier in ascending node
-//! order — the visit order *is* the run-global sequence numbering, so the
-//! walk numbers each send exactly as the monolith does and routes it to
-//! the owning lane's wheel or to the ferry. The one shard-parallel stretch
-//! is the sliced apply's call of `fork`, which lends each task its own
-//! lane in place and returns the results in shard order; whatever the
-//! shards share (report, ferry, protocol value) is folded from them at the
-//! phase barrier. The deliver phase has **two apply paths**, selected by
-//! [`crate::SimConfig::parallel_apply`]; both call the one
-//! [`Protocol::on_message`] on the delivered-to node's slice:
-//!
-//! * **serialized** (flag off; the reference) — the mirror of transmit:
-//!   one walk of the global in-port frontier, each node popping from its
-//!   own lane with the handler and the effect drain inline, so a
-//!   serialized lockstep round forks not at all;
-//! * **sliced** (flag on) — each lane's task pops *and applies* its own
-//!   nodes' handlers against their disjoint state slices, staging effects
-//!   in a [`crate::SliceApi`]; at the round barrier the staged effects are
-//!   replayed in the serialized path's exact global order. Queuing
-//!   hand-offs and counting updates thus execute concurrently across
-//!   shards — the parallelism the paper's counting/queuing separation
-//!   says is safe to exploit locally — while the replay step restores the
-//!   global coherence the report needs.
+//! runs one kind of round, the skeleton's lockstep round, on one thread:
+//! maturity is a plain loop over the lanes' one `mature` (merging the due
+//! ferry wires), and deliver and transmit are each one walk of a global
+//! frontier in ascending node order. The deliver walk pops each node from
+//! its own lane and calls the one [`Protocol::on_message`] on that node's
+//! slice with the effects applied inline, exactly as the monolith's
+//! receive walk; the transmit walk's visit order *is* the run-global
+//! sequence numbering, so it numbers each send exactly as the monolith
+//! does and routes it to the owning lane's wheel or to the ferry.
 //!
 //! **Equivalence invariant.** Transmissions carry a run-global sequence
 //! number and maturation merges local + ferry wires in (arrival, sequence)
@@ -44,71 +27,17 @@
 //! [`crate::Simulator`] — same completions, same rounds, same queue
 //! statistics — for *every* delay policy including per-message jitter.
 //! The only new observable is [`crate::SimReport::cross_shard_messages`].
-//! The sliced apply path preserves the invariant *exactly* (a handler at
-//! `v` touches only `v`'s slice, handler sends cannot be delivered before
-//! round `t + 1`, and the barrier replay re-serializes effects in delivery
-//! order), so parallel-apply reports are byte-identical to serialized
-//! ones. A divergent ferry policy (e.g. `Fixed { delay: 8 }` between
-//! shards) changes the execution — deliberately.
+//! A divergent ferry policy (e.g. `Fixed { delay: 8 }` between shards)
+//! changes the execution — deliberately.
 
 use crate::probe::{self, Phase};
-use crate::protocol::{Protocol, SliceApi, SliceEffect};
+use crate::protocol::Protocol;
 use crate::report::{LinkDelay, SimConfig, SimReport};
 use crate::scheduler::{self, frontier_into, Lane, Ledger, Phases};
 use crate::state::NodeStore;
 use crate::transport::{Transport, Wire};
 use crate::{Round, SimError};
 use ccq_graph::{Graph, NodeId, Partition};
-use rayon::prelude::*;
-
-/// The executor's one fork/join, and the only place `ccq-sim` meets its
-/// thread pool — called where handlers run shard-parallel (the sliced
-/// apply), never by a serialized lockstep round: run `body` once per lane,
-/// concurrently, **lending** every task its own lane in place (no [`Lane`]
-/// moves after [`Fabric::new`]) together with that lane's entry of
-/// `inputs`, and return the tasks' results in shard order. The tasks share
-/// nothing mutable; what the shards have in common — the report, the
-/// ferry, the staging API — the caller folds from the results after the
-/// join, at the phase barrier, in an order no scheduling can change.
-fn fork<M: Send, I: Send, O: Send>(
-    lanes: &mut [Lane<M>],
-    inputs: Vec<I>,
-    body: impl Fn(&mut Lane<M>, I) -> O + Sync,
-) -> Vec<O> {
-    debug_assert_eq!(inputs.len(), lanes.len(), "one input per lane");
-    let lent: Vec<_> = lanes.iter_mut().zip(inputs).collect();
-    lent.into_par_iter().map(|(lane, input)| body(lane, input)).collect()
-}
-
-/// Distribute the disjoint `&mut` borrows of a protocol's slices to their
-/// shards, each bucket sized to its shard up front. `iter_mut` yields
-/// non-overlapping borrows and both `0..n` and `members(shard)` ascend, so
-/// bucket `i` of a shard is exactly `members(shard)[i]`'s slice.
-fn slice_buckets<'s, S>(partition: &Partition, slices: &'s mut [S]) -> Vec<Vec<&'s mut S>> {
-    let mut buckets: Vec<Vec<&mut S>> =
-        (0..partition.k()).map(|s| Vec::with_capacity(partition.members(s).len())).collect();
-    for (v, slice) in slices.iter_mut().enumerate() {
-        buckets[partition.shard_of(v)].push(slice);
-    }
-    buckets
-}
-
-/// The slice of `v` in its shard's bucket of [`slice_buckets`]: bucket
-/// order is member order, so `v`'s index there is its rank.
-fn member_slice<'b, S>(partition: &Partition, bucket: &'b mut [&mut S], v: NodeId) -> &'b mut S {
-    &mut *bucket[partition.place(v).rank()]
-}
-
-/// What the sliced deliver phase hands from the lane tasks to the barrier
-/// replay: one effect stream per lane (a single [`SliceApi`] reused
-/// across the lane's nodes — one allocation per lane per round, not per
-/// node) and one `(node, stream, src, effects-end)` record per delivered
-/// message, sorted by node. Lanes process their members in ascending
-/// order, so the replay consumes every stream strictly in order.
-struct Applied<M> {
-    streams: Vec<std::vec::IntoIter<SliceEffect<M>>>,
-    deliveries: Vec<(NodeId, usize, NodeId, usize)>,
-}
 
 /// The sharded executor's own state: the partition it serves, one lane
 /// per shard and the inter-shard ferry. The report, the staging API and
@@ -124,7 +53,7 @@ struct Fabric<'a, M> {
     scratch: Vec<NodeId>,
 }
 
-impl<'a, M: Send + std::fmt::Debug> Fabric<'a, M> {
+impl<'a, M> Fabric<'a, M> {
     /// One lane per shard under the intra-shard `delay`, and the ferry
     /// under `inter_delay`.
     fn new(partition: &'a Partition, delay: LinkDelay, inter_delay: LinkDelay) -> Self {
@@ -159,80 +88,11 @@ impl<'a, M: Send + std::fmt::Debug> Fabric<'a, M> {
         frontier.sort_unstable();
         frontier
     }
-
-    /// Sliced deliver, shard-parallel half: every lane pops its due
-    /// in-port messages **and applies** them against its own members'
-    /// slices, staging effects.
-    fn apply_in_tasks<P: Protocol<Msg = M>>(
-        &mut self,
-        led: &mut Ledger<'_, M>,
-        protocol: &mut P,
-        round: Round,
-    ) -> Result<Applied<M>, SimError> {
-        let (cfg, partition) = (led.cfg, self.partition);
-        let (shared, slices) = protocol.split();
-        let buckets = slice_buckets(partition, slices);
-        let done = fork(&mut self.lanes, buckets, |lane, mut slices| -> Result<_, SimError> {
-            let mut sapi = SliceApi::new(round, 0);
-            let mut deliveries = Vec::new();
-            let queue_wait = lane.receive(round, cfg, |_, v, inb| {
-                sapi.set_node(v);
-                let slice = member_slice(partition, &mut slices, v);
-                P::on_message(shared, slice, &mut sapi, v, inb.src, inb.msg);
-                deliveries.push((v, inb.src, sapi.effects.len()));
-                Ok(())
-            })?;
-            Ok((sapi, deliveries, queue_wait))
-        });
-
-        let mut applied =
-            Applied { streams: Vec::with_capacity(done.len()), deliveries: Vec::new() };
-        for outcome in done {
-            let (sapi, deliveries, queue_wait) = outcome?;
-            led.report.queue_wait_rounds += queue_wait;
-            let s = applied.streams.len();
-            applied.deliveries.extend(deliveries.into_iter().map(|(v, src, end)| (v, s, src, end)));
-            applied.streams.push(sapi.into_effects().into_iter());
-        }
-        // Lanes hold disjoint nodes and recorded their deliveries in
-        // ascending node order, so a stable sort by node id recovers the
-        // monolith's global delivery order.
-        applied.deliveries.sort_by_key(|&(v, _, _, _)| v);
-        Ok(applied)
-    }
-
-    /// Sliced deliver, barrier half: per message, the delivery
-    /// bookkeeping, then its effect segment through the same effect drain
-    /// the serialized path applies — identical event sequence — staging
-    /// sends in the handling node's lane and slot.
-    fn replay(
-        &mut self,
-        led: &mut Ledger<'_, M>,
-        applied: Applied<M>,
-        round: Round,
-    ) -> Result<(), SimError> {
-        let Applied { mut streams, deliveries } = applied;
-        let mut consumed = vec![0usize; streams.len()];
-        for (v, s, src, end) in deliveries {
-            led.note_delivery(round, v, src);
-            let stream = &mut streams[s];
-            let segment = (consumed[s]..end)
-                .map(|_| stream.next().expect("delivery records cover every effect"));
-            consumed[s] = end;
-            let at = self.partition.place(v);
-            let store = &mut self.lanes[at.shard()].store;
-            led.apply_effects(round, v, segment, |f, t, m| store.stage_at(at.rank(), f, t, m))?;
-        }
-        Ok(())
-    }
 }
 
-impl<P: Protocol> Phases<P> for Fabric<'_, P::Msg>
-where
-    P::Msg: Send,
-{
-    /// Serialized on every path: the protocol is one value, and admission
-    /// reads the run-global backlog. Sends stage in the sender's lane.
+impl<P: Protocol> Phases<P> for Fabric<'_, P::Msg> {
+    /// The protocol is one value, and admission reads the run-global
+    /// backlog. Sends stage in the sender's lane.
     fn arrivals(&mut self, led: &mut Ledger<'_, P::Msg>, round: Round) -> Result<(), SimError> {
         let (partition, lanes) = (self.partition, &mut self.lanes);
         led.drain(round, |f, t, m| {
@@ -256,20 +116,13 @@ where
 
     /// One walk of the global in-port frontier, each node popping from its
     /// own lane with the handler and its effects applied inline, exactly as
-    /// the monolith's receive walk; under [`SimConfig::parallel_apply`] the
-    /// handlers run in the lane tasks instead and replay at the barrier.
+    /// the monolith's receive walk.
     fn deliver(
         &mut self,
         led: &mut Ledger<'_, P::Msg>,
         protocol: &mut P,
         round: Round,
     ) -> Result<(), SimError> {
-        if led.cfg.parallel_apply {
-            let applied = self.apply_in_tasks(led, protocol, round)?;
-            let micros = led.lap();
-            led.timing.apply_micros += micros;
-            return self.replay(led, applied, round);
-        }
         let cfg = led.cfg;
         let (shared, slices) = protocol.split();
         let frontier = self.frontier(cfg, NodeStore::take_inport_frontier);
@@ -343,10 +196,6 @@ where
 }
 
 /// An executable sharded simulation: graph + partition + protocol + config.
-/// Both apply paths — the global in-port walk and the lane tasks of
-/// [`SimConfig::parallel_apply`] — call the protocol's one handler on the
-/// slices directly, so the strategy flag can be honoured for every
-/// protocol.
 pub struct ShardedSimulator<'g, P: Protocol> {
     graph: &'g Graph,
     partition: Partition,
@@ -355,10 +204,7 @@ pub struct ShardedSimulator<'g, P: Protocol> {
     inter_delay: LinkDelay,
 }
 
-impl<'g, P: Protocol> ShardedSimulator<'g, P>
-where
-    P::Msg: Send,
-{
+impl<'g, P: Protocol> ShardedSimulator<'g, P> {
     /// Create a sharded simulator. The inter-shard ferry defaults to the
     /// intra-shard delay policy (`config.link_delay`), under which the
     /// execution reproduces the single-fabric [`crate::Simulator`] exactly.
@@ -374,9 +220,7 @@ where
     }
 
     /// Run to quiescence, returning the report and final protocol state:
-    /// the scheduler's one loop over the fabric, whose deliver phase
-    /// honours [`SimConfig::parallel_apply`]. The report is byte-identical
-    /// whichever apply path runs.
+    /// the scheduler's one loop over the fabric.
     pub fn run_with_state(self) -> Result<(SimReport, P), SimError> {
         let ShardedSimulator { graph, partition, protocol, config: cfg, inter_delay } = self;
         scheduler::run(graph, &cfg, protocol, || {
@@ -402,10 +246,7 @@ pub fn run_protocol_sharded<P: Protocol>(
     partition: Partition,
     protocol: P,
     config: SimConfig,
-) -> Result<SimReport, SimError>
-where
-    P::Msg: Send,
-{
+) -> Result<SimReport, SimError> {
     ShardedSimulator::new(graph, partition, protocol, config).run()
 }
 
@@ -413,11 +254,8 @@ where
 mod tests {
     use super::*;
     use crate::engine::tests::Walk;
-    use crate::{SimApi, TraceKind};
+    use crate::{SimApi, SliceApi, TraceKind};
     use ccq_graph::topology;
-
-    /// Both apply paths of the one lockstep round.
-    const APPLY_PATHS: [bool; 2] = [false, true];
 
     fn reports_equal_modulo_cross_shard(a: &SimReport, b: &SimReport) -> bool {
         let strip = |r: &SimReport| {
@@ -429,50 +267,18 @@ mod tests {
     }
 
     #[test]
-    fn fork_lends_every_shard_once_in_place_and_answers_in_shard_order() {
-        use std::sync::Mutex;
-        for k in [1, 3] {
-            let part = Partition::contiguous(9, k);
-            let mut fab: Fabric<()> = Fabric::new(&part, LinkDelay::Unit, LinkDelay::Unit);
-            let lent = Mutex::new(Vec::new());
-            // Each lane's input is its shard index.
-            let inputs: Vec<usize> = (0..k).collect();
-            let members = |lane: &Lane<()>| lane.store.members().collect::<Vec<_>>();
-            let out = fork(&mut fab.lanes, inputs, |lane, shard| {
-                lent.lock().unwrap().push(shard);
-                // A mark left in the lent lane: it must still be there,
-                // on the same lane, after the join.
-                lane.frontier.push(shard);
-                (shard, members(lane))
-            });
-            let want: Vec<_> = (0..k).map(|shard| (shard, part.members(shard).to_vec())).collect();
-            assert_eq!(out, want, "k = {k}: results in shard order, each with its own input");
-            let mut lent = lent.into_inner().unwrap();
-            lent.sort_unstable();
-            assert_eq!(lent, (0..k).collect::<Vec<_>>(), "k = {k}: every lane lent exactly once");
-            for (shard, lane) in fab.lanes.iter().enumerate() {
-                assert_eq!(members(lane), part.members(shard), "k = {k}: lanes out of order");
-                assert_eq!(lane.frontier, [shard], "k = {k}: the lane was not lent in place");
-            }
-        }
-    }
-
-    #[test]
     fn one_shard_reproduces_the_monolith_exactly() {
         let g = topology::path(9);
         let single = crate::run_protocol(&g, Walk::new(9), SimConfig::strict()).unwrap();
-        for parallel in APPLY_PATHS {
-            let cfg = SimConfig::strict().with_parallel_apply(parallel);
-            let sharded =
-                run_protocol_sharded(&g, Partition::contiguous(9, 1), Walk::new(9), cfg).unwrap();
-            assert_eq!(sharded.cross_shard_messages, 0);
-            assert!(reports_equal_modulo_cross_shard(&single, &sharded), "parallel = {parallel}");
-        }
-        // The single-fabric executor has no shards to apply in: it rejects
-        // the flag by name rather than silently running serialized.
-        let cfg = SimConfig::strict().with_parallel_apply(true);
-        let err = crate::run_protocol(&g, Walk::new(9), cfg).unwrap_err();
-        assert!(err.to_string().contains("parallel_apply"), "{err}");
+        let sharded = run_protocol_sharded(
+            &g,
+            Partition::contiguous(9, 1),
+            Walk::new(9),
+            SimConfig::strict(),
+        )
+        .unwrap();
+        assert_eq!(sharded.cross_shard_messages, 0);
+        assert!(reports_equal_modulo_cross_shard(&single, &sharded));
     }
 
     #[test]
@@ -480,17 +286,15 @@ mod tests {
         let g = topology::path(12);
         let single = crate::run_protocol(&g, Walk::new(12), SimConfig::strict()).unwrap();
         for k in [2, 3, 4] {
-            for parallel in APPLY_PATHS {
-                let part = Partition::contiguous(12, k);
-                let cfg = SimConfig::strict().with_parallel_apply(parallel);
-                let sharded = run_protocol_sharded(&g, part, Walk::new(12), cfg).unwrap();
-                // The token crosses each of the k−1 shard boundaries once.
-                assert_eq!(sharded.cross_shard_messages, k as u64 - 1);
-                assert!(
-                    reports_equal_modulo_cross_shard(&single, &sharded),
-                    "k = {k}, parallel = {parallel} diverged from the single-fabric run"
-                );
-            }
+            let part = Partition::contiguous(12, k);
+            let sharded =
+                run_protocol_sharded(&g, part, Walk::new(12), SimConfig::strict()).unwrap();
+            // The token crosses each of the k−1 shard boundaries once.
+            assert_eq!(sharded.cross_shard_messages, k as u64 - 1);
+            assert!(
+                reports_equal_modulo_cross_shard(&single, &sharded),
+                "k = {k} diverged from the single-fabric run"
+            );
         }
     }
 
@@ -499,58 +303,46 @@ mod tests {
         let g = topology::path(16);
         let cfg = SimConfig::strict().with_jitter(4, 99);
         let single = crate::run_protocol(&g, Walk::new(16), cfg).unwrap();
-        for parallel in APPLY_PATHS {
-            let sharded = run_protocol_sharded(
-                &g,
-                Partition::striped(16, 4),
-                Walk::new(16),
-                cfg.with_parallel_apply(parallel),
-            )
-            .unwrap();
-            assert!(reports_equal_modulo_cross_shard(&single, &sharded), "parallel = {parallel}");
-            assert!(sharded.cross_shard_messages > 0);
-        }
+        let sharded =
+            run_protocol_sharded(&g, Partition::striped(16, 4), Walk::new(16), cfg).unwrap();
+        assert!(reports_equal_modulo_cross_shard(&single, &sharded));
+        assert!(sharded.cross_shard_messages > 0);
     }
 
     #[test]
     fn slow_ferry_stretches_the_walk() {
         let g = topology::path(8);
-        for parallel in APPLY_PATHS {
-            let sim = || {
-                ShardedSimulator::new(
-                    &g,
-                    Partition::contiguous(8, 2),
-                    Walk::new(8),
-                    SimConfig::strict().with_parallel_apply(parallel),
-                )
-            };
-            let fast = sim().run().unwrap();
-            let slow = sim().with_inter_delay(LinkDelay::Fixed { delay: 10 }).run().unwrap();
-            // One boundary crossing at 10 rounds instead of 1.
-            assert_eq!(slow.rounds, fast.rounds + 9);
-            assert_eq!(slow.ops(), fast.ops());
-        }
+        let sim = || {
+            ShardedSimulator::new(
+                &g,
+                Partition::contiguous(8, 2),
+                Walk::new(8),
+                SimConfig::strict(),
+            )
+        };
+        let fast = sim().run().unwrap();
+        let slow = sim().with_inter_delay(LinkDelay::Fixed { delay: 10 }).run().unwrap();
+        // One boundary crossing at 10 rounds instead of 1.
+        assert_eq!(slow.rounds, fast.rounds + 9);
+        assert_eq!(slow.ops(), fast.ops());
     }
 
+    /// The fabric's one deliver walk is byte-identical to the monolith's
+    /// receive walk, traces included, and hands every delivery to the
+    /// slice of the node it reached.
     #[test]
     fn parallel_apply_is_byte_identical_and_updates_slices() {
         let g = topology::path(12);
         for delay in [LinkDelay::Unit, LinkDelay::Jitter { max: 3, seed: 5 }] {
             let cfg = SimConfig::strict().with_link_delay(delay).with_trace();
-            let serial =
-                run_protocol_sharded(&g, Partition::striped(12, 3), Walk::new(12), cfg).unwrap();
-            let (sliced, proto) = ShardedSimulator::new(
-                &g,
-                Partition::striped(12, 3),
-                Walk::new(12),
-                cfg.with_parallel_apply(true),
-            )
-            .run_with_state()
-            .unwrap();
-            assert_eq!(
-                serde_json::to_string(&serial).unwrap(),
-                serde_json::to_string(&sliced).unwrap(),
-                "parallel apply diverged under {}",
+            let single = crate::run_protocol(&g, Walk::new(12), cfg).unwrap();
+            let (sharded, proto) =
+                ShardedSimulator::new(&g, Partition::striped(12, 3), Walk::new(12), cfg)
+                    .run_with_state()
+                    .unwrap();
+            assert!(
+                reports_equal_modulo_cross_shard(&single, &sharded),
+                "the deliver walk diverged under {}",
                 delay.name()
             );
             assert_eq!(proto.visits, vec![1; 12], "slices must see every delivery");
@@ -588,14 +380,11 @@ mod tests {
         }
         let g = topology::path(6);
         let short = || Short { n: 6, units: vec![0; 2] };
-        let mut errs = vec![crate::run_protocol(&g, short(), SimConfig::strict()).unwrap_err()];
-        for parallel in APPLY_PATHS {
-            let cfg = SimConfig::strict().with_parallel_apply(parallel);
-            errs.push(
-                run_protocol_sharded(&g, Partition::contiguous(6, 2), short(), cfg).unwrap_err(),
-            );
-        }
-        for err in errs {
+        let cfg = SimConfig::strict();
+        for err in [
+            crate::run_protocol(&g, short(), cfg).unwrap_err(),
+            run_protocol_sharded(&g, Partition::contiguous(6, 2), short(), cfg).unwrap_err(),
+        ] {
             assert!(matches!(err, SimError::InvalidConfig { .. }), "{err}");
             assert!(err.to_string().contains("one slice per processor"), "{err}");
         }
@@ -650,17 +439,10 @@ mod tests {
         let cfg = SimConfig::strict().with_probe(probe);
         let single = crate::run_protocol(&g, Walk::new(12), cfg).unwrap();
         assert!(!single.checkpoints.is_empty(), "probe must checkpoint");
-        for parallel in APPLY_PATHS {
-            let sharded = run_protocol_sharded(
-                &g,
-                Partition::striped(12, 3),
-                Walk::new(12),
-                cfg.with_parallel_apply(parallel),
-            )
-            .unwrap();
-            assert_eq!(single.checkpoints, sharded.checkpoints, "parallel = {parallel}");
-            assert_eq!(single.node_digests, sharded.node_digests, "parallel = {parallel}");
-        }
+        let sharded =
+            run_protocol_sharded(&g, Partition::striped(12, 3), Walk::new(12), cfg).unwrap();
+        assert_eq!(single.checkpoints, sharded.checkpoints);
+        assert_eq!(single.node_digests, sharded.node_digests);
     }
 
     #[test]

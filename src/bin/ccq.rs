@@ -97,7 +97,7 @@ examples:
             --admission pernode:bound=8:protect=1 --json -
   ccq sweep --arrival poisson:rate=0.4 --fault crash:at=6:node=3:recover=14 --json -
   ccq sweep --topo torus2d:6 --shards 4:edgecut --json -
-  ccq sweep --topo torus2d:6 --shards 4 --parallel-apply --json -
+  ccq sweep --topo torus2d:6 --shards 1,2:stripe,4:contig --json -
   ccq sweep --topo torus2d:6 --shards 4:edgecut:ferry=6 --proto arrow,central-counter --json -
   ccq sweep --topo list:16 --proto arrow --timing --checkpoint-every 8 --json -
   ccq record --topo mesh2d --proto arrow --rec arrow.ccqrec

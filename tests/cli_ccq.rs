@@ -374,15 +374,15 @@ fn shards_accepts_strategies_and_lists() {
 
 #[test]
 fn parallel_apply_is_byte_identical_to_the_serialized_sweep() {
-    // The PR-5 acceptance criterion: `--shards 4 --parallel-apply` JSON
-    // must equal the same sweep without the flag, byte for byte — the
-    // sliced apply path is an execution strategy, not a new measurement.
+    // `--parallel-apply` is a retired spelling: `--shards 4
+    // --parallel-apply` JSON equals the same sweep without the flag, byte
+    // for byte, because every sharded round runs the serialized walk.
     let base = ccq(&["sweep", "--shards", "4", "--json", "-"]);
-    let sliced = ccq(&["sweep", "--shards", "4", "--parallel-apply", "--json", "-"]);
-    assert!(base.status.success() && sliced.status.success());
-    assert_eq!(base.stdout, sliced.stdout, "--parallel-apply changed the JSON bytes");
-    // And every one of the 10 × 2 default cases verified on the sliced path.
-    let doc = json_stdout(&sliced);
+    let retired = ccq(&["sweep", "--shards", "4", "--parallel-apply", "--json", "-"]);
+    assert!(base.status.success() && retired.status.success());
+    assert_eq!(base.stdout, retired.stdout, "--parallel-apply changed the JSON bytes");
+    // And every one of the 10 × 2 default cases verified.
+    let doc = json_stdout(&retired);
     assert_eq!(cases(&doc).len(), 20);
     assert_all_ok(&doc);
 }
@@ -409,13 +409,13 @@ fn parallel_apply_composes_with_shards_arrivals_and_admission() {
         f
     };
     let serial = ccq(&flags(false));
-    let sliced = ccq(&flags(true));
-    assert!(serial.status.success() && sliced.status.success());
+    let retired = ccq(&flags(true));
+    assert!(serial.status.success() && retired.status.success());
     assert_eq!(
-        serial.stdout, sliced.stdout,
+        serial.stdout, retired.stdout,
         "--parallel-apply diverged under open arrivals + backpressure + sharding"
     );
-    assert_all_ok(&json_stdout(&sliced));
+    assert_all_ok(&json_stdout(&retired));
 }
 
 #[test]
@@ -424,14 +424,12 @@ fn usage_and_list_document_parallel_apply() {
     let help_text = String::from_utf8_lossy(&help.stdout).to_string();
     let list = ccq(&["list"]);
     let list_text = String::from_utf8_lossy(&list.stdout).to_string();
+    // Both flags keep a row, and it names the flag as retired, in both texts.
     for flag in ["--parallel-apply", "--wavefront"] {
-        assert!(help_text.contains(flag), "usage misses {flag}");
-        assert!(list_text.contains(flag), "ccq list misses {flag}");
-    }
-    // The wavefront row names the flag as retired, in both texts.
-    for text in [&help_text, &list_text] {
-        let row = text.lines().find(|l| l.trim_start().starts_with("--wavefront"));
-        assert!(row.is_some_and(|r| r.contains("retired")), "wavefront row: {row:?}");
+        for text in [&help_text, &list_text] {
+            let row = text.lines().find(|l| l.trim_start().starts_with(flag));
+            assert!(row.is_some_and(|r| r.contains("retired")), "{flag} row: {row:?}");
+        }
     }
     for removed in ["--dense-scan", "--serial-transmit"] {
         assert!(!help_text.contains(removed), "usage still names {removed}");
@@ -478,6 +476,7 @@ fn wavefront_is_byte_identical_to_the_lockstep_sweep() {
 fn timing_reports_transmit_and_apply_micros_separately_under_wavefront() {
     // `--timing` reports every phase of a sharded slow-ferry sweep; the
     // retired `--wavefront:lag=4` spelling runs the same lockstep rounds.
+    // Handlers run inside the deliver phase, so `apply_micros` reads 0.
     let out = ccq(&[
         "sweep",
         "--topo",
@@ -498,6 +497,7 @@ fn timing_reports_transmit_and_apply_micros_separately_under_wavefront() {
         for f in ["transmit_micros", "apply_micros", "mature_micros", "max_round_micros"] {
             assert!(timing.get(f).and_then(|v| v.as_u64()).is_some(), "{f} missing: {timing:?}");
         }
+        assert_eq!(timing.get("apply_micros").and_then(|v| v.as_u64()), Some(0), "{timing:?}");
     }
 }
 

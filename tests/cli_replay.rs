@@ -36,9 +36,14 @@ fn record_to(path: &Path, extra: &[&str]) -> Output {
 #[test]
 fn record_then_replay_is_byte_identical() {
     let rec = scratch("roundtrip.ccqrec");
-    // The second argv holds the retired `--wavefront:lag=4` spelling, as
-    // recordings made before its retirement do: it still replays.
-    for extra in [&[][..], &["--shards", "4:ferry=6", "--wavefront:lag=4"]] {
+    // The second and third argvs hold the retired `--wavefront:lag=4` and
+    // `--parallel-apply` spellings, as recordings made before their
+    // retirement do: they still replay.
+    for extra in [
+        &[][..],
+        &["--shards", "4:ferry=6", "--wavefront:lag=4"],
+        &["--shards", "4", "--parallel-apply"],
+    ] {
         let out = record_to(&rec, &[extra, &["--json", "-"]].concat());
         let doc = json_stdout(&out);
         assert!(!cases(&doc).is_empty());
@@ -168,10 +173,14 @@ fn bisect_of_identical_configs_reports_no_divergence() {
 
 #[test]
 fn bisect_parallel_apply_against_serialized_agrees() {
-    // The executor-equivalence guarantee, observed through the CLI.
-    let out = ccq(&["bisect", "--parallel-apply", "", "--topo", "torus2d:3", "--proto", "arrow"]);
-    assert_eq!(out.status.code(), Some(0), "{}", stderr_of(&out));
-    assert!(stdout_of(&out).contains("no divergence"), "{}", stdout_of(&out));
+    // The retired `--parallel-apply` spelling hashes the same states as
+    // the argv without it, unsharded and on four shards.
+    for (with, without) in [("--parallel-apply", ""), ("--shards 4 --parallel-apply", "--shards 4")]
+    {
+        let out = ccq(&["bisect", with, without, "--topo", "torus2d:3", "--proto", "arrow"]);
+        assert_eq!(out.status.code(), Some(0), "{with}: {}", stderr_of(&out));
+        assert!(stdout_of(&out).contains("no divergence"), "{with}: {}", stdout_of(&out));
+    }
 }
 
 #[test]

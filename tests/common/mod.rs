@@ -24,7 +24,7 @@ pub fn sweep_plan(args: &[&str]) -> RunPlan {
 }
 
 /// The scenario [`RunPlan::execute`] builds for `case`, before the plan's
-/// parallel-apply and probe knobs.
+/// probe knobs.
 pub fn scenario_of(case: &RunCase) -> Scenario {
     Scenario::build_with(case.topo.clone(), case.pattern.clone(), case.arrival.clone())
         .with_admission(case.admission)

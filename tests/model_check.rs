@@ -12,8 +12,8 @@
 //! home and config, and must be one execution ([`common::assert_twins`]).
 //! The executor is one more input of every sweep: the monolith and the
 //! sharded fabric run the same round skeleton, so each case runs on both
-//! (two striped shards, serialized and parallel apply) and the three
-//! reports must agree byte for byte apart from `cross_shard_messages`.
+//! (the fabric on two striped shards) and the two reports must agree byte
+//! for byte apart from `cross_shard_messages`.
 
 mod common;
 
@@ -28,12 +28,8 @@ use ccq_repro::queuing::{
 use ccq_repro::sim::{run_protocol, run_protocol_sharded, Protocol, SimConfig, SimReport};
 
 /// The executors of every case: the monolith, then the sharded fabric on
-/// two striped shards without and with `parallel_apply`.
-const EXECUTORS: [(&str, Option<bool>); 3] = [
-    ("monolith", None),
-    ("2 striped shards", Some(false)),
-    ("2 striped shards, parallel apply", Some(true)),
-];
+/// two striped shards.
+const EXECUTORS: [(&str, bool); 2] = [("monolith", false), ("2 striped shards", true)];
 
 /// Run one case on every executor, handing each report to `check` with
 /// the executor's index into [`EXECUTORS`]. The reports must serialize
@@ -43,17 +39,13 @@ fn on_every_executor<P: Protocol>(
     make: impl Fn() -> P,
     cfg: SimConfig,
     mut check: impl FnMut(usize, &SimReport),
-) where
-    P::Msg: Send,
-{
+) {
     let mut monolith = None;
     for (e, (label, sharded)) in EXECUTORS.into_iter().enumerate() {
-        let rep = match sharded {
-            None => run_protocol(g, make(), cfg),
-            Some(parallel) => {
-                let part = Partition::striped(g.n(), 2);
-                run_protocol_sharded(g, part, make(), cfg.with_parallel_apply(parallel))
-            }
+        let rep = if sharded {
+            run_protocol_sharded(g, Partition::striped(g.n(), 2), make(), cfg)
+        } else {
+            run_protocol(g, make(), cfg)
         }
         .unwrap_or_else(|err| panic!("{label}: {err}"));
         let mut stripped = rep.clone();
@@ -76,10 +68,7 @@ fn twins_on_every_executor<Q: Protocol, C: Protocol>(
     requests: &[NodeId],
     ctx: &str,
     cases: &mut [u64; EXECUTORS.len()],
-) where
-    Q::Msg: Send,
-    C::Msg: Send,
-{
+) {
     let mut queues = Vec::with_capacity(EXECUTORS.len());
     on_every_executor(g, queue, cfg, |_, rep| queues.push(rep.clone()));
     on_every_executor(g, counter, cfg, |e, rep| {
@@ -159,10 +148,7 @@ fn arrow_sweep(
 /// Every third tree × every subset × widths 2 and 4 — the sweep of the
 /// width-parameterized counters — with each case's ranks verified on
 /// every executor.
-fn width_sweep<P: Protocol>(label: &str, make: impl Fn(&Graph, &Tree, &[NodeId], usize) -> P)
-where
-    P::Msg: Send,
-{
+fn width_sweep<P: Protocol>(label: &str, make: impl Fn(&Graph, &Tree, &[NodeId], usize) -> P) {
     let mut cases = [0u64; EXECUTORS.len()];
     for n in 2..=5usize {
         for tree in increasing_trees(n).into_iter().step_by(3) {
@@ -184,7 +170,7 @@ where
         }
     }
     // Every third tree (1, 1, 2, 8 of them) × 2ⁿ subsets × 2 widths.
-    assert_eq!(cases, [600; 3], "{label}: expected the full every-third-tree sweep per executor");
+    assert_eq!(cases, [600; 2], "{label}: expected the full every-third-tree sweep per executor");
 }
 
 #[test]
@@ -201,7 +187,7 @@ fn arrow_exhaustive_small_cases() {
     let cases = arrow_sweep("arrow", ArrowProtocol::new);
     // 2·Σ_n (n−1)!·n·2ⁿ scenarios per executor = sanity that the sweep
     // actually ran.
-    assert_eq!(cases, [8560; 3], "expected the full 2·Σ (n−1)!·n·2ⁿ sweep per executor");
+    assert_eq!(cases, [8560; 2], "expected the full 2·Σ (n−1)!·n·2ⁿ sweep per executor");
 }
 
 #[test]
@@ -210,7 +196,7 @@ fn arrow_notify_exhaustive_small_cases() {
         ArrowProtocol::new(tree, tail, requests).with_notify_origin()
     });
     // 2·Σ_n (n−1)!·n·2ⁿ per executor, as for arrow.
-    assert_eq!(cases, [8560; 3], "expected the full 2·Σ (n−1)!·n·2ⁿ sweep per executor");
+    assert_eq!(cases, [8560; 2], "expected the full 2·Σ (n−1)!·n·2ⁿ sweep per executor");
 }
 
 #[test]
@@ -236,7 +222,7 @@ fn central_twins_exhaustive_small_cases() {
         }
     }
     // 2·Σ_n (n−1)!·n·2ⁿ pairs per executor.
-    assert_eq!(cases, [8560; 3], "expected the full 2·Σ (n−1)!·n·2ⁿ sweep per executor");
+    assert_eq!(cases, [8560; 2], "expected the full 2·Σ (n−1)!·n·2ⁿ sweep per executor");
 }
 
 #[test]
@@ -259,7 +245,7 @@ fn combining_exhaustive_small_cases() {
         }
     }
     // 2·Σ_n (n−1)!·2ⁿ pairs per executor.
-    assert_eq!(cases, [1768; 3], "expected the full 2·Σ (n−1)!·2ⁿ sweep per executor");
+    assert_eq!(cases, [1768; 2], "expected the full 2·Σ (n−1)!·2ⁿ sweep per executor");
 }
 
 #[test]
@@ -301,7 +287,7 @@ fn crdt_counter_exhaustive_small_cases() {
         }
     }
     // 2·Σ_n (n−1)!·2ⁿ per executor.
-    assert_eq!(cases, [1768; 3], "expected the full 2·Σ (n−1)!·2ⁿ sweep per executor");
+    assert_eq!(cases, [1768; 2], "expected the full 2·Σ (n−1)!·2ⁿ sweep per executor");
 }
 
 #[test]
@@ -330,5 +316,5 @@ fn arrow_exhaustive_under_jitter() {
         }
     }
     // 3! trees × 4 tails × 2⁴ subsets × 4 seeds per executor.
-    assert_eq!(cases, [1536; 3], "expected the full jitter sweep per executor");
+    assert_eq!(cases, [1536; 2], "expected the full jitter sweep per executor");
 }

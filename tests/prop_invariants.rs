@@ -560,9 +560,9 @@ proptest! {
     }
 
     /// QQC lateness is a pure function of the (byte-identical) trace, so it
-    /// cannot depend on the executor strategy: the serialized reference
-    /// path, the parallel apply path and the dense scan all report
-    /// identical qqc_* fields for every protocol × arrival × delay.
+    /// cannot depend on the executor strategy: the monolith, the sharded
+    /// fabric and the dense scan all report identical qqc_* fields for
+    /// every protocol × arrival × delay.
     #[test]
     fn qqc_is_executor_independent(
         proto_idx in 0usize..10,
@@ -585,25 +585,25 @@ proptest! {
         };
         // The paper's mode convention, as a default `RunPlan` assigns it.
         let mode = proto.kind().paper_mode();
-        let run = |parallel: bool, dense: bool| -> (u64, u64, u64, u64, u64) {
+        let run = |k: usize, dense: bool| -> (u64, u64, u64, u64, u64) {
             let scenario = Scenario::build_with(
                 TopoSpec::Mesh2D { side: 4 },
                 RequestPattern::All,
                 arrival.clone(),
             )
-            .with_parallel_apply(parallel);
+            .with_shards(ShardSpec::new(k, ShardStrategy::Striped));
             let out =
                 common::run_on_reference(proto, &scenario, mode, delay, |c| c.with_dense_scan(dense))
                     .unwrap_or_else(|e| panic!("{}: {e}", proto.name()));
             let l = out.report.qqc_lateness(&out.order);
             (l.max, l.mean.to_bits(), l.p50, l.p95, l.p99)
         };
-        let reference = run(false, false);
-        for (parallel, dense) in [(true, false), (false, true)] {
+        let reference = run(1, false);
+        for (k, dense) in [(3, false), (1, true)] {
             prop_assert_eq!(
-                &run(parallel, dense), &reference,
-                "{}: qqc diverged on executor path (parallel={}, dense={})",
-                proto.name(), parallel, dense
+                &run(k, dense), &reference,
+                "{}: qqc diverged on executor path (k={}, dense={})",
+                proto.name(), k, dense
             );
         }
     }

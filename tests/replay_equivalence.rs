@@ -9,13 +9,13 @@
 //!   uninterrupted run, and a checkpointed run's *serialized* report is
 //!   byte-identical to the unprobed one (probe data rides outside the
 //!   report's JSON);
-//! * **executor independence** — monolith, sharded-serialized and
-//!   sharded-parallel-apply runs of every registry protocol produce
-//!   identical per-round checkpoint and per-node digest streams, and the
-//!   dirty-frontier round loop hashes identically to the dense reference
-//!   scan (a snapshot taken on the dense scan even resumes on the
-//!   frontier loop); sweep argvs with the retired `--wavefront` spelling
-//!   hash and snapshot exactly like the argvs without it;
+//! * **executor independence** — monolith and sharded runs of every
+//!   registry protocol produce identical per-round checkpoint and per-node
+//!   digest streams, and the dirty-frontier round loop hashes identically
+//!   to the dense reference scan (a snapshot taken on the dense scan even
+//!   resumes on the frontier loop); sweep argvs with the retired
+//!   `--parallel-apply` and `--wavefront` spellings hash and snapshot
+//!   exactly like the argvs without them;
 //! * **bisection** — a deliberately planted single-node transmit skip is
 //!   localized to its exact `(round, phase, node)` by
 //!   [`first_divergence`], and unperturbed runs show no divergence.
@@ -128,63 +128,49 @@ proptest! {
 }
 
 /// Checkpoint and node-digest streams are executor-independent: the
-/// monolith, the sharded-serialized executor and the sliced
-/// parallel-apply path hash through identical states at every barrier,
-/// for every registry protocol — and on a slow ferry (`3:edgecut:ferry=4`,
-/// every third round observed) the two apply paths still agree on the
-/// streams and the serialized report.
+/// monolith and the sharded executor hash through identical states at
+/// every barrier, for every registry protocol — and on a slow ferry
+/// (`3:edgecut:ferry=4`, every third round observed) the sweep argv with
+/// the retired `--parallel-apply` spelling hashes the same streams and
+/// serializes the same JSON as the argv without it.
 #[test]
 fn checkpoints_are_executor_independent_for_every_registry_protocol() {
     let probe = ProbeSpec::OFF.with_checkpoint_every(1).with_node_hashes(true);
-    let ferry =
-        ShardSpec::new(3, ShardStrategy::EdgeCut).with_inter_delay(LinkDelay::Fixed { delay: 4 });
     for spec in registry() {
         let mode = spec.kind().paper_mode();
-        let build = |k: usize, parallel: bool| {
+        let build = |k: usize| {
             Scenario::build(TopoSpec::Torus2D { side: 3 }, RequestPattern::All)
                 .with_shards(ShardSpec::new(k, ShardStrategy::EdgeCut))
-                .with_parallel_apply(parallel)
                 .with_probe(probe)
         };
-        let slow = |parallel: bool| {
-            let scenario = Scenario::build(TopoSpec::Torus2D { side: 3 }, RequestPattern::All)
-                .with_shards(ferry)
-                .with_parallel_apply(parallel)
-                .with_probe(ProbeSpec::OFF.with_checkpoint_every(3).with_node_hashes(true));
-            run_spec_with(*spec, &scenario, mode, LinkDelay::Unit).unwrap()
-        };
-        let streams = |out: &RunOutcome| {
-            let r = &out.report;
-            (r.checkpoints.clone(), r.node_digests.clone(), report_json(out))
-        };
-        let serialized = streams(&slow(false));
-        assert!(!serialized.0.is_empty(), "{}", spec.name());
+        let mono = run_spec_with(*spec, &build(1), mode, LinkDelay::Unit).unwrap();
+        assert!(!mono.report.checkpoints.is_empty(), "{}", spec.name());
+        let sharded = run_spec_with(*spec, &build(3), mode, LinkDelay::Unit).unwrap();
         assert_eq!(
-            streams(&slow(true)),
-            serialized,
-            "{} ferry=4: parallel apply diverged from the serialized walk",
+            sharded.report.checkpoints,
+            mono.report.checkpoints,
+            "{}: checkpoint stream diverged from the monolith",
             spec.name()
         );
-        let mono = run_spec_with(*spec, &build(1, false), mode, LinkDelay::Unit).unwrap();
-        assert!(!mono.report.checkpoints.is_empty(), "{}", spec.name());
-        for (label, out) in [
-            ("sharded", run_spec_with(*spec, &build(3, false), mode, LinkDelay::Unit).unwrap()),
-            ("parallel", run_spec_with(*spec, &build(3, true), mode, LinkDelay::Unit).unwrap()),
-        ] {
-            assert_eq!(
-                out.report.checkpoints,
-                mono.report.checkpoints,
-                "{} {label}: checkpoint stream diverged from the monolith",
-                spec.name()
-            );
-            assert_eq!(
-                out.report.node_digests,
-                mono.report.node_digests,
-                "{} {label}: node digests diverged from the monolith",
-                spec.name()
-            );
-        }
+        assert_eq!(
+            sharded.report.node_digests,
+            mono.report.node_digests,
+            "{}: node digests diverged from the monolith",
+            spec.name()
+        );
     }
+    let argv = ["--topo", "torus2d:3", "--shards", "3:edgecut:ferry=4"];
+    let probe = ["--checkpoint-every", "3", "--node-hashes"];
+    let run = |extra: &[&str]| sweep_plan(&[&argv[..], &probe[..], extra].concat()).execute();
+    let serialized = run(&[]);
+    let retired = run(&["--parallel-apply"]);
+    assert_eq!(serialized.cases.len(), registry().len());
+    for (r, s) in retired.cases.iter().zip(&serialized.cases) {
+        assert!(s.checkpoints.as_ref().is_some_and(|c| !c.is_empty()), "{}", s.protocol);
+        assert_eq!(r.checkpoints, s.checkpoints, "{} ferry=4: checkpoints diverged", s.protocol);
+        assert_eq!(r.node_digests, s.node_digests, "{} ferry=4: digests diverged", s.protocol);
+    }
+    assert_eq!(retired.to_json(), serialized.to_json(), "ferry=4: serialized sweep diverged");
 }
 
 /// Checkpoint and node-digest streams are also *scan-strategy*
@@ -417,14 +403,14 @@ proptest! {
 
 /// Checkpoint and node-digest streams stay executor-independent under
 /// fault injection: a crashed node's frozen queues hash canonically, so
-/// the monolith, the sharded executor and the parallel apply path agree
-/// at every barrier of a faulty heterogeneous run.
+/// the monolith and the sharded executor agree at every barrier of a
+/// faulty heterogeneous run.
 #[test]
 fn checkpoints_are_executor_independent_under_faults() {
     let probe = ProbeSpec::OFF.with_checkpoint_every(1).with_node_hashes(true);
     for spec in registry() {
         let mode = spec.kind().paper_mode();
-        let build = |k: usize, parallel: bool| {
+        let build = |k: usize| {
             Scenario::build_with(
                 TopoSpec::Torus2D { side: 3 },
                 RequestPattern::All,
@@ -433,29 +419,24 @@ fn checkpoints_are_executor_independent_under_faults() {
             .with_priority(PrioritySpec::Split { frac: 0.25, seed: 11 })
             .with_faults(FaultSpec::none().crash(4, 3, 10))
             .with_shards(ShardSpec::new(k, ShardStrategy::EdgeCut))
-            .with_parallel_apply(parallel)
             .with_probe(probe)
         };
-        let mono = run_spec_with(*spec, &build(1, false), mode, LinkDelay::Unit).unwrap();
+        let mono = run_spec_with(*spec, &build(1), mode, LinkDelay::Unit).unwrap();
         assert!(!mono.report.checkpoints.is_empty(), "{}", spec.name());
         assert_eq!(mono.report.fault_events.len(), 2, "{}", spec.name());
-        for (label, out) in [
-            ("sharded", run_spec_with(*spec, &build(3, false), mode, LinkDelay::Unit).unwrap()),
-            ("parallel", run_spec_with(*spec, &build(3, true), mode, LinkDelay::Unit).unwrap()),
-        ] {
-            assert_eq!(
-                out.report.checkpoints,
-                mono.report.checkpoints,
-                "{} {label}: faulty checkpoint stream diverged from the monolith",
-                spec.name()
-            );
-            assert_eq!(
-                out.report.node_digests,
-                mono.report.node_digests,
-                "{} {label}: faulty node digests diverged from the monolith",
-                spec.name()
-            );
-        }
+        let sharded = run_spec_with(*spec, &build(3), mode, LinkDelay::Unit).unwrap();
+        assert_eq!(
+            sharded.report.checkpoints,
+            mono.report.checkpoints,
+            "{}: faulty checkpoint stream diverged from the monolith",
+            spec.name()
+        );
+        assert_eq!(
+            sharded.report.node_digests,
+            mono.report.node_digests,
+            "{}: faulty node digests diverged from the monolith",
+            spec.name()
+        );
     }
 }
 

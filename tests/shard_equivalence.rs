@@ -11,14 +11,14 @@
 //!   with the same delays as the single-shard run (the default ferry
 //!   inherits the intra-shard delay policy, so only the cross-shard
 //!   traffic counter may differ);
-//! * **parallel-apply equivalence** — every protocol's handler works on
-//!   its node's slice alone, and a property test sweeps registry protocols
-//!   × delay policies × open arrivals × shard plans × slow ferries ×
-//!   admission policies asserting the parallel apply path is
-//!   byte-identical to the serialized one;
+//! * **retired parallel-apply spelling** — a property test sweeps registry
+//!   protocols × delay policies × open arrivals × shard plans × slow
+//!   ferries × admission policies asserting that sweep argvs with
+//!   `--parallel-apply` print the same JSON as without it, and that the
+//!   fabric's one deliver walk runs the monolith's execution;
 //! * **scan equivalence** — a second matrix asserts the default
 //!   dirty-frontier round loop is byte-identical to the dense `0..n`
-//!   reference scan (`SimConfig::dense_scan`), on both apply paths;
+//!   reference scan (`SimConfig::dense_scan`);
 //! * **retired wavefront spelling** — sweep argvs with `--wavefront[:lag=d]`
 //!   run the same lockstep cases into the same JSON as without it.
 
@@ -125,55 +125,68 @@ fn strategy_for(kind: u8) -> ShardStrategy {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The tentpole guarantee: for every sliced registry protocol, under
-    /// every delay policy, open arrival process, shard plan (on the default
-    /// or a slow fixed-delay ferry) and admission policy, the parallel
-    /// apply path produces a byte-identical report (including the
-    /// cross-shard counter — the shard plan is the same on both sides) and
-    /// the same verified order as the serialized apply path.
+    /// The retired `--parallel-apply` spelling changes no byte: for every
+    /// registry protocol, delay policy, open arrival process, shard plan
+    /// (on the default or a slow fixed-delay ferry) and admission policy,
+    /// the sweep argv with the spelling prints the same JSON as the argv
+    /// without it. Every sharded case takes the fabric's one deliver walk,
+    /// and on the default ferry that walk runs the monolith's execution.
     #[test]
     fn parallel_apply_runs_are_byte_identical_to_serialized(
         proto_idx in 0usize..10,
         delay_kind in 0u8..4,
         arrival_kind in 0u8..3,
         k in 1usize..5,
-        strategy in 0u8..3,
+        strategy in 0usize..3,
         slow_ferry in any::<bool>(),
         ferry in 2u64..7,
-        admission_kind in 0u8..2,
+        admission_kind in 0usize..2,
         seed in any::<u64>(),
     ) {
-        let spec = registry()[proto_idx];
-        let delay = delay_for(delay_kind, seed);
+        let delay = match delay_kind {
+            0 => "unit".to_string(),
+            1 => "fixed:d=2".to_string(),
+            2 => format!("perlink:max=3:seed={seed}"),
+            _ => format!("jitter:max=3:seed={seed}"),
+        };
         let arrival = match arrival_kind {
-            0 => ArrivalSpec::OneShot,
-            1 => ArrivalSpec::Poisson { rate: 0.4, seed },
-            _ => ArrivalSpec::Bursty { rate: 0.8, on: 4, off: 7, seed },
+            0 => "oneshot".to_string(),
+            1 => format!("poisson:rate=0.4:seed={seed}"),
+            _ => format!("bursty:rate=0.8:on=4:off=7:seed={seed}"),
         };
-        let admission = match admission_kind {
-            0 => AdmissionSpec::Open,
-            _ => AdmissionSpec::DropTail { bound: 6 },
+        let strategy = ["contig", "stripe", "edgecut"][strategy];
+        let shards = if slow_ferry {
+            format!("{k}:{strategy}:ferry={ferry}")
+        } else {
+            format!("{k}:{strategy}")
         };
-        let mut shards = ShardSpec::new(k, strategy_for(strategy));
-        if slow_ferry {
-            shards = shards.with_inter_delay(LinkDelay::Fixed { delay: ferry });
+        let argv = [
+            "--topo", "torus2d:3",
+            "--proto", registry()[proto_idx].name(),
+            "--delay", &delay,
+            "--arrival", &arrival,
+            "--admission", ["open", "droptail:bound=6"][admission_kind],
+            "--shards", &shards,
+        ];
+        let plan = sweep_plan(&argv);
+        let serial = plan.execute();
+        let retired = sweep_plan(&[&argv[..], &["--parallel-apply"]].concat()).execute();
+        prop_assert_eq!(retired.to_json(), serial.to_json(), "{:?}: JSON diverged", argv);
+        prop_assert!(serial.cases[0].ok, "{:?}: {:?}", argv, serial.cases[0].error);
+        if !slow_ferry {
+            let case = &plan.cases()[0];
+            let run = |scenario: &Scenario| {
+                run_spec_with(case.protocol.as_ref(), scenario, case.mode, case.delay).unwrap()
+            };
+            let sharded = run(&scenario_of(case));
+            let single = run(&scenario_of(case).with_shards(ShardSpec::single()));
+            prop_assert_eq!(&sharded.order, &single.order, "{:?}: order diverged", argv);
+            prop_assert_eq!(
+                fingerprint(&sharded.report),
+                fingerprint(&single.report),
+                "{:?}: the deliver walk diverged from the monolith", argv
+            );
         }
-        let topo = TopoSpec::Torus2D { side: 3 };
-        let mode = spec.kind().paper_mode();
-        let build = |parallel: bool| {
-            Scenario::build_with(topo.clone(), RequestPattern::All, arrival.clone())
-                .with_admission(admission)
-                .with_shards(shards)
-                .with_parallel_apply(parallel)
-        };
-        let serial = run_spec_with(spec, &build(false), mode, delay).unwrap();
-        let sliced = run_spec_with(spec, &build(true), mode, delay).unwrap();
-        prop_assert_eq!(sliced.order, serial.order, "{} order diverged", spec.name());
-        prop_assert_eq!(
-            serde_json::to_string(&serial.report).unwrap(),
-            serde_json::to_string(&sliced.report).unwrap(),
-            "{} report diverged", spec.name()
-        );
     }
 }
 
@@ -192,7 +205,6 @@ proptest! {
         arrival_kind in 0u8..3,
         k in 1usize..5,
         strategy in 0u8..3,
-        parallel in any::<bool>(),
         seed in any::<u64>(),
     ) {
         let spec = registry()[proto_idx];
@@ -204,12 +216,9 @@ proptest! {
         };
         let shards = ShardSpec::new(k, strategy_for(strategy));
         let mode = spec.kind().paper_mode();
-        // The parallel-apply requirement only holds for sliced protocols;
-        // every registry protocol is sliced, so both values are fair game.
         let scenario =
             Scenario::build_with(TopoSpec::Torus2D { side: 3 }, RequestPattern::All, arrival)
-                .with_shards(shards)
-                .with_parallel_apply(parallel);
+                .with_shards(shards);
         let frontier = run_spec_with(spec, &scenario, mode, delay).unwrap();
         let dense =
             run_on_reference(spec, &scenario, mode, delay, |c| c.with_dense_scan(true)).unwrap();
@@ -322,63 +331,58 @@ fn wavefront_auto_lag_composes_with_the_other_strategies() {
 }
 
 /// Deterministic matrix: every registry protocol × mesh2d/torus2d × shard
-/// counts (including the k = 1 degenerate plan) on the parallel apply path
-/// equals the *unsharded serialized monolith* — the full equivalence chain
-/// monolith ≡ sharded ≡ sharded-parallel-apply.
+/// counts (including the k = 1 degenerate plan), each case of a sweep argv
+/// that names the retired `--parallel-apply` spelling, equals the
+/// *unsharded monolith* — the fabric's one deliver walk updates every
+/// slice exactly as the monolith's receive walk does.
 #[test]
 fn parallel_apply_matches_the_monolith_for_every_registry_protocol() {
-    for topo in [TopoSpec::Mesh2D { side: 4 }, TopoSpec::Torus2D { side: 4 }] {
-        let baseline = Scenario::build(topo.clone(), RequestPattern::All);
-        for spec in registry() {
-            let mode = spec.kind().paper_mode();
-            let single = run_spec(*spec, &baseline, mode).unwrap();
-            for k in [1, 3] {
-                let scenario = Scenario::build(topo.clone(), RequestPattern::All)
-                    .with_shards(ShardSpec::new(k, ShardStrategy::EdgeCut))
-                    .with_parallel_apply(true);
-                let sliced = run_spec(*spec, &scenario, mode).unwrap();
+    for topo in ["mesh2d:4", "torus2d:4"] {
+        for k in ["1:edgecut", "3:edgecut"] {
+            let cases = sweep_plan(&["--topo", topo, "--shards", k, "--parallel-apply"]).cases();
+            assert_eq!(cases.len(), registry().len());
+            for case in &cases {
+                let name = case.protocol.name();
+                let run = |scenario: &Scenario| {
+                    run_spec_with(case.protocol.as_ref(), scenario, case.mode, case.delay).unwrap()
+                };
+                let sharded = run(&scenario_of(case));
+                let single = run(&scenario_of(case).with_shards(ShardSpec::single()));
+                assert_eq!(sharded.order, single.order, "{name} on {topo} k={k}: order diverged");
                 assert_eq!(
-                    sliced.order,
-                    single.order,
-                    "{} on {} k={k}: order diverged",
-                    spec.name(),
-                    topo.name()
-                );
-                assert_eq!(
-                    fingerprint(&sliced.report),
+                    fingerprint(&sharded.report),
                     fingerprint(&single.report),
-                    "{} on {} k={k}: parallel apply diverged from the monolith",
-                    spec.name(),
-                    topo.name()
+                    "{name} on {topo} k={k}: the deliver walk diverged from the monolith"
                 );
             }
         }
     }
 }
 
-/// Admission control composes with the parallel apply path: backpressure
-/// decisions are made in the serialized arrivals phase against the global
-/// backlog, so a shedding run is byte-identical on either apply path.
+/// Admission control composes with the retired `--parallel-apply`
+/// spelling: backpressure decisions are made in the serialized arrivals
+/// phase against the global backlog, so a shedding sweep prints the same
+/// JSON with the spelling as without it.
 #[test]
 fn parallel_apply_composes_with_admission_control() {
-    let arrival = ArrivalSpec::Poisson { rate: 0.9, seed: 3 };
-    let build = |parallel: bool| {
-        Scenario::build_with(TopoSpec::Mesh2D { side: 4 }, RequestPattern::All, arrival.clone())
-            .with_admission(AdmissionSpec::DropTail { bound: 4 })
-            .with_shards(ShardSpec::new(4, ShardStrategy::EdgeCut))
-            .with_parallel_apply(parallel)
-    };
-    for spec in registry() {
-        let serial = run_spec(*spec, &build(false), ModelMode::Strict).unwrap();
-        let sliced = run_spec(*spec, &build(true), ModelMode::Strict).unwrap();
-        assert_eq!(
-            serde_json::to_string(&serial.report).unwrap(),
-            serde_json::to_string(&sliced.report).unwrap(),
-            "{} diverged under admission control",
-            spec.name()
-        );
-        assert_eq!(serial.report.dropped.len(), sliced.report.dropped.len());
-    }
+    let argv = [
+        "--topo",
+        "mesh2d:4",
+        "--arrival",
+        "poisson:rate=0.9:seed=3",
+        "--admission",
+        "droptail:bound=4",
+        "--shards",
+        "4:edgecut",
+        "--modes",
+        "strict",
+    ];
+    let serial = sweep_plan(&argv).execute();
+    let retired = sweep_plan(&[&argv[..], &["--parallel-apply"]].concat()).execute();
+    assert_eq!(retired.to_json(), serial.to_json(), "diverged under admission control");
+    assert_eq!(serial.cases.len(), registry().len());
+    assert!(serial.cases.iter().all(|c| c.ok), "a shedding case failed");
+    assert!(serial.cases.iter().any(|c| c.dropped > 0), "the bound shed nothing");
 }
 
 /// Every registry protocol, on mesh2d and torus2d, across shard counts and
@@ -481,8 +485,8 @@ proptest! {
 
     /// The heterogeneous-traffic guarantee: priority classes × crash/recover
     /// faults × per-node admission produce byte-identical reports across
-    /// every execution strategy of the *same shard plan* — lockstep,
-    /// parallel apply and dense scan. (The monolith is
+    /// both scan strategies of the *same shard plan* — the frontier walks
+    /// and the dense scan. (The monolith is
     /// deliberately absent: `pernode` admission reads the requester's shard
     /// backlog, so changing the shard plan legitimately changes which
     /// arrivals are shed — that plan-dependence is the policy's point.)
@@ -512,35 +516,24 @@ proptest! {
         };
         let mode = spec.kind().paper_mode();
         let shards = ShardSpec::new(k, strategy_for(strategy));
-        let build = |parallel: bool| {
-            Scenario::build_with(
-                TopoSpec::Torus2D { side: 3 },
-                RequestPattern::All,
-                ArrivalSpec::Poisson { rate: 0.4, seed },
-            )
-            .with_priority(PrioritySpec::Split { frac, seed })
-            .with_faults(faults.clone())
-            .with_admission(AdmissionSpec::PerNode { bound, protect })
-            .with_shards(shards)
-            .with_parallel_apply(parallel)
-        };
-        let lockstep = run_spec_with(spec, &build(false), mode, delay).unwrap();
-        for (label, parallel, dense) in
-            [("parallel apply", true, false), ("dense scan", false, true)]
-        {
-            let other =
-                run_on_reference(spec, &build(parallel), mode, delay, |c| c.with_dense_scan(dense))
-                    .unwrap();
-            prop_assert_eq!(
-                &other.order, &lockstep.order,
-                "{} {} order diverged", spec.name(), label
-            );
-            prop_assert_eq!(
-                serde_json::to_string(&lockstep.report).unwrap(),
-                serde_json::to_string(&other.report).unwrap(),
-                "{} {} diverged from lockstep", spec.name(), label
-            );
-        }
+        let scenario = Scenario::build_with(
+            TopoSpec::Torus2D { side: 3 },
+            RequestPattern::All,
+            ArrivalSpec::Poisson { rate: 0.4, seed },
+        )
+        .with_priority(PrioritySpec::Split { frac, seed })
+        .with_faults(faults)
+        .with_admission(AdmissionSpec::PerNode { bound, protect })
+        .with_shards(shards);
+        let lockstep = run_spec_with(spec, &scenario, mode, delay).unwrap();
+        let dense =
+            run_on_reference(spec, &scenario, mode, delay, |c| c.with_dense_scan(true)).unwrap();
+        prop_assert_eq!(&dense.order, &lockstep.order, "{} dense scan order diverged", spec.name());
+        prop_assert_eq!(
+            serde_json::to_string(&lockstep.report).unwrap(),
+            serde_json::to_string(&dense.report).unwrap(),
+            "{} dense scan diverged from lockstep", spec.name()
+        );
     }
 
 }

@@ -10,11 +10,12 @@
 # smoke, every registry protocol with `--checkpoint-every 1 --node-hashes`
 # (unsharded, `4:edgecut --parallel-apply`, `4:ferry=6 --wavefront` — these
 # prove message `Debug` forms, `state_token` and the canonical state, i.e. the
-# `.ccqrec` format, untouched), an adaptive + split + fault open load, three
+# `.ccqrec` format, untouched), an adaptive + split + fault open load, four
 # bisects, `run --exp all`, `list`, `--help`, record -> replay.
-# `--wavefront[:lag=d]` is a retired spelling that runs the lockstep
-# executor; its rows stay so that argvs and recordings holding it keep their
-# bytes. `--timing` prints wall-clock and is left out.
+# `--parallel-apply` and `--wavefront[:lag=d]` are retired spellings: every
+# sharded round runs the one lockstep executor and its serialized walk. Their
+# rows stay so that argvs and recordings holding them keep their bytes.
+# `--timing` prints wall-clock and is left out.
 set -u
 
 if [ "$#" -ne 2 ]; then
@@ -115,8 +116,9 @@ same sweep --topo torus2d:6 --arrival poisson:rate=0.5:seed=7,bursty:rate=0.7:on
 same sweep --topo torus2d:6 --arrival poisson:rate=0.5 --admission pernode:bound=4:protect=1 \
     --priority split:frac=0.5:seed=2 --shards 4:edgecut --json -
 
-# --- the two CI bisects, and the retired spelling's against lockstep
+# --- the CI bisects, and the retired spellings' against the argvs without them
 same bisect "--parallel-apply" "" --topo torus2d:3 --proto arrow
+same bisect "--shards 4 --parallel-apply" "--shards 4" --topo torus2d:3 --proto arrow
 same bisect "--shards 4:ferry=6 --wavefront:lag=4" "--shards 4:ferry=6" --topo torus2d:6 --proto arrow
 same bisect "--shards 2:contig:ferry=10" "--shards 2:contig" --topo list:8 --proto arrow
 
@@ -154,6 +156,7 @@ record --topo torus2d:3 --proto arrow --arrival poisson:rate=0.5 \
     --priority split:frac=0.25:seed=11 --fault crash:at=4:node=2:recover=9
 record --topo torus2d:4 --proto all --arrival poisson:rate=0.5 --admission adaptive:target=3 \
     --shards 2:edgecut --checkpoint-every 1
+record --topo torus2d:4 --proto arrow,counting-network --shards 4 --parallel-apply
 
 if [ "$differ" -ne 0 ]; then
     echo "$differ of $rows rows differ"
