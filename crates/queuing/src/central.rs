@@ -67,7 +67,7 @@ impl<H: CentralHandOut> fmt::Debug for CentralMsg<H> {
 }
 
 /// The [`SliceApi`] every central handler stages its effects through.
-type Api<H> = SliceApi<CentralMsg<H>>;
+type Api<'a, H> = SliceApi<'a, CentralMsg<H>>;
 
 /// Read-only routing state every central handler shares.
 #[derive(Debug)]

@@ -79,7 +79,7 @@ impl CombiningHandOut for Predecessor {
 pub type CombiningQueueProtocol<'t> = Combining<'t, Predecessor>;
 
 /// The [`SliceApi`] every wave handler stages its effects through.
-type Api<H> = SliceApi<WaveMsg<H>>;
+type Api<'a, H> = SliceApi<'a, WaveMsg<H>>;
 
 /// Messages of the combining wave.
 #[derive(Clone)]

@@ -17,9 +17,9 @@
 //! other words, an admission decision at `t` observes exactly the
 //! post-maturation state of `t − 1` and strictly precedes the transmit
 //! phase of `t`. The backlog is the *global* issued-minus-completed count
-//! held by [`crate::SimApi`], shared by every shard of the sharded
-//! executor — which is why a `k = 1` sharded run admits byte-identically
-//! to the monolith.
+//! that the engine keeps for the whole run and [`crate::SimApi::backlog`]
+//! reads, shared by every shard of the sharded executor — which is why a
+//! `k = 1` sharded run admits byte-identically to the monolith.
 //!
 //! # Liveness
 //!

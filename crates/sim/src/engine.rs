@@ -290,29 +290,59 @@ pub(crate) mod tests {
 
     #[test]
     fn invalid_send_detected() {
-        struct Bad([(); 3]);
+        /// Which callback makes the non-edge send on the path 0–1–2–3.
+        #[derive(Clone, Copy, Debug)]
+        enum Route {
+            Start,
+            Handler,
+            Round,
+        }
+        struct Bad(Route, [(); 4]);
         impl Protocol for Bad {
             type Msg = ();
             type Slice = ();
-            type Shared = ();
-            fn split(&mut self) -> (&(), &mut [()]) {
-                (&(), &mut self.0)
+            type Shared = Route;
+            fn split(&mut self) -> (&Route, &mut [()]) {
+                (&self.0, &mut self.1)
             }
             fn on_start(&mut self, api: &mut SimApi<()>) {
-                api.send(0, 2, ()); // not adjacent in a path of 3
+                match self.0 {
+                    Route::Start => api.send(0, 2, ()),
+                    Route::Handler | Route::Round => api.send(0, 1, ()),
+                }
             }
-            fn on_message(_: &(), _: &mut (), _: &mut SliceApi<()>, _: NodeId, _: NodeId, _: ()) {}
+            fn on_message(
+                route: &Route,
+                _: &mut (),
+                api: &mut SliceApi<()>,
+                _: NodeId,
+                _: NodeId,
+                _: (),
+            ) {
+                if let Route::Handler = route {
+                    api.send(3, ()); // the handler runs at 1
+                }
+            }
+            fn on_round(&mut self, api: &mut SimApi<()>, _: Round) {
+                if let Route::Round = self.0 {
+                    api.send(3, 0, ());
+                }
+            }
         }
-        let g = topology::path(3);
-        on_every_executor(
-            &g,
-            || Bad([(); 3]),
-            SimConfig::strict(),
-            |out, on| {
-                let err = out.err().expect(on);
-                assert_eq!(err, SimError::InvalidSend { from: 0, to: 2, round: 0 }, "{on}");
-            },
-        );
+        let g = topology::path(4);
+        for (route, from, to, round) in
+            [(Route::Start, 0, 2, 0), (Route::Handler, 1, 3, 1), (Route::Round, 3, 0, 1)]
+        {
+            on_every_executor(
+                &g,
+                || Bad(route, [(); 4]),
+                SimConfig::strict(),
+                |out, on| {
+                    let err = out.err().expect(on);
+                    assert_eq!(err, SimError::InvalidSend { from, to, round }, "{route:?}, {on}");
+                },
+            );
+        }
     }
 
     #[test]

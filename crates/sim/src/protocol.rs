@@ -12,15 +12,18 @@
 //! ([`crate::shard`]) from one walk of its lanes' merged in-port frontier,
 //! both in ascending node order — which is why their runs are
 //! byte-identical.
+//!
+//! Both interfaces write through: an effect lands in the engine during the
+//! call that makes it, as a §2.1 send enters the sender's outbox the moment
+//! the processor performs it. A send is checked against the graph and
+//! staged in its sender's outbox; a completion, issue or drop is written
+//! into the report (and the trace) in call order. [`SliceApi`] is a
+//! [`SimApi`] scoped to the handling node.
 
-use crate::report::{Completion, Dropped, Issue};
-use crate::Round;
-use ccq_graph::NodeId;
-
-/// Initial capacity of each [`SimApi`] staging buffer: comfortably above
-/// the per-phase event count of every bundled protocol, so the buffers
-/// never grow in practice (growth is still correct, just amortized).
-const STAGE_CAPACITY: usize = 64;
+use crate::report::{Completion, Dropped, Issue, SimReport};
+use crate::trace::{TraceEvent, TraceKind};
+use crate::{Round, SimError};
+use ccq_graph::{Graph, NodeId};
 
 /// A distributed protocol executed by the simulator.
 ///
@@ -100,53 +103,51 @@ pub trait Protocol {
     }
 }
 
-/// Callback interface: staging area for sends and operation completions.
-/// The per-kind buffers are preallocated, filled by a phase and emptied
-/// whole at its end (`drain(..)` and `clear()` keep their storage), so
-/// staging effects allocates nothing in steady state.
-#[derive(Debug)]
-pub struct SimApi<M> {
-    round: Round,
-    pub(crate) outgoing: Vec<(NodeId, NodeId, M)>,
-    pub(crate) completed: Vec<Completion>,
-    pub(crate) issued: Vec<Issue>,
-    pub(crate) dropped: Vec<Dropped>,
-    pub(crate) delayed: u64,
-    /// Cumulative issue count over the whole run (never drained).
-    issued_total: u64,
-    /// Cumulative completion count over the whole run (never drained).
-    completed_total: u64,
+/// The run's open-operation counts: issues and completions over the whole
+/// run, and optionally the open operations per shard. Owned by the
+/// scheduler's `Ledger`, so the counts outlive every callback that moves
+/// them; admission ([`crate::admission`]) reads them through [`SimApi`].
+#[derive(Debug, Default)]
+pub(crate) struct Backlog {
+    issued: u64,
+    completed: u64,
     /// Shard id per node — empty unless per-shard accounting was enabled
     /// (see [`SimApi::enable_shard_accounting`]).
     shard_of: Vec<u32>,
-    /// Open operations (issued − completed) per shard; maintained by
-    /// [`SimApi::issue`] / [`SimApi::complete`] when accounting is on.
+    /// Open operations (issued − completed) per shard.
     shard_open: Vec<u64>,
-    /// Capacity-retaining effect buffer of the run's one serialized-side
-    /// [`SliceApi`] ([`SimApi::lend_slice_api`]), so handing a handler its
-    /// API never allocates in steady state.
-    slice_scratch: Vec<SliceEffect<M>>,
 }
 
-impl<M> SimApi<M> {
-    pub(crate) fn new() -> Self {
-        SimApi {
-            round: 0,
-            outgoing: Vec::with_capacity(STAGE_CAPACITY),
-            completed: Vec::with_capacity(STAGE_CAPACITY),
-            issued: Vec::with_capacity(STAGE_CAPACITY),
-            dropped: Vec::with_capacity(STAGE_CAPACITY),
-            delayed: 0,
-            issued_total: 0,
-            completed_total: 0,
-            shard_of: Vec::new(),
-            shard_open: Vec::new(),
-            slice_scratch: Vec::new(),
-        }
-    }
+/// Callback interface of the serialized phases ([`Protocol::on_start`],
+/// [`Protocol::on_round`]): a write-through view of the engine at one
+/// round. Every call lands before it returns: a send in its sender's
+/// outbox, a record in the report. The first invalid send is kept and
+/// returned by the round loop once the callback returns.
+pub struct SimApi<'a, M> {
+    round: Round,
+    graph: &'a Graph,
+    trace: bool,
+    report: &'a mut SimReport,
+    backlog: &'a mut Backlog,
+    /// The first [`SimError::InvalidSend`] of the callback, if any.
+    error: &'a mut Option<SimError>,
+    /// Stages one send in its sender's outbox, returning the new depth.
+    stage: &'a mut dyn FnMut(NodeId, NodeId, M) -> usize,
+}
 
-    pub(crate) fn set_round(&mut self, r: Round) {
-        self.round = r;
+impl<'a, M> SimApi<'a, M> {
+    /// A view at `round` over the engine's report, backlog and error slot,
+    /// staging sends through `stage`.
+    pub(crate) fn new(
+        round: Round,
+        graph: &'a Graph,
+        trace: bool,
+        report: &'a mut SimReport,
+        backlog: &'a mut Backlog,
+        error: &'a mut Option<SimError>,
+        stage: &'a mut dyn FnMut(NodeId, NodeId, M) -> usize,
+    ) -> Self {
+        SimApi { round, graph, trace, report, backlog, error, stage }
     }
 
     /// The current round (0 during [`Protocol::on_start`]).
@@ -155,28 +156,31 @@ impl<M> SimApi<M> {
         self.round
     }
 
-    /// Stage a message from `from` to its neighbour `to`. The message enters
-    /// `from`'s outbox; it is transmitted when the per-round send budget
-    /// allows and arrives one round after transmission.
+    /// Send a message from `from` to its neighbour `to`. The message enters
+    /// `from`'s outbox now; it is transmitted when the per-round send
+    /// budget allows and arrives one round after transmission. A send
+    /// between non-adjacent processors stages nothing and fails the run
+    /// with [`SimError::InvalidSend`] when the callback returns.
     pub fn send(&mut self, from: NodeId, to: NodeId, msg: M) {
-        self.outgoing.push((from, to, msg));
+        let n = self.graph.n();
+        if from >= n || to >= n || !self.graph.has_edge(from, to) {
+            self.error.get_or_insert(SimError::InvalidSend { from, to, round: self.round });
+            return;
+        }
+        let depth = (self.stage)(from, to, msg);
+        self.report.max_outbox_depth = self.report.max_outbox_depth.max(depth);
     }
 
     /// Record that `node`'s operation completed now with result `value`.
     /// The delay recorded is the current round.
     pub fn complete(&mut self, node: NodeId, value: u64) {
-        self.note_completion(node);
-        self.completed.push(Completion { node, value, round: self.round });
-    }
-
-    /// The backlog bookkeeping of one completion at `node` — everything
-    /// [`SimApi::complete`] does but staging the record, which the deliver
-    /// walks' effect drain writes straight into the report.
-    pub(crate) fn note_completion(&mut self, node: NodeId) {
-        self.completed_total += 1;
-        if let Some(&s) = self.shard_of.get(node) {
-            self.shard_open[s as usize] = self.shard_open[s as usize].saturating_sub(1);
+        let b = &mut *self.backlog;
+        b.completed += 1;
+        if let Some(&s) = b.shard_of.get(node) {
+            b.shard_open[s as usize] = b.shard_open[s as usize].saturating_sub(1);
         }
+        self.report.completions.push(Completion { node, value, round: self.round });
+        self.traced(TraceKind::Complete, node);
     }
 
     /// Record that `node` issued its operation now (open-system runs:
@@ -185,11 +189,13 @@ impl<M> SimApi<M> {
     /// completion-latency and backlog metrics; one-shot protocols never
     /// call this and their operations implicitly issue at round 0.
     pub fn issue(&mut self, node: NodeId) {
-        self.issued_total += 1;
-        if let Some(&s) = self.shard_of.get(node) {
-            self.shard_open[s as usize] += 1;
+        let b = &mut *self.backlog;
+        b.issued += 1;
+        if let Some(&s) = b.shard_of.get(node) {
+            b.shard_open[s as usize] += 1;
         }
-        self.issued.push(Issue { node, round: self.round });
+        self.report.issues.push(Issue { node, round: self.round });
+        self.traced(TraceKind::Issue, node);
     }
 
     /// The live global backlog: operations issued but not yet completed,
@@ -199,7 +205,7 @@ impl<M> SimApi<M> {
     /// per-shard view. 0 for one-shot runs (which record no issues).
     #[inline]
     pub fn backlog(&self) -> usize {
-        self.issued_total.saturating_sub(self.completed_total) as usize
+        self.backlog.issued.saturating_sub(self.backlog.completed) as usize
     }
 
     /// Enable per-shard open-operation accounting: `shard_of[v]` is the
@@ -207,13 +213,12 @@ impl<M> SimApi<M> {
     /// during `on_start` when a shard-scoped admission policy
     /// ([`crate::AdmissionPolicy::PerNode`]) is active. Every executor
     /// funnels issues and completions through this one API — the serialized
-    /// phases call [`SimApi::complete`], and every deliver walk its
-    /// bookkeeping half — so the per-shard counters are
-    /// executor-independent by construction.
+    /// phases directly, every deliver walk through its [`SliceApi`] — so
+    /// the per-shard counters are executor-independent by construction.
     pub fn enable_shard_accounting(&mut self, shard_of: Vec<u32>) {
         let shards = shard_of.iter().copied().max().map_or(0, |m| m as usize + 1);
-        self.shard_open = vec![0; shards];
-        self.shard_of = shard_of;
+        self.backlog.shard_open = vec![0; shards];
+        self.backlog.shard_of = shard_of;
     }
 
     /// The live backlog of the shard `node` lives on — the quantity
@@ -223,8 +228,8 @@ impl<M> SimApi<M> {
     /// to their global meaning on unsharded runs.
     #[inline]
     pub fn shard_backlog(&self, node: NodeId) -> usize {
-        match self.shard_of.get(node) {
-            Some(&s) => self.shard_open[s as usize] as usize,
+        match self.backlog.shard_of.get(node) {
+            Some(&s) => self.backlog.shard_open[s as usize] as usize,
             None => self.backlog(),
         }
     }
@@ -233,82 +238,55 @@ impl<M> SimApi<M> {
     /// operation will never issue). Called by [`crate::arrival::Paced`]
     /// alongside [`crate::arrival::OnlineProtocol::cancel`].
     pub(crate) fn shed(&mut self, node: NodeId) {
-        self.dropped.push(Dropped { node, round: self.round });
+        self.report.dropped.push(Dropped { node, round: self.round });
+        self.traced(TraceKind::Drop, node);
     }
 
     /// Record that an arrival's admission was deferred to a later round.
     pub(crate) fn note_delayed(&mut self) {
-        self.delayed += 1;
+        self.report.delayed_admissions += 1;
     }
 
-    /// Lend the scratch buffer out as a [`SliceApi`] at `node` for the
-    /// current round. The borrower drains it after every handler call —
-    /// [`with_slice`] back into this API with [`SliceApi::replay_into`],
-    /// the deliver walks straight into the engine with
-    /// `Ledger::apply_effects` — and hands it back through
-    /// [`SimApi::reclaim`]: per call for [`with_slice`], per deliver phase
-    /// for the walks.
-    pub(crate) fn lend_slice_api(&mut self, node: NodeId) -> SliceApi<M> {
-        SliceApi { round: self.round, node, effects: std::mem::take(&mut self.slice_scratch) }
+    /// This view scoped to the processor `node`: the [`SliceApi`] a
+    /// handler-style callback at `node` writes through.
+    pub(crate) fn at(&mut self, node: NodeId) -> SliceApi<'_, M> {
+        let api = SimApi {
+            round: self.round,
+            graph: self.graph,
+            trace: self.trace,
+            report: self.report,
+            backlog: self.backlog,
+            error: self.error,
+            stage: self.stage,
+        };
+        SliceApi { api, node }
     }
 
-    /// Take the lent buffer back (drained, capacity intact).
-    pub(crate) fn reclaim(&mut self, sapi: SliceApi<M>) {
-        debug_assert!(sapi.effects.is_empty(), "scratch buffer must come back drained");
-        self.slice_scratch = sapi.effects;
+    /// Append one `kind` event at `node` to the trace, if tracing.
+    fn traced(&mut self, kind: TraceKind, node: NodeId) {
+        if self.trace {
+            self.report.trace.push(TraceEvent { round: self.round, kind, node, peer: node });
+        }
     }
 }
 
-/// One staged effect of a handler ([`SliceApi`]): the same operations
-/// [`SimApi`] offers, recorded in call order.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub(crate) enum SliceEffect<M> {
-    /// A message from the handling node to a neighbour.
-    Send {
-        /// Receiver (the sender is always the handling node).
-        to: NodeId,
-        /// Payload.
-        msg: M,
-    },
-    /// An operation completion.
-    Complete {
-        /// Processor whose operation completed (usually, but not
-        /// necessarily, the handling node — e.g. the arrow protocol
-        /// completes the *origin*'s operation where the pairing forms).
-        node: NodeId,
-        /// Protocol-defined result.
-        value: u64,
-    },
-}
-
-/// Callback interface of [`Protocol::on_message`]: a staging area scoped to
+/// Callback interface of [`Protocol::on_message`]: a [`SimApi`] scoped to
 /// one processor.
 ///
 /// Unlike [`SimApi`], sends carry no explicit sender — they always leave
 /// the handling node, which keeps every effect of a handler inside that
-/// node's outbox. Effects are recorded in call order and applied to the
-/// engine right after the handler returns, so every executor produces the
-/// same execution.
-#[derive(Debug)]
-pub struct SliceApi<M> {
-    round: Round,
+/// node's outbox. Effects land during the call, in call order, so every
+/// executor produces the same execution.
+pub struct SliceApi<'a, M> {
+    api: SimApi<'a, M>,
     node: NodeId,
-    /// Staged effects in call order, drained after every handler call.
-    pub(crate) effects: Vec<SliceEffect<M>>,
 }
 
-impl<M> SliceApi<M> {
-    /// Re-point the API at another processor (every apply site reuses one
-    /// `SliceApi` across the nodes it visits, so there are no per-node
-    /// buffers).
-    pub(crate) fn set_node(&mut self, node: NodeId) {
-        self.node = node;
-    }
-
+impl<M> SliceApi<'_, M> {
     /// The current round.
     #[inline]
     pub fn round(&self) -> Round {
-        self.round
+        self.api.round
     }
 
     /// The processor whose slice this handler owns.
@@ -317,121 +295,162 @@ impl<M> SliceApi<M> {
         self.node
     }
 
-    /// Stage a message from the handling node to its neighbour `to`.
+    /// Send a message from the handling node to its neighbour `to`.
     pub fn send(&mut self, to: NodeId, msg: M) {
-        self.effects.push(SliceEffect::Send { to, msg });
+        self.api.send(self.node, to, msg);
     }
 
     /// Record that `node`'s operation completed now with result `value`.
     pub fn complete(&mut self, node: NodeId, value: u64) {
-        self.effects.push(SliceEffect::Complete { node, value });
-    }
-
-    /// Drain every staged effect into the full [`SimApi`], in call order
-    /// (the buffer keeps its capacity for reuse) — [`with_slice`]'s half;
-    /// the deliver phase's handlers skip the `SimApi` buffers.
-    pub(crate) fn replay_into(&mut self, api: &mut SimApi<M>) {
-        let node = self.node;
-        for effect in self.effects.drain(..) {
-            match effect {
-                SliceEffect::Send { to, msg } => api.send(node, to, msg),
-                SliceEffect::Complete { node, value } => api.complete(node, value),
-            }
-        }
+        self.api.complete(node, value);
     }
 }
 
-/// Run a closure against `node`'s slice through a scoped [`SliceApi`] and
-/// replay its effects into the full [`SimApi`] — how the serialized phases
-/// (the time-0 start, the arrivals phase's issue and cancel) reach one
-/// processor's state under the same discipline as a message handler.
+/// Run a closure against `node`'s slice through the [`SliceApi`] at `node`
+/// — how the serialized phases (the time-0 start, the arrivals phase's
+/// issue and cancel) reach one processor's state under the same discipline
+/// as a message handler.
 pub fn with_slice<P: Protocol>(
     p: &mut P,
     api: &mut SimApi<P::Msg>,
     node: NodeId,
     f: impl FnOnce(&P::Shared, &mut P::Slice, &mut SliceApi<P::Msg>),
 ) {
-    let mut sapi = api.lend_slice_api(node);
     let (shared, slices) = p.split();
-    f(shared, &mut slices[node], &mut sapi);
-    sapi.replay_into(api);
-    api.reclaim(sapi);
+    f(shared, &mut slices[node], &mut api.at(node));
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::state::NodeStore;
+    use ccq_graph::topology;
+
+    /// What the scheduler's `Ledger` lends a callback, plus one store for
+    /// its sends.
+    struct Engine {
+        report: SimReport,
+        backlog: Backlog,
+        error: Option<SimError>,
+        store: NodeStore<u8>,
+    }
+
+    impl Engine {
+        fn new(n: usize) -> Self {
+            let (report, backlog, store) =
+                (SimReport::default(), Backlog::default(), NodeStore::new(n));
+            Engine { report, backlog, error: None, store }
+        }
+
+        /// Run one traced callback at `round` on `g`, as the round loop does.
+        fn call(&mut self, g: &Graph, round: Round, f: impl FnOnce(&mut SimApi<u8>)) {
+            let Engine { report, backlog, error, store } = self;
+            let mut stage = |from, to, msg| store.stage(from, to, msg);
+            f(&mut SimApi::new(round, g, true, report, backlog, error, &mut stage));
+        }
+
+        fn outbox(&self, v: NodeId) -> Vec<(NodeId, u8)> {
+            self.store.outbox_of(v).copied().collect()
+        }
+    }
 
     #[test]
     fn api_staging() {
-        let mut api: SimApi<u8> = SimApi::new();
-        api.set_round(3);
-        assert_eq!(api.round(), 3);
-        api.send(0, 1, 42);
-        api.complete(2, 7);
-        assert_eq!(api.outgoing, vec![(0, 1, 42)]);
-        assert_eq!(api.completed.len(), 1);
-        assert_eq!(api.completed[0].round, 3);
-        assert_eq!(api.completed[0].value, 7);
-        // The steady-state-allocation contract: a phase fills a staging
-        // buffer past its preallocation, the drain hands everything out
-        // FIFO and releases no storage, and a refill reuses it.
-        for x in 0..100 {
-            api.send(0, 1, x);
-        }
-        let cap = api.outgoing.capacity();
-        let sent: Vec<u8> = api.outgoing.drain(..).map(|(_, _, m)| m).collect();
-        assert_eq!(sent, std::iter::once(42).chain(0..100).collect::<Vec<u8>>());
-        assert_eq!(api.outgoing.capacity(), cap, "drain must not release storage");
-        api.send(0, 1, 7);
-        api.send(0, 1, 8);
-        assert_eq!(api.outgoing, vec![(0, 1, 7), (0, 1, 8)]);
-        assert_eq!(api.outgoing.capacity(), cap);
+        let g = topology::path(3);
+        let mut e = Engine::new(3);
+        e.call(&g, 3, |api| {
+            assert_eq!(api.round(), 3);
+            api.send(0, 1, 42);
+            api.send(0, 1, 43);
+            api.complete(2, 7);
+        });
+        // Landed during the call: the outbox, its depth, the report.
+        assert_eq!(e.outbox(0), vec![(1, 42), (1, 43)]);
+        assert_eq!(e.report.max_outbox_depth, 2);
+        assert_eq!(e.report.completions, vec![Completion { node: 2, value: 7, round: 3 }]);
+        assert_eq!(e.error, None);
+        // A non-edge send stages nothing and fills the error slot; the
+        // first one is kept.
+        e.call(&g, 4, |api| {
+            api.send(0, 2, 1);
+            api.send(2, 9, 2);
+        });
+        assert_eq!(e.error, Some(SimError::InvalidSend { from: 0, to: 2, round: 4 }));
+        assert_eq!(e.outbox(0), vec![(1, 42), (1, 43)]);
+        assert_eq!(e.outbox(2), vec![]);
+        assert_eq!(e.report.max_outbox_depth, 2);
     }
 
     #[test]
     fn shard_accounting_tracks_per_shard_backlogs() {
-        let mut api: SimApi<u8> = SimApi::new();
+        let g = topology::path(4);
         // Disabled: the shard view is the global backlog.
-        api.issue(0);
-        assert_eq!(api.shard_backlog(0), 1);
-        assert_eq!(api.shard_backlog(0), api.backlog());
-        // Enabled: nodes 0,1 on shard 0; nodes 2,3 on shard 1.
-        let mut api: SimApi<u8> = SimApi::new();
-        api.enable_shard_accounting(vec![0, 0, 1, 1]);
-        api.issue(0);
-        api.issue(2);
-        api.issue(3);
-        assert_eq!(api.backlog(), 3);
-        assert_eq!(api.shard_backlog(1), 1);
-        assert_eq!(api.shard_backlog(2), 2);
-        api.complete(2, 7);
-        assert_eq!(api.shard_backlog(2), 1);
-        assert_eq!(api.shard_backlog(0), 1);
-        // Out-of-map nodes fall back to the global count; stray
-        // completions saturate instead of underflowing.
-        assert_eq!(api.shard_backlog(9), api.backlog());
-        api.complete(3, 1);
-        api.complete(3, 1);
-        assert_eq!(api.shard_backlog(3), 0);
+        let mut e = Engine::new(4);
+        e.call(&g, 0, |api| api.issue(0));
+        e.call(&g, 1, |api| {
+            assert_eq!(api.shard_backlog(0), 1);
+            assert_eq!(api.shard_backlog(0), api.backlog());
+        });
+        // Enabled: nodes 0,1 on shard 0; nodes 2,3 on shard 1. The counts
+        // live in the engine, so they outlive the callback that set them.
+        let mut e = Engine::new(4);
+        e.call(&g, 0, |api| {
+            api.enable_shard_accounting(vec![0, 0, 1, 1]);
+            api.issue(0);
+            api.issue(2);
+            api.issue(3);
+        });
+        e.call(&g, 1, |api| {
+            assert_eq!(api.backlog(), 3);
+            assert_eq!(api.shard_backlog(1), 1);
+            assert_eq!(api.shard_backlog(2), 2);
+            api.at(2).complete(2, 7);
+        });
+        e.call(&g, 2, |api| {
+            assert_eq!(api.shard_backlog(2), 1);
+            assert_eq!(api.shard_backlog(0), 1);
+            // Out-of-map nodes fall back to the global count; stray
+            // completions saturate instead of underflowing.
+            assert_eq!(api.shard_backlog(9), api.backlog());
+            api.complete(3, 1);
+            api.complete(3, 1);
+            assert_eq!(api.shard_backlog(3), 0);
+        });
     }
 
     #[test]
     fn slice_api_replays_in_call_order() {
-        let mut api: SimApi<u8> = SimApi::new();
-        api.set_round(5);
-        let mut sapi = api.lend_slice_api(3);
-        assert_eq!(sapi.round(), 5);
-        assert_eq!(sapi.node(), 3);
-        sapi.send(4, 9);
-        sapi.complete(7, 2);
-        assert_eq!(sapi.effects.len(), 2);
-        sapi.replay_into(&mut api);
-        // Sends leave the handling node; completions keep their target.
-        assert_eq!(api.outgoing, vec![(3, 4, 9)]);
-        assert_eq!(api.completed.len(), 1);
-        assert_eq!(api.completed[0].node, 7);
-        assert_eq!(api.completed[0].round, 5);
-        api.reclaim(sapi);
+        let g = topology::path(8);
+        let mut e = Engine::new(8);
+        e.call(&g, 5, |api| {
+            api.issue(3);
+            let mut sapi = api.at(3);
+            assert_eq!((sapi.round(), sapi.node()), (5, 3));
+            sapi.send(4, 9);
+            sapi.complete(7, 2);
+            api.shed(1);
+            api.at(3).send(2, 8);
+            api.complete(3, 1);
+        });
+        // Sends leave the handling node, in call order; completions keep
+        // their target.
+        assert_eq!(e.outbox(3), vec![(4, 9), (2, 8)]);
+        let done: Vec<NodeId> = e.report.completions.iter().map(|c| c.node).collect();
+        assert_eq!(done, vec![7, 3]);
+        assert!(e.report.completions.iter().all(|c| c.round == 5));
+        assert_eq!(e.report.issues, vec![Issue { node: 3, round: 5 }]);
+        assert_eq!(e.report.dropped, vec![Dropped { node: 1, round: 5 }]);
+        // The trace interleaves the kinds exactly as they were called.
+        let trace: Vec<(TraceKind, NodeId)> =
+            e.report.trace.iter().map(|t| (t.kind, t.node)).collect();
+        assert_eq!(
+            trace,
+            vec![
+                (TraceKind::Issue, 3),
+                (TraceKind::Complete, 7),
+                (TraceKind::Drop, 1),
+                (TraceKind::Complete, 3),
+            ]
+        );
     }
 }

@@ -5,7 +5,9 @@
 //! order, each owned by a layer below:
 //!
 //! 1. **arrivals** — [`crate::Protocol::on_round`] runs (open-system
-//!    pacing injects operations due at `t`); staged effects are drained;
+//!    pacing injects operations due at `t`) against the write-through
+//!    [`crate::SimApi`]: each send lands in its sender's outbox, each
+//!    issue, completion and drop in the report, during the call;
 //! 2. **mature** — the [`crate::transport::Transport`] releases every wire
 //!    due at `t` into its destination's in-port
 //!    ([`crate::state::NodeStore`]), in (arrival, sequence) order;
@@ -13,10 +15,11 @@
 //!    dirty frontier, ascending id; under [`crate::SimConfig::dense_scan`]
 //!    the store's whole membership) dequeues up to `recv_budget` in-port
 //!    messages and hands each to [`crate::Protocol::on_message`] on its
-//!    slice; every deliver walk keeps the per-message order
-//!    `Ledger::note_delivery`, the handler, `Ledger::apply_effects` — the
-//!    handler's effects in call order, each send validated and staged
-//!    straight into its sender's outbox, each completion recorded;
+//!    slice through a [`crate::SliceApi`] over the store and slot it just
+//!    popped from; every deliver walk keeps the per-message order
+//!    `Ledger::note_delivery`, then the handler, whose sends are validated
+//!    and staged straight into the node's outbox and whose completions are
+//!    recorded, in call order, as it makes them;
 //! 4. **transmit** — each processor with staged sends (again the frontier,
 //!    ascending id) dequeues up to `send_budget` outbox messages; each
 //!    receives the next global sequence number and is scheduled on the
@@ -35,7 +38,8 @@
 //! is the lane's one walk; deliver and transmit differ only in their
 //! frontier: the fabric's walk the global one (its lanes' merged) instead
 //! of one lane's, and the monolith's are their oracle. The `Ledger` lent
-//! to every hook holds the report, the staging API and the phase clock.
+//! to every hook holds the report, the backlog counts, the error slot and
+//! the phase clock; every [`crate::SimApi`] is a view over it.
 //!
 //! The invariant this layer owns is the *delivery rule*: a message handled
 //! at round `t` can be answered no earlier than round `t + 1` (handler
@@ -47,8 +51,8 @@
 //! matches the intra-shard one.
 
 use crate::probe::{self, Phase, PhaseTimings, Stopwatch};
-use crate::protocol::{Protocol, SimApi, SliceEffect};
-use crate::report::{Completion, LinkDelay, SimConfig, SimReport};
+use crate::protocol::{Backlog, Protocol, SimApi};
+use crate::report::{LinkDelay, SimConfig, SimReport};
 use crate::state::{Inbound, NodeStore};
 use crate::trace::{TraceEvent, TraceKind};
 use crate::transport::{Transport, Wire};
@@ -85,114 +89,36 @@ fn validate_slices<P: Protocol>(protocol: &mut P, n: usize) -> Result<(), SimErr
 }
 
 /// What every executor's round shares, owned by [`run`] and lent to each
-/// [`Phases`] hook: the run's borrowed inputs, the report, the protocol's
-/// staging API and the phase clock.
-pub(crate) struct Ledger<'a, M> {
+/// [`Phases`] hook: the run's borrowed inputs, the report, the backlog
+/// counts, the error slot every [`SimApi`] writes its first invalid send
+/// to, and the phase clock.
+pub(crate) struct Ledger<'a> {
     graph: &'a Graph,
     pub(crate) cfg: &'a SimConfig,
     pub(crate) report: SimReport,
-    pub(crate) api: SimApi<M>,
+    backlog: Backlog,
+    error: Option<SimError>,
     pub(crate) timing: PhaseTimings,
     watch: Stopwatch,
     /// Microseconds lapped so far in the current round.
     round_micros: u64,
 }
 
-/// Append one `kind` event at `node` to the report's trace, if tracing.
-fn traced(report: &mut SimReport, on: bool, round: Round, kind: TraceKind, node: NodeId) {
-    if on {
-        report.trace.push(TraceEvent { round, kind, node, peer: node });
-    }
-}
-
-impl<M> Ledger<'_, M> {
-    /// Move what a serialized phase (the time-0 start, the arrivals phase)
-    /// staged in the API buffers into the engine: sends are validated
-    /// against the graph and pushed through `stage` (which returns the new
-    /// outbox depth); completions, issues and drops are recorded in the
-    /// report, and the backlog's high-water mark with them.
-    pub(crate) fn drain(
-        &mut self,
+impl Ledger<'_> {
+    /// The write-through [`SimApi`] at `round`, staging sends through
+    /// `stage` (which returns the new outbox depth).
+    pub(crate) fn api<'s, M>(
+        &'s mut self,
         round: Round,
-        mut stage: impl FnMut(NodeId, NodeId, M) -> usize,
-    ) -> Result<(), SimError> {
-        let (graph, trace) = (self.graph, self.cfg.trace);
-        let (api, report) = (&mut self.api, &mut self.report);
-        for (from, to, msg) in api.outgoing.drain(..) {
-            if from >= graph.n() || to >= graph.n() || !graph.has_edge(from, to) {
-                return Err(SimError::InvalidSend { from, to, round });
-            }
-            let depth = stage(from, to, msg);
-            report.max_outbox_depth = report.max_outbox_depth.max(depth);
-        }
-        // The three record kinds are `Copy`: read in place, then clear (which
-        // keeps the storage). Measured cheaper than a `Drain` on the buffers
-        // that are empty at most calls — every sparse round of an open-system
-        // run comes through here at least once.
-        for &i in &api.issued {
-            debug_assert_eq!(i.round, round, "issue round mismatch");
-            report.issues.push(i);
-            traced(report, trace, round, TraceKind::Issue, i.node);
-        }
-        api.issued.clear();
-        for &c in &api.completed {
-            debug_assert_eq!(c.round, round, "completion round mismatch");
-            report.completions.push(c);
-            traced(report, trace, round, TraceKind::Complete, c.node);
-        }
-        api.completed.clear();
-        // Admission-control accounting: shed arrivals and deferral counts
-        // (recorded by `Paced` during the arrivals phase; empty under the
-        // `Open` policy and for one-shot runs).
-        for &d in &api.dropped {
-            debug_assert_eq!(d.round, round, "drop round mismatch");
-            report.dropped.push(d);
-            traced(report, trace, round, TraceKind::Drop, d.node);
-        }
-        api.dropped.clear();
-        report.delayed_admissions += std::mem::take(&mut api.delayed);
-        // Open-system backlog: operations issued but not yet completed
-        // (one-shot runs record no issues, so this stays 0 there).
-        report.backlog_high_water = report
-            .backlog_high_water
-            .max(report.issues.len().saturating_sub(report.completions.len()));
-        Ok(())
+        stage: &'s mut dyn FnMut(NodeId, NodeId, M) -> usize,
+    ) -> SimApi<'s, M> {
+        let (report, backlog, error) = (&mut self.report, &mut self.backlog, &mut self.error);
+        SimApi::new(round, self.graph, self.cfg.trace, report, backlog, error, stage)
     }
 
-    /// The one effect drain of every deliver walk: take the
-    /// effects of the handler that ran at `node`, in call order. A send is
-    /// validated against the graph ([`SimError::InvalidSend`]) and staged
-    /// through `stage` (which returns the new outbox depth); a completion
-    /// gets [`SimApi::complete`]'s bookkeeping and goes straight into the
-    /// report. Handlers cannot issue, so the backlog only falls within a
-    /// deliver phase and the arrivals drain has already recorded its
-    /// high-water mark.
-    pub(crate) fn apply_effects(
-        &mut self,
-        round: Round,
-        node: NodeId,
-        effects: impl IntoIterator<Item = SliceEffect<M>>,
-        mut stage: impl FnMut(NodeId, NodeId, M) -> usize,
-    ) -> Result<(), SimError> {
-        let (graph, trace) = (self.graph, self.cfg.trace);
-        let report = &mut self.report;
-        for effect in effects {
-            match effect {
-                SliceEffect::Send { to, msg } => {
-                    if to >= graph.n() || !graph.has_edge(node, to) {
-                        return Err(SimError::InvalidSend { from: node, to, round });
-                    }
-                    let depth = stage(node, to, msg);
-                    report.max_outbox_depth = report.max_outbox_depth.max(depth);
-                }
-                SliceEffect::Complete { node, value } => {
-                    self.api.note_completion(node);
-                    report.completions.push(Completion { node, value, round });
-                    traced(report, trace, round, TraceKind::Complete, node);
-                }
-            }
-        }
-        Ok(())
+    /// End a callback: the first invalid send it made, if any.
+    pub(crate) fn settle(&mut self) -> Result<(), SimError> {
+        self.error.take().map_or(Ok(()), Err)
     }
 
     /// Receive-side bookkeeping of one delivery, shared by both deliver
@@ -295,28 +221,28 @@ impl<M> Lane<M> {
 /// phase hooks between its barriers; [`run`] asks [`Phases::idle`] after
 /// every round.
 pub(crate) trait Phases<P: Protocol> {
-    /// Take the effects staged in the arrivals phase (or the time-0 start)
-    /// into the report and the senders' outboxes.
-    fn arrivals(&mut self, led: &mut Ledger<'_, P::Msg>, round: Round) -> Result<(), SimError>;
+    /// Stage a send of a serialized phase (the time-0 start, the arrivals
+    /// phase) in `from`'s outbox; returns the new outbox depth.
+    fn stage(&mut self, from: NodeId, to: NodeId, msg: P::Msg) -> usize;
 
     /// Move every wire due at `round` into its destination's in-port.
-    fn mature(&mut self, led: &mut Ledger<'_, P::Msg>, round: Round);
+    fn mature(&mut self, led: &mut Ledger<'_>, round: Round);
 
-    /// Deliver up to `recv_budget` messages per live node and apply their
-    /// handlers, draining effects in ascending node order.
+    /// Deliver up to `recv_budget` messages per live node and run their
+    /// handlers, in ascending node order.
     fn deliver(
         &mut self,
-        led: &mut Ledger<'_, P::Msg>,
+        led: &mut Ledger<'_>,
         protocol: &mut P,
         round: Round,
     ) -> Result<(), SimError>;
 
     /// Number and put on the wire up to `send_budget` staged sends per
     /// node, in ascending node order.
-    fn transmit(&mut self, led: &mut Ledger<'_, P::Msg>, round: Round);
+    fn transmit(&mut self, led: &mut Ledger<'_>, round: Round);
 
     /// Hash the state at one phase barrier of an observed round.
-    fn observe(&mut self, led: &mut Ledger<'_, P::Msg>, round: Round, phase: Phase, token: &str);
+    fn observe(&mut self, led: &mut Ledger<'_>, round: Round, phase: Phase, token: &str);
 
     /// Whether every queue and wheel is empty.
     fn idle(&self) -> bool;
@@ -327,7 +253,7 @@ pub(crate) trait Phases<P: Protocol> {
 /// barriers still observe, so every executor checkpoints round 0 alike.
 pub(crate) fn lockstep_round<P: Protocol, E: Phases<P>>(
     exec: &mut E,
-    led: &mut Ledger<'_, P::Msg>,
+    led: &mut Ledger<'_>,
     protocol: &mut P,
     round: Round,
 ) -> Result<(), SimError> {
@@ -335,9 +261,7 @@ pub(crate) fn lockstep_round<P: Protocol, E: Phases<P>>(
     led.watch.reset();
     led.round_micros = 0;
     if round > 0 {
-        led.api.set_round(round);
-        protocol.on_round(&mut led.api, round);
-        exec.arrivals(led, round)?;
+        serialized(exec, led, round, |api| protocol.on_round(api, round))?;
     }
     barrier(exec, led, protocol, round, Phase::Arrivals, observe);
     if round > 0 {
@@ -354,11 +278,30 @@ pub(crate) fn lockstep_round<P: Protocol, E: Phases<P>>(
     Ok(())
 }
 
+/// Run a serialized phase's callback (the time-0 start, the arrivals
+/// phase) against the write-through [`SimApi`], its sends staged through
+/// [`Phases::stage`]; then fold the open-system backlog (issued but not
+/// completed — 0 for one-shot runs, which record no issues) into its
+/// high-water mark. Handlers cannot issue, so the backlog only falls
+/// within a deliver phase and this is the only place it can peak.
+fn serialized<P: Protocol, E: Phases<P>>(
+    exec: &mut E,
+    led: &mut Ledger<'_>,
+    round: Round,
+    f: impl FnOnce(&mut SimApi<P::Msg>),
+) -> Result<(), SimError> {
+    f(&mut led.api(round, &mut |from, to, msg| exec.stage(from, to, msg)));
+    let report = &mut led.report;
+    let open = report.issues.len().saturating_sub(report.completions.len());
+    report.backlog_high_water = report.backlog_high_water.max(open);
+    led.settle()
+}
+
 /// The barrier after `phase`: close its timing lap and, in an observed
 /// round, hash the state there.
 fn barrier<P: Protocol, E: Phases<P>>(
     exec: &mut E,
-    led: &mut Ledger<'_, P::Msg>,
+    led: &mut Ledger<'_>,
     protocol: &P,
     round: Round,
     phase: Phase,
@@ -418,15 +361,15 @@ pub(crate) fn run<P: Protocol, E: Phases<P>>(
             received_by_node: vec![0; n],
             ..Default::default()
         },
-        api: SimApi::new(),
+        backlog: Backlog::default(),
+        error: None,
         timing: PhaseTimings::default(),
         watch: Stopwatch::new(cfg.probe.timing),
         round_micros: 0,
     };
 
     // Time 0: every requester issues its operation.
-    protocol.on_start(&mut led.api);
-    exec.arrivals(&mut led, 0)?;
+    serialized(&mut exec, &mut led, 0, |api| protocol.on_start(api))?;
 
     let mut round: Round = 0;
     let last = loop {
@@ -461,23 +404,22 @@ impl<M> Monolith<M> {
 }
 
 impl<P: Protocol> Phases<P> for Monolith<P::Msg> {
-    fn arrivals(&mut self, led: &mut Ledger<'_, P::Msg>, round: Round) -> Result<(), SimError> {
-        let store = &mut self.lane.store;
-        led.drain(round, |f, t, m| store.stage(f, t, m))
+    fn stage(&mut self, from: NodeId, to: NodeId, msg: P::Msg) -> usize {
+        self.lane.store.stage(from, to, msg)
     }
 
-    fn mature(&mut self, led: &mut Ledger<'_, P::Msg>, round: Round) {
+    fn mature(&mut self, led: &mut Ledger<'_>, round: Round) {
         let depth = self.lane.mature(round, &mut Vec::new());
         led.report.max_inport_depth = led.report.max_inport_depth.max(depth);
     }
 
     /// The receive walk: visit the in-port frontier in ascending node
     /// order, skip (and re-list) a crashed node, pop up to `recv_budget`
-    /// messages per live node and run the handler on each, its effects
-    /// applied after every message.
+    /// messages per live node and run the handler on each, its sends
+    /// staged in the store it popped from.
     fn deliver(
         &mut self,
-        led: &mut Ledger<'_, P::Msg>,
+        led: &mut Ledger<'_>,
         protocol: &mut P,
         round: Round,
     ) -> Result<(), SimError> {
@@ -487,7 +429,6 @@ impl<P: Protocol> Phases<P> for Monolith<P::Msg> {
         frontier.clear();
         frontier_into(store, cfg, NodeStore::take_inport_frontier, frontier);
         frontier.sort_unstable();
-        let mut sapi = led.api.lend_slice_api(0);
         for &v in frontier.iter() {
             if cfg.faults.is_down(v, round) {
                 // Crashed: the in-port freezes in place (neighbours keep
@@ -500,13 +441,12 @@ impl<P: Protocol> Phases<P> for Monolith<P::Msg> {
                 let Some(inb) = store.pop_inport(v) else { break };
                 led.report.queue_wait_rounds += round - inb.arrival;
                 led.note_delivery(round, v, inb.src);
-                sapi.set_node(v);
-                P::on_message(shared, &mut slices[v], &mut sapi, v, inb.src, inb.msg);
-                let effects = sapi.effects.drain(..);
-                led.apply_effects(round, v, effects, |f, t, m| store.stage(f, t, m))?;
+                let mut stage = |from, to, msg| store.stage(from, to, msg);
+                let api = &mut led.api(round, &mut stage);
+                P::on_message(shared, &mut slices[v], &mut api.at(v), v, inb.src, inb.msg);
+                led.settle()?;
             }
         }
-        led.api.reclaim(sapi);
         Ok(())
     }
 
@@ -514,7 +454,7 @@ impl<P: Protocol> Phases<P> for Monolith<P::Msg> {
     /// order; a node [`SimConfig::holds_transmit`] holds keeps its sends
     /// and is re-listed, any other pops up to `send_budget`, numbering
     /// every send onto the one wheel.
-    fn transmit(&mut self, led: &mut Ledger<'_, P::Msg>, round: Round) {
+    fn transmit(&mut self, led: &mut Ledger<'_>, round: Round) {
         let cfg = led.cfg;
         let Monolith { lane: Lane { store, transport }, frontier } = self;
         frontier.clear();
@@ -533,7 +473,7 @@ impl<P: Protocol> Phases<P> for Monolith<P::Msg> {
         }
     }
 
-    fn observe(&mut self, led: &mut Ledger<'_, P::Msg>, round: Round, phase: Phase, token: &str) {
+    fn observe(&mut self, led: &mut Ledger<'_>, round: Round, phase: Phase, token: &str) {
         let Lane { store, transport, .. } = &self.lane;
         let report = &mut led.report;
         probe::observe_phase(&led.cfg.probe, round, phase, &[store], &[transport], token, report);

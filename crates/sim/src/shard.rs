@@ -15,7 +15,7 @@
 //! ferry wires), and deliver and transmit are each one walk of a global
 //! frontier in ascending node order. The deliver walk pops each node from
 //! its own lane and calls the one [`Protocol::on_message`] on that node's
-//! slice with the effects applied inline, exactly as the monolith's
+//! slice, its effects landing as it makes them, exactly as the monolith's
 //! receive walk; the transmit walk's visit order *is* the run-global
 //! sequence numbering, so it numbers each send exactly as the monolith
 //! does and routes it to the owning lane's wheel or to the ferry.
@@ -40,8 +40,8 @@ use crate::{Round, SimError};
 use ccq_graph::{Graph, NodeId, Partition};
 
 /// The sharded executor's own state: the partition it serves, one lane
-/// per shard and the inter-shard ferry. The report, the staging API and
-/// the phase clock are the scheduler's [`Ledger`], lent to every phase.
+/// per shard and the inter-shard ferry. The report, the backlog and the
+/// phase clock are the scheduler's [`Ledger`], lent to every phase.
 struct Fabric<'a, M> {
     partition: &'a Partition,
     lanes: Vec<Lane<M>>,
@@ -91,21 +91,18 @@ impl<'a, M> Fabric<'a, M> {
 }
 
 impl<P: Protocol> Phases<P> for Fabric<'_, P::Msg> {
-    /// The protocol is one value, and admission reads the run-global
-    /// backlog. Sends stage in the sender's lane.
-    fn arrivals(&mut self, led: &mut Ledger<'_, P::Msg>, round: Round) -> Result<(), SimError> {
-        let (partition, lanes) = (self.partition, &mut self.lanes);
-        led.drain(round, |f, t, m| {
-            let at = partition.place(f);
-            lanes[at.shard()].store.stage_at(at.rank(), f, t, m)
-        })
+    /// A serialized send stages in the sender's lane, at the slot one read
+    /// of the place table names.
+    fn stage(&mut self, from: NodeId, to: NodeId, msg: P::Msg) -> usize {
+        let at = self.partition.place(from);
+        self.lanes[at.shard()].store.stage_at(at.rank(), from, to, msg)
     }
 
     /// Bucket the due ferry wires by destination shard (sequentially —
     /// the ferry is shared), then mature lane by lane — the lanes hold
     /// disjoint nodes, so the order is immaterial — folding the deepest
     /// in-port into the report.
-    fn mature(&mut self, led: &mut Ledger<'_, P::Msg>, round: Round) {
+    fn mature(&mut self, led: &mut Ledger<'_>, round: Round) {
         let (partition, buckets) = (self.partition, &mut self.ferry_due);
         self.ferry.drain_due(round, |w| buckets[partition.shard_of(w.dst)].push(w));
         for (lane, due) in self.lanes.iter_mut().zip(&mut self.ferry_due) {
@@ -115,18 +112,17 @@ impl<P: Protocol> Phases<P> for Fabric<'_, P::Msg> {
     }
 
     /// One walk of the global in-port frontier, each node popping from its
-    /// own lane with the handler and its effects applied inline, exactly as
+    /// own lane and its handler staging sends at the same slot, exactly as
     /// the monolith's receive walk.
     fn deliver(
         &mut self,
-        led: &mut Ledger<'_, P::Msg>,
+        led: &mut Ledger<'_>,
         protocol: &mut P,
         round: Round,
     ) -> Result<(), SimError> {
         let cfg = led.cfg;
         let (shared, slices) = protocol.split();
         let frontier = self.frontier(cfg, NodeStore::take_inport_frontier);
-        let mut sapi = led.api.lend_slice_api(0);
         for &v in &frontier {
             // One read of the place table: the lane to pop from and to
             // stage the handler's sends in, and `v`'s slot there.
@@ -140,13 +136,12 @@ impl<P: Protocol> Phases<P> for Fabric<'_, P::Msg> {
                 let Some(inb) = store.pop_inport_at(at.rank(), v) else { break };
                 led.report.queue_wait_rounds += round - inb.arrival;
                 led.note_delivery(round, v, inb.src);
-                sapi.set_node(v);
-                P::on_message(shared, &mut slices[v], &mut sapi, v, inb.src, inb.msg);
-                let effects = sapi.effects.drain(..);
-                led.apply_effects(round, v, effects, |f, t, m| store.stage_at(at.rank(), f, t, m))?;
+                let mut stage = |from, to, msg| store.stage_at(at.rank(), from, to, msg);
+                let api = &mut led.api(round, &mut stage);
+                P::on_message(shared, &mut slices[v], &mut api.at(v), v, inb.src, inb.msg);
+                led.settle()?;
             }
         }
-        led.api.reclaim(sapi);
         self.scratch = frontier;
         Ok(())
     }
@@ -154,7 +149,7 @@ impl<P: Protocol> Phases<P> for Fabric<'_, P::Msg> {
     /// One walk of the global outbox frontier, numbering sends exactly as
     /// the monolith's walk does; cross-shard messages ride the ferry, the
     /// rest the sending lane's own wheel.
-    fn transmit(&mut self, led: &mut Ledger<'_, P::Msg>, round: Round) {
+    fn transmit(&mut self, led: &mut Ledger<'_>, round: Round) {
         let (partition, cfg) = (self.partition, led.cfg);
         let frontier = self.frontier(cfg, NodeStore::take_outbox_frontier);
         for &v in &frontier {
@@ -182,7 +177,7 @@ impl<P: Protocol> Phases<P> for Fabric<'_, P::Msg> {
     /// renderer, which hashes them layout-independently (see
     /// [`crate::probe`]) — so the digests match the monolith's whenever
     /// the executions are equivalent.
-    fn observe(&mut self, led: &mut Ledger<'_, P::Msg>, round: Round, phase: Phase, token: &str) {
+    fn observe(&mut self, led: &mut Ledger<'_>, round: Round, phase: Phase, token: &str) {
         let stores: Vec<&NodeStore<P::Msg>> = self.lanes.iter().map(|l| &l.store).collect();
         let mut wheels: Vec<&Transport<P::Msg>> = self.lanes.iter().map(|l| &l.transport).collect();
         wheels.push(&self.ferry);

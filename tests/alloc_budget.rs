@@ -172,3 +172,68 @@ fn a_warm_timing_wheel_allocates_nothing() {
         assert_eq!(allocs, 0, "{delay:?}: a warm wheel allocated");
     }
 }
+
+/// A token that makes `hops` hops round `cycle(16)` and completes where it
+/// stops: one message per hop, one completion per run.
+struct Laps {
+    hops: u64,
+    units: Vec<()>,
+}
+
+impl ccq_repro::sim::Protocol for Laps {
+    type Msg = u64;
+    type Slice = ();
+    type Shared = u64;
+
+    fn split(&mut self) -> (&u64, &mut [()]) {
+        (&self.hops, &mut self.units)
+    }
+
+    fn on_start(&mut self, api: &mut ccq_repro::sim::SimApi<u64>) {
+        api.send(0, 1, 1);
+    }
+
+    fn on_message(
+        hops: &u64,
+        _: &mut (),
+        api: &mut ccq_repro::sim::SliceApi<u64>,
+        node: usize,
+        _: usize,
+        hop: u64,
+    ) {
+        if hop == *hops {
+            api.complete(node, hop);
+        } else {
+            api.send((node + 1) % 16, hop + 1);
+        }
+    }
+}
+
+/// The staging layer's share of "zero allocations in steady state": a
+/// send lands in its outbox and a handler's API is a view, so ten times
+/// the messages cost not one allocation more — on the monolith and on
+/// striped shards under jitter, whose sends cross the ferry.
+#[test]
+fn a_run_allocates_nothing_per_message() {
+    use ccq_repro::sim::{ShardedSimulator, SimConfig, Simulator};
+    let g = ccq_repro::graph::topology::cycle(16);
+    let run = |sharded: bool, laps: u64| {
+        let protocol = Laps { hops: 16 * laps, units: vec![(); 16] };
+        let (report, allocs) = if sharded {
+            let part = ccq_repro::graph::Partition::striped(16, 4);
+            let cfg = SimConfig::strict().with_jitter(3, 5);
+            counted(|| ShardedSimulator::new(&g, part, protocol, cfg).run())
+        } else {
+            counted(|| Simulator::new(&g, protocol, SimConfig::strict()).run())
+        };
+        (report.expect("runs").messages_sent, allocs)
+    };
+    for sharded in [false, true] {
+        let ((short, few), (long, many)) = (run(sharded, 10), run(sharded, 100));
+        assert_eq!((short, long), (160, 1_600));
+        assert_eq!(
+            few, many,
+            "sharded {sharded}: {short} messages, {few} allocations; {long}, {many}"
+        );
+    }
+}
