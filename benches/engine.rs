@@ -1,5 +1,5 @@
-//! Engine hot loop — single-fabric vs sharded executor on a large torus,
-//! for a queuing and two counting protocols under four shard plans.
+//! Engine hot loop — unsharded vs sharded runs on a large torus, for a
+//! queuing and two counting protocols under four shard plans.
 //!
 //! A plain `fn main()` bench (`cargo bench -p ccq-repro --bench engine`):
 //! it writes a machine-readable `BENCH_engine.json` (path override:
@@ -16,10 +16,12 @@
 //! as the curve the frontier escapes.
 //!
 //! Finally it carries the **K = 1 gap**: two protocols built directly and
-//! run by the monolith and by the sharded fabric over a one-shard
-//! partition, a pairing no plan reaches (an unsharded plan always runs on
-//! the monolith). The bench prints the fabric/monolith mean ratio; CI
-//! asserts each pair runs one execution.
+//! run unsharded (`monolith`) and through `ShardedSimulator` over a
+//! one-shard partition (`fabric:1`), a pairing no plan reaches (an
+//! unsharded plan never builds a partition). Both reach the scheduler's one
+//! executor, so the ratio is the cost of the shard cut's check at
+//! transmit. The bench prints the fabric/monolith mean ratio; CI asserts
+//! each pair runs one execution.
 
 use ccq_repro::core::protocol::{self, run_spec_cfg};
 use ccq_repro::core::run::config_for;
@@ -103,9 +105,10 @@ fn measure_sparse(side: usize, dense: bool) -> Sample {
 }
 
 /// One side of a K = 1 gap pair on the 576-node torus: `build` makes the
-/// protocol, which the monolith runs or (`fabric`) the sharded executor
-/// over `Partition::contiguous(n, 1)` — the partition made once, outside
-/// the timed body, and cloned per run as a plan's dispatch clones it.
+/// protocol, which runs unsharded or (`fabric`) under
+/// `Partition::contiguous(n, 1)` — the partition made once, outside
+/// the timed body, and borrowed by every run as a plan's dispatch borrows
+/// it.
 fn measure_k1<P: Protocol>(
     name: &str,
     cfg: SimConfig,
@@ -117,7 +120,7 @@ fn measure_k1<P: Protocol>(
     let partition = Partition::contiguous(graph.n(), 1);
     let run = || -> SimReport {
         let out = if fabric {
-            ShardedSimulator::new(graph, partition.clone(), build(), cfg).run()
+            ShardedSimulator::new(graph, &partition, build(), cfg).run()
         } else {
             Simulator::new(graph, build(), cfg).run()
         };

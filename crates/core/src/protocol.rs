@@ -115,8 +115,8 @@ fn attach_classes(scenario: &Scenario, report: &mut SimReport) {
     }
 }
 
-/// Execute on the scenario's shard plan: the single-fabric engine for
-/// `k = 1`, the sharded executor otherwise.
+/// Execute on the scenario's shard plan: unsharded for `k = 1`, cut by
+/// the scenario's (borrowed) partition otherwise.
 fn dispatch<P: Protocol>(
     scenario: &Scenario,
     cfg: SimConfig,
@@ -127,7 +127,7 @@ fn dispatch<P: Protocol>(
         return run_protocol(&scenario.graph, protocol, cfg);
     }
     let inter = shards.inter_delay.unwrap_or(cfg.link_delay);
-    ShardedSimulator::new(&scenario.graph, scenario.partition().clone(), protocol, cfg)
+    ShardedSimulator::new(&scenario.graph, scenario.partition(), protocol, cfg)
         .with_inter_delay(inter)
         .run()
 }

@@ -346,8 +346,8 @@ impl ShardStrategy {
 /// Shard plan of a scenario: how many shards, how vertices are assigned,
 /// and how fast the inter-shard ferry is.
 ///
-/// `k = 1` (the default, [`ShardSpec::single`]) runs on the single-fabric
-/// executor and reproduces unsharded reports exactly. For `k > 1` the run
+/// `k = 1` (the default, [`ShardSpec::single`]) runs unsharded and
+/// reproduces unsharded reports exactly. For `k > 1` the run
 /// uses [`ccq_sim::ShardedSimulator`]; with `inter_delay` of `None` the
 /// ferry inherits the run's intra-shard delay policy, under which the
 /// execution is operationally identical to the unsharded one (the sharding

@@ -43,7 +43,7 @@ pub mod tree;
 
 pub use graph::{Graph, GraphBuilder};
 pub use lca::Lca;
-pub use partition::{Partition, Place};
+pub use partition::Partition;
 pub use routing::TreeRouter;
 pub use tree::Tree;
 

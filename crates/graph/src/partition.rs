@@ -1,11 +1,11 @@
 //! Vertex partitions for the multi-shard executor.
 //!
 //! A [`Partition`] assigns every vertex of an `n`-vertex graph to one of
-//! `k` shards. The sharded simulator runs one message fabric per shard and
-//! ferries messages crossing shard boundaries through a separate inter-shard
-//! transport, so the quality measure of a partition is its **edge cut**
-//! (the edges whose endpoints live in different shards): every cut edge is
-//! a potential cross-shard message per round.
+//! `k` shards. The sharded simulator gives the links between shards the
+//! inter-shard ferry's delay and counts the messages that cross them, so
+//! the quality measure of a partition is its **edge cut** (the edges whose
+//! endpoints live in different shards): every cut edge is a potential
+//! cross-shard message per round.
 //!
 //! Three deterministic strategies are provided:
 //!
@@ -18,43 +18,16 @@
 //!   absorbing the frontier vertex with the most edges into the region
 //!   (ties to the smallest id), until it reaches its balanced target size.
 //!
-//! Whatever the strategy, a partition keeps one [`Place`] per vertex — its
-//! shard and its rank among that shard's members — so "which shard, which
-//! slot" is one table read. The table is shared, not copied, by every
-//! membership-sized store built over the partition.
+//! Whatever the strategy, a partition keeps one `u32` shard per vertex
+//! and each shard's members in ascending order.
 
 use crate::{Graph, NodeId};
-use std::sync::Arc;
-
-/// Where a vertex lives: its shard, and its rank among that shard's members
-/// in ascending id order (its slot in the shard's membership-sized store).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Place {
-    shard: u32,
-    rank: u32,
-}
-
-impl Place {
-    /// The shard holding the vertex.
-    #[inline]
-    pub fn shard(self) -> usize {
-        self.shard as usize
-    }
-
-    /// How many members of that shard have a smaller id.
-    #[inline]
-    pub fn rank(self) -> usize {
-        self.rank as usize
-    }
-}
-
 /// An assignment of `n` vertices to `k` shards.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Partition {
     k: usize,
-    /// `places[v]` is the place of `v`: eight bytes a vertex, behind an
-    /// `Arc` so the stores of every shard read one table.
-    places: Arc<[Place]>,
+    /// `shard[v]` is the shard of `v`.
+    shard: Box<[u32]>,
     /// Vertices of each shard, ascending (precomputed for iteration).
     members: Vec<Vec<NodeId>>,
 }
@@ -70,17 +43,16 @@ impl Partition {
     /// its graph and reports a constructive `InvalidConfig` error.)
     pub fn from_assignment(k: usize, assignment: impl IntoIterator<Item = usize>) -> Self {
         let k = k.max(1);
-        assert!(u32::try_from(k).is_ok(), "{k} shards exceed the u32 place table");
+        assert!(u32::try_from(k).is_ok(), "{k} shards exceed the u32 shard table");
         let assignment = assignment.into_iter();
-        let mut places = Vec::with_capacity(assignment.size_hint().0);
+        let mut shard = Vec::with_capacity(assignment.size_hint().0);
         let mut members: Vec<Vec<NodeId>> = vec![Vec::new(); k];
         for (v, s) in assignment.enumerate() {
             assert!(s < k, "vertex {v} assigned to shard {s} ≥ k = {k}");
-            let rank = u32::try_from(members[s].len()).expect("a shard of 2^32 vertices");
-            places.push(Place { shard: s as u32, rank });
+            shard.push(s as u32);
             members[s].push(v);
         }
-        Partition { k, places: places.into(), members }
+        Partition { k, shard: shard.into(), members }
     }
 
     /// Contiguous id blocks: shard `s` holds ids `[s·⌈n/k⌉, (s+1)·⌈n/k⌉)`.
@@ -141,31 +113,19 @@ impl Partition {
     /// Number of vertices partitioned.
     #[inline]
     pub fn n(&self) -> usize {
-        self.places.len()
+        self.shard.len()
     }
 
     /// Shard of vertex `v`.
     #[inline]
     pub fn shard_of(&self, v: NodeId) -> usize {
-        self.places[v].shard()
+        self.shard[v] as usize
     }
 
     /// Vertices of `shard`, ascending (empty when `k > n` leaves it bare).
     #[inline]
     pub fn members(&self, shard: usize) -> &[NodeId] {
         &self.members[shard]
-    }
-
-    /// Shard of vertex `v` and its rank among that shard's members.
-    #[inline]
-    pub fn place(&self, v: NodeId) -> Place {
-        self.places[v]
-    }
-
-    /// The whole place table, for a store to share rather than copy.
-    #[inline]
-    pub fn places(&self) -> &Arc<[Place]> {
-        &self.places
     }
 }
 
@@ -268,9 +228,9 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// Every vertex's place names its shard and its binary-search rank
-        /// among that shard's members — for random assignments and all
-        /// three strategies, from one vertex to a few thousand.
+        /// Every vertex is a member of its own shard, and every shard's
+        /// members are ascending — for random assignments and all three
+        /// strategies, from one vertex to a few thousand.
         #[test]
         fn places_are_the_binary_search_ranks(
             side in 1usize..56,
@@ -289,9 +249,10 @@ mod tests {
             };
             prop_assert_eq!(p.n(), n);
             for v in 0..n {
-                let place = p.place(v);
-                prop_assert_eq!(p.shard_of(v), place.shard());
-                prop_assert_eq!(p.members(place.shard()).binary_search(&v), Ok(place.rank()));
+                prop_assert!(p.members(p.shard_of(v)).binary_search(&v).is_ok(), "vertex {}", v);
+            }
+            for s in 0..p.k() {
+                prop_assert!(p.members(s).windows(2).all(|w| w[0] < w[1]), "shard {}", s);
             }
             prop_assert_eq!((0..p.k()).map(|s| p.members(s).len()).sum::<usize>(), n);
         }

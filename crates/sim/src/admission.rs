@@ -18,8 +18,8 @@
 //! post-maturation state of `t − 1` and strictly precedes the transmit
 //! phase of `t`. The backlog is the *global* issued-minus-completed count
 //! that the engine keeps for the whole run and [`crate::SimApi::backlog`]
-//! reads, shared by every shard of the sharded executor — which is why a
-//! `k = 1` sharded run admits byte-identically to the monolith.
+//! reads, one count whatever the shard plan — which is why a `k = 1`
+//! sharded run admits byte-identically to the unsharded one.
 //!
 //! # Liveness
 //!

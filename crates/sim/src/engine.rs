@@ -11,11 +11,9 @@
 //!   ([`crate::transport::Transport`]);
 //! * [`crate::scheduler`] — the one round loop and round body over the
 //!   phase ordering (arrivals → mature → deliver → transmit →
-//!   quiescence/wakeup), the generalized delivery rule, the lane (store +
-//!   wheel) whose walks every executor shares, and the monolithic
-//!   executor behind [`Simulator`]: one lane, no ferry and no merge of
-//!   lane frontiers — the hot loop of every unsharded run, and the oracle
-//!   for every mechanism the sharded executor adds.
+//!   quiescence/wakeup), the generalized delivery rule, and the one
+//!   executor (one store, one wheel) behind [`Simulator`] and
+//!   [`crate::ShardedSimulator`] alike.
 //!
 //! **Generalized delivery rule.** Under [`crate::LinkDelay::Unit`] (the
 //! paper's model) `d = 1`: a message handled at round `t` can be answered
@@ -30,11 +28,10 @@
 //! waiting is the measured contention, and the engine records the deepest
 //! in-port/outbox queues plus the open-operation backlog high-water mark.
 //!
-//! [`crate::shard::ShardedSimulator`] runs the same round skeleton over
-//! one lane per shard, and the same [`Protocol::on_message`] on the same
-//! slices from one walk of the lanes' merged frontier — with results
-//! byte-identical to the monolith's; see [`crate::shard`] for the
-//! sequencing argument.
+//! [`crate::shard::ShardedSimulator`] runs the same loop with a shard cut:
+//! sends across it take the ferry's delay and are counted — with results
+//! byte-identical to the [`Simulator`]'s whenever the ferry's delay equals
+//! the run's; see [`crate::shard`].
 
 use crate::protocol::Protocol;
 use crate::report::{SimConfig, SimReport};
@@ -99,7 +96,7 @@ impl<'g, P: Protocol> Simulator<'g, P> {
     /// report and the final protocol state.
     pub fn run_with_state(self) -> Result<(SimReport, P), SimError> {
         let Simulator { graph, protocol, config: cfg } = self;
-        scheduler::run(graph, &cfg, protocol, || Ok(scheduler::Monolith::new(graph.n(), &cfg)))
+        scheduler::run(graph, &cfg, None, protocol)
     }
 
     /// Run to quiescence, returning only the report.
@@ -116,7 +113,7 @@ pub(crate) mod tests {
     use crate::shard::ShardedSimulator;
     use ccq_graph::{topology, Partition};
 
-    /// The executor table: the monolith, then the sharded executor on one
+    /// The executor table: the unsharded run, then the sharded run on one
     /// and on three (striped) shards. `check` sees every executor's
     /// outcome under `cfg` and must find the same model behaviour on all
     /// of them.
@@ -130,7 +127,7 @@ pub(crate) mod tests {
         for k in [1, 3] {
             let part = Partition::striped(g.n(), k);
             check(
-                ShardedSimulator::new(g, part, make(), cfg).run_with_state(),
+                ShardedSimulator::new(g, &part, make(), cfg).run_with_state(),
                 &format!("{k} shard(s)"),
             );
         }

@@ -23,10 +23,10 @@
 //! only the receiving processor's slice — and are executed by
 //! [`Simulator::run`], which returns a [`SimReport`] with per-operation
 //! delays, message counts and queue statistics. [`ShardedSimulator`]
-//! executes the same protocols over K message fabrics joined by an
-//! inter-shard ferry, one lockstep round at a time on one thread — with
-//! reports byte-identical to the monolith's whenever the ferry's delay
-//! policy matches the fabrics'.
+//! runs the same loop under a shard plan, giving the links between shards
+//! an inter-shard ferry's delay and counting the messages that cross them —
+//! with reports byte-identical to the unsharded run's whenever the ferry's
+//! delay policy matches the run's.
 //!
 //! ```
 //! use ccq_sim::{run_protocol, Protocol, SimApi, SimConfig, SliceApi};

@@ -5,27 +5,25 @@
 //! subcommands) is built on one primitive: a **canonical rendering** of the
 //! complete engine state — every in-port, every outbox, every in-flight
 //! wire, the report's deterministic counters and the protocol's scheduling
-//! token — digested with FNV-1a 64. The rendering is *executor-independent*
-//! by construction:
+//! token — digested with FNV-1a 64. The rendering depends on the state,
+//! never on its layout:
 //!
-//! * per-node sections are emitted only when non-empty, so a monolithic
-//!   `NodeStore` and `k` sharded stores (each owning a slice of the nodes,
-//!   empty elsewhere) render the same bytes;
-//! * in-flight wires are collected from **all** transports (per-shard
-//!   wheels plus the inter-shard ferry) and sorted by `(arrival, seq)` —
-//!   the same order [`crate::transport::Transport::drain_due`] matures
-//!   them in, so where a wire is parked is invisible;
+//! * per-node sections are emitted only for occupied nodes, in ascending
+//!   id order, so the store's size and the history of its slabs are
+//!   invisible;
+//! * in-flight wires are rendered in `(arrival, seq)` order — the order
+//!   [`crate::transport::Transport::drain_due`] matures them in — whatever
+//!   delay policy each took;
 //! * the per-link FIFO clamp's `link_last` map is *excluded*: it is a
 //!   `HashMap` (nondeterministic iteration) and is derived state — its
 //!   effect is already visible in the scheduled arrival rounds.
 //!
 //! Hashes are taken at the **four phase barriers** of one scheduler round
-//! (after arrivals, after maturation, after delivery, after transmission) —
-//! the only points at which all executors are defined to agree. At a
-//! barrier the sequencing guarantee of [`crate::shard`] makes the state a
-//! pure function of the transmission history, which is what lets `ccq
-//! bisect` run two executor configurations in hash-lockstep and name the
-//! exact first divergent `(round, phase, node)`.
+//! (after arrivals, after maturation, after delivery, after transmission).
+//! At a barrier the run-global sequence numbering makes the state a pure
+//! function of the transmission history, which is what lets `ccq bisect`
+//! run two configurations in hash-lockstep and name the exact first
+//! divergent `(round, phase, node)`.
 
 use crate::report::SimReport;
 use crate::state::NodeStore;
@@ -333,64 +331,37 @@ impl Stopwatch {
     }
 }
 
-/// Render the canonical engine state: node sections (non-empty only),
-/// all in-flight wires sorted by `(arrival, seq)`, the report's
+/// Render the canonical engine state: node sections (occupied nodes only,
+/// ascending), the in-flight wires in `(arrival, seq)` order, the report's
 /// deterministic counters and the protocol token. Returns the canonical
-/// string plus the per-node section digests (one per non-empty node).
+/// string plus the per-node section digests (one per occupied node).
 pub(crate) fn canonical_state<M: std::fmt::Debug>(
-    stores: &[&NodeStore<M>],
-    transports: &[&Transport<M>],
+    store: &NodeStore<M>,
+    wheel: &Transport<M>,
     report: &SimReport,
     token: &str,
 ) -> (String, Vec<(NodeId, u64)>) {
-    // Visit only processors with a nonempty queue in some store: empty
-    // processors render nothing, so walking the merged occupied sets in
-    // ascending id order emits exactly the bytes the dense `0..n` scan
-    // would. This keeps canonical rendering O(occupied + wires) — and
-    // independent of store layout, so membership-sized shard stores hash
-    // identically to the monolith's full-range store.
-    let mut candidates: Vec<NodeId> = stores.iter().flat_map(|s| s.occupied_nodes()).collect();
-    candidates.sort_unstable();
-    candidates.dedup();
+    // Empty processors render nothing, so walking the occupied ones emits
+    // exactly the bytes a dense `0..n` scan would, in O(occupied + wires)
+    // rendering work.
     let mut buf = String::new();
     let mut nodes = Vec::new();
-    for v in candidates {
+    for v in store.occupied_nodes() {
         let start = buf.len();
-        let mut any = false;
-        let mut inb = String::new();
-        let mut outb = String::new();
-        for s in stores {
-            if v >= s.n() {
-                continue;
-            }
-            for m in s.inport_of(v) {
-                any = true;
-                let _ = write!(inb, "{}@{}:{:?};", m.src, m.arrival, m.msg);
-            }
-            for (dst, msg) in s.outbox_of(v) {
-                any = true;
-                let _ = write!(outb, "{dst}:{msg:?};");
-            }
+        let _ = write!(buf, "n{v}:in[");
+        for m in store.inport_of(v) {
+            let _ = write!(buf, "{}@{}:{:?};", m.src, m.arrival, m.msg);
         }
-        if any {
-            let _ = write!(buf, "n{v}:in[{inb}]out[{outb}]");
-            nodes.push((v, fnv1a(&buf.as_bytes()[start..])));
+        buf.push_str("]out[");
+        for (dst, msg) in store.outbox_of(v) {
+            let _ = write!(buf, "{dst}:{msg:?};");
         }
+        buf.push(']');
+        nodes.push((v, fnv1a(&buf.as_bytes()[start..])));
     }
-    let mut wires: Vec<(Round, u64, String)> = Vec::new();
-    for t in transports {
-        for w in t.wires() {
-            wires.push((
-                w.arrival,
-                w.seq,
-                format!("{}>{}@{}#{}:{:?};", w.src, w.dst, w.arrival, w.seq, w.msg),
-            ));
-        }
-    }
-    wires.sort_by_key(|w| (w.0, w.1));
     buf.push_str("w[");
-    for (_, _, s) in &wires {
-        buf.push_str(s);
+    for w in wheel.wires() {
+        let _ = write!(buf, "{}>{}@{}#{}:{:?};", w.src, w.dst, w.arrival, w.seq, w.msg);
     }
     buf.push(']');
     let _ = write!(
@@ -423,12 +394,12 @@ pub(crate) fn observe_phase<M: std::fmt::Debug>(
     probe: &ProbeSpec,
     round: Round,
     phase: Phase,
-    stores: &[&NodeStore<M>],
-    transports: &[&Transport<M>],
+    store: &NodeStore<M>,
+    wheel: &Transport<M>,
     token: &str,
     report: &mut SimReport,
 ) {
-    let (canon, nodes) = canonical_state(stores, transports, &*report, token);
+    let (canon, nodes) = canonical_state(store, wheel, &*report, token);
     let digest = fnv1a(canon.as_bytes());
     if probe.wants_checkpoint(round) {
         let cp = match report.checkpoints.last_mut() {
@@ -513,49 +484,39 @@ mod tests {
 
     #[test]
     fn canonical_state_ignores_store_layout() {
-        // A monolithic store and two half-empty stores with the same
-        // content must render identical bytes — the executor-independence
-        // property the bisector relies on.
+        // Only occupied nodes render, in ascending id order: a store of 4
+        // and one of 400 holding the same queues render identical bytes,
+        // whatever order the queues were filled in.
         let rep = SimReport::default();
-        let mut mono: NodeStore<u32> = NodeStore::new(4);
-        mono.stage(1, 2, 7);
-        mono.enqueue(3, Inbound { src: 0, arrival: 2, msg: 9 });
-        let mut a: NodeStore<u32> = NodeStore::new(4);
-        let mut b: NodeStore<u32> = NodeStore::new(4);
-        a.stage(1, 2, 7);
-        b.enqueue(3, Inbound { src: 0, arrival: 2, msg: 9 });
-        let t: Transport<u32> = Transport::new(LinkDelay::Unit);
-        let (one, nodes1) = canonical_state(&[&mono], &[&t], &rep, "");
-        let (two, nodes2) = canonical_state(&[&a, &b], &[&t, &t], &rep, "");
+        let wheel: Transport<u32> = Transport::default();
+        let mut small: NodeStore<u32> = NodeStore::new(4);
+        small.stage(1, 2, 7);
+        small.enqueue(3, Inbound { src: 0, arrival: 2, msg: 9 });
+        let mut large: NodeStore<u32> = NodeStore::new(400);
+        large.enqueue(3, Inbound { src: 0, arrival: 2, msg: 9 });
+        large.stage(1, 2, 7);
+        let (one, nodes1) = canonical_state(&small, &wheel, &rep, "");
+        let (two, nodes2) = canonical_state(&large, &wheel, &rep, "");
         assert_eq!(one, two);
         assert_eq!(nodes1, nodes2);
-        assert_eq!(nodes1.len(), 2); // only the two non-empty nodes
-
-        // Membership-sized shard stores render the same bytes as
-        // full-range ones: slot layout is invisible to the probe.
-        let mut ma: NodeStore<u32> = NodeStore::with_members(4, &[0, 1]);
-        let mut mb: NodeStore<u32> = NodeStore::with_members(4, &[2, 3]);
-        ma.stage(1, 2, 7);
-        mb.enqueue(3, Inbound { src: 0, arrival: 2, msg: 9 });
-        let (three, nodes3) = canonical_state(&[&ma, &mb], &[&t, &t], &rep, "");
-        assert_eq!(one, three);
-        assert_eq!(nodes1, nodes3);
+        assert_eq!(nodes1.iter().map(|&(v, _)| v).collect::<Vec<_>>(), [1, 3]);
+        assert!(one.starts_with("n1:in[]out[2:7;]n3:in[0@2:9;]out[]w[]"), "{one}");
     }
 
     #[test]
     fn canonical_state_orders_wires_across_transports() {
+        // One wheel holds a cut wire on a slow ferry and a later intra wire
+        // on a unit link: the later wire arrives first and renders first.
         let rep = SimReport::default();
         let store: NodeStore<u32> = NodeStore::new(3);
-        let mut t1: Transport<u32> = Transport::new(LinkDelay::Fixed { delay: 2 });
-        let mut t2: Transport<u32> = Transport::new(LinkDelay::Unit);
-        t1.transmit(0, 1, 10, 0, 2); // arrives 2, seq 2
-        t2.transmit(1, 2, 11, 0, 1); // arrives 1, seq 1
-        let (merged, _) = canonical_state(&[&store], &[&t1, &t2], &rep, "");
-        let (flipped, _) = canonical_state(&[&store], &[&t2, &t1], &rep, "");
-        assert_eq!(merged, flipped);
-        let i1 = merged.find("#1").unwrap();
-        let i2 = merged.find("#2").unwrap();
-        assert!(i1 < i2, "wires must sort by (arrival, seq): {merged}");
+        let mut wheel: Transport<u32> = Transport::default();
+        wheel.transmit(0, 1, 10, 0, 1, LinkDelay::Fixed { delay: 3 }); // arrives 3, seq 1
+        wheel.transmit(1, 2, 11, 0, 2, LinkDelay::Unit); // arrives 1, seq 2
+        let (canon, _) = canonical_state(&store, &wheel, &rep, "");
+        assert!(
+            canon.contains("w[1>2@1#2:11;0>1@3#1:10;]"),
+            "wires must sort by (arrival, seq): {canon}"
+        );
     }
 
     #[test]
@@ -564,9 +525,9 @@ mod tests {
         let mut rep = SimReport::default();
         let mut store: NodeStore<u32> = NodeStore::new(2);
         store.stage(0, 1, 5);
-        let t: Transport<u32> = Transport::new(LinkDelay::Unit);
+        let t: Transport<u32> = Transport::default();
         for phase in [Phase::Arrivals, Phase::Mature, Phase::Deliver, Phase::Transmit] {
-            observe_phase(&probe, 3, phase, &[&store], &[&t], "tok", &mut rep);
+            observe_phase(&probe, 3, phase, &store, &t, "tok", &mut rep);
         }
         assert_eq!(rep.checkpoints.len(), 1);
         let cp = rep.checkpoints[0];
@@ -583,10 +544,10 @@ mod tests {
         let probe = ProbeSpec::OFF.with_snapshot_at(2);
         let mut rep = SimReport::default();
         let store: NodeStore<u32> = NodeStore::new(1);
-        let t: Transport<u32> = Transport::new(LinkDelay::Unit);
-        observe_phase(&probe, 2, Phase::Deliver, &[&store], &[&t], "", &mut rep);
+        let t: Transport<u32> = Transport::default();
+        observe_phase(&probe, 2, Phase::Deliver, &store, &t, "", &mut rep);
         assert!(rep.snapshot_digest.is_none());
-        observe_phase(&probe, 2, Phase::Transmit, &[&store], &[&t], "", &mut rep);
+        observe_phase(&probe, 2, Phase::Transmit, &store, &t, "", &mut rep);
         let digest = rep.snapshot_digest.expect("snapshot at transmit");
         assert_eq!(digest, fnv1a(rep.snapshot_state.as_ref().unwrap().as_bytes()));
         // No checkpoint cadence was configured: snapshot does not imply one.

@@ -7,11 +7,9 @@
 //! [`Protocol::Slice`] per processor. A message handler at `node` is an
 //! associated function over `shared` and `node`'s slice alone (through a
 //! [`SliceApi`]) — the paper's "a processor touches its own state and its
-//! own links", stated in the type. Every executor calls the one handler the
-//! same way — the monolith from its receive walk, the sharded fabric
-//! ([`crate::shard`]) from one walk of its lanes' merged in-port frontier,
-//! both in ascending node order — which is why their runs are
-//! byte-identical.
+//! own links", stated in the type. The scheduler's one receive walk calls
+//! the handler in ascending node order, sharded run or not
+//! ([`crate::shard`]).
 //!
 //! Both interfaces write through: an effect lands in the engine during the
 //! call that makes it, as a §2.1 send enters the sender's outbox the moment

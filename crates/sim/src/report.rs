@@ -378,9 +378,8 @@ impl SimConfig {
         self
     }
 
-    /// The transmit gate, read by both transmit walks (the monolith's and
-    /// the fabric's): whether `node`'s staged sends stay in its
-    /// outbox through `round` — it is crashed (they freeze until the
+    /// The transmit gate, read by the transmit walk: whether `node`'s
+    /// staged sends stay in its outbox through `round` — it is crashed (they freeze until the
     /// recovery round), or it is the planted perturbation (they wait one
     /// extra round, see [`ProbeSpec::perturb_round`]). A held node is
     /// re-listed so its sends stay on the frontier; any other node pops up
@@ -452,8 +451,8 @@ pub struct SimReport {
     pub queue_wait_rounds: u64,
     /// Largest receive-queue depth observed at any processor.
     pub max_inport_depth: usize,
-    /// Messages that crossed a shard boundary (ferried by the inter-shard
-    /// transport). 0 on the single-fabric executor.
+    /// Messages that crossed a shard boundary (sent under the inter-shard
+    /// ferry's delay). 0 on an unsharded run.
     pub cross_shard_messages: u64,
     /// Largest send-queue (outbox) depth observed at any processor.
     pub max_outbox_depth: usize,

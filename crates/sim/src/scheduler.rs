@@ -13,51 +13,50 @@
 //!    ([`crate::state::NodeStore`]), in (arrival, sequence) order;
 //! 3. **deliver (apply)** — each processor with pending in-port work (the
 //!    dirty frontier, ascending id; under [`crate::SimConfig::dense_scan`]
-//!    the store's whole membership) dequeues up to `recv_budget` in-port
-//!    messages and hands each to [`crate::Protocol::on_message`] on its
-//!    slice through a [`crate::SliceApi`] over the store and slot it just
-//!    popped from; every deliver walk keeps the per-message order
-//!    `Ledger::note_delivery`, then the handler, whose sends are validated
-//!    and staged straight into the node's outbox and whose completions are
-//!    recorded, in call order, as it makes them;
+//!    every processor) dequeues up to `recv_budget` in-port messages and
+//!    hands each to [`crate::Protocol::on_message`] on its slice through a
+//!    [`crate::SliceApi`] over the store it just popped from; the walk
+//!    keeps the per-message order `Ledger::note_delivery`, then the
+//!    handler, whose sends are validated and staged straight into the
+//!    node's outbox and whose completions are recorded, in call order, as
+//!    it makes them;
 //! 4. **transmit** — each processor with staged sends (again the frontier,
 //!    ascending id) dequeues up to `send_budget` outbox messages; each
 //!    receives the next global sequence number and is scheduled on the
-//!    transport;
-//! 5. **quiescence / wakeup** — when every queue and wheel is empty
+//!    wheel under its link's delay;
+//! 5. **quiescence / wakeup** — when every queue and the wheel are empty
 //!    (an O(1) counter check) the run either ends or fast-forwards to
 //!    [`crate::Protocol::next_active_round`].
 //!
-//! **One skeleton.** `run` is the only round loop and `lockstep_round`
+//! **One executor.** `run` is the only round loop and `lockstep_round`
 //! the only round body: validation, the time-0 start, the `round > 0`
 //! gates, the four barriers with their probe observations and timing laps,
-//! the quiescence / wakeup decision and the finish live here only. An
-//! executor implements `Phases` (statically dispatched) for what differs:
-//! the monolith below over one `Lane` (a store and a timing wheel), the
-//! sharded fabric ([`crate::shard`]) over K lanes plus the ferry. Maturity
-//! is the lane's one walk; deliver and transmit differ only in their
-//! frontier: the fabric's walk the global one (its lanes' merged) instead
-//! of one lane's, and the monolith's are their oracle. The `Ledger` lent
-//! to every hook holds the report, the backlog counts, the error slot and
-//! the phase clock; every [`crate::SimApi`] is a view over it.
+//! the quiescence / wakeup decision and the finish live here only, over one
+//! `Executor` — one store of all `n` processors and one timing wheel —
+//! whether the run is sharded or not. A shard plan is a *cut*: a
+//! [`ccq_graph::Partition`] and the ferry's [`LinkDelay`], applied at
+//! transmit, where a send whose endpoints the partition separates takes
+//! the ferry delay and counts in
+//! [`crate::SimReport::cross_shard_messages`] (see [`crate::shard`]). The
+//! `Ledger` lent to every phase holds the report, the backlog counts, the
+//! error slot and the phase clock; every [`crate::SimApi`] is a view over
+//! it.
 //!
 //! The invariant this layer owns is the *delivery rule*: a message handled
 //! at round `t` can be answered no earlier than round `t + 1` (handler
 //! sends enter the outbox, transmit in phase 4, and mature at `t + d`,
 //! `d ≥ 1`). The layers below own FIFO; the scheduler owns *when* each
-//! FIFO advances. Transmissions carry one run-global sequence numbering on
-//! every executor, which is why a sharded execution is operationally
-//! identical to the monolith's whenever the inter-shard delay policy
-//! matches the intra-shard one.
+//! FIFO advances. Transmissions carry one run-global sequence numbering,
+//! which orders simultaneous arrivals whatever delay each wire took.
 
 use crate::probe::{self, Phase, PhaseTimings, Stopwatch};
 use crate::protocol::{Backlog, Protocol, SimApi};
 use crate::report::{LinkDelay, SimConfig, SimReport};
 use crate::state::{Inbound, NodeStore};
 use crate::trace::{TraceEvent, TraceKind};
-use crate::transport::{Transport, Wire};
+use crate::transport::Transport;
 use crate::{Round, SimError};
-use ccq_graph::{Graph, NodeId};
+use ccq_graph::{Graph, NodeId, Partition};
 
 /// Reject configurations the engine cannot execute on `n` processors,
 /// constructively — checked by [`run`] before round 0.
@@ -76,9 +75,9 @@ fn validate_config(cfg: &SimConfig, n: usize) -> Result<(), SimError> {
 }
 
 /// Reject a protocol whose [`Protocol::split`] does not cover the `n`
-/// processors. Every apply site indexes `slices[v]`, and a short vector on
-/// the sharded executor would silently starve the uncovered members (their
-/// in-ports never drain and the run spins to `max_rounds`).
+/// processors. The deliver walk indexes `slices[v]`, and a short vector
+/// would silently starve the uncovered processors (their in-ports never
+/// drain and the run spins to `max_rounds`).
 fn validate_slices<P: Protocol>(protocol: &mut P, n: usize) -> Result<(), SimError> {
     if protocol.split().1.len() != n {
         return Err(SimError::invalid_config(
@@ -88,17 +87,16 @@ fn validate_slices<P: Protocol>(protocol: &mut P, n: usize) -> Result<(), SimErr
     Ok(())
 }
 
-/// What every executor's round shares, owned by [`run`] and lent to each
-/// [`Phases`] hook: the run's borrowed inputs, the report, the backlog
-/// counts, the error slot every [`SimApi`] writes its first invalid send
-/// to, and the phase clock.
-pub(crate) struct Ledger<'a> {
+/// What the round records, owned by [`run`] and lent to each phase: the
+/// run's borrowed inputs, the report, the backlog counts, the error slot
+/// every [`SimApi`] writes its first invalid send to, and the phase clock.
+struct Ledger<'a> {
     graph: &'a Graph,
-    pub(crate) cfg: &'a SimConfig,
-    pub(crate) report: SimReport,
+    cfg: &'a SimConfig,
+    report: SimReport,
     backlog: Backlog,
     error: Option<SimError>,
-    pub(crate) timing: PhaseTimings,
+    timing: PhaseTimings,
     watch: Stopwatch,
     /// Microseconds lapped so far in the current round.
     round_micros: u64,
@@ -107,7 +105,7 @@ pub(crate) struct Ledger<'a> {
 impl Ledger<'_> {
     /// The write-through [`SimApi`] at `round`, staging sends through
     /// `stage` (which returns the new outbox depth).
-    pub(crate) fn api<'s, M>(
+    fn api<'s, M>(
         &'s mut self,
         round: Round,
         stage: &'s mut dyn FnMut(NodeId, NodeId, M) -> usize,
@@ -117,25 +115,23 @@ impl Ledger<'_> {
     }
 
     /// End a callback: the first invalid send it made, if any.
-    pub(crate) fn settle(&mut self) -> Result<(), SimError> {
+    fn settle(&mut self) -> Result<(), SimError> {
         self.error.take().map_or(Ok(()), Err)
     }
 
-    /// Receive-side bookkeeping of one delivery, shared by both deliver
-    /// walks: the per-node receive counter and the optional `Deliver` trace
-    /// event. Called immediately before the handler runs, so traces
-    /// interleave identically on either executor.
-    pub(crate) fn note_delivery(&mut self, round: Round, node: NodeId, src: NodeId) {
+    /// Receive-side bookkeeping of one delivery: the per-node receive
+    /// counter and the optional `Deliver` trace event. Called immediately
+    /// before the handler runs, so a handler's events follow its delivery.
+    fn note_delivery(&mut self, round: Round, node: NodeId, src: NodeId) {
         self.report.received_by_node[node] += 1;
         if self.cfg.trace {
             self.report.trace.push(TraceEvent { round, kind: TraceKind::Deliver, node, peer: src });
         }
     }
 
-    /// Sender-side bookkeeping of one lockstep transmission, shared by
-    /// both transmit walks: claim the next run-global sequence number and
-    /// trace the send; returns the number.
-    pub(crate) fn note_transmit(&mut self, round: Round, node: NodeId, peer: NodeId) -> u64 {
+    /// Sender-side bookkeeping of one transmission: claim the next
+    /// run-global sequence number and trace the send; returns the number.
+    fn note_transmit(&mut self, round: Round, node: NodeId, peer: NodeId) -> u64 {
         self.report.messages_sent += 1;
         if self.cfg.trace {
             self.report.trace.push(TraceEvent { round, kind: TraceKind::Transmit, node, peer });
@@ -145,114 +141,18 @@ impl Ledger<'_> {
 
     /// Close the current stopwatch lap: add it to this round's total and
     /// return it for the caller's phase counter.
-    pub(crate) fn lap(&mut self) -> u64 {
+    fn lap(&mut self) -> u64 {
         let micros = self.watch.lap();
         self.round_micros += micros;
         micros
     }
 }
 
-/// The frontier choice: append the nodes of `store` that may hold work in
-/// the queues `take` lists, unsorted — that dirty list (members off it have
-/// empty queues), or under the dense reference scan the store's own member
-/// list.
-pub(crate) fn frontier_into<M>(
-    store: &mut NodeStore<M>,
-    cfg: &SimConfig,
-    take: impl FnOnce(&mut NodeStore<M>, &mut Vec<NodeId>),
-    out: &mut Vec<NodeId>,
-) {
-    if cfg.dense_scan {
-        out.extend(store.members());
-    } else {
-        take(store, out);
-    }
-}
-
-/// One fabric's state: a store and a timing wheel. The monolith holds one
-/// lane, the sharded fabric one per shard plus the ferry; the maturity walk
-/// below is the only copy of what it does.
-pub(crate) struct Lane<M> {
-    pub(crate) store: NodeStore<M>,
-    pub(crate) transport: Transport<M>,
-}
-
-impl<M> Lane<M> {
-    pub(crate) fn new(store: NodeStore<M>, delay: LinkDelay) -> Self {
-        Lane { store, transport: Transport::new(delay) }
-    }
-
-    /// Maturity: move every wire of the lane's wheel due at `round`, merged
-    /// with the due ferry wires `ferry_due` in (arrival, sequence) order,
-    /// into the in-ports; returns the deepest in-port observed. The wheel
-    /// drains in that order already, so wires are collected and sorted only
-    /// when ferry wires are actually merged in. `ferry_due` is drained in
-    /// place and keeps its storage for the next round.
-    pub(crate) fn mature(&mut self, round: Round, ferry_due: &mut Vec<Wire<M>>) -> usize {
-        let store = &mut self.store;
-        let mut max_depth = 0usize;
-        let mut enqueue = |w: Wire<M>| {
-            let inbound = Inbound { src: w.src, arrival: w.arrival, msg: w.msg };
-            max_depth = max_depth.max(store.enqueue(w.dst, inbound));
-        };
-        if ferry_due.is_empty() {
-            let mut last = (0, 0);
-            self.transport.drain_due(round, |w| {
-                debug_assert!((w.arrival, w.seq) > last, "wheel drained out of order");
-                last = (w.arrival, w.seq);
-                enqueue(w);
-            });
-        } else {
-            self.transport.drain_due(round, |w| ferry_due.push(w));
-            ferry_due.sort_unstable_by_key(|w| (w.arrival, w.seq));
-            ferry_due.drain(..).for_each(enqueue);
-        }
-        max_depth
-    }
-
-    /// Whether the lane's queues and wheel are all empty.
-    pub(crate) fn is_idle(&self) -> bool {
-        self.store.is_idle() && self.transport.is_idle()
-    }
-}
-
-/// The parts of the round in which the executors differ, implemented by
-/// the monolith and the sharded fabric. [`lockstep_round`] calls the four
-/// phase hooks between its barriers; [`run`] asks [`Phases::idle`] after
-/// every round.
-pub(crate) trait Phases<P: Protocol> {
-    /// Stage a send of a serialized phase (the time-0 start, the arrivals
-    /// phase) in `from`'s outbox; returns the new outbox depth.
-    fn stage(&mut self, from: NodeId, to: NodeId, msg: P::Msg) -> usize;
-
-    /// Move every wire due at `round` into its destination's in-port.
-    fn mature(&mut self, led: &mut Ledger<'_>, round: Round);
-
-    /// Deliver up to `recv_budget` messages per live node and run their
-    /// handlers, in ascending node order.
-    fn deliver(
-        &mut self,
-        led: &mut Ledger<'_>,
-        protocol: &mut P,
-        round: Round,
-    ) -> Result<(), SimError>;
-
-    /// Number and put on the wire up to `send_budget` staged sends per
-    /// node, in ascending node order.
-    fn transmit(&mut self, led: &mut Ledger<'_>, round: Round);
-
-    /// Hash the state at one phase barrier of an observed round.
-    fn observe(&mut self, led: &mut Ledger<'_>, round: Round, phase: Phase, token: &str);
-
-    /// Whether every queue and wheel is empty.
-    fn idle(&self) -> bool;
-}
-
 /// One lockstep round — arrivals through transmit, each phase closed by
 /// its barrier. The first three phases are vacuous at round 0, whose
-/// barriers still observe, so every executor checkpoints round 0 alike.
-pub(crate) fn lockstep_round<P: Protocol, E: Phases<P>>(
-    exec: &mut E,
+/// barriers still observe, so every run checkpoints round 0.
+fn lockstep_round<P: Protocol>(
+    exec: &mut Executor<'_, P::Msg>,
     led: &mut Ledger<'_>,
     protocol: &mut P,
     round: Round,
@@ -261,7 +161,7 @@ pub(crate) fn lockstep_round<P: Protocol, E: Phases<P>>(
     led.watch.reset();
     led.round_micros = 0;
     if round > 0 {
-        serialized(exec, led, round, |api| protocol.on_round(api, round))?;
+        serialized(&mut exec.store, led, round, |api| protocol.on_round(api, round))?;
     }
     barrier(exec, led, protocol, round, Phase::Arrivals, observe);
     if round > 0 {
@@ -279,18 +179,18 @@ pub(crate) fn lockstep_round<P: Protocol, E: Phases<P>>(
 }
 
 /// Run a serialized phase's callback (the time-0 start, the arrivals
-/// phase) against the write-through [`SimApi`], its sends staged through
-/// [`Phases::stage`]; then fold the open-system backlog (issued but not
+/// phase) against the write-through [`SimApi`], its sends staged in the
+/// sender's outbox; then fold the open-system backlog (issued but not
 /// completed — 0 for one-shot runs, which record no issues) into its
 /// high-water mark. Handlers cannot issue, so the backlog only falls
 /// within a deliver phase and this is the only place it can peak.
-fn serialized<P: Protocol, E: Phases<P>>(
-    exec: &mut E,
+fn serialized<M>(
+    store: &mut NodeStore<M>,
     led: &mut Ledger<'_>,
     round: Round,
-    f: impl FnOnce(&mut SimApi<P::Msg>),
+    f: impl FnOnce(&mut SimApi<M>),
 ) -> Result<(), SimError> {
-    f(&mut led.api(round, &mut |from, to, msg| exec.stage(from, to, msg)));
+    f(&mut led.api(round, &mut |from, to, msg| store.stage(from, to, msg)));
     let report = &mut led.report;
     let open = report.issues.len().saturating_sub(report.completions.len());
     report.backlog_high_water = report.backlog_high_water.max(open);
@@ -299,8 +199,8 @@ fn serialized<P: Protocol, E: Phases<P>>(
 
 /// The barrier after `phase`: close its timing lap and, in an observed
 /// round, hash the state there.
-fn barrier<P: Protocol, E: Phases<P>>(
-    exec: &mut E,
+fn barrier<P: Protocol>(
+    exec: &Executor<'_, P::Msg>,
     led: &mut Ledger<'_>,
     protocol: &P,
     round: Round,
@@ -310,13 +210,14 @@ fn barrier<P: Protocol, E: Phases<P>>(
     let micros = led.lap();
     *led.timing.of(phase) += micros;
     if observe {
-        exec.observe(led, round, phase, &protocol.state_token());
+        let (probe, token) = (&led.cfg.probe, &protocol.state_token());
+        probe::observe_phase(probe, round, phase, &exec.store, &exec.wheel, token, &mut led.report);
         led.watch.reset();
     }
 }
 
-/// The quiescence / wakeup phase: given whether every queue and wheel is
-/// idle, decide the next round — `None` ends the run, otherwise the clock
+/// The quiescence / wakeup phase: given whether every queue and the wheel
+/// are idle, decide the next round — `None` ends the run, otherwise the clock
 /// advances by one or fast-forwards to the protocol's next scheduled
 /// wakeup. The `max_rounds` guard applies to both kinds of advance.
 fn advance_round<P: Protocol>(
@@ -339,20 +240,30 @@ fn advance_round<P: Protocol>(
     Ok(Some(next))
 }
 
-/// Run `protocol` on `graph` to quiescence on the executor `build` makes —
-/// the one round loop of both [`crate::Simulator`] and
-/// [`crate::ShardedSimulator`]. `build` runs after the shared validation
-/// and may reject what its executor cannot honour.
-pub(crate) fn run<P: Protocol, E: Phases<P>>(
+/// Run `protocol` on `graph` to quiescence — the one round loop of both
+/// [`crate::Simulator`] and [`crate::ShardedSimulator`]. `cut` is a shard
+/// plan: the partition and the delay of the links it separates. It is
+/// checked to cover the graph after the configuration and the slices.
+pub(crate) fn run<P: Protocol>(
     graph: &Graph,
     cfg: &SimConfig,
+    cut: Option<(&Partition, LinkDelay)>,
     mut protocol: P,
-    build: impl FnOnce() -> Result<E, SimError>,
 ) -> Result<(SimReport, P), SimError> {
     let n = graph.n();
     validate_config(cfg, n)?;
     validate_slices(&mut protocol, n)?;
-    let mut exec = build()?;
+    if cut.is_some_and(|(partition, _)| partition.n() != n) {
+        return Err(SimError::invalid_config(
+            "shard partition does not cover the graph's vertex set",
+        ));
+    }
+    let mut exec = Executor {
+        store: NodeStore::new(n),
+        wheel: Transport::default(),
+        cut,
+        frontier: Vec::new(),
+    };
     let mut led = Ledger {
         graph,
         cfg,
@@ -369,12 +280,12 @@ pub(crate) fn run<P: Protocol, E: Phases<P>>(
     };
 
     // Time 0: every requester issues its operation.
-    serialized(&mut exec, &mut led, 0, |api| protocol.on_start(api))?;
+    serialized(&mut exec.store, &mut led, 0, |api| protocol.on_start(api))?;
 
     let mut round: Round = 0;
     let last = loop {
         lockstep_round(&mut exec, &mut led, &mut protocol, round)?;
-        match advance_round(&protocol, exec.idle(), round, cfg.max_rounds)? {
+        match advance_round(&protocol, exec.is_idle(), round, cfg.max_rounds)? {
             Some(next) => round = next,
             None => break round,
         }
@@ -388,36 +299,51 @@ pub(crate) fn run<P: Protocol, E: Phases<P>>(
     Ok((report, protocol))
 }
 
-/// The single-fabric executor: every processor in one [`Lane`].
-pub(crate) struct Monolith<M> {
-    lane: Lane<M>,
+/// The executor: every processor's queues in one store, every wire in
+/// flight on one timing wheel, and the shard cut, if any.
+struct Executor<'c, M> {
+    store: NodeStore<M>,
+    wheel: Transport<M>,
+    cut: Option<(&'c Partition, LinkDelay)>,
     /// Reusable frontier scratch of both walks (capacity retained across
     /// rounds, so steady state allocates nothing here).
     frontier: Vec<NodeId>,
 }
 
-impl<M> Monolith<M> {
-    /// One full-range lane.
-    pub(crate) fn new(n: usize, cfg: &SimConfig) -> Self {
-        Monolith { lane: Lane::new(NodeStore::new(n), cfg.link_delay), frontier: Vec::new() }
+impl<M> Executor<'_, M> {
+    /// Refill the frontier scratch with a walk's visit order, ascending:
+    /// the ids `take` lists (any other processor has empty queues of that
+    /// kind), or every processor under the dense reference scan.
+    fn fill_frontier(&mut self, dense: bool, take: fn(&mut NodeStore<M>, &mut Vec<NodeId>)) {
+        self.frontier.clear();
+        if dense {
+            self.frontier.extend(0..self.store.n());
+        } else {
+            take(&mut self.store, &mut self.frontier);
+            self.frontier.sort_unstable();
+        }
     }
-}
 
-impl<P: Protocol> Phases<P> for Monolith<P::Msg> {
-    fn stage(&mut self, from: NodeId, to: NodeId, msg: P::Msg) -> usize {
-        self.lane.store.stage(from, to, msg)
-    }
-
+    /// Maturity: move every wire due at `round` into its destination's
+    /// in-port, in the wheel's (arrival, sequence) order, and fold the
+    /// deepest in-port into the report.
     fn mature(&mut self, led: &mut Ledger<'_>, round: Round) {
-        let depth = self.lane.mature(round, &mut Vec::new());
+        let store = &mut self.store;
+        let (mut depth, mut last) = (0, (0, 0));
+        self.wheel.drain_due(round, |w| {
+            debug_assert!((w.arrival, w.seq) > last, "wheel drained out of order");
+            last = (w.arrival, w.seq);
+            let inbound = Inbound { src: w.src, arrival: w.arrival, msg: w.msg };
+            depth = depth.max(store.enqueue(w.dst, inbound));
+        });
         led.report.max_inport_depth = led.report.max_inport_depth.max(depth);
     }
 
     /// The receive walk: visit the in-port frontier in ascending node
     /// order, skip (and re-list) a crashed node, pop up to `recv_budget`
     /// messages per live node and run the handler on each, its sends
-    /// staged in the store it popped from.
-    fn deliver(
+    /// staged in the sender's outbox as it makes them.
+    fn deliver<P: Protocol<Msg = M>>(
         &mut self,
         led: &mut Ledger<'_>,
         protocol: &mut P,
@@ -425,10 +351,8 @@ impl<P: Protocol> Phases<P> for Monolith<P::Msg> {
     ) -> Result<(), SimError> {
         let cfg = led.cfg;
         let (shared, slices) = protocol.split();
-        let Monolith { lane: Lane { store, .. }, frontier } = self;
-        frontier.clear();
-        frontier_into(store, cfg, NodeStore::take_inport_frontier, frontier);
-        frontier.sort_unstable();
+        self.fill_frontier(cfg.dense_scan, NodeStore::take_inport_frontier);
+        let Executor { store, frontier, .. } = self;
         for &v in frontier.iter() {
             if cfg.faults.is_down(v, round) {
                 // Crashed: the in-port freezes in place (neighbours keep
@@ -450,16 +374,15 @@ impl<P: Protocol> Phases<P> for Monolith<P::Msg> {
         Ok(())
     }
 
-    /// The lane's outbox walk: visit the outbox frontier in ascending node
-    /// order; a node [`SimConfig::holds_transmit`] holds keeps its sends
-    /// and is re-listed, any other pops up to `send_budget`, numbering
-    /// every send onto the one wheel.
+    /// The outbox walk: visit the outbox frontier in ascending node order;
+    /// a node [`SimConfig::holds_transmit`] holds keeps its sends and is
+    /// re-listed, any other pops up to `send_budget`, numbering every send
+    /// onto the wheel under its link's delay — the cut's ferry delay when
+    /// the partition separates the endpoints, the run's otherwise.
     fn transmit(&mut self, led: &mut Ledger<'_>, round: Round) {
         let cfg = led.cfg;
-        let Monolith { lane: Lane { store, transport }, frontier } = self;
-        frontier.clear();
-        frontier_into(store, cfg, NodeStore::take_outbox_frontier, frontier);
-        frontier.sort_unstable();
+        self.fill_frontier(cfg.dense_scan, NodeStore::take_outbox_frontier);
+        let Executor { store, wheel, cut, frontier } = self;
         for &v in frontier.iter() {
             if cfg.holds_transmit(round, v) {
                 store.relist_outbox(v);
@@ -468,18 +391,20 @@ impl<P: Protocol> Phases<P> for Monolith<P::Msg> {
             for _ in 0..cfg.send_budget {
                 let Some((dst, msg)) = store.pop_outbox(v) else { break };
                 let seq = led.note_transmit(round, v, dst);
-                transport.transmit(v, dst, msg, round, seq);
+                let delay = match *cut {
+                    Some((shards, ferry)) if shards.shard_of(v) != shards.shard_of(dst) => {
+                        led.report.cross_shard_messages += 1;
+                        ferry
+                    }
+                    _ => cfg.link_delay,
+                };
+                wheel.transmit(v, dst, msg, round, seq, delay);
             }
         }
     }
 
-    fn observe(&mut self, led: &mut Ledger<'_>, round: Round, phase: Phase, token: &str) {
-        let Lane { store, transport, .. } = &self.lane;
-        let report = &mut led.report;
-        probe::observe_phase(&led.cfg.probe, round, phase, &[store], &[transport], token, report);
-    }
-
-    fn idle(&self) -> bool {
-        self.lane.is_idle()
+    /// Whether every queue and the wheel are empty.
+    fn is_idle(&self) -> bool {
+        self.store.is_idle() && self.wheel.is_idle()
     }
 }

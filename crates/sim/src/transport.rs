@@ -1,18 +1,18 @@
-//! Wire scheduling: the timing wheel, delay policy and FIFO clamp.
+//! Wire scheduling: the timing wheel, delay policies and FIFO clamp.
 //!
 //! A [`Transport`] owns everything between "a message left its sender" and
 //! "the message reached its destination's in-port": it applies the
-//! [`LinkDelay`] policy, enforces per-link FIFO, and holds in-flight
-//! messages in a timing wheel — a power-of-two ring of batches, the wires
-//! due at round `r` in slot `r & mask`, in transmission order. Every wire
-//! in flight arrives within one ring length after the last drained round,
-//! so no two pending rounds share a slot; the ring grows (re-bucketing each
-//! batch whole, in order) to the smallest power of two above the longest
-//! delay it has scheduled — 2 slots under unit delay, 8 under
-//! `jitter:max=3` or a ferry of 6 rounds, at most 2^20 under the CLI's
-//! delay cap. A drained slot's storage is handed to the next slot that
-//! starts filling, so steady state cycles one set of buffers and allocates
-//! nothing. The invariants this layer owns:
+//! [`LinkDelay`] policy each transmission names, enforces per-link FIFO,
+//! and holds in-flight messages in a timing wheel — a power-of-two ring of
+//! batches, the wires due at round `r` in slot `r & mask`, in transmission
+//! order. Every wire in flight arrives within one ring length after the
+//! last drained round, so no two pending rounds share a slot; the ring
+//! grows (re-bucketing each batch whole, in order) to the smallest power of
+//! two above the longest delay it has scheduled — 2 slots under unit delay,
+//! 8 under `jitter:max=3` or a ferry of 6 rounds, at most 2^20 under the
+//! CLI's delay cap. A drained slot's storage is handed to the next slot
+//! that starts filling, so steady state cycles one set of buffers and
+//! allocates nothing. The invariants this layer owns:
 //!
 //! * **delay ≥ 1** — a message transmitted at round `t` arrives no earlier
 //!   than `t + 1` (information travels at most one hop per round under the
@@ -21,13 +21,15 @@
 //!   same directed link. Constant-per-link policies are FIFO by
 //!   construction; per-message policies ([`LinkDelay::Jitter`]) are clamped
 //!   so each arrival is no earlier than the previous arrival scheduled on
-//!   that link;
+//!   that link. A run gives each link one policy for its whole life (a
+//!   shard plan's ferry delay on the links its cut separates, the run's
+//!   delay on every other), so one wheel serves both without the clamps
+//!   ever mixing them;
 //! * **deterministic maturity order** — [`Transport::drain_due`] yields
 //!   wires in (arrival round, transmission sequence) order, so delivery
 //!   order is a pure function of the transmission history. The sequence
-//!   number is assigned by the scheduler (globally, across *all* transports
-//!   of a run), which is what makes a sharded run with per-shard transports
-//!   reproduce the single-transport execution exactly.
+//!   number is assigned by the scheduler, one run-global numbering in
+//!   transmission order.
 
 use crate::report::LinkDelay;
 use crate::Round;
@@ -73,10 +75,10 @@ impl Hasher for LinkHasher {
     }
 }
 
-/// Scheduler of in-flight messages under one delay policy.
+/// Scheduler of in-flight messages, each under the delay policy its
+/// transmission names.
 #[derive(Debug)]
 pub struct Transport<M> {
-    delay: LinkDelay,
     /// The timing wheel: slot `r & (len − 1)` holds the wires arriving at
     /// round `r`, in transmission (= sequence) order. Every pending arrival
     /// lies in `drained + 1 .. drained + len`. Empty until the first
@@ -93,11 +95,10 @@ pub struct Transport<M> {
     link_last: HashMap<(NodeId, NodeId), Round, BuildHasherDefault<LinkHasher>>,
 }
 
-impl<M> Transport<M> {
-    /// An idle transport under `delay`.
-    pub fn new(delay: LinkDelay) -> Self {
+impl<M> Default for Transport<M> {
+    /// An idle transport.
+    fn default() -> Self {
         Transport {
-            delay,
             ring: Vec::new(),
             drained: 0,
             wires: 0,
@@ -105,17 +106,27 @@ impl<M> Transport<M> {
             link_last: HashMap::default(),
         }
     }
+}
 
-    /// Place a message on the wire at `round`. `seq` is the run-global
-    /// transmission sequence number: it indexes per-message delay draws
-    /// and orders simultaneous arrivals. The arrival must lie after the
-    /// last drained round, which a transmission at or after that round
-    /// always does. The ring spans from that round, so a transmission long
-    /// after the last drain widens it by the gap; the executors drain
-    /// every wheel every round.
-    pub fn transmit(&mut self, src: NodeId, dst: NodeId, msg: M, round: Round, seq: u64) {
-        let mut arrival = round + self.delay.delay_of(src, dst, seq);
-        if self.delay.varies_per_message() {
+impl<M> Transport<M> {
+    /// Place a message on the wire at `round` under `delay`, its link's
+    /// policy. `seq` is the run-global transmission sequence number: it
+    /// indexes per-message delay draws and orders simultaneous arrivals.
+    /// The arrival must lie after the last drained round, which a
+    /// transmission at or after that round always does. The ring spans
+    /// from that round, so a transmission long after the last drain widens
+    /// it by the gap; the scheduler drains the wheel every round.
+    pub fn transmit(
+        &mut self,
+        src: NodeId,
+        dst: NodeId,
+        msg: M,
+        round: Round,
+        seq: u64,
+        delay: LinkDelay,
+    ) {
+        let mut arrival = round + delay.delay_of(src, dst, seq);
+        if delay.varies_per_message() {
             // FIFO per directed link: never overtake an earlier message.
             let slot = self.link_last.entry((src, dst)).or_insert(0);
             arrival = arrival.max(*slot);
@@ -179,10 +190,10 @@ impl<M> Transport<M> {
     }
 
     /// Read-only view of every in-flight wire, in (arrival round, insertion)
-    /// order — deterministic because the ring is walked from the first
-    /// undrained round and batches are in transmission order. The probe
-    /// layer's canonical-state renderer merges and re-sorts wires across
-    /// transports, so the per-transport order here only needs to be stable.
+    /// order — the ring is walked from the first undrained round and
+    /// batches are in transmission order, which under the run-global
+    /// numbering is (arrival, sequence) order, the order
+    /// [`Transport::drain_due`] matures them in.
     pub fn wires(&self) -> impl Iterator<Item = &Wire<M>> {
         let (from, len) = (self.drained, self.ring.len());
         (1..len as Round).flat_map(move |k| &self.ring[from.wrapping_add(k) as usize & (len - 1)])
@@ -202,8 +213,8 @@ mod tests {
 
     #[test]
     fn unit_delay_schedules_next_round() {
-        let mut t: Transport<u32> = Transport::new(LinkDelay::Unit);
-        t.transmit(0, 1, 7, 3, 1);
+        let mut t: Transport<u32> = Transport::default();
+        t.transmit(0, 1, 7, 3, 1, LinkDelay::Unit);
         t.drain_due(3, |_| panic!("not due at transmit round"));
         assert_eq!(arrivals(&mut t, 4), vec![(1, 1, 7)]);
         assert!(t.is_idle());
@@ -211,18 +222,19 @@ mod tests {
 
     #[test]
     fn drain_is_arrival_then_sequence_ordered() {
-        let mut t: Transport<u32> = Transport::new(LinkDelay::Fixed { delay: 2 });
-        t.transmit(0, 1, 10, 0, 1); // arrives at 2
-        t.transmit(0, 2, 11, 1, 2); // arrives at 3
-        t.transmit(1, 2, 12, 0, 3); // arrives at 2 — later seq, same round
+        let delay = LinkDelay::Fixed { delay: 2 };
+        let mut t: Transport<u32> = Transport::default();
+        t.transmit(0, 1, 10, 0, 1, delay); // arrives at 2
+        t.transmit(0, 2, 11, 1, 2, delay); // arrives at 3
+        t.transmit(1, 2, 12, 0, 3, delay); // arrives at 2 — later seq, same round
         assert_eq!(arrivals(&mut t, 3), vec![(1, 1, 10), (2, 3, 12), (2, 2, 11)]);
     }
 
     #[test]
     fn jitter_clamp_preserves_link_fifo() {
-        let mut t: Transport<u32> = Transport::new(LinkDelay::Jitter { max: 9, seed: 3 });
+        let mut t: Transport<u32> = Transport::default();
         for seq in 1..=20 {
-            t.transmit(0, 1, seq as u32, seq, seq);
+            t.transmit(0, 1, seq as u32, seq, seq, LinkDelay::Jitter { max: 9, seed: 3 });
         }
         let mut seen = Vec::new();
         t.drain_due(Round::MAX - 1, |w| seen.push(w.msg));
@@ -237,12 +249,12 @@ mod tests {
             (LinkDelay::Fixed { delay: 8 }, 16),
             (LinkDelay::Jitter { max: 3, seed: 1 }, 8),
         ] {
-            let mut t: Transport<u32> = Transport::new(delay);
+            let mut t: Transport<u32> = Transport::default();
             assert!(t.ring.is_empty(), "an unused wheel holds no ring");
             for round in 0..64 {
                 t.drain_due(round, drop);
                 for (seq, src) in (round * 4 + 1..).zip(0..4) {
-                    t.transmit(src, src + 1, 0, round, seq);
+                    t.transmit(src, src + 1, 0, round, seq, delay);
                 }
             }
             assert_eq!(t.ring.len(), slots, "{}", delay.name());
@@ -310,7 +322,7 @@ mod tests {
         for delay in policies {
             for case in 0..40 {
                 let mut gen = Cases(case);
-                let mut ring: Transport<u32> = Transport::new(delay);
+                let mut ring: Transport<u32> = Transport::default();
                 let mut oracle =
                     Oracle { delay, inflight: BTreeMap::new(), link_last: BTreeMap::new() };
                 let (mut round, mut seq) = (0, 0);
@@ -329,7 +341,7 @@ mod tests {
                         let (src, dst) = (gen.below(4) as NodeId, gen.below(4) as NodeId);
                         seq += 1;
                         let (before, busy) = (ring.ring.len(), !ring.is_idle());
-                        ring.transmit(src, dst, step, round, seq);
+                        ring.transmit(src, dst, step, round, seq, delay);
                         oracle.transmit(src, dst, step, round, seq);
                         grew_in_flight += usize::from(busy && ring.ring.len() > before);
                     }
@@ -352,10 +364,10 @@ mod tests {
         let short = links().find(|&(a, b)| delay.delay_of(a, b, 0) == 1).unwrap();
         let far = links().find(|&(a, b)| delay.delay_of(a, b, 0) > 2).unwrap();
         let long = delay.delay_of(far.0, far.1, 0);
-        let mut t: Transport<u32> = Transport::new(delay);
-        t.transmit(short.0, short.1, 10, 0, 1);
+        let mut t: Transport<u32> = Transport::default();
+        t.transmit(short.0, short.1, 10, 0, 1, delay);
         assert_eq!(t.ring.len(), 2);
-        t.transmit(far.0, far.1, 11, 0, 2);
+        t.transmit(far.0, far.1, 11, 0, 2, delay);
         assert_eq!(t.ring.len(), (long as usize + 1).next_power_of_two());
         let wires: Vec<u32> = t.wires().map(|w| w.msg).collect();
         assert_eq!(wires, [10, 11]);

@@ -10,10 +10,9 @@
 //! network, toggle and CRDT counters far beyond what random testing
 //! reaches. The twins built on one mechanism run as pairs on one tree,
 //! home and config, and must be one execution ([`common::assert_twins`]).
-//! The executor is one more input of every sweep: the monolith and the
-//! sharded fabric run the same round skeleton, so each case runs on both
-//! (the fabric on two striped shards) and the two reports must agree byte
-//! for byte apart from `cross_shard_messages`.
+//! The shard plan is one more input of every sweep: each case runs
+//! unsharded and on two striped shards, and the two reports must agree
+//! byte for byte apart from `cross_shard_messages`.
 
 mod common;
 
@@ -27,8 +26,8 @@ use ccq_repro::queuing::{
 };
 use ccq_repro::sim::{run_protocol, run_protocol_sharded, Protocol, SimConfig, SimReport};
 
-/// The executors of every case: the monolith, then the sharded fabric on
-/// two striped shards.
+/// The executions of every case: the monolith (unsharded), then two
+/// striped shards.
 const EXECUTORS: [(&str, bool); 2] = [("monolith", false), ("2 striped shards", true)];
 
 /// Run one case on every executor, handing each report to `check` with
@@ -43,7 +42,7 @@ fn on_every_executor<P: Protocol>(
     let mut monolith = None;
     for (e, (label, sharded)) in EXECUTORS.into_iter().enumerate() {
         let rep = if sharded {
-            run_protocol_sharded(g, Partition::striped(g.n(), 2), make(), cfg)
+            run_protocol_sharded(g, &Partition::striped(g.n(), 2), make(), cfg)
         } else {
             run_protocol(g, make(), cfg)
         }

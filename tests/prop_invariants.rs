@@ -560,8 +560,8 @@ proptest! {
     }
 
     /// QQC lateness is a pure function of the (byte-identical) trace, so it
-    /// cannot depend on the executor strategy: the monolith, the sharded
-    /// fabric and the dense scan all report identical qqc_* fields for
+    /// cannot depend on the executor strategy: the monolith, a sharded run
+    /// and the dense scan all report identical qqc_* fields for
     /// every protocol × arrival × delay.
     #[test]
     fn qqc_is_executor_independent(

@@ -4,7 +4,7 @@
 //!
 //! * **property tests** — on random connected graphs, a
 //!   [`ShardedSimulator`] with `shards = 1` produces a [`SimReport`] that
-//!   is *identical* (field for field, via JSON) to the single-fabric
+//!   is *identical* (field for field, via JSON) to the unsharded
 //!   [`Simulator`], for every delay policy;
 //! * **registry sweeps** — for every registry protocol on mesh2d and
 //!   torus2d, K-shard runs complete the same operations in the same order
@@ -14,8 +14,8 @@
 //! * **retired parallel-apply spelling** — a property test sweeps registry
 //!   protocols × delay policies × open arrivals × shard plans × slow
 //!   ferries × admission policies asserting that sweep argvs with
-//!   `--parallel-apply` print the same JSON as without it, and that the
-//!   fabric's one deliver walk runs the monolith's execution;
+//!   `--parallel-apply` print the same JSON as without it, and that a
+//!   sharded run's deliver walk runs the monolith's execution;
 //! * **scan equivalence** — a second matrix asserts the default
 //!   dirty-frontier round loop is byte-identical to the dense `0..n`
 //!   reference scan (`SimConfig::dense_scan`);
@@ -28,13 +28,13 @@ use ccq_repro::graph::{spanning, topology, NodeId, Partition};
 use ccq_repro::prelude::*;
 use ccq_repro::queuing::ArrowProtocol;
 use ccq_repro::sim::{
-    run_protocol, run_protocol_sharded, LinkDelay, SimConfig, SimReport, Simulator,
+    run_protocol, run_protocol_sharded, LinkDelay, SimConfig, SimReport, Simulator, TraceKind,
 };
 use common::{run_on_reference, scenario_of, sweep_plan};
 use proptest::prelude::*;
 
 /// JSON encoding with the sharding-only counter zeroed, so single- and
-/// multi-fabric reports can be compared for operational identity.
+/// sharded reports can be compared for operational identity.
 fn fingerprint(rep: &SimReport) -> String {
     let mut rep = rep.clone();
     rep.cross_shard_messages = 0;
@@ -73,7 +73,7 @@ proptest! {
         let single = run_protocol(&g, ArrowProtocol::new(&tree, 0, &requests), cfg).unwrap();
         let sharded = run_protocol_sharded(
             &g,
-            Partition::contiguous(n, 1),
+            &Partition::contiguous(n, 1),
             ArrowProtocol::new(&tree, 0, &requests),
             cfg,
         )
@@ -83,8 +83,10 @@ proptest! {
     }
 
     /// K shards with the default ferry are operationally identical to the
-    /// single fabric — any partition strategy, any delay policy (global
-    /// transmission sequencing makes even per-message jitter agree).
+    /// unsharded run — any partition strategy, any delay policy (global
+    /// transmission sequencing makes even per-message jitter agree), traces
+    /// included — and `cross_shard_messages` counts exactly the traced
+    /// transmissions whose endpoints the partition separates.
     #[test]
     fn k_shards_equal_unsharded(
         n in 2usize..32,
@@ -96,12 +98,19 @@ proptest! {
         let g = topology::random_connected(n, 0.15, seed);
         let tree = spanning::bfs_tree(&g, seed as usize % n);
         let requests: Vec<NodeId> = (0..n).collect();
-        let cfg = SimConfig::strict().with_link_delay(delay_for(delay_kind, seed));
+        let cfg = SimConfig::strict().with_link_delay(delay_for(delay_kind, seed)).with_trace();
         let single = run_protocol(&g, ArrowProtocol::new(&tree, 0, &requests), cfg).unwrap();
         let part = partition_for(&g, k, strategy);
         let sharded =
-            run_protocol_sharded(&g, part, ArrowProtocol::new(&tree, 0, &requests), cfg).unwrap();
+            run_protocol_sharded(&g, &part, ArrowProtocol::new(&tree, 0, &requests), cfg).unwrap();
         prop_assert_eq!(fingerprint(&single), fingerprint(&sharded));
+        let crossing = sharded
+            .trace
+            .iter()
+            .filter(|e| e.kind == TraceKind::Transmit)
+            .filter(|e| part.shard_of(e.node) != part.shard_of(e.peer))
+            .count();
+        prop_assert_eq!(sharded.cross_shard_messages, crossing as u64);
     }
 }
 
@@ -129,8 +138,8 @@ proptest! {
     /// registry protocol, delay policy, open arrival process, shard plan
     /// (on the default or a slow fixed-delay ferry) and admission policy,
     /// the sweep argv with the spelling prints the same JSON as the argv
-    /// without it. Every sharded case takes the fabric's one deliver walk,
-    /// and on the default ferry that walk runs the monolith's execution.
+    /// without it. Every case takes the one deliver walk, and on the
+    /// default ferry a sharded case runs the monolith's execution.
     #[test]
     fn parallel_apply_runs_are_byte_identical_to_serialized(
         proto_idx in 0usize..10,
@@ -333,8 +342,8 @@ fn wavefront_auto_lag_composes_with_the_other_strategies() {
 /// Deterministic matrix: every registry protocol × mesh2d/torus2d × shard
 /// counts (including the k = 1 degenerate plan), each case of a sweep argv
 /// that names the retired `--parallel-apply` spelling, equals the
-/// *unsharded monolith* — the fabric's one deliver walk updates every
-/// slice exactly as the monolith's receive walk does.
+/// *unsharded monolith* — a sharded run's deliver walk updates every
+/// slice exactly as the unsharded one does.
 #[test]
 fn parallel_apply_matches_the_monolith_for_every_registry_protocol() {
     for topo in ["mesh2d:4", "torus2d:4"] {
@@ -492,7 +501,7 @@ proptest! {
     /// arrivals are shed — that plan-dependence is the policy's point.)
     /// The priority reorder is decided in the serialized arrivals phase,
     /// the fault freeze is a pure function of the round number, and the
-    /// shard-scoped backlog is tracked on the one shared fabric API.
+    /// shard-scoped backlog is tracked on the one shared `SimApi`.
     #[test]
     fn heterogeneous_runs_are_byte_identical_across_executors(
         proto_idx in 0usize..10,
@@ -577,7 +586,7 @@ fn sharded_invalid_config_is_an_error_not_a_panic() {
     // Partition shape mismatch.
     let err = run_protocol_sharded(
         &g,
-        Partition::contiguous(5, 2),
+        &Partition::contiguous(5, 2),
         ArrowProtocol::new(&tree, 0, &requests),
         SimConfig::strict(),
     )

@@ -10,7 +10,8 @@
 # smoke, every registry protocol with `--checkpoint-every 1 --node-hashes`
 # (unsharded, `4:edgecut --parallel-apply`, `4:ferry=6 --wavefront` — these
 # prove message `Debug` forms, `state_token` and the canonical state, i.e. the
-# `.ccqrec` format, untouched), an adaptive + split + fault open load, four
+# `.ccqrec` format, untouched), three slow-ferry plans over jitter or per-link
+# delays (two policies on one wheel), an adaptive + split + fault open load, four
 # bisects, `run --exp all`, `list`, `--help`, record -> replay.
 # `--parallel-apply` and `--wavefront[:lag=d]` are retired spellings: every
 # sharded round runs the one lockstep executor and its serialized walk. Their
@@ -108,6 +109,15 @@ same sweep --topo torus2d:4 --proto all --checkpoint-every 1 --node-hashes \
     --shards 4:ferry=6 --wavefront --json -
 same sweep --topo torus2d:4 --proto all --checkpoint-every 1 --node-hashes \
     --arrival poisson:rate=0.5:seed=7 --admission adaptive:target=3 --json -
+
+# --- two delay policies sharing one wheel: intra jitter or per-link delays
+# under a slower ferry on the shard cut
+same sweep --topo torus2d:6 --proto all --delay jitter:max=3:seed=5 --shards 4:edgecut:ferry=6 \
+    --checkpoint-every 1 --node-hashes --json -
+same sweep --topo torus2d:6 --arrival poisson:rate=0.5:seed=7 --delay jitter:max=3:seed=5 \
+    --admission pernode:bound=4:protect=1 --shards 3:stripe:ferry=2 --checkpoint-every 1 --json -
+same sweep --topo mesh2d:5 --proto all --delay perlink:max=4:seed=3 --shards 2:contig:ferry=5 \
+    --fault crash:at=4:node=2:recover=9 --checkpoint-every 1 --node-hashes --json -
 
 # --- an open load with everything the paced driver carries
 same sweep --topo torus2d:6 --arrival poisson:rate=0.5:seed=7,bursty:rate=0.7:on=6:off=12,hotspot:rate=0.3:s=1.4 \
