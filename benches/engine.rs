@@ -16,12 +16,12 @@
 //! as the curve the frontier escapes.
 //!
 //! Finally it carries the **K = 1 gap**: two protocols built directly and
-//! run unsharded (`monolith`) and through `ShardedSimulator` over a
-//! one-shard partition (`fabric:1`), a pairing no plan reaches (an
-//! unsharded plan never builds a partition). Both reach the scheduler's one
-//! executor, so the ratio is the cost of the shard cut's check at
-//! transmit. The bench prints the fabric/monolith mean ratio; CI asserts
-//! each pair runs one execution.
+//! run unsharded (`monolith`) and cut by a one-shard partition through
+//! `Simulator::with_cut` (`cut:1`), a pairing no plan reaches (an
+//! unsharded plan adds no cut). Both reach the scheduler's one executor,
+//! so the ratio is the cost of the shard cut's check at transmit. The
+//! bench prints the cut/monolith mean ratio; CI asserts each pair runs one
+//! execution.
 
 use ccq_repro::core::protocol::{self, run_spec_cfg};
 use ccq_repro::core::run::config_for;
@@ -29,7 +29,7 @@ use ccq_repro::counting::CountingNetworkProtocol;
 use ccq_repro::graph::Partition;
 use ccq_repro::prelude::*;
 use ccq_repro::queuing::CentralQueueProtocol;
-use ccq_repro::sim::{Protocol, ShardedSimulator, SimConfig, SimReport, Simulator};
+use ccq_repro::sim::{Protocol, SimConfig, SimReport, Simulator};
 use serde::Serialize;
 use std::time::Instant;
 
@@ -105,26 +105,20 @@ fn measure_sparse(side: usize, dense: bool) -> Sample {
 }
 
 /// One side of a K = 1 gap pair on the 576-node torus: `build` makes the
-/// protocol, which runs unsharded or (`fabric`) under
+/// protocol, which runs unsharded or (`cut`) cut by
 /// `Partition::contiguous(n, 1)` — the partition made once, outside
 /// the timed body, and borrowed by every run as a plan's dispatch borrows
 /// it.
-fn measure_k1<P: Protocol>(
-    name: &str,
-    cfg: SimConfig,
-    fabric: bool,
-    build: impl Fn() -> P,
-) -> Sample {
+fn measure_k1<P: Protocol>(name: &str, cfg: SimConfig, cut: bool, build: impl Fn() -> P) -> Sample {
     let scenario = hot_scenario();
     let graph = &scenario.graph;
     let partition = Partition::contiguous(graph.n(), 1);
     let run = || -> SimReport {
-        let out = if fabric {
-            ShardedSimulator::new(graph, &partition, build(), cfg).run()
-        } else {
-            Simulator::new(graph, build(), cfg).run()
-        };
-        out.expect("bench run completes")
+        let mut sim = Simulator::new(graph, build(), cfg);
+        if cut {
+            sim = sim.with_cut(&partition, cfg.link_delay);
+        }
+        sim.run().expect("bench run completes")
     };
     // One untimed run first: the pair's first side would otherwise pay the
     // cold caches for both.
@@ -139,7 +133,7 @@ fn measure_k1<P: Protocol>(
         protocol: name.into(),
         topology: scenario.spec.name(),
         nodes: graph.n(),
-        shards: if fabric { "fabric:1" } else { "monolith" }.into(),
+        shards: if cut { "cut:1" } else { "monolith" }.into(),
         dense_scan: false,
         iters: n,
         mean_seconds: start.elapsed().as_secs_f64() / n as f64,
@@ -187,20 +181,20 @@ fn main() {
     let s = hot_scenario();
     let expanded = config_for(ModelMode::Expanded, s.queuing_tree.max_degree());
     let width = default_width(s.n());
-    for fabric in [false, true] {
+    for cut in [false, true] {
         let central = || CentralQueueProtocol::new(&s.queuing_tree, s.tail, &s.requests);
-        samples.push(measure_k1("central-queue", expanded, fabric, central));
+        samples.push(measure_k1("central-queue", expanded, cut, central));
         let network =
             || CountingNetworkProtocol::new(&s.graph, &s.counting_tree, &s.requests, width);
-        samples.push(measure_k1("counting-network", SimConfig::strict(), fabric, network));
+        samples.push(measure_k1("counting-network", SimConfig::strict(), cut, network));
     }
-    for fabric in samples.iter().filter(|x| x.shards == "fabric:1") {
+    for cut in samples.iter().filter(|x| x.shards == "cut:1") {
         let monolith = samples
             .iter()
-            .find(|x| x.shards == "monolith" && x.protocol == fabric.protocol)
+            .find(|x| x.shards == "monolith" && x.protocol == cut.protocol)
             .expect("a monolith twin");
-        let ratio = fabric.mean_seconds / monolith.mean_seconds;
-        println!("k = 1 {}: fabric/monolith {ratio:.2}", fabric.protocol);
+        let ratio = cut.mean_seconds / monolith.mean_seconds;
+        println!("k = 1 {}: cut/monolith {ratio:.2}", cut.protocol);
     }
 
     let out_path =

@@ -29,8 +29,7 @@ use ccq_queuing::{
     verify_total_order, ArrowProtocol, CentralQueueProtocol, CombiningQueueProtocol,
 };
 use ccq_sim::{
-    run_protocol, LinkDelay, OnlineProtocol, Paced, Protocol, Round, ShardedSimulator, SimConfig,
-    SimError, SimReport,
+    LinkDelay, OnlineProtocol, Paced, Protocol, Round, SimConfig, SimError, SimReport, Simulator,
 };
 use serde::Serialize;
 
@@ -58,7 +57,7 @@ where
     let mut report = match scenario.open_schedule() {
         None => dispatch(scenario, cfg, build()),
         Some(schedule) => {
-            let paced = build_paced(scenario, &cfg, schedule, build());
+            let paced = build_paced(scenario, schedule, build());
             dispatch(scenario, cfg, paced)
         }
     }?;
@@ -79,28 +78,19 @@ fn resolve_faults(scenario: &Scenario, cfg: SimConfig) -> Result<SimConfig, SimE
     }
 }
 
-/// Wrap a protocol in the paced driver carrying every
-/// scenario-level arrival knob: the admission policy, the priority class
-/// map and selection seed, the (already cfg-merged) fault plan, and — for
-/// shard-scoped admission — the shard map that feeds per-shard backlog
-/// accounting.
+/// Wrap a protocol in the paced driver carrying the scenario-level
+/// arrival knobs it owns: the admission policy and the priority class map
+/// and selection seed. The fault plan and the shard map it reads from the
+/// run (the config's plan, the cut's partition).
 fn build_paced<P: OnlineProtocol>(
     scenario: &Scenario,
-    cfg: &SimConfig,
     schedule: &[(Round, ccq_graph::NodeId)],
     inner: P,
 ) -> Paced<P> {
-    let mut paced = Paced::new(inner, schedule.to_vec())
-        .with_admission(scenario.admission)
-        .with_faults(cfg.faults);
+    let mut paced = Paced::new(inner, schedule.to_vec()).with_admission(scenario.admission);
     if scenario.priority.is_active() {
-        paced =
-            paced.with_priority(scenario.priority.classes(scenario.n()), scenario.priority.seed());
-    }
-    if scenario.admission.is_shard_scoped() {
-        let part = scenario.partition();
-        let map = (0..scenario.n()).map(|v| part.shard_of(v) as u32).collect();
-        paced = paced.with_shard_map(map);
+        let classes = scenario.priority.classes(scenario.n());
+        paced = paced.with_priority(classes, scenario.priority.seed());
     }
     paced
 }
@@ -116,20 +106,20 @@ fn attach_classes(scenario: &Scenario, report: &mut SimReport) {
 }
 
 /// Execute on the scenario's shard plan: unsharded for `k = 1`, cut by
-/// the scenario's (borrowed) partition otherwise.
+/// the scenario's (borrowed) partition otherwise — the one place the ferry
+/// defaults to the run's delay.
 fn dispatch<P: Protocol>(
     scenario: &Scenario,
     cfg: SimConfig,
     protocol: P,
 ) -> Result<SimReport, SimError> {
+    let mut sim = Simulator::new(&scenario.graph, protocol, cfg);
     let shards = &scenario.shards;
-    if !shards.is_sharded() {
-        return run_protocol(&scenario.graph, protocol, cfg);
+    if shards.is_sharded() {
+        let ferry = shards.inter_delay.unwrap_or(cfg.link_delay);
+        sim = sim.with_cut(scenario.partition(), ferry);
     }
-    let inter = shards.inter_delay.unwrap_or(cfg.link_delay);
-    ShardedSimulator::new(&scenario.graph, scenario.partition(), protocol, cfg)
-        .with_inter_delay(inter)
-        .run()
+    sim.run()
 }
 
 /// What a protocol computes, which also fixes its verification contract.

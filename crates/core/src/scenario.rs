@@ -347,9 +347,10 @@ impl ShardStrategy {
 /// and how fast the inter-shard ferry is.
 ///
 /// `k = 1` (the default, [`ShardSpec::single`]) runs unsharded and
-/// reproduces unsharded reports exactly. For `k > 1` the run
-/// uses [`ccq_sim::ShardedSimulator`]; with `inter_delay` of `None` the
-/// ferry inherits the run's intra-shard delay policy, under which the
+/// reproduces unsharded reports exactly. For `k > 1` the run is cut by the
+/// scenario's partition ([`ccq_sim::Simulator::with_cut`]), which is also
+/// the map shard-scoped admission counts on; with `inter_delay` of `None`
+/// the ferry inherits the run's intra-shard delay policy, under which the
 /// execution is operationally identical to the unsharded one (the sharding
 /// only adds the cross-shard traffic measurement).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -508,10 +509,10 @@ impl Scenario {
     }
 
     /// The vertex partition of [`Scenario::shards`] over the graph, built
-    /// on first use and kept: every run of the scenario — each protocol ×
-    /// mode × delay of a sweep's work group, and the shard map of per-node
-    /// admission — reads the one partition instead of re-running the
-    /// edge-cut heuristic.
+    /// on first use and kept: every sharded run of the scenario — each
+    /// protocol × mode × delay of a sweep's work group — borrows the one
+    /// partition as its cut (which per-node admission also counts on)
+    /// instead of re-running the edge-cut heuristic.
     ///
     /// # Panics
     /// Panics if `shards` was reassigned after the first call; change the

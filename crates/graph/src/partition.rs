@@ -1,8 +1,9 @@
-//! Vertex partitions for the multi-shard executor.
+//! Vertex partitions for shard plans.
 //!
 //! A [`Partition`] assigns every vertex of an `n`-vertex graph to one of
-//! `k` shards. The sharded simulator gives the links between shards the
-//! inter-shard ferry's delay and counts the messages that cross them, so
+//! `k` shards. A simulation cut by a partition gives the links between
+//! shards the inter-shard ferry's delay and counts the messages that cross
+//! them, so
 //! the quality measure of a partition is its **edge cut** (the edges whose
 //! endpoints live in different shards): every cut edge is a potential
 //! cross-shard message per round.
@@ -18,8 +19,9 @@
 //!   absorbing the frontier vertex with the most edges into the region
 //!   (ties to the smallest id), until it reaches its balanced target size.
 //!
-//! Whatever the strategy, a partition keeps one `u32` shard per vertex
-//! and each shard's members in ascending order.
+//! Whatever the strategy, a partition is one table: a `u32` shard per
+//! vertex, one allocation of `4n` bytes. A shard's vertices are the ids
+//! that [`Partition::shard_of`] maps to it.
 
 use crate::{Graph, NodeId};
 /// An assignment of `n` vertices to `k` shards.
@@ -28,8 +30,6 @@ pub struct Partition {
     k: usize,
     /// `shard[v]` is the shard of `v`.
     shard: Box<[u32]>,
-    /// Vertices of each shard, ascending (precomputed for iteration).
-    members: Vec<Vec<NodeId>>,
 }
 
 impl Partition {
@@ -39,20 +39,19 @@ impl Partition {
     /// # Panics
     /// Panics if any shard id is `≥ k` — assignments are produced by
     /// deterministic strategies, so an out-of-range id is a programming
-    /// error. (The sharded simulator additionally validates shape against
-    /// its graph and reports a constructive `InvalidConfig` error.)
+    /// error. (A simulation cut by the partition additionally validates
+    /// its shape against the graph and reports a constructive
+    /// `InvalidConfig` error.)
     pub fn from_assignment(k: usize, assignment: impl IntoIterator<Item = usize>) -> Self {
         let k = k.max(1);
         assert!(u32::try_from(k).is_ok(), "{k} shards exceed the u32 shard table");
         let assignment = assignment.into_iter();
         let mut shard = Vec::with_capacity(assignment.size_hint().0);
-        let mut members: Vec<Vec<NodeId>> = vec![Vec::new(); k];
         for (v, s) in assignment.enumerate() {
             assert!(s < k, "vertex {v} assigned to shard {s} ≥ k = {k}");
             shard.push(s as u32);
-            members[s].push(v);
         }
-        Partition { k, shard: shard.into(), members }
+        Partition { k, shard: shard.into() }
     }
 
     /// Contiguous id blocks: shard `s` holds ids `[s·⌈n/k⌉, (s+1)·⌈n/k⌉)`.
@@ -121,12 +120,6 @@ impl Partition {
     pub fn shard_of(&self, v: NodeId) -> usize {
         self.shard[v] as usize
     }
-
-    /// Vertices of `shard`, ascending (empty when `k > n` leaves it bare).
-    #[inline]
-    pub fn members(&self, shard: usize) -> &[NodeId] {
-        &self.members[shard]
-    }
 }
 
 #[cfg(test)]
@@ -147,20 +140,25 @@ mod tests {
         (0..p.n()).map(|v| p.shard_of(v)).collect()
     }
 
+    /// The vertices of shard `s`, ascending.
+    fn members(p: &Partition, s: usize) -> Vec<NodeId> {
+        (0..p.n()).filter(|&v| p.shard_of(v) == s).collect()
+    }
+
     #[test]
     fn contiguous_blocks() {
         let p = Partition::contiguous(10, 3);
         assert_eq!(p.k(), 3);
         assert_eq!(shards(&p), [0, 0, 0, 0, 1, 1, 1, 1, 2, 2]);
-        assert_eq!(p.members(0), &[0, 1, 2, 3]);
-        assert_eq!(p.members(2), &[8, 9]);
+        assert_eq!(members(&p, 0), [0, 1, 2, 3]);
+        assert_eq!(members(&p, 2), [8, 9]);
     }
 
     #[test]
     fn striped_round_robin() {
         let p = Partition::striped(7, 3);
         assert_eq!(shards(&p), [0, 1, 2, 0, 1, 2, 0]);
-        assert_eq!(p.members(0), &[0, 3, 6]);
+        assert_eq!(members(&p, 0), [0, 3, 6]);
     }
 
     #[test]
@@ -171,7 +169,7 @@ mod tests {
             Partition::greedy_edge_cut(&topology::path(6), 1),
         ] {
             assert_eq!(p.k(), 1);
-            assert_eq!(p.members(0).len(), 6);
+            assert_eq!(members(&p, 0).len(), 6);
             assert_eq!(cut_edges(&p, &topology::path(6)), 0);
         }
     }
@@ -180,8 +178,8 @@ mod tests {
     fn more_shards_than_vertices_leaves_empty_shards() {
         let p = Partition::contiguous(3, 5);
         assert_eq!(p.k(), 5);
-        let total: usize = (0..5).map(|s| p.members(s).len()).sum();
-        assert_eq!(total, 3);
+        let sizes: Vec<usize> = (0..5).map(|s| members(&p, s).len()).collect();
+        assert_eq!(sizes, [1, 1, 1, 0, 0]);
     }
 
     #[test]
@@ -189,11 +187,10 @@ mod tests {
         let g = topology::torus(&[6, 6]);
         let p = Partition::greedy_edge_cut(&g, 4);
         for s in 0..4 {
-            assert_eq!(p.members(s).len(), 9, "shard {s} unbalanced");
+            assert_eq!(members(&p, s).len(), 9, "shard {s} unbalanced");
         }
-        let mut all: Vec<NodeId> = (0..4).flat_map(|s| p.members(s).to_vec()).collect();
-        all.sort_unstable();
-        assert_eq!(all, (0..36).collect::<Vec<_>>());
+        assert_eq!(p.n(), 36);
+        assert!(shards(&p).iter().all(|&s| s < 4));
     }
 
     #[test]
@@ -228,9 +225,9 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// Every vertex is a member of its own shard, and every shard's
-        /// members are ascending — for random assignments and all three
-        /// strategies, from one vertex to a few thousand.
+        /// Every vertex lands on a shard below `k`, and an explicit
+        /// assignment is kept as given — for random assignments and all
+        /// three strategies, from one vertex to a few thousand.
         #[test]
         fn places_are_the_binary_search_ranks(
             side in 1usize..56,
@@ -241,20 +238,20 @@ mod tests {
             let g = topology::mesh(&[side, side]);
             let n = g.n();
             let mut rng = StdRng::seed_from_u64(seed);
+            let given: Vec<usize> = (0..n).map(|_| rng.random_range(0..k)).collect();
             let p = match strategy {
                 0 => Partition::contiguous(n, k),
                 1 => Partition::striped(n, k),
                 2 => Partition::greedy_edge_cut(&g, k),
-                _ => Partition::from_assignment(k, (0..n).map(|_| rng.random_range(0..k))),
+                _ => Partition::from_assignment(k, given.iter().copied()),
             };
-            prop_assert_eq!(p.n(), n);
+            prop_assert_eq!((p.n(), p.k()), (n, k));
             for v in 0..n {
-                prop_assert!(p.members(p.shard_of(v)).binary_search(&v).is_ok(), "vertex {}", v);
+                prop_assert!(p.shard_of(v) < k, "vertex {} on shard {}", v, p.shard_of(v));
             }
-            for s in 0..p.k() {
-                prop_assert!(p.members(s).windows(2).all(|w| w[0] < w[1]), "shard {}", s);
+            if strategy == 3 {
+                prop_assert_eq!(shards(&p), given);
             }
-            prop_assert_eq!((0..p.k()).map(|s| p.members(s).len()).sum::<usize>(), n);
         }
     }
 }

@@ -17,9 +17,11 @@
 //! other words, an admission decision at `t` observes exactly the
 //! post-maturation state of `t − 1` and strictly precedes the transmit
 //! phase of `t`. The backlog is the *global* issued-minus-completed count
-//! that the engine keeps for the whole run and [`crate::SimApi::backlog`]
-//! reads, one count whatever the shard plan — which is why a `k = 1`
-//! sharded run admits byte-identically to the unsharded one.
+//! of the whole run, which [`crate::SimApi::backlog`] reads off the
+//! report's issue and completion lists, one count whatever the shard plan
+//! — which is why a `k = 1` sharded run admits byte-identically to the
+//! unsharded one. [`AdmissionPolicy::PerNode`] alone reads a per-shard
+//! count, kept over the run's shard cut once the paced driver enables it.
 //!
 //! # Liveness
 //!
@@ -124,8 +126,8 @@ impl AdmissionPolicy {
     }
 
     /// Whether this policy gates on shard-local backlogs (and therefore
-    /// wants a shard map installed on the paced driver —
-    /// [`crate::Paced::with_shard_map`]).
+    /// has the paced driver enable per-shard accounting over the run's
+    /// shard cut — [`crate::SimApi::enable_shard_accounting`]).
     pub fn is_shard_scoped(&self) -> bool {
         matches!(self, AdmissionPolicy::PerNode { .. })
     }
@@ -149,7 +151,7 @@ pub enum Admission {
 /// only mutable state; the stateless policies ignore it).
 #[derive(Clone, Copy, Debug)]
 pub struct AdmissionController {
-    policy: AdmissionPolicy,
+    pub(crate) policy: AdmissionPolicy,
     /// Current adaptive pacing interval, in rounds.
     interval: Round,
 }

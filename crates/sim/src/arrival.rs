@@ -17,7 +17,7 @@
 
 use crate::admission::{Admission, AdmissionController, AdmissionPolicy};
 use crate::protocol::{with_slice, Protocol, SimApi, SliceApi};
-use crate::report::{mix64, FaultPlan};
+use crate::report::mix64;
 use crate::Round;
 use ccq_graph::NodeId;
 
@@ -280,17 +280,20 @@ impl ArrivalSpec {
 /// default [`AdmissionPolicy::Open`] controller admits everything and
 /// leaves the execution byte-identical to a `Paced` without one.
 ///
-/// Three further (all-optional, all byte-identity-preserving when unused)
-/// heterogeneous-traffic hooks:
+/// [`Paced::with_priority`] (optional, byte-identity-preserving when
+/// unused) tags every node with a class (0 = highest) and reorders each
+/// same-round due batch by deterministic relaxed power-of-two-choices
+/// priority selection, so high classes reach the admission gate — and the
+/// combining wave — first.
 ///
-/// * [`Paced::with_priority`] tags every node with a class (0 = highest)
-///   and reorders each same-round due batch by deterministic relaxed
-///   power-of-two-choices priority selection, so high classes reach the
-///   admission gate — and the combining wave — first;
-/// * [`Paced::with_faults`] defers arrivals at a crashed node to its
-///   recovery round (the node cannot originate a request while down);
-/// * [`Paced::with_shard_map`] exposes per-shard open-request counts to
-///   [`AdmissionPolicy::PerNode`] via [`SimApi::shard_backlog`].
+/// The rest it reads from the run, which holds it once:
+///
+/// * an arrival at a node the run's fault plan ([`crate::SimConfig::faults`],
+///   read through [`SimApi::down_until`]) has down waits for its recovery
+///   round (the node cannot originate a request while down);
+/// * under [`AdmissionPolicy::PerNode`] it enables per-shard open-request
+///   counts over the run's shard cut ([`SimApi::enable_shard_accounting`]),
+///   which admission reads through [`SimApi::shard_backlog`].
 pub struct Paced<P: OnlineProtocol> {
     inner: P,
     /// `(round, node)` sorted by round (ties keep schedule order).
@@ -304,10 +307,6 @@ pub struct Paced<P: OnlineProtocol> {
     classes: Vec<u8>,
     /// Seed for the power-of-two-choices priority draws.
     prio_seed: u64,
-    /// Crash/recover windows: arrivals at a down node wait for recovery.
-    faults: FaultPlan,
-    /// Node → shard map for shard-scoped admission; empty = disabled.
-    shard_of: Vec<u32>,
 }
 
 impl<P: OnlineProtocol> Paced<P> {
@@ -330,8 +329,6 @@ impl<P: OnlineProtocol> Paced<P> {
             retries: Vec::new(),
             classes: Vec::new(),
             prio_seed: 0,
-            faults: FaultPlan::none(),
-            shard_of: Vec::new(),
         }
     }
 
@@ -348,22 +345,6 @@ impl<P: OnlineProtocol> Paced<P> {
     pub fn with_priority(mut self, classes: Vec<u8>, seed: u64) -> Self {
         self.classes = classes;
         self.prio_seed = seed;
-        self
-    }
-
-    /// Builder-style: respect a crash/recover plan — a due arrival at a
-    /// node that is down is silently deferred to the node's recovery
-    /// round (its latency clock starts at the original due round).
-    pub fn with_faults(mut self, faults: FaultPlan) -> Self {
-        self.faults = faults;
-        self
-    }
-
-    /// Builder-style: install a node → shard map so admission can read
-    /// shard-local backlogs ([`SimApi::shard_backlog`]). Installed on the
-    /// [`SimApi`] at `on_start`.
-    pub fn with_shard_map(mut self, shard_of: Vec<u32>) -> Self {
-        self.shard_of = shard_of;
         self
     }
 
@@ -396,7 +377,7 @@ impl<P: OnlineProtocol> Paced<P> {
         // until recovery. Silent (no `note_delayed`) — this is downtime,
         // not backpressure — but the original due round is preserved so
         // completion latency still counts the outage.
-        if let Some(recover) = self.faults.down_until(v, now) {
+        if let Some(recover) = api.down_until(v) {
             let pos = self.retries.partition_point(|&(r, _, _)| r <= recover);
             self.retries.insert(pos, (recover, first_due, v));
             return;
@@ -493,8 +474,8 @@ impl<P: OnlineProtocol> Protocol for Paced<P> {
     }
 
     fn on_start(&mut self, api: &mut SimApi<P::Msg>) {
-        if !self.shard_of.is_empty() {
-            api.enable_shard_accounting(self.shard_of.clone());
+        if self.admission.policy.is_shard_scoped() {
+            api.enable_shard_accounting();
         }
         // Not `inner.on_start`: that is the one-shot start, which issues
         // every request itself.
@@ -635,6 +616,41 @@ mod tests {
             }
             other => panic!("reseed changed variant: {other:?}"),
         }
+    }
+
+    /// An operation completes the moment it issues, sending nothing.
+    struct Instant([(); 3]);
+
+    impl Protocol for Instant {
+        type Msg = ();
+        type Slice = ();
+        type Shared = ();
+        fn split(&mut self) -> (&(), &mut [()]) {
+            (&(), &mut self.0)
+        }
+        fn on_start(&mut self, _: &mut SimApi<()>) {}
+        fn on_message(_: &(), _: &mut (), _: &mut SliceApi<()>, _: NodeId, _: NodeId, _: ()) {}
+    }
+
+    impl OnlineProtocol for Instant {
+        fn issue(_: &(), _: &mut (), api: &mut SliceApi<()>, node: NodeId) {
+            api.complete(node, 0);
+        }
+    }
+
+    #[test]
+    fn a_paced_arrival_at_a_crashed_node_waits_for_the_runs_recovery() {
+        use crate::{CrashFault, FaultPlan, Issue, SimConfig};
+        let mut faults = FaultPlan::none();
+        faults.push(CrashFault { node: 1, at: 1, recover: 5 }).unwrap();
+        let cfg = SimConfig::strict().with_faults(faults);
+        // Node 1 is due at round 2, inside its crash window; node 2 at 3.
+        let paced = Paced::new(Instant([(); 3]), vec![(2, 1), (3, 2)]);
+        let report = crate::run_protocol(&ccq_graph::topology::path(3), paced, cfg).unwrap();
+        assert_eq!(report.issues, [Issue { node: 2, round: 3 }, Issue { node: 1, round: 5 }]);
+        assert_eq!(report.ops(), 2);
+        // Downtime, not backpressure: no admission was delayed.
+        assert_eq!(report.delayed_admissions, 0);
     }
 
     #[test]

@@ -12,8 +12,7 @@
 //! * [`crate::scheduler`] — the one round loop and round body over the
 //!   phase ordering (arrivals → mature → deliver → transmit →
 //!   quiescence/wakeup), the generalized delivery rule, and the one
-//!   executor (one store, one wheel) behind [`Simulator`] and
-//!   [`crate::ShardedSimulator`] alike.
+//!   executor (one store, one wheel) behind [`Simulator`], sharded or not.
 //!
 //! **Generalized delivery rule.** Under [`crate::LinkDelay::Unit`] (the
 //! paper's model) `d = 1`: a message handled at round `t` can be answered
@@ -28,23 +27,24 @@
 //! waiting is the measured contention, and the engine records the deepest
 //! in-port/outbox queues plus the open-operation backlog high-water mark.
 //!
-//! [`crate::shard::ShardedSimulator`] runs the same loop with a shard cut:
-//! sends across it take the ferry's delay and are counted — with results
-//! byte-identical to the [`Simulator`]'s whenever the ferry's delay equals
-//! the run's; see [`crate::shard`].
+//! [`Simulator`] is the one way into that loop. [`Simulator::with_cut`]
+//! adds a shard plan: sends across the cut take the ferry's delay and are
+//! counted — with results byte-identical to the unsharded run's whenever
+//! the ferry's delay equals the run's; see [`crate::shard`].
 
 use crate::protocol::Protocol;
-use crate::report::{SimConfig, SimReport};
+use crate::report::{LinkDelay, SimConfig, SimReport};
 use crate::scheduler;
 use crate::Round;
-use ccq_graph::{Graph, NodeId};
+use ccq_graph::{Graph, NodeId, Partition};
 
 /// Simulation failure.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum SimError {
     /// A protocol staged a message between non-adjacent processors.
     InvalidSend { from: NodeId, to: NodeId, round: Round },
-    /// Quiescence was not reached within [`SimConfig::max_rounds`].
+    /// Quiescence was not reached within [`SimConfig::max_rounds`] (or a
+    /// wire was sent that could not arrive by then).
     MaxRoundsExceeded { limit: Round },
     /// The configuration (budgets, scale, shard plan, probe) cannot
     /// be executed. The message is owned so callers can name the offending
@@ -77,11 +77,13 @@ impl std::fmt::Display for SimError {
 
 impl std::error::Error for SimError {}
 
-/// An executable simulation: graph + protocol + configuration.
+/// An executable simulation: graph + protocol + configuration, and
+/// optionally a shard cut ([`Simulator::with_cut`]).
 pub struct Simulator<'g, P: Protocol> {
     graph: &'g Graph,
     protocol: P,
     config: SimConfig,
+    cut: Option<(&'g Partition, LinkDelay)>,
 }
 
 impl<'g, P: Protocol> Simulator<'g, P> {
@@ -89,14 +91,24 @@ impl<'g, P: Protocol> Simulator<'g, P> {
     /// `config.send_budget`/`recv_budget` of 0 make the run return
     /// [`SimError::InvalidConfig`] instead of executing.
     pub fn new(graph: &'g Graph, protocol: P, config: SimConfig) -> Self {
-        Simulator { graph, protocol, config }
+        Simulator { graph, protocol, config, cut: None }
+    }
+
+    /// Builder-style: cut the run by a shard plan — a send whose endpoints
+    /// `partition` separates takes the `ferry` delay and counts in
+    /// [`SimReport::cross_shard_messages`] (see [`crate::shard`]). The
+    /// partition must cover the graph, or the run returns
+    /// [`SimError::InvalidConfig`].
+    pub fn with_cut(mut self, partition: &'g Partition, ferry: LinkDelay) -> Self {
+        self.cut = Some((partition, ferry));
+        self
     }
 
     /// Run to quiescence (no queued or in-flight messages), returning the
     /// report and the final protocol state.
     pub fn run_with_state(self) -> Result<(SimReport, P), SimError> {
-        let Simulator { graph, protocol, config: cfg } = self;
-        scheduler::run(graph, &cfg, None, protocol)
+        let Simulator { graph, protocol, config: cfg, cut } = self;
+        scheduler::run(graph, &cfg, cut, protocol)
     }
 
     /// Run to quiescence, returning only the report.
@@ -110,8 +122,7 @@ pub(crate) mod tests {
     use super::*;
     use crate::protocol::{SimApi, SliceApi};
     use crate::report::SimConfig;
-    use crate::shard::ShardedSimulator;
-    use ccq_graph::{topology, Partition};
+    use ccq_graph::topology;
 
     /// The executor table: the unsharded run, then the sharded run on one
     /// and on three (striped) shards. `check` sees every executor's
@@ -126,10 +137,8 @@ pub(crate) mod tests {
         check(Simulator::new(g, make(), cfg).run_with_state(), "monolith");
         for k in [1, 3] {
             let part = Partition::striped(g.n(), k);
-            check(
-                ShardedSimulator::new(g, &part, make(), cfg).run_with_state(),
-                &format!("{k} shard(s)"),
-            );
+            let sim = Simulator::new(g, make(), cfg).with_cut(&part, cfg.link_delay);
+            check(sim.run_with_state(), &format!("{k} shard(s)"));
         }
     }
 
@@ -403,6 +412,37 @@ pub(crate) mod tests {
                 assert_eq!(err, SimError::MaxRoundsExceeded { limit: 50 }, "{on}");
             },
         );
+    }
+
+    /// A wire that cannot arrive by `max_rounds` fails the run when it is
+    /// transmitted — under the run's delay and under the ferry alike —
+    /// instead of wrapping its arrival round or sizing the wheel to it.
+    #[test]
+    fn a_wire_past_max_rounds_fails_the_run() {
+        let g = topology::path(4);
+        // The walk crosses the cut on its second hop, 1 → 2.
+        let part = Partition::contiguous(4, 2);
+        let cfg = SimConfig::strict();
+        for far in [
+            LinkDelay::Fixed { delay: u64::MAX },
+            LinkDelay::Fixed { delay: 1 << 40 },
+            LinkDelay::Jitter { max: u64::MAX, seed: 1 },
+        ] {
+            let run = Simulator::new(&g, Walk::new(4), cfg.with_link_delay(far));
+            let ferry = Simulator::new(&g, Walk::new(4), cfg).with_cut(&part, far);
+            for (sim, on) in [(run, "run delay"), (ferry, "ferry")] {
+                let err = sim.run().expect_err(on);
+                let limit = cfg.max_rounds;
+                assert_eq!(err, SimError::MaxRoundsExceeded { limit }, "{} as {on}", far.name());
+            }
+        }
+        // A wire due at `max_rounds` itself still arrives.
+        let cfg = cfg.with_link_delay(LinkDelay::Fixed { delay: 10 });
+        let g = topology::path(2);
+        let one_hop =
+            |max_rounds| Simulator::new(&g, Walk::new(2), cfg.with_max_rounds(max_rounds));
+        assert_eq!(one_hop(10).run().map(|r| r.rounds), Ok(10));
+        assert_eq!(one_hop(9).run().unwrap_err(), SimError::MaxRoundsExceeded { limit: 9 });
     }
 
     #[test]

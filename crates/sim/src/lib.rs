@@ -22,11 +22,11 @@
 //! view and one slice per processor, and a message handler that touches
 //! only the receiving processor's slice — and are executed by
 //! [`Simulator::run`], which returns a [`SimReport`] with per-operation
-//! delays, message counts and queue statistics. [`ShardedSimulator`]
+//! delays, message counts and queue statistics. [`Simulator::with_cut`]
 //! runs the same loop under a shard plan, giving the links between shards
 //! an inter-shard ferry's delay and counting the messages that cross them —
 //! with reports byte-identical to the unsharded run's whenever the ferry's
-//! delay policy matches the run's.
+//! delay policy matches the run's (see [`shard`]).
 //!
 //! ```
 //! use ccq_sim::{run_protocol, Protocol, SimApi, SimConfig, SliceApi};
@@ -75,7 +75,6 @@ pub use report::{
     nearest_rank, Completion, CrashFault, Dropped, FaultEvent, FaultKind, FaultPlan, Issue,
     Lateness, LinkDelay, SimConfig, SimReport, MAX_FAULTS,
 };
-pub use shard::{run_protocol_sharded, ShardedSimulator};
 pub use trace::{TraceEvent, TraceKind};
 
 /// Simulation time, in rounds (time steps of the synchronous model).

@@ -16,12 +16,14 @@
 //! the processor performs it. A send is checked against the graph and
 //! staged in its sender's outbox; a completion, issue or drop is written
 //! into the report (and the trace) in call order. [`SliceApi`] is a
-//! [`SimApi`] scoped to the handling node.
+//! [`SimApi`] scoped to the handling node. Neither keeps a copy of a run
+//! fact: [`SimApi`] reads the fault plan from the [`crate::SimConfig`],
+//! the shard map from the run's cut and the backlog from the report.
 
-use crate::report::{Completion, Dropped, Issue, SimReport};
+use crate::report::{Completion, Dropped, Issue, SimConfig, SimReport};
 use crate::trace::{TraceEvent, TraceKind};
 use crate::{Round, SimError};
-use ccq_graph::{Graph, NodeId};
+use ccq_graph::{Graph, NodeId, Partition};
 
 /// A distributed protocol executed by the simulator.
 ///
@@ -101,53 +103,29 @@ pub trait Protocol {
     }
 }
 
-/// The run's open-operation counts: issues and completions over the whole
-/// run, and optionally the open operations per shard. Owned by the
-/// scheduler's `Ledger`, so the counts outlive every callback that moves
-/// them; admission ([`crate::admission`]) reads them through [`SimApi`].
-#[derive(Debug, Default)]
-pub(crate) struct Backlog {
-    issued: u64,
-    completed: u64,
-    /// Shard id per node — empty unless per-shard accounting was enabled
-    /// (see [`SimApi::enable_shard_accounting`]).
-    shard_of: Vec<u32>,
-    /// Open operations (issued − completed) per shard.
-    shard_open: Vec<u64>,
-}
-
 /// Callback interface of the serialized phases ([`Protocol::on_start`],
 /// [`Protocol::on_round`]): a write-through view of the engine at one
 /// round. Every call lands before it returns: a send in its sender's
 /// outbox, a record in the report. The first invalid send is kept and
 /// returned by the round loop once the callback returns.
 pub struct SimApi<'a, M> {
-    round: Round,
-    graph: &'a Graph,
-    trace: bool,
-    report: &'a mut SimReport,
-    backlog: &'a mut Backlog,
+    pub(crate) round: Round,
+    pub(crate) graph: &'a Graph,
+    pub(crate) cfg: &'a SimConfig,
+    /// The shard cut's partition, if the run has one.
+    pub(crate) shards: Option<&'a Partition>,
+    pub(crate) report: &'a mut SimReport,
+    /// Open operations (issued − completed) per shard of `shards` — empty
+    /// until [`SimApi::enable_shard_accounting`]. Owned by the scheduler's
+    /// `Ledger`, so the counts outlive every callback that moves them.
+    pub(crate) shard_open: &'a mut Vec<u64>,
     /// The first [`SimError::InvalidSend`] of the callback, if any.
-    error: &'a mut Option<SimError>,
+    pub(crate) error: &'a mut Option<SimError>,
     /// Stages one send in its sender's outbox, returning the new depth.
-    stage: &'a mut dyn FnMut(NodeId, NodeId, M) -> usize,
+    pub(crate) stage: &'a mut dyn FnMut(NodeId, NodeId, M) -> usize,
 }
 
-impl<'a, M> SimApi<'a, M> {
-    /// A view at `round` over the engine's report, backlog and error slot,
-    /// staging sends through `stage`.
-    pub(crate) fn new(
-        round: Round,
-        graph: &'a Graph,
-        trace: bool,
-        report: &'a mut SimReport,
-        backlog: &'a mut Backlog,
-        error: &'a mut Option<SimError>,
-        stage: &'a mut dyn FnMut(NodeId, NodeId, M) -> usize,
-    ) -> Self {
-        SimApi { round, graph, trace, report, backlog, error, stage }
-    }
-
+impl<M> SimApi<'_, M> {
     /// The current round (0 during [`Protocol::on_start`]).
     #[inline]
     pub fn round(&self) -> Round {
@@ -172,10 +150,8 @@ impl<'a, M> SimApi<'a, M> {
     /// Record that `node`'s operation completed now with result `value`.
     /// The delay recorded is the current round.
     pub fn complete(&mut self, node: NodeId, value: u64) {
-        let b = &mut *self.backlog;
-        b.completed += 1;
-        if let Some(&s) = b.shard_of.get(node) {
-            b.shard_open[s as usize] = b.shard_open[s as usize].saturating_sub(1);
+        if let Some(s) = self.counted_shard(node) {
+            self.shard_open[s] = self.shard_open[s].saturating_sub(1);
         }
         self.report.completions.push(Completion { node, value, round: self.round });
         self.traced(TraceKind::Complete, node);
@@ -187,10 +163,8 @@ impl<'a, M> SimApi<'a, M> {
     /// completion-latency and backlog metrics; one-shot protocols never
     /// call this and their operations implicitly issue at round 0.
     pub fn issue(&mut self, node: NodeId) {
-        let b = &mut *self.backlog;
-        b.issued += 1;
-        if let Some(&s) = b.shard_of.get(node) {
-            b.shard_open[s as usize] += 1;
+        if let Some(s) = self.counted_shard(node) {
+            self.shard_open[s] += 1;
         }
         self.report.issues.push(Issue { node, round: self.round });
         self.traced(TraceKind::Issue, node);
@@ -198,38 +172,47 @@ impl<'a, M> SimApi<'a, M> {
 
     /// The live global backlog: operations issued but not yet completed,
     /// over the whole run so far. This is the quantity admission control
-    /// ([`crate::admission`]) gates on — it is one run-wide counter, so the
-    /// sharded executor admits against the *global* backlog, not a
-    /// per-shard view. 0 for one-shot runs (which record no issues).
+    /// ([`crate::admission`]) gates on — read from the report's issue and
+    /// completion lists, one run-wide count, so a sharded run admits
+    /// against the *global* backlog, not a per-shard view. 0 for one-shot
+    /// runs (which record no issues).
     #[inline]
     pub fn backlog(&self) -> usize {
-        self.backlog.issued.saturating_sub(self.backlog.completed) as usize
+        self.report.open_operations()
     }
 
-    /// Enable per-shard open-operation accounting: `shard_of[v]` is the
-    /// shard node `v` lives on. Installed by [`crate::arrival::Paced`]
+    /// Count open operations per shard of the run's cut from now on (a
+    /// no-op on an unsharded run). Called by [`crate::arrival::Paced`]
     /// during `on_start` when a shard-scoped admission policy
-    /// ([`crate::AdmissionPolicy::PerNode`]) is active. Every executor
-    /// funnels issues and completions through this one API — the serialized
-    /// phases directly, every deliver walk through its [`SliceApi`] — so
-    /// the per-shard counters are executor-independent by construction.
-    pub fn enable_shard_accounting(&mut self, shard_of: Vec<u32>) {
-        let shards = shard_of.iter().copied().max().map_or(0, |m| m as usize + 1);
-        self.backlog.shard_open = vec![0; shards];
-        self.backlog.shard_of = shard_of;
+    /// ([`crate::AdmissionPolicy::PerNode`]) is active. Issues and
+    /// completions reach the counts through this one API — the serialized
+    /// phases directly, the deliver walk through its [`SliceApi`].
+    pub fn enable_shard_accounting(&mut self) {
+        if let Some(shards) = self.shards {
+            *self.shard_open = vec![0; shards.k()];
+        }
     }
 
     /// The live backlog of the shard `node` lives on — the quantity
     /// [`crate::AdmissionPolicy::PerNode`] gates on. Falls back to the
-    /// global backlog when per-shard accounting is disabled (or the node
-    /// is out of the installed map's range), so scoped policies degrade
-    /// to their global meaning on unsharded runs.
+    /// global backlog when per-shard accounting is off, so scoped policies
+    /// degrade to their global meaning on unsharded runs.
     #[inline]
     pub fn shard_backlog(&self, node: NodeId) -> usize {
-        match self.backlog.shard_of.get(node) {
-            Some(&s) => self.backlog.shard_open[s as usize] as usize,
-            None => self.backlog(),
-        }
+        self.counted_shard(node).map_or_else(|| self.backlog(), |s| self.shard_open[s] as usize)
+    }
+
+    /// If `node` is down now under the run's fault plan
+    /// ([`SimConfig::faults`]), the round it recovers.
+    #[inline]
+    pub fn down_until(&self, node: NodeId) -> Option<Round> {
+        self.cfg.faults.down_until(node, self.round)
+    }
+
+    /// `node`'s shard, while per-shard accounting is on.
+    fn counted_shard(&self, node: NodeId) -> Option<usize> {
+        let shards = self.shards.filter(|_| !self.shard_open.is_empty())?;
+        Some(shards.shard_of(node))
     }
 
     /// Record that `node`'s scheduled arrival was refused admission (the
@@ -251,9 +234,10 @@ impl<'a, M> SimApi<'a, M> {
         let api = SimApi {
             round: self.round,
             graph: self.graph,
-            trace: self.trace,
+            cfg: self.cfg,
+            shards: self.shards,
             report: self.report,
-            backlog: self.backlog,
+            shard_open: self.shard_open,
             error: self.error,
             stage: self.stage,
         };
@@ -262,7 +246,7 @@ impl<'a, M> SimApi<'a, M> {
 
     /// Append one `kind` event at `node` to the trace, if tracing.
     fn traced(&mut self, kind: TraceKind, node: NodeId) {
-        if self.trace {
+        if self.cfg.trace {
             self.report.trace.push(TraceEvent { round: self.round, kind, node, peer: node });
         }
     }
@@ -324,27 +308,41 @@ mod tests {
     use crate::state::NodeStore;
     use ccq_graph::topology;
 
-    /// What the scheduler's `Ledger` lends a callback, plus one store for
-    /// its sends.
+    /// What the scheduler's `Ledger` lends a callback — a traced config,
+    /// the cut's partition, the report, the per-shard counts and the error
+    /// slot — plus one store for its sends.
     struct Engine {
+        cfg: SimConfig,
+        shards: Option<Partition>,
         report: SimReport,
-        backlog: Backlog,
+        shard_open: Vec<u64>,
         error: Option<SimError>,
         store: NodeStore<u8>,
     }
 
     impl Engine {
-        fn new(n: usize) -> Self {
-            let (report, backlog, store) =
-                (SimReport::default(), Backlog::default(), NodeStore::new(n));
-            Engine { report, backlog, error: None, store }
+        fn new(n: usize, shards: Option<Partition>) -> Self {
+            let (report, store) = (SimReport::default(), NodeStore::new(n));
+            let cfg = SimConfig::strict().with_trace();
+            Engine { cfg, shards, report, shard_open: Vec::new(), error: None, store }
         }
 
-        /// Run one traced callback at `round` on `g`, as the round loop does.
+        /// Run one callback at `round` on `g`, as the round loop does.
         fn call(&mut self, g: &Graph, round: Round, f: impl FnOnce(&mut SimApi<u8>)) {
-            let Engine { report, backlog, error, store } = self;
+            let Engine { cfg, shards, report, shard_open, error, store } = self;
             let mut stage = |from, to, msg| store.stage(from, to, msg);
-            f(&mut SimApi::new(round, g, true, report, backlog, error, &mut stage));
+            let shards = shards.as_ref();
+            let graph = g;
+            f(&mut SimApi {
+                round,
+                graph,
+                cfg,
+                shards,
+                report,
+                shard_open,
+                error,
+                stage: &mut stage,
+            });
         }
 
         fn outbox(&self, v: NodeId) -> Vec<(NodeId, u8)> {
@@ -355,7 +353,7 @@ mod tests {
     #[test]
     fn api_staging() {
         let g = topology::path(3);
-        let mut e = Engine::new(3);
+        let mut e = Engine::new(3, None);
         e.call(&g, 3, |api| {
             assert_eq!(api.round(), 3);
             api.send(0, 1, 42);
@@ -382,18 +380,29 @@ mod tests {
     #[test]
     fn shard_accounting_tracks_per_shard_backlogs() {
         let g = topology::path(4);
-        // Disabled: the shard view is the global backlog.
-        let mut e = Engine::new(4);
-        e.call(&g, 0, |api| api.issue(0));
-        e.call(&g, 1, |api| {
-            assert_eq!(api.shard_backlog(0), 1);
-            assert_eq!(api.shard_backlog(0), api.backlog());
-        });
-        // Enabled: nodes 0,1 on shard 0; nodes 2,3 on shard 1. The counts
-        // live in the engine, so they outlive the callback that set them.
-        let mut e = Engine::new(4);
+        // The run's cut: nodes 0, 1 on shard 0; nodes 2, 3 on shard 1.
+        let cut = || Some(Partition::contiguous(4, 2));
+        // Off — a cut but never enabled, or enabled on a run with no cut:
+        // the shard view is the global backlog.
+        for (shards, enable) in [(cut(), false), (None, true)] {
+            let mut e = Engine::new(4, shards);
+            e.call(&g, 0, |api| {
+                if enable {
+                    api.enable_shard_accounting();
+                }
+                api.issue(0);
+            });
+            e.call(&g, 1, |api| {
+                assert_eq!(api.shard_backlog(0), 1);
+                assert_eq!(api.shard_backlog(2), api.backlog());
+            });
+            assert!(e.shard_open.is_empty());
+        }
+        // Enabled on the cut. The counts live in the engine, so they
+        // outlive the callback that set them.
+        let mut e = Engine::new(4, cut());
         e.call(&g, 0, |api| {
-            api.enable_shard_accounting(vec![0, 0, 1, 1]);
+            api.enable_shard_accounting();
             api.issue(0);
             api.issue(2);
             api.issue(3);
@@ -407,19 +416,19 @@ mod tests {
         e.call(&g, 2, |api| {
             assert_eq!(api.shard_backlog(2), 1);
             assert_eq!(api.shard_backlog(0), 1);
-            // Out-of-map nodes fall back to the global count; stray
-            // completions saturate instead of underflowing.
-            assert_eq!(api.shard_backlog(9), api.backlog());
+            // Stray completions saturate instead of underflowing.
             api.complete(3, 1);
             api.complete(3, 1);
             assert_eq!(api.shard_backlog(3), 0);
+            assert_eq!(api.backlog(), 0);
         });
+        assert_eq!(e.shard_open, [1, 0]);
     }
 
     #[test]
     fn slice_api_replays_in_call_order() {
         let g = topology::path(8);
-        let mut e = Engine::new(8);
+        let mut e = Engine::new(8, None);
         e.call(&g, 5, |api| {
             api.issue(3);
             let mut sapi = api.at(3);

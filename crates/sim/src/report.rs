@@ -584,6 +584,12 @@ impl SimReport {
         self.completions.len()
     }
 
+    /// Operations issued but not yet completed — the open-system backlog
+    /// (0 for one-shot runs, which record no issues).
+    pub(crate) fn open_operations(&self) -> usize {
+        self.issues.len().saturating_sub(self.completions.len())
+    }
+
     /// Scaled delay per node (`None` = node completed no operation).
     pub fn delay_by_node(&self, n: usize) -> Vec<Option<u64>> {
         let mut d = vec![None; n];

@@ -23,7 +23,8 @@
 //! 4. **transmit** — each processor with staged sends (again the frontier,
 //!    ascending id) dequeues up to `send_budget` outbox messages; each
 //!    receives the next global sequence number and is scheduled on the
-//!    wheel under its link's delay;
+//!    wheel under its link's delay (a send that cannot arrive by
+//!    [`crate::SimConfig::max_rounds`] fails the run here);
 //! 5. **quiescence / wakeup** — when every queue and the wheel are empty
 //!    (an O(1) counter check) the run either ends or fast-forwards to
 //!    [`crate::Protocol::next_active_round`].
@@ -37,10 +38,11 @@
 //! [`ccq_graph::Partition`] and the ferry's [`LinkDelay`], applied at
 //! transmit, where a send whose endpoints the partition separates takes
 //! the ferry delay and counts in
-//! [`crate::SimReport::cross_shard_messages`] (see [`crate::shard`]). The
-//! `Ledger` lent to every phase holds the report, the backlog counts, the
-//! error slot and the phase clock; every [`crate::SimApi`] is a view over
-//! it.
+//! [`crate::SimReport::cross_shard_messages`] (see [`crate::shard`]).
+//! [`crate::Simulator`] is the only caller of `run`, with or without a cut.
+//! The `Ledger` lent to every phase holds the run's inputs (the cut among
+//! them), the report, the per-shard open-operation counts, the error slot
+//! and the phase clock; every [`crate::SimApi`] is a view over it.
 //!
 //! The invariant this layer owns is the *delivery rule*: a message handled
 //! at round `t` can be answered no earlier than round `t + 1` (handler
@@ -50,7 +52,7 @@
 //! which orders simultaneous arrivals whatever delay each wire took.
 
 use crate::probe::{self, Phase, PhaseTimings, Stopwatch};
-use crate::protocol::{Backlog, Protocol, SimApi};
+use crate::protocol::{Protocol, SimApi};
 use crate::report::{LinkDelay, SimConfig, SimReport};
 use crate::state::{Inbound, NodeStore};
 use crate::trace::{TraceEvent, TraceKind};
@@ -88,13 +90,17 @@ fn validate_slices<P: Protocol>(protocol: &mut P, n: usize) -> Result<(), SimErr
 }
 
 /// What the round records, owned by [`run`] and lent to each phase: the
-/// run's borrowed inputs, the report, the backlog counts, the error slot
-/// every [`SimApi`] writes its first invalid send to, and the phase clock.
+/// run's borrowed inputs (the shard cut among them), the report, the
+/// per-shard open-operation counts, the error slot every [`SimApi`] writes
+/// its first invalid send to, and the phase clock.
 struct Ledger<'a> {
     graph: &'a Graph,
     cfg: &'a SimConfig,
+    cut: Option<(&'a Partition, LinkDelay)>,
     report: SimReport,
-    backlog: Backlog,
+    /// Empty unless a protocol enabled per-shard accounting
+    /// ([`SimApi::enable_shard_accounting`]).
+    shard_open: Vec<u64>,
     error: Option<SimError>,
     timing: PhaseTimings,
     watch: Stopwatch,
@@ -110,8 +116,9 @@ impl Ledger<'_> {
         round: Round,
         stage: &'s mut dyn FnMut(NodeId, NodeId, M) -> usize,
     ) -> SimApi<'s, M> {
-        let (report, backlog, error) = (&mut self.report, &mut self.backlog, &mut self.error);
-        SimApi::new(round, self.graph, self.cfg.trace, report, backlog, error, stage)
+        let Ledger { graph, cfg, cut, report, shard_open, error, .. } = self;
+        let shards = cut.map(|(partition, _)| partition);
+        SimApi { round, graph, cfg, shards, report, shard_open, error, stage }
     }
 
     /// End a callback: the first invalid send it made, if any.
@@ -152,7 +159,7 @@ impl Ledger<'_> {
 /// its barrier. The first three phases are vacuous at round 0, whose
 /// barriers still observe, so every run checkpoints round 0.
 fn lockstep_round<P: Protocol>(
-    exec: &mut Executor<'_, P::Msg>,
+    exec: &mut Executor<P::Msg>,
     led: &mut Ledger<'_>,
     protocol: &mut P,
     round: Round,
@@ -172,7 +179,7 @@ fn lockstep_round<P: Protocol>(
         exec.deliver(led, protocol, round)?;
     }
     barrier(exec, led, protocol, round, Phase::Deliver, observe);
-    exec.transmit(led, round);
+    exec.transmit(led, round)?;
     barrier(exec, led, protocol, round, Phase::Transmit, observe);
     led.timing.max_round_micros = led.timing.max_round_micros.max(led.round_micros);
     Ok(())
@@ -192,15 +199,14 @@ fn serialized<M>(
 ) -> Result<(), SimError> {
     f(&mut led.api(round, &mut |from, to, msg| store.stage(from, to, msg)));
     let report = &mut led.report;
-    let open = report.issues.len().saturating_sub(report.completions.len());
-    report.backlog_high_water = report.backlog_high_water.max(open);
+    report.backlog_high_water = report.backlog_high_water.max(report.open_operations());
     led.settle()
 }
 
 /// The barrier after `phase`: close its timing lap and, in an observed
 /// round, hash the state there.
 fn barrier<P: Protocol>(
-    exec: &Executor<'_, P::Msg>,
+    exec: &Executor<P::Msg>,
     led: &mut Ledger<'_>,
     protocol: &P,
     round: Round,
@@ -240,10 +246,11 @@ fn advance_round<P: Protocol>(
     Ok(Some(next))
 }
 
-/// Run `protocol` on `graph` to quiescence — the one round loop of both
-/// [`crate::Simulator`] and [`crate::ShardedSimulator`]. `cut` is a shard
-/// plan: the partition and the delay of the links it separates. It is
-/// checked to cover the graph after the configuration and the slices.
+/// Run `protocol` on `graph` to quiescence — the one round loop, reached
+/// only through [`crate::Simulator`]. `cut` is a shard plan
+/// ([`crate::Simulator::with_cut`]): the partition and the delay of the
+/// links it separates. It is checked to cover the graph after the
+/// configuration and the slices.
 pub(crate) fn run<P: Protocol>(
     graph: &Graph,
     cfg: &SimConfig,
@@ -260,19 +267,19 @@ pub(crate) fn run<P: Protocol>(
     }
     let mut exec = Executor {
         store: NodeStore::new(n),
-        wheel: Transport::default(),
-        cut,
+        wheel: Transport::new(cfg.max_rounds),
         frontier: Vec::new(),
     };
     let mut led = Ledger {
         graph,
         cfg,
+        cut,
         report: SimReport {
             delay_scale: cfg.delay_scale,
             received_by_node: vec![0; n],
             ..Default::default()
         },
-        backlog: Backlog::default(),
+        shard_open: Vec::new(),
         error: None,
         timing: PhaseTimings::default(),
         watch: Stopwatch::new(cfg.probe.timing),
@@ -299,18 +306,17 @@ pub(crate) fn run<P: Protocol>(
     Ok((report, protocol))
 }
 
-/// The executor: every processor's queues in one store, every wire in
-/// flight on one timing wheel, and the shard cut, if any.
-struct Executor<'c, M> {
+/// The executor: every processor's queues in one store and every wire in
+/// flight on one timing wheel, which holds no wire past `max_rounds`.
+struct Executor<M> {
     store: NodeStore<M>,
     wheel: Transport<M>,
-    cut: Option<(&'c Partition, LinkDelay)>,
     /// Reusable frontier scratch of both walks (capacity retained across
     /// rounds, so steady state allocates nothing here).
     frontier: Vec<NodeId>,
 }
 
-impl<M> Executor<'_, M> {
+impl<M> Executor<M> {
     /// Refill the frontier scratch with a walk's visit order, ascending:
     /// the ids `take` lists (any other processor has empty queues of that
     /// kind), or every processor under the dense reference scan.
@@ -378,11 +384,13 @@ impl<M> Executor<'_, M> {
     /// a node [`SimConfig::holds_transmit`] holds keeps its sends and is
     /// re-listed, any other pops up to `send_budget`, numbering every send
     /// onto the wheel under its link's delay — the cut's ferry delay when
-    /// the partition separates the endpoints, the run's otherwise.
-    fn transmit(&mut self, led: &mut Ledger<'_>, round: Round) {
+    /// the partition separates the endpoints, the run's otherwise. A send
+    /// the wheel refused (due after `max_rounds`) fails the run once the
+    /// walk ends, which keeps the error path out of the per-send loop.
+    fn transmit(&mut self, led: &mut Ledger<'_>, round: Round) -> Result<(), SimError> {
         let cfg = led.cfg;
         self.fill_frontier(cfg.dense_scan, NodeStore::take_outbox_frontier);
-        let Executor { store, wheel, cut, frontier } = self;
+        let Executor { store, wheel, frontier } = self;
         for &v in frontier.iter() {
             if cfg.holds_transmit(round, v) {
                 store.relist_outbox(v);
@@ -391,7 +399,7 @@ impl<M> Executor<'_, M> {
             for _ in 0..cfg.send_budget {
                 let Some((dst, msg)) = store.pop_outbox(v) else { break };
                 let seq = led.note_transmit(round, v, dst);
-                let delay = match *cut {
+                let delay = match led.cut {
                     Some((shards, ferry)) if shards.shard_of(v) != shards.shard_of(dst) => {
                         led.report.cross_shard_messages += 1;
                         ferry
@@ -401,6 +409,10 @@ impl<M> Executor<'_, M> {
                 wheel.transmit(v, dst, msg, round, seq, delay);
             }
         }
+        if wheel.overdue {
+            return Err(SimError::MaxRoundsExceeded { limit: cfg.max_rounds });
+        }
+        Ok(())
     }
 
     /// Whether every queue and the wheel are empty.

@@ -1,20 +1,23 @@
 //! Shard plans: a partition of the processors and a slower delay on the
 //! links it cuts.
 //!
-//! [`ShardedSimulator`] runs a protocol under a [`ccq_graph::Partition`]
-//! into `K` shards and an **inter-shard ferry** [`crate::LinkDelay`] — the
-//! knob that models federated clusters where crossing a shard boundary is
-//! slower than staying inside one. In the §2.1 model a slower link is still
-//! a link: it has a longer delay, and FIFO holds per link. So a shard plan
-//! is applied at one place, the transmit walk of [`crate::scheduler`]'s one
-//! executor: a send whose endpoints lie in different shards takes the ferry
-//! delay and adds one to [`crate::SimReport::cross_shard_messages`]; every
-//! other send takes the run's delay. Queues and wires stay in the
-//! executor's one store and one wheel, sharded or not.
+//! [`crate::Simulator::with_cut`] runs a protocol under a
+//! [`ccq_graph::Partition`] into `K` shards and an **inter-shard ferry**
+//! [`crate::LinkDelay`] — the knob that models federated clusters where
+//! crossing a shard boundary is slower than staying inside one. In the
+//! §2.1 model a slower link is still a link: it has a longer delay, and
+//! FIFO holds per link. So a shard plan is applied at one place, the
+//! transmit walk of [`crate::scheduler`]'s one executor: a send whose
+//! endpoints lie in different shards takes the ferry delay and adds one to
+//! [`crate::SimReport::cross_shard_messages`]; every other send takes the
+//! run's delay. Queues and wires stay in the executor's one store and one
+//! wheel, sharded or not. The partition is also the run's shard map:
+//! [`crate::SimApi::shard_backlog`] reads it once a protocol enables
+//! per-shard accounting.
 //!
 //! **Equivalence invariant.** Whenever the ferry's delay policy equals the
 //! run's, every send takes the delay it would take unsharded, so a K-shard
-//! execution is the [`crate::Simulator`]'s — same completions, same rounds,
+//! execution is the unsharded one — same completions, same rounds,
 //! same queue statistics and checkpoints — for *every* delay policy,
 //! per-message jitter included (a link is always on the cut or never, so
 //! its FIFO clamp sees one policy). The only new observable is
@@ -22,67 +25,23 @@
 //! (e.g. `Fixed { delay: 8 }` between shards) changes the execution —
 //! deliberately.
 
-use crate::protocol::Protocol;
-use crate::report::{LinkDelay, SimConfig, SimReport};
-use crate::scheduler;
-use crate::SimError;
-use ccq_graph::{Graph, Partition};
-
-/// An executable sharded simulation: graph + partition + protocol + config.
-pub struct ShardedSimulator<'g, P: Protocol> {
-    graph: &'g Graph,
-    partition: &'g Partition,
-    protocol: P,
-    config: SimConfig,
-    inter_delay: LinkDelay,
-}
-
-impl<'g, P: Protocol> ShardedSimulator<'g, P> {
-    /// Create a sharded simulator. The inter-shard ferry defaults to the
-    /// intra-shard delay policy (`config.link_delay`), under which the
-    /// execution reproduces the unsharded [`crate::Simulator`] exactly.
-    pub fn new(graph: &'g Graph, partition: &'g Partition, protocol: P, config: SimConfig) -> Self {
-        let inter_delay = config.link_delay;
-        ShardedSimulator { graph, partition, protocol, config, inter_delay }
-    }
-
-    /// Builder-style: set the delay policy of the inter-shard ferry.
-    pub fn with_inter_delay(mut self, delay: LinkDelay) -> Self {
-        self.inter_delay = delay;
-        self
-    }
-
-    /// Run to quiescence, returning the report and final protocol state:
-    /// the scheduler's one loop, cut by the partition.
-    pub fn run_with_state(self) -> Result<(SimReport, P), SimError> {
-        let ShardedSimulator { graph, partition, protocol, config: cfg, inter_delay } = self;
-        scheduler::run(graph, &cfg, Some((partition, inter_delay)), protocol)
-    }
-
-    /// Run to quiescence, returning only the report.
-    pub fn run(self) -> Result<SimReport, SimError> {
-        self.run_with_state().map(|(r, _)| r)
-    }
-}
-
-/// Convenience: run `protocol` on `graph` under `config`, sharded by
-/// `partition` (ferry delay = the intra-shard policy).
-pub fn run_protocol_sharded<P: Protocol>(
-    graph: &Graph,
-    partition: &Partition,
-    protocol: P,
-    config: SimConfig,
-) -> Result<SimReport, SimError> {
-    ShardedSimulator::new(graph, partition, protocol, config).run()
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::engine::tests::Walk;
-    use crate::{SimApi, SliceApi, TraceKind};
-    use ccq_graph::topology;
-    use ccq_graph::NodeId;
+    use crate::protocol::Protocol;
+    use crate::report::{LinkDelay, SimConfig, SimReport};
+    use crate::{SimApi, SimError, Simulator, SliceApi, TraceKind};
+    use ccq_graph::{topology, Graph, NodeId, Partition};
+
+    /// Run `protocol` on `g` cut by `part`, the ferry at the run's delay.
+    fn run_sharded<P: Protocol>(
+        g: &Graph,
+        part: &Partition,
+        protocol: P,
+        cfg: SimConfig,
+    ) -> Result<SimReport, SimError> {
+        Simulator::new(g, protocol, cfg).with_cut(part, cfg.link_delay).run()
+    }
 
     fn reports_equal_modulo_cross_shard(a: &SimReport, b: &SimReport) -> bool {
         let strip = |r: &SimReport| {
@@ -97,13 +56,9 @@ mod tests {
     fn one_shard_reproduces_the_monolith_exactly() {
         let g = topology::path(9);
         let single = crate::run_protocol(&g, Walk::new(9), SimConfig::strict()).unwrap();
-        let sharded = run_protocol_sharded(
-            &g,
-            &Partition::contiguous(9, 1),
-            Walk::new(9),
-            SimConfig::strict(),
-        )
-        .unwrap();
+        let sharded =
+            run_sharded(&g, &Partition::contiguous(9, 1), Walk::new(9), SimConfig::strict())
+                .unwrap();
         assert_eq!(sharded.cross_shard_messages, 0);
         assert!(reports_equal_modulo_cross_shard(&single, &sharded));
     }
@@ -114,8 +69,7 @@ mod tests {
         let single = crate::run_protocol(&g, Walk::new(12), SimConfig::strict()).unwrap();
         for k in [2, 3, 4] {
             let part = Partition::contiguous(12, k);
-            let sharded =
-                run_protocol_sharded(&g, &part, Walk::new(12), SimConfig::strict()).unwrap();
+            let sharded = run_sharded(&g, &part, Walk::new(12), SimConfig::strict()).unwrap();
             // The token crosses each of the k−1 shard boundaries once.
             assert_eq!(sharded.cross_shard_messages, k as u64 - 1);
             assert!(
@@ -130,8 +84,7 @@ mod tests {
         let g = topology::path(16);
         let cfg = SimConfig::strict().with_jitter(4, 99);
         let single = crate::run_protocol(&g, Walk::new(16), cfg).unwrap();
-        let sharded =
-            run_protocol_sharded(&g, &Partition::striped(16, 4), Walk::new(16), cfg).unwrap();
+        let sharded = run_sharded(&g, &Partition::striped(16, 4), Walk::new(16), cfg).unwrap();
         assert!(reports_equal_modulo_cross_shard(&single, &sharded));
         assert!(sharded.cross_shard_messages > 0);
     }
@@ -139,9 +92,10 @@ mod tests {
     #[test]
     fn slow_ferry_stretches_the_walk() {
         let (g, part) = (topology::path(8), Partition::contiguous(8, 2));
-        let sim = || ShardedSimulator::new(&g, &part, Walk::new(8), SimConfig::strict());
-        let fast = sim().run().unwrap();
-        let slow = sim().with_inter_delay(LinkDelay::Fixed { delay: 10 }).run().unwrap();
+        let sim =
+            |ferry| Simulator::new(&g, Walk::new(8), SimConfig::strict()).with_cut(&part, ferry);
+        let fast = sim(LinkDelay::Unit).run().unwrap();
+        let slow = sim(LinkDelay::Fixed { delay: 10 }).run().unwrap();
         // One boundary crossing at 10 rounds instead of 1.
         assert_eq!(slow.rounds, fast.rounds + 9);
         assert_eq!(slow.ops(), fast.ops());
@@ -156,10 +110,10 @@ mod tests {
         for delay in [LinkDelay::Unit, LinkDelay::Jitter { max: 3, seed: 5 }] {
             let cfg = SimConfig::strict().with_link_delay(delay).with_trace();
             let single = crate::run_protocol(&g, Walk::new(12), cfg).unwrap();
-            let (sharded, proto) =
-                ShardedSimulator::new(&g, &Partition::striped(12, 3), Walk::new(12), cfg)
-                    .run_with_state()
-                    .unwrap();
+            let (sharded, proto) = Simulator::new(&g, Walk::new(12), cfg)
+                .with_cut(&Partition::striped(12, 3), delay)
+                .run_with_state()
+                .unwrap();
             assert!(
                 reports_equal_modulo_cross_shard(&single, &sharded),
                 "the deliver walk diverged under {}",
@@ -203,7 +157,7 @@ mod tests {
         let cfg = SimConfig::strict();
         for err in [
             crate::run_protocol(&g, short(), cfg).unwrap_err(),
-            run_protocol_sharded(&g, &Partition::contiguous(6, 2), short(), cfg).unwrap_err(),
+            run_sharded(&g, &Partition::contiguous(6, 2), short(), cfg).unwrap_err(),
         ] {
             assert!(matches!(err, SimError::InvalidConfig { .. }), "{err}");
             assert!(err.to_string().contains("one slice per processor"), "{err}");
@@ -217,7 +171,7 @@ mod tests {
         let cfg = SimConfig::strict().with_probe(ProbeSpec::OFF.with_perturbation(1, 99));
         for err in [
             crate::run_protocol(&g, Walk::new(3), cfg).unwrap_err(),
-            run_protocol_sharded(&g, &Partition::contiguous(3, 2), Walk::new(3), cfg).unwrap_err(),
+            run_sharded(&g, &Partition::contiguous(3, 2), Walk::new(3), cfg).unwrap_err(),
         ] {
             let msg = err.to_string();
             assert!(matches!(err, SimError::InvalidConfig { .. }), "{msg}");
@@ -241,8 +195,7 @@ mod tests {
             let cfg = SimConfig::strict().with_link_delay(delay).with_trace();
             let single = crate::run_protocol(&g, Walk::new(16), cfg).unwrap();
             assert!(single.trace.iter().any(|e| e.kind == TraceKind::Transmit));
-            let sharded =
-                run_protocol_sharded(&g, &Partition::striped(16, 4), Walk::new(16), cfg).unwrap();
+            let sharded = run_sharded(&g, &Partition::striped(16, 4), Walk::new(16), cfg).unwrap();
             assert!(
                 reports_equal_modulo_cross_shard(&single, &sharded),
                 "sharded transmit diverged from the monolith under {}",
@@ -259,8 +212,7 @@ mod tests {
         let cfg = SimConfig::strict().with_probe(probe);
         let single = crate::run_protocol(&g, Walk::new(12), cfg).unwrap();
         assert!(!single.checkpoints.is_empty(), "probe must checkpoint");
-        let sharded =
-            run_protocol_sharded(&g, &Partition::striped(12, 3), Walk::new(12), cfg).unwrap();
+        let sharded = run_sharded(&g, &Partition::striped(12, 3), Walk::new(12), cfg).unwrap();
         assert_eq!(single.checkpoints, sharded.checkpoints);
         assert_eq!(single.node_digests, sharded.node_digests);
     }
@@ -272,9 +224,8 @@ mod tests {
         let probe = ProbeSpec::OFF.with_checkpoint_every(1);
         let part = || Partition::contiguous(8, 2);
         let base =
-            run_protocol_sharded(&g, &part(), Walk::new(8), SimConfig::strict().with_probe(probe))
-                .unwrap();
-        let pert = run_protocol_sharded(
+            run_sharded(&g, &part(), Walk::new(8), SimConfig::strict().with_probe(probe)).unwrap();
+        let pert = run_sharded(
             &g,
             &part(),
             Walk::new(8),
@@ -300,13 +251,8 @@ mod tests {
     #[test]
     fn partition_shape_mismatch_is_invalid_config() {
         let g = topology::path(5);
-        let err = run_protocol_sharded(
-            &g,
-            &Partition::contiguous(4, 2),
-            Walk::new(5),
-            SimConfig::strict(),
-        )
-        .unwrap_err();
+        let err = run_sharded(&g, &Partition::contiguous(4, 2), Walk::new(5), SimConfig::strict())
+            .unwrap_err();
         assert!(matches!(err, SimError::InvalidConfig { .. }));
     }
 }

@@ -10,9 +10,11 @@
 //! grows (re-bucketing each batch whole, in order) to the smallest power of
 //! two above the longest delay it has scheduled — 2 slots under unit delay,
 //! 8 under `jitter:max=3` or a ferry of 6 rounds, at most 2^20 under the
-//! CLI's delay cap. A drained slot's storage is handed to the next slot
-//! that starts filling, so steady state cycles one set of buffers and
-//! allocates nothing. The invariants this layer owns:
+//! CLI's delay cap. A wire due after the wheel's horizon (the run's
+//! `max_rounds`) is refused, so no delay sizes the ring past the run. A
+//! drained slot's storage is handed to the next slot that starts filling,
+//! so steady state cycles one set of buffers and allocates nothing. The
+//! invariants this layer owns:
 //!
 //! * **delay ≥ 1** — a message transmitted at round `t` arrives no earlier
 //!   than `t + 1` (information travels at most one hop per round under the
@@ -93,29 +95,35 @@ pub struct Transport<M> {
     handoff: Vec<Wire<M>>,
     /// Per-directed-link last scheduled arrival (FIFO clamp under jitter).
     link_last: HashMap<(NodeId, NodeId), Round, BuildHasherDefault<LinkHasher>>,
+    /// The last round a wire may arrive at.
+    horizon: Round,
+    /// Whether a wire was refused for arriving after the horizon.
+    pub(crate) overdue: bool,
 }
 
 impl<M> Default for Transport<M> {
-    /// An idle transport.
+    /// An idle transport with no horizon short of `Round::MAX`.
     fn default() -> Self {
-        Transport {
-            ring: Vec::new(),
-            drained: 0,
-            wires: 0,
-            handoff: Vec::new(),
-            link_last: HashMap::default(),
-        }
+        Transport::new(Round::MAX)
     }
 }
 
 impl<M> Transport<M> {
+    /// An idle transport that refuses every wire due after `horizon`.
+    pub(crate) fn new(horizon: Round) -> Self {
+        let (ring, handoff, link_last) = (Vec::new(), Vec::new(), HashMap::default());
+        Transport { ring, drained: 0, wires: 0, handoff, link_last, horizon, overdue: false }
+    }
+
     /// Place a message on the wire at `round` under `delay`, its link's
     /// policy. `seq` is the run-global transmission sequence number: it
     /// indexes per-message delay draws and orders simultaneous arrivals.
     /// The arrival must lie after the last drained round, which a
     /// transmission at or after that round always does. The ring spans
     /// from that round, so a transmission long after the last drain widens
-    /// it by the gap; the scheduler drains the wheel every round.
+    /// it by the gap; the scheduler drains the wheel every round. A wire
+    /// due after the horizon, or past the last round a [`Round`] can name,
+    /// is dropped and marks the transport overdue.
     pub fn transmit(
         &mut self,
         src: NodeId,
@@ -125,7 +133,11 @@ impl<M> Transport<M> {
         seq: u64,
         delay: LinkDelay,
     ) {
-        let mut arrival = round + delay.delay_of(src, dst, seq);
+        let due = round.checked_add(delay.delay_of(src, dst, seq));
+        let Some(mut arrival) = due.filter(|&a| a <= self.horizon) else {
+            self.overdue = true;
+            return;
+        };
         if delay.varies_per_message() {
             // FIFO per directed link: never overtake an earlier message.
             let slot = self.link_last.entry((src, dst)).or_insert(0);
@@ -150,9 +162,9 @@ impl<M> Transport<M> {
     /// moving whole to its new slot.
     #[cold]
     fn grow(&mut self, span: Round) {
-        let len = usize::try_from(span + 1)
+        let len = usize::try_from(span)
             .ok()
-            .and_then(usize::checked_next_power_of_two)
+            .and_then(|span| span.checked_add(1)?.checked_next_power_of_two())
             .expect("delay span exceeds the address space");
         let mut ring: Vec<Vec<Wire<M>>> = (0..len).map(|_| Vec::new()).collect();
         for batch in self.ring.drain(..) {

@@ -137,6 +137,24 @@ fn shard_lanes_share_one_slot_table() {
     assert_eq!((two, sixteen), (one, one), "bytes allocated at k = 1, 2 and 16");
 }
 
+/// A partition is one shard table: a `u32` per vertex in one allocation,
+/// whatever the number of shards. Per-shard member lists on top of it
+/// cost an allocation per shard (and a reallocation per doubling).
+#[test]
+fn a_partition_is_one_shard_table() {
+    use ccq_repro::graph::Partition;
+    type Build = fn(usize, usize) -> Partition;
+    for (name, build) in
+        [("contiguous", Partition::contiguous as Build), ("striped", Partition::striped)]
+    {
+        for k in [1, 2, 16] {
+            let ((p, bytes), allocs) = counted(|| counted_bytes(|| build(4_096, k)));
+            assert_eq!((p.n(), p.k()), (4_096, k));
+            assert_eq!((allocs, bytes), (1, 16_384), "{name} at k = {k}: (allocations, bytes)");
+        }
+    }
+}
+
 /// The wire layer's share of "zero allocations in steady state": once a
 /// timing wheel has seen its longest delay and its largest batch, cycling
 /// drain and transmit round after round allocates nothing — under unit
@@ -208,14 +226,14 @@ impl ccq_repro::sim::Protocol for Laps {
 /// striped shards under jitter, whose sends cross the ferry.
 #[test]
 fn a_run_allocates_nothing_per_message() {
-    use ccq_repro::sim::{ShardedSimulator, SimConfig, Simulator};
+    use ccq_repro::sim::{SimConfig, Simulator};
     let g = ccq_repro::graph::topology::cycle(16);
     let run = |sharded: bool, laps: u64| {
         let protocol = Laps { hops: 16 * laps, units: vec![(); 16] };
         let (report, allocs) = if sharded {
             let part = ccq_repro::graph::Partition::striped(16, 4);
             let cfg = SimConfig::strict().with_jitter(3, 5);
-            counted(|| ShardedSimulator::new(&g, &part, protocol, cfg).run())
+            counted(|| Simulator::new(&g, protocol, cfg).with_cut(&part, cfg.link_delay).run())
         } else {
             counted(|| Simulator::new(&g, protocol, SimConfig::strict()).run())
         };

@@ -24,7 +24,7 @@ use ccq_repro::graph::{Graph, NodeId, Partition, Tree};
 use ccq_repro::queuing::{
     verify_total_order, ArrowProtocol, CentralQueueProtocol, CombiningQueueProtocol,
 };
-use ccq_repro::sim::{run_protocol, run_protocol_sharded, Protocol, SimConfig, SimReport};
+use ccq_repro::sim::{Protocol, SimConfig, SimReport, Simulator};
 
 /// The executions of every case: the monolith (unsharded), then two
 /// striped shards.
@@ -40,13 +40,13 @@ fn on_every_executor<P: Protocol>(
     mut check: impl FnMut(usize, &SimReport),
 ) {
     let mut monolith = None;
+    let part = Partition::striped(g.n(), 2);
     for (e, (label, sharded)) in EXECUTORS.into_iter().enumerate() {
-        let rep = if sharded {
-            run_protocol_sharded(g, &Partition::striped(g.n(), 2), make(), cfg)
-        } else {
-            run_protocol(g, make(), cfg)
+        let mut sim = Simulator::new(g, make(), cfg);
+        if sharded {
+            sim = sim.with_cut(&part, cfg.link_delay);
         }
-        .unwrap_or_else(|err| panic!("{label}: {err}"));
+        let rep = sim.run().unwrap_or_else(|err| panic!("{label}: {err}"));
         let mut stripped = rep.clone();
         stripped.cross_shard_messages = 0;
         let json = serde_json::to_string(&stripped).expect("reports serialize");

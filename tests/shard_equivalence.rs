@@ -2,10 +2,10 @@
 //!
 //! Two layers of proof that the transport/scheduler boundaries are real:
 //!
-//! * **property tests** — on random connected graphs, a
-//!   [`ShardedSimulator`] with `shards = 1` produces a [`SimReport`] that
-//!   is *identical* (field for field, via JSON) to the unsharded
-//!   [`Simulator`], for every delay policy;
+//! * **property tests** — on random connected graphs, a [`Simulator`] cut
+//!   by a one-shard partition ([`Simulator::with_cut`]) produces a
+//!   [`SimReport`] that is *identical* (field for field, via JSON) to the
+//!   unsharded run, for every delay policy;
 //! * **registry sweeps** — for every registry protocol on mesh2d and
 //!   torus2d, K-shard runs complete the same operations in the same order
 //!   with the same delays as the single-shard run (the default ferry
@@ -28,7 +28,7 @@ use ccq_repro::graph::{spanning, topology, NodeId, Partition};
 use ccq_repro::prelude::*;
 use ccq_repro::queuing::ArrowProtocol;
 use ccq_repro::sim::{
-    run_protocol, run_protocol_sharded, LinkDelay, SimConfig, SimReport, Simulator, TraceKind,
+    run_protocol, LinkDelay, Protocol, SimConfig, SimError, SimReport, Simulator, TraceKind,
 };
 use common::{run_on_reference, scenario_of, sweep_plan};
 use proptest::prelude::*;
@@ -39,6 +39,16 @@ fn fingerprint(rep: &SimReport) -> String {
     let mut rep = rep.clone();
     rep.cross_shard_messages = 0;
     serde_json::to_string(&rep).expect("reports serialize")
+}
+
+/// Run `protocol` on `g` cut by `part`, the ferry at the run's delay.
+fn run_sharded<P: Protocol>(
+    g: &ccq_repro::graph::Graph,
+    part: &Partition,
+    protocol: P,
+    cfg: SimConfig,
+) -> Result<SimReport, SimError> {
+    Simulator::new(g, protocol, cfg).with_cut(part, cfg.link_delay).run()
 }
 
 fn partition_for(graph: &ccq_repro::graph::Graph, k: usize, strategy: u8) -> Partition {
@@ -71,7 +81,7 @@ proptest! {
         };
         let cfg = SimConfig::strict().with_link_delay(delay);
         let single = run_protocol(&g, ArrowProtocol::new(&tree, 0, &requests), cfg).unwrap();
-        let sharded = run_protocol_sharded(
+        let sharded = run_sharded(
             &g,
             &Partition::contiguous(n, 1),
             ArrowProtocol::new(&tree, 0, &requests),
@@ -102,7 +112,7 @@ proptest! {
         let single = run_protocol(&g, ArrowProtocol::new(&tree, 0, &requests), cfg).unwrap();
         let part = partition_for(&g, k, strategy);
         let sharded =
-            run_protocol_sharded(&g, &part, ArrowProtocol::new(&tree, 0, &requests), cfg).unwrap();
+            run_sharded(&g, &part, ArrowProtocol::new(&tree, 0, &requests), cfg).unwrap();
         prop_assert_eq!(fingerprint(&single), fingerprint(&sharded));
         let crossing = sharded
             .trace
@@ -584,7 +594,7 @@ fn sharded_invalid_config_is_an_error_not_a_panic() {
     let tree = spanning::bfs_tree(&g, 0);
     let requests: Vec<NodeId> = (0..6).collect();
     // Partition shape mismatch.
-    let err = run_protocol_sharded(
+    let err = run_sharded(
         &g,
         &Partition::contiguous(5, 2),
         ArrowProtocol::new(&tree, 0, &requests),
