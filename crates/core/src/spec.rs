@@ -862,7 +862,8 @@ pub fn sweep<S: AsRef<str>>(args: &[S]) -> Result<Sweep, String> {
                 plan = plan.perturb(round, node);
             }
             "--repeats" => {
-                plan = plan.repeats(value()?.parse().map_err(|_| "--repeats needs an integer")?);
+                let need = "--repeats needs an integer ≥ 1";
+                plan = plan.repeats(value()?.parse().ok().filter(|&r| r >= 1).ok_or(need)?);
             }
             "--seed" => plan = plan.seed(value()?.parse().map_err(|_| "--seed needs an integer")?),
             "--json" => json = Some(value()?.to_string()),
@@ -1001,6 +1002,10 @@ mod tests {
                 &["--topo", "random-regular:4000000:3999998"],
                 &["7999996000000 edges (limit 67108864)", "`random-regular:4000000:3999998`"],
             ),
+            // A zero count used to run once (repeats) without saying so.
+            (&["--repeats", "0"], &["--repeats needs an integer ≥ 1"]),
+            (&["--repeats", "many"], &["--repeats needs an integer ≥ 1"]),
+            (&["--checkpoint-every", "0"], &["--checkpoint-every needs an integer ≥ 1"]),
             // Surplus parameters used to be dropped silently.
             (&["--topo", "list:4:7:9"], &["too many parameters", "`list:4:7:9`"]),
             (&["--topo", "figure1:9"], &["too many parameters", "`figure1:9`"]),

@@ -14,13 +14,16 @@
 //! Both interfaces write through: an effect lands in the engine during the
 //! call that makes it, as a §2.1 send enters the sender's outbox the moment
 //! the processor performs it. A send is checked against the graph and
-//! staged in its sender's outbox; a completion, issue or drop is written
-//! into the report (and the trace) in call order. [`SliceApi`] is a
-//! [`SimApi`] scoped to the handling node. Neither keeps a copy of a run
+//! staged straight into its sender's outbox in the run's one
+//! [`crate::state::NodeStore`], which [`SimApi`] borrows (no closure
+//! stands in between); a completion, issue or drop is written into the
+//! report (and the trace) in call order. [`SliceApi`] is a [`SimApi`]
+//! scoped to the handling node. Neither keeps a copy of a run
 //! fact: [`SimApi`] reads the fault plan from the [`crate::SimConfig`],
 //! the shard map from the run's cut and the backlog from the report.
 
 use crate::report::{Completion, Dropped, Issue, SimConfig, SimReport};
+use crate::state::NodeStore;
 use crate::trace::{TraceEvent, TraceKind};
 use crate::{Round, SimError};
 use ccq_graph::{Graph, NodeId, Partition};
@@ -121,8 +124,8 @@ pub struct SimApi<'a, M> {
     pub(crate) shard_open: &'a mut Vec<u64>,
     /// The first [`SimError::InvalidSend`] of the callback, if any.
     pub(crate) error: &'a mut Option<SimError>,
-    /// Stages one send in its sender's outbox, returning the new depth.
-    pub(crate) stage: &'a mut dyn FnMut(NodeId, NodeId, M) -> usize,
+    /// The run's one store: a send lands in its sender's outbox here.
+    pub(crate) store: &'a mut NodeStore<M>,
 }
 
 impl<M> SimApi<'_, M> {
@@ -143,7 +146,7 @@ impl<M> SimApi<'_, M> {
             self.error.get_or_insert(SimError::InvalidSend { from, to, round: self.round });
             return;
         }
-        let depth = (self.stage)(from, to, msg);
+        let depth = self.store.stage(from, to, msg);
         self.report.max_outbox_depth = self.report.max_outbox_depth.max(depth);
     }
 
@@ -239,7 +242,7 @@ impl<M> SimApi<'_, M> {
             report: self.report,
             shard_open: self.shard_open,
             error: self.error,
-            stage: self.stage,
+            store: self.store,
         };
         SliceApi { api, node }
     }
@@ -305,7 +308,6 @@ pub fn with_slice<P: Protocol>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::state::NodeStore;
     use ccq_graph::topology;
 
     /// What the scheduler's `Ledger` lends a callback — a traced config,
@@ -330,19 +332,8 @@ mod tests {
         /// Run one callback at `round` on `g`, as the round loop does.
         fn call(&mut self, g: &Graph, round: Round, f: impl FnOnce(&mut SimApi<u8>)) {
             let Engine { cfg, shards, report, shard_open, error, store } = self;
-            let mut stage = |from, to, msg| store.stage(from, to, msg);
-            let shards = shards.as_ref();
-            let graph = g;
-            f(&mut SimApi {
-                round,
-                graph,
-                cfg,
-                shards,
-                report,
-                shard_open,
-                error,
-                stage: &mut stage,
-            });
+            let (graph, shards) = (g, shards.as_ref());
+            f(&mut SimApi { round, graph, cfg, shards, report, shard_open, error, store });
         }
 
         fn outbox(&self, v: NodeId) -> Vec<(NodeId, u8)> {

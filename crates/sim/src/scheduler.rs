@@ -12,21 +12,24 @@
 //!    due at `t` into its destination's in-port
 //!    ([`crate::state::NodeStore`]), in (arrival, sequence) order;
 //! 3. **deliver (apply)** — each processor with pending in-port work (the
-//!    dirty frontier, ascending id; under [`crate::SimConfig::dense_scan`]
-//!    every processor) dequeues up to `recv_budget` in-port messages and
+//!    dirty frontier, in the ascending id order the store's bitset yields,
+//!    unsorted; under [`crate::SimConfig::dense_scan`] every processor)
+//!    dequeues up to `recv_budget` in-port messages and
 //!    hands each to [`crate::Protocol::on_message`] on its slice through a
 //!    [`crate::SliceApi`] over the store it just popped from; the walk
 //!    keeps the per-message order `Ledger::note_delivery`, then the
 //!    handler, whose sends are validated and staged straight into the
 //!    node's outbox and whose completions are recorded, in call order, as
-//!    it makes them;
+//!    it makes them; with no in-port occupied the walk is skipped in O(1);
 //! 4. **transmit** — each processor with staged sends (again the frontier,
 //!    ascending id) dequeues up to `send_budget` outbox messages; each
 //!    receives the next global sequence number and is scheduled on the
 //!    wheel under its link's delay (a send that cannot arrive by
-//!    [`crate::SimConfig::max_rounds`] fails the run here);
+//!    [`crate::SimConfig::max_rounds`] fails the run here); with no outbox
+//!    occupied the walk is skipped in O(1);
 //! 5. **quiescence / wakeup** — when every queue and the wheel are empty
-//!    (an O(1) counter check) the run either ends or fast-forwards to
+//!    (O(1): the store's in-port and outbox counts are both 0) the run
+//!    either ends or fast-forwards to
 //!    [`crate::Protocol::next_active_round`].
 //!
 //! **One executor.** `run` is the only round loop and `lockstep_round`
@@ -109,16 +112,11 @@ struct Ledger<'a> {
 }
 
 impl Ledger<'_> {
-    /// The write-through [`SimApi`] at `round`, staging sends through
-    /// `stage` (which returns the new outbox depth).
-    fn api<'s, M>(
-        &'s mut self,
-        round: Round,
-        stage: &'s mut dyn FnMut(NodeId, NodeId, M) -> usize,
-    ) -> SimApi<'s, M> {
+    /// The write-through [`SimApi`] at `round`, staging sends in `store`.
+    fn api<'s, M>(&'s mut self, round: Round, store: &'s mut NodeStore<M>) -> SimApi<'s, M> {
         let Ledger { graph, cfg, cut, report, shard_open, error, .. } = self;
         let shards = cut.map(|(partition, _)| partition);
-        SimApi { round, graph, cfg, shards, report, shard_open, error, stage }
+        SimApi { round, graph, cfg, shards, report, shard_open, error, store }
     }
 
     /// End a callback: the first invalid send it made, if any.
@@ -197,7 +195,7 @@ fn serialized<M>(
     round: Round,
     f: impl FnOnce(&mut SimApi<M>),
 ) -> Result<(), SimError> {
-    f(&mut led.api(round, &mut |from, to, msg| store.stage(from, to, msg)));
+    f(&mut led.api(round, store));
     let report = &mut led.report;
     report.backlog_high_water = report.backlog_high_water.max(report.open_operations());
     led.settle()
@@ -318,7 +316,7 @@ struct Executor<M> {
 
 impl<M> Executor<M> {
     /// Refill the frontier scratch with a walk's visit order, ascending:
-    /// the ids `take` lists (any other processor has empty queues of that
+    /// the ids `take` yields (any other processor has empty queues of that
     /// kind), or every processor under the dense reference scan.
     fn fill_frontier(&mut self, dense: bool, take: fn(&mut NodeStore<M>, &mut Vec<NodeId>)) {
         self.frontier.clear();
@@ -326,7 +324,6 @@ impl<M> Executor<M> {
             self.frontier.extend(0..self.store.n());
         } else {
             take(&mut self.store, &mut self.frontier);
-            self.frontier.sort_unstable();
         }
     }
 
@@ -348,13 +345,17 @@ impl<M> Executor<M> {
     /// The receive walk: visit the in-port frontier in ascending node
     /// order, skip (and re-list) a crashed node, pop up to `recv_budget`
     /// messages per live node and run the handler on each, its sends
-    /// staged in the sender's outbox as it makes them.
+    /// staged in the sender's outbox as it makes them. With every in-port
+    /// empty the walk would pop nothing, so it is not made.
     fn deliver<P: Protocol<Msg = M>>(
         &mut self,
         led: &mut Ledger<'_>,
         protocol: &mut P,
         round: Round,
     ) -> Result<(), SimError> {
+        if self.store.occupied_inports() == 0 {
+            return Ok(());
+        }
         let cfg = led.cfg;
         let (shared, slices) = protocol.split();
         self.fill_frontier(cfg.dense_scan, NodeStore::take_inport_frontier);
@@ -371,8 +372,7 @@ impl<M> Executor<M> {
                 let Some(inb) = store.pop_inport(v) else { break };
                 led.report.queue_wait_rounds += round - inb.arrival;
                 led.note_delivery(round, v, inb.src);
-                let mut stage = |from, to, msg| store.stage(from, to, msg);
-                let api = &mut led.api(round, &mut stage);
+                let api = &mut led.api(round, store);
                 P::on_message(shared, &mut slices[v], &mut api.at(v), v, inb.src, inb.msg);
                 led.settle()?;
             }
@@ -387,7 +387,11 @@ impl<M> Executor<M> {
     /// the partition separates the endpoints, the run's otherwise. A send
     /// the wheel refused (due after `max_rounds`) fails the run once the
     /// walk ends, which keeps the error path out of the per-send loop.
+    /// With every outbox empty the walk is not made.
     fn transmit(&mut self, led: &mut Ledger<'_>, round: Round) -> Result<(), SimError> {
+        if self.store.occupied_outboxes() == 0 {
+            return Ok(());
+        }
         let cfg = led.cfg;
         self.fill_frontier(cfg.dense_scan, NodeStore::take_outbox_frontier);
         let Executor { store, wheel, frontier } = self;

@@ -13,13 +13,24 @@
 //!   contention ([`crate::SimReport::queue_wait_rounds`] and the depth
 //!   high-water marks);
 //! * **frontier coverage** — every processor with a nonempty queue is on
-//!   the corresponding dirty list ([`NodeStore::take_inport_frontier`] /
-//!   [`NodeStore::take_outbox_frontier`]), so a round loop that visits only
-//!   the frontier visits every processor the dense `0..n` scan would have
-//!   done any work at. Stale frontier entries (listed but since drained)
-//!   are permitted: visiting them pops nothing and has no observable
-//!   effect, which is why frontier-driven execution is byte-identical to
-//!   the dense scan.
+//!   the corresponding dirty frontier, and a take
+//!   ([`NodeStore::take_inport_frontier`] /
+//!   [`NodeStore::take_outbox_frontier`]) yields the frontier in ascending
+//!   id order, each id once, so a round loop that visits only the frontier
+//!   visits every processor the dense `0..n` scan would have done any work
+//!   at, in the same order. Stale frontier entries (listed but since
+//!   drained) are permitted: visiting them pops nothing and has no
+//!   observable effect, which is why frontier-driven execution is
+//!   byte-identical to the dense scan.
+//!
+//! Each frontier is a two-level bitset (`Frontier`): one bit per processor
+//! and one summary bit per word of 64. Listing sets two bits; a take walks
+//! the set summary bits, then the set bits of the words they mark, which
+//! is ascending order by construction, no sort needed, and costs `n / 4096`
+//! summary words plus one word per 64-id block holding an id. Next to it,
+//! each kind of queue counts its nonempty queues (`occupied_inports` /
+//! `occupied_outboxes`), so a round loop can skip a walk with nothing to
+//! pop, and [`NodeStore::is_idle`] is O(1).
 //!
 //! Both kinds of queue are **slab-backed**: a store holds two `Fifos`, each
 //! one `Vec` of linked entries shared by all of its queues plus three `u32`
@@ -29,7 +40,7 @@
 //! is and its memory follows the messages queued at once, not the
 //! processors ever touched. None of the invariants above depends on where
 //! an entry lives: FIFO order is the link order of one queue, a budget is
-//! the number of pops a round loop makes, and the dirty lists are kept by
+//! the number of pops a round loop makes, and the frontiers are kept by
 //! [`NodeStore`] from the lengths alone.
 //!
 //! A store holds the queues of every processor of a run, sharded or not:
@@ -81,12 +92,14 @@ struct Fifos<T> {
     entries: Vec<Entry<T>>,
     /// First free entry (popped entries, most recent first).
     free: u32,
+    /// Number of nonempty queues.
+    occupied: usize,
 }
 
 impl<T> Fifos<T> {
     /// `queues` empty queues; no entry is allocated until the first push.
     fn new(queues: usize) -> Self {
-        Fifos { ends: vec![EMPTY; queues], entries: Vec::new(), free: NIL }
+        Fifos { ends: vec![EMPTY; queues], entries: Vec::new(), free: NIL, occupied: 0 }
     }
 
     /// Whether queue `q` is empty (true for a `q` past the last queue).
@@ -116,6 +129,7 @@ impl<T> Fifos<T> {
         }
         ends.tail = e;
         ends.len += 1;
+        self.occupied += usize::from(ends.len == 1);
         ends.len as usize
     }
 
@@ -130,6 +144,7 @@ impl<T> Fifos<T> {
         let entry = &mut self.entries[e as usize];
         ends.head = entry.next;
         ends.len -= 1;
+        self.occupied -= usize::from(ends.len == 0);
         entry.next = self.free;
         self.free = e;
         entry.item.take()
@@ -148,20 +163,56 @@ impl<T> Fifos<T> {
     }
 }
 
+/// A set of processor ids as a two-level bitset: bit `v % 64` of
+/// `words[v / 64]` marks `v`, bit `w % 64` of `summary[w / 64]` marks a
+/// nonzero `words[w]`.
+#[derive(Debug)]
+struct Frontier {
+    words: Vec<u64>,
+    summary: Vec<u64>,
+}
+
+impl Frontier {
+    /// The empty set over the ids `0..n`.
+    fn new(n: usize) -> Self {
+        let words = n.div_ceil(64);
+        Frontier { words: vec![0; words], summary: vec![0; words.div_ceil(64)] }
+    }
+
+    /// Add `v` (already in: no change).
+    fn insert(&mut self, v: NodeId) {
+        let w = v / 64;
+        self.words[w] |= 1 << (v % 64);
+        self.summary[w / 64] |= 1 << (w % 64);
+    }
+
+    /// Move every id into `out`, ascending, leaving the set empty.
+    fn take(&mut self, out: &mut Vec<NodeId>) {
+        for (s, summary) in self.summary.iter_mut().enumerate() {
+            let mut marked = std::mem::take(summary);
+            while marked != 0 {
+                let w = s * 64 + marked.trailing_zeros() as usize;
+                marked &= marked - 1;
+                let mut word = std::mem::take(&mut self.words[w]);
+                while word != 0 {
+                    out.push(w * 64 + word.trailing_zeros() as usize);
+                    word &= word - 1;
+                }
+            }
+        }
+    }
+}
+
 /// In-ports and outboxes of the processors `0..n`, slot `v` holding
 /// processor `v`.
 #[derive(Debug)]
 pub struct NodeStore<M> {
     outbox: Fifos<(NodeId, M)>,
     inport: Fifos<Inbound<M>>,
-    /// Dirty frontiers: ids whose queue went nonempty since the list was
-    /// last taken. `listed` flags keep each id on a list at most once.
-    outbox_dirty: Vec<NodeId>,
-    inport_dirty: Vec<NodeId>,
-    outbox_listed: Vec<bool>,
-    inport_listed: Vec<bool>,
-    /// Count of nonempty queues (both kinds) — O(1) idle detection.
-    nonempty: usize,
+    /// Dirty frontiers: ids whose queue went nonempty since the frontier
+    /// was last taken.
+    outbox_frontier: Frontier,
+    inport_frontier: Frontier,
 }
 
 impl<M> NodeStore<M> {
@@ -170,38 +221,21 @@ impl<M> NodeStore<M> {
         NodeStore {
             outbox: Fifos::new(n),
             inport: Fifos::new(n),
-            outbox_dirty: Vec::new(),
-            inport_dirty: Vec::new(),
-            outbox_listed: vec![false; n],
-            inport_listed: vec![false; n],
-            nonempty: 0,
+            outbox_frontier: Frontier::new(n),
+            inport_frontier: Frontier::new(n),
         }
     }
 
     /// Stage a send in `from`'s outbox; returns the new outbox depth.
     pub fn stage(&mut self, from: NodeId, to: NodeId, msg: M) -> usize {
-        let depth = self.outbox.push(from, (to, msg));
-        if depth == 1 {
-            self.nonempty += 1;
-        }
-        if !self.outbox_listed[from] {
-            self.outbox_listed[from] = true;
-            self.outbox_dirty.push(from);
-        }
-        depth
+        self.outbox_frontier.insert(from);
+        self.outbox.push(from, (to, msg))
     }
 
     /// Enqueue a matured message at `dst`'s in-port; returns the new depth.
     pub fn enqueue(&mut self, dst: NodeId, inbound: Inbound<M>) -> usize {
-        let depth = self.inport.push(dst, inbound);
-        if depth == 1 {
-            self.nonempty += 1;
-        }
-        if !self.inport_listed[dst] {
-            self.inport_listed[dst] = true;
-            self.inport_dirty.push(dst);
-        }
-        depth
+        self.inport_frontier.insert(dst);
+        self.inport.push(dst, inbound)
     }
 
     /// Dequeue the oldest in-port message of `v`, if any. A processor whose
@@ -209,12 +243,7 @@ impl<M> NodeStore<M> {
     /// frontier, so budget-limited leftovers carry to the next round.
     pub fn pop_inport(&mut self, v: NodeId) -> Option<Inbound<M>> {
         let popped = self.inport.pop(v)?;
-        if self.inport.is_empty(v) {
-            self.nonempty -= 1;
-        } else if !self.inport_listed[v] {
-            self.inport_listed[v] = true;
-            self.inport_dirty.push(v);
-        }
+        self.relist_inport(v);
         Some(popped)
     }
 
@@ -222,41 +251,29 @@ impl<M> NodeStore<M> {
     /// like [`NodeStore::pop_inport`].
     pub fn pop_outbox(&mut self, v: NodeId) -> Option<(NodeId, M)> {
         let popped = self.outbox.pop(v)?;
-        if self.outbox.is_empty(v) {
-            self.nonempty -= 1;
-        } else if !self.outbox_listed[v] {
-            self.outbox_listed[v] = true;
-            self.outbox_dirty.push(v);
-        }
+        self.relist_outbox(v);
         Some(popped)
     }
 
-    /// Drain the in-port frontier into `out` (unsorted; an id appears at
-    /// most once). Every processor with a nonempty in-port is included;
-    /// processors drained since listing may also appear and pop nothing.
+    /// Drain the in-port frontier into `out`, ascending, each id once.
+    /// Every processor with a nonempty in-port is included; processors
+    /// drained since listing may also appear and pop nothing.
     pub fn take_inport_frontier(&mut self, out: &mut Vec<NodeId>) {
-        for &v in &self.inport_dirty {
-            self.inport_listed[v] = false;
-        }
-        out.append(&mut self.inport_dirty);
+        self.inport_frontier.take(out);
     }
 
     /// Drain the outbox frontier into `out`; see
     /// [`NodeStore::take_inport_frontier`].
     pub fn take_outbox_frontier(&mut self, out: &mut Vec<NodeId>) {
-        for &v in &self.outbox_dirty {
-            self.outbox_listed[v] = false;
-        }
-        out.append(&mut self.outbox_dirty);
+        self.outbox_frontier.take(out);
     }
 
     /// Put `v` back on the outbox frontier if it still has staged sends
     /// (used when the transmit phase visits a frontier node but skips it —
     /// a crashed node, or the probe layer's planted perturbation).
     pub fn relist_outbox(&mut self, v: NodeId) {
-        if !self.outbox.is_empty(v) && !self.outbox_listed[v] {
-            self.outbox_listed[v] = true;
-            self.outbox_dirty.push(v);
+        if !self.outbox.is_empty(v) {
+            self.outbox_frontier.insert(v);
         }
     }
 
@@ -265,21 +282,30 @@ impl<M> NodeStore<M> {
     /// skips it — a crashed node's in-port freezes in place until its
     /// recovery round).
     pub fn relist_inport(&mut self, v: NodeId) {
-        if !self.inport.is_empty(v) && !self.inport_listed[v] {
-            self.inport_listed[v] = true;
-            self.inport_dirty.push(v);
+        if !self.inport.is_empty(v) {
+            self.inport_frontier.insert(v);
         }
     }
 
+    /// Number of processors with a nonempty in-port — O(1).
+    pub(crate) fn occupied_inports(&self) -> usize {
+        self.inport.occupied
+    }
+
+    /// Number of processors with a nonempty outbox — O(1).
+    pub(crate) fn occupied_outboxes(&self) -> usize {
+        self.outbox.occupied
+    }
+
     /// Whether every queue (in-port and outbox) is empty — O(1) via the
-    /// nonempty-queue counter.
+    /// per-kind nonempty-queue counts.
     pub fn is_idle(&self) -> bool {
-        self.nonempty == 0
+        self.inport.occupied == 0 && self.outbox.occupied == 0
     }
 
     /// Number of processors.
     pub fn n(&self) -> usize {
-        self.inport_listed.len()
+        self.inport.ends.len()
     }
 
     /// Processors with at least one nonempty queue, ascending. The probe
@@ -306,6 +332,13 @@ mod tests {
     use super::*;
     use std::collections::VecDeque;
 
+    impl Frontier {
+        /// Whether `v` is in the set.
+        fn contains(&self, v: NodeId) -> bool {
+            self.words.get(v / 64).is_some_and(|word| word & 1 << (v % 64) != 0)
+        }
+    }
+
     #[test]
     fn queues_are_fifo_and_idle_tracks_both_sides() {
         let mut s: NodeStore<u32> = NodeStore::new(3);
@@ -329,9 +362,10 @@ mod tests {
 
     /// Through an arbitrary interleaving of stage/enqueue/pop: every queue
     /// agrees with a `VecDeque` per processor (depths returned, items
-    /// popped, the views' order, the occupied set), the O(1) idle counter
-    /// agrees with a full queue scan, and the frontier lists cover every
-    /// nonempty queue (the invariant the round loop relies on).
+    /// popped, the views' order, the occupied set), the O(1) per-kind
+    /// counts and idle check agree with a full queue scan, and the
+    /// frontiers cover every nonempty queue (the invariant the round loop
+    /// relies on).
     #[test]
     fn idle_counter_and_frontier_match_a_full_scan() {
         let mut s = NodeStore::<u64>::new(8);
@@ -366,15 +400,49 @@ mod tests {
                 assert!(s.outbox_of(v).eq(outbox[v].iter()), "outbox {v} at step {round}");
                 assert!(s.inport_of(v).map(|m| &m.msg).eq(inport[v].iter()), "in-port {v}");
                 // Every nonempty queue is on its dirty frontier.
-                assert!(inport[v].is_empty() || s.inport_dirty.contains(&v), "in-port {v}");
-                assert!(outbox[v].is_empty() || s.outbox_dirty.contains(&v), "outbox {v}");
+                assert!(inport[v].is_empty() || s.inport_frontier.contains(v), "in-port {v}");
+                assert!(outbox[v].is_empty() || s.outbox_frontier.contains(v), "outbox {v}");
             }
+            let inports = inport.iter().filter(|q| !q.is_empty()).count();
+            let outboxes = outbox.iter().filter(|q| !q.is_empty()).count();
+            assert_eq!(s.occupied_inports(), inports, "in-port count at step {round}");
+            assert_eq!(s.occupied_outboxes(), outboxes, "outbox count at step {round}");
             let occupied: Vec<NodeId> = s.occupied_nodes().collect();
             let want: Vec<NodeId> =
                 (0..8).filter(|&v| !inport[v].is_empty() || !outbox[v].is_empty()).collect();
             assert_eq!(occupied, want, "occupied set diverged at step {round}");
             assert_eq!(s.is_idle(), want.is_empty(), "idle counter diverged at step {round}");
         }
+    }
+
+    /// Both takes yield ascending ids, each once, whatever order the ids
+    /// were listed in — across word (64) and summary-word (4 096)
+    /// boundaries, and again after a relist.
+    #[test]
+    fn frontiers_come_out_ascending() {
+        let listed = [4_199, 4_096, 4_095, 64, 63, 0];
+        let mut s: NodeStore<u32> = NodeStore::new(4_200);
+        for &v in &listed {
+            for msg in 0..2 {
+                s.stage(v, 0, msg);
+                s.enqueue(v, Inbound { src: 0, arrival: 1, msg });
+            }
+        }
+        let mut ascending = listed.to_vec();
+        ascending.sort_unstable();
+        let takes = |s: &mut NodeStore<u32>| {
+            let (mut inports, mut outboxes) = (Vec::new(), Vec::new());
+            s.take_inport_frontier(&mut inports);
+            s.take_outbox_frontier(&mut outboxes);
+            (inports, outboxes)
+        };
+        assert_eq!(takes(&mut s), (ascending.clone(), ascending.clone()));
+        assert_eq!(takes(&mut s), (vec![], vec![]), "a take empties the frontier");
+        for &v in &listed {
+            s.relist_inport(v);
+            s.relist_outbox(v);
+        }
+        assert_eq!(takes(&mut s), (ascending.clone(), ascending));
     }
 
     /// Memory follows the messages queued at once, not the messages ever

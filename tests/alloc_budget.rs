@@ -184,6 +184,47 @@ fn a_warm_timing_wheel_allocates_nothing() {
     }
 }
 
+/// The store's share of "zero allocations in steady state": a store is a
+/// constant number of allocations whatever `n` is (the frontiers are
+/// bitsets, not per-node lists), and once its slabs and the walk's scratch
+/// have seen their deepest round, a round of stage, take, pop and enqueue
+/// allocates nothing.
+#[test]
+fn a_warm_store_allocates_nothing() {
+    use ccq_repro::sim::state::{Inbound, NodeStore};
+    let (_, small) = counted(|| NodeStore::<u64>::new(1_024));
+    let (_, large) = counted(|| NodeStore::<u64>::new(65_536));
+    assert_eq!(small, large, "a store allocated per node: {small} at n = 1 024, {large} at 65 536");
+
+    let n = 4_096;
+    let mut store: NodeStore<u64> = NodeStore::new(n);
+    let mut frontier = Vec::new();
+    let mut cycle = |store: &mut NodeStore<u64>, round: u64| {
+        // A burst of 0..8 sends a round from nodes spread over the ids.
+        for i in 0..(round % 9) as usize {
+            let v = (round as usize * 61 + i * 512) % n;
+            store.stage(v, (v + 1) % n, round);
+        }
+        frontier.clear();
+        store.take_outbox_frontier(&mut frontier);
+        for &v in &frontier {
+            if let Some((dst, msg)) = store.pop_outbox(v) {
+                store.enqueue(dst, Inbound { src: v, arrival: round, msg });
+            }
+        }
+        frontier.clear();
+        store.take_inport_frontier(&mut frontier);
+        for &v in &frontier {
+            std::hint::black_box(store.pop_inport(v));
+        }
+    };
+    for round in 0..1_000 {
+        cycle(&mut store, round);
+    }
+    let ((), allocs) = counted(|| (1_000..2_000).for_each(|round| cycle(&mut store, round)));
+    assert_eq!(allocs, 0, "a warm store allocated");
+}
+
 /// A token that makes `hops` hops round `cycle(16)` and completes where it
 /// stops: one message per hop, one completion per run.
 struct Laps {

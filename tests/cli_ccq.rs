@@ -644,6 +644,9 @@ fn unbuildable_topologies_widths_and_densities_fail_loudly() {
         &["--topo", "torus2d:2", "--json", "-"],
         &["--proto", "counting-network:3", "--json", "-"],
         &["--pattern", "random:nan", "--json", "-"],
+        // A zero count is refused, not clamped to one run.
+        &["--repeats", "0", "--json", "-"],
+        &["--checkpoint-every", "0", "--json", "-"],
     ]);
     // The widest width the CLI accepts still runs.
     let widest =
