@@ -3,8 +3,10 @@
 //! parallel and summarized.
 //!
 //! [`RunPlan`] is the builder; [`RunPlan::execute`] materializes every
-//! [`RunCase`], runs them rayon-parallel (grouped so each scenario is built
-//! once), and returns a [`RunSet`]: per-case [`CaseResult`]s plus
+//! [`RunCase`] in work groups (runs of cases sharing every scenario
+//! dimension), runs the groups rayon-parallel, each on the one scenario
+//! its first case builds ([`RunCase::scenario`]), and returns a
+//! [`RunSet`]: per-case [`CaseResult`]s in index order plus
 //! queuing-vs-counting [`GroupSummary`]s. Everything is deterministic under
 //! the plan's seed, and the whole set serializes to JSON. Open-system
 //! dimensions ([`RunPlan::arrivals`], [`RunPlan::delays`]) default to the
@@ -290,9 +292,11 @@ impl RunPlan {
         }
     }
 
-    /// One scenario's worth of work: all protocol×mode×delay runs sharing
-    /// the (topology, pattern, arrival, repeat) scenario.
-    fn work_groups(&self) -> Vec<WorkGroup> {
+    /// The plan's cases, one work group per run of consecutive cases that
+    /// share every scenario dimension: all protocol×mode×delay runs of one
+    /// (topology, pattern, arrival, admission, priority, faults, shards,
+    /// repeat) cell. An empty dimension yields no group at all.
+    fn work_groups(&self) -> Vec<Vec<RunCase>> {
         let protocols = self.effective_protocols();
         let mut groups = Vec::new();
         let mut index = 0usize;
@@ -308,31 +312,31 @@ impl RunPlan {
                                         let pat = pattern.reseed(salt);
                                         let arr = arrival.reseed(salt);
                                         let prio = priority.reseed(salt);
-                                        let mut runs = Vec::new();
+                                        let mut group = Vec::new();
                                         for proto in &protocols {
                                             for mode in self.modes_for(proto.as_ref()) {
                                                 for delay in &self.delays {
-                                                    runs.push((
+                                                    group.push(RunCase {
                                                         index,
-                                                        proto.clone_spec(),
+                                                        topo: topo.clone(),
+                                                        protocol: proto.clone_spec(),
                                                         mode,
-                                                        *delay,
-                                                    ));
+                                                        pattern: pat.clone(),
+                                                        arrival: arr.clone(),
+                                                        delay: *delay,
+                                                        admission: *admission,
+                                                        priority: prio,
+                                                        faults: faults.clone(),
+                                                        shards: *shards,
+                                                        repeat,
+                                                    });
                                                     index += 1;
                                                 }
                                             }
                                         }
-                                        groups.push(WorkGroup {
-                                            topo: topo.clone(),
-                                            pattern: pat,
-                                            arrival: arr,
-                                            admission: *admission,
-                                            priority: prio,
-                                            faults: faults.clone(),
-                                            shards: *shards,
-                                            repeat,
-                                            runs,
-                                        });
+                                        if !group.is_empty() {
+                                            groups.push(group);
+                                        }
                                     }
                                 }
                             }
@@ -346,43 +350,15 @@ impl RunPlan {
 
     /// Materialize the full cross-product of cases, in execution order.
     pub fn cases(&self) -> Vec<RunCase> {
-        self.work_groups()
-            .into_iter()
-            .flat_map(|g| {
-                let (topo, pattern, arrival, admission, priority, faults, shards, repeat) = (
-                    g.topo,
-                    g.pattern,
-                    g.arrival,
-                    g.admission,
-                    g.priority,
-                    g.faults,
-                    g.shards,
-                    g.repeat,
-                );
-                g.runs.into_iter().map(move |(index, protocol, mode, delay)| RunCase {
-                    index,
-                    topo: topo.clone(),
-                    protocol,
-                    mode,
-                    pattern: pattern.clone(),
-                    arrival: arrival.clone(),
-                    delay,
-                    admission,
-                    priority,
-                    faults: faults.clone(),
-                    shards,
-                    repeat,
-                })
-            })
-            .collect()
+        self.work_groups().into_iter().flatten().collect()
     }
 
-    /// Execute every case (parallel across scenarios, each scenario built
-    /// once) and summarize. Deterministic under the plan's seed.
+    /// Execute every case (parallel across work groups, each group's
+    /// scenario built once) and summarize. Deterministic under the plan's
+    /// seed; the order-preserving collect keeps the cases in index order.
     pub fn execute(&self) -> RunSet {
-        let groups = self.work_groups();
         let executed: Vec<(Vec<CaseResult>, Vec<GroupSummary>)> =
-            groups.par_iter().map(|group| run_group(self, group)).collect();
+            self.work_groups().par_iter().map(|group| run_group(self, group)).collect();
 
         let mut cases = Vec::new();
         let mut summaries = Vec::new();
@@ -390,7 +366,6 @@ impl RunPlan {
             cases.extend(group_cases);
             summaries.extend(group_summaries);
         }
-        cases.sort_by_key(|c| c.case);
         RunSet { plan: self.describe(), cases, summaries }
     }
 
@@ -416,131 +391,28 @@ impl RunPlan {
     }
 }
 
-struct WorkGroup {
-    topo: TopoSpec,
-    pattern: RequestPattern,
-    arrival: ArrivalSpec,
-    admission: AdmissionSpec,
-    priority: PrioritySpec,
-    faults: FaultSpec,
-    shards: ShardSpec,
-    repeat: usize,
-    runs: Vec<(usize, Box<dyn ProtocolSpec>, ModelMode, LinkDelay)>,
-}
-
-fn run_group(plan: &RunPlan, group: &WorkGroup) -> (Vec<CaseResult>, Vec<GroupSummary>) {
-    let scenario =
-        Scenario::build_with(group.topo.clone(), group.pattern.clone(), group.arrival.clone())
-            .with_admission(group.admission)
-            .with_priority(group.priority)
-            .with_faults(group.faults.clone())
-            .with_shards(group.shards)
-            .with_probe(plan.probe);
-    let mut results = Vec::with_capacity(group.runs.len());
-    for (index, spec, mode, delay) in &group.runs {
-        let base = CaseResult {
-            case: *index,
-            topology: group.topo.name(),
-            n: scenario.n(),
-            k: scenario.k(),
-            protocol: spec.name().to_string(),
-            kind: spec.kind(),
-            mode: *mode,
-            pattern: group.pattern.name(),
-            arrival: group.arrival.name(),
-            delay: delay.name(),
-            admission: group.admission.name(),
-            priority: group.priority.name(),
-            faults: group.faults.name(),
-            shards: group.shards.name(),
-            repeat: group.repeat,
-            width: spec.effective_width(scenario.n()),
-            ok: false,
-            error: None,
-            total_delay: 0,
-            messages: 0,
-            max_contention: 0,
-            throughput: 0.0,
-            goodput: 0.0,
-            latency_p50: 0,
-            latency_p95: 0,
-            latency_p99: 0,
-            qqc_max: 0,
-            qqc_mean: 0.0,
-            qqc_p50: 0,
-            qqc_p95: 0,
-            qqc_p99: 0,
-            backlog: 0,
-            dropped: 0,
-            delayed_admissions: 0,
-            cross_shard_messages: 0,
-            metrics: None,
-            classes: None,
-            fault_summary: None,
-            phase_timing: None,
-            checkpoints: None,
-            node_digests: None,
-        };
-        let result = match run_spec_with(spec.as_ref(), &scenario, *mode, *delay) {
-            Ok(out) => {
-                // One flattening pass: the percentile fields echo `metrics`
-                // (the latency distribution is computed once in from_sim).
-                // QQC lateness is derived from the verified output order,
-                // which only exists on this success path.
-                let m = DelayReport::from_sim_with_order(&out.alg, &out.report, &out.order);
-                CaseResult {
-                    ok: true,
-                    total_delay: m.total_delay,
-                    messages: m.messages,
-                    max_contention: m.max_queue,
-                    throughput: m.throughput,
-                    goodput: m.goodput,
-                    latency_p50: m.latency_p50,
-                    latency_p95: m.latency_p95,
-                    latency_p99: m.latency_p99,
-                    qqc_max: m.qqc_max,
-                    qqc_mean: m.qqc_mean,
-                    qqc_p50: m.qqc_p50,
-                    qqc_p95: m.qqc_p95,
-                    qqc_p99: m.qqc_p99,
-                    backlog: m.backlog_high_water,
-                    dropped: m.dropped,
-                    delayed_admissions: m.delayed_admissions,
-                    cross_shard_messages: m.cross_shard_messages,
-                    metrics: Some(m),
-                    classes: {
-                        let cm = ClassMetrics::from_sim_with_order(&out.report, &out.order);
-                        (!cm.is_empty()).then_some(cm)
-                    },
-                    fault_summary: FaultSummary::from_sim(&out.report),
-                    phase_timing: out.report.phase_timing,
-                    checkpoints: (!out.report.checkpoints.is_empty())
-                        .then(|| out.report.checkpoints.clone()),
-                    node_digests: (!out.report.node_digests.is_empty())
-                        .then(|| out.report.node_digests.clone()),
-                    ..base
-                }
-            }
-            Err(e) => CaseResult { error: Some(e.to_string()), ..base },
-        };
-        results.push(result);
-    }
+/// Run one work group on the one scenario its cases share: the first
+/// case's, carrying the plan's probe.
+fn run_group(plan: &RunPlan, group: &[RunCase]) -> (Vec<CaseResult>, Vec<GroupSummary>) {
+    let first = &group[0];
+    let scenario = first.scenario().with_probe(plan.probe);
+    let results: Vec<CaseResult> = group.iter().map(|case| case.run(&scenario)).collect();
     // One crossover summary per delay policy — pooling across delay
     // regimes would let the fastest wires decide the verdict.
     let mut delays: Vec<LinkDelay> = Vec::new();
-    for &(_, _, _, d) in &group.runs {
-        if !delays.contains(&d) {
-            delays.push(d);
+    for case in group {
+        if !delays.contains(&case.delay) {
+            delays.push(case.delay);
         }
     }
     let summaries =
-        delays.into_iter().map(|delay| summarize(&scenario, group, delay, &results)).collect();
+        delays.into_iter().map(|delay| summarize(&scenario, first, delay, &results)).collect();
     (results, summaries)
 }
 
 fn summarize(
     scenario: &Scenario,
-    group: &WorkGroup,
+    cell: &RunCase,
     delay: LinkDelay,
     results: &[CaseResult],
 ) -> GroupSummary {
@@ -560,15 +432,15 @@ fn summarize(
     };
     let dropped = results.iter().filter(|c| c.ok && c.delay == delay_name).map(|c| c.dropped).sum();
     GroupSummary {
-        topology: group.topo.name(),
-        pattern: group.pattern.name(),
-        arrival: group.arrival.name(),
+        topology: cell.topo.name(),
+        pattern: cell.pattern.name(),
+        arrival: cell.arrival.name(),
         delay: delay_name,
-        admission: group.admission.name(),
-        priority: group.priority.name(),
-        faults: group.faults.name(),
-        shards: group.shards.name(),
-        repeat: group.repeat,
+        admission: cell.admission.name(),
+        priority: cell.priority.name(),
+        faults: cell.faults.name(),
+        shards: cell.shards.name(),
+        repeat: cell.repeat,
         n: scenario.n(),
         k: scenario.k(),
         best_queuing: q.map(|c| c.protocol.clone()),
@@ -620,6 +492,83 @@ pub struct RunCase {
     /// Repeat number within the (topology, pattern, arrival, admission,
     /// priority, faults, shards) cell.
     pub repeat: usize,
+}
+
+impl RunCase {
+    /// The scenario this case runs on — the one place a case's dimensions
+    /// become a [`Scenario`]. [`RunPlan::execute`] builds it once per work
+    /// group and adds the plan's probe knobs.
+    pub fn scenario(&self) -> Scenario {
+        Scenario::build_with(self.topo.clone(), self.pattern.clone(), self.arrival.clone())
+            .with_admission(self.admission)
+            .with_priority(self.priority)
+            .with_faults(self.faults.clone())
+            .with_shards(self.shards)
+    }
+
+    /// Run this case on `scenario` (its work group's) and flatten the
+    /// outcome; a failed run keeps every measured field at zero.
+    fn run(&self, scenario: &Scenario) -> CaseResult {
+        let spec = self.protocol.as_ref();
+        let run = run_spec_with(spec, scenario, self.mode, self.delay);
+        let error = run.as_ref().err().map(|e| e.to_string());
+        let out = run.ok();
+        // One flattening pass: the percentile fields echo `metrics` (the
+        // latency distribution is computed once in `from_sim_with_order`).
+        // QQC lateness is derived from the verified output order, which
+        // only a successful run has.
+        let metrics =
+            out.as_ref().map(|o| DelayReport::from_sim_with_order(&o.alg, &o.report, &o.order));
+        let zero = DelayReport::default();
+        let m = metrics.as_ref().unwrap_or(&zero);
+        let report = out.as_ref().map(|o| &o.report);
+        CaseResult {
+            case: self.index,
+            topology: self.topo.name(),
+            n: scenario.n(),
+            k: scenario.k(),
+            protocol: spec.name().to_string(),
+            kind: spec.kind(),
+            mode: self.mode,
+            pattern: self.pattern.name(),
+            arrival: self.arrival.name(),
+            delay: self.delay.name(),
+            admission: self.admission.name(),
+            priority: self.priority.name(),
+            faults: self.faults.name(),
+            shards: self.shards.name(),
+            repeat: self.repeat,
+            width: spec.effective_width(scenario.n()),
+            ok: out.is_some(),
+            error,
+            total_delay: m.total_delay,
+            messages: m.messages,
+            max_contention: m.max_queue,
+            throughput: m.throughput,
+            goodput: m.goodput,
+            latency_p50: m.latency_p50,
+            latency_p95: m.latency_p95,
+            latency_p99: m.latency_p99,
+            qqc_max: m.qqc_max,
+            qqc_mean: m.qqc_mean,
+            qqc_p50: m.qqc_p50,
+            qqc_p95: m.qqc_p95,
+            qqc_p99: m.qqc_p99,
+            backlog: m.backlog_high_water,
+            dropped: m.dropped,
+            delayed_admissions: m.delayed_admissions,
+            cross_shard_messages: m.cross_shard_messages,
+            classes: out
+                .as_ref()
+                .map(|o| ClassMetrics::from_sim_with_order(&o.report, &o.order))
+                .filter(|cm| !cm.is_empty()),
+            fault_summary: report.and_then(FaultSummary::from_sim),
+            phase_timing: report.and_then(|r| r.phase_timing),
+            checkpoints: report.map(|r| r.checkpoints.clone()).filter(|c| !c.is_empty()),
+            node_digests: report.map(|r| r.node_digests.clone()).filter(|d| !d.is_empty()),
+            metrics,
+        }
+    }
 }
 
 /// Outcome of one case, flattened for reporting.
@@ -824,11 +773,6 @@ impl RunSet {
     /// Pretty (2-space indented) JSON encoding.
     pub fn to_json_pretty(&self) -> String {
         serde_json::to_string_pretty(self).expect("RunSet serialization is infallible")
-    }
-
-    /// First case matching topology and protocol names (repeat 0).
-    pub fn case(&self, topology: &str, protocol: &str) -> Option<&CaseResult> {
-        self.cases.iter().find(|c| c.topology == topology && c.protocol == protocol)
     }
 
     /// Cheapest verified case of `kind` on the named topology (repeat 0).
@@ -1238,6 +1182,51 @@ mod tests {
         assert!(c.fault_summary.is_none());
         assert_eq!(c.priority, "uniform");
         assert_eq!(c.faults, "none");
+    }
+
+    #[test]
+    fn an_empty_dimension_runs_no_case() {
+        let list = || RunPlan::new().topologies([TopoSpec::List { n: 4 }]);
+        for plan in [list().delays([]), list().modes([]), RunPlan::new()] {
+            let set = plan.execute();
+            assert!(set.cases.is_empty());
+            assert!(set.summaries.is_empty());
+        }
+    }
+
+    #[test]
+    fn every_case_runs_on_its_own_scenario() {
+        // Two values in every scenario dimension and two repeats: each
+        // case, run alone on `RunCase::scenario`, reproduces the case the
+        // plan ran on its work group's shared scenario.
+        use crate::scenario::ShardStrategy;
+        let plan = RunPlan::new()
+            .topologies([TopoSpec::List { n: 6 }, TopoSpec::Torus2D { side: 3 }])
+            .protocol(&protocol::CentralCounter)
+            .patterns([RequestPattern::All, RequestPattern::Random { density: 0.5, seed: 3 }])
+            .arrivals([ArrivalSpec::OneShot, ArrivalSpec::Poisson { rate: 0.5, seed: 1 }])
+            .admissions([AdmissionSpec::Open, AdmissionSpec::DropTail { bound: 2 }])
+            .shards([ShardSpec::single(), ShardSpec::new(2, ShardStrategy::Striped)])
+            .repeats(2)
+            .seed(5);
+        let cases = plan.cases();
+        let set = plan.execute();
+        assert_eq!(cases.len(), 2 * 2 * 2 * 2 * 2 * 2);
+        assert_eq!(set.cases.len(), cases.len());
+        for (case, ran) in cases.iter().zip(&set.cases) {
+            assert_eq!(ran.case, case.index);
+            let scenario = case.scenario();
+            let alone = run_spec_with(case.protocol.as_ref(), &scenario, case.mode, case.delay)
+                .unwrap_or_else(|e| panic!("case {}: {e}", case.index));
+            let m = DelayReport::from_sim_with_order(&alone.alg, &alone.report, &alone.order);
+            assert_eq!(
+                (scenario.n(), scenario.k(), m.total_delay, m.messages, m.latency_p99),
+                (ran.n, ran.k, ran.total_delay, ran.messages, ran.latency_p99),
+                "case {}",
+                case.index
+            );
+            assert_eq!(m.cross_shard_messages, ran.cross_shard_messages, "case {}", case.index);
+        }
     }
 
     #[test]

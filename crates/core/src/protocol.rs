@@ -34,13 +34,16 @@ use ccq_sim::{
 use serde::Serialize;
 
 /// Run a protocol on `scenario`, honouring its arrival specification,
-/// admission policy, shard plan and execution-strategy flags: the one-shot
-/// batch executes the protocol unchanged (bit-identical to the
-/// pre-open-system engine), while open arrivals — or an active admission
-/// policy — wrap the same protocol value in [`Paced`], which drives it on
-/// the scenario's schedule, gated by the scenario's
-/// [`crate::scenario::AdmissionSpec`]. Admission is evaluated against the
-/// *global* backlog on every executor.
+/// admission policy, shard plan, probe and fault plan: the one-shot batch
+/// executes the protocol unchanged (bit-identical to the pre-open-system
+/// engine), while open arrivals — or an active admission policy — wrap the
+/// same protocol value in [`Paced`], which drives it on the scenario's
+/// schedule, gated by the scenario's [`crate::scenario::AdmissionSpec`].
+/// Admission is evaluated against the *global* backlog on every executor.
+/// The scenario is the one owner of the run's probe and fault plan: both
+/// replace whatever `cfg` carried, and every other field of `cfg` is
+/// honoured as it stands. Errs constructively when the fault spec holds
+/// more crashes than the engine's fixed-capacity plan carries.
 fn run_arrival_aware<P, F>(
     scenario: &Scenario,
     cfg: SimConfig,
@@ -50,10 +53,8 @@ where
     P: OnlineProtocol,
     F: FnOnce() -> P,
 {
-    // The one place scenario-level probe knobs merge onto the config: a
-    // knob a caller already set there is honoured too, never clobbered.
-    let cfg = cfg.with_probe(cfg.probe.merged(scenario.probe));
-    let cfg = resolve_faults(scenario, cfg)?;
+    let faults = scenario.faults.plan().map_err(SimError::invalid_config)?;
+    let cfg = cfg.with_probe(scenario.probe).with_faults(faults);
     let mut report = match scenario.open_schedule() {
         None => dispatch(scenario, cfg, build()),
         Some(schedule) => {
@@ -63,19 +64,6 @@ where
     }?;
     attach_classes(scenario, &mut report);
     Ok(report)
-}
-
-/// Merge the scenario's fault plan onto the config (a plan a caller set
-/// on the config directly is kept when the scenario is fault-free). Errs
-/// constructively when the spec holds more crashes than the engine's
-/// fixed-capacity plan carries.
-fn resolve_faults(scenario: &Scenario, cfg: SimConfig) -> Result<SimConfig, SimError> {
-    let plan = scenario.faults.plan().map_err(SimError::invalid_config)?;
-    if plan.is_active() {
-        Ok(cfg.with_faults(plan))
-    } else {
-        Ok(cfg)
-    }
 }
 
 /// Wrap a protocol in the paced driver carrying the scenario-level
@@ -284,9 +272,12 @@ pub fn run_spec_with(
     run_spec_cfg(spec, scenario, cfg)
 }
 
-/// [`run_spec`] under a caller-built [`SimConfig`], honoured as it stands.
-/// This is how the equivalence suites select an engine reference path
-/// that no plan, scenario or CLI flag names.
+/// [`run_spec`] under a caller-built [`SimConfig`]. The config supplies
+/// the execution model, link delay, round limit, tracing and the dense
+/// reference scan, honoured as they stand; its probe and fault plan are
+/// replaced by the scenario's, which owns both. This is how the
+/// equivalence suites select an engine reference path that no plan,
+/// scenario or CLI flag names.
 pub fn run_spec_cfg(
     spec: &dyn ProtocolSpec,
     scenario: &Scenario,
@@ -588,6 +579,25 @@ mod tests {
             let out = run_spec(spec, &s, ModelMode::Strict).unwrap();
             assert_eq!(out.order.len(), 12, "{}", spec.name());
         }
+    }
+
+    #[test]
+    fn the_scenario_owns_the_probe_and_the_fault_plan() {
+        // A probe and a crash set on the caller's config are replaced by
+        // the scenario's: checkpoints every 2 rounds, and no fault.
+        use ccq_sim::{CrashFault, FaultPlan, ProbeSpec};
+        let mut crash = FaultPlan::none();
+        crash.push(CrashFault { node: 0, at: 1, recover: 5 }).unwrap();
+        let cfg = SimConfig::strict()
+            .with_probe(ProbeSpec::OFF.with_checkpoint_every(8))
+            .with_faults(crash);
+        let s = Scenario::build(TopoSpec::List { n: 8 }, RequestPattern::All)
+            .with_probe(ProbeSpec::OFF.with_checkpoint_every(2));
+        let out = run_spec_cfg(&CentralCounter, &s, cfg).unwrap();
+        let rounds: Vec<Round> = out.report.checkpoints.iter().map(|c| c.round).collect();
+        assert!(rounds.len() > 4, "too short to tell the cadences apart: {rounds:?}");
+        assert_eq!(rounds, (0..rounds.len() as Round).map(|i| 2 * i).collect::<Vec<_>>());
+        assert!(out.report.fault_events.is_empty(), "{:?}", out.report.fault_events);
     }
 
     #[test]

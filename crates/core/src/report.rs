@@ -6,7 +6,7 @@ use ccq_sim::{nearest_rank, FaultEvent, FaultKind, SimReport};
 use serde::Serialize;
 
 /// Flattened per-run metrics.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug, Default, Serialize)]
 pub struct DelayReport {
     /// Algorithm display name.
     pub alg: String,
@@ -61,17 +61,10 @@ pub struct DelayReport {
 }
 
 impl DelayReport {
-    /// Extract from a simulator report with no verified output order in
-    /// hand: every QQC lateness field reads 0 (an empty displacement
-    /// sample), all other metrics exactly as
-    /// [`DelayReport::from_sim_with_order`].
-    pub fn from_sim(alg: impl Into<String>, rep: &SimReport) -> Self {
-        Self::from_sim_with_order(alg, rep, &[])
-    }
-
     /// Extract from a simulator report plus the verified output order the
     /// protocol's contract produced (queue order, rank order, or relaxed
-    /// rank order), from which the QQC lateness distribution is derived.
+    /// rank order), from which the QQC lateness distribution is derived
+    /// (every QQC field reads 0 for an empty `order`).
     pub fn from_sim_with_order(alg: impl Into<String>, rep: &SimReport, order: &[NodeId]) -> Self {
         // Materialize and sort the latency distribution once; the three
         // percentiles are then plain nearest-rank index lookups.
@@ -140,15 +133,8 @@ pub struct ClassMetrics {
 
 impl ClassMetrics {
     /// One entry per distinct class in the report's class map, ascending
-    /// (empty when no class map was attached). QQC fields read 0 — use
-    /// [`ClassMetrics::from_sim_with_order`] when the verified output
-    /// order is in hand.
-    pub fn from_sim(rep: &SimReport) -> Vec<ClassMetrics> {
-        Self::from_sim_with_order(rep, &[])
-    }
-
-    /// [`ClassMetrics::from_sim`] plus per-class QQC lateness derived from
-    /// the verified output order.
+    /// (empty when no class map was attached), with per-class QQC lateness
+    /// derived from the verified output order (0 for an empty `order`).
     pub fn from_sim_with_order(rep: &SimReport, order: &[NodeId]) -> Vec<ClassMetrics> {
         // Join completions to issues once; each class then sorts its own
         // latencies once and reads its three percentiles off them.
@@ -219,7 +205,7 @@ mod tests {
             completions: vec![Completion { node: 0, value: 1, round: total }],
             ..Default::default()
         };
-        DelayReport::from_sim("x", &rep)
+        DelayReport::from_sim_with_order("x", &rep, &[])
     }
 
     #[test]

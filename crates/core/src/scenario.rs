@@ -439,7 +439,8 @@ pub struct Scenario {
     /// Priority classes over the requesters ([`PrioritySpec::Uniform`] =
     /// no classes, the pre-priority behaviour).
     pub priority: PrioritySpec,
-    /// Crash/recover fault plan ([`FaultSpec::none`] = fault-free).
+    /// Crash/recover fault plan ([`FaultSpec::none`] = fault-free). The
+    /// run's one fault plan: it replaces any plan on the `SimConfig`.
     pub faults: FaultSpec,
     /// Shard plan ([`ShardSpec::single`] = the unsharded executor).
     pub shards: ShardSpec,
@@ -447,6 +448,7 @@ pub struct Scenario {
     /// phase timing ([`ProbeSpec::OFF`] by default — no probe work at
     /// all, and probe data never reaches the serialized [`ccq_sim::
     /// SimReport`], so probed runs stay byte-identical to unprobed ones).
+    /// The run's one probe: it replaces any probe on the `SimConfig`.
     pub probe: ProbeSpec,
     /// [`Scenario::partition`]'s cache: the plan it was built for, and the
     /// partition.
@@ -510,9 +512,10 @@ impl Scenario {
 
     /// The vertex partition of [`Scenario::shards`] over the graph, built
     /// on first use and kept: every sharded run of the scenario — each
-    /// protocol × mode × delay of a sweep's work group — borrows the one
-    /// partition as its cut (which per-node admission also counts on)
-    /// instead of re-running the edge-cut heuristic.
+    /// protocol × mode × delay case of a sweep's work group, the run of
+    /// cases that shares one [`crate::plan::RunCase::scenario`] — borrows
+    /// the one partition as its cut (which per-node admission also counts
+    /// on) instead of re-running the edge-cut heuristic.
     ///
     /// # Panics
     /// Panics if `shards` was reassigned after the first call; change the

@@ -258,36 +258,6 @@ impl ProbeSpec {
     pub(crate) fn skips_transmit(&self, round: Round, node: NodeId) -> bool {
         round == self.perturb_round && node == self.perturb_node
     }
-
-    /// Field-wise merge: every knob of `self` that is still at its default
-    /// is taken from `other` (used to combine a scenario-level probe with
-    /// one a caller already set on the `SimConfig`, never clobbering).
-    pub fn merged(self, other: ProbeSpec) -> ProbeSpec {
-        ProbeSpec {
-            checkpoint_every: if self.checkpoint_every != Round::MAX {
-                self.checkpoint_every
-            } else {
-                other.checkpoint_every
-            },
-            snapshot_at: if self.snapshot_at != Round::MAX {
-                self.snapshot_at
-            } else {
-                other.snapshot_at
-            },
-            node_hashes: self.node_hashes || other.node_hashes,
-            perturb_round: if self.perturb_round != Round::MAX {
-                self.perturb_round
-            } else {
-                other.perturb_round
-            },
-            perturb_node: if self.perturb_round != Round::MAX {
-                self.perturb_node
-            } else {
-                other.perturb_node
-            },
-            timing: self.timing || other.timing,
-        }
-    }
 }
 
 impl Default for ProbeSpec {
@@ -470,16 +440,6 @@ mod tests {
         assert!(p.observes(10));
         assert!(p.skips_transmit(5, 3));
         assert!(!p.skips_transmit(5, 2) && !p.skips_transmit(6, 3));
-    }
-
-    #[test]
-    fn merge_prefers_non_default_side() {
-        let a = ProbeSpec::OFF.with_checkpoint_every(8);
-        let b = ProbeSpec::OFF.with_checkpoint_every(2).with_timing(true).with_snapshot_at(9);
-        let m = a.merged(b);
-        assert_eq!(m.checkpoint_every, 8); // self wins where set
-        assert_eq!(m.snapshot_at, 9); // other fills the default
-        assert!(m.timing);
     }
 
     #[test]

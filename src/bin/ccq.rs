@@ -208,22 +208,19 @@ fn cmd_sweep(args: &[String]) -> i32 {
         Err(msg) => return fail(&msg),
     };
     let set = sweep.plan.execute();
-    let json = || if sweep.pretty { set.to_json_pretty() } else { set.to_json() };
-    match sweep.json.as_deref() {
-        // JSON only on stdout so the output pipes into other tools.
-        Some("-") => say!("{}", json()),
-        target => {
-            if let Some(path) = target {
-                if let Err(e) = std::fs::write(path, json() + "\n") {
-                    return fail(&format!("cannot write {path}: {e}"));
-                }
-                eprintln!("wrote {path}");
-            }
-            say!("{}", set.case_table());
-            say!("{}", set.summary_table());
-            if let Some(fields) = &sweep.qqc {
-                say!("{}", qqc_table(&set, fields));
-            }
+    if let Some(target) = sweep.json.as_deref() {
+        let json = if sweep.pretty { set.to_json_pretty() } else { set.to_json() };
+        if let Err(msg) = emit_json(target, &json) {
+            return fail(&msg);
+        }
+    }
+    // With `--json -`, JSON only on stdout so the output pipes into other
+    // tools.
+    if sweep.json.as_deref() != Some("-") {
+        say!("{}", set.case_table());
+        say!("{}", set.summary_table());
+        if let Some(fields) = &sweep.qqc {
+            say!("{}", qqc_table(&set, fields));
         }
     }
     let failed = set.cases.iter().filter(|c| !c.ok).count();

@@ -8,7 +8,6 @@
 
 #![allow(dead_code)]
 
-use ccq_repro::core::plan::RunCase;
 use ccq_repro::core::protocol::run_spec_cfg;
 use ccq_repro::core::run::{config_for, RunError};
 use ccq_repro::counting::verify_ranks;
@@ -21,16 +20,6 @@ use std::process::Output;
 /// The plan a `ccq sweep` argv (everything after the subcommand) builds.
 pub fn sweep_plan(args: &[&str]) -> RunPlan {
     ccq_repro::core::spec::sweep(args).unwrap_or_else(|e| panic!("{args:?}: {e}")).plan
-}
-
-/// The scenario [`RunPlan::execute`] builds for `case`, before the plan's
-/// probe knobs.
-pub fn scenario_of(case: &RunCase) -> Scenario {
-    Scenario::build_with(case.topo.clone(), case.pattern.clone(), case.arrival.clone())
-        .with_admission(case.admission)
-        .with_priority(case.priority)
-        .with_faults(case.faults.clone())
-        .with_shards(case.shards)
 }
 
 /// [`run_spec_with`], after `reference` has edited the [`SimConfig`] the

@@ -24,7 +24,7 @@ mod common;
 
 use ccq_repro::prelude::*;
 use ccq_repro::replay::{first_divergence, resume_from, snapshot_of, Snapshot, CURRENT_VERSION};
-use common::{run_on_reference, scenario_of, sweep_plan};
+use common::{run_on_reference, sweep_plan};
 use proptest::prelude::*;
 
 fn delay_for(kind: u8, seed: u64) -> LinkDelay {
@@ -309,7 +309,7 @@ fn snapshots_resume_across_wavefront_and_lockstep() {
         let cases = sweep_plan(&[&argv[..], extra].concat()).cases();
         assert_eq!(cases.len(), 1);
         assert_eq!((cases[0].mode, cases[0].delay), (mode, delay));
-        scenario_of(&cases[0])
+        cases[0].scenario()
     };
     let lockstep = || scenario(&[]);
     let wave = || scenario(&["--wavefront:lag=4"]);

@@ -30,7 +30,7 @@ use ccq_repro::queuing::ArrowProtocol;
 use ccq_repro::sim::{
     run_protocol, LinkDelay, Protocol, SimConfig, SimError, SimReport, Simulator, TraceKind,
 };
-use common::{run_on_reference, scenario_of, sweep_plan};
+use common::{run_on_reference, sweep_plan};
 use proptest::prelude::*;
 
 /// JSON encoding with the sharding-only counter zeroed, so single- and
@@ -197,8 +197,8 @@ proptest! {
             let run = |scenario: &Scenario| {
                 run_spec_with(case.protocol.as_ref(), scenario, case.mode, case.delay).unwrap()
             };
-            let sharded = run(&scenario_of(case));
-            let single = run(&scenario_of(case).with_shards(ShardSpec::single()));
+            let sharded = run(&case.scenario());
+            let single = run(&case.scenario().with_shards(ShardSpec::single()));
             prop_assert_eq!(&sharded.order, &single.order, "{:?}: order diverged", argv);
             prop_assert_eq!(
                 fingerprint(&sharded.report),
@@ -301,7 +301,7 @@ proptest! {
         let (case, result) = (&cases[0], &lockstep.cases[0]);
         prop_assert!(result.ok, "{:?}: {:?}", argv, result.error);
         let direct =
-            run_spec_with(case.protocol.as_ref(), &scenario_of(case), case.mode, case.delay)
+            run_spec_with(case.protocol.as_ref(), &case.scenario(), case.mode, case.delay)
                 .unwrap();
         let m = DelayReport::from_sim_with_order(&direct.alg, &direct.report, &direct.order);
         prop_assert_eq!(
@@ -330,11 +330,10 @@ fn wavefront_auto_lag_composes_with_the_other_strategies() {
     for (wave, lock) in plan(&["--wavefront:lag=4"]).cases().iter().zip(&plan(&[]).cases()) {
         let name = lock.protocol.name();
         let serial =
-            run_spec_with(lock.protocol.as_ref(), &scenario_of(lock), lock.mode, lock.delay)
-                .unwrap();
+            run_spec_with(lock.protocol.as_ref(), &lock.scenario(), lock.mode, lock.delay).unwrap();
         let dense = run_on_reference(
             wave.protocol.as_ref(),
-            &scenario_of(wave),
+            &wave.scenario(),
             wave.mode,
             wave.delay,
             |c| c.with_dense_scan(true),
@@ -365,8 +364,8 @@ fn parallel_apply_matches_the_monolith_for_every_registry_protocol() {
                 let run = |scenario: &Scenario| {
                     run_spec_with(case.protocol.as_ref(), scenario, case.mode, case.delay).unwrap()
                 };
-                let sharded = run(&scenario_of(case));
-                let single = run(&scenario_of(case).with_shards(ShardSpec::single()));
+                let sharded = run(&case.scenario());
+                let single = run(&case.scenario().with_shards(ShardSpec::single()));
                 assert_eq!(sharded.order, single.order, "{name} on {topo} k={k}: order diverged");
                 assert_eq!(
                     fingerprint(&sharded.report),

@@ -53,8 +53,12 @@ fn different_seeds_differ_where_randomness_matters() {
 #[test]
 fn json_documents_every_case_with_metrics() {
     let set = plan().execute();
-    // 2 topologies × 2 patterns × 3 repeats × 3 protocols.
+    // 2 topologies × 2 patterns × 3 repeats × 3 protocols, in index order
+    // across all 12 work groups (the parallel collect keeps their order).
     assert_eq!(set.cases.len(), 36);
+    for (i, c) in set.cases.iter().enumerate() {
+        assert_eq!(c.case, i, "cases out of index order");
+    }
     let doc = json(&set.to_json());
     let cs = cases(&doc);
     assert_eq!(cs.len(), 36);
