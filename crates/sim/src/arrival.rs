@@ -410,6 +410,13 @@ impl<P: OnlineProtocol> Paced<P> {
         }
     }
 
+    /// The earliest round a scheduled arrival or an admission retry falls
+    /// due — the only rounds [`Paced::issue_due`] has work at.
+    fn next_due(&self) -> Option<Round> {
+        let retry = self.retries.first().map(|&(r, _, _)| r);
+        earlier(self.schedule.get(self.next).map(|&(r, _)| r), retry)
+    }
+
     fn issue_due(&mut self, api: &mut SimApi<P::Msg>, now: Round) {
         // Deferred arrivals first (they were due before anything newly
         // scheduled this round), then the schedule tail. The due prefix is
@@ -496,16 +503,16 @@ impl<P: OnlineProtocol> Protocol for Paced<P> {
 
     fn on_round(&mut self, api: &mut SimApi<P::Msg>, round: Round) {
         self.inner.on_round(api, round);
-        self.issue_due(api, round);
+        if self.next_due().is_some_and(|due| due <= round) {
+            self.issue_due(api, round);
+        }
     }
 
     fn next_active_round(&self) -> Option<Round> {
         // `on_round` acts exactly when a scheduled arrival or a deferred
         // admission retry falls due (plus whatever the wrapped protocol
         // reports) — the round a quiescent engine fast-forwards to.
-        let scheduled = self.schedule.get(self.next).map(|&(r, _)| r);
-        let retry = self.retries.first().map(|&(r, _, _)| r);
-        [scheduled, retry, self.inner.next_active_round()].into_iter().flatten().min()
+        earlier(self.next_due(), self.inner.next_active_round())
     }
 
     fn state_token(&self) -> String {
@@ -523,9 +530,18 @@ impl<P: OnlineProtocol> Protocol for Paced<P> {
     }
 }
 
+/// The earlier of two optional rounds (`None` is "never").
+fn earlier(a: Option<Round>, b: Option<Round>) -> Option<Round> {
+    match (a, b) {
+        (Some(a), Some(b)) => Some(a.min(b)),
+        (a, b) => a.or(b),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::tests::Engine;
 
     fn nodes(n: usize) -> Vec<NodeId> {
         (0..n).collect()
@@ -651,6 +667,86 @@ mod tests {
         assert_eq!(report.ops(), 2);
         // Downtime, not backpressure: no admission was delayed.
         assert_eq!(report.delayed_admissions, 0);
+    }
+
+    /// An operation sends its node's id to a neighbour when it issues and
+    /// completes only when the test completes it.
+    struct Echo([(); 4]);
+
+    impl Protocol for Echo {
+        type Msg = NodeId;
+        type Slice = ();
+        type Shared = ();
+        fn split(&mut self) -> (&(), &mut [()]) {
+            (&(), &mut self.0)
+        }
+        fn on_start(&mut self, _: &mut SimApi<NodeId>) {}
+        fn on_message(
+            _: &(),
+            _: &mut (),
+            _: &mut SliceApi<NodeId>,
+            _: NodeId,
+            _: NodeId,
+            _: NodeId,
+        ) {
+        }
+    }
+
+    impl OnlineProtocol for Echo {
+        fn issue(_: &(), _: &mut (), api: &mut SliceApi<NodeId>, node: NodeId) {
+            api.send(if node == 0 { 1 } else { node - 1 }, node);
+        }
+    }
+
+    /// Everything `on_round` could change: the pacer's token, the report
+    /// and every outbox.
+    fn seen(paced: &Paced<Echo>, e: &Engine<NodeId>) -> String {
+        let outboxes: Vec<_> = (0..4).map(|v| e.outbox(v)).collect();
+        format!("{} {:?} {outboxes:?}", paced.state_token(), e.report)
+    }
+
+    #[test]
+    fn on_round_before_the_next_due_round_is_a_no_op() {
+        use crate::{CrashFault, FaultPlan, Issue};
+        let mut faults = FaultPlan::none();
+        faults.push(CrashFault { node: 1, at: 2, recover: 7 }).unwrap();
+        let g = ccq_graph::topology::path(4);
+        let mut e = Engine::new(4, None);
+        e.cfg = e.cfg.with_faults(faults);
+        // Node 0 is due at 3. Node 1 is due at 4, inside its crash window:
+        // it waits for its recovery at 7. Node 2 is due at 5, behind node
+        // 0's open operation (bound 1, backoff 2): deferred to 7, then
+        // behind node 1 to 9. The test completes node 0 at 6, node 1 at 8.
+        let mut paced = Paced::new(Echo([(); 4]), vec![(3, 0), (4, 1), (5, 2)])
+            .with_admission(AdmissionPolicy::DelayRetry { bound: 1, backoff: 2 });
+        e.call(&g, 0, |api| paced.on_start(api));
+        let mut acted = Vec::new();
+        for round in 1..=12 {
+            let completes = match round {
+                6 => Some(0),
+                8 => Some(1),
+                _ => None,
+            };
+            if let Some(node) = completes {
+                e.call(&g, round, |api| api.complete(node, 0));
+            }
+            let (due, before) = (paced.next_due(), seen(&paced, &e));
+            e.call(&g, round, |api| paced.on_round(api, round));
+            if seen(&paced, &e) != before {
+                acted.push(round);
+            }
+            if due.is_none_or(|due| due > round) {
+                assert_eq!(seen(&paced, &e), before, "on_round acted at {round}, before {due:?}");
+            }
+        }
+        assert_eq!(acted, [3, 4, 5, 7, 9]);
+        let issues = [(0, 3), (1, 7), (2, 9)].map(|(node, round)| Issue { node, round });
+        assert_eq!(e.report.issues, issues);
+        assert_eq!(e.report.delayed_admissions, 2);
+        let sent: Vec<_> = (0..4).map(|v| e.outbox(v)).collect();
+        assert_eq!(sent, [vec![(1, 0)], vec![(0, 1)], vec![(1, 2)], vec![]]);
+        assert_eq!((paced.next_due(), paced.next_active_round()), (None, None));
+        assert!(e.error.is_none());
     }
 
     #[test]

@@ -121,7 +121,9 @@ pub struct NodeDigest {
 }
 
 /// Cumulative wall-clock spent in each scheduler phase, in microseconds.
-/// Handler time is counted under `deliver_micros`.
+/// Handler time is counted under `deliver_micros`. The laps are summed in
+/// nanoseconds and converted once, at the end of the run, so the phases
+/// of a run's many sub-microsecond rounds are counted, not truncated away.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize)]
 pub struct PhaseTimings {
     /// Total microseconds in the arrivals phase.
@@ -138,18 +140,6 @@ pub struct PhaseTimings {
     pub transmit_micros: u64,
     /// Largest single-round total, the per-round high-water mark.
     pub max_round_micros: u64,
-}
-
-impl PhaseTimings {
-    /// The counter `phase`'s laps accrue into.
-    pub(crate) fn of(&mut self, phase: Phase) -> &mut u64 {
-        match phase {
-            Phase::Arrivals => &mut self.arrivals_micros,
-            Phase::Mature => &mut self.mature_micros,
-            Phase::Deliver => &mut self.deliver_micros,
-            Phase::Transmit => &mut self.transmit_micros,
-        }
-    }
 }
 
 /// Probe configuration, embedded in [`crate::SimConfig`]. The default is
@@ -224,17 +214,20 @@ impl ProbeSpec {
     }
 
     /// Whether a checkpoint is due at `round`.
+    #[inline]
     fn wants_checkpoint(&self, round: Round) -> bool {
         self.checkpoint_every != Round::MAX && round.is_multiple_of(self.checkpoint_every.max(1))
     }
 
     /// Whether the snapshot is due at `round`.
+    #[inline]
     fn wants_snapshot(&self, round: Round) -> bool {
         self.snapshot_at != Round::MAX && round == self.snapshot_at
     }
 
     /// Whether any state rendering happens at `round` — the cheap gate the
     /// executors check before paying for canonicalization.
+    #[inline]
     pub fn observes(&self, round: Round) -> bool {
         self.wants_checkpoint(round) || self.wants_snapshot(round)
     }
@@ -266,38 +259,86 @@ impl Default for ProbeSpec {
     }
 }
 
-/// Wall-clock lap timer for the per-phase timings; a disabled stopwatch
-/// never touches the clock, so timing costs nothing when off.
+/// The per-phase wall clock behind [`ProbeSpec::timing`]: each lap closes
+/// one phase of the current round and accrues to that phase and to the
+/// round, in nanoseconds, so no lap shorter than a microsecond is lost;
+/// [`Stopwatch::timings`] converts the totals to [`PhaseTimings`]'
+/// microseconds once, at the end of the run. A disabled stopwatch never
+/// touches the clock, and the scheduler does not lap it at all.
 pub(crate) struct Stopwatch {
     enabled: bool,
     last: Option<Instant>,
+    /// Nanoseconds per phase, indexed by [`Phase`].
+    phase_nanos: [u64; 4],
+    /// Nanoseconds lapped so far in the current round.
+    round_nanos: u64,
+    /// Largest single-round total.
+    max_round_nanos: u64,
 }
 
 impl Stopwatch {
-    /// A stopped stopwatch; laps return 0 unless `enabled`.
+    /// A stopped stopwatch; it times nothing unless `enabled`.
     pub(crate) fn new(enabled: bool) -> Self {
-        Stopwatch { enabled, last: None }
+        Stopwatch { enabled, last: None, phase_nanos: [0; 4], round_nanos: 0, max_round_nanos: 0 }
     }
 
-    /// Restart the lap clock (call at the top of each round).
-    pub(crate) fn reset(&mut self) {
+    /// Whether the run is timed.
+    #[inline]
+    pub(crate) fn is_on(&self) -> bool {
+        self.enabled
+    }
+
+    /// Open a round: its total starts at 0 and the lap clock restarts.
+    #[inline]
+    pub(crate) fn start_round(&mut self) {
+        if self.enabled {
+            self.round_nanos = 0;
+            self.last = Some(Instant::now());
+        }
+    }
+
+    /// Restart the lap clock without accruing the time since the last lap
+    /// (the probe's own work at an observed barrier).
+    pub(crate) fn restart(&mut self) {
         if self.enabled {
             self.last = Some(Instant::now());
         }
     }
 
-    /// Microseconds since the previous lap (or reset), advancing the clock.
-    pub(crate) fn lap(&mut self) -> u64 {
+    /// Close `phase`'s lap: the time since the previous lap (or restart)
+    /// accrues to the phase and to the round.
+    #[inline]
+    pub(crate) fn lap(&mut self, phase: Phase) {
         if !self.enabled {
-            return 0;
+            return;
         }
         let now = Instant::now();
-        let micros = match self.last {
-            Some(t) => now.duration_since(t).as_micros() as u64,
-            None => 0,
-        };
+        let nanos = self.last.map_or(0, |t| now.duration_since(t).as_nanos() as u64);
         self.last = Some(now);
-        micros
+        self.phase_nanos[phase as usize] += nanos;
+        self.round_nanos += nanos;
+    }
+
+    /// Close the round: fold its total into the per-round high-water mark.
+    #[inline]
+    pub(crate) fn end_round(&mut self) {
+        if self.enabled {
+            self.max_round_nanos = self.max_round_nanos.max(self.round_nanos);
+        }
+    }
+
+    /// The run's totals in microseconds, if it was timed.
+    pub(crate) fn timings(&self) -> Option<PhaseTimings> {
+        let micros = |nanos: u64| nanos / 1_000;
+        let [arrivals, mature, deliver, transmit] = self.phase_nanos.map(micros);
+        self.enabled.then_some(PhaseTimings {
+            arrivals_micros: arrivals,
+            mature_micros: mature,
+            deliver_micros: deliver,
+            apply_micros: 0,
+            transmit_micros: transmit,
+            max_round_micros: micros(self.max_round_nanos),
+        })
     }
 }
 
@@ -419,6 +460,34 @@ mod tests {
             assert!(!p.observes(r));
             assert!(!p.skips_transmit(r, 0));
         }
+    }
+
+    #[test]
+    fn a_rounds_laps_sum_to_its_wall_time_to_the_nanosecond() {
+        let mut watch = Stopwatch::new(true);
+        watch.start_round();
+        let start = watch.last.expect("a timed round reads the clock");
+        for phase in [Phase::Arrivals, Phase::Mature, Phase::Deliver, Phase::Transmit] {
+            // Sub-microsecond phases, each long enough to read non-zero.
+            let from = Instant::now();
+            while from.elapsed().as_nanos() < 200 {
+                std::hint::spin_loop();
+            }
+            watch.lap(phase);
+        }
+        watch.end_round();
+        let elapsed = watch.last.unwrap().duration_since(start).as_nanos() as u64;
+        assert!(watch.phase_nanos.iter().all(|&nanos| nanos > 0), "{:?}", watch.phase_nanos);
+        assert_eq!(watch.phase_nanos.iter().sum::<u64>(), elapsed);
+        assert_eq!((watch.round_nanos, watch.max_round_nanos), (elapsed, elapsed));
+        let timings = watch.timings().expect("a timed run reports");
+        assert_eq!(timings.max_round_micros, elapsed / 1_000);
+        // Off, the clock is never read and nothing is reported.
+        let mut off = Stopwatch::new(false);
+        off.start_round();
+        off.lap(Phase::Deliver);
+        off.end_round();
+        assert!(off.last.is_none() && off.timings().is_none());
     }
 
     #[test]

@@ -306,37 +306,37 @@ pub fn with_slice<P: Protocol>(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use ccq_graph::topology;
 
     /// What the scheduler's `Ledger` lends a callback — a traced config,
     /// the cut's partition, the report, the per-shard counts and the error
     /// slot — plus one store for its sends.
-    struct Engine {
-        cfg: SimConfig,
+    pub(crate) struct Engine<M> {
+        pub(crate) cfg: SimConfig,
         shards: Option<Partition>,
-        report: SimReport,
+        pub(crate) report: SimReport,
         shard_open: Vec<u64>,
-        error: Option<SimError>,
-        store: NodeStore<u8>,
+        pub(crate) error: Option<SimError>,
+        store: NodeStore<M>,
     }
 
-    impl Engine {
-        fn new(n: usize, shards: Option<Partition>) -> Self {
+    impl<M: Copy> Engine<M> {
+        pub(crate) fn new(n: usize, shards: Option<Partition>) -> Self {
             let (report, store) = (SimReport::default(), NodeStore::new(n));
             let cfg = SimConfig::strict().with_trace();
             Engine { cfg, shards, report, shard_open: Vec::new(), error: None, store }
         }
 
         /// Run one callback at `round` on `g`, as the round loop does.
-        fn call(&mut self, g: &Graph, round: Round, f: impl FnOnce(&mut SimApi<u8>)) {
+        pub(crate) fn call(&mut self, g: &Graph, round: Round, f: impl FnOnce(&mut SimApi<M>)) {
             let Engine { cfg, shards, report, shard_open, error, store } = self;
             let (graph, shards) = (g, shards.as_ref());
             f(&mut SimApi { round, graph, cfg, shards, report, shard_open, error, store });
         }
 
-        fn outbox(&self, v: NodeId) -> Vec<(NodeId, u8)> {
+        pub(crate) fn outbox(&self, v: NodeId) -> Vec<(NodeId, M)> {
             self.store.outbox_of(v).copied().collect()
         }
     }
@@ -344,7 +344,7 @@ mod tests {
     #[test]
     fn api_staging() {
         let g = topology::path(3);
-        let mut e = Engine::new(3, None);
+        let mut e = Engine::<u8>::new(3, None);
         e.call(&g, 3, |api| {
             assert_eq!(api.round(), 3);
             api.send(0, 1, 42);
@@ -376,7 +376,7 @@ mod tests {
         // Off — a cut but never enabled, or enabled on a run with no cut:
         // the shard view is the global backlog.
         for (shards, enable) in [(cut(), false), (None, true)] {
-            let mut e = Engine::new(4, shards);
+            let mut e = Engine::<u8>::new(4, shards);
             e.call(&g, 0, |api| {
                 if enable {
                     api.enable_shard_accounting();
@@ -391,7 +391,7 @@ mod tests {
         }
         // Enabled on the cut. The counts live in the engine, so they
         // outlive the callback that set them.
-        let mut e = Engine::new(4, cut());
+        let mut e = Engine::<u8>::new(4, cut());
         e.call(&g, 0, |api| {
             api.enable_shard_accounting();
             api.issue(0);
@@ -419,7 +419,7 @@ mod tests {
     #[test]
     fn slice_api_replays_in_call_order() {
         let g = topology::path(8);
-        let mut e = Engine::new(8, None);
+        let mut e = Engine::<u8>::new(8, None);
         e.call(&g, 5, |api| {
             api.issue(3);
             let mut sapi = api.at(3);

@@ -47,6 +47,14 @@
 //! them), the report, the per-shard open-operation counts, the error slot
 //! and the phase clock; every [`crate::SimApi`] is a view over it.
 //!
+//! **A barrier nobody watches costs nothing.** A barrier does two things,
+//! both optional: it laps the phase clock (`--timing`) and, in a round the
+//! [`crate::ProbeSpec`] observes, hashes the state. The round decides once
+//! whether anyone watches it; when no one does, its four barriers are not
+//! entered at all — no clock read, no counter, no call — so a run with the
+//! probe off pays for the barriers only the test of one flag and one
+//! cadence per round.
+//!
 //! The invariant this layer owns is the *delivery rule*: a message handled
 //! at round `t` can be answered no earlier than round `t + 1` (handler
 //! sends enter the outbox, transmit in phase 4, and mature at `t + d`,
@@ -54,7 +62,7 @@
 //! FIFO advances. Transmissions carry one run-global sequence numbering,
 //! which orders simultaneous arrivals whatever delay each wire took.
 
-use crate::probe::{self, Phase, PhaseTimings, Stopwatch};
+use crate::probe::{self, Phase, Stopwatch};
 use crate::protocol::{Protocol, SimApi};
 use crate::report::{LinkDelay, SimConfig, SimReport};
 use crate::state::{Inbound, NodeStore};
@@ -105,10 +113,7 @@ struct Ledger<'a> {
     /// ([`SimApi::enable_shard_accounting`]).
     shard_open: Vec<u64>,
     error: Option<SimError>,
-    timing: PhaseTimings,
     watch: Stopwatch,
-    /// Microseconds lapped so far in the current round.
-    round_micros: u64,
 }
 
 impl Ledger<'_> {
@@ -143,19 +148,12 @@ impl Ledger<'_> {
         }
         self.report.messages_sent
     }
-
-    /// Close the current stopwatch lap: add it to this round's total and
-    /// return it for the caller's phase counter.
-    fn lap(&mut self) -> u64 {
-        let micros = self.watch.lap();
-        self.round_micros += micros;
-        micros
-    }
 }
 
 /// One lockstep round — arrivals through transmit, each phase closed by
 /// its barrier. The first three phases are vacuous at round 0, whose
-/// barriers still observe, so every run checkpoints round 0.
+/// barriers still observe, so every run checkpoints round 0. A round that
+/// is neither timed nor observed enters no barrier.
 fn lockstep_round<P: Protocol>(
     exec: &mut Executor<P::Msg>,
     led: &mut Ledger<'_>,
@@ -163,23 +161,31 @@ fn lockstep_round<P: Protocol>(
     round: Round,
 ) -> Result<(), SimError> {
     let observe = led.cfg.probe.observes(round);
-    led.watch.reset();
-    led.round_micros = 0;
+    let watched = observe || led.watch.is_on();
+    led.watch.start_round();
     if round > 0 {
         serialized(&mut exec.store, led, round, |api| protocol.on_round(api, round))?;
     }
-    barrier(exec, led, protocol, round, Phase::Arrivals, observe);
+    if watched {
+        barrier(exec, led, protocol, round, Phase::Arrivals, observe);
+    }
     if round > 0 {
         exec.mature(led, round);
     }
-    barrier(exec, led, protocol, round, Phase::Mature, observe);
+    if watched {
+        barrier(exec, led, protocol, round, Phase::Mature, observe);
+    }
     if round > 0 {
         exec.deliver(led, protocol, round)?;
     }
-    barrier(exec, led, protocol, round, Phase::Deliver, observe);
+    if watched {
+        barrier(exec, led, protocol, round, Phase::Deliver, observe);
+    }
     exec.transmit(led, round)?;
-    barrier(exec, led, protocol, round, Phase::Transmit, observe);
-    led.timing.max_round_micros = led.timing.max_round_micros.max(led.round_micros);
+    if watched {
+        barrier(exec, led, protocol, round, Phase::Transmit, observe);
+    }
+    led.watch.end_round();
     Ok(())
 }
 
@@ -201,8 +207,9 @@ fn serialized<M>(
     led.settle()
 }
 
-/// The barrier after `phase`: close its timing lap and, in an observed
-/// round, hash the state there.
+/// The barrier after `phase` of a watched round: close its timing lap and,
+/// in an observed round, hash the state there (the hashing is left out of
+/// the next phase's lap).
 fn barrier<P: Protocol>(
     exec: &Executor<P::Msg>,
     led: &mut Ledger<'_>,
@@ -211,12 +218,11 @@ fn barrier<P: Protocol>(
     phase: Phase,
     observe: bool,
 ) {
-    let micros = led.lap();
-    *led.timing.of(phase) += micros;
+    led.watch.lap(phase);
     if observe {
         let (probe, token) = (&led.cfg.probe, &protocol.state_token());
         probe::observe_phase(probe, round, phase, &exec.store, &exec.wheel, token, &mut led.report);
-        led.watch.reset();
+        led.watch.restart();
     }
 }
 
@@ -279,9 +285,7 @@ pub(crate) fn run<P: Protocol>(
         },
         shard_open: Vec::new(),
         error: None,
-        timing: PhaseTimings::default(),
         watch: Stopwatch::new(cfg.probe.timing),
-        round_micros: 0,
     };
 
     // Time 0: every requester issues its operation.
@@ -298,9 +302,7 @@ pub(crate) fn run<P: Protocol>(
     let mut report = led.report;
     report.rounds = last;
     report.record_fault_events(&cfg.faults);
-    if cfg.probe.timing {
-        report.phase_timing = Some(led.timing);
-    }
+    report.phase_timing = led.watch.timings();
     Ok((report, protocol))
 }
 

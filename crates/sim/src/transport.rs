@@ -181,14 +181,17 @@ impl<M> Transport<M> {
     }
 
     /// Remove and yield every wire due at or before `round`, in
-    /// (arrival round, sequence) order.
+    /// (arrival round, sequence) order. An empty slot on the way costs one
+    /// length check.
     pub fn drain_due(&mut self, round: Round, mut sink: impl FnMut(Wire<M>)) {
         while self.wires > 0 && self.drained < round {
             self.drained += 1;
             let slot = self.slot(self.drained);
             let batch = &mut self.ring[slot];
-            self.wires -= batch.len();
-            batch.drain(..).for_each(&mut sink);
+            if !batch.is_empty() {
+                self.wires -= batch.len();
+                batch.drain(..).for_each(&mut sink);
+            }
             if batch.capacity() > self.handoff.capacity() {
                 std::mem::swap(batch, &mut self.handoff);
             }

@@ -24,6 +24,7 @@ mod common;
 
 use ccq_repro::prelude::*;
 use ccq_repro::replay::{first_divergence, resume_from, snapshot_of, Snapshot, CURRENT_VERSION};
+use ccq_repro::sim::SimConfig;
 use common::{run_on_reference, sweep_plan};
 use proptest::prelude::*;
 
@@ -438,6 +439,56 @@ fn checkpoints_are_executor_independent_under_faults() {
             spec.name()
         );
     }
+}
+
+/// The probe and the phase clock never change a run: every registry
+/// protocol under `open_load`'s knobs — Poisson arrivals, `jitter:max=3`,
+/// adaptive admission, `split:frac=0.25` priority — plus one crash window,
+/// traced, gives the same completions, issues, drops, trace, counters and
+/// rounds with the probe off, with timing only, and with a checkpoint at
+/// every round plus timing. The admission target is scaled down to the
+/// 16-node torus, so that admission defers here as it does on `open_load`.
+#[test]
+fn the_probe_and_the_phase_clock_never_change_a_run() {
+    let probes = [
+        ProbeSpec::OFF,
+        ProbeSpec::OFF.with_timing(true),
+        ProbeSpec::OFF.with_checkpoint_every(1).with_timing(true),
+    ];
+    let mut deferred = 0;
+    for spec in registry() {
+        let mode = spec.kind().paper_mode();
+        let [off, timed, checked] = probes.map(|probe| {
+            let scenario = Scenario::build_with(
+                TopoSpec::Torus2D { side: 4 },
+                RequestPattern::All,
+                ArrivalSpec::Poisson { rate: 0.5, seed: 7 },
+            )
+            .with_admission(AdmissionSpec::Adaptive { target_backlog: 4, gain: 1 })
+            .with_priority(PrioritySpec::Split { frac: 0.25, seed: 3 })
+            .with_faults(FaultSpec::none().crash(5, 3, 12))
+            .with_probe(probe);
+            let delay = LinkDelay::Jitter { max: 3, seed: 5 };
+            run_on_reference(*spec, &scenario, mode, delay, SimConfig::with_trace).unwrap()
+        });
+        let name = spec.name();
+        assert!(!off.report.trace.is_empty(), "{name}: untraced");
+        assert_eq!(off.report.fault_events.len(), 2, "{name}: the crash never fired");
+        assert!(off.report.phase_timing.is_none() && off.report.checkpoints.is_empty());
+        assert!(timed.report.phase_timing.is_some() && timed.report.checkpoints.is_empty());
+        assert!(checked.report.phase_timing.is_some() && !checked.report.checkpoints.is_empty());
+        for (probed, how) in [(&timed, "timing"), (&checked, "checkpoints and timing")] {
+            let (a, b) = (&probed.report, &off.report);
+            assert_eq!(a.rounds, b.rounds, "{name}: {how} moved the last round");
+            assert_eq!(a.trace, b.trace, "{name}: {how} changed the trace");
+            assert_eq!(a.issues, b.issues, "{name}: {how} changed the issues");
+            assert_eq!(a.dropped, b.dropped, "{name}: {how} changed the drops");
+            assert_eq!(report_json(probed), report_json(&off), "{name}: {how} changed the run");
+            assert_eq!(probed.order, off.order, "{name}: {how} changed the order");
+        }
+        deferred += off.report.delayed_admissions;
+    }
+    assert!(deferred > 0, "admission never deferred an arrival");
 }
 
 /// The far-cluster list sweep: requests from nodes {6,7,8} travel toward
