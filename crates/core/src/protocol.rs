@@ -22,7 +22,7 @@ use crate::run::{config_for, ModelMode, RunError, RunOutcome};
 use crate::scenario::Scenario;
 use ccq_counting::{
     verify_ranks, verify_relaxed_ranks, CentralCounterProtocol, CombiningTreeProtocol,
-    CountingNetworkProtocol, CrdtCounterProtocol, ToggleTreeProtocol,
+    CountingNetworkProtocol, CrdtCounterProtocol,
 };
 use ccq_graph::{NodeId, Tree};
 use ccq_queuing::{
@@ -468,7 +468,8 @@ impl ProtocolSpec for ToggleTree {
     fn execute(&self, s: &Scenario, cfg: SimConfig) -> Result<SimReport, SimError> {
         let w = width_or_default(self.leaves, s.n());
         run_arrival_aware(s, cfg, || {
-            ToggleTreeProtocol::new(&s.graph, &s.counting_tree, &s.requests, w)
+            let net = ccq_counting::network::toggle_tree(w);
+            CountingNetworkProtocol::with_network(&s.graph, &s.counting_tree, &s.requests, net)
         })
     }
 }

@@ -13,11 +13,12 @@
 //! * [`combining`] — the software-combining tree: request counts aggregate
 //!   up a spanning tree, rank intervals split back down — `O(depth)` per
 //!   operation, `O(n·depth)` total;
-//! * [`network`] — **counting networks** (Aspnes–Herlihy–Shavit '94, the
-//!   paper's reference \[1\]): bitonic and periodic balancing networks
-//!   embedded onto the processors, tokens acquiring ranks at output wires;
-//! * [`toggle`] — the toggle-tree counter (diffracting-tree skeleton): an
-//!   exact distributed sequencer with a measured root bottleneck;
+//! * [`network`] — **balancing networks** embedded onto the processors,
+//!   tokens acquiring ranks at output wires: the bitonic and periodic
+//!   **counting networks** (Aspnes–Herlihy–Shavit '94, the paper's
+//!   reference \[1\]) and the toggle tree (diffracting-tree skeleton), a
+//!   network of one-input balancers — an exact distributed sequencer with
+//!   a measured root bottleneck;
 //! * [`crdt`] — the coordination-free CRDT counter: increments complete
 //!   instantly with locally-merged (*relaxed*, duplicable) ranks and
 //!   gossip outward — the zero-cost / maximal-consistency-debt baseline
@@ -42,11 +43,9 @@ pub mod combining;
 pub mod crdt;
 pub mod network;
 pub mod ranks;
-pub mod toggle;
 
 pub use central::CentralCounterProtocol;
 pub use combining::CombiningTreeProtocol;
 pub use crdt::CrdtCounterProtocol;
-pub use network::{BalancingNetwork, BitonicNetwork, CountingNetworkProtocol};
+pub use network::{BalancingNetwork, CountingNetworkProtocol};
 pub use ranks::{verify_ranks, verify_relaxed_ranks, Rank, RankError};
-pub use toggle::ToggleTreeProtocol;

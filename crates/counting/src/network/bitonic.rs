@@ -56,10 +56,11 @@ fn merger(b: &mut Builder, top: &[usize], bot: &[usize]) -> Vec<usize> {
 /// Build `Bitonic[width]`; `width` must be a power of two ≥ 2.
 pub fn bitonic(width: usize) -> BalancingNetwork {
     assert!(width >= 2 && width.is_power_of_two(), "width must be a power of two ≥ 2");
-    let mut b = Builder::new(width);
+    let lg = width.trailing_zeros() as usize;
+    let mut b = Builder::new(width, width * lg * (lg + 1) / 4);
     let inputs: Vec<usize> = (0..width).collect();
     let outputs = bitonic_rec(&mut b, &inputs);
-    b.finish(width, outputs, "bitonic")
+    b.finish(outputs, "bitonic")
 }
 
 #[cfg(test)]
@@ -151,11 +152,15 @@ mod tests {
 
     #[test]
     fn output_producer_is_final_column() {
+        // Each output's recorded exit site is the balancer producing it,
+        // and those are the last w/2 balancers, two outputs each.
         let net = bitonic(8);
+        let len = net.balancers().len();
         for j in 0..8 {
-            let b = net.output_producer(j);
+            let b = net.exit_site(j);
             let bal = net.balancers()[b];
             assert!(bal.out_top == net.output_wire(j) || bal.out_bot == net.output_wire(j));
+            assert!(b >= len - 4, "output {j} leaves balancer {b} of {len}");
         }
     }
 }

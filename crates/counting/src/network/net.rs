@@ -2,6 +2,7 @@
 //! sequential execution semantics and the step-property checker.
 
 /// One balancer: consumes `in_a`/`in_b`, produces `out_top`/`out_bot`.
+/// A one-input balancer (a toggle) has `in_a == in_b`.
 #[derive(Clone, Copy, Debug)]
 pub struct Balancer {
     /// First input wire id.
@@ -23,32 +24,49 @@ pub enum WireDest {
     Output(usize),
 }
 
-/// An immutable balancing network: a DAG of balancers between `width`
-/// input wires and `width` output wires (in step-property order).
+/// How a token's message names its wire in its `Debug` form, which the
+/// checkpoint digests hash.
+#[derive(Clone, Copy, Debug)]
+pub enum WireLabel {
+    /// `wire`, in a counting network.
+    Wire,
+    /// `node_idx`, in a toggle tree (whose wire ids are heap indices).
+    NodeIdx,
+}
+
+/// An immutable balancing network: a DAG of balancers between its input
+/// wires and `width` output wires (in step-property order).
 ///
-/// Wires are immutable segments: each balancer consumes two wire ids and
-/// produces two fresh ones. Constructions live in [`super::bitonic()`](super::bitonic()) and
-/// [`super::periodic()`](super::periodic()).
+/// Wires are immutable segments: each balancer consumes one or two wire
+/// ids and produces two fresh ones. Constructions live in
+/// [`super::bitonic()`](super::bitonic()), [`super::periodic()`](super::periodic())
+/// and [`super::toggle_tree()`](super::toggle_tree()).
 #[derive(Clone, Debug)]
 pub struct BalancingNetwork {
-    pub(crate) width: usize,
     pub(crate) balancers: Vec<Balancer>,
-    pub(crate) inputs: Vec<usize>,
+    /// Input wires are ids `0..input_wires`.
+    pub(crate) input_wires: usize,
     pub(crate) outputs: Vec<usize>,
+    /// Output position → the site whose `% n` hosts its exit counter.
+    pub(crate) exit_site: Vec<usize>,
     pub(crate) wire_dest: Vec<WireDest>,
     pub(crate) depth: usize,
     pub(crate) name: &'static str,
+    pub(crate) label: WireLabel,
 }
 
 /// Incremental builder used by the constructions.
 pub(crate) struct Builder {
     pub(crate) balancers: Vec<Balancer>,
+    pub(crate) input_wires: usize,
     pub(crate) wire_count: usize,
 }
 
 impl Builder {
-    pub(crate) fn new(width: usize) -> Self {
-        Builder { balancers: Vec::new(), wire_count: width }
+    /// A builder over input wires `0..input_wires`, with room for
+    /// `balancers` balancers.
+    pub(crate) fn new(input_wires: usize, balancers: usize) -> Self {
+        Builder { balancers: Vec::with_capacity(balancers), input_wires, wire_count: input_wires }
     }
 
     /// Add a balancer on wires `(in_a, in_b)`; returns its output wires.
@@ -60,14 +78,10 @@ impl Builder {
         (out_top, out_bot)
     }
 
-    /// Finalize with the given output wire order.
-    pub(crate) fn finish(
-        self,
-        width: usize,
-        outputs: Vec<usize>,
-        name: &'static str,
-    ) -> BalancingNetwork {
-        let Builder { balancers, wire_count } = self;
+    /// Finalize with the given output wire order. Each output's exit site
+    /// is the balancer producing it.
+    pub(crate) fn finish(self, outputs: Vec<usize>, name: &'static str) -> BalancingNetwork {
+        let Builder { balancers, input_wires, wire_count } = self;
         let mut wire_dest = vec![WireDest::Output(usize::MAX); wire_count];
         for (bi, bal) in balancers.iter().enumerate() {
             wire_dest[bal.in_a] = WireDest::Balancer(bi);
@@ -77,32 +91,38 @@ impl Builder {
             wire_dest[w] = WireDest::Output(j);
         }
         let mut wire_depth = vec![0usize; wire_count];
+        let mut exit_site = vec![usize::MAX; outputs.len()];
         let mut depth = 0;
-        for bal in &balancers {
+        for (bi, bal) in balancers.iter().enumerate() {
             let d = wire_depth[bal.in_a].max(wire_depth[bal.in_b]) + 1;
-            wire_depth[bal.out_top] = d;
-            wire_depth[bal.out_bot] = d;
+            for out in [bal.out_top, bal.out_bot] {
+                wire_depth[out] = d;
+                if let WireDest::Output(j) = wire_dest[out] {
+                    exit_site[j] = bi;
+                }
+            }
             depth = depth.max(d);
         }
         BalancingNetwork {
-            width,
             balancers,
-            inputs: (0..width).collect(),
+            input_wires,
             outputs,
+            exit_site,
             wire_dest,
             depth,
             name,
+            label: WireLabel::Wire,
         }
     }
 }
 
 impl BalancingNetwork {
-    /// Network width `w`.
+    /// Network width `w`: its number of output wires.
     pub fn width(&self) -> usize {
-        self.width
+        self.outputs.len()
     }
 
-    /// Construction name (`"bitonic"` / `"periodic"`).
+    /// Construction name (`"bitonic"` / `"periodic"` / `"toggle-tree"`).
     pub fn name(&self) -> &'static str {
         self.name
     }
@@ -112,9 +132,11 @@ impl BalancingNetwork {
         &self.balancers
     }
 
-    /// Wire id of input position `i`.
+    /// Wire id of input position `i`: the network's input wires are ids
+    /// `0..k` (`k = w` for a counting network, one for a toggle tree) and
+    /// position `i` enters on wire `i mod k`.
     pub fn input_wire(&self, i: usize) -> usize {
-        self.inputs[i]
+        i % self.input_wires
     }
 
     /// Wire id of output position `j`.
@@ -132,14 +154,11 @@ impl BalancingNetwork {
         self.depth
     }
 
-    /// The balancer producing each output wire (used to host exit counters
-    /// next to the final balancer column).
-    pub fn output_producer(&self, j: usize) -> usize {
-        let w = self.outputs[j];
-        self.balancers
-            .iter()
-            .position(|b| b.out_top == w || b.out_bot == w)
-            .expect("every output wire of a width ≥ 2 network leaves a balancer")
+    /// The site whose index `% n` hosts output `j`'s exit counter: the
+    /// balancer producing the output wire, or in a toggle tree the leaf's
+    /// heap index.
+    pub fn exit_site(&self, j: usize) -> usize {
+        self.exit_site[j]
     }
 }
 
@@ -157,13 +176,13 @@ impl<'n> SeqNetwork<'n> {
         SeqNetwork {
             net,
             toggles: vec![false; net.balancers.len()],
-            exit_counts: vec![0; net.width],
+            exit_counts: vec![0; net.width()],
         }
     }
 
     /// Push one token into input position `i`; returns its output position.
     pub fn feed(&mut self, i: usize) -> usize {
-        let mut wire = self.net.inputs[i];
+        let mut wire = self.net.input_wire(i);
         loop {
             match self.net.wire_dest[wire] {
                 WireDest::Balancer(b) => {
@@ -183,7 +202,7 @@ impl<'n> SeqNetwork<'n> {
     /// (`j + 1 + (c−1)·w` for the `c`-th token on output `j`).
     pub fn next_count(&mut self, i: usize) -> u64 {
         let j = self.feed(i);
-        (j as u64 + 1) + (self.exit_counts[j] - 1) * self.net.width as u64
+        (j as u64 + 1) + (self.exit_counts[j] - 1) * self.net.width() as u64
     }
 
     /// Tokens seen so far per output wire.
@@ -214,10 +233,10 @@ mod tests {
 
     #[test]
     fn builder_wires_are_unique() {
-        let mut b = Builder::new(2);
+        let mut b = Builder::new(2, 1);
         let (t, bt) = b.balancer(0, 1);
         assert_eq!((t, bt), (2, 3));
-        let net = b.finish(2, vec![t, bt], "test");
+        let net = b.finish(vec![t, bt], "test");
         assert_eq!(net.depth(), 1);
         assert_eq!(net.balancers().len(), 1);
         assert_eq!(net.wire_dest(0), WireDest::Balancer(0));

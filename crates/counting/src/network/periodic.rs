@@ -36,12 +36,12 @@ fn block(b: &mut Builder, wires: &mut [usize]) {
 pub fn periodic(width: usize) -> BalancingNetwork {
     assert!(width >= 2 && width.is_power_of_two(), "width must be a power of two ≥ 2");
     let d = width.trailing_zeros() as usize;
-    let mut b = Builder::new(width);
+    let mut b = Builder::new(width, width * d * d / 2);
     let mut wires: Vec<usize> = (0..width).collect();
     for _ in 0..d {
         block(&mut b, &mut wires);
     }
-    b.finish(width, wires, "periodic")
+    b.finish(wires, "periodic")
 }
 
 #[cfg(test)]
@@ -107,7 +107,7 @@ mod tests {
         use crate::network::net::Builder;
         let w = 8usize;
         let d = 3;
-        let mut b = Builder::new(w);
+        let mut b = Builder::new(w, w * d * d / 2);
         let mut wires: Vec<usize> = (0..w).collect();
         for _ in 0..d {
             for level in 0..d {
@@ -121,7 +121,7 @@ mod tests {
                 }
             }
         }
-        let bad = b.finish(w, wires, "shift-butterfly");
+        let bad = b.finish(wires, "shift-butterfly");
         let mut seq = SeqNetwork::new(&bad);
         let mut violated = false;
         // Heavy skew through one input exposes the imbalance quickly.

@@ -1,42 +1,57 @@
-//! The counting network embedded on the processors of `G`.
+//! A balancing network embedded on the processors of `G`: a counting
+//! network or a toggle tree.
 //!
-//! Balancers are assigned to processors round-robin; a requester injects a
-//! token at input wire `v mod w`. Tokens travel as messages: towards a
+//! Balancers are assigned to processors round-robin (balancer `b` on
+//! processor `b mod n`, slot `b / n` of its toggles); a requester injects a
+//! token at input position `v mod w`. Tokens travel as messages: towards a
 //! balancer's host they follow precomputed BFS next-hop tables (one table
 //! per distinct host — `O(hosts · n)` memory, no per-token routes); at the
 //! host the balancer toggles and the token moves to its next wire. At an
-//! output wire, the exit host (the processor hosting the producing
-//! balancer) assigns the count `j + 1 + (c−1)·w` and routes it back to the
-//! origin along the spanning tree (Euler-tour next-hop routing).
+//! output wire, the exit host (processor `s mod n` for the output's exit
+//! site `s`, see [`BalancingNetwork::exit_site`]) assigns the count
+//! `j + 1 + (c−1)·w` and routes it back to the origin along the spanning
+//! tree (Euler-tour next-hop routing).
 //!
 //! All protocol state (toggles, exit counters) is mutated only by its
 //! hosting processor, preserving the distributed abstraction; contention at
 //! hot balancers is measured by the simulator's receive budget.
 
-use super::net::{BalancingNetwork, WireDest};
+use super::net::{BalancingNetwork, WireDest, WireLabel};
 use ccq_graph::{bfs, Graph, NodeId, Tree, TreeRouter};
 use ccq_sim::{OnlineProtocol, Protocol, SimApi, SliceApi};
+use std::fmt;
 
-/// Messages of the counting-network protocol.
-#[derive(Clone, Copy, Debug)]
+/// Messages of the balancing-network protocol.
+#[derive(Clone, Copy)]
 pub enum CnMsg {
     /// A token of `origin` currently travelling along `wire`.
     Token { origin: NodeId, wire: usize },
+    /// A token in a toggle tree ([`WireLabel::NodeIdx`]): its wire is the
+    /// heap index of the toggle or leaf it heads for.
+    TreeToken { origin: NodeId, node_idx: usize },
     /// The acquired count, routed back to `origin` along the tree.
     Result { origin: NodeId, count: u64 },
+}
+
+/// Both tokens render as `Token`, each naming its wire as its network's
+/// [`WireLabel`] says (checkpoint digests hash every in-flight message).
+impl fmt::Debug for CnMsg {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let (name, field, origin, value) = match *self {
+            CnMsg::Token { origin, wire } => ("Token", "wire", origin, wire as u64),
+            CnMsg::TreeToken { origin, node_idx } => ("Token", "node_idx", origin, node_idx as u64),
+            CnMsg::Result { origin, count } => ("Result", "count", origin, count),
+        };
+        f.debug_struct(name).field("origin", &origin).field(field, &value).finish()
+    }
 }
 
 /// Read-only embedding every counting-network handler shares.
 pub struct CountingNetworkShared {
     net: BalancingNetwork,
-    /// Balancer index → hosting processor.
-    host: Vec<NodeId>,
-    /// Output position → processor holding that exit counter.
-    exit_host: Vec<NodeId>,
-    /// Balancer index → slot within its host's `toggles`.
-    local_toggle: Vec<usize>,
-    /// Output position → slot within its exit host's `exit_counts`.
-    local_exit: Vec<usize>,
+    /// Wire → the processor hosting the balancer or exit counter the wire
+    /// leads into, and its slot in that host's `toggles` or `exit_counts`.
+    hosted_at: Vec<(NodeId, usize)>,
     /// Dense host indexing: node → slot in `next_to_host` (usize::MAX = not a host).
     host_slot: Vec<usize>,
     /// `next_to_host[s][u]` = next hop from `u` towards host with slot `s`.
@@ -67,7 +82,9 @@ impl CountingNetworkProtocol {
         Self::with_network(graph, tree, requests, super::bitonic::bitonic(width))
     }
 
-    /// Embed an arbitrary counting network (e.g. [`super::periodic()`](super::periodic())).
+    /// Embed an arbitrary balancing network (e.g.
+    /// [`super::periodic()`](super::periodic()) or
+    /// [`super::toggle_tree()`](super::toggle_tree())).
     pub fn with_network(
         graph: &Graph,
         tree: &Tree,
@@ -76,15 +93,30 @@ impl CountingNetworkProtocol {
     ) -> Self {
         let n = graph.n();
         assert_eq!(tree.n(), n, "tree/graph size mismatch");
-        let width = net.width();
-        // Round-robin hosting.
-        let host: Vec<NodeId> = (0..net.balancers().len()).map(|b| b % n).collect();
-        let exit_host: Vec<NodeId> = (0..width).map(|j| host[net.output_producer(j)]).collect();
+
+        // Group balancer toggles and exit counters under their hosting
+        // processors: balancer `b` is slot `b / n` on `b % n`, exit counters
+        // take slots in wire order.
+        let mut slices: Vec<CountingNetworkSlice> =
+            (0..n).map(|_| CountingNetworkSlice::default()).collect();
+        for b in 0..net.balancers().len() {
+            slices[b % n].toggles.push(false);
+        }
+        let hosted_at: Vec<(NodeId, usize)> = (net.wire_dest.iter())
+            .map(|&dest| match dest {
+                WireDest::Balancer(b) => (b % n, b / n),
+                WireDest::Output(j) => {
+                    let h = net.exit_site(j) % n;
+                    slices[h].exit_counts.push(0);
+                    (h, slices[h].exit_counts.len() - 1)
+                }
+            })
+            .collect();
 
         // BFS next-hop tables toward every distinct host.
         let mut host_slot = vec![usize::MAX; n];
         let mut next_to_host: Vec<Vec<NodeId>> = Vec::new();
-        for &h in host.iter().chain(exit_host.iter()) {
+        for &(h, _) in &hosted_at {
             if host_slot[h] == usize::MAX {
                 host_slot[h] = next_to_host.len();
                 // Predecessor toward h: one BFS from h gives, for each u,
@@ -94,29 +126,11 @@ impl CountingNetworkProtocol {
             }
         }
 
-        // Group balancer toggles and exit counters under their hosting
-        // processors; local slots are assigned in balancer/output order.
-        let mut slices: Vec<CountingNetworkSlice> =
-            (0..n).map(|_| CountingNetworkSlice::default()).collect();
-        let mut local_toggle = vec![usize::MAX; net.balancers().len()];
-        for (b, &h) in host.iter().enumerate() {
-            local_toggle[b] = slices[h].toggles.len();
-            slices[h].toggles.push(false);
-        }
-        let mut local_exit = vec![usize::MAX; width];
-        for (j, &h) in exit_host.iter().enumerate() {
-            local_exit[j] = slices[h].exit_counts.len();
-            slices[h].exit_counts.push(0);
-        }
-
         let mut requests = requests.to_vec();
         requests.sort_unstable();
         CountingNetworkProtocol {
             shared: CountingNetworkShared {
-                host,
-                exit_host,
-                local_toggle,
-                local_exit,
+                hosted_at,
                 host_slot,
                 next_to_host,
                 router: TreeRouter::new(tree),
@@ -127,27 +141,10 @@ impl CountingNetworkProtocol {
         }
     }
 
-    /// The network being executed.
-    pub fn network(&self) -> &BalancingNetwork {
-        &self.shared.net
-    }
-
-    fn send_towards(
-        shared: &CountingNetworkShared,
-        api: &mut SliceApi<CnMsg>,
-        at: NodeId,
-        host: NodeId,
-        msg: CnMsg,
-    ) {
-        let slot = shared.host_slot[host];
-        let next = shared.next_to_host[slot][at];
-        api.send(next, msg);
-    }
-
     /// Advance a token as far as possible at processor `u`, then either
-    /// complete it or send it towards its next host. Every toggle and exit
-    /// counter the walk touches is hosted at `u`, hence lives in `u`'s
-    /// slice.
+    /// complete it or send it towards the host of its wire's destination.
+    /// Every toggle and exit counter the walk touches is hosted at `u`,
+    /// hence lives in `u`'s slice.
     fn process_token(
         shared: &CountingNetworkShared,
         slice: &mut CountingNetworkSlice,
@@ -156,29 +153,29 @@ impl CountingNetworkProtocol {
         origin: NodeId,
         mut wire: usize,
     ) {
+        let net = &shared.net;
         loop {
-            match shared.net.wire_dest(wire) {
+            let (host, slot) = shared.hosted_at[wire];
+            if host != u {
+                let next = shared.next_to_host[shared.host_slot[host]][u];
+                let token = match net.label {
+                    WireLabel::Wire => CnMsg::Token { origin, wire },
+                    WireLabel::NodeIdx => CnMsg::TreeToken { origin, node_idx: wire },
+                };
+                api.send(next, token);
+                return;
+            }
+            match net.wire_dest(wire) {
                 WireDest::Balancer(b) => {
-                    let h = shared.host[b];
-                    if h != u {
-                        Self::send_towards(shared, api, u, h, CnMsg::Token { origin, wire });
-                        return;
-                    }
-                    let bal = shared.net.balancers()[b];
-                    let slot = shared.local_toggle[b];
-                    wire = if slice.toggles[slot] { bal.out_bot } else { bal.out_top };
-                    slice.toggles[slot] = !slice.toggles[slot];
+                    let bal = net.balancers()[b];
+                    let toggle = &mut slice.toggles[slot];
+                    wire = if *toggle { bal.out_bot } else { bal.out_top };
+                    *toggle = !*toggle;
                 }
                 WireDest::Output(j) => {
-                    let h = shared.exit_host[j];
-                    if h != u {
-                        Self::send_towards(shared, api, u, h, CnMsg::Token { origin, wire });
-                        return;
-                    }
-                    let slot = shared.local_exit[j];
-                    slice.exit_counts[slot] += 1;
-                    let count =
-                        (j as u64 + 1) + (slice.exit_counts[slot] - 1) * shared.net.width() as u64;
+                    let exited = &mut slice.exit_counts[slot];
+                    *exited += 1;
+                    let count = (j as u64 + 1) + (*exited - 1) * net.width() as u64;
                     Self::deliver_result(shared, api, u, origin, count);
                     return;
                 }
@@ -236,7 +233,7 @@ impl Protocol for CountingNetworkProtocol {
         msg: CnMsg,
     ) {
         match msg {
-            CnMsg::Token { origin, wire } => {
+            CnMsg::Token { origin, wire } | CnMsg::TreeToken { origin, node_idx: wire } => {
                 Self::process_token(shared, slice, api, node, origin, wire)
             }
             CnMsg::Result { origin, count } => {

@@ -17,8 +17,9 @@
 mod common;
 
 use ccq_repro::counting::{
-    network::periodic, verify_ranks, verify_relaxed_ranks, CentralCounterProtocol,
-    CombiningTreeProtocol, CountingNetworkProtocol, CrdtCounterProtocol, ToggleTreeProtocol,
+    network::{periodic, toggle_tree},
+    verify_ranks, verify_relaxed_ranks, CentralCounterProtocol, CombiningTreeProtocol,
+    CountingNetworkProtocol, CrdtCounterProtocol,
 };
 use ccq_repro::graph::{Graph, NodeId, Partition, Tree};
 use ccq_repro::queuing::{
@@ -250,7 +251,7 @@ fn combining_exhaustive_small_cases() {
 #[test]
 fn toggle_tree_exhaustive_small_cases() {
     width_sweep("toggle-tree", |g, tree, requests, leaves| {
-        ToggleTreeProtocol::new(g, tree, requests, leaves)
+        CountingNetworkProtocol::with_network(g, tree, requests, toggle_tree(leaves))
     });
 }
 

@@ -10,9 +10,10 @@
 # smoke, every registry protocol with `--checkpoint-every 1 --node-hashes`
 # (unsharded, `4:edgecut --parallel-apply`, `4:ferry=6 --wavefront` — these
 # prove message `Debug` forms, `state_token` and the canonical state, i.e. the
-# `.ccqrec` format, untouched), three slow-ferry plans over jitter or per-link
-# delays (two policies on one wheel), an adaptive + split + fault open load, four
-# bisects, `run --exp all`, `list`, `--help`, record -> replay.
+# `.ccqrec` format, untouched), the balancing networks at non-default widths
+# under arrivals, jitter and a striped cut, three slow-ferry plans over jitter
+# or per-link delays (two policies on one wheel), an adaptive + split + fault
+# open load, four bisects, `run --exp all`, `list`, `--help`, record -> replay.
 # `--parallel-apply` and `--wavefront[:lag=d]` are retired spellings: every
 # sharded round runs the one lockstep executor and its serialized walk. Their
 # rows stay so that argvs and recordings holding them keep their bytes.
@@ -109,6 +110,17 @@ same sweep --topo torus2d:4 --proto all --checkpoint-every 1 --node-hashes \
     --shards 4:ferry=6 --wavefront --json -
 same sweep --topo torus2d:4 --proto all --checkpoint-every 1 --node-hashes \
     --arrival poisson:rate=0.5:seed=7 --admission adaptive:target=3 --json -
+
+# --- the balancing networks beyond their default widths (a toggle tree's
+# token spells its wire `node_idx`, a counting network's `wire`), under
+# open arrivals, intra-shard jitter and a striped shard cut
+nets=toggle-tree:2,toggle-tree:64,counting-network:8,periodic-network:8
+same sweep --topo torus2d:6 --proto $nets --checkpoint-every 1 --node-hashes \
+    --arrival poisson:rate=0.5:seed=7 --json -
+same sweep --topo torus2d:6 --proto $nets --checkpoint-every 1 --node-hashes \
+    --delay jitter:max=3:seed=5 --json -
+same sweep --topo torus2d:6 --proto $nets --checkpoint-every 1 --node-hashes \
+    --shards 2:stripe --json -
 
 # --- two delay policies sharing one wheel: intra jitter or per-link delays
 # under a slower ferry on the shard cut
