@@ -406,8 +406,16 @@ const MAX_CLI_SHARDS: usize = 4096;
 
 /// Largest network width / leaf count — a network's build is linear in its
 /// `w·lg²w/2` balancers (`periodic-network:4096` on `torus2d:8`: 0.02 s on
-/// a 2-vCPU Xeon), but past this a typo asks for hundreds of MB of wires.
+/// a 2-vCPU Xeon), and past this a typo asks for hundreds of MB of wires.
+/// It bounds the wires only: the next-hop tables grow with the graph too,
+/// and [`MAX_CLI_TABLE_WORDS`] bounds them.
 const MAX_CLI_WIDTH: usize = 4096;
+
+/// Largest next-hop table a balancing network may keep: one `n`-word BFS
+/// table per distinct host, so `counting-network:4096` on `torus2d:128`
+/// would ask for 2 GB. The cap is the adjacency `MAX_CLI_EDGES` allows
+/// (`2^27` words, 1 GiB).
+const MAX_CLI_TABLE_WORDS: usize = 1 << 27;
 
 /// Largest per-hop delay (and round-valued field) — big enough for any
 /// plausible heterogeneity study, small enough that round arithmetic
@@ -544,6 +552,33 @@ pub fn proto(token: &str) -> Result<Vec<Box<dyn ProtocolSpec>>, String> {
         other => return Err(format!("protocol `{other}` does not take a width")),
     };
     Ok(vec![spec])
+}
+
+/// Refuse a network whose next-hop tables on `topo` would pass
+/// [`MAX_CLI_TABLE_WORDS`]: at most `balancers + w` hosts, each an
+/// `n`-word table, at the explicit or the default width `w`.
+fn check_tables(topo: &TopoSpec, spec: &dyn ProtocolSpec) -> Result<(), String> {
+    let n = approx_size(topo);
+    let Some(w) = spec.effective_width(n) else {
+        return Ok(());
+    };
+    let lg = w.trailing_zeros() as usize;
+    let balancers = match spec.name() {
+        "counting-network" => w * lg * (lg + 1) / 4,
+        "periodic-network" => w * lg * lg / 2,
+        // The toggle tree: one toggle per internal node.
+        _ => w - 1,
+    };
+    let words = (balancers + w).min(n).saturating_mul(n);
+    if words > MAX_CLI_TABLE_WORDS {
+        return Err(format!(
+            "`{}` at width {w} on {} would keep {words} words of next-hop tables \
+             (limit {MAX_CLI_TABLE_WORDS})",
+            spec.name(),
+            topo.name()
+        ));
+    }
+    Ok(())
 }
 
 /// Parse one `--pattern` token.
@@ -888,6 +923,16 @@ pub fn sweep<S: AsRef<str>>(args: &[S]) -> Result<Sweep, String> {
         // sweeps exercise at least two topologies out of the box.
         topos = vec![TopoSpec::Mesh2D { side: 8 }, TopoSpec::Torus2D { side: 4 }];
     }
+    let specs: Vec<&dyn ProtocolSpec> = if protos.is_empty() {
+        registry().to_vec()
+    } else {
+        protos.iter().flatten().map(|p| p.as_ref()).collect()
+    };
+    for topo in &topos {
+        for &spec in &specs {
+            check_tables(topo, spec)?;
+        }
+    }
     plan = plan
         .topologies(topos)
         .protocols(protos.iter().flatten().map(|p| p.as_ref()))
@@ -993,6 +1038,20 @@ mod tests {
             (&["--pattern", "random:7"], &["field `density` must be in (0, 1]", "`random:7`"]),
             (&["--pattern", "random:-1"], &["field `density` must be in (0, 1]", "`random:-1`"]),
             (&["--pattern", "random:nan"], &["field `density` must be in (0, 1]", "`random:nan`"]),
+            // Under the width cap, but gigabytes of next-hop tables
+            // (16 384 hosts × 16 384 words).
+            (
+                &["--topo", "torus2d:128", "--proto", "counting-network:4096"],
+                &[
+                    "`counting-network` at width 4096 on torus2d(128x128)",
+                    "268435456 words of next-hop tables (limit 134217728)",
+                ],
+            ),
+            // The default width counts too: 32 on a million processors.
+            (
+                &["--topo", "torus2d:1000"],
+                &["`counting-network` at width 32 on torus2d(1000x1000)", "limit 134217728"],
+            ),
             // Under the 4 M-processor cap, but gigabytes of adjacency.
             (
                 &["--topo", "complete:60000"],
@@ -1030,6 +1089,8 @@ mod tests {
                 Some(format!("too many parameters in `{token}` (want {syntax})"))
             );
         }
+        // The table cap's accepted side: 4 096 hosts × 4 096 words.
+        assert!(sweep(&["--topo", "torus2d:64", "--proto", "counting-network:4096"]).is_ok());
         // The edge cap's two sides: 67,100,320 edges parse, 67,111,905 do not.
         assert_eq!(topo("complete:11585"), Ok(TopoSpec::Complete { n: 11585 }));
         assert!(topo("complete:11586").unwrap_err().contains("`complete:11586`"));

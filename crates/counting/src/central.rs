@@ -27,7 +27,7 @@ impl CentralHandOut for Rank {
 
 /// Centralized counter protocol: the central mechanism handing out ranks,
 /// hosted at the `root` its constructor names.
-pub type CentralCounterProtocol = Central<Rank>;
+pub type CentralCounterProtocol<'t> = Central<'t, Rank>;
 
 #[cfg(test)]
 mod tests {

@@ -10,7 +10,7 @@
 //! output wire, the exit host (processor `s mod n` for the output's exit
 //! site `s`, see [`BalancingNetwork::exit_site`]) assigns the count
 //! `j + 1 + (c−1)·w` and routes it back to the origin along the spanning
-//! tree (Euler-tour next-hop routing).
+//! tree, hop by hop through a [`TreeRouter`] that borrows the tree.
 //!
 //! All protocol state (toggles, exit counters) is mutated only by its
 //! hosting processor, preserving the distributed abstraction; contention at
@@ -47,7 +47,7 @@ impl fmt::Debug for CnMsg {
 }
 
 /// Read-only embedding every counting-network handler shares.
-pub struct CountingNetworkShared {
+pub struct CountingNetworkShared<'t> {
     net: BalancingNetwork,
     /// Wire → the processor hosting the balancer or exit counter the wire
     /// leads into, and its slot in that host's `toggles` or `exit_counts`.
@@ -56,7 +56,7 @@ pub struct CountingNetworkShared {
     host_slot: Vec<usize>,
     /// `next_to_host[s][u]` = next hop from `u` towards host with slot `s`.
     next_to_host: Vec<Vec<NodeId>>,
-    router: TreeRouter,
+    router: TreeRouter<'t>,
 }
 
 /// One processor's counting-network state: the toggles and exit counters
@@ -69,16 +69,16 @@ pub struct CountingNetworkSlice {
 }
 
 /// Counting-network protocol state.
-pub struct CountingNetworkProtocol {
-    shared: CountingNetworkShared,
+pub struct CountingNetworkProtocol<'t> {
+    shared: CountingNetworkShared<'t>,
     slices: Vec<CountingNetworkSlice>,
     requests: Vec<NodeId>,
 }
 
-impl CountingNetworkProtocol {
+impl<'t> CountingNetworkProtocol<'t> {
     /// Embed `Bitonic[width]` on `graph`, with result replies routed along
     /// the spanning tree `tree`. `width` must be a power of two ≥ 2.
-    pub fn new(graph: &Graph, tree: &Tree, requests: &[NodeId], width: usize) -> Self {
+    pub fn new(graph: &Graph, tree: &'t Tree, requests: &[NodeId], width: usize) -> Self {
         Self::with_network(graph, tree, requests, super::bitonic::bitonic(width))
     }
 
@@ -87,7 +87,7 @@ impl CountingNetworkProtocol {
     /// [`super::toggle_tree()`](super::toggle_tree())).
     pub fn with_network(
         graph: &Graph,
-        tree: &Tree,
+        tree: &'t Tree,
         requests: &[NodeId],
         net: BalancingNetwork,
     ) -> Self {
@@ -197,10 +197,10 @@ impl CountingNetworkProtocol {
     }
 }
 
-impl OnlineProtocol for CountingNetworkProtocol {
+impl<'t> OnlineProtocol for CountingNetworkProtocol<'t> {
     /// Inject `v`'s token at its input wire now.
     fn issue(
-        shared: &CountingNetworkShared,
+        shared: &CountingNetworkShared<'t>,
         slice: &mut CountingNetworkSlice,
         api: &mut SliceApi<CnMsg>,
         v: NodeId,
@@ -210,12 +210,12 @@ impl OnlineProtocol for CountingNetworkProtocol {
     }
 }
 
-impl Protocol for CountingNetworkProtocol {
+impl<'t> Protocol for CountingNetworkProtocol<'t> {
     type Msg = CnMsg;
     type Slice = CountingNetworkSlice;
-    type Shared = CountingNetworkShared;
+    type Shared = CountingNetworkShared<'t>;
 
-    fn split(&mut self) -> (&CountingNetworkShared, &mut [CountingNetworkSlice]) {
+    fn split(&mut self) -> (&CountingNetworkShared<'t>, &mut [CountingNetworkSlice]) {
         (&self.shared, &mut self.slices)
     }
 
@@ -225,7 +225,7 @@ impl Protocol for CountingNetworkProtocol {
     }
 
     fn on_message(
-        shared: &CountingNetworkShared,
+        shared: &CountingNetworkShared<'t>,
         slice: &mut CountingNetworkSlice,
         api: &mut SliceApi<CnMsg>,
         node: NodeId,

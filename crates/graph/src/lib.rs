@@ -15,7 +15,8 @@
 //! * [`spanning`] — spanning-tree constructions, most importantly the
 //!   Hamilton-path trees of Lemma 4.6 (complete graph, mesh, hypercube) and
 //!   constant-degree trees required by Theorem 4.1,
-//! * [`path`] — route tables for source-routed messages,
+//! * [`TreeRouter`] — hop-by-hop next hops on a [`Tree`], the one way the
+//!   protocols route on their spanning tree,
 //! * [`partition`] — vertex partitions (contiguous, striped, greedy
 //!   edge-cut) for the multi-shard executor.
 //!
@@ -35,7 +36,6 @@ pub mod bfs;
 pub mod graph;
 pub mod lca;
 pub mod partition;
-pub mod path;
 pub mod routing;
 pub mod spanning;
 pub mod topology;

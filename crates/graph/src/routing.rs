@@ -1,58 +1,48 @@
-//! Hop-by-hop routing on a spanning tree without per-pair route tables.
+//! Hop-by-hop routing on a spanning tree: the one way the protocols route
+//! on their tree — the central walk, arrow's first arrows and the
+//! balancing networks' replies.
 //!
 //! [`TreeRouter::next_hop`] answers "which tree neighbour is one step closer
 //! to `target`?" in `O(log deg)` using Euler-tour intervals: `target` lies
 //! in the subtree of exactly one child (binary search over children ordered
-//! by entry time), otherwise the next hop is the parent. Memory is `O(n)`
-//! regardless of how many (source, target) pairs are routed — unlike
-//! [`crate::path::RouteTable`], which stores explicit paths.
+//! by entry time), otherwise the next hop is the parent. The router borrows
+//! its [`Tree`] and keeps two `u32` per vertex, however many (source,
+//! target) pairs are routed.
 
 use crate::{NodeId, Tree};
 
-/// Constant-memory next-hop router over a [`Tree`].
-pub struct TreeRouter {
-    parent: Vec<NodeId>,
-    /// Children of `v`, `child_adj[child_off[v]..child_off[v + 1]]`, in the
-    /// tree's order — which is DFS entry order, because the tour below
-    /// enters them in it.
-    child_off: Vec<usize>,
-    child_adj: Vec<NodeId>,
-    /// DFS entry time of each vertex.
+/// Constant-memory next-hop router over a borrowed [`Tree`].
+#[derive(Debug)]
+pub struct TreeRouter<'t> {
+    tree: &'t Tree,
+    /// Preorder entry index of each vertex, children visited in the tree's
+    /// order — so a vertex's children have ascending entry indices.
     tin: Vec<u32>,
-    /// DFS exit time (exclusive): subtree(v) = [tin[v], tout[v]).
+    /// Exit index (exclusive): subtree(v) = [tin[v], tout[v]).
     tout: Vec<u32>,
-    root: NodeId,
 }
 
-impl TreeRouter {
-    /// Build the Euler-tour index for `tree`.
-    pub fn new(tree: &Tree) -> Self {
+impl<'t> TreeRouter<'t> {
+    /// Build the Euler-tour intervals of `tree` from its BFS order: subtree
+    /// sizes bottom-up, then entry indices top-down.
+    pub fn new(tree: &'t Tree) -> Self {
         let n = tree.n();
+        let order = tree.bfs_order();
+        // `tout` holds subtree sizes until the forward pass adds `tin`.
+        let mut tout = vec![1u32; n];
+        for &v in order[1..].iter().rev() {
+            tout[tree.parent(v)] += tout[v];
+        }
         let mut tin = vec![0u32; n];
-        let mut tout = vec![0u32; n];
-        let mut clock = 0u32;
-        // Iterative DFS with explicit enter/exit frames.
-        let mut stack: Vec<(NodeId, bool)> = vec![(tree.root(), false)];
-        while let Some((v, exiting)) = stack.pop() {
-            if exiting {
-                tout[v] = clock;
-                continue;
+        for &v in order {
+            let mut next = tin[v] + 1;
+            for &c in tree.children(v) {
+                tin[c] = next;
+                next += tout[c];
             }
-            tin[v] = clock;
-            clock += 1;
-            stack.push((v, true));
-            for &c in tree.children(v).iter().rev() {
-                stack.push((c, false));
-            }
+            tout[v] += tin[v];
         }
-        TreeRouter {
-            parent: (0..n).map(|v| tree.parent(v)).collect(),
-            child_off: tree.child_off.clone(),
-            child_adj: tree.child_adj.clone(),
-            tin,
-            tout,
-            root: tree.root(),
-        }
+        TreeRouter { tree, tin, tout }
     }
 
     /// Whether `candidate` lies in the subtree rooted at `v`.
@@ -69,13 +59,13 @@ impl TreeRouter {
             return None;
         }
         if !self.in_subtree(from, target) {
-            debug_assert_ne!(from, self.root);
-            return Some(self.parent[from]);
+            debug_assert_ne!(from, self.tree.root());
+            return Some(self.tree.parent(from));
         }
         // target is strictly below `from`: find the child whose interval
         // contains tin[target].
         let t = self.tin[target];
-        let ch = &self.child_adj[self.child_off[from]..self.child_off[from + 1]];
+        let ch = self.tree.children(from);
         let idx = ch.partition_point(|&c| self.tin[c] <= t) - 1;
         debug_assert!(self.in_subtree(ch[idx], target));
         Some(ch[idx])

@@ -15,8 +15,8 @@ pub struct Tree {
     parent: Vec<NodeId>,
     /// Children of `v`, ascending: `child_adj[child_off[v]..child_off[v + 1]]`
     /// (CSR, like [`Graph`] — two arrays whatever `n` is).
-    pub(crate) child_off: Vec<usize>,
-    pub(crate) child_adj: Vec<NodeId>,
+    child_off: Vec<usize>,
+    child_adj: Vec<NodeId>,
     depth: Vec<u32>,
     /// Vertices in BFS order from the root (root first).
     bfs_order: Vec<NodeId>,

@@ -27,7 +27,7 @@
 //! recorded at the origin instead (an ablation; shape unchanged).
 
 use crate::order::INITIAL_TOKEN;
-use ccq_graph::{bfs, NodeId, Tree};
+use ccq_graph::{NodeId, Tree, TreeRouter};
 use ccq_sim::{OnlineProtocol, Protocol, SimApi, SliceApi};
 
 /// Messages of the arrow protocol.
@@ -76,10 +76,10 @@ impl ArrowProtocol {
     pub fn new(tree: &Tree, tail: NodeId, requests: &[NodeId]) -> Self {
         let n = tree.n();
         assert!(tail < n, "tail out of range");
-        let tg = tree.to_graph();
-        let (_, pred) = bfs::bfs_tree_arrays(&tg, tail);
+        let router = TreeRouter::new(tree);
+        let link = |v| router.next_hop(v, tail).unwrap_or(v);
         let slices: Vec<ArrowSlice> =
-            (0..n).map(|v| ArrowSlice { link: pred[v], id: INITIAL_TOKEN }).collect();
+            (0..n).map(|v| ArrowSlice { link: link(v), id: INITIAL_TOKEN }).collect();
         let mut seen = vec![false; n];
         for &r in requests {
             assert!(r < n, "request {r} out of range");

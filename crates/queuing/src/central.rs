@@ -13,7 +13,7 @@
 //! `central-counter`: the home returns the next rank and advances it.
 
 use crate::order::{Predecessor, INITIAL_TOKEN};
-use ccq_graph::{path::RouteTable, NodeId, Tree};
+use ccq_graph::{NodeId, Tree, TreeRouter};
 use ccq_sim::{OnlineProtocol, Protocol, SimApi, SliceApi};
 use std::fmt;
 use std::marker::PhantomData;
@@ -41,11 +41,12 @@ impl CentralHandOut for Predecessor {
 
 /// Centralized queue protocol: the central mechanism handing out
 /// predecessors.
-pub type CentralQueueProtocol = Central<Predecessor>;
+pub type CentralQueueProtocol<'t> = Central<'t, Predecessor>;
 
 /// Messages: the request towards the home, the hand-out back to its
-/// origin. Both are source-routed (`route` indexes the protocol's
-/// [`RouteTable`], `idx` is the position of the node holding the message).
+/// origin. Both walk the tree hop by hop: `route` is `2i` on the way to
+/// the home and `2i + 1` on the way back for the `i`-th requester in id
+/// order, and `idx` counts the hops taken.
 #[derive(Clone)]
 pub enum CentralMsg<H> {
     /// Request from `origin`, travelling to the home.
@@ -71,98 +72,94 @@ type Api<'a, H> = SliceApi<'a, CentralMsg<H>>;
 
 /// Read-only routing state every central handler shares.
 #[derive(Debug)]
-pub struct CentralShared {
+pub struct CentralShared<'t> {
     home: NodeId,
-    routes: RouteTable,
-    /// Route id towards the home, per requester (`usize::MAX` = not a
-    /// requester); the route back is the next id.
-    to_home: Vec<usize>,
+    router: TreeRouter<'t>,
+    /// The requesters, ascending: the `i`-th one's walks are routes `2i`
+    /// and `2i + 1`.
+    requests: Vec<NodeId>,
+}
+
+impl CentralShared<'_> {
+    /// Where `msg`'s walk ends: the home, or the requester its route names.
+    fn end<H>(&self, msg: &CentralMsg<H>) -> NodeId {
+        match *msg {
+            CentralMsg::Req { .. } => self.home,
+            CentralMsg::Reply { route, .. } => self.requests[route / 2],
+        }
+    }
 }
 
 /// The central mechanism's state. Every node's slice is a `u64`, but only
 /// the home's is live: the state `H` hands out of.
-pub struct Central<H> {
-    shared: CentralShared,
+pub struct Central<'t, H> {
+    shared: CentralShared<'t>,
     state: Vec<u64>,
-    requests: Vec<NodeId>,
     hand: PhantomData<H>,
 }
 
-impl<H: CentralHandOut> Central<H> {
+impl<'t, H: CentralHandOut> Central<'t, H> {
     /// Set up with home node `home` on spanning tree `tree`.
-    pub fn new(tree: &Tree, home: NodeId, requests: &[NodeId]) -> Self {
+    pub fn new(tree: &'t Tree, home: NodeId, requests: &[NodeId]) -> Self {
         let n = tree.n();
         assert!(home < n);
-        let mut routes = RouteTable::new();
-        let mut to_home = vec![usize::MAX; n];
         let mut requests = requests.to_vec();
         requests.sort_unstable();
-        for &v in &requests {
-            let path = tree.path(v, home);
-            let back = path.iter().rev().copied().collect();
-            to_home[v] = routes.push(path);
-            routes.push(back);
-        }
-        let shared = CentralShared { home, routes, to_home };
-        Central { shared, state: vec![H::FIRST; n], requests, hand: PhantomData }
+        let shared = CentralShared { home, router: TreeRouter::new(tree), requests };
+        Central { shared, state: vec![H::FIRST; n], hand: PhantomData }
     }
 
-    /// Send `msg`, held by `at`, one hop further along its route.
+    /// Send `msg`, held by `at`, one hop further along its walk.
     fn forward(shared: &CentralShared, api: &mut Api<H>, at: NodeId, mut msg: CentralMsg<H>) {
-        let (CentralMsg::Req { route, idx, .. } | CentralMsg::Reply { route, idx, .. }) = &mut msg;
-        let path = shared.routes.get(*route);
-        debug_assert_eq!(path[*idx], at);
+        let next = shared.router.next_hop(at, shared.end(&msg)).expect("the walk has not ended");
+        let (CentralMsg::Req { idx, .. } | CentralMsg::Reply { idx, .. }) = &mut msg;
         *idx += 1;
-        let next = path[*idx];
         api.send(next, msg);
     }
 }
 
-impl<H: CentralHandOut> OnlineProtocol for Central<H> {
+impl<'t, H: CentralHandOut> OnlineProtocol for Central<'t, H> {
     /// Issue `v`'s operation now (`v` must be in the request set): the
     /// home serves itself without messages, anyone else starts the walk.
-    fn issue(shared: &CentralShared, state: &mut u64, api: &mut Api<H>, v: NodeId) {
+    fn issue(shared: &CentralShared<'t>, state: &mut u64, api: &mut Api<H>, v: NodeId) {
         if v == shared.home {
             api.complete(v, H::hand_out(state, v));
         } else {
-            let route = shared.to_home[v];
-            debug_assert_ne!(route, usize::MAX, "node {v} is not a requester");
-            Self::forward(shared, api, v, CentralMsg::Req { origin: v, route, idx: 0 });
+            let i = shared.requests.binary_search(&v).expect("the node is a requester");
+            Self::forward(shared, api, v, CentralMsg::Req { origin: v, route: 2 * i, idx: 0 });
         }
     }
 }
 
-impl<H: CentralHandOut> Protocol for Central<H> {
+impl<'t, H: CentralHandOut> Protocol for Central<'t, H> {
     type Msg = CentralMsg<H>;
     type Slice = u64;
-    type Shared = CentralShared;
+    type Shared = CentralShared<'t>;
 
-    fn split(&mut self) -> (&CentralShared, &mut [u64]) {
+    fn split(&mut self) -> (&CentralShared<'t>, &mut [u64]) {
         (&self.shared, &mut self.state)
     }
 
     fn on_start(&mut self, api: &mut SimApi<CentralMsg<H>>) {
-        let requests = self.requests.clone();
+        let requests = self.shared.requests.clone();
         ccq_sim::issue_all(self, api, &requests);
     }
 
     fn on_message(
-        shared: &CentralShared,
+        shared: &CentralShared<'t>,
         state: &mut u64,
         api: &mut Api<H>,
         node: NodeId,
         _from: NodeId,
         msg: CentralMsg<H>,
     ) {
-        let (CentralMsg::Req { route, idx, .. } | CentralMsg::Reply { route, idx, .. }) = msg;
         match msg {
-            // Not yet at the end of its route: one more hop.
-            _ if idx + 1 < shared.routes.get(route).len() => Self::forward(shared, api, node, msg),
-            CentralMsg::Req { origin, .. } => {
-                debug_assert_eq!(node, shared.home);
+            // Not yet at the end of its walk: one more hop.
+            _ if node != shared.end(&msg) => Self::forward(shared, api, node, msg),
+            CentralMsg::Req { origin, route, .. } => {
                 let value = H::hand_out(state, origin);
-                let route = shared.to_home[origin] + 1;
-                let reply = CentralMsg::Reply { value, route, idx: 0, hand: PhantomData };
+                let reply =
+                    CentralMsg::Reply { value, route: route + 1, idx: 0, hand: PhantomData };
                 Self::forward(shared, api, node, reply);
             }
             CentralMsg::Reply { value, .. } => api.complete(node, value),

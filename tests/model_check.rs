@@ -17,9 +17,9 @@
 mod common;
 
 use ccq_repro::counting::{
-    network::{periodic, toggle_tree},
-    verify_ranks, verify_relaxed_ranks, CentralCounterProtocol, CombiningTreeProtocol,
-    CountingNetworkProtocol, CrdtCounterProtocol,
+    network::{bitonic, periodic, toggle_tree},
+    verify_ranks, verify_relaxed_ranks, BalancingNetwork, CentralCounterProtocol,
+    CombiningTreeProtocol, CountingNetworkProtocol, CrdtCounterProtocol,
 };
 use ccq_repro::graph::{Graph, NodeId, Partition, Tree};
 use ccq_repro::queuing::{
@@ -146,16 +146,18 @@ fn arrow_sweep(
 }
 
 /// Every third tree × every subset × widths 2 and 4 — the sweep of the
-/// width-parameterized counters — with each case's ranks verified on
-/// every executor.
-fn width_sweep<P: Protocol>(label: &str, make: impl Fn(&Graph, &Tree, &[NodeId], usize) -> P) {
+/// width-parameterized counters, each the balancing network `net(width)`
+/// embedded by `CountingNetworkProtocol` — with each case's ranks verified
+/// on every executor.
+fn width_sweep(label: &str, net: fn(usize) -> BalancingNetwork) {
     let mut cases = [0u64; EXECUTORS.len()];
     for n in 2..=5usize {
         for tree in increasing_trees(n).into_iter().step_by(3) {
             let g = tree.to_graph();
             for requests in subsets(n) {
                 for width in [2usize, 4] {
-                    let proto = || make(&g, &tree, &requests, width);
+                    let proto =
+                        || CountingNetworkProtocol::with_network(&g, &tree, &requests, net(width));
                     on_every_executor(&g, proto, SimConfig::strict(), |e, rep| {
                         verify_ranks(&requests, &outputs(rep)).unwrap_or_else(|err| {
                             panic!(
@@ -250,19 +252,13 @@ fn combining_exhaustive_small_cases() {
 
 #[test]
 fn toggle_tree_exhaustive_small_cases() {
-    width_sweep("toggle-tree", |g, tree, requests, leaves| {
-        CountingNetworkProtocol::with_network(g, tree, requests, toggle_tree(leaves))
-    });
+    width_sweep("toggle-tree", toggle_tree);
 }
 
 #[test]
 fn counting_networks_exhaustive_small_cases() {
-    width_sweep("counting-network", |g, tree, requests, width| {
-        CountingNetworkProtocol::new(g, tree, requests, width)
-    });
-    width_sweep("periodic-network", |g, tree, requests, width| {
-        CountingNetworkProtocol::with_network(g, tree, requests, periodic(width))
-    });
+    width_sweep("counting-network", bitonic);
+    width_sweep("periodic-network", periodic);
 }
 
 #[test]

@@ -11,7 +11,8 @@
 # (unsharded, `4:edgecut --parallel-apply`, `4:ferry=6 --wavefront` — these
 # prove message `Debug` forms, `state_token` and the canonical state, i.e. the
 # `.ccqrec` format, untouched), the balancing networks at non-default widths
-# under arrivals, jitter and a striped cut, three slow-ferry plans over jitter
+# under arrivals, jitter and a striped cut, the tree walks on four tree-like
+# topologies under jitter and a striped cut, three slow-ferry plans over jitter
 # or per-link delays (two policies on one wheel), an adaptive + split + fault
 # open load, four bisects, `run --exp all`, `list`, `--help`, record -> replay.
 # `--parallel-apply` and `--wavefront[:lag=d]` are retired spellings: every
@@ -121,6 +122,16 @@ same sweep --topo torus2d:6 --proto $nets --checkpoint-every 1 --node-hashes \
     --delay jitter:max=3:seed=5 --json -
 same sweep --topo torus2d:6 --proto $nets --checkpoint-every 1 --node-hashes \
     --shards 2:stripe --json -
+
+# --- the tree walks (the central walk, arrow's first arrows, a network's
+# replies) on shallow, deep and bushy trees, with a random request set so
+# that route ids map to non-contiguous nodes
+walks=central-queue,central-counter,arrow,arrow+notify,counting-network:8
+trees=star:9,list:12,tree:3:3,caterpillar:6:2
+same sweep --topo $trees --proto $walks --pattern random:0.5:3 --checkpoint-every 1 \
+    --node-hashes --delay jitter:max=3:seed=5 --json -
+same sweep --topo $trees --proto $walks --pattern random:0.5:3 --checkpoint-every 1 \
+    --node-hashes --shards 2:stripe --json -
 
 # --- two delay policies sharing one wheel: intra jitter or per-link delays
 # under a slower ferry on the shard cut
