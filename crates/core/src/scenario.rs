@@ -3,7 +3,6 @@
 
 use ccq_graph::{spanning, topology, Graph, NodeId, Partition, Tree};
 use ccq_sim::{CrashFault, FaultPlan, LinkDelay, ProbeSpec, Round};
-use std::sync::OnceLock;
 
 /// How arrivals are admitted against the live backlog: the simulator's own
 /// [`ccq_sim::AdmissionPolicy`], under the name plans and sweeps use for it.
@@ -450,9 +449,9 @@ pub struct Scenario {
     /// SimReport`], so probed runs stay byte-identical to unprobed ones).
     /// The run's one probe: it replaces any probe on the `SimConfig`.
     pub probe: ProbeSpec,
-    /// [`Scenario::partition`]'s cache: the plan it was built for, and the
-    /// partition.
-    pub(crate) partition: OnceLock<(ShardSpec, Partition)>,
+    /// [`Scenario::partition`]: the sharded plan it was built for, and the
+    /// partition; built by [`Scenario::with_shards`].
+    pub(crate) partition: Option<(ShardSpec, Partition)>,
 }
 
 /// Checkpoint interval `ccq record` installs when its argv names none:
@@ -489,11 +488,12 @@ impl Scenario {
             faults: FaultSpec::none(),
             shards: ShardSpec::single(),
             probe: ProbeSpec::OFF,
-            partition: OnceLock::new(),
+            partition: None,
         }
     }
 
-    /// Builder-style: run this scenario under a shard plan.
+    /// Builder-style: run this scenario under a shard plan, building its
+    /// partition here when the plan is sharded ([`Scenario::partition`]).
     ///
     /// ```
     /// use ccq_core::prelude::*;
@@ -506,28 +506,26 @@ impl Scenario {
     /// ```
     pub fn with_shards(mut self, shards: ShardSpec) -> Self {
         self.shards = shards;
-        self.partition = OnceLock::new();
+        self.partition = shards.is_sharded().then(|| (shards, shards.partition(&self.graph)));
         self
     }
 
-    /// The vertex partition of [`Scenario::shards`] over the graph, built
-    /// on first use and kept: every sharded run of the scenario — each
-    /// protocol × mode × delay case of a sweep's work group, the run of
-    /// cases that shares one [`crate::plan::RunCase::scenario`] — borrows
-    /// the one partition as its cut (which per-node admission also counts
-    /// on) instead of re-running the edge-cut heuristic.
+    /// The vertex partition of a sharded [`Scenario::shards`] over the
+    /// graph, built once where the plan is set ([`Scenario::with_shards`]):
+    /// every sharded run of the scenario — each protocol × mode × delay
+    /// case of a sweep's work group, the run of cases that shares one
+    /// [`crate::plan::RunCase::scenario`] — borrows the one partition as
+    /// its cut (which per-node admission also counts on), and no run
+    /// builds it, so a case allocates the same whichever case runs first.
     ///
     /// # Panics
-    /// Panics if `shards` was reassigned after the first call; change the
-    /// plan through [`Scenario::with_shards`], which resets the cache.
+    /// Panics if the plan is unsharded, or was assigned to `shards`
+    /// directly rather than through [`Scenario::with_shards`].
     pub fn partition(&self) -> &Partition {
-        let (built_for, partition) =
-            self.partition.get_or_init(|| (self.shards, self.shards.partition(&self.graph)));
-        assert_eq!(
-            *built_for, self.shards,
-            "Scenario::shards changed after its partition was built"
-        );
-        partition
+        match &self.partition {
+            Some((built_for, partition)) if *built_for == self.shards => partition,
+            _ => panic!("a sharded plan is set through Scenario::with_shards, which partitions"),
+        }
     }
 
     /// Retired: a no-op, kept so callers written against the sliced

@@ -348,7 +348,7 @@ impl Stopwatch {
 /// string plus the per-node section digests (one per occupied node).
 pub(crate) fn canonical_state<M: std::fmt::Debug>(
     store: &NodeStore<M>,
-    wheel: &Transport<M>,
+    wheel: &Transport,
     report: &SimReport,
     token: &str,
 ) -> (String, Vec<(NodeId, u64)>) {
@@ -361,18 +361,18 @@ pub(crate) fn canonical_state<M: std::fmt::Debug>(
         let start = buf.len();
         let _ = write!(buf, "n{v}:in[");
         for m in store.inport_of(v) {
-            let _ = write!(buf, "{}@{}:{:?};", m.src, m.arrival, m.msg);
+            let _ = write!(buf, "{}@{}:{:?};", m.src(), m.arrival(), m.msg());
         }
         buf.push_str("]out[");
-        for (dst, msg) in store.outbox_of(v) {
-            let _ = write!(buf, "{dst}:{msg:?};");
+        for m in store.outbox_of(v) {
+            let _ = write!(buf, "{}:{:?};", m.dst(), m.msg());
         }
         buf.push(']');
         nodes.push((v, fnv1a(&buf.as_bytes()[start..])));
     }
     buf.push_str("w[");
-    for w in wheel.wires() {
-        let _ = write!(buf, "{}>{}@{}#{}:{:?};", w.src, w.dst, w.arrival, w.seq, w.msg);
+    for w in wheel.wires(store) {
+        let _ = write!(buf, "{}>{}@{}#{}:{:?};", w.src(), w.dst(), w.arrival(), w.seq(), w.msg());
     }
     buf.push(']');
     let _ = write!(
@@ -406,7 +406,7 @@ pub(crate) fn observe_phase<M: std::fmt::Debug>(
     round: Round,
     phase: Phase,
     store: &NodeStore<M>,
-    wheel: &Transport<M>,
+    wheel: &Transport,
     token: &str,
     report: &mut SimReport,
 ) {
@@ -442,7 +442,6 @@ pub(crate) fn observe_phase<M: std::fmt::Debug>(
 mod tests {
     use super::*;
     use crate::report::LinkDelay;
-    use crate::state::Inbound;
 
     #[test]
     fn fnv_matches_reference_vectors() {
@@ -517,12 +516,12 @@ mod tests {
         // and one of 400 holding the same queues render identical bytes,
         // whatever order the queues were filled in.
         let rep = SimReport::default();
-        let wheel: Transport<u32> = Transport::default();
+        let wheel = Transport::default();
         let mut small: NodeStore<u32> = NodeStore::new(4);
         small.stage(1, 2, 7);
-        small.enqueue(3, Inbound { src: 0, arrival: 2, msg: 9 });
+        small.enqueue(3, 0, 2, 9);
         let mut large: NodeStore<u32> = NodeStore::new(400);
-        large.enqueue(3, Inbound { src: 0, arrival: 2, msg: 9 });
+        large.enqueue(3, 0, 2, 9);
         large.stage(1, 2, 7);
         let (one, nodes1) = canonical_state(&small, &wheel, &rep, "");
         let (two, nodes2) = canonical_state(&large, &wheel, &rep, "");
@@ -537,10 +536,16 @@ mod tests {
         // One wheel holds a cut wire on a slow ferry and a later intra wire
         // on a unit link: the later wire arrives first and renders first.
         let rep = SimReport::default();
-        let store: NodeStore<u32> = NodeStore::new(3);
-        let mut wheel: Transport<u32> = Transport::default();
-        wheel.transmit(0, 1, 10, 0, 1, LinkDelay::Fixed { delay: 3 }); // arrives 3, seq 1
-        wheel.transmit(1, 2, 11, 0, 2, LinkDelay::Unit); // arrives 1, seq 2
+        let mut store: NodeStore<u32> = NodeStore::new(3);
+        let mut wheel = Transport::default();
+        // Arrives at 3 with seq 1, then arrives at 1 with seq 2.
+        for (src, msg, seq, delay) in
+            [(0, 10, 1, LinkDelay::Fixed { delay: 3 }), (1, 11, 2, LinkDelay::Unit)]
+        {
+            store.stage(src, src + 1, msg);
+            let (e, _) = store.pop_outbox(src).expect("just staged");
+            wheel.transmit(&mut store, e, 0, seq, delay);
+        }
         let (canon, _) = canonical_state(&store, &wheel, &rep, "");
         assert!(
             canon.contains("w[1>2@1#2:11;0>1@3#1:10;]"),
@@ -554,7 +559,7 @@ mod tests {
         let mut rep = SimReport::default();
         let mut store: NodeStore<u32> = NodeStore::new(2);
         store.stage(0, 1, 5);
-        let t: Transport<u32> = Transport::default();
+        let t = Transport::default();
         for phase in [Phase::Arrivals, Phase::Mature, Phase::Deliver, Phase::Transmit] {
             observe_phase(&probe, 3, phase, &store, &t, "tok", &mut rep);
         }
@@ -573,7 +578,7 @@ mod tests {
         let probe = ProbeSpec::OFF.with_snapshot_at(2);
         let mut rep = SimReport::default();
         let store: NodeStore<u32> = NodeStore::new(1);
-        let t: Transport<u32> = Transport::default();
+        let t = Transport::default();
         observe_phase(&probe, 2, Phase::Deliver, &store, &t, "", &mut rep);
         assert!(rep.snapshot_digest.is_none());
         observe_phase(&probe, 2, Phase::Transmit, &store, &t, "", &mut rep);

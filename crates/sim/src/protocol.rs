@@ -337,7 +337,7 @@ pub(crate) mod tests {
         }
 
         pub(crate) fn outbox(&self, v: NodeId) -> Vec<(NodeId, M)> {
-            self.store.outbox_of(v).copied().collect()
+            self.store.outbox_of(v).map(|m| (m.dst(), *m.msg())).collect()
         }
     }
 

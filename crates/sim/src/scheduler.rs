@@ -10,7 +10,8 @@
 //!    issue, completion and drop in the report, during the call;
 //! 2. **mature** — the [`crate::transport::Transport`] releases every wire
 //!    due at `t` into its destination's in-port
-//!    ([`crate::state::NodeStore`]), in (arrival, sequence) order;
+//!    ([`crate::state::NodeStore::mature`]), in (arrival, sequence) order,
+//!    by relinking the message's slab entry — no payload moves;
 //! 3. **deliver (apply)** — each processor with pending in-port work (the
 //!    dirty frontier, in the ascending id order the store's bitset yields,
 //!    unsorted; under [`crate::SimConfig::dense_scan`] every processor)
@@ -23,8 +24,8 @@
 //!    it makes them; with no in-port occupied the walk is skipped in O(1);
 //! 4. **transmit** — each processor with staged sends (again the frontier,
 //!    ascending id) dequeues up to `send_budget` outbox messages; each
-//!    receives the next global sequence number and is scheduled on the
-//!    wheel under its link's delay (a send that cannot arrive by
+//!    receives the next global sequence number and its entry is linked
+//!    onto the wheel under its link's delay (a send that cannot arrive by
 //!    [`crate::SimConfig::max_rounds`] fails the run here); with no outbox
 //!    occupied the walk is skipped in O(1);
 //! 5. **quiescence / wakeup** — when every queue and the wheel are empty
@@ -36,8 +37,9 @@
 //! the only round body: validation, the time-0 start, the `round > 0`
 //! gates, the four barriers with their probe observations and timing laps,
 //! the quiescence / wakeup decision and the finish live here only, over one
-//! `Executor` — one store of all `n` processors and one timing wheel —
-//! whether the run is sharded or not. A shard plan is a *cut*: a
+//! `Executor` — one store of all `n` processors, whose one slab holds
+//! every message of the run, and one timing wheel of lists of that slab's
+//! entries — whether the run is sharded or not. A shard plan is a *cut*: a
 //! [`ccq_graph::Partition`] and the ferry's [`LinkDelay`], applied at
 //! transmit, where a send whose endpoints the partition separates takes
 //! the ferry delay and counts in
@@ -65,7 +67,7 @@
 use crate::probe::{self, Phase, Stopwatch};
 use crate::protocol::{Protocol, SimApi};
 use crate::report::{LinkDelay, SimConfig, SimReport};
-use crate::state::{Inbound, NodeStore};
+use crate::state::NodeStore;
 use crate::trace::{TraceEvent, TraceKind};
 use crate::transport::Transport;
 use crate::{Round, SimError};
@@ -310,7 +312,7 @@ pub(crate) fn run<P: Protocol>(
 /// flight on one timing wheel, which holds no wire past `max_rounds`.
 struct Executor<M> {
     store: NodeStore<M>,
-    wheel: Transport<M>,
+    wheel: Transport,
     /// Reusable frontier scratch of both walks (capacity retained across
     /// rounds, so steady state allocates nothing here).
     frontier: Vec<NodeId>,
@@ -329,18 +331,13 @@ impl<M> Executor<M> {
         }
     }
 
-    /// Maturity: move every wire due at `round` into its destination's
+    /// Maturity: relink every wire due at `round` onto its destination's
     /// in-port, in the wheel's (arrival, sequence) order, and fold the
-    /// deepest in-port into the report.
+    /// deepest in-port into the report. No payload moves.
     fn mature(&mut self, led: &mut Ledger<'_>, round: Round) {
         let store = &mut self.store;
-        let (mut depth, mut last) = (0, (0, 0));
-        self.wheel.drain_due(round, |w| {
-            debug_assert!((w.arrival, w.seq) > last, "wheel drained out of order");
-            last = (w.arrival, w.seq);
-            let inbound = Inbound { src: w.src, arrival: w.arrival, msg: w.msg };
-            depth = depth.max(store.enqueue(w.dst, inbound));
-        });
+        let mut depth = 0;
+        self.wheel.drain_due(round, |due| depth = depth.max(store.mature(due)));
         led.report.max_inport_depth = led.report.max_inport_depth.max(depth);
     }
 
@@ -403,7 +400,7 @@ impl<M> Executor<M> {
                 continue;
             }
             for _ in 0..cfg.send_budget {
-                let Some((dst, msg)) = store.pop_outbox(v) else { break };
+                let Some((e, dst)) = store.pop_outbox(v) else { break };
                 let seq = led.note_transmit(round, v, dst);
                 let delay = match led.cut {
                     Some((shards, ferry)) if shards.shard_of(v) != shards.shard_of(dst) => {
@@ -412,7 +409,7 @@ impl<M> Executor<M> {
                     }
                     _ => cfg.link_delay,
                 };
-                wheel.transmit(v, dst, msg, round, seq, delay);
+                wheel.transmit(store, e, round, seq, delay);
             }
         }
         if wheel.overdue {

@@ -1,14 +1,15 @@
-//! Per-processor queue state: FIFO in-ports and outboxes.
+//! Per-processor queue state: FIFO in-ports and outboxes, and the one slab
+//! every message of a run lives in.
 //!
 //! [`NodeStore`] owns the two budget-limited queues of every processor and
-//! nothing else — no wire scheduling (that is [`crate::transport`]) and no
-//! phase ordering (that is [`crate::scheduler`]). The invariants this layer
-//! owns:
+//! the slab their entries live in — no wire scheduling (that is
+//! [`crate::transport`]) and no phase ordering (that is
+//! [`crate::scheduler`]). The invariants this layer owns:
 //!
 //! * **outbox FIFO** — sends staged by a protocol leave the processor in
 //!   staging order, at most `send_budget` per round;
 //! * **in-port FIFO** — matured messages are handed to the protocol in the
-//!   order the transport enqueued them, at most `recv_budget` per round;
+//!   order the transport matured them, at most `recv_budget` per round;
 //! * messages beyond a budget *wait in place*; that waiting is the measured
 //!   contention ([`crate::SimReport::queue_wait_rounds`] and the depth
 //!   high-water marks);
@@ -32,16 +33,24 @@
 //! `occupied_outboxes`), so a round loop can skip a walk with nothing to
 //! pop, and [`NodeStore::is_idle`] is O(1).
 //!
-//! Both kinds of queue are **slab-backed**: a store holds two `Fifos`, each
-//! one `Vec` of linked entries shared by all of its queues plus three `u32`
-//! words (`head`, `tail`, `len`) per processor. A push takes an entry off
-//! the free list (growing the slab only when it is empty), a pop puts its
-//! entry back, so a store is a constant number of allocations whatever `n`
-//! is and its memory follows the messages queued at once, not the
-//! processors ever touched. None of the invariants above depends on where
-//! an entry lives: FIFO order is the link order of one queue, a budget is
-//! the number of pops a round loop makes, and the frontiers are kept by
-//! [`NodeStore`] from the lengths alone.
+//! **One slab, one life per message.** A message of the §2.1 round model
+//! waits in its sender's outbox, crosses its link, then waits in its
+//! receiver's in-port. The store keeps that whole life in one [`Entry`] of
+//! one slab (`Slab`): [`NodeStore::stage`] writes the entry once, and from
+//! then on only its id moves — off the outbox by [`NodeStore::pop_outbox`],
+//! onto a wheel slot by [`crate::transport::Transport::transmit`] (which
+//! stamps the arrival round and sequence number), onto the in-port by
+//! [`NodeStore::mature`] — until [`NodeStore::pop_inport`] moves the
+//! payload out and frees the entry. Every queue, outbox, in-port or wheel
+//! slot, is a [`List`]: three `u32` words (`head`, `tail`, `len`) of a FIFO
+//! threaded through the entries' `next` links. A new entry comes off the
+//! free list (the slab grows only when it is empty), so a store is a
+//! constant number of allocations whatever `n` is, and its memory follows
+//! the messages alive at once — counted once across the three places — not
+//! the processors ever touched. None of the invariants above depends on
+//! where an entry lives: FIFO order is the link order of one list, a budget
+//! is the number of pops a round loop makes, and the frontiers are kept
+//! from the lengths alone.
 //!
 //! A store holds the queues of every processor of a run, sharded or not:
 //! a shard plan changes which delay a wire takes, never where a queue
@@ -62,57 +71,101 @@ pub struct Inbound<M> {
     pub msg: M,
 }
 
-/// "No entry": the link after a queue's last entry, the ends of an empty
-/// queue, the end of the free list.
+/// "No entry": the link after a list's last entry, the ends of an empty
+/// list, the end of the free list.
 const NIL: u32 = u32::MAX;
 
-/// One queue of a [`Fifos`]: its first and last entry and its length.
-#[derive(Clone, Copy, Debug)]
-struct Ends {
+/// One message, wherever it waits — its sender's outbox, a wheel slot, its
+/// destination's in-port — and the entry behind it there; on the free list,
+/// no message and the next free entry. The one view the probe layer
+/// renders all three places through.
+#[derive(Debug)]
+pub struct Entry<M> {
+    next: u32,
+    src: u32,
+    dst: u32,
+    arrival: Round,
+    seq: u64,
+    msg: Option<M>,
+}
+
+impl<M> Entry<M> {
+    /// Sender.
+    pub fn src(&self) -> NodeId {
+        self.src as NodeId
+    }
+
+    /// Destination.
+    pub fn dst(&self) -> NodeId {
+        self.dst as NodeId
+    }
+
+    /// Round at which it arrives at (or arrived in) the destination's
+    /// in-port; 0 while it is staged.
+    pub fn arrival(&self) -> Round {
+        self.arrival
+    }
+
+    /// Global transmission sequence number (1-based; 0 while staged).
+    pub fn seq(&self) -> u64 {
+        self.seq
+    }
+
+    /// Payload.
+    pub fn msg(&self) -> &M {
+        self.msg.as_ref().expect("a linked entry holds a message")
+    }
+}
+
+/// A FIFO list of slab entries — an outbox, an in-port or a wheel slot:
+/// its first and last entry and its length. Not `Copy`: a list handed on
+/// (a drained wheel slot to [`NodeStore::mature`]) is moved, so its
+/// entries cannot be relinked twice.
+#[derive(Clone, Debug)]
+pub struct List {
     head: u32,
     tail: u32,
     len: u32,
 }
 
-/// The ends of an empty queue.
-const EMPTY: Ends = Ends { head: NIL, tail: NIL, len: 0 };
+impl List {
+    /// The empty list.
+    pub const EMPTY: List = List { head: NIL, tail: NIL, len: 0 };
 
-/// A slab entry: a queued item and the entry behind it, or — on the free
-/// list — no item and the next free entry.
-#[derive(Debug)]
-struct Entry<T> {
-    next: u32,
-    item: Option<T>,
+    /// Number of entries.
+    pub fn len(&self) -> usize {
+        self.len as usize
+    }
+
+    /// Whether the list holds no entry.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
 }
 
-/// A fixed set of FIFO queues whose entries live in one shared slab.
+/// The entries of every list of a store, and the free list through the
+/// unused ones.
 #[derive(Debug)]
-struct Fifos<T> {
-    ends: Vec<Ends>,
-    entries: Vec<Entry<T>>,
-    /// First free entry (popped entries, most recent first).
+struct Slab<M> {
+    entries: Vec<Entry<M>>,
+    /// First free entry (freed entries, most recent first).
     free: u32,
-    /// Number of nonempty queues.
-    occupied: usize,
 }
 
-impl<T> Fifos<T> {
-    /// `queues` empty queues; no entry is allocated until the first push.
-    fn new(queues: usize) -> Self {
-        Fifos { ends: vec![EMPTY; queues], entries: Vec::new(), free: NIL, occupied: 0 }
-    }
-
-    /// Whether queue `q` is empty (true for a `q` past the last queue).
-    fn is_empty(&self, q: usize) -> bool {
-        self.ends.get(q).is_none_or(|e| e.len == 0)
-    }
-
-    /// Append `item` to queue `q`; returns the new length.
-    fn push(&mut self, q: usize, item: T) -> usize {
-        let entry = Entry { next: NIL, item: Some(item) };
-        let e = match self.free {
+impl<M> Slab<M> {
+    /// A new unlinked entry holding `msg`, off the free list if it has one.
+    fn alloc(&mut self, src: NodeId, dst: NodeId, msg: M) -> u32 {
+        let entry = Entry {
+            next: NIL,
+            src: src as u32,
+            dst: dst as u32,
+            arrival: 0,
+            seq: 0,
+            msg: Some(msg),
+        };
+        match self.free {
             NIL => {
-                assert!(self.entries.len() < NIL as usize, "queue slab exceeds u32 links");
+                assert!(self.entries.len() < NIL as usize, "message slab exceeds u32 links");
                 self.entries.push(entry);
                 (self.entries.len() - 1) as u32
             }
@@ -120,45 +173,48 @@ impl<T> Fifos<T> {
                 self.free = std::mem::replace(&mut self.entries[e as usize], entry).next;
                 e
             }
-        };
-        let ends = &mut self.ends[q];
-        if ends.len == 0 {
-            ends.head = e;
-        } else {
-            self.entries[ends.tail as usize].next = e;
         }
-        ends.tail = e;
-        ends.len += 1;
-        self.occupied += usize::from(ends.len == 1);
-        ends.len as usize
     }
 
-    /// Remove the oldest item of queue `q`; its entry goes back on the
-    /// free list. `None` for an empty queue or a `q` past the last one.
-    fn pop(&mut self, q: usize) -> Option<T> {
-        let ends = self.ends.get_mut(q)?;
-        if ends.len == 0 {
-            return None;
-        }
-        let e = ends.head;
+    /// Put the unlinked entry `e` on the free list; returns its message.
+    fn free(&mut self, e: u32) -> Option<M> {
         let entry = &mut self.entries[e as usize];
-        ends.head = entry.next;
-        ends.len -= 1;
-        self.occupied -= usize::from(ends.len == 0);
         entry.next = self.free;
         self.free = e;
-        entry.item.take()
+        entry.msg.take()
     }
 
-    /// The items of queue `q`, oldest first (none for a `q` past the last
-    /// queue).
-    fn iter(&self, q: usize) -> impl Iterator<Item = &T> {
-        let Ends { head, len, .. } = self.ends.get(q).copied().unwrap_or(EMPTY);
-        let mut at = head;
+    /// Append the unlinked entry `e` to `list`; returns the new length.
+    fn push(&mut self, list: &mut List, e: u32) -> usize {
+        self.entries[e as usize].next = NIL;
+        if list.len == 0 {
+            list.head = e;
+        } else {
+            self.entries[list.tail as usize].next = e;
+        }
+        list.tail = e;
+        list.len += 1;
+        list.len as usize
+    }
+
+    /// Unlink the first entry of `list`, if any; the entry stays allocated.
+    fn pop(&mut self, list: &mut List) -> Option<u32> {
+        if list.len == 0 {
+            return None;
+        }
+        let e = list.head;
+        list.head = self.entries[e as usize].next;
+        list.len -= 1;
+        Some(e)
+    }
+
+    /// The entries of `list`, first to last.
+    fn iter(&self, list: &List) -> impl Iterator<Item = &Entry<M>> {
+        let (mut at, len) = (list.head, list.len);
         (0..len).map(move |_| {
             let entry = &self.entries[at as usize];
             at = entry.next;
-            entry.item.as_ref().expect("a linked entry holds an item")
+            entry
         })
     }
 }
@@ -204,11 +260,15 @@ impl Frontier {
 }
 
 /// In-ports and outboxes of the processors `0..n`, slot `v` holding
-/// processor `v`.
+/// processor `v`, and the slab every message of the run lives in.
 #[derive(Debug)]
 pub struct NodeStore<M> {
-    outbox: Fifos<(NodeId, M)>,
-    inport: Fifos<Inbound<M>>,
+    slab: Slab<M>,
+    outboxes: Vec<List>,
+    inports: Vec<List>,
+    /// Number of nonempty outboxes and of nonempty in-ports.
+    occupied_outboxes: usize,
+    occupied_inports: usize,
     /// Dirty frontiers: ids whose queue went nonempty since the frontier
     /// was last taken.
     outbox_frontier: Frontier,
@@ -216,11 +276,16 @@ pub struct NodeStore<M> {
 }
 
 impl<M> NodeStore<M> {
-    /// Empty queues for all `n` processors.
+    /// Empty queues for all `n` processors; no entry is allocated until
+    /// the first send.
     pub fn new(n: usize) -> Self {
+        assert!(n < NIL as usize, "processor ids exceed u32");
         NodeStore {
-            outbox: Fifos::new(n),
-            inport: Fifos::new(n),
+            slab: Slab { entries: Vec::new(), free: NIL },
+            outboxes: vec![List::EMPTY; n],
+            inports: vec![List::EMPTY; n],
+            occupied_outboxes: 0,
+            occupied_inports: 0,
             outbox_frontier: Frontier::new(n),
             inport_frontier: Frontier::new(n),
         }
@@ -228,31 +293,87 @@ impl<M> NodeStore<M> {
 
     /// Stage a send in `from`'s outbox; returns the new outbox depth.
     pub fn stage(&mut self, from: NodeId, to: NodeId, msg: M) -> usize {
+        let e = self.slab.alloc(from, to, msg);
+        let depth = self.slab.push(&mut self.outboxes[from], e);
+        self.occupied_outboxes += usize::from(depth == 1);
         self.outbox_frontier.insert(from);
-        self.outbox.push(from, (to, msg))
+        depth
     }
 
-    /// Enqueue a matured message at `dst`'s in-port; returns the new depth.
-    pub fn enqueue(&mut self, dst: NodeId, inbound: Inbound<M>) -> usize {
-        self.inport_frontier.insert(dst);
-        self.inport.push(dst, inbound)
+    /// Unlink the oldest staged send of `v`, if any: its entry id and its
+    /// destination. The entry stays allocated for
+    /// [`crate::transport::Transport::transmit`], which puts it on the wire
+    /// (or frees it). Re-lists leftovers like [`NodeStore::pop_inport`].
+    pub fn pop_outbox(&mut self, v: NodeId) -> Option<(u32, NodeId)> {
+        let outbox = self.outboxes.get_mut(v)?;
+        let e = self.slab.pop(outbox)?;
+        if outbox.len == 0 {
+            self.occupied_outboxes -= 1;
+        } else {
+            self.outbox_frontier.insert(v);
+        }
+        Some((e, self.slab.entries[e as usize].dst()))
     }
 
-    /// Dequeue the oldest in-port message of `v`, if any. A processor whose
-    /// in-port is still nonempty after the pop is re-listed on the dirty
-    /// frontier, so budget-limited leftovers carry to the next round.
+    /// Maturity: move every entry of `wires` — a wheel slot's list — onto
+    /// its destination's in-port, in list order; returns the deepest
+    /// in-port any of them reached.
+    pub fn mature(&mut self, wires: List) -> usize {
+        let (mut depth, mut at) = (0, wires.head);
+        for _ in 0..wires.len {
+            let e = at;
+            let entry = &self.slab.entries[e as usize];
+            at = entry.next;
+            let dst = entry.dst as NodeId;
+            let d = self.slab.push(&mut self.inports[dst], e);
+            self.occupied_inports += usize::from(d == 1);
+            self.inport_frontier.insert(dst);
+            depth = depth.max(d);
+        }
+        depth
+    }
+
+    /// Dequeue the oldest in-port message of `v`, if any, moving its
+    /// payload out and freeing its entry. A processor whose in-port is
+    /// still nonempty after the pop is re-listed on the dirty frontier, so
+    /// budget-limited leftovers carry to the next round.
     pub fn pop_inport(&mut self, v: NodeId) -> Option<Inbound<M>> {
-        let popped = self.inport.pop(v)?;
-        self.relist_inport(v);
-        Some(popped)
+        let inport = self.inports.get_mut(v)?;
+        let e = self.slab.pop(inport)?;
+        if inport.len == 0 {
+            self.occupied_inports -= 1;
+        } else {
+            self.inport_frontier.insert(v);
+        }
+        let entry = &self.slab.entries[e as usize];
+        let (src, arrival) = (entry.src(), entry.arrival);
+        let msg = self.slab.free(e).expect("a linked entry holds a message");
+        Some(Inbound { src, arrival, msg })
     }
 
-    /// Dequeue the oldest staged send of `v`, if any. Re-lists leftovers
-    /// like [`NodeStore::pop_inport`].
-    pub fn pop_outbox(&mut self, v: NodeId) -> Option<(NodeId, M)> {
-        let popped = self.outbox.pop(v)?;
-        self.relist_outbox(v);
-        Some(popped)
+    /// The entry `e`.
+    pub(crate) fn entry(&self, e: u32) -> &Entry<M> {
+        &self.slab.entries[e as usize]
+    }
+
+    /// Put the unlinked entry `e` on the wire: stamp its arrival round and
+    /// sequence number and append it to `slot`, a wheel slot's list.
+    pub(crate) fn send(&mut self, slot: &mut List, e: u32, arrival: Round, seq: u64) {
+        let entry = &mut self.slab.entries[e as usize];
+        entry.arrival = arrival;
+        entry.seq = seq;
+        self.slab.push(slot, e);
+    }
+
+    /// Free the unlinked entry `e`, dropping its message (a wire the wheel
+    /// refused).
+    pub(crate) fn discard(&mut self, e: u32) {
+        self.slab.free(e);
+    }
+
+    /// The entries of `list`, first to last.
+    pub(crate) fn list(&self, list: &List) -> impl Iterator<Item = &Entry<M>> {
+        self.slab.iter(list)
     }
 
     /// Drain the in-port frontier into `out`, ascending, each id once.
@@ -272,7 +393,7 @@ impl<M> NodeStore<M> {
     /// (used when the transmit phase visits a frontier node but skips it —
     /// a crashed node, or the probe layer's planted perturbation).
     pub fn relist_outbox(&mut self, v: NodeId) {
-        if !self.outbox.is_empty(v) {
+        if self.outboxes.get(v).is_some_and(|l| !l.is_empty()) {
             self.outbox_frontier.insert(v);
         }
     }
@@ -282,48 +403,48 @@ impl<M> NodeStore<M> {
     /// skips it — a crashed node's in-port freezes in place until its
     /// recovery round).
     pub fn relist_inport(&mut self, v: NodeId) {
-        if !self.inport.is_empty(v) {
+        if self.inports.get(v).is_some_and(|l| !l.is_empty()) {
             self.inport_frontier.insert(v);
         }
     }
 
     /// Number of processors with a nonempty in-port — O(1).
     pub(crate) fn occupied_inports(&self) -> usize {
-        self.inport.occupied
+        self.occupied_inports
     }
 
     /// Number of processors with a nonempty outbox — O(1).
     pub(crate) fn occupied_outboxes(&self) -> usize {
-        self.outbox.occupied
+        self.occupied_outboxes
     }
 
     /// Whether every queue (in-port and outbox) is empty — O(1) via the
     /// per-kind nonempty-queue counts.
     pub fn is_idle(&self) -> bool {
-        self.inport.occupied == 0 && self.outbox.occupied == 0
+        self.occupied_inports == 0 && self.occupied_outboxes == 0
     }
 
     /// Number of processors.
     pub fn n(&self) -> usize {
-        self.inport.ends.len()
+        self.inports.len()
     }
 
     /// Processors with at least one nonempty queue, ascending. The probe
     /// layer's canonical renderer visits these, not every processor.
     pub fn occupied_nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
-        (0..self.n()).filter(|&v| !self.inport.is_empty(v) || !self.outbox.is_empty(v))
+        (0..self.n()).filter(|&v| !self.inports[v].is_empty() || !self.outboxes[v].is_empty())
     }
 
     /// Read-only view of `v`'s in-port, oldest first (the probe layer's
     /// canonical-state renderer; delivery still goes through
     /// [`NodeStore::pop_inport`]).
-    pub fn inport_of(&self, v: NodeId) -> impl Iterator<Item = &Inbound<M>> {
-        self.inport.iter(v)
+    pub fn inport_of(&self, v: NodeId) -> impl Iterator<Item = &Entry<M>> {
+        self.slab.iter(self.inports.get(v).unwrap_or(&List::EMPTY))
     }
 
     /// Read-only view of `v`'s outbox, oldest first.
-    pub fn outbox_of(&self, v: NodeId) -> impl Iterator<Item = &(NodeId, M)> {
-        self.outbox.iter(v)
+    pub fn outbox_of(&self, v: NodeId) -> impl Iterator<Item = &Entry<M>> {
+        self.slab.iter(self.outboxes.get(v).unwrap_or(&List::EMPTY))
     }
 }
 
@@ -339,6 +460,40 @@ mod tests {
         }
     }
 
+    impl<M> NodeStore<M> {
+        /// Put `msg` from `src` on `dst`'s in-port as a wire maturing at
+        /// `arrival` would; returns the new in-port depth.
+        pub(crate) fn enqueue(
+            &mut self,
+            dst: NodeId,
+            src: NodeId,
+            arrival: Round,
+            msg: M,
+        ) -> usize {
+            let e = self.slab.alloc(src, dst, msg);
+            self.slab.entries[e as usize].arrival = arrival;
+            self.mature(List { head: e, tail: e, len: 1 })
+        }
+
+        /// Entries in use: the slab less its free list.
+        pub(crate) fn live(&self) -> usize {
+            let mut free = 0;
+            let mut at = self.slab.free;
+            while at != NIL {
+                free += 1;
+                at = self.slab.entries[at as usize].next;
+            }
+            self.slab.entries.len() - free
+        }
+
+        /// Pop the oldest staged send of `v` and free its entry: its
+        /// destination and message.
+        fn unstage(&mut self, v: NodeId) -> Option<(NodeId, M)> {
+            let (e, dst) = self.pop_outbox(v)?;
+            Some((dst, self.slab.free(e)?))
+        }
+    }
+
     #[test]
     fn queues_are_fifo_and_idle_tracks_both_sides() {
         let mut s: NodeStore<u32> = NodeStore::new(3);
@@ -346,26 +501,27 @@ mod tests {
         assert_eq!(s.stage(0, 1, 10), 1);
         assert_eq!(s.stage(0, 2, 20), 2);
         assert!(!s.is_idle());
-        assert_eq!(s.pop_outbox(0), Some((1, 10)));
-        assert_eq!(s.pop_outbox(0), Some((2, 20)));
-        assert_eq!(s.pop_outbox(0), None);
+        assert_eq!(s.unstage(0), Some((1, 10)));
+        assert_eq!(s.unstage(0), Some((2, 20)));
+        assert_eq!(s.unstage(0), None);
         assert!(s.is_idle());
 
-        assert_eq!(s.enqueue(2, Inbound { src: 0, arrival: 4, msg: 7 }), 1);
-        assert_eq!(s.enqueue(2, Inbound { src: 1, arrival: 5, msg: 8 }), 2);
+        assert_eq!(s.enqueue(2, 0, 4, 7), 1);
+        assert_eq!(s.enqueue(2, 1, 5, 8), 2);
         assert!(!s.is_idle());
         assert_eq!(s.pop_inport(2).unwrap().msg, 7);
         assert_eq!(s.pop_inport(2).unwrap().msg, 8);
         assert!(s.pop_inport(2).is_none());
         assert!(s.is_idle());
+        assert_eq!(s.live(), 0, "every pop freed its entry");
     }
 
     /// Through an arbitrary interleaving of stage/enqueue/pop: every queue
     /// agrees with a `VecDeque` per processor (depths returned, items
     /// popped, the views' order, the occupied set), the O(1) per-kind
-    /// counts and idle check agree with a full queue scan, and the
-    /// frontiers cover every nonempty queue (the invariant the round loop
-    /// relies on).
+    /// counts and idle check agree with a full queue scan, the frontiers
+    /// cover every nonempty queue (the invariant the round loop relies
+    /// on), and the slab holds exactly the queued entries.
     #[test]
     fn idle_counter_and_frontier_match_a_full_scan() {
         let mut s = NodeStore::<u64>::new(8);
@@ -389,16 +545,16 @@ mod tests {
                 }
                 1 => {
                     inport[v].push_back(round);
-                    let depth = s.enqueue(v, Inbound { src: 0, arrival: round, msg: round });
-                    assert_eq!(depth, inport[v].len());
+                    assert_eq!(s.enqueue(v, 0, round, round), inport[v].len());
                 }
-                2 => assert_eq!(s.pop_outbox(v), outbox[v].pop_front()),
+                2 => assert_eq!(s.unstage(v), outbox[v].pop_front()),
                 3 => assert_eq!(s.pop_inport(v).map(|m| m.msg), inport[v].pop_front()),
                 _ => {}
             }
             for v in 0..8 {
-                assert!(s.outbox_of(v).eq(outbox[v].iter()), "outbox {v} at step {round}");
-                assert!(s.inport_of(v).map(|m| &m.msg).eq(inport[v].iter()), "in-port {v}");
+                let staged = s.outbox_of(v).map(|m| (m.dst(), *m.msg()));
+                assert!(staged.eq(outbox[v].iter().copied()), "outbox {v} at step {round}");
+                assert!(s.inport_of(v).map(Entry::msg).eq(inport[v].iter()), "in-port {v}");
                 // Every nonempty queue is on its dirty frontier.
                 assert!(inport[v].is_empty() || s.inport_frontier.contains(v), "in-port {v}");
                 assert!(outbox[v].is_empty() || s.outbox_frontier.contains(v), "outbox {v}");
@@ -412,6 +568,9 @@ mod tests {
                 (0..8).filter(|&v| !inport[v].is_empty() || !outbox[v].is_empty()).collect();
             assert_eq!(occupied, want, "occupied set diverged at step {round}");
             assert_eq!(s.is_idle(), want.is_empty(), "idle counter diverged at step {round}");
+            let queued = outbox.iter().map(VecDeque::len).sum::<usize>()
+                + inport.iter().map(VecDeque::len).sum::<usize>();
+            assert_eq!(s.live(), queued, "live entries at step {round}");
         }
     }
 
@@ -425,7 +584,7 @@ mod tests {
         for &v in &listed {
             for msg in 0..2 {
                 s.stage(v, 0, msg);
-                s.enqueue(v, Inbound { src: 0, arrival: 1, msg });
+                s.enqueue(v, 0, 1, msg);
             }
         }
         let mut ascending = listed.to_vec();
@@ -445,25 +604,27 @@ mod tests {
         assert_eq!(takes(&mut s), (ascending.clone(), ascending));
     }
 
-    /// Memory follows the messages queued at once, not the messages ever
-    /// sent: a pop recycles its entry, so 1 000 push/pop cycles that never
-    /// hold more than four items leave a slab of at most four entries.
+    /// Memory follows the messages alive at once, not the messages ever
+    /// sent: a delivery frees its entry, so 1 000 cycles that never hold
+    /// more than four messages leave a slab of at most four entries.
     #[test]
     fn popped_entries_are_reused() {
-        let mut q: Fifos<u64> = Fifos::new(3);
+        let mut s: NodeStore<u64> = NodeStore::new(3);
         let mut next = 0u64;
         for cycle in 0..1000usize {
             let held = 1 + cycle % 4;
             for i in 0..held {
-                assert_eq!(q.push((cycle + i) % 3, next), 1 + i / 3);
+                assert_eq!(s.enqueue((cycle + i) % 3, 0, 1, next), 1 + i / 3);
                 next += 1;
             }
             for i in 0..held {
-                assert_eq!(q.pop((cycle + i) % 3), Some(next - (held - i) as u64));
+                let popped = s.pop_inport((cycle + i) % 3).map(|m| m.msg);
+                assert_eq!(popped, Some(next - (held - i) as u64));
             }
-            assert!((0..3).all(|k| q.is_empty(k) && q.pop(k).is_none()));
+            assert!(s.is_idle() && (0..3).all(|v| s.pop_inport(v).is_none()));
         }
-        assert!(q.entries.len() <= 4, "{} entries for a depth of 4", q.entries.len());
+        let slab = s.slab.entries.len();
+        assert!(slab <= 4, "{slab} entries for a depth of 4");
     }
 
     /// A transmit-phase skip re-lists the node so its staged sends are not
@@ -480,7 +641,7 @@ mod tests {
         front.clear();
         s.take_outbox_frontier(&mut front);
         assert_eq!(front, vec![1], "skipped node must reappear next round");
-        assert_eq!(s.pop_outbox(1), Some((2, 9)));
+        assert_eq!(s.unstage(1), Some((2, 9)));
         // Re-listing an empty outbox is a no-op.
         s.relist_outbox(1);
         front.clear();
@@ -493,7 +654,7 @@ mod tests {
     #[test]
     fn relist_inport_keeps_a_frozen_port_on_the_frontier() {
         let mut s: NodeStore<u32> = NodeStore::new(4);
-        s.enqueue(2, Inbound { src: 0, arrival: 1, msg: 7 });
+        s.enqueue(2, 0, 1, 7);
         let mut front = Vec::new();
         s.take_inport_frontier(&mut front);
         assert_eq!(front, vec![2]);

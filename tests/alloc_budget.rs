@@ -150,14 +150,26 @@ fn shard_lanes_share_one_slot_table() {
     let spec = ccq_repro::core::protocol::find("central-counter").expect("registry protocol");
     let run_bytes = |k: usize| {
         let scenario = sparse_torus(64).0.with_shards(ShardSpec::new(k, ShardStrategy::Contiguous));
-        // Built once per scenario, outside any one run.
-        scenario.partition();
         let (out, bytes) = counted_bytes(|| run_spec(spec, &scenario, ModelMode::Strict));
         out.expect("run verifies");
         bytes
     };
     let (one, two, sixteen) = (run_bytes(1), run_bytes(2), run_bytes(16));
     assert_eq!((two, sixteen), (one, one), "bytes allocated at k = 1, 2 and 16");
+}
+
+/// No case execution builds shared scenario state: a sharded scenario's
+/// partition is built where its shard plan is set, so one sharded case run
+/// twice on one scenario allocates the same both times. A partition built
+/// lazily by the first run counts in that run's allocations only.
+#[test]
+fn a_sharded_case_allocates_the_same_every_run() {
+    let spec = ccq_repro::core::protocol::find("central-counter").expect("registry protocol");
+    let scenario = Scenario::build(TopoSpec::Torus2D { side: 16 }, RequestPattern::All)
+        .with_shards(ShardSpec::new(2, ShardStrategy::EdgeCut));
+    let run = || counted(|| run_spec(spec, &scenario, ModelMode::Strict).expect("run verifies")).1;
+    let (first, second) = (run(), run());
+    assert_eq!(first, second, "allocations of a sharded case's first and second run");
 }
 
 /// A partition is one shard table: a `u32` per vertex in one allocation,
@@ -179,73 +191,90 @@ fn a_partition_is_one_shard_table() {
 }
 
 /// The wire layer's share of "zero allocations in steady state": once a
-/// timing wheel has seen its longest delay and its largest batch, cycling
-/// drain and transmit round after round allocates nothing — under unit
-/// delay and under jitter, whose FIFO clamp keeps a map of the links it
-/// has seen.
+/// timing wheel and the slab its wires live in have seen their longest
+/// delay and their largest burst, cycling stage, transmit, mature and pop
+/// round after round allocates nothing — under unit delay and under
+/// jitter, whose FIFO clamp keeps a map of the links it has seen.
 #[test]
 fn a_warm_timing_wheel_allocates_nothing() {
-    use ccq_repro::sim::{transport::Transport, LinkDelay};
+    use ccq_repro::sim::{state::NodeStore, transport::Transport, LinkDelay};
     for delay in [LinkDelay::Unit, LinkDelay::Jitter { max: 3, seed: 7 }] {
-        let mut wheel: Transport<u64> = Transport::default();
+        let (mut wheel, mut store) = (Transport::default(), NodeStore::<u64>::new(8));
         let mut seq = 0;
-        let mut cycle = |wheel: &mut Transport<u64>, round: u64| {
-            wheel.drain_due(round, |w| {
-                std::hint::black_box(w);
+        let mut cycle = |wheel: &mut Transport, store: &mut NodeStore<u64>, round: u64| {
+            wheel.drain_due(round, |due| {
+                store.mature(due);
             });
+            for v in 0..8 {
+                while let Some(inbound) = store.pop_inport(v) {
+                    std::hint::black_box(inbound);
+                }
+            }
             // A burst of 0..8 sends a round over eight links.
             for src in 0..(round % 9) as usize {
                 seq += 1;
-                wheel.transmit(src, (src + 1) % 8, seq, round, seq, delay);
+                store.stage(src, (src + 1) % 8, seq);
+                let (e, _) = store.pop_outbox(src).expect("just staged");
+                wheel.transmit(store, e, round, seq, delay);
             }
         };
         for round in 0..1_000 {
-            cycle(&mut wheel, round);
+            cycle(&mut wheel, &mut store, round);
         }
-        let ((), allocs) = counted(|| (1_000..2_000).for_each(|round| cycle(&mut wheel, round)));
+        let ((), allocs) =
+            counted(|| (1_000..2_000).for_each(|round| cycle(&mut wheel, &mut store, round)));
         assert_eq!(allocs, 0, "{delay:?}: a warm wheel allocated");
     }
 }
 
 /// The store's share of "zero allocations in steady state": a store is a
 /// constant number of allocations whatever `n` is (the frontiers are
-/// bitsets, not per-node lists), and once its slabs and the walk's scratch
-/// have seen their deepest round, a round of stage, take, pop and enqueue
-/// allocates nothing.
+/// bitsets, not per-node lists), and once its slab and the walks' scratch
+/// have seen their deepest round, a round of stage, take, transmit,
+/// mature and pop allocates nothing, under unit delay and under jitter.
 #[test]
 fn a_warm_store_allocates_nothing() {
-    use ccq_repro::sim::state::{Inbound, NodeStore};
+    use ccq_repro::sim::{state::NodeStore, transport::Transport, LinkDelay};
     let (_, small) = counted(|| NodeStore::<u64>::new(1_024));
     let (_, large) = counted(|| NodeStore::<u64>::new(65_536));
     assert_eq!(small, large, "a store allocated per node: {small} at n = 1 024, {large} at 65 536");
 
     let n = 4_096;
-    let mut store: NodeStore<u64> = NodeStore::new(n);
-    let mut frontier = Vec::new();
-    let mut cycle = |store: &mut NodeStore<u64>, round: u64| {
-        // A burst of 0..8 sends a round from nodes spread over the ids.
-        for i in 0..(round % 9) as usize {
-            let v = (round as usize * 61 + i * 512) % n;
-            store.stage(v, (v + 1) % n, round);
-        }
-        frontier.clear();
-        store.take_outbox_frontier(&mut frontier);
-        for &v in &frontier {
-            if let Some((dst, msg)) = store.pop_outbox(v) {
-                store.enqueue(dst, Inbound { src: v, arrival: round, msg });
+    for delay in [LinkDelay::Unit, LinkDelay::Jitter { max: 3, seed: 7 }] {
+        let (mut store, mut wheel) = (NodeStore::<u64>::new(n), Transport::default());
+        let (mut frontier, mut seq) = (Vec::new(), 0);
+        let mut cycle = |store: &mut NodeStore<u64>, wheel: &mut Transport, round: u64| {
+            // A burst of 0..8 sends a round from nodes spread over the ids,
+            // over links that recur every 576 rounds (the jitter clamp's
+            // map has seen them all once warm).
+            for i in 0..(round % 9) as usize {
+                let v = (round as usize % 64 * 61 + i * 512) % n;
+                store.stage(v, (v + 1) % n, round);
             }
+            frontier.clear();
+            store.take_outbox_frontier(&mut frontier);
+            for &v in &frontier {
+                if let Some((e, _)) = store.pop_outbox(v) {
+                    seq += 1;
+                    wheel.transmit(store, e, round, seq, delay);
+                }
+            }
+            wheel.drain_due(round + 1, |due| {
+                store.mature(due);
+            });
+            frontier.clear();
+            store.take_inport_frontier(&mut frontier);
+            for &v in &frontier {
+                std::hint::black_box(store.pop_inport(v));
+            }
+        };
+        for round in 0..1_000 {
+            cycle(&mut store, &mut wheel, round);
         }
-        frontier.clear();
-        store.take_inport_frontier(&mut frontier);
-        for &v in &frontier {
-            std::hint::black_box(store.pop_inport(v));
-        }
-    };
-    for round in 0..1_000 {
-        cycle(&mut store, round);
+        let ((), allocs) =
+            counted(|| (1_000..2_000).for_each(|round| cycle(&mut store, &mut wheel, round)));
+        assert_eq!(allocs, 0, "{delay:?}: a warm store allocated");
     }
-    let ((), allocs) = counted(|| (1_000..2_000).for_each(|round| cycle(&mut store, round)));
-    assert_eq!(allocs, 0, "a warm store allocated");
 }
 
 /// A token that makes `hops` hops round `cycle(16)` and completes where it
