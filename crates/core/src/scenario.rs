@@ -441,7 +441,9 @@ pub struct Scenario {
     /// Crash/recover fault plan ([`FaultSpec::none`] = fault-free). The
     /// run's one fault plan: it replaces any plan on the `SimConfig`.
     pub faults: FaultSpec,
-    /// Shard plan ([`ShardSpec::single`] = the unsharded executor).
+    /// Shard plan ([`ShardSpec::single`] = the unsharded executor). Set it
+    /// through [`Scenario::with_shards`], which also builds the partition
+    /// the runs cut by; a plan assigned here directly is not partitioned.
     pub shards: ShardSpec,
     /// Execution probe: checkpoint hashing, snapshots, perturbation and
     /// phase timing ([`ProbeSpec::OFF`] by default — no probe work at
@@ -449,9 +451,9 @@ pub struct Scenario {
     /// SimReport`], so probed runs stay byte-identical to unprobed ones).
     /// The run's one probe: it replaces any probe on the `SimConfig`.
     pub probe: ProbeSpec,
-    /// [`Scenario::partition`]: the sharded plan it was built for, and the
-    /// partition; built by [`Scenario::with_shards`].
-    pub(crate) partition: Option<(ShardSpec, Partition)>,
+    /// [`Scenario::partition`], built by [`Scenario::with_shards`] for a
+    /// sharded plan.
+    pub(crate) partition: Option<Partition>,
 }
 
 /// Checkpoint interval `ccq record` installs when its argv names none:
@@ -506,7 +508,7 @@ impl Scenario {
     /// ```
     pub fn with_shards(mut self, shards: ShardSpec) -> Self {
         self.shards = shards;
-        self.partition = shards.is_sharded().then(|| (shards, shards.partition(&self.graph)));
+        self.partition = shards.is_sharded().then(|| shards.partition(&self.graph));
         self
     }
 
@@ -519,13 +521,10 @@ impl Scenario {
     /// builds it, so a case allocates the same whichever case runs first.
     ///
     /// # Panics
-    /// Panics if the plan is unsharded, or was assigned to `shards`
-    /// directly rather than through [`Scenario::with_shards`].
+    /// Panics unless a sharded plan was set through
+    /// [`Scenario::with_shards`].
     pub fn partition(&self) -> &Partition {
-        match &self.partition {
-            Some((built_for, partition)) if *built_for == self.shards => partition,
-            _ => panic!("a sharded plan is set through Scenario::with_shards, which partitions"),
-        }
+        self.partition.as_ref().expect("a sharded plan is set through Scenario::with_shards")
     }
 
     /// Retired: a no-op, kept so callers written against the sliced

@@ -336,8 +336,8 @@ impl<M> Executor<M> {
     /// deepest in-port into the report. No payload moves.
     fn mature(&mut self, led: &mut Ledger<'_>, round: Round) {
         let store = &mut self.store;
-        let mut depth = 0;
-        self.wheel.drain_due(round, |due| depth = depth.max(store.mature(due)));
+        let (mut depth, mut last) = (0, (0, 0));
+        self.wheel.drain_due(round, |due| depth = depth.max(store.mature(due, &mut last)));
         led.report.max_inport_depth = led.report.max_inport_depth.max(depth);
     }
 

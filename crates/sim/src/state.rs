@@ -118,10 +118,10 @@ impl<M> Entry<M> {
 }
 
 /// A FIFO list of slab entries — an outbox, an in-port or a wheel slot:
-/// its first and last entry and its length. Not `Copy`: a list handed on
-/// (a drained wheel slot to [`NodeStore::mature`]) is moved, so its
-/// entries cannot be relinked twice.
-#[derive(Clone, Debug)]
+/// its first and last entry and its length. Neither `Copy` nor `Clone`: a
+/// list handed on (a drained wheel slot to [`NodeStore::mature`]) is
+/// moved, so its entries cannot be relinked twice.
+#[derive(Debug)]
 pub struct List {
     head: u32,
     tail: u32,
@@ -131,6 +131,11 @@ pub struct List {
 impl List {
     /// The empty list.
     pub const EMPTY: List = List { head: NIL, tail: NIL, len: 0 };
+
+    /// `n` empty lists.
+    pub(crate) fn empties(n: usize) -> Vec<List> {
+        std::iter::repeat_with(|| List::EMPTY).take(n).collect()
+    }
 
     /// Number of entries.
     pub fn len(&self) -> usize {
@@ -282,8 +287,8 @@ impl<M> NodeStore<M> {
         assert!(n < NIL as usize, "processor ids exceed u32");
         NodeStore {
             slab: Slab { entries: Vec::new(), free: NIL },
-            outboxes: vec![List::EMPTY; n],
-            inports: vec![List::EMPTY; n],
+            outboxes: List::empties(n),
+            inports: List::empties(n),
             occupied_outboxes: 0,
             occupied_inports: 0,
             outbox_frontier: Frontier::new(n),
@@ -303,7 +308,8 @@ impl<M> NodeStore<M> {
     /// Unlink the oldest staged send of `v`, if any: its entry id and its
     /// destination. The entry stays allocated for
     /// [`crate::transport::Transport::transmit`], which puts it on the wire
-    /// (or frees it). Re-lists leftovers like [`NodeStore::pop_inport`].
+    /// (or frees it); an id never handed to it keeps its entry until the
+    /// store is dropped. Re-lists leftovers like [`NodeStore::pop_inport`].
     pub fn pop_outbox(&mut self, v: NodeId) -> Option<(u32, NodeId)> {
         let outbox = self.outboxes.get_mut(v)?;
         let e = self.slab.pop(outbox)?;
@@ -317,19 +323,32 @@ impl<M> NodeStore<M> {
 
     /// Maturity: move every entry of `wires` — a wheel slot's list — onto
     /// its destination's in-port, in list order; returns the deepest
-    /// in-port any of them reached.
-    pub fn mature(&mut self, wires: List) -> usize {
+    /// in-port any of them reached. `last` is the (arrival, sequence) of
+    /// the entry matured just before — `(0, 0)` at the start of a drain —
+    /// and is left at this list's last; debug builds check that every
+    /// entry comes after it, so a wheel that drains out of order fails
+    /// here.
+    pub fn mature(&mut self, wires: List, last: &mut (Round, u64)) -> usize {
         let (mut depth, mut at) = (0, wires.head);
         for _ in 0..wires.len {
             let e = at;
             let entry = &self.slab.entries[e as usize];
             at = entry.next;
-            let dst = entry.dst as NodeId;
-            let d = self.slab.push(&mut self.inports[dst], e);
-            self.occupied_inports += usize::from(d == 1);
-            self.inport_frontier.insert(dst);
-            depth = depth.max(d);
+            let key = (entry.arrival, entry.seq);
+            debug_assert!(key > *last, "wheel drained out of order");
+            *last = key;
+            depth = depth.max(self.land(e));
         }
+        depth
+    }
+
+    /// Append the unlinked entry `e` to its destination's in-port; returns
+    /// the new in-port depth.
+    fn land(&mut self, e: u32) -> usize {
+        let dst = self.slab.entries[e as usize].dst as NodeId;
+        let depth = self.slab.push(&mut self.inports[dst], e);
+        self.occupied_inports += usize::from(depth == 1);
+        self.inport_frontier.insert(dst);
         depth
     }
 
@@ -472,7 +491,7 @@ mod tests {
         ) -> usize {
             let e = self.slab.alloc(src, dst, msg);
             self.slab.entries[e as usize].arrival = arrival;
-            self.mature(List { head: e, tail: e, len: 1 })
+            self.land(e)
         }
 
         /// Entries in use: the slab less its free list.

@@ -153,7 +153,7 @@ impl Transport {
             .ok()
             .and_then(|span| span.checked_add(1)?.checked_next_power_of_two())
             .expect("delay span exceeds the address space");
-        let mut ring = vec![List::EMPTY; len];
+        let mut ring = List::empties(len);
         for list in self.ring.drain(..) {
             if let Some(arrival) = store.list(&list).next().map(Entry::arrival) {
                 ring[arrival as usize & (len - 1)] = list;
@@ -245,10 +245,10 @@ mod tests {
         /// in-ports: the wires in maturity order.
         fn drain(&mut self, round: Round) -> Vec<Seen> {
             let (t, s) = (&mut self.t, &mut self.s);
-            let mut out = Vec::new();
+            let (mut out, mut last) = (Vec::new(), (0, 0));
             t.drain_due(round, |due| {
                 out.extend(s.list(&due).map(seen));
-                s.mature(due);
+                s.mature(due, &mut last);
             });
             for v in 0..s.n() {
                 while s.pop_inport(v).is_some() {}
@@ -428,7 +428,7 @@ mod tests {
                 let mut oracle = Oracle::new(delay, horizon);
                 let mut outbox = vec![VecDeque::new(); N as usize];
                 let mut inport = vec![VecDeque::new(); N as usize];
-                let (mut round, mut seq) = (0, 0);
+                let (mut round, mut seq, mut last) = (0, 0, (0, 0));
                 for step in 0..400 {
                     let v = gen.below(N) as NodeId;
                     match gen.below(8) {
@@ -454,7 +454,7 @@ mod tests {
                         5 => {
                             round += 1 + gen.below(2);
                             t.drain_due(round, |due| {
-                                s.mature(due);
+                                s.mature(due, &mut last);
                             });
                             for (src, dst, arrival, _, msg) in oracle.drain_due(round) {
                                 inport[dst].push_back((src, arrival, msg));

@@ -202,8 +202,9 @@ fn a_warm_timing_wheel_allocates_nothing() {
         let (mut wheel, mut store) = (Transport::default(), NodeStore::<u64>::new(8));
         let mut seq = 0;
         let mut cycle = |wheel: &mut Transport, store: &mut NodeStore<u64>, round: u64| {
+            let mut last = (0, 0);
             wheel.drain_due(round, |due| {
-                store.mature(due);
+                store.mature(due, &mut last);
             });
             for v in 0..8 {
                 while let Some(inbound) = store.pop_inport(v) {
@@ -231,7 +232,9 @@ fn a_warm_timing_wheel_allocates_nothing() {
 /// constant number of allocations whatever `n` is (the frontiers are
 /// bitsets, not per-node lists), and once its slab and the walks' scratch
 /// have seen their deepest round, a round of stage, take, transmit,
-/// mature and pop allocates nothing, under unit delay and under jitter.
+/// mature and pop allocates nothing, under unit delay and under jitter —
+/// also at processors the store has never used, so a queue allocated on
+/// its first push fails it.
 #[test]
 fn a_warm_store_allocates_nothing() {
     use ccq_repro::sim::{state::NodeStore, transport::Transport, LinkDelay};
@@ -240,15 +243,32 @@ fn a_warm_store_allocates_nothing() {
     assert_eq!(small, large, "a store allocated per node: {small} at n = 1 024, {large} at 65 536");
 
     let n = 4_096;
+    // A burst of 0..8 sends a round from nodes spread over the ids; 61 is
+    // coprime to n, so the measured rounds keep reaching processors the
+    // warm-up rounds never used.
+    let burst =
+        |round: u64| (0..round % 9).map(move |i| (round as usize * 61 + i as usize * 512) % n);
+    let (warm, measured) = (4..1_000, 1_000..2_000);
     for delay in [LinkDelay::Unit, LinkDelay::Jitter { max: 3, seed: 7 }] {
         let (mut store, mut wheel) = (NodeStore::<u64>::new(n), Transport::default());
-        let (mut frontier, mut seq) = (Vec::new(), 0);
+        let (mut frontier, mut seq, mut last) = (Vec::new(), 0, (0, 0));
+        // The jitter clamp keeps a map of the links it has seen, which
+        // grows with each new link. Before round `warm.start`, send once on
+        // every link the measured rounds use, through a second store, so
+        // the map is warm and `store` still meets those processors there
+        // for the first time.
+        let mut links = NodeStore::<u64>::new(n);
+        for v in measured.clone().flat_map(burst) {
+            links.stage(v, (v + 1) % n, 0);
+            let (e, _) = links.pop_outbox(v).expect("just staged");
+            seq += 1;
+            wheel.transmit(&mut links, e, 0, seq, delay);
+        }
+        wheel.drain_due(warm.start, |due| {
+            links.mature(due, &mut last);
+        });
         let mut cycle = |store: &mut NodeStore<u64>, wheel: &mut Transport, round: u64| {
-            // A burst of 0..8 sends a round from nodes spread over the ids,
-            // over links that recur every 576 rounds (the jitter clamp's
-            // map has seen them all once warm).
-            for i in 0..(round % 9) as usize {
-                let v = (round as usize % 64 * 61 + i * 512) % n;
+            for v in burst(round) {
                 store.stage(v, (v + 1) % n, round);
             }
             frontier.clear();
@@ -259,8 +279,9 @@ fn a_warm_store_allocates_nothing() {
                     wheel.transmit(store, e, round, seq, delay);
                 }
             }
+            let mut last = (0, 0);
             wheel.drain_due(round + 1, |due| {
-                store.mature(due);
+                store.mature(due, &mut last);
             });
             frontier.clear();
             store.take_inport_frontier(&mut frontier);
@@ -268,11 +289,11 @@ fn a_warm_store_allocates_nothing() {
                 std::hint::black_box(store.pop_inport(v));
             }
         };
-        for round in 0..1_000 {
+        for round in warm.clone() {
             cycle(&mut store, &mut wheel, round);
         }
         let ((), allocs) =
-            counted(|| (1_000..2_000).for_each(|round| cycle(&mut store, &mut wheel, round)));
+            counted(|| measured.clone().for_each(|round| cycle(&mut store, &mut wheel, round)));
         assert_eq!(allocs, 0, "{delay:?}: a warm store allocated");
     }
 }
