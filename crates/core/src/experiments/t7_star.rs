@@ -15,12 +15,14 @@ use ccq_bounds::star_serialization_lb;
 /// Run the star-graph comparison.
 pub fn run(scale: Scale) -> Vec<Table> {
     let sizes: Vec<usize> = scale.pick(vec![32, 64, 128], vec![64, 256, 1024]);
-    let largest_n = *sizes.last().expect("non-empty size sweep");
     let mut t = Table::new(
         "t7 — the star: both problems are Θ(n²) (Section 5)",
         &["n", "Θ(n²) floor", "arrow", "central cnt", "combining", "ratio C_C/C_Q", "both ≥ floor"],
     );
     let mut ratios = Vec::new();
+    // Hub contention of the last (largest) size's arrow run, formatted once
+    // its outcomes are dropped (a string made while they live raised peak RSS).
+    let mut contention = None;
     for n in sizes {
         let s = Scenario::build(TopoSpec::Star { n }, RequestPattern::All);
         let floor = star_serialization_lb(n);
@@ -31,6 +33,9 @@ pub fn run(scale: Scale) -> Vec<Table> {
         let cd = central.report.total_delay().min(combining.report.total_delay());
         let ratio = cd as f64 / qd.max(1) as f64;
         ratios.push(ratio);
+        contention = q.report.busiest_node().map(|(hub, cnt)| {
+            (hub, cnt, q.report.messages_sent, q.report.contention_concentration())
+        });
         t.push_row(vec![
             int(n as u64),
             int(floor),
@@ -48,18 +53,12 @@ pub fn run(scale: Scale) -> Vec<Table> {
         spread
     ));
     t.note("floor = Σ_{i<n} i: the hub admits one message per round (§5: C_C(S) = C_Q(S) = Θ(n²))");
-    // Contention profile: show how concentrated the traffic is at the hub.
-    {
-        let s = Scenario::build(TopoSpec::Star { n: largest_n }, RequestPattern::All);
-        let q = run_spec(&protocol::Arrow, &s, ModelMode::Strict).expect("ok");
-        if let Some((hub, cnt)) = q.report.busiest_node() {
-            t.note(format!(
-                "contention profile (arrow, largest n): node {hub} received {cnt} of {} messages \
-                 ({:.0}% concentration) — the serialization is literal",
-                q.report.messages_sent,
-                q.report.contention_concentration() * 100.0
-            ));
-        }
+    if let Some((hub, cnt, sent, conc)) = contention {
+        t.note(format!(
+            "contention profile (arrow, largest n): node {hub} received {cnt} of {sent} messages \
+             ({:.0}% concentration) — the serialization is literal",
+            conc * 100.0
+        ));
     }
     vec![t]
 }

@@ -8,7 +8,7 @@ use crate::{Graph, NodeId, NO_NODE};
 
 /// Distances (in hops) from `src` to every vertex; `u32::MAX` = unreachable.
 pub fn bfs_distances(g: &Graph, src: NodeId) -> Vec<u32> {
-    bfs_tree_arrays(g, src).0
+    search(g, src, |_, _| {}).0
 }
 
 /// BFS that also records a predecessor for each reached vertex.
@@ -16,13 +16,22 @@ pub fn bfs_distances(g: &Graph, src: NodeId) -> Vec<u32> {
 /// Returns `(distances, predecessors)`; `predecessors[src] == src` and
 /// unreachable vertices have predecessor [`NO_NODE`].
 pub fn bfs_tree_arrays(g: &Graph, src: NodeId) -> (Vec<u32>, Vec<NodeId>) {
-    let mut dist = vec![u32::MAX; g.n()];
     let mut pred = vec![NO_NODE; g.n()];
-    // The visit order is its own queue: every vertex enters it at most
-    // once, so one allocation of `n` holds the whole search.
+    pred[src] = src;
+    (search(g, src, |v, u| pred[v] = u).0, pred)
+}
+
+/// The one breadth-first search: distances from `src` and the visit order
+/// (its own queue, so one allocation of `n`), calling `found(v, u)` when
+/// `v` is first reached from `u`. Neighbours are scanned ascending.
+pub(crate) fn search(
+    g: &Graph,
+    src: NodeId,
+    mut found: impl FnMut(NodeId, NodeId),
+) -> (Vec<u32>, Vec<NodeId>) {
+    let mut dist = vec![u32::MAX; g.n()];
     let mut order = Vec::with_capacity(g.n());
     dist[src] = 0;
-    pred[src] = src;
     order.push(src);
     let mut head = 0;
     while let Some(&u) = order.get(head) {
@@ -31,12 +40,12 @@ pub fn bfs_tree_arrays(g: &Graph, src: NodeId) -> (Vec<u32>, Vec<NodeId>) {
         for &v in g.neighbors(u) {
             if dist[v] == u32::MAX {
                 dist[v] = du + 1;
-                pred[v] = u;
+                found(v, u);
                 order.push(v);
             }
         }
     }
-    (dist, pred)
+    (dist, order)
 }
 
 /// Eccentricity of `src`: the largest finite BFS distance from it.
@@ -44,13 +53,10 @@ pub fn bfs_tree_arrays(g: &Graph, src: NodeId) -> (Vec<u32>, Vec<NodeId>) {
 /// # Panics
 /// Panics if the graph is disconnected (eccentricity is then undefined).
 fn eccentricity(g: &Graph, src: NodeId) -> u32 {
-    let dist = bfs_distances(g, src);
-    let mut ecc = 0;
-    for &d in &dist {
-        assert!(d != u32::MAX, "eccentricity of a disconnected graph");
-        ecc = ecc.max(d);
-    }
-    ecc
+    let (dist, order) = search(g, src, |_, _| {});
+    assert_eq!(order.len(), g.n(), "eccentricity of a disconnected graph");
+    // A BFS visits in nondecreasing distance: the last vertex is farthest.
+    dist[order[order.len() - 1]]
 }
 
 /// Two-sweep lower bound on the diameter (exact on trees): BFS from `start`,

@@ -9,9 +9,12 @@
 //! * a **perfect m-ary tree** (Theorem 4.7/4.12) — the identity tree of
 //!   [`crate::topology::perfect_mary_tree`];
 //! * any constant-degree tree for Theorem 4.13 — e.g. BFS trees of meshes.
+//!
+//! [`bfs_tree`] and [`path_tree_from_order`] hand their search to
+//! `Tree::from_search`; the rest have [`Tree::from_parents`] validate.
 
-use crate::bfs::bfs_tree_arrays;
-use crate::tree::{tree_from_pred, Tree};
+use crate::bfs;
+use crate::tree::Tree;
 use crate::{topology, Graph, NodeId};
 use rand::prelude::*;
 use rand::rngs::StdRng;
@@ -21,8 +24,13 @@ use rand::rngs::StdRng;
 /// # Panics
 /// Panics if `g` is disconnected.
 pub fn bfs_tree(g: &Graph, root: NodeId) -> Tree {
-    let (_, pred) = bfs_tree_arrays(g, root);
-    tree_from_pred(root, &pred)
+    // A vertex's undiscovered neighbours are its tree children, scanned
+    // ascending, so the visit order is the tree's BFS order.
+    let mut pred = vec![crate::NO_NODE; g.n()];
+    pred[root] = root;
+    let (dist, order) = bfs::search(g, root, |v, u| pred[v] = u);
+    assert_eq!(order.len(), g.n(), "graph disconnected");
+    Tree::from_search(root, pred, dist, order)
 }
 
 /// Random-walk flavoured spanning tree: BFS from `root` but with each
@@ -54,16 +62,20 @@ pub fn random_bfs_tree(g: &Graph, root: NodeId, seed: u64) -> Tree {
 
 /// Turn an ordering of all vertices into a path-shaped tree rooted at
 /// `order[0]` (each vertex's parent is its predecessor in the order).
+///
+/// # Panics
+/// Panics if `order` is empty or names a vertex twice.
 pub fn path_tree_from_order(order: &[NodeId]) -> Tree {
     let n = order.len();
     assert!(n > 0, "empty order");
-    let mut parent = vec![crate::NO_NODE; n];
+    let (mut parent, mut depth) = (vec![crate::NO_NODE; n], vec![0u32; n]);
     parent[order[0]] = order[0];
-    for w in order.windows(2) {
+    for (i, w) in order.windows(2).enumerate() {
         assert!(parent[w[1]] == crate::NO_NODE, "duplicate vertex in order");
         parent[w[1]] = w[0];
+        depth[w[1]] = i as u32 + 1;
     }
-    Tree::from_parents(order[0], parent)
+    Tree::from_search(order[0], parent, depth, order.to_vec())
 }
 
 /// Hamilton path of the complete graph `K_n`: the identity order.
@@ -150,6 +162,72 @@ pub fn perfect_mary_tree(m: usize, depth: usize) -> Tree {
 mod tests {
     use super::*;
     use crate::topology;
+    use proptest::prelude::*;
+
+    /// `t` holds what [`Tree::from_parents`] builds from its parent array:
+    /// root, parents, children, depths, BFS order and maximum degree.
+    fn assert_same_as_from_parents(t: &Tree) {
+        let parent: Vec<NodeId> = (0..t.n()).map(|v| t.parent(v)).collect();
+        let want = Tree::from_parents(t.root(), parent);
+        assert_eq!(t.root(), want.root());
+        for v in 0..t.n() {
+            assert_eq!(t.children(v), want.children(v), "children of {v}");
+            assert_eq!(t.depth(v), want.depth(v), "depth of {v}");
+        }
+        assert_eq!(t.bfs_order(), want.bfs_order());
+        assert_eq!(t.max_degree(), want.max_degree());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// A BFS tree built from the search that found it equals the tree
+        /// validated and searched again from its parent array, on every
+        /// family the drivers search, from any root.
+        #[test]
+        fn bfs_tree_equals_the_tree_of_its_parents(
+            family in 0usize..5,
+            size in 3usize..9,
+            seed in any::<u64>(),
+        ) {
+            let g = match family {
+                0 => topology::random_regular(2 * size, 3, seed),
+                1 => topology::mesh(&[size, size / 2 + 1]),
+                2 => topology::torus(&[size, 3]),
+                3 => topology::path(size * 3),
+                _ => topology::perfect_mary_tree(2 + size % 3, size / 3 + 1),
+            };
+            let root = (seed % g.n() as u64) as NodeId;
+            let t = bfs_tree(&g, root);
+            prop_assert!(t.is_spanning_tree_of(&g));
+            assert_same_as_from_parents(&t);
+        }
+
+        /// A path tree takes its order as its BFS order and depths; both
+        /// equal what a search of its parent array finds.
+        #[test]
+        fn path_tree_equals_the_tree_of_its_parents(n in 1usize..40, seed in any::<u64>()) {
+            let mut order: Vec<NodeId> = (0..n).collect();
+            order.shuffle(&mut StdRng::seed_from_u64(seed));
+            let t = path_tree_from_order(&order);
+            prop_assert_eq!(t.bfs_order(), &order[..]);
+            assert_same_as_from_parents(&t);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate vertex in order")]
+    fn path_tree_rejects_a_duplicate_vertex() {
+        path_tree_from_order(&[2, 0, 1, 0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "graph disconnected")]
+    fn bfs_tree_rejects_a_disconnected_graph() {
+        let mut b = crate::GraphBuilder::new(4);
+        b.add_edge(0, 1).add_edge(2, 3);
+        bfs_tree(&b.build(), 0);
+    }
 
     #[test]
     fn bfs_tree_of_mesh_is_spanning() {

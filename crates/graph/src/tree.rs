@@ -1,7 +1,11 @@
 //! Rooted trees: the arrow protocol, the combining counter and the TSP
 //! analysis all operate on a spanning tree `T` of the network `G`.
+//!
+//! [`Tree::from_parents`] validates any parent array and searches it; the
+//! crate's `Tree::from_search` trusts the search that found the tree (a
+//! graph BFS, a path's order) and only counts the children.
 
-use crate::{Graph, NodeId, NO_NODE};
+use crate::{Graph, NodeId};
 
 /// A rooted tree on vertices `0..n`, stored as a validated parent array.
 ///
@@ -14,12 +18,14 @@ pub struct Tree {
     root: NodeId,
     parent: Vec<NodeId>,
     /// Children of `v`, ascending: `child_adj[child_off[v]..child_off[v + 1]]`
-    /// (CSR, like [`Graph`] — two arrays whatever `n` is).
-    child_off: Vec<usize>,
+    /// (CSR, like [`Graph`], with `u32` offsets — two arrays whatever `n` is).
+    child_off: Vec<u32>,
     child_adj: Vec<NodeId>,
     depth: Vec<u32>,
     /// Vertices in BFS order from the root (root first).
     bfs_order: Vec<NodeId>,
+    /// Largest undirected degree, counted with the children.
+    max_degree: usize,
 }
 
 impl Tree {
@@ -31,40 +37,57 @@ impl Tree {
         let n = parent.len();
         assert!(root < n, "root out of range");
         assert_eq!(parent[root], root, "parent[root] must be root");
-        let mut child_off = vec![0usize; n + 1];
-        for v in 0..n {
-            assert!(parent[v] < n, "parent[{v}] out of range");
-            if v != root {
-                assert_ne!(parent[v], v, "vertex {v} is a second root");
-                child_off[parent[v] + 1] += 1;
-            }
-        }
-        for v in 0..n {
-            child_off[v + 1] += child_off[v];
-        }
-        let mut cursor = child_off.clone();
-        let mut child_adj = vec![0 as NodeId; n - 1];
-        for v in (0..n).filter(|&v| v != root) {
-            child_adj[cursor[parent[v]]] = v;
-            cursor[parent[v]] += 1;
-        }
+        let mut t = Tree::from_search(root, parent, vec![0; n], Vec::with_capacity(n));
         // BFS from the root computes depths and detects unreachable vertices
-        // (which would imply a cycle among non-root vertices); `bfs_order`
-        // is its own queue.
-        let mut depth = vec![u32::MAX; n];
-        let mut bfs_order = Vec::with_capacity(n);
-        depth[root] = 0;
+        // (a cycle among non-root vertices); `bfs_order` is its own queue.
+        let Tree { child_off, child_adj, depth, bfs_order, .. } = &mut t;
         bfs_order.push(root);
         let mut head = 0;
         while let Some(&u) = bfs_order.get(head) {
             head += 1;
-            for &c in &child_adj[child_off[u]..child_off[u + 1]] {
+            for &c in &child_adj[child_off[u] as usize..child_off[u + 1] as usize] {
                 depth[c] = depth[u] + 1;
                 bfs_order.push(c);
             }
         }
         assert_eq!(bfs_order.len(), n, "parent array contains a cycle");
-        Tree { root, parent, child_off, child_adj, depth, bfs_order }
+        t
+    }
+
+    /// Build from the search that found the tree, taking `depth` and
+    /// `bfs_order` (a BFS over ascending children) as they are; panics on a
+    /// parent out of range or a second self-parent. Counts sum in place so
+    /// that `child_off[p]` ends at `p`'s last slot; filling in descending
+    /// order walks each back to its list's start (no cursor array).
+    pub(crate) fn from_search(
+        root: NodeId,
+        parent: Vec<NodeId>,
+        depth: Vec<u32>,
+        bfs_order: Vec<NodeId>,
+    ) -> Tree {
+        let n = parent.len();
+        assert!(n <= u32::MAX as usize, "tree too large");
+        let mut child_off = vec![0u32; n + 1];
+        for (v, &p) in parent.iter().enumerate() {
+            assert!(p < n, "parent[{v}] out of range");
+            if v != root {
+                assert_ne!(p, v, "vertex {v} is a second root");
+                child_off[p] += 1;
+            }
+        }
+        let (mut max_degree, mut end) = (0, 0);
+        for (v, off) in child_off[..n].iter_mut().enumerate() {
+            max_degree = max_degree.max(*off as usize + usize::from(v != root));
+            end += *off;
+            *off = end;
+        }
+        child_off[n] = end;
+        let mut child_adj = vec![0 as NodeId; end as usize];
+        for v in (0..n).rev().filter(|&v| v != root) {
+            child_off[parent[v]] -= 1;
+            child_adj[child_off[parent[v]] as usize] = v;
+        }
+        Tree { root, parent, child_off, child_adj, depth, bfs_order, max_degree }
     }
 
     /// Number of vertices.
@@ -88,7 +111,7 @@ impl Tree {
     /// Children of `v`.
     #[inline]
     pub fn children(&self, v: NodeId) -> &[NodeId] {
-        &self.child_adj[self.child_off[v]..self.child_off[v + 1]]
+        &self.child_adj[self.child_off[v] as usize..self.child_off[v + 1] as usize]
     }
 
     /// Depth of `v` (root has depth 0).
@@ -108,14 +131,10 @@ impl Tree {
         &self.bfs_order
     }
 
-    /// Degree of `v` in the tree seen as an undirected graph.
-    fn tree_degree(&self, v: NodeId) -> usize {
-        self.children(v).len() + usize::from(v != self.root)
-    }
-
     /// Maximum undirected degree — Theorem 4.1 requires this to be constant.
+    #[inline]
     pub fn max_degree(&self) -> usize {
-        (0..self.n()).map(|v| self.tree_degree(v)).max().unwrap_or(0)
+        self.max_degree
     }
 
     /// Tree neighbours of `v` (parent, then children).
@@ -196,20 +215,6 @@ impl Tree {
     }
 }
 
-/// Build a [`Tree`] from a BFS predecessor array (as produced by
-/// [`crate::bfs::bfs_tree_arrays`]).
-pub fn tree_from_pred(root: NodeId, pred: &[NodeId]) -> Tree {
-    let parent: Vec<NodeId> = pred
-        .iter()
-        .enumerate()
-        .map(|(v, &p)| {
-            assert!(p != NO_NODE, "vertex {v} unreachable from root {root}");
-            p
-        })
-        .collect();
-    Tree::from_parents(root, parent)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -247,7 +252,7 @@ mod tests {
 
         /// Random recursive trees under a random relabelling (so the root is
         /// anywhere and parents are not smaller ids) agree with the nested
-        /// construction on children, depth and BFS order.
+        /// construction on children, depth, BFS order and maximum degree.
         #[test]
         fn flat_children_equal_the_nested_construction(n in 1usize..48, seed in any::<u64>()) {
             let mut rng = StdRng::seed_from_u64(seed);
@@ -264,6 +269,8 @@ mod tests {
                 prop_assert_eq!(t.depth(v), depth[v]);
             }
             prop_assert_eq!(t.bfs_order(), &bfs_order[..]);
+            let degree = |v: NodeId| children[v].len() + usize::from(v != label[0]);
+            prop_assert_eq!(t.max_degree(), (0..n).map(degree).max().unwrap_or(0));
         }
     }
 
@@ -280,7 +287,7 @@ mod tests {
         assert_eq!(t.children(0), &[1, 2]);
         assert_eq!(t.depth(5), 3);
         assert_eq!(t.height(), 3);
-        assert_eq!(t.tree_degree(1), 3);
+        assert_eq!(t.neighbors(1).count(), 3);
         assert_eq!(t.max_degree(), 3);
     }
 

@@ -42,72 +42,49 @@ impl NnTour {
 /// Compute the NN tour on `tree` starting at `start`, visiting `targets`.
 ///
 /// Nearest-unvisited queries run as expanding breadth-first searches over
-/// the tree from the current position, so each query costs `O(ball size)`
-/// up to the nearest target — the whole tour is near-linear when requests
-/// are dense.
+/// [`Tree::neighbors`] from the current position, so each query costs
+/// `O(ball size)` up to the nearest target — the whole tour is near-linear
+/// when requests are dense. A tree has no cycle, so a search needs no
+/// visited marks, only the vertex it came from. A query pops every vertex
+/// at the nearest distance before it picks the smallest id among them, so
+/// the order neighbours are visited in cannot change a pick.
 ///
 /// # Panics
 /// Panics if any target is out of range or duplicated.
 pub fn nn_tour(tree: &Tree, start: NodeId, targets: &[NodeId]) -> NnTour {
     let n = tree.n();
     assert!(start < n, "start out of range");
-    // Adjacency of the tree as flat lists.
-    let mut adj: Vec<Vec<NodeId>> = vec![Vec::new(); n];
-    for v in 0..n {
-        if v != tree.root() {
-            adj[v].push(tree.parent(v));
-            adj[tree.parent(v)].push(v);
-        }
-    }
-
     let mut pending = vec![false; n];
-    let mut remaining = 0usize;
     for &t in targets {
         assert!(t < n, "target {t} out of range");
         assert!(!pending[t], "duplicate target {t}");
         pending[t] = true;
-        remaining += 1;
     }
 
-    // Timestamped visited marks avoid O(n) clearing per query.
-    let mut mark = vec![0u32; n];
-    let mut epoch = 0u32;
-    let mut queue: VecDeque<(NodeId, u64)> = VecDeque::new();
-
-    let mut order = Vec::with_capacity(remaining);
-    let mut leg_costs = Vec::with_capacity(remaining);
+    // (vertex, the vertex it was reached from, distance).
+    let mut queue: VecDeque<(NodeId, NodeId, u64)> = VecDeque::new();
+    let mut order = Vec::with_capacity(targets.len());
+    let mut leg_costs = Vec::with_capacity(targets.len());
     let mut pos = start;
-    while remaining > 0 {
-        epoch += 1;
+    while order.len() < targets.len() {
         queue.clear();
-        queue.push_back((pos, 0));
-        mark[pos] = epoch;
+        queue.push_back((pos, pos, 0));
         // The nearest unvisited target; among equidistant ones, the smallest
         // id. BFS layers are processed fully before deciding.
         let mut best: Option<(u64, NodeId)> = None;
-        while let Some((v, d)) = queue.pop_front() {
-            if let Some((bd, _)) = best {
-                if d > bd {
-                    break;
-                }
+        while let Some((v, from, d)) = queue.pop_front() {
+            if best.is_some_and(|(bd, _)| d > bd) {
+                break;
             }
-            if pending[v] {
-                best = match best {
-                    None => Some((d, v)),
-                    Some((bd, bv)) if d == bd && v < bv => Some((d, v)),
-                    other => other,
-                };
+            if pending[v] && best.is_none_or(|(bd, bv)| d == bd && v < bv) {
+                best = Some((d, v));
             }
-            for &w in &adj[v] {
-                if mark[w] != epoch {
-                    mark[w] = epoch;
-                    queue.push_back((w, d + 1));
-                }
+            for w in tree.neighbors(v).filter(|&w| w != from) {
+                queue.push_back((w, v, d + 1));
             }
         }
         let (d, v) = best.expect("target must be reachable in a tree");
         pending[v] = false;
-        remaining -= 1;
         order.push(v);
         leg_costs.push(d);
         pos = v;
@@ -119,6 +96,93 @@ pub fn nn_tour(tree: &Tree, start: NodeId, targets: &[NodeId]) -> NnTour {
 mod tests {
     use super::*;
     use ccq_graph::spanning;
+    use proptest::prelude::*;
+    use rand::prelude::*;
+    use rand::rngs::StdRng;
+
+    /// The tour the way this module computed it before it walked the tree's
+    /// own arrays — a `Vec` of neighbours per vertex and timestamped visited
+    /// marks — as the reference: `(order, leg_costs)`.
+    fn adjacency_reference(
+        tree: &Tree,
+        start: NodeId,
+        targets: &[NodeId],
+    ) -> (Vec<NodeId>, Vec<u64>) {
+        let n = tree.n();
+        let mut adj: Vec<Vec<NodeId>> = vec![Vec::new(); n];
+        for v in (0..n).filter(|&v| v != tree.root()) {
+            adj[v].push(tree.parent(v));
+            adj[tree.parent(v)].push(v);
+        }
+        let mut pending = vec![false; n];
+        for &t in targets {
+            pending[t] = true;
+        }
+        let mut mark = vec![0u32; n];
+        let mut queue = VecDeque::new();
+        let (mut order, mut legs) = (Vec::new(), Vec::new());
+        let mut pos = start;
+        for epoch in 1..=targets.len() as u32 {
+            queue.clear();
+            queue.push_back((pos, 0u64));
+            mark[pos] = epoch;
+            let mut best: Option<(u64, NodeId)> = None;
+            while let Some((v, d)) = queue.pop_front() {
+                if let Some((bd, _)) = best {
+                    if d > bd {
+                        break;
+                    }
+                }
+                if pending[v] {
+                    best = match best {
+                        None => Some((d, v)),
+                        Some((bd, bv)) if d == bd && v < bv => Some((d, v)),
+                        other => other,
+                    };
+                }
+                for &w in &adj[v] {
+                    if mark[w] != epoch {
+                        mark[w] = epoch;
+                        queue.push_back((w, d + 1));
+                    }
+                }
+            }
+            let (d, v) = best.expect("reachable");
+            pending[v] = false;
+            order.push(v);
+            legs.push(d);
+            pos = v;
+        }
+        (order, legs)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Random recursive trees under a random relabelling (the root
+        /// anywhere, parents not smaller ids), random target subsets in a
+        /// random order and a random start: the tour over the tree's own
+        /// arrays visits in the reference's order at the same leg costs.
+        #[test]
+        fn tours_equal_the_adjacency_list_reference(n in 1usize..64, seed in any::<u64>()) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut label: Vec<NodeId> = (0..n).collect();
+            label.shuffle(&mut rng);
+            let mut parent = vec![label[0]; n];
+            for v in 1..n {
+                parent[label[v]] = label[rng.random_range(0..v)];
+            }
+            let tree = Tree::from_parents(label[0], parent);
+            let density = rng.random::<f64>();
+            let mut targets: Vec<NodeId> = (0..n).filter(|_| rng.random::<f64>() < density).collect();
+            targets.shuffle(&mut rng);
+            let start = rng.random_range(0..n);
+            let tour = nn_tour(&tree, start, &targets);
+            let (order, leg_costs) = adjacency_reference(&tree, start, &targets);
+            prop_assert_eq!(tour.order, order);
+            prop_assert_eq!(tour.leg_costs, leg_costs);
+        }
+    }
 
     fn list(n: usize) -> Tree {
         spanning::path_tree_from_order(&(0..n).collect::<Vec<_>>())

@@ -139,6 +139,24 @@ fn central_setup_allocates_the_same_at_any_request_count() {
     assert_eq!(allocs(16), allocs(256), "(queue, counter) set-up allocations at 16 and 256");
 }
 
+/// A nearest-neighbour tour walks the tree's own arrays, so its cost in
+/// allocations is the same at any size: a pending-target table, the search
+/// queue and the two result vectors. An adjacency list built per tour is a
+/// `Vec` per vertex, 4 096 allocations at the larger size.
+#[test]
+fn a_tour_allocates_the_same_at_any_size() {
+    use ccq_repro::graph::spanning;
+    use ccq_repro::tsp::nn_tour;
+    let allocs = |n: usize| {
+        let tree = spanning::path_tree_from_order(&(0..n).collect::<Vec<_>>());
+        let targets: Vec<usize> = (0..n).step_by(7).collect();
+        let (tour, allocs) = counted(|| nn_tour(&tree, n / 2, &targets));
+        assert_eq!(tour.order.len(), targets.len());
+        allocs
+    };
+    assert_eq!(allocs(512), allocs(4_096), "nn_tour allocations on 512 and 4 096 nodes");
+}
+
 /// A shard plan costs a run no allocation: the run borrows the
 /// scenario's partition, built once outside it, and keeps every queue in
 /// one `n`-processor store and every wire on one wheel, so `central-counter`
