@@ -40,10 +40,9 @@ use serde::Serialize;
 /// same protocol value in [`Paced`], which drives it on the scenario's
 /// schedule, gated by the scenario's [`crate::scenario::AdmissionSpec`].
 /// Admission is evaluated against the *global* backlog on every executor.
-/// The scenario is the one owner of the run's probe and fault plan: both
-/// replace whatever `cfg` carried, and every other field of `cfg` is
-/// honoured as it stands. Errs constructively when the fault spec holds
-/// more crashes than the engine's fixed-capacity plan carries.
+/// The scenario is the one owner of the run's probe and fault plan: its
+/// probe replaces whatever `cfg` carried, its fault plan is the one the
+/// run borrows, and every other field of `cfg` is honoured as it stands.
 fn run_arrival_aware<P, F>(
     scenario: &Scenario,
     cfg: SimConfig,
@@ -53,8 +52,7 @@ where
     P: OnlineProtocol,
     F: FnOnce() -> P,
 {
-    let faults = scenario.faults.plan().map_err(SimError::invalid_config)?;
-    let cfg = cfg.with_probe(scenario.probe).with_faults(faults);
+    let cfg = cfg.with_probe(scenario.probe);
     let mut report = match scenario.open_schedule() {
         None => dispatch(scenario, cfg, build()),
         Some(schedule) => {
@@ -69,7 +67,7 @@ where
 /// Wrap a protocol in the paced driver carrying the scenario-level
 /// arrival knobs it owns: the admission policy and the priority class map
 /// and selection seed. The fault plan and the shard map it reads from the
-/// run (the config's plan, the cut's partition).
+/// run (the plan and the cut's partition the run borrows).
 fn build_paced<P: OnlineProtocol>(
     scenario: &Scenario,
     schedule: &[(Round, ccq_graph::NodeId)],
@@ -93,19 +91,24 @@ fn attach_classes(scenario: &Scenario, report: &mut SimReport) {
     }
 }
 
-/// Execute on the scenario's shard plan: unsharded for `k = 1`, cut by
-/// the scenario's (borrowed) partition otherwise — the one place the ferry
-/// defaults to the run's delay.
+/// Execute under the scenario's fault plan and on its shard plan:
+/// unsharded for `k = 1`, cut by the scenario's (borrowed) partition
+/// otherwise — the one place the ferry defaults to the run's delay. A
+/// sharded plan with no partition of its own (assigned to
+/// [`Scenario::shards`] rather than set through [`Scenario::with_shards`])
+/// is a config error.
 fn dispatch<P: Protocol>(
     scenario: &Scenario,
     cfg: SimConfig,
     protocol: P,
 ) -> Result<SimReport, SimError> {
-    let mut sim = Simulator::new(&scenario.graph, protocol, cfg);
+    let mut sim = Simulator::new(&scenario.graph, protocol, cfg).with_faults(&scenario.faults);
     let shards = &scenario.shards;
     if shards.is_sharded() {
-        let ferry = shards.inter_delay.unwrap_or(cfg.link_delay);
-        sim = sim.with_cut(scenario.partition(), ferry);
+        let partition = scenario.partition().ok_or_else(|| {
+            SimError::invalid_config("a sharded plan is set through Scenario::with_shards")
+        })?;
+        sim = sim.with_cut(partition, shards.inter_delay.unwrap_or(cfg.link_delay));
     }
     sim.run()
 }
@@ -273,9 +276,10 @@ pub fn run_spec_with(
 }
 
 /// [`run_spec`] under a caller-built [`SimConfig`]. The config supplies
-/// the execution model, link delay, round limit, tracing and the dense
-/// reference scan, honoured as they stand; its probe and fault plan are
-/// replaced by the scenario's, which owns both. This is how the
+/// the step constant, link delay, round limit, tracing and the dense
+/// reference scan, honoured as they stand; its probe is replaced by the
+/// scenario's, and the run borrows the scenario's fault plan — the
+/// scenario owns both. This is how the
 /// equivalence suites select an engine reference path that no plan,
 /// scenario or CLI flag names.
 pub fn run_spec_cfg(
@@ -519,7 +523,8 @@ pub fn find(name: &str) -> Option<&'static dyn ProtocolSpec> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::{RequestPattern, TopoSpec};
+    use crate::scenario::{FaultSpec, RequestPattern, ShardSpec, ShardStrategy, TopoSpec};
+    use ccq_sim::FaultKind;
 
     #[test]
     fn registry_names_unique_and_findable() {
@@ -584,21 +589,57 @@ mod tests {
 
     #[test]
     fn the_scenario_owns_the_probe_and_the_fault_plan() {
-        // A probe and a crash set on the caller's config are replaced by
-        // the scenario's: checkpoints every 2 rounds, and no fault.
-        use ccq_sim::{CrashFault, FaultPlan, ProbeSpec};
-        let mut crash = FaultPlan::none();
-        crash.push(CrashFault { node: 0, at: 1, recover: 5 }).unwrap();
-        let cfg = SimConfig::strict()
-            .with_probe(ProbeSpec::OFF.with_checkpoint_every(8))
-            .with_faults(crash);
+        // A probe on the caller's config is replaced by the scenario's
+        // (checkpoints every 2 rounds), and the scenario's crash reaches
+        // the run: a config has no fault plan to carry.
+        use ccq_sim::{FaultEvent, FaultPlan, ProbeSpec};
+        let cfg = SimConfig::strict().with_probe(ProbeSpec::OFF.with_checkpoint_every(8));
         let s = Scenario::build(TopoSpec::List { n: 8 }, RequestPattern::All)
-            .with_probe(ProbeSpec::OFF.with_checkpoint_every(2));
+            .with_probe(ProbeSpec::OFF.with_checkpoint_every(2))
+            .with_faults(FaultPlan::none().crash(0, 1, 5));
         let out = run_spec_cfg(&CentralCounter, &s, cfg).unwrap();
         let rounds: Vec<Round> = out.report.checkpoints.iter().map(|c| c.round).collect();
         assert!(rounds.len() > 4, "too short to tell the cadences apart: {rounds:?}");
         assert_eq!(rounds, (0..rounds.len() as Round).map(|i| 2 * i).collect::<Vec<_>>());
-        assert!(out.report.fault_events.is_empty(), "{:?}", out.report.fault_events);
+        let event = |round, kind| FaultEvent { node: 0, round, kind };
+        assert_eq!(
+            out.report.fault_events,
+            [event(1, FaultKind::Crash), event(5, FaultKind::Recover)]
+        );
+    }
+
+    #[test]
+    fn a_five_window_fault_plan_runs_through_run_spec() {
+        // The engine caps no plan: five windows run and all ten events fire.
+        let faults = (0..5).fold(FaultSpec::none(), |f, node| f.crash(node, 1 + node as Round, 9));
+        let s = Scenario::build(TopoSpec::List { n: 8 }, RequestPattern::All).with_faults(faults);
+        let out = run_spec(&CentralCounter, &s, ModelMode::Strict).unwrap();
+        let count = |kind| out.report.fault_events.iter().filter(|e| e.kind == kind).count();
+        assert_eq!((count(FaultKind::Crash), count(FaultKind::Recover)), (5, 5));
+    }
+
+    #[test]
+    fn a_sharded_plan_without_its_partition_is_a_config_error() {
+        // The plan assigned directly, not through `with_shards`: with no
+        // partition built, or one built for another plan, the run says so
+        // instead of panicking or cutting by the stale partition.
+        let list = || Scenario::build(TopoSpec::List { n: 8 }, RequestPattern::All);
+        let striped = ShardSpec::new(2, ShardStrategy::Striped);
+        let (mut bare, mut stale) =
+            (list(), list().with_shards(ShardSpec::new(8, striped.strategy)));
+        bare.shards = striped;
+        stale.shards = striped;
+        for s in [bare, stale] {
+            let err = run_spec(&CentralCounter, &s, ModelMode::Strict).unwrap_err();
+            let RunError::Sim(SimError::InvalidConfig { what }) = err else {
+                panic!("expected a config error, got {err}");
+            };
+            assert!(what.contains("with_shards"), "{what}");
+        }
+        // A plan that differs only in its ferry keeps the partition.
+        let mut ferried = list().with_shards(striped);
+        ferried.shards.inter_delay = Some(ccq_sim::LinkDelay::Fixed { delay: 3 });
+        assert!(run_spec(&CentralCounter, &ferried, ModelMode::Strict).is_ok());
     }
 
     #[test]

@@ -15,8 +15,8 @@ use serde::Serialize;
 pub enum ModelMode {
     /// 1 send + 1 receive per round (paper's base model §2.1).
     Strict,
-    /// Expanded steps sized to the protocol's tree degree (paper §4):
-    /// budgets = max degree + 1, delays scaled by the same constant.
+    /// Expanded steps sized to the protocol's tree degree (paper §4): the
+    /// step constant is max degree + 1, which also scales the delays.
     Expanded,
 }
 
@@ -55,15 +55,11 @@ pub struct RunOutcome {
     pub order: Vec<NodeId>,
 }
 
-fn expanded_config(max_degree: usize) -> SimConfig {
-    SimConfig::expanded(max_degree.max(1) + 1)
-}
-
 /// The simulator configuration a mode implies on a tree of the given degree.
 pub fn config_for(mode: ModelMode, max_degree: usize) -> SimConfig {
     match mode {
         ModelMode::Strict => SimConfig::strict(),
-        ModelMode::Expanded => expanded_config(max_degree),
+        ModelMode::Expanded => SimConfig::expanded(max_degree.max(1) + 1),
     }
 }
 

@@ -2,7 +2,7 @@
 //! + admission policy + shard plan.
 
 use ccq_graph::{spanning, topology, Graph, NodeId, Partition, Tree};
-use ccq_sim::{CrashFault, FaultPlan, LinkDelay, ProbeSpec, Round};
+use ccq_sim::{LinkDelay, ProbeSpec, Round};
 
 /// How arrivals are admitted against the live backlog: the simulator's own
 /// [`ccq_sim::AdmissionPolicy`], under the name plans and sweeps use for it.
@@ -14,6 +14,12 @@ pub use ccq_sim::AdmissionPolicy as AdmissionSpec;
 /// *When* the request set issues its operations: the simulator's own type
 /// (it carries its seed), as [`LinkDelay`] and [`ProbeSpec`] are.
 pub use ccq_sim::ArrivalSpec;
+/// Crash/recover fault injection: the simulator's own [`ccq_sim::FaultPlan`]
+/// under the name plans and sweeps use for it. Each entry takes one node
+/// down for the rounds `[at, recover)` — it neither delivers nor transmits
+/// while down, its queues freeze in place, and on recovery it drains them
+/// under the protocols' self-stabilizing re-ranking (no state is reset).
+pub use ccq_sim::FaultPlan as FaultSpec;
 use rand::prelude::*;
 use rand::rngs::StdRng;
 
@@ -267,58 +273,6 @@ impl PrioritySpec {
     }
 }
 
-/// Crash/recover fault injection: each entry takes one node down for the
-/// rounds `[at, recover)` — it neither delivers nor transmits while down,
-/// its queues freeze in place, and on recovery it drains them under the
-/// protocols' self-stabilizing re-ranking (no state is reset). The
-/// scenario-level handle on [`ccq_sim::FaultPlan`].
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct FaultSpec {
-    /// The scheduled crashes, in insertion order.
-    pub crashes: Vec<CrashFault>,
-}
-
-impl FaultSpec {
-    /// No faults (the default).
-    pub fn none() -> Self {
-        FaultSpec { crashes: Vec::new() }
-    }
-
-    /// Builder-style: crash `node` at round `at`, recovering at `recover`.
-    pub fn crash(mut self, node: NodeId, at: Round, recover: Round) -> Self {
-        self.crashes.push(CrashFault { node, at, recover });
-        self
-    }
-
-    /// Whether any crash is scheduled.
-    pub fn is_active(&self) -> bool {
-        !self.crashes.is_empty()
-    }
-
-    /// Short display name (used by sweeps and the CLI).
-    pub fn name(&self) -> String {
-        if self.crashes.is_empty() {
-            return "none".into();
-        }
-        self.crashes
-            .iter()
-            .map(|c| format!("crash(node={},at={},recover={})", c.node, c.at, c.recover))
-            .collect::<Vec<_>>()
-            .join("+")
-    }
-
-    /// Resolve into the simulator's fixed-capacity plan. Errs (with the
-    /// offending count) past [`ccq_sim::MAX_FAULTS`] crashes; full
-    /// validation against the topology happens inside the engine.
-    pub fn plan(&self) -> Result<FaultPlan, String> {
-        let mut plan = FaultPlan::none();
-        for c in &self.crashes {
-            plan.push(*c)?;
-        }
-        Ok(plan)
-    }
-}
-
 /// How a scenario's graph is split across shards.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ShardStrategy {
@@ -439,11 +393,14 @@ pub struct Scenario {
     /// no classes, the pre-priority behaviour).
     pub priority: PrioritySpec,
     /// Crash/recover fault plan ([`FaultSpec::none`] = fault-free). The
-    /// run's one fault plan: it replaces any plan on the `SimConfig`.
+    /// run's one fault plan: every run of the scenario borrows it
+    /// ([`ccq_sim::Simulator::with_faults`]).
     pub faults: FaultSpec,
     /// Shard plan ([`ShardSpec::single`] = the unsharded executor). Set it
     /// through [`Scenario::with_shards`], which also builds the partition
-    /// the runs cut by; a plan assigned here directly is not partitioned.
+    /// the runs cut by; a sharded plan assigned here directly has no
+    /// partition of its own shard count and strategy, and its runs fail
+    /// with [`ccq_sim::SimError::InvalidConfig`].
     pub shards: ShardSpec,
     /// Execution probe: checkpoint hashing, snapshots, perturbation and
     /// phase timing ([`ProbeSpec::OFF`] by default — no probe work at
@@ -451,9 +408,9 @@ pub struct Scenario {
     /// SimReport`], so probed runs stay byte-identical to unprobed ones).
     /// The run's one probe: it replaces any probe on the `SimConfig`.
     pub probe: ProbeSpec,
-    /// [`Scenario::partition`], built by [`Scenario::with_shards`] for a
-    /// sharded plan.
-    pub(crate) partition: Option<Partition>,
+    /// [`Scenario::partition`] and the plan it was built for, set by
+    /// [`Scenario::with_shards`] for a sharded plan.
+    pub(crate) partition: Option<(ShardSpec, Partition)>,
 }
 
 /// Checkpoint interval `ccq record` installs when its argv names none:
@@ -508,23 +465,23 @@ impl Scenario {
     /// ```
     pub fn with_shards(mut self, shards: ShardSpec) -> Self {
         self.shards = shards;
-        self.partition = shards.is_sharded().then(|| shards.partition(&self.graph));
+        self.partition = shards.is_sharded().then(|| (shards, shards.partition(&self.graph)));
         self
     }
 
     /// The vertex partition of a sharded [`Scenario::shards`] over the
-    /// graph, built once where the plan is set ([`Scenario::with_shards`]):
+    /// graph, built once where the plan is set ([`Scenario::with_shards`];
+    /// `None` for an unsharded plan, and for one assigned to the field
+    /// directly unless the partition built last has its `k` and strategy):
     /// every sharded run of the scenario — each protocol × mode × delay
     /// case of a sweep's work group, the run of cases that shares one
     /// [`crate::plan::RunCase::scenario`] — borrows the one partition as
     /// its cut (which per-node admission also counts on), and no run
     /// builds it, so a case allocates the same whichever case runs first.
-    ///
-    /// # Panics
-    /// Panics unless a sharded plan was set through
-    /// [`Scenario::with_shards`].
-    pub fn partition(&self) -> &Partition {
-        self.partition.as_ref().expect("a sharded plan is set through Scenario::with_shards")
+    pub fn partition(&self) -> Option<&Partition> {
+        let (built_for, partition) = self.partition.as_ref()?;
+        let cut = |s: &ShardSpec| (s.k, s.strategy);
+        (cut(built_for) == cut(&self.shards)).then_some(partition)
     }
 
     /// Retired: a no-op, kept so callers written against the sliced
@@ -750,19 +707,16 @@ mod tests {
     fn fault_specs_name_plan_and_cap() {
         assert_eq!(FaultSpec::none().name(), "none");
         assert!(!FaultSpec::none().is_active());
-        assert!(FaultSpec::none().plan().unwrap().crashes().next().is_none());
+        assert!(FaultSpec::none().crashes.is_empty());
         let f = FaultSpec::none().crash(3, 8, 16).crash(5, 2, 4);
         assert!(f.is_active());
         assert_eq!(f.name(), "crash(node=3,at=8,recover=16)+crash(node=5,at=2,recover=4)");
-        let plan = f.plan().unwrap();
-        assert!(plan.is_down(3, 8) && !plan.is_down(3, 16));
-        // Past the engine's fixed capacity the resolution errs by name.
-        let mut over = FaultSpec::none();
-        for node in 0..5 {
-            over = over.crash(node, 1, 2);
-        }
-        let err = over.plan().unwrap_err();
-        assert!(err.contains("at most"), "{err}");
+        // The scenario's spec is the engine's plan: nothing to resolve.
+        assert!(f.is_down(3, 8) && !f.is_down(3, 16));
+        // The library caps nothing; only `ccq sweep --fault` stops at 4.
+        let five = (0..5).fold(FaultSpec::none(), |f, node| f.crash(node, 1, 2));
+        assert_eq!(five.crashes.len(), 5);
+        assert!(five.validate(5).is_ok());
     }
 
     #[test]

@@ -426,6 +426,11 @@ const MAX_CLI_DELAY: u64 = 1_000_000;
 /// processor count, itself capped at `MAX_CLI_N`).
 const MAX_CLI_BOUND: u64 = MAX_CLI_N as u64;
 
+/// Most crash windows one `--fault` plan may hold (the `FAULT` note spells
+/// it too). The engine caps nothing, but it scans the plan for every
+/// frontier node it walks, so a long plan lengthens every walk.
+const MAX_CLI_FAULTS: usize = 4;
+
 /// Parse one `--topo` token.
 pub fn topo(token: &str) -> Result<TopoSpec, String> {
     let mut parts = token.split(':');
@@ -837,10 +842,12 @@ pub fn sweep<S: AsRef<str>>(args: &[S]) -> Result<Sweep, String> {
                 // comma-joined tokens compose into a single fault plan.
                 for tok in value()?.split(',') {
                     let crash = fault(tok)?;
-                    faults = faults.crash(crash.node, crash.at, crash.recover);
-                    // The engine holds a fixed number of crash windows;
-                    // surface its capacity error here, not as a case error.
-                    faults.plan().map_err(|e| format!("`{tok}`: {e}"))?;
+                    if faults.crashes.len() == MAX_CLI_FAULTS {
+                        return Err(format!(
+                            "`{tok}`: fault plan holds at most {MAX_CLI_FAULTS} crashes"
+                        ));
+                    }
+                    faults.crashes.push(crash);
                 }
             }
             "--modes" => {
@@ -1198,6 +1205,33 @@ mod tests {
             }
         }
         assert!(sweep(&["--modes", "paper"]).is_ok() && sweep(&["--wavefront"]).is_ok());
+    }
+
+    /// The largest cadence is a cadence like any other: round 0 is
+    /// checkpointed, as under `1000000`.
+    #[test]
+    fn a_checkpoint_every_of_round_max_checkpoints_round_zero() {
+        for every in ["1000000", "18446744073709551615"] {
+            let argv = ["--topo", "list:4", "--proto", "arrow", "--checkpoint-every", every];
+            for case in sweep(&argv).unwrap().plan.execute().cases {
+                let rounds: Vec<u64> = case.checkpoints.unwrap().iter().map(|c| c.round).collect();
+                assert_eq!(rounds, [0], "--checkpoint-every {every}");
+            }
+        }
+    }
+
+    /// A perturbation at the largest round still names its node, which is
+    /// checked against the topology, as at any other round.
+    #[test]
+    fn a_perturbation_at_round_max_still_checks_its_node() {
+        for at in ["5", "18446744073709551615"] {
+            let perturb = format!("{at}:99");
+            let argv = ["--topo", "list:4", "--proto", "arrow", "--perturb", &perturb];
+            for case in sweep(&argv).unwrap().plan.execute().cases {
+                let error = case.error.unwrap_or_default();
+                assert!(error.contains("names node 99"), "--perturb {perturb}: {error}");
+            }
+        }
     }
 
     #[test]

@@ -288,8 +288,9 @@ impl ArrivalSpec {
 ///
 /// The rest it reads from the run, which holds it once:
 ///
-/// * an arrival at a node the run's fault plan ([`crate::SimConfig::faults`],
-///   read through [`SimApi::down_until`]) has down waits for its recovery
+/// * an arrival at a node the run's fault plan
+///   ([`crate::Simulator::with_faults`], read through
+///   [`SimApi::down_until`]) has down waits for its recovery
 ///   round (the node cannot originate a request while down);
 /// * under [`AdmissionPolicy::PerNode`] it enables per-shard open-request
 ///   counts over the run's shard cut ([`SimApi::enable_shard_accounting`]),
@@ -656,13 +657,13 @@ mod tests {
 
     #[test]
     fn a_paced_arrival_at_a_crashed_node_waits_for_the_runs_recovery() {
-        use crate::{CrashFault, FaultPlan, Issue, SimConfig};
-        let mut faults = FaultPlan::none();
-        faults.push(CrashFault { node: 1, at: 1, recover: 5 }).unwrap();
-        let cfg = SimConfig::strict().with_faults(faults);
+        use crate::{FaultPlan, Issue, SimConfig, Simulator};
+        let faults = FaultPlan::none().crash(1, 1, 5);
         // Node 1 is due at round 2, inside its crash window; node 2 at 3.
         let paced = Paced::new(Instant([(); 3]), vec![(2, 1), (3, 2)]);
-        let report = crate::run_protocol(&ccq_graph::topology::path(3), paced, cfg).unwrap();
+        let g = ccq_graph::topology::path(3);
+        let report =
+            Simulator::new(&g, paced, SimConfig::strict()).with_faults(&faults).run().unwrap();
         assert_eq!(report.issues, [Issue { node: 2, round: 3 }, Issue { node: 1, round: 5 }]);
         assert_eq!(report.ops(), 2);
         // Downtime, not backpressure: no admission was delayed.
@@ -707,12 +708,10 @@ mod tests {
 
     #[test]
     fn on_round_before_the_next_due_round_is_a_no_op() {
-        use crate::{CrashFault, FaultPlan, Issue};
-        let mut faults = FaultPlan::none();
-        faults.push(CrashFault { node: 1, at: 2, recover: 7 }).unwrap();
+        use crate::{FaultPlan, Issue};
         let g = ccq_graph::topology::path(4);
         let mut e = Engine::new(4, None);
-        e.cfg = e.cfg.with_faults(faults);
+        e.faults = FaultPlan::none().crash(1, 2, 7);
         // Node 0 is due at 3. Node 1 is due at 4, inside its crash window:
         // it waits for its recovery at 7. Node 2 is due at 5, behind node
         // 0's open operation (bound 1, backoff 2): deferred to 7, then

@@ -31,9 +31,10 @@
 //! adds a shard plan: sends across the cut take the ferry's delay and are
 //! counted — with results byte-identical to the unsharded run's whenever
 //! the ferry's delay equals the run's; see [`crate::shard`].
+//! [`Simulator::with_faults`] lends the run a crash/recover schedule.
 
 use crate::protocol::Protocol;
-use crate::report::{LinkDelay, SimConfig, SimReport};
+use crate::report::{FaultPlan, LinkDelay, SimConfig, SimReport};
 use crate::scheduler;
 use crate::Round;
 use ccq_graph::{Graph, NodeId, Partition};
@@ -46,7 +47,7 @@ pub enum SimError {
     /// Quiescence was not reached within [`SimConfig::max_rounds`] (or a
     /// wire was sent that could not arrive by then).
     MaxRoundsExceeded { limit: Round },
-    /// The configuration (budgets, scale, shard plan, probe) cannot
+    /// The configuration (step, shard plan, fault plan, probe) cannot
     /// be executed. The message is owned so callers can name the offending
     /// values — e.g. a shard partition that does not cover the graph.
     InvalidConfig { what: String },
@@ -77,21 +78,26 @@ impl std::fmt::Display for SimError {
 
 impl std::error::Error for SimError {}
 
+/// The plan of a run no one lent one: no crash.
+static NO_FAULTS: FaultPlan = FaultPlan::none();
+
 /// An executable simulation: graph + protocol + configuration, and
-/// optionally a shard cut ([`Simulator::with_cut`]).
+/// optionally a shard cut ([`Simulator::with_cut`]) and a fault plan
+/// ([`Simulator::with_faults`]).
 pub struct Simulator<'g, P: Protocol> {
     graph: &'g Graph,
     protocol: P,
     config: SimConfig,
     cut: Option<(&'g Partition, LinkDelay)>,
+    faults: &'g FaultPlan,
 }
 
 impl<'g, P: Protocol> Simulator<'g, P> {
-    /// Create a simulator. Configuration is validated at run time:
-    /// `config.send_budget`/`recv_budget` of 0 make the run return
+    /// Create a simulator. Configuration is validated at run time: a
+    /// `config.step` of 0 makes the run return
     /// [`SimError::InvalidConfig`] instead of executing.
     pub fn new(graph: &'g Graph, protocol: P, config: SimConfig) -> Self {
-        Simulator { graph, protocol, config, cut: None }
+        Simulator { graph, protocol, config, cut: None, faults: &NO_FAULTS }
     }
 
     /// Builder-style: cut the run by a shard plan — a send whose endpoints
@@ -104,11 +110,20 @@ impl<'g, P: Protocol> Simulator<'g, P> {
         self
     }
 
+    /// Builder-style: run under the crash/recover schedule `faults` (see
+    /// [`FaultPlan`]). Every crash must name a node of the graph, start at
+    /// round ≥ 1 and recover after it starts, or the run returns
+    /// [`SimError::InvalidConfig`].
+    pub fn with_faults(mut self, faults: &'g FaultPlan) -> Self {
+        self.faults = faults;
+        self
+    }
+
     /// Run to quiescence (no queued or in-flight messages), returning the
     /// report and the final protocol state.
     pub fn run_with_state(self) -> Result<(SimReport, P), SimError> {
-        let Simulator { graph, protocol, config: cfg, cut } = self;
-        scheduler::run(graph, &cfg, cut, protocol)
+        let Simulator { graph, protocol, config: cfg, cut, faults } = self;
+        scheduler::run(graph, &cfg, cut, faults, protocol)
     }
 
     /// Run to quiescence, returning only the report.
@@ -354,11 +369,7 @@ pub(crate) mod tests {
     #[test]
     fn invalid_budgets_are_reported_not_panicked() {
         let g = topology::path(3);
-        for cfg in [
-            SimConfig { send_budget: 0, ..SimConfig::strict() },
-            SimConfig { recv_budget: 0, ..SimConfig::strict() },
-            SimConfig { delay_scale: 0, ..SimConfig::strict() },
-        ] {
+        for cfg in [SimConfig { step: 0, ..SimConfig::strict() }, SimConfig::expanded(0)] {
             on_every_executor(
                 &g,
                 || Walk::new(3),
@@ -370,7 +381,7 @@ pub(crate) mod tests {
                         "expected InvalidConfig, got {err} ({on})"
                     );
                     // The message names the offending field.
-                    assert!(err.to_string().contains("must be ≥ 1"), "{err} ({on})");
+                    assert!(err.to_string().contains("step must be ≥ 1"), "{err} ({on})");
                 },
             );
         }

@@ -9,10 +9,11 @@
 //!   [`Paced`] protocol, optionally gated by an [`AdmissionPolicy`]
 //!   (backpressure: drop, delay or AIMD-throttle arrivals against the
 //!   live backlog — see [`admission`]);
-//! * per round, each processor may **send at most `B_s`** messages and
-//!   **receive at most `B_r`** messages (`B_s = B_r = 1` in the strict
-//!   model; `B_s = B_r = c` in the "expanded time step" model the paper uses
-//!   for constant-degree spanning trees, with reported delays scaled by `c`);
+//! * per round, each processor may **send at most `c`** messages and
+//!   **receive at most `c`** messages ([`SimConfig::step`]: `c = 1` in the
+//!   strict model; a larger `c` in the "expanded time step" model the paper
+//!   uses for constant-degree spanning trees, with reported delays scaled
+//!   by `c`);
 //! * messages that arrive faster than the receive budget queue up at the
 //!   receiver — this measured serialization is exactly the network
 //!   contention that drives the paper's lower bounds (e.g. the star graph's
@@ -73,7 +74,7 @@ pub use probe::{fnv1a, Checkpoint, NodeDigest, Phase, PhaseTimings, ProbeSpec};
 pub use protocol::{with_slice, Protocol, SimApi, SliceApi};
 pub use report::{
     nearest_rank, Completion, CrashFault, Dropped, FaultEvent, FaultKind, FaultPlan, Issue,
-    Lateness, LinkDelay, SimConfig, SimReport, MAX_FAULTS,
+    Lateness, LinkDelay, SimConfig, SimReport,
 };
 pub use trace::{TraceEvent, TraceKind};
 

@@ -145,26 +145,20 @@ pub struct PhaseTimings {
 /// Probe configuration, embedded in [`crate::SimConfig`]. The default is
 /// fully off: no hashing, no snapshot, no timing, no perturbation — and
 /// the engine does no probe work at all in that state.
-///
-/// `Round::MAX` is the "off" sentinel for the round-valued knobs, keeping
-/// the spec `Copy + Eq` under the vendored serde's derive constraints.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ProbeSpec {
     /// Take a [`Checkpoint`] every this many rounds (round 0 included);
-    /// `Round::MAX` disables checkpointing.
-    pub checkpoint_every: Round,
+    /// `None` disables checkpointing.
+    pub checkpoint_every: Option<Round>,
     /// Capture a full canonical state dump + digest at the transmit
-    /// barrier of this round; `Round::MAX` disables the snapshot.
-    pub snapshot_at: Round,
+    /// barrier of this round; `None` disables the snapshot.
+    pub snapshot_at: Option<Round>,
     /// Also record per-node [`NodeDigest`]s at every checkpointed barrier.
     pub node_hashes: bool,
-    /// Skip the transmit phase of [`ProbeSpec::perturb_node`] at this
-    /// round (its staged sends wait one extra round) — the deliberate
-    /// single-node fault the bisector smoke tests plant; `Round::MAX`
-    /// disables the perturbation.
-    pub perturb_round: Round,
-    /// Node whose transmit phase is skipped at the perturbation round.
-    pub perturb_node: NodeId,
+    /// `(round, node)`: skip `node`'s transmit phase at `round` (its staged
+    /// sends wait one extra round) — the deliberate single-node fault the
+    /// bisector smoke tests plant; `None` disables the perturbation.
+    pub perturb: Option<(Round, NodeId)>,
     /// Record cumulative per-phase wall-clock in the report.
     pub timing: bool,
 }
@@ -173,24 +167,23 @@ pub struct ProbeSpec {
 impl ProbeSpec {
     /// No probing at all.
     pub const OFF: ProbeSpec = ProbeSpec {
-        checkpoint_every: Round::MAX,
-        snapshot_at: Round::MAX,
+        checkpoint_every: None,
+        snapshot_at: None,
         node_hashes: false,
-        perturb_round: Round::MAX,
-        perturb_node: 0,
+        perturb: None,
         timing: false,
     };
 
     /// Builder-style: checkpoint every `every` rounds (`every` is clamped
-    /// to ≥ 1; pass `Round::MAX` to disable).
+    /// to ≥ 1).
     pub fn with_checkpoint_every(mut self, every: Round) -> Self {
-        self.checkpoint_every = every.max(1);
+        self.checkpoint_every = Some(every.max(1));
         self
     }
 
     /// Builder-style: capture the canonical snapshot at `round`.
     pub fn with_snapshot_at(mut self, round: Round) -> Self {
-        self.snapshot_at = round;
+        self.snapshot_at = Some(round);
         self
     }
 
@@ -202,8 +195,7 @@ impl ProbeSpec {
 
     /// Builder-style: plant the single-node transmit perturbation.
     pub fn with_perturbation(mut self, round: Round, node: NodeId) -> Self {
-        self.perturb_round = round;
-        self.perturb_node = node;
+        self.perturb = Some((round, node));
         self
     }
 
@@ -216,13 +208,13 @@ impl ProbeSpec {
     /// Whether a checkpoint is due at `round`.
     #[inline]
     fn wants_checkpoint(&self, round: Round) -> bool {
-        self.checkpoint_every != Round::MAX && round.is_multiple_of(self.checkpoint_every.max(1))
+        self.checkpoint_every.is_some_and(|every| round.is_multiple_of(every))
     }
 
     /// Whether the snapshot is due at `round`.
     #[inline]
     fn wants_snapshot(&self, round: Round) -> bool {
-        self.snapshot_at != Round::MAX && round == self.snapshot_at
+        self.snapshot_at == Some(round)
     }
 
     /// Whether any state rendering happens at `round` — the cheap gate the
@@ -237,19 +229,18 @@ impl ProbeSpec {
     /// can never fire — the fault a bisection was asked to plant would
     /// silently not be.
     pub(crate) fn validate(&self, n: usize) -> Result<(), String> {
-        if self.perturb_round != Round::MAX && self.perturb_node >= n {
-            return Err(format!(
-                "perturbation names node {} but the topology has {n} nodes",
-                self.perturb_node
-            ));
+        match self.perturb {
+            Some((_, node)) if node >= n => {
+                Err(format!("perturbation names node {node} but the topology has {n} nodes"))
+            }
+            _ => Ok(()),
         }
-        Ok(())
     }
 
     /// Whether the transmit phase of `node` is perturbed away at `round`
-    /// (the probe half of [`crate::SimConfig::holds_transmit`]).
+    /// (the probe half of the scheduler's transmit gate).
     pub(crate) fn skips_transmit(&self, round: Round, node: NodeId) -> bool {
-        round == self.perturb_round && node == self.perturb_node
+        self.perturb == Some((round, node))
     }
 }
 

@@ -19,10 +19,11 @@
 //! stands in between); a completion, issue or drop is written into the
 //! report (and the trace) in call order. [`SliceApi`] is a [`SimApi`]
 //! scoped to the handling node. Neither keeps a copy of a run
-//! fact: [`SimApi`] reads the fault plan from the [`crate::SimConfig`],
-//! the shard map from the run's cut and the backlog from the report.
+//! fact: [`SimApi`] reads the fault plan the run borrows
+//! ([`crate::Simulator::with_faults`]), the shard map from the run's cut
+//! and the backlog from the report.
 
-use crate::report::{Completion, Dropped, Issue, SimConfig, SimReport};
+use crate::report::{Completion, Dropped, FaultPlan, Issue, SimConfig, SimReport};
 use crate::state::NodeStore;
 use crate::trace::{TraceEvent, TraceKind};
 use crate::{Round, SimError};
@@ -117,6 +118,8 @@ pub struct SimApi<'a, M> {
     pub(crate) cfg: &'a SimConfig,
     /// The shard cut's partition, if the run has one.
     pub(crate) shards: Option<&'a Partition>,
+    /// The run's crash/recover schedule.
+    pub(crate) faults: &'a FaultPlan,
     pub(crate) report: &'a mut SimReport,
     /// Open operations (issued − completed) per shard of `shards` — empty
     /// until [`SimApi::enable_shard_accounting`]. Owned by the scheduler's
@@ -206,10 +209,10 @@ impl<M> SimApi<'_, M> {
     }
 
     /// If `node` is down now under the run's fault plan
-    /// ([`SimConfig::faults`]), the round it recovers.
+    /// ([`crate::Simulator::with_faults`]), the round it recovers.
     #[inline]
     pub fn down_until(&self, node: NodeId) -> Option<Round> {
-        self.cfg.faults.down_until(node, self.round)
+        self.faults.down_until(node, self.round)
     }
 
     /// `node`'s shard, while per-shard accounting is on.
@@ -239,6 +242,7 @@ impl<M> SimApi<'_, M> {
             graph: self.graph,
             cfg: self.cfg,
             shards: self.shards,
+            faults: self.faults,
             report: self.report,
             shard_open: self.shard_open,
             error: self.error,
@@ -311,11 +315,12 @@ pub(crate) mod tests {
     use ccq_graph::topology;
 
     /// What the scheduler's `Ledger` lends a callback — a traced config,
-    /// the cut's partition, the report, the per-shard counts and the error
-    /// slot — plus one store for its sends.
+    /// the cut's partition, the fault plan, the report, the per-shard
+    /// counts and the error slot — plus one store for its sends.
     pub(crate) struct Engine<M> {
         pub(crate) cfg: SimConfig,
         shards: Option<Partition>,
+        pub(crate) faults: FaultPlan,
         pub(crate) report: SimReport,
         shard_open: Vec<u64>,
         pub(crate) error: Option<SimError>,
@@ -326,14 +331,15 @@ pub(crate) mod tests {
         pub(crate) fn new(n: usize, shards: Option<Partition>) -> Self {
             let (report, store) = (SimReport::default(), NodeStore::new(n));
             let cfg = SimConfig::strict().with_trace();
-            Engine { cfg, shards, report, shard_open: Vec::new(), error: None, store }
+            let faults = FaultPlan::none();
+            Engine { cfg, shards, faults, report, shard_open: Vec::new(), error: None, store }
         }
 
         /// Run one callback at `round` on `g`, as the round loop does.
         pub(crate) fn call(&mut self, g: &Graph, round: Round, f: impl FnOnce(&mut SimApi<M>)) {
-            let Engine { cfg, shards, report, shard_open, error, store } = self;
+            let Engine { cfg, shards, faults, report, shard_open, error, store } = self;
             let (graph, shards) = (g, shards.as_ref());
-            f(&mut SimApi { round, graph, cfg, shards, report, shard_open, error, store });
+            f(&mut SimApi { round, graph, cfg, shards, faults, report, shard_open, error, store });
         }
 
         pub(crate) fn outbox(&self, v: NodeId) -> Vec<(NodeId, M)> {

@@ -99,11 +99,6 @@ impl LinkDelay {
     }
 }
 
-/// Largest number of crash/recover faults one run may carry. Keeping the
-/// plan a fixed-size array keeps [`SimConfig`] `Copy`, like every other
-/// engine knob; the sweep layer reports a constructive error past the cap.
-pub const MAX_FAULTS: usize = 4;
-
 /// One injected crash: `node` is down for rounds `at ..< recover`.
 ///
 /// "Down" is fail-pause at round granularity: while down the node neither
@@ -125,41 +120,44 @@ pub struct CrashFault {
     pub recover: Round,
 }
 
-/// The crash/recover schedule of a run: up to [`MAX_FAULTS`] crashes,
-/// a pure function of the configuration — every executor sees the same
-/// node down for the same rounds, which is why fault injection composes
-/// with byte-identity and the probe layer without any special casing.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+/// The crash/recover schedule of a run, a pure function of the plan —
+/// every executor sees the same node down for the same rounds, which is
+/// why fault injection composes with byte-identity and the probe layer
+/// without any special casing. A run borrows it
+/// ([`crate::Simulator::with_faults`]); the empty plan allocates nothing.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct FaultPlan {
-    crashes: [Option<CrashFault>; MAX_FAULTS],
+    /// The scheduled crashes, in insertion order.
+    pub crashes: Vec<CrashFault>,
 }
 
 impl FaultPlan {
     /// The empty plan (no faults — the default).
-    pub fn none() -> Self {
-        Self::default()
+    pub const fn none() -> Self {
+        FaultPlan { crashes: Vec::new() }
     }
 
-    /// Add a crash to the plan. Errors constructively when the plan
-    /// already holds [`MAX_FAULTS`] crashes.
-    pub fn push(&mut self, fault: CrashFault) -> Result<(), String> {
-        for slot in &mut self.crashes {
-            if slot.is_none() {
-                *slot = Some(fault);
-                return Ok(());
-            }
-        }
-        Err(format!("fault plan holds at most {MAX_FAULTS} crashes"))
+    /// Builder-style: crash `node` at round `at`, recovering at `recover`.
+    pub fn crash(mut self, node: NodeId, at: Round, recover: Round) -> Self {
+        self.crashes.push(CrashFault { node, at, recover });
+        self
     }
 
     /// Whether any crash is scheduled.
     pub fn is_active(&self) -> bool {
-        self.crashes.iter().any(|c| c.is_some())
+        !self.crashes.is_empty()
     }
 
-    /// The scheduled crashes, in insertion order.
-    pub fn crashes(&self) -> impl Iterator<Item = CrashFault> + '_ {
-        self.crashes.iter().filter_map(|c| *c)
+    /// Short display name (used by sweeps and the CLI).
+    pub fn name(&self) -> String {
+        if self.crashes.is_empty() {
+            return "none".into();
+        }
+        self.crashes
+            .iter()
+            .map(|c| format!("crash(node={},at={},recover={})", c.node, c.at, c.recover))
+            .collect::<Vec<_>>()
+            .join("+")
     }
 
     /// Whether `node` is down at `round` (down for `at ..< recover`).
@@ -174,7 +172,6 @@ impl FaultPlan {
     pub fn down_until(&self, node: NodeId, round: Round) -> Option<Round> {
         self.crashes
             .iter()
-            .flatten()
             .filter(|c| c.node == node && c.at <= round && round < c.recover)
             .map(|c| c.recover)
             .max()
@@ -184,7 +181,7 @@ impl FaultPlan {
     /// names a real node, starts at round ≥ 1 and recovers strictly
     /// after it starts.
     pub fn validate(&self, n: usize) -> Result<(), String> {
-        for c in self.crashes() {
+        for c in &self.crashes {
             if c.node >= n {
                 return Err(format!(
                     "fault crash names node {} but the topology has {n} nodes",
@@ -214,7 +211,7 @@ impl FaultPlan {
     /// identical across executors by construction.
     pub(crate) fn events_until(&self, rounds: Round) -> Vec<FaultEvent> {
         let mut events = Vec::new();
-        for c in self.crashes() {
+        for c in &self.crashes {
             if c.at <= rounds {
                 events.push(FaultEvent { node: c.node, round: c.at, kind: FaultKind::Crash });
             }
@@ -267,7 +264,10 @@ impl Serialize for FaultEvent {
     }
 }
 
-/// Per-round send/receive budgets and accounting options.
+/// The §2.1 model's scalars, each stated once, and accounting options.
+/// The run's lists are borrowed, not held: the graph, the shard cut
+/// ([`crate::Simulator::with_cut`]) and the fault plan
+/// ([`crate::Simulator::with_faults`]).
 ///
 /// * [`SimConfig::strict`] is the paper's base model (§2.1): one send and
 ///   one receive per processor per time step.
@@ -277,12 +277,9 @@ impl Serialize for FaultEvent {
 ///   steps), so complexities remain comparable with the strict model.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SimConfig {
-    /// Maximum messages a processor may transmit per round.
-    pub send_budget: usize,
-    /// Maximum messages a processor may dequeue per round.
-    pub recv_budget: usize,
-    /// Factor by which reported delays/rounds are multiplied.
-    pub delay_scale: u64,
+    /// The step constant `c`: a processor transmits and dequeues up to
+    /// `step` messages per round, and reported delays are scaled by it.
+    pub step: usize,
     /// Abort if quiescence is not reached by this many rounds.
     pub max_rounds: Round,
     /// Record a full event trace in the report.
@@ -301,35 +298,27 @@ pub struct SimConfig {
     /// perturbation knob (see [`crate::probe::ProbeSpec`]). The default is
     /// fully off and costs nothing.
     pub probe: ProbeSpec,
-    /// Crash/recover fault injection (see [`FaultPlan`]; the default is
-    /// empty and costs nothing). A *model* knob, unlike the execution
-    /// strategies above: a faulty run legitimately differs from a
-    /// fault-free one, but is still byte-identical across every executor.
-    pub faults: FaultPlan,
 }
 
 impl SimConfig {
     /// The strict model: 1 send + 1 receive per round.
     pub fn strict() -> Self {
         SimConfig {
-            send_budget: 1,
-            recv_budget: 1,
-            delay_scale: 1,
+            step: 1,
             max_rounds: 100_000_000,
             trace: false,
             link_delay: LinkDelay::Unit,
             dense_scan: false,
             probe: ProbeSpec::OFF,
-            faults: FaultPlan::none(),
         }
     }
 
-    /// The expanded-step model for constant `c` (paper §2.1/§4): budgets of
-    /// `c` per round, delays reported ×`c`. A `c` of 0 is not rejected
-    /// here: the engine reports it as [`crate::SimError::InvalidConfig`]
-    /// when the configuration is run.
+    /// The expanded-step model for constant `c` (paper §2.1/§4): up to `c`
+    /// messages each way per round, delays reported ×`c`. A `c` of 0 is
+    /// not rejected here: the engine reports it as
+    /// [`crate::SimError::InvalidConfig`] when the configuration is run.
     pub fn expanded(c: usize) -> Self {
-        SimConfig { send_budget: c, recv_budget: c, delay_scale: c as u64, ..Self::strict() }
+        SimConfig { step: c, ..Self::strict() }
     }
 
     /// Builder-style: set the round limit.
@@ -369,24 +358,6 @@ impl SimConfig {
     pub fn with_probe(mut self, probe: ProbeSpec) -> Self {
         self.probe = probe;
         self
-    }
-
-    /// Builder-style: set the crash/recover fault plan (see [`FaultPlan`];
-    /// [`FaultPlan::none`] disables).
-    pub fn with_faults(mut self, faults: FaultPlan) -> Self {
-        self.faults = faults;
-        self
-    }
-
-    /// The transmit gate, read by the transmit walk: whether `node`'s
-    /// staged sends stay in its outbox through `round` — it is crashed (they freeze until the
-    /// recovery round), or it is the planted perturbation (they wait one
-    /// extra round, see [`ProbeSpec::perturb_round`]). A held node is
-    /// re-listed so its sends stay on the frontier; any other node pops up
-    /// to `send_budget`.
-    #[inline]
-    pub(crate) fn holds_transmit(&self, round: Round, node: NodeId) -> bool {
-        self.faults.is_down(node, round) || self.probe.skips_transmit(round, node)
     }
 }
 
@@ -456,7 +427,7 @@ pub struct SimReport {
     pub cross_shard_messages: u64,
     /// Largest send-queue (outbox) depth observed at any processor.
     pub max_outbox_depth: usize,
-    /// Delay scale applied (from [`SimConfig::delay_scale`]).
+    /// Delay scale applied (the run's [`SimConfig::step`]).
     pub delay_scale: u64,
     /// All completions, in completion order.
     pub completions: Vec<Completion>,
@@ -477,7 +448,7 @@ pub struct SimReport {
     /// arrival to a later round (one arrival retried `r` times counts `r`).
     pub delayed_admissions: u64,
     /// Crash/recover fault events that fired during the run, sorted by
-    /// `(round, node)` — derived purely from [`SimConfig::faults`] and the
+    /// `(round, node)` — derived purely from the run's [`FaultPlan`] and the
     /// final round count, so identical across executors by construction.
     /// Serialized as a `faults` section only when non-empty, keeping
     /// fault-free reports byte-identical to their pre-fault encoding.
@@ -884,10 +855,9 @@ mod tests {
     #[test]
     fn config_presets() {
         let s = SimConfig::strict();
-        assert_eq!((s.send_budget, s.recv_budget, s.delay_scale), (1, 1, 1));
+        assert_eq!(s.step, 1);
         assert!(!s.dense_scan);
-        let e = SimConfig::expanded(3);
-        assert_eq!((e.send_budget, e.recv_budget, e.delay_scale), (3, 3, 3));
+        assert_eq!(SimConfig::expanded(3).step, 3);
     }
 
     #[test]
@@ -1134,9 +1104,8 @@ mod tests {
 
     #[test]
     fn fault_plan_schedules_and_validates() {
-        let mut plan = FaultPlan::none();
-        assert!(!plan.is_active());
-        plan.push(CrashFault { node: 2, at: 3, recover: 7 }).unwrap();
+        assert!(!FaultPlan::none().is_active());
+        let plan = FaultPlan::none().crash(2, 3, 7);
         assert!(plan.is_active());
         assert!(!plan.is_down(2, 2));
         assert!(plan.is_down(2, 3));
@@ -1146,18 +1115,17 @@ mod tests {
         assert!(plan.validate(3).is_ok());
         // Node out of range, crash at round 0, recover ≤ at: all named.
         assert!(plan.validate(2).unwrap_err().contains("node 2"));
-        let mut zero = FaultPlan::none();
-        zero.push(CrashFault { node: 0, at: 0, recover: 5 }).unwrap();
+        let zero = FaultPlan::none().crash(0, 0, 5);
         assert!(zero.validate(4).unwrap_err().contains("round 0"));
-        let mut rev = FaultPlan::none();
-        rev.push(CrashFault { node: 0, at: 5, recover: 5 }).unwrap();
+        let rev = FaultPlan::none().crash(0, 5, 5);
         assert!(rev.validate(4).unwrap_err().contains("not after"));
-        // The plan is bounded.
-        let mut full = FaultPlan::none();
-        for i in 0..MAX_FAULTS {
-            full.push(CrashFault { node: i, at: 1, recover: 2 }).unwrap();
-        }
-        assert!(full.push(CrashFault { node: 9, at: 1, recover: 2 }).is_err());
+        // The plan holds any number of windows; overlapping ones keep the
+        // node down until the latest recovery.
+        let many = (0..6).fold(FaultPlan::none(), |p, i| p.crash(1, 1 + i, 3 + 2 * i));
+        assert_eq!(many.crashes.len(), 6);
+        assert!(many.validate(2).is_ok());
+        assert_eq!(many.down_until(1, 6), Some(13));
+        assert_eq!(many.events_until(20).len(), 12);
         // Events stop at the final round.
         assert_eq!(plan.events_until(2), vec![]);
         let mid = plan.events_until(4);
@@ -1174,9 +1142,7 @@ mod tests {
         let mut clean = String::new();
         rep.serialize_json(&mut clean);
         assert!(!clean.contains("faults"));
-        let mut plan = FaultPlan::none();
-        plan.push(CrashFault { node: 1, at: 2, recover: 4 }).unwrap();
-        rep.record_fault_events(&plan);
+        rep.record_fault_events(&FaultPlan::none().crash(1, 2, 4));
         let mut faulty = String::new();
         rep.serialize_json(&mut faulty);
         assert!(faulty.contains(

@@ -15,7 +15,7 @@
 //! 3. **deliver (apply)** — each processor with pending in-port work (the
 //!    dirty frontier, in the ascending id order the store's bitset yields,
 //!    unsorted; under [`crate::SimConfig::dense_scan`] every processor)
-//!    dequeues up to `recv_budget` in-port messages and
+//!    dequeues up to [`crate::SimConfig::step`] in-port messages and
 //!    hands each to [`crate::Protocol::on_message`] on its slice through a
 //!    [`crate::SliceApi`] over the store it just popped from; the walk
 //!    keeps the per-message order `Ledger::note_delivery`, then the
@@ -23,7 +23,7 @@
 //!    node's outbox and whose completions are recorded, in call order, as
 //!    it makes them; with no in-port occupied the walk is skipped in O(1);
 //! 4. **transmit** — each processor with staged sends (again the frontier,
-//!    ascending id) dequeues up to `send_budget` outbox messages; each
+//!    ascending id) dequeues up to `step` outbox messages; each
 //!    receives the next global sequence number and its entry is linked
 //!    onto the wheel under its link's delay (a send that cannot arrive by
 //!    [`crate::SimConfig::max_rounds`] fails the run here); with no outbox
@@ -45,9 +45,10 @@
 //! the ferry delay and counts in
 //! [`crate::SimReport::cross_shard_messages`] (see [`crate::shard`]).
 //! [`crate::Simulator`] is the only caller of `run`, with or without a cut.
-//! The `Ledger` lent to every phase holds the run's inputs (the cut among
-//! them), the report, the per-shard open-operation counts, the error slot
-//! and the phase clock; every [`crate::SimApi`] is a view over it.
+//! The `Ledger` lent to every phase holds the run's inputs (the cut and the
+//! fault plan among them), the report, the per-shard open-operation
+//! counts, the error slot and the phase clock; every [`crate::SimApi`] is
+//! a view over it.
 //!
 //! **A barrier nobody watches costs nothing.** A barrier does two things,
 //! both optional: it laps the phase clock (`--timing`) and, in a round the
@@ -66,7 +67,7 @@
 
 use crate::probe::{self, Phase, Stopwatch};
 use crate::protocol::{Protocol, SimApi};
-use crate::report::{LinkDelay, SimConfig, SimReport};
+use crate::report::{FaultPlan, LinkDelay, SimConfig, SimReport};
 use crate::state::NodeStore;
 use crate::trace::{TraceEvent, TraceKind};
 use crate::transport::Transport;
@@ -75,17 +76,11 @@ use ccq_graph::{Graph, NodeId, Partition};
 
 /// Reject configurations the engine cannot execute on `n` processors,
 /// constructively — checked by [`run`] before round 0.
-fn validate_config(cfg: &SimConfig, n: usize) -> Result<(), SimError> {
-    if cfg.send_budget < 1 {
-        return Err(SimError::invalid_config("send_budget must be ≥ 1"));
+fn validate_config(cfg: &SimConfig, faults: &FaultPlan, n: usize) -> Result<(), SimError> {
+    if cfg.step < 1 {
+        return Err(SimError::invalid_config("step must be ≥ 1"));
     }
-    if cfg.recv_budget < 1 {
-        return Err(SimError::invalid_config("recv_budget must be ≥ 1"));
-    }
-    if cfg.delay_scale < 1 {
-        return Err(SimError::invalid_config("delay_scale must be ≥ 1"));
-    }
-    cfg.faults.validate(n).map_err(SimError::invalid_config)?;
+    faults.validate(n).map_err(SimError::invalid_config)?;
     cfg.probe.validate(n).map_err(SimError::invalid_config)
 }
 
@@ -103,13 +98,14 @@ fn validate_slices<P: Protocol>(protocol: &mut P, n: usize) -> Result<(), SimErr
 }
 
 /// What the round records, owned by [`run`] and lent to each phase: the
-/// run's borrowed inputs (the shard cut among them), the report, the
-/// per-shard open-operation counts, the error slot every [`SimApi`] writes
-/// its first invalid send to, and the phase clock.
+/// run's borrowed inputs (the shard cut and the fault plan among them),
+/// the report, the per-shard open-operation counts, the error slot every
+/// [`SimApi`] writes its first invalid send to, and the phase clock.
 struct Ledger<'a> {
     graph: &'a Graph,
     cfg: &'a SimConfig,
     cut: Option<(&'a Partition, LinkDelay)>,
+    faults: &'a FaultPlan,
     report: SimReport,
     /// Empty unless a protocol enabled per-shard accounting
     /// ([`SimApi::enable_shard_accounting`]).
@@ -121,9 +117,20 @@ struct Ledger<'a> {
 impl Ledger<'_> {
     /// The write-through [`SimApi`] at `round`, staging sends in `store`.
     fn api<'s, M>(&'s mut self, round: Round, store: &'s mut NodeStore<M>) -> SimApi<'s, M> {
-        let Ledger { graph, cfg, cut, report, shard_open, error, .. } = self;
+        let Ledger { graph, cfg, cut, faults, report, shard_open, error, .. } = self;
         let shards = cut.map(|(partition, _)| partition);
-        SimApi { round, graph, cfg, shards, report, shard_open, error, store }
+        SimApi { round, graph, cfg, shards, faults, report, shard_open, error, store }
+    }
+
+    /// The transmit gate, read by the transmit walk: whether `node`'s
+    /// staged sends stay in its outbox through `round` — it is crashed
+    /// (they freeze until the recovery round), or it is the planted
+    /// perturbation (they wait one extra round, see
+    /// [`crate::ProbeSpec::perturb`]). A held node is re-listed so its
+    /// sends stay on the frontier; any other node pops up to `step`.
+    #[inline]
+    fn holds_transmit(&self, round: Round, node: NodeId) -> bool {
+        self.faults.is_down(node, round) || self.cfg.probe.skips_transmit(round, node)
     }
 
     /// End a callback: the first invalid send it made, if any.
@@ -256,15 +263,17 @@ fn advance_round<P: Protocol>(
 /// only through [`crate::Simulator`]. `cut` is a shard plan
 /// ([`crate::Simulator::with_cut`]): the partition and the delay of the
 /// links it separates. It is checked to cover the graph after the
-/// configuration and the slices.
+/// configuration, the fault plan ([`crate::Simulator::with_faults`]) and
+/// the slices.
 pub(crate) fn run<P: Protocol>(
     graph: &Graph,
     cfg: &SimConfig,
     cut: Option<(&Partition, LinkDelay)>,
+    faults: &FaultPlan,
     mut protocol: P,
 ) -> Result<(SimReport, P), SimError> {
     let n = graph.n();
-    validate_config(cfg, n)?;
+    validate_config(cfg, faults, n)?;
     validate_slices(&mut protocol, n)?;
     if cut.is_some_and(|(partition, _)| partition.n() != n) {
         return Err(SimError::invalid_config(
@@ -280,8 +289,9 @@ pub(crate) fn run<P: Protocol>(
         graph,
         cfg,
         cut,
+        faults,
         report: SimReport {
-            delay_scale: cfg.delay_scale,
+            delay_scale: cfg.step as u64,
             received_by_node: vec![0; n],
             ..Default::default()
         },
@@ -303,7 +313,7 @@ pub(crate) fn run<P: Protocol>(
     };
     let mut report = led.report;
     report.rounds = last;
-    report.record_fault_events(&cfg.faults);
+    report.record_fault_events(faults);
     report.phase_timing = led.watch.timings();
     Ok((report, protocol))
 }
@@ -342,7 +352,7 @@ impl<M> Executor<M> {
     }
 
     /// The receive walk: visit the in-port frontier in ascending node
-    /// order, skip (and re-list) a crashed node, pop up to `recv_budget`
+    /// order, skip (and re-list) a crashed node, pop up to `step`
     /// messages per live node and run the handler on each, its sends
     /// staged in the sender's outbox as it makes them. With every in-port
     /// empty the walk would pop nothing, so it is not made.
@@ -360,14 +370,14 @@ impl<M> Executor<M> {
         self.fill_frontier(cfg.dense_scan, NodeStore::take_inport_frontier);
         let Executor { store, frontier, .. } = self;
         for &v in frontier.iter() {
-            if cfg.faults.is_down(v, round) {
+            if led.faults.is_down(v, round) {
                 // Crashed: the in-port freezes in place (neighbours keep
                 // buffering over reliable FIFO wires) — re-list so the
                 // pending work survives to the recovery round.
                 store.relist_inport(v);
                 continue;
             }
-            for _ in 0..cfg.recv_budget {
+            for _ in 0..cfg.step {
                 let Some(inb) = store.pop_inport(v) else { break };
                 led.report.queue_wait_rounds += round - inb.arrival;
                 led.note_delivery(round, v, inb.src);
@@ -380,8 +390,8 @@ impl<M> Executor<M> {
     }
 
     /// The outbox walk: visit the outbox frontier in ascending node order;
-    /// a node [`SimConfig::holds_transmit`] holds keeps its sends and is
-    /// re-listed, any other pops up to `send_budget`, numbering every send
+    /// a node `Ledger::holds_transmit` holds keeps its sends and is
+    /// re-listed, any other pops up to `step`, numbering every send
     /// onto the wheel under its link's delay — the cut's ferry delay when
     /// the partition separates the endpoints, the run's otherwise. A send
     /// the wheel refused (due after `max_rounds`) fails the run once the
@@ -395,11 +405,11 @@ impl<M> Executor<M> {
         self.fill_frontier(cfg.dense_scan, NodeStore::take_outbox_frontier);
         let Executor { store, wheel, frontier } = self;
         for &v in frontier.iter() {
-            if cfg.holds_transmit(round, v) {
+            if led.holds_transmit(round, v) {
                 store.relist_outbox(v);
                 continue;
             }
-            for _ in 0..cfg.send_budget {
+            for _ in 0..cfg.step {
                 let Some((e, dst)) = store.pop_outbox(v) else { break };
                 let seq = led.note_transmit(round, v, dst);
                 let delay = match led.cut {

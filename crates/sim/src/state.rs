@@ -7,9 +7,9 @@
 //! [`crate::scheduler`]). The invariants this layer owns:
 //!
 //! * **outbox FIFO** — sends staged by a protocol leave the processor in
-//!   staging order, at most `send_budget` per round;
+//!   staging order, at most [`crate::SimConfig::step`] per round;
 //! * **in-port FIFO** — matured messages are handed to the protocol in the
-//!   order the transport matured them, at most `recv_budget` per round;
+//!   order the transport matured them, at most `step` per round;
 //! * messages beyond a budget *wait in place*; that waiting is the measured
 //!   contention ([`crate::SimReport::queue_wait_rounds`] and the depth
 //!   high-water marks);

@@ -601,13 +601,13 @@ fn sharded_invalid_config_is_an_error_not_a_panic() {
     )
     .unwrap_err();
     assert!(err.to_string().contains("partition"), "{err}");
-    // Zero budgets through the plain engine.
+    // A zero step through the plain engine.
     let err = Simulator::new(
         &g,
         ArrowProtocol::new(&tree, 0, &requests),
-        SimConfig { send_budget: 0, ..SimConfig::strict() },
+        SimConfig { step: 0, ..SimConfig::strict() },
     )
     .run()
     .unwrap_err();
-    assert!(err.to_string().contains("send_budget"), "{err}");
+    assert!(err.to_string().contains("step"), "{err}");
 }
