@@ -2,9 +2,9 @@
 //! **long-lived** scenario — requests arrive over time instead of all at
 //! round 0.
 //!
-//! We sweep the inter-arrival gap on a mesh's Hamilton-path tree, driving
-//! the plain [`ArrowProtocol`] through the generic
-//! [`Paced`] open-system wrapper — the same machinery every registry
+//! We sweep the inter-arrival gap on a mesh's Hamilton-path tree, running
+//! the plain [`ArrowProtocol`] on an open schedule
+//! ([`Simulator::with_arrivals`]) — the same arrivals phase every registry
 //! protocol uses for open arrivals. At gap 0 this is the paper's one-shot
 //! case (concurrent requests chase each other and the 2×NN-TSP ceiling
 //! applies); as the gap grows each request finds a settled tail and pays
@@ -18,7 +18,7 @@ use crate::prelude::*;
 use crate::table::fmt_util::{f2, int};
 use ccq_graph::NodeId;
 use ccq_queuing::{verify_total_order, ArrowProtocol};
-use ccq_sim::{Paced, Round, SimConfig, Simulator};
+use ccq_sim::{Arrivals, Protocol, Round, SimConfig, Simulator};
 
 /// Run the long-lived arrival sweep.
 pub fn run(scale: Scale) -> Vec<Table> {
@@ -36,15 +36,13 @@ pub fn run(scale: Scale) -> Vec<Table> {
         let schedule: Vec<(Round, NodeId)> =
             (0..n).map(|i| (i as u64 * gap, (i * stride) % n)).collect();
         let arrow = ArrowProtocol::new(&s.queuing_tree, s.tail, &s.requests);
-        let proto = Paced::new(arrow, schedule);
-        let requesters = proto.requesters();
         let cfg = SimConfig::expanded(s.queuing_tree.max_degree() + 1);
-        let (rep, _) =
-            Simulator::new(&s.graph, proto, cfg).run_with_state().expect("long-lived run");
+        let sim = Simulator::new(&s.graph, arrow, cfg).with_arrivals(Arrivals::new(schedule));
+        let (rep, arrow) = sim.run_with_state().expect("long-lived run");
         let pred_of: Vec<(NodeId, u64)> =
             rep.completions.iter().map(|c| (c.node, c.value)).collect();
-        verify_total_order(&requesters, &pred_of).expect("valid total order");
-        // `Paced` records issue events, so the report's completion
+        verify_total_order(arrow.requests(), &pred_of).expect("valid total order");
+        // The schedule's issues are recorded, so the report's completion
         // latencies are already (completion − issue) × scale.
         let adjusted: u64 = rep.latencies().iter().sum();
         t.push_row(vec![

@@ -28,81 +28,36 @@ use ccq_graph::{NodeId, Tree};
 use ccq_queuing::{
     verify_total_order, ArrowProtocol, CentralQueueProtocol, CombiningQueueProtocol,
 };
-use ccq_sim::{
-    LinkDelay, OnlineProtocol, Paced, Protocol, Round, SimConfig, SimError, SimReport, Simulator,
-};
+use ccq_sim::{Arrivals, LinkDelay, Protocol, SimConfig, SimError, SimReport, Simulator};
 use serde::Serialize;
 
 /// Run a protocol on `scenario`, honouring its arrival specification,
-/// admission policy, shard plan, probe and fault plan: the one-shot batch
-/// executes the protocol unchanged (bit-identical to the pre-open-system
-/// engine), while open arrivals — or an active admission policy — wrap the
-/// same protocol value in [`Paced`], which drives it on the scenario's
-/// schedule, gated by the scenario's [`crate::scenario::AdmissionSpec`].
-/// Admission is evaluated against the *global* backlog on every executor.
-/// The scenario is the one owner of the run's probe and fault plan: its
-/// probe replaces whatever `cfg` carried, its fault plan is the one the
-/// run borrows, and every other field of `cfg` is honoured as it stands.
-fn run_arrival_aware<P, F>(
-    scenario: &Scenario,
-    cfg: SimConfig,
-    build: F,
-) -> Result<SimReport, SimError>
-where
-    P: OnlineProtocol,
-    F: FnOnce() -> P,
-{
-    let cfg = cfg.with_probe(scenario.probe);
-    let mut report = match scenario.open_schedule() {
-        None => dispatch(scenario, cfg, build()),
-        Some(schedule) => {
-            let paced = build_paced(scenario, schedule, build());
-            dispatch(scenario, cfg, paced)
-        }
-    }?;
-    attach_classes(scenario, &mut report);
-    Ok(report)
-}
-
-/// Wrap a protocol in the paced driver carrying the scenario-level
-/// arrival knobs it owns: the admission policy and the priority class map
-/// and selection seed. The fault plan and the shard map it reads from the
-/// run (the plan and the cut's partition the run borrows).
-fn build_paced<P: OnlineProtocol>(
-    scenario: &Scenario,
-    schedule: &[(Round, ccq_graph::NodeId)],
-    inner: P,
-) -> Paced<P> {
-    let mut paced = Paced::new(inner, schedule.to_vec()).with_admission(scenario.admission);
-    if scenario.priority.is_active() {
-        let classes = scenario.priority.classes(scenario.n());
-        paced = paced.with_priority(classes, scenario.priority.seed());
-    }
-    paced
-}
-
-/// Attach the scenario's priority class map to a finished report so the
-/// summary layer can join per-class latency and conservation metrics.
-/// Post-run and never serialized, so probed, recorded and replayed runs
-/// stay byte-identical whether or not classes are in play.
-fn attach_classes(scenario: &Scenario, report: &mut SimReport) {
-    if scenario.priority.is_active() {
-        report.node_class = scenario.priority.classes(scenario.n());
-    }
-}
-
-/// Execute under the scenario's fault plan and on its shard plan:
-/// unsharded for `k = 1`, cut by the scenario's (borrowed) partition
-/// otherwise — the one place the ferry defaults to the run's delay. A
-/// sharded plan with no partition of its own (assigned to
-/// [`Scenario::shards`] rather than set through [`Scenario::with_shards`])
-/// is a config error.
+/// admission policy, priority classes, shard plan, probe and fault plan:
+/// the run issues the one-shot batch unless the scenario has an open
+/// schedule ([`Scenario::open_schedule`]), which it then issues from,
+/// gated by the scenario's [`crate::scenario::AdmissionSpec`] against the
+/// *global* backlog. The scenario is the one owner of the run's probe and
+/// fault plan: its probe replaces whatever `cfg` carried, its fault plan
+/// is the one the run borrows, and every other field of `cfg` is honoured
+/// as it stands. A sharded plan runs cut by the scenario's (borrowed)
+/// partition — the one place the ferry defaults to the run's delay; one
+/// with no partition of its own (assigned to [`Scenario::shards`] rather
+/// than set through [`Scenario::with_shards`]) is a config error.
 fn dispatch<P: Protocol>(
     scenario: &Scenario,
     cfg: SimConfig,
     protocol: P,
 ) -> Result<SimReport, SimError> {
+    let cfg = cfg.with_probe(scenario.probe);
     let mut sim = Simulator::new(&scenario.graph, protocol, cfg).with_faults(&scenario.faults);
+    if let Some(schedule) = scenario.open_schedule() {
+        let mut arrivals = Arrivals::new(schedule.to_vec()).with_admission(scenario.admission);
+        if scenario.priority.is_active() {
+            let classes = scenario.priority.classes(scenario.n());
+            arrivals = arrivals.with_priority(classes, scenario.priority.seed());
+        }
+        sim = sim.with_arrivals(arrivals);
+    }
     let shards = &scenario.shards;
     if shards.is_sharded() {
         let partition = scenario.partition().ok_or_else(|| {
@@ -110,7 +65,14 @@ fn dispatch<P: Protocol>(
         })?;
         sim = sim.with_cut(partition, shards.inter_delay.unwrap_or(cfg.link_delay));
     }
-    sim.run()
+    let mut report = sim.run()?;
+    // The class map joins the summary's per-class metrics. Post-run and
+    // never serialized, so probed, recorded and replayed runs stay
+    // byte-identical whether or not classes are in play.
+    if scenario.priority.is_active() {
+        report.node_class = scenario.priority.classes(scenario.n());
+    }
+    Ok(report)
 }
 
 /// What a protocol computes, which also fixes its verification contract.
@@ -349,7 +311,7 @@ impl ProtocolSpec for Arrow {
         ProtocolKind::Queuing
     }
     fn execute(&self, s: &Scenario, cfg: SimConfig) -> Result<SimReport, SimError> {
-        run_arrival_aware(s, cfg, || ArrowProtocol::new(&s.queuing_tree, s.tail, &s.requests))
+        dispatch(s, cfg, ArrowProtocol::new(&s.queuing_tree, s.tail, &s.requests))
     }
 }
 
@@ -361,9 +323,11 @@ impl ProtocolSpec for ArrowNotify {
         ProtocolKind::Queuing
     }
     fn execute(&self, s: &Scenario, cfg: SimConfig) -> Result<SimReport, SimError> {
-        run_arrival_aware(s, cfg, || {
-            ArrowProtocol::new(&s.queuing_tree, s.tail, &s.requests).with_notify_origin()
-        })
+        dispatch(
+            s,
+            cfg,
+            ArrowProtocol::new(&s.queuing_tree, s.tail, &s.requests).with_notify_origin(),
+        )
     }
 }
 
@@ -375,9 +339,7 @@ impl ProtocolSpec for CentralQueue {
         ProtocolKind::Queuing
     }
     fn execute(&self, s: &Scenario, cfg: SimConfig) -> Result<SimReport, SimError> {
-        run_arrival_aware(s, cfg, || {
-            CentralQueueProtocol::new(&s.queuing_tree, s.tail, &s.requests)
-        })
+        dispatch(s, cfg, CentralQueueProtocol::new(&s.queuing_tree, s.tail, &s.requests))
     }
 }
 
@@ -389,7 +351,7 @@ impl ProtocolSpec for CombiningQueue {
         ProtocolKind::Queuing
     }
     fn execute(&self, s: &Scenario, cfg: SimConfig) -> Result<SimReport, SimError> {
-        run_arrival_aware(s, cfg, || CombiningQueueProtocol::new(&s.queuing_tree, &s.requests))
+        dispatch(s, cfg, CombiningQueueProtocol::new(&s.queuing_tree, &s.requests))
     }
 }
 
@@ -402,7 +364,7 @@ impl ProtocolSpec for CentralCounter {
     }
     fn execute(&self, s: &Scenario, cfg: SimConfig) -> Result<SimReport, SimError> {
         let tree = &s.counting_tree;
-        run_arrival_aware(s, cfg, || CentralCounterProtocol::new(tree, tree.root(), &s.requests))
+        dispatch(s, cfg, CentralCounterProtocol::new(tree, tree.root(), &s.requests))
     }
 }
 
@@ -414,7 +376,7 @@ impl ProtocolSpec for CombiningTree {
         ProtocolKind::Counting
     }
     fn execute(&self, s: &Scenario, cfg: SimConfig) -> Result<SimReport, SimError> {
-        run_arrival_aware(s, cfg, || CombiningTreeProtocol::new(&s.counting_tree, &s.requests))
+        dispatch(s, cfg, CombiningTreeProtocol::new(&s.counting_tree, &s.requests))
     }
 }
 
@@ -430,9 +392,7 @@ impl ProtocolSpec for CountingNetwork {
     }
     fn execute(&self, s: &Scenario, cfg: SimConfig) -> Result<SimReport, SimError> {
         let w = width_or_default(self.width, s.n());
-        run_arrival_aware(s, cfg, || {
-            CountingNetworkProtocol::new(&s.graph, &s.counting_tree, &s.requests, w)
-        })
+        dispatch(s, cfg, CountingNetworkProtocol::new(&s.graph, &s.counting_tree, &s.requests, w))
     }
 }
 
@@ -448,14 +408,12 @@ impl ProtocolSpec for PeriodicNetwork {
     }
     fn execute(&self, s: &Scenario, cfg: SimConfig) -> Result<SimReport, SimError> {
         let w = width_or_default(self.width, s.n());
-        run_arrival_aware(s, cfg, || {
-            CountingNetworkProtocol::with_network(
-                &s.graph,
-                &s.counting_tree,
-                &s.requests,
-                ccq_counting::network::periodic(w),
-            )
-        })
+        let net = ccq_counting::network::periodic(w);
+        dispatch(
+            s,
+            cfg,
+            CountingNetworkProtocol::with_network(&s.graph, &s.counting_tree, &s.requests, net),
+        )
     }
 }
 
@@ -471,10 +429,12 @@ impl ProtocolSpec for ToggleTree {
     }
     fn execute(&self, s: &Scenario, cfg: SimConfig) -> Result<SimReport, SimError> {
         let w = width_or_default(self.leaves, s.n());
-        run_arrival_aware(s, cfg, || {
-            let net = ccq_counting::network::toggle_tree(w);
-            CountingNetworkProtocol::with_network(&s.graph, &s.counting_tree, &s.requests, net)
-        })
+        let net = ccq_counting::network::toggle_tree(w);
+        dispatch(
+            s,
+            cfg,
+            CountingNetworkProtocol::with_network(&s.graph, &s.counting_tree, &s.requests, net),
+        )
     }
 }
 
@@ -486,7 +446,7 @@ impl ProtocolSpec for CrdtCounter {
         ProtocolKind::Relaxed
     }
     fn execute(&self, s: &Scenario, cfg: SimConfig) -> Result<SimReport, SimError> {
-        run_arrival_aware(s, cfg, || CrdtCounterProtocol::new(&s.counting_tree, &s.requests))
+        dispatch(s, cfg, CrdtCounterProtocol::new(&s.counting_tree, &s.requests))
     }
 }
 
@@ -524,7 +484,7 @@ pub fn find(name: &str) -> Option<&'static dyn ProtocolSpec> {
 mod tests {
     use super::*;
     use crate::scenario::{FaultSpec, RequestPattern, ShardSpec, ShardStrategy, TopoSpec};
-    use ccq_sim::FaultKind;
+    use ccq_sim::{FaultKind, Round};
 
     #[test]
     fn registry_names_unique_and_findable() {

@@ -6,10 +6,10 @@ use ccq_sim::{LinkDelay, ProbeSpec, Round};
 
 /// How arrivals are admitted against the live backlog: the simulator's own
 /// [`ccq_sim::AdmissionPolicy`], under the name plans and sweeps use for it.
-/// The active policies only engage on the paced execution path; a scenario
-/// whose arrival is [`ArrivalSpec::OneShot`] but whose admission is active
-/// is routed through pacing too (with an all-zeros schedule), so the policy
-/// can shed or defer even a round-0 batch.
+/// The active policies only gate an open schedule; a scenario whose arrival
+/// is [`ArrivalSpec::OneShot`] but whose admission is active runs on its
+/// all-zeros schedule ([`Scenario::open_schedule`]), so the policy can shed
+/// or defer even a round-0 batch.
 pub use ccq_sim::AdmissionPolicy as AdmissionSpec;
 /// *When* the request set issues its operations: the simulator's own type
 /// (it carries its seed), as [`LinkDelay`] and [`ProbeSpec`] are.
@@ -207,9 +207,9 @@ impl RequestPattern {
 /// `Uniform` is the default: no classes, and executions are byte-identical
 /// to scenarios built before priorities existed. `Split` tags each node
 /// class 0 with probability `frac` (class 1 otherwise) using a private
-/// seeded stream; the paced driver then orders each same-round due batch
-/// by relaxed power-of-two-choices priority selection
-/// ([`ccq_sim::Paced::with_priority`]), so class-0 arrivals reach the
+/// seeded stream; the run's arrivals phase then orders each same-round due
+/// batch by relaxed power-of-two-choices priority selection
+/// ([`ccq_sim::Arrivals::with_priority`]), so class-0 arrivals reach the
 /// admission gate — and the combining waves — first with high probability.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub enum PrioritySpec {
@@ -252,7 +252,7 @@ impl PrioritySpec {
     }
 
     /// The per-node class map for an `n`-vertex graph (empty when
-    /// inactive, which disables prioritization on the paced driver).
+    /// inactive, which disables prioritization in the arrivals phase).
     pub fn classes(&self, n: usize) -> Vec<u8> {
         match *self {
             PrioritySpec::Uniform => Vec::new(),
@@ -263,8 +263,8 @@ impl PrioritySpec {
         }
     }
 
-    /// The seed feeding the paced driver's selection draws (0 when
-    /// inactive — unused on that path).
+    /// The seed feeding the arrivals phase's selection draws (0 when
+    /// inactive — unused then).
     pub fn seed(&self) -> u64 {
         match *self {
             PrioritySpec::Uniform => 0,
@@ -517,13 +517,13 @@ impl Scenario {
         self
     }
 
-    /// The issue schedule when this scenario executes on the paced
-    /// (open-system) path: open arrivals always do; a one-shot batch does
-    /// too when an *active* admission policy must gate it, when priority
-    /// classes must reorder it, or when a fault plan must be able to
-    /// defer arrivals at crashed nodes. `None` means the unchanged
-    /// one-shot protocol path (byte-identical to the pre-open-system
-    /// engine).
+    /// The open schedule a run of this scenario issues from
+    /// ([`ccq_sim::Simulator::with_arrivals`]): open arrivals always have
+    /// one; a one-shot batch does too when an *active* admission policy
+    /// must gate it, when priority classes must reorder it, or when a
+    /// fault plan must be able to defer arrivals at crashed nodes. `None`
+    /// means the run issues the one-shot batch, which records no issue
+    /// (byte-identical to the pre-open-system engine).
     pub fn open_schedule(&self) -> Option<&[(Round, NodeId)]> {
         if self.arrival.is_open()
             || self.admission.is_active()

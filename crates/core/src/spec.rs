@@ -848,6 +848,7 @@ pub fn sweep<S: AsRef<str>>(args: &[S]) -> Result<Sweep, String> {
                         ));
                     }
                     faults.crashes.push(crash);
+                    faults.check_disjoint().map_err(|e| format!("`{tok}`: {e}"))?;
                 }
             }
             "--modes" => {
@@ -1007,6 +1008,10 @@ mod tests {
             (&["--fault", "crash:at=0:node=1:recover=4"], &["field `at`"]),
             (&["--fault", "crash:at=9:node=1:recover=4"], &["field `recover`"]),
             (&["--fault", five_crashes], &["at most 4"]),
+            (
+                &["--fault", "crash:at=1:node=1:recover=5,crash:at=3:node=1:recover=9"],
+                &["`crash:at=3:node=1:recover=9`", "[1, 5) and [3, 9) on node 1 overlap"],
+            ),
             (&["--admission", "pernode"], &["missing required field `bound`"]),
             (&["--admission", "pernode:bound=0"], &["field `bound`"]),
             (&["--admission", "pernode:bound=4:protect=many"], &["field `protect`"]),

@@ -14,7 +14,7 @@
 //! requester completes once with a rank in `1..=|R|`, duplicates legal.
 
 use ccq_graph::{NodeId, Tree};
-use ccq_sim::{OnlineProtocol, Protocol, SimApi, SliceApi};
+use ccq_sim::{Protocol, SliceApi};
 
 /// The only message: one increment, flooding outward along the tree.
 #[derive(Clone, Debug)]
@@ -57,7 +57,19 @@ impl<'t> CrdtCounterProtocol<'t> {
     }
 }
 
-impl OnlineProtocol for CrdtCounterProtocol<'_> {
+impl<'t> Protocol for CrdtCounterProtocol<'t> {
+    type Msg = CrdtCounterMsg;
+    type Slice = CrdtCounterSlice;
+    type Shared = Tree;
+
+    fn split(&mut self) -> (&Tree, &mut [CrdtCounterSlice]) {
+        (self.tree, &mut self.slices)
+    }
+
+    fn requests(&self) -> &[NodeId] {
+        &self.requests
+    }
+
     /// Issue `v`'s increment now: merge locally, complete with the merged
     /// count, gossip the increment to every tree neighbour.
     fn issue(
@@ -71,21 +83,6 @@ impl OnlineProtocol for CrdtCounterProtocol<'_> {
         for nb in tree.neighbors(v) {
             api.send(nb, CrdtCounterMsg::Gossip { delta: 1 });
         }
-    }
-}
-
-impl<'t> Protocol for CrdtCounterProtocol<'t> {
-    type Msg = CrdtCounterMsg;
-    type Slice = CrdtCounterSlice;
-    type Shared = Tree;
-
-    fn split(&mut self) -> (&Tree, &mut [CrdtCounterSlice]) {
-        (self.tree, &mut self.slices)
-    }
-
-    fn on_start(&mut self, api: &mut SimApi<CrdtCounterMsg>) {
-        let requests = self.requests.clone();
-        ccq_sim::issue_all(self, api, &requests);
     }
 
     fn on_message(

@@ -18,7 +18,7 @@
 
 use super::net::{BalancingNetwork, WireDest, WireLabel};
 use ccq_graph::{bfs, Graph, NodeId, Tree, TreeRouter};
-use ccq_sim::{OnlineProtocol, Protocol, SimApi, SliceApi};
+use ccq_sim::{Protocol, SliceApi};
 use std::fmt;
 
 /// Messages of the balancing-network protocol.
@@ -197,19 +197,6 @@ impl<'t> CountingNetworkProtocol<'t> {
     }
 }
 
-impl<'t> OnlineProtocol for CountingNetworkProtocol<'t> {
-    /// Inject `v`'s token at its input wire now.
-    fn issue(
-        shared: &CountingNetworkShared<'t>,
-        slice: &mut CountingNetworkSlice,
-        api: &mut SliceApi<CnMsg>,
-        v: NodeId,
-    ) {
-        let wire = shared.net.input_wire(v % shared.net.width());
-        Self::process_token(shared, slice, api, v, v, wire);
-    }
-}
-
 impl<'t> Protocol for CountingNetworkProtocol<'t> {
     type Msg = CnMsg;
     type Slice = CountingNetworkSlice;
@@ -219,9 +206,19 @@ impl<'t> Protocol for CountingNetworkProtocol<'t> {
         (&self.shared, &mut self.slices)
     }
 
-    fn on_start(&mut self, api: &mut SimApi<CnMsg>) {
-        let requests = self.requests.clone();
-        ccq_sim::issue_all(self, api, &requests);
+    fn requests(&self) -> &[NodeId] {
+        &self.requests
+    }
+
+    /// Inject `v`'s token at its input wire now.
+    fn issue(
+        shared: &CountingNetworkShared<'t>,
+        slice: &mut CountingNetworkSlice,
+        api: &mut SliceApi<CnMsg>,
+        v: NodeId,
+    ) {
+        let wire = shared.net.input_wire(v % shared.net.width());
+        Self::process_token(shared, slice, api, v, v, wire);
     }
 
     fn on_message(

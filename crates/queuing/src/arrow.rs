@@ -28,7 +28,7 @@
 
 use crate::order::INITIAL_TOKEN;
 use ccq_graph::{NodeId, Tree, TreeRouter};
-use ccq_sim::{OnlineProtocol, Protocol, SimApi, SliceApi};
+use ccq_sim::{Protocol, SliceApi};
 
 /// Messages of the arrow protocol.
 #[derive(Clone, Debug)]
@@ -128,8 +128,20 @@ impl ArrowProtocol {
     }
 }
 
-impl OnlineProtocol for ArrowProtocol {
-    /// Paper step 1 against `v`'s own slice: the one-shot start and every
+impl Protocol for ArrowProtocol {
+    type Msg = ArrowMsg;
+    type Slice = ArrowSlice;
+    type Shared = ArrowShared;
+
+    fn split(&mut self) -> (&ArrowShared, &mut [ArrowSlice]) {
+        (&self.shared, &mut self.slices)
+    }
+
+    fn requests(&self) -> &[NodeId] {
+        &self.requests
+    }
+
+    /// Paper step 1 against `v`'s own slice: the one-shot batch and every
     /// scheduled (long-lived / open-system) arrival come through here.
     fn issue(
         shared: &ArrowShared,
@@ -150,21 +162,6 @@ impl OnlineProtocol for ArrowProtocol {
             let path = if shared.notify_origin { vec![v] } else { Vec::new() };
             api.send(next, ArrowMsg::Queue { op: a, path });
         }
-    }
-}
-
-impl Protocol for ArrowProtocol {
-    type Msg = ArrowMsg;
-    type Slice = ArrowSlice;
-    type Shared = ArrowShared;
-
-    fn split(&mut self) -> (&ArrowShared, &mut [ArrowSlice]) {
-        (&self.shared, &mut self.slices)
-    }
-
-    fn on_start(&mut self, api: &mut SimApi<ArrowMsg>) {
-        let requests = self.requests.clone();
-        ccq_sim::issue_all(self, api, &requests);
     }
 
     fn on_message(

@@ -14,7 +14,7 @@
 
 use crate::order::{Predecessor, INITIAL_TOKEN};
 use ccq_graph::{NodeId, Tree, TreeRouter};
-use ccq_sim::{OnlineProtocol, Protocol, SimApi, SliceApi};
+use ccq_sim::{Protocol, SliceApi};
 use std::fmt;
 use std::marker::PhantomData;
 
@@ -118,19 +118,6 @@ impl<'t, H: CentralHandOut> Central<'t, H> {
     }
 }
 
-impl<'t, H: CentralHandOut> OnlineProtocol for Central<'t, H> {
-    /// Issue `v`'s operation now (`v` must be in the request set): the
-    /// home serves itself without messages, anyone else starts the walk.
-    fn issue(shared: &CentralShared<'t>, state: &mut u64, api: &mut Api<H>, v: NodeId) {
-        if v == shared.home {
-            api.complete(v, H::hand_out(state, v));
-        } else {
-            let i = shared.requests.binary_search(&v).expect("the node is a requester");
-            Self::forward(shared, api, v, CentralMsg::Req { origin: v, route: 2 * i, idx: 0 });
-        }
-    }
-}
-
 impl<'t, H: CentralHandOut> Protocol for Central<'t, H> {
     type Msg = CentralMsg<H>;
     type Slice = u64;
@@ -140,9 +127,19 @@ impl<'t, H: CentralHandOut> Protocol for Central<'t, H> {
         (&self.shared, &mut self.state)
     }
 
-    fn on_start(&mut self, api: &mut SimApi<CentralMsg<H>>) {
-        let requests = self.shared.requests.clone();
-        ccq_sim::issue_all(self, api, &requests);
+    fn requests(&self) -> &[NodeId] {
+        &self.shared.requests
+    }
+
+    /// Issue `v`'s operation now (`v` must be in the request set): the
+    /// home serves itself without messages, anyone else starts the walk.
+    fn issue(shared: &CentralShared<'t>, state: &mut u64, api: &mut Api<H>, v: NodeId) {
+        if v == shared.home {
+            api.complete(v, H::hand_out(state, v));
+        } else {
+            let i = shared.requests.binary_search(&v).expect("the node is a requester");
+            Self::forward(shared, api, v, CentralMsg::Req { origin: v, route: 2 * i, idx: 0 });
+        }
     }
 
     fn on_message(

@@ -20,7 +20,7 @@
 
 use crate::order::{Predecessor, INITIAL_TOKEN};
 use ccq_graph::{NodeId, Tree};
-use ccq_sim::{OnlineProtocol, Protocol, SimApi, SliceApi};
+use ccq_sim::{Protocol, SimApi, SliceApi};
 use std::fmt;
 
 /// What the combining wave carries up and hands down — the one difference
@@ -111,8 +111,7 @@ pub struct WaveSlice<H: CombiningHandOut> {
     /// Summaries reported by the children, by child slot.
     summaries: Vec<H::Summary>,
     requesting: bool,
-    /// Whether the node's own operation was injected: by the one-shot start
-    /// for every requester at once, by `issue` one at a time when paced.
+    /// Whether the node's own operation was injected ([`Protocol::issue`]).
     issued: bool,
 }
 
@@ -121,6 +120,7 @@ pub struct WaveSlice<H: CombiningHandOut> {
 pub struct Combining<'t, H: CombiningHandOut> {
     tree: &'t Tree,
     nodes: Vec<WaveSlice<H>>,
+    requests: Vec<NodeId>,
 }
 
 impl<'t, H: CombiningHandOut> Combining<'t, H> {
@@ -133,32 +133,21 @@ impl<'t, H: CombiningHandOut> Combining<'t, H> {
                 WaveSlice { waiting: k, summaries, requesting: false, issued: false }
             })
             .collect();
-        for &r in requests {
+        let mut requests = requests.to_vec();
+        requests.sort_unstable();
+        for &r in &requests {
             assert!(r < nodes.len(), "request out of range");
             nodes[r].requesting = true;
         }
-        Combining { tree, nodes }
+        Combining { tree, nodes, requests }
     }
 
     /// Whether `v` may report upward: all children in, and its own request
-    /// — if any — injected. Under paced arrivals the single wave therefore
-    /// completes once every scheduled request has arrived — the batch
-    /// protocol's honest behaviour there (early requesters wait).
+    /// — if any — injected. Under an open schedule the single wave
+    /// therefore completes once every scheduled request has arrived — the
+    /// batch protocol's honest behaviour there (early requesters wait).
     fn ready(slice: &WaveSlice<H>) -> bool {
         slice.waiting == 0 && (!slice.requesting || slice.issued)
-    }
-
-    /// Let every node that is already [`ready`](Self::ready) report, in id
-    /// order — after marking every requester issued when `issue_all` is
-    /// set (the one-shot start); without it only the nodes that request
-    /// nothing and wait on no child open the wave (the paced start).
-    fn start(&mut self, api: &mut SimApi<WaveMsg<H>>, issue_all: bool) {
-        for v in 0..self.nodes.len() {
-            ccq_sim::with_slice(self, api, v, |tree, slice, sapi| {
-                slice.issued |= issue_all;
-                Self::report_if_ready(tree, slice, sapi, v)
-            });
-        }
     }
 
     /// Report `v`'s subtree upward (at the root: start the hand-out) once
@@ -194,27 +183,6 @@ impl<'t, H: CombiningHandOut> Combining<'t, H> {
     }
 }
 
-impl<H: CombiningHandOut> OnlineProtocol for Combining<'_, H> {
-    fn issue(tree: &Tree, slice: &mut WaveSlice<H>, api: &mut Api<H>, node: NodeId) {
-        debug_assert!(slice.requesting, "node {node} is not a requester");
-        slice.issued = true;
-        Self::report_if_ready(tree, slice, api, node);
-    }
-
-    fn on_paced_start(&mut self, api: &mut SimApi<WaveMsg<H>>) {
-        self.start(api, false);
-    }
-
-    fn cancel(tree: &Tree, slice: &mut WaveSlice<H>, api: &mut Api<H>, node: NodeId) {
-        debug_assert!(slice.requesting, "node {node} is not a requester");
-        debug_assert!(!slice.issued, "cancel after issue");
-        // Strike the requester from the wave; if its Up report was the
-        // last thing the subtree waited for, release it now.
-        slice.requesting = false;
-        Self::report_if_ready(tree, slice, api, node);
-    }
-}
-
 impl<H: CombiningHandOut> Protocol for Combining<'_, H> {
     type Msg = WaveMsg<H>;
     type Slice = WaveSlice<H>;
@@ -224,8 +192,34 @@ impl<H: CombiningHandOut> Protocol for Combining<'_, H> {
         (self.tree, &mut self.nodes)
     }
 
+    fn requests(&self) -> &[NodeId] {
+        &self.requests
+    }
+
+    /// Open the wave before any request issues: every node that is already
+    /// ready — it requests nothing and waits on no child — reports, in id
+    /// order.
     fn on_start(&mut self, api: &mut SimApi<WaveMsg<H>>) {
-        self.start(api, true);
+        for v in 0..self.nodes.len() {
+            ccq_sim::with_slice(self, api, v, |tree, slice, sapi| {
+                Self::report_if_ready(tree, slice, sapi, v)
+            });
+        }
+    }
+
+    fn issue(tree: &Tree, slice: &mut WaveSlice<H>, api: &mut Api<H>, node: NodeId) {
+        debug_assert!(slice.requesting, "node {node} is not a requester");
+        slice.issued = true;
+        Self::report_if_ready(tree, slice, api, node);
+    }
+
+    fn cancel(tree: &Tree, slice: &mut WaveSlice<H>, api: &mut Api<H>, node: NodeId) {
+        debug_assert!(slice.requesting, "node {node} is not a requester");
+        debug_assert!(!slice.issued, "cancel after issue");
+        // Strike the requester from the wave; if its Up report was the
+        // last thing the subtree waited for, release it now.
+        slice.requesting = false;
+        Self::report_if_ready(tree, slice, api, node);
     }
 
     fn on_message(

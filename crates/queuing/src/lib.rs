@@ -17,8 +17,10 @@
 //! * [`order`] — verification that an execution produced a valid total
 //!   order (exactly one chain, every requester exactly once).
 //!
-//! Long-lived arrivals are handled generically by [`ccq_sim::Paced`]
-//! wrapping any of these protocols as built.
+//! Long-lived arrivals need nothing of these protocols beyond
+//! [`ccq_sim::Protocol::issue`]: a run given an open schedule
+//! ([`ccq_sim::Simulator::with_arrivals`]) issues each operation at its
+//! round, on any of them as built.
 //!
 //! The central and combining mechanisms are shared with `ccq-counting`:
 //! each is written once, generic over a hand-out trait

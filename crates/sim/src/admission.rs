@@ -1,8 +1,8 @@
 //! Admission control: backpressure policies gating open-system arrivals.
 //!
-//! The open-system engine (see [`crate::arrival`]) measures the backlog —
-//! operations issued but not yet completed — and, before this module, only
-//! *observed* it. An [`AdmissionPolicy`] lets a run *act* on it: each
+//! A run with an open schedule ([`crate::Arrivals`]) measures the backlog —
+//! operations issued but not yet completed. An [`AdmissionPolicy`] lets
+//! the scheduler's arrivals phase *act* on it: each
 //! scheduled arrival passes through an [`AdmissionController`] that admits,
 //! sheds, or delays it against the **live global backlog**, trading
 //! completeness (drops) or admission latency (delays) for a bounded number
@@ -17,11 +17,12 @@
 //! other words, an admission decision at `t` observes exactly the
 //! post-maturation state of `t − 1` and strictly precedes the transmit
 //! phase of `t`. The backlog is the *global* issued-minus-completed count
-//! of the whole run, which [`crate::SimApi::backlog`] reads off the
+//! of the whole run, which `SimApi::backlog` reads off the
 //! report's issue and completion lists, one count whatever the shard plan
 //! — which is why a `k = 1` sharded run admits byte-identically to the
 //! unsharded one. [`AdmissionPolicy::PerNode`] alone reads a per-shard
-//! count, kept over the run's shard cut once the paced driver enables it.
+//! count, kept over the run's shard cut when the run's [`crate::Arrivals`]
+//! gate on it.
 //!
 //! # Liveness
 //!
@@ -33,8 +34,7 @@
 //! arrivals: once one has waited [`AGE_LIMIT`] rounds past its scheduled
 //! round it is admitted unconditionally. Shedding ([`AdmissionPolicy::
 //! DropTail`]) needs no aging — a drop resolves the arrival immediately
-//! (and the protocol is told via
-//! [`crate::arrival::OnlineProtocol::cancel`]).
+//! (and the protocol is told via [`crate::Protocol::cancel`]).
 
 use crate::Round;
 
@@ -54,8 +54,8 @@ pub const INTERVAL_CAP: Round = 256;
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum AdmissionPolicy {
     /// Admit everything immediately (the pre-backpressure behaviour; a
-    /// `Paced` run under `Open` is byte-identical to one with no
-    /// controller at all).
+    /// run's [`crate::Arrivals`] under `Open` issue every arrival at its
+    /// round).
     Open,
     /// Shed load: an arrival finding `backlog ≥ bound` is dropped — it
     /// never issues, never completes, and the protocol releases anything
@@ -126,8 +126,7 @@ impl AdmissionPolicy {
     }
 
     /// Whether this policy gates on shard-local backlogs (and therefore
-    /// has the paced driver enable per-shard accounting over the run's
-    /// shard cut — [`crate::SimApi::enable_shard_accounting`]).
+    /// has the run count open operations per shard of its cut).
     pub fn is_shard_scoped(&self) -> bool {
         matches!(self, AdmissionPolicy::PerNode { .. })
     }

@@ -1,5 +1,5 @@
-//! Open-system arrivals: request-injection processes and the [`Paced`]
-//! wrapper that drives any [`OnlineProtocol`] from a schedule.
+//! Arrivals: request-injection processes and the [`Arrivals`] value the
+//! scheduler's arrivals phase issues from.
 //!
 //! The paper's one-shot scenario injects every request at round 0. An
 //! [`ArrivalSpec`] generalizes that to requests arriving *over time*:
@@ -9,85 +9,32 @@
 //! so schedules are identical across runs, platforms and thread counts
 //! (thread-safe by construction).
 //!
-//! [`Paced`] adapts a protocol that supports per-node injection
-//! ([`OnlineProtocol::issue`]) to such a schedule: it records each issue in
-//! the report (via [`SimApi::issue`], feeding completion-latency and
-//! backlog metrics) and wakes the otherwise-quiescent engine for future
-//! arrivals through [`Protocol::next_active_round`].
+//! A run given such a schedule ([`crate::Simulator::with_arrivals`]) issues
+//! each operation through [`Protocol::issue`] at its round, recorded in the
+//! report (via `SimApi::issue`, feeding completion-latency and backlog
+//! metrics), and wakes the otherwise-quiescent engine for future arrivals.
+//! A run given none issues [`Protocol::requests`] at round 0.
 
 use crate::admission::{Admission, AdmissionController, AdmissionPolicy};
-use crate::protocol::{with_slice, Protocol, SimApi, SliceApi};
+use crate::protocol::{with_slice, Protocol, SimApi};
 use crate::report::mix64;
-use crate::Round;
+use crate::{Round, SimError};
 use ccq_graph::NodeId;
 
-/// A protocol whose operations can be injected one node at a time, after
-/// construction — the open-system counterpart of issuing everything in
-/// [`Protocol::on_start`].
-///
-/// Implementations are constructed with the *full* request set (routing
-/// tables and combining structure may depend on it), and there is no mode
-/// to set: which start a run gets is decided by who drives the protocol.
-/// Run bare, the engine calls [`Protocol::on_start`], the self-issuing
-/// one-shot start; wrapped in [`Paced`], `on_start` is never called —
-/// [`OnlineProtocol::on_paced_start`] is, and every operation then enters
-/// through [`OnlineProtocol::issue`] at its scheduled round. `issue` and
-/// `cancel` have the handler's form — `shared`, `node`'s own slice, a
-/// [`SliceApi`] — and are reached through [`with_slice`] by their two
-/// drivers: [`Paced`] for scheduled arrivals and [`issue_all`] for the
-/// one-shot start.
-pub trait OnlineProtocol: Protocol {
-    /// Inject `node`'s operation now. `node` must belong to the request set
-    /// the protocol was constructed with, and must be issued at most once.
-    fn issue(
-        shared: &Self::Shared,
-        slice: &mut Self::Slice,
-        api: &mut SliceApi<Self::Msg>,
-        node: NodeId,
-    );
-
-    /// The start of a [`Paced`] run, called once before round 0 in place
-    /// of [`Protocol::on_start`]: whatever must happen before any request
-    /// has been issued. A per-request protocol (arrow, central
-    /// queue/counter, network counters, the CRDT) has nothing to do until
-    /// an operation arrives, so the default is a no-op. Single-wave
-    /// combining protocols override it: the processors that request
-    /// nothing and wait on no child must open the wave themselves.
-    fn on_paced_start(&mut self, _api: &mut SimApi<Self::Msg>) {}
-
-    /// `node`'s scheduled operation was refused admission and will never
-    /// be issued: release anything the protocol holds waiting on it.
-    /// Per-request protocols (arrow, central queue/counter, network
-    /// counters) hold nothing — a dropped requester simply never injects —
-    /// so the default is a no-op. Single-wave combining protocols **must**
-    /// override this: their waves wait for every scheduled requester, and
-    /// a cancelled one has to be struck from the wave or it never closes.
-    /// Called at most once per node, and never after `issue`.
-    fn cancel(
-        _shared: &Self::Shared,
-        _slice: &mut Self::Slice,
-        _api: &mut SliceApi<Self::Msg>,
-        _node: NodeId,
-    ) {
-    }
-}
-
-/// The one-shot start: issue every node of `requests` now, in the given
-/// order — the body of [`Protocol::on_start`] for a per-request protocol.
-pub fn issue_all<P: OnlineProtocol>(p: &mut P, api: &mut SimApi<P::Msg>, requests: &[NodeId]) {
-    for &v in requests {
-        with_slice(p, api, v, |shared, slice, sapi| P::issue(shared, slice, sapi, v));
-    }
+/// Inject `v`'s operation into `protocol` now, through its handler-form
+/// [`Protocol::issue`] on `v`'s slice.
+pub(crate) fn inject<P: Protocol>(protocol: &mut P, api: &mut SimApi<P::Msg>, v: NodeId) {
+    with_slice(protocol, api, v, |shared, slice, sapi| P::issue(shared, slice, sapi, v));
 }
 
 /// *When* the request set issues its operations.
 ///
-/// `OneShot` is the paper's batch (everything at round 0) and executes on
-/// the bare one-shot protocol path. Every open variant is a *closed-form
+/// `OneShot` is the paper's batch (everything at round 0), which a run
+/// with no [`Arrivals`] issues. Every open variant is a *closed-form
 /// deterministic sampler* carrying its own seed: [`ArrivalSpec::materialize`]
 /// maps the request set to issue rounds without shared state, so the same
-/// spec gives byte-identical schedules everywhere, and [`Paced`] drives the
-/// protocol from that schedule.
+/// spec gives byte-identical schedules everywhere, and [`Arrivals`] issues
+/// the protocol's operations from that schedule.
 #[derive(Clone, Debug, PartialEq)]
 pub enum ArrivalSpec {
     /// Every request at round 0 — the paper's one-shot batch.
@@ -267,36 +214,34 @@ impl ArrivalSpec {
     }
 }
 
-/// Drives an [`OnlineProtocol`] from an arrival schedule: each scheduled
-/// node is issued at its round (recorded via [`SimApi::issue`] so the
-/// report can compute completion latencies and backlog), and the engine is
-/// woken for arrivals past quiescence.
+/// A run's open schedule: each scheduled node is issued at its round by
+/// the scheduler's arrivals phase, which enters the issue loop only at a
+/// round where an arrival or a retry is due (`Arrivals::next_due`) and
+/// wakes a quiescent engine for it.
 ///
-/// With an [`AdmissionPolicy`] attached ([`Paced::with_admission`]) each
+/// With an [`AdmissionPolicy`] attached ([`Arrivals::with_admission`]) each
 /// due arrival first passes through an [`AdmissionController`] evaluated
-/// against the live global backlog ([`SimApi::backlog`]): admitted
-/// arrivals issue as before, shed ones are recorded as drops and cancelled
-/// on the protocol, delayed ones are re-queued for a later round. The
-/// default [`AdmissionPolicy::Open`] controller admits everything and
-/// leaves the execution byte-identical to a `Paced` without one.
+/// against the live global backlog (`SimApi::backlog`): admitted
+/// arrivals issue, shed ones are recorded as drops and cancelled on the
+/// protocol ([`Protocol::cancel`]), delayed ones are re-queued for a later
+/// round. The default [`AdmissionPolicy::Open`] admits everything.
 ///
-/// [`Paced::with_priority`] (optional, byte-identity-preserving when
-/// unused) tags every node with a class (0 = highest) and reorders each
-/// same-round due batch by deterministic relaxed power-of-two-choices
-/// priority selection, so high classes reach the admission gate — and the
-/// combining wave — first.
+/// [`Arrivals::with_priority`] tags every node with a class (0 = highest)
+/// and reorders each same-round due batch by deterministic relaxed
+/// power-of-two-choices priority selection, so high classes reach the
+/// admission gate — and the combining wave — first.
 ///
 /// The rest it reads from the run, which holds it once:
 ///
 /// * an arrival at a node the run's fault plan
 ///   ([`crate::Simulator::with_faults`], read through
-///   [`SimApi::down_until`]) has down waits for its recovery
-///   round (the node cannot originate a request while down);
-/// * under [`AdmissionPolicy::PerNode`] it enables per-shard open-request
-///   counts over the run's shard cut ([`SimApi::enable_shard_accounting`]),
-///   which admission reads through [`SimApi::shard_backlog`].
-pub struct Paced<P: OnlineProtocol> {
-    inner: P,
+///   [`SimApi::down_until`]) has down waits for its recovery round (the
+///   node cannot originate a request while down);
+/// * under [`AdmissionPolicy::PerNode`] the run counts open operations per
+///   shard of its cut, which admission reads through
+///   `SimApi::shard_backlog`.
+#[derive(Debug)]
+pub struct Arrivals {
     /// `(round, node)` sorted by round (ties keep schedule order).
     schedule: Vec<(Round, NodeId)>,
     next: usize,
@@ -308,28 +253,25 @@ pub struct Paced<P: OnlineProtocol> {
     classes: Vec<u8>,
     /// Seed for the power-of-two-choices priority draws.
     prio_seed: u64,
+    /// Scratch of [`Arrivals::issue_due`]: one round's due batch,
+    /// `(first-due round, node)`, its capacity kept across rounds.
+    due: Vec<(Round, NodeId)>,
 }
 
-impl<P: OnlineProtocol> Paced<P> {
-    /// Wrap `inner` — built the way a one-shot run builds it — with
-    /// `schedule`.
-    ///
-    /// # Panics
-    /// Panics if a node is scheduled twice.
-    pub fn new(inner: P, mut schedule: Vec<(Round, NodeId)>) -> Self {
+impl Arrivals {
+    /// Issue `schedule`'s nodes at their rounds. A node scheduled twice,
+    /// or not a node of the graph, makes the run return
+    /// [`SimError::InvalidConfig`].
+    pub fn new(mut schedule: Vec<(Round, NodeId)>) -> Self {
         schedule.sort_by_key(|&(r, _)| r);
-        let mut seen = std::collections::HashSet::new();
-        for &(_, v) in &schedule {
-            assert!(seen.insert(v), "node {v} scheduled twice");
-        }
-        Paced {
-            inner,
+        Arrivals {
             schedule,
             next: 0,
             admission: AdmissionController::new(AdmissionPolicy::Open),
             retries: Vec::new(),
             classes: Vec::new(),
             prio_seed: 0,
+            due: Vec::new(),
         }
     }
 
@@ -349,38 +291,55 @@ impl<P: OnlineProtocol> Paced<P> {
         self
     }
 
+    /// Reject a schedule that names a node twice or a node outside the
+    /// `n` processors — checked by the scheduler before round 0.
+    pub(crate) fn validate(&self, n: usize) -> Result<(), SimError> {
+        let mut nodes: Vec<NodeId> = self.schedule.iter().map(|&(_, v)| v).collect();
+        nodes.sort_unstable();
+        if let Some(v) = nodes.last().filter(|&&v| v >= n) {
+            let what = format!("node {v} is scheduled but the graph has {n} nodes");
+            return Err(SimError::invalid_config(what));
+        }
+        match nodes.windows(2).find(|w| w[0] == w[1]) {
+            Some(w) => Err(SimError::invalid_config(format!("node {} scheduled twice", w[0]))),
+            None => Ok(()),
+        }
+    }
+
+    /// Whether admission gates on shard-local backlogs, so the run must
+    /// count open operations per shard.
+    pub(crate) fn is_shard_scoped(&self) -> bool {
+        self.admission.policy.is_shard_scoped()
+    }
+
     /// `v`'s priority class (0 — the highest — when unmapped).
     fn class_of(&self, v: NodeId) -> u8 {
         self.classes.get(v).copied().unwrap_or(0)
     }
 
-    /// The scheduled requesters, sorted by node id.
-    pub fn requesters(&self) -> Vec<NodeId> {
-        let mut r: Vec<NodeId> = self.schedule.iter().map(|&(_, v)| v).collect();
-        r.sort_unstable();
-        r
-    }
-
-    /// The wrapped protocol (for post-run state inspection).
-    pub fn inner(&self) -> &P {
-        &self.inner
+    /// Everything that determines future arrivals but is not visible in
+    /// queues, wires or report counters — the schedule cursor, pending
+    /// retries and the AIMD interval — for the probe's state hashes.
+    pub(crate) fn token(&self) -> String {
+        let (next, retries, interval) = (self.next, &self.retries, self.admission.interval());
+        format!("paced(next={next},retries={retries:?},interval={interval})")
     }
 
     /// Decide one due arrival's fate against the live backlog.
-    fn admit_or_defer(
+    fn admit_or_defer<P: Protocol>(
         &mut self,
+        protocol: &mut P,
         api: &mut SimApi<P::Msg>,
-        now: Round,
         first_due: Round,
         v: NodeId,
     ) {
+        let now = api.round();
         // A crashed node cannot originate its request: hold the arrival
         // until recovery. Silent (no `note_delayed`) — this is downtime,
         // not backpressure — but the original due round is preserved so
         // completion latency still counts the outage.
         if let Some(recover) = api.down_until(v) {
-            let pos = self.retries.partition_point(|&(r, _, _)| r <= recover);
-            self.retries.insert(pos, (recover, first_due, v));
+            self.defer(recover, first_due, v);
             return;
         }
         let decision = self.admission.decide_scoped(
@@ -393,53 +352,59 @@ impl<P: OnlineProtocol> Paced<P> {
         match decision {
             Admission::Admit => {
                 api.issue(v);
-                issue_all(&mut self.inner, api, &[v]);
+                inject(protocol, api, v);
             }
             Admission::Drop => {
                 api.shed(v);
-                with_slice(&mut self.inner, api, v, |shared, slice, sapi| {
+                with_slice(protocol, api, v, |shared, slice, sapi| {
                     P::cancel(shared, slice, sapi, v)
                 });
             }
             Admission::Retry { at } => {
                 debug_assert!(at > now, "retry must be strictly later");
                 api.note_delayed();
-                // Insert keeping (retry round, deferral order) sorted.
-                let pos = self.retries.partition_point(|&(r, _, _)| r <= at);
-                self.retries.insert(pos, (at, first_due, v));
+                self.defer(at, first_due, v);
             }
         }
     }
 
-    /// The earliest round a scheduled arrival or an admission retry falls
-    /// due — the only rounds [`Paced::issue_due`] has work at.
-    fn next_due(&self) -> Option<Round> {
-        let retry = self.retries.first().map(|&(r, _, _)| r);
-        earlier(self.schedule.get(self.next).map(|&(r, _)| r), retry)
+    /// Queue `v` for a retry at `at`, keeping (retry round, deferral
+    /// order) sorted.
+    fn defer(&mut self, at: Round, first_due: Round, v: NodeId) {
+        let pos = self.retries.partition_point(|&(r, _, _)| r <= at);
+        self.retries.insert(pos, (at, first_due, v));
     }
 
-    fn issue_due(&mut self, api: &mut SimApi<P::Msg>, now: Round) {
-        // Deferred arrivals first (they were due before anything newly
-        // scheduled this round), then the schedule tail. The due prefix is
-        // drained in one pass; re-deferrals land strictly after `now`, so
-        // they never re-enter this round's batch.
-        let due_retries = self.retries.partition_point(|&(r, _, _)| r <= now);
-        let mut batch: Vec<(Round, NodeId)> = if due_retries > 0 {
-            self.retries.drain(..due_retries).map(|(_, first_due, v)| (first_due, v)).collect()
-        } else {
-            Vec::new()
-        };
-        while self.next < self.schedule.len() && self.schedule[self.next].0 <= now {
-            let (due, v) = self.schedule[self.next];
-            self.next += 1;
-            batch.push((due, v));
+    /// The earliest round a scheduled arrival or an admission retry falls
+    /// due — the only rounds [`Arrivals::issue_due`] has work at.
+    pub(crate) fn next_due(&self) -> Option<Round> {
+        let arrival = self.schedule.get(self.next).map(|&(r, _)| r);
+        match (arrival, self.retries.first().map(|&(r, _, _)| r)) {
+            (Some(a), Some(r)) => Some(a.min(r)),
+            (a, r) => a.or(r),
         }
+    }
+
+    /// Issue, shed or defer every arrival due now: deferred arrivals first
+    /// (they were due before anything newly scheduled this round), then
+    /// the schedule tail. Re-deferrals land strictly after now, so they
+    /// never re-enter this round's batch.
+    pub(crate) fn issue_due<P: Protocol>(&mut self, protocol: &mut P, api: &mut SimApi<P::Msg>) {
+        let now = api.round();
+        let mut due = std::mem::take(&mut self.due);
+        let retried = self.retries.partition_point(|&(r, _, _)| r <= now);
+        due.extend(self.retries.drain(..retried).map(|(_, first_due, v)| (first_due, v)));
+        let scheduled = self.schedule[self.next..].partition_point(|&(r, _)| r <= now);
+        due.extend_from_slice(&self.schedule[self.next..self.next + scheduled]);
+        self.next += scheduled;
         if !self.classes.is_empty() {
-            self.prioritize(&mut batch, now);
+            self.prioritize(&mut due, now);
         }
-        for (first_due, v) in batch {
-            self.admit_or_defer(api, now, first_due, v);
+        for &(first_due, v) in &due {
+            self.admit_or_defer(protocol, api, first_due, v);
         }
+        due.clear();
+        self.due = due;
     }
 
     /// Reorder a same-round due batch by relaxed priority selection: each
@@ -447,7 +412,7 @@ impl<P: OnlineProtocol> Paced<P> {
     /// sampled from the remaining batch with a stateless [`mix64`] draw and
     /// the better class wins (tie → earlier batch position). Stateless and
     /// keyed only on `(seed, round, slot, remaining)`, so every executor
-    /// reorders identically and `state_token` needs no extra fields. The
+    /// reorders identically and the token needs no extra fields. The
     /// relaxation (p2c rather than a full sort) mirrors relaxed-priority
     /// queue semantics: high classes go early with high probability, but
     /// strict global order is not promised.
@@ -468,81 +433,12 @@ impl<P: OnlineProtocol> Paced<P> {
     }
 }
 
-/// Pacing is transparent to message handling: arrivals are injected in the
-/// serialized arrivals phase, so the slices and the handler are the wrapped
-/// protocol's own. This is what lets open-system (and admission-gated) runs
-/// run on every executor unchanged.
-impl<P: OnlineProtocol> Protocol for Paced<P> {
-    type Msg = P::Msg;
-    type Slice = P::Slice;
-    type Shared = P::Shared;
-
-    fn split(&mut self) -> (&P::Shared, &mut [P::Slice]) {
-        self.inner.split()
-    }
-
-    fn on_start(&mut self, api: &mut SimApi<P::Msg>) {
-        if self.admission.policy.is_shard_scoped() {
-            api.enable_shard_accounting();
-        }
-        // Not `inner.on_start`: that is the one-shot start, which issues
-        // every request itself.
-        self.inner.on_paced_start(api);
-        self.issue_due(api, 0);
-    }
-
-    fn on_message(
-        shared: &P::Shared,
-        slice: &mut P::Slice,
-        api: &mut SliceApi<P::Msg>,
-        node: NodeId,
-        from: NodeId,
-        msg: P::Msg,
-    ) {
-        P::on_message(shared, slice, api, node, from, msg);
-    }
-
-    fn on_round(&mut self, api: &mut SimApi<P::Msg>, round: Round) {
-        self.inner.on_round(api, round);
-        if self.next_due().is_some_and(|due| due <= round) {
-            self.issue_due(api, round);
-        }
-    }
-
-    fn next_active_round(&self) -> Option<Round> {
-        // `on_round` acts exactly when a scheduled arrival or a deferred
-        // admission retry falls due (plus whatever the wrapped protocol
-        // reports) — the round a quiescent engine fast-forwards to.
-        earlier(self.next_due(), self.inner.next_active_round())
-    }
-
-    fn state_token(&self) -> String {
-        // Everything that determines future pacing behaviour but is not
-        // visible in queues/wires/counters: the schedule cursor, pending
-        // retries and the AIMD interval — plus whatever the wrapped
-        // protocol reports.
-        format!(
-            "paced(next={},retries={:?},interval={}){}",
-            self.next,
-            self.retries,
-            self.admission.interval(),
-            self.inner.state_token()
-        )
-    }
-}
-
-/// The earlier of two optional rounds (`None` is "never").
-fn earlier(a: Option<Round>, b: Option<Round>) -> Option<Round> {
-    match (a, b) {
-        (Some(a), Some(b)) => Some(a.min(b)),
-        (a, b) => a.or(b),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::protocol::tests::Engine;
+    use crate::protocol::SliceApi;
+    use crate::{FaultPlan, Issue, SimConfig, SimReport, Simulator};
 
     fn nodes(n: usize) -> Vec<NodeId> {
         (0..n).collect()
@@ -645,25 +541,30 @@ mod tests {
         fn split(&mut self) -> (&(), &mut [()]) {
             (&(), &mut self.0)
         }
-        fn on_start(&mut self, _: &mut SimApi<()>) {}
-        fn on_message(_: &(), _: &mut (), _: &mut SliceApi<()>, _: NodeId, _: NodeId, _: ()) {}
-    }
-
-    impl OnlineProtocol for Instant {
+        fn requests(&self) -> &[NodeId] {
+            &[1, 2]
+        }
         fn issue(_: &(), _: &mut (), api: &mut SliceApi<()>, node: NodeId) {
             api.complete(node, 0);
         }
+        fn on_message(_: &(), _: &mut (), _: &mut SliceApi<()>, _: NodeId, _: NodeId, _: ()) {}
+    }
+
+    /// `Instant` on the path 0–1–2, issued from `schedule`.
+    fn run_instant(
+        schedule: Vec<(Round, NodeId)>,
+        faults: &FaultPlan,
+    ) -> Result<SimReport, SimError> {
+        let g = ccq_graph::topology::path(3);
+        let sim = Simulator::new(&g, Instant([(); 3]), SimConfig::strict()).with_faults(faults);
+        sim.with_arrivals(Arrivals::new(schedule)).run()
     }
 
     #[test]
     fn a_paced_arrival_at_a_crashed_node_waits_for_the_runs_recovery() {
-        use crate::{FaultPlan, Issue, SimConfig, Simulator};
         let faults = FaultPlan::none().crash(1, 1, 5);
         // Node 1 is due at round 2, inside its crash window; node 2 at 3.
-        let paced = Paced::new(Instant([(); 3]), vec![(2, 1), (3, 2)]);
-        let g = ccq_graph::topology::path(3);
-        let report =
-            Simulator::new(&g, paced, SimConfig::strict()).with_faults(&faults).run().unwrap();
+        let report = run_instant(vec![(2, 1), (3, 2)], &faults).unwrap();
         assert_eq!(report.issues, [Issue { node: 2, round: 3 }, Issue { node: 1, round: 5 }]);
         assert_eq!(report.ops(), 2);
         // Downtime, not backpressure: no admission was delayed.
@@ -681,7 +582,12 @@ mod tests {
         fn split(&mut self) -> (&(), &mut [()]) {
             (&(), &mut self.0)
         }
-        fn on_start(&mut self, _: &mut SimApi<NodeId>) {}
+        fn requests(&self) -> &[NodeId] {
+            &[0, 1, 2]
+        }
+        fn issue(_: &(), _: &mut (), api: &mut SliceApi<NodeId>, node: NodeId) {
+            api.send(if node == 0 { 1 } else { node - 1 }, node);
+        }
         fn on_message(
             _: &(),
             _: &mut (),
@@ -693,22 +599,18 @@ mod tests {
         }
     }
 
-    impl OnlineProtocol for Echo {
-        fn issue(_: &(), _: &mut (), api: &mut SliceApi<NodeId>, node: NodeId) {
-            api.send(if node == 0 { 1 } else { node - 1 }, node);
-        }
-    }
-
-    /// Everything `on_round` could change: the pacer's token, the report
-    /// and every outbox.
-    fn seen(paced: &Paced<Echo>, e: &Engine<NodeId>) -> String {
+    /// Everything the arrivals phase could change: the arrivals' token,
+    /// the report and every outbox.
+    fn seen(arrivals: &Arrivals, e: &Engine<NodeId>) -> String {
         let outboxes: Vec<_> = (0..4).map(|v| e.outbox(v)).collect();
-        format!("{} {:?} {outboxes:?}", paced.state_token(), e.report)
+        format!("{} {:?} {outboxes:?}", arrivals.token(), e.report)
     }
 
+    /// The arrivals phase enters its issue loop only from the next due
+    /// round on; issuing at any earlier round changes nothing, which is
+    /// what makes skipping those rounds safe.
     #[test]
     fn on_round_before_the_next_due_round_is_a_no_op() {
-        use crate::{FaultPlan, Issue};
         let g = ccq_graph::topology::path(4);
         let mut e = Engine::new(4, None);
         e.faults = FaultPlan::none().crash(1, 2, 7);
@@ -716,11 +618,11 @@ mod tests {
         // it waits for its recovery at 7. Node 2 is due at 5, behind node
         // 0's open operation (bound 1, backoff 2): deferred to 7, then
         // behind node 1 to 9. The test completes node 0 at 6, node 1 at 8.
-        let mut paced = Paced::new(Echo([(); 4]), vec![(3, 0), (4, 1), (5, 2)])
+        let mut arrivals = Arrivals::new(vec![(3, 0), (4, 1), (5, 2)])
             .with_admission(AdmissionPolicy::DelayRetry { bound: 1, backoff: 2 });
-        e.call(&g, 0, |api| paced.on_start(api));
+        let mut echo = Echo([(); 4]);
         let mut acted = Vec::new();
-        for round in 1..=12 {
+        for round in 0..=12 {
             let completes = match round {
                 6 => Some(0),
                 8 => Some(1),
@@ -729,13 +631,13 @@ mod tests {
             if let Some(node) = completes {
                 e.call(&g, round, |api| api.complete(node, 0));
             }
-            let (due, before) = (paced.next_due(), seen(&paced, &e));
-            e.call(&g, round, |api| paced.on_round(api, round));
-            if seen(&paced, &e) != before {
+            let (due, before) = (arrivals.next_due(), seen(&arrivals, &e));
+            e.call(&g, round, |api| arrivals.issue_due(&mut echo, api));
+            if seen(&arrivals, &e) != before {
                 acted.push(round);
             }
             if due.is_none_or(|due| due > round) {
-                assert_eq!(seen(&paced, &e), before, "on_round acted at {round}, before {due:?}");
+                assert_eq!(seen(&arrivals, &e), before, "issued at {round}, before {due:?}");
             }
         }
         assert_eq!(acted, [3, 4, 5, 7, 9]);
@@ -744,27 +646,19 @@ mod tests {
         assert_eq!(e.report.delayed_admissions, 2);
         let sent: Vec<_> = (0..4).map(|v| e.outbox(v)).collect();
         assert_eq!(sent, [vec![(1, 0)], vec![(0, 1)], vec![(1, 2)], vec![]]);
-        assert_eq!((paced.next_due(), paced.next_active_round()), (None, None));
+        assert_eq!(arrivals.next_due(), None);
         assert!(e.error.is_none());
     }
 
+    /// A schedule that names a node twice, or a node the graph lacks, is a
+    /// configuration error of the run, not a panic.
     #[test]
-    #[should_panic(expected = "scheduled twice")]
     fn paced_rejects_duplicates() {
-        struct Noop;
-        impl Protocol for Noop {
-            type Msg = ();
-            type Slice = ();
-            type Shared = ();
-            fn split(&mut self) -> (&(), &mut [()]) {
-                (&(), &mut [])
-            }
-            fn on_start(&mut self, _: &mut SimApi<()>) {}
-            fn on_message(_: &(), _: &mut (), _: &mut SliceApi<()>, _: NodeId, _: NodeId, _: ()) {}
-        }
-        impl OnlineProtocol for Noop {
-            fn issue(_: &(), _: &mut (), _: &mut SliceApi<()>, _: NodeId) {}
-        }
-        Paced::new(Noop, vec![(0, 1), (4, 1)]);
+        let none = FaultPlan::none();
+        let twice = run_instant(vec![(0, 1), (4, 1)], &none).unwrap_err();
+        assert_eq!(twice, SimError::invalid_config("node 1 scheduled twice"));
+        let missing = run_instant(vec![(0, 3)], &none).unwrap_err();
+        let what = "node 3 is scheduled but the graph has 3 nodes";
+        assert_eq!(missing, SimError::invalid_config(what));
     }
 }

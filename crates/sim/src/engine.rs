@@ -31,8 +31,11 @@
 //! adds a shard plan: sends across the cut take the ferry's delay and are
 //! counted — with results byte-identical to the unsharded run's whenever
 //! the ferry's delay equals the run's; see [`crate::shard`].
-//! [`Simulator::with_faults`] lends the run a crash/recover schedule.
+//! [`Simulator::with_faults`] lends the run a crash/recover schedule, and
+//! [`Simulator::with_arrivals`] gives it an open schedule in place of the
+//! one-shot batch.
 
+use crate::arrival::Arrivals;
 use crate::protocol::Protocol;
 use crate::report::{FaultPlan, LinkDelay, SimConfig, SimReport};
 use crate::scheduler;
@@ -47,8 +50,8 @@ pub enum SimError {
     /// Quiescence was not reached within [`SimConfig::max_rounds`] (or a
     /// wire was sent that could not arrive by then).
     MaxRoundsExceeded { limit: Round },
-    /// The configuration (step, shard plan, fault plan, probe) cannot
-    /// be executed. The message is owned so callers can name the offending
+    /// The configuration (step, shard plan, fault plan, schedule, probe)
+    /// cannot be executed. The message is owned so callers can name the offending
     /// values — e.g. a shard partition that does not cover the graph.
     InvalidConfig { what: String },
 }
@@ -82,14 +85,16 @@ impl std::error::Error for SimError {}
 static NO_FAULTS: FaultPlan = FaultPlan::none();
 
 /// An executable simulation: graph + protocol + configuration, and
-/// optionally a shard cut ([`Simulator::with_cut`]) and a fault plan
-/// ([`Simulator::with_faults`]).
+/// optionally a shard cut ([`Simulator::with_cut`]), a fault plan
+/// ([`Simulator::with_faults`]) and an open schedule
+/// ([`Simulator::with_arrivals`]).
 pub struct Simulator<'g, P: Protocol> {
     graph: &'g Graph,
     protocol: P,
     config: SimConfig,
     cut: Option<(&'g Partition, LinkDelay)>,
     faults: &'g FaultPlan,
+    arrivals: Option<Arrivals>,
 }
 
 impl<'g, P: Protocol> Simulator<'g, P> {
@@ -97,7 +102,7 @@ impl<'g, P: Protocol> Simulator<'g, P> {
     /// `config.step` of 0 makes the run return
     /// [`SimError::InvalidConfig`] instead of executing.
     pub fn new(graph: &'g Graph, protocol: P, config: SimConfig) -> Self {
-        Simulator { graph, protocol, config, cut: None, faults: &NO_FAULTS }
+        Simulator { graph, protocol, config, cut: None, faults: &NO_FAULTS, arrivals: None }
     }
 
     /// Builder-style: cut the run by a shard plan — a send whose endpoints
@@ -119,11 +124,20 @@ impl<'g, P: Protocol> Simulator<'g, P> {
         self
     }
 
-    /// Run to quiescence (no queued or in-flight messages), returning the
-    /// report and the final protocol state.
+    /// Builder-style: issue the protocol's operations from the open
+    /// schedule `arrivals` instead of as the one-shot batch (every
+    /// [`Protocol::requests`] at round 0). A node scheduled twice, or not a
+    /// node of the graph, makes the run return [`SimError::InvalidConfig`].
+    pub fn with_arrivals(mut self, arrivals: Arrivals) -> Self {
+        self.arrivals = Some(arrivals);
+        self
+    }
+
+    /// Run to quiescence (no queued or in-flight messages and no arrival
+    /// still due), returning the report and the final protocol state.
     pub fn run_with_state(self) -> Result<(SimReport, P), SimError> {
-        let Simulator { graph, protocol, config: cfg, cut, faults } = self;
-        scheduler::run(graph, &cfg, cut, faults, protocol)
+        let Simulator { graph, protocol, config: cfg, cut, faults, arrivals } = self;
+        scheduler::run(graph, &cfg, cut, faults, arrivals, protocol)
     }
 
     /// Run to quiescence, returning only the report.
@@ -157,9 +171,10 @@ pub(crate) mod tests {
         }
     }
 
-    /// Token walk along the path 0→1→…→n−1, completing at each hop: shared
-    /// state is the path length, a node's slice counts its visits. The one
-    /// toy protocol of this module's tests and [`crate::shard`]'s.
+    /// Token walk along the path 0→1→…→n−1, started by node 0's operation
+    /// and completing at each hop: shared state is the path length, a
+    /// node's slice counts its visits. The one toy protocol of this
+    /// module's tests and [`crate::shard`]'s.
     pub(crate) struct Walk {
         n: usize,
         pub(crate) visits: Vec<u64>,
@@ -180,11 +195,15 @@ pub(crate) mod tests {
             (&self.n, &mut self.visits)
         }
 
-        fn on_start(&mut self, api: &mut SimApi<()>) {
-            self.visits[0] += 1;
-            api.complete(0, 0);
-            if self.n > 1 {
-                api.send(0, 1, ());
+        fn requests(&self) -> &[NodeId] {
+            &[0]
+        }
+
+        fn issue(n: &usize, visits: &mut u64, api: &mut SliceApi<()>, node: NodeId) {
+            *visits += 1;
+            api.complete(node, 0);
+            if *n > 1 {
+                api.send(1, ());
             }
         }
 
@@ -226,17 +245,17 @@ pub(crate) mod tests {
         );
     }
 
-    /// All leaves of a star send to the hub simultaneously; the hub can
-    /// receive only one message per round → serialization. A node's slice
-    /// counts what it received.
+    /// All leaves of a star issue a send to the hub simultaneously; the
+    /// hub can receive only one message per round → serialization. A
+    /// node's slice counts what it received.
     struct Converge {
-        n: usize,
+        leaves: Vec<NodeId>,
         received: Vec<u64>,
     }
 
     impl Converge {
         fn new(n: usize) -> Self {
-            Converge { n, received: vec![0; n] }
+            Converge { leaves: (1..n).collect(), received: vec![0; n] }
         }
     }
 
@@ -249,10 +268,12 @@ pub(crate) mod tests {
             (&(), &mut self.received)
         }
 
-        fn on_start(&mut self, api: &mut SimApi<()>) {
-            for v in 1..self.n {
-                api.send(v, 0, ());
-            }
+        fn requests(&self) -> &[NodeId] {
+            &self.leaves
+        }
+
+        fn issue(_: &(), _: &mut u64, api: &mut SliceApi<()>, _: NodeId) {
+            api.send(0, ());
         }
 
         fn on_message(
@@ -311,7 +332,8 @@ pub(crate) mod tests {
 
     #[test]
     fn invalid_send_detected() {
-        /// Which callback makes the non-edge send on the path 0–1–2–3.
+        /// Which callback makes the non-edge send on the path 0–1–2–3: the
+        /// start, a handler, or an arrival's issue.
         #[derive(Clone, Copy, Debug)]
         enum Route {
             Start,
@@ -326,10 +348,18 @@ pub(crate) mod tests {
             fn split(&mut self) -> (&Route, &mut [()]) {
                 (&self.0, &mut self.1)
             }
+            fn requests(&self) -> &[NodeId] {
+                &[0]
+            }
             fn on_start(&mut self, api: &mut SimApi<()>) {
-                match self.0 {
-                    Route::Start => api.send(0, 2, ()),
-                    Route::Handler | Route::Round => api.send(0, 1, ()),
+                if let Route::Start = self.0 {
+                    api.send(0, 2, ());
+                }
+            }
+            fn issue(route: &Route, _: &mut (), api: &mut SliceApi<()>, _: NodeId) {
+                match route {
+                    Route::Round => api.send(0, ()), // node 3's arrival at 1
+                    Route::Start | Route::Handler => api.send(1, ()), // node 0 at 0
                 }
             }
             fn on_message(
@@ -344,16 +374,9 @@ pub(crate) mod tests {
                     api.send(3, ()); // the handler runs at 1
                 }
             }
-            fn on_round(&mut self, api: &mut SimApi<()>, _: Round) {
-                if let Route::Round = self.0 {
-                    api.send(3, 0, ());
-                }
-            }
         }
         let g = topology::path(4);
-        for (route, from, to, round) in
-            [(Route::Start, 0, 2, 0), (Route::Handler, 1, 3, 1), (Route::Round, 3, 0, 1)]
-        {
+        for (route, from, to, round) in [(Route::Start, 0, 2, 0), (Route::Handler, 1, 3, 1)] {
             on_every_executor(
                 &g,
                 || Bad(route, [(); 4]),
@@ -363,6 +386,15 @@ pub(crate) mod tests {
                     assert_eq!(err, SimError::InvalidSend { from, to, round }, "{route:?}, {on}");
                 },
             );
+        }
+        // The arrivals route: node 3's scheduled arrival at round 1.
+        let cfg = SimConfig::strict();
+        let part = Partition::striped(4, 3);
+        let bad = || Simulator::new(&g, Bad(Route::Round, [(); 4]), cfg);
+        for (sim, on) in [(bad(), "monolith"), (bad().with_cut(&part, cfg.link_delay), "3 shards")]
+        {
+            let err = sim.with_arrivals(Arrivals::new(vec![(1, 3)])).run().expect_err(on);
+            assert_eq!(err, SimError::InvalidSend { from: 3, to: 0, round: 1 }, "{on}");
         }
     }
 
@@ -398,8 +430,11 @@ pub(crate) mod tests {
             fn split(&mut self) -> (&(), &mut [()]) {
                 (&(), &mut self.0)
             }
-            fn on_start(&mut self, api: &mut SimApi<()>) {
-                api.send(0, 1, ());
+            fn requests(&self) -> &[NodeId] {
+                &[0]
+            }
+            fn issue(_: &(), _: &mut (), api: &mut SliceApi<()>, _: NodeId) {
+                api.send(1, ());
             }
             fn on_message(
                 _: &(),
@@ -466,7 +501,10 @@ pub(crate) mod tests {
             fn split(&mut self) -> (&(), &mut [()]) {
                 (&(), &mut self.0)
             }
-            fn on_start(&mut self, _: &mut SimApi<()>) {}
+            fn requests(&self) -> &[NodeId] {
+                &[]
+            }
+            fn issue(_: &(), _: &mut (), _: &mut SliceApi<()>, _: NodeId) {}
             fn on_message(_: &(), _: &mut (), _: &mut SliceApi<()>, _: NodeId, _: NodeId, _: ()) {}
         }
         let g = topology::complete(4);
@@ -484,7 +522,8 @@ pub(crate) mod tests {
 
     #[test]
     fn send_budget_serializes_sender() {
-        /// Node 0 stages n−1 messages to distinct neighbours at time 0.
+        /// Node 0's operation stages n−1 messages to distinct neighbours
+        /// at time 0.
         struct Fanout {
             n: usize,
             units: Vec<()>,
@@ -492,17 +531,20 @@ pub(crate) mod tests {
         impl Protocol for Fanout {
             type Msg = ();
             type Slice = ();
-            type Shared = ();
-            fn split(&mut self) -> (&(), &mut [()]) {
-                (&(), &mut self.units)
+            type Shared = usize;
+            fn split(&mut self) -> (&usize, &mut [()]) {
+                (&self.n, &mut self.units)
             }
-            fn on_start(&mut self, api: &mut SimApi<()>) {
-                for v in 1..self.n {
-                    api.send(0, v, ());
+            fn requests(&self) -> &[NodeId] {
+                &[0]
+            }
+            fn issue(n: &usize, _: &mut (), api: &mut SliceApi<()>, _: NodeId) {
+                for v in 1..*n {
+                    api.send(v, ());
                 }
             }
             fn on_message(
-                _: &(),
+                _: &usize,
                 _: &mut (),
                 api: &mut SliceApi<()>,
                 node: NodeId,
@@ -529,8 +571,8 @@ pub(crate) mod tests {
         );
     }
 
-    /// 0 fires `burst` numbered messages at 1; a node's slice records what
-    /// it received, in arrival order.
+    /// 0's operation fires `burst` numbered messages at 1; a node's slice
+    /// records what it received, in arrival order.
     pub(super) struct Fifo {
         burst: u64,
         pub(super) seen: [Vec<u64>; 2],
@@ -545,17 +587,20 @@ pub(crate) mod tests {
     impl Protocol for Fifo {
         type Msg = u64;
         type Slice = Vec<u64>;
-        type Shared = ();
-        fn split(&mut self) -> (&(), &mut [Vec<u64>]) {
-            (&(), &mut self.seen)
+        type Shared = u64;
+        fn split(&mut self) -> (&u64, &mut [Vec<u64>]) {
+            (&self.burst, &mut self.seen)
         }
-        fn on_start(&mut self, api: &mut SimApi<u64>) {
-            for i in 1..=self.burst {
-                api.send(0, 1, i);
+        fn requests(&self) -> &[NodeId] {
+            &[0]
+        }
+        fn issue(burst: &u64, _: &mut Vec<u64>, api: &mut SliceApi<u64>, _: NodeId) {
+            for i in 1..=*burst {
+                api.send(1, i);
             }
         }
         fn on_message(
-            _: &(),
+            _: &u64,
             seen: &mut Vec<u64>,
             api: &mut SliceApi<u64>,
             node: NodeId,

@@ -5,8 +5,8 @@
 //!   by default or a [`LinkDelay`] policy (per-link constants, seeded
 //!   per-message jitter — the §2.1 asynchronous regime);
 //! * requests may all start at round 0 (the paper's one-shot batch) or
-//!   arrive over time via an [`ArrivalSpec`] schedule driving a
-//!   [`Paced`] protocol, optionally gated by an [`AdmissionPolicy`]
+//!   arrive over time via an [`ArrivalSpec`] schedule the run issues from
+//!   ([`Simulator::with_arrivals`]), optionally gated by an [`AdmissionPolicy`]
 //!   (backpressure: drop, delay or AIMD-throttle arrivals against the
 //!   live backlog — see [`admission`]);
 //! * per round, each processor may **send at most `c`** messages and
@@ -20,8 +20,9 @@
 //!   `Θ(n²)` in §5).
 //!
 //! Protocols implement [`Protocol`] — state split into a read-only shared
-//! view and one slice per processor, and a message handler that touches
-//! only the receiving processor's slice — and are executed by
+//! view and one slice per processor, a request set, and an issue and a
+//! message handler that each touch only one processor's slice — and are
+//! executed by
 //! [`Simulator::run`], which returns a [`SimReport`] with per-operation
 //! delays, message counts and queue statistics. [`Simulator::with_cut`]
 //! runs the same loop under a shard plan, giving the links between shards
@@ -30,18 +31,19 @@
 //! delay policy matches the run's (see [`shard`]).
 //!
 //! ```
-//! use ccq_sim::{run_protocol, Protocol, SimApi, SimConfig, SliceApi};
+//! use ccq_sim::{run_protocol, Protocol, SimConfig, SliceApi};
 //! use ccq_graph::{topology, NodeId};
 //!
-//! /// A token hops along the path, completing at the far end; every node
-//! /// counts the tokens it saw.
+//! /// Node 0's operation sends a token that hops along the path, completing
+//! /// at the far end; every node counts the tokens it saw.
 //! struct Relay { n: usize, seen: Vec<u64> }
 //! impl Protocol for Relay {
 //!     type Msg = ();
 //!     type Shared = usize; // the path length
 //!     type Slice = u64; // one node's counter
 //!     fn split(&mut self) -> (&usize, &mut [u64]) { (&self.n, &mut self.seen) }
-//!     fn on_start(&mut self, api: &mut SimApi<()>) { api.send(0, 1, ()); }
+//!     fn requests(&self) -> &[NodeId] { &[0] }
+//!     fn issue(_: &usize, _: &mut u64, api: &mut SliceApi<()>, _at: NodeId) { api.send(1, ()); }
 //!     fn on_message(n: &usize, seen: &mut u64, api: &mut SliceApi<()>, at: NodeId, _from: NodeId, _m: ()) {
 //!         *seen += 1;
 //!         if at + 1 < *n { api.send(at + 1, ()); } else { api.complete(at, 0); }
@@ -68,7 +70,7 @@ pub mod trace;
 pub mod transport;
 
 pub use admission::{Admission, AdmissionController, AdmissionPolicy};
-pub use arrival::{issue_all, ArrivalSpec, OnlineProtocol, Paced};
+pub use arrival::{ArrivalSpec, Arrivals};
 pub use engine::{SimError, Simulator};
 pub use probe::{fnv1a, Checkpoint, NodeDigest, Phase, PhaseTimings, ProbeSpec};
 pub use protocol::{with_slice, Protocol, SimApi, SliceApi};

@@ -4,8 +4,9 @@
 //! The record/replay layer (`ccq-replay` and the `ccq record/replay/bisect`
 //! subcommands) is built on one primitive: a **canonical rendering** of the
 //! complete engine state — every in-port, every outbox, every in-flight
-//! wire, the report's deterministic counters and the protocol's scheduling
-//! token — digested with FNV-1a 64. The rendering depends on the state,
+//! wire, the report's deterministic counters and the run's arrivals token
+//! (its schedule cursor, retries and admission state) — digested with
+//! FNV-1a 64. The rendering depends on the state,
 //! never on its layout:
 //!
 //! * per-node sections are emitted only for occupied nodes, in ascending
@@ -335,7 +336,7 @@ impl Stopwatch {
 
 /// Render the canonical engine state: node sections (occupied nodes only,
 /// ascending), the in-flight wires in `(arrival, seq)` order, the report's
-/// deterministic counters and the protocol token. Returns the canonical
+/// deterministic counters and the arrivals token. Returns the canonical
 /// string plus the per-node section digests (one per occupied node).
 pub(crate) fn canonical_state<M: std::fmt::Debug>(
     store: &NodeStore<M>,

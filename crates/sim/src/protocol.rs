@@ -38,13 +38,17 @@ use ccq_graph::{Graph, NodeId, Partition};
 /// * [`Protocol::split`] partitions the state into an immutable
 ///   [`Protocol::Shared`] view (routing tables, tree shape, mode flags)
 ///   and one [`Protocol::Slice`] per processor, indexed by [`NodeId`];
-/// * [`Protocol::on_message`] handles a message at `node` reading only
-///   `shared` and mutating only `node`'s slice — it has no `self`, so it
-///   cannot do otherwise.
+/// * [`Protocol::on_message`], [`Protocol::issue`] and
+///   [`Protocol::cancel`] act at one `node`, reading only `shared` and
+///   mutating only `node`'s slice — they have no `self`, so they cannot
+///   do otherwise.
 ///
-/// The serialized phases ([`Protocol::on_start`], [`Protocol::on_round`])
-/// keep `&mut self` and the full [`SimApi`]; they reach a slice through
-/// [`with_slice`].
+/// A run starts one way. [`Protocol::on_start`] runs once before round 0;
+/// then the scheduler's arrivals phase issues every operation through
+/// [`Protocol::issue`]: [`Protocol::requests`] at round 0, in that order
+/// (the paper's one-shot batch), or the open schedule the run was given
+/// ([`crate::Simulator::with_arrivals`]), admission-gated and at the
+/// rounds it names.
 pub trait Protocol {
     /// Message payload carried between processors.
     type Msg: Clone + std::fmt::Debug;
@@ -61,12 +65,42 @@ pub trait Protocol {
     /// [`crate::SimError::InvalidConfig`]).
     fn split(&mut self) -> (&Self::Shared, &mut [Self::Slice]);
 
-    /// Called once before round 0. All operations are issued here (the
-    /// paper's one-shot scenario: every requester starts at time 0; see
-    /// [`crate::arrival::issue_all`]). Sends staged here are transmitted
-    /// during round 0 and arrive at round 1; operations completing without
-    /// communication may call [`SimApi::complete`] with delay 0.
-    fn on_start(&mut self, api: &mut SimApi<Self::Msg>);
+    /// The request set the protocol was built with: the operations the
+    /// one-shot batch issues at round 0, in this order.
+    fn requests(&self) -> &[NodeId];
+
+    /// Called once before round 0, before any operation issues. A
+    /// per-request protocol has nothing to do until an operation arrives,
+    /// so the default does nothing; a single-wave combining protocol opens
+    /// its wave here (the processors that request nothing and wait on no
+    /// child report at once). Sends staged here are transmitted during
+    /// round 0 and arrive at round 1.
+    fn on_start(&mut self, _api: &mut SimApi<Self::Msg>) {}
+
+    /// Inject `node`'s operation now, touching only `node`'s slice. `node`
+    /// belongs to the request set the protocol was built with and issues
+    /// at most once. An operation completing without communication may
+    /// call [`SliceApi::complete`] at once.
+    fn issue(
+        shared: &Self::Shared,
+        slice: &mut Self::Slice,
+        api: &mut SliceApi<Self::Msg>,
+        node: NodeId,
+    );
+
+    /// `node`'s scheduled operation was refused admission and will never
+    /// issue: release anything the protocol holds waiting on it. A
+    /// per-request protocol holds nothing, so the default does nothing; a
+    /// single-wave combining protocol **must** strike the requester from
+    /// its wave, or the wave never closes. Called at most once per node,
+    /// and never after `issue`.
+    fn cancel(
+        _shared: &Self::Shared,
+        _slice: &mut Self::Slice,
+        _api: &mut SliceApi<Self::Msg>,
+        _node: NodeId,
+    ) {
+    }
 
     /// Called when `node` dequeues (receives) a message from `from`:
     /// handle it touching only `node`'s slice.
@@ -78,38 +112,10 @@ pub trait Protocol {
         from: NodeId,
         msg: Self::Msg,
     );
-
-    /// Called at the start of every round while the system is live
-    /// (messages queued or in flight). Default: no-op.
-    fn on_round(&mut self, _api: &mut SimApi<Self::Msg>, _round: Round) {}
-
-    /// The earliest future round at which [`Protocol::on_round`] would do
-    /// anything observable (stage effects, mutate scheduling state).
-    /// `None` means `on_round` is a pure no-op at every remaining round —
-    /// the default, correct for every protocol that does not override
-    /// `on_round`; [`crate::arrival::Paced`] reports its next scheduled
-    /// arrival or admission retry. A quiescent engine fast-forwards to
-    /// this round instead of terminating, so returning a too-late round
-    /// would silently skip the rounds in between.
-    fn next_active_round(&self) -> Option<Round> {
-        None
-    }
-
-    /// Canonical rendering of protocol-internal *scheduling* state for the
-    /// probe layer's state hashes (see [`crate::probe`]): anything that
-    /// determines future behaviour but is not visible in queues, wires or
-    /// report counters. The default (empty) is correct for one-shot
-    /// protocols, whose entire evolution is driven by the message state the
-    /// probe already renders; [`crate::arrival::Paced`] overrides it with
-    /// its arrival cursor, pending retries and admission-controller state.
-    fn state_token(&self) -> String {
-        String::new()
-    }
 }
 
-/// Callback interface of the serialized phases ([`Protocol::on_start`],
-/// [`Protocol::on_round`]): a write-through view of the engine at one
-/// round. Every call lands before it returns: a send in its sender's
+/// Callback interface of the serialized phases (the start and the
+/// arrivals phase): a write-through view of the engine at one round. Every call lands before it returns: a send in its sender's
 /// outbox, a record in the report. The first invalid send is kept and
 /// returned by the round loop once the callback returns.
 pub struct SimApi<'a, M> {
@@ -163,12 +169,11 @@ impl<M> SimApi<'_, M> {
         self.traced(TraceKind::Complete, node);
     }
 
-    /// Record that `node` issued its operation now (open-system runs:
-    /// called by [`crate::arrival::Paced`] alongside
-    /// [`crate::arrival::OnlineProtocol::issue`]). Feeds the report's
-    /// completion-latency and backlog metrics; one-shot protocols never
-    /// call this and their operations implicitly issue at round 0.
-    pub fn issue(&mut self, node: NodeId) {
+    /// Record that `node` issued its operation now (an open schedule's
+    /// admitted arrival, alongside [`Protocol::issue`]). Feeds the report's
+    /// completion-latency and backlog metrics; the one-shot batch records
+    /// none, and its operations implicitly issue at round 0.
+    pub(crate) fn issue(&mut self, node: NodeId) {
         if let Some(s) = self.counted_shard(node) {
             self.shard_open[s] += 1;
         }
@@ -183,17 +188,17 @@ impl<M> SimApi<'_, M> {
     /// against the *global* backlog, not a per-shard view. 0 for one-shot
     /// runs (which record no issues).
     #[inline]
-    pub fn backlog(&self) -> usize {
+    pub(crate) fn backlog(&self) -> usize {
         self.report.open_operations()
     }
 
     /// Count open operations per shard of the run's cut from now on (a
-    /// no-op on an unsharded run). Called by [`crate::arrival::Paced`]
-    /// during `on_start` when a shard-scoped admission policy
-    /// ([`crate::AdmissionPolicy::PerNode`]) is active. Issues and
-    /// completions reach the counts through this one API — the serialized
-    /// phases directly, the deliver walk through its [`SliceApi`].
-    pub fn enable_shard_accounting(&mut self) {
+    /// no-op on an unsharded run). Enabled before round 0 when the run's
+    /// arrivals gate on a shard-scoped policy
+    /// ([`crate::AdmissionPolicy::PerNode`]). Issues and completions reach
+    /// the counts through this one API — the serialized phases directly,
+    /// the deliver walk through its [`SliceApi`].
+    pub(crate) fn enable_shard_accounting(&mut self) {
         if let Some(shards) = self.shards {
             *self.shard_open = vec![0; shards.k()];
         }
@@ -204,7 +209,7 @@ impl<M> SimApi<'_, M> {
     /// global backlog when per-shard accounting is off, so scoped policies
     /// degrade to their global meaning on unsharded runs.
     #[inline]
-    pub fn shard_backlog(&self, node: NodeId) -> usize {
+    pub(crate) fn shard_backlog(&self, node: NodeId) -> usize {
         self.counted_shard(node).map_or_else(|| self.backlog(), |s| self.shard_open[s] as usize)
     }
 
@@ -222,8 +227,7 @@ impl<M> SimApi<'_, M> {
     }
 
     /// Record that `node`'s scheduled arrival was refused admission (the
-    /// operation will never issue). Called by [`crate::arrival::Paced`]
-    /// alongside [`crate::arrival::OnlineProtocol::cancel`].
+    /// operation will never issue), alongside [`Protocol::cancel`].
     pub(crate) fn shed(&mut self, node: NodeId) {
         self.report.dropped.push(Dropped { node, round: self.round });
         self.traced(TraceKind::Drop, node);
@@ -296,9 +300,9 @@ impl<M> SliceApi<'_, M> {
 }
 
 /// Run a closure against `node`'s slice through the [`SliceApi`] at `node`
-/// — how the serialized phases (the time-0 start, the arrivals phase's
-/// issue and cancel) reach one processor's state under the same discipline
-/// as a message handler.
+/// — how the serialized phases (the start, the arrivals phase's issue and
+/// cancel) reach one processor's state under the same discipline as a
+/// message handler.
 pub fn with_slice<P: Protocol>(
     p: &mut P,
     api: &mut SimApi<P::Msg>,

@@ -167,19 +167,37 @@ impl FaultPlan {
     }
 
     /// If `node` is down at `round`, the round it comes back up (the
-    /// latest `recover` among the crash windows covering `round`).
+    /// `recover` of the crash window covering `round`; a valid plan's
+    /// windows on one node are disjoint).
     #[inline]
     pub fn down_until(&self, node: NodeId, round: Round) -> Option<Round> {
         self.crashes
             .iter()
-            .filter(|c| c.node == node && c.at <= round && round < c.recover)
+            .find(|c| c.node == node && c.at <= round && round < c.recover)
             .map(|c| c.recover)
-            .max()
+    }
+
+    /// Refuse two crash windows on one node whose `[at, recover)`
+    /// intersect: the node would crash while down and recover while still
+    /// down, so the events the run logs would not be the ones it had.
+    pub fn check_disjoint(&self) -> Result<(), String> {
+        for (i, a) in self.crashes.iter().enumerate() {
+            let overlap =
+                |b: &&CrashFault| a.node == b.node && a.at < b.recover && b.at < a.recover;
+            if let Some(b) = self.crashes[i + 1..].iter().find(overlap) {
+                return Err(format!(
+                    "fault crash windows [{}, {}) and [{}, {}) on node {} overlap; a node's \
+                     windows must be disjoint",
+                    a.at, a.recover, b.at, b.recover, a.node
+                ));
+            }
+        }
+        Ok(())
     }
 
     /// Validate the plan against a run of `n` processors: every crash
     /// names a real node, starts at round ≥ 1 and recovers strictly
-    /// after it starts.
+    /// after it starts, and no two windows on one node overlap.
     pub fn validate(&self, n: usize) -> Result<(), String> {
         for c in &self.crashes {
             if c.node >= n {
@@ -203,7 +221,7 @@ impl FaultPlan {
                 ));
             }
         }
-        Ok(())
+        self.check_disjoint()
     }
 
     /// The crash/recover events that fired by the end of a `rounds`-round
@@ -378,9 +396,9 @@ pub struct Completion {
     pub round: Round,
 }
 
-/// One issued operation (recorded by open-system pacing via
-/// [`crate::SimApi::issue`]; one-shot protocols record none — their
-/// operations implicitly issue at round 0).
+/// One issued operation (recorded for each admitted arrival of a run's
+/// [`crate::Arrivals`]; the one-shot batch records none — its operations
+/// implicitly issue at round 0).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
 pub struct Issue {
     /// Processor that issued the operation.
@@ -392,8 +410,7 @@ pub struct Issue {
 /// One shed arrival: a scheduled operation that admission control
 /// ([`crate::admission::AdmissionPolicy::DropTail`]) refused. The
 /// operation never issues and never completes; the protocol released
-/// anything waiting on it via
-/// [`crate::arrival::OnlineProtocol::cancel`].
+/// anything waiting on it via [`crate::Protocol::cancel`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
 pub struct Dropped {
     /// Processor whose arrival was refused.
@@ -1119,12 +1136,12 @@ mod tests {
         assert!(zero.validate(4).unwrap_err().contains("round 0"));
         let rev = FaultPlan::none().crash(0, 5, 5);
         assert!(rev.validate(4).unwrap_err().contains("not after"));
-        // The plan holds any number of windows; overlapping ones keep the
-        // node down until the latest recovery.
-        let many = (0..6).fold(FaultPlan::none(), |p, i| p.crash(1, 1 + i, 3 + 2 * i));
+        // The plan holds any number of disjoint windows on one node.
+        let many = (0..6).fold(FaultPlan::none(), |p, i| p.crash(1, 1 + 3 * i, 3 + 3 * i));
         assert_eq!(many.crashes.len(), 6);
         assert!(many.validate(2).is_ok());
-        assert_eq!(many.down_until(1, 6), Some(13));
+        assert_eq!(many.down_until(1, 7), Some(9));
+        assert_eq!(many.down_until(1, 9), None);
         assert_eq!(many.events_until(20).len(), 12);
         // Events stop at the final round.
         assert_eq!(plan.events_until(2), vec![]);
@@ -1134,6 +1151,27 @@ mod tests {
         let all = plan.events_until(10);
         assert_eq!(all.len(), 2);
         assert_eq!((all[1].node, all[1].round, all[1].kind), (2, 7, FaultKind::Recover));
+    }
+
+    #[test]
+    fn overlapping_crash_windows_on_one_node_are_refused() {
+        // [1, 5) and [3, 9) on node 1: the node would crash at 3 while
+        // down and recover at 5 while still down. Both windows are named,
+        // in either insertion order.
+        for plan in [
+            FaultPlan::none().crash(1, 1, 5).crash(3, 2, 4).crash(1, 3, 9),
+            FaultPlan::none().crash(1, 3, 9).crash(1, 1, 5),
+        ] {
+            let err = plan.validate(6).unwrap_err();
+            assert!(err.contains("[1, 5)") && err.contains("[3, 9)"), "{err}");
+            assert!(err.contains("node 1") && err.contains("overlap"), "{err}");
+        }
+        // Nested windows overlap too; touching ones and other nodes' do not.
+        assert!(FaultPlan::none().crash(2, 1, 9).crash(2, 3, 4).validate(4).is_err());
+        let touching = FaultPlan::none().crash(2, 1, 4).crash(2, 4, 6).crash(3, 2, 5);
+        assert_eq!(touching.validate(4), Ok(()));
+        assert_eq!(touching.down_until(2, 3), Some(4));
+        assert_eq!(touching.down_until(2, 4), Some(6));
     }
 
     #[test]

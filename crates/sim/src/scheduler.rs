@@ -4,10 +4,13 @@
 //! One round `t` of the synchronous model executes phases in this fixed
 //! order, each owned by a layer below:
 //!
-//! 1. **arrivals** — [`crate::Protocol::on_round`] runs (open-system
-//!    pacing injects operations due at `t`) against the write-through
-//!    [`crate::SimApi`]: each send lands in its sender's outbox, each
-//!    issue, completion and drop in the report, during the call;
+//! 1. **arrivals** — the operations due at `t` issue through
+//!    [`crate::Protocol::issue`] against the write-through
+//!    [`crate::SimApi`]: the one-shot batch ([`crate::Protocol::requests`])
+//!    at round 0, or the run's [`crate::Arrivals`] at a round where an
+//!    arrival or an admission retry is due, admission-gated; each send
+//!    lands in its sender's outbox, each issue, completion and drop in the
+//!    report, during the call;
 //! 2. **mature** — the [`crate::transport::Transport`] releases every wire
 //!    due at `t` into its destination's in-port
 //!    ([`crate::state::NodeStore::mature`]), in (arrival, sequence) order,
@@ -30,8 +33,8 @@
 //!    occupied the walk is skipped in O(1);
 //! 5. **quiescence / wakeup** — when every queue and the wheel are empty
 //!    (O(1): the store's in-port and outbox counts are both 0) the run
-//!    either ends or fast-forwards to
-//!    [`crate::Protocol::next_active_round`].
+//!    either ends or fast-forwards to the next round an arrival or a
+//!    retry is due.
 //!
 //! **One executor.** `run` is the only round loop and `lockstep_round`
 //! the only round body: validation, the time-0 start, the `round > 0`
@@ -45,10 +48,10 @@
 //! the ferry delay and counts in
 //! [`crate::SimReport::cross_shard_messages`] (see [`crate::shard`]).
 //! [`crate::Simulator`] is the only caller of `run`, with or without a cut.
-//! The `Ledger` lent to every phase holds the run's inputs (the cut and the
-//! fault plan among them), the report, the per-shard open-operation
-//! counts, the error slot and the phase clock; every [`crate::SimApi`] is
-//! a view over it.
+//! The `Ledger` lent to every phase holds the run's inputs (the cut, the
+//! fault plan and the arrivals among them), the report, the per-shard
+//! open-operation counts, the error slot and the phase clock; every
+//! [`crate::SimApi`] is a view over it.
 //!
 //! **A barrier nobody watches costs nothing.** A barrier does two things,
 //! both optional: it laps the phase clock (`--timing`) and, in a round the
@@ -65,6 +68,7 @@
 //! FIFO advances. Transmissions carry one run-global sequence numbering,
 //! which orders simultaneous arrivals whatever delay each wire took.
 
+use crate::arrival::{self, Arrivals};
 use crate::probe::{self, Phase, Stopwatch};
 use crate::protocol::{Protocol, SimApi};
 use crate::report::{FaultPlan, LinkDelay, SimConfig, SimReport};
@@ -99,15 +103,17 @@ fn validate_slices<P: Protocol>(protocol: &mut P, n: usize) -> Result<(), SimErr
 
 /// What the round records, owned by [`run`] and lent to each phase: the
 /// run's borrowed inputs (the shard cut and the fault plan among them),
-/// the report, the per-shard open-operation counts, the error slot every
-/// [`SimApi`] writes its first invalid send to, and the phase clock.
+/// its open schedule (`None`: the one-shot batch), the report, the
+/// per-shard open-operation counts, the error slot every [`SimApi`] writes
+/// its first invalid send to, and the phase clock.
 struct Ledger<'a> {
     graph: &'a Graph,
     cfg: &'a SimConfig,
     cut: Option<(&'a Partition, LinkDelay)>,
     faults: &'a FaultPlan,
+    arrivals: Option<Arrivals>,
     report: SimReport,
-    /// Empty unless a protocol enabled per-shard accounting
+    /// Empty unless the arrivals enabled per-shard accounting
     /// ([`SimApi::enable_shard_accounting`]).
     shard_open: Vec<u64>,
     error: Option<SimError>,
@@ -117,9 +123,20 @@ struct Ledger<'a> {
 impl Ledger<'_> {
     /// The write-through [`SimApi`] at `round`, staging sends in `store`.
     fn api<'s, M>(&'s mut self, round: Round, store: &'s mut NodeStore<M>) -> SimApi<'s, M> {
-        let Ledger { graph, cfg, cut, faults, report, shard_open, error, .. } = self;
+        self.api_and_arrivals(round, store).0
+    }
+
+    /// [`Ledger::api`] beside the run's open schedule, which the arrivals
+    /// phase issues from through that API.
+    fn api_and_arrivals<'s, M>(
+        &'s mut self,
+        round: Round,
+        store: &'s mut NodeStore<M>,
+    ) -> (SimApi<'s, M>, Option<&'s mut Arrivals>) {
+        let Ledger { graph, cfg, cut, faults, arrivals, report, shard_open, error, .. } = self;
         let shards = cut.map(|(partition, _)| partition);
-        SimApi { round, graph, cfg, shards, faults, report, shard_open, error, store }
+        let api = SimApi { round, graph, cfg, shards, faults, report, shard_open, error, store };
+        (api, arrivals.as_mut())
     }
 
     /// The transmit gate, read by the transmit walk: whether `node`'s
@@ -160,8 +177,8 @@ impl Ledger<'_> {
 }
 
 /// One lockstep round — arrivals through transmit, each phase closed by
-/// its barrier. The first three phases are vacuous at round 0, whose
-/// barriers still observe, so every run checkpoints round 0. A round that
+/// its barrier. Mature and deliver are vacuous at round 0, whose barriers
+/// still observe, so every run checkpoints round 0. A round that
 /// is neither timed nor observed enters no barrier.
 fn lockstep_round<P: Protocol>(
     exec: &mut Executor<P::Msg>,
@@ -172,81 +189,109 @@ fn lockstep_round<P: Protocol>(
     let observe = led.cfg.probe.observes(round);
     let watched = observe || led.watch.is_on();
     led.watch.start_round();
-    if round > 0 {
-        serialized(&mut exec.store, led, round, |api| protocol.on_round(api, round))?;
-    }
+    arrive(&mut exec.store, led, protocol, round)?;
     if watched {
-        barrier(exec, led, protocol, round, Phase::Arrivals, observe);
+        barrier(exec, led, round, Phase::Arrivals, observe);
     }
     if round > 0 {
         exec.mature(led, round);
     }
     if watched {
-        barrier(exec, led, protocol, round, Phase::Mature, observe);
+        barrier(exec, led, round, Phase::Mature, observe);
     }
     if round > 0 {
         exec.deliver(led, protocol, round)?;
     }
     if watched {
-        barrier(exec, led, protocol, round, Phase::Deliver, observe);
+        barrier(exec, led, round, Phase::Deliver, observe);
     }
     exec.transmit(led, round)?;
     if watched {
-        barrier(exec, led, protocol, round, Phase::Transmit, observe);
+        barrier(exec, led, round, Phase::Transmit, observe);
     }
     led.watch.end_round();
     Ok(())
 }
 
-/// Run a serialized phase's callback (the time-0 start, the arrivals
-/// phase) against the write-through [`SimApi`], its sends staged in the
-/// sender's outbox; then fold the open-system backlog (issued but not
-/// completed — 0 for one-shot runs, which record no issues) into its
-/// high-water mark. Handlers cannot issue, so the backlog only falls
-/// within a deliver phase and this is the only place it can peak.
+/// The arrivals phase: issue the operations due at `round` — with no open
+/// schedule, the one-shot batch ([`Protocol::requests`], in order) at
+/// round 0; otherwise the schedule's arrivals and retries due now,
+/// admission-gated. A round where nothing is due is not entered.
+fn arrive<P: Protocol>(
+    store: &mut NodeStore<P::Msg>,
+    led: &mut Ledger<'_>,
+    protocol: &mut P,
+    round: Round,
+) -> Result<(), SimError> {
+    let due = match &led.arrivals {
+        None => round == 0,
+        Some(arrivals) => arrivals.next_due().is_some_and(|r| r <= round),
+    };
+    if !due {
+        return Ok(());
+    }
+    serialized(store, led, round, |api, arrivals| match arrivals {
+        Some(arrivals) => arrivals.issue_due(protocol, api),
+        None => {
+            for i in 0..protocol.requests().len() {
+                let v = protocol.requests()[i];
+                arrival::inject(protocol, api, v);
+            }
+        }
+    })
+}
+
+/// Run a serialized phase's callback (the start, the arrivals phase)
+/// against the write-through [`SimApi`] and the run's open schedule, its
+/// sends staged in the sender's outbox; then fold the open-system backlog
+/// (issued but not completed — 0 for one-shot runs, which record no
+/// issues) into its high-water mark. Handlers cannot issue, so the backlog
+/// only falls within a deliver phase and this is the only place it can
+/// peak.
 fn serialized<M>(
     store: &mut NodeStore<M>,
     led: &mut Ledger<'_>,
     round: Round,
-    f: impl FnOnce(&mut SimApi<M>),
+    f: impl FnOnce(&mut SimApi<M>, Option<&mut Arrivals>),
 ) -> Result<(), SimError> {
-    f(&mut led.api(round, store));
+    let (mut api, arrivals) = led.api_and_arrivals(round, store);
+    f(&mut api, arrivals);
     let report = &mut led.report;
     report.backlog_high_water = report.backlog_high_water.max(report.open_operations());
     led.settle()
 }
 
 /// The barrier after `phase` of a watched round: close its timing lap and,
-/// in an observed round, hash the state there (the hashing is left out of
-/// the next phase's lap).
-fn barrier<P: Protocol>(
-    exec: &Executor<P::Msg>,
+/// in an observed round, hash the state there — the run's arrivals render
+/// their token into it (the hashing is left out of the next phase's lap).
+fn barrier<M: std::fmt::Debug>(
+    exec: &Executor<M>,
     led: &mut Ledger<'_>,
-    protocol: &P,
     round: Round,
     phase: Phase,
     observe: bool,
 ) {
     led.watch.lap(phase);
     if observe {
-        let (probe, token) = (&led.cfg.probe, &protocol.state_token());
+        let token = led.arrivals.as_ref().map_or_else(String::new, Arrivals::token);
+        let (probe, token) = (&led.cfg.probe, &token);
         probe::observe_phase(probe, round, phase, &exec.store, &exec.wheel, token, &mut led.report);
         led.watch.restart();
     }
 }
 
-/// The quiescence / wakeup phase: given whether every queue and the wheel
-/// are idle, decide the next round — `None` ends the run, otherwise the clock
-/// advances by one or fast-forwards to the protocol's next scheduled
-/// wakeup. The `max_rounds` guard applies to both kinds of advance.
-fn advance_round<P: Protocol>(
-    protocol: &P,
-    idle: bool,
+/// The quiescence / wakeup phase: decide the next round — `None` ends the
+/// run, otherwise the clock advances by one or, with every queue and the
+/// wheel idle, fast-forwards to the round the run's next arrival or retry
+/// is due. The `max_rounds` guard applies to both kinds of advance.
+fn advance_round<M>(
+    exec: &Executor<M>,
+    led: &Ledger<'_>,
     round: Round,
-    max_rounds: Round,
 ) -> Result<Option<Round>, SimError> {
-    let next = if idle {
-        match protocol.next_active_round() {
+    let max_rounds = led.cfg.max_rounds;
+    let next = if exec.is_idle() {
+        match led.arrivals.as_ref().and_then(Arrivals::next_due) {
             Some(r) if r > round => r,
             _ => return Ok(None),
         }
@@ -262,19 +307,23 @@ fn advance_round<P: Protocol>(
 /// Run `protocol` on `graph` to quiescence — the one round loop, reached
 /// only through [`crate::Simulator`]. `cut` is a shard plan
 /// ([`crate::Simulator::with_cut`]): the partition and the delay of the
-/// links it separates. It is checked to cover the graph after the
-/// configuration, the fault plan ([`crate::Simulator::with_faults`]) and
-/// the slices.
+/// links it separates. `arrivals` is the open schedule
+/// ([`crate::Simulator::with_arrivals`]); with none, the run issues the
+/// one-shot batch. The cut is checked to cover the graph after the
+/// configuration, the fault plan ([`crate::Simulator::with_faults`]), the
+/// slices and the schedule.
 pub(crate) fn run<P: Protocol>(
     graph: &Graph,
     cfg: &SimConfig,
     cut: Option<(&Partition, LinkDelay)>,
     faults: &FaultPlan,
+    arrivals: Option<Arrivals>,
     mut protocol: P,
 ) -> Result<(SimReport, P), SimError> {
     let n = graph.n();
     validate_config(cfg, faults, n)?;
     validate_slices(&mut protocol, n)?;
+    arrivals.as_ref().map_or(Ok(()), |a| a.validate(n))?;
     if cut.is_some_and(|(partition, _)| partition.n() != n) {
         return Err(SimError::invalid_config(
             "shard partition does not cover the graph's vertex set",
@@ -290,6 +339,7 @@ pub(crate) fn run<P: Protocol>(
         cfg,
         cut,
         faults,
+        arrivals,
         report: SimReport {
             delay_scale: cfg.step as u64,
             received_by_node: vec![0; n],
@@ -300,13 +350,18 @@ pub(crate) fn run<P: Protocol>(
         watch: Stopwatch::new(cfg.probe.timing),
     };
 
-    // Time 0: every requester issues its operation.
-    serialized(&mut exec.store, &mut led, 0, |api| protocol.on_start(api))?;
+    // Before round 0: the start, ahead of any operation.
+    serialized(&mut exec.store, &mut led, 0, |api, arrivals| {
+        if arrivals.is_some_and(|a| a.is_shard_scoped()) {
+            api.enable_shard_accounting();
+        }
+        protocol.on_start(api);
+    })?;
 
     let mut round: Round = 0;
     let last = loop {
         lockstep_round(&mut exec, &mut led, &mut protocol, round)?;
-        match advance_round(&protocol, exec.is_idle(), round, cfg.max_rounds)? {
+        match advance_round(&exec, &led, round)? {
             Some(next) => round = next,
             None => break round,
         }

@@ -12,8 +12,8 @@
 //! [`crate::SimReport::cross_shard_messages`]; every other send takes the
 //! run's delay. Queues and wires stay in the executor's one store and one
 //! wheel, sharded or not. The partition is also the run's shard map:
-//! [`crate::SimApi::shard_backlog`] reads it once a protocol enables
-//! per-shard accounting.
+//! per-shard admission ([`crate::AdmissionPolicy::PerNode`]) counts open
+//! operations over it.
 //!
 //! **Equivalence invariant.** Whenever the ferry's delay policy equals the
 //! run's, every send takes the delay it would take unsharded, so a K-shard
@@ -30,7 +30,7 @@ mod tests {
     use crate::engine::tests::Walk;
     use crate::protocol::Protocol;
     use crate::report::{LinkDelay, SimConfig, SimReport};
-    use crate::{SimApi, SimError, Simulator, SliceApi, TraceKind};
+    use crate::{SimError, Simulator, SliceApi, TraceKind};
     use ccq_graph::{topology, Graph, NodeId, Partition};
 
     /// Run `protocol` on `g` cut by `part`, the ferry at the run's delay.
@@ -137,8 +137,11 @@ mod tests {
             fn split(&mut self) -> (&usize, &mut [u64]) {
                 (&self.n, &mut self.units)
             }
-            fn on_start(&mut self, api: &mut SimApi<()>) {
-                api.send(0, 1, ());
+            fn requests(&self) -> &[NodeId] {
+                &[0]
+            }
+            fn issue(_: &usize, _: &mut u64, api: &mut SliceApi<()>, _: NodeId) {
+                api.send(1, ());
             }
             fn on_message(
                 _: &usize,

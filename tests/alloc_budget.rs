@@ -316,8 +316,9 @@ fn a_warm_store_allocates_nothing() {
     }
 }
 
-/// A token that makes `hops` hops round `cycle(16)` and completes where it
-/// stops: one message per hop, one completion per run.
+/// Node 0's operation sends a token that makes `hops` hops round
+/// `cycle(16)` and completes where it stops: one message per hop, one
+/// completion per run.
 struct Laps {
     hops: u64,
     units: Vec<()>,
@@ -332,8 +333,12 @@ impl ccq_repro::sim::Protocol for Laps {
         (&self.hops, &mut self.units)
     }
 
-    fn on_start(&mut self, api: &mut ccq_repro::sim::SimApi<u64>) {
-        api.send(0, 1, 1);
+    fn requests(&self) -> &[usize] {
+        &[0]
+    }
+
+    fn issue(_: &u64, _: &mut (), api: &mut ccq_repro::sim::SliceApi<u64>, _: usize) {
+        api.send(1, 1);
     }
 
     fn on_message(
@@ -379,4 +384,53 @@ fn a_run_allocates_nothing_per_message() {
             "sharded {sharded}: {short} messages, {few} allocations; {long}, {many}"
         );
     }
+}
+
+/// An operation that completes the moment it issues, sending nothing.
+struct Instant {
+    units: Vec<()>,
+}
+
+impl ccq_repro::sim::Protocol for Instant {
+    type Msg = ();
+    type Slice = ();
+    type Shared = ();
+
+    fn split(&mut self) -> (&(), &mut [()]) {
+        (&(), &mut self.units)
+    }
+
+    fn requests(&self) -> &[usize] {
+        &[]
+    }
+
+    fn issue(_: &(), _: &mut (), api: &mut ccq_repro::sim::SliceApi<()>, node: usize) {
+        api.complete(node, 0);
+    }
+
+    fn on_message(
+        _: &(),
+        _: &mut (),
+        _: &mut ccq_repro::sim::SliceApi<()>,
+        _: usize,
+        _: usize,
+        _: (),
+    ) {
+    }
+}
+
+/// The arrivals phase keeps one scratch batch across rounds: 512 arrivals
+/// at distinct rounds cost the run's fixed state and the report's list
+/// doublings, not an allocation per due round.
+#[test]
+fn arrivals_allocate_nothing_per_due_round() {
+    use ccq_repro::sim::{Arrivals, Round, SimConfig, Simulator};
+    let n = 512;
+    let g = ccq_repro::graph::topology::path(n);
+    let schedule: Vec<(Round, usize)> = (0..n).map(|v| (3 * v as Round, v)).collect();
+    let sim = Simulator::new(&g, Instant { units: vec![(); n] }, SimConfig::strict())
+        .with_arrivals(Arrivals::new(schedule));
+    let (report, allocs) = counted(|| sim.run().unwrap());
+    assert_eq!((report.ops(), report.issues.len()), (n, n));
+    assert!(allocs < 64, "{allocs} allocations for {n} due rounds");
 }

@@ -1,24 +1,31 @@
 //! Integration tests for the long-lived extension and the asynchronous
 //! (jittered) model across topologies — correctness must be independent of
 //! arrival schedules and link-delay schedules. Long-lived arrivals run the
-//! plain [`ArrowProtocol`] through the generic [`ccq_repro::sim::Paced`]
-//! wrapper — the bespoke long-lived shim is gone.
+//! plain [`ArrowProtocol`] on an open schedule
+//! ([`ccq_repro::sim::Simulator::with_arrivals`]).
 
 use ccq_repro::graph::{NodeId, Tree};
 use ccq_repro::prelude::*;
 use ccq_repro::queuing::{verify_total_order, ArrowProtocol};
-use ccq_repro::sim::{run_protocol, Paced, Round, SimConfig, Simulator};
+use ccq_repro::sim::{run_protocol, Arrivals, Protocol, Round, SimConfig, SimReport, Simulator};
 use rand::prelude::*;
 use rand::rngs::StdRng;
 
-/// The arrow protocol under an arrival schedule, via [`Paced`]. The
-/// protocol is built exactly as a one-shot run builds it — there is no mode
-/// to set: `Paced` never calls the wrapped protocol's self-issuing
-/// `on_start`.
-fn paced_arrow(tree: &Tree, tail: NodeId, schedule: &[(Round, NodeId)]) -> Paced<ArrowProtocol> {
-    let mut requesters: Vec<NodeId> = schedule.iter().map(|&(_, v)| v).collect();
-    requesters.sort_unstable();
-    Paced::new(ArrowProtocol::new(tree, tail, &requesters), schedule.to_vec())
+/// The arrow protocol on `tree` under an arrival schedule, built exactly
+/// as a one-shot run builds it — there is no mode to set — over the
+/// scheduled nodes; returns the report and the sorted requesters.
+fn run_arrow(
+    tree: &Tree,
+    tail: NodeId,
+    schedule: &[(Round, NodeId)],
+    cfg: SimConfig,
+) -> (SimReport, Vec<NodeId>) {
+    let requesters: Vec<NodeId> = schedule.iter().map(|&(_, v)| v).collect();
+    let arrow = ArrowProtocol::new(tree, tail, &requesters);
+    let g = tree.to_graph();
+    let sim = Simulator::new(&g, arrow, cfg).with_arrivals(Arrivals::new(schedule.to_vec()));
+    let (rep, arrow) = sim.run_with_state().unwrap();
+    (rep, arrow.requests().to_vec())
 }
 
 /// Issue round per node (`Round::MAX` = never requests).
@@ -36,13 +43,10 @@ fn run_longlived(
     schedule: &[(Round, NodeId)],
     cfg: SimConfig,
 ) -> (ccq_repro::sim::SimReport, Vec<Round>) {
-    let g = tree.to_graph();
-    let proto = paced_arrow(tree, tail, schedule);
-    let requesters = proto.requesters();
+    let (rep, requesters) = run_arrow(tree, tail, schedule, cfg);
     let issue = issue_rounds(tree.n(), schedule);
-    let rep = run_protocol(&g, proto, cfg).unwrap();
-    // Every requester issues and completes exactly once (a wrapped protocol
-    // that also started itself would issue each of them twice).
+    // Every requester issues and completes exactly once (a run that also
+    // issued the one-shot batch would issue each of them twice).
     let mut issued: Vec<NodeId> = rep.issues.iter().map(|i| i.node).collect();
     issued.sort_unstable();
     assert_eq!(issued, requesters);
@@ -139,10 +143,7 @@ fn far_future_schedule_fast_forwards() {
     let s = Scenario::build(TopoSpec::List { n: 16 }, RequestPattern::All);
     let schedule: Vec<(Round, NodeId)> = (0..16).map(|v| (v as u64 * 700_000, v)).collect();
     let start = std::time::Instant::now();
-    let g = s.queuing_tree.to_graph();
-    let proto = paced_arrow(&s.queuing_tree, s.tail, &schedule);
-    let requesters = proto.requesters();
-    let rep = Simulator::new(&g, proto, SimConfig::strict()).run().unwrap();
+    let (rep, requesters) = run_arrow(&s.queuing_tree, s.tail, &schedule, SimConfig::strict());
     let pred_of: Vec<(NodeId, u64)> = rep.completions.iter().map(|c| (c.node, c.value)).collect();
     verify_total_order(&requesters, &pred_of).unwrap();
     assert!(rep.rounds >= 10_000_000);

@@ -7,7 +7,7 @@ use ccq_repro::counting::{verify_ranks, CombiningTreeProtocol, CountingNetworkPr
 use ccq_repro::graph::{spanning, topology, NodeId, Tree, TreeRouter};
 use ccq_repro::prelude::*;
 use ccq_repro::queuing::{verify_total_order, ArrowProtocol};
-use ccq_repro::sim::{run_protocol, Lateness, Paced, Round, SimConfig};
+use ccq_repro::sim::{run_protocol, Arrivals, Lateness, Round, SimConfig};
 use ccq_repro::tsp::{decompose_runs, nn_tour, steiner_edge_count};
 use proptest::prelude::*;
 
@@ -210,9 +210,9 @@ proptest! {
         }
     }
 
-    /// FIFO-per-wire delivery holds under jittered link delay even with an
-    /// open-system (Paced) sender: numbered messages fired over one link in
-    /// two scheduled waves arrive in send order, for any seed and jitter
+    /// FIFO-per-wire delivery holds under jittered link delay even with
+    /// scheduled senders: numbered messages fired over one link in two
+    /// scheduled waves arrive in send order, for any seed and jitter
     /// magnitude.
     #[test]
     fn fifo_per_wire_under_jittered_delay(
@@ -222,18 +222,16 @@ proptest! {
         gap in 0u64..6,
     ) {
         let g = topology::path(3);
-        let paced = Paced::new(
-            Burst { burst, seen: vec![vec![]; 3] },
-            vec![(0, 0), (gap, 2)], // two waves: node 0 at round 0, node 2 at `gap`
-        );
+        // Two waves: node 0 at round 0, node 2 at `gap`.
+        let arrivals = Arrivals::new(vec![(0, 0), (gap, 2)]);
         let cfg = SimConfig::strict().with_jitter(jmax, seed);
-        let (rep, p) = ccq_repro::sim::Simulator::new(&g, paced, cfg)
+        let (rep, p) = ccq_repro::sim::Simulator::new(&g, Burst { burst, seen: vec![vec![]; 3] }, cfg)
+            .with_arrivals(arrivals)
             .run_with_state()
             .expect("sim ok");
         // Per-wire FIFO: each sender's numbered burst is seen in order.
         for src in [0u64, 2] {
             let from_src: Vec<u64> = p
-                .inner()
                 .seen[1]
                 .iter()
                 .filter(|&&(s, _)| s == src)
@@ -260,7 +258,19 @@ impl ccq_repro::sim::Protocol for Burst {
     fn split(&mut self) -> (&u64, &mut [Vec<(u64, u64)>]) {
         (&self.burst, &mut self.seen)
     }
-    fn on_start(&mut self, _: &mut ccq_repro::sim::SimApi<u64>) {}
+    fn requests(&self) -> &[NodeId] {
+        &[0, 2]
+    }
+    fn issue(
+        burst: &u64,
+        _: &mut Vec<(u64, u64)>,
+        api: &mut ccq_repro::sim::SliceApi<u64>,
+        _: NodeId,
+    ) {
+        for i in 1..=*burst {
+            api.send(1, i);
+        }
+    }
     fn on_message(
         _: &u64,
         seen: &mut Vec<(u64, u64)>,
@@ -271,19 +281,6 @@ impl ccq_repro::sim::Protocol for Burst {
     ) {
         seen.push((from as u64, m));
         api.complete(node, m);
-    }
-}
-
-impl ccq_repro::sim::OnlineProtocol for Burst {
-    fn issue(
-        burst: &u64,
-        _: &mut Vec<(u64, u64)>,
-        api: &mut ccq_repro::sim::SliceApi<u64>,
-        _: NodeId,
-    ) {
-        for i in 1..=*burst {
-            api.send(1, i);
-        }
     }
 }
 

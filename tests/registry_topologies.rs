@@ -8,8 +8,9 @@ use ccq_repro::core::run::config_for;
 use ccq_repro::counting::{CentralCounterProtocol, CombiningTreeProtocol};
 use ccq_repro::prelude::*;
 use ccq_repro::queuing::{CentralQueueProtocol, CombiningQueueProtocol};
-use ccq_repro::sim::{run_protocol, OnlineProtocol, Paced, SimConfig, SimReport};
-use common::{assert_twins, beyond_paper_topologies, open_arrivals, registry_matrix};
+use ccq_repro::sim::{Arrivals, Protocol, SimConfig, SimReport, Simulator};
+use common::{assert_twins, beyond_paper_topologies, open_arrivals, registry_matrix, sweep_plan};
+use serde_json::Value;
 
 #[test]
 fn every_registry_entry_verifies_on_torus_and_random_regular() {
@@ -169,14 +170,14 @@ fn subset_requests_verify_on_extended_topologies() {
     }
 }
 
-/// Run `p` on the scenario's graph: bare on a one-shot scenario, through
-/// `Paced` on its open schedule otherwise.
-fn run_twin<P: OnlineProtocol>(s: &Scenario, cfg: SimConfig, p: P) -> SimReport {
-    match s.open_schedule() {
-        None => run_protocol(&s.graph, p, cfg),
-        Some(schedule) => run_protocol(&s.graph, Paced::new(p, schedule.to_vec()), cfg),
+/// Run `p` on the scenario's graph, issuing from its open schedule if it
+/// has one.
+fn run_twin<P: Protocol>(s: &Scenario, cfg: SimConfig, p: P) -> SimReport {
+    let mut sim = Simulator::new(&s.graph, p, cfg);
+    if let Some(schedule) = s.open_schedule() {
+        sim = sim.with_arrivals(Arrivals::new(schedule.to_vec()));
     }
-    .expect("twin runs")
+    sim.run().expect("twin runs")
 }
 
 #[test]
@@ -203,6 +204,47 @@ fn twin_protocols_run_one_execution_on_extended_topologies() {
                 let counter = run_twin(&s, cfg, CombiningTreeProtocol::new(tree, requests));
                 assert_twins(requests, &queue, &counter, &ctx("combining"));
             }
+        }
+    }
+}
+
+/// `--arrival poisson:rate=1` issues every request at round 0 from an open
+/// schedule, in shuffled order; with no `--arrival` the run issues the
+/// one-shot batch. The two are one execution: every case field agrees
+/// except the backlog, which only a schedule's recorded issues count.
+#[test]
+fn a_rate_one_poisson_run_is_the_one_shot_run() {
+    let topologies = "list:8,star:9,complete:7,mesh2d:3,caterpillar:4:2,tree:3:2";
+    let variants: [&[&str]; 4] = [
+        &[],
+        &["--delay", "jitter:max=3:seed=5"],
+        &["--shards", "2:stripe"],
+        &["--pattern", "random:0.5:3"],
+    ];
+    // A case's JSON members, without its arrival's name and its backlog.
+    fn fields(case: &CaseResult) -> Vec<(String, Value)> {
+        let json = serde_json::to_string(case).expect("a case serializes");
+        let Value::Object(members) = common::json(&json) else { panic!("a case is an object") };
+        let kept = |key: &str| !["arrival", "backlog", "backlog_high_water"].contains(&key);
+        let strip = |(key, value): (String, Value)| match value {
+            Value::Object(metrics) => {
+                (key, Value::Object(metrics.into_iter().filter(|(k, _)| kept(k)).collect()))
+            }
+            value => (key, value),
+        };
+        members.into_iter().filter(|(key, _)| kept(key)).map(strip).collect()
+    }
+    for variant in variants {
+        let argv = [&["--topo", topologies, "--proto", "all"][..], variant].concat();
+        let batch = sweep_plan(&argv).execute();
+        let open = sweep_plan(&[&argv[..], &["--arrival", "poisson:rate=1"]].concat()).execute();
+        assert_eq!(batch.cases.len(), 6 * registry().len(), "{variant:?}");
+        assert_eq!(open.cases.len(), batch.cases.len(), "{variant:?}");
+        for (one_shot, paced) in batch.cases.iter().zip(&open.cases) {
+            let ctx = format!("{} on {} {variant:?}", one_shot.protocol, one_shot.topology);
+            assert!(one_shot.ok && paced.ok, "{ctx}: {:?} {:?}", one_shot.error, paced.error);
+            assert_eq!(one_shot.backlog, 0, "{ctx}: the batch records no issue");
+            assert_eq!(fields(one_shot), fields(paced), "{ctx}");
         }
     }
 }

@@ -581,7 +581,7 @@ const GOLDEN_STREAMS: [(&str, u64, u64); 10] = [
     ("crdt-counter", 0x420abd8b7d6b7591, 0xfac0f5367cd9c0bc),
 ];
 
-/// Message `Debug` forms, `Paced::state_token` and the canonical state
+/// Message `Debug` forms, the `Arrivals` token and the canonical state
 /// rendering are the `.ccqrec` compatibility format: they feed every
 /// checkpoint digest, so a recording made by one build replays on the next
 /// only while they hold still. The executor-independence tests above compare

@@ -444,7 +444,7 @@ fn registry_protocols_match_single_shard_on_mesh_and_torus() {
     }
 }
 
-/// Open-system arrivals survive sharding too: the Paced wrapper drives the
+/// Open-system arrivals survive sharding too: the arrivals phase issues the
 /// same schedule on either executor.
 #[test]
 fn open_arrivals_match_across_executors() {
