@@ -133,8 +133,11 @@ impl<'t, H: CombiningHandOut> Combining<'t, H> {
                 WaveSlice { waiting: k, summaries, requesting: false, issued: false }
             })
             .collect();
+        // A node listed twice requests once: the wave carries one
+        // operation per requesting node.
         let mut requests = requests.to_vec();
         requests.sort_unstable();
+        requests.dedup();
         for &r in &requests {
             assert!(r < nodes.len(), "request out of range");
             nodes[r].requesting = true;
@@ -283,6 +286,23 @@ mod tests {
         let (rep, order) = run_cq(&t, &[4]);
         assert_eq!(order, vec![4]);
         assert_eq!(rep.completions[0].value, INITIAL_TOKEN);
+    }
+
+    #[test]
+    fn a_duplicated_request_is_one_operation() {
+        let t = spanning::balanced_binary_tree(7);
+        let g = t.to_graph();
+        let run = |requests: &[NodeId]| {
+            let proto = CombiningQueueProtocol::new(&t, requests);
+            run_protocol(&g, proto, SimConfig::strict()).unwrap()
+        };
+        let (once, twice) = (run(&[2, 5]), run(&[5, 2, 5]));
+        assert_eq!(twice.ops(), 2);
+        let done = |rep: &ccq_sim::SimReport| -> Vec<_> {
+            rep.completions.iter().map(|c| (c.node, c.value, c.round)).collect()
+        };
+        assert_eq!(done(&twice), done(&once));
+        assert_eq!((twice.messages_sent, twice.rounds), (once.messages_sent, once.rounds));
     }
 
     #[test]

@@ -163,11 +163,21 @@ pub(crate) mod tests {
         cfg: SimConfig,
         check: impl Fn(Result<(SimReport, P), SimError>, &str),
     ) {
-        check(Simulator::new(g, make(), cfg).run_with_state(), "monolith");
+        on_every_executor_of(g, || Simulator::new(g, make(), cfg), cfg.link_delay, check);
+    }
+
+    /// [`on_every_executor`] over a simulator `sim` builds (with its
+    /// schedule or faults attached), cut by a `ferry`-delay shard plan.
+    pub(super) fn on_every_executor_of<'g, P: Protocol>(
+        g: &Graph,
+        sim: impl Fn() -> Simulator<'g, P>,
+        ferry: LinkDelay,
+        check: impl Fn(Result<(SimReport, P), SimError>, &str),
+    ) {
+        check(sim().run_with_state(), "monolith");
         for k in [1, 3] {
             let part = Partition::striped(g.n(), k);
-            let sim = Simulator::new(g, make(), cfg).with_cut(&part, cfg.link_delay);
-            check(sim.run_with_state(), &format!("{k} shard(s)"));
+            check(sim().with_cut(&part, ferry).run_with_state(), &format!("{k} shard(s)"));
         }
     }
 
@@ -389,13 +399,14 @@ pub(crate) mod tests {
         }
         // The arrivals route: node 3's scheduled arrival at round 1.
         let cfg = SimConfig::strict();
-        let part = Partition::striped(4, 3);
-        let bad = || Simulator::new(&g, Bad(Route::Round, [(); 4]), cfg);
-        for (sim, on) in [(bad(), "monolith"), (bad().with_cut(&part, cfg.link_delay), "3 shards")]
-        {
-            let err = sim.with_arrivals(Arrivals::new(vec![(1, 3)])).run().expect_err(on);
+        let bad = || {
+            let sim = Simulator::new(&g, Bad(Route::Round, [(); 4]), cfg);
+            sim.with_arrivals(Arrivals::new(vec![(1, 3)]))
+        };
+        on_every_executor_of(&g, bad, cfg.link_delay, |out, on| {
+            let err = out.err().expect(on);
             assert_eq!(err, SimError::InvalidSend { from: 3, to: 0, round: 1 }, "{on}");
-        }
+        });
     }
 
     #[test]

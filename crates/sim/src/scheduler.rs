@@ -123,20 +123,9 @@ struct Ledger<'a> {
 impl Ledger<'_> {
     /// The write-through [`SimApi`] at `round`, staging sends in `store`.
     fn api<'s, M>(&'s mut self, round: Round, store: &'s mut NodeStore<M>) -> SimApi<'s, M> {
-        self.api_and_arrivals(round, store).0
-    }
-
-    /// [`Ledger::api`] beside the run's open schedule, which the arrivals
-    /// phase issues from through that API.
-    fn api_and_arrivals<'s, M>(
-        &'s mut self,
-        round: Round,
-        store: &'s mut NodeStore<M>,
-    ) -> (SimApi<'s, M>, Option<&'s mut Arrivals>) {
-        let Ledger { graph, cfg, cut, faults, arrivals, report, shard_open, error, .. } = self;
+        let Ledger { graph, cfg, cut, faults, report, shard_open, error, .. } = self;
         let shards = cut.map(|(partition, _)| partition);
-        let api = SimApi { round, graph, cfg, shards, faults, report, shard_open, error, store };
-        (api, arrivals.as_mut())
+        SimApi { round, graph, cfg, shards, faults, report, shard_open, error, store }
     }
 
     /// The transmit gate, read by the transmit walk: whether `node`'s
@@ -230,7 +219,9 @@ fn arrive<P: Protocol>(
     if !due {
         return Ok(());
     }
-    serialized(store, led, round, |api, arrivals| match arrivals {
+    // The schedule is lent out of the ledger for the phase and put back.
+    let mut arrivals = led.arrivals.take();
+    let settled = serialized(store, led, round, |api| match &mut arrivals {
         Some(arrivals) => arrivals.issue_due(protocol, api),
         None => {
             for i in 0..protocol.requests().len() {
@@ -238,24 +229,24 @@ fn arrive<P: Protocol>(
                 arrival::inject(protocol, api, v);
             }
         }
-    })
+    });
+    led.arrivals = arrivals;
+    settled
 }
 
-/// Run a serialized phase's callback (the start, the arrivals phase)
-/// against the write-through [`SimApi`] and the run's open schedule, its
-/// sends staged in the sender's outbox; then fold the open-system backlog
-/// (issued but not completed — 0 for one-shot runs, which record no
-/// issues) into its high-water mark. Handlers cannot issue, so the backlog
-/// only falls within a deliver phase and this is the only place it can
-/// peak.
+/// Run a serialized phase's callback (the time-0 start, the arrivals
+/// phase) against the write-through [`SimApi`], its sends staged in the
+/// sender's outbox; then fold the open-system backlog (issued but not
+/// completed — 0 for one-shot runs, which record no issues) into its
+/// high-water mark. Handlers cannot issue, so the backlog only falls
+/// within a deliver phase and this is the only place it can peak.
 fn serialized<M>(
     store: &mut NodeStore<M>,
     led: &mut Ledger<'_>,
     round: Round,
-    f: impl FnOnce(&mut SimApi<M>, Option<&mut Arrivals>),
+    f: impl FnOnce(&mut SimApi<M>),
 ) -> Result<(), SimError> {
-    let (mut api, arrivals) = led.api_and_arrivals(round, store);
-    f(&mut api, arrivals);
+    f(&mut led.api(round, store));
     let report = &mut led.report;
     report.backlog_high_water = report.backlog_high_water.max(report.open_operations());
     led.settle()
@@ -351,8 +342,9 @@ pub(crate) fn run<P: Protocol>(
     };
 
     // Before round 0: the start, ahead of any operation.
-    serialized(&mut exec.store, &mut led, 0, |api, arrivals| {
-        if arrivals.is_some_and(|a| a.is_shard_scoped()) {
+    let scoped = led.arrivals.as_ref().is_some_and(Arrivals::is_shard_scoped);
+    serialized(&mut exec.store, &mut led, 0, |api| {
+        if scoped {
             api.enable_shard_accounting();
         }
         protocol.on_start(api);
