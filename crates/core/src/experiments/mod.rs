@@ -7,12 +7,18 @@
 //! **Drivers run protocols through the registry, not by enum dispatch**:
 //! use [`crate::protocol::run_spec`] with a [`crate::protocol::ProtocolSpec`]
 //! for a single run, [`crate::protocol::registry`] /
-//! [`crate::protocol::registry_of`] to iterate protocol families, and a
-//! [`crate::plan::RunPlan`] for anything shaped like a sweep (topology ×
-//! protocol × mode × pattern cross-products) — it parallelizes across
-//! scenarios, deduplicates scenario construction and hands back both
-//! per-case metrics and queuing-vs-counting summaries
-//! ([`t4_crossover`] and [`t9_ablation`] are the reference ports).
+//! [`crate::protocol::registry_of`] to iterate protocol families.
+//!
+//! **A table shaped like a sweep is a [`SweepTable`]**, not code: the
+//! `ccq sweep` argv at each [`Scale`], which [`Rows`] of the run set it
+//! draws (cases, classes of cases, or summaries), a list of [`Column`]s
+//! (each a header and a one-line `fn(&Row) -> String`; the shared ones
+//! live in [`crate::table`]) and its notes. To add one, write that value
+//! into a driver's `TABLES`, and let the driver's `run` draw them. The
+//! table then reruns from the CLI: `ccq sweep <its Quick argv>` prints the
+//! run set it was drawn from, which `tests/experiments_smoke.rs` checks
+//! for every table. [`t4_crossover`] and
+//! [`t11_openload`]–[`t15_heterogeneous`] are built this way.
 //!
 //! | id | paper item |
 //! |----|-----------|
@@ -52,7 +58,9 @@ pub mod t7_star;
 pub mod t8_recurrence;
 pub mod t9_ablation;
 
-use crate::table::Table;
+use crate::plan::RunSet;
+use crate::spec;
+use crate::table::{Column, Rows, Table};
 
 /// Sweep size selector: `Quick` keeps each driver under ~1 s (used by
 /// tests); `Full` runs the paper-scale sweeps (used by the bench harness).
@@ -72,6 +80,53 @@ impl Scale {
             Scale::Full => full,
         }
     }
+}
+
+/// A table that is one `ccq sweep`: the argv, the rows it draws from the
+/// run set, and the columns that turn a row into cells.
+pub struct SweepTable {
+    /// Title (experiment id and what the table shows).
+    pub title: &'static str,
+    /// The `ccq sweep` argv, whitespace-separated: `[Quick, Full]`.
+    pub argv: [&'static str; 2],
+    /// Which rows of the run set become table rows.
+    pub rows: Rows,
+    /// The columns, in order.
+    pub columns: &'static [Column],
+    /// Notes under the table; `{key}` reads the argv's first `key=V`.
+    pub notes: &'static [&'static str],
+}
+
+impl SweepTable {
+    /// The argv at `scale`, one token per element.
+    pub fn argv(&self, scale: Scale) -> Vec<&'static str> {
+        scale.pick(self.argv[0], self.argv[1]).split_whitespace().collect()
+    }
+
+    /// Run the sweep at `scale` and draw the table, with the set it was
+    /// drawn from.
+    pub fn run(&self, scale: Scale) -> (Table, RunSet) {
+        let set = spec::sweep(&self.argv(scale)).expect("a table's argv parses").plan.execute();
+        let mut t = self.rows.draw(&set, self.title, self.columns);
+        let argv = scale.pick(self.argv[0], self.argv[1]);
+        t.notes = self.notes.iter().map(|note| fill(note, argv)).collect();
+        (t, set)
+    }
+}
+
+/// `note` with each `{key}` replaced by the value of `argv`'s first
+/// `key=V`.
+fn fill(note: &str, argv: &str) -> String {
+    let mut out = note.to_string();
+    for (key, value) in argv.split([' ', ',', ':']).filter_map(|f| f.split_once('=')) {
+        out = out.replace(&format!("{{{key}}}"), value);
+    }
+    out
+}
+
+/// Draw a driver's sweep tables at `scale`.
+fn draw(tables: &[SweepTable], scale: Scale) -> Vec<Table> {
+    tables.iter().map(|t| t.run(scale).0).collect()
 }
 
 /// An experiment in the registry.
@@ -116,6 +171,16 @@ pub fn registry() -> Vec<Experiment> {
 }
 
 #[cfg(test)]
+impl SweepTable {
+    /// The Quick argv's comma-separated values of `flag`.
+    fn quick_values(&self, flag: &str) -> Vec<&'static str> {
+        let argv = self.argv(Scale::Quick);
+        let at = argv.iter().position(|a| *a == flag).expect("the flag is in the argv");
+        argv[at + 1].split(',').collect()
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -126,6 +191,13 @@ mod tests {
         ids.sort_unstable();
         ids.dedup();
         assert_eq!(ids.len(), reg.len());
+    }
+
+    #[test]
+    fn a_note_reads_the_first_value_of_its_key() {
+        let argv = "--admission droptail:bound=8,pernode:bound=4 --fault crash:at=4:node=2";
+        assert_eq!(fill("bound {bound}, node {node} at {at}", argv), "bound 8, node 2 at 4");
+        assert_eq!(fill("no {key} here", argv), "no {key} here");
     }
 
     #[test]

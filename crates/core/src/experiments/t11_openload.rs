@@ -12,132 +12,115 @@
 //! every early requester hostage to the last straggler, so their tail
 //! latency *grows* as arrivals spread out.
 
-use crate::experiments::Scale;
-use crate::plan::RunPlan;
-use crate::prelude::*;
-use crate::protocol;
+use super::{Scale, SweepTable};
+use crate::plan::CaseResult;
+use crate::protocol::ProtocolKind::{self, Counting, Queuing};
 use crate::table::fmt_util::{f2, int, tick};
+use crate::table::*;
 
-fn openload_table(title: &str, topo: TopoSpec, arrivals: Vec<ArrivalSpec>) -> Table {
-    let set = RunPlan::new()
-        .topologies([topo])
-        .protocol(&protocol::Arrow)
-        .protocol(&protocol::CentralQueue)
-        .protocol(&protocol::CombiningQueue)
-        .protocol(&protocol::CentralCounter)
-        .protocol(&protocol::CombiningTree)
-        .protocol(&protocol::ToggleTree { leaves: None })
-        .arrivals(arrivals)
-        .delays([LinkDelay::Unit])
-        .execute();
-    let mut t = Table::new(
-        title,
-        &["arrival", "protocol", "kind", "ok", "thr/round", "p50", "p95", "p99", "backlog"],
-    );
-    for c in &set.cases {
-        t.push_row(vec![
-            c.arrival.clone(),
-            c.protocol.clone(),
-            c.kind.label().into(),
-            tick(c.ok),
-            f2(c.throughput),
-            int(c.latency_p50),
-            int(c.latency_p95),
-            int(c.latency_p99),
-            int(c.backlog as u64),
-        ]);
-    }
-    t
+const COLUMNS: &[Column] = &[ARRIVAL, PROTOCOL, KIND, OK, THROUGHPUT, P50, P95, P99, BACKLOG];
+
+/// The cheapest verified case of `kind` by p95 latency in a summary row's
+/// group (its topology and arrival).
+fn best_p95<'a>(r: &Row<'a>, kind: ProtocolKind) -> Option<&'a CaseResult> {
+    let Row::Summary(s, set) = *r else { unreachable!("t11c draws summary rows") };
+    set.cases
+        .iter()
+        .filter(|c| c.ok && c.kind == kind && c.topology == s.topology && c.arrival == s.arrival)
+        .min_by_key(|c| c.latency_p95)
 }
+
+/// A cell of [`best_p95`]'s case, empty when no case of `kind` verified.
+fn best(r: &Row, kind: ProtocolKind, cell: fn(&CaseResult) -> String) -> String {
+    best_p95(r, kind).map(cell).unwrap_or_default()
+}
+
+/// Best counting p95 / best queuing p95.
+fn p95_gap(r: &Row) -> Option<f64> {
+    let (q, c) = (best_p95(r, Queuing)?, best_p95(r, Counting)?);
+    Some(c.latency_p95 as f64 / q.latency_p95.max(1) as f64)
+}
+
+/// t11 sweeps the Poisson rate on one mesh, t11b two skewed mixes on it.
+///
+/// t11c is the open-system crossover: arrival rate × topology, best
+/// queuing vs best counting per cell (the ROADMAP "crossover under load"
+/// item — t11 and t11b fix one mesh; this sweeps the load on two
+/// topologies). The open-system comparison is by **p95 completion
+/// latency** (completion − issue), not total delay: under spread-out
+/// arrivals, total delay is dominated by the arrival times themselves,
+/// while latency measures what each requester actually waited.
+pub const TABLES: [SweepTable; 3] = [
+    SweepTable {
+        title: "t11 — open-system load: Poisson arrival rate vs latency percentiles (extension)",
+        argv: [
+            "--topo mesh2d:6 \
+             --proto arrow,central-queue,combining-queue,central-counter,combining-tree,toggle-tree \
+             --arrival poisson:rate=1.0:seed=7,poisson:rate=0.3:seed=7,poisson:rate=0.1:seed=7",
+            "--topo mesh2d:12 \
+             --proto arrow,central-queue,combining-queue,central-counter,combining-tree,toggle-tree \
+             --arrival poisson:rate=1.0:seed=7,poisson:rate=0.5:seed=7,poisson:rate=0.2:seed=7,\
+             poisson:rate=0.05:seed=7",
+        ],
+        rows: Rows::Cases,
+        columns: COLUMNS,
+        notes: &[
+            "latency = (completion − issue) × expanded-step scale; backlog = peak open ops",
+            "rate 1.0 ≈ the paper's one-shot batch; lower rates = sparser open-system load",
+            "combining protocols run one wave: early arrivals wait for stragglers (p95 grows)",
+        ],
+    },
+    SweepTable {
+        title: "t11b — skewed open-system mixes: bursts and hotspot arrival order",
+        argv: [
+            "--topo mesh2d:6 \
+             --proto arrow,central-queue,combining-queue,central-counter,combining-tree,toggle-tree \
+             --arrival bursty:rate=0.8:on=8:off=24:seed=7,hotspot:rate=0.3:s=1.5:seed=7",
+            "--topo mesh2d:12 \
+             --proto arrow,central-queue,combining-queue,central-counter,combining-tree,toggle-tree \
+             --arrival bursty:rate=0.8:on=8:off=24:seed=7,hotspot:rate=0.3:s=1.5:seed=7",
+        ],
+        rows: Rows::Cases,
+        columns: COLUMNS,
+        notes: &["bursty = on/off arrival windows; hotspot = Zipf-skewed arrival order over nodes"],
+    },
+    SweepTable {
+        title: "t11c — crossover under load: arrival rate × topology (all registry protocols)",
+        argv: [
+            "--topo mesh2d:5,torus2d:4 \
+             --arrival poisson:rate=1.0:seed=7,poisson:rate=0.5:seed=7,poisson:rate=0.1:seed=7",
+            "--topo mesh2d:10,torus2d:8 \
+             --arrival poisson:rate=1.0:seed=7,poisson:rate=0.6:seed=7,poisson:rate=0.3:seed=7,\
+             poisson:rate=0.1:seed=7,poisson:rate=0.02:seed=7",
+        ],
+        rows: Rows::Summaries,
+        columns: &[
+            ("topology", |r| r.summary().topology.clone()),
+            ("arrival", |r| r.summary().arrival.clone()),
+            ("best queuing", |r| best(r, Queuing, |c| c.protocol.clone())),
+            ("p95_Q", |r| best(r, Queuing, |c| int(c.latency_p95))),
+            ("best counting", |r| best(r, Counting, |c| c.protocol.clone())),
+            ("p95_C", |r| best(r, Counting, |c| int(c.latency_p95))),
+            ("gap", |r| p95_gap(r).map(f2).unwrap_or_default()),
+            ("wins", |r| p95_gap(r).map(|g| tick(g > 1.0)).unwrap_or_default()),
+        ],
+        notes: &[
+            "gap = best counting p95 latency / best queuing p95 latency; > 1 = queuing wins",
+            "the batch end (rate 1.0) is the paper's regime: queuing wins; sparse arrivals",
+            "invert it — a lone central counter beats the token walk when nothing contends",
+        ],
+    },
+];
 
 /// Run the open-system load sweep.
 pub fn run(scale: Scale) -> Vec<Table> {
-    let side = scale.pick(6, 12);
-    let rates = scale.pick(vec![1.0, 0.3, 0.1], vec![1.0, 0.5, 0.2, 0.05]);
-    let arrivals: Vec<ArrivalSpec> =
-        rates.into_iter().map(|rate| ArrivalSpec::Poisson { rate, seed: 7 }).collect();
-    let mut t = openload_table(
-        "t11 — open-system load: Poisson arrival rate vs latency percentiles (extension)",
-        TopoSpec::Mesh2D { side },
-        arrivals,
-    );
-    t.note("latency = (completion − issue) × expanded-step scale; backlog = peak open ops");
-    t.note("rate 1.0 ≈ the paper's one-shot batch; lower rates = sparser open-system load");
-    t.note("combining protocols run one wave: early arrivals wait for stragglers (p95 grows)");
-
-    let mut t2 = openload_table(
-        "t11b — skewed open-system mixes: bursts and hotspot arrival order",
-        TopoSpec::Mesh2D { side },
-        vec![
-            ArrivalSpec::Bursty { rate: 0.8, on: 8, off: 24, seed: 7 },
-            ArrivalSpec::Hotspot { rate: 0.3, s: 1.5, seed: 7 },
-        ],
-    );
-    t2.note("bursty = on/off arrival windows; hotspot = Zipf-skewed arrival order over nodes");
-
-    let mut t3 = crossover_table(scale);
-    t3.note("gap = best counting p95 latency / best queuing p95 latency; > 1 = queuing wins");
-    t3.note("the batch end (rate 1.0) is the paper's regime: queuing wins; sparse arrivals");
-    t3.note("invert it — a lone central counter beats the token walk when nothing contends");
-    vec![t, t2, t3]
-}
-
-/// The open-system crossover: arrival rate × topology, best queuing vs
-/// best counting per cell (the ROADMAP "crossover under load" item — t11's
-/// original tables fix one mesh; this sweeps the load on two topologies).
-/// The open-system comparison is by **p95 completion latency** (completion
-/// − issue), not total delay: under spread-out arrivals, total delay is
-/// dominated by the arrival times themselves, while latency measures what
-/// each requester actually waited.
-fn crossover_table(scale: Scale) -> Table {
-    let topos = [
-        TopoSpec::Mesh2D { side: scale.pick(5, 10) },
-        TopoSpec::Torus2D { side: scale.pick(4, 8) },
-    ];
-    let rates = scale.pick(vec![1.0, 0.5, 0.1], vec![1.0, 0.6, 0.3, 0.1, 0.02]);
-    let arrivals: Vec<ArrivalSpec> =
-        rates.iter().map(|&rate| ArrivalSpec::Poisson { rate, seed: 7 }).collect();
-    let set = RunPlan::new().topologies(topos.clone()).arrivals(arrivals.clone()).execute();
-    let mut t = Table::new(
-        "t11c — crossover under load: arrival rate × topology (all registry protocols)",
-        &["topology", "arrival", "best queuing", "p95_Q", "best counting", "p95_C", "gap", "wins"],
-    );
-    for topo in &topos {
-        for arrival in &arrivals {
-            let best_of = |kind: ProtocolKind| -> Option<&CaseResult> {
-                set.cases
-                    .iter()
-                    .filter(|c| {
-                        c.ok && c.kind == kind
-                            && c.topology == topo.name()
-                            && c.arrival == arrival.name()
-                    })
-                    .min_by_key(|c| c.latency_p95)
-            };
-            let (Some(q), Some(c)) =
-                (best_of(ProtocolKind::Queuing), best_of(ProtocolKind::Counting))
-            else {
-                continue;
-            };
-            let gap = c.latency_p95 as f64 / q.latency_p95.max(1) as f64;
-            t.push_row(vec![
-                topo.name(),
-                arrival.name(),
-                q.protocol.clone(),
-                int(q.latency_p95),
-                c.protocol.clone(),
-                int(c.latency_p95),
-                f2(gap),
-                tick(gap > 1.0),
-            ]);
-        }
-    }
-    t
+    super::draw(&TABLES, scale)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::table::fmt_util::parse;
 
     #[test]
     fn produces_rows_and_all_cases_verify() {
@@ -166,7 +149,7 @@ mod tests {
             let rows: Vec<_> = t.rows.iter().filter(|r| r[0].starts_with(topo_prefix)).collect();
             assert_eq!(rows.len(), 3, "{topo_prefix}: expected 3 rate rows");
             // Rows are emitted in declared rate order: 1.0, 0.5, 0.1.
-            let gaps: Vec<f64> = rows.iter().map(|r| r[6].parse().unwrap()).collect();
+            let gaps: Vec<f64> = rows.iter().map(|r| parse(&r[6])).collect();
             assert!(
                 gaps.windows(2).all(|w| w[0] > w[1]),
                 "{topo_prefix}: gap must fall with the rate: {gaps:?}"
@@ -178,18 +161,13 @@ mod tests {
         }
     }
 
-    /// Parse an `int()`-formatted cell (undo the `_` group separators).
-    fn cell(s: &str) -> u64 {
-        s.replace('_', "").parse().unwrap()
-    }
-
     #[test]
     fn percentiles_are_ordered() {
         // Only t11/t11b carry the p50/p95/p99 columns (t11c is the gap
         // table).
         for t in &run(Scale::Quick)[..2] {
             for row in &t.rows {
-                let (p50, p95, p99) = (cell(&row[5]), cell(&row[6]), cell(&row[7]));
+                let (p50, p95, p99) = (parse::<u64>(&row[5]), parse(&row[6]), parse(&row[7]));
                 assert!(p50 <= p95 && p95 <= p99, "unordered percentiles: {row:?}");
             }
         }
@@ -201,7 +179,7 @@ mod tests {
         // rate the arrow protocol drains between arrivals.
         let t = &run(Scale::Quick)[0];
         let arrow_backlog: Vec<u64> =
-            t.rows.iter().filter(|r| r[1] == "arrow").map(|r| cell(&r[8])).collect();
+            t.rows.iter().filter(|r| r[1] == "arrow").map(|r| parse(&r[8])).collect();
         assert_eq!(arrow_backlog.len(), 3);
         assert!(
             arrow_backlog.last().unwrap() < arrow_backlog.first().unwrap(),

@@ -15,89 +15,66 @@
 //!   federated regime, where the crossover gap `C_C / C_Q` shows how each
 //!   side degrades when coordination crosses shards.
 
-use crate::experiments::Scale;
-use crate::plan::RunPlan;
-use crate::prelude::*;
-use crate::table::fmt_util::{f2, int, tick};
-use ccq_sim::LinkDelay;
+use super::{Scale, SweepTable};
+use crate::table::fmt_util::{f2, int};
+use crate::table::*;
+
+const X_SHARD_PCT: Column = ("x-shard %", |r| {
+    let c = r.case();
+    f2(100.0 * c.cross_shard_messages as f64 / c.messages.max(1) as f64)
+});
+
+/// t12 sweeps `K` under the default ferry with every strategy at each
+/// `K > 1`; t12b sweeps it over edge-cut partitions under a slow ferry.
+pub const TABLES: [SweepTable; 2] = [
+    SweepTable {
+        title: "t12 — cross-shard traffic on the torus (default ferry; execution equals unsharded)",
+        argv: [
+            "--topo torus2d:6 --shards 1,2,2:stripe,2:edgecut,4,4:stripe,4:edgecut",
+            "--topo torus2d:16 --shards 1,2,2:stripe,2:edgecut,4,4:stripe,4:edgecut,\
+             8,8:stripe,8:edgecut,16,16:stripe,16:edgecut",
+        ],
+        rows: Rows::Cases,
+        columns: &[SHARDS, PROTOCOL, KIND, MESSAGES, X_SHARD, X_SHARD_PCT],
+        notes: &[
+            "default ferry = intra-shard delay policy, so every row completes and verifies with",
+            "delays identical to K=1; the x-shard column is the federated coordination surface",
+        ],
+    },
+    SweepTable {
+        title: "t12b — queuing vs counting under a slow inter-shard ferry (federated regime)",
+        argv: [
+            "--topo torus2d:6 --shards 1:edgecut,2:edgecut:ferry=4,4:edgecut:ferry=4",
+            "--topo torus2d:16 --shards 1:edgecut,2:edgecut:ferry=8,4:edgecut:ferry=8,\
+             8:edgecut:ferry=8,16:edgecut:ferry=8",
+        ],
+        rows: Rows::Summaries,
+        columns: &[
+            ("shards", |r| r.summary().shards.clone()),
+            ("best queuing", |r| r.summary().best_queuing.clone().unwrap_or_default()),
+            ("C_Q", |r| r.summary().best_queuing_delay.map(int).unwrap_or_default()),
+            ("best counting", |r| r.summary().best_counting.clone().unwrap_or_default()),
+            ("C_C", |r| r.summary().best_counting_delay.map(int).unwrap_or_default()),
+            GAP,
+            WINS,
+        ],
+        notes: &[
+            "ferry = fixed multi-round delay on cross-shard wires (edge-cut partitions)",
+            "K=1 is the unsharded baseline; the gap tracks how counting's denser cross-shard",
+            "coordination pays the ferry toll more often than queuing's token-chasing does",
+        ],
+    },
+];
 
 /// Run the sharded crossover sweep.
 pub fn run(scale: Scale) -> Vec<Table> {
-    let side = scale.pick(6, 16);
-    let topo = TopoSpec::Torus2D { side };
-    let ks = scale.pick(vec![1, 2, 4], vec![1, 2, 4, 8, 16]);
-
-    // Sweep 1: default ferry — cross-shard traffic per strategy.
-    let mut specs: Vec<ShardSpec> = Vec::new();
-    for &k in &ks {
-        specs.push(ShardSpec::new(k, ShardStrategy::Contiguous));
-        if k > 1 {
-            specs.push(ShardSpec::new(k, ShardStrategy::Striped));
-            specs.push(ShardSpec::new(k, ShardStrategy::EdgeCut));
-        }
-    }
-    let set = RunPlan::new().topologies([topo.clone()]).shards(specs).execute();
-    let mut t = Table::new(
-        "t12 — cross-shard traffic on the torus (default ferry; execution equals unsharded)",
-        &["shards", "protocol", "kind", "messages", "x-shard", "x-shard %"],
-    );
-    for c in &set.cases {
-        let pct = if c.messages > 0 {
-            100.0 * c.cross_shard_messages as f64 / c.messages as f64
-        } else {
-            0.0
-        };
-        t.push_row(vec![
-            c.shards.clone(),
-            c.protocol.clone(),
-            c.kind.label().into(),
-            int(c.messages),
-            int(c.cross_shard_messages),
-            f2(pct),
-        ]);
-    }
-    t.note("default ferry = intra-shard delay policy, so every row completes and verifies with");
-    t.note("delays identical to K=1; the x-shard column is the federated coordination surface");
-
-    // Sweep 2: slow ferry — the federated crossover as K grows.
-    let ferry = LinkDelay::Fixed { delay: scale.pick(4, 8) };
-    let federated: Vec<ShardSpec> = ks
-        .iter()
-        .map(|&k| {
-            let s = ShardSpec::new(k, ShardStrategy::EdgeCut);
-            if k > 1 {
-                s.with_inter_delay(ferry)
-            } else {
-                s
-            }
-        })
-        .collect();
-    let fed = RunPlan::new().topologies([topo]).shards(federated).execute();
-
-    let mut t2 = Table::new(
-        "t12b — queuing vs counting under a slow inter-shard ferry (federated regime)",
-        &["shards", "best queuing", "C_Q", "best counting", "C_C", "gap C_C/C_Q", "queuing wins"],
-    );
-    for s in &fed.summaries {
-        t2.push_row(vec![
-            s.shards.clone(),
-            s.best_queuing.clone().unwrap_or_default(),
-            s.best_queuing_delay.map(int).unwrap_or_default(),
-            s.best_counting.clone().unwrap_or_default(),
-            s.best_counting_delay.map(int).unwrap_or_default(),
-            s.gap.map(f2).unwrap_or_default(),
-            s.queuing_wins.map(tick).unwrap_or_default(),
-        ]);
-    }
-    t2.note("ferry = fixed multi-round delay on cross-shard wires (edge-cut partitions)");
-    t2.note("K=1 is the unsharded baseline; the gap tracks how counting's denser cross-shard");
-    t2.note("coordination pays the ferry toll more often than queuing's token-chasing does");
-    vec![t, t2]
+    super::draw(&TABLES, scale)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::table::fmt_util::parse;
 
     #[test]
     fn produces_both_tables_with_all_protocols() {
@@ -117,7 +94,7 @@ mod tests {
         }
         // And every sharded row of a connected protocol crosses at least once.
         for row in t.rows.iter().filter(|r| r[0].starts_with('4')) {
-            let x: u64 = row[4].replace('_', "").parse().unwrap();
+            let x: u64 = parse(&row[4]);
             assert!(x > 0, "sharded row with no crossings: {row:?}");
         }
     }
@@ -126,11 +103,7 @@ mod tests {
     fn edgecut_ferries_no_more_than_striping() {
         let t = &run(Scale::Quick)[0];
         let total = |shards: &str| -> u64 {
-            t.rows
-                .iter()
-                .filter(|r| r[0] == shards)
-                .map(|r| r[4].replace('_', "").parse::<u64>().unwrap())
-                .sum()
+            t.rows.iter().filter(|r| r[0] == shards).map(|r| parse::<u64>(&r[4])).sum()
         };
         assert!(
             total("4:edgecut") <= total("4:stripe"),

@@ -16,119 +16,72 @@
 //! combining protocols and the network counters pin the backlog at the
 //! bound and shed — or defer — almost everything that arrives after it.
 
-use crate::experiments::Scale;
-use crate::plan::RunPlan;
-use crate::prelude::*;
-use crate::protocol;
-use crate::table::fmt_util::{f2, int, tick};
+use super::{Scale, SweepTable};
+use crate::table::fmt_util::int;
+use crate::table::*;
 
-fn policy_table(
-    title: &str,
-    topo: TopoSpec,
-    arrivals: Vec<ArrivalSpec>,
-    admissions: Vec<AdmissionSpec>,
-) -> Table {
-    let set = RunPlan::new()
-        .topologies([topo])
-        .protocol(&protocol::Arrow)
-        .protocol(&protocol::CentralQueue)
-        .protocol(&protocol::CombiningQueue)
-        .protocol(&protocol::CentralCounter)
-        .protocol(&protocol::CombiningTree)
-        .protocol(&protocol::ToggleTree { leaves: None })
-        .arrivals(arrivals)
-        .admissions(admissions)
-        .execute();
-    let mut t = Table::new(
-        title,
-        &[
-            "arrival",
-            "admission",
-            "protocol",
-            "kind",
-            "ok",
-            "thr/round",
-            "goodput",
-            "dropped",
-            "delayed",
-            "p50",
-            "p99",
-            "backlog",
+const DELAYED: Column = ("delayed", |r| int(r.case().delayed_admissions));
+const COLUMNS: &[Column] = &[
+    ARRIVAL, ADMISSION, PROTOCOL, KIND, OK, THROUGHPUT, GOODPUT, DROPPED, DELAYED, P50, P99,
+    BACKLOG,
+];
+
+/// t13 runs every policy at one load; t13b open vs droptail as the
+/// Poisson rate rises. Both run at the same backlog bound / AIMD target.
+pub const TABLES: [SweepTable; 2] = [
+    SweepTable {
+        title: "t13 — backpressure: admission policies × protocols at fixed load (extension)",
+        argv: [
+            "--topo mesh2d:5 \
+             --proto arrow,central-queue,combining-queue,central-counter,combining-tree,toggle-tree \
+             --arrival poisson:rate=0.6:seed=7 \
+             --admission open,droptail:bound=8,delayretry:bound=8:backoff=4,adaptive:target=8:gain=1",
+            "--topo mesh2d:10 \
+             --proto arrow,central-queue,combining-queue,central-counter,combining-tree,toggle-tree \
+             --arrival poisson:rate=0.5:seed=7 \
+             --admission open,droptail:bound=24,delayretry:bound=24:backoff=4,\
+             adaptive:target=24:gain=1",
         ],
-    );
-    for c in &set.cases {
-        t.push_row(vec![
-            c.arrival.clone(),
-            c.admission.clone(),
-            c.protocol.clone(),
-            c.kind.label().into(),
-            tick(c.ok),
-            f2(c.throughput),
-            f2(c.goodput),
-            int(c.dropped),
-            int(c.delayed_admissions),
-            int(c.latency_p50),
-            int(c.latency_p99),
-            int(c.backlog as u64),
-        ]);
-    }
-    t
-}
-
-/// The backlog bound / AIMD target the sweep runs at (shared with the
-/// tests so the table assertions can never desynchronize from the runs).
-fn bound_for(scale: Scale) -> usize {
-    scale.pick(8, 24)
-}
+        rows: Rows::Cases,
+        columns: COLUMNS,
+        notes: &[
+            "bound/target = {bound} open ops; goodput = throughput × retained/offered",
+            "droptail sheds over the bound; delayretry defers; adaptive AIMD-throttles arrivals",
+            "single-wave combining protocols pin the backlog, so active policies bite them hardest",
+        ],
+    },
+    SweepTable {
+        title: "t13b — the throughput-vs-latency trade under rising Poisson rate",
+        argv: [
+            "--topo mesh2d:5 \
+             --proto arrow,central-queue,combining-queue,central-counter,combining-tree,toggle-tree \
+             --arrival poisson:rate=0.2:seed=7,poisson:rate=0.6:seed=7,poisson:rate=1.0:seed=7 \
+             --admission open,droptail:bound=8",
+            "--topo mesh2d:10 \
+             --proto arrow,central-queue,combining-queue,central-counter,combining-tree,toggle-tree \
+             --arrival poisson:rate=0.1:seed=7,poisson:rate=0.3:seed=7,poisson:rate=0.6:seed=7,\
+             poisson:rate=1.0:seed=7 --admission open,droptail:bound=24",
+        ],
+        rows: Rows::Cases,
+        columns: COLUMNS,
+        notes: &[
+            "rising rate widens the open-vs-droptail goodput gap for backlog-pinning protocols",
+            "p-percentiles are over retained (admitted) operations only — drops never issue",
+        ],
+    },
+];
 
 /// Run the backpressure sweep.
 pub fn run(scale: Scale) -> Vec<Table> {
-    let side = scale.pick(5, 10);
-    let bound = bound_for(scale);
-    let rate = scale.pick(0.6, 0.5);
-    let policies = vec![
-        AdmissionSpec::Open,
-        AdmissionSpec::DropTail { bound },
-        AdmissionSpec::DelayRetry { bound, backoff: 4 },
-        AdmissionSpec::Adaptive { target_backlog: bound, gain: 1 },
-    ];
-
-    let mut t = policy_table(
-        "t13 — backpressure: admission policies × protocols at fixed load (extension)",
-        TopoSpec::Mesh2D { side },
-        vec![ArrivalSpec::Poisson { rate, seed: 7 }],
-        policies.clone(),
-    );
-    t.note(format!("bound/target = {bound} open ops; goodput = throughput × retained/offered"));
-    t.note("droptail sheds over the bound; delayretry defers; adaptive AIMD-throttles arrivals");
-    t.note("single-wave combining protocols pin the backlog, so active policies bite them hardest");
-
-    let rates = scale.pick(vec![0.2, 0.6, 1.0], vec![0.1, 0.3, 0.6, 1.0]);
-    let arrivals: Vec<ArrivalSpec> =
-        rates.into_iter().map(|rate| ArrivalSpec::Poisson { rate, seed: 7 }).collect();
-    let mut t2 = policy_table(
-        "t13b — the throughput-vs-latency trade under rising Poisson rate",
-        TopoSpec::Mesh2D { side },
-        arrivals,
-        vec![AdmissionSpec::Open, AdmissionSpec::DropTail { bound }],
-    );
-    t2.note("rising rate widens the open-vs-droptail goodput gap for backlog-pinning protocols");
-    t2.note("p-percentiles are over retained (admitted) operations only — drops never issue");
-    vec![t, t2]
+    super::draw(&TABLES, scale)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Parse an `int()`-formatted cell (undo the `_` group separators).
-    fn cell(s: &str) -> u64 {
-        s.replace('_', "").parse().unwrap()
-    }
-
-    fn cellf(s: &str) -> f64 {
-        s.parse().unwrap()
-    }
+    use crate::scenario::AdmissionSpec;
+    use crate::spec;
+    use crate::table::fmt_util::parse;
 
     #[test]
     fn produces_rows_and_all_cases_verify() {
@@ -147,11 +100,12 @@ mod tests {
     fn goodput_never_exceeds_throughput_and_open_never_drops() {
         for t in &run(Scale::Quick) {
             for row in &t.rows {
-                let (thr, goodput, dropped) = (cellf(&row[5]), cellf(&row[6]), cell(&row[7]));
+                let (thr, goodput, dropped) =
+                    (parse::<f64>(&row[5]), parse::<f64>(&row[6]), parse::<u64>(&row[7]));
                 assert!(goodput <= thr + 1e-9, "goodput > throughput: {row:?}");
                 if row[1] == "open" {
                     assert_eq!(dropped, 0, "open policy dropped arrivals: {row:?}");
-                    assert_eq!(cell(&row[8]), 0, "open policy delayed arrivals: {row:?}");
+                    assert_eq!(parse::<u64>(&row[8]), 0, "open policy delayed arrivals: {row:?}");
                 }
             }
         }
@@ -160,10 +114,21 @@ mod tests {
     #[test]
     fn droptail_bounds_the_backlog_and_sheds_from_wave_protocols() {
         let t = &run(Scale::Quick)[0];
-        let bound = bound_for(Scale::Quick) as u64;
+        // The drop bound, read from the table's own argv.
+        let bound = TABLES[0]
+            .quick_values("--admission")
+            .into_iter()
+            .find_map(|a| match spec::admission(a).unwrap() {
+                AdmissionSpec::DropTail { bound } => Some(bound as u64),
+                _ => None,
+            })
+            .unwrap();
         for row in &t.rows {
             if row[1].starts_with("droptail") {
-                assert!(cell(&row[11]) <= bound, "backlog exceeded the drop bound: {row:?}");
+                assert!(
+                    parse::<u64>(&row[11]) <= bound,
+                    "backlog exceeded the drop bound: {row:?}"
+                );
             }
         }
         // Single-wave combining protocols complete nothing until the wave
@@ -173,7 +138,7 @@ mod tests {
                 .rows
                 .iter()
                 .filter(|r| r[1].starts_with("droptail") && r[2] == proto)
-                .map(|r| cell(&r[7]))
+                .map(|r| parse(&r[7]))
                 .collect();
             assert!(dropped.iter().all(|&d| d > 0), "{proto} shed nothing: {dropped:?}");
         }
@@ -184,12 +149,16 @@ mod tests {
         let t = &run(Scale::Quick)[0];
         for row in &t.rows {
             if row[1].starts_with("delayretry") || row[1].starts_with("adaptive") {
-                assert_eq!(cell(&row[7]), 0, "delaying policy dropped: {row:?}");
+                assert_eq!(parse::<u64>(&row[7]), 0, "delaying policy dropped: {row:?}");
             }
         }
         // At this load somebody must actually have been deferred.
-        let deferred: u64 =
-            t.rows.iter().filter(|r| r[1].starts_with("adaptive")).map(|r| cell(&r[8])).sum();
+        let deferred: u64 = t
+            .rows
+            .iter()
+            .filter(|r| r[1].starts_with("adaptive"))
+            .map(|r| parse::<u64>(&r[8]))
+            .sum();
         assert!(deferred > 0, "adaptive policy never throttled anything");
     }
 }

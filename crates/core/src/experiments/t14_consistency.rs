@@ -27,90 +27,61 @@
 //! protocols report lateness exactly 0 — consistency debt needs load to
 //! exist.
 
-use crate::experiments::Scale;
-use crate::plan::RunPlan;
-use crate::prelude::*;
-use crate::table::fmt_util::{f2, int, tick};
+use super::{Scale, SweepTable};
+use crate::table::*;
 
-/// The Poisson rates the load ramp sweeps, ascending (shared with the
-/// tests so the frontier assertions can never desynchronize from the
-/// runs). The top rate sits just under saturation: `rate = 1` degenerates
-/// to the one-shot batch (every gap 0), where same-round ties erase all
-/// lateness.
-fn rates_for(scale: Scale) -> Vec<f64> {
-    scale.pick(vec![0.2, 0.85], vec![0.1, 0.3, 0.6, 0.92])
-}
+const LAT_P50: Column = ("lat_p50", P50.1);
+const LAT_P99: Column = ("lat_p99", P99.1);
+
+/// t14 ramps the Poisson rate; the top rate sits just under saturation:
+/// `rate = 1` degenerates to the one-shot batch (every gap 0), where
+/// same-round ties erase all lateness. t14b is the one-shot strict base
+/// point.
+pub const TABLES: [SweepTable; 2] = [
+    SweepTable {
+        title: "t14 — the cost-vs-consistency frontier: QQC lateness × load (extension)",
+        argv: [
+            "--topo mesh2d:5 --arrival poisson:rate=0.2:seed=7,poisson:rate=0.85:seed=7",
+            "--topo mesh2d:8 --arrival poisson:rate=0.1:seed=7,poisson:rate=0.3:seed=7,\
+             poisson:rate=0.6:seed=7,poisson:rate=0.92:seed=7",
+        ],
+        rows: Rows::Cases,
+        columns: &[ARRIVAL, PROTOCOL, KIND, OK, LAT_P50, LAT_P99, QQC_MEAN, QQC_MAX, QQC_P99],
+        notes: &[
+            "qqc = per-completion rank displacement vs the canonical linearization of issue order",
+            "per-request protocols drift as load queues them; single-wave combiners pay a fixed",
+            "batch scramble at any load; crdt-counter completes in 0 rounds at every rate and is",
+            "maximal at the near-saturation top of the ramp, where merged ranks carry no order",
+        ],
+    },
+    SweepTable {
+        title: "t14b — one-shot strict base point: no issue order, no lateness",
+        argv: ["--topo mesh2d:5 --modes strict", "--topo mesh2d:8 --modes strict"],
+        rows: Rows::Cases,
+        columns: &[PROTOCOL, KIND, OK, TOTAL, QQC_MEAN, QQC_MAX],
+        notes: &[
+            "every issue lands at round 0, so the canonical order is the output order itself:",
+            "lateness is exactly 0 for all ten protocols — consistency debt needs load to exist",
+        ],
+    },
+];
 
 /// Run the consistency-frontier sweep.
 pub fn run(scale: Scale) -> Vec<Table> {
-    let side = scale.pick(5, 8);
-    let arrivals: Vec<ArrivalSpec> =
-        rates_for(scale).into_iter().map(|rate| ArrivalSpec::Poisson { rate, seed: 7 }).collect();
-    let set = RunPlan::new().topologies([TopoSpec::Mesh2D { side }]).arrivals(arrivals).execute();
-    let mut t = Table::new(
-        "t14 — the cost-vs-consistency frontier: QQC lateness × load (extension)",
-        &[
-            "arrival", "protocol", "kind", "ok", "lat_p50", "lat_p99", "qqc_mean", "qqc_max",
-            "qqc_p99",
-        ],
-    );
-    for c in &set.cases {
-        t.push_row(vec![
-            c.arrival.clone(),
-            c.protocol.clone(),
-            c.kind.label().into(),
-            tick(c.ok),
-            int(c.latency_p50),
-            int(c.latency_p99),
-            f2(c.qqc_mean),
-            int(c.qqc_max),
-            int(c.qqc_p99),
-        ]);
-    }
-    t.note("qqc = per-completion rank displacement vs the canonical linearization of issue order");
-    t.note("per-request protocols drift as load queues them; single-wave combiners pay a fixed");
-    t.note("batch scramble at any load; crdt-counter completes in 0 rounds at every rate and is");
-    t.note("maximal at the near-saturation top of the ramp, where merged ranks carry no order");
-
-    let one_shot =
-        RunPlan::new().topologies([TopoSpec::Mesh2D { side }]).modes([ModelMode::Strict]).execute();
-    let mut t2 = Table::new(
-        "t14b — one-shot strict base point: no issue order, no lateness",
-        &["protocol", "kind", "ok", "total delay", "qqc_mean", "qqc_max"],
-    );
-    for c in &one_shot.cases {
-        t2.push_row(vec![
-            c.protocol.clone(),
-            c.kind.label().into(),
-            tick(c.ok),
-            int(c.total_delay),
-            f2(c.qqc_mean),
-            int(c.qqc_max),
-        ]);
-    }
-    t2.note("every issue lands at round 0, so the canonical order is the output order itself:");
-    t2.note("lateness is exactly 0 for all ten protocols — consistency debt needs load to exist");
-    vec![t, t2]
+    super::draw(&TABLES, scale)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Parse an `int()`-formatted cell (undo the `_` group separators).
-    fn cell(s: &str) -> u64 {
-        s.replace('_', "").parse().unwrap()
-    }
-
-    fn cellf(s: &str) -> f64 {
-        s.parse().unwrap()
-    }
+    use crate::table::fmt_util::parse;
 
     #[test]
     fn produces_rows_and_all_cases_verify() {
         let tables = run(Scale::Quick);
         assert_eq!(tables.len(), 2);
-        let rates = rates_for(Scale::Quick).len();
+        // The ramp, read from the table's own argv.
+        let rates = TABLES[0].quick_values("--arrival").len();
         assert_eq!(tables[0].rows.len(), rates * 10, "rates × 10 protocols");
         assert_eq!(tables[1].rows.len(), 10, "one one-shot row per protocol");
         for t in &tables {
@@ -128,8 +99,8 @@ mod tests {
         // crdt-counter operation completes in the round it issues, at
         // every rate (gossip is background traffic).
         for row in t.rows.iter().filter(|r| r[1] == "crdt-counter") {
-            assert_eq!(cell(&row[4]), 0, "crdt completion waited on a message: {row:?}");
-            assert_eq!(cell(&row[5]), 0, "crdt completion waited on a message: {row:?}");
+            assert_eq!(parse::<u64>(&row[4]), 0, "crdt completion waited on a message: {row:?}");
+            assert_eq!(parse::<u64>(&row[5]), 0, "crdt completion waited on a message: {row:?}");
         }
         // At the near-saturation top of the ramp the crdt-counter's
         // lateness is maximal across all ten protocols — in particular it
@@ -138,13 +109,13 @@ mod tests {
         let top = t.rows.last().unwrap()[0].clone();
         let qqc_of = |proto: &str| -> f64 {
             let row = t.rows.iter().find(|r| r[0] == top && r[1] == proto).unwrap();
-            cellf(&row[6])
+            parse::<f64>(&row[6])
         };
         let crdt = qqc_of("crdt-counter");
         assert!(crdt > 0.0, "crdt-counter reported no lateness under load");
         for row in t.rows.iter().filter(|r| r[0] == top && r[1] != "crdt-counter") {
             assert!(
-                crdt >= cellf(&row[6]),
+                crdt >= parse::<f64>(&row[6]),
                 "crdt lateness {} below {}'s {}: {row:?}",
                 crdt,
                 &row[1],
@@ -159,7 +130,7 @@ mod tests {
         let (low, top) = (t.rows.first().unwrap()[0].clone(), t.rows.last().unwrap()[0].clone());
         let qqc_of = |arrival: &str, proto: &str| -> f64 {
             let row = t.rows.iter().find(|r| r[0] == arrival && r[1] == proto).unwrap();
-            cellf(&row[6])
+            parse::<f64>(&row[6])
         };
         let combiners = ["combining-queue", "combining-tree"];
         let per_request = [
@@ -202,17 +173,17 @@ mod tests {
         let t2 = &run(Scale::Quick)[1];
         assert_eq!(t2.rows.len(), 10);
         for row in &t2.rows {
-            assert_eq!(cellf(&row[4]), 0.0, "one-shot lateness nonzero: {row:?}");
-            assert_eq!(cell(&row[5]), 0, "one-shot lateness nonzero: {row:?}");
+            assert_eq!(parse::<f64>(&row[4]), 0.0, "one-shot lateness nonzero: {row:?}");
+            assert_eq!(parse::<u64>(&row[5]), 0, "one-shot lateness nonzero: {row:?}");
         }
         // The one-shot strict scenario is where the paper's cost gap
         // lives: the queuing rows must still be cheaper than counting.
         let best = |kind: &str| -> u64 {
-            t2.rows.iter().filter(|r| r[1] == kind).map(|r| cell(&r[3])).min().unwrap()
+            t2.rows.iter().filter(|r| r[1] == kind).map(|r| parse::<u64>(&r[3])).min().unwrap()
         };
         assert!(best("queuing") < best("counting"));
         // And the relaxed counter's total delay is identically zero.
         let crdt = t2.rows.iter().find(|r| r[0] == "crdt-counter").unwrap();
-        assert_eq!(cell(&crdt[3]), 0);
+        assert_eq!(parse::<u64>(&crdt[3]), 0);
     }
 }

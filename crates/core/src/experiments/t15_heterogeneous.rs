@@ -17,143 +17,88 @@
 //! no state is reset, so the protocols self-stabilize by draining the
 //! frozen queues — the run ends quiescent with every request conserved.
 
-use crate::experiments::Scale;
-use crate::plan::RunPlan;
-use crate::prelude::*;
-use crate::protocol;
+use super::{Scale, SweepTable};
+use crate::report::ClassMetrics;
 use crate::table::fmt_util::{int, tick};
+use crate::table::*;
 
-/// The protected-class table's load ramp (shared with the tests so the
-/// flatness assertion can never desynchronize from the sweep).
-fn ramp_for(scale: Scale) -> Vec<f64> {
-    scale.pick(vec![0.1, 0.6], vec![0.1, 0.3, 0.6])
+/// A class's metric in a case row, `0` when the class is absent.
+fn class_cell(r: &Row, class: u8, metric: fn(&ClassMetrics) -> u64) -> String {
+    int(r.case().classes.iter().flatten().find(|m| m.class == class).map_or(0, metric))
 }
 
-/// Per-class p99 of a case, `0` when the class is absent.
-fn class_p99(case: &CaseResult, class: u8) -> u64 {
-    case.classes
-        .as_deref()
-        .and_then(|cm| cm.iter().find(|m| m.class == class))
-        .map_or(0, |m| m.latency_p99)
-}
-
-fn protection_table(scale: Scale) -> Table {
-    let side = scale.pick(5, 8);
-    let bound = scale.pick(4, 8);
-    let arrivals: Vec<ArrivalSpec> =
-        ramp_for(scale).into_iter().map(|rate| ArrivalSpec::Poisson { rate, seed: 7 }).collect();
-    let set = RunPlan::new()
-        .topologies([TopoSpec::Mesh2D { side }])
-        .protocol(&protocol::Arrow)
-        .protocol(&protocol::CentralQueue)
-        .protocol(&protocol::CombiningQueue)
-        .protocol(&protocol::CentralCounter)
-        .protocol(&protocol::CombiningTree)
-        .protocol(&protocol::ToggleTree { leaves: None })
-        .arrivals(arrivals)
-        .admissions([AdmissionSpec::PerNode { bound, protect: 1 }])
-        .priorities([PrioritySpec::Split { frac: 0.15, seed: 5 }])
-        .execute();
-    let mut t = Table::new(
-        "t15 — protected class p99 while background load saturates (extension)",
-        &[
-            "arrival",
-            "protocol",
-            "kind",
-            "ok",
-            "c0 issued",
-            "c0 dropped",
-            "c1 dropped",
-            "c0 p99",
-            "c1 p99",
-            "p99 (all)",
+/// t15 ramps the load under a protected class; t15b runs every protocol
+/// through one crash/recover window, one row per class.
+pub const TABLES: [SweepTable; 2] = [
+    SweepTable {
+        title: "t15 — protected class p99 while background load saturates (extension)",
+        argv: [
+            "--topo mesh2d:5 \
+             --proto arrow,central-queue,combining-queue,central-counter,combining-tree,toggle-tree \
+             --arrival poisson:rate=0.1:seed=7,poisson:rate=0.6:seed=7 \
+             --admission pernode:bound=4:protect=1 --priority split:frac=0.15:seed=5",
+            "--topo mesh2d:8 \
+             --proto arrow,central-queue,combining-queue,central-counter,combining-tree,toggle-tree \
+             --arrival poisson:rate=0.1:seed=7,poisson:rate=0.3:seed=7,poisson:rate=0.6:seed=7 \
+             --admission pernode:bound=8:protect=1 --priority split:frac=0.15:seed=5",
         ],
-    );
-    for c in &set.cases {
-        let cm = |class: u8, f: fn(&crate::report::ClassMetrics) -> u64| {
-            c.classes.as_deref().and_then(|m| m.iter().find(|m| m.class == class)).map_or(0, f)
-        };
-        t.push_row(vec![
-            c.arrival.clone(),
-            c.protocol.clone(),
-            c.kind.label().into(),
-            tick(c.ok),
-            int(cm(0, |m| m.issued)),
-            int(cm(0, |m| m.dropped)),
-            int(cm(1, |m| m.dropped)),
-            int(class_p99(c, 0)),
-            int(class_p99(c, 1)),
-            int(c.latency_p99),
-        ]);
-    }
-    t.note(format!(
-        "15% of nodes are class 0 (high); pernode:bound={bound}:protect=1 always admits \
-         class 0 and sheds class 1 over the requester's shard backlog"
-    ));
-    t.note("class-0 p99 stays within 2x across the ramp while class 1 absorbs the shedding");
-    t
-}
-
-fn crash_table(scale: Scale) -> Table {
-    let side = scale.pick(3, 6);
-    let (node, at, recover) = (2, 4, scale.pick(9, 16));
-    let set = RunPlan::new()
-        .topologies([TopoSpec::Torus2D { side }])
-        .arrivals([ArrivalSpec::Poisson { rate: 0.5, seed: 7 }])
-        .priorities([PrioritySpec::Split { frac: 0.25, seed: 11 }])
-        .faults([FaultSpec::none().crash(node, at, recover)])
-        .execute();
-    let mut t = Table::new(
-        "t15b — every protocol through a crash/recover cycle, conservation per class",
-        &[
-            "protocol",
-            "kind",
-            "ok",
-            "faults",
-            "class",
-            "issued",
-            "completed",
-            "dropped",
-            "conserved",
+        rows: Rows::Cases,
+        columns: &[
+            ARRIVAL,
+            PROTOCOL,
+            KIND,
+            OK,
+            ("c0 issued", |r| class_cell(r, 0, |m| m.issued)),
+            ("c0 dropped", |r| class_cell(r, 0, |m| m.dropped)),
+            ("c1 dropped", |r| class_cell(r, 1, |m| m.dropped)),
+            ("c0 p99", |r| class_cell(r, 0, |m| m.latency_p99)),
+            ("c1 p99", |r| class_cell(r, 1, |m| m.latency_p99)),
+            ("p99 (all)", P99.1),
         ],
-    );
-    for c in &set.cases {
-        let events = c.fault_summary.as_ref().map_or(0, |f| f.events.len() as u64);
-        for m in c.classes.as_deref().unwrap_or_default() {
-            t.push_row(vec![
-                c.protocol.clone(),
-                c.kind.label().into(),
-                tick(c.ok),
-                int(events),
-                int(u64::from(m.class)),
-                int(m.issued),
-                int(m.completed),
-                int(m.dropped),
-                tick(m.completed + m.dropped == m.issued),
-            ]);
-        }
-    }
-    t.note(format!(
-        "node {node} is down for rounds [{at}, {recover}): its queues freeze and its \
-         arrivals defer; no state resets — recovery is a drain, not a repair"
-    ));
-    t.note("conserved: completed + dropped == issued per class (the run ends quiescent)");
-    t
-}
+        notes: &[
+            "15% of nodes are class 0 (high); pernode:bound={bound}:protect=1 always admits \
+             class 0 and sheds class 1 over the requester's shard backlog",
+            "class-0 p99 stays within 2x across the ramp while class 1 absorbs the shedding",
+        ],
+    },
+    SweepTable {
+        title: "t15b — every protocol through a crash/recover cycle, conservation per class",
+        argv: [
+            "--topo torus2d:3 --arrival poisson:rate=0.5:seed=7 \
+             --priority split:frac=0.25:seed=11 --fault crash:at=4:node=2:recover=9",
+            "--topo torus2d:6 --arrival poisson:rate=0.5:seed=7 \
+             --priority split:frac=0.25:seed=11 --fault crash:at=4:node=2:recover=16",
+        ],
+        rows: Rows::Classes,
+        columns: &[
+            PROTOCOL,
+            KIND,
+            OK,
+            ("faults", |r| int(r.case().fault_summary.as_ref().map_or(0, |f| f.events.len() as u64))),
+            ("class", |r| int(u64::from(r.class().class))),
+            ("issued", |r| int(r.class().issued)),
+            ("completed", |r| int(r.class().completed)),
+            ("dropped", |r| int(r.class().dropped)),
+            ("conserved", |r| tick(r.class().completed + r.class().dropped == r.class().issued)),
+        ],
+        notes: &[
+            "node {node} is down for rounds [{at}, {recover}): its queues freeze and its \
+             arrivals defer; no state resets — recovery is a drain, not a repair",
+            "conserved: completed + dropped == issued per class (the run ends quiescent)",
+        ],
+    },
+];
 
 /// Run the heterogeneous-traffic sweep.
 pub fn run(scale: Scale) -> Vec<Table> {
-    vec![protection_table(scale), crash_table(scale)]
+    super::draw(&TABLES, scale)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Parse an `int()`-formatted cell (undo the `_` group separators).
-    fn cell(s: &str) -> u64 {
-        s.replace('_', "").parse().unwrap()
-    }
+    use crate::spec;
+    use crate::table::fmt_util::parse;
 
     #[test]
     fn produces_rows_and_all_cases_verify() {
@@ -173,19 +118,24 @@ mod tests {
     #[test]
     fn high_priority_p99_stays_flat_as_background_load_saturates() {
         let t = &run(Scale::Quick)[0];
-        let ramp = ramp_for(Scale::Quick);
-        let (lo, hi) = (format!("{}", ramp[0]), format!("{}", ramp[ramp.len() - 1]));
+        // The ramp's ends, read from the table's own argv.
+        let ramp: Vec<String> = TABLES[0]
+            .quick_values("--arrival")
+            .into_iter()
+            .map(|a| spec::arrival(a).unwrap().name())
+            .collect();
+        let (lo, hi) = (&ramp[0], &ramp[ramp.len() - 1]);
         for proto in
             ["arrow", "central-queue", "combining-queue", "central-counter", "combining-tree"]
         {
-            let p99_at = |rate: &str| {
+            let p99_at = |arrival: &str| {
                 t.rows
                     .iter()
-                    .find(|r| r[1] == proto && r[0].contains(&format!("rate={rate}")))
-                    .map(|r| cell(&r[7]))
-                    .unwrap_or_else(|| panic!("no row for {proto} at rate={rate}"))
+                    .find(|r| r[1] == proto && r[0] == arrival)
+                    .map(|r| parse::<u64>(&r[7]))
+                    .unwrap_or_else(|| panic!("no row for {proto} at {arrival}"))
             };
-            let (base, loaded) = (p99_at(&lo), p99_at(&hi));
+            let (base, loaded) = (p99_at(lo), p99_at(hi));
             // A 6x offered-load increase moves the protected class's p99
             // by at most 2x (small floor guards tiny-sample baselines).
             assert!(
@@ -195,12 +145,7 @@ mod tests {
         }
         // The background class pays for it: somebody must have been shed
         // at the top of the ramp.
-        let shed: u64 = t
-            .rows
-            .iter()
-            .filter(|r| r[0].contains(&format!("rate={hi}")))
-            .map(|r| cell(&r[6]))
-            .sum();
+        let shed: u64 = t.rows.iter().filter(|r| &r[0] == hi).map(|r| parse::<u64>(&r[6])).sum();
         assert!(shed > 0, "saturation shed no background arrivals");
     }
 
@@ -209,11 +154,11 @@ mod tests {
         let t = &run(Scale::Quick)[1];
         for row in &t.rows {
             assert_eq!(row[8], "yes", "class not conserved through the crash: {row:?}");
-            assert_eq!(cell(&row[3]), 2, "expected one crash + one recovery: {row:?}");
+            assert_eq!(parse::<u64>(&row[3]), 2, "expected one crash + one recovery: {row:?}");
         }
         // Both classes issued work in every protocol's run.
         for row in &t.rows {
-            assert!(cell(&row[5]) > 0, "class issued nothing: {row:?}");
+            assert!(parse::<u64>(&row[5]) > 0, "class issued nothing: {row:?}");
         }
     }
 }

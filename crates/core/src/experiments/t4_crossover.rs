@@ -2,85 +2,72 @@
 //! graph, d-dimensional mesh, hypercube), concurrent queuing beats
 //! concurrent counting.
 //!
-//! Driven entirely by the protocol registry through a [`RunPlan`]: the
-//! arrow protocol plus every counting protocol run on each topology under
-//! the paper's mode convention (queuing expanded, counting strict), and the
+//! Each table is one `ccq sweep` over the protocol registry: the arrow
+//! protocol plus every counting protocol run on each topology under the
+//! paper's mode convention (queuing expanded, counting strict), and the
 //! plan's per-scenario summaries provide the `gap = C_C / C_Q` column the
 //! paper predicts exceeds 1 everywhere here and grows with `n`.
 
-use crate::experiments::Scale;
-use crate::plan::{RunPlan, RunSet};
-use crate::prelude::*;
-use crate::protocol;
-use crate::table::fmt_util::{f2, int, tick};
+use super::{Scale, SweepTable};
+use crate::table::fmt_util::int;
+use crate::table::*;
 
-/// Sweep the given topologies (arrow vs all counting) and tabulate.
-fn crossover_table(title: &str, specs: Vec<TopoSpec>) -> (Table, RunSet) {
-    let set = RunPlan::new()
-        .topologies(specs)
-        .protocol(&protocol::Arrow)
-        .protocols(registry_of(ProtocolKind::Counting))
-        .execute();
-    let mut t = Table::new(
-        title,
-        &["topology", "n", "arrow (C_Q)", "best counting", "alg", "gap C_C/C_Q", "queuing wins"],
-    );
-    for s in &set.summaries {
-        t.push_row(vec![
-            s.topology.clone(),
-            int(s.n as u64),
-            s.best_queuing_delay.map(int).unwrap_or_default(),
-            s.best_counting_delay.map(int).unwrap_or_default(),
-            s.best_counting.clone().unwrap_or_default(),
-            s.gap.map(f2).unwrap_or_default(),
-            s.queuing_wins.map(tick).unwrap_or_default(),
-        ]);
-    }
-    (t, set)
-}
+const COLUMNS: &[Column] = &[
+    ("topology", |r| r.summary().topology.clone()),
+    ("n", |r| int(r.summary().n as u64)),
+    ("arrow (C_Q)", |r| r.summary().best_queuing_delay.map(int).unwrap_or_default()),
+    ("best counting", |r| r.summary().best_counting_delay.map(int).unwrap_or_default()),
+    ("alg", |r| r.summary().best_counting.clone().unwrap_or_default()),
+    GAP,
+    WINS,
+];
+
+/// The paper's Hamilton-path topologies, then (t4b) two beyond its list:
+/// a torus (Hamilton path inherited from its mesh subgraph) and random
+/// regular graphs (BFS tree, Corollary 4.2).
+pub const TABLES: [SweepTable; 2] = [
+    SweepTable {
+        title: "t4 — queuing vs counting on Hamilton-path topologies (Theorem 4.5 / Lemma 4.6)",
+        argv: [
+            "--topo complete:16,complete:64,mesh2d:4,mesh2d:8,mesh3d:3,hypercube:4,hypercube:6 \
+             --proto arrow,counting",
+            "--topo complete:64,complete:256,complete:1024,mesh2d:8,mesh2d:16,mesh2d:32,\
+             mesh3d:4,mesh3d:8,hypercube:6,hypercube:8,hypercube:10 --proto arrow,counting",
+        ],
+        rows: Rows::Summaries,
+        columns: COLUMNS,
+        notes: &[
+            "arrow runs on the Hamilton-path spanning tree (expanded steps, delays ×scale)",
+            "counting = min over all five registry counting protocols (strict model)",
+            "paper verdict: C_Q = O(n) = o(C_C) on all rows (Theorem 4.5)",
+        ],
+    },
+    SweepTable {
+        title: "t4b — beyond the paper: torus and random-regular topologies",
+        argv: [
+            "--topo torus2d:6,random-regular:32:4:12 --proto arrow,counting",
+            "--topo torus2d:8,torus2d:16,random-regular:128:4:12,random-regular:512:4:12 \
+             --proto arrow,counting",
+        ],
+        rows: Rows::Summaries,
+        columns: COLUMNS,
+        notes: &[
+            "the paper's argument extends: any Hamilton-path graph is a Theorem 4.5 case, and",
+            "constant-degree BFS trees put random-regular graphs under Corollary 4.2's ceiling",
+        ],
+    },
+];
 
 /// Run the crossover comparison.
 pub fn run(scale: Scale) -> Vec<Table> {
-    let mut specs: Vec<TopoSpec> = Vec::new();
-    for n in scale.pick(vec![16, 64], vec![64, 256, 1024]) {
-        specs.push(TopoSpec::Complete { n });
-    }
-    for side in scale.pick(vec![4, 8], vec![8, 16, 32]) {
-        specs.push(TopoSpec::Mesh2D { side });
-    }
-    for side in scale.pick(vec![3], vec![4, 8]) {
-        specs.push(TopoSpec::Mesh3D { side });
-    }
-    for dim in scale.pick(vec![4, 6], vec![6, 8, 10]) {
-        specs.push(TopoSpec::Hypercube { dim });
-    }
-    let (mut t, _) = crossover_table(
-        "t4 — queuing vs counting on Hamilton-path topologies (Theorem 4.5 / Lemma 4.6)",
-        specs,
-    );
-    t.note("arrow runs on the Hamilton-path spanning tree (expanded steps, delays ×scale)");
-    t.note("counting = min over all five registry counting protocols (strict model)");
-    t.note("paper verdict: C_Q = O(n) = o(C_C) on all rows (Theorem 4.5)");
-
-    // Beyond the paper's list: a torus (Hamilton path inherited from its
-    // mesh subgraph) and random regular graphs (BFS tree, Corollary 4.2).
-    let mut extra: Vec<TopoSpec> = Vec::new();
-    for side in scale.pick(vec![6], vec![8, 16]) {
-        extra.push(TopoSpec::Torus2D { side });
-    }
-    for n in scale.pick(vec![32], vec![128, 512]) {
-        extra.push(TopoSpec::RandomRegular { n, d: 4, seed: 12 });
-    }
-    let (mut t2, _) =
-        crossover_table("t4b — beyond the paper: torus and random-regular topologies", extra);
-    t2.note("the paper's argument extends: any Hamilton-path graph is a Theorem 4.5 case, and");
-    t2.note("constant-degree BFS trees put random-regular graphs under Corollary 4.2's ceiling");
-    vec![t, t2]
+    super::draw(&TABLES, scale)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::prelude::*;
+    use crate::spec;
 
     #[test]
     fn queuing_wins_on_every_hamilton_topology() {
@@ -114,7 +101,8 @@ mod tests {
     #[test]
     fn plan_summaries_match_direct_runs() {
         // The registry-driven sweep must agree with run_best_counting.
-        let (_, set) = crossover_table("check", vec![TopoSpec::Mesh2D { side: 4 }]);
+        let argv = ["--topo", "mesh2d:4", "--proto", "arrow,counting"];
+        let set = spec::sweep(&argv).unwrap().plan.execute();
         let s = Scenario::build(TopoSpec::Mesh2D { side: 4 }, RequestPattern::All);
         let best = crate::run::run_best_counting(&s, ModelMode::Strict).unwrap();
         assert_eq!(set.summaries[0].best_counting_delay, Some(best.report.total_delay()));

@@ -34,7 +34,7 @@ use crate::scenario::{
     TopoSpec,
 };
 use crate::table::fmt_util::{f2, int, tick};
-use crate::table::Table;
+use crate::table::*;
 use ccq_sim::{Checkpoint, LinkDelay, NodeDigest, PhaseTimings, ProbeSpec};
 use rayon::prelude::*;
 use serde::Serialize;
@@ -785,108 +785,64 @@ impl RunSet {
 
     /// Human-readable per-case table (the CLI's default sweep output).
     pub fn case_table(&self) -> Table {
-        let mut t = Table::new(
-            "sweep cases",
-            &[
-                "topology",
-                "protocol",
-                "kind",
-                "mode",
-                "pattern",
-                "arrival",
-                "delay",
-                "admission",
-                "priority",
-                "faults",
-                "shards",
-                "rep",
-                "ok",
-                "total delay",
-                "messages",
-                "x-shard",
-                "max cont.",
-                "thr/round",
-                "goodput",
-                "dropped",
-                "p50",
-                "p95",
-                "p99",
-            ],
-        );
-        for c in &self.cases {
-            t.push_row(vec![
-                c.topology.clone(),
-                c.protocol.clone(),
-                c.kind.label().into(),
-                format!("{:?}", c.mode),
-                c.pattern.clone(),
-                c.arrival.clone(),
-                c.delay.clone(),
-                c.admission.clone(),
-                c.priority.clone(),
-                c.faults.clone(),
-                c.shards.clone(),
-                c.repeat.to_string(),
-                tick(c.ok),
-                int(c.total_delay),
-                int(c.messages),
-                int(c.cross_shard_messages),
-                int(c.max_contention as u64),
-                f2(c.throughput),
-                f2(c.goodput),
-                int(c.dropped),
-                int(c.latency_p50),
-                int(c.latency_p95),
-                int(c.latency_p99),
-            ]);
-        }
-        t
+        Rows::Cases.draw(self, "sweep cases", CASE_COLUMNS)
     }
 
     /// Human-readable summary table (best queuing vs best counting).
     pub fn summary_table(&self) -> Table {
-        let mut t = Table::new(
-            "queuing vs counting per scenario",
-            &[
-                "topology",
-                "pattern",
-                "arrival",
-                "delay",
-                "admission",
-                "shards",
-                "rep",
-                "n",
-                "best queuing",
-                "C_Q",
-                "best counting",
-                "C_C",
-                "gap",
-                "dropped",
-                "queuing wins",
-            ],
+        Rows::Summaries.draw(self, "queuing vs counting per scenario", SUMMARY_COLUMNS)
+    }
+
+    /// The per-case QQC lateness table `--qqc` requests: one row per
+    /// case, one column per selected statistic.
+    pub fn qqc_table(&self, fields: &[Column]) -> Table {
+        let columns = [TOPOLOGY, PROTOCOL, KIND, ARRIVAL, OK];
+        let columns: Vec<Column> = columns.into_iter().chain(fields.iter().copied()).collect();
+        let mut t = Rows::Cases.draw(
+            self,
+            "QQC lateness (rank displacement vs issue-order linearization)",
+            &columns,
         );
-        for s in &self.summaries {
-            t.push_row(vec![
-                s.topology.clone(),
-                s.pattern.clone(),
-                s.arrival.clone(),
-                s.delay.clone(),
-                s.admission.clone(),
-                s.shards.clone(),
-                s.repeat.to_string(),
-                int(s.n as u64),
-                s.best_queuing.clone().unwrap_or_else(|| "-".into()),
-                s.best_queuing_delay.map(int).unwrap_or_else(|| "-".into()),
-                s.best_counting.clone().unwrap_or_else(|| "-".into()),
-                s.best_counting_delay.map(int).unwrap_or_else(|| "-".into()),
-                s.gap.map(f2).unwrap_or_else(|| "-".into()),
-                int(s.dropped),
-                s.queuing_wins.map(tick).unwrap_or_else(|| "-".into()),
-            ]);
-        }
+        t.note("lateness compares the verified output order to the canonical linearization of");
+        t.note("issue order (stable by issue round), per class when a priority split is active");
         t
     }
 }
+
+const MODE: Column = ("mode", |r| format!("{:?}", r.case().mode));
+const PATTERN: Column = ("pattern", |r| r.case().pattern.clone());
+const DELAY: Column = ("delay", |r| r.case().delay.clone());
+const PRIORITY: Column = ("priority", |r| r.case().priority.clone());
+const FAULTS: Column = ("faults", |r| r.case().faults.clone());
+const REP: Column = ("rep", |r| r.case().repeat.to_string());
+const MAX_CONT: Column = ("max cont.", |r| int(r.case().max_contention as u64));
+const CASE_COLUMNS: &[Column] = &[
+    TOPOLOGY, PROTOCOL, KIND, MODE, PATTERN, ARRIVAL, DELAY, ADMISSION, PRIORITY, FAULTS, SHARDS,
+    REP, OK, TOTAL, MESSAGES, X_SHARD, MAX_CONT, THROUGHPUT, GOODPUT, DROPPED, P50, P95, P99,
+];
+
+/// A summary cell, `-` when the cell had no verified case of that kind.
+fn or_dash<T>(v: Option<T>, cell: fn(T) -> String) -> String {
+    v.map_or_else(|| "-".into(), cell)
+}
+
+const SUMMARY_COLUMNS: &[Column] = &[
+    ("topology", |r| r.summary().topology.clone()),
+    ("pattern", |r| r.summary().pattern.clone()),
+    ("arrival", |r| r.summary().arrival.clone()),
+    ("delay", |r| r.summary().delay.clone()),
+    ("admission", |r| r.summary().admission.clone()),
+    ("shards", |r| r.summary().shards.clone()),
+    ("rep", |r| r.summary().repeat.to_string()),
+    ("n", |r| int(r.summary().n as u64)),
+    ("best queuing", |r| or_dash(r.summary().best_queuing.clone(), |s| s)),
+    ("C_Q", |r| or_dash(r.summary().best_queuing_delay, int)),
+    ("best counting", |r| or_dash(r.summary().best_counting.clone(), |s| s)),
+    ("C_C", |r| or_dash(r.summary().best_counting_delay, int)),
+    ("gap", |r| or_dash(r.summary().gap, f2)),
+    ("dropped", |r| int(r.summary().dropped)),
+    ("queuing wins", |r| or_dash(r.summary().queuing_wins, tick)),
+];
 
 #[cfg(test)]
 mod tests {

@@ -28,6 +28,7 @@ use crate::scenario::{
     AdmissionSpec, ArrivalSpec, FaultSpec, PrioritySpec, RequestPattern, ShardSpec, ShardStrategy,
     TopoSpec,
 };
+use crate::table::{Column, QQC_MAX, QQC_MEAN, QQC_P50, QQC_P95, QQC_P99};
 use ccq_sim::{CrashFault, LinkDelay};
 use std::ops::RangeInclusive;
 
@@ -231,7 +232,7 @@ static FLAGS: [(&str, &str); 12] = [
     ("--node-hashes", "add per-node digests to each checkpointed barrier"),
     ("--perturb R:V", "plant a transmit-skip at round R on node V (the bisect self-test fault)"),
     (
-        QQC,
+        QQC_FLAG,
         "also print per-case QQC lateness (rank displacement vs issue order), one column \
          per field; the JSON always carries every qqc_* field",
     ),
@@ -245,11 +246,18 @@ static FLAGS: [(&str, &str); 12] = [
 const PROTO_WIDTH: &str = "name:width";
 const SHARD_PLAN: &str = "k[:strategy][:ferry=D]";
 const WAVEFRONT: &str = "--wavefront[:lag=d]";
-const QQC: &str = "--qqc max,mean,p50,p95,p99";
 
-/// The QQC lateness statistics `--qqc` can select, in display order.
-fn qqc_fields() -> impl Iterator<Item = &'static str> {
-    QQC["--qqc ".len()..].split(',')
+/// `--qqc`'s row in `FLAGS`; help spells its fields out of `QQC`.
+const QQC_FLAG: &str = "--qqc";
+
+/// The QQC lateness statistics `--qqc` can select, in display order: the
+/// field as the flag names it, and the column it adds to the table.
+static QQC: [(&str, Column); 5] =
+    [("max", QQC_MAX), ("mean", QQC_MEAN), ("p50", QQC_P50), ("p95", QQC_P95), ("p99", QQC_P99)];
+
+/// The `--qqc` field names, joined by `sep`.
+fn qqc_fields(sep: &str) -> String {
+    QQC.iter().map(|q| q.0).collect::<Vec<_>>().join(sep)
 }
 
 /// The grammar as `ccq list` and `ccq --help` print it: every family's
@@ -264,6 +272,10 @@ pub fn grammar() -> String {
     }
     out += "\nother sweep flags:\n";
     for (syntax, note) in FLAGS {
+        let syntax = match syntax {
+            QQC_FLAG => format!("{QQC_FLAG} {}", qqc_fields(",")),
+            other => other.to_string(),
+        };
         out += &format!("  {syntax:<38} {note}\n");
     }
     out
@@ -781,8 +793,8 @@ pub struct Sweep {
     pub json: Option<String>,
     /// `--pretty`.
     pub pretty: bool,
-    /// `--qqc`'s fields, in the order given.
-    pub qqc: Option<Vec<String>>,
+    /// `--qqc`'s columns, in the order given.
+    pub qqc: Option<Vec<Column>>,
     /// The `--checkpoint-every` interval the plan runs with (the last one
     /// given wins); 0 without the flag.
     pub checkpoint_every: u64,
@@ -880,20 +892,20 @@ pub fn sweep<S: AsRef<str>>(args: &[S]) -> Result<Sweep, String> {
             }
             "--node-hashes" => plan = plan.node_hashes(true),
             "--qqc" => {
-                let mut fields: Vec<String> = Vec::new();
+                let mut columns: Vec<Column> = Vec::new();
                 for tok in value()?.split(',') {
-                    if !qqc_fields().any(|f| f == tok) {
+                    let Some(&(_, column)) = QQC.iter().find(|q| q.0 == tok) else {
                         return Err(format!(
                             "unknown qqc field `{tok}` (expected one of: {})",
-                            qqc_fields().collect::<Vec<_>>().join(", ")
+                            qqc_fields(", ")
                         ));
-                    }
-                    if fields.iter().any(|f| f == tok) {
+                    };
+                    if columns.iter().any(|c| c.0 == column.0) {
                         return Err(format!("qqc field `{tok}` given twice"));
                     }
-                    fields.push(tok.to_string());
+                    columns.push(column);
                 }
-                qqc = Some(fields);
+                qqc = Some(columns);
             }
             "--perturb" => {
                 let v = value()?;

@@ -1,5 +1,13 @@
-//! Minimal markdown-style table rendering for the experiment harness.
+//! Minimal markdown-style table rendering for the experiment harness,
+//! and the one renderer that turns a [`RunSet`] into a table: a [`Rows`]
+//! source and a list of [`Column`]s. Every table drawn from a sweep — the
+//! extension drivers' [`crate::experiments::SweepTable`]s and `ccq
+//! sweep`'s own tables — is such a list, so how a run-set field becomes a
+//! cell is decided here and in the column lists, never in a loop.
 
+use crate::plan::{CaseResult, GroupSummary, RunSet};
+use crate::report::ClassMetrics;
+use fmt_util::{f2, int, tick};
 use serde::Serialize;
 use std::fmt;
 
@@ -81,6 +89,121 @@ impl fmt::Display for Table {
     }
 }
 
+/// A table column: its header, and how one row becomes its cell.
+pub type Column = (&'static str, fn(&Row) -> String);
+
+/// Which rows a table draws from a [`RunSet`]: one per case, one per
+/// priority class of each case, or one per group summary.
+#[derive(Clone, Copy)]
+pub enum Rows {
+    Cases,
+    Classes,
+    Summaries,
+}
+
+/// One row a [`Column`] reads: a case, one priority class of a case, or a
+/// group summary with the set whose cases it summarizes. The accessors
+/// panic on a row of another kind, which only a column list drawn from
+/// the wrong [`Rows`] can reach.
+pub enum Row<'a> {
+    Case(&'a CaseResult),
+    Class(&'a CaseResult, &'a ClassMetrics),
+    Summary(&'a GroupSummary, &'a RunSet),
+}
+
+impl<'a> Row<'a> {
+    /// The case of a case or class row.
+    pub fn case(&self) -> &'a CaseResult {
+        let (Row::Case(c) | Row::Class(c, _)) = *self else { panic!("a summary row has no case") };
+        c
+    }
+
+    /// The class of a class row.
+    pub fn class(&self) -> &'a ClassMetrics {
+        let Row::Class(_, m) = *self else { panic!("only a class row has a class") };
+        m
+    }
+
+    /// The summary of a summary row.
+    pub fn summary(&self) -> &'a GroupSummary {
+        let Row::Summary(s, _) = *self else { panic!("only a summary row has a summary") };
+        s
+    }
+}
+
+impl Rows {
+    /// Draw `set`'s rows of this kind under `columns`.
+    pub fn draw(self, set: &RunSet, title: &str, columns: &[Column]) -> Table {
+        let rows: Vec<Row> = match self {
+            Rows::Cases => set.cases.iter().map(Row::Case).collect(),
+            Rows::Classes => set
+                .cases
+                .iter()
+                .flat_map(|c| c.classes.iter().flatten().map(move |m| Row::Class(c, m)))
+                .collect(),
+            Rows::Summaries => set.summaries.iter().map(|s| Row::Summary(s, set)).collect(),
+        };
+        Table {
+            title: title.to_string(),
+            headers: columns.iter().map(|c| c.0.to_string()).collect(),
+            rows: rows.iter().map(|r| columns.iter().map(|c| (c.1)(r)).collect()).collect(),
+            notes: Vec::new(),
+        }
+    }
+}
+
+// The columns several tables share.
+
+/// The topology's display name.
+pub(crate) const TOPOLOGY: Column = ("topology", |r| r.case().topology.clone());
+/// The protocol's display name.
+pub(crate) const PROTOCOL: Column = ("protocol", |r| r.case().protocol.clone());
+/// Queuing, counting or relaxed.
+pub(crate) const KIND: Column = ("kind", |r| r.case().kind.label().into());
+/// The arrival process's display name.
+pub(crate) const ARRIVAL: Column = ("arrival", |r| r.case().arrival.clone());
+/// The admission policy's display name.
+pub(crate) const ADMISSION: Column = ("admission", |r| r.case().admission.clone());
+/// The shard plan's display name.
+pub(crate) const SHARDS: Column = ("shards", |r| r.case().shards.clone());
+/// Whether the case ran and verified.
+pub(crate) const OK: Column = ("ok", |r| tick(r.case().ok));
+/// Completions per round.
+pub(crate) const THROUGHPUT: Column = ("thr/round", |r| f2(r.case().throughput));
+/// Throughput net of shed load.
+pub(crate) const GOODPUT: Column = ("goodput", |r| f2(r.case().goodput));
+/// Median completion latency.
+pub(crate) const P50: Column = ("p50", |r| int(r.case().latency_p50));
+/// 95th-percentile completion latency.
+pub(crate) const P95: Column = ("p95", |r| int(r.case().latency_p95));
+/// 99th-percentile completion latency.
+pub(crate) const P99: Column = ("p99", |r| int(r.case().latency_p99));
+/// The backlog high-water mark.
+pub(crate) const BACKLOG: Column = ("backlog", |r| int(r.case().backlog as u64));
+/// The paper's metric, Σ per-operation delays.
+pub(crate) const TOTAL: Column = ("total delay", |r| int(r.case().total_delay));
+/// Messages sent.
+pub(crate) const MESSAGES: Column = ("messages", |r| int(r.case().messages));
+/// Messages ferried across shards.
+pub(crate) const X_SHARD: Column = ("x-shard", |r| int(r.case().cross_shard_messages));
+/// Arrivals shed by admission control.
+pub(crate) const DROPPED: Column = ("dropped", |r| int(r.case().dropped));
+/// Largest QQC rank displacement.
+pub(crate) const QQC_MAX: Column = ("qqc_max", |r| int(r.case().qqc_max));
+/// Mean QQC rank displacement.
+pub(crate) const QQC_MEAN: Column = ("qqc_mean", |r| f2(r.case().qqc_mean));
+/// Median QQC rank displacement.
+pub(crate) const QQC_P50: Column = ("qqc_p50", |r| int(r.case().qqc_p50));
+/// 95th-percentile QQC rank displacement.
+pub(crate) const QQC_P95: Column = ("qqc_p95", |r| int(r.case().qqc_p95));
+/// 99th-percentile QQC rank displacement.
+pub(crate) const QQC_P99: Column = ("qqc_p99", |r| int(r.case().qqc_p99));
+/// A summary's `C_C / C_Q`, the paper's gap.
+pub(crate) const GAP: Column = ("gap C_C/C_Q", |r| r.summary().gap.map(f2).unwrap_or_default());
+/// Whether queuing strictly won a summary's cell.
+pub(crate) const WINS: Column =
+    ("queuing wins", |r| r.summary().queuing_wins.map(tick).unwrap_or_default());
+
 /// Format helpers shared by the experiment drivers.
 pub mod fmt_util {
     /// Thousands-separated integer.
@@ -108,6 +231,12 @@ pub mod fmt_util {
         } else {
             "NO".into()
         }
+    }
+
+    /// A number read back out of a cell (`int`'s `_` separators dropped).
+    #[cfg(test)]
+    pub(crate) fn parse<T: std::str::FromStr>(cell: &str) -> T {
+        cell.replace('_', "").parse().unwrap_or_else(|_| panic!("not a number: `{cell}`"))
     }
 }
 

@@ -9,7 +9,6 @@ use ccq_repro::core::experiments::{self, Scale};
 use ccq_repro::core::protocol::registry;
 use ccq_repro::core::scenario::DEFAULT_RECORD_EVERY;
 use ccq_repro::core::spec;
-use ccq_repro::prelude::*;
 use ccq_repro::replay::{first_divergence, Recording};
 
 /// `println!` for `ccq`'s stdout. A reader that has closed the pipe
@@ -162,46 +161,6 @@ fn cmd_run(args: &[String]) -> i32 {
     0
 }
 
-/// The per-case QQC lateness table `--qqc` requests: one row per case,
-/// one column per selected statistic.
-fn qqc_table(set: &RunSet, fields: &[String]) -> Table {
-    use ccq_repro::core::table::fmt_util::{f2, int, tick};
-    let mut headers: Vec<&str> = vec!["topology", "protocol", "kind", "arrival", "ok"];
-    for f in fields {
-        headers.push(match f.as_str() {
-            "max" => "qqc_max",
-            "mean" => "qqc_mean",
-            "p50" => "qqc_p50",
-            "p95" => "qqc_p95",
-            _ => "qqc_p99",
-        });
-    }
-    let mut t =
-        Table::new("QQC lateness (rank displacement vs issue-order linearization)", &headers);
-    for c in &set.cases {
-        let mut row = vec![
-            c.topology.clone(),
-            c.protocol.clone(),
-            c.kind.label().into(),
-            c.arrival.clone(),
-            tick(c.ok),
-        ];
-        for f in fields {
-            row.push(match f.as_str() {
-                "max" => int(c.qqc_max),
-                "mean" => f2(c.qqc_mean),
-                "p50" => int(c.qqc_p50),
-                "p95" => int(c.qqc_p95),
-                _ => int(c.qqc_p99),
-            });
-        }
-        t.push_row(row);
-    }
-    t.note("lateness compares the verified output order to the canonical linearization of");
-    t.note("issue order (stable by issue round), per class when a priority split is active");
-    t
-}
-
 fn cmd_sweep(args: &[String]) -> i32 {
     let sweep = match spec::sweep(args) {
         Ok(s) => s,
@@ -220,7 +179,7 @@ fn cmd_sweep(args: &[String]) -> i32 {
         say!("{}", set.case_table());
         say!("{}", set.summary_table());
         if let Some(fields) = &sweep.qqc {
-            say!("{}", qqc_table(&set, fields));
+            say!("{}", set.qqc_table(fields));
         }
     }
     let failed = set.cases.iter().filter(|c| !c.ok).count();

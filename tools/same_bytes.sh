@@ -14,7 +14,8 @@
 # under arrivals, jitter and a striped cut, the tree walks on four tree-like
 # topologies under jitter and a striped cut, three slow-ferry plans over jitter
 # or per-link delays (two policies on one wheel), an adaptive + split + fault
-# open load, four bisects, `run --exp all`, `list`, `--help`, record -> replay.
+# open load, four bisects, `run --exp all`, the sweep-table drivers (t4,
+# t11-t15) at `--full` scale, `list`, `--help`, record -> replay.
 # `--parallel-apply` and `--wavefront[:lag=d]` are retired spellings: every
 # sharded round runs the one lockstep executor and its serialized walk. Their
 # rows stay so that argvs and recordings holding them keep their bytes.
@@ -155,8 +156,10 @@ same bisect "--shards 4 --parallel-apply" "--shards 4" --topo torus2d:3 --proto 
 same bisect "--shards 4:ferry=6 --wavefront:lag=4" "--shards 4:ferry=6" --topo torus2d:6 --proto arrow
 same bisect "--shards 2:contig:ferry=10" "--shards 2:contig" --topo list:8 --proto arrow
 
-# --- the experiment drivers and the two help texts
+# --- the experiment drivers (the sweep tables at both scales) and the two
+# help texts
 same run --exp all
+same run --exp t4,t11,t12,t13,t14,t15 --full
 same list
 same --help
 
