@@ -59,7 +59,7 @@ fn iters() -> u32 {
 /// Time `iters()` executions of `spec` on `scenario` — built by the
 /// caller, outside the timed body — into one sample. `dense` selects the
 /// engine's dense reference scan, which only a `SimConfig` names.
-fn measure(bench: &str, spec: &dyn ProtocolSpec, scenario: &Scenario, dense: bool) -> Sample {
+fn measure(bench: &str, spec: &ProtocolSpec, scenario: &Scenario, dense: bool) -> Sample {
     let mode = spec.kind().paper_mode();
     let cfg = config_for(mode, spec.tree(scenario).max_degree()).with_dense_scan(dense);
     let n = iters();
@@ -86,7 +86,7 @@ fn measure(bench: &str, spec: &dyn ProtocolSpec, scenario: &Scenario, dense: boo
 }
 
 /// One (protocol, shard plan) cell on the 576-node torus.
-fn measure_hot(spec: &dyn ProtocolSpec, shards: ShardSpec) -> Sample {
+fn measure_hot(spec: &ProtocolSpec, shards: ShardSpec) -> Sample {
     let scenario = hot_scenario().with_shards(shards);
     measure("engine_hot_loop", spec, &scenario, false)
 }
@@ -151,7 +151,7 @@ fn hot_scenario() -> Scenario {
 fn main() {
     // counting-network is the deliver-heavy case: hundreds of tokens stay
     // in flight at once, so each round delivers ~n/6 messages.
-    let protocols: [&dyn ProtocolSpec; 3] =
+    let protocols: [&ProtocolSpec; 3] =
         [&protocol::Arrow, &protocol::CombiningTree, &protocol::CountingNetwork { width: None }];
     let plans = [
         ShardSpec::single(),

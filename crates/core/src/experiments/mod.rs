@@ -17,7 +17,7 @@
 //! into a driver's `TABLES`, and let the driver's `run` draw them. The
 //! table then reruns from the CLI: `ccq sweep <its Quick argv>` prints the
 //! run set it was drawn from, which `tests/experiments_smoke.rs` checks
-//! for every table. [`t4_crossover`] and
+//! for every table. [`t4_crossover`], the sweeps of [`t9_ablation`] and
 //! [`t11_openload`]–[`t15_heterogeneous`] are built this way.
 //!
 //! | id | paper item |

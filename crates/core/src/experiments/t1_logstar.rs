@@ -24,7 +24,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
         let mut best = u64::MAX;
         let mut cells = Vec::new();
         for spec in [
-            &protocol::CentralCounter as &dyn ProtocolSpec,
+            &protocol::CentralCounter,
             &protocol::CombiningTree,
             &protocol::CountingNetwork { width: None },
         ] {

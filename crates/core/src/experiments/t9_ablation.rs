@@ -10,17 +10,21 @@
 //! * **Asynchronous link jitter** (the §2.1 asynchronous regime).
 //! * **Queuing algorithm choice** (arrow vs combining-queue vs central).
 //!
-//! Every protocol execution goes through the registry: the sweeps use
-//! [`RunPlan`]/[`run_spec`], and only the tree/jitter ablations instantiate
-//! a raw `ArrowProtocol` (they ablate the tree and the simulator config,
-//! which no registry entry parameterizes).
+//! The three sweep-shaped ablations (t9b modes, t9d widths, t9g queuing
+//! algorithms) are [`SweepTable`]s: a `ccq sweep` argv and a column list.
+//! t9a, t9c, t9e and t9f stay functions: t9a and t9f ablate the spanning
+//! tree and the simulator config, which no registry entry parameterizes
+//! (so they instantiate a raw `ArrowProtocol`), t9e pairs each run with
+//! its scenario's NN-TSP tour, and t9c compares two runs' orders.
 
-use crate::experiments::Scale;
-use crate::plan::RunPlan;
+use super::{Scale, SweepTable};
+use crate::plan::CaseResult;
 use crate::prelude::*;
 use crate::protocol;
+use crate::report::DelayReport;
 use crate::run::RunOutcome;
 use crate::table::fmt_util::{f2, int, tick};
+use crate::table::*;
 use ccq_graph::{spanning, NodeId, Tree};
 use ccq_queuing::{verify_total_order, ArrowProtocol};
 use ccq_sim::{run_protocol, SimConfig};
@@ -67,30 +71,6 @@ fn tree_ablation(scale: Scale) -> Table {
     t
 }
 
-fn mode_ablation(scale: Scale) -> Table {
-    let n = scale.pick(128, 512);
-    let set = RunPlan::new()
-        .topologies([TopoSpec::List { n }])
-        .protocol(&protocol::Arrow)
-        .modes([ModelMode::Strict, ModelMode::Expanded])
-        .execute();
-    let mut t = Table::new(
-        "t9b — strict vs expanded steps for arrow on the list (§2.1 reduction)",
-        &["mode", "raw rounds Σ", "scaled Σ", "messages"],
-    );
-    for case in &set.cases {
-        let m = case.metrics.as_ref().expect("arrow verifies on the list");
-        t.push_row(vec![
-            format!("{:?}", case.mode).to_lowercase(),
-            int(m.total_delay_unscaled),
-            int(m.total_delay),
-            int(m.messages),
-        ]);
-    }
-    t.note("the scaled strict/expanded totals agree within the constant the paper's reduction predicts");
-    t
-}
-
 fn notify_ablation(scale: Scale) -> Table {
     let side = scale.pick(8, 16);
     let s = Scenario::build(TopoSpec::Mesh2D { side }, RequestPattern::All);
@@ -114,41 +94,6 @@ fn notify_ablation(scale: Scale) -> Table {
         tick(same),
     ]);
     t.note("notify-origin roughly doubles cost but cannot change the order — shape unchanged");
-    t
-}
-
-fn width_ablation(scale: Scale) -> Table {
-    let n = scale.pick(64, 256);
-    // A RunPlan over width-parameterized registry specs: three network
-    // constructions × five widths, one scenario, strict model.
-    let mut plan = RunPlan::new().topologies([TopoSpec::Complete { n }]).modes([ModelMode::Strict]);
-    for w in [2usize, 4, 8, 16, 32] {
-        plan = plan
-            .protocol(&protocol::CountingNetwork { width: Some(w) })
-            .protocol(&protocol::PeriodicNetwork { width: Some(w) })
-            .protocol(&protocol::ToggleTree { leaves: Some(w) });
-    }
-    let set = plan.execute();
-    let mut t = Table::new(
-        "t9d — network-style counters: construction × width (contention vs depth)",
-        &["structure", "width", "total delay", "max queue", "messages"],
-    );
-    for case in &set.cases {
-        let label = match case.protocol.as_str() {
-            "counting-network" => "bitonic",
-            "periodic-network" => "periodic",
-            other => other,
-        };
-        t.push_row(vec![
-            label.into(),
-            int(case.width.expect("network protocols have widths") as u64),
-            int(case.total_delay),
-            int(case.max_contention as u64),
-            int(case.messages),
-        ]);
-    }
-    t.note("wider networks reduce per-balancer contention but add depth; the toggle tree's root");
-    t.note("serializes everything regardless of width — none escapes Ω(n log* n)");
     t
 }
 
@@ -220,44 +165,94 @@ fn jitter_ablation(scale: Scale) -> Table {
     t
 }
 
-fn queuing_alg_ablation(scale: Scale) -> Table {
-    let side = scale.pick(8, 16);
-    let set = RunPlan::new()
-        .topologies([TopoSpec::Mesh2D { side }])
-        .protocol(&protocol::Arrow)
-        .protocol(&protocol::CombiningQueue)
-        .protocol(&protocol::CentralQueue)
-        .modes([ModelMode::Expanded])
-        .execute();
-    let mut t = Table::new(
-        "t9g — queuing algorithms compared on the mesh (the arrow's locality advantage)",
-        &["algorithm", "total delay", "max delay", "messages", "max queue"],
-    );
-    for case in &set.cases {
-        let m = case.metrics.as_ref().expect("queuing verifies on the mesh");
-        t.push_row(vec![
-            case.protocol.clone(),
-            int(m.total_delay),
-            int(m.max_delay),
-            int(m.messages),
-            int(m.max_queue as u64),
-        ]);
-    }
-    t.note("all three produce valid total orders; only the arrow exploits requester locality —");
-    t.note("tree aggregation and central homes pay Θ(depth)/Θ(distance) per op unconditionally");
-    t
+/// A verified case's full metrics.
+fn metrics(case: &CaseResult) -> &DelayReport {
+    case.metrics.as_ref().expect("every ablation case verifies")
 }
+
+/// t9b, t9d and t9g, in that order.
+pub const TABLES: [SweepTable; 3] = [
+    SweepTable {
+        title: "t9b — strict vs expanded steps for arrow on the list (§2.1 reduction)",
+        argv: [
+            "--topo list:128 --proto arrow --modes strict,expanded",
+            "--topo list:512 --proto arrow --modes strict,expanded",
+        ],
+        rows: Rows::Cases,
+        columns: &[
+            ("mode", |r| format!("{:?}", r.case().mode).to_lowercase()),
+            ("raw rounds Σ", |r| int(metrics(r.case()).total_delay_unscaled)),
+            ("scaled Σ", |r| int(r.case().total_delay)),
+            MESSAGES,
+        ],
+        notes: &[
+            "the scaled strict/expanded totals agree within the constant the paper's reduction predicts",
+        ],
+    },
+    SweepTable {
+        title: "t9d — network-style counters: construction × width (contention vs depth)",
+        argv: [
+            "--topo complete:64 --proto counting-network:2,periodic-network:2,toggle-tree:2,\
+             counting-network:4,periodic-network:4,toggle-tree:4,counting-network:8,\
+             periodic-network:8,toggle-tree:8,counting-network:16,periodic-network:16,\
+             toggle-tree:16,counting-network:32,periodic-network:32,toggle-tree:32 --modes strict",
+            "--topo complete:256 --proto counting-network:2,periodic-network:2,toggle-tree:2,\
+             counting-network:4,periodic-network:4,toggle-tree:4,counting-network:8,\
+             periodic-network:8,toggle-tree:8,counting-network:16,periodic-network:16,\
+             toggle-tree:16,counting-network:32,periodic-network:32,toggle-tree:32 --modes strict",
+        ],
+        rows: Rows::Cases,
+        columns: &[
+            ("structure", |r| {
+                let structure = match r.case().protocol.as_str() {
+                    "counting-network" => "bitonic",
+                    "periodic-network" => "periodic",
+                    other => other,
+                };
+                structure.into()
+            }),
+            ("width", |r| int(r.case().width.expect("network protocols have widths") as u64)),
+            TOTAL,
+            ("max queue", |r| int(r.case().max_contention as u64)),
+            MESSAGES,
+        ],
+        notes: &[
+            "wider networks reduce per-balancer contention but add depth; the toggle tree's root",
+            "serializes everything regardless of width — none escapes Ω(n log* n)",
+        ],
+    },
+    SweepTable {
+        title: "t9g — queuing algorithms compared on the mesh (the arrow's locality advantage)",
+        argv: [
+            "--topo mesh2d:8 --proto arrow,combining-queue,central-queue --modes expanded",
+            "--topo mesh2d:16 --proto arrow,combining-queue,central-queue --modes expanded",
+        ],
+        rows: Rows::Cases,
+        columns: &[
+            ("algorithm", |r| r.case().protocol.clone()),
+            TOTAL,
+            ("max delay", |r| int(metrics(r.case()).max_delay)),
+            MESSAGES,
+            ("max queue", |r| int(r.case().max_contention as u64)),
+        ],
+        notes: &[
+            "all three produce valid total orders; only the arrow exploits requester locality —",
+            "tree aggregation and central homes pay Θ(depth)/Θ(distance) per op unconditionally",
+        ],
+    },
+];
 
 /// Run all ablations.
 pub fn run(scale: Scale) -> Vec<Table> {
+    let [modes, widths, queuing] = TABLES.each_ref().map(|t| t.run(scale).0);
     vec![
         tree_ablation(scale),
-        mode_ablation(scale),
+        modes,
         notify_ablation(scale),
-        width_ablation(scale),
+        widths,
         density_ablation(scale),
         jitter_ablation(scale),
-        queuing_alg_ablation(scale),
+        queuing,
     ]
 }
 
@@ -272,7 +267,7 @@ mod tests {
 
     #[test]
     fn arrow_beats_other_queuing_algorithms() {
-        let t = queuing_alg_ablation(Scale::Quick);
+        let (t, _) = TABLES[2].run(Scale::Quick);
         let delay = |name: &str| -> u64 {
             t.rows
                 .iter()
@@ -341,7 +336,7 @@ mod tests {
 
     #[test]
     fn width_table_covers_all_constructions() {
-        let t = width_ablation(Scale::Quick);
+        let (t, _) = TABLES[1].run(Scale::Quick);
         assert_eq!(t.rows.len(), 15, "3 constructions × 5 widths");
         for label in ["bitonic", "periodic", "toggle-tree"] {
             assert_eq!(t.rows.iter().filter(|r| r[0] == label).count(), 5);

@@ -4,9 +4,10 @@
 //!
 //! * [`scenario`] — named topologies with their paper-preferred spanning
 //!   trees, and request-set generators (the sets `R ⊆ V` of §2.2);
-//! * [`protocol`] — the [`protocol::ProtocolSpec`] registry: one uniform
-//!   handle per runnable protocol (name, kind, instantiation, output
-//!   verification), executed via [`protocol::run_spec`];
+//! * [`protocol`] — the [`protocol::ProtocolSpec`] registry: one enum
+//!   variant per runnable protocol, a plain `Copy` value whose methods give
+//!   its name, kind, instantiation and output verification, executed via
+//!   [`protocol::run_spec`];
 //! * [`plan`] — [`plan::RunPlan`] sweep builder: cross-products of
 //!   topologies × protocols × modes × patterns × repeats, executed
 //!   rayon-parallel into a JSON-serializable [`plan::RunSet`];

@@ -52,7 +52,7 @@ enum ModeSel {
 /// Builder for a sweep over scenarios and registry protocols.
 pub struct RunPlan {
     topologies: Vec<TopoSpec>,
-    protocols: Vec<Box<dyn ProtocolSpec>>,
+    protocols: Vec<ProtocolSpec>,
     modes: ModeSel,
     patterns: Vec<RequestPattern>,
     arrivals: Vec<ArrivalSpec>,
@@ -103,15 +103,15 @@ impl RunPlan {
 
     /// Append protocols to the plan. A plan whose protocol list is never
     /// touched sweeps the whole [`registry`].
-    pub fn protocols<'a>(mut self, specs: impl IntoIterator<Item = &'a dyn ProtocolSpec>) -> Self {
-        self.protocols.extend(specs.into_iter().map(|p| p.clone_spec()));
+    pub fn protocols<'a>(mut self, specs: impl IntoIterator<Item = &'a ProtocolSpec>) -> Self {
+        self.protocols.extend(specs);
         self
     }
 
     /// Append one protocol (accepts width-parameterized spec values, e.g.
     /// `&CountingNetwork { width: Some(8) }`).
-    pub fn protocol(mut self, spec: &dyn ProtocolSpec) -> Self {
-        self.protocols.push(spec.clone_spec());
+    pub fn protocol(mut self, spec: &ProtocolSpec) -> Self {
+        self.protocols.push(*spec);
         self
     }
 
@@ -271,7 +271,7 @@ impl RunPlan {
         self
     }
 
-    fn modes_for(&self, spec: &dyn ProtocolSpec) -> Vec<ModelMode> {
+    fn modes_for(&self, spec: &ProtocolSpec) -> Vec<ModelMode> {
         match &self.modes {
             ModeSel::Paper => vec![spec.kind().paper_mode()],
             ModeSel::Explicit(list) => list.clone(),
@@ -284,11 +284,11 @@ impl RunPlan {
 
     /// The protocol list the plan actually sweeps (registry default when
     /// none were added).
-    fn effective_protocols(&self) -> Vec<Box<dyn ProtocolSpec>> {
+    fn effective_protocols(&self) -> &[ProtocolSpec] {
         if self.protocols.is_empty() {
-            registry().iter().map(|p| p.clone_spec()).collect()
+            registry()
         } else {
-            self.protocols.iter().map(|p| p.clone_spec()).collect()
+            &self.protocols
         }
     }
 
@@ -313,13 +313,13 @@ impl RunPlan {
                                         let arr = arrival.reseed(salt);
                                         let prio = priority.reseed(salt);
                                         let mut group = Vec::new();
-                                        for proto in &protocols {
-                                            for mode in self.modes_for(proto.as_ref()) {
+                                        for proto in protocols {
+                                            for mode in self.modes_for(proto) {
                                                 for delay in &self.delays {
                                                     group.push(RunCase {
                                                         index,
                                                         topo: topo.clone(),
-                                                        protocol: proto.clone_spec(),
+                                                        protocol: *proto,
                                                         mode,
                                                         pattern: pat.clone(),
                                                         arrival: arr.clone(),
@@ -471,7 +471,7 @@ pub struct RunCase {
     /// Topology descriptor.
     pub topo: TopoSpec,
     /// The protocol to run.
-    pub protocol: Box<dyn ProtocolSpec>,
+    pub protocol: ProtocolSpec,
     /// Execution model.
     pub mode: ModelMode,
     /// Request pattern (already re-seeded for this repeat).
@@ -509,7 +509,7 @@ impl RunCase {
     /// Run this case on `scenario` (its work group's) and flatten the
     /// outcome; a failed run keeps every measured field at zero.
     fn run(&self, scenario: &Scenario) -> CaseResult {
-        let spec = self.protocol.as_ref();
+        let spec = &self.protocol;
         let run = run_spec_with(spec, scenario, self.mode, self.delay);
         let error = run.as_ref().err().map(|e| e.to_string());
         let out = run.ok();
@@ -775,14 +775,6 @@ impl RunSet {
         serde_json::to_string_pretty(self).expect("RunSet serialization is infallible")
     }
 
-    /// Cheapest verified case of `kind` on the named topology (repeat 0).
-    pub fn best(&self, topology: &str, kind: ProtocolKind) -> Option<&CaseResult> {
-        self.cases
-            .iter()
-            .filter(|c| c.ok && c.repeat == 0 && c.topology == topology && c.kind == kind)
-            .min_by_key(|c| c.total_delay)
-    }
-
     /// Human-readable per-case table (the CLI's default sweep output).
     pub fn case_table(&self) -> Table {
         Rows::Cases.draw(self, "sweep cases", CASE_COLUMNS)
@@ -853,7 +845,7 @@ mod tests {
     fn cross_product_shape() {
         let plan = RunPlan::new()
             .topologies([TopoSpec::Mesh2D { side: 3 }, TopoSpec::List { n: 8 }])
-            .protocols(registry().iter().copied())
+            .protocols(registry())
             .modes([ModelMode::Strict, ModelMode::Expanded])
             .repeats(2);
         // 2 topologies × 1 pattern × 2 repeats × 10 protocols × 2 modes.
@@ -897,10 +889,8 @@ mod tests {
         assert_eq!(s.topology, "mesh2d(4x4)");
         assert!(s.queuing_wins.unwrap(), "queuing must win on the mesh");
         assert!(s.gap.unwrap() > 1.0);
-        assert_eq!(
-            s.best_queuing_delay,
-            Some(set.best("mesh2d(4x4)", ProtocolKind::Queuing).unwrap().total_delay)
-        );
+        let queuing = set.cases.iter().filter(|c| c.ok && c.kind == ProtocolKind::Queuing);
+        assert_eq!(s.best_queuing_delay, queuing.map(|c| c.total_delay).min());
     }
 
     #[test]
@@ -1172,7 +1162,7 @@ mod tests {
         for (case, ran) in cases.iter().zip(&set.cases) {
             assert_eq!(ran.case, case.index);
             let scenario = case.scenario();
-            let alone = run_spec_with(case.protocol.as_ref(), &scenario, case.mode, case.delay)
+            let alone = run_spec_with(&case.protocol, &scenario, case.mode, case.delay)
                 .unwrap_or_else(|e| panic!("case {}: {e}", case.index));
             let m = DelayReport::from_sim_with_order(&alone.alg, &alone.report, &alone.order);
             assert_eq!(

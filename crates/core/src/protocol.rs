@@ -1,25 +1,28 @@
-//! The protocol registry: one uniform handle per runnable protocol.
+//! The protocol registry: one value per runnable protocol.
 //!
-//! A [`ProtocolSpec`] knows its display name, its [`ProtocolKind`] (which
-//! also fixes the output contract — total order for queuing, rank set for
-//! counting), which of a [`Scenario`]'s spanning trees it runs on, how to
-//! instantiate itself on the simulator and how to verify its output. The
-//! global [`registry`] enumerates every protocol, so experiment drivers,
-//! sweeps ([`crate::plan::RunPlan`]) and the `ccq` CLI iterate instead of
-//! enum-matching; [`run_spec`] is the single execution path.
+//! A [`ProtocolSpec`] is one variant of a closed enum — the protocols the
+//! paper compares, plus the relaxed CRDT baseline — and knows its display
+//! name, its [`ProtocolKind`] (which also fixes the output contract — total
+//! order for queuing, rank set for counting), which of a [`Scenario`]'s
+//! spanning trees it runs on, how to instantiate itself on the simulator
+//! and how to verify its output. The global [`registry`] enumerates every
+//! protocol, so experiment drivers, sweeps ([`crate::plan::RunPlan`]) and
+//! the `ccq` CLI iterate over values; [`run_spec`] is the single execution
+//! path.
 //!
 //! ```
 //! use ccq_core::prelude::*;
 //!
 //! let s = Scenario::build(TopoSpec::Mesh2D { side: 3 }, RequestPattern::All);
 //! for spec in registry() {
-//!     let out = run_spec(*spec, &s, ModelMode::Strict).unwrap();
+//!     let out = run_spec(spec, &s, ModelMode::Strict).unwrap();
 //!     assert_eq!(out.order.len(), s.k(), "{}", spec.name());
 //! }
 //! ```
 
 use crate::run::{config_for, ModelMode, RunError, RunOutcome};
 use crate::scenario::Scenario;
+use ccq_counting::network::{bitonic, periodic, toggle_tree};
 use ccq_counting::{
     verify_ranks, verify_relaxed_ranks, CentralCounterProtocol, CombiningTreeProtocol,
     CountingNetworkProtocol, CrdtCounterProtocol,
@@ -122,33 +125,118 @@ pub fn default_width(n: usize) -> usize {
 }
 
 /// An explicit width, or the [`default_width`] rule on `n` processors — the
-/// one copy of that choice, read by both `effective_width` and `execute` of
-/// every width-parameterized spec.
+/// one copy of that choice, read by both `effective_width` and `execute`.
 fn width_or_default(width: Option<usize>, n: usize) -> usize {
     width.unwrap_or_else(|| default_width(n))
 }
 
 /// A runnable protocol: name, kind, instantiation and verification.
 ///
-/// Implementations are cheap value types; the width-parameterized ones
-/// ([`CountingNetwork`], [`PeriodicNetwork`], [`ToggleTree`]) can be
-/// constructed with an explicit width, while the [`registry`] entries use
-/// the [`default_width`] rule.
-pub trait ProtocolSpec: CloneSpec + Send + Sync {
-    /// Display name (stable; used for registry lookup and reporting).
-    fn name(&self) -> &'static str;
+/// A plain value. The width-parameterized variants ([`CountingNetwork`],
+/// [`PeriodicNetwork`], [`ToggleTree`]) take an explicit width, or `None`
+/// for the [`default_width`] rule the [`registry`] entries use. No method
+/// matches with a wildcard, so a new variant fails to compile until every
+/// one names it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum ProtocolSpec {
+    /// The arrow protocol (path reversal on the queuing tree).
+    Arrow,
+    /// Arrow with the predecessor identity routed back to the origin.
+    ArrowNotify,
+    /// Centralized home-node queue (baseline).
+    CentralQueue,
+    /// Combining-tree queue (tree-aggregation baseline).
+    CombiningQueue,
+    /// Centralized counter at the counting tree's root.
+    CentralCounter,
+    /// Software combining tree on the counting tree.
+    CombiningTree,
+    /// Bitonic counting network.
+    CountingNetwork {
+        /// Explicit network width (power of two), or `None` for the rule.
+        width: Option<usize>,
+    },
+    /// Periodic counting network.
+    PeriodicNetwork {
+        /// Explicit network width (power of two), or `None` for the rule.
+        width: Option<usize>,
+    },
+    /// Toggle-tree counter.
+    ToggleTree {
+        /// Explicit leaf count (power of two), or `None` for the rule.
+        leaves: Option<usize>,
+    },
+    /// Coordination-free CRDT counter on the counting tree (relaxed ranks).
+    CrdtCounter,
+}
 
-    /// Queuing or counting.
-    fn kind(&self) -> ProtocolKind;
+pub use ProtocolSpec::*;
+
+/// `case.protocol.as_ref()` in `benchmark/src/trace.rs`, written when a
+/// case held a boxed spec, resolves here (ROADMAP item 2 deletes it).
+impl AsRef<ProtocolSpec> for ProtocolSpec {
+    fn as_ref(&self) -> &ProtocolSpec {
+        self
+    }
+}
+
+impl ProtocolSpec {
+    /// Display name (stable; used for registry lookup and reporting).
+    pub fn name(&self) -> &'static str {
+        match self {
+            Arrow => "arrow",
+            ArrowNotify => "arrow+notify",
+            CentralQueue => "central-queue",
+            CombiningQueue => "combining-queue",
+            CentralCounter => "central-counter",
+            CombiningTree => "combining-tree",
+            CountingNetwork { .. } => "counting-network",
+            PeriodicNetwork { .. } => "periodic-network",
+            ToggleTree { .. } => "toggle-tree",
+            CrdtCounter => "crdt-counter",
+        }
+    }
+
+    /// Queuing, counting or relaxed.
+    pub fn kind(&self) -> ProtocolKind {
+        match self {
+            Arrow | ArrowNotify | CentralQueue | CombiningQueue => ProtocolKind::Queuing,
+            CentralCounter
+            | CombiningTree
+            | CountingNetwork { .. }
+            | PeriodicNetwork { .. }
+            | ToggleTree { .. } => ProtocolKind::Counting,
+            CrdtCounter => ProtocolKind::Relaxed,
+        }
+    }
 
     /// The width/leaves this spec resolves to on an `n`-processor scenario
     /// (`None` for protocols without a width parameter).
-    fn effective_width(&self, _n: usize) -> Option<usize> {
-        None
+    pub fn effective_width(&self, n: usize) -> Option<usize> {
+        let width = match *self {
+            CountingNetwork { width } | PeriodicNetwork { width } => width,
+            ToggleTree { leaves } => leaves,
+            Arrow | ArrowNotify | CentralQueue | CombiningQueue | CentralCounter
+            | CombiningTree | CrdtCounter => return None,
+        };
+        Some(width_or_default(width, n))
+    }
+
+    /// This network at the explicit width `w`; `None` for protocols
+    /// without a width parameter.
+    pub fn with_width(&self, w: usize) -> Option<Self> {
+        let width = Some(w);
+        match self {
+            CountingNetwork { .. } => Some(CountingNetwork { width }),
+            PeriodicNetwork { .. } => Some(PeriodicNetwork { width }),
+            ToggleTree { .. } => Some(ToggleTree { leaves: width }),
+            Arrow | ArrowNotify | CentralQueue | CombiningQueue | CentralCounter
+            | CombiningTree | CrdtCounter => None,
+        }
     }
 
     /// The spanning tree this protocol runs on.
-    fn tree<'a>(&self, scenario: &'a Scenario) -> &'a Tree {
+    pub fn tree<'a>(&self, scenario: &'a Scenario) -> &'a Tree {
         match self.kind() {
             ProtocolKind::Queuing => &scenario.queuing_tree,
             ProtocolKind::Counting | ProtocolKind::Relaxed => &scenario.counting_tree,
@@ -156,7 +244,23 @@ pub trait ProtocolSpec: CloneSpec + Send + Sync {
     }
 
     /// Instantiate on `scenario` and run to quiescence under `cfg`.
-    fn execute(&self, scenario: &Scenario, cfg: SimConfig) -> Result<SimReport, SimError>;
+    pub fn execute(&self, s: &Scenario, cfg: SimConfig) -> Result<SimReport, SimError> {
+        let (q, c, r) = (&s.queuing_tree, &s.counting_tree, &s.requests);
+        let network = |net| CountingNetworkProtocol::with_network(&s.graph, c, r, net);
+        let w = |width| width_or_default(width, s.n());
+        match *self {
+            Arrow => dispatch(s, cfg, ArrowProtocol::new(q, s.tail, r)),
+            ArrowNotify => dispatch(s, cfg, ArrowProtocol::new(q, s.tail, r).with_notify_origin()),
+            CentralQueue => dispatch(s, cfg, CentralQueueProtocol::new(q, s.tail, r)),
+            CombiningQueue => dispatch(s, cfg, CombiningQueueProtocol::new(q, r)),
+            CentralCounter => dispatch(s, cfg, CentralCounterProtocol::new(c, c.root(), r)),
+            CombiningTree => dispatch(s, cfg, CombiningTreeProtocol::new(c, r)),
+            CountingNetwork { width } => dispatch(s, cfg, network(bitonic(w(width)))),
+            PeriodicNetwork { width } => dispatch(s, cfg, network(periodic(w(width)))),
+            ToggleTree { leaves } => dispatch(s, cfg, network(toggle_tree(w(leaves)))),
+            CrdtCounter => dispatch(s, cfg, CrdtCounterProtocol::new(c, r)),
+        }
+    }
 
     /// Verify the report's completions against this protocol's output
     /// contract; returns the requesters in queue/rank order. Arrivals the
@@ -164,7 +268,7 @@ pub trait ProtocolSpec: CloneSpec + Send + Sync {
     /// checked over the *retained* request set (requests minus drops): a
     /// backpressured run must still form one valid total order / rank set
     /// over everything it actually admitted.
-    fn verify(&self, scenario: &Scenario, report: &SimReport) -> Result<Vec<NodeId>, RunError> {
+    pub fn verify(&self, scenario: &Scenario, report: &SimReport) -> Result<Vec<NodeId>, RunError> {
         let pairs: Vec<(NodeId, u64)> =
             report.completions.iter().map(|c| (c.node, c.value)).collect();
         let retained: Vec<NodeId> = if report.dropped.is_empty() {
@@ -201,24 +305,10 @@ pub trait ProtocolSpec: CloneSpec + Send + Sync {
     }
 }
 
-/// `clone_spec` for every [`ProtocolSpec`] that is `Clone` — written once
-/// here as a supertrait, since `Clone` itself would make the registry's
-/// `dyn ProtocolSpec` impossible.
-pub trait CloneSpec {
-    /// Owned copy (specs are cheap value types).
-    fn clone_spec(&self) -> Box<dyn ProtocolSpec>;
-}
-
-impl<T: ProtocolSpec + Clone + 'static> CloneSpec for T {
-    fn clone_spec(&self) -> Box<dyn ProtocolSpec> {
-        Box::new(self.clone())
-    }
-}
-
 /// Run `spec` on `scenario` under `mode` and verify its output — the single
 /// execution path behind every driver, sweep and CLI command.
 pub fn run_spec(
-    spec: &dyn ProtocolSpec,
+    spec: &ProtocolSpec,
     scenario: &Scenario,
     mode: ModelMode,
 ) -> Result<RunOutcome, RunError> {
@@ -228,7 +318,7 @@ pub fn run_spec(
 /// [`run_spec`] with an explicit per-link delay policy (the open-system
 /// sweep dimension; `LinkDelay::Unit` reproduces the paper's wires).
 pub fn run_spec_with(
-    spec: &dyn ProtocolSpec,
+    spec: &ProtocolSpec,
     scenario: &Scenario,
     mode: ModelMode,
     delay: LinkDelay,
@@ -245,7 +335,7 @@ pub fn run_spec_with(
 /// equivalence suites select an engine reference path that no plan,
 /// scenario or CLI flag names.
 pub fn run_spec_cfg(
-    spec: &dyn ProtocolSpec,
+    spec: &ProtocolSpec,
     scenario: &Scenario,
     cfg: SimConfig,
 ) -> Result<RunOutcome, RunError> {
@@ -254,230 +344,33 @@ pub fn run_spec_cfg(
     Ok(RunOutcome { alg: spec.name().to_string(), report, order })
 }
 
-/// The arrow protocol (path reversal on the queuing tree).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct Arrow;
-
-/// Arrow with the predecessor identity routed back to the origin.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ArrowNotify;
-
-/// Centralized home-node queue (baseline).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct CentralQueue;
-
-/// Combining-tree queue (tree-aggregation baseline).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct CombiningQueue;
-
-/// Centralized counter at the counting tree's root.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct CentralCounter;
-
-/// Software combining tree on the counting tree.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct CombiningTree;
-
-/// Bitonic counting network; `width` of `None` uses [`default_width`].
-#[derive(Clone, Copy, Debug, Default)]
-pub struct CountingNetwork {
-    /// Explicit network width (power of two), or `None` for the rule.
-    pub width: Option<usize>,
-}
-
-/// Periodic counting network; `width` of `None` uses [`default_width`].
-#[derive(Clone, Copy, Debug, Default)]
-pub struct PeriodicNetwork {
-    /// Explicit network width (power of two), or `None` for the rule.
-    pub width: Option<usize>,
-}
-
-/// Toggle-tree counter; `leaves` of `None` uses [`default_width`].
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ToggleTree {
-    /// Explicit leaf count (power of two), or `None` for the rule.
-    pub leaves: Option<usize>,
-}
-
-/// Coordination-free CRDT counter on the counting tree (relaxed ranks).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct CrdtCounter;
-
-impl ProtocolSpec for Arrow {
-    fn name(&self) -> &'static str {
-        "arrow"
-    }
-    fn kind(&self) -> ProtocolKind {
-        ProtocolKind::Queuing
-    }
-    fn execute(&self, s: &Scenario, cfg: SimConfig) -> Result<SimReport, SimError> {
-        dispatch(s, cfg, ArrowProtocol::new(&s.queuing_tree, s.tail, &s.requests))
-    }
-}
-
-impl ProtocolSpec for ArrowNotify {
-    fn name(&self) -> &'static str {
-        "arrow+notify"
-    }
-    fn kind(&self) -> ProtocolKind {
-        ProtocolKind::Queuing
-    }
-    fn execute(&self, s: &Scenario, cfg: SimConfig) -> Result<SimReport, SimError> {
-        dispatch(
-            s,
-            cfg,
-            ArrowProtocol::new(&s.queuing_tree, s.tail, &s.requests).with_notify_origin(),
-        )
-    }
-}
-
-impl ProtocolSpec for CentralQueue {
-    fn name(&self) -> &'static str {
-        "central-queue"
-    }
-    fn kind(&self) -> ProtocolKind {
-        ProtocolKind::Queuing
-    }
-    fn execute(&self, s: &Scenario, cfg: SimConfig) -> Result<SimReport, SimError> {
-        dispatch(s, cfg, CentralQueueProtocol::new(&s.queuing_tree, s.tail, &s.requests))
-    }
-}
-
-impl ProtocolSpec for CombiningQueue {
-    fn name(&self) -> &'static str {
-        "combining-queue"
-    }
-    fn kind(&self) -> ProtocolKind {
-        ProtocolKind::Queuing
-    }
-    fn execute(&self, s: &Scenario, cfg: SimConfig) -> Result<SimReport, SimError> {
-        dispatch(s, cfg, CombiningQueueProtocol::new(&s.queuing_tree, &s.requests))
-    }
-}
-
-impl ProtocolSpec for CentralCounter {
-    fn name(&self) -> &'static str {
-        "central-counter"
-    }
-    fn kind(&self) -> ProtocolKind {
-        ProtocolKind::Counting
-    }
-    fn execute(&self, s: &Scenario, cfg: SimConfig) -> Result<SimReport, SimError> {
-        let tree = &s.counting_tree;
-        dispatch(s, cfg, CentralCounterProtocol::new(tree, tree.root(), &s.requests))
-    }
-}
-
-impl ProtocolSpec for CombiningTree {
-    fn name(&self) -> &'static str {
-        "combining-tree"
-    }
-    fn kind(&self) -> ProtocolKind {
-        ProtocolKind::Counting
-    }
-    fn execute(&self, s: &Scenario, cfg: SimConfig) -> Result<SimReport, SimError> {
-        dispatch(s, cfg, CombiningTreeProtocol::new(&s.counting_tree, &s.requests))
-    }
-}
-
-impl ProtocolSpec for CountingNetwork {
-    fn name(&self) -> &'static str {
-        "counting-network"
-    }
-    fn kind(&self) -> ProtocolKind {
-        ProtocolKind::Counting
-    }
-    fn effective_width(&self, n: usize) -> Option<usize> {
-        Some(width_or_default(self.width, n))
-    }
-    fn execute(&self, s: &Scenario, cfg: SimConfig) -> Result<SimReport, SimError> {
-        let w = width_or_default(self.width, s.n());
-        dispatch(s, cfg, CountingNetworkProtocol::new(&s.graph, &s.counting_tree, &s.requests, w))
-    }
-}
-
-impl ProtocolSpec for PeriodicNetwork {
-    fn name(&self) -> &'static str {
-        "periodic-network"
-    }
-    fn kind(&self) -> ProtocolKind {
-        ProtocolKind::Counting
-    }
-    fn effective_width(&self, n: usize) -> Option<usize> {
-        Some(width_or_default(self.width, n))
-    }
-    fn execute(&self, s: &Scenario, cfg: SimConfig) -> Result<SimReport, SimError> {
-        let w = width_or_default(self.width, s.n());
-        let net = ccq_counting::network::periodic(w);
-        dispatch(
-            s,
-            cfg,
-            CountingNetworkProtocol::with_network(&s.graph, &s.counting_tree, &s.requests, net),
-        )
-    }
-}
-
-impl ProtocolSpec for ToggleTree {
-    fn name(&self) -> &'static str {
-        "toggle-tree"
-    }
-    fn kind(&self) -> ProtocolKind {
-        ProtocolKind::Counting
-    }
-    fn effective_width(&self, n: usize) -> Option<usize> {
-        Some(width_or_default(self.leaves, n))
-    }
-    fn execute(&self, s: &Scenario, cfg: SimConfig) -> Result<SimReport, SimError> {
-        let w = width_or_default(self.leaves, s.n());
-        let net = ccq_counting::network::toggle_tree(w);
-        dispatch(
-            s,
-            cfg,
-            CountingNetworkProtocol::with_network(&s.graph, &s.counting_tree, &s.requests, net),
-        )
-    }
-}
-
-impl ProtocolSpec for CrdtCounter {
-    fn name(&self) -> &'static str {
-        "crdt-counter"
-    }
-    fn kind(&self) -> ProtocolKind {
-        ProtocolKind::Relaxed
-    }
-    fn execute(&self, s: &Scenario, cfg: SimConfig) -> Result<SimReport, SimError> {
-        dispatch(s, cfg, CrdtCounterProtocol::new(&s.counting_tree, &s.requests))
-    }
-}
-
 /// Every protocol, queuing first, in presentation order. Width-parameterized
 /// entries use the [`default_width`] rule.
-pub fn registry() -> &'static [&'static dyn ProtocolSpec] {
-    static REGISTRY: [&dyn ProtocolSpec; 10] = [
-        &Arrow,
-        &ArrowNotify,
-        &CentralQueue,
-        &CombiningQueue,
-        &CentralCounter,
-        &CombiningTree,
-        &CountingNetwork { width: None },
-        &PeriodicNetwork { width: None },
-        &ToggleTree { leaves: None },
-        &CrdtCounter,
-    ];
-    &REGISTRY
+pub fn registry() -> &'static [ProtocolSpec] {
+    &[
+        Arrow,
+        ArrowNotify,
+        CentralQueue,
+        CombiningQueue,
+        CentralCounter,
+        CombiningTree,
+        CountingNetwork { width: None },
+        PeriodicNetwork { width: None },
+        ToggleTree { leaves: None },
+        CrdtCounter,
+    ]
 }
 
 /// Registry entries of one kind, in registry order.
-pub fn registry_of(kind: ProtocolKind) -> impl Iterator<Item = &'static dyn ProtocolSpec> {
-    registry().iter().copied().filter(move |p| p.kind() == kind)
+pub fn registry_of(kind: ProtocolKind) -> impl Iterator<Item = &'static ProtocolSpec> {
+    registry().iter().filter(move |p| p.kind() == kind)
 }
 
 /// Look up a registry entry by display name (`"arrow-notify"` is accepted
 /// as a CLI-friendly alias of `"arrow+notify"`).
-pub fn find(name: &str) -> Option<&'static dyn ProtocolSpec> {
+pub fn find(name: &str) -> Option<&'static ProtocolSpec> {
     let canonical = if name == "arrow-notify" { "arrow+notify" } else { name };
-    registry().iter().copied().find(|p| p.name() == canonical)
+    registry().iter().find(|p| p.name() == canonical)
 }
 
 #[cfg(test)]
@@ -515,7 +408,7 @@ mod tests {
     fn every_entry_runs_and_verifies_on_the_mesh() {
         let s = Scenario::build(TopoSpec::Mesh2D { side: 3 }, RequestPattern::All);
         for spec in registry() {
-            let out = run_spec(*spec, &s, ModelMode::Strict).unwrap();
+            let out = run_spec(spec, &s, ModelMode::Strict).unwrap();
             assert_eq!(out.order.len(), s.k(), "{}", spec.name());
             assert_eq!(out.alg, spec.name());
         }
@@ -538,7 +431,7 @@ mod tests {
     fn explicit_width_flows_into_execution() {
         let s = Scenario::build(TopoSpec::Complete { n: 12 }, RequestPattern::All);
         for spec in [
-            &CountingNetwork { width: Some(4) } as &dyn ProtocolSpec,
+            &CountingNetwork { width: Some(4) },
             &PeriodicNetwork { width: Some(4) },
             &ToggleTree { leaves: Some(4) },
         ] {
@@ -604,10 +497,25 @@ mod tests {
 
     #[test]
     fn clone_spec_preserves_identity() {
+        // A spec is a plain value: every way of naming one hands back the
+        // same value, and only the three networks take a width.
+        let list = TopoSpec::List { n: 4 };
         for spec in registry() {
-            let cloned = spec.clone_spec();
-            assert_eq!(cloned.name(), spec.name());
-            assert_eq!(cloned.kind(), spec.kind());
+            let cases =
+                crate::plan::RunPlan::new().topologies([list.clone()]).protocol(spec).cases();
+            assert_eq!(cases.iter().map(|c| c.protocol).collect::<Vec<_>>(), [*spec]);
+            assert_eq!(find(spec.name()), Some(spec));
+            assert_eq!(crate::spec::proto(spec.name()), Ok(vec![*spec]));
+            match spec.with_width(8) {
+                Some(wide) => {
+                    assert_eq!(wide.name(), spec.name());
+                    assert_eq!(wide.effective_width(64), Some(8));
+                }
+                None => assert_eq!(spec.effective_width(64), None, "{}", spec.name()),
+            }
         }
+        let widths = registry().iter().filter(|p| p.with_width(8).is_some());
+        let names: Vec<&str> = widths.map(|p| p.name()).collect();
+        assert_eq!(names, ["counting-network", "periodic-network", "toggle-tree"]);
     }
 }

@@ -84,7 +84,6 @@ pub fn run_best_counting(scenario: &Scenario, mode: ModelMode) -> Result<RunOutc
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::ProtocolSpec;
     use crate::scenario::{RequestPattern, TopoSpec};
 
     fn mesh_scenario() -> Scenario {
@@ -102,9 +101,7 @@ mod tests {
     #[test]
     fn all_queuing_algs_agree_on_validity() {
         let s = mesh_scenario();
-        for spec in
-            [&protocol::Arrow as &dyn ProtocolSpec, &protocol::ArrowNotify, &protocol::CentralQueue]
-        {
+        for spec in [&protocol::Arrow, &protocol::ArrowNotify, &protocol::CentralQueue] {
             let out = run_spec(spec, &s, ModelMode::Strict).unwrap();
             assert_eq!(out.order.len(), 16, "{}", spec.name());
         }
@@ -114,7 +111,7 @@ mod tests {
     fn all_counting_algs_verify() {
         let s = mesh_scenario();
         for spec in [
-            &protocol::CentralCounter as &dyn ProtocolSpec,
+            &protocol::CentralCounter,
             &protocol::CombiningTree,
             &protocol::CountingNetwork { width: Some(4) },
         ] {
@@ -127,7 +124,7 @@ mod tests {
     fn best_counting_picks_minimum() {
         let s = mesh_scenario();
         let best = run_best_counting(&s, ModelMode::Strict).unwrap();
-        for spec in [&protocol::CentralCounter as &dyn ProtocolSpec, &protocol::CombiningTree] {
+        for spec in [&protocol::CentralCounter, &protocol::CombiningTree] {
             let out = run_spec(spec, &s, ModelMode::Strict).unwrap();
             assert!(best.report.total_delay() <= out.report.total_delay());
         }

@@ -15,14 +15,14 @@
 //! ```
 //! use ccq_core::spec;
 //!
-//! let argv = ["--topo", "list:8", "--proto", "arrow", "--arrival", "poisson:rate=0.5"];
+//! let argv = ["--topo", "list:8", "--proto", "relaxed", "--arrival", "poisson:rate=0.5"];
 //! let sweep = spec::sweep(&argv).unwrap();
 //! assert_eq!(sweep.plan.cases().len(), 1);
 //! assert!(spec::arrival("poisson").unwrap_err().contains("missing required field `rate`"));
 //! ```
 
 use crate::plan::RunPlan;
-use crate::protocol::{self, registry, registry_of, ProtocolKind, ProtocolSpec};
+use crate::protocol::{self, registry, registry_of, ProtocolKind, ProtocolSpec, ProtocolSpec::*};
 use crate::run::ModelMode;
 use crate::scenario::{
     AdmissionSpec, ArrivalSpec, FaultSpec, PrioritySpec, RequestPattern, ShardSpec, ShardStrategy,
@@ -80,7 +80,7 @@ static PROTO: Family = Family {
     note: "no --proto means every registry protocol",
     forms: &[
         ("name", "a registry protocol, as `ccq list` names it"),
-        (PROTO_WIDTH, "counting-network, periodic-network or toggle-tree at a power-of-two width"),
+        (PROTO_WIDTH, "{networks} at a power-of-two width"),
         ("all", "every registry protocol"),
         ("queuing", "the queuing protocols"),
         ("counting", "the exact counting protocols"),
@@ -263,10 +263,11 @@ fn qqc_fields(sep: &str) -> String {
 /// The grammar as `ccq list` and `ccq --help` print it: every family's
 /// forms, then the scalar flags.
 pub fn grammar() -> String {
-    let mut out = String::new();
+    let (mut out, networks) = (String::new(), networks());
     for family in GRAMMAR {
         out += &format!("\n{} (ccq sweep {}) — {}\n", family.title, family.flag, family.note);
         for (syntax, note) in family.forms {
+            let note = note.replace("{networks}", &networks);
             out += &format!("  {syntax:<38} {note}\n");
         }
     }
@@ -279,6 +280,15 @@ pub fn grammar() -> String {
         out += &format!("  {syntax:<38} {note}\n");
     }
     out
+}
+
+/// The registry protocols that take a width, as help lists them:
+/// `a, b or c`.
+fn networks() -> String {
+    let networks = registry().iter().filter(|p| p.with_width(2).is_some());
+    let names: Vec<&str> = networks.map(|p| p.name()).collect();
+    let (last, rest) = names.split_last().expect("the registry has a network");
+    format!("{} or {last}", rest.join(", "))
 }
 
 /// The word a syntax leads with: the head that selects its form.
@@ -535,56 +545,49 @@ fn approx_size(spec: &TopoSpec) -> usize {
 
 /// Parse one `--proto` token: a registry name, `name:width`, or a group
 /// (`all`, or a [`ProtocolKind::label`]) standing for several protocols.
-pub fn proto(token: &str) -> Result<Vec<Box<dyn ProtocolSpec>>, String> {
+pub fn proto(token: &str) -> Result<Vec<ProtocolSpec>, String> {
     if token == "all" {
-        return Ok(registry().iter().map(|p| p.clone_spec()).collect());
+        return Ok(registry().to_vec());
     }
     let kinds = [ProtocolKind::Queuing, ProtocolKind::Counting, ProtocolKind::Relaxed];
     if let Some(kind) = kinds.into_iter().find(|k| k.label() == token) {
-        return Ok(registry_of(kind).map(|p| p.clone_spec()).collect());
+        return Ok(registry_of(kind).copied().collect());
     }
-    let Some((name, w)) = token.split_once(':') else {
-        return match protocol::find(token) {
-            Some(spec) => Ok(vec![spec.clone_spec()]),
-            None => {
-                let known: Vec<&str> = registry().iter().map(|p| p.name()).collect();
-                Err(format!("unknown protocol `{token}` (known: {})", known.join(", ")))
-            }
-        };
+    let (name, w) = token.split_once(':').map_or((token, None), |(name, w)| (name, Some(w)));
+    let Some(spec) = protocol::find(name) else {
+        let known: Vec<&str> = registry().iter().map(|p| p.name()).collect();
+        return Err(format!("unknown protocol `{name}` (known: {})", known.join(", ")));
+    };
+    let Some(w) = w else {
+        return Ok(vec![*spec]);
     };
     let w: usize = w.parse().map_err(|_| format!("bad width in `{token}` (want {PROTO_WIDTH})"))?;
-    let checked = || {
-        if w.is_power_of_two() && (2..=MAX_CLI_WIDTH).contains(&w) {
-            Ok(Some(w))
-        } else {
-            Err(format!(
-                "width must be a power of two in 2..={MAX_CLI_WIDTH}, got {w} in `{token}`"
-            ))
-        }
-    };
-    let spec: Box<dyn ProtocolSpec> = match name {
-        "counting-network" => Box::new(protocol::CountingNetwork { width: checked()? }),
-        "periodic-network" => Box::new(protocol::PeriodicNetwork { width: checked()? }),
-        "toggle-tree" => Box::new(protocol::ToggleTree { leaves: checked()? }),
-        other => return Err(format!("protocol `{other}` does not take a width")),
-    };
+    let spec =
+        spec.with_width(w).ok_or_else(|| format!("protocol `{name}` does not take a width"))?;
+    if !(w.is_power_of_two() && (2..=MAX_CLI_WIDTH).contains(&w)) {
+        return Err(format!(
+            "width must be a power of two in 2..={MAX_CLI_WIDTH}, got {w} in `{token}`"
+        ));
+    }
     Ok(vec![spec])
 }
 
 /// Refuse a network whose next-hop tables on `topo` would pass
 /// [`MAX_CLI_TABLE_WORDS`]: at most `balancers + w` hosts, each an
 /// `n`-word table, at the explicit or the default width `w`.
-fn check_tables(topo: &TopoSpec, spec: &dyn ProtocolSpec) -> Result<(), String> {
+fn check_tables(topo: &TopoSpec, spec: &ProtocolSpec) -> Result<(), String> {
     let n = approx_size(topo);
     let Some(w) = spec.effective_width(n) else {
         return Ok(());
     };
     let lg = w.trailing_zeros() as usize;
-    let balancers = match spec.name() {
-        "counting-network" => w * lg * (lg + 1) / 4,
-        "periodic-network" => w * lg * lg / 2,
-        // The toggle tree: one toggle per internal node.
-        _ => w - 1,
+    let balancers = match spec {
+        CountingNetwork { .. } => w * lg * (lg + 1) / 4,
+        PeriodicNetwork { .. } => w * lg * lg / 2,
+        // One toggle per internal node.
+        ToggleTree { .. } => w - 1,
+        Arrow | ArrowNotify | CentralQueue | CombiningQueue | CentralCounter | CombiningTree
+        | CrdtCounter => return Ok(()),
     };
     let words = (balancers + w).min(n).saturating_mul(n);
     if words > MAX_CLI_TABLE_WORDS {
@@ -943,20 +946,14 @@ pub fn sweep<S: AsRef<str>>(args: &[S]) -> Result<Sweep, String> {
         // sweeps exercise at least two topologies out of the box.
         topos = vec![TopoSpec::Mesh2D { side: 8 }, TopoSpec::Torus2D { side: 4 }];
     }
-    let specs: Vec<&dyn ProtocolSpec> = if protos.is_empty() {
-        registry().to_vec()
-    } else {
-        protos.iter().flatten().map(|p| p.as_ref()).collect()
-    };
+    let protos: Vec<ProtocolSpec> = protos.into_iter().flatten().collect();
+    let specs = if protos.is_empty() { registry() } else { &protos };
     for topo in &topos {
-        for &spec in &specs {
+        for spec in specs {
             check_tables(topo, spec)?;
         }
     }
-    plan = plan
-        .topologies(topos)
-        .protocols(protos.iter().flatten().map(|p| p.as_ref()))
-        .faults([faults]);
+    plan = plan.topologies(topos).protocols(&protos).faults([faults]);
     plan = set(plan, patterns, RunPlan::patterns);
     plan = set(plan, arrivals, RunPlan::arrivals);
     plan = set(plan, delays, RunPlan::delays);
@@ -1059,6 +1056,13 @@ mod tests {
                 &["--proto", "counting-network:65536"],
                 &["power of two in 2..=4096", "`counting-network:65536`"],
             ),
+            // The name is looked up first: a misspelled network is unknown,
+            // whatever its width, and a known one is checked for taking one.
+            (&["--proto", "couting-network:8"], &["unknown protocol `couting-network` (known: "]),
+            (&["--proto", "nope:x"], &["unknown protocol `nope` (known: "]),
+            (&["--proto", "arrow:8"], &["protocol `arrow` does not take a width"]),
+            (&["--proto", "counting-network:x"], &["bad width in `counting-network:x`"]),
+            (&["--proto", "counting-network:3"], &["power of two in 2..=4096, got 3"]),
             (&["--pattern", "random:7"], &["field `density` must be in (0, 1]", "`random:7`"]),
             (&["--pattern", "random:-1"], &["field `density` must be in (0, 1]", "`random:-1`"]),
             (&["--pattern", "random:nan"], &["field `density` must be in (0, 1]", "`random:nan`"]),

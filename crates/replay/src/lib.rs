@@ -215,7 +215,7 @@ impl Snapshot {
 /// `round`: it quiesced first, or the idle fast-forward jumped over it
 /// (the rounds a checkpointed run records are exactly the executed ones).
 pub fn snapshot_of(
-    spec: &dyn ProtocolSpec,
+    spec: &ProtocolSpec,
     scenario: Scenario,
     mode: ModelMode,
     delay: LinkDelay,
@@ -252,7 +252,7 @@ pub fn snapshot_of(
 /// [`ReplayError::Diverged`] instead of silently wrong output.
 pub fn resume_from(
     snapshot: &Snapshot,
-    spec: &dyn ProtocolSpec,
+    spec: &ProtocolSpec,
     scenario: Scenario,
     mode: ModelMode,
     delay: LinkDelay,

@@ -617,17 +617,10 @@ impl SimReport {
         d
     }
 
-    /// Round at which `node` issued its operation (0 when no issue event
-    /// was recorded — the one-shot convention).
-    pub fn issue_round(&self, node: NodeId) -> Round {
-        self.issues.iter().find(|i| i.node == node).map_or(0, |i| i.round)
-    }
-
     /// Issue round per node id, indexed up to the last issuer: the table
     /// every metric joining completions to issues reads, a node past its
-    /// end (or without an issue event) reading 0 as in
-    /// [`SimReport::issue_round`]. A node that issued twice reads its last
-    /// issue.
+    /// end (or without an issue event) reading 0 — the one-shot
+    /// convention. A node that issued twice reads its last issue.
     pub fn issue_rounds(&self) -> Vec<Round> {
         let len = self.issues.iter().map(|i| i.node + 1).max().unwrap_or(0);
         let mut at = vec![0; len];
@@ -1085,8 +1078,9 @@ mod tests {
         assert_eq!(rep.latencies(), vec![12, 4, 40]);
         assert_eq!(rep.latency_percentile(0.5), 12);
         assert_eq!(rep.latency_percentile(0.99), 40);
-        assert_eq!(rep.issue_round(1), 10);
-        assert_eq!(rep.issue_round(9), 0);
+        let issue = rep.issue_rounds();
+        assert_eq!(issued_at(&issue, 1), 10);
+        assert_eq!(issued_at(&issue, 9), 0);
         assert!((rep.throughput() - 3.0 / 31.0).abs() < 1e-12);
     }
 

@@ -48,7 +48,7 @@ fn main() {
     // One row per registry entry — no per-algorithm dispatch.
     for proto in registry() {
         let mode = proto.kind().paper_mode();
-        let out = run_spec(*proto, &s, mode).expect("registry protocol verifies");
+        let out = run_spec(proto, &s, mode).expect("registry protocol verifies");
         table.push_row(vec![
             proto.kind().label().into(),
             out.alg.clone(),

@@ -26,7 +26,7 @@ pub fn sweep_plan(args: &[&str]) -> RunPlan {
 /// run executes under. The one way a test selects the engine's reference
 /// path (`SimConfig::dense_scan`): no plan, scenario or CLI flag names it.
 pub fn run_on_reference(
-    spec: &dyn ProtocolSpec,
+    spec: &ProtocolSpec,
     scenario: &Scenario,
     mode: ModelMode,
     delay: LinkDelay,
@@ -64,8 +64,8 @@ pub fn open_arrivals(seed: u64) -> [ArrivalSpec; 3] {
 /// the standard full-matrix iteration.
 pub fn registry_matrix(
     topos: Vec<TopoSpec>,
-) -> impl Iterator<Item = (TopoSpec, &'static dyn ProtocolSpec)> {
-    topos.into_iter().flat_map(|t| registry().iter().map(move |&p| (t.clone(), p)))
+) -> impl Iterator<Item = (TopoSpec, &'static ProtocolSpec)> {
+    topos.into_iter().flat_map(|t| registry().iter().map(move |p| (t.clone(), p)))
 }
 
 /// Require a twin pair — a queue and a counter built on one mechanism (the

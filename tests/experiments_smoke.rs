@@ -5,7 +5,7 @@
 
 use ccq_repro::core::experiments::{
     registry, t11_openload, t12_sharded, t13_backpressure, t14_consistency, t15_heterogeneous,
-    t4_crossover, Scale, SweepTable,
+    t4_crossover, t9_ablation, Scale, SweepTable,
 };
 use ccq_repro::core::spec;
 use ccq_repro::core::table::fmt_util::tick;
@@ -51,8 +51,9 @@ fn experiment_ids_cover_design_doc_index() {
 }
 
 /// Every driver's sweep tables.
-const SWEEP_TABLES: [&[SweepTable]; 6] = [
+const SWEEP_TABLES: [&[SweepTable]; 7] = [
     &t4_crossover::TABLES,
+    &t9_ablation::TABLES,
     &t11_openload::TABLES,
     &t12_sharded::TABLES,
     &t13_backpressure::TABLES,

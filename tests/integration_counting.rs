@@ -19,7 +19,7 @@ fn all_specs() -> Vec<TopoSpec> {
     ]
 }
 
-fn all_algs() -> Vec<&'static dyn ProtocolSpec> {
+fn all_algs() -> Vec<&'static ProtocolSpec> {
     registry_of(ProtocolKind::Counting).collect()
 }
 
@@ -78,7 +78,7 @@ fn theorem_3_6_floor_holds_on_high_diameter_graphs() {
         let s = Scenario::build(spec.clone(), RequestPattern::All);
         let alpha = bfs::diameter_two_sweep(&s.graph, 0) as u64;
         let lb = counting_lb_diameter(alpha);
-        for alg in [&protocol::CentralCounter as &dyn ProtocolSpec, &protocol::CombiningTree] {
+        for alg in [&protocol::CentralCounter, &protocol::CombiningTree] {
             let out = run_spec(alg, &s, ModelMode::Strict).unwrap();
             assert!(
                 out.report.total_delay() >= lb,

@@ -287,7 +287,7 @@ impl ccq_repro::sim::Protocol for Burst {
 /// The four protocol shapes the admission invariants are checked on: a
 /// per-request queuing protocol, the single-wave queuing and counting
 /// combiners (the cancel/aging paths), and the per-request counter.
-fn admission_protocols() -> [&'static dyn ProtocolSpec; 4] {
+fn admission_protocols() -> [&'static ProtocolSpec; 4] {
     use ccq_repro::core::protocol;
     [
         &protocol::Arrow,
@@ -485,7 +485,7 @@ proptest! {
             }
             max_per_round
         };
-        for proto in [&protocol::Arrow as &dyn ProtocolSpec, &protocol::CentralCounter] {
+        for proto in [&protocol::Arrow, &protocol::CentralCounter] {
             let out = run_spec(proto, &s, ModelMode::Strict).expect("adaptive run");
             prop_assert!(
                 out.report.backlog_high_water <= target + burst,
@@ -512,7 +512,7 @@ proptest! {
         rate in 0.1f64..1.0,
     ) {
         use ccq_repro::core::protocol::registry;
-        let proto = registry()[proto_idx];
+        let proto = &registry()[proto_idx];
         let s = Scenario::build_with(
             TopoSpec::Mesh2D { side: 4 },
             RequestPattern::All,
@@ -569,7 +569,7 @@ proptest! {
         delay_idx in 0usize..3,
     ) {
         use ccq_repro::core::protocol::registry;
-        let proto = registry()[proto_idx];
+        let proto = &registry()[proto_idx];
         let arrival = match arrival_idx {
             0 => ArrivalSpec::OneShot,
             1 => ArrivalSpec::Poisson { rate, seed },

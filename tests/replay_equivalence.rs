@@ -75,7 +75,7 @@ proptest! {
         admission_kind in 0u8..3,
         seed in any::<u64>(),
     ) {
-        let spec = registry()[proto_idx];
+        let spec = &registry()[proto_idx];
         let delay = delay_for(delay_kind, seed);
         let mode = spec.kind().paper_mode();
         let mut shards = ShardSpec::new(k, strategy_for(strategy));
@@ -144,9 +144,9 @@ fn checkpoints_are_executor_independent_for_every_registry_protocol() {
                 .with_shards(ShardSpec::new(k, ShardStrategy::EdgeCut))
                 .with_probe(probe)
         };
-        let mono = run_spec_with(*spec, &build(1), mode, LinkDelay::Unit).unwrap();
+        let mono = run_spec_with(spec, &build(1), mode, LinkDelay::Unit).unwrap();
         assert!(!mono.report.checkpoints.is_empty(), "{}", spec.name());
-        let sharded = run_spec_with(*spec, &build(3), mode, LinkDelay::Unit).unwrap();
+        let sharded = run_spec_with(spec, &build(3), mode, LinkDelay::Unit).unwrap();
         assert_eq!(
             sharded.report.checkpoints,
             mono.report.checkpoints,
@@ -190,12 +190,12 @@ fn checkpoints_are_scan_strategy_independent_for_every_registry_protocol() {
                 .with_probe(probe)
         };
         let dense =
-            run_on_reference(*spec, &build(1), mode, LinkDelay::Unit, |c| c.with_dense_scan(true))
+            run_on_reference(spec, &build(1), mode, LinkDelay::Unit, |c| c.with_dense_scan(true))
                 .unwrap();
         assert!(!dense.report.checkpoints.is_empty(), "{}", spec.name());
         for (label, out) in [
-            ("monolith", run_spec_with(*spec, &build(1), mode, LinkDelay::Unit).unwrap()),
-            ("sharded", run_spec_with(*spec, &build(3), mode, LinkDelay::Unit).unwrap()),
+            ("monolith", run_spec_with(spec, &build(1), mode, LinkDelay::Unit).unwrap()),
+            ("sharded", run_spec_with(spec, &build(3), mode, LinkDelay::Unit).unwrap()),
         ] {
             assert_eq!(
                 out.report.checkpoints,
@@ -228,7 +228,7 @@ proptest! {
         delay_kind in 0u8..4,
         seed in any::<u64>(),
     ) {
-        let spec = registry()[proto_idx];
+        let spec = &registry()[proto_idx];
         let delay = delay_for(delay_kind, seed);
         let mode = spec.kind().paper_mode();
         let build = || {
@@ -351,7 +351,7 @@ proptest! {
         crash_node in 0usize..9,
         seed in any::<u64>(),
     ) {
-        let spec = registry()[proto_idx];
+        let spec = &registry()[proto_idx];
         let delay = delay_for(delay_kind, seed);
         let mode = spec.kind().paper_mode();
         let build = || {
@@ -422,10 +422,10 @@ fn checkpoints_are_executor_independent_under_faults() {
             .with_shards(ShardSpec::new(k, ShardStrategy::EdgeCut))
             .with_probe(probe)
         };
-        let mono = run_spec_with(*spec, &build(1), mode, LinkDelay::Unit).unwrap();
+        let mono = run_spec_with(spec, &build(1), mode, LinkDelay::Unit).unwrap();
         assert!(!mono.report.checkpoints.is_empty(), "{}", spec.name());
         assert_eq!(mono.report.fault_events.len(), 2, "{}", spec.name());
-        let sharded = run_spec_with(*spec, &build(3), mode, LinkDelay::Unit).unwrap();
+        let sharded = run_spec_with(spec, &build(3), mode, LinkDelay::Unit).unwrap();
         assert_eq!(
             sharded.report.checkpoints,
             mono.report.checkpoints,
@@ -469,7 +469,7 @@ fn the_probe_and_the_phase_clock_never_change_a_run() {
             .with_faults(FaultSpec::none().crash(5, 3, 12))
             .with_probe(probe);
             let delay = LinkDelay::Jitter { max: 3, seed: 5 };
-            run_on_reference(*spec, &scenario, mode, delay, SimConfig::with_trace).unwrap()
+            run_on_reference(spec, &scenario, mode, delay, SimConfig::with_trace).unwrap()
         });
         let name = spec.name();
         assert!(!off.report.trace.is_empty(), "{name}: untraced");
@@ -603,7 +603,7 @@ fn checkpoint_streams_match_the_golden_table() {
         .map(|spec| {
             let digest = |scenario: &Scenario| {
                 let mode = spec.kind().paper_mode();
-                let out = run_spec_with(*spec, scenario, mode, LinkDelay::Unit).unwrap();
+                let out = run_spec_with(spec, scenario, mode, LinkDelay::Unit).unwrap();
                 let stream: String = out
                     .report
                     .checkpoints

@@ -226,7 +226,7 @@ proptest! {
         strategy in 0u8..3,
         seed in any::<u64>(),
     ) {
-        let spec = registry()[proto_idx];
+        let spec = &registry()[proto_idx];
         let delay = delay_for(delay_kind, seed);
         let arrival = match arrival_kind {
             0 => ArrivalSpec::OneShot,
@@ -412,14 +412,14 @@ fn registry_protocols_match_single_shard_on_mesh_and_torus() {
         let baseline = Scenario::build(topo.clone(), RequestPattern::All);
         for spec in registry() {
             let mode = spec.kind().paper_mode();
-            let single = run_spec(*spec, &baseline, mode).unwrap();
+            let single = run_spec(spec, &baseline, mode).unwrap();
             for k in [2, 4] {
                 for strategy in
                     [ShardStrategy::Contiguous, ShardStrategy::Striped, ShardStrategy::EdgeCut]
                 {
                     let scenario = Scenario::build(topo.clone(), RequestPattern::All)
                         .with_shards(ShardSpec::new(k, strategy));
-                    let sharded = run_spec(*spec, &scenario, mode).unwrap();
+                    let sharded = run_spec(spec, &scenario, mode).unwrap();
                     let ctx = format!(
                         "{} on {} with k={k} {}",
                         spec.name(),
@@ -451,14 +451,14 @@ fn open_arrivals_match_across_executors() {
     let arrival = ArrivalSpec::Poisson { rate: 0.3, seed: 9 };
     let single = Scenario::build_with(TopoSpec::Torus2D { side: 4 }, RequestPattern::All, arrival);
     for spec in registry() {
-        let base = run_spec(*spec, &single, ModelMode::Strict).unwrap();
+        let base = run_spec(spec, &single, ModelMode::Strict).unwrap();
         let sharded_scenario = Scenario::build_with(
             TopoSpec::Torus2D { side: 4 },
             RequestPattern::All,
             ArrivalSpec::Poisson { rate: 0.3, seed: 9 },
         )
         .with_shards(ShardSpec::new(3, ShardStrategy::EdgeCut));
-        let sharded = run_spec(*spec, &sharded_scenario, ModelMode::Strict).unwrap();
+        let sharded = run_spec(spec, &sharded_scenario, ModelMode::Strict).unwrap();
         assert_eq!(
             fingerprint(&base.report),
             fingerprint(&sharded.report),
@@ -477,8 +477,8 @@ fn slow_ferry_diverges_but_verifies() {
     );
     let baseline = Scenario::build(TopoSpec::Torus2D { side: 4 }, RequestPattern::All);
     for spec in registry() {
-        let fed = run_spec(*spec, &scenario, ModelMode::Strict).unwrap();
-        let base = run_spec(*spec, &baseline, ModelMode::Strict).unwrap();
+        let fed = run_spec(spec, &scenario, ModelMode::Strict).unwrap();
+        let base = run_spec(spec, &baseline, ModelMode::Strict).unwrap();
         assert_eq!(fed.order.len(), base.order.len(), "{}", spec.name());
         if spec.kind() == ProtocolKind::Relaxed {
             // The relaxed counter never waits on a message to complete, so
@@ -523,7 +523,7 @@ proptest! {
         strategy in 0u8..3,
         seed in any::<u64>(),
     ) {
-        let spec = registry()[proto_idx];
+        let spec = &registry()[proto_idx];
         let delay = delay_for(delay_kind, seed);
         let faults = match fault_kind {
             0 => FaultSpec::none(),
@@ -571,8 +571,8 @@ fn crash_windows_register_in_the_report_and_perturb_the_execution() {
     };
     for spec in registry() {
         let mode = spec.kind().paper_mode();
-        let clean = run_spec(*spec, &build(FaultSpec::none()), mode).unwrap();
-        let faulty = run_spec(*spec, &build(FaultSpec::none().crash(4, 3, 10)), mode).unwrap();
+        let clean = run_spec(spec, &build(FaultSpec::none()), mode).unwrap();
+        let faulty = run_spec(spec, &build(FaultSpec::none().crash(4, 3, 10)), mode).unwrap();
         assert!(clean.report.fault_events.is_empty());
         assert_eq!(faulty.report.fault_events.len(), 2, "{}", spec.name());
         assert_eq!(faulty.order.len(), clean.order.len(), "{}: lost operations", spec.name());
