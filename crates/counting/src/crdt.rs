@@ -27,43 +27,40 @@ pub enum CrdtCounterMsg {
     },
 }
 
-/// One node's grow-only replica: the increments it has heard (its own
-/// included).
-#[derive(Debug)]
-pub struct CrdtCounterSlice {
-    heard: u64,
-}
-
 /// Coordination-free counter protocol state.
 pub struct CrdtCounterProtocol<'t> {
     /// The gossip overlay, borrowed for the run: the one piece of read-only
     /// state every handler shares.
     tree: &'t Tree,
-    slices: Vec<CrdtCounterSlice>,
+    /// Each node's grow-only replica: the increments it has heard (its own
+    /// included).
+    heard: Vec<u64>,
     requests: Vec<NodeId>,
 }
 
 impl<'t> CrdtCounterProtocol<'t> {
     /// Set up with `tree` as the gossip overlay.
     pub fn new(tree: &'t Tree, requests: &[NodeId]) -> Self {
-        let n = tree.n();
         let mut requests = requests.to_vec();
         requests.sort_unstable();
-        CrdtCounterProtocol {
-            tree,
-            slices: (0..n).map(|_| CrdtCounterSlice { heard: 0 }).collect(),
-            requests,
-        }
+        CrdtCounterProtocol { tree, heard: vec![0; tree.n()], requests }
     }
 }
 
 impl<'t> Protocol for CrdtCounterProtocol<'t> {
     type Msg = CrdtCounterMsg;
-    type Slice = CrdtCounterSlice;
+    type Slice<'s>
+        = &'s mut u64
+    where
+        Self: 's;
     type Shared = Tree;
 
-    fn split(&mut self) -> (&Tree, &mut [CrdtCounterSlice]) {
-        (self.tree, &mut self.slices)
+    fn nodes(&self) -> usize {
+        self.heard.len()
+    }
+
+    fn at(&mut self, v: NodeId) -> (&Tree, &mut u64) {
+        (self.tree, &mut self.heard[v])
     }
 
     fn requests(&self) -> &[NodeId] {
@@ -72,14 +69,9 @@ impl<'t> Protocol for CrdtCounterProtocol<'t> {
 
     /// Issue `v`'s increment now: merge locally, complete with the merged
     /// count, gossip the increment to every tree neighbour.
-    fn issue(
-        tree: &Tree,
-        slice: &mut CrdtCounterSlice,
-        api: &mut SliceApi<CrdtCounterMsg>,
-        v: NodeId,
-    ) {
-        slice.heard += 1;
-        api.complete(v, slice.heard);
+    fn issue(tree: &Tree, heard: &mut u64, api: &mut SliceApi<CrdtCounterMsg>, v: NodeId) {
+        *heard += 1;
+        api.complete(v, *heard);
         for nb in tree.neighbors(v) {
             api.send(nb, CrdtCounterMsg::Gossip { delta: 1 });
         }
@@ -87,14 +79,14 @@ impl<'t> Protocol for CrdtCounterProtocol<'t> {
 
     fn on_message(
         tree: &Tree,
-        slice: &mut CrdtCounterSlice,
+        heard: &mut u64,
         api: &mut SliceApi<CrdtCounterMsg>,
         node: NodeId,
         from: NodeId,
         msg: CrdtCounterMsg,
     ) {
         let CrdtCounterMsg::Gossip { delta } = msg;
-        slice.heard += delta;
+        *heard += delta;
         // Tree flood: forward away from the sender. Acyclic overlay ⇒ each
         // increment traverses each edge once and terminates.
         for nb in tree.neighbors(node).filter(|&nb| nb != from) {

@@ -4,13 +4,14 @@
 //! Balancers are assigned to processors round-robin (balancer `b` on
 //! processor `b mod n`, slot `b / n` of its toggles); a requester injects a
 //! token at input position `v mod w`. Tokens travel as messages: towards a
-//! balancer's host they follow precomputed BFS next-hop tables (one table
-//! per distinct host — `O(hosts · n)` memory, no per-token routes); at the
-//! host the balancer toggles and the token moves to its next wire. At an
-//! output wire, the exit host (processor `s mod n` for the output's exit
-//! site `s`, see [`BalancingNetwork::exit_site`]) assigns the count
-//! `j + 1 + (c−1)·w` and routes it back to the origin along the spanning
-//! tree, hop by hop through a [`TreeRouter`] that borrows the tree.
+//! balancer's host they follow precomputed BFS next-hop tables (one row
+//! per distinct host of one flat table — `O(hosts · n)` memory, no
+//! per-token routes); at the host the balancer toggles and the token moves
+//! to its next wire. At an output wire, the exit host (processor `s mod n`
+//! for the output's exit site `s`, see [`BalancingNetwork::exit_site`])
+//! assigns the count `j + 1 + (c−1)·w` and routes it back to the origin
+//! along the spanning tree, hop by hop through a [`TreeRouter`] that
+//! borrows the tree.
 //!
 //! All protocol state (toggles, exit counters) is mutated only by its
 //! hosting processor, preserving the distributed abstraction; contention at
@@ -50,28 +51,23 @@ impl fmt::Debug for CnMsg {
 pub struct CountingNetworkShared<'t> {
     net: BalancingNetwork,
     /// Wire → the processor hosting the balancer or exit counter the wire
-    /// leads into, and its slot in that host's `toggles` or `exit_counts`.
+    /// leads into, and its slot in that host's counters.
     hosted_at: Vec<(NodeId, usize)>,
-    /// Dense host indexing: node → slot in `next_to_host` (usize::MAX = not a host).
+    /// Dense host indexing: node → row of `next_hop` (usize::MAX = not a host).
     host_slot: Vec<usize>,
-    /// `next_to_host[s][u]` = next hop from `u` towards host with slot `s`.
-    next_to_host: Vec<Vec<NodeId>>,
+    /// `next_hop[s * n + u]` = next hop from `u` towards the host in row `s`.
+    next_hop: Vec<NodeId>,
     router: TreeRouter<'t>,
 }
 
-/// One processor's counting-network state: the toggles and exit counters
-/// of the balancers it hosts (each is mutated only by its host — the
+/// Counting-network protocol state. Processor `v`'s counters — the toggles
+/// of the balancers it hosts (`0` top, `1` bottom), then its exit counts —
+/// are `counters[host_off[v]..host_off[v + 1]]`, mutated only by `v` (the
 /// module-level distributed-abstraction claim).
-#[derive(Debug, Default)]
-pub struct CountingNetworkSlice {
-    toggles: Vec<bool>,
-    exit_counts: Vec<u64>,
-}
-
-/// Counting-network protocol state.
 pub struct CountingNetworkProtocol<'t> {
     shared: CountingNetworkShared<'t>,
-    slices: Vec<CountingNetworkSlice>,
+    host_off: Vec<usize>,
+    counters: Vec<u64>,
     requests: Vec<NodeId>,
 }
 
@@ -94,35 +90,36 @@ impl<'t> CountingNetworkProtocol<'t> {
         let n = graph.n();
         assert_eq!(tree.n(), n, "tree/graph size mismatch");
 
-        // Group balancer toggles and exit counters under their hosting
-        // processors: balancer `b` is slot `b / n` on `b % n`, exit counters
-        // take slots in wire order.
-        let mut slices: Vec<CountingNetworkSlice> =
-            (0..n).map(|_| CountingNetworkSlice::default()).collect();
+        // Count each host's counters (`host_off[v + 1]`, summed below):
+        // balancer `b` is toggle slot `b / n` on `b % n`, and exit counters
+        // follow their host's toggles in wire order.
+        let mut host_off = vec![0; n + 1];
         for b in 0..net.balancers().len() {
-            slices[b % n].toggles.push(false);
+            host_off[b % n + 1] += 1;
         }
         let hosted_at: Vec<(NodeId, usize)> = (net.wire_dest.iter())
             .map(|&dest| match dest {
                 WireDest::Balancer(b) => (b % n, b / n),
                 WireDest::Output(j) => {
                     let h = net.exit_site(j) % n;
-                    slices[h].exit_counts.push(0);
-                    (h, slices[h].exit_counts.len() - 1)
+                    host_off[h + 1] += 1;
+                    (h, host_off[h + 1] - 1)
                 }
             })
             .collect();
+        for v in 0..n {
+            host_off[v + 1] += host_off[v];
+        }
 
-        // BFS next-hop tables toward every distinct host.
+        // One next-hop row per host (a processor with counters): a BFS from
+        // `h` gives each `u` the first hop of a shortest path `u → h`.
+        let hosts = (0..n).filter(|&v| host_off[v] < host_off[v + 1]).count();
         let mut host_slot = vec![usize::MAX; n];
-        let mut next_to_host: Vec<Vec<NodeId>> = Vec::new();
+        let mut next_hop = Vec::with_capacity(hosts * n);
         for &(h, _) in &hosted_at {
             if host_slot[h] == usize::MAX {
-                host_slot[h] = next_to_host.len();
-                // Predecessor toward h: one BFS from h gives, for each u,
-                // the first hop of a shortest path u → h.
-                let (_, pred) = bfs::bfs_tree_arrays(graph, h);
-                next_to_host.push(pred);
+                host_slot[h] = next_hop.len() / n;
+                next_hop.extend(bfs::bfs_tree_arrays(graph, h).1);
             }
         }
 
@@ -132,11 +129,12 @@ impl<'t> CountingNetworkProtocol<'t> {
             shared: CountingNetworkShared {
                 hosted_at,
                 host_slot,
-                next_to_host,
+                next_hop,
                 router: TreeRouter::new(tree),
                 net,
             },
-            slices,
+            counters: vec![0; host_off[n]],
+            host_off,
             requests,
         }
     }
@@ -144,10 +142,10 @@ impl<'t> CountingNetworkProtocol<'t> {
     /// Advance a token as far as possible at processor `u`, then either
     /// complete it or send it towards the host of its wire's destination.
     /// Every toggle and exit counter the walk touches is hosted at `u`,
-    /// hence lives in `u`'s slice.
+    /// hence lies in `u`'s range of counters.
     fn process_token(
         shared: &CountingNetworkShared,
-        slice: &mut CountingNetworkSlice,
+        counters: &mut [u64],
         api: &mut SliceApi<CnMsg>,
         u: NodeId,
         origin: NodeId,
@@ -157,7 +155,7 @@ impl<'t> CountingNetworkProtocol<'t> {
         loop {
             let (host, slot) = shared.hosted_at[wire];
             if host != u {
-                let next = shared.next_to_host[shared.host_slot[host]][u];
+                let next = shared.next_hop[shared.host_slot[host] * shared.host_slot.len() + u];
                 let token = match net.label {
                     WireLabel::Wire => CnMsg::Token { origin, wire },
                     WireLabel::NodeIdx => CnMsg::TreeToken { origin, node_idx: wire },
@@ -168,12 +166,12 @@ impl<'t> CountingNetworkProtocol<'t> {
             match net.wire_dest(wire) {
                 WireDest::Balancer(b) => {
                     let bal = net.balancers()[b];
-                    let toggle = &mut slice.toggles[slot];
-                    wire = if *toggle { bal.out_bot } else { bal.out_top };
-                    *toggle = !*toggle;
+                    let toggle = &mut counters[slot];
+                    wire = if *toggle == 1 { bal.out_bot } else { bal.out_top };
+                    *toggle ^= 1;
                 }
                 WireDest::Output(j) => {
-                    let exited = &mut slice.exit_counts[slot];
+                    let exited = &mut counters[slot];
                     *exited += 1;
                     let count = (j as u64 + 1) + (*exited - 1) * net.width() as u64;
                     Self::deliver_result(shared, api, u, origin, count);
@@ -199,11 +197,18 @@ impl<'t> CountingNetworkProtocol<'t> {
 
 impl<'t> Protocol for CountingNetworkProtocol<'t> {
     type Msg = CnMsg;
-    type Slice = CountingNetworkSlice;
+    type Slice<'s>
+        = &'s mut [u64]
+    where
+        Self: 's;
     type Shared = CountingNetworkShared<'t>;
 
-    fn split(&mut self) -> (&CountingNetworkShared<'t>, &mut [CountingNetworkSlice]) {
-        (&self.shared, &mut self.slices)
+    fn nodes(&self) -> usize {
+        self.host_off.len() - 1
+    }
+
+    fn at(&mut self, v: NodeId) -> (&CountingNetworkShared<'t>, &mut [u64]) {
+        (&self.shared, &mut self.counters[self.host_off[v]..self.host_off[v + 1]])
     }
 
     fn requests(&self) -> &[NodeId] {
@@ -213,17 +218,17 @@ impl<'t> Protocol for CountingNetworkProtocol<'t> {
     /// Inject `v`'s token at its input wire now.
     fn issue(
         shared: &CountingNetworkShared<'t>,
-        slice: &mut CountingNetworkSlice,
+        counters: &mut [u64],
         api: &mut SliceApi<CnMsg>,
         v: NodeId,
     ) {
         let wire = shared.net.input_wire(v % shared.net.width());
-        Self::process_token(shared, slice, api, v, v, wire);
+        Self::process_token(shared, counters, api, v, v, wire);
     }
 
     fn on_message(
         shared: &CountingNetworkShared<'t>,
-        slice: &mut CountingNetworkSlice,
+        counters: &mut [u64],
         api: &mut SliceApi<CnMsg>,
         node: NodeId,
         _from: NodeId,
@@ -231,7 +236,7 @@ impl<'t> Protocol for CountingNetworkProtocol<'t> {
     ) {
         match msg {
             CnMsg::Token { origin, wire } | CnMsg::TreeToken { origin, node_idx: wire } => {
-                Self::process_token(shared, slice, api, node, origin, wire)
+                Self::process_token(shared, counters, api, node, origin, wire)
             }
             CnMsg::Result { origin, count } => {
                 Self::deliver_result(shared, api, node, origin, count)

@@ -111,7 +111,13 @@ impl Tree {
     /// Children of `v`.
     #[inline]
     pub fn children(&self, v: NodeId) -> &[NodeId] {
-        &self.child_adj[self.child_off[v] as usize..self.child_off[v + 1] as usize]
+        &self.child_adj[self.child_slots(v)]
+    }
+
+    /// Where `v`'s children lie in one child-indexed array of `n - 1` slots.
+    #[inline]
+    pub fn child_slots(&self, v: NodeId) -> std::ops::Range<usize> {
+        self.child_off[v] as usize..self.child_off[v + 1] as usize
     }
 
     /// Depth of `v` (root has depth 0).

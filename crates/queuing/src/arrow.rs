@@ -130,11 +130,15 @@ impl ArrowProtocol {
 
 impl Protocol for ArrowProtocol {
     type Msg = ArrowMsg;
-    type Slice = ArrowSlice;
+    type Slice<'s> = &'s mut ArrowSlice;
     type Shared = ArrowShared;
 
-    fn split(&mut self) -> (&ArrowShared, &mut [ArrowSlice]) {
-        (&self.shared, &mut self.slices)
+    fn nodes(&self) -> usize {
+        self.slices.len()
+    }
+
+    fn at(&mut self, v: NodeId) -> (&ArrowShared, &mut ArrowSlice) {
+        (&self.shared, &mut self.slices[v])
     }
 
     fn requests(&self) -> &[NodeId] {

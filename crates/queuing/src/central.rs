@@ -120,11 +120,18 @@ impl<'t, H: CentralHandOut> Central<'t, H> {
 
 impl<'t, H: CentralHandOut> Protocol for Central<'t, H> {
     type Msg = CentralMsg<H>;
-    type Slice = u64;
+    type Slice<'s>
+        = &'s mut u64
+    where
+        Self: 's;
     type Shared = CentralShared<'t>;
 
-    fn split(&mut self) -> (&CentralShared<'t>, &mut [u64]) {
-        (&self.shared, &mut self.state)
+    fn nodes(&self) -> usize {
+        self.state.len()
+    }
+
+    fn at(&mut self, v: NodeId) -> (&CentralShared<'t>, &mut u64) {
+        (&self.shared, &mut self.state[v])
     }
 
     fn requests(&self) -> &[NodeId] {

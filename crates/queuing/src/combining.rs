@@ -104,34 +104,33 @@ impl<H: CombiningHandOut> fmt::Debug for WaveMsg<H> {
     }
 }
 
-/// One node's wave state — everything a handler at the node touches.
-pub struct WaveSlice<H: CombiningHandOut> {
+/// One node's wave record.
+pub struct Wave {
     /// Children still expected to report.
     waiting: usize,
-    /// Summaries reported by the children, by child slot.
-    summaries: Vec<H::Summary>,
     requesting: bool,
     /// Whether the node's own operation was injected ([`Protocol::issue`]).
     issued: bool,
 }
 
+/// What a handler at a node is lent: its wave record and its children's
+/// summaries, by child slot (its range of one array, [`Tree::child_slots`]).
+pub type WaveSlice<'s, H> = (&'s mut Wave, &'s mut [<H as CombiningHandOut>::Summary]);
+
 /// The combining mechanism's state; the tree shape every handler shares is
 /// borrowed for the run.
 pub struct Combining<'t, H: CombiningHandOut> {
     tree: &'t Tree,
-    nodes: Vec<WaveSlice<H>>,
+    waves: Vec<Wave>,
+    summaries: Vec<H::Summary>,
     requests: Vec<NodeId>,
 }
 
 impl<'t, H: CombiningHandOut> Combining<'t, H> {
     /// Set up on `tree` with the given request set.
     pub fn new(tree: &'t Tree, requests: &[NodeId]) -> Self {
-        let mut nodes: Vec<_> = (0..tree.n())
-            .map(|v| {
-                let k = tree.children(v).len();
-                let summaries = vec![H::Summary::default(); k];
-                WaveSlice { waiting: k, summaries, requesting: false, issued: false }
-            })
+        let mut waves: Vec<_> = (0..tree.n())
+            .map(|v| Wave { waiting: tree.children(v).len(), requesting: false, issued: false })
             .collect();
         // A node listed twice requests once: the wave carries one
         // operation per requesting node.
@@ -139,30 +138,26 @@ impl<'t, H: CombiningHandOut> Combining<'t, H> {
         requests.sort_unstable();
         requests.dedup();
         for &r in &requests {
-            assert!(r < nodes.len(), "request out of range");
-            nodes[r].requesting = true;
+            assert!(r < waves.len(), "request out of range");
+            waves[r].requesting = true;
         }
-        Combining { tree, nodes, requests }
-    }
-
-    /// Whether `v` may report upward: all children in, and its own request
-    /// — if any — injected. Under an open schedule the single wave
-    /// therefore completes once every scheduled request has arrived — the
-    /// batch protocol's honest behaviour there (early requesters wait).
-    fn ready(slice: &WaveSlice<H>) -> bool {
-        slice.waiting == 0 && (!slice.requesting || slice.issued)
+        Combining { tree, waves, summaries: vec![H::Summary::default(); tree.n() - 1], requests }
     }
 
     /// Report `v`'s subtree upward (at the root: start the hand-out) once
-    /// it is [`ready`](Self::ready) — checked wherever that may have just
-    /// become true: at the start, on a child's report, on issue or cancel.
-    fn report_if_ready(tree: &Tree, slice: &WaveSlice<H>, api: &mut Api<H>, v: NodeId) {
-        if !Self::ready(slice) {
+    /// it is ready: all children in, and its own request — if any —
+    /// injected. Checked wherever that may have just become true: at the
+    /// start, on a child's report, on issue or cancel. Under an open
+    /// schedule the single wave therefore completes once every scheduled
+    /// request has arrived — the batch protocol's honest behaviour there
+    /// (early requesters wait).
+    fn report_if_ready(tree: &Tree, (wave, summaries): WaveSlice<H>, api: &mut Api<H>, v: NodeId) {
+        if wave.waiting > 0 || (wave.requesting && !wave.issued) {
             return;
         }
-        let summary = H::summarize(slice.requesting.then_some(v), &slice.summaries);
+        let summary = H::summarize(wave.requesting.then_some(v), summaries);
         if v == tree.root() {
-            Self::distribute(tree, slice, api, v, H::assign(summary));
+            Self::distribute(tree, (wave, summaries), api, v, H::assign(summary));
         } else {
             api.send(tree.parent(v), WaveMsg::Up(summary));
         }
@@ -170,13 +165,14 @@ impl<'t, H: CombiningHandOut> Combining<'t, H> {
 
     /// `v` received its subtree's share: take its own value (if
     /// requesting) and send each reporting child the next contiguous part.
-    fn distribute(tree: &Tree, slice: &WaveSlice<H>, api: &mut Api<H>, v: NodeId, share: H::Share) {
+    fn distribute(tree: &Tree, slice: WaveSlice<H>, api: &mut Api<H>, v: NodeId, share: H::Share) {
+        let (wave, summaries) = slice;
         let mut next = 0;
-        if slice.requesting {
+        if wave.requesting {
             api.complete(v, H::value(&share, 0));
             next = 1;
         }
-        for (&c, summary) in tree.children(v).iter().zip(&slice.summaries) {
+        for (&c, summary) in tree.children(v).iter().zip(summaries.iter()) {
             let len = H::size(summary);
             if len > 0 {
                 api.send(c, WaveMsg::Down(H::part(&share, next, len)));
@@ -188,11 +184,18 @@ impl<'t, H: CombiningHandOut> Combining<'t, H> {
 
 impl<H: CombiningHandOut> Protocol for Combining<'_, H> {
     type Msg = WaveMsg<H>;
-    type Slice = WaveSlice<H>;
+    type Slice<'s>
+        = WaveSlice<'s, H>
+    where
+        Self: 's;
     type Shared = Tree;
 
-    fn split(&mut self) -> (&Tree, &mut [WaveSlice<H>]) {
-        (self.tree, &mut self.nodes)
+    fn nodes(&self) -> usize {
+        self.waves.len()
+    }
+
+    fn at(&mut self, v: NodeId) -> (&Tree, WaveSlice<'_, H>) {
+        (self.tree, (&mut self.waves[v], &mut self.summaries[self.tree.child_slots(v)]))
     }
 
     fn requests(&self) -> &[NodeId] {
@@ -203,31 +206,30 @@ impl<H: CombiningHandOut> Protocol for Combining<'_, H> {
     /// ready — it requests nothing and waits on no child — reports, in id
     /// order.
     fn on_start(&mut self, api: &mut SimApi<WaveMsg<H>>) {
-        for v in 0..self.nodes.len() {
-            ccq_sim::with_slice(self, api, v, |tree, slice, sapi| {
-                Self::report_if_ready(tree, slice, sapi, v)
-            });
+        for v in 0..self.waves.len() {
+            let (tree, slice) = self.at(v);
+            Self::report_if_ready(tree, slice, &mut api.at(v), v);
         }
     }
 
-    fn issue(tree: &Tree, slice: &mut WaveSlice<H>, api: &mut Api<H>, node: NodeId) {
-        debug_assert!(slice.requesting, "node {node} is not a requester");
-        slice.issued = true;
-        Self::report_if_ready(tree, slice, api, node);
+    fn issue(tree: &Tree, (wave, summaries): WaveSlice<H>, api: &mut Api<H>, node: NodeId) {
+        debug_assert!(wave.requesting, "node {node} is not a requester");
+        wave.issued = true;
+        Self::report_if_ready(tree, (wave, summaries), api, node);
     }
 
-    fn cancel(tree: &Tree, slice: &mut WaveSlice<H>, api: &mut Api<H>, node: NodeId) {
-        debug_assert!(slice.requesting, "node {node} is not a requester");
-        debug_assert!(!slice.issued, "cancel after issue");
+    fn cancel(tree: &Tree, (wave, summaries): WaveSlice<H>, api: &mut Api<H>, node: NodeId) {
+        debug_assert!(wave.requesting, "node {node} is not a requester");
+        debug_assert!(!wave.issued, "cancel after issue");
         // Strike the requester from the wave; if its Up report was the
         // last thing the subtree waited for, release it now.
-        slice.requesting = false;
-        Self::report_if_ready(tree, slice, api, node);
+        wave.requesting = false;
+        Self::report_if_ready(tree, (wave, summaries), api, node);
     }
 
     fn on_message(
         tree: &Tree,
-        slice: &mut WaveSlice<H>,
+        (wave, summaries): WaveSlice<H>,
         api: &mut Api<H>,
         node: NodeId,
         from: NodeId,
@@ -236,11 +238,11 @@ impl<H: CombiningHandOut> Protocol for Combining<'_, H> {
         match msg {
             WaveMsg::Up(summary) => {
                 let slot = tree.children(node).iter().position(|&c| c == from);
-                slice.summaries[slot.expect("Up from a non-child")] = summary;
-                slice.waiting -= 1;
-                Self::report_if_ready(tree, slice, api, node);
+                summaries[slot.expect("Up from a non-child")] = summary;
+                wave.waiting -= 1;
+                Self::report_if_ready(tree, (wave, summaries), api, node);
             }
-            WaveMsg::Down(share) => Self::distribute(tree, slice, api, node, share),
+            WaveMsg::Down(share) => Self::distribute(tree, (wave, summaries), api, node, share),
         }
     }
 }

@@ -123,26 +123,18 @@ impl Recording {
     pub fn parse(text: &str) -> Result<Recording, ReplayError> {
         let doc = serde_json::from_str(text)
             .map_err(|e| ReplayError::malformed(format!("not JSON: {e:?}")))?;
-        let format = doc
-            .get("format")
-            .and_then(Value::as_str)
-            .ok_or_else(|| ReplayError::malformed("missing `format` marker"))?;
+        let format = field(&doc, "format", Value::as_str)
+            .map_err(|_| ReplayError::malformed("missing `format` marker"))?;
         if format != FORMAT {
             return Err(ReplayError::malformed(format!(
                 "format marker is `{format}`, expected `{FORMAT}`"
             )));
         }
-        let version = doc
-            .get("version")
-            .and_then(Value::as_u64)
-            .ok_or_else(|| ReplayError::malformed("missing `version`"))?;
+        let version = field(&doc, "version", Value::as_u64)?;
         if version != CURRENT_VERSION {
             return Err(ReplayError::Version { found: version, expected: CURRENT_VERSION });
         }
-        let argv = doc
-            .get("argv")
-            .and_then(Value::as_array)
-            .ok_or_else(|| ReplayError::malformed("missing `argv`"))?
+        let argv = field(&doc, "argv", Value::as_array)?
             .iter()
             .map(|v| {
                 v.as_str()
@@ -150,17 +142,19 @@ impl Recording {
                     .ok_or_else(|| ReplayError::malformed("non-string argv token"))
             })
             .collect::<Result<Vec<String>, ReplayError>>()?;
-        let checkpoint_every = doc
-            .get("checkpoint_every")
-            .and_then(Value::as_u64)
-            .ok_or_else(|| ReplayError::malformed("missing `checkpoint_every`"))?;
-        let output = doc
-            .get("output")
-            .and_then(Value::as_str)
-            .ok_or_else(|| ReplayError::malformed("missing `output`"))?
-            .to_string();
+        let checkpoint_every = field(&doc, "checkpoint_every", Value::as_u64)?;
+        let output = field(&doc, "output", Value::as_str)?.to_string();
         Ok(Recording { version, format: format.to_string(), argv, checkpoint_every, output })
     }
+}
+
+/// `doc[key]` as `read` takes it, or the "missing `key`" diagnostic.
+fn field<'a, T>(
+    doc: &'a Value,
+    key: &str,
+    read: fn(&'a Value) -> Option<T>,
+) -> Result<T, ReplayError> {
+    doc.get(key).and_then(read).ok_or_else(|| ReplayError::malformed(format!("missing `{key}`")))
 }
 
 /// Full canonical engine state at one transmit barrier, with its digest.
@@ -186,26 +180,13 @@ impl Snapshot {
     pub fn parse(text: &str) -> Result<Snapshot, ReplayError> {
         let doc = serde_json::from_str(text)
             .map_err(|e| ReplayError::malformed(format!("not JSON: {e:?}")))?;
-        let version = doc
-            .get("version")
-            .and_then(Value::as_u64)
-            .ok_or_else(|| ReplayError::malformed("missing `version`"))?;
+        let version = field(&doc, "version", Value::as_u64)?;
         if version != CURRENT_VERSION {
             return Err(ReplayError::Version { found: version, expected: CURRENT_VERSION });
         }
-        let round = doc
-            .get("round")
-            .and_then(Value::as_u64)
-            .ok_or_else(|| ReplayError::malformed("missing `round`"))?;
-        let digest = doc
-            .get("digest")
-            .and_then(Value::as_u64)
-            .ok_or_else(|| ReplayError::malformed("missing `digest`"))?;
-        let state = doc
-            .get("state")
-            .and_then(Value::as_str)
-            .ok_or_else(|| ReplayError::malformed("missing `state`"))?
-            .to_string();
+        let round = field(&doc, "round", Value::as_u64)?;
+        let digest = field(&doc, "digest", Value::as_u64)?;
+        let state = field(&doc, "state", Value::as_str)?.to_string();
         Ok(Snapshot { version, round, digest, state })
     }
 }
@@ -516,6 +497,48 @@ mod tests {
         .unwrap_err();
         assert_eq!(err, ReplayError::Version { found: 99, expected: CURRENT_VERSION });
         assert!(err.to_string().contains("99"), "{err}");
+    }
+
+    /// A field that is absent, or of the wrong type, is named in the
+    /// diagnostic — the same words for a recording and a snapshot.
+    #[test]
+    fn every_missing_field_is_named() {
+        let version = CURRENT_VERSION.to_string();
+        let recording: &[(&str, &str, &str)] = &[
+            ("format", r#""ccqrec""#, "missing `format` marker"),
+            ("version", &version, "missing `version`"),
+            ("argv", r#"["--topo"]"#, "missing `argv`"),
+            ("checkpoint_every", "0", "missing `checkpoint_every`"),
+            ("output", r#""{}""#, "missing `output`"),
+        ];
+        let snapshot: &[(&str, &str, &str)] = &[
+            ("version", &version, "missing `version`"),
+            ("round", "3", "missing `round`"),
+            ("digest", "7", "missing `digest`"),
+            ("state", r#""n0""#, "missing `state`"),
+        ];
+        check_fields(recording, |t| Recording::parse(t).err());
+        check_fields(snapshot, |t| Snapshot::parse(t).err());
+    }
+
+    /// `parse` accepts a document of every `(key, value, _)` of `fields`,
+    /// and names each key's diagnostic when it is absent or `true`.
+    fn check_fields(fields: &[(&str, &str, &str)], parse: impl Fn(&str) -> Option<ReplayError>) {
+        // Every field but `skip`, which is `with` (or absent).
+        let doc = |skip: &str, with: Option<&str>| {
+            let member = |&(key, value, _): &(&str, &str, &str)| match key == skip {
+                true => with.map(|w| format!("\"{key}\":{w}")),
+                false => Some(format!("\"{key}\":{value}")),
+            };
+            format!("{{{}}}", fields.iter().filter_map(member).collect::<Vec<_>>().join(","))
+        };
+        assert_eq!(parse(&doc("", None)), None);
+        for &(key, _, what) in fields {
+            for text in [doc(key, None), doc(key, Some("true"))] {
+                let what = what.to_string();
+                assert_eq!(parse(&text), Some(ReplayError::Malformed { what }), "{text}");
+            }
+        }
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! A run given none issues [`Protocol::requests`] at round 0.
 
 use crate::admission::{Admission, AdmissionController, AdmissionPolicy};
-use crate::protocol::{with_slice, Protocol, SimApi};
+use crate::protocol::{Protocol, SimApi};
 use crate::report::mix64;
 use crate::{Round, SimError};
 use ccq_graph::NodeId;
@@ -24,7 +24,8 @@ use ccq_graph::NodeId;
 /// Inject `v`'s operation into `protocol` now, through its handler-form
 /// [`Protocol::issue`] on `v`'s slice.
 pub(crate) fn inject<P: Protocol>(protocol: &mut P, api: &mut SimApi<P::Msg>, v: NodeId) {
-    with_slice(protocol, api, v, |shared, slice, sapi| P::issue(shared, slice, sapi, v));
+    let (shared, slice) = protocol.at(v);
+    P::issue(shared, slice, &mut api.at(v), v);
 }
 
 /// *When* the request set issues its operations.
@@ -356,9 +357,8 @@ impl Arrivals {
             }
             Admission::Drop => {
                 api.shed(v);
-                with_slice(protocol, api, v, |shared, slice, sapi| {
-                    P::cancel(shared, slice, sapi, v)
-                });
+                let (shared, slice) = protocol.at(v);
+                P::cancel(shared, slice, &mut api.at(v), v);
             }
             Admission::Retry { at } => {
                 debug_assert!(at > now, "retry must be strictly later");
@@ -536,10 +536,13 @@ mod tests {
 
     impl Protocol for Instant {
         type Msg = ();
-        type Slice = ();
+        type Slice<'s> = &'s mut ();
         type Shared = ();
-        fn split(&mut self) -> (&(), &mut [()]) {
-            (&(), &mut self.0)
+        fn nodes(&self) -> usize {
+            self.0.len()
+        }
+        fn at(&mut self, v: NodeId) -> (&(), &mut ()) {
+            (&(), &mut self.0[v])
         }
         fn requests(&self) -> &[NodeId] {
             &[1, 2]
@@ -577,10 +580,13 @@ mod tests {
 
     impl Protocol for Echo {
         type Msg = NodeId;
-        type Slice = ();
+        type Slice<'s> = &'s mut ();
         type Shared = ();
-        fn split(&mut self) -> (&(), &mut [()]) {
-            (&(), &mut self.0)
+        fn nodes(&self) -> usize {
+            self.0.len()
+        }
+        fn at(&mut self, v: NodeId) -> (&(), &mut ()) {
+            (&(), &mut self.0[v])
         }
         fn requests(&self) -> &[NodeId] {
             &[0, 1, 2]

@@ -198,11 +198,15 @@ pub(crate) mod tests {
 
     impl Protocol for Walk {
         type Msg = ();
-        type Slice = u64;
+        type Slice<'s> = &'s mut u64;
         type Shared = usize;
 
-        fn split(&mut self) -> (&usize, &mut [u64]) {
-            (&self.n, &mut self.visits)
+        fn nodes(&self) -> usize {
+            self.visits.len()
+        }
+
+        fn at(&mut self, v: NodeId) -> (&usize, &mut u64) {
+            (&self.n, &mut self.visits[v])
         }
 
         fn requests(&self) -> &[NodeId] {
@@ -255,6 +259,111 @@ pub(crate) mod tests {
         );
     }
 
+    /// Node `v`'s state is `v % 3` cells of one arena, each tagged with its
+    /// owner (every third node holds none, as a combining leaf holds no
+    /// child summary): the shape of a protocol whose node state varies in
+    /// size. Every node's operation sends a token once round the cycle,
+    /// and every handler call checks its lend and bumps each cell in it.
+    struct Arena {
+        n: usize,
+        off: Vec<usize>,
+        cells: Vec<(NodeId, u64)>,
+        requests: Vec<NodeId>,
+    }
+
+    impl Arena {
+        fn new(n: usize) -> Self {
+            let (mut off, mut cells) = (vec![0], Vec::new());
+            for v in 0..n {
+                cells.extend(std::iter::repeat_n((v, 0), v % 3));
+                off.push(cells.len());
+            }
+            Arena { n, off, cells, requests: (0..n).collect() }
+        }
+
+        /// One handler call at `node`: its lend is exactly `node`'s cells.
+        fn touch(lent: &mut [(NodeId, u64)], node: NodeId) {
+            assert_eq!(lent.len(), node % 3, "node {node} lent a range of the wrong size");
+            for (owner, calls) in lent {
+                assert_eq!(*owner, node, "node {node} lent a cell of node {owner}");
+                *calls += 1;
+            }
+        }
+    }
+
+    impl Protocol for Arena {
+        type Msg = usize;
+        type Slice<'s> = &'s mut [(NodeId, u64)];
+        type Shared = usize;
+
+        fn nodes(&self) -> usize {
+            self.off.len() - 1
+        }
+
+        fn at(&mut self, v: NodeId) -> (&usize, &mut [(NodeId, u64)]) {
+            (&self.n, &mut self.cells[self.off[v]..self.off[v + 1]])
+        }
+
+        fn requests(&self) -> &[NodeId] {
+            &self.requests
+        }
+
+        fn on_start(&mut self, _: &mut SimApi<usize>) {
+            for v in 0..self.n {
+                Self::touch(self.at(v).1, v);
+            }
+        }
+
+        fn issue(n: &usize, lent: &mut [(NodeId, u64)], api: &mut SliceApi<usize>, node: NodeId) {
+            Self::touch(lent, node);
+            api.send((node + 1) % n, 1);
+        }
+
+        fn on_message(
+            n: &usize,
+            lent: &mut [(NodeId, u64)],
+            api: &mut SliceApi<usize>,
+            node: NodeId,
+            _: NodeId,
+            hop: usize,
+        ) {
+            Self::touch(lent, node);
+            if hop == *n {
+                api.complete(node, hop as u64);
+            } else {
+                api.send((node + 1) % n, hop + 1);
+            }
+        }
+    }
+
+    /// Every handler call — the start, each issue, each delivery — is lent
+    /// its own node's range of the arena and no other, and the ranges tile
+    /// the arena: each cell ends bumped once per call at its owner. Unsharded,
+    /// on striped shards and under the dense scan.
+    #[test]
+    fn every_call_is_lent_its_own_range_of_one_arena() {
+        let g = topology::cycle(12);
+        for cfg in [SimConfig::strict(), SimConfig::strict().with_dense_scan(true)] {
+            on_every_executor(
+                &g,
+                || Arena::new(12),
+                cfg,
+                |out, on| {
+                    let (rep, arena) = out.unwrap();
+                    assert_eq!((rep.ops(), rep.messages_sent), (12, 144), "{on}");
+                    let tiles = arena.off.windows(2).map(|w| w[1] - w[0]).sum::<usize>();
+                    assert_eq!((arena.off[0], tiles), (0, arena.cells.len()), "{on}");
+                    for v in 0..12 {
+                        let calls = 2 + rep.received_by_node[v];
+                        for &cell in &arena.cells[arena.off[v]..arena.off[v + 1]] {
+                            assert_eq!(cell, (v, calls), "node {v}, {on}");
+                        }
+                    }
+                },
+            );
+        }
+    }
+
     /// All leaves of a star issue a send to the hub simultaneously; the
     /// hub can receive only one message per round → serialization. A
     /// node's slice counts what it received.
@@ -271,11 +380,15 @@ pub(crate) mod tests {
 
     impl Protocol for Converge {
         type Msg = ();
-        type Slice = u64;
+        type Slice<'s> = &'s mut u64;
         type Shared = ();
 
-        fn split(&mut self) -> (&(), &mut [u64]) {
-            (&(), &mut self.received)
+        fn nodes(&self) -> usize {
+            self.received.len()
+        }
+
+        fn at(&mut self, v: NodeId) -> (&(), &mut u64) {
+            (&(), &mut self.received[v])
         }
 
         fn requests(&self) -> &[NodeId] {
@@ -353,10 +466,13 @@ pub(crate) mod tests {
         struct Bad(Route, [(); 4]);
         impl Protocol for Bad {
             type Msg = ();
-            type Slice = ();
+            type Slice<'s> = &'s mut ();
             type Shared = Route;
-            fn split(&mut self) -> (&Route, &mut [()]) {
-                (&self.0, &mut self.1)
+            fn nodes(&self) -> usize {
+                self.1.len()
+            }
+            fn at(&mut self, v: NodeId) -> (&Route, &mut ()) {
+                (&self.0, &mut self.1[v])
             }
             fn requests(&self) -> &[NodeId] {
                 &[0]
@@ -436,10 +552,13 @@ pub(crate) mod tests {
         struct PingPong([(); 2]);
         impl Protocol for PingPong {
             type Msg = ();
-            type Slice = ();
+            type Slice<'s> = &'s mut ();
             type Shared = ();
-            fn split(&mut self) -> (&(), &mut [()]) {
-                (&(), &mut self.0)
+            fn nodes(&self) -> usize {
+                self.0.len()
+            }
+            fn at(&mut self, v: NodeId) -> (&(), &mut ()) {
+                (&(), &mut self.0[v])
             }
             fn requests(&self) -> &[NodeId] {
                 &[0]
@@ -507,10 +626,13 @@ pub(crate) mod tests {
         struct Idle([(); 4]);
         impl Protocol for Idle {
             type Msg = ();
-            type Slice = ();
+            type Slice<'s> = &'s mut ();
             type Shared = ();
-            fn split(&mut self) -> (&(), &mut [()]) {
-                (&(), &mut self.0)
+            fn nodes(&self) -> usize {
+                self.0.len()
+            }
+            fn at(&mut self, v: NodeId) -> (&(), &mut ()) {
+                (&(), &mut self.0[v])
             }
             fn requests(&self) -> &[NodeId] {
                 &[]
@@ -541,10 +663,13 @@ pub(crate) mod tests {
         }
         impl Protocol for Fanout {
             type Msg = ();
-            type Slice = ();
+            type Slice<'s> = &'s mut ();
             type Shared = usize;
-            fn split(&mut self) -> (&usize, &mut [()]) {
-                (&self.n, &mut self.units)
+            fn nodes(&self) -> usize {
+                self.units.len()
+            }
+            fn at(&mut self, v: NodeId) -> (&usize, &mut ()) {
+                (&self.n, &mut self.units[v])
             }
             fn requests(&self) -> &[NodeId] {
                 &[0]
@@ -597,10 +722,13 @@ pub(crate) mod tests {
 
     impl Protocol for Fifo {
         type Msg = u64;
-        type Slice = Vec<u64>;
+        type Slice<'s> = &'s mut Vec<u64>;
         type Shared = u64;
-        fn split(&mut self) -> (&u64, &mut [Vec<u64>]) {
-            (&self.burst, &mut self.seen)
+        fn nodes(&self) -> usize {
+            self.seen.len()
+        }
+        fn at(&mut self, v: NodeId) -> (&u64, &mut Vec<u64>) {
+            (&self.burst, &mut self.seen[v])
         }
         fn requests(&self) -> &[NodeId] {
             &[0]

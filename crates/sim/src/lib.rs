@@ -19,9 +19,9 @@
 //!   contention that drives the paper's lower bounds (e.g. the star graph's
 //!   `Θ(n²)` in §5).
 //!
-//! Protocols implement [`Protocol`] — state split into a read-only shared
-//! view and one slice per processor, a request set, and an issue and a
-//! message handler that each touch only one processor's slice — and are
+//! Protocols implement [`Protocol`] — a read-only shared view lent with one
+//! processor's slice at a time, a request set, and an issue and a message
+//! handler that each touch only that processor's slice — and are
 //! executed by
 //! [`Simulator::run`], which returns a [`SimReport`] with per-operation
 //! delays, message counts and queue statistics. [`Simulator::with_cut`]
@@ -40,8 +40,9 @@
 //! impl Protocol for Relay {
 //!     type Msg = ();
 //!     type Shared = usize; // the path length
-//!     type Slice = u64; // one node's counter
-//!     fn split(&mut self) -> (&usize, &mut [u64]) { (&self.n, &mut self.seen) }
+//!     type Slice<'s> = &'s mut u64; // one node's counter
+//!     fn nodes(&self) -> usize { self.seen.len() }
+//!     fn at(&mut self, v: NodeId) -> (&usize, &mut u64) { (&self.n, &mut self.seen[v]) }
 //!     fn requests(&self) -> &[NodeId] { &[0] }
 //!     fn issue(_: &usize, _: &mut u64, api: &mut SliceApi<()>, _at: NodeId) { api.send(1, ()); }
 //!     fn on_message(n: &usize, seen: &mut u64, api: &mut SliceApi<()>, at: NodeId, _from: NodeId, _m: ()) {
@@ -73,7 +74,7 @@ pub use admission::{Admission, AdmissionController, AdmissionPolicy};
 pub use arrival::{ArrivalSpec, Arrivals};
 pub use engine::{SimError, Simulator};
 pub use probe::{fnv1a, Checkpoint, NodeDigest, Phase, PhaseTimings, ProbeSpec};
-pub use protocol::{with_slice, Protocol, SimApi, SliceApi};
+pub use protocol::{Protocol, SimApi, SliceApi};
 pub use report::{
     nearest_rank, Completion, CrashFault, Dropped, FaultEvent, FaultKind, FaultPlan, Issue,
     Lateness, LinkDelay, SimConfig, SimReport,

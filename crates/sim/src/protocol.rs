@@ -3,13 +3,13 @@
 //! handlers.
 //!
 //! [`Protocol`] models the whole distributed system as one value that
-//! splits into a read-only [`Protocol::Shared`] view plus one disjoint
-//! [`Protocol::Slice`] per processor. A message handler at `node` is an
-//! associated function over `shared` and `node`'s slice alone (through a
-//! [`SliceApi`]) — the paper's "a processor touches its own state and its
-//! own links", stated in the type. The scheduler's one receive walk calls
-//! the handler in ascending node order, sharded run or not
-//! ([`crate::shard`]).
+//! lends a read-only [`Protocol::Shared`] view together with one
+//! processor's [`Protocol::Slice`] at a time ([`Protocol::at`]). A message
+//! handler at `node` is an associated function over `shared` and `node`'s
+//! slice alone (through a [`SliceApi`]) — the paper's "a processor touches
+//! its own state and its own links", stated in the type. The scheduler's
+//! one receive walk calls the handler in ascending node order, sharded run
+//! or not ([`crate::shard`]).
 //!
 //! Both interfaces write through: an effect lands in the engine during the
 //! call that makes it, as a §2.1 send enters the sender's outbox the moment
@@ -31,17 +31,20 @@ use ccq_graph::{Graph, NodeId, Partition};
 
 /// A distributed protocol executed by the simulator.
 ///
-/// One `Protocol` value holds the state of *all* processors, decomposed
-/// into disjoint per-processor slices. The contract (and the reason every
-/// executor produces the same bytes):
+/// One `Protocol` value holds the state of *all* processors and lends it
+/// one processor at a time. The contract (and the reason every executor
+/// produces the same bytes):
 ///
-/// * [`Protocol::split`] partitions the state into an immutable
-///   [`Protocol::Shared`] view (routing tables, tree shape, mode flags)
-///   and one [`Protocol::Slice`] per processor, indexed by [`NodeId`];
+/// * [`Protocol::at`] lends an immutable [`Protocol::Shared`] view
+///   (routing tables, tree shape, mode flags) and `node`'s
+///   [`Protocol::Slice`], which no other processor's lend overlaps;
 /// * [`Protocol::on_message`], [`Protocol::issue`] and
 ///   [`Protocol::cancel`] act at one `node`, reading only `shared` and
 ///   mutating only `node`'s slice — they have no `self`, so they cannot
 ///   do otherwise.
+///
+/// A slice is `&'s mut` one fixed-size record, or a node's range of one
+/// run-wide array where states vary in size: no heap object per node.
 ///
 /// A run starts one way. [`Protocol::on_start`] runs once before round 0;
 /// then the scheduler's arrivals phase issues every operation through
@@ -53,17 +56,20 @@ pub trait Protocol {
     /// Message payload carried between processors.
     type Msg: Clone + std::fmt::Debug;
 
-    /// One processor's private state.
-    type Slice;
+    /// One processor's private state, as lent for `'s`.
+    type Slice<'s>
+    where
+        Self: 's;
 
     /// Read-only state shared by every handler.
     type Shared;
 
-    /// Split into the shared view and the per-node slices (`slices[v]` is
-    /// processor `v`'s state; the returned slice has one entry per
-    /// processor — the executors reject anything else as
-    /// [`crate::SimError::InvalidConfig`]).
-    fn split(&mut self) -> (&Self::Shared, &mut [Self::Slice]);
+    /// How many processors the protocol holds state for: the executors
+    /// reject any count but the graph's as [`crate::SimError::InvalidConfig`].
+    fn nodes(&self) -> usize;
+
+    /// Lend the shared view and processor `node`'s slice.
+    fn at(&mut self, node: NodeId) -> (&Self::Shared, Self::Slice<'_>);
 
     /// The request set the protocol was built with: the operations the
     /// one-shot batch issues at round 0, in this order.
@@ -83,7 +89,7 @@ pub trait Protocol {
     /// call [`SliceApi::complete`] at once.
     fn issue(
         shared: &Self::Shared,
-        slice: &mut Self::Slice,
+        slice: Self::Slice<'_>,
         api: &mut SliceApi<Self::Msg>,
         node: NodeId,
     );
@@ -96,7 +102,7 @@ pub trait Protocol {
     /// and never after `issue`.
     fn cancel(
         _shared: &Self::Shared,
-        _slice: &mut Self::Slice,
+        _slice: Self::Slice<'_>,
         _api: &mut SliceApi<Self::Msg>,
         _node: NodeId,
     ) {
@@ -106,7 +112,7 @@ pub trait Protocol {
     /// handle it touching only `node`'s slice.
     fn on_message(
         shared: &Self::Shared,
-        slice: &mut Self::Slice,
+        slice: Self::Slice<'_>,
         api: &mut SliceApi<Self::Msg>,
         node: NodeId,
         from: NodeId,
@@ -238,9 +244,9 @@ impl<M> SimApi<'_, M> {
         self.report.delayed_admissions += 1;
     }
 
-    /// This view scoped to the processor `node`: the [`SliceApi`] a
-    /// handler-style callback at `node` writes through.
-    pub(crate) fn at(&mut self, node: NodeId) -> SliceApi<'_, M> {
+    /// This view scoped to the processor `node`: the [`SliceApi`] a handler
+    /// called from a serialized phase writes through, next to [`Protocol::at`].
+    pub fn at(&mut self, node: NodeId) -> SliceApi<'_, M> {
         let api = SimApi {
             round: self.round,
             graph: self.graph,
@@ -297,20 +303,6 @@ impl<M> SliceApi<'_, M> {
     pub fn complete(&mut self, node: NodeId, value: u64) {
         self.api.complete(node, value);
     }
-}
-
-/// Run a closure against `node`'s slice through the [`SliceApi`] at `node`
-/// — how the serialized phases (the start, the arrivals phase's issue and
-/// cancel) reach one processor's state under the same discipline as a
-/// message handler.
-pub fn with_slice<P: Protocol>(
-    p: &mut P,
-    api: &mut SimApi<P::Msg>,
-    node: NodeId,
-    f: impl FnOnce(&P::Shared, &mut P::Slice, &mut SliceApi<P::Msg>),
-) {
-    let (shared, slices) = p.split();
-    f(shared, &mut slices[node], &mut api.at(node));
 }
 
 #[cfg(test)]

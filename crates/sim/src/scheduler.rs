@@ -88,19 +88,6 @@ fn validate_config(cfg: &SimConfig, faults: &FaultPlan, n: usize) -> Result<(), 
     cfg.probe.validate(n).map_err(SimError::invalid_config)
 }
 
-/// Reject a protocol whose [`Protocol::split`] does not cover the `n`
-/// processors. The deliver walk indexes `slices[v]`, and a short vector
-/// would silently starve the uncovered processors (their in-ports never
-/// drain and the run spins to `max_rounds`).
-fn validate_slices<P: Protocol>(protocol: &mut P, n: usize) -> Result<(), SimError> {
-    if protocol.split().1.len() != n {
-        return Err(SimError::invalid_config(
-            "Protocol::split() must yield exactly one slice per processor",
-        ));
-    }
-    Ok(())
-}
-
 /// What the round records, owned by [`run`] and lent to each phase: the
 /// run's borrowed inputs (the shard cut and the fault plan among them),
 /// its open schedule (`None`: the one-shot batch), the report, the
@@ -313,7 +300,11 @@ pub(crate) fn run<P: Protocol>(
 ) -> Result<(SimReport, P), SimError> {
     let n = graph.n();
     validate_config(cfg, faults, n)?;
-    validate_slices(&mut protocol, n)?;
+    // Every handler call lends `at(v)`: a protocol built for another vertex
+    // set would panic there mid-run, so it is refused before round 0.
+    if protocol.nodes() != n {
+        return Err(SimError::invalid_config("Protocol::at must lend one slice per processor"));
+    }
     arrivals.as_ref().map_or(Ok(()), |a| a.validate(n))?;
     if cut.is_some_and(|(partition, _)| partition.n() != n) {
         return Err(SimError::invalid_config(
@@ -413,7 +404,6 @@ impl<M> Executor<M> {
             return Ok(());
         }
         let cfg = led.cfg;
-        let (shared, slices) = protocol.split();
         self.fill_frontier(cfg.dense_scan, NodeStore::take_inport_frontier);
         let Executor { store, frontier, .. } = self;
         for &v in frontier.iter() {
@@ -428,8 +418,9 @@ impl<M> Executor<M> {
                 let Some(inb) = store.pop_inport(v) else { break };
                 led.report.queue_wait_rounds += round - inb.arrival;
                 led.note_delivery(round, v, inb.src);
+                let (shared, slice) = protocol.at(v);
                 let api = &mut led.api(round, store);
-                P::on_message(shared, &mut slices[v], &mut api.at(v), v, inb.src, inb.msg);
+                P::on_message(shared, slice, &mut api.at(v), v, inb.src, inb.msg);
                 led.settle()?;
             }
         }

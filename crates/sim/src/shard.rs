@@ -125,17 +125,20 @@ mod tests {
 
     #[test]
     fn short_slice_vector_is_invalid_config_not_a_hang() {
-        /// Violates the `split` contract: fewer slices than processors.
+        /// Violates the `at` contract: fewer slices than processors.
         struct Short {
             n: usize,
             units: Vec<u64>,
         }
         impl Protocol for Short {
             type Msg = ();
-            type Slice = u64;
+            type Slice<'s> = &'s mut u64;
             type Shared = usize;
-            fn split(&mut self) -> (&usize, &mut [u64]) {
-                (&self.n, &mut self.units)
+            fn nodes(&self) -> usize {
+                self.units.len()
+            }
+            fn at(&mut self, v: NodeId) -> (&usize, &mut u64) {
+                (&self.n, &mut self.units[v])
             }
             fn requests(&self) -> &[NodeId] {
                 &[0]

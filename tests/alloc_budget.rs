@@ -94,24 +94,56 @@ fn scenario_build_allocates_the_same_at_any_size() {
     assert!(at_32 < 100, "{at_32} allocations for one scenario");
 }
 
-/// One allocation per message sent plus a constant covers what a run may
-/// make: the tree router's two intervals, the request list, completions,
-/// report vectors and slab doublings for `central-counter`, whose traffic
-/// does not grow with `n`, and one
-/// `child_counts` per internal node for `combining-tree`, every one of
-/// which also sends its `Up`. A `Vec` per node on top of either — `n` more
-/// allocations, 4 096 at the larger size — is over it.
+/// Build `spec`'s protocol on `s` as `ProtocolSpec::execute` does, apart
+/// from any run: the allocation calls its state costs.
+fn build_allocs(spec: &ProtocolSpec, s: &Scenario) -> u64 {
+    use ccq_repro::counting::network::{bitonic, periodic, toggle_tree};
+    use ccq_repro::counting::{CentralCounterProtocol, CombiningTreeProtocol};
+    use ccq_repro::counting::{CountingNetworkProtocol, CrdtCounterProtocol};
+    use ccq_repro::queuing::{ArrowProtocol, CentralQueueProtocol, CombiningQueueProtocol};
+    use ProtocolSpec::*;
+    let (q, c, r) = (&s.queuing_tree, &s.counting_tree, &s.requests);
+    let w = spec.effective_width(s.n()).unwrap_or(0);
+    let network = |net| drop(CountingNetworkProtocol::with_network(&s.graph, c, r, net));
+    counted(|| match *spec {
+        Arrow => drop(ArrowProtocol::new(q, s.tail, r)),
+        ArrowNotify => drop(ArrowProtocol::new(q, s.tail, r).with_notify_origin()),
+        CentralQueue => drop(CentralQueueProtocol::new(q, s.tail, r)),
+        CombiningQueue => drop(CombiningQueueProtocol::new(q, r)),
+        CentralCounter => drop(CentralCounterProtocol::new(c, c.root(), r)),
+        CombiningTree => drop(CombiningTreeProtocol::new(c, r)),
+        CountingNetwork { .. } => network(bitonic(w)),
+        PeriodicNetwork { .. } => network(periodic(w)),
+        ToggleTree { .. } => network(toggle_tree(w)),
+        CrdtCounter => drop(CrdtCounterProtocol::new(c, r)),
+    })
+    .1
+}
+
+/// A protocol's state is a constant number of flat arrays whatever `n`
+/// is: building every registry protocol allocates the same on the 32×32
+/// and the 64×64 torus (a `Vec` per node would be 3 072 more). A run adds
+/// at most one allocation per message sent plus a constant: the report
+/// vectors, the slab doublings and the messages' own payloads (a combining
+/// summary, an arrow path), whose traffic does not grow with `n`.
 #[test]
 fn a_run_allocates_for_its_messages_not_its_nodes() {
-    for name in ["central-counter", "combining-tree"] {
-        let spec = ccq_repro::core::protocol::find(name).expect("registry protocol");
-        for side in [32, 64] {
-            let scenario = sparse_torus(side).0;
-            let (out, allocs) = counted(|| run_spec(spec, &scenario, ModelMode::Strict));
+    let scenarios = [sparse_torus(32).0, sparse_torus(64).0];
+    let builds = registry().iter().map(|spec| {
+        let [small, large] = scenarios.each_ref().map(|s| build_allocs(spec, s));
+        (spec.name(), small, large)
+    });
+    let grown: Vec<_> = builds.filter(|&(_, small, large)| small != large).collect();
+    assert!(grown.is_empty(), "built per node (protocol, 32x32, 64x64): {grown:?}");
+    for spec in registry() {
+        for scenario in &scenarios {
+            let (out, allocs) = counted(|| run_spec(spec, scenario, ModelMode::Strict));
             let msgs = out.expect("run verifies").report.messages_sent;
             assert!(
                 allocs <= 400 + msgs,
-                "{name} on {side}x{side}: {allocs} allocations for {msgs} messages"
+                "{} on {} nodes: {allocs} allocations for {msgs} messages",
+                spec.name(),
+                scenario.n()
             );
         }
     }
@@ -326,11 +358,15 @@ struct Laps {
 
 impl ccq_repro::sim::Protocol for Laps {
     type Msg = u64;
-    type Slice = ();
+    type Slice<'s> = &'s mut ();
     type Shared = u64;
 
-    fn split(&mut self) -> (&u64, &mut [()]) {
-        (&self.hops, &mut self.units)
+    fn nodes(&self) -> usize {
+        self.units.len()
+    }
+
+    fn at(&mut self, v: usize) -> (&u64, &mut ()) {
+        (&self.hops, &mut self.units[v])
     }
 
     fn requests(&self) -> &[usize] {
@@ -393,11 +429,15 @@ struct Instant {
 
 impl ccq_repro::sim::Protocol for Instant {
     type Msg = ();
-    type Slice = ();
+    type Slice<'s> = &'s mut ();
     type Shared = ();
 
-    fn split(&mut self) -> (&(), &mut [()]) {
-        (&(), &mut self.units)
+    fn nodes(&self) -> usize {
+        self.units.len()
+    }
+
+    fn at(&mut self, v: usize) -> (&(), &mut ()) {
+        (&(), &mut self.units[v])
     }
 
     fn requests(&self) -> &[usize] {

@@ -253,10 +253,13 @@ struct Burst {
 
 impl ccq_repro::sim::Protocol for Burst {
     type Msg = u64;
-    type Slice = Vec<(u64, u64)>;
+    type Slice<'s> = &'s mut Vec<(u64, u64)>;
     type Shared = u64;
-    fn split(&mut self) -> (&u64, &mut [Vec<(u64, u64)>]) {
-        (&self.burst, &mut self.seen)
+    fn nodes(&self) -> usize {
+        self.seen.len()
+    }
+    fn at(&mut self, v: NodeId) -> (&u64, &mut Vec<(u64, u64)>) {
+        (&self.burst, &mut self.seen[v])
     }
     fn requests(&self) -> &[NodeId] {
         &[0, 2]
