@@ -296,7 +296,7 @@ impl ProtocolSpec {
                 // executor-independent. Verified, `pairs` holds each
                 // retained requester once.
                 let issue = report.issue_rounds();
-                let issued = |v: NodeId| issue.get(v).copied().unwrap_or(0);
+                let issued = |v: NodeId| issue.at(v);
                 let mut pairs = pairs;
                 pairs.sort_unstable_by_key(|&(v, rank)| (rank, std::cmp::Reverse(issued(v)), v));
                 Ok(pairs.into_iter().map(|(v, _)| v).collect())

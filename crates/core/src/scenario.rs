@@ -127,10 +127,7 @@ impl TopoSpec {
     pub fn counting_tree(&self, graph: &Graph) -> Tree {
         match *self {
             TopoSpec::Complete { n } => spanning::balanced_binary_tree(n),
-            _ => {
-                let c = ccq_graph::bfs::approx_center(graph, 0);
-                spanning::bfs_tree(graph, c)
-            }
+            _ => spanning::center_bfs_tree(graph, 0),
         }
     }
 }

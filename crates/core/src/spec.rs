@@ -435,8 +435,8 @@ const MAX_CLI_WIDTH: usize = 4096;
 
 /// Largest next-hop table a balancing network may keep: one `n`-word BFS
 /// table per distinct host, so `counting-network:4096` on `torus2d:128`
-/// would ask for 2 GB. The cap is the adjacency `MAX_CLI_EDGES` allows
-/// (`2^27` words, 1 GiB).
+/// would ask for 1 GiB. The cap is the adjacency `MAX_CLI_EDGES` allows:
+/// `2^27` words of four bytes (a `u32` vertex id), 512 MiB.
 const MAX_CLI_TABLE_WORDS: usize = 1 << 27;
 
 /// Largest per-hop delay (and round-valued field) — big enough for any

@@ -53,10 +53,12 @@ pub struct CountingNetworkShared<'t> {
     /// Wire → the processor hosting the balancer or exit counter the wire
     /// leads into, and its slot in that host's counters.
     hosted_at: Vec<(NodeId, usize)>,
-    /// Dense host indexing: node → row of `next_hop` (usize::MAX = not a host).
-    host_slot: Vec<usize>,
-    /// `next_hop[s * n + u]` = next hop from `u` towards the host in row `s`.
-    next_hop: Vec<NodeId>,
+    /// Dense host indexing: node → row of `next_hop` (`u32::MAX` = not a
+    /// host).
+    host_slot: Vec<u32>,
+    /// `next_hop[s * n + u]` = next hop from `u` towards the host in row `s`
+    /// (a `u32` id, like the graph's).
+    next_hop: Vec<u32>,
     router: TreeRouter<'t>,
 }
 
@@ -112,14 +114,20 @@ impl<'t> CountingNetworkProtocol<'t> {
         }
 
         // One next-hop row per host (a processor with counters): a BFS from
-        // `h` gives each `u` the first hop of a shortest path `u → h`.
+        // `h` gives each `u` the first hop of a shortest path `u → h`, its
+        // predecessor, written straight into `h`'s row. The searches share
+        // one pair of buffers.
         let hosts = (0..n).filter(|&v| host_off[v] < host_off[v + 1]).count();
-        let mut host_slot = vec![usize::MAX; n];
-        let mut next_hop = Vec::with_capacity(hosts * n);
+        let mut host_slot = vec![u32::MAX; n];
+        let mut next_hop = vec![u32::MAX; hosts * n];
+        let (mut dist, mut order, mut rows) = (Vec::new(), Vec::new(), 0);
         for &(h, _) in &hosted_at {
-            if host_slot[h] == usize::MAX {
-                host_slot[h] = next_hop.len() / n;
-                next_hop.extend(bfs::bfs_tree_arrays(graph, h).1);
+            if host_slot[h] == u32::MAX {
+                let row = &mut next_hop[rows * n..(rows + 1) * n];
+                row[h] = h as u32;
+                bfs::search(graph, h, &mut dist, &mut order, |v, u| row[v] = u as u32);
+                host_slot[h] = rows as u32;
+                rows += 1;
             }
         }
 
@@ -155,7 +163,8 @@ impl<'t> CountingNetworkProtocol<'t> {
         loop {
             let (host, slot) = shared.hosted_at[wire];
             if host != u {
-                let next = shared.next_hop[shared.host_slot[host] * shared.host_slot.len() + u];
+                let row = shared.host_slot[host] as usize * shared.host_slot.len();
+                let next = shared.next_hop[row + u] as NodeId;
                 let token = match net.label {
                     WireLabel::Wire => CnMsg::Token { origin, wire },
                     WireLabel::NodeIdx => CnMsg::TreeToken { origin, node_idx: wire },

@@ -4,48 +4,46 @@
 //! diameter of `G`; the experiment drivers read it off the two-sweep bound
 //! ([`diameter_two_sweep`]), exact on the families they run.
 
-use crate::{Graph, NodeId, NO_NODE};
+use crate::graph::id;
+use crate::{Graph, NodeId};
 
 /// Distances (in hops) from `src` to every vertex; `u32::MAX` = unreachable.
 pub fn bfs_distances(g: &Graph, src: NodeId) -> Vec<u32> {
-    search(g, src, |_, _| {}).0
+    let (mut dist, mut order) = (Vec::new(), Vec::new());
+    search(g, src, &mut dist, &mut order, |_, _| {});
+    dist
 }
 
-/// BFS that also records a predecessor for each reached vertex.
-///
-/// Returns `(distances, predecessors)`; `predecessors[src] == src` and
-/// unreachable vertices have predecessor [`NO_NODE`].
-pub fn bfs_tree_arrays(g: &Graph, src: NodeId) -> (Vec<u32>, Vec<NodeId>) {
-    let mut pred = vec![NO_NODE; g.n()];
-    pred[src] = src;
-    (search(g, src, |v, u| pred[v] = u).0, pred)
-}
-
-/// The one breadth-first search: distances from `src` and the visit order
-/// (its own queue, so one allocation of `n`), calling `found(v, u)` when
-/// `v` is first reached from `u`. Neighbours are scanned ascending.
-pub(crate) fn search(
+/// The one breadth-first search, into caller-owned buffers so that a run
+/// of searches allocates once: `dist` becomes each vertex's distance from
+/// `src` (`u32::MAX` = unreachable) and `order` the visit order (its own
+/// queue), and `found(v, u)` is called when `v` is first reached from `u`.
+/// Neighbours are scanned ascending.
+pub fn search(
     g: &Graph,
     src: NodeId,
+    dist: &mut Vec<u32>,
+    order: &mut Vec<u32>,
     mut found: impl FnMut(NodeId, NodeId),
-) -> (Vec<u32>, Vec<NodeId>) {
-    let mut dist = vec![u32::MAX; g.n()];
-    let mut order = Vec::with_capacity(g.n());
+) {
+    dist.clear();
+    dist.resize(g.n(), u32::MAX);
+    order.clear();
+    order.reserve(g.n());
     dist[src] = 0;
-    order.push(src);
+    order.push(id(src));
     let mut head = 0;
     while let Some(&u) = order.get(head) {
         head += 1;
-        let du = dist[u];
-        for &v in g.neighbors(u) {
-            if dist[v] == u32::MAX {
-                dist[v] = du + 1;
-                found(v, u);
+        let du = dist[u as usize];
+        for &v in g.row(u as usize) {
+            if dist[v as usize] == u32::MAX {
+                dist[v as usize] = du + 1;
+                found(v as NodeId, u as NodeId);
                 order.push(v);
             }
         }
     }
-    (dist, order)
 }
 
 /// Eccentricity of `src`: the largest finite BFS distance from it.
@@ -53,31 +51,50 @@ pub(crate) fn search(
 /// # Panics
 /// Panics if the graph is disconnected (eccentricity is then undefined).
 fn eccentricity(g: &Graph, src: NodeId) -> u32 {
-    let (dist, order) = search(g, src, |_, _| {});
+    let (mut dist, mut order) = (Vec::new(), Vec::new());
+    search(g, src, &mut dist, &mut order, |_, _| {});
     assert_eq!(order.len(), g.n(), "eccentricity of a disconnected graph");
     // A BFS visits in nondecreasing distance: the last vertex is farthest.
-    dist[order[order.len() - 1]]
+    dist[order[order.len() - 1] as usize]
+}
+
+/// The largest-id vertex of largest finite distance (`fallback` when
+/// there is no vertex).
+fn farthest(dist: &[u32], fallback: NodeId) -> NodeId {
+    (0..dist.len())
+        .max_by_key(|&v| if dist[v] == u32::MAX { 0 } else { dist[v] })
+        .unwrap_or(fallback)
 }
 
 /// Two-sweep lower bound on the diameter (exact on trees): BFS from `start`,
 /// then BFS from the farthest vertex found.
 pub fn diameter_two_sweep(g: &Graph, start: NodeId) -> u32 {
-    let d0 = bfs_distances(g, start);
-    let far =
-        (0..g.n()).max_by_key(|&v| if d0[v] == u32::MAX { 0 } else { d0[v] }).unwrap_or(start);
-    eccentricity(g, far)
+    eccentricity(g, farthest(&bfs_distances(g, start), start))
 }
 
 /// Approximate center: the midpoint of a two-sweep diameter path.
 pub fn approx_center(g: &Graph, start: NodeId) -> NodeId {
-    let d0 = bfs_distances(g, start);
-    let a = (0..g.n()).max_by_key(|&v| if d0[v] == u32::MAX { 0 } else { d0[v] }).unwrap_or(start);
-    let (da, pred) = bfs_tree_arrays(g, a);
-    let b = (0..g.n()).max_by_key(|&v| if da[v] == u32::MAX { 0 } else { da[v] }).unwrap_or(a);
+    let mut pred = vec![0; g.n()];
+    approx_center_in(g, start, &mut Vec::new(), &mut Vec::new(), &mut pred)
+}
+
+/// [`approx_center`] in the caller's search buffers (`pred` of `n`
+/// entries), which a BFS tree from the center then reuses.
+pub(crate) fn approx_center_in(
+    g: &Graph,
+    start: NodeId,
+    dist: &mut Vec<u32>,
+    order: &mut Vec<u32>,
+    pred: &mut [u32],
+) -> NodeId {
+    search(g, start, dist, order, |_, _| {});
+    let a = farthest(dist, start);
+    search(g, a, dist, order, |v, u| pred[v] = id(u));
+    let b = farthest(dist, a);
     // Walk half-way back from b towards a.
     let mut cur = b;
-    for _ in 0..(da[b] / 2) {
-        cur = pred[cur];
+    for _ in 0..(dist[b] / 2) {
+        cur = pred[cur] as NodeId;
     }
     cur
 }

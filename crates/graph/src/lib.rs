@@ -51,6 +51,3 @@ pub use tree::Tree;
 ///
 /// The paper numbers processors `1..n`; we use `0..n-1`.
 pub type NodeId = usize;
-
-/// Sentinel used in parent arrays and BFS predecessors for "no node".
-pub const NO_NODE: NodeId = usize::MAX;

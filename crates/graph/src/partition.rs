@@ -95,7 +95,7 @@ impl Partition {
                 assignment[pick] = shard;
                 size += 1;
                 unassigned -= 1;
-                for &w in graph.neighbors(pick) {
+                for w in graph.neighbors(pick) {
                     if key[w] > 0 {
                         key[w] += 1;
                     }
@@ -226,7 +226,7 @@ mod tests {
                     .unwrap();
                 assignment[pick] = shard;
                 unassigned -= 1;
-                for &w in graph.neighbors(pick) {
+                for w in graph.neighbors(pick) {
                     gain[w] += usize::from(assignment[w] == usize::MAX);
                 }
             }

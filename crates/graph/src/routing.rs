@@ -27,18 +27,19 @@ impl<'t> TreeRouter<'t> {
     /// sizes bottom-up, then entry indices top-down.
     pub fn new(tree: &'t Tree) -> Self {
         let n = tree.n();
-        let order = tree.bfs_order();
+        let order = tree.bfs_ids();
         // `tout` holds subtree sizes until the forward pass adds `tin`.
         let mut tout = vec![1u32; n];
         for &v in order[1..].iter().rev() {
-            tout[tree.parent(v)] += tout[v];
+            tout[tree.parent(v as usize)] += tout[v as usize];
         }
         let mut tin = vec![0u32; n];
         for &v in order {
+            let v = v as usize;
             let mut next = tin[v] + 1;
-            for &c in tree.children(v) {
-                tin[c] = next;
-                next += tout[c];
+            for &c in tree.child_ids(v) {
+                tin[c as usize] = next;
+                next += tout[c as usize];
             }
             tout[v] += tin[v];
         }
@@ -65,10 +66,10 @@ impl<'t> TreeRouter<'t> {
         // target is strictly below `from`: find the child whose interval
         // contains tin[target].
         let t = self.tin[target];
-        let ch = self.tree.children(from);
-        let idx = ch.partition_point(|&c| self.tin[c] <= t) - 1;
-        debug_assert!(self.in_subtree(ch[idx], target));
-        Some(ch[idx])
+        let ch = self.tree.child_ids(from);
+        let next = ch[ch.partition_point(|&c| self.tin[c as usize] <= t) - 1] as NodeId;
+        debug_assert!(self.in_subtree(next, target));
+        Some(next)
     }
 
     /// Full path from `from` to `target` (inclusive), by repeated next hops.

@@ -10,11 +10,13 @@
 //!   [`crate::topology::perfect_mary_tree`];
 //! * any constant-degree tree for Theorem 4.13 — e.g. BFS trees of meshes.
 //!
-//! [`bfs_tree`] and [`path_tree_from_order`] hand their search to
-//! `Tree::from_search`; the rest have [`Tree::from_parents`] validate.
+//! [`bfs_tree`], [`center_bfs_tree`] and [`path_tree_from_order`] hand
+//! their search to `Tree::from_search`; the rest have
+//! [`Tree::from_parents`] validate.
 
 use crate::bfs;
-use crate::tree::Tree;
+use crate::graph::id;
+use crate::tree::{Tree, NO_PARENT};
 use crate::{topology, Graph, NodeId};
 use rand::prelude::*;
 use rand::rngs::StdRng;
@@ -24,11 +26,35 @@ use rand::rngs::StdRng;
 /// # Panics
 /// Panics if `g` is disconnected.
 pub fn bfs_tree(g: &Graph, root: NodeId) -> Tree {
+    bfs_tree_in(g, root, Vec::new(), Vec::new(), vec![NO_PARENT; g.n()])
+}
+
+/// BFS spanning tree of `g` rooted at its approximate center
+/// ([`bfs::approx_center`] from `start`): the counting tree. The center's
+/// two sweeps and the tree's search share one set of buffers, which the
+/// tree then keeps.
+///
+/// # Panics
+/// Panics if `g` is disconnected.
+pub fn center_bfs_tree(g: &Graph, start: NodeId) -> Tree {
+    let (mut dist, mut order, mut pred) = (Vec::new(), Vec::new(), vec![NO_PARENT; g.n()]);
+    let center = bfs::approx_center_in(g, start, &mut dist, &mut order, &mut pred);
+    bfs_tree_in(g, center, dist, order, pred)
+}
+
+/// [`bfs_tree`] in the given search buffers; `pred` has `n` entries, and
+/// the search overwrites every one of them on a connected graph.
+fn bfs_tree_in(
+    g: &Graph,
+    root: NodeId,
+    mut dist: Vec<u32>,
+    mut order: Vec<u32>,
+    mut pred: Vec<u32>,
+) -> Tree {
     // A vertex's undiscovered neighbours are its tree children, scanned
     // ascending, so the visit order is the tree's BFS order.
-    let mut pred = vec![crate::NO_NODE; g.n()];
-    pred[root] = root;
-    let (dist, order) = bfs::search(g, root, |v, u| pred[v] = u);
+    pred[root] = id(root);
+    bfs::search(g, root, &mut dist, &mut order, |v, u| pred[v] = id(u));
     assert_eq!(order.len(), g.n(), "graph disconnected");
     Tree::from_search(root, pred, dist, order)
 }
@@ -38,26 +64,26 @@ pub fn bfs_tree(g: &Graph, root: NodeId) -> Tree {
 pub fn random_bfs_tree(g: &Graph, root: NodeId, seed: u64) -> Tree {
     let mut rng = StdRng::seed_from_u64(seed);
     let n = g.n();
-    let mut parent = vec![crate::NO_NODE; n];
-    parent[root] = root;
+    let mut parent = vec![NO_PARENT; n];
+    parent[root] = id(root);
     let mut frontier = vec![root];
     while !frontier.is_empty() {
         frontier.shuffle(&mut rng);
         let mut next = Vec::new();
         for &u in &frontier {
-            let mut nbs: Vec<NodeId> = g.neighbors(u).to_vec();
+            let mut nbs: Vec<NodeId> = g.neighbors(u).collect();
             nbs.shuffle(&mut rng);
             for v in nbs {
-                if parent[v] == crate::NO_NODE {
-                    parent[v] = u;
+                if parent[v] == NO_PARENT {
+                    parent[v] = id(u);
                     next.push(v);
                 }
             }
         }
         frontier = next;
     }
-    assert!(parent.iter().all(|&p| p != crate::NO_NODE), "graph disconnected");
-    Tree::from_parents(root, parent)
+    assert!(parent.iter().all(|&p| p != NO_PARENT), "graph disconnected");
+    Tree::from_parent_ids(root, parent)
 }
 
 /// Turn an ordering of all vertices into a path-shaped tree rooted at
@@ -68,14 +94,14 @@ pub fn random_bfs_tree(g: &Graph, root: NodeId, seed: u64) -> Tree {
 pub fn path_tree_from_order(order: &[NodeId]) -> Tree {
     let n = order.len();
     assert!(n > 0, "empty order");
-    let (mut parent, mut depth) = (vec![crate::NO_NODE; n], vec![0u32; n]);
-    parent[order[0]] = order[0];
+    let (mut parent, mut depth) = (vec![NO_PARENT; n], vec![0u32; n]);
+    parent[order[0]] = id(order[0]);
     for (i, w) in order.windows(2).enumerate() {
-        assert!(parent[w[1]] == crate::NO_NODE, "duplicate vertex in order");
-        parent[w[1]] = w[0];
+        assert!(parent[w[1]] == NO_PARENT, "duplicate vertex in order");
+        parent[w[1]] = id(w[0]);
         depth[w[1]] = i as u32 + 1;
     }
-    Tree::from_search(order[0], parent, depth, order.to_vec())
+    Tree::from_search(order[0], parent, depth, order.iter().map(|&v| id(v)).collect())
 }
 
 /// Hamilton path of the complete graph `K_n`: the identity order.
@@ -136,8 +162,7 @@ pub fn is_hamilton_path(g: &Graph, order: &[NodeId]) -> bool {
 /// tree of `K_n`, giving the combining counter a depth of `⌊log₂ n⌋`.
 pub fn balanced_binary_tree(n: usize) -> Tree {
     assert!(n > 0);
-    let parent: Vec<NodeId> = (0..n).map(|v| if v == 0 { 0 } else { (v - 1) / 2 }).collect();
-    Tree::from_parents(0, parent)
+    Tree::from_parent_ids(0, (0..n).map(|v| id(v.saturating_sub(1) / 2)).collect())
 }
 
 /// Star spanning tree: every vertex hangs off `center`. Valid in `K_n` and
@@ -146,16 +171,14 @@ pub fn balanced_binary_tree(n: usize) -> Tree {
 pub fn star_tree(n: usize, center: NodeId) -> Tree {
     assert!(center < n);
     // Every vertex (the center included — it is the root) points at center.
-    let parent: Vec<NodeId> = vec![center; n];
-    Tree::from_parents(center, parent)
+    Tree::from_parent_ids(center, vec![id(center); n])
 }
 
 /// The perfect m-ary tree *as a tree* (root 0, level indexing); the spanning
 /// tree used by Theorems 4.7/4.12.
 pub fn perfect_mary_tree(m: usize, depth: usize) -> Tree {
     let n = topology::perfect_mary_size(m, depth);
-    let parent: Vec<NodeId> = (0..n).map(|v| if v == 0 { 0 } else { (v - 1) / m }).collect();
-    Tree::from_parents(0, parent)
+    Tree::from_parent_ids(0, (0..n).map(|v| id(v.saturating_sub(1) / m)).collect())
 }
 
 #[cfg(test)]
@@ -171,10 +194,10 @@ mod tests {
         let want = Tree::from_parents(t.root(), parent);
         assert_eq!(t.root(), want.root());
         for v in 0..t.n() {
-            assert_eq!(t.children(v), want.children(v), "children of {v}");
+            assert!(t.children(v).eq(want.children(v)), "children of {v}");
             assert_eq!(t.depth(v), want.depth(v), "depth of {v}");
         }
-        assert_eq!(t.bfs_order(), want.bfs_order());
+        assert!(t.bfs_order().eq(want.bfs_order()));
         assert_eq!(t.max_degree(), want.max_degree());
     }
 
@@ -201,6 +224,15 @@ mod tests {
             let t = bfs_tree(&g, root);
             prop_assert!(t.is_spanning_tree_of(&g));
             assert_same_as_from_parents(&t);
+            // The counting tree's shared buffers build the same tree as a
+            // fresh search from the center.
+            let c = center_bfs_tree(&g, root);
+            let want = bfs_tree(&g, bfs::approx_center(&g, root));
+            prop_assert_eq!(c.root(), want.root());
+            prop_assert!((0..g.n()).all(|v| c.parent(v) == want.parent(v)
+                && c.depth(v) == want.depth(v)
+                && c.children(v).eq(want.children(v))));
+            prop_assert!(c.bfs_order().eq(want.bfs_order()));
         }
 
         /// A path tree takes its order as its BFS order and depths; both
@@ -210,7 +242,7 @@ mod tests {
             let mut order: Vec<NodeId> = (0..n).collect();
             order.shuffle(&mut StdRng::seed_from_u64(seed));
             let t = path_tree_from_order(&order);
-            prop_assert_eq!(t.bfs_order(), &order[..]);
+            prop_assert_eq!(t.bfs_order().collect::<Vec<_>>(), order);
             assert_same_as_from_parents(&t);
         }
     }

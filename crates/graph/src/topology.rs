@@ -65,37 +65,13 @@ pub fn mesh_index(dims: &[usize], coord: &[usize]) -> NodeId {
 /// `mesh(&[n])` is the list; `mesh(&[a, b])` the 2-D grid, and so on.
 pub fn mesh(dims: &[usize]) -> Graph {
     assert!(!dims.is_empty() && dims.iter().all(|&d| d >= 1));
-    let n: usize = dims.iter().product();
-    let edges = dims.iter().map(|&d| n / d * (d - 1)).sum();
-    let mut b = GraphBuilder::with_capacity(n, edges);
-    // Row-major: one step along an axis moves the index by the product of
-    // the later sides.
-    let mut stride = n;
-    for &d in dims {
-        stride /= d;
-        for idx in 0..n {
-            if (idx / stride) % d + 1 < d {
-                b.add_edge(idx, idx + stride);
-            }
-        }
-    }
-    b.build()
+    Graph::grid(dims, false)
 }
 
 /// The d-dimensional torus (mesh with wraparound); each `dims[i] ≥ 3`.
 pub fn torus(dims: &[usize]) -> Graph {
     assert!(dims.iter().all(|&d| d >= 3), "torus sides must be ≥ 3");
-    let n: usize = dims.iter().product();
-    let mut b = GraphBuilder::with_capacity(n, n * dims.len());
-    let mut stride = n;
-    for &d in dims {
-        stride /= d;
-        for idx in 0..n {
-            let wraps = (idx / stride) % d + 1 == d;
-            b.add_edge(idx, if wraps { idx - (d - 1) * stride } else { idx + stride });
-        }
-    }
-    b.build()
+    Graph::grid(dims, true)
 }
 
 /// The hypercube of dimension `d` (`n = 2^d` vertices, bit-flip edges).

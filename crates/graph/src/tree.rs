@@ -5,7 +5,11 @@
 //! crate's `Tree::from_search` trusts the search that found the tree (a
 //! graph BFS, a path's order) and only counts the children.
 
+use crate::graph::{assert_ids_fit, id};
 use crate::{Graph, NodeId};
+
+/// "No parent yet" in a parent array under construction.
+pub(crate) const NO_PARENT: u32 = u32::MAX;
 
 /// A rooted tree on vertices `0..n`, stored as a validated parent array.
 ///
@@ -13,17 +17,19 @@ use crate::{Graph, NodeId};
 /// * `parent[root] == root` and no other self-parent;
 /// * following parents from any vertex reaches the root (no cycles, one
 ///   component).
+///
+/// Every per-vertex array holds `u32` ids, like [`Graph`]'s.
 #[derive(Clone, Debug)]
 pub struct Tree {
     root: NodeId,
-    parent: Vec<NodeId>,
+    parent: Vec<u32>,
     /// Children of `v`, ascending: `child_adj[child_off[v]..child_off[v + 1]]`
-    /// (CSR, like [`Graph`], with `u32` offsets — two arrays whatever `n` is).
+    /// (CSR, like [`Graph`] — two arrays whatever `n` is).
     child_off: Vec<u32>,
-    child_adj: Vec<NodeId>,
+    child_adj: Vec<u32>,
     depth: Vec<u32>,
     /// Vertices in BFS order from the root (root first).
-    bfs_order: Vec<NodeId>,
+    bfs_order: Vec<u32>,
     /// Largest undirected degree, counted with the children.
     max_degree: usize,
 }
@@ -34,19 +40,26 @@ impl Tree {
     /// # Panics
     /// Panics if the array does not describe a single rooted tree.
     pub fn from_parents(root: NodeId, parent: Vec<NodeId>) -> Tree {
+        let parent = parent.iter().map(|&p| u32::try_from(p).unwrap_or(NO_PARENT)).collect();
+        Tree::from_parent_ids(root, parent)
+    }
+
+    /// [`Tree::from_parents`] over stored ids.
+    pub(crate) fn from_parent_ids(root: NodeId, parent: Vec<u32>) -> Tree {
         let n = parent.len();
         assert!(root < n, "root out of range");
-        assert_eq!(parent[root], root, "parent[root] must be root");
+        assert_eq!(parent[root] as usize, root, "parent[root] must be root");
         let mut t = Tree::from_search(root, parent, vec![0; n], Vec::with_capacity(n));
         // BFS from the root computes depths and detects unreachable vertices
         // (a cycle among non-root vertices); `bfs_order` is its own queue.
         let Tree { child_off, child_adj, depth, bfs_order, .. } = &mut t;
-        bfs_order.push(root);
+        bfs_order.push(id(root));
         let mut head = 0;
         while let Some(&u) = bfs_order.get(head) {
             head += 1;
+            let u = u as usize;
             for &c in &child_adj[child_off[u] as usize..child_off[u + 1] as usize] {
-                depth[c] = depth[u] + 1;
+                depth[c as usize] = depth[u] + 1;
                 bfs_order.push(c);
             }
         }
@@ -61,18 +74,18 @@ impl Tree {
     /// order walks each back to its list's start (no cursor array).
     pub(crate) fn from_search(
         root: NodeId,
-        parent: Vec<NodeId>,
+        parent: Vec<u32>,
         depth: Vec<u32>,
-        bfs_order: Vec<NodeId>,
+        bfs_order: Vec<u32>,
     ) -> Tree {
         let n = parent.len();
-        assert!(n <= u32::MAX as usize, "tree too large");
+        assert_ids_fit(n);
         let mut child_off = vec![0u32; n + 1];
         for (v, &p) in parent.iter().enumerate() {
-            assert!(p < n, "parent[{v}] out of range");
+            assert!((p as usize) < n, "parent[{v}] out of range");
             if v != root {
-                assert_ne!(p, v, "vertex {v} is a second root");
-                child_off[p] += 1;
+                assert_ne!(p as usize, v, "vertex {v} is a second root");
+                child_off[p as usize] += 1;
             }
         }
         let (mut max_degree, mut end) = (0, 0);
@@ -82,10 +95,11 @@ impl Tree {
             *off = end;
         }
         child_off[n] = end;
-        let mut child_adj = vec![0 as NodeId; end as usize];
+        let mut child_adj = vec![0u32; end as usize];
         for v in (0..n).rev().filter(|&v| v != root) {
-            child_off[parent[v]] -= 1;
-            child_adj[child_off[parent[v]] as usize] = v;
+            let p = parent[v] as usize;
+            child_off[p] -= 1;
+            child_adj[child_off[p] as usize] = id(v);
         }
         Tree { root, parent, child_off, child_adj, depth, bfs_order, max_degree }
     }
@@ -105,12 +119,21 @@ impl Tree {
     /// Parent of `v` (the root is its own parent).
     #[inline]
     pub fn parent(&self, v: NodeId) -> NodeId {
-        self.parent[v]
+        self.parent[v] as NodeId
     }
 
-    /// Children of `v`.
+    /// Children of `v`, ascending.
     #[inline]
-    pub fn children(&self, v: NodeId) -> &[NodeId] {
+    pub fn children(
+        &self,
+        v: NodeId,
+    ) -> impl ExactSizeIterator<Item = NodeId> + DoubleEndedIterator + '_ {
+        self.child_ids(v).iter().map(|&c| c as NodeId)
+    }
+
+    /// `v`'s children as stored.
+    #[inline]
+    pub(crate) fn child_ids(&self, v: NodeId) -> &[u32] {
         &self.child_adj[self.child_slots(v)]
     }
 
@@ -133,7 +156,13 @@ impl Tree {
 
     /// Vertices in BFS order from the root.
     #[inline]
-    pub fn bfs_order(&self) -> &[NodeId] {
+    pub fn bfs_order(&self) -> impl ExactSizeIterator<Item = NodeId> + DoubleEndedIterator + '_ {
+        self.bfs_order.iter().map(|&v| v as NodeId)
+    }
+
+    /// [`Tree::bfs_order`] as stored.
+    #[inline]
+    pub(crate) fn bfs_ids(&self) -> &[u32] {
         &self.bfs_order
     }
 
@@ -145,8 +174,8 @@ impl Tree {
 
     /// Tree neighbours of `v` (parent, then children).
     pub fn neighbors(&self, v: NodeId) -> impl Iterator<Item = NodeId> + '_ {
-        let parent = (v != self.root).then_some(self.parent[v]);
-        parent.into_iter().chain(self.children(v).iter().copied())
+        let parent = (v != self.root).then(|| self.parent(v));
+        parent.into_iter().chain(self.children(v))
     }
 
     /// The tree as an undirected [`Graph`] (for running protocols *on* `T`).
@@ -154,7 +183,7 @@ impl Tree {
         let mut b = crate::GraphBuilder::new(self.n());
         for v in 0..self.n() {
             if v != self.root {
-                b.add_edge(v, self.parent[v]);
+                b.add_edge(v, self.parent(v));
             }
         }
         b.build()
@@ -163,7 +192,7 @@ impl Tree {
     /// Whether every tree edge is an edge of `g` (i.e. `T` is a spanning
     /// tree / subgraph of `g` on the same vertex set).
     pub fn is_spanning_tree_of(&self, g: &Graph) -> bool {
-        self.n() == g.n() && (0..self.n()).all(|v| v == self.root || g.has_edge(v, self.parent[v]))
+        self.n() == g.n() && (0..self.n()).all(|v| v == self.root || g.has_edge(v, self.parent(v)))
     }
 
     /// Distance between `u` and `v` in the tree, walking up by depth —
@@ -171,16 +200,16 @@ impl Tree {
     pub fn dist(&self, mut u: NodeId, mut v: NodeId) -> u32 {
         let mut d = 0;
         while self.depth[u] > self.depth[v] {
-            u = self.parent[u];
+            u = self.parent(u);
             d += 1;
         }
         while self.depth[v] > self.depth[u] {
-            v = self.parent[v];
+            v = self.parent(v);
             d += 1;
         }
         while u != v {
-            u = self.parent[u];
-            v = self.parent[v];
+            u = self.parent(u);
+            v = self.parent(v);
             d += 2;
         }
         d
@@ -193,17 +222,17 @@ impl Tree {
         let (mut a, mut b) = (u, v);
         while self.depth[a] > self.depth[b] {
             up.push(a);
-            a = self.parent[a];
+            a = self.parent(a);
         }
         while self.depth[b] > self.depth[a] {
             down.push(b);
-            b = self.parent[b];
+            b = self.parent(b);
         }
         while a != b {
             up.push(a);
-            a = self.parent[a];
+            a = self.parent(a);
             down.push(b);
-            b = self.parent[b];
+            b = self.parent(b);
         }
         up.push(a);
         up.extend(down.into_iter().rev());
@@ -271,10 +300,10 @@ mod tests {
             let (children, depth, bfs_order) = nested_reference(label[0], &parent);
             let t = Tree::from_parents(label[0], parent);
             for v in 0..n {
-                prop_assert_eq!(t.children(v), &children[v][..]);
+                prop_assert_eq!(t.children(v).collect::<Vec<_>>(), children[v].clone());
                 prop_assert_eq!(t.depth(v), depth[v]);
             }
-            prop_assert_eq!(t.bfs_order(), &bfs_order[..]);
+            prop_assert_eq!(t.bfs_order().collect::<Vec<_>>(), bfs_order);
             let degree = |v: NodeId| children[v].len() + usize::from(v != label[0]);
             prop_assert_eq!(t.max_degree(), (0..n).map(degree).max().unwrap_or(0));
         }
@@ -290,7 +319,7 @@ mod tests {
         let t = sample_tree();
         assert_eq!(t.n(), 6);
         assert_eq!(t.root(), 0);
-        assert_eq!(t.children(0), &[1, 2]);
+        assert_eq!(t.children(0).collect::<Vec<_>>(), [1, 2]);
         assert_eq!(t.depth(5), 3);
         assert_eq!(t.height(), 3);
         assert_eq!(t.neighbors(1).count(), 3);

@@ -107,7 +107,7 @@ impl<H: CombiningHandOut> fmt::Debug for WaveMsg<H> {
 /// One node's wave record.
 pub struct Wave {
     /// Children still expected to report.
-    waiting: usize,
+    waiting: u32,
     requesting: bool,
     /// Whether the node's own operation was injected ([`Protocol::issue`]).
     issued: bool,
@@ -130,7 +130,11 @@ impl<'t, H: CombiningHandOut> Combining<'t, H> {
     /// Set up on `tree` with the given request set.
     pub fn new(tree: &'t Tree, requests: &[NodeId]) -> Self {
         let mut waves: Vec<_> = (0..tree.n())
-            .map(|v| Wave { waiting: tree.children(v).len(), requesting: false, issued: false })
+            .map(|v| Wave {
+                waiting: tree.children(v).len() as u32,
+                requesting: false,
+                issued: false,
+            })
             .collect();
         // A node listed twice requests once: the wave carries one
         // operation per requesting node.
@@ -172,7 +176,7 @@ impl<'t, H: CombiningHandOut> Combining<'t, H> {
             api.complete(v, H::value(&share, 0));
             next = 1;
         }
-        for (&c, summary) in tree.children(v).iter().zip(summaries.iter()) {
+        for (c, summary) in tree.children(v).zip(summaries.iter()) {
             let len = H::size(summary);
             if len > 0 {
                 api.send(c, WaveMsg::Down(H::part(&share, next, len)));
@@ -237,7 +241,7 @@ impl<H: CombiningHandOut> Protocol for Combining<'_, H> {
     ) {
         match msg {
             WaveMsg::Up(summary) => {
-                let slot = tree.children(node).iter().position(|&c| c == from);
+                let slot = tree.children(node).position(|c| c == from);
                 summaries[slot.expect("Up from a non-child")] = summary;
                 wave.waiting -= 1;
                 Self::report_if_ready(tree, (wave, summaries), api, node);
@@ -320,7 +324,7 @@ mod tests {
             if req[v] {
                 out.push(v);
             }
-            for &c in t.children(v) {
+            for c in t.children(v) {
                 preorder(t, c, req, out);
             }
         }

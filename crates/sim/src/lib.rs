@@ -77,7 +77,7 @@ pub use probe::{fnv1a, Checkpoint, NodeDigest, Phase, PhaseTimings, ProbeSpec};
 pub use protocol::{Protocol, SimApi, SliceApi};
 pub use report::{
     nearest_rank, Completion, CrashFault, Dropped, FaultEvent, FaultKind, FaultPlan, Issue,
-    Lateness, LinkDelay, SimConfig, SimReport,
+    IssueRounds, Lateness, LinkDelay, SimConfig, SimReport,
 };
 pub use trace::{TraceEvent, TraceKind};
 

@@ -617,17 +617,19 @@ impl SimReport {
         d
     }
 
-    /// Issue round per node id, indexed up to the last issuer: the table
-    /// every metric joining completions to issues reads, a node past its
-    /// end (or without an issue event) reading 0 — the one-shot
-    /// convention. A node that issued twice reads its last issue.
-    pub fn issue_rounds(&self) -> Vec<Round> {
-        let len = self.issues.iter().map(|i| i.node + 1).max().unwrap_or(0);
-        let mut at = vec![0; len];
+    /// Each issuing node's issue round, in a table over the issuers' id
+    /// span (every node when all issue, 64 entries for a 64-node cluster,
+    /// however large the ids): the table every metric joining completions
+    /// to issues reads, a node without an issue event reading 0 — the
+    /// one-shot convention. A node that issued twice reads its last issue.
+    pub fn issue_rounds(&self) -> IssueRounds {
+        let first = self.issues.iter().map(|i| i.node).min().unwrap_or(0);
+        let span = self.issues.iter().map(|i| i.node - first + 1).max().unwrap_or(0);
+        let mut rounds = vec![0; span];
         for i in &self.issues {
-            at[i.node] = i.round;
+            rounds[i.node - first] = i.round;
         }
-        at
+        IssueRounds { first, rounds }
     }
 
     /// Scaled completion latency of each completed operation, in completion
@@ -635,10 +637,7 @@ impl SimReport {
     /// one-shot runs (no issue events) this equals the per-operation delay.
     pub fn latencies(&self) -> Vec<u64> {
         let issue = self.issue_rounds();
-        self.completions
-            .iter()
-            .map(|c| (c.round - issued_at(&issue, c.node)) * self.delay_scale)
-            .collect()
+        self.completions.iter().map(|c| (c.round - issue.at(c.node)) * self.delay_scale).collect()
     }
 
     /// Nearest-rank percentile of the scaled completion latencies — of the
@@ -754,10 +753,15 @@ impl SimReport {
 
     /// The displacements of `class`'s subsequence of `output_order`,
     /// against the issue table `issue`.
-    fn class_displacements(&self, class: u8, output_order: &[NodeId], issue: &[Round]) -> Vec<u64> {
+    fn class_displacements(
+        &self,
+        class: u8,
+        output_order: &[NodeId],
+        issue: &IssueRounds,
+    ) -> Vec<u64> {
         let sub: Vec<NodeId> =
             output_order.iter().copied().filter(|&v| self.class_of(v) == class).collect();
-        displacements_of(&sub, |v| issued_at(issue, v))
+        displacements_of(&sub, |v| issue.at(v))
     }
 
     /// Aggregate [`SimReport::qqc_displacements`] into a [`Lateness`]
@@ -848,9 +852,19 @@ pub fn nearest_rank(sorted: &[u64], q: f64) -> u64 {
     sorted[rank - 1]
 }
 
-/// `node`'s entry of an issue table from [`SimReport::issue_rounds`].
-fn issued_at(issue: &[Round], node: NodeId) -> Round {
-    issue.get(node).copied().unwrap_or(0)
+/// Each issuer's last issue round ([`SimReport::issue_rounds`]):
+/// `rounds[v - first]` for the ids `first..first + rounds.len()`.
+#[derive(Clone, Debug)]
+pub struct IssueRounds {
+    first: NodeId,
+    rounds: Vec<Round>,
+}
+
+impl IssueRounds {
+    /// `node`'s issue round; 0 for a node that issued nothing.
+    pub fn at(&self, node: NodeId) -> Round {
+        node.checked_sub(self.first).and_then(|i| self.rounds.get(i)).copied().unwrap_or(0)
+    }
 }
 
 fn sorted(mut sample: Vec<u64>) -> Vec<u64> {
@@ -1079,8 +1093,22 @@ mod tests {
         assert_eq!(rep.latency_percentile(0.5), 12);
         assert_eq!(rep.latency_percentile(0.99), 40);
         let issue = rep.issue_rounds();
-        assert_eq!(issued_at(&issue, 1), 10);
-        assert_eq!(issued_at(&issue, 9), 0);
+        assert_eq!(issue.at(1), 10);
+        assert_eq!(issue.at(9), 0);
+        // The table spans the issuers' ids, whatever they are; a second
+        // issue replaces the first.
+        let cluster = SimReport {
+            issues: vec![
+                Issue { node: 70_001, round: 3 },
+                Issue { node: 70_000, round: 1 },
+                Issue { node: 70_001, round: 8 },
+            ],
+            ..Default::default()
+        };
+        let issue = cluster.issue_rounds();
+        assert_eq!((issue.first, issue.rounds.len()), (70_000, 2));
+        let at = [69_999, 70_000, 70_001, 70_002].map(|v| issue.at(v));
+        assert_eq!(at, [0, 1, 8, 0]);
         assert!((rep.throughput() - 3.0 / 31.0).abs() < 1e-12);
     }
 

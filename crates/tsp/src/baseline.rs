@@ -27,7 +27,7 @@ pub fn steiner_edge_count(tree: &Tree, start: NodeId, targets: &[NodeId]) -> u64
     // contains a needed vertex and the rest of the tree does too.
     let mut cnt = vec![0u32; n];
     let total: u32 = needed.iter().map(|&b| u32::from(b)).sum();
-    for &v in tree.bfs_order().iter().rev() {
+    for v in tree.bfs_order().rev() {
         if needed[v] {
             cnt[v] += 1;
         }

@@ -17,6 +17,9 @@ thread_local! {
     /// and without a destructor, so touching them never allocates.
     static CALLS: Cell<u64> = const { Cell::new(0) };
     static BYTES: Cell<u64> = const { Cell::new(0) };
+    /// Bytes this thread holds: asked for less freed (it may go below 0
+    /// where the thread frees what another allocated).
+    static LIVE: Cell<i64> = const { Cell::new(0) };
 }
 
 /// `System`, with every allocating call counted on the calling thread.
@@ -28,28 +31,37 @@ fn count(bytes: usize) {
     let _ = BYTES.try_with(|c| c.set(c.get() + bytes as u64));
 }
 
+/// `bytes` more (or, negative, fewer) held by this thread.
+fn hold(bytes: i64) {
+    let _ = LIVE.try_with(|c| c.set(c.get() + bytes));
+}
+
 // SAFETY: every method forwards its arguments unchanged to `System`, which
 // upholds the `GlobalAlloc` contract; the counter touches no allocator state.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count(layout.size());
+        hold(layout.size() as i64);
         // SAFETY: the caller's obligations are passed through unchanged.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         count(layout.size());
+        hold(layout.size() as i64);
         // SAFETY: as above.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         count(new_size);
+        hold(new_size as i64 - layout.size() as i64);
         // SAFETY: as above.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        hold(-(layout.size() as i64));
         // SAFETY: as above.
         unsafe { System.dealloc(ptr, layout) }
     }
@@ -92,6 +104,21 @@ fn scenario_build_allocates_the_same_at_any_size() {
     assert_eq!((small.n(), large.n()), (1024, 4096));
     assert_eq!(at_32, at_64, "graph, trees or schedule allocate per node again");
     assert!(at_32 < 100, "{at_32} allocations for one scenario");
+}
+
+/// A scenario stores every vertex id in four bytes: on `sparse_torus(64)`
+/// its graph and two spanning trees (about 20 bytes a vertex each: CSR
+/// offsets and neighbours; parents, children, depths and BFS order) keep
+/// at most 64 bytes a vertex, and building them asks for at most 96. With
+/// `usize` ids they kept 104 and asked for 184.
+#[test]
+fn a_scenario_keeps_four_bytes_per_vertex_id() {
+    let (live, asked) = (LIVE.with(Cell::get), BYTES.with(Cell::get));
+    let (s, _) = sparse_torus(64);
+    let resident = (LIVE.with(Cell::get) - live) as f64 / s.n() as f64;
+    let asked = (BYTES.with(Cell::get) - asked) as f64 / s.n() as f64;
+    assert!(resident <= 64.0, "{resident:.1} bytes a vertex kept by the scenario");
+    assert!(asked <= 96.0, "{asked:.1} bytes a vertex asked for while building it");
 }
 
 /// Build `spec`'s protocol on `s` as `ProtocolSpec::execute` does, apart
