@@ -99,12 +99,8 @@ impl TopoSpec {
                 spanning::path_tree_from_order(&spanning::hamilton_path_complete(n))
             }
             TopoSpec::List { .. } => spanning::bfs_tree(graph, 0),
-            TopoSpec::Mesh2D { side } => {
-                spanning::path_tree_from_order(&spanning::hamilton_path_mesh(&[side, side]))
-            }
-            TopoSpec::Mesh3D { side } => {
-                spanning::path_tree_from_order(&spanning::hamilton_path_mesh(&[side, side, side]))
-            }
+            TopoSpec::Mesh2D { side } => spanning::snake_path_tree(&[side, side]),
+            TopoSpec::Mesh3D { side } => spanning::snake_path_tree(&[side, side, side]),
             TopoSpec::Hypercube { dim } => {
                 spanning::path_tree_from_order(&spanning::hamilton_path_hypercube(dim))
             }
@@ -114,9 +110,7 @@ impl TopoSpec {
             TopoSpec::Star { n } => spanning::star_tree(n, 0),
             // The torus contains every mesh edge, so the mesh snake is a
             // Hamilton path of the torus too.
-            TopoSpec::Torus2D { side } => {
-                spanning::path_tree_from_order(&spanning::hamilton_path_mesh(&[side, side]))
-            }
+            TopoSpec::Torus2D { side } => spanning::snake_path_tree(&[side, side]),
             TopoSpec::RandomRegular { .. } => spanning::bfs_tree(graph, 0),
         }
     }

@@ -18,12 +18,18 @@
 //!   each shard grows from the smallest unassigned seed, repeatedly
 //!   absorbing the frontier vertex with the most edges into the region
 //!   (ties to the smallest id), until it reaches its balanced target size.
+//!   A pick pops a per-gain min-id heap or moves a seed cursor instead of
+//!   scanning the vertices: O(k + (n + m) log n) time and O(n + m) memory
+//!   for `k` shards of an `m`-edge graph.
 //!
 //! Whatever the strategy, a partition is one table: a `u32` shard per
 //! vertex, one allocation of `4n` bytes. A shard's vertices are the ids
 //! that [`Partition::shard_of`] maps to it.
 
 use crate::{Graph, NodeId};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 /// An assignment of `n` vertices to `k` shards.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Partition {
@@ -71,38 +77,78 @@ impl Partition {
     /// smallest unassigned seed by repeatedly absorbing the unassigned
     /// vertex with the most edges into the region (ties to the smallest
     /// id). Deterministic; balanced to `⌈unassigned/remaining⌉` per shard.
+    ///
+    /// A pick scans nothing. A frontier vertex with `g − 1` edges into the
+    /// region sits in the min-id heap of level `g`, and the highest
+    /// non-empty level is the best pick; with no frontier, the seed is the
+    /// smallest untouched id, found by a cursor that only moves up.
+    /// O(k + (n + m) log n) time, O(n + m) memory.
     pub fn greedy_edge_cut(graph: &Graph, k: usize) -> Self {
         let n = graph.n();
         let k = k.max(1);
-        let mut assignment = vec![usize::MAX; n];
+        assert!(u32::try_from(k).is_ok(), "{k} shards exceed the u32 shard table");
+        let mut shard = vec![0u32; n];
         // 0 for an assigned vertex; for an unassigned one, 1 + its edges
-        // into the region being grown. The pick is then the first maximum
-        // of one flat array, which the compiler vectorizes.
+        // into the region being grown.
         let mut key = vec![1u32; n];
+        // `heaps[g]` holds the vertices that reached key `g ≥ 2` in this
+        // shard, smallest id on top. An entry is live only while
+        // `key[v] == g`: a vertex that rises or is picked leaves a stale
+        // entry behind, dropped when it surfaces.
+        let mut heaps: Vec<BinaryHeap<Reverse<u32>>> = Vec::new();
+        // The cursor moves only while the frontier is empty, when every
+        // vertex is assigned or untouched, so every id it passes stays
+        // assigned for the rest of the cut.
+        let mut seed = 0;
         let mut unassigned = n;
-        for shard in 0..k {
-            let target = unassigned.div_ceil(k - shard);
-            key.iter_mut().for_each(|g| *g = (*g).min(1));
-            let mut size = 0;
-            while size < target && unassigned > 0 {
-                // Best frontier vertex: max gain, then smallest id; a fresh
-                // seed (gain 0) is picked the same way, which restarts the
-                // growth in the smallest untouched component.
-                let best = key.iter().copied().max().filter(|&g| g > 0).expect("unassigned > 0");
-                let pick =
-                    key.iter().position(|&g| g == best).expect("the maximum is in the array");
+        for s in 0..k {
+            let target = unassigned.div_ceil(k - s);
+            // What the last shard's frontier left unassigned is untouched
+            // again. Each such vertex has an entry at its key's level, so
+            // draining the heaps finds them all.
+            for heap in &mut heaps {
+                for Reverse(v) in heap.drain() {
+                    key[v as usize] = key[v as usize].min(1);
+                }
+            }
+            // `top` bounds the highest live level from above.
+            let mut top = 0;
+            for _ in 0..target.min(unassigned) {
+                let pick = loop {
+                    if top < 2 {
+                        // No frontier: a fresh seed, which restarts the
+                        // growth in the smallest untouched component.
+                        while key[seed] != 1 {
+                            seed += 1;
+                        }
+                        break seed;
+                    }
+                    match heaps[top].peek() {
+                        Some(&Reverse(v)) if key[v as usize] == top as u32 => break v as usize,
+                        Some(_) => {
+                            heaps[top].pop();
+                        }
+                        None => top -= 1,
+                    }
+                };
                 key[pick] = 0;
-                assignment[pick] = shard;
-                size += 1;
+                shard[pick] = s as u32;
                 unassigned -= 1;
-                for w in graph.neighbors(pick) {
-                    if key[w] > 0 {
-                        key[w] += 1;
+                for &w in graph.row(pick) {
+                    let g = &mut key[w as usize];
+                    if *g > 0 {
+                        *g += 1;
+                        let level = *g as usize;
+                        if heaps.len() <= level {
+                            heaps.resize_with(level + 1, BinaryHeap::new);
+                        }
+                        heaps[level].push(Reverse(w));
+                        top = top.max(level);
                     }
                 }
             }
         }
-        Self::from_assignment(k, assignment)
+        Partition { k, shard: shard.into() }
     }
 
     /// Number of shards.
@@ -268,6 +314,54 @@ mod tests {
     #[should_panic(expected = "assigned to shard")]
     fn out_of_range_assignment_rejected() {
         Partition::from_assignment(2, vec![0, 2]);
+    }
+
+    /// A graph of `family` on about `size` vertices: a random connected
+    /// graph; the same spread over more ids, so isolated vertices sit
+    /// between its vertices and a seed restarts in the middle of a shard;
+    /// or a star whose hub has the largest id.
+    fn oracle_graph(family: usize, size: usize, seed: u64) -> Graph {
+        let mut rng = StdRng::seed_from_u64(seed);
+        match family {
+            0 => topology::random_connected(size, rng.random_range(0.0..0.1), seed),
+            1 => {
+                let core = topology::random_connected(size, rng.random_range(0.0..0.05), seed);
+                let n = size + rng.random_range(1..size + 1);
+                let mut ids: Vec<NodeId> = (0..n).collect();
+                ids.shuffle(&mut rng);
+                let mut b = crate::GraphBuilder::new(n);
+                for (u, v) in core.edges() {
+                    b.add_edge(ids[u], ids[v]);
+                }
+                b.build()
+            }
+            _ => {
+                let mut b = crate::GraphBuilder::new(size);
+                for v in 0..size - 1 {
+                    b.add_edge(v, size - 1);
+                }
+                b.build()
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The heaps and the seed cursor pick what the scan picks: on
+        /// random connected graphs, on graphs with isolated vertices and on
+        /// a star whose hub has the largest id, at every `k` from 1 to 9
+        /// (more shards than vertices included).
+        #[test]
+        fn greedy_picks_what_the_scan_picks_on_random_graphs(
+            family in 0usize..3,
+            size in 1usize..200,
+            k in 1usize..10,
+            seed in any::<u64>(),
+        ) {
+            let g = oracle_graph(family, size, seed);
+            prop_assert_eq!(shards(&Partition::greedy_edge_cut(&g, k)), greedy_by_scan(&g, k));
+        }
     }
 
     proptest! {

@@ -10,9 +10,9 @@
 //!   [`crate::topology::perfect_mary_tree`];
 //! * any constant-degree tree for Theorem 4.13 — e.g. BFS trees of meshes.
 //!
-//! [`bfs_tree`], [`center_bfs_tree`] and [`path_tree_from_order`] hand
-//! their search to `Tree::from_search`; the rest have
-//! [`Tree::from_parents`] validate.
+//! [`bfs_tree`], [`center_bfs_tree`], [`path_tree_from_order`] and
+//! [`snake_path_tree`] hand their search to `Tree::from_search`; the rest
+//! have [`Tree::from_parents`] validate.
 
 use crate::bfs;
 use crate::graph::id;
@@ -92,21 +92,46 @@ pub fn random_bfs_tree(g: &Graph, root: NodeId, seed: u64) -> Tree {
 /// # Panics
 /// Panics if `order` is empty or names a vertex twice.
 pub fn path_tree_from_order(order: &[NodeId]) -> Tree {
+    path_tree_of_ids(order.iter().map(|&v| id(v)).collect())
+}
+
+/// [`path_tree_from_order`] over an order already held as `u32` ids,
+/// which the tree keeps as its BFS order.
+fn path_tree_of_ids(order: Vec<u32>) -> Tree {
     let n = order.len();
     assert!(n > 0, "empty order");
     let (mut parent, mut depth) = (vec![NO_PARENT; n], vec![0u32; n]);
-    parent[order[0]] = id(order[0]);
+    parent[order[0] as usize] = order[0];
     for (i, w) in order.windows(2).enumerate() {
-        assert!(parent[w[1]] == NO_PARENT, "duplicate vertex in order");
-        parent[w[1]] = id(w[0]);
-        depth[w[1]] = i as u32 + 1;
+        let v = w[1] as usize;
+        assert!(parent[v] == NO_PARENT, "duplicate vertex in order");
+        parent[v] = w[0];
+        depth[v] = i as u32 + 1;
     }
-    Tree::from_search(order[0], parent, depth, order.iter().map(|&v| id(v)).collect())
+    Tree::from_search(order[0] as usize, parent, depth, order)
 }
 
 /// Hamilton path of the complete graph `K_n`: the identity order.
 pub fn hamilton_path_complete(n: usize) -> Vec<NodeId> {
     (0..n).collect()
+}
+
+/// Hand every vertex of the mesh `dims` to `visit` in boustrophedon
+/// ("snake") order: sweep the last axis back and forth, carrying over to
+/// earlier axes. `base` is the row-major index of the coordinates fixed so
+/// far, `coord_sum` their sum.
+fn snake(dims: &[usize], base: NodeId, coord_sum: usize, visit: &mut impl FnMut(NodeId)) {
+    let Some((&side, rest)) = dims.split_first() else {
+        visit(base);
+        return;
+    };
+    // Alternate direction based on the sum of earlier coordinates so that
+    // consecutive sub-mesh traversals join at adjacent cells.
+    let backwards = coord_sum % 2 == 1;
+    for i in 0..side {
+        let c = if backwards { side - 1 - i } else { i };
+        snake(rest, base * side + c, coord_sum + c, visit);
+    }
 }
 
 /// Hamilton path of the d-dimensional mesh by boustrophedon ("snake") order:
@@ -115,24 +140,20 @@ pub fn hamilton_path_complete(n: usize) -> Vec<NodeId> {
 /// This is the constructive version of Lemma 4.6's induction (a d-dim mesh
 /// is a stack of (d−1)-dim meshes traversed alternately forwards/backwards).
 pub fn hamilton_path_mesh(dims: &[usize]) -> Vec<NodeId> {
-    // Recursive snake over the remaining axes: `base` is the row-major
-    // index of the coordinates fixed so far, `coord_sum` their sum.
-    fn snake(dims: &[usize], base: NodeId, coord_sum: usize, out: &mut Vec<NodeId>) {
-        let Some((&side, rest)) = dims.split_first() else {
-            out.push(base);
-            return;
-        };
-        // Alternate direction based on the sum of earlier coordinates so that
-        // consecutive sub-mesh traversals join at adjacent cells.
-        let backwards = coord_sum % 2 == 1;
-        for i in 0..side {
-            let c = if backwards { side - 1 - i } else { i };
-            snake(rest, base * side + c, coord_sum + c, out);
-        }
-    }
     let mut order = Vec::with_capacity(dims.iter().product());
-    snake(dims, 0, 0, &mut order);
+    snake(dims, 0, 0, &mut |v| order.push(v));
     order
+}
+
+/// The path tree of the mesh snake ([`hamilton_path_mesh`]), equal to
+/// `path_tree_from_order(&hamilton_path_mesh(dims))`. The snake is written
+/// as `u32` ids straight into the tree's BFS order, with no `usize` order
+/// in between. Also a Hamilton path of the torus of the same sides, which
+/// holds every mesh edge.
+pub fn snake_path_tree(dims: &[usize]) -> Tree {
+    let mut order = Vec::with_capacity(dims.iter().product());
+    snake(dims, 0, 0, &mut |v| order.push(id(v)));
+    path_tree_of_ids(order)
 }
 
 /// Hamilton path of the d-dimensional hypercube via the binary reflected
@@ -295,6 +316,20 @@ mod tests {
             let g = topology::mesh(dims);
             let order = hamilton_path_mesh(dims);
             assert!(is_hamilton_path(&g, &order), "snake fails on {dims:?}");
+        }
+    }
+
+    #[test]
+    fn snake_tree_is_the_path_tree_of_the_snake() {
+        for dims in [&[1][..], &[7], &[3, 5], &[4, 4], &[2, 3, 4], &[3, 3, 3]] {
+            let t = snake_path_tree(dims);
+            let want = path_tree_from_order(&hamilton_path_mesh(dims));
+            assert_eq!(t.root(), want.root());
+            assert!((0..t.n()).all(|v| t.parent(v) == want.parent(v)
+                && t.depth(v) == want.depth(v)
+                && t.children(v).eq(want.children(v))));
+            assert!(t.bfs_order().eq(want.bfs_order()));
+            assert!(t.is_spanning_tree_of(&topology::mesh(dims)), "{dims:?}");
         }
     }
 

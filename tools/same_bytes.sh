@@ -15,7 +15,10 @@
 # topologies under jitter and a striped cut, three slow-ferry plans over jitter
 # or per-link delays (two policies on one wheel), an adaptive + split + fault
 # open load, four bisects, `run --exp all`, the sweep-table drivers (t4,
-# t11-t15) at `--full` scale, `list`, `--help`, record -> replay.
+# t11-t15) at `--full` scale, `list`, `--help`, record -> replay, and the
+# greedy edge cut at 2 to 7 shards on a 14 400-node torus and on the star,
+# complete, hypercube, caterpillar and 3-d mesh families (the picks, so the
+# cross-shard counts, must not move).
 # `--parallel-apply` and `--wavefront[:lag=d]` are retired spellings: every
 # sharded round runs the one lockstep executor and its serialized walk. Their
 # rows stay so that argvs and recordings holding them keep their bytes.
@@ -103,6 +106,13 @@ same sweep --topo torus2d:6 --shards 4:edgecut:ferry=6 --parallel-apply --wavefr
 PIN=()
 same run --exp t14
 same run --exp t15
+
+# --- the greedy edge cut beyond test sizes: a 14 400-node torus at 2 and 5
+# shards, and the hub, dense, cube and leafy families at 3 and 7
+same sweep --topo torus2d:120 --proto arrow,central-counter --pattern tail:64 \
+    --shards 2:edgecut,5:edgecut --json -
+same sweep --topo star:300,complete:64,hypercube:8,caterpillar:40:3,mesh3d:7 \
+    --proto arrow,combining-tree --shards 3:edgecut,7:edgecut --json -
 
 # --- checkpoint and node-digest streams of every registry protocol
 same sweep --topo torus2d:4 --proto all --checkpoint-every 1 --node-hashes --json -
