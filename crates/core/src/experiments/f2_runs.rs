@@ -18,13 +18,15 @@ pub fn run(scale: Scale) -> Vec<Table> {
         "f2 — runs decomposition of NN tours on the list (Figure 2, Lemma 4.4)",
         &["n", "density", "|R|", "#runs", "cost = Σx", "≤ 3n", "Fibonacci ok"],
     );
+    // One list; each density swaps in its request set.
+    let mut s = Scenario::build(TopoSpec::List { n }, RequestPattern::Custom(Vec::new()));
     for (i, &density) in densities.iter().enumerate() {
         let pattern = if density >= 1.0 {
             RequestPattern::All
         } else {
             RequestPattern::Random { density, seed: 7 + i as u64 }
         };
-        let s = Scenario::build(TopoSpec::List { n }, pattern);
+        s = s.with_pattern(pattern);
         let start = n / 3; // off-center start exercises both directions
         let tour = nn_tour(&s.queuing_tree, start, &s.requests);
         let d = decompose_runs(start, &tour.order);

@@ -21,13 +21,15 @@ pub fn run(scale: Scale) -> Vec<Table> {
         &["n", "density", "|R|", "NN-TSP", "3n", "tour ≤ 3n", "arrow", "arrow/(2·TSP)", "≤ 2·TSP"],
     );
     for n in sizes {
+        // One list per size; each density swaps in its request set.
+        let mut s = Scenario::build(TopoSpec::List { n }, RequestPattern::Custom(Vec::new()));
         for &density in &densities {
             let pattern = if density >= 1.0 {
                 RequestPattern::All
             } else {
                 RequestPattern::Random { density, seed: 1000 + n as u64 }
             };
-            let s = Scenario::build(TopoSpec::List { n }, pattern);
+            s = s.with_pattern(pattern);
             let tour = nn_tour(&s.queuing_tree, s.tail, &s.requests);
             let out = run_spec(&protocol::Arrow, &s, ModelMode::Expanded).expect("verifies");
             let measured = out.report.total_delay_unscaled();

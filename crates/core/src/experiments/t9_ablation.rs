@@ -115,16 +115,17 @@ fn density_ablation(scale: Scale) -> Table {
         "t9e — arrow cost tracks the NN-TSP of R, not |R| (density sweep on K_n)",
         &["density", "|R|", "NN-TSP(R)", "total (raw)", "raw/(2·TSP)"],
     );
-    for (density, pattern) in &patterns {
-        // One scenario per density serves both the tour (the Theorem 4.1
-        // ceiling) and the registry run.
-        let s = Scenario::build(TopoSpec::Complete { n }, pattern.clone());
+    // One K_n; each density swaps in its request set, which serves both
+    // the tour (the Theorem 4.1 ceiling) and the registry run.
+    let mut s = Scenario::build(TopoSpec::Complete { n }, RequestPattern::Custom(Vec::new()));
+    for (density, pattern) in patterns {
+        s = s.with_pattern(pattern);
         let tour = nn_tour(&s.queuing_tree, s.tail, &s.requests);
         let out = run_spec(&protocol::Arrow, &s, ModelMode::Expanded)
             .expect("arrow verifies at every density");
         let raw = out.report.total_delay_unscaled();
         t.push_row(vec![
-            f2(*density),
+            f2(density),
             int(s.k() as u64),
             int(tour.cost()),
             int(raw),

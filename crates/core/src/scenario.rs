@@ -416,30 +416,49 @@ impl Scenario {
         Self::build_with(spec, pattern, ArrivalSpec::OneShot)
     }
 
-    /// Build a scenario with an explicit arrival specification.
+    /// Build a scenario with an explicit arrival specification: the
+    /// topology, then the request set ([`Scenario::with_pattern`]).
     pub fn build_with(spec: TopoSpec, pattern: RequestPattern, arrival: ArrivalSpec) -> Scenario {
         let graph = spec.graph();
         let queuing_tree = spec.preferred_tree(&graph);
         let counting_tree = spec.counting_tree(&graph);
-        let requests = pattern.materialize(graph.n());
         let tail = queuing_tree.root();
-        let schedule = arrival.materialize(&requests);
-        Scenario {
+        let topology = Scenario {
             spec,
             graph,
             queuing_tree,
             counting_tree,
-            requests,
+            requests: Vec::new(),
             tail,
             arrival,
-            schedule,
+            schedule: Vec::new(),
             admission: AdmissionSpec::Open,
             priority: PrioritySpec::Uniform,
             faults: FaultSpec::none(),
             shards: ShardSpec::single(),
             probe: ProbeSpec::OFF,
             partition: None,
-        }
+        };
+        topology.with_pattern(pattern)
+    }
+
+    /// Builder-style: issue `pattern`'s request set, materialized over the
+    /// graph, on the scenario's own arrival. The only place requests and
+    /// their schedule are built: the graph, both trees, the tail and the
+    /// shard partition stay as they are, so a sweep over request sets on
+    /// one topology builds the topology once.
+    ///
+    /// ```
+    /// use ccq_core::prelude::*;
+    ///
+    /// let s = Scenario::build(TopoSpec::List { n: 8 }, RequestPattern::All);
+    /// let s = s.with_pattern(RequestPattern::TailCluster { count: 3 });
+    /// assert_eq!(s.requests, [5, 6, 7]);
+    /// ```
+    pub fn with_pattern(mut self, pattern: RequestPattern) -> Self {
+        self.requests = pattern.materialize(self.n());
+        self.schedule = self.arrival.materialize(&self.requests);
+        self
     }
 
     /// Builder-style: run this scenario under a shard plan, building its
@@ -587,6 +606,89 @@ mod tests {
             assert!(s.graph.is_connected(), "{}", spec.name());
             assert!(s.queuing_tree.is_spanning_tree_of(&s.graph), "{}", spec.name());
             assert!(s.counting_tree.is_spanning_tree_of(&s.graph), "{}", spec.name());
+        }
+    }
+
+    /// One small spec of every family (the match lists each, so a new
+    /// family fails to compile here until it is added).
+    fn every_family() -> Vec<TopoSpec> {
+        let specs = vec![
+            TopoSpec::Complete { n: 12 },
+            TopoSpec::List { n: 11 },
+            TopoSpec::Mesh2D { side: 4 },
+            TopoSpec::Mesh3D { side: 3 },
+            TopoSpec::Hypercube { dim: 4 },
+            TopoSpec::PerfectTree { m: 3, depth: 2 },
+            TopoSpec::Star { n: 10 },
+            TopoSpec::Caterpillar { spine: 5, legs: 2 },
+            TopoSpec::Figure1,
+            TopoSpec::Torus2D { side: 5 },
+            TopoSpec::RandomRegular { n: 14, d: 3, seed: 9 },
+        ];
+        for spec in &specs {
+            match spec {
+                TopoSpec::Complete { .. }
+                | TopoSpec::List { .. }
+                | TopoSpec::Mesh2D { .. }
+                | TopoSpec::Mesh3D { .. }
+                | TopoSpec::Hypercube { .. }
+                | TopoSpec::PerfectTree { .. }
+                | TopoSpec::Star { .. }
+                | TopoSpec::Caterpillar { .. }
+                | TopoSpec::Figure1
+                | TopoSpec::Torus2D { .. }
+                | TopoSpec::RandomRegular { .. } => {}
+            }
+        }
+        specs
+    }
+
+    #[test]
+    fn with_pattern_equals_build_with() {
+        let patterns = [
+            RequestPattern::All,
+            RequestPattern::Random { density: 0.4, seed: 17 },
+            RequestPattern::TailCluster { count: 4 },
+            RequestPattern::Custom(vec![5, 1, 5, 3]),
+        ];
+        let arrivals = [ArrivalSpec::OneShot, ArrivalSpec::Poisson { rate: 0.5, seed: 3 }];
+        let plan = ShardSpec::new(3, ShardStrategy::EdgeCut);
+        for spec in every_family() {
+            for arrival in &arrivals {
+                // Built on another request set, sharded, then swapped.
+                let build = |p: RequestPattern| {
+                    Scenario::build_with(spec.clone(), p, arrival.clone()).with_shards(plan)
+                };
+                let mut swapped = build(RequestPattern::TailCluster { count: 1 });
+                for pattern in &patterns {
+                    swapped = swapped.with_pattern(pattern.clone());
+                    let built = build(pattern.clone());
+                    let at = format!("{} / {} / {arrival:?}", spec.name(), pattern.name());
+                    assert_eq!(swapped.requests, built.requests, "{at}");
+                    assert_eq!(swapped.tail, built.tail, "{at}");
+                    assert_eq!(swapped.schedule, built.schedule, "{at}");
+                    assert_eq!(swapped.arrival, built.arrival, "{at}");
+                    assert_eq!(swapped.spec, built.spec, "{at}");
+                    let n = built.n();
+                    assert_eq!(swapped.n(), n, "{at}");
+                    for v in 0..n {
+                        let rows =
+                            [&swapped, &built].map(|s| s.graph.neighbors(v).collect::<Vec<_>>());
+                        assert_eq!(rows[0], rows[1], "{at}: row {v}");
+                    }
+                    let trees = [
+                        (&swapped.queuing_tree, &built.queuing_tree),
+                        (&swapped.counting_tree, &built.counting_tree),
+                    ];
+                    for (a, b) in trees {
+                        assert_eq!(a.root(), b.root(), "{at}");
+                        assert!((0..n).all(|v| a.parent(v) == b.parent(v)), "{at}");
+                        assert!(a.bfs_order().eq(b.bfs_order()), "{at}");
+                    }
+                    assert_eq!(swapped.partition(), built.partition(), "{at}");
+                    assert!(swapped.partition().is_some(), "{at}");
+                }
+            }
         }
     }
 

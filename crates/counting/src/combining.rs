@@ -132,6 +132,28 @@ mod tests {
         assert!(p1023 / p63 < 4.0, "p63={p63} p1023={p1023}");
     }
 
+    /// At a hub every leaf's `Up` finds its slot by search: on a
+    /// 1 024-leaf star both hand-outs verify and agree on the preorder
+    /// (the hub, then the leaves ascending), requesting hub or not.
+    #[test]
+    fn both_hand_outs_verify_on_a_wide_star() {
+        use ccq_queuing::{verify_total_order, CombiningQueueProtocol};
+        let n = 1025;
+        let t = spanning::star_tree(n, 0);
+        let g = t.to_graph();
+        for requests in [(0..n).collect::<Vec<NodeId>>(), (1..n).step_by(3).collect()] {
+            let queue =
+                run_protocol(&g, CombiningQueueProtocol::new(&t, &requests), SimConfig::strict())
+                    .unwrap();
+            let preds: Vec<(NodeId, u64)> =
+                queue.completions.iter().map(|c| (c.node, c.value)).collect();
+            let queue_order = verify_total_order(&requests, &preds).unwrap();
+            let (_, rank_order) = run_combining(&t, &requests, SimConfig::strict());
+            assert_eq!(queue_order, requests);
+            assert_eq!(rank_order, requests);
+        }
+    }
+
     #[test]
     fn deterministic() {
         let t = spanning::balanced_binary_tree(31);

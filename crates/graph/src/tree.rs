@@ -137,6 +137,15 @@ impl Tree {
         &self.child_adj[self.child_slots(v)]
     }
 
+    /// The slot of `c` among `v`'s children (its index in
+    /// [`Tree::children`]), or `None` when `c` is not a child of `v`: a
+    /// binary search of the ascending list, `O(log deg)`.
+    #[inline]
+    pub fn child_index(&self, v: NodeId, c: NodeId) -> Option<usize> {
+        let c = u32::try_from(c).ok()?;
+        self.child_ids(v).binary_search(&c).ok()
+    }
+
     /// Where `v`'s children lie in one child-indexed array of `n - 1` slots.
     #[inline]
     pub fn child_slots(&self, v: NodeId) -> std::ops::Range<usize> {
@@ -306,6 +315,50 @@ mod tests {
             prop_assert_eq!(t.bfs_order().collect::<Vec<_>>(), bfs_order);
             let degree = |v: NodeId| children[v].len() + usize::from(v != label[0]);
             prop_assert_eq!(t.max_degree(), (0..n).map(degree).max().unwrap_or(0));
+        }
+    }
+
+    /// `child_index` finds each child of each of `vertices` where the
+    /// linear search of `children` does, and nothing for a vertex that is
+    /// not a child (out-of-range ids included).
+    fn assert_child_index_is_position(t: &Tree, vertices: impl IntoIterator<Item = NodeId>) {
+        let n = t.n();
+        for v in vertices {
+            for c in (0..n).chain([n, u32::MAX as usize, usize::MAX]) {
+                assert_eq!(t.child_index(v, c), t.children(v).position(|x| x == c), "{v} {c}");
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn child_index_agrees_with_position(n in 1usize..40, seed in any::<u64>()) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut label: Vec<NodeId> = (0..n).collect();
+            label.shuffle(&mut rng);
+            let mut parent = vec![label[0]; n];
+            for v in 1..n {
+                parent[label[v]] = label[rng.random_range(0..v)];
+            }
+            assert_child_index_is_position(&Tree::from_parents(label[0], parent), 0..n);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4))]
+
+        /// A hub with 4 095 leaves: each leaf at its slot among the ids
+        /// ascending around the hub, and no leaf has a child.
+        #[test]
+        fn child_index_agrees_with_position_on_a_wide_star(hub in 0usize..4096) {
+            let n = 4096;
+            let t = crate::spanning::star_tree(n, hub);
+            for c in (0..n).filter(|&c| c != hub) {
+                prop_assert_eq!(t.child_index(hub, c), Some(c - usize::from(c > hub)));
+            }
+            assert_child_index_is_position(&t, [hub, (hub + 1) % n, (hub + n - 1) % n]);
         }
     }
 

@@ -90,11 +90,13 @@ impl CentralShared<'_> {
     }
 }
 
-/// The central mechanism's state. Every node's slice is a `u64`, but only
-/// the home's is live: the state `H` hands out of.
+/// The central mechanism's state: the home's `u64`, the state `H` hands
+/// out of. It is the only node state there is, so the home's slice is
+/// `Some` of it and every other node's is `None`.
 pub struct Central<'t, H> {
     shared: CentralShared<'t>,
-    state: Vec<u64>,
+    nodes: usize,
+    state: u64,
     hand: PhantomData<H>,
 }
 
@@ -106,7 +108,7 @@ impl<'t, H: CentralHandOut> Central<'t, H> {
         let mut requests = requests.to_vec();
         requests.sort_unstable();
         let shared = CentralShared { home, router: TreeRouter::new(tree), requests };
-        Central { shared, state: vec![H::FIRST; n], hand: PhantomData }
+        Central { shared, nodes: n, state: H::FIRST, hand: PhantomData }
     }
 
     /// Send `msg`, held by `at`, one hop further along its walk.
@@ -121,17 +123,17 @@ impl<'t, H: CentralHandOut> Central<'t, H> {
 impl<'t, H: CentralHandOut> Protocol for Central<'t, H> {
     type Msg = CentralMsg<H>;
     type Slice<'s>
-        = &'s mut u64
+        = Option<&'s mut u64>
     where
         Self: 's;
     type Shared = CentralShared<'t>;
 
     fn nodes(&self) -> usize {
-        self.state.len()
+        self.nodes
     }
 
-    fn at(&mut self, v: NodeId) -> (&CentralShared<'t>, &mut u64) {
-        (&self.shared, &mut self.state[v])
+    fn at(&mut self, v: NodeId) -> (&CentralShared<'t>, Option<&mut u64>) {
+        (&self.shared, (v == self.shared.home).then_some(&mut self.state))
     }
 
     fn requests(&self) -> &[NodeId] {
@@ -140,8 +142,8 @@ impl<'t, H: CentralHandOut> Protocol for Central<'t, H> {
 
     /// Issue `v`'s operation now (`v` must be in the request set): the
     /// home serves itself without messages, anyone else starts the walk.
-    fn issue(shared: &CentralShared<'t>, state: &mut u64, api: &mut Api<H>, v: NodeId) {
-        if v == shared.home {
+    fn issue(shared: &CentralShared<'t>, state: Option<&mut u64>, api: &mut Api<H>, v: NodeId) {
+        if let Some(state) = state {
             api.complete(v, H::hand_out(state, v));
         } else {
             let i = shared.requests.binary_search(&v).expect("the node is a requester");
@@ -151,7 +153,7 @@ impl<'t, H: CentralHandOut> Protocol for Central<'t, H> {
 
     fn on_message(
         shared: &CentralShared<'t>,
-        state: &mut u64,
+        state: Option<&mut u64>,
         api: &mut Api<H>,
         node: NodeId,
         _from: NodeId,
@@ -161,7 +163,7 @@ impl<'t, H: CentralHandOut> Protocol for Central<'t, H> {
             // Not yet at the end of its walk: one more hop.
             _ if node != shared.end(&msg) => Self::forward(shared, api, node, msg),
             CentralMsg::Req { origin, route, .. } => {
-                let value = H::hand_out(state, origin);
+                let value = H::hand_out(state.expect("the home holds the state"), origin);
                 let reply =
                     CentralMsg::Reply { value, route: route + 1, idx: 0, hand: PhantomData };
                 Self::forward(shared, api, node, reply);
@@ -219,6 +221,16 @@ mod tests {
         let rep = run_central(&t, 2, &[2]);
         assert_eq!(rep.completions[0].round, 0);
         assert_eq!(rep.messages_sent, 0);
+    }
+
+    #[test]
+    fn only_the_home_is_lent_the_state() {
+        let t = spanning::balanced_binary_tree(7);
+        let mut proto = CentralQueueProtocol::new(&t, 2, &[1, 4]);
+        assert_eq!(proto.nodes(), 7);
+        for v in 0..7 {
+            assert_eq!(proto.at(v).1.copied(), (v == 2).then_some(INITIAL_TOKEN), "node {v}");
+        }
     }
 
     #[test]

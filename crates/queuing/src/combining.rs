@@ -241,8 +241,7 @@ impl<H: CombiningHandOut> Protocol for Combining<'_, H> {
     ) {
         match msg {
             WaveMsg::Up(summary) => {
-                let slot = tree.children(node).position(|c| c == from);
-                summaries[slot.expect("Up from a non-child")] = summary;
+                summaries[tree.child_index(node, from).expect("Up from a non-child")] = summary;
                 wave.waiting -= 1;
                 Self::report_if_ready(tree, (wave, summaries), api, node);
             }

@@ -123,6 +123,32 @@ fn a_scenario_keeps_four_bytes_per_vertex_id() {
     assert!(asked <= 62.0, "{asked:.1} bytes a vertex asked for while building it");
 }
 
+/// Swapping a request set builds no topology: `with_pattern` on the
+/// 4 096-processor torus asks for the requests (a `NodeId` each) and
+/// their schedule (a `(Round, NodeId)` each) and nothing that scales with
+/// `n + m`, where a rebuilt graph and trees ask for about 60 bytes a
+/// vertex. An open arrival's schedule also shuffles a copy of the
+/// requests, a third `NodeId` a requester.
+#[test]
+fn swapping_a_request_set_builds_no_topology() {
+    const ONE_SHOT: u64 =
+        (std::mem::size_of::<usize>() + std::mem::size_of::<(u64, usize)>()) as u64;
+    let mut one_shot = Scenario::build(TopoSpec::Torus2D { side: 64 }, RequestPattern::All);
+    for count in [1, 64, 4_096] {
+        let pattern = RequestPattern::TailCluster { count };
+        let ((s, bytes), allocs) = counted(|| counted_bytes(|| one_shot.with_pattern(pattern)));
+        assert_eq!((s.k(), s.schedule.len()), (count, count));
+        assert_eq!((allocs, bytes), (2, ONE_SHOT * count as u64), "one-shot, {count} requesters");
+        one_shot = s;
+    }
+    let open = sparse_torus(64).0;
+    let pattern = RequestPattern::TailCluster { count: 64 };
+    let ((s, bytes), allocs) = counted(|| counted_bytes(|| open.with_pattern(pattern)));
+    assert_eq!(s.schedule.len(), 64);
+    let open_bytes = ONE_SHOT * 64 + std::mem::size_of::<usize>() as u64 * 64;
+    assert_eq!((allocs, bytes), (3, open_bytes), "open arrival, 64 requesters");
+}
+
 /// Build `spec`'s protocol on `s` as `ProtocolSpec::execute` does, apart
 /// from any run: the allocation calls its state costs.
 fn build_allocs(spec: &ProtocolSpec, s: &Scenario) -> u64 {

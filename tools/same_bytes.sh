@@ -15,7 +15,8 @@
 # topologies under jitter and a striped cut, three slow-ferry plans over jitter
 # or per-link delays (two policies on one wheel), an adaptive + split + fault
 # open load, four bisects, `run --exp all`, the sweep-table drivers (t4,
-# t11-t15) at `--full` scale, `list`, `--help`, record -> replay, and the
+# t11-t15) and the t9 ablations (t9e's density sweep on K_512) at `--full`
+# scale, `list`, `--help`, record -> replay, and the
 # greedy edge cut at 2 to 7 shards on a 14 400-node torus and on the star,
 # complete, hypercube, caterpillar and 3-d mesh families (the picks, so the
 # cross-shard counts, must not move).
@@ -170,6 +171,7 @@ same bisect "--shards 2:contig:ferry=10" "--shards 2:contig" --topo list:8 --pro
 # help texts
 same run --exp all
 same run --exp t4,t11,t12,t13,t14,t15 --full
+same run --exp t9 --full
 same list
 same --help
 
